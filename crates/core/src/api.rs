@@ -11,7 +11,9 @@ use dhs_runtime::Comm;
 use dhs_select::dselect;
 
 use crate::key::Key;
-use crate::sort::{histogram_sort, histogram_sort_by, Partitioning, SortConfig, SortStats};
+use crate::sort::{
+    histogram_sort, histogram_sort_by, InvalidSortConfig, Partitioning, SortConfig, SortStats,
+};
 
 /// Re-exported so callers configuring [`SortConfig::exchange_algo`] (or
 /// [`crate::SortConfigBuilder::exchange_algo`]) never need a direct
@@ -45,7 +47,18 @@ impl std::error::Error for OrderOutOfRange {}
 /// immutable, so the sort always runs with *perfect partitioning*
 /// (every rank keeps its block size), matching the paper's in-place
 /// scenario. Collective.
-pub fn sort_array<K: Key>(comm: &Comm, array: &GlobalArray<K>, cfg: &SortConfig) -> SortStats {
+///
+/// # Errors
+/// Returns the [`InvalidSortConfig`] when `cfg` fails
+/// [`SortConfig::validate`]. The check runs before any communication
+/// and every rank sees the same `cfg`, so all ranks return the error
+/// together and the array is left untouched.
+pub fn sort_array<K: Key>(
+    comm: &Comm,
+    array: &GlobalArray<K>,
+    cfg: &SortConfig,
+) -> Result<SortStats, InvalidSortConfig> {
+    cfg.validate()?;
     let mut cfg = cfg.clone();
     cfg.partitioning = Partitioning::Perfect;
     cfg.epsilon = 0.0;
@@ -53,12 +66,12 @@ pub fn sort_array<K: Key>(comm: &Comm, array: &GlobalArray<K>, cfg: &SortConfig)
     let stats = histogram_sort(comm, &mut local, &cfg);
     array.replace_local(local);
     array.fence(comm);
-    stats
+    Ok(stats)
 }
 
 /// `dash::sort` with defaults.
 pub fn sort<K: Key>(comm: &Comm, array: &GlobalArray<K>) -> SortStats {
-    sort_array(comm, array, &SortConfig::default())
+    sort_array(comm, array, &SortConfig::default()).expect("the default SortConfig is valid")
 }
 
 /// Sort records by an extracted key, with defaults: `dash::sort` over
@@ -158,6 +171,27 @@ mod tests {
         expect.sort_unstable();
         for (v, _) in out {
             assert_eq!(v, expect);
+        }
+    }
+
+    #[test]
+    fn sort_array_rejects_an_invalid_config_on_every_rank() {
+        // Field mutation on purpose: the builder would reject NaN.
+        #[allow(clippy::field_reassign_with_default)]
+        let out = run(&ClusterConfig::small_cluster(3), |comm| {
+            let mut cfg = SortConfig::default();
+            cfg.epsilon = f64::NAN;
+            let before = keys_for(comm.rank(), 50);
+            let arr = GlobalArray::from_local(comm, before.clone());
+            let err = sort_array(comm, &arr, &cfg).expect_err("NaN epsilon is invalid");
+            // No rank entered a collective: the world is still usable
+            // and the array is untouched.
+            comm.barrier();
+            (err, arr.local_to_vec() == before)
+        });
+        for ((err, untouched), _) in out {
+            assert!(matches!(err, InvalidSortConfig::BadEpsilon(e) if e.is_nan()));
+            assert!(untouched);
         }
     }
 

@@ -69,13 +69,6 @@ impl SortConfigBuilder {
         self
     }
 
-    /// Apply the §V-A uniqueness transform during splitter
-    /// determination and exchange.
-    pub fn unique_transform(mut self, on: bool) -> Self {
-        self.cfg.unique_transform = on;
-        self
-    }
-
     /// Cap splitter refinement at `iterations` rounds (degrading
     /// gracefully when the cap bites). `build()` rejects a cap of 0.
     pub fn max_splitter_iterations(mut self, iterations: u32) -> Self {
@@ -198,7 +191,6 @@ impl Default for SortConfig {
             merge: MergeAlgo::Resort,
             exchange: ExchangeStrategy::AllToAllv,
             local_sort: LocalSort::Comparison,
-            unique_transform: false,
             max_splitter_iterations: None,
             probes_per_round: 1,
             threads_per_rank: 1,
@@ -223,7 +215,6 @@ mod tests {
         assert_eq!(built.merge, def.merge);
         assert_eq!(built.exchange, def.exchange);
         assert_eq!(built.local_sort, def.local_sort);
-        assert_eq!(built.unique_transform, def.unique_transform);
         assert_eq!(built.max_splitter_iterations, def.max_splitter_iterations);
         assert_eq!(built.probes_per_round, def.probes_per_round);
         assert_eq!(built.threads_per_rank, def.threads_per_rank);

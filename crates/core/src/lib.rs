@@ -8,12 +8,22 @@
 //! and makes no assumptions about key distribution, duplicates, rank
 //! counts, or sparse/empty partitions.
 //!
-//! The four supersteps of §V map onto this crate as:
+//! The four supersteps of §V are one pipeline in [`mod@sort`], shared by
+//! every entry point (plain keys, records via [`histogram_sort_by`],
+//! the warm-start variants, [`histogram_sort_two_level`]'s level 2 and
+//! the [`EpochSorter`] service), with shrink-and-recover as a retry
+//! loop around phases 2–4:
 //!
-//! 1. **Local sort** — `sort_unstable` in [`sort::histogram_sort`];
-//! 2. **Splitting** — [`splitter::find_splitters`] (Algorithms 2 + 3);
+//! 1. **Local sort** — the configured [`LocalSort`] engine (a stable
+//!    sort by key for records);
+//! 2. **Splitting** — [`splitter::find_splitters_seeded`] (Algorithms
+//!    2 + 3, optionally seeded from a previous ladder);
 //! 3. **Data exchange** — [`exchange`] (Algorithm 4 + `ALL-TO-ALLV`);
 //! 4. **Local merge** — any [`dhs_merge::MergeAlgo`].
+//!
+//! The §V-A uniqueness transform is a key type, not an option: sort
+//! [`make_unique`] keys through [`histogram_sort`] and
+//! [`strip_unique`] the result.
 //!
 //! ```
 //! use dhs_runtime::{run, ClusterConfig};

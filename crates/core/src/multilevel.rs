@@ -10,29 +10,37 @@
 //! of `P`, attacking exactly the strong-scaling bottleneck Fig. 2b
 //! exposes — at the price the paper acknowledges for such schemes: the
 //! data moves twice, and each level pays a communicator split.
+//!
+//! Only the level-1 group routing lives here. The local sort and the
+//! whole of level 2 are the shared pipeline of [`mod@crate::sort`], run on
+//! the split communicator with the group's share of the targets.
 
 use dhs_runtime::{AllToAllAlgo, Comm, Work};
 use dhs_shm::kernels::ladder_bounds_typed;
 use dhs_shm::Kernels;
 
 use crate::key::Key;
-use crate::sort::{histogram_sort, Partitioning, SortConfig, SortStats};
-use crate::splitter::find_splitters;
+use crate::sort::{
+    attempt, histogram_sort, local_phase, Keys, Payload, Shape, SortConfig, SortStats,
+};
+use crate::splitter::{find_splitters, SplitterResult};
 
 /// Sort with one level of group splitting. `groups` controls the
 /// level-1 fan-out; `0` picks `⌈√P⌉` (the AMS/HykSort convention the
-/// paper cites). Only perfect partitioning is supported (the in-place
-/// case all the paper's benchmarks use).
+/// paper cites), and a fan-out of 1 or `P` degenerates to
+/// [`histogram_sort`]. Every [`SortConfig`] field applies as for the
+/// flat sort, except that [`SortConfig::recovery`] is not consulted
+/// between the levels (a rank failure aborts the run) and the level-1
+/// splitter search always runs cold with one probe per round.
+///
+/// # Panics
+/// Panics when `cfg` fails [`SortConfig::validate`].
 pub fn histogram_sort_two_level<K: Key>(
     comm: &Comm,
     local: &mut Vec<K>,
     cfg: &SortConfig,
     groups: usize,
 ) -> SortStats {
-    assert!(
-        matches!(cfg.partitioning, Partitioning::Perfect),
-        "two-level sort currently supports perfect partitioning only"
-    );
     let p = comm.size();
     let g = if groups == 0 {
         (p as f64).sqrt().ceil() as usize
@@ -41,145 +49,82 @@ pub fn histogram_sort_two_level<K: Key>(
     };
     let g = g.clamp(1, p);
     if g <= 1 || g >= p {
-        // Degenerates to the flat algorithm.
         return histogram_sort(comm, local, cfg);
     }
 
     let t_begin = comm.now_ns();
-    let mut stats = SortStats {
-        n_in: local.len(),
-        ..SortStats::default()
-    };
-    let elem = std::mem::size_of::<K>() as u64;
+    let mut stats = local_phase(comm, local, &Keys, cfg);
 
-    // Shared local sort.
-    let sp = comm.span("local_sort");
-    local.sort_unstable();
-    comm.charge(Work::SortElems {
-        n: local.len() as u64,
-        elem_bytes: elem,
-    });
-    stats.local_sort_ns = sp.finish();
-
+    // The partitioning policy fixes where every rank's output block
+    // ends; both levels read their targets off those boundaries.
     let sp = comm.span("prepare");
-    let caps: Vec<usize> = comm.allgather(local.len());
-    let n_total: u64 = caps.iter().map(|&c| c as u64).sum();
-    if n_total == 0 {
-        stats.prepare_ns += sp.finish();
+    let shape = Shape::gather(comm, local, cfg);
+    stats.prepare_ns += sp.finish();
+    if shape.n_total == 0 {
         stats.n_out = local.len();
-        debug_assert_eq!(stats.total_ns(), comm.now_ns() - t_begin);
         return stats;
     }
-    stats.prepare_ns += sp.finish();
-
-    // Level 1: g-1 group splitters at the group capacity boundaries.
     let group_start = |grp: usize| grp * p / g;
-    let group_of = |r: usize| {
-        (0..g)
-            .find(|&grp| group_start(grp) <= r && r < group_start(grp + 1))
-            .expect("every rank lies in a group")
-    };
+    let my_group = (0..g)
+        .find(|&grp| comm.rank() < group_start(grp + 1))
+        .expect("every rank lies in a group");
+    let (first, end) = (group_start(my_group), group_start(my_group + 1));
+    let base = first.checked_sub(1).map_or(0, |r| shape.targets[r]);
+
+    // Level 1: g-1 group splitters where the groups' outputs end. This
+    // is the one splitter search and exchange plan outside the shared
+    // pipeline: the communicator has P ranks but only g destinations,
+    // so the P-way `attempt` does not fit (CI's fork lint excepts
+    // exactly these two calls).
     let sp = comm.span("histogram");
-    let mut targets = Vec::with_capacity(g - 1);
-    let mut acc = 0u64;
-    for grp in 0..g - 1 {
-        acc += caps[group_start(grp)..group_start(grp + 1)]
-            .iter()
-            .map(|&c| c as u64)
-            .sum::<u64>();
-        targets.push(acc);
-    }
-    let slack = crate::splitter::slack_for(n_total, p, cfg.epsilon);
-    let l1 = find_splitters(comm, local, &targets, slack);
+    let l1_targets: Vec<u64> = (1..g)
+        .map(|grp| shape.targets[group_start(grp) - 1])
+        .collect();
+    let l1 = find_splitters(comm, local, &l1_targets, shape.slack);
     stats.iterations += l1.iterations;
     stats.probes += l1.probes;
     stats.histogram_ns += sp.finish();
 
-    // Level-1 exchange: the g-way plan, but routed so each bucket goes
-    // to one member of its group (spread by sender rank).
     let sp = comm.span("prepare");
-    let plan = plan_group_exchange(
-        comm,
-        local,
-        &l1,
-        g,
-        &group_start,
-        Kernels::for_policy(cfg.kernels),
-    );
+    let kernels = Kernels::for_policy(cfg.kernels);
+    let buckets = plan_group_exchange(comm, local, &l1, g, &group_start, kernels);
     stats.prepare_ns += sp.finish();
 
+    // Each sender spreads its buckets over the members of the target
+    // group, so the received runs interleave: re-sort, don't merge.
     let sp = comm.span("exchange");
-    let received = exchange_group_data(comm, local, &plan);
-    comm.charge(Work::SortElems {
-        n: received.len() as u64,
-        elem_bytes: elem,
-    });
-    let mut mine = received;
-    mine.sort_unstable();
-    *local = mine;
+    *local = comm.exchange(buckets, AllToAllAlgo::OneFactor).into_data();
+    Keys.local_sort(comm, local, cfg);
     stats.exchange_ns += sp.finish();
 
-    // Level 2: histogramming inside the group, targeting the ORIGINAL
-    // capacities of the group's members (perfect partitioning must
-    // restore each rank's input size, not the transient level-1
-    // distribution). The split is the blocking, linear-cost collective
-    // the paper warns about.
-    // The communicator split and the group-emptiness allreduce are
-    // exchange *preparation*: without a span here their virtual time
-    // would be attributed to no phase at all.
+    // Level 2: the shared pipeline inside the group, aiming at the
+    // group members' own output boundaries (not the transient level-1
+    // distribution). The communicator split — the blocking,
+    // linear-cost collective the paper warns about — and the
+    // group-emptiness allreduce are exchange *preparation*.
     let sp = comm.span("prepare");
-    let my_group = group_of(comm.rank());
     let sub = comm.split(my_group as u64, comm.rank() as u64);
-    let member_caps: &[usize] = &caps[group_start(my_group)..group_start(my_group + 1)];
-    let mut l2_targets = Vec::with_capacity(member_caps.len().saturating_sub(1));
-    let mut acc2 = 0u64;
-    for &c in &member_caps[..member_caps.len() - 1] {
-        acc2 += c as u64;
-        l2_targets.push(acc2);
-    }
-
-    // An entirely empty group (possible under sparse layouts) has
-    // nothing left to do.
-    let group_total: u64 = sub.allreduce_sum(vec![local.len() as u64])[0];
-    if group_total == 0 {
-        stats.prepare_ns += sp.finish();
-        stats.n_out = local.len();
-        debug_assert_eq!(stats.total_ns(), comm.now_ns() - t_begin);
-        return stats;
-    }
+    let l2 = Shape {
+        // An entirely empty group (possible under sparse layouts) has
+        // nothing left to do; `attempt` returns at once.
+        n_total: sub.allreduce_sum(vec![local.len() as u64])[0],
+        targets: shape.targets[first..end - 1]
+            .iter()
+            .map(|t| t - base)
+            .collect(),
+        slack: shape.slack,
+    };
     stats.prepare_ns += sp.finish();
+    attempt(
+        &sub,
+        local,
+        &Keys,
+        cfg,
+        &mut stats,
+        &mut Vec::new(),
+        Some(l2),
+    );
 
-    let sp = comm.span("histogram");
-    let l2 = find_splitters(&sub, local, &l2_targets, slack);
-    stats.iterations += l2.iterations;
-    stats.probes += l2.probes;
-    stats.histogram_ns += sp.finish();
-
-    let sp = comm.span("prepare");
-    let plan2 =
-        crate::exchange::plan_exchange_with(&sub, local, &l2, Kernels::for_policy(cfg.kernels));
-    stats.prepare_ns += sp.finish();
-
-    let sp = comm.span("exchange");
-    let received = crate::exchange::exchange_data(&sub, local, &plan2, cfg.exchange_algo);
-    stats.exchange_ns += sp.finish();
-
-    let sp = comm.span("merge");
-    let n_recv = received.total_len() as u64;
-    let ways = received.runs().filter(|r| !r.is_empty()).count() as u64;
-    match cfg.merge {
-        dhs_merge::MergeAlgo::Resort => comm.charge(Work::SortElems {
-            n: n_recv,
-            elem_bytes: elem,
-        }),
-        _ => comm.charge(Work::MergeElems {
-            n: n_recv,
-            ways: ways.max(2),
-            elem_bytes: elem,
-        }),
-    }
-    *local = dhs_merge::kway_merge(cfg.merge, &received.as_slices());
-    stats.merge_ns += sp.finish();
     stats.n_out = local.len();
     debug_assert_eq!(
         stats.total_ns(),
@@ -189,24 +134,20 @@ pub fn histogram_sort_two_level<K: Key>(
     stats
 }
 
-/// Per-destination-rank buckets for the level-1 exchange.
-struct GroupPlan<K> {
-    send: Vec<Vec<K>>,
-}
-
+/// Per-destination-rank buckets for the level-1 exchange: the g-way
+/// Algorithm 4 cut of the sorted block, each group's bucket addressed
+/// to one member of that group (spread by sender rank).
 fn plan_group_exchange<K: Key>(
     comm: &Comm,
     sorted_local: &[K],
-    l1: &crate::splitter::SplitterResult<K>,
+    l1: &SplitterResult<K>,
     g: usize,
     group_start: &dyn Fn(usize) -> usize,
     kernels: Kernels,
-) -> GroupPlan<K> {
+) -> Vec<Vec<K>> {
     let p = comm.size();
     let rank = comm.rank();
-    // Reuse the Algorithm 4 refinement over the g-way plan by treating
-    // the groups as destinations: build a fake g-rank cut vector with
-    // the same exclusive-scan logic as `plan_exchange`, specialized
+    // The same exclusive-scan refinement as `plan_exchange`, specialized
     // here because the communicator has P ranks, not g.
     let elem = std::mem::size_of::<K>() as u64;
     comm.charge(Work::BinarySearches {
@@ -261,12 +202,7 @@ fn plan_group_exchange<K: Key>(
         let peer = gs + rank % size_g;
         send[peer] = sorted_local[cuts[grp]..cuts[grp + 1]].to_vec();
     }
-    GroupPlan { send }
-}
-
-fn exchange_group_data<K: Key>(comm: &Comm, _local: &[K], plan: &GroupPlan<K>) -> Vec<K> {
-    comm.exchange(plan.send.clone(), AllToAllAlgo::OneFactor)
-        .into_data()
+    send
 }
 
 #[cfg(test)]
@@ -333,6 +269,57 @@ mod tests {
         });
         let sizes: Vec<usize> = out.into_iter().map(|(l, _)| l).collect();
         assert_eq!(sizes, vec![400, 400, 0, 0, 0, 0, 0, 0]);
+    }
+
+    /// Per-rank (output, stats) of a two-level sort at p=16, g=4.
+    fn run_with(cfg: SortConfig) -> Vec<(Vec<u64>, SortStats)> {
+        run(&ClusterConfig::small_cluster(16), move |comm| {
+            let mut local = keys_for(comm.rank(), 1500, 1 << 40);
+            let stats = histogram_sort_two_level(comm, &mut local, &cfg, 4);
+            (local, stats)
+        })
+        .into_iter()
+        .map(|(out, _)| out)
+        .collect()
+    }
+
+    #[test]
+    fn level_two_honours_the_probe_grid() {
+        let with_probes = |m| {
+            run_with(
+                SortConfig::builder()
+                    .probes_per_round(m)
+                    .build()
+                    .expect("valid config"),
+            )
+        };
+        let (one, seven) = (with_probes(1), with_probes(7));
+        for ((out1, stats1), (out7, stats7)) in one.iter().zip(&seven) {
+            assert_eq!(out1, out7, "the probe grid never changes the output");
+            assert!(
+                stats7.iterations < stats1.iterations,
+                "7 probes/round must cut level-2 rounds: {} vs {}",
+                stats7.iterations,
+                stats1.iterations
+            );
+        }
+    }
+
+    #[test]
+    fn thread_budget_changes_neither_output_nor_clock() {
+        let with_threads = |t| {
+            run_with(
+                SortConfig::builder()
+                    .threads_per_rank(t)
+                    .build()
+                    .expect("valid config"),
+            )
+        };
+        let (serial, hybrid) = (with_threads(1), with_threads(4));
+        for ((out1, stats1), (out4, stats4)) in serial.iter().zip(&hybrid) {
+            assert_eq!(out1, out4);
+            assert_eq!(stats1.total_ns(), stats4.total_ns());
+        }
     }
 
     #[test]

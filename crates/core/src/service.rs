@@ -56,7 +56,7 @@ use dhs_runtime::{Comm, PoolStats};
 use crate::key::Key;
 #[allow(unused_imports)] // doc links
 use crate::sort::WarmStart;
-use crate::sort::{histogram_sort_by_warm_full, histogram_sort_warm_full, SortConfig, SortStats};
+use crate::sort::{sort_pipeline, Keys, Payload, Records, SortConfig, SortStats};
 
 /// Per-epoch service telemetry, derived from the sort's [`SortStats`],
 /// the epoch span, and the communicator's buffer-pool counters.
@@ -149,15 +149,7 @@ impl<'a, K: Key> EpochSorter<'a, K> {
     /// from the previous epoch's ladder and scratch recycles through
     /// the communicator's buffer pool.
     pub fn sort_epoch(&mut self, batch: &mut Vec<K>) -> EpochStats {
-        let (stats, pool, makespan_ns, shrunk) = {
-            let c = self.active.as_ref().unwrap_or(self.comm);
-            let before = c.pool().stats();
-            let sp = c.span("epoch");
-            let (stats, shrunk) = histogram_sort_warm_full(c, batch, &self.cfg, &mut self.warm);
-            let makespan_ns = sp.finish();
-            (stats, c.pool().stats().since(&before), makespan_ns, shrunk)
-        };
-        self.finish_epoch(stats, pool, makespan_ns, shrunk)
+        self.run_epoch(batch, &Keys)
     }
 
     /// Sort one epoch's record batch in place by an extracted key and
@@ -169,27 +161,24 @@ impl<'a, K: Key> EpochSorter<'a, K> {
         T: Clone + Send + Sync + 'static,
         F: Fn(&T) -> K + Sync,
     {
-        let (stats, pool, makespan_ns, shrunk) = {
-            let c = self.active.as_ref().unwrap_or(self.comm);
-            let before = c.pool().stats();
-            let sp = c.span("epoch");
-            let (stats, shrunk) =
-                histogram_sort_by_warm_full(c, batch, &key_fn, &self.cfg, &mut self.warm);
-            let makespan_ns = sp.finish();
-            (stats, c.pool().stats().since(&before), makespan_ns, shrunk)
-        };
-        self.finish_epoch(stats, pool, makespan_ns, shrunk)
+        self.run_epoch(batch, &Records(&key_fn))
     }
 
-    /// Commit one epoch: adopt a shrunk world when recovery produced
-    /// one, advance the epoch counter, assemble the telemetry.
-    fn finish_epoch(
+    /// One epoch of either kind: run the shared sort pipeline on the
+    /// current world under an `"epoch"` span, adopt a shrunk world when
+    /// recovery produced one, advance the epoch counter, assemble the
+    /// telemetry.
+    fn run_epoch<T: Clone, P: Payload<T, Key = K>>(
         &mut self,
-        stats: SortStats,
-        pool: PoolStats,
-        makespan_ns: u64,
-        shrunk: Option<Comm>,
+        batch: &mut Vec<T>,
+        payload: &P,
     ) -> EpochStats {
+        let c = self.active.as_ref().unwrap_or(self.comm);
+        let before = c.pool().stats();
+        let sp = c.span("epoch");
+        let (stats, shrunk) = sort_pipeline(c, batch, payload, &self.cfg, &mut self.warm);
+        let makespan_ns = sp.finish();
+        let pool = c.pool().stats().since(&before);
         if let Some(c) = shrunk {
             self.active = Some(c);
         }

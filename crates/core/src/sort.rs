@@ -1,14 +1,23 @@
 //! The distributed histogram sort (paper §V): local sort → splitter
 //! determination → all-to-allv data exchange → local merge.
+//!
+//! There is exactly one pipeline. `sort_pipeline` drives it for every
+//! public entry point; `attempt` is phases 2–4; the `Payload` hooks
+//! are the only code that knows whether the elements are plain keys or
+//! records; [`RecoveryPolicy::Shrink`] is a retry loop around
+//! `attempt`. The two-level sort and the epoch service call the same
+//! functions.
 
-use dhs_merge::{kway_merge, MergeAlgo};
-use dhs_runtime::{AllToAllAlgo, Comm, RecoveryInterrupt, Work};
-use dhs_shm::{KernelPolicy, Kernels};
-
+use std::borrow::Cow;
 use std::fmt;
 
-use crate::exchange::{exchange_data, plan_exchange_with};
-use crate::key::{make_unique, strip_unique, Key};
+use dhs_merge::{kway_merge, MergeAlgo};
+use dhs_runtime::{AllToAllAlgo, Comm, RecoveryInterrupt, RecvRuns, Work};
+use dhs_shm::{KernelPolicy, Kernels};
+
+use crate::exchange::{exchange_data, plan_exchange_with, ExchangePlan};
+use crate::key::Key;
+use crate::overlap::exchange_and_merge;
 use crate::splitter::{
     balanced_targets, find_splitters_seeded, perfect_targets, slack_for, SplitterOptions,
     SplitterResult,
@@ -144,12 +153,6 @@ pub struct SortConfig {
     pub exchange: ExchangeStrategy,
     /// Node-local sorting engine.
     pub local_sort: LocalSort,
-    /// Apply the §V-A uniqueness transform `(key, rank, index)` during
-    /// splitter determination and exchange. Not required for
-    /// correctness here (the Algorithm 4 refinement already splits
-    /// equal-key runs exactly), but kept for fidelity and ablation: it
-    /// trades 8 bytes/key of metadata for distinct keys.
-    pub unique_transform: bool,
     /// Hard cap on splitter-refinement iterations. When the cap stops
     /// the search early, the sort falls back to the best partition
     /// found so far and reports [`SortOutcome::Degraded`] with the
@@ -281,7 +284,9 @@ impl std::error::Error for InvalidSortConfig {}
 
 impl SortConfig {
     /// Check the configuration for values that make the sort
-    /// meaningless. Called by every sort entry point.
+    /// meaningless. Every sort entry point runs this once, in the
+    /// shared pipeline driver, and panics on `Err`; the
+    /// [`crate::api`] layer and the builder return the error instead.
     pub fn validate(&self) -> Result<(), InvalidSortConfig> {
         if !self.epsilon.is_finite() || self.epsilon < 0.0 {
             return Err(InvalidSortConfig::BadEpsilon(self.epsilon));
@@ -476,9 +481,12 @@ impl SortStats {
 /// `local`. Collective: every rank of `comm` must call it. On return,
 /// `local` is sorted, globally ordered by rank, and sized according to
 /// the partitioning policy.
+///
+/// # Panics
+/// Panics when `cfg` fails [`SortConfig::validate`] (build it through
+/// [`SortConfig::builder`] to get the error as a value instead).
 pub fn histogram_sort<K: Key>(comm: &Comm, local: &mut Vec<K>, cfg: &SortConfig) -> SortStats {
-    let mut warm: Vec<K> = Vec::new();
-    histogram_sort_warm_full(comm, local, cfg, &mut warm).0
+    sort_pipeline(comm, local, &Keys, cfg, &mut Vec::new()).0
 }
 
 /// [`histogram_sort`] with a caller-owned splitter stash: the sorted
@@ -493,286 +501,458 @@ pub fn histogram_sort<K: Key>(comm: &Comm, local: &mut Vec<K>, cfg: &SortConfig)
 /// With [`WarmStart::Cold`] the stash is cleared before the search —
 /// every call runs cold — but the accepted ladder is still written
 /// back, so a later policy switch has a seed to start from.
+///
+/// # Panics
+/// Panics when `cfg` fails [`SortConfig::validate`].
 pub fn histogram_sort_warm<K: Key>(
     comm: &Comm,
     local: &mut Vec<K>,
     cfg: &SortConfig,
     warm: &mut Vec<K>,
 ) -> SortStats {
-    histogram_sort_warm_full(comm, local, cfg, warm).0
+    sort_pipeline(comm, local, &Keys, cfg, warm).0
 }
 
-/// [`histogram_sort_warm`], also returning the shrunk communicator
-/// when [`RecoveryPolicy::Shrink`] recovered past failed ranks (the
-/// epoch service keeps sorting on the survivor communicator).
-pub(crate) fn histogram_sort_warm_full<K: Key>(
+/// Sort a distributed vector of arbitrary records by an extracted
+/// [`Key`] — the `std::sort`-with-projection form scientific codes use
+/// (e.g. particles keyed by Morton code, matrix nonzeros keyed by
+/// row). Collective. Records run the same pipeline as plain keys with
+/// the record hooks plugged in: both local phases are a *stable* sort
+/// by key (the paper's evaluated re-sort merge), and the payload moves
+/// as owned buckets through one `ALL-TO-ALLV`. The record hooks
+/// therefore ignore [`SortConfig::local_sort`], [`SortConfig::merge`]
+/// and [`SortConfig::exchange`]; every other field applies as for
+/// [`histogram_sort`]. With an intra-rank thread budget both local
+/// phases dispatch to the stable `dhs-shm` kernels, whose output is
+/// element-for-element identical to the serial stable sort for every
+/// `threads_per_rank`.
+///
+/// `key_fn` must be `Sync` so the hybrid path may evaluate it from
+/// worker threads; key extraction is pure, so any ordinary projection
+/// closure qualifies.
+///
+/// # Panics
+/// Panics when `cfg` fails [`SortConfig::validate`].
+pub fn histogram_sort_by<T, K, F>(
     comm: &Comm,
-    local: &mut Vec<K>,
+    local: &mut Vec<T>,
+    key_fn: F,
+    cfg: &SortConfig,
+) -> SortStats
+where
+    T: Clone + Send + Sync + 'static,
+    K: Key,
+    F: Fn(&T) -> K + Sync,
+{
+    sort_pipeline(comm, local, &Records(&key_fn), cfg, &mut Vec::new()).0
+}
+
+/// [`histogram_sort_by`] with a caller-owned splitter stash over the
+/// extracted key space — the record-stream analogue of
+/// [`histogram_sort_warm`]. Seeding and write-back follow
+/// [`SortConfig::warm_start`] exactly as for plain keys.
+///
+/// # Panics
+/// Panics when `cfg` fails [`SortConfig::validate`].
+pub fn histogram_sort_by_warm<T, K, F>(
+    comm: &Comm,
+    local: &mut Vec<T>,
+    key_fn: F,
     cfg: &SortConfig,
     warm: &mut Vec<K>,
-) -> (SortStats, Option<Comm>) {
+) -> SortStats
+where
+    T: Clone + Send + Sync + 'static,
+    K: Key,
+    F: Fn(&T) -> K + Sync,
+{
+    sort_pipeline(comm, local, &Records(&key_fn), cfg, warm).0
+}
+
+/// The four places where sorting plain keys and sorting `(T, key_fn)`
+/// records genuinely differ. Everything else — validation, spans,
+/// shape, splitter search, planning, recovery — is [`sort_pipeline`]
+/// and [`attempt`], written once. Both impls are monomorphised, so the
+/// plain-key path keeps its zero-copy key view and `TypeId`-bridged
+/// kernels.
+pub(crate) trait Payload<T> {
+    /// The key space splitters are searched in.
+    type Key: Key;
+
+    /// Sort the local block and charge the engine's modelled cost
+    /// (records need a *stable* sort, keys take the configured engine).
+    fn local_sort(&self, comm: &Comm, data: &mut [T], cfg: &SortConfig);
+
+    /// The sorted keys of `data`: the block itself for plain keys, an
+    /// extracted (and charged) copy for records.
+    fn key_view<'a>(&self, comm: &Comm, data: &'a [T]) -> Cow<'a, [Self::Key]>;
+
+    /// Move every planned segment to its destination. Returns the
+    /// received runs, or `None` when the exchange already merged them
+    /// into `data` ([`ExchangeStrategy::PairwiseMerge`]). `K: Copy`
+    /// keys are sent borrowed, in place; `T: Clone` records need owned
+    /// buckets.
+    fn exchange(
+        &self,
+        comm: &Comm,
+        data: &mut Vec<T>,
+        plan: &ExchangePlan,
+        cfg: &SortConfig,
+    ) -> Option<RecvRuns<T>>;
+
+    /// Merge the received sorted runs into this rank's output block
+    /// (keys: the [`SortConfig::merge`] engines; records: stable
+    /// re-sort, since equal keys must keep their source order).
+    fn merge(&self, comm: &Comm, received: RecvRuns<T>, cfg: &SortConfig) -> Vec<T>;
+}
+
+/// [`Payload`] of plain keys: the element is its own key.
+pub(crate) struct Keys;
+
+impl<K: Key> Payload<K> for Keys {
+    type Key = K;
+
+    fn local_sort(&self, comm: &Comm, data: &mut [K], cfg: &SortConfig) {
+        local_sort_exec(comm, data, cfg.local_sort, Kernels::for_policy(cfg.kernels));
+    }
+
+    fn key_view<'a>(&self, _: &Comm, data: &'a [K]) -> Cow<'a, [K]> {
+        Cow::Borrowed(data)
+    }
+
+    fn exchange(
+        &self,
+        comm: &Comm,
+        data: &mut Vec<K>,
+        plan: &ExchangePlan,
+        cfg: &SortConfig,
+    ) -> Option<RecvRuns<K>> {
+        match cfg.exchange {
+            ExchangeStrategy::AllToAllv => Some(exchange_data(comm, data, plan, cfg.exchange_algo)),
+            ExchangeStrategy::PairwiseMerge { overlap } => {
+                // Pairwise rounds merge each chunk as it arrives.
+                *data = exchange_and_merge(comm, data, plan, overlap).0;
+                None
+            }
+        }
+    }
+
+    /// Charges always follow the *configured* engine, so the virtual
+    /// clock is identical for every thread budget.
+    fn merge(&self, comm: &Comm, received: RecvRuns<K>, cfg: &SortConfig) -> Vec<K> {
+        let kernels = Kernels::for_policy(cfg.kernels);
+        let threads = comm.threads();
+        let n = received.total_len() as u64;
+        match cfg.merge {
+            MergeAlgo::Resort if !threads.is_parallel() => {
+                // The receive buffer is already flat: re-sort it
+                // directly, zero copies.
+                let mut all = received.into_data();
+                local_sort_exec(comm, &mut all, cfg.local_sort, kernels);
+                all
+            }
+            MergeAlgo::Resort => {
+                // Hybrid host execution: the received runs are already
+                // sorted, so merge them with the flat pairwise tree
+                // instead of re-sorting — same output, and the charge
+                // stays the modelled re-sort.
+                charge_local_sort::<K>(comm, n, cfg.local_sort);
+                dhs_shm::flat_tree_merge_with(kernels, &received.as_slices(), threads.exec_budget())
+            }
+            engine => {
+                let ways = received.runs().filter(|r| !r.is_empty()).count() as u64;
+                comm.charge(Work::MergeElems {
+                    n,
+                    ways: ways.max(2),
+                    elem_bytes: std::mem::size_of::<K>() as u64,
+                });
+                if threads.is_parallel() {
+                    let te = threads.exec_budget();
+                    dhs_shm::parallel_kway_chunked(&received.as_slices(), te, engine)
+                } else {
+                    kway_merge(engine, &received.as_slices())
+                }
+            }
+        }
+    }
+}
+
+/// [`Payload`] of records ordered by an extracted key.
+pub(crate) struct Records<'f, F>(pub &'f F);
+
+/// Charge a stable sort of `n` records of type `T` (the records'
+/// local sort and re-sort merge alike).
+fn charge_record_sort<T>(comm: &Comm, n: usize) {
+    comm.charge(Work::SortElems {
+        n: n as u64,
+        elem_bytes: std::mem::size_of::<T>() as u64,
+    });
+}
+
+impl<T, K, F> Payload<T> for Records<'_, F>
+where
+    T: Clone + Send + Sync + 'static,
+    K: Key,
+    F: Fn(&T) -> K + Sync,
+{
+    type Key = K;
+
+    fn local_sort(&self, comm: &Comm, data: &mut [T], _: &SortConfig) {
+        let key = self.0;
+        charge_record_sort::<T>(comm, data.len());
+        if comm.threads().is_parallel() {
+            // The hybrid kernel reproduces the stable order exactly.
+            let te = comm.threads().exec_budget();
+            dhs_shm::parallel_merge_sort_by(data, te, &|a: &T, b: &T| key(a).cmp(&key(b)));
+        } else {
+            data.sort_by_key(key);
+        }
+    }
+
+    fn key_view<'a>(&self, comm: &Comm, data: &'a [T]) -> Cow<'a, [K]> {
+        // Records are positionally unique via the Algorithm 4
+        // refinement, so the search needs nothing but the keys.
+        let keys: Vec<K> = data.iter().map(self.0).collect();
+        comm.charge(Work::MoveBytes(std::mem::size_of_val(&keys[..]) as u64));
+        Cow::Owned(keys)
+    }
+
+    fn exchange(
+        &self,
+        comm: &Comm,
+        data: &mut Vec<T>,
+        plan: &ExchangePlan,
+        cfg: &SortConfig,
+    ) -> Option<RecvRuns<T>> {
+        comm.charge(Work::MoveBytes(std::mem::size_of_val(&data[..]) as u64));
+        let buckets: Vec<Vec<T>> = plan.segments(data).into_iter().map(<[T]>::to_vec).collect();
+        Some(comm.exchange(buckets, cfg.exchange_algo))
+    }
+
+    fn merge(&self, comm: &Comm, received: RecvRuns<T>, _: &SortConfig) -> Vec<T> {
+        let key = self.0;
+        charge_record_sort::<T>(comm, received.total_len());
+        if comm.threads().is_parallel() {
+            // Every received run is a slice of a sorted array, so the
+            // hybrid path merges the runs stably — identical to the
+            // serial stable re-sort of their concatenation.
+            let te = comm.threads().exec_budget();
+            dhs_shm::parallel_binary_tree_merge_by(&received.as_slices(), te, &|a: &T, b: &T| {
+                key(a).cmp(&key(b))
+            })
+        } else {
+            let mut all = received.into_data();
+            all.sort_by_key(key);
+            all
+        }
+    }
+}
+
+/// What one attempt's splitter search aims for: the global key count,
+/// the `P−1` boundary targets, and the Definition 1 slack.
+pub(crate) struct Shape {
+    pub(crate) n_total: u64,
+    pub(crate) targets: Vec<u64>,
+    pub(crate) slack: u64,
+}
+
+impl Shape {
+    /// Gather the block sizes and place the boundaries per
+    /// [`SortConfig::partitioning`]. Collective.
+    pub(crate) fn gather<T>(comm: &Comm, local: &[T], cfg: &SortConfig) -> Self {
+        let caps: Vec<usize> = comm.allgather(local.len());
+        let n_total: u64 = caps.iter().map(|&c| c as u64).sum();
+        let p = comm.size();
+        let targets = match cfg.partitioning {
+            Partitioning::Perfect => perfect_targets(&caps),
+            Partitioning::Balanced => balanced_targets(n_total, p),
+        };
+        Self {
+            n_total,
+            targets,
+            slack: slack_for(n_total, p, cfg.epsilon),
+        }
+    }
+}
+
+/// Phase 1, shared by every entry point: validate, set the intra-rank
+/// thread budget, sort the local block.
+pub(crate) fn local_phase<T, P: Payload<T>>(
+    comm: &Comm,
+    local: &mut [T],
+    payload: &P,
+    cfg: &SortConfig,
+) -> SortStats {
     if let Err(e) = cfg.validate() {
         panic!("invalid SortConfig: {e}");
     }
     comm.threads().configure(cfg.threads_per_rank);
+    let sp = comm.span("local_sort");
+    let intra = comm.intra_span("local_sort");
+    payload.local_sort(comm, local, cfg);
+    drop(intra);
+    SortStats {
+        n_in: local.len(),
+        local_sort_ns: sp.finish(),
+        ..SortStats::default()
+    }
+}
+
+/// The one sort pipeline behind every public entry point: local sort,
+/// then [`attempt`] — once under [`RecoveryPolicy::Abort`], or under
+/// [`RecoveryPolicy::Shrink`] as many times as it takes, shrinking past
+/// failed peers and rolling back to the post-local-sort checkpoint
+/// between attempts. Returns the survivor communicator when a shrink
+/// happened (the epoch service keeps sorting on it).
+pub(crate) fn sort_pipeline<T: Clone, P: Payload<T>>(
+    comm: &Comm,
+    local: &mut Vec<T>,
+    payload: &P,
+    cfg: &SortConfig,
+    warm: &mut Vec<P::Key>,
+) -> (SortStats, Option<Comm>) {
+    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+    let shrink = cfg.recovery == RecoveryPolicy::Shrink;
+    // Armed before the local sort: a rank that dies in phase 1 must
+    // leak its arm for its survivors to recover.
+    let _guard = shrink.then(|| comm.arm_recovery());
+    let t_begin = comm.now_ns();
+    let mut stats = local_phase(comm, local, payload, cfg);
     if cfg.warm_start == WarmStart::Cold {
         warm.clear();
     }
-    if cfg.recovery == RecoveryPolicy::Shrink {
-        return histogram_sort_shrink(comm, local, cfg, warm);
-    }
-    let t_begin = comm.now_ns();
-    let mut stats = SortStats {
-        n_in: local.len(),
-        ..SortStats::default()
-    };
 
-    // Phase 1: local sort.
-    let sp = comm.span("local_sort");
-    let intra = comm.intra_span("local_sort");
-    local_sort_exec(
-        comm,
-        local,
-        cfg.local_sort,
-        Kernels::for_policy(cfg.kernels),
-    );
-    drop(intra);
-    stats.local_sort_ns = sp.finish();
-
-    // Global shape ("Other" in the paper's breakdown: everything that
-    // is neither histogramming nor the exchange proper).
-    let sp = comm.span("prepare");
-    let caps: Vec<usize> = comm.allgather(local.len());
-    let n_total: u64 = caps.iter().map(|&c| c as u64).sum();
-    let p = comm.size();
-    let targets = match cfg.partitioning {
-        Partitioning::Perfect => perfect_targets(&caps),
-        Partitioning::Balanced => balanced_targets(n_total, p),
-    };
-    let slack = slack_for(n_total, p, cfg.epsilon);
-
-    if n_total == 0 || p == 1 {
-        stats.prepare_ns += sp.finish();
-        stats.n_out = local.len();
-        debug_assert_eq!(stats.total_ns(), comm.now_ns() - t_begin);
-        return (stats, None);
-    }
-
-    if cfg.unique_transform {
-        let wrapped = make_unique(local, comm.rank());
-        // The transform ships (rank, index) alongside each key.
-        comm.charge(Work::MoveBytes(local.len() as u64 * 8));
-        stats.prepare_ns += sp.finish();
-        let mut sorted = wrapped;
-        // The stash stores plain keys; lift them into the unique key
-        // space with zeroed origin tags (still ascending, still
-        // bracketing the same quantiles) and strip them back after.
-        let mut warm_u = lift_warm(warm);
-        run_pipeline_warm(
-            comm,
-            &mut sorted,
-            &targets,
-            slack,
-            n_total,
-            cfg,
-            &mut stats,
-            Some(&mut warm_u),
-        );
-        *warm = strip_unique(warm_u);
-        *local = strip_unique(sorted);
+    let mut active: Option<Comm> = None; // survivor comm after a shrink
+    if !shrink {
+        attempt(comm, local, payload, cfg, &mut stats, warm, None);
     } else {
+        // Rollback checkpoint: one retained copy of the sorted block,
+        // charged as a streaming copy, so no attempt ever re-sorts.
+        let copy = Work::MoveBytes(std::mem::size_of_val(&local[..]) as u64);
+        let sp = comm.span("prepare");
+        let checkpoint = local.clone();
+        comm.charge(copy);
         stats.prepare_ns += sp.finish();
-        run_pipeline_warm(
-            comm,
-            local,
-            &targets,
-            slack,
-            n_total,
-            cfg,
-            &mut stats,
-            Some(warm),
-        );
+
+        let mut lost: Vec<usize> = Vec::new();
+        let mut restarts: u32 = 0;
+        let mut recovery_ns: u64 = 0;
+        loop {
+            let c = active.as_ref().unwrap_or(comm);
+            let attempt_begin = c.now_ns();
+            let snapshot = stats.clone();
+            let run = AssertUnwindSafe(|| attempt(c, local, payload, cfg, &mut stats, warm, None));
+            match catch_unwind(run) {
+                Ok(()) => break,
+                Err(cause) if cause.is::<RecoveryInterrupt>() => {
+                    // A peer died mid-attempt. Agree on the survivor
+                    // set (epoch = restart count: every survivor passes
+                    // the same value, keeping the rendezvous
+                    // deterministic), roll back, and go again on the
+                    // shrunk comm — `warm` already holds whatever the
+                    // interrupted search accepted.
+                    let shr = c.shrink(u64::from(restarts));
+                    restarts += 1;
+                    lost.extend(shr.lost.iter().copied());
+                    stats = snapshot; // discard the failed attempt's phases
+                    local.clone_from(&checkpoint);
+                    shr.comm.charge(copy);
+                    recovery_ns += shr.comm.now_ns() - attempt_begin;
+                    active = Some(shr.comm);
+                }
+                Err(cause) => resume_unwind(cause),
+            }
+        }
+        if restarts > 0 {
+            // Recovery supersedes a Degraded verdict from the final
+            // attempt; the realized ε is still observable via the
+            // stats' n_out spread.
+            stats.outcome = SortOutcome::Recovered {
+                lost_ranks: lost,
+                restarts,
+                recovery_ns,
+            };
+        }
     }
     stats.n_out = local.len();
     debug_assert_eq!(
         stats.total_ns(),
-        comm.now_ns() - t_begin,
-        "span-derived phase totals must cover the sort's virtual time"
+        active.as_ref().unwrap_or(comm).now_ns() - t_begin,
+        "phase totals plus recovery overhead must cover the sort's virtual time"
     );
-    (stats, None)
-}
-
-/// Lift a plain-key splitter stash into the [`UniqueKey`] space with
-/// zeroed origin tags (order-preserving, so the ladder stays an
-/// ascending quantile bracket source).
-fn lift_warm<K: Key>(warm: &[K]) -> Vec<crate::key::UniqueKey<K>> {
-    warm.iter()
-        .map(|&key| crate::key::UniqueKey {
-            key,
-            rank: 0,
-            index: 0,
-        })
-        .collect()
-}
-
-/// The [`RecoveryPolicy::Shrink`] driver for [`histogram_sort`].
-///
-/// Structure: arm the recovery interrupt, run the local sort and
-/// (optional) uniqueness transform exactly once, checkpoint the sorted
-/// block, then attempt the distributed pipeline under `catch_unwind`.
-/// A [`RecoveryInterrupt`] unwind means a peer died: shrink onto the
-/// agreed survivor communicator, roll back to the checkpoint, and
-/// retry — warm-starting the splitter search from the accepted
-/// splitters of the interrupted attempt, so stationary data converges
-/// in near-zero extra rounds.
-fn histogram_sort_shrink<K: Key>(
-    comm: &Comm,
-    local: &mut Vec<K>,
-    cfg: &SortConfig,
-    warm: &mut Vec<K>,
-) -> (SortStats, Option<Comm>) {
-    let _guard = comm.arm_recovery();
-    let t_begin = comm.now_ns();
-    let mut stats = SortStats {
-        n_in: local.len(),
-        ..SortStats::default()
-    };
-
-    // Phase 1: local sort, once. Survivors keep their sorted block as
-    // the rollback checkpoint, so no attempt ever re-sorts.
-    let sp = comm.span("local_sort");
-    let intra = comm.intra_span("local_sort");
-    local_sort_exec(
-        comm,
-        local,
-        cfg.local_sort,
-        Kernels::for_policy(cfg.kernels),
-    );
-    drop(intra);
-    stats.local_sort_ns = sp.finish();
-
-    let active;
-    if cfg.unique_transform {
-        // Applied once: the (rank, index) tags use the *original*
-        // global rank, which stays globally unique across shrinks.
-        let sp = comm.span("prepare");
-        let wrapped = make_unique(local, comm.rank());
-        comm.charge(Work::MoveBytes(local.len() as u64 * 8));
-        stats.prepare_ns += sp.finish();
-        let mut sorted = wrapped;
-        let mut warm_u = lift_warm(warm);
-        active = shrink_attempt_loop(comm, &mut sorted, cfg, &mut stats, t_begin, &mut warm_u);
-        *warm = strip_unique(warm_u);
-        *local = strip_unique(sorted);
-    } else {
-        active = shrink_attempt_loop(comm, local, cfg, &mut stats, t_begin, warm);
-    }
-    stats.n_out = local.len();
     (stats, active)
 }
 
-/// Checkpoint `sorted`, then run the distributed pipeline until an
-/// attempt completes, shrinking past failed peers between attempts.
-/// Returns the survivor communicator when one or more shrinks
-/// happened (`None` for a clean first attempt). `warm` seeds the
-/// first attempt's splitter search per [`SortConfig::warm_start`] and
-/// carries accepted splitters across both restarts and calls.
-fn shrink_attempt_loop<K: Key>(
-    comm: &Comm,
-    sorted: &mut Vec<K>,
-    cfg: &SortConfig,
-    stats: &mut SortStats,
-    t_begin: u64,
-    warm: &mut Vec<K>,
-) -> Option<Comm> {
-    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-    let elem = std::mem::size_of::<K>() as u64;
-
-    // Rollback checkpoint: one retained copy of the post-local-sort
-    // block, charged as a streaming copy.
-    let sp = comm.span("prepare");
-    let checkpoint: Vec<K> = sorted.clone();
-    comm.charge(Work::MoveBytes(checkpoint.len() as u64 * elem));
-    stats.prepare_ns += sp.finish();
-
-    let mut active: Option<Comm> = None; // survivor comm after a shrink
-    let mut lost: Vec<usize> = Vec::new();
-    let mut restarts: u32 = 0;
-    let mut recovery_ns: u64 = 0;
-
-    loop {
-        let attempt_begin = active.as_ref().unwrap_or(comm).now_ns();
-        let snapshot = stats.clone();
-        let result = {
-            let c = active.as_ref().unwrap_or(comm);
-            catch_unwind(AssertUnwindSafe(|| {
-                shrink_attempt(c, sorted, cfg, stats, warm)
-            }))
-        };
-        match result {
-            Ok(()) => break,
-            Err(payload) if payload.is::<RecoveryInterrupt>() => {
-                // A peer died mid-attempt. Agree on the survivor set
-                // (epoch = restart count: every survivor passes the
-                // same value, keeping the rendezvous deterministic),
-                // then roll back and go again on the shrunk comm.
-                let shr = active.as_ref().unwrap_or(comm).shrink(u64::from(restarts));
-                restarts += 1;
-                lost.extend(shr.lost.iter().copied());
-                *stats = snapshot; // discard the failed attempt's phases
-                *sorted = checkpoint.clone();
-                shr.comm
-                    .charge(Work::MoveBytes(checkpoint.len() as u64 * elem));
-                recovery_ns += shr.comm.now_ns() - attempt_begin;
-                active = Some(shr.comm);
-            }
-            Err(payload) => resume_unwind(payload),
-        }
-    }
-
-    if restarts > 0 {
-        // Recovery supersedes a Degraded verdict from the final
-        // attempt; the realized ε is still observable via the stats'
-        // n_out spread.
-        stats.outcome = SortOutcome::Recovered {
-            lost_ranks: lost,
-            restarts,
-            recovery_ns,
-        };
-    }
-    let now = active.as_ref().unwrap_or(comm).now_ns();
-    debug_assert_eq!(
-        stats.total_ns(),
-        now - t_begin,
-        "phase totals plus recovery overhead must cover the sort's virtual time"
-    );
-    active
-}
-
-/// One full pipeline attempt (global shape + phases 2–4) on the
-/// current communicator. Unwinds with [`RecoveryInterrupt`] if a peer
-/// dies before the exchange commits.
-fn shrink_attempt<K: Key>(
+/// One pass over phases 2–4 on communicator `c`, starting from the
+/// locally sorted block: shape → key view → seeded splitter search →
+/// plan → exchange → merge, each under its phase span. `shape` is
+/// gathered from the block sizes unless the caller already knows it
+/// (level 2 of [`crate::histogram_sort_two_level`]). Under
+/// [`RecoveryPolicy::Shrink`] a peer failure before the exchange
+/// commits unwinds out of here with a [`RecoveryInterrupt`].
+pub(crate) fn attempt<T, P: Payload<T>>(
     c: &Comm,
-    sorted: &mut Vec<K>,
+    local: &mut Vec<T>,
+    payload: &P,
     cfg: &SortConfig,
     stats: &mut SortStats,
-    warm: &mut Vec<K>,
+    warm: &mut Vec<P::Key>,
+    shape: Option<Shape>,
 ) {
+    // "Other" in the paper's breakdown: everything that is neither
+    // histogramming nor the exchange proper.
     let sp = c.span("prepare");
-    let caps: Vec<usize> = c.allgather(sorted.len());
-    let n_total: u64 = caps.iter().map(|&x| x as u64).sum();
-    let p = c.size();
-    let targets = match cfg.partitioning {
-        Partitioning::Perfect => perfect_targets(&caps),
-        Partitioning::Balanced => balanced_targets(n_total, p),
-    };
-    let slack = slack_for(n_total, p, cfg.epsilon);
-    stats.prepare_ns += sp.finish();
-    if n_total == 0 || p == 1 {
+    let shape = shape.unwrap_or_else(|| Shape::gather(c, local, cfg));
+    if shape.n_total == 0 || c.size() == 1 {
+        stats.prepare_ns += sp.finish();
         return;
     }
-    run_pipeline_warm(c, sorted, &targets, slack, n_total, cfg, stats, Some(warm));
+    let kernels = Kernels::for_policy(cfg.kernels);
+    let plan = {
+        let keys = payload.key_view(c, local);
+        stats.prepare_ns += sp.finish();
+
+        // Phase 2: splitter determination by iterative histogramming,
+        // seeded from the stash (empty = cold).
+        let sp = c.span("histogram");
+        let opts = SplitterOptions {
+            max_iterations: cfg.max_splitter_iterations,
+            probes_per_round: cfg.probes_per_round,
+            probe_warm_first: cfg.warm_start == WarmStart::SeededWithBrackets,
+            kernels,
+            ..SplitterOptions::default()
+        };
+        let found = find_splitters_seeded(c, &keys, &shape.targets, shape.slack, opts, warm);
+        // Written back before the exchange, so a crash later in this
+        // attempt still warm-starts the retry.
+        warm.clear();
+        warm.extend(found.splitters.iter().map(|s| s.key));
+        stats.iterations += found.iterations;
+        stats.probes += found.probes;
+        stats.outcome = outcome_of(&found, shape.n_total, c.size());
+        stats.histogram_ns += sp.finish();
+
+        // Phase 3a: exchange preparation (Algorithm 4) on the key view.
+        let sp = c.span("prepare");
+        let plan = plan_exchange_with(c, &keys, &found, kernels);
+        stats.prepare_ns += sp.finish();
+        plan
+    };
+
+    // Phase 3b: the payload exchange. Once it returns the attempt has
+    // committed and can no longer be interrupted.
+    let sp = c.span("exchange");
+    let received = payload.exchange(c, local, &plan, cfg);
+    stats.exchange_ns += sp.finish();
+
+    // Phase 4: local merge of the received sorted runs.
+    if let Some(received) = received {
+        let sp = c.span("merge");
+        let intra = c.intra_span("merge");
+        *local = payload.merge(c, received, cfg);
+        drop(intra);
+        stats.merge_ns += sp.finish();
+    }
 }
 
 /// Classify the splitter result: exact within ε, or — when the
@@ -791,490 +971,6 @@ fn outcome_of<K>(res: &SplitterResult<K>, n_total: u64, p: usize) -> SortOutcome
     SortOutcome::Degraded {
         achieved_epsilon: 2.0 * p as f64 * max_dev as f64 / n_total.max(1) as f64,
         iterations: res.iterations,
-    }
-}
-
-/// Sort a distributed vector of arbitrary records by an extracted
-/// [`Key`] — the `std::sort`-with-projection form scientific codes use
-/// (e.g. particles keyed by Morton code, matrix nonzeros keyed by
-/// row). Collective. The local merge is always a (stable) re-sort of
-/// the received records (the paper's evaluated configuration); with an
-/// intra-rank thread budget both local phases dispatch to the *stable*
-/// `dhs-shm` kernels, whose output is element-for-element identical to
-/// the serial stable sort for every `threads_per_rank`.
-///
-/// `key_fn` must be `Sync` so the hybrid path may evaluate it from
-/// worker threads; key extraction is pure, so any ordinary projection
-/// closure qualifies.
-pub fn histogram_sort_by<T, K, F>(
-    comm: &Comm,
-    local: &mut Vec<T>,
-    key_fn: F,
-    cfg: &SortConfig,
-) -> SortStats
-where
-    T: Clone + Send + Sync + 'static,
-    K: Key,
-    F: Fn(&T) -> K + Sync,
-{
-    let mut warm: Vec<K> = Vec::new();
-    histogram_sort_by_warm_full(comm, local, &key_fn, cfg, &mut warm).0
-}
-
-/// [`histogram_sort_by`] with a caller-owned splitter stash over the
-/// extracted key space — the record-stream analogue of
-/// [`histogram_sort_warm`]. Seeding and write-back follow
-/// [`SortConfig::warm_start`] exactly as for plain keys.
-pub fn histogram_sort_by_warm<T, K, F>(
-    comm: &Comm,
-    local: &mut Vec<T>,
-    key_fn: F,
-    cfg: &SortConfig,
-    warm: &mut Vec<K>,
-) -> SortStats
-where
-    T: Clone + Send + Sync + 'static,
-    K: Key,
-    F: Fn(&T) -> K + Sync,
-{
-    histogram_sort_by_warm_full(comm, local, &key_fn, cfg, warm).0
-}
-
-/// [`histogram_sort_by_warm`], also returning the shrunk communicator
-/// after a [`RecoveryPolicy::Shrink`] recovery.
-pub(crate) fn histogram_sort_by_warm_full<T, K, F>(
-    comm: &Comm,
-    local: &mut Vec<T>,
-    key_fn: &F,
-    cfg: &SortConfig,
-    warm: &mut Vec<K>,
-) -> (SortStats, Option<Comm>)
-where
-    T: Clone + Send + Sync + 'static,
-    K: Key,
-    F: Fn(&T) -> K + Sync,
-{
-    if let Err(e) = cfg.validate() {
-        panic!("invalid SortConfig: {e}");
-    }
-    comm.threads().configure(cfg.threads_per_rank);
-    if cfg.warm_start == WarmStart::Cold {
-        warm.clear();
-    }
-    if cfg.recovery == RecoveryPolicy::Shrink {
-        return histogram_sort_by_shrink(comm, local, key_fn, cfg, warm);
-    }
-    let t_begin = comm.now_ns();
-    let mut stats = SortStats {
-        n_in: local.len(),
-        ..SortStats::default()
-    };
-    let elem = std::mem::size_of::<T>() as u64;
-
-    // Phase 1: local sort by key (stable, like `slice::sort_by_key`;
-    // the hybrid kernel reproduces the stable order exactly).
-    let sp = comm.span("local_sort");
-    let intra = comm.intra_span("local_sort");
-    let t = comm.threads().budget();
-    if t > 1 {
-        let te = comm.threads().exec_budget();
-        dhs_shm::parallel_merge_sort_by(local, te, &|a: &T, b: &T| key_fn(a).cmp(&key_fn(b)));
-    } else {
-        local.sort_by_key(|x| key_fn(x));
-    }
-    comm.charge(Work::SortElems {
-        n: local.len() as u64,
-        elem_bytes: elem,
-    });
-    drop(intra);
-    stats.local_sort_ns = sp.finish();
-
-    let sp = comm.span("prepare");
-    let caps: Vec<usize> = comm.allgather(local.len());
-    let n_total: u64 = caps.iter().map(|&c| c as u64).sum();
-    let p = comm.size();
-    if n_total == 0 || p == 1 {
-        stats.prepare_ns += sp.finish();
-        stats.n_out = local.len();
-        debug_assert_eq!(stats.total_ns(), comm.now_ns() - t_begin);
-        return (stats, None);
-    }
-    let targets = match cfg.partitioning {
-        Partitioning::Perfect => perfect_targets(&caps),
-        Partitioning::Balanced => balanced_targets(n_total, p),
-    };
-    let slack = slack_for(n_total, p, cfg.epsilon);
-
-    // Extract the key view. The uniqueness transform falls out
-    // naturally: records are positionally unique via the Algorithm 4
-    // refinement, so only the key view is needed.
-    let keys: Vec<K> = local.iter().map(&key_fn).collect();
-    comm.charge(Work::MoveBytes(
-        keys.len() as u64 * std::mem::size_of::<K>() as u64,
-    ));
-    stats.prepare_ns += sp.finish();
-
-    // Phase 2: splitters over the key view, warm-started from the
-    // caller's stash (empty = cold) and written back on acceptance.
-    let sp = comm.span("histogram");
-    let kernels = Kernels::for_policy(cfg.kernels);
-    let opts = SplitterOptions {
-        max_iterations: cfg.max_splitter_iterations,
-        probes_per_round: cfg.probes_per_round,
-        probe_warm_first: cfg.warm_start == WarmStart::SeededWithBrackets,
-        kernels,
-        ..SplitterOptions::default()
-    };
-    let splitters = find_splitters_seeded(comm, &keys, &targets, slack, opts, warm);
-    *warm = splitters.splitters.iter().map(|s| s.key).collect();
-    stats.iterations = splitters.iterations;
-    stats.probes = splitters.probes;
-    stats.outcome = outcome_of(&splitters, n_total, p);
-    stats.histogram_ns = sp.finish();
-
-    // Phase 3: plan on the key view, exchange the records.
-    let sp = comm.span("prepare");
-    let plan = plan_exchange_with(comm, &keys, &splitters, kernels);
-    stats.prepare_ns += sp.finish();
-
-    let sp = comm.span("exchange");
-    comm.charge(Work::MoveBytes(local.len() as u64 * elem));
-    let buckets: Vec<Vec<T>> = plan
-        .segments(local)
-        .into_iter()
-        .map(|seg| seg.to_vec())
-        .collect();
-    let received = comm.exchange(buckets, cfg.exchange_algo);
-    stats.exchange_ns = sp.finish();
-
-    // Phase 4: re-sort the received records by key. Every received
-    // run is a slice of a sorted array, so the hybrid path merges
-    // the runs stably instead — identical to the serial stable
-    // re-sort of the concatenation, charged identically.
-    let sp = comm.span("merge");
-    let intra = comm.intra_span("merge");
-    let n_recv: u64 = received.total_len() as u64;
-    comm.charge(Work::SortElems {
-        n: n_recv,
-        elem_bytes: elem,
-    });
-    if t > 1 {
-        let te = comm.threads().exec_budget();
-        *local =
-            dhs_shm::parallel_binary_tree_merge_by(&received.as_slices(), te, &|a: &T, b: &T| {
-                key_fn(a).cmp(&key_fn(b))
-            });
-    } else {
-        *local = received.into_data();
-        local.sort_by_key(|x| key_fn(x));
-    }
-    drop(intra);
-    stats.merge_ns = sp.finish();
-    stats.n_out = local.len();
-    debug_assert_eq!(
-        stats.total_ns(),
-        comm.now_ns() - t_begin,
-        "span-derived phase totals must cover the sort's virtual time"
-    );
-    (stats, None)
-}
-
-/// The [`RecoveryPolicy::Shrink`] driver for [`histogram_sort_by`]:
-/// same checkpoint/shrink/retry structure as
-/// [`histogram_sort_shrink`], with the record vector as the
-/// checkpoint and the key view re-extracted (and re-charged) on every
-/// attempt, exactly as the abort path charges it once.
-fn histogram_sort_by_shrink<T, K, F>(
-    comm: &Comm,
-    local: &mut Vec<T>,
-    key_fn: &F,
-    cfg: &SortConfig,
-    warm: &mut Vec<K>,
-) -> (SortStats, Option<Comm>)
-where
-    T: Clone + Send + Sync + 'static,
-    K: Key,
-    F: Fn(&T) -> K + Sync,
-{
-    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-    let _guard = comm.arm_recovery();
-    let t_begin = comm.now_ns();
-    let mut stats = SortStats {
-        n_in: local.len(),
-        ..SortStats::default()
-    };
-    let elem = std::mem::size_of::<T>() as u64;
-
-    // Phase 1: stable local sort by key, once.
-    let sp = comm.span("local_sort");
-    let intra = comm.intra_span("local_sort");
-    if comm.threads().budget() > 1 {
-        let te = comm.threads().exec_budget();
-        dhs_shm::parallel_merge_sort_by(local, te, &|a: &T, b: &T| key_fn(a).cmp(&key_fn(b)));
-    } else {
-        local.sort_by_key(|x| key_fn(x));
-    }
-    comm.charge(Work::SortElems {
-        n: local.len() as u64,
-        elem_bytes: elem,
-    });
-    drop(intra);
-    stats.local_sort_ns = sp.finish();
-
-    // Rollback checkpoint of the sorted records.
-    let sp = comm.span("prepare");
-    let checkpoint: Vec<T> = local.clone();
-    comm.charge(Work::MoveBytes(checkpoint.len() as u64 * elem));
-    stats.prepare_ns += sp.finish();
-
-    let mut active: Option<Comm> = None;
-    let mut lost: Vec<usize> = Vec::new();
-    let mut restarts: u32 = 0;
-    let mut recovery_ns: u64 = 0;
-
-    loop {
-        let attempt_begin = active.as_ref().unwrap_or(comm).now_ns();
-        let snapshot = stats.clone();
-        let result = {
-            let c = active.as_ref().unwrap_or(comm);
-            catch_unwind(AssertUnwindSafe(|| {
-                by_shrink_attempt(c, local, key_fn, cfg, &mut stats, &mut *warm)
-            }))
-        };
-        match result {
-            Ok(()) => break,
-            Err(payload) if payload.is::<RecoveryInterrupt>() => {
-                let shr = active.as_ref().unwrap_or(comm).shrink(u64::from(restarts));
-                restarts += 1;
-                lost.extend(shr.lost.iter().copied());
-                stats = snapshot;
-                *local = checkpoint.clone();
-                shr.comm
-                    .charge(Work::MoveBytes(checkpoint.len() as u64 * elem));
-                recovery_ns += shr.comm.now_ns() - attempt_begin;
-                active = Some(shr.comm);
-            }
-            Err(payload) => resume_unwind(payload),
-        }
-    }
-
-    if restarts > 0 {
-        stats.outcome = SortOutcome::Recovered {
-            lost_ranks: lost,
-            restarts,
-            recovery_ns,
-        };
-    }
-    stats.n_out = local.len();
-    let now = active.as_ref().unwrap_or(comm).now_ns();
-    debug_assert_eq!(
-        stats.total_ns(),
-        now - t_begin,
-        "phase totals plus recovery overhead must cover the sort's virtual time"
-    );
-    (stats, active)
-}
-
-/// One full record-pipeline attempt (key view + phases 2–4) on the
-/// current communicator.
-fn by_shrink_attempt<T, K, F>(
-    c: &Comm,
-    local: &mut Vec<T>,
-    key_fn: &F,
-    cfg: &SortConfig,
-    stats: &mut SortStats,
-    warm: &mut Vec<K>,
-) where
-    T: Clone + Send + Sync + 'static,
-    K: Key,
-    F: Fn(&T) -> K + Sync,
-{
-    let elem = std::mem::size_of::<T>() as u64;
-
-    let sp = c.span("prepare");
-    let caps: Vec<usize> = c.allgather(local.len());
-    let n_total: u64 = caps.iter().map(|&x| x as u64).sum();
-    let p = c.size();
-    if n_total == 0 || p == 1 {
-        stats.prepare_ns += sp.finish();
-        return;
-    }
-    let targets = match cfg.partitioning {
-        Partitioning::Perfect => perfect_targets(&caps),
-        Partitioning::Balanced => balanced_targets(n_total, p),
-    };
-    let slack = slack_for(n_total, p, cfg.epsilon);
-    let keys: Vec<K> = local.iter().map(key_fn).collect();
-    c.charge(Work::MoveBytes(
-        keys.len() as u64 * std::mem::size_of::<K>() as u64,
-    ));
-    stats.prepare_ns += sp.finish();
-
-    // Phase 2: splitters over the key view, warm-started.
-    let sp = c.span("histogram");
-    let kernels = Kernels::for_policy(cfg.kernels);
-    let opts = SplitterOptions {
-        max_iterations: cfg.max_splitter_iterations,
-        probes_per_round: cfg.probes_per_round,
-        probe_warm_first: cfg.warm_start == WarmStart::SeededWithBrackets,
-        kernels,
-        ..SplitterOptions::default()
-    };
-    let splitters = find_splitters_seeded(c, &keys, &targets, slack, opts, warm);
-    *warm = splitters.splitters.iter().map(|s| s.key).collect();
-    stats.iterations = splitters.iterations;
-    stats.probes = splitters.probes;
-    stats.outcome = outcome_of(&splitters, n_total, p);
-    stats.histogram_ns = sp.finish();
-
-    // Phase 3: plan on the key view, exchange the records.
-    let sp = c.span("prepare");
-    let plan = plan_exchange_with(c, &keys, &splitters, kernels);
-    stats.prepare_ns += sp.finish();
-
-    let sp = c.span("exchange");
-    c.charge(Work::MoveBytes(local.len() as u64 * elem));
-    let buckets: Vec<Vec<T>> = plan
-        .segments(local)
-        .into_iter()
-        .map(|seg| seg.to_vec())
-        .collect();
-    let received = c.exchange(buckets, cfg.exchange_algo);
-    stats.exchange_ns = sp.finish();
-
-    // Phase 4: stable re-sort (or hybrid stable merge) of the
-    // received records — past this point the exchange has committed
-    // and the attempt can no longer be interrupted.
-    let sp = c.span("merge");
-    let intra = c.intra_span("merge");
-    let n_recv: u64 = received.total_len() as u64;
-    c.charge(Work::SortElems {
-        n: n_recv,
-        elem_bytes: elem,
-    });
-    if c.threads().budget() > 1 {
-        let te = c.threads().exec_budget();
-        *local =
-            dhs_shm::parallel_binary_tree_merge_by(&received.as_slices(), te, &|a: &T, b: &T| {
-                key_fn(a).cmp(&key_fn(b))
-            });
-    } else {
-        *local = received.into_data();
-        local.sort_by_key(|x| key_fn(x));
-    }
-    drop(intra);
-    stats.merge_ns = sp.finish();
-}
-
-/// Phases 2-4 on already-sorted local data, with an optional
-/// warm-start splitter stash. With
-/// `Some(warm)`, the splitter search seeds its brackets from the keys
-/// in `warm` (empty = cold start, identical to `None`), and the
-/// accepted splitter keys of *this* attempt are written back as soon
-/// as the search returns — so a crash later in the attempt (during
-/// the exchange) still warm-starts the retry.
-#[allow(clippy::too_many_arguments)]
-fn run_pipeline_warm<K: Key>(
-    comm: &Comm,
-    sorted_local: &mut Vec<K>,
-    targets: &[u64],
-    slack: u64,
-    n_total: u64,
-    cfg: &SortConfig,
-    stats: &mut SortStats,
-    warm: Option<&mut Vec<K>>,
-) {
-    let elem = std::mem::size_of::<K>() as u64;
-
-    // Phase 2: splitter determination by iterative histogramming.
-    let sp = comm.span("histogram");
-    let kernels = Kernels::for_policy(cfg.kernels);
-    let opts = SplitterOptions {
-        max_iterations: cfg.max_splitter_iterations,
-        probes_per_round: cfg.probes_per_round,
-        probe_warm_first: cfg.warm_start == WarmStart::SeededWithBrackets,
-        kernels,
-        ..SplitterOptions::default()
-    };
-    let seed: &[K] = warm.as_deref().map_or(&[], Vec::as_slice);
-    let splitters = find_splitters_seeded(comm, sorted_local, targets, slack, opts, seed);
-    if let Some(w) = warm {
-        *w = splitters.splitters.iter().map(|s| s.key).collect();
-    }
-    stats.iterations = splitters.iterations;
-    stats.probes = splitters.probes;
-    stats.outcome = outcome_of(&splitters, n_total, comm.size());
-    stats.histogram_ns = sp.finish();
-
-    // Phase 3a: exchange preparation (Algorithm 4).
-    let sp = comm.span("prepare");
-    let plan = plan_exchange_with(comm, sorted_local, &splitters, kernels);
-    stats.prepare_ns += sp.finish();
-
-    match cfg.exchange {
-        ExchangeStrategy::AllToAllv => {
-            // Phase 3b: ALL-TO-ALLV.
-            let sp = comm.span("exchange");
-            let received = exchange_data(comm, sorted_local, &plan, cfg.exchange_algo);
-            stats.exchange_ns = sp.finish();
-
-            // Phase 4: local merge of the received sorted runs,
-            // consumed in place from the contiguous receive buffer.
-            // With an intra-rank thread budget the merge dispatches to
-            // the chunked parallel k-way kernel over the borrowed
-            // runs; charges always follow the *configured* engine, so
-            // the virtual clock is identical for every budget.
-            let sp = comm.span("merge");
-            let intra = comm.intra_span("merge");
-            let t = comm.threads().budget();
-            let n_recv = received.total_len() as u64;
-            let ways = received.runs().filter(|r| !r.is_empty()).count() as u64;
-            match cfg.merge {
-                MergeAlgo::Resort if t <= 1 => {
-                    // The receive buffer is already flat: re-sort it
-                    // directly, zero copies.
-                    let mut all: Vec<K> = received.into_data();
-                    local_sort_exec(comm, &mut all, cfg.local_sort, kernels);
-                    *sorted_local = all;
-                }
-                MergeAlgo::Resort => {
-                    // Hybrid host execution: the received runs are
-                    // already sorted, so merge them with the flat
-                    // pairwise tree instead of re-sorting the flat
-                    // buffer — a genuine algorithmic win even at an
-                    // effective fan-out of 1. Output is the same sorted
-                    // key sequence; the charge is the modelled re-sort,
-                    // as configured.
-                    charge_local_sort::<K>(comm, n_recv, cfg.local_sort);
-                    let te = comm.threads().exec_budget();
-                    *sorted_local =
-                        dhs_shm::flat_tree_merge_with(kernels, &received.as_slices(), te);
-                }
-                _ => {
-                    comm.charge(Work::MergeElems {
-                        n: n_recv,
-                        ways: ways.max(2),
-                        elem_bytes: elem,
-                    });
-                    *sorted_local = if t > 1 {
-                        let te = comm.threads().exec_budget();
-                        dhs_shm::parallel_kway_chunked(&received.as_slices(), te, cfg.merge)
-                    } else {
-                        kway_merge(cfg.merge, &received.as_slices())
-                    };
-                }
-            }
-            drop(intra);
-            stats.merge_ns = sp.finish();
-        }
-        ExchangeStrategy::PairwiseMerge { overlap } => {
-            // Phases 3b+4 fused: pairwise rounds, merging eagerly.
-            let sp = comm.span("exchange");
-            let (merged, _) =
-                crate::overlap::exchange_and_merge(comm, sorted_local, &plan, overlap);
-            *sorted_local = merged;
-            stats.exchange_ns = sp.finish();
-        }
     }
 }
 
@@ -1392,13 +1088,23 @@ mod tests {
     }
 
     #[test]
-    fn unique_transform_roundtrip() {
-        let cfg = SortConfig::builder()
-            .unique_transform(true)
-            .build()
-            .expect("valid config");
-        check_sorted_output(4, 500, 3, &cfg, true);
-        check_sorted_output(5, 500, u64::MAX, &cfg, true);
+    fn unique_keys_sort_like_plain_keys() {
+        // §V-A fidelity needs no knob: `UniqueKey` is a `Key`, so the
+        // transformed keys go through the ordinary entry point.
+        use crate::key::{make_unique, strip_unique};
+        for (p, modulus) in [(4, 3), (5, u64::MAX)] {
+            let out = run(&ClusterConfig::small_cluster(p), move |comm| {
+                let mut plain = keys_for(comm.rank(), 500, modulus);
+                let mut tagged = make_unique(&plain, comm.rank());
+                histogram_sort(comm, &mut plain, &SortConfig::default());
+                histogram_sort(comm, &mut tagged, &SortConfig::default());
+                (plain, strip_unique(tagged))
+            });
+            for ((plain, stripped), _) in out {
+                assert_eq!(plain.len(), 500, "perfect partition");
+                assert_eq!(plain, stripped);
+            }
+        }
     }
 
     #[test]

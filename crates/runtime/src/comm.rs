@@ -1439,7 +1439,11 @@ impl Comm {
             }
             ((states), EndTimes::Uniform(ctx.enter_max_ns))
         });
-        Comm::new(state[&color].clone(), new_rank)
+        let comm = Comm::new(state[&color].clone(), new_rank);
+        // The sub-communicator runs this rank's local phases at the
+        // same intra-rank thread budget as its parent.
+        comm.threads.configure(self.threads.budget());
+        comm
     }
 
     /// Arm shrink-and-recover for the lifetime of the returned guard:
@@ -1789,6 +1793,15 @@ mod tests {
             acc
         });
         assert!(vals.iter().all(|(v, _)| *v == 2));
+    }
+
+    #[test]
+    fn split_carries_the_thread_budget() {
+        let vals = run(&cfg(4), |comm| {
+            comm.threads().configure(3);
+            comm.split((comm.rank() % 2) as u64, 0).threads().budget()
+        });
+        assert!(vals.iter().all(|(budget, _)| *budget == 3));
     }
 
     #[test]

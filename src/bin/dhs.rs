@@ -162,7 +162,6 @@ fn sort_config_with(args: &Args, default_warm: WarmStart) -> SortConfig {
             "radix" => LocalSort::Radix,
             other => panic!("unknown local sort {other}"),
         })
-        .unique_transform(args.has("unique"))
         .probes_per_round(args.get("probes", 1))
         .threads_per_rank(args.get("threads", 1))
         .recovery(match args.raw("recovery").unwrap_or("abort") {

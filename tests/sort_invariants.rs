@@ -7,7 +7,7 @@
 
 use std::collections::HashMap;
 
-use dhs::core::{histogram_sort, MergeAlgo, Partitioning, SortConfig};
+use dhs::core::{histogram_sort, make_unique, strip_unique, MergeAlgo, Partitioning, SortConfig};
 use dhs::runtime::{run, ClusterConfig};
 use dhs::workloads::{rank_local_keys, Distribution, Layout};
 use proptest::prelude::*;
@@ -166,21 +166,24 @@ proptest! {
     }
 
     #[test]
-    fn unique_transform_changes_nothing_observable(
+    fn unique_keys_sort_like_plain_keys(
         p in 2usize..7,
         n_total in 1usize..2000,
         seed in 0u64..1_000_000,
     ) {
-        // Heavy duplicates: the transform's motivating case.
+        // Heavy duplicates: the §V-A transform's motivating case. It
+        // is not a sort option; `UniqueKey` is an ordinary `Key`.
         let dist = Distribution::FewDistinct { k: 4 };
-        let plain = SortConfig::default();
-        let unique = SortConfig::builder()
-            .unique_transform(true)
-            .build()
-            .expect("valid config");
-        let a = sort_and_verify(p, n_total, dist, Layout::Balanced, &plain, seed);
-        let b = sort_and_verify(p, n_total, dist, Layout::Balanced, &unique, seed);
-        prop_assert_eq!(a, b);
+        let out = run(&ClusterConfig::small_cluster(p), move |comm| {
+            let mut plain = rank_local_keys(dist, Layout::Balanced, n_total, p, comm.rank(), seed);
+            let mut tagged = make_unique(&plain, comm.rank());
+            histogram_sort(comm, &mut plain, &SortConfig::default());
+            histogram_sort(comm, &mut tagged, &SortConfig::default());
+            (plain, strip_unique(tagged))
+        });
+        for ((plain, stripped), _) in out {
+            prop_assert_eq!(plain, stripped);
+        }
     }
 }
 
@@ -194,24 +197,28 @@ proptest! {
         groups in 0usize..5,
         dist in arb_distribution(),
         seed in 0u64..1_000_000,
+        balanced: bool,
     ) {
-        let out = dhs::runtime::run(
-            &dhs::runtime::ClusterConfig::small_cluster(p),
-            move |comm| {
-                let mut local = rank_local_keys(dist, Layout::Balanced, n_total, p, comm.rank(), seed);
-                let before = local.clone();
-                dhs::core::histogram_sort_two_level(
-                    comm, &mut local, &SortConfig::default(), groups);
-                (before, local)
-            },
-        );
+        let partitioning = if balanced { Partitioning::Balanced } else { Partitioning::Perfect };
+        let cfg = SortConfig::builder().partitioning(partitioning).build().expect("valid config");
+        let out = run(&ClusterConfig::small_cluster(p), move |comm| {
+            let mut local = rank_local_keys(dist, Layout::Balanced, n_total, p, comm.rank(), seed);
+            let before = local.clone();
+            dhs::core::histogram_sort_two_level(comm, &mut local, &cfg, groups);
+            (before, local)
+        });
         let mut input: Vec<u64> = out.iter().flat_map(|((b, _), _)| b.clone()).collect();
         let output: Vec<u64> = out.iter().flat_map(|((_, a), _)| a.clone()).collect();
         input.sort_unstable();
         prop_assert!(output.windows(2).all(|w| w[0] <= w[1]));
         prop_assert_eq!(&input, &{ let mut o = output.clone(); o.sort_unstable(); o });
-        for ((before, after), _) in &out {
-            prop_assert_eq!(before.len(), after.len(), "perfect partitioning");
+        for (rank, ((before, after), _)) in out.iter().enumerate() {
+            if balanced {
+                let want = n_total * (rank + 1) / p - n_total * rank / p;
+                prop_assert_eq!(after.len(), want, "balanced partitioning, rank {}", rank);
+            } else {
+                prop_assert_eq!(before.len(), after.len(), "perfect partitioning");
+            }
         }
     }
 
