@@ -35,12 +35,33 @@ impl Args {
         out
     }
 
-    /// `--key value` parsed as `T`, or `default`.
+    /// `--key value` parsed as `T`, or `default` when the flag is
+    /// absent. A value that does not parse is an error naming the flag,
+    /// never a silent fall-back to the default.
+    pub fn try_get<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
+        match self.values.get(key) {
+            None => Ok(default),
+            Some(v) => v
+                .parse()
+                .map_err(|_| format!("--{key}: cannot parse {v:?}")),
+        }
+    }
+
+    /// [`Args::try_get`] for the figure binaries: panics with the named
+    /// message on an unparsable value.
     pub fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        self.values
-            .get(key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+        self.try_get(key, default).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// The first argument the caller does not recognise: a `--key
+    /// value` pair whose key is not in `values`, or a bare `--switch`
+    /// (or stray positional) not in `switches`. A value flag given
+    /// without its value parses as a switch and is reported here too.
+    pub fn unknown(&self, values: &[&str], switches: &[&str]) -> Option<&str> {
+        let known = |given: &String, list: &[&str]| list.contains(&given.as_str());
+        let key = self.values.keys().find(|k| !known(k, values));
+        let bare = || self.switches.iter().find(|s| !known(s, switches));
+        key.or_else(bare).map(String::as_str)
     }
 
     /// Whether a bare `--switch` was given.
@@ -78,10 +99,38 @@ mod tests {
     }
 
     #[test]
-    fn default_when_missing_or_unparsable() {
+    fn default_only_when_missing() {
         let a = args("--n abc");
-        assert_eq!(a.get("n", 7usize), 7);
         assert_eq!(a.get("missing", 3u32), 3);
+        assert_eq!(a.try_get("missing", 3u32), Ok(3));
+    }
+
+    #[test]
+    fn unparsable_value_is_an_error_naming_the_flag() {
+        let a = args("--probes abc");
+        let err = a.try_get("probes", 1usize).unwrap_err();
+        assert!(err.contains("--probes") && err.contains("abc"), "{err}");
+    }
+
+    #[test]
+    #[should_panic(expected = "--probes: cannot parse")]
+    fn get_panics_instead_of_defaulting() {
+        args("--probes abc").get("probes", 1usize);
+    }
+
+    #[test]
+    fn unknown_flags_are_reported() {
+        let values = ["probes", "exchange-algo"];
+        let switches = ["verify"];
+        let ok = args("--probes 3 --verify --exchange-algo staged:4");
+        assert_eq!(ok.unknown(&values, &switches), None);
+        // A misspelt value flag, a misspelt switch, a value flag that
+        // lost its value, and a stray positional.
+        let typo = args("--exchange-alg staged:4");
+        assert_eq!(typo.unknown(&values, &switches), Some("exchange-alg"));
+        assert_eq!(args("--verfy").unknown(&values, &switches), Some("verfy"));
+        assert_eq!(args("--probes").unknown(&values, &switches), Some("probes"));
+        assert_eq!(args("oops").unknown(&values, &switches), Some("oops"));
     }
 
     #[test]

@@ -57,11 +57,11 @@
 //!   deterministic, so a single rep is exact.
 //! * `kernel_ab` — the local compute-kernel A/B: the portable scalar
 //!   reference kernels versus the runtime-dispatched backend
-//!   (`Kernels::auto()`, AVX2 where the host has it). Three per-kernel
+//!   (`Kernels::auto()`, AVX2 where the host has it). Two per-kernel
 //!   microbenches — k-way classification against a 255-splitter
-//!   ladder, LSD radix sort, and the 2-way merge core — plus the
-//!   end-to-end histogram sort under `--kernels scalar` versus
-//!   `--kernels auto`. Outputs are asserted byte-identical per rep
+//!   ladder and LSD radix sort — plus the end-to-end histogram sort
+//!   under `--kernels scalar` versus `--kernels auto` (the 2-way
+//!   merge core is scalar on every backend, so it has no A/B). Outputs are asserted byte-identical per rep
 //!   (the determinism contract: dispatch may only change host time).
 //!   The ≥1.3× acceptance target refers to the best per-kernel case on
 //!   an AVX2 host; on hosts without AVX2 the dispatched side *is* the
@@ -533,11 +533,10 @@ fn bench_splitter(grid: &[(usize, usize)], reps: usize) -> Vec<AbCase> {
 
 /// A/B the local compute kernels: the portable scalar reference versus
 /// the runtime-dispatched backend, on the exact slice shapes the sort
-/// feeds them. Three microbenches per grid point `(p, n_per)` —
+/// feeds them. Two microbenches per grid point `(p, n_per)` —
 /// classification of `p * n_per` keys against a 255-splitter ladder
-/// (the `plan_exchange` / splitter-probe inner loop), LSD radix sort
-/// of the same keys (the `LocalSort::Radix` engine), and the 2-way
-/// merge of two sorted halves (the `flat_tree_merge` leaf) — plus one
+/// (the `plan_exchange` / splitter-probe inner loop) and LSD radix
+/// sort of the same keys (the `LocalSort::Radix` engine) — plus one
 /// end-to-end histogram sort at `(p, n_per)` under each policy. Every
 /// rep asserts the two sides' outputs byte-identical before timing is
 /// trusted: dispatch that changes bytes is a bug, not a speedup.
@@ -589,29 +588,6 @@ fn bench_kernels(grid: &[(usize, usize)], reps: usize) -> Vec<AbCase> {
             std::hint::black_box((&va, &vb));
         }
         out.push(kernel_case("radix", p, n_per, reps, side_a, side_b));
-
-        // 2-way merge of two sorted halves (the flat-tree leaf shape).
-        let mut ha = base[..n / 2].to_vec();
-        let mut hb = base[n / 2..].to_vec();
-        ha.sort_unstable();
-        hb.sort_unstable();
-        let mut out_a = vec![0u64; n];
-        let mut out_b = vec![0u64; n];
-        let mut side_a = Vec::with_capacity(reps);
-        let mut side_b = Vec::with_capacity(reps);
-        for _ in 0..reps {
-            let t = Instant::now();
-            scalar.merge_u64(&ha, &hb, &mut out_a);
-            side_a.push(secs(t));
-            std::hint::black_box(&out_a);
-
-            let t = Instant::now();
-            auto.merge_u64(&ha, &hb, &mut out_b);
-            side_b.push(secs(t));
-            std::hint::black_box(&out_b);
-            assert_eq!(out_a, out_b, "merge dispatch changed the merged output");
-        }
-        out.push(kernel_case("merge", p, n_per, reps, side_a, side_b));
 
         // End-to-end: the full histogram sort (radix local sort, so
         // every kernel is on the hot path) under each policy.

@@ -55,7 +55,11 @@ pub enum ExchangeStrategy {
     AllToAllv,
     /// Explicit pairwise 1-factor rounds with eager binary merging of
     /// each received chunk (§VI-E1). With `overlap`, merge work hides
-    /// behind the next round's transfer.
+    /// behind the next round's transfer. Recorded cells (ablation A4,
+    /// `ablation_overlap --p 4 --nper 1048576`): with few ranks and
+    /// large runs `overlap: true` beats all-to-allv + tournament merge
+    /// (p = 4, 2²⁰ keys/rank: 4.57 vs 4.99 ms); its `P − 1` serial
+    /// rounds lose 7× at P = 128, 2¹⁶ keys/rank (7.93 vs 1.13 ms).
     PairwiseMerge {
         /// Overlap each round's merge with the next round's transfer.
         overlap: bool,

@@ -31,7 +31,11 @@ pub enum AllToAllAlgo {
     /// (each byte crosses once), `O(P)` message latencies.
     OneFactor,
     /// Bruck-style store-and-forward: `⌈log₂P⌉` rounds; latency-optimal
-    /// for small `N/P`, but bytes travel `~log₂(P)/2` hops.
+    /// for small `N/P`, but bytes travel `~log₂(P)/2` hops. Recorded
+    /// win (ablation A4, `results/full_suite.txt`, P = 128): 10.5 µs vs
+    /// `staged:8` 31.2 µs vs one-factor 176.3 µs at 4 keys/rank, and
+    /// still 15.1 vs 33.3 µs at 1024 keys/rank; `staged:8` takes over
+    /// at 16 Ki keys/rank (66.3 vs 83.9 µs).
     Bruck,
     /// Node-leader aggregation (§VI-E1): co-located ranks funnel their
     /// inter-node traffic through one leader core per node (intra-node
@@ -78,17 +82,15 @@ pub struct Comm {
 }
 
 /// A type-erased borrowed view of slices living on the depositing
-/// rank's stack. Only ever dereferenced inside the windows of
-/// [`CommState::collective_view`] where the owner is provably blocked
-/// in the same collective, which is what makes the `Send + Sync`
-/// assertion and the raw-pointer reads sound.
+/// rank's stack, deposited into [`CommState::collective_view`] and read
+/// only under that function's safety contract.
 struct RawParts<T> {
     parts: Vec<(*const T, usize)>,
 }
 
-// SAFETY: the pointers are only dereferenced while the owning rank is
-// blocked inside the collective rendezvous (see `collective_view`); the
-// data itself is `Send + Sync`.
+// SAFETY: crossing threads only moves the pointers; they are
+// dereferenced solely through `slice`, whose callers sit in windows 3–4
+// of the `collective_view` contract. The data itself is `Send + Sync`.
 unsafe impl<T: Send> Send for RawParts<T> {}
 unsafe impl<T: Sync> Sync for RawParts<T> {}
 
@@ -103,8 +105,9 @@ impl<T> RawParts<T> {
         self.parts[i].1
     }
 
-    /// SAFETY: caller must be inside a `collective_view` window where
-    /// the depositing rank is still blocked in the same collective.
+    /// # Safety
+    /// Call only from a `collective_view` combine (window 3) or from an
+    /// extract under the exit barrier (window 4).
     unsafe fn slice(&self, i: usize) -> &[T] {
         let (ptr, len) = self.parts[i];
         std::slice::from_raw_parts(ptr, len)
@@ -459,32 +462,21 @@ impl Comm {
         report
     }
 
+    /// An owned-payload collective: [`Comm::run_collective_view`] whose
+    /// extract is the identity on the shared output, no exit barrier.
     fn run_collective<T, R, F>(&self, name: &'static str, input: T, combine: F) -> Arc<R>
     where
         T: Send + 'static,
         R: Send + Sync + 'static,
-        F: FnOnce(Vec<T>, &crate::state::CollectiveCtx<'_>) -> (R, EndTimes),
+        F: FnOnce(Vec<T>, &CollectiveCtx<'_>) -> (R, EndTimes),
     {
-        self.check_crash();
-        let g = self.gen.get();
-        self.gen.set(g + 1);
-        let enter_ns = self.local().now_ns();
-        let out = self.state.collective(self.rank, g, input, combine);
-        if let Some(sink) = self.sink() {
-            sink.complete(
-                Cow::Borrowed(name),
-                "collective",
-                enter_ns,
-                self.local().now_ns(),
-                0,
-            );
-        }
-        out
+        self.run_collective_view(name, input, combine, Arc::clone, false)
     }
 
-    /// Zero-copy variant of [`Comm::run_collective`]: the input may be a
-    /// [`RawParts`] view of this rank's buffers, and `extract` runs per
-    /// rank against the shared output under the protocol guarantees of
+    /// Run one collective on this communicator: crash check, generation
+    /// ticket, the rendezvous itself, and its trace span. The input may
+    /// be a [`RawParts`] view of this rank's buffers; `combine` and
+    /// `extract` then read it under the windows of
     /// [`CommState::collective_view`].
     fn run_collective_view<T, R, Q, F, G>(
         &self,
@@ -507,16 +499,17 @@ impl Comm {
         let out = self
             .state
             .collective_view(self.rank, g, input, combine, extract, exit_barrier);
-        if let Some(sink) = self.sink() {
-            sink.complete(
-                Cow::Borrowed(name),
-                "collective",
-                enter_ns,
-                self.local().now_ns(),
-                0,
-            );
-        }
+        self.trace_collective(name, enter_ns);
         out
+    }
+
+    /// Record the just-finished collective `name` as a span from
+    /// `enter_ns` to now, when tracing is on.
+    fn trace_collective(&self, name: &'static str, enter_ns: u64) {
+        if let Some(sink) = self.sink() {
+            let now = self.local().now_ns();
+            sink.complete(Cow::Borrowed(name), "collective", enter_ns, now, 0);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -639,8 +632,7 @@ impl Comm {
                 let mut acc = vec![0u64; width];
                 for x in &inputs {
                     assert_eq!(x.len(0), width, "allreduce inputs must have equal length");
-                    // SAFETY: every depositing rank is blocked inside
-                    // this collective until the output exists.
+                    // SAFETY: combine, window 3 of `collective_view`.
                     let s = unsafe { x.slice(0) };
                     for (a, b) in acc.iter_mut().zip(s) {
                         *a = a.wrapping_add(*b);
@@ -753,8 +745,7 @@ impl Comm {
                 for (r, x) in inputs.iter().enumerate() {
                     assert_eq!(x.len(0), width, "exscan inputs must have equal length");
                     flat[r * width..(r + 1) * width].copy_from_slice(&acc);
-                    // SAFETY: every depositing rank is blocked inside
-                    // this collective until the output exists.
+                    // SAFETY: combine, window 3 of `collective_view`.
                     let s = unsafe { x.slice(0) };
                     for (a, b) in acc.iter_mut().zip(s) {
                         *a = a.wrapping_add(*b);
@@ -961,9 +952,8 @@ impl Comm {
                 let total: usize = counts.iter().sum();
                 let mut data: Vec<T> = Vec::with_capacity(total);
                 for v in views.iter() {
-                    // SAFETY: the exit barrier keeps every depositing
-                    // rank inside the collective until all ranks finish
-                    // this copy-out.
+                    // SAFETY: extract under the exit barrier, window 4
+                    // of `collective_view`.
                     data.extend_from_slice(unsafe { v.slice(me) });
                 }
                 RecvRuns::from_parts(data, counts)
@@ -1104,7 +1094,8 @@ impl Comm {
     {
         let q = self.size();
         let elem = mem::size_of::<T>() as u64;
-        let unit_bytes = |units: &[StagedUnit<T>]| -> u64 {
+        // Wire size of a unit list: payloads plus routing headers.
+        let unit_bytes = move |units: &[StagedUnit<T>]| -> u64 {
             units
                 .iter()
                 .map(|u| u.data.len() as u64 * elem + STAGE_HEADER_BYTES)
@@ -1124,12 +1115,6 @@ impl Comm {
         }
         let me = self.rank;
         let out = self.run_collective("exchange_stage", outgoing, move |inputs, ctx| {
-            let bytes_of = |units: &[StagedUnit<T>]| -> u64 {
-                units
-                    .iter()
-                    .map(|u| u.data.len() as u64 * elem + STAGE_HEADER_BYTES)
-                    .sum()
-            };
             let mut ends = Vec::with_capacity(q);
             for r in 0..q {
                 let gr = ctx.global_ranks[r];
@@ -1138,7 +1123,7 @@ impl Comm {
                         .alltoallv_rank_ns(inputs[r].iter().map(|(peer, units)| {
                             (
                                 ctx.topology.link(gr, ctx.global_ranks[*peer]),
-                                bytes_of(units),
+                                unit_bytes(units),
                             )
                         }));
                 let recv_cost = ctx
@@ -1147,7 +1132,10 @@ impl Comm {
                         list.iter()
                             .filter(|(peer, _)| *peer == r)
                             .map(move |(_, units)| {
-                                (ctx.topology.link(ctx.global_ranks[s], gr), bytes_of(units))
+                                (
+                                    ctx.topology.link(ctx.global_ranks[s], gr),
+                                    unit_bytes(units),
+                                )
                             })
                     }));
                 ends.push(ctx.enter_max_ns + send_cost.max(recv_cost));
@@ -1476,15 +1464,7 @@ impl Comm {
             .survivors
             .binary_search(&me_g)
             .expect("agreement always includes the live caller");
-        if let Some(sink) = self.sink() {
-            sink.complete(
-                Cow::Borrowed("shrink"),
-                "collective",
-                enter_ns,
-                self.local().now_ns(),
-                0,
-            );
-        }
+        self.trace_collective("shrink", enter_ns);
         let comm = Comm::new(agreement.state.clone(), new_rank);
         // Carry the intra-rank thread budget across the shrink.
         comm.threads.configure(self.threads.budget());

@@ -13,7 +13,7 @@
 //!    ([`crate::fault::RankError::RetriesExhausted`]).
 //! 2. **Interrupt.** While recovery is *armed* (some rank is inside a
 //!    recoverable section), every blocked wait — mailbox receives and
-//!    both collective rendezvous — polls the registry and unwinds with
+//!    the collective rendezvous — polls the registry and unwinds with
 //!    a [`RecoveryInterrupt`] panic instead of waiting forever. The
 //!    runner does **not** poison the world for interrupts or for
 //!    registered root causes while armed, so survivors stay alive.
@@ -65,10 +65,8 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::sync::Once;
 
-use parking_lot::{Condvar, Mutex};
-
 use crate::fault::{RankAbort, RankError};
-use crate::state::{CommState, World};
+use crate::state::{CommState, Monitor, World};
 
 /// Panic payload that unwinds a blocked survivor out of a dead
 /// communicator and into the recovery driver (which catches it and
@@ -124,7 +122,7 @@ pub(crate) struct Agreement {
 }
 
 #[derive(Default)]
-struct AgreeInner {
+pub(crate) struct AgreeInner {
     /// Completed-agreement count; a rank may only join when its own
     /// restart count matches.
     epoch: u64,
@@ -138,11 +136,7 @@ struct AgreeInner {
 /// [`World`] (not on a communicator) because the old communicator's
 /// collective cell may be wedged mid-generation when survivors need to
 /// agree.
-#[derive(Default)]
-pub(crate) struct AgreeCell {
-    state: Mutex<AgreeInner>,
-    cv: Condvar,
-}
+pub(crate) type AgreeCell = Monitor<AgreeInner>;
 
 /// Fault-aware survivor consensus for agreement round `epoch` over the
 /// members of a (dead) communicator.
@@ -181,38 +175,23 @@ pub(crate) fn agree_survivors(
 
     let enter_ns = me.now_ns();
     let cell = &world.agree;
-    let mut st = cell.state.lock();
-    loop {
-        let token = world.wake_token(me_global);
-        if st.epoch == epoch {
-            break;
-        }
-        if world.poisoned() {
-            drop(st);
-            world.abort_peer_failed(me_global);
-        }
-        st = world.wait_step(me_global, token, &cell.state, &cell.cv, st);
-    }
+    // Both waits unwind on poison only: `members` is empty, so the
+    // agreement never interrupts itself.
+    let joinable = |st: &mut AgreeInner| (st.epoch == epoch).then_some(());
+    let st = cell.state.lock();
+    let (mut st, ()) = world.block_until(me_global, &[], cell, st, joinable, |_, _| true);
     st.arrived.insert(me_global, enter_ns);
     cell.cv.notify_all();
     world.wake_ranks(members);
 
-    loop {
-        let token = world.wake_token(me_global);
+    let agree = |st: &mut AgreeInner| {
         if st.agreed.is_none() {
             // Re-derive the dead set on every pass: the registry can
             // grow while we wait (e.g. a straggling member's deadline
             // fires at its own agreement entry).
-            let dead: Vec<usize> = members
+            let (dead, survivors): (Vec<usize>, Vec<usize>) = members
                 .iter()
-                .copied()
-                .filter(|r| world.rank_failed(*r).is_some())
-                .collect();
-            let survivors: Vec<usize> = members
-                .iter()
-                .copied()
-                .filter(|r| !dead.contains(r))
-                .collect();
+                .partition(|r| world.rank_failed(**r).is_some());
             let complete =
                 !survivors.is_empty() && survivors.iter().all(|r| st.arrived.contains_key(r));
             if complete {
@@ -238,45 +217,39 @@ pub(crate) fn agree_survivors(
                 world.wake_ranks(members);
             }
         }
+        st.agreed.clone()
+    };
+    let (mut st, agreement) = world.block_until(me_global, &[], cell, st, agree, |_, _| true);
 
-        if let Some(agreement) = st.agreed.clone() {
-            if agreement.survivors.binary_search(&me_global).is_err() {
-                // Suspected dead while agreeing (a peer's retry budget
-                // to us ran out): terminate with the registered cause.
-                let err = world
-                    .rank_failed(me_global)
-                    .unwrap_or(RankError::PeerFailed { rank: me_global });
-                drop(st);
-                std::panic::panic_any(RankAbort(err));
-            }
-            st.departed += 1;
-            if st.departed == agreement.survivors.len() {
-                // Last departer resets the cell for the next epoch.
-                st.departed = 0;
-                st.arrived.clear();
-                st.agreed = None;
-                st.epoch += 1;
-                cell.cv.notify_all();
-                // Next-epoch joiners may be any survivor subset; the
-                // registry does not say who is waiting, so fan out.
-                world.wake_all_tasks();
-            }
-            drop(st);
-
-            me.advance_to_ns(agreement.end_ns);
-            me.counters
-                .comm_ns
-                .fetch_add(agreement.end_ns.saturating_sub(enter_ns), Ordering::Relaxed);
-            me.counters.collectives.fetch_add(1, Ordering::Relaxed);
-            return agreement;
-        }
-
-        if world.poisoned() {
-            drop(st);
-            world.abort_peer_failed(me_global);
-        }
-        st = world.wait_step(me_global, token, &cell.state, &cell.cv, st);
+    if agreement.survivors.binary_search(&me_global).is_err() {
+        // Suspected dead while agreeing (a peer's retry budget to us
+        // ran out): terminate with the registered cause.
+        let err = world
+            .rank_failed(me_global)
+            .unwrap_or(RankError::PeerFailed { rank: me_global });
+        drop(st);
+        std::panic::panic_any(RankAbort(err));
     }
+    st.departed += 1;
+    if st.departed == agreement.survivors.len() {
+        // Last departer resets the cell for the next epoch.
+        st.departed = 0;
+        st.arrived.clear();
+        st.agreed = None;
+        st.epoch += 1;
+        cell.cv.notify_all();
+        // Next-epoch joiners may be any survivor subset; the registry
+        // does not say who is waiting, so fan out.
+        world.wake_all_tasks();
+    }
+    drop(st);
+
+    me.advance_to_ns(agreement.end_ns);
+    me.counters
+        .comm_ns
+        .fetch_add(agreement.end_ns.saturating_sub(enter_ns), Ordering::Relaxed);
+    me.counters.collectives.fetch_add(1, Ordering::Relaxed);
+    agreement
 }
 
 /// Result of a successful [`crate::comm::Comm::shrink`].

@@ -201,13 +201,17 @@ impl Scheduler {
     }
 
     /// Block until `me` is granted a worker slot; called once when the
-    /// rank task starts.
+    /// rank task starts. A fan-out wake (poison, failure registration)
+    /// that lands before this call finds the not-yet-started task
+    /// `Parked` and has already queued — or granted — it; queueing it
+    /// again would count its slot twice.
     pub fn acquire(&self, me: usize) {
         let mut inner = self.inner.lock();
-        debug_assert_eq!(inner.state[me], TaskState::Parked);
-        inner.state[me] = TaskState::Queued;
-        inner.queue.push_back(me);
-        self.pump(&mut inner);
+        if inner.state[me] == TaskState::Parked {
+            inner.state[me] = TaskState::Queued;
+            inner.queue.push_back(me);
+            self.pump(&mut inner);
+        }
         while inner.state[me] != TaskState::Running {
             self.cvs[me].wait(&mut inner);
         }
@@ -395,6 +399,20 @@ mod tests {
             }
         });
         assert!(peak.load(Ordering::SeqCst) <= 2, "peak {peak:?} > workers");
+    }
+
+    #[test]
+    fn wake_all_before_acquire_grants_the_slot_once() {
+        // A rank that crashes before its peers' threads have started
+        // fans a wake out to tasks that never acquired.
+        let sched = Scheduler::new(2, 1);
+        sched.wake_all();
+        sched.acquire(0);
+        sched.finish(0);
+        // The single slot must be free again for the late starter.
+        sched.acquire(1);
+        sched.finish(1);
+        assert_eq!(sched.inner.lock().running, 0);
     }
 
     #[test]

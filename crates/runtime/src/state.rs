@@ -177,17 +177,6 @@ impl World {
         members.iter().any(|r| failed.contains_key(r))
     }
 
-    /// The wake token of global rank `me_global` (see
-    /// [`crate::sched::Scheduler::token`]); `0` under the thread
-    /// engine, where wait loops poll instead of parking.
-    #[inline]
-    pub(crate) fn wake_token(&self, me_global: usize) -> u64 {
-        match &self.sched {
-            Some(s) => s.token(me_global),
-            None => 0,
-        }
-    }
-
     /// Wake the task of global rank `r` (no-op under the thread
     /// engine, where condvar notifies carry the event instead).
     #[inline]
@@ -212,43 +201,83 @@ impl World {
             s.wake_all();
         }
     }
+}
 
-    /// One blocking step of a wait loop over `lock`/`cv`, consuming and
-    /// re-establishing the caller's guard. Under the thread engine this
-    /// is the classic bounded condvar wait (the [`POISON_POLL`]
-    /// poll). Under the task engine the rank releases its worker slot
-    /// and parks until an event wakes it; `token` must have been read
-    /// via [`World::wake_token`] *before* the caller last evaluated its
-    /// wake predicate, so a wake racing the check cuts the park short
-    /// instead of being lost. While the world is poisoned the park is
-    /// bounded by [`POISON_POLL`] so poll-counted grace windows (see
-    /// [`CommState::collective_view`]) keep their thread-engine pace.
-    pub(crate) fn wait_step<'a, T>(
+/// The cause a blocked wait is asked to unwind for.
+pub(crate) enum Unwind {
+    /// The world is poisoned: a [`RankError::PeerFailed`] abort.
+    Poison,
+    /// Recovery is armed and a member of the waited-on communicator
+    /// has failed: a [`crate::recover::RecoveryInterrupt`].
+    Recovery,
+}
+
+impl World {
+    /// The one park loop: block rank `me_global` on monitor `on` until
+    /// `ready` yields a value, returning it with the guard still held.
+    /// Every blocking point of the runtime goes through here, so the
+    /// no-lost-wakeup order — wake token read **before** the predicate,
+    /// park after — is written once.
+    ///
+    /// A pass that is not ready offers the two unwind causes to
+    /// `may_unwind`: poison first, then a failed rank among `members`
+    /// while recovery is armed (pass `&[]` for the recovery layer's own
+    /// waits). `may_unwind` may first put the guarded state in order
+    /// (retract a deposit); on `true` the guard is dropped and the rank
+    /// unwinds with the cause's typed panic.
+    pub(crate) fn block_until<'a, T, R>(
         &self,
         me_global: usize,
-        token: u64,
-        lock: &'a Mutex<T>,
-        cv: &Condvar,
-        st: parking_lot::MutexGuard<'a, T>,
-    ) -> parking_lot::MutexGuard<'a, T> {
-        match &self.sched {
-            Some(s) => {
+        members: &[usize],
+        on: &'a Monitor<T>,
+        mut st: parking_lot::MutexGuard<'a, T>,
+        mut ready: impl FnMut(&mut T) -> Option<R>,
+        mut may_unwind: impl FnMut(&mut T, Unwind) -> bool,
+    ) -> (parking_lot::MutexGuard<'a, T>, R) {
+        loop {
+            // A wake landing after this read cuts the park below short
+            // (see [`Scheduler::token`]); the thread engine polls.
+            let token = self.sched.as_ref().map_or(0, |s| s.token(me_global));
+            if let Some(r) = ready(&mut st) {
+                return (st, r);
+            }
+            if self.poisoned() && may_unwind(&mut st, Unwind::Poison) {
                 drop(st);
-                let backstop = if self.poisoned() {
-                    POISON_POLL
-                } else {
-                    PARK_BACKSTOP
-                };
-                s.park(me_global, token, backstop);
-                lock.lock()
+                self.abort_peer_failed(me_global);
             }
-            None => {
-                let mut st = st;
-                cv.wait_for(&mut st, POISON_POLL);
-                st
+            if self.recovery_interrupt(members) && may_unwind(&mut st, Unwind::Recovery) {
+                drop(st);
+                crate::recover::interrupt();
             }
+            st = match &self.sched {
+                // Task engine: release the worker slot and park until an
+                // event wakes us. The timed backstop is liveness-only; a
+                // poisoned world shortens it so poll-counted grace windows
+                // (see [`CommState::collective_view`]) keep their pace.
+                Some(s) => {
+                    drop(st);
+                    let poisoned = self.poisoned();
+                    let backstop = if poisoned { POISON_POLL } else { PARK_BACKSTOP };
+                    s.park(me_global, token, backstop);
+                    on.state.lock()
+                }
+                // Thread engine: the classic bounded condvar wait.
+                None => {
+                    on.cv.wait_for(&mut st, POISON_POLL);
+                    st
+                }
+            };
         }
     }
+}
+
+/// A mutex-guarded state plus the condvar its thread-engine waiters
+/// poll on: the shape of everything a rank can block on (mailbox,
+/// collective cell, survivor agreement).
+#[derive(Default)]
+pub(crate) struct Monitor<S> {
+    pub(crate) state: Mutex<S>,
+    pub(crate) cv: Condvar,
 }
 
 /// One in-flight point-to-point message.
@@ -265,18 +294,14 @@ pub(crate) struct Message {
 }
 
 #[derive(Default)]
-struct MailboxState {
+pub(crate) struct MailboxState {
     queue: VecDeque<Message>,
     /// Next expected sequence number per `(src, tag)` stream; messages
     /// below it are duplicates of already-delivered payloads.
     next_seq: HashMap<(usize, u64), u64>,
 }
 
-#[derive(Default)]
-pub(crate) struct Mailbox {
-    state: Mutex<MailboxState>,
-    cv: Condvar,
-}
+pub(crate) type Mailbox = Monitor<MailboxState>;
 
 impl Mailbox {
     pub fn push(&self, msg: Message) {
@@ -299,11 +324,7 @@ impl Mailbox {
         src: usize,
         tag: u64,
     ) -> Message {
-        let mut st = self.state.lock();
-        loop {
-            // Wake token first: a push landing after the scan below
-            // must cut the park short (see [`World::wait_step`]).
-            let token = world.wake_token(me_global);
+        let scan = |st: &mut MailboxState| {
             let mut ix = 0;
             while ix < st.queue.len() {
                 let m = &st.queue[ix];
@@ -320,18 +341,13 @@ impl Mailbox {
                     continue;
                 }
                 st.next_seq.insert((src, tag), seq + 1);
-                return st.queue.remove(ix).expect("index in bounds");
+                return st.queue.remove(ix);
             }
-            if world.poisoned() {
-                drop(st);
-                world.abort_peer_failed(me_global);
-            }
-            if world.recovery_interrupt(members) {
-                drop(st);
-                crate::recover::interrupt();
-            }
-            st = world.wait_step(me_global, token, &self.state, &self.cv, st);
-        }
+            None
+        };
+        let st = self.state.lock();
+        let (_, msg) = world.block_until(me_global, members, self, st, scan, |_, _| true);
+        msg
     }
 }
 
@@ -339,12 +355,9 @@ impl Mailbox {
 /// input; the last arriver combines them (and decides the operation's
 /// virtual end time); everyone picks up the shared output; the last
 /// departer resets the cell for the next generation.
-pub(crate) struct CollectiveCell {
-    state: Mutex<CellState>,
-    cv: Condvar,
-}
+pub(crate) type CollectiveCell = Monitor<CellState>;
 
-struct CellState {
+pub(crate) struct CellState {
     /// Completed-collective count; a rank may only enter when the cell's
     /// generation matches the number of collectives it has completed on
     /// this communicator.
@@ -370,7 +383,7 @@ impl CollectiveCell {
                 output: None,
                 end_ns: vec![0; size],
             }),
-            cv: Condvar::new(),
+            cv: Condvar::default(),
         }
     }
 }
@@ -432,14 +445,54 @@ impl CommState {
     }
 
     /// Execute one collective as rank `rank` (communicator-local), whose
-    /// completed-collective count is `my_gen`. The `combine` closure runs
-    /// exactly once per generation, on the last-arriving rank, and sees
-    /// the inputs of all ranks ordered by rank.
-    pub fn collective<T, R, F>(&self, rank: usize, my_gen: u64, input: T, combine: F) -> Arc<R>
+    /// completed-collective count is `my_gen` — the runtime's only
+    /// rendezvous. Every rank deposits `input`; `combine` runs exactly
+    /// once per generation, on the last arriver and under the cell
+    /// lock, over all inputs ordered by rank; `extract` then runs once
+    /// per rank against the shared output (an owned payload passes
+    /// `Arc::clone` and no exit barrier).
+    ///
+    /// # Safety contract
+    ///
+    /// Inputs may be **borrowed views of rank-local memory**, so no
+    /// rank may unwind or return while a peer can still read its view.
+    /// The protocol has four windows; every `unsafe` read in `comm.rs`
+    /// cites the one it relies on.
+    ///
+    /// 1. **Before deposit** (waiting for our generation): nothing of
+    ///    ours is published, so both unwind causes abort freely.
+    /// 2. **Deposited, combine not started** (`arrived < size`): either
+    ///    cause first retracts our input under the cell lock, so the
+    ///    combine can never read it. The rendezvous then never
+    ///    completes; the communicator is abandoned.
+    /// 3. **Combine in flight** (`arrived == size`, no output): every
+    ///    depositor is blocked in the output wait, so `combine` may
+    ///    dereference every view. It never blocks; a waiter that still
+    ///    sees no output after `POISON_GRACE_POLLS` poison polls
+    ///    concludes the combiner died (the views are never read again)
+    ///    and aborts. Recovery interrupts are not taken here.
+    /// 4. **Output taken → generation bump**: no unwinds, so every rank
+    ///    that saw the output departs and the cell resets. Without
+    ///    `exit_barrier` a rank returns right after departing, and
+    ///    `extract` may read only the output's own data. With it, no
+    ///    rank returns (no borrowed buffer can be dropped or mutated)
+    ///    until **every** rank has finished its `extract`, which may
+    ///    then dereference peers' views, as the all-to-all copy-out
+    ///    does.
+    pub fn collective_view<T, R, Q, F, G>(
+        &self,
+        rank: usize,
+        my_gen: u64,
+        input: T,
+        combine: F,
+        extract: G,
+        exit_barrier: bool,
+    ) -> Q
     where
         T: Send + 'static,
         R: Send + Sync + 'static,
         F: FnOnce(Vec<T>, &CollectiveCtx<'_>) -> (R, EndTimes),
+        G: FnOnce(&Arc<R>) -> Q,
     {
         let world = &self.world;
         let me_global = self.global_ranks[rank];
@@ -447,30 +500,16 @@ impl CommState {
         let enter_ns = me.now_ns();
         let size = self.size();
 
-        let mut st = self.cell.state.lock();
-        // Wait for the cell to be reset for our generation.
-        loop {
-            let token = world.wake_token(me_global);
-            if st.gen == my_gen {
-                break;
-            }
-            if world.poisoned() {
-                drop(st);
-                world.abort_peer_failed(me_global);
-            }
-            if world.recovery_interrupt(&self.global_ranks) {
-                drop(st);
-                crate::recover::interrupt();
-            }
-            st = self.wait_cell(me_global, token, st);
-        }
+        // Window 1: wait for the cell to be reset for our generation.
+        let st = self.cell.state.lock();
+        let mut st = self.wait_cell(me_global, st, |st| st.gen == my_gen, |_, _| true);
         debug_assert!(st.inputs[rank].is_none(), "double entry into collective");
         st.inputs[rank] = Some(Box::new(input));
         st.clocks[rank] = enter_ns;
         st.arrived += 1;
 
         if st.arrived == size {
-            // Last arriver: combine.
+            // Last arriver: combine (window 3).
             let inputs: Vec<T> = st
                 .inputs
                 .iter_mut()
@@ -505,27 +544,23 @@ impl CommState {
             st.output = Some(Arc::new(out));
             self.notify_cell();
         } else {
-            loop {
-                let token = world.wake_token(me_global);
-                if st.output.is_some() {
-                    break;
-                }
-                if world.poisoned() {
-                    drop(st);
-                    world.abort_peer_failed(me_global);
-                }
-                // A failed member means this rendezvous can never
-                // complete (arrived < size and the missing rank is
-                // dead). Retract our deposit and unwind into the
-                // recovery layer; the communicator is abandoned.
-                if st.arrived < size && world.recovery_interrupt(&self.global_ranks) {
+            let mut grace = 0u32;
+            let has_output = |st: &mut CellState| st.output.is_some();
+            st = self.wait_cell(me_global, st, has_output, |st, why| match why {
+                // Window 2: pull our input back before unwinding.
+                _ if st.arrived < size => {
                     st.inputs[rank] = None;
                     st.arrived -= 1;
-                    drop(st);
-                    crate::recover::interrupt();
+                    true
                 }
-                st = self.wait_cell(me_global, token, st);
-            }
+                // Window 3: the output appears shortly unless the
+                // combiner itself died, which only poison reports.
+                Unwind::Poison => {
+                    grace += 1;
+                    grace > POISON_GRACE_POLLS
+                }
+                Unwind::Recovery => false,
+            });
         }
 
         let out = st
@@ -537,15 +572,21 @@ impl CommState {
             .expect("uniform collective result type");
         let end = st.end_ns[rank];
 
-        st.departed += 1;
-        if st.departed == size {
-            st.arrived = 0;
-            st.departed = 0;
-            st.output = None;
-            st.gen += 1;
-            self.notify_cell();
+        // Window 4. Extract runs outside the lock (it may copy a lot of
+        // data): after departing when nothing borrowed is read, before
+        // departing — and then holding every rank until the generation
+        // bump — when peers read views of this rank's memory.
+        if !exit_barrier {
+            self.depart(&mut st);
         }
         drop(st);
+        let result = extract(&out);
+        if exit_barrier {
+            let mut st = self.cell.state.lock();
+            if !self.depart(&mut st) {
+                drop(self.wait_cell(me_global, st, |st| st.gen != my_gen, |_, _| false));
+            }
+        }
 
         // Advance this rank's clock to the collective's end and account
         // the waiting + transfer as communication time.
@@ -554,214 +595,36 @@ impl CommState {
             .comm_ns
             .fetch_add(end.saturating_sub(enter_ns), Ordering::Relaxed);
         me.counters.collectives.fetch_add(1, Ordering::Relaxed);
-        out
-    }
-
-    /// Like [`CommState::collective`], but built for zero-copy payloads
-    /// whose inputs may be **borrowed views of rank-local memory** (raw
-    /// slices of the caller's buffers). Two extra guarantees make that
-    /// sound:
-    ///
-    /// 1. `extract` runs once per rank against the shared output while
-    ///    the depositor of every input is still blocked inside this
-    ///    call, so combine *and* extract may read borrowed data.
-    /// 2. With `exit_barrier`, no rank returns (and thus no borrowed
-    ///    buffer can be dropped or mutated) until **every** rank has
-    ///    finished its `extract` — required when extract itself
-    ///    dereferences views of peer memory, as the all-to-all
-    ///    copy-out does.
-    ///
-    /// Poison handling must never let a rank unwind while a peer can
-    /// still read its views:
-    /// - while waiting for our generation (nothing deposited yet):
-    ///   abort freely, as in [`CommState::collective`];
-    /// - while waiting for the output with `arrived < size`: retract
-    ///   our own input first, then abort — the combine can no longer
-    ///   observe our views;
-    /// - once `arrived == size` the combiner owns the inputs; it never
-    ///   blocks, so wait out a grace period for the output. Only if it
-    ///   died mid-combine (output will never appear, views are never
-    ///   read again) do we abort;
-    /// - between obtaining the output and the generation bump (the
-    ///   extract / exit-barrier window) there are **no** aborts: every
-    ///   rank that saw the output departs unconditionally, so the
-    ///   barrier cannot deadlock.
-    pub fn collective_view<T, R, Q, F, G>(
-        &self,
-        rank: usize,
-        my_gen: u64,
-        input: T,
-        combine: F,
-        extract: G,
-        exit_barrier: bool,
-    ) -> Q
-    where
-        T: Send + 'static,
-        R: Send + Sync + 'static,
-        F: FnOnce(Vec<T>, &CollectiveCtx<'_>) -> (R, EndTimes),
-        G: FnOnce(&Arc<R>) -> Q,
-    {
-        let world = &self.world;
-        let me_global = self.global_ranks[rank];
-        let me = &world.locals[me_global];
-        let enter_ns = me.now_ns();
-        let size = self.size();
-
-        let mut st = self.cell.state.lock();
-        loop {
-            let token = world.wake_token(me_global);
-            if st.gen == my_gen {
-                break;
-            }
-            if world.poisoned() {
-                drop(st);
-                world.abort_peer_failed(me_global);
-            }
-            if world.recovery_interrupt(&self.global_ranks) {
-                drop(st);
-                crate::recover::interrupt();
-            }
-            st = self.wait_cell(me_global, token, st);
-        }
-        debug_assert!(st.inputs[rank].is_none(), "double entry into collective");
-        st.inputs[rank] = Some(Box::new(input));
-        st.clocks[rank] = enter_ns;
-        st.arrived += 1;
-
-        if st.arrived == size {
-            let inputs: Vec<T> = st
-                .inputs
-                .iter_mut()
-                .map(|slot| {
-                    *slot
-                        .take()
-                        .expect("all ranks deposited")
-                        .downcast::<T>()
-                        .expect("uniform collective payload type")
-                })
-                .collect();
-            let enter_max_ns = st.clocks.iter().copied().max().unwrap_or(0);
-            let cost_now = world.fault.cost_at(&world.cost, enter_max_ns);
-            let ctx = CollectiveCtx {
-                cost: &cost_now,
-                topology: &world.topology,
-                global_ranks: &self.global_ranks,
-                enter_max_ns,
-                worst_link: self.worst_link,
-            };
-            let (out, ends) = combine(inputs, &ctx);
-            match ends {
-                EndTimes::Uniform(t) => st.end_ns.iter_mut().for_each(|e| *e = t),
-                EndTimes::PerRank(v) => {
-                    assert_eq!(v.len(), size, "PerRank end times must cover every rank");
-                    st.end_ns.copy_from_slice(&v);
-                }
-            }
-            st.output = Some(Arc::new(out));
-            self.notify_cell();
-        } else {
-            let mut grace = 0u32;
-            loop {
-                let token = world.wake_token(me_global);
-                if st.output.is_some() {
-                    break;
-                }
-                if world.poisoned() {
-                    if st.arrived < size {
-                        // Our views must not outlive this frame: pull
-                        // our input back before unwinding so the (not
-                        // yet started) combine can never read it.
-                        st.inputs[rank] = None;
-                        st.arrived -= 1;
-                        drop(st);
-                        world.abort_peer_failed(me_global);
-                    }
-                    // Combine in flight: it never blocks, so the output
-                    // appears shortly unless the combiner itself died.
-                    grace += 1;
-                    if grace > POISON_GRACE_POLLS {
-                        drop(st);
-                        world.abort_peer_failed(me_global);
-                    }
-                }
-                // Recovery interrupt only while the combine cannot have
-                // started: retract our views first, exactly as above. A
-                // dead combiner (arrived == size, no output) is a real
-                // panic and reaches us through the poison path instead.
-                if st.arrived < size && world.recovery_interrupt(&self.global_ranks) {
-                    st.inputs[rank] = None;
-                    st.arrived -= 1;
-                    drop(st);
-                    crate::recover::interrupt();
-                }
-                st = self.wait_cell(me_global, token, st);
-            }
-        }
-
-        let out = st
-            .output
-            .as_ref()
-            .expect("output present")
-            .clone()
-            .downcast::<R>()
-            .expect("uniform collective result type");
-        let end = st.end_ns[rank];
-
-        let result = if exit_barrier {
-            // Extract outside the lock (it may copy a lot of data),
-            // then hold every rank until all extracts are done: peers
-            // read views of this rank's memory during their extract.
-            drop(st);
-            let result = extract(&out);
-            let mut st = self.cell.state.lock();
-            st.departed += 1;
-            if st.departed == size {
-                st.arrived = 0;
-                st.departed = 0;
-                st.output = None;
-                st.gen += 1;
-                self.notify_cell();
-            } else {
-                loop {
-                    let token = world.wake_token(me_global);
-                    if st.gen != my_gen {
-                        break;
-                    }
-                    st = self.wait_cell(me_global, token, st);
-                }
-            }
-            result
-        } else {
-            st.departed += 1;
-            if st.departed == size {
-                st.arrived = 0;
-                st.departed = 0;
-                st.output = None;
-                st.gen += 1;
-                self.notify_cell();
-            }
-            drop(st);
-            extract(&out)
-        };
-
-        me.advance_to_ns(end);
-        me.counters
-            .comm_ns
-            .fetch_add(end.saturating_sub(enter_ns), Ordering::Relaxed);
-        me.counters.collectives.fetch_add(1, Ordering::Relaxed);
         result
     }
 
-    /// One blocking step of a cell wait loop (see [`World::wait_step`]
-    /// for the token contract).
+    /// Count one departure; the last departer resets the cell for the
+    /// next generation and reports `true`.
+    fn depart(&self, st: &mut CellState) -> bool {
+        st.departed += 1;
+        let last = st.departed == self.size();
+        if last {
+            st.arrived = 0;
+            st.departed = 0;
+            st.output = None;
+            st.gen += 1;
+            self.notify_cell();
+        }
+        last
+    }
+
+    /// Block on the cell until `ready` (see [`World::block_until`]).
     fn wait_cell<'a>(
         &'a self,
         me_global: usize,
-        token: u64,
         st: parking_lot::MutexGuard<'a, CellState>,
+        mut ready: impl FnMut(&mut CellState) -> bool,
+        may_unwind: impl FnMut(&mut CellState, Unwind) -> bool,
     ) -> parking_lot::MutexGuard<'a, CellState> {
-        self.world
-            .wait_step(me_global, token, &self.cell.state, &self.cell.cv, st)
+        let (world, members) = (&self.world, &self.global_ranks);
+        let ready = |st: &mut CellState| ready(st).then_some(());
+        let (st, ()) = world.block_until(me_global, members, &self.cell, st, ready, may_unwind);
+        st
     }
 
     /// Publish a cell-state change: condvar notify for the thread
@@ -783,11 +646,27 @@ mod tests {
         World::new(Topology::new(p, p.min(16), 4, 7), CostModel::default())
     }
 
+    /// An owned-payload collective through the single entry point: the
+    /// extract is the identity on the shared output, no exit barrier.
+    fn owned<T, R>(
+        st: &CommState,
+        rank: usize,
+        gen: u64,
+        input: T,
+        combine: impl FnOnce(Vec<T>, &CollectiveCtx<'_>) -> (R, EndTimes),
+    ) -> Arc<R>
+    where
+        T: Send + 'static,
+        R: Send + Sync + 'static,
+    {
+        st.collective_view(rank, gen, input, combine, Arc::clone, false)
+    }
+
     #[test]
     fn single_rank_collective_combines_immediately() {
         let w = world(1);
         let st = CommState::new(w, vec![0]);
-        let out = st.collective(0, 0, 41u32, |inputs, ctx| {
+        let out = owned(&st, 0, 0, 41u32, |inputs, ctx| {
             assert_eq!(inputs, vec![41]);
             (inputs[0] + 1, EndTimes::Uniform(ctx.enter_max_ns + 5))
         });
@@ -807,7 +686,7 @@ mod tests {
             for r in 0..4 {
                 let st = st.clone();
                 s.spawn(move || {
-                    let out = st.collective(r, 0, r as u64, |xs, ctx| {
+                    let out = owned(&st, r, 0, r as u64, |xs, ctx| {
                         (
                             xs.iter().sum::<u64>(),
                             EndTimes::Uniform(ctx.enter_max_ns + 100),
@@ -831,7 +710,7 @@ mod tests {
                 let st = st.clone();
                 s.spawn(move || {
                     for g in 0..50u64 {
-                        let out = st.collective(r, g, g, |xs, ctx| {
+                        let out = owned(&st, r, g, g, |xs, ctx| {
                             (xs[0] + xs[1], EndTimes::Uniform(ctx.enter_max_ns))
                         });
                         assert_eq!(*out, 2 * g);

@@ -6,8 +6,8 @@
 //! Outputs are byte-identical to `super::scalar` by construction: the
 //! searches run the *same* branchless index arithmetic (the trip count
 //! of a branchless binary search depends only on the slice length, so
-//! four/eight needles advance in lockstep), sorting integers has a
-//! unique result, and merging equal scalar keys is unobservable.
+//! four/eight needles advance in lockstep) and sorting integers has a
+//! unique result.
 //!
 //! AVX2 has no unsigned 64/32-bit compare; where needed, operands are
 //! XOR-flipped at the sign bit and compared signed (`x ^ 1<<63`
@@ -397,181 +397,4 @@ pub unsafe fn radix_sort_u32(data: &mut [u32]) {
         std::mem::swap(&mut src, &mut dst);
     }
     data.copy_from_slice(&src);
-}
-
-/// Elementwise unsigned min/max of 4×u64 via sign-flip + signed
-/// compare + blend.
-#[target_feature(enable = "avx2")]
-unsafe fn minmax_epu64(a: __m256i, b: __m256i, flip: __m256i) -> (__m256i, __m256i) {
-    let gt = _mm256_cmpgt_epi64(_mm256_xor_si256(a, flip), _mm256_xor_si256(b, flip));
-    (
-        _mm256_blendv_epi8(a, b, gt), // min: where a > b, take b
-        _mm256_blendv_epi8(b, a, gt), // max: where a > b, take a
-    )
-}
-
-/// Sort a 4×u64 *bitonic* register ascending: compare-exchange at
-/// distance 2, then distance 1.
-#[target_feature(enable = "avx2")]
-unsafe fn bitonic_sort4_u64(v: __m256i, flip: __m256i) -> __m256i {
-    let t = _mm256_permute4x64_epi64::<0x4E>(v); // [2,3,0,1]
-    let (mn, mx) = minmax_epu64(v, t, flip);
-    let v = _mm256_blend_epi32::<0b1111_0000>(mn, mx);
-    let t = _mm256_permute4x64_epi64::<0xB1>(v); // [1,0,3,2]
-    let (mn, mx) = minmax_epu64(v, t, flip);
-    _mm256_blend_epi32::<0b1100_1100>(mn, mx)
-}
-
-/// Bitonic in-register merge of two ascending 4×u64 registers:
-/// returns (lowest four ascending, highest four ascending).
-#[target_feature(enable = "avx2")]
-unsafe fn bitonic_merge4_u64(a: __m256i, b: __m256i, flip: __m256i) -> (__m256i, __m256i) {
-    let b_rev = _mm256_permute4x64_epi64::<0x1B>(b); // [3,2,1,0]
-    let (lo, hi) = minmax_epu64(a, b_rev, flip);
-    (bitonic_sort4_u64(lo, flip), bitonic_sort4_u64(hi, flip))
-}
-
-/// Two-way merge with a 4×u64 bitonic network core: register-sized
-/// blocks stream through the in-register merge, refilling from the
-/// run whose next head is smaller (the classic SIMD mergesort kernel);
-/// the tails drain through a scalar three-way merge. Output is the
-/// sorted multiset of the inputs — byte-identical to the scalar merge.
-#[target_feature(enable = "avx2")]
-pub unsafe fn merge_u64(a: &[u64], b: &[u64], out: &mut [u64]) {
-    const W: usize = 4;
-    if a.len() < W || b.len() < W {
-        return super::scalar::merge_u64(a, b, out);
-    }
-    let flip = _mm256_set1_epi64x(i64::MIN);
-    let mut va = _mm256_loadu_si256(a.as_ptr().cast());
-    let mut vb = _mm256_loadu_si256(b.as_ptr().cast());
-    let (mut i, mut j, mut k) = (W, W, 0usize);
-    loop {
-        let (lo, hi) = bitonic_merge4_u64(va, vb, flip);
-        _mm256_storeu_si256(out.as_mut_ptr().add(k).cast(), lo);
-        k += W;
-        va = hi;
-        // Refill from the run with the smaller next head; stop when
-        // that run cannot supply a full register.
-        let take_a = match (i < a.len(), j < b.len()) {
-            (true, true) => a[i] <= b[j],
-            (have_a, _) => have_a,
-        };
-        if take_a {
-            if i + W > a.len() {
-                break;
-            }
-            vb = _mm256_loadu_si256(a.as_ptr().add(i).cast());
-            i += W;
-        } else {
-            if j + W > b.len() {
-                break;
-            }
-            vb = _mm256_loadu_si256(b.as_ptr().add(j).cast());
-            j += W;
-        }
-    }
-    // Drain: the retained register holds four sorted keys no larger
-    // than anything unread; three-way scalar merge of (tail, a, b).
-    let mut tail = [0u64; W];
-    _mm256_storeu_si256(tail.as_mut_ptr().cast(), va);
-    let mut t = 0usize;
-    while k < out.len() {
-        let from_t =
-            t < W && (i >= a.len() || tail[t] <= a[i]) && (j >= b.len() || tail[t] <= b[j]);
-        let from_a = !from_t && i < a.len() && (j >= b.len() || a[i] <= b[j]);
-        out[k] = if from_t {
-            let v = tail[t];
-            t += 1;
-            v
-        } else if from_a {
-            let v = a[i];
-            i += 1;
-            v
-        } else {
-            let v = b[j];
-            j += 1;
-            v
-        };
-        k += 1;
-    }
-}
-
-/// Sort an 8×u32 *bitonic* register ascending: compare-exchange at
-/// distance 4, 2, then 1 (native unsigned min/max exists for u32).
-#[target_feature(enable = "avx2")]
-unsafe fn bitonic_sort8_u32(v: __m256i) -> __m256i {
-    let t = _mm256_permute2x128_si256::<0x01>(v, v); // swap 128-bit halves
-    let v = _mm256_blend_epi32::<0b1111_0000>(_mm256_min_epu32(v, t), _mm256_max_epu32(v, t));
-    let t = _mm256_shuffle_epi32::<0x4E>(v); // [2,3,0,1] per 128-bit lane
-    let v = _mm256_blend_epi32::<0b1100_1100>(_mm256_min_epu32(v, t), _mm256_max_epu32(v, t));
-    let t = _mm256_shuffle_epi32::<0xB1>(v); // [1,0,3,2] per 128-bit lane
-    _mm256_blend_epi32::<0b1010_1010>(_mm256_min_epu32(v, t), _mm256_max_epu32(v, t))
-}
-
-/// Bitonic in-register merge of two ascending 8×u32 registers.
-#[target_feature(enable = "avx2")]
-unsafe fn bitonic_merge8_u32(a: __m256i, b: __m256i) -> (__m256i, __m256i) {
-    let rev = _mm256_setr_epi32(7, 6, 5, 4, 3, 2, 1, 0);
-    let b_rev = _mm256_permutevar8x32_epi32(b, rev);
-    let lo = _mm256_min_epu32(a, b_rev);
-    let hi = _mm256_max_epu32(a, b_rev);
-    (bitonic_sort8_u32(lo), bitonic_sort8_u32(hi))
-}
-
-/// `u32` twin of [`merge_u64`] (8-wide network).
-#[target_feature(enable = "avx2")]
-pub unsafe fn merge_u32(a: &[u32], b: &[u32], out: &mut [u32]) {
-    const W: usize = 8;
-    if a.len() < W || b.len() < W {
-        return super::scalar::merge_u32(a, b, out);
-    }
-    let mut va = _mm256_loadu_si256(a.as_ptr().cast());
-    let mut vb = _mm256_loadu_si256(b.as_ptr().cast());
-    let (mut i, mut j, mut k) = (W, W, 0usize);
-    loop {
-        let (lo, hi) = bitonic_merge8_u32(va, vb);
-        _mm256_storeu_si256(out.as_mut_ptr().add(k).cast(), lo);
-        k += W;
-        va = hi;
-        let take_a = match (i < a.len(), j < b.len()) {
-            (true, true) => a[i] <= b[j],
-            (have_a, _) => have_a,
-        };
-        if take_a {
-            if i + W > a.len() {
-                break;
-            }
-            vb = _mm256_loadu_si256(a.as_ptr().add(i).cast());
-            i += W;
-        } else {
-            if j + W > b.len() {
-                break;
-            }
-            vb = _mm256_loadu_si256(b.as_ptr().add(j).cast());
-            j += W;
-        }
-    }
-    let mut tail = [0u32; W];
-    _mm256_storeu_si256(tail.as_mut_ptr().cast(), va);
-    let mut t = 0usize;
-    while k < out.len() {
-        let from_t =
-            t < W && (i >= a.len() || tail[t] <= a[i]) && (j >= b.len() || tail[t] <= b[j]);
-        let from_a = !from_t && i < a.len() && (j >= b.len() || a[i] <= b[j]);
-        out[k] = if from_t {
-            let v = tail[t];
-            t += 1;
-            v
-        } else if from_a {
-            let v = a[i];
-            i += 1;
-            v
-        } else {
-            let v = b[j];
-            j += 1;
-            v
-        };
-        k += 1;
-    }
 }

@@ -28,18 +28,17 @@
 //!   a counting sweep) and cache-sized per-pass counting buckets.
 //! * **two-way merge core** ([`Kernels::merge_u64`] /
 //!   [`Kernels::merge_u32`]): the leaf merge of the flat pairwise
-//!   merge tree; the AVX2 backend merges register-sized blocks with a
-//!   bitonic min/max network instead of one element per compare.
+//!   merge tree, a conditional-move scalar loop on every backend (an
+//!   AVX2 bitonic-network core lost to it at 0.97× and was deleted).
 //!
 //! ## Determinism contract
 //!
 //! The scalar backend is the **reference**: for every kernel and
 //! every input, the AVX2 backend must produce *byte-identical*
 //! output. This is structural, not incidental — classification
-//! returns exact `partition_point` ranks, sorting integers has a
-//! unique sorted permutation, and merging equal scalar keys is
-//! unobservable — and it is pinned by proptests across lane widths,
-//! unaligned heads and remainder tails. Virtual time never sees the
+//! returns exact `partition_point` ranks and sorting integers has a
+//! unique sorted permutation — and it is pinned by proptests across
+//! lane widths, unaligned heads and remainder tails. Virtual time never sees the
 //! backend at all: `Work` charges are computed from data sizes at the
 //! call sites, so the virtual clock is bit-identical under either
 //! backend (ROADMAP item 5's "virtual time is blind to SIMD").
@@ -343,22 +342,14 @@ impl Kernels {
     }
 
     /// Two-way merge of sorted slices into an exactly-sized output
-    /// window. Under AVX2 register-sized blocks are merged with a
-    /// bitonic min/max network; equal scalar keys are
-    /// indistinguishable, so the output is byte-identical to the
-    /// scalar branchless merge for every input.
+    /// window: the scalar conditional-move merge on every backend.
     pub fn merge_u64(&self, a: &[u64], b: &[u64], out: &mut [u64]) {
         assert_eq!(
             a.len() + b.len(),
             out.len(),
             "output window must fit both inputs"
         );
-        match self.backend {
-            Backend::Scalar => scalar::merge_u64(a, b, out),
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: backend is Avx2 only when AVX2 was detected.
-            Backend::Avx2 => unsafe { avx2::merge_u64(a, b, out) },
-        }
+        scalar::merge_u64(a, b, out)
     }
 
     /// [`Kernels::merge_u64`] over `u32` keys.
@@ -368,12 +359,7 @@ impl Kernels {
             out.len(),
             "output window must fit both inputs"
         );
-        match self.backend {
-            Backend::Scalar => scalar::merge_u32(a, b, out),
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: backend is Avx2 only when AVX2 was detected.
-            Backend::Avx2 => unsafe { avx2::merge_u32(a, b, out) },
-        }
+        scalar::merge_u32(a, b, out)
     }
 }
 

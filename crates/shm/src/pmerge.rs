@@ -264,7 +264,7 @@ where
 }
 
 /// [`flat_tree_merge`] with an explicit kernel backend: the pairwise
-/// leaf merges route through the dispatched two-way merge core for
+/// leaf merges route through the monomorphic two-way merge core for
 /// native `u64`/`u32` elements (and fall back to the portable
 /// conditional-move merge for every other `T`). Output is identical to
 /// [`flat_tree_merge`] for every backend — merging equal `Copy` scalar

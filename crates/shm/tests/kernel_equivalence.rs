@@ -201,11 +201,12 @@ proptest! {
         let a = &a[offset.min(a.len())..]; // unaligned head
         let mut expect: Vec<u64> = a.iter().chain(b.iter()).copied().collect();
         expect.sort_unstable();
-        for k in [Kernels::scalar(), Kernels::auto()] {
-            let mut out = vec![0u64; a.len() + b.len()];
-            k.merge_u64(a, &b, &mut out);
-            prop_assert_eq!(&out, &expect, "backend {}", k.backend_name());
-        }
+        // One merge core on every backend (the AVX2 bitonic core was
+        // deleted): the std-sort oracle is the only other side.
+        let k = Kernels::auto();
+        let mut out = vec![0u64; a.len() + b.len()];
+        k.merge_u64(a, &b, &mut out);
+        prop_assert_eq!(&out, &expect);
         let a32: Vec<u32> = a.iter().map(|&x| x as u32).collect();
         let mut a32 = a32;
         a32.sort_unstable();
@@ -213,11 +214,9 @@ proptest! {
         b32.sort_unstable();
         let mut expect: Vec<u32> = a32.iter().chain(b32.iter()).copied().collect();
         expect.sort_unstable();
-        for k in [Kernels::scalar(), Kernels::auto()] {
-            let mut out = vec![0u32; a32.len() + b32.len()];
-            k.merge_u32(&a32, &b32, &mut out);
-            prop_assert_eq!(&out, &expect, "backend {}", k.backend_name());
-        }
+        let mut out = vec![0u32; a32.len() + b32.len()];
+        k.merge_u32(&a32, &b32, &mut out);
+        prop_assert_eq!(&out, &expect);
     }
 
     #[test]

@@ -18,6 +18,67 @@ use dhs::core::global_fingerprint;
 use dhs::prelude::*;
 use dhs_bench::Args;
 
+const USAGE: &str = "usage: dhs <sort|serve|select|topology> [--flags]\n\
+    \n\
+    sort     --algo histogram|two-level|hss|sample|psrs|hyksort|ams|bitonic\n\
+    \x20        --ranks N --nper N --dist uniform|normal|zipf|nearly-sorted|\n\
+    \x20        few-distinct|all-equal --layout balanced|sparse|ramp\n\
+    \x20        --eps F --merge resort|tournament|binary|heap|funnel\n\
+    \x20        --local-sort comparison|radix --groups N --seed N --verify\n\
+    \x20        --partitioning perfect|balanced --max-iters N\n\
+    \x20        --pairwise [--overlap] (pairwise merge instead of all-to-allv)\n\
+    \x20        --probes M (histogram probes per splitter per round)\n\
+    \x20        --threads T (intra-rank thread budget)\n\
+    \x20        --recovery abort|shrink (response to rank failures)\n\
+    \x20        --exchange-algo one-factor|bruck|leaders|staged:<k>\n\
+    \x20        --warm-start cold|seeded|seeded-brackets (repeated sorts)\n\
+    \x20        --kernels scalar|auto (local compute-kernel backend)\n\
+    \x20        --engine threads|tasks|tasks:<workers> (execution engine)\n\
+    \x20        --trace out.json --trace-format chrome|summary\n\
+    serve    --ranks N --nper N --epochs E --seed N --verify\n\
+    \x20        --profile stationary|shifting-zipf|churn (epoch stream)\n\
+    \x20        --warm-start cold|seeded|seeded-brackets\n\
+    \x20          (default seeded-brackets; plus all sort-config flags)\n\
+    \x20        --assert-converged (exit 1 unless the final epoch\n\
+    \x20          needed at most one histogram round)\n\
+    select   --ranks N --nper N --k N --dist ... --seed N\n\
+    topology --ranks N";
+
+/// Value flags that shape the cluster, the input and the `SortConfig`
+/// — shared by `dhs sort` and `dhs serve`.
+const CONFIG_FLAGS: [&str; 17] = [
+    "ranks",
+    "nper",
+    "seed",
+    "dist",
+    "layout",
+    "engine",
+    "eps",
+    "partitioning",
+    "merge",
+    "local-sort",
+    "probes",
+    "threads",
+    "recovery",
+    "kernels",
+    "exchange-algo",
+    "warm-start",
+    "max-iters",
+];
+
+/// Bad invocation: say why, print the usage text, exit 2.
+fn usage_exit(why: &str) -> ! {
+    eprintln!("dhs: {why}\n\n{USAGE}");
+    std::process::exit(2)
+}
+
+/// `--key value` parsed as `T` (or `default` when absent); a value
+/// that does not parse is a usage error, not a silent default.
+fn num<T: std::str::FromStr>(args: &Args, key: &str, default: T) -> T {
+    args.try_get(key, default)
+        .unwrap_or_else(|e| usage_exit(&e))
+}
+
 fn main() {
     let mut argv: Vec<String> = std::env::args().skip(1).collect();
     let command = if argv.first().is_none_or(|a| a.starts_with("--")) {
@@ -26,40 +87,34 @@ fn main() {
         argv.remove(0)
     };
     let args = Args::from_args(argv);
-
-    match command.as_str() {
-        "sort" => cmd_sort(&args),
-        "serve" => cmd_serve(&args),
-        "select" => cmd_select(&args),
-        "topology" => cmd_topology(&args),
+    // Every command names the flags it reads; anything else (a typo, a
+    // value flag without its value) must not silently run the default.
+    let config = |extra: &[&'static str]| [&CONFIG_FLAGS[..], extra].concat();
+    type Command = (Vec<&'static str>, &'static [&'static str], fn(&Args));
+    let (values, switches, run): Command = match command.as_str() {
+        "sort" => (
+            config(&["algo", "groups", "trace", "trace-format"]),
+            &["verify", "pairwise", "overlap"],
+            cmd_sort,
+        ),
+        "serve" => (
+            config(&["epochs", "profile"]),
+            &["verify", "pairwise", "overlap", "assert-converged"],
+            cmd_serve,
+        ),
+        "select" => (vec!["ranks", "nper", "seed", "dist", "k"], &[], cmd_select),
+        "topology" => (vec!["ranks"], &[], cmd_topology),
         _ => {
-            eprintln!(
-                "usage: dhs <sort|serve|select|topology> [--flags]\n\
-                 \n\
-                 sort     --algo histogram|two-level|hss|sample|psrs|hyksort|ams|bitonic\n\
-                 \x20        --ranks N --nper N --dist uniform|normal|zipf|nearly-sorted|\n\
-                 \x20        few-distinct|all-equal --layout balanced|sparse|ramp\n\
-                 \x20        --eps F --merge resort|tournament|binary|heap|funnel\n\
-                 \x20        --local-sort comparison|radix --groups N --seed N --verify\n\
-                 \x20        --probes M (histogram probes per splitter per round)\n\
-                 \x20        --threads T (intra-rank thread budget)\n\
-                 \x20        --recovery abort|shrink (response to rank failures)\n\
-                 \x20        --exchange-algo one-factor|bruck|leaders|staged:<k>\n\
-                 \x20        --warm-start cold|seeded|seeded-brackets (repeated sorts)\n\
-                 \x20        --kernels scalar|auto (local compute-kernel backend)\n\
-                 \x20        --engine threads|tasks|tasks:<workers> (execution engine)\n\
-                 \x20        --trace out.json --trace-format chrome|summary\n\
-                 serve    --ranks N --nper N --epochs E --seed N --verify\n\
-                 \x20        --profile stationary|shifting-zipf|churn (epoch stream)\n\
-                 \x20        --warm-start cold|seeded|seeded-brackets\n\
-                 \x20          (default seeded-brackets; plus all sort flags)\n\
-                 \x20        --assert-converged (exit 1 unless the final epoch\n\
-                 \x20          needed at most one histogram round)\n\
-                 select   --ranks N --nper N --k N --dist ... --seed N\n\
-                 topology --ranks N"
-            );
+            eprintln!("{USAGE}");
+            return;
         }
+    };
+    if let Some(flag) = args.unknown(&values, switches) {
+        usage_exit(&format!(
+            "unrecognised argument {flag:?} for `dhs {command}`"
+        ));
     }
+    run(&args)
 }
 
 fn dist_of(args: &Args) -> Distribution {
@@ -136,7 +191,7 @@ fn sort_config(args: &Args) -> SortConfig {
 fn sort_config_with(args: &Args, default_warm: WarmStart) -> SortConfig {
     let mut builder = SortConfig::builder()
         .warm_start(warm_start_of(args, default_warm))
-        .epsilon(args.get("eps", 0.0))
+        .epsilon(num(args, "eps", 0.0))
         .partitioning(match args.raw("partitioning").unwrap_or("perfect") {
             "perfect" => Partitioning::Perfect,
             "balanced" => Partitioning::Balanced,
@@ -162,8 +217,8 @@ fn sort_config_with(args: &Args, default_warm: WarmStart) -> SortConfig {
             "radix" => LocalSort::Radix,
             other => panic!("unknown local sort {other}"),
         })
-        .probes_per_round(args.get("probes", 1))
-        .threads_per_rank(args.get("threads", 1))
+        .probes_per_round(num(args, "probes", 1))
+        .threads_per_rank(num(args, "threads", 1))
         .recovery(match args.raw("recovery").unwrap_or("abort") {
             "abort" => RecoveryPolicy::Abort,
             "shrink" => RecoveryPolicy::Shrink,
@@ -176,11 +231,8 @@ fn sort_config_with(args: &Args, default_warm: WarmStart) -> SortConfig {
                 .unwrap_or_else(|e| panic!("--kernels: {e}")),
         )
         .exchange_algo(exchange_algo_of(args));
-    if let Some(iters) = args.raw("max-iters") {
-        let iters: u32 = iters
-            .parse()
-            .unwrap_or_else(|_| panic!("--max-iters expects a positive integer"));
-        builder = builder.max_splitter_iterations(iters);
+    if args.raw("max-iters").is_some() {
+        builder = builder.max_splitter_iterations(num(args, "max-iters", 0u32));
     }
     builder
         .build()
@@ -188,11 +240,11 @@ fn sort_config_with(args: &Args, default_warm: WarmStart) -> SortConfig {
 }
 
 fn cmd_sort(args: &Args) {
-    let ranks: usize = args.get("ranks", 16);
-    let nper: usize = args.get("nper", 1 << 14);
-    let seed: u64 = args.get("seed", 1);
+    let ranks: usize = num(args, "ranks", 16);
+    let nper: usize = num(args, "nper", 1 << 14);
+    let seed: u64 = num(args, "seed", 1);
     let algo = args.raw("algo").unwrap_or("histogram").to_string();
-    let groups: usize = args.get("groups", 0);
+    let groups: usize = num(args, "groups", 0);
     let verify = args.has("verify");
     let trace_path = args.raw("trace").map(str::to_string);
     let dist = dist_of(args);
@@ -348,10 +400,10 @@ fn profile_of(args: &Args) -> EpochProfile {
 }
 
 fn cmd_serve(args: &Args) {
-    let ranks: usize = args.get("ranks", 16);
-    let nper: usize = args.get("nper", 1 << 14);
-    let epochs: u64 = args.get("epochs", 5);
-    let seed: u64 = args.get("seed", 1);
+    let ranks: usize = num(args, "ranks", 16);
+    let nper: usize = num(args, "nper", 1 << 14);
+    let epochs: u64 = num(args, "epochs", 5);
+    let seed: u64 = num(args, "seed", 1);
     let verify = args.has("verify");
     let assert_converged = args.has("assert-converged");
     let profile = profile_of(args);
@@ -425,11 +477,11 @@ fn cmd_serve(args: &Args) {
 }
 
 fn cmd_select(args: &Args) {
-    let ranks: usize = args.get("ranks", 16);
-    let nper: usize = args.get("nper", 1 << 14);
-    let seed: u64 = args.get("seed", 1);
+    let ranks: usize = num(args, "ranks", 16);
+    let nper: usize = num(args, "nper", 1 << 14);
+    let seed: u64 = num(args, "seed", 1);
     let n_total = ranks * nper;
-    let k: u64 = args.get("k", (n_total / 2) as u64);
+    let k: u64 = num(args, "k", (n_total / 2) as u64);
     let dist = dist_of(args);
     let cluster = ClusterConfig::supermuc_phase2(ranks);
 
@@ -444,7 +496,7 @@ fn cmd_select(args: &Args) {
 }
 
 fn cmd_topology(args: &Args) {
-    let ranks: usize = args.get("ranks", 32);
+    let ranks: usize = num(args, "ranks", 32);
     let cluster = ClusterConfig::supermuc_phase2(ranks);
     let t = &cluster.topology;
     println!(

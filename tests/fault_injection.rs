@@ -6,10 +6,12 @@
 use dhs::core::{histogram_sort, ExchangeStrategy, SortConfig, SortOutcome};
 use dhs::runtime::fault::RankError;
 use dhs::runtime::{
-    run, run_summarized, try_run, ClusterConfig, FaultPlan, LinkClass, LinkFault, LossSpec,
+    run, run_summarized, try_run, AllToAllAlgo, ClusterConfig, Comm, FaultPlan, LinkClass,
+    LinkFault, LossSpec, RunnerEngine,
 };
 use dhs::workloads::{rank_local_keys, Distribution, Layout};
 use proptest::prelude::*;
+use std::time::{Duration, Instant};
 
 /// Run every collective once and return all data results, bit-for-bit
 /// comparable across fault plans.
@@ -24,9 +26,7 @@ fn collective_suite(cfg: &ClusterConfig, seed: u64) -> Vec<CollectiveOutputs> {
         let send: Vec<Vec<u64>> = (0..p)
             .map(|d| vec![me * 1000 + d as u64; (seed as usize + d) % 4])
             .collect();
-        let a2a: Vec<Vec<u64>> = comm
-            .exchange(send, dhs::runtime::AllToAllAlgo::OneFactor)
-            .into_vecs();
+        let a2a: Vec<Vec<u64>> = comm.exchange(send, AllToAllAlgo::OneFactor).into_vecs();
         let scan = comm.exscan_sum_vec(vec![me + 1]);
         let peer = (comm.rank() + 1) % p;
         let from = (comm.rank() + p - 1) % p;
@@ -183,23 +183,68 @@ fn crash_during_sort_is_reported_and_deterministic() {
     assert_eq!(err.completed_reports, err2.completed_reports);
 }
 
-/// A crash inside a collective must not deadlock the survivors even
-/// when every rank is blocked in the same rendezvous.
+/// A crash must release every peer blocked in the rendezvous — under
+/// every engine and for every payload shape that goes through the one
+/// collective protocol (owned inputs, borrowed views, exit barrier) —
+/// as typed collateral, and through the event-driven wake path rather
+/// than a park backstop.
 #[test]
 fn crash_mid_collective_releases_blocked_peers() {
-    let cluster = ClusterConfig::small_cluster(8).with_fault(FaultPlan::seeded(3).with_crash(5, 1));
-    let err = try_run(&cluster, |comm| {
-        // Rank 5's clock passes 1ns on its first charge; everyone else
-        // enters the barrier and must be released by the poison.
-        comm.charge(dhs::runtime::Work::Compares(1000));
-        comm.barrier();
-        comm.allreduce_sum(vec![comm.rank() as u64])
-    })
-    .expect_err("crash must fail the run");
-    assert!(matches!(
-        err.root_causes().next(),
-        Some(RankError::Crashed { rank: 5, .. })
-    ));
+    /// `dhs_runtime::sched::PARK_BACKSTOP`: a parked task whose wake
+    /// was lost sleeps this long, so a run that beats it needed none.
+    const PARK_BACKSTOP: Duration = Duration::from_millis(500);
+    type Op = fn(&Comm);
+    let ops: [(&str, Op); 5] = [
+        ("barrier", |c| c.barrier()),
+        ("allgather", |c| drop(c.allgather(c.rank() as u64))),
+        ("allreduce_sum_shared", |c| {
+            drop(c.allreduce_sum_shared(&[c.rank() as u64, 1]))
+        }),
+        ("exchange owned", |c| {
+            let send: Vec<Vec<u64>> = (0..c.size()).map(|d| vec![d as u64; 3]).collect();
+            drop(c.exchange(send, AllToAllAlgo::OneFactor))
+        }),
+        ("exchange borrowed", |c| {
+            let data = vec![c.rank() as u64; 2 * c.size()];
+            let send: Vec<&[u64]> = data.chunks(2).collect();
+            drop(c.exchange(&send[..], AllToAllAlgo::OneFactor))
+        }),
+    ];
+    let engines = [
+        RunnerEngine::Threads,
+        RunnerEngine::Tasks { workers: 0 },
+        RunnerEngine::Tasks { workers: 1 },
+    ];
+    for engine in engines {
+        for (name, op) in ops {
+            let cluster = ClusterConfig::small_cluster(8)
+                .with_fault(FaultPlan::seeded(3).with_crash(5, 1))
+                .with_engine(engine);
+            let started = Instant::now();
+            let err = try_run(&cluster, move |comm| {
+                // Rank 5's clock passes 1ns on its first charge, so it
+                // dies entering `op`; everyone else blocks inside it.
+                comm.charge(dhs::runtime::Work::Compares(1000));
+                op(comm);
+            })
+            .expect_err("crash must fail the run");
+            let elapsed = started.elapsed();
+            let cell = format!("{name} under {engine:?}");
+            assert_eq!(err.failed.len(), 8, "{cell}: every rank reports");
+            for (rank, e) in err.failed.iter().enumerate() {
+                match e {
+                    RankError::Crashed { rank: 5, .. } if rank == 5 => {}
+                    RankError::PeerFailed { rank: r } if rank != 5 => assert_eq!(*r, rank),
+                    other => panic!("{cell}: rank {rank} failed with {other:?}"),
+                }
+            }
+            assert_eq!(err.root_causes().count(), 1, "{cell}: one root cause");
+            assert!(
+                elapsed < PARK_BACKSTOP,
+                "{cell}: took {elapsed:?}, a park backstop fired"
+            );
+        }
+    }
 }
 
 /// Faulty runs replay bit-for-bit: same seed, same makespan, same
