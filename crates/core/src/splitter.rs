@@ -56,6 +56,28 @@
 //! the search converges. Bracket state is per-rank (it follows local
 //! counts), but it never influences which keys are probed, so all
 //! ranks still execute identical collective schedules.
+//!
+//! ## Replicated state is shared
+//!
+//! Key intervals, restart fallbacks, accepted splitters, the probe
+//! grid and the descent are pure functions of the *global* histograms:
+//! every rank would compute them identically. They live in one shared
+//! round plan per round for the whole communicator, advanced exactly
+//! once — by whichever rank completes the round's histogram allreduce,
+//! right after the sum ([`Comm::allreduce_sum_then`]) — and the ranks
+//! only read it. What stays per rank is what follows *local* counts:
+//! the index brackets and the pooled histogram. Each rank searches its
+//! own bracketed slice for the shared probe list, charges, deposits,
+//! and afterwards folds the shared verdict path over its own counts to
+//! narrow its brackets. Only the binary searches and the allreduce are
+//! priced on the virtual clock, so where the refinement ran is
+//! unobservable there, and results are byte-identical to every rank
+//! refining for itself (Alg. 3 as printed) at `1/P` of the host work
+//! and memory — Histogram Sort with Sampling likewise refines in one
+//! place and broadcasts the next probes.
+
+use std::ops::Range;
+use std::sync::Arc;
 
 use dhs_runtime::{Comm, Work};
 use dhs_shm::kernels::ladder_bounds_typed;
@@ -242,12 +264,14 @@ pub struct SplitterOptions {
     /// cut the round count to `⌈steps / d⌉` at `m`× the allreduce
     /// payload. Accepted splitters are identical for every `m`.
     pub probes_per_round: usize,
-    /// Carry a per-splitter `[idx_lo, idx_hi]` bracket into the sorted
-    /// local array across rounds (monotonically narrowing) and both
-    /// execute and charge the probe binary searches over the bracket
-    /// width instead of the full local array. On by default; the
-    /// switch exists for A/B measurement (`wallclock --splitter_ab`) —
-    /// results are identical either way, only the cost changes.
+    /// Execute the probe binary searches over each splitter's
+    /// `[idx_lo, idx_hi]` bracket into the sorted local array
+    /// (monotonically narrowing across rounds) instead of the full
+    /// array. On by default; the switch exists for A/B measurement
+    /// (`wallclock --splitter_ab`) and changes **host time only**: the
+    /// brackets are tracked and the searches charged over the bracket
+    /// width either way, so results and the virtual clock are
+    /// identical for both settings.
     pub index_brackets: bool,
     /// With a warm seed ([`find_splitters_seeded`]), start each
     /// splitter from the **degenerate interval `[w, w]`** around its
@@ -362,6 +386,345 @@ pub fn find_splitters_seeded<K: Key>(
     find_splitters_impl(comm, sorted_local, targets, slack, opts, warm)
 }
 
+/// Replicated search state of one splitter: a pure function of the
+/// *global* histograms, so one copy serves the whole communicator.
+#[derive(Clone)]
+struct Search {
+    lo: u128,
+    hi: u128,
+    /// Last probe evaluated for this splitter, `(bits, L, U)` — the
+    /// freeze point for graceful degradation.
+    last: (u128, u64, u64),
+    /// Interval to restart into when the current bracket exhausts
+    /// without acceptance. Consumed once: after use it resets to the
+    /// full data range, so a search can fall back at most twice (warm
+    /// key → quantile bracket → data min/max).
+    fallback: (u128, u128),
+    done: Option<(u128, u64, u64, u64)>, // (key bits, realized, L, U)
+}
+
+/// What one visited node of a descent told its splitter. Ranks fold
+/// these over their *local* counts of the same node to narrow their
+/// index brackets; an accepting node ends the path unrecorded (a
+/// settled splitter is never searched again).
+#[derive(Clone, Copy)]
+enum Verdict {
+    /// Every future probe is below this node: its searches cannot exit
+    /// `[idx_lo, local lower(node)]`.
+    TooHigh,
+    /// Every future probe is above: `[local upper(node), idx_hi]`.
+    TooLow,
+    /// Bracket exhausted without acceptance — only possible when the
+    /// initial bracket missed the splitter (sampled quantiles, warm
+    /// seeding). The search restarts into the fallback interval and
+    /// the index-bracket proof no longer holds, so that resets too.
+    Restart,
+}
+
+/// One step of the previous round's descents.
+#[derive(Clone, Copy)]
+struct Step {
+    /// Index of the splitter the step belongs to.
+    splitter: usize,
+    /// Probe index of the visited node in that round's grid.
+    node: usize,
+    verdict: Verdict,
+}
+
+/// Everything about a histogramming round that is a pure function of
+/// replicated data, built **once per round for the whole
+/// communicator**: by [`RoundPlan::start`] on the reduction that
+/// establishes the data range, then by [`RoundPlan::advance`] inside
+/// each round's histogram allreduce (see [`Comm::allreduce_sum_then`]).
+/// Ranks only read it.
+struct RoundPlan {
+    /// Global key range, the last-resort restart interval.
+    data: (u128, u128),
+    /// Per-splitter key-interval state; empty on globally empty input.
+    search: Vec<Search>,
+    /// Splitters this round probes (the unsettled ones), ascending.
+    active: Vec<usize>,
+    /// Probe grid: the full depth-level bisection tree of each active
+    /// splitter's key interval, flattened per splitter in pre-order
+    /// (Alg. 3 line 7, batched).
+    probes: Vec<u128>,
+    /// `probes[offsets[j]..offsets[j + 1]]` is the tree of `active[j]`.
+    offsets: Vec<usize>,
+    /// The descents that led here, over the previous round's grid.
+    path: Vec<Step>,
+    /// Rounds reduced so far (each = one `ALLREDUCE`).
+    rounds: u32,
+    /// Probes histogrammed over those rounds.
+    probes_total: u64,
+    degraded: bool,
+}
+
+impl RoundPlan {
+    /// The plan of round 1: every splitter starts in its `bracket`
+    /// with a `fallback` to restart into.
+    fn start(
+        data: (u128, u128),
+        brackets: impl Iterator<Item = ((u128, u128), (u128, u128))>,
+        depth: u32,
+    ) -> Self {
+        let search = brackets
+            .map(|((lo, hi), fallback)| Search {
+                lo,
+                hi,
+                last: (lo, 0, 0),
+                fallback,
+                done: None,
+            })
+            .collect();
+        Self {
+            data,
+            search,
+            active: Vec::new(),
+            probes: Vec::new(),
+            offsets: Vec::new(),
+            path: Vec::new(),
+            rounds: 0,
+            probes_total: 0,
+            degraded: false,
+        }
+        .with_grid(depth)
+    }
+
+    /// The plan for globally empty input: nothing to split.
+    fn empty() -> Self {
+        Self::start((0, 0), std::iter::empty(), 1)
+    }
+
+    /// List the unsettled splitters and lay out their probe trees.
+    fn with_grid(mut self, depth: u32) -> Self {
+        self.offsets.push(0);
+        for (i, s) in self.search.iter().enumerate() {
+            if s.done.is_none() {
+                self.active.push(i);
+                tree_probes(s.lo, s.hi, depth, &mut self.probes);
+                self.offsets.push(self.probes.len());
+            }
+        }
+        self
+    }
+
+    /// Refine every active splitter against this round's `global`
+    /// histogram and lay out the next round. Each splitter descends its
+    /// probe tree along exactly the path single-probe bisection would
+    /// walk (Alg. 3 line 9 / Alg. 2 at every level): the root
+    /// midpoint's verdict selects the half, the matching child's
+    /// verdict the quarter, and so on, until acceptance, a restart, or
+    /// the round's depth is spent.
+    fn advance(&self, global: &[u64], targets: &[u64], slack: u64, opts: SplitterOptions) -> Self {
+        let depth = probe_depth(opts.probes_per_round);
+        let mut search = self.search.clone();
+        let mut path = Vec::with_capacity(self.active.len());
+        for (j, &i) in self.active.iter().enumerate() {
+            let s = &mut search[i];
+            let (mut lo, mut hi) = (s.lo, s.hi);
+            let mut node = self.offsets[j]; // probe index of the current tree node
+            let mut level = depth; // levels remaining, incl. the current node
+            loop {
+                let mid = lo + (hi - lo) / 2;
+                debug_assert_eq!(self.probes[node], mid, "descent must follow the probe tree");
+                let (lower, upper) = (global[2 * node], global[2 * node + 1]);
+                s.last = (mid, lower, upper);
+                let verdict = match validate_splitter(
+                    lower,
+                    upper,
+                    targets[i],
+                    slack,
+                    opts.strict_paper_rule,
+                ) {
+                    Validation::Accept { realized } => {
+                        s.done = Some((mid, realized, lower, upper));
+                        break;
+                    }
+                    Validation::TooHigh if mid == lo => Verdict::Restart,
+                    Validation::TooLow if mid == hi => Verdict::Restart,
+                    Validation::TooHigh => Verdict::TooHigh,
+                    Validation::TooLow => Verdict::TooLow,
+                };
+                path.push(Step {
+                    splitter: i,
+                    node,
+                    verdict,
+                });
+                match verdict {
+                    Verdict::Restart => {
+                        // Quantile bracket first under
+                        // `probe_warm_first`, then the data range.
+                        (lo, hi) = s.fallback;
+                        s.fallback = self.data;
+                        break;
+                    }
+                    Verdict::TooHigh => {
+                        hi = mid - 1;
+                        node += 1; // left child root, in pre-order
+                    }
+                    Verdict::TooLow => {
+                        // Skip the left subtree.
+                        node += 1 + if mid > lo {
+                            tree_size(lo, mid - 1, level - 1)
+                        } else {
+                            0
+                        };
+                        lo = mid + 1;
+                    }
+                }
+                level -= 1;
+                if level == 0 {
+                    break;
+                }
+            }
+            (s.lo, s.hi) = (lo, hi);
+        }
+
+        let rounds = self.rounds + 1;
+        let mut degraded = self.degraded;
+        // Graceful degradation: out of iteration budget, freeze every
+        // unsettled splitter at its last evaluated probe. The realized
+        // boundary is the closest achievable position to the target,
+        // which may overshoot the ε slack — the caller reports the
+        // achieved imbalance instead of failing the sort.
+        if opts.max_iterations.is_some_and(|cap| rounds >= cap) {
+            for &i in &self.active {
+                let s = &mut search[i];
+                if s.done.is_none() {
+                    let (mid_bits, lower, upper) = s.last;
+                    let realized = targets[i].clamp(lower, upper);
+                    s.done = Some((mid_bits, realized, lower, upper));
+                    degraded = true;
+                }
+            }
+        }
+
+        Self {
+            data: self.data,
+            search,
+            active: Vec::with_capacity(self.active.len()),
+            probes: Vec::with_capacity(self.probes.len()),
+            offsets: Vec::with_capacity(self.offsets.len()),
+            path,
+            rounds,
+            probes_total: self.probes_total + self.probes.len() as u64,
+            degraded,
+        }
+        .with_grid(depth)
+    }
+}
+
+/// Bracket target `t`'s quantile in the ascending `ladder` with one key
+/// of margin on each side, clamped to the `data` range (which it
+/// degenerates to when the clamp inverts it). Also returns the
+/// quantile's ladder index.
+fn quantile_bracket<K: Key>(
+    ladder: &[K],
+    t: u64,
+    n_total: u64,
+    data: (u128, u128),
+) -> (usize, (u128, u128)) {
+    let idx = ((t as f64 / n_total as f64) * (ladder.len() - 1) as f64) as usize;
+    let lo = ladder[idx.saturating_sub(1)].to_bits().max(data.0);
+    let hi = ladder[(idx + 1).min(ladder.len() - 1)]
+        .to_bits()
+        .min(data.1);
+    (idx, if lo <= hi { (lo, hi) } else { data })
+}
+
+/// Establish the global key range (one reduction, as in Algorithm 3
+/// line 3) and build the plan of round 1 on it, once for the whole
+/// communicator. `None` on globally empty input.
+fn first_plan<K: Key>(
+    comm: &Comm,
+    sorted_local: &[K],
+    targets: &[u64],
+    opts: SplitterOptions,
+    warm: Option<&[K]>,
+) -> Option<Arc<RoundPlan>> {
+    let local_minmax: Option<(K, K)> = sorted_local
+        .first()
+        .copied()
+        .zip(sorted_local.last().copied());
+    let widest = |a: &Option<(K, K)>, b: &Option<(K, K)>| match (a, b) {
+        (None, x) => *x,
+        (x, None) => *x,
+        (Some((alo, ahi)), Some((blo, bhi))) => Some(((*alo).min(*blo), (*ahi).max(*bhi))),
+    };
+    let data_bits = |(min_key, max_key): (K, K)| (min_key.to_bits(), max_key.to_bits());
+    let depth = probe_depth(opts.probes_per_round);
+    let n_total: u64 = *targets.last().expect("non-empty").max(&1);
+
+    let sampled = match opts.init {
+        InitialBounds::SampledQuantiles { per_rank } if warm.is_none() => Some(per_rank.max(1)),
+        _ => None,
+    };
+    if let Some(per_rank) = sampled {
+        // The brackets need the sample pool, gathered once the range is
+        // known; the plan is built on that second collective instead.
+        let data = comm
+            .allreduce_with(vec![local_minmax], widest)
+            .pop()
+            .expect("one element")
+            .map(data_bits)?;
+        // Regular probes of the sorted local data.
+        let probes: Vec<K> = if sorted_local.is_empty() {
+            Vec::new()
+        } else {
+            (0..per_rank)
+                .map(|i| {
+                    sorted_local[((i + 1) * sorted_local.len() / (per_rank + 1))
+                        .min(sorted_local.len() - 1)]
+                })
+                .collect()
+        };
+        return Some(comm.allgatherv_then(probes, |gathered| {
+            // Non-empty: a rank that holds data contributed a sample.
+            let mut pool: Vec<K> = gathered.into_iter().flatten().collect();
+            pool.sort_unstable();
+            let brackets = targets
+                .iter()
+                .map(|&t| (quantile_bracket(&pool, t, n_total, data).1, data));
+            RoundPlan::start(data, brackets, depth)
+        }));
+    }
+
+    let plan = comm.allreduce_with_then(vec![local_minmax], widest, |reduced| {
+        let Some(data) = reduced[0].map(data_bits) else {
+            return RoundPlan::empty();
+        };
+        let Some(ladder) = warm else {
+            let cold = match opts.init {
+                InitialBounds::FullDomain if K::BITS >= 128 => (0, u128::MAX),
+                InitialBounds::FullDomain => (0, (1u128 << K::BITS) - 1),
+                _ => data,
+            };
+            return RoundPlan::start(data, targets.iter().map(|_| (cold, data)), depth);
+        };
+        // Warm-start brackets from a previous search's accepted
+        // splitters take precedence over `init`: the old ladder already
+        // localizes every quantile of (nearly) stationary data.
+        debug_assert!(
+            ladder.windows(2).all(|w| w[0] <= w[1]),
+            "warm keys ascending"
+        );
+        let brackets = targets.iter().map(|&t| {
+            let (idx, bracket) = quantile_bracket(ladder, t, n_total, data);
+            if opts.probe_warm_first {
+                // Round 1 probes the warm ladder key itself; a miss
+                // falls back to the quantile bracket, then the data
+                // range.
+                let w = ladder[idx].to_bits().clamp(data.0, data.1);
+                ((w, w), bracket)
+            } else {
+                (bracket, data)
+            }
+        });
+        RoundPlan::start(data, brackets, depth)
+    });
+    (!plan.search.is_empty()).then_some(plan)
+}
+
 fn find_splitters_impl<K: Key>(
     comm: &Comm,
     sorted_local: &[K],
@@ -370,7 +733,6 @@ fn find_splitters_impl<K: Key>(
     opts: SplitterOptions,
     warm: Option<&[K]>,
 ) -> SplitterResult<K> {
-    let init = opts.init;
     assert!(
         opts.probes_per_round >= 1,
         "probes_per_round must be at least 1"
@@ -384,173 +746,40 @@ fn find_splitters_impl<K: Key>(
         "targets must be ascending"
     );
 
+    let nothing_to_split = SplitterResult {
+        splitters: Vec::new(),
+        iterations: 0,
+        probes: 0,
+        degraded: false,
+    };
     if targets.is_empty() {
         // Single rank: no splitters to find, but stay collective-free.
-        return SplitterResult {
-            splitters: Vec::new(),
-            iterations: 0,
-            probes: 0,
-            degraded: false,
-        };
+        return nothing_to_split;
     }
-
-    // Global key range (one reduction, as in Algorithm 3 line 3).
-    let local_minmax: Option<(K, K)> = if sorted_local.is_empty() {
-        None
-    } else {
-        Some((sorted_local[0], *sorted_local.last().expect("non-empty")))
-    };
-    let minmax = comm
-        .allreduce_with(vec![local_minmax], |a, b| match (a, b) {
-            (None, x) => *x,
-            (x, None) => *x,
-            (Some((alo, ahi)), Some((blo, bhi))) => Some(((*alo).min(*blo), (*ahi).max(*bhi))),
-        })
-        .pop()
-        .expect("one element");
-
-    let Some((min_key, max_key)) = minmax else {
+    let Some(mut plan) = first_plan(comm, sorted_local, targets, opts, warm) else {
         // Globally empty input: every target is 0, any key value works;
         // there is nothing to split.
         assert!(
             targets.iter().all(|&t| t == 0),
             "non-zero target on globally empty input"
         );
-        return SplitterResult {
-            splitters: Vec::new(),
-            iterations: 0,
-            probes: 0,
-            degraded: false,
-        };
+        return nothing_to_split;
     };
-
-    /// Per-splitter search state. Key interval and `done` are
-    /// replicated (driven by global counts); the index bracket is
-    /// per-rank (driven by local counts) and only affects where this
-    /// rank searches, never which keys are probed.
-    struct State {
-        lo_bits: u128,
-        hi_bits: u128,
-        /// Local positions every remaining probe's binary searches are
-        /// confined to (see module docs: monotonically narrowing).
-        idx_lo: usize,
-        idx_hi: usize,
-        /// Last probe evaluated for this splitter, `(bits, L, U)` —
-        /// the freeze point for graceful degradation.
-        last: (u128, u64, u64),
-        /// Interval to restart into when the current bracket exhausts
-        /// without acceptance. Consumed once: after use it resets to
-        /// the full data range, so a search can fall back at most
-        /// twice (warm key → quantile bracket → data min/max).
-        fallback: (u128, u128),
-        done: Option<(u128, u64, u64, u64)>, // (key bits, realized, L, U)
+    if warm.is_some() {
+        // Marks a warm-seeded search in exported traces, nested under
+        // the caller's "histogram" phase. The brackets themselves were
+        // built inside the reduction above, off every clock.
+        drop(comm.span("warm_start"));
     }
-    let data_lo = min_key.to_bits();
-    let data_hi = max_key.to_bits();
-    let domain_hi = if K::BITS >= 128 {
-        u128::MAX
-    } else {
-        (1u128 << K::BITS) - 1
-    };
-    // Warm-start brackets from a previous search's accepted splitters
-    // take precedence over `init`: the old ladder already localizes
-    // every quantile of (nearly) stationary data. Each entry is
-    // `(initial interval, fallback interval)`; without a warm seed the
-    // fallback is always the data range.
-    let warm_brackets = warm.map(|pool| {
-        // Nested under the caller's "histogram" phase: makes the
-        // warm-start bracket construction visible in exported traces
-        // without perturbing depth-0 phase totals or the virtual clock.
-        let _sp = comm.span("warm_start");
-        debug_assert!(pool.windows(2).all(|w| w[0] <= w[1]), "warm keys ascending");
-        let n_total: u64 = *targets.last().expect("non-empty").max(&1);
-        targets
-            .iter()
-            .map(|&t| {
-                // Bracket the target's quantile in the warm ladder with
-                // one key of margin on each side, clamped to the data
-                // range (same construction as SampledQuantiles).
-                let idx = ((t as f64 / n_total as f64) * (pool.len() - 1) as f64) as usize;
-                let lo = pool[idx.saturating_sub(1)].to_bits().max(data_lo);
-                let hi = pool[(idx + 1).min(pool.len() - 1)].to_bits().min(data_hi);
-                let bracket = if lo <= hi {
-                    (lo, hi)
-                } else {
-                    (data_lo, data_hi)
-                };
-                if opts.probe_warm_first {
-                    // Round 1 probes the warm ladder key itself; a miss
-                    // falls back to the quantile bracket, then the data
-                    // range.
-                    let w = pool[idx].to_bits().clamp(data_lo, data_hi);
-                    ((w, w), bracket)
-                } else {
-                    (bracket, (data_lo, data_hi))
-                }
-            })
-            .collect::<Vec<_>>()
-    });
-    let brackets: Vec<((u128, u128), (u128, u128))> = if let Some(b) = warm_brackets {
-        b
-    } else {
-        let cold: Vec<(u128, u128)> = match init {
-            InitialBounds::DataMinMax => vec![(data_lo, data_hi); targets.len()],
-            InitialBounds::FullDomain => vec![(0, domain_hi); targets.len()],
-            InitialBounds::SampledQuantiles { per_rank } => {
-                // Regular probes of the sorted local data, gathered once.
-                let probes: Vec<K> = if sorted_local.is_empty() {
-                    Vec::new()
-                } else {
-                    (0..per_rank.max(1))
-                        .map(|i| {
-                            sorted_local[((i + 1) * sorted_local.len() / (per_rank.max(1) + 1))
-                                .min(sorted_local.len() - 1)]
-                        })
-                        .collect()
-                };
-                let mut pool: Vec<K> = comm.allgatherv(probes).into_iter().flatten().collect();
-                pool.sort_unstable();
-                let n_total: u64 = *targets.last().expect("non-empty").max(&1);
-                targets
-                    .iter()
-                    .map(|&t| {
-                        if pool.is_empty() {
-                            return (data_lo, data_hi);
-                        }
-                        // Bracket the target's quantile with one sample of
-                        // margin on each side.
-                        let idx = ((t as f64 / n_total as f64) * (pool.len() - 1) as f64) as usize;
-                        let lo = pool[idx.saturating_sub(1)].to_bits().max(data_lo);
-                        let hi = pool[(idx + 1).min(pool.len() - 1)].to_bits().min(data_hi);
-                        if lo <= hi {
-                            (lo, hi)
-                        } else {
-                            (data_lo, data_hi)
-                        }
-                    })
-                    .collect()
-            }
-        };
-        cold.into_iter().map(|b| (b, (data_lo, data_hi))).collect()
-    };
-    let n_local = sorted_local.len();
-    let mut states: Vec<State> = brackets
-        .into_iter()
-        .map(|((lo_bits, hi_bits), fallback)| State {
-            lo_bits,
-            hi_bits,
-            idx_lo: 0,
-            idx_hi: n_local,
-            last: (lo_bits, 0, 0),
-            fallback,
-            done: None,
-        })
-        .collect();
 
-    let depth = probe_depth(opts.probes_per_round);
-    let mut iterations = 0u32;
-    let mut probes_total = 0u64;
-    let mut degraded = false;
+    // The per-rank remainder of the search state: the local positions
+    // every remaining probe's binary searches of a splitter are
+    // confined to (see module docs: monotonically narrowing). Driven
+    // by local counts; only affects where this rank searches, never
+    // which keys are probed.
+    let n_local = sorted_local.len();
+    let mut brackets: Vec<(usize, usize)> = vec![(0, n_local); targets.len()];
+
     // Per-splitter bisection steps are bounded by the key width; one
     // round evaluates up to `depth` of them. Sampled and warm-seeded
     // brackets can miss the splitter and restart from the data min/max
@@ -559,49 +788,28 @@ fn find_splitters_impl<K: Key>(
     let convergence_guard = if warm.is_some() {
         3 * (K::BITS + 2)
     } else {
-        match init {
+        match opts.init {
             InitialBounds::SampledQuantiles { .. } => 3 * (K::BITS + 2),
-            _ => (K::BITS + 2).div_ceil(depth),
+            _ => (K::BITS + 2).div_ceil(probe_depth(opts.probes_per_round)),
         }
     };
 
-    loop {
-        let active: Vec<usize> = (0..states.len())
-            .filter(|&i| states[i].done.is_none())
-            .collect();
-        if active.is_empty() {
-            break;
-        }
-        iterations += 1;
+    while !plan.active.is_empty() {
         assert!(
-            iterations <= convergence_guard,
+            plan.rounds < convergence_guard,
             "splitter search failed to converge in {convergence_guard} iterations"
         );
-
-        // Probe grid: the full depth-level bisection tree of each
-        // active splitter's key interval, flattened per splitter in
-        // pre-order (Alg. 3 line 7, batched). The grid depends only on
-        // replicated interval state, so all ranks histogram the same
-        // candidate keys in the same order.
-        let mut probe_bits: Vec<u128> = Vec::new();
-        let mut spans: Vec<(usize, usize)> = Vec::with_capacity(active.len());
-        for &i in &active {
-            let s = &states[i];
-            let start = probe_bits.len();
-            tree_probes(s.lo_bits, s.hi_bits, depth, &mut probe_bits);
-            spans.push((start, probe_bits.len() - start));
-        }
-        probes_total += probe_bits.len() as u64;
+        let grid = |j: usize| plan.offsets[j]..plan.offsets[j + 1];
 
         // Charge the probe searches over each splitter's bracket width
-        // (full local array when brackets are disabled). Charges are
-        // pure functions of data sizes — never of the thread budget —
-        // which keeps the virtual clock byte-identical across budgets.
-        for (j, &i) in active.iter().enumerate() {
-            let s = &states[i];
+        // (whether or not the searches below use it). Charges are pure
+        // functions of data sizes — never of the thread budget — which
+        // keeps the virtual clock byte-identical across budgets.
+        for (j, &i) in plan.active.iter().enumerate() {
+            let (idx_lo, idx_hi) = brackets[i];
             comm.charge(Work::BinarySearches {
-                searches: 2 * spans[j].1 as u64,
-                n: (s.idx_hi - s.idx_lo) as u64,
+                searches: 2 * grid(j).len() as u64,
+                n: (idx_hi - idx_lo) as u64,
             });
         }
 
@@ -616,163 +824,84 @@ fn find_splitters_impl<K: Key>(
         // so the reduction input is identical for every budget.
         let intra = comm.intra_span("histogram_probe");
         let mut histogram: Vec<u64> = comm.pool().take_u64();
-        histogram.reserve(2 * probe_bits.len());
-        let units: Vec<(usize, usize, usize, usize)> = active
-            .iter()
-            .enumerate()
-            .map(|(j, &i)| {
-                let s = &states[i];
+        histogram.reserve(2 * plan.probes.len());
+        let count = |js: Range<usize>, out: &mut Vec<u64>| {
+            for j in js {
                 let (idx_lo, idx_hi) = if opts.index_brackets {
-                    (s.idx_lo, s.idx_hi)
+                    brackets[plan.active[j]]
                 } else {
                     (0, n_local)
                 };
-                (spans[j].0, spans[j].1, idx_lo, idx_hi)
-            })
-            .collect();
-        let count_unit = |(start, len, idx_lo, idx_hi): (usize, usize, usize, usize),
-                          out: &mut Vec<u64>| {
-            let seg = &sorted_local[idx_lo..idx_hi];
-            // Kernel path for native integer keys: the whole probe
-            // batch of this unit in one lockstep-search call, pushing
-            // the same (lower, upper) pairs straight into the pooled
-            // buffer (probe bits fit the key width by construction).
-            if ladder_bounds_typed(
-                opts.kernels,
-                seg,
-                len,
-                |i| probe_bits[start + i] as u64,
-                idx_lo as u64,
-                out,
-            ) {
-                return;
-            }
-            for &bits in &probe_bits[start..start + len] {
-                let key = K::from_bits(bits);
-                out.push((idx_lo + seg.partition_point(|x| *x < key)) as u64);
-                out.push((idx_lo + seg.partition_point(|x| *x <= key)) as u64);
+                let seg = &sorted_local[idx_lo..idx_hi];
+                let probes = &plan.probes[grid(j)];
+                // Kernel path for native integer keys: the whole probe
+                // batch of this splitter in one lockstep-search call,
+                // pushing the same (lower, upper) pairs straight into
+                // the pooled buffer (probe bits fit the key width by
+                // construction).
+                if ladder_bounds_typed(
+                    opts.kernels,
+                    seg,
+                    probes.len(),
+                    |k| probes[k] as u64,
+                    idx_lo as u64,
+                    out,
+                ) {
+                    continue;
+                }
+                for &bits in probes {
+                    let key = K::from_bits(bits);
+                    out.push((idx_lo + seg.partition_point(|x| *x < key)) as u64);
+                    out.push((idx_lo + seg.partition_point(|x| *x <= key)) as u64);
+                }
             }
         };
         let t = comm.threads().exec_budget();
-        if t > 1 && units.len() >= 2 && probe_bits.len() >= 4 {
-            let chunk = units.len().div_ceil(t);
-            let chunks: Vec<&[(usize, usize, usize, usize)]> = units.chunks(chunk).collect();
-            let counted = comm.threads().map(chunks, |part| {
-                let mut out = Vec::with_capacity(2 * part.iter().map(|u| u.1).sum::<usize>());
-                for &u in part {
-                    count_unit(u, &mut out);
-                }
+        let n_active = plan.active.len();
+        if t > 1 && n_active >= 2 && plan.probes.len() >= 4 {
+            let chunk = n_active.div_ceil(t);
+            let chunks: Vec<Range<usize>> = (0..n_active)
+                .step_by(chunk)
+                .map(|from| from..(from + chunk).min(n_active))
+                .collect();
+            let counted = comm.threads().map(chunks, |js| {
+                let mut out =
+                    Vec::with_capacity(2 * (plan.offsets[js.end] - plan.offsets[js.start]));
+                count(js, &mut out);
                 out
             });
             histogram.extend(counted.into_iter().flatten());
         } else {
-            for &u in &units {
-                count_unit(u, &mut histogram);
-            }
+            count(0..n_active, &mut histogram);
         }
         drop(intra);
 
         // One global reduction per round (Alg. 3 line 8), carrying all
-        // probes of all active splitters. The local histogram is viewed
-        // in place and the global result is one allocation shared by
-        // all ranks; the fatter payload is charged at its true width.
-        let global = comm.allreduce_sum_shared(&histogram);
+        // probes of all active splitters, viewed in place and charged
+        // at its true width. Whichever rank completes it refines every
+        // splitter against the global counts (Alg. 3 line 9) and lays
+        // out the next round, once for everybody.
+        let next = comm.allreduce_sum_then(&histogram, |global| {
+            plan.advance(&global, targets, slack, opts)
+        });
 
-        // Descend each splitter's probe tree along exactly the path
-        // single-probe bisection would walk (Alg. 3 line 9 / Alg. 2 at
-        // every level): the root midpoint's verdict selects the half,
-        // the matching child's verdict the quarter, and so on, until
-        // acceptance, a restart, or the round's depth is spent.
-        for (j, &i) in active.iter().enumerate() {
-            let (base, _) = spans[j];
-            let s = &mut states[i];
-            let (mut lo, mut hi) = (s.lo_bits, s.hi_bits);
-            let mut node = base; // absolute probe index of the current tree node
-            let mut level = depth; // levels remaining, incl. the current node
-            loop {
-                let mid = lo + (hi - lo) / 2;
-                debug_assert_eq!(probe_bits[node], mid, "descent must follow the probe tree");
-                let (lower, upper) = (global[2 * node], global[2 * node + 1]);
-                s.last = (mid, lower, upper);
-                match validate_splitter(lower, upper, targets[i], slack, opts.strict_paper_rule) {
-                    Validation::Accept { realized } => {
-                        s.done = Some((mid, realized, lower, upper));
-                        break;
-                    }
-                    Validation::TooHigh => {
-                        // Every future probe is < mid: its searches
-                        // cannot exit [idx_lo, local lower(mid)].
-                        s.idx_hi = s.idx_hi.min(histogram[2 * node] as usize);
-                        if mid == lo {
-                            // Bracket exhausted without acceptance:
-                            // only possible when the initial bracket
-                            // missed the splitter (sampled quantiles,
-                            // warm seeding). Restart into the fallback
-                            // interval (quantile bracket first under
-                            // probe_warm_first, then the data range);
-                            // the index bracket proof no longer holds,
-                            // so it resets too.
-                            (lo, hi) = s.fallback;
-                            s.fallback = (data_lo, data_hi);
-                            s.idx_lo = 0;
-                            s.idx_hi = n_local;
-                            break;
-                        }
-                        hi = mid - 1;
-                        if level > 1 {
-                            node += 1; // left child root, in pre-order
-                            level -= 1;
-                        } else {
-                            break;
-                        }
-                    }
-                    Validation::TooLow => {
-                        s.idx_lo = s.idx_lo.max(histogram[2 * node + 1] as usize);
-                        if mid == hi {
-                            (lo, hi) = s.fallback;
-                            s.fallback = (data_lo, data_hi);
-                            s.idx_lo = 0;
-                            s.idx_hi = n_local;
-                            break;
-                        }
-                        let left = if mid > lo {
-                            tree_size(lo, mid - 1, level - 1)
-                        } else {
-                            0
-                        };
-                        lo = mid + 1;
-                        if level > 1 {
-                            node += 1 + left; // skip the left subtree
-                            level -= 1;
-                        } else {
-                            break;
-                        }
-                    }
-                }
-            }
-            s.lo_bits = lo;
-            s.hi_bits = hi;
-        }
-
-        // Graceful degradation: out of iteration budget, freeze every
-        // unsettled splitter at its last evaluated probe. The realized
-        // boundary is the closest achievable position to the target,
-        // which may overshoot the ε slack — the caller reports the
-        // achieved imbalance instead of failing the sort.
-        if opts.max_iterations.is_some_and(|cap| iterations >= cap) {
-            for &i in &active {
-                let s = &mut states[i];
-                if s.done.is_none() {
-                    let (mid_bits, lower, upper) = s.last;
-                    s.done = Some((mid_bits, targets[i].clamp(lower, upper), lower, upper));
-                    degraded = true;
-                }
+        // The verdicts the descents passed on the global counts, folded
+        // over this rank's own counts of the same probes.
+        for step in &next.path {
+            let (idx_lo, idx_hi) = &mut brackets[step.splitter];
+            let node = 2 * step.node;
+            match step.verdict {
+                Verdict::TooHigh => *idx_hi = (*idx_hi).min(histogram[node] as usize),
+                Verdict::TooLow => *idx_lo = (*idx_lo).max(histogram[node + 1] as usize),
+                Verdict::Restart => (*idx_lo, *idx_hi) = (0, n_local),
             }
         }
         comm.pool().recycle_u64(histogram);
+        plan = next;
     }
 
-    let splitters = states
+    let splitters = plan
+        .search
         .iter()
         .zip(targets)
         .map(|(s, &target)| {
@@ -788,9 +917,9 @@ fn find_splitters_impl<K: Key>(
         .collect();
     SplitterResult {
         splitters,
-        iterations,
-        probes: probes_total,
-        degraded,
+        iterations: plan.rounds,
+        probes: plan.probes_total,
+        degraded: plan.degraded,
     }
 }
 

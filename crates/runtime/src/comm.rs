@@ -577,15 +577,30 @@ impl Comm {
         self.broadcast_vec_shared(root, value).as_ref().clone()
     }
 
-    /// Element-wise allreduce returning the shared result: all ranks
-    /// pass equally long vectors; the result at index `i` is the fold
-    /// of element `i` over ranks; one allocation serves every rank.
-    pub fn allreduce_with_shared<T, F>(&self, xs: Vec<T>, op: F) -> Arc<Vec<T>>
+    /// Element-wise allreduce followed by a once-only `finish`: all
+    /// ranks pass equally long vectors; element `i` of the reduction is
+    /// the fold of element `i` over ranks. `finish` then runs exactly
+    /// once for the whole communicator — on the last arriver, right
+    /// after the fold — and every rank receives its result as one
+    /// shared allocation.
+    ///
+    /// Every rank must pass a `finish` computing the same pure function
+    /// of the reduction and of *replicated* data: which rank's copy
+    /// runs is a host scheduling accident. The virtual clock and the
+    /// collective schedule cannot observe it — the charge, the byte
+    /// accounting and the trace span are those of the plain allreduce.
+    /// A `finish` that panics fails the run with that rank as the root
+    /// cause; its peers abort as collateral at once (see
+    /// [`CommState::collective_view`]).
+    pub fn allreduce_with_then<T, R, F, G>(&self, xs: Vec<T>, op: F, finish: G) -> Arc<R>
     where
         T: Clone + Send + Sync + 'static,
+        R: Send + Sync + 'static,
         F: Fn(&T, &T) -> T,
+        G: FnOnce(Vec<T>) -> R,
     {
         let p = self.size();
+        let bytes = (xs.len() * mem::size_of::<T>()) as u64;
         let out = self.run_collective("allreduce", xs, move |inputs, ctx| {
             let mut it = inputs.into_iter();
             let mut acc = it.next().expect("at least one rank");
@@ -599,14 +614,21 @@ impl Comm {
                     *a = op(a, b);
                 }
             }
-            let bytes = (acc.len() * mem::size_of::<T>()) as u64;
             let end = ctx.enter_max_ns + ctx.cost.allreduce_ns(ctx.worst_link, p, bytes);
-            (acc, EndTimes::Uniform(end))
+            (finish(acc), EndTimes::Uniform(end))
         });
-        self.account_collective_bytes(
-            (out.len() * mem::size_of::<T>()) as u64 * crate::cost::log2_ceil(p) as u64,
-        );
+        self.account_collective_bytes(bytes * crate::cost::log2_ceil(p) as u64);
         out
+    }
+
+    /// Element-wise allreduce returning the shared result: the
+    /// identity-finish case of [`Comm::allreduce_with_then`].
+    pub fn allreduce_with_shared<T, F>(&self, xs: Vec<T>, op: F) -> Arc<Vec<T>>
+    where
+        T: Clone + Send + Sync + 'static,
+        F: Fn(&T, &T) -> T,
+    {
+        self.allreduce_with_then(xs, op, |reduced| reduced)
     }
 
     /// Owning [`Comm::allreduce_with_shared`].
@@ -618,13 +640,19 @@ impl Comm {
         self.allreduce_with_shared(xs, op).as_ref().clone()
     }
 
-    /// Sum-allreduce over a borrowed `u64` slice — the histogramming
-    /// workhorse. The input is viewed in place (no send-side copy) and
-    /// the reduced vector is shared by all ranks.
-    pub fn allreduce_sum_shared(&self, xs: &[u64]) -> Arc<Vec<u64>> {
+    /// Sum-allreduce over a borrowed `u64` slice followed by a
+    /// once-only `finish` (see [`Comm::allreduce_with_then`] for its
+    /// contract) — the histogramming workhorse. The input is viewed in
+    /// place (no send-side copy); the splitter search advances its
+    /// replicated state here, once per round instead of once per rank.
+    pub fn allreduce_sum_then<R, G>(&self, xs: &[u64], finish: G) -> Arc<R>
+    where
+        R: Send + Sync + 'static,
+        G: FnOnce(Vec<u64>) -> R,
+    {
         let p = self.size();
         let view = RawParts::of(&[xs]);
-        let out: Arc<Vec<u64>> = self.run_collective_view(
+        let out: Arc<R> = self.run_collective_view(
             "allreduce",
             view,
             move |inputs: Vec<RawParts<u64>>, ctx| {
@@ -640,15 +668,21 @@ impl Comm {
                 }
                 let bytes = (width * mem::size_of::<u64>()) as u64;
                 let end = ctx.enter_max_ns + ctx.cost.allreduce_ns(ctx.worst_link, p, bytes);
-                (acc, EndTimes::Uniform(end))
+                (finish(acc), EndTimes::Uniform(end))
             },
             Arc::clone,
             false,
         );
         self.account_collective_bytes(
-            (out.len() * mem::size_of::<u64>()) as u64 * crate::cost::log2_ceil(p) as u64,
+            mem::size_of_val(xs) as u64 * crate::cost::log2_ceil(p) as u64,
         );
         out
+    }
+
+    /// Sum-allreduce sharing the reduced vector with all ranks: the
+    /// identity-finish case of [`Comm::allreduce_sum_then`].
+    pub fn allreduce_sum_shared(&self, xs: &[u64]) -> Arc<Vec<u64>> {
+        self.allreduce_sum_then(xs, |sum| sum)
     }
 
     /// Owning sum-allreduce over `u64` vectors.
@@ -691,11 +725,15 @@ impl Comm {
         self.allgather_shared(x).as_ref().clone()
     }
 
-    /// Gather a variable-length vector per rank onto every rank; the
-    /// per-rank vectors are moved, not copied, into the shared result.
-    pub fn allgatherv_shared<T>(&self, xs: Vec<T>) -> Arc<Vec<Vec<T>>>
+    /// Gather a variable-length vector per rank, then run `finish`
+    /// once over the gathered vectors (ordered by rank; see
+    /// [`Comm::allreduce_with_then`] for the contract) and share its
+    /// result. Charged and traced exactly as the plain allgatherv.
+    pub fn allgatherv_then<T, R, G>(&self, xs: Vec<T>, finish: G) -> Arc<R>
     where
         T: Send + Sync + 'static,
+        R: Send + Sync + 'static,
+        G: FnOnce(Vec<Vec<T>>) -> R,
     {
         let p = self.size();
         let my_bytes = (xs.len() * mem::size_of::<T>()) as u64;
@@ -706,10 +744,20 @@ impl Comm {
                 .max()
                 .unwrap_or(0);
             let end = ctx.enter_max_ns + ctx.cost.allgather_ns(ctx.worst_link, p, max_bytes);
-            (inputs, EndTimes::Uniform(end))
+            (finish(inputs), EndTimes::Uniform(end))
         });
         self.account_collective_bytes(my_bytes * p.saturating_sub(1) as u64);
         out
+    }
+
+    /// Gather a variable-length vector per rank onto every rank; the
+    /// per-rank vectors are moved, not copied, into the shared result
+    /// (the identity-finish case of [`Comm::allgatherv_then`]).
+    pub fn allgatherv_shared<T>(&self, xs: Vec<T>) -> Arc<Vec<Vec<T>>>
+    where
+        T: Send + Sync + 'static,
+    {
+        self.allgatherv_then(xs, |gathered| gathered)
     }
 
     /// Owning [`Comm::allgatherv_shared`].

@@ -215,8 +215,7 @@ impl CostModel {
                 }
             }
             Work::BinarySearches { searches, n } => {
-                let probes = if n < 2 { 1.0 } else { (n as f64).log2().ceil() };
-                searches as f64 * probes * self.random_access_ns
+                searches as f64 * search_probes(n) as f64 * self.random_access_ns
             }
             Work::Ns(ns) => ns as f64,
         };
@@ -266,6 +265,26 @@ pub enum Work {
     },
     /// A raw nanosecond charge.
     Ns(u64),
+}
+
+/// Probes one binary search over a run of `n` elements is charged:
+/// `⌈log₂ n⌉`, and one for a degenerate run (`n < 2`).
+///
+/// The splitter search asks this once per active splitter per round
+/// per rank, so it is integer arithmetic. The charge was defined as
+/// `(n as f64).log2().ceil()`, which an `f64` logarithm rounds *down*
+/// to `k` just above a large power of two (`n = 2^k + 1`, `k ≥ 49` on
+/// this libm); the two agree below `2^32` with more than `2^15` ulps
+/// to spare, and longer runs (no rank holds one) keep the float
+/// formula so that every charge stays bit-identical.
+fn search_probes(n: u64) -> u32 {
+    if n < 2 {
+        1
+    } else if n <= u32::MAX as u64 {
+        log2_ceil(n as usize)
+    } else {
+        (n as f64).log2().ceil() as u32
+    }
 }
 
 /// `⌈log₂ p⌉`, with `log2_ceil(0) == 0` and `log2_ceil(1) == 0`.
@@ -398,6 +417,27 @@ mod tests {
         for n in [0u64, 1] {
             let one = m.work_ns(Work::BinarySearches { searches: 6, n });
             assert_eq!(one, m.work_ns(Work::RandomAccesses(6)));
+        }
+    }
+
+    /// The integer probe count must charge exactly what the float
+    /// formula it replaced did, for every run length.
+    #[test]
+    fn integer_search_probes_charge_bit_identically() {
+        let m = CostModel::default();
+        let float_ns = |searches: u64, n: u64| {
+            let probes = if n < 2 { 1.0 } else { (n as f64).log2().ceil() };
+            (searches as f64 * probes * m.random_access_ns).ceil() as u64
+        };
+        let edges = (1..=52u32).flat_map(|k| [(1u64 << k) - 1, 1 << k, (1 << k) + 1]);
+        for n in (0..=65_536u64).chain(edges) {
+            for searches in [2u64, 14, 30] {
+                assert_eq!(
+                    m.work_ns(Work::BinarySearches { searches, n }),
+                    float_ns(searches, n),
+                    "n={n} searches={searches}"
+                );
+            }
         }
     }
 

@@ -250,9 +250,8 @@ impl Scheduler {
         inner.state[me] = TaskState::Parked;
         inner.running -= 1;
         self.pump(&mut inner);
-        // Stretch only the default backstop: the poison poll's cadence
-        // is what paces the collective grace counting, so it must keep
-        // the thread engine's fixed period.
+        // Stretch only the default backstop: the poison poll keeps the
+        // thread engine's fixed period, so an abort is never late.
         let shift = self.backoffs[me].load(Ordering::Relaxed).min(BACKOFF_CAP);
         let eff = if backstop >= PARK_BACKSTOP {
             backstop.saturating_mul(1 << shift)

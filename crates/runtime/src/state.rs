@@ -7,6 +7,7 @@
 
 use std::any::Any;
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -24,12 +25,6 @@ use crate::trace::{TraceConfig, TraceSink};
 /// How long a blocked rank sleeps between poison checks. Purely a
 /// liveness bound for error propagation; correctness never depends on it.
 pub(crate) const POISON_POLL: Duration = Duration::from_millis(25);
-
-/// Poison polls a zero-copy collective waits for an in-flight combine
-/// before concluding the combiner itself died (see
-/// [`CommState::collective_view`]). Generous on purpose: aborting early
-/// is only safe because by then the output can never appear.
-const POISON_GRACE_POLLS: u32 = 200;
 
 /// Machine-wide immutable context shared by all communicators of a run.
 pub struct World {
@@ -252,8 +247,8 @@ impl World {
             st = match &self.sched {
                 // Task engine: release the worker slot and park until an
                 // event wakes us. The timed backstop is liveness-only; a
-                // poisoned world shortens it so poll-counted grace windows
-                // (see [`CommState::collective_view`]) keep their pace.
+                // poisoned world shortens it to the thread engine's poll
+                // period, so no abort waits out the long backstop.
                 Some(s) => {
                     drop(st);
                     let poisoned = self.poisoned();
@@ -367,6 +362,10 @@ pub(crate) struct CellState {
     inputs: Vec<Option<Box<dyn Any + Send>>>,
     clocks: Vec<u64>,
     output: Option<Arc<dyn Any + Send + Sync>>,
+    /// Set when this generation's combine panicked: the output will
+    /// never appear and no deposited view is read again, so every
+    /// waiter may abort at once (the communicator is abandoned).
+    combiner_died: bool,
     /// Per-rank virtual completion times.
     end_ns: Vec<u64>,
 }
@@ -381,6 +380,7 @@ impl CollectiveCell {
                 inputs: (0..size).map(|_| None).collect(),
                 clocks: vec![0; size],
                 output: None,
+                combiner_died: false,
                 end_ns: vec![0; size],
             }),
             cv: Condvar::default(),
@@ -467,10 +467,14 @@ impl CommState {
     ///    completes; the communicator is abandoned.
     /// 3. **Combine in flight** (`arrived == size`, no output): every
     ///    depositor is blocked in the output wait, so `combine` may
-    ///    dereference every view. It never blocks; a waiter that still
-    ///    sees no output after `POISON_GRACE_POLLS` poison polls
-    ///    concludes the combiner died (the views are never read again)
-    ///    and aborts. Recovery interrupts are not taken here.
+    ///    dereference every view. It never blocks, so it either
+    ///    publishes the output or panics; a panic is caught on the
+    ///    combining rank, which marks the cell `combiner_died` and
+    ///    poisons the world before unwinding on — the views are never
+    ///    read again, and every waiter aborts on its next pass instead
+    ///    of hanging. Until one of the two happens no unwind cause is
+    ///    taken here (a poison raised elsewhere must not pull a view
+    ///    from under a live combine).
     /// 4. **Output taken → generation bump**: no unwinds, so every rank
     ///    that saw the output departs and the cell resets. Without
     ///    `exit_barrier` a rank returns right after departing, and
@@ -510,30 +514,44 @@ impl CommState {
 
         if st.arrived == size {
             // Last arriver: combine (window 3).
-            let inputs: Vec<T> = st
-                .inputs
-                .iter_mut()
-                .map(|slot| {
-                    *slot
-                        .take()
-                        .expect("all ranks deposited")
-                        .downcast::<T>()
-                        .expect("uniform collective payload type")
-                })
-                .collect();
-            let enter_max_ns = st.clocks.iter().copied().max().unwrap_or(0);
-            // Link-degradation windows are sampled at the collective's
-            // start time, so a whole collective sees one (deterministic)
-            // cost model.
-            let cost_now = world.fault.cost_at(&world.cost, enter_max_ns);
-            let ctx = CollectiveCtx {
-                cost: &cost_now,
-                topology: &world.topology,
-                global_ranks: &self.global_ranks,
-                enter_max_ns,
-                worst_link: self.worst_link,
+            let combined = panic::catch_unwind(AssertUnwindSafe(|| {
+                let inputs: Vec<T> = st
+                    .inputs
+                    .iter_mut()
+                    .map(|slot| {
+                        *slot
+                            .take()
+                            .expect("all ranks deposited")
+                            .downcast::<T>()
+                            .expect("uniform collective payload type")
+                    })
+                    .collect();
+                let enter_max_ns = st.clocks.iter().copied().max().unwrap_or(0);
+                // Link-degradation windows are sampled at the collective's
+                // start time, so a whole collective sees one (deterministic)
+                // cost model.
+                let cost_now = world.fault.cost_at(&world.cost, enter_max_ns);
+                let ctx = CollectiveCtx {
+                    cost: &cost_now,
+                    topology: &world.topology,
+                    global_ranks: &self.global_ranks,
+                    enter_max_ns,
+                    worst_link: self.worst_link,
+                };
+                combine(inputs, &ctx)
+            }));
+            let (out, ends) = match combined {
+                Ok(done) => done,
+                Err(payload) => {
+                    // Release the blocked depositors now; this rank
+                    // carries the root cause up to the runner.
+                    st.combiner_died = true;
+                    world.poison_now();
+                    self.notify_cell();
+                    drop(st);
+                    panic::resume_unwind(payload);
+                }
             };
-            let (out, ends) = combine(inputs, &ctx);
             match ends {
                 EndTimes::Uniform(t) => st.end_ns.iter_mut().for_each(|e| *e = t),
                 EndTimes::PerRank(v) => {
@@ -544,7 +562,6 @@ impl CommState {
             st.output = Some(Arc::new(out));
             self.notify_cell();
         } else {
-            let mut grace = 0u32;
             let has_output = |st: &mut CellState| st.output.is_some();
             st = self.wait_cell(me_global, st, has_output, |st, why| match why {
                 // Window 2: pull our input back before unwinding.
@@ -553,12 +570,9 @@ impl CommState {
                     st.arrived -= 1;
                     true
                 }
-                // Window 3: the output appears shortly unless the
-                // combiner itself died, which only poison reports.
-                Unwind::Poison => {
-                    grace += 1;
-                    grace > POISON_GRACE_POLLS
-                }
+                // Window 3: the output appears unless the combiner
+                // died, which it reports itself (under poison).
+                Unwind::Poison => st.combiner_died,
                 Unwind::Recovery => false,
             });
         }

@@ -185,9 +185,10 @@ fn crash_during_sort_is_reported_and_deterministic() {
 
 /// A crash must release every peer blocked in the rendezvous — under
 /// every engine and for every payload shape that goes through the one
-/// collective protocol (owned inputs, borrowed views, exit barrier) —
-/// as typed collateral, and through the event-driven wake path rather
-/// than a park backstop.
+/// collective protocol (owned inputs, borrowed views, exit barrier),
+/// and also when the rank that dies is the one combining — as typed
+/// collateral, and through the event-driven wake path rather than a
+/// park backstop.
 #[test]
 fn crash_mid_collective_releases_blocked_peers() {
     /// `dhs_runtime::sched::PARK_BACKSTOP`: a parked task whose wake
@@ -216,6 +217,39 @@ fn crash_mid_collective_releases_blocked_peers() {
         RunnerEngine::Tasks { workers: 1 },
     ];
     for engine in engines {
+        // The combining rank itself dies, inside the once-only finish
+        // step of an allreduce: whichever rank arrived last is the root
+        // cause, and the seven whose views it held abort as collateral
+        // at once rather than waiting for an output that cannot come.
+        let cell = format!("combiner panics in finish under {engine:?}");
+        let cluster = ClusterConfig::small_cluster(8).with_engine(engine);
+        let started = Instant::now();
+        let err = try_run(&cluster, |comm| {
+            let ones = [1u64; 4];
+            comm.allreduce_sum_then(&ones, |sum| -> u64 { panic!("finish saw {sum:?}") });
+        })
+        .expect_err("a panicking finish must fail the run");
+        let elapsed = started.elapsed();
+        assert_eq!(err.failed.len(), 8, "{cell}: every rank reports");
+        let roots: Vec<&RankError> = err.root_causes().collect();
+        assert_eq!(roots.len(), 1, "{cell}: one root cause");
+        assert!(
+            matches!(roots[0], RankError::Panicked { message, .. } if message.contains("[8, 8, 8, 8]")),
+            "{cell}: root cause {:?}",
+            roots[0]
+        );
+        for (rank, e) in err.failed.iter().enumerate() {
+            assert_eq!(e.rank(), rank, "{cell}: typed error names its rank");
+            assert!(
+                e.is_root_cause() || matches!(e, RankError::PeerFailed { .. }),
+                "{cell}: rank {rank} failed with {e:?}"
+            );
+        }
+        assert!(
+            elapsed < PARK_BACKSTOP,
+            "{cell}: took {elapsed:?}, peers waited on a dead combiner"
+        );
+
         for (name, op) in ops {
             let cluster = ClusterConfig::small_cluster(8)
                 .with_fault(FaultPlan::seeded(3).with_crash(5, 1))

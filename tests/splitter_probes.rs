@@ -7,9 +7,10 @@
 //! `⌈steps / log₂(m+1)⌉` (plus restart head-room).
 
 use dhs::core::{
-    find_splitters_cfg, perfect_targets, slack_for, InitialBounds, SplitterOptions, SplitterResult,
+    find_splitters_cfg, find_splitters_seeded, perfect_targets, slack_for, InitialBounds,
+    SplitterOptions, SplitterResult,
 };
-use dhs::runtime::{run, ClusterConfig};
+use dhs::runtime::{run, ClusterConfig, RunnerEngine};
 use proptest::prelude::*;
 
 fn keys_for(rank: usize, n: usize, modulus: u64, seed: u64) -> Vec<u64> {
@@ -46,6 +47,213 @@ fn search(
         find_splitters_cfg(comm, &local, &targets, slack, opts)
     });
     out.into_iter().next().expect("p >= 1").0
+}
+
+/// How [`oracle`] and the search under test start each splitter.
+#[derive(Debug, Clone, Copy)]
+enum Start {
+    MinMax,
+    Sampled { per_rank: usize },
+    Warm { probe_first: bool },
+}
+
+/// What the oracle returns: per splitter `(key, realized, L, U)`, then
+/// rounds, probes and the degraded flag.
+type Oracle = (Vec<(u64, u64, u64, u64)>, u32, u64, bool);
+
+/// Nodes of the `d`-level bisection tree of `[lo, hi]`.
+fn grid_size(lo: u64, hi: u64, d: u32) -> u64 {
+    if d == 0 || lo > hi {
+        return 0;
+    }
+    let mid = lo + (hi - lo) / 2;
+    let left = if mid > lo {
+        grid_size(lo, mid - 1, d - 1)
+    } else {
+        0
+    };
+    let right = if mid < hi {
+        grid_size(mid + 1, hi, d - 1)
+    } else {
+        0
+    };
+    1 + left + right
+}
+
+/// Single-process restatement of Algorithms 2/3 (relaxed acceptance)
+/// over the concatenated data: every round each unsettled splitter
+/// takes up to `d` bisection steps against the true global counts and
+/// is billed the whole `d`-level probe tree of the interval it entered
+/// the round with; `brackets` gives each splitter's first interval and
+/// the one it restarts into (after that, the data range).
+fn oracle(
+    all: &[u64],
+    targets: &[u64],
+    slack: u64,
+    d: u32,
+    cap: Option<u32>,
+    mut brackets: Vec<((u64, u64), (u64, u64))>,
+) -> Oracle {
+    let data = (all[0], all[all.len() - 1]);
+    let mut last = vec![(0u64, 0u64, 0u64); targets.len()];
+    let mut done: Vec<Option<(u64, u64, u64, u64)>> = vec![None; targets.len()];
+    let (mut rounds, mut probes, mut degraded) = (0u32, 0u64, false);
+    while done.iter().any(Option::is_none) {
+        rounds += 1;
+        for i in (0..targets.len())
+            .filter(|&i| done[i].is_none())
+            .collect::<Vec<_>>()
+        {
+            let ((mut lo, mut hi), fallback) = brackets[i];
+            probes += grid_size(lo, hi, d);
+            let t = targets[i];
+            for _ in 0..d {
+                let mid = lo + (hi - lo) / 2;
+                let l = all.partition_point(|&x| x < mid) as u64;
+                let u = all.partition_point(|&x| x <= mid) as u64;
+                last[i] = (mid, l, u);
+                if l.max(t.saturating_sub(slack)) <= u.min(t.saturating_add(slack)) {
+                    done[i] = Some((mid, t.clamp(l, u), l, u));
+                    break;
+                }
+                let too_high = l > t.saturating_add(slack);
+                if mid == if too_high { lo } else { hi } {
+                    ((lo, hi), brackets[i].1) = (fallback, data);
+                    break;
+                }
+                if too_high {
+                    hi = mid - 1;
+                } else {
+                    lo = mid + 1;
+                }
+            }
+            brackets[i].0 = (lo, hi);
+        }
+        if cap.is_some_and(|c| rounds >= c) {
+            for i in 0..targets.len() {
+                let (mid, l, u) = last[i];
+                degraded |= done[i].is_none();
+                done[i].get_or_insert((mid, targets[i].clamp(l, u), l, u));
+            }
+        }
+    }
+    let done = done.into_iter().map(|s| s.expect("settled")).collect();
+    (done, rounds, probes, degraded)
+}
+
+/// One key of margin either side of `t`'s quantile in `ladder`,
+/// clamped to the data range; with the quantile's index.
+fn quantile_bracket(ladder: &[u64], t: u64, n_total: u64, data: (u64, u64)) -> (usize, (u64, u64)) {
+    let idx = ((t as f64 / n_total as f64) * (ladder.len() - 1) as f64) as usize;
+    let lo = ladder[idx.saturating_sub(1)].max(data.0);
+    let hi = ladder[(idx + 1).min(ladder.len() - 1)].min(data.1);
+    (idx, if lo <= hi { (lo, hi) } else { data })
+}
+
+proptest! {
+    // Restarts (a sampled or warm bracket that misses its splitter) are
+    // the rare path; a few hundred cheap cases reach them reliably.
+    #![proptest_config(ProptestConfig { cases: 400, ..ProptestConfig::default() })]
+
+    /// The replicated search state is advanced once per round by
+    /// whichever rank completes the allreduce, and every rank narrows
+    /// its own brackets from the shared verdicts: on both engines,
+    /// every rank must still return the same result, and that result
+    /// must be what a single process refining over the concatenated
+    /// data computes — splitters, rounds, probes and degraded flag.
+    #[test]
+    fn shared_plan_matches_single_process_oracle(
+        p in 2usize..10,
+        n_per in 0usize..201,
+        empty_mask in 0u32..512,
+        modulus in prop_oneof![Just(3u64), Just(50), Just(1 << 30), Just(u64::MAX)],
+        seed in 0u64..1_000_000,
+        m in prop_oneof![Just(1usize), Just(3), Just(7)],
+        start in prop_oneof![
+            Just(Start::MinMax),
+            Just(Start::Sampled { per_rank: 2 }),
+            Just(Start::Warm { probe_first: false }),
+            Just(Start::Warm { probe_first: true }),
+        ],
+        cap in prop_oneof![Just(None), Just(Some(2u32)), Just(Some(9u32))],
+        epsilon in prop_oneof![Just(0.0), Just(0.05)],
+    ) {
+        let local_of = move |rank: usize| {
+            let n = if empty_mask >> rank & 1 == 1 { 0 } else { n_per };
+            keys_for(rank, n, modulus, seed)
+        };
+        let locals: Vec<Vec<u64>> = (0..p).map(local_of).collect();
+        let caps: Vec<usize> = locals.iter().map(Vec::len).collect();
+        let targets = perfect_targets(&caps);
+        let n_total: u64 = caps.iter().map(|&c| c as u64).sum();
+        let slack = slack_for(n_total, p, epsilon);
+        let warm = keys_for(97, p - 1, modulus, seed ^ 0x5EED);
+        let opts = SplitterOptions {
+            init: match start {
+                Start::Sampled { per_rank } => InitialBounds::SampledQuantiles { per_rank },
+                _ => InitialBounds::DataMinMax,
+            },
+            max_iterations: cap,
+            probes_per_round: m,
+            probe_warm_first: matches!(start, Start::Warm { probe_first: true }),
+            ..SplitterOptions::default()
+        };
+
+        let mut all: Vec<u64> = locals.iter().flatten().copied().collect();
+        all.sort_unstable();
+        let expect: Oracle = if all.is_empty() {
+            (Vec::new(), 0, 0, false)
+        } else {
+            let data = (all[0], all[all.len() - 1]);
+            let quantile_n = (*targets.last().expect("p >= 2")).max(1);
+            let brackets = targets.iter().map(|&t| match start {
+                Start::MinMax => (data, data),
+                Start::Sampled { per_rank } => {
+                    let mut pool: Vec<u64> = locals
+                        .iter()
+                        .filter(|l| !l.is_empty())
+                        .flat_map(|l| {
+                            (0..per_rank).map(|i| l[((i + 1) * l.len() / (per_rank + 1)).min(l.len() - 1)])
+                        })
+                        .collect();
+                    pool.sort_unstable();
+                    (quantile_bracket(&pool, t, quantile_n, data).1, data)
+                }
+                Start::Warm { probe_first } => {
+                    let (idx, bracket) = quantile_bracket(&warm, t, quantile_n, data);
+                    if probe_first {
+                        let w = warm[idx].clamp(data.0, data.1);
+                        ((w, w), bracket)
+                    } else {
+                        (bracket, data)
+                    }
+                }
+            });
+            oracle(&all, &targets, slack, (m as u64 + 1).ilog2(), cap, brackets.collect())
+        };
+
+        for engine in [RunnerEngine::Threads, RunnerEngine::Tasks { workers: 0 }] {
+            let (targets, warm) = (targets.clone(), warm.clone());
+            let cluster = ClusterConfig::small_cluster(p).with_engine(engine);
+            let out = run(&cluster, move |comm| {
+                let local = local_of(comm.rank());
+                match start {
+                    Start::Warm { .. } => find_splitters_seeded(comm, &local, &targets, slack, opts, &warm),
+                    _ => find_splitters_cfg(comm, &local, &targets, slack, opts),
+                }
+            });
+            for (rank, (got, _)) in out.iter().enumerate() {
+                let splitters: Vec<(u64, u64, u64, u64)> = got
+                    .splitters
+                    .iter()
+                    .map(|s| (s.key, s.realized, s.global_lower, s.global_upper))
+                    .collect();
+                let got = (splitters, got.iterations, got.probes, got.degraded);
+                prop_assert_eq!(&got, &expect, "rank {} under {:?}", rank, engine);
+            }
+        }
+    }
+
 }
 
 proptest! {
