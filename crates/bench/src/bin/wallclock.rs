@@ -22,11 +22,16 @@
 //!   `threads_per_rank = 1` execution path (`sort_unstable`) versus
 //!   the kernel the sort dispatches to at `threads_per_rank = 4`
 //!   (`parallel_merge_sort` at the host-clamped execution budget).
-//!   The ≥1.5× hybrid acceptance target refers to `local_sort_ab` +
-//!   `local_merge_ab` on a host with ≥4 cores.
-//! * `local_merge_ab` — the post-exchange merge A/B: the serial
-//!   `MergeAlgo::Resort` path (flatten + `sort_unstable`) versus the
-//!   hybrid `flat_tree_merge` over the received sorted runs.
+//! * `local_merge_ab` — the post-exchange merge A/B at t = 1 over an
+//!   (r runs, n keys) grid: `serial` is `sort_unstable` of the flat
+//!   receive buffer (what `MergeAlgo::Resort` is charged as, and what
+//!   it executed at `threads_per_rank = 1` through PR 14), `hybrid` is
+//!   `dhs_shm::merge_runs_in_place` over the same buffer and a warm
+//!   scratch (what used to run only at `threads_per_rank > 1`). The
+//!   grid brackets the crossover of `dhs_shm::run_merge_beats_resort`
+//!   — the rule that now picks between the two for every thread
+//!   budget — so its constant can be read off the `speedup` column.
+//!   `p` is the number of non-empty runs, `n_per` their mean length.
 //! * `exchange_algo_ab` — the exchange *schedule* A/B, measured on the
 //!   **virtual** clock (the one place in this harness where the metric
 //!   is simulated α–β time, not host seconds — schedule quality is a
@@ -73,11 +78,11 @@
 //!   sides accept byte-identical splitters; the ≥1.3× acceptance
 //!   target refers to the largest (reference) configuration.
 //!
-//! The hybrid merge wins even on a single-core host (a streaming
-//! pairwise merge tree over sorted runs does `O(n log k)` branchless
-//! moves where a re-sort pays `O(n log n)` compares); the hybrid sort
-//! reduces to exactly `sort_unstable` when the execution budget clamps
-//! to 1 and forks on real cores. The recorded `host_parallelism` field
+//! The run merge wins on a single core wherever runs are long enough
+//! (a streaming pairwise merge tree over sorted runs does `O(n log k)`
+//! branchless moves where a re-sort pays `O(n log n)` compares); the
+//! hybrid sort reduces to exactly `sort_unstable` when the execution
+//! budget clamps to 1 and forks on real cores. The recorded `host_parallelism` field
 //! says which regime produced the numbers. Virtual time is identical
 //! on both sides by the hybrid determinism contract.
 //!
@@ -303,25 +308,18 @@ fn bench_collectives(grid: &[(usize, usize)], reps: usize) -> Vec<AbCase> {
     out
 }
 
-/// A/B the *local* phases of hybrid rank×thread execution, measured
+/// A/B the local sort of hybrid rank×thread execution, measured
 /// directly on the dispatched kernels (a full-sort A/B would dilute
-/// the local phases behind the exchange and collectives). Side A is
+/// the local phase behind the exchange and collectives). Side A is
 /// exactly what a rank executes at `threads_per_rank = 1`; side B is
 /// exactly what it executes at `threads_per_rank = 4`, including the
 /// host clamp of the execution budget (on a single-core host the
-/// hybrid sort reduces to `sort_unstable` and the hybrid merge runs
-/// the flat tree serially). Grid entries are `(p, n_per)`: the merge
-/// side merges `p` received runs of `n_per` keys; the sort side sorts
-/// the same `p * n_per` keys flat.
-fn bench_hybrid_local(
-    grid: &[(usize, usize)],
-    reps: usize,
-    threads: usize,
-) -> (Vec<AbCase>, Vec<AbCase>) {
+/// hybrid sort reduces to `sort_unstable`). Grid entries are
+/// `(p, n_per)`: the sorted block is `p * n_per` keys.
+fn bench_local_sort(grid: &[(usize, usize)], reps: usize, threads: usize) -> Vec<AbCase> {
     let host = std::thread::available_parallelism().map_or(1, |v| v.get());
     let te = threads.min(host);
     let mut sorts = Vec::new();
-    let mut merges = Vec::new();
     for &(p, n_per) in grid {
         let n = p * n_per;
         let base = rank_local_keys(Distribution::paper_uniform(), Layout::Balanced, n, 1, 0, 11);
@@ -360,37 +358,57 @@ fn bench_hybrid_local(
             case.speedup()
         );
         sorts.push(case);
+    }
+    sorts
+}
 
-        // Post-exchange merge: serial Resort path vs the hybrid flat
-        // tree merge over the p received sorted runs.
-        let runs: Vec<Vec<u64>> = base
-            .chunks(n_per)
-            .map(|c| {
-                let mut r = c.to_vec();
-                r.sort_unstable();
-                r
-            })
-            .collect();
-        let mut serial = Vec::with_capacity(reps);
-        let mut hybrid = Vec::with_capacity(reps);
+/// A/B the post-exchange merge at one thread: `sort_unstable` of the
+/// flat receive buffer versus `merge_runs_in_place` over it. Grid
+/// entries are `(slots, runs, n)`: `n` uniform keys in `runs` sorted
+/// non-empty runs of (near-)equal length, spread over `slots` source
+/// slots (the rest empty, as after a sparse exchange). Clones and the
+/// scratch (the warm dead send block of a real sort) are made outside
+/// the timed region. Small cells repeat until ~2 Mi keys have been
+/// merged per side, so a µs-scale cell still has a stable median.
+fn bench_local_merge(grid: &[(usize, usize, usize)], min_reps: usize) -> Vec<AbCase> {
+    let kernels = Kernels::auto();
+    let mut merges = Vec::new();
+    for &(slots, runs, n) in grid {
+        let mut counts = vec![0usize; slots];
+        for i in 0..runs {
+            counts[i * slots / runs] = n / runs + usize::from(i < n % runs);
+        }
+        let mut base =
+            rank_local_keys(Distribution::paper_uniform(), Layout::Balanced, n, 1, 0, 11);
+        let mut at = 0;
+        for &c in &counts {
+            base[at..at + c].sort_unstable();
+            at += c;
+        }
+        let reps = min_reps.max(((1usize << 21) / n).min(1000));
+        let mut resort = Vec::with_capacity(reps);
+        let mut run_merge = Vec::with_capacity(reps);
         for _ in 0..reps {
+            let mut flat = base.clone();
             let t = Instant::now();
-            let mut flat: Vec<u64> = runs.iter().flatten().copied().collect();
             flat.sort_unstable();
-            serial.push(secs(t));
+            resort.push(secs(t));
             std::hint::black_box(&flat);
 
+            let mut merged = base.clone();
+            let mut scratch = base.clone();
+            let ends = counts.clone();
             let t = Instant::now();
-            let merged = dhs_shm::flat_tree_merge(&runs, te);
-            hybrid.push(secs(t));
-            std::hint::black_box(&merged);
+            dhs_shm::merge_runs_in_place(kernels, &mut merged, ends, &mut scratch, 1);
+            run_merge.push(secs(t));
+            assert_eq!(merged, flat, "run merge must equal the re-sort");
         }
-        let (legacy_min_s, legacy_median_s) = min_median(serial);
-        let (zero_copy_min_s, zero_copy_median_s) = min_median(hybrid);
+        let (legacy_min_s, legacy_median_s) = min_median(resort);
+        let (zero_copy_min_s, zero_copy_median_s) = min_median(run_merge);
         let case = AbCase {
-            label: format!("p{p}_n{n_per}"),
-            p,
-            n_per,
+            label: format!("r{runs}_n{n}"),
+            p: runs,
+            n_per: n / runs,
             reps,
             legacy_min_s,
             legacy_median_s,
@@ -398,12 +416,13 @@ fn bench_hybrid_local(
             zero_copy_median_s,
         };
         println!(
-            "local_merge_ab p={p:<4} n/p={n_per:<7} serial(t1) {legacy_median_s:>9.6}s  hybrid(t{threads}) {zero_copy_median_s:>9.6}s  speedup {:.2}x",
-            case.speedup()
+            "local_merge_ab r={runs:<4} n={n:<8} re-sort {legacy_median_s:>10.7}s  run-merge {zero_copy_median_s:>10.7}s  speedup {:.2}x  (rule picks {})",
+            case.speedup(),
+            if dhs_shm::run_merge_beats_resort(runs, n) { "run-merge" } else { "re-sort" }
         );
         merges.push(case);
     }
-    (sorts, merges)
+    merges
 }
 
 /// A/B the exchange schedule on the virtual clock. Grid entries are
@@ -930,6 +949,29 @@ fn main() {
     } else {
         (vec![(4, 262144), (8, 131072), (16, 65536)], 5)
     };
+    // (slots, non-empty runs, total keys): the benchmark workloads'
+    // shapes (8 × 128 Ki `local_heavy`, 32 × 1 Ki `epoch_stream`,
+    // 1024 slots holding 256 one-key runs `latency_bound`), more runs
+    // at 1 Ki, and mean run lengths 16/32/64 on either side of the
+    // re-sort rule's boundary.
+    let merge_grid: Vec<(usize, usize, usize)> = if smoke {
+        vec![(8, 8, 8 << 11), (64, 64, 64 << 5), (1024, 256, 256)]
+    } else {
+        vec![
+            (8, 8, 8 << 17),
+            (32, 32, 32 << 10),
+            (64, 64, 64 << 10),
+            (256, 256, 256 << 10),
+            (64, 64, 64 << 6),
+            (64, 64, 64 << 5),
+            (64, 64, 64 << 4),
+            (256, 256, 256 << 6),
+            (256, 256, 256 << 5),
+            (256, 256, 256 << 4),
+            (1024, 1024, 1024 << 2),
+            (1024, 256, 256),
+        ]
+    };
     let (splitter_grid, splitter_reps): (Vec<(usize, usize)>, usize) = if smoke {
         (vec![(8, 8192)], 3)
     } else {
@@ -983,7 +1025,8 @@ fn main() {
     let full = bench_full_sort(&sort_grid, sort_reps, kernels);
     let exchange = bench_exchange(&ex_grid, ex_reps);
     let collectives = bench_collectives(&coll_grid, coll_reps);
-    let (local_sorts, local_merges) = bench_hybrid_local(&local_grid, local_reps, hybrid_threads);
+    let local_sorts = bench_local_sort(&local_grid, local_reps, hybrid_threads);
+    let local_merges = bench_local_merge(&merge_grid, local_reps);
     let splitter = bench_splitter(&splitter_grid, splitter_reps);
     let kernel = bench_kernels(&kernel_grid, kernel_reps);
     let exchange_algo = bench_exchange_algo(&algo_grid);

@@ -35,7 +35,8 @@ pub enum Partitioning {
     Balanced,
 }
 
-/// Engine for the node-local sorts (phase 1 and the re-sort merge).
+/// Engine for the node-local sort of phase 1, and the cost model the
+/// [`MergeAlgo::Resort`] merge is charged under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LocalSort {
     /// Comparison sort (`sort_unstable`, pdqsort) — the paper's
@@ -151,7 +152,16 @@ pub struct SortConfig {
     /// Boundary placement policy.
     pub partitioning: Partitioning,
     /// Engine for the local merge of received runs (used by
-    /// [`ExchangeStrategy::AllToAllv`]).
+    /// [`ExchangeStrategy::AllToAllv`]). The default,
+    /// [`MergeAlgo::Resort`], is **charged as the paper's re-sort**
+    /// (the [`SortConfig::local_sort`] model over the received keys)
+    /// and **executed as a run merge when the rule says it is
+    /// cheaper**: `dhs_shm::merge_sorted_runs` merges the received
+    /// sorted runs in place, between the receive buffer and the dead
+    /// send block, and keeps `sort_unstable` only for many near-empty
+    /// runs (`dhs_shm::run_merge_beats_resort`). One execution path
+    /// for every [`SortConfig::threads_per_rank`]; output, stats and
+    /// virtual clocks are those of the re-sort.
     pub merge: MergeAlgo,
     /// Data-exchange schedule.
     pub exchange: ExchangeStrategy,
@@ -322,12 +332,13 @@ impl SortConfig {
 }
 
 /// Charge the modelled cost of a local sort of `n` keys under
-/// `engine`. Split from execution so the hybrid paths (which may run a
-/// different host kernel, e.g. a k-way merge standing in for a
-/// re-sort) charge exactly what the serial path charges — the charges
-/// depend only on `n` and the key width, never on `threads_per_rank`,
-/// which is what keeps the virtual clock byte-identical across thread
-/// budgets.
+/// `engine`. Split from execution because what the host runs need not
+/// be what the model prices: the [`MergeAlgo::Resort`] merge is
+/// charged here as the paper's re-sort and executed as a run merge
+/// when the rule says it is cheaper, and the hybrid local sort runs a
+/// fork–join kernel. The charges depend only on `n` and the key
+/// width, never on the kernel or on `threads_per_rank`, which is what
+/// keeps the virtual clock byte-identical across both.
 fn charge_local_sort<K: Key>(comm: &Comm, n: u64, engine: LocalSort) {
     match engine {
         LocalSort::Comparison => {
@@ -607,7 +618,15 @@ pub(crate) trait Payload<T> {
     /// Merge the received sorted runs into this rank's output block
     /// (keys: the [`SortConfig::merge`] engines; records: stable
     /// re-sort, since equal keys must keep their source order).
-    fn merge(&self, comm: &Comm, received: RecvRuns<T>, cfg: &SortConfig) -> Vec<T>;
+    /// `scratch` is the rank's send block, dead once the exchange has
+    /// returned: merge space for a hook that can use it.
+    fn merge(
+        &self,
+        comm: &Comm,
+        received: RecvRuns<T>,
+        scratch: Vec<T>,
+        cfg: &SortConfig,
+    ) -> Vec<T>;
 }
 
 /// [`Payload`] of plain keys: the element is its own key.
@@ -643,25 +662,28 @@ impl<K: Key> Payload<K> for Keys {
 
     /// Charges always follow the *configured* engine, so the virtual
     /// clock is identical for every thread budget.
-    fn merge(&self, comm: &Comm, received: RecvRuns<K>, cfg: &SortConfig) -> Vec<K> {
+    fn merge(
+        &self,
+        comm: &Comm,
+        received: RecvRuns<K>,
+        mut scratch: Vec<K>,
+        cfg: &SortConfig,
+    ) -> Vec<K> {
         let kernels = Kernels::for_policy(cfg.kernels);
         let threads = comm.threads();
         let n = received.total_len() as u64;
         match cfg.merge {
-            MergeAlgo::Resort if !threads.is_parallel() => {
-                // The receive buffer is already flat: re-sort it
-                // directly, zero copies.
-                let mut all = received.into_data();
-                local_sort_exec(comm, &mut all, cfg.local_sort, kernels);
-                all
-            }
             MergeAlgo::Resort => {
-                // Hybrid host execution: the received runs are already
-                // sorted, so merge them with the flat pairwise tree
-                // instead of re-sorting — same output, and the charge
-                // stays the modelled re-sort.
+                // Charged as the paper's re-sort, executed as a merge
+                // of the already-sorted runs wherever that is cheaper:
+                // the tree ping-pongs between the receive buffer and
+                // the dead send block, so no buffer is allocated. Same
+                // output for every thread budget.
                 charge_local_sort::<K>(comm, n, cfg.local_sort);
-                dhs_shm::flat_tree_merge_with(kernels, &received.as_slices(), threads.exec_budget())
+                let (mut flat, counts) = received.into_parts();
+                let te = threads.exec_budget();
+                dhs_shm::merge_sorted_runs(kernels, &mut flat, counts, &mut scratch, te);
+                flat
             }
             engine => {
                 let ways = received.runs().filter(|r| !r.is_empty()).count() as u64;
@@ -733,7 +755,7 @@ where
         Some(comm.exchange(buckets, cfg.exchange_algo))
     }
 
-    fn merge(&self, comm: &Comm, received: RecvRuns<T>, _: &SortConfig) -> Vec<T> {
+    fn merge(&self, comm: &Comm, received: RecvRuns<T>, _: Vec<T>, _: &SortConfig) -> Vec<T> {
         let key = self.0;
         charge_record_sort::<T>(comm, received.total_len());
         if comm.threads().is_parallel() {
@@ -953,7 +975,7 @@ pub(crate) fn attempt<T, P: Payload<T>>(
     if let Some(received) = received {
         let sp = c.span("merge");
         let intra = c.intra_span("merge");
-        *local = payload.merge(c, received, cfg);
+        *local = payload.merge(c, received, std::mem::take(local), cfg);
         drop(intra);
         stats.merge_ns += sp.finish();
     }

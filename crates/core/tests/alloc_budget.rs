@@ -89,6 +89,13 @@ fn sort_allocations(p: usize, n_per: usize) -> u64 {
 ///   replicated search state per round (`active`/`probe_bits`/`spans`/
 ///   `units` vectors, until PR 14) measured 16 128.
 ///
+/// The post-exchange merge contributes nothing to either row: the run
+/// merge (first row: 8 runs of ~512 keys) ping-pongs between the
+/// receive buffer and the dead send block and keeps its run table in
+/// the receive buffer's own counts vector, and the rule's re-sort side
+/// (second row: 64 runs of ~4 keys) sorts in place — so both counts
+/// are what they were when the merge was a plain `sort_unstable`.
+///
 /// One test, because the counter is process-global and the harness
 /// runs tests of a binary concurrently.
 const ALLOC_BUDGETS: [(usize, usize, u64); 2] = [(8, 4096, 840), (64, 256, 5_400)];

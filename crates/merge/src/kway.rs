@@ -23,6 +23,19 @@ pub enum MergeAlgo {
     /// Textbook binary-heap k-way merge.
     Heap,
     /// Concatenate and re-sort (what the paper's implementation ships).
+    ///
+    /// [`kway_merge`] does exactly that. As `SortConfig::merge` of the
+    /// distributed sort (its default) the variant is **charged as the
+    /// paper's re-sort and executed as a run merge when the rule says
+    /// it is cheaper**: `dhs_shm::merge_sorted_runs` merges the
+    /// received sorted runs in place and re-sorts only below a mean
+    /// run length of 32 keys. Recorded cells (`BENCH_wallclock.json`,
+    /// `local_merge_ab`, t = 1, u64, re-sort ÷ run-merge host time) —
+    /// the merge wins: 8 runs × 128 Ki 3.48×, 32 × 1 Ki 1.94×,
+    /// 64 × 1 Ki 1.76×, 256 × 1 Ki 1.50×, 64 × 64 1.15×, 256 × 64
+    /// 1.11×; break-even: 64 × 32 0.99×, 256 × 32 0.98×; the re-sort
+    /// wins: 64 × 16 0.85×, 256 × 16 0.85×, 1024 × 4 0.62×, 256
+    /// one-key runs (1024 sources, the p = 1024 shape) 0.28×.
     Resort,
     /// Cache-oblivious lazy funnel (the paper's §VI-E2 future-work
     /// direction, ref \[36\]).

@@ -93,6 +93,12 @@ impl<T> RecvRuns<T> {
         self.data
     }
 
+    /// Take the flat buffer and the per-source counts without copying
+    /// — what an in-place merge of the runs consumes.
+    pub fn into_parts(self) -> (Vec<T>, Vec<usize>) {
+        (self.data, self.counts)
+    }
+
     /// Split the runs back into owned per-source vectors (the legacy
     /// `alltoallv` return shape). One copy per element — prefer
     /// [`RecvRuns::as_slices`] / [`RecvRuns::into_data`] where the
@@ -291,7 +297,8 @@ mod tests {
         assert_eq!(r.run(2), &[3, 4, 5]);
         assert_eq!(r.run(3), &[6]);
         assert_eq!(r.as_slices().len(), 4);
-        assert_eq!(r.into_data(), vec![1, 2, 3, 4, 5, 6]);
+        assert_eq!(r.clone().into_data(), vec![1, 2, 3, 4, 5, 6]);
+        assert_eq!(r.into_parts(), (vec![1, 2, 3, 4, 5, 6], vec![2, 0, 3, 1]));
     }
 
     #[test]

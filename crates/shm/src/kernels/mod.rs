@@ -27,9 +27,11 @@
 //!   byte positions that actually vary, skipping dead passes without
 //!   a counting sweep) and cache-sized per-pass counting buckets.
 //! * **two-way merge core** ([`Kernels::merge_u64`] /
-//!   [`Kernels::merge_u32`]): the leaf merge of the flat pairwise
-//!   merge tree, a conditional-move scalar loop on every backend (an
-//!   AVX2 bitonic-network core lost to it at 0.97× and was deleted).
+//!   [`Kernels::merge_u32`], generic form [`merge_two_into_slice`]):
+//!   the leaf merge of the in-place run-merge tree, one two-ended
+//!   conditional-move scalar loop on every backend (an AVX2
+//!   bitonic-network core lost to the one-ended loop at 0.97× and was
+//!   deleted).
 //!
 //! ## Determinism contract
 //!
@@ -342,26 +344,18 @@ impl Kernels {
     }
 
     /// Two-way merge of sorted slices into an exactly-sized output
-    /// window: the scalar conditional-move merge on every backend.
+    /// window: [`merge_two_into_slice`] on every backend.
     pub fn merge_u64(&self, a: &[u64], b: &[u64], out: &mut [u64]) {
-        assert_eq!(
-            a.len() + b.len(),
-            out.len(),
-            "output window must fit both inputs"
-        );
-        scalar::merge_u64(a, b, out)
+        scalar::merge_into(a, b, out)
     }
 
     /// [`Kernels::merge_u64`] over `u32` keys.
     pub fn merge_u32(&self, a: &[u32], b: &[u32], out: &mut [u32]) {
-        assert_eq!(
-            a.len() + b.len(),
-            out.len(),
-            "output window must fit both inputs"
-        );
-        scalar::merge_u32(a, b, out)
+        scalar::merge_into(a, b, out)
     }
 }
+
+pub use scalar::merge_into as merge_two_into_slice;
 
 /// Flatten an ascending ladder into a complete implicit search tree
 /// (root at index 0, children of `i` at `2i+1`/`2i+2`), padded to a

@@ -189,34 +189,63 @@ pub fn radix_sort_u32(data: &mut [u32]) {
     data.copy_from_slice(&src);
 }
 
-/// Conditional-move two-way merge: the take-from-a/take-from-b choice
-/// compiles to a cmov, so randomly interleaved runs do not mispredict
-/// per element.
-pub fn merge_u64(a: &[u64], b: &[u64], out: &mut [u64]) {
-    let (na, nb) = (a.len(), b.len());
+/// Two-way merge of sorted `a` and `b` into `out` (exactly
+/// `a.len() + b.len()` long); ties take from `a` first, so the merge
+/// is stable for element types whose `Ord` ignores part of the value.
+///
+/// **Two-ended and branch-free.** A one-ended conditional-move merge
+/// is one serial dependency chain — each load address waits for the
+/// previous compare — so it runs at load-to-use latency, not
+/// throughput. The first `min(|a|, |b|)` steps therefore emit the
+/// smallest remaining element at the front of `out` *and* the largest
+/// at the back, two chains that share nothing and overlap in the
+/// pipeline; the one-ended loop finishes whatever middle is left
+/// (`||a| − |b||` elements, nothing for the equal halves a merge tree
+/// over balanced runs produces).
+///
+/// Why the two ends never collide: the stable merge assigns every
+/// input element one output position. After `s` steps the front has
+/// consumed exactly the elements of positions `0..s` and the back
+/// those of `n − s..n`; `2·steps ≤ n` (because `min(|a|, |b|) ≤
+/// (|a| + |b|) / 2`) keeps the two position sets — hence the two
+/// consumed element sets — disjoint. The back breaks ties towards `b`
+/// (equal elements of `a` sort *before* those of `b`, so from the back
+/// `b`'s go first), which is the same total order the front uses.
+/// `steps ≤ min(|a|, |b|)` keeps every cursor read in bounds: in step
+/// `s` the front cursors are `≤ s < steps` and the back cursors are
+/// `≥ len − s ≥ 1`. A cursor may *read* an element the other end
+/// already consumed (the compare needs an operand); it never takes it.
+pub fn merge_into<T: Ord + Copy>(a: &[T], b: &[T], out: &mut [T]) {
+    let (na, nb, n) = (a.len(), b.len(), out.len());
+    assert_eq!(na + nb, n, "output window must fit both inputs");
+    let steps = na.min(nb);
     let (mut i, mut j, mut k) = (0usize, 0usize, 0usize);
-    while i < na && j < nb {
-        let take_b = b[j] < a[i];
-        out[k] = if take_b { b[j] } else { a[i] };
+    let (mut ie, mut je, mut ke) = (na, nb, n);
+    for _ in 0..steps {
+        let (x, y) = (a[i], b[j]);
+        let take_b = y < x;
+        out[k] = if take_b { y } else { x };
         i += usize::from(!take_b);
         j += usize::from(take_b);
         k += 1;
-    }
-    out[k..k + (na - i)].copy_from_slice(&a[i..]);
-    out[k + (na - i)..].copy_from_slice(&b[j..]);
-}
 
-/// `u32` twin of [`merge_u64`].
-pub fn merge_u32(a: &[u32], b: &[u32], out: &mut [u32]) {
-    let (na, nb) = (a.len(), b.len());
-    let (mut i, mut j, mut k) = (0usize, 0usize, 0usize);
-    while i < na && j < nb {
-        let take_b = b[j] < a[i];
-        out[k] = if take_b { b[j] } else { a[i] };
+        let (x, y) = (a[ie - 1], b[je - 1]);
+        let take_a = y < x;
+        ke -= 1;
+        out[ke] = if take_a { x } else { y };
+        ie -= usize::from(take_a);
+        je -= usize::from(!take_a);
+    }
+    debug_assert!(i <= ie && j <= je && (ie - i) + (je - j) == ke - k);
+    // The middle: one-ended conditional-move merge of what is left.
+    while i < ie && j < je {
+        let (x, y) = (a[i], b[j]);
+        let take_b = y < x;
+        out[k] = if take_b { y } else { x };
         i += usize::from(!take_b);
         j += usize::from(take_b);
         k += 1;
     }
-    out[k..k + (na - i)].copy_from_slice(&a[i..]);
-    out[k + (na - i)..].copy_from_slice(&b[j..]);
+    out[k..k + (ie - i)].copy_from_slice(&a[i..ie]);
+    out[k + (ie - i)..ke].copy_from_slice(&b[j..je]);
 }

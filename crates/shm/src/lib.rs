@@ -22,9 +22,9 @@ pub mod sort;
 pub use fork::{join, map_parallel};
 pub use kernels::{KernelPolicy, Kernels};
 pub use pmerge::{
-    flat_tree_merge, flat_tree_merge_with, parallel_binary_tree_merge,
-    parallel_binary_tree_merge_by, parallel_kway_chunked, parallel_merge_into,
-    parallel_merge_into_by,
+    flat_tree_merge, flat_tree_merge_with, merge_runs_in_place, merge_sorted_runs,
+    parallel_binary_tree_merge, parallel_binary_tree_merge_by, parallel_kway_chunked,
+    parallel_merge_into, parallel_merge_into_by, run_merge_beats_resort,
 };
 pub use radix::{radix_sort_by_bits, radix_sort_u32, radix_sort_u64};
 pub use sort::{

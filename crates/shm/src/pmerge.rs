@@ -25,7 +25,7 @@ use dhs_merge::{
 };
 
 use crate::fork::{join, map_parallel};
-use crate::kernels::{merge_typed, Kernels};
+use crate::kernels::{merge_two_into_slice, merge_typed, Kernels};
 
 /// Sequential-work threshold below which parallel merge recursion stops.
 const MERGE_GRAIN: usize = 4096;
@@ -214,47 +214,236 @@ where
     parallel_binary_tree_merge(&partials, threads)
 }
 
-/// Two-way merge of sorted slices into an exactly-sized output window.
-/// Stable: ties take from `a` first. The hot loop is written so the
-/// take-from-a/take-from-b choice compiles to a conditional move — on
-/// randomly interleaved runs a branchy merge mispredicts almost every
-/// element, which would dominate the whole merge tree.
-fn merge_two_into_slice<T: Ord + Copy>(a: &[T], b: &[T], out: &mut [T]) {
-    debug_assert_eq!(a.len() + b.len(), out.len());
-    let (na, nb) = (a.len(), b.len());
-    let (mut i, mut j, mut k) = (0usize, 0usize, 0usize);
-    while i < na && j < nb {
-        let take_b = b[j] < a[i];
-        out[k] = if take_b { b[j] } else { a[i] };
-        i += usize::from(!take_b);
-        j += usize::from(take_b);
-        k += 1;
-    }
-    out[k..k + (na - i)].copy_from_slice(&a[i..]);
-    out[k + (na - i)..].copy_from_slice(&b[j..]);
-}
-
-/// Leaf merge of the flat tree: kernel core for native integer keys,
-/// portable conditional-move merge otherwise.
+/// Leaf merge of the run-merge tree: the dispatched kernel core for
+/// native integer keys, the same two-ended merge instantiated at `T`
+/// otherwise.
 fn merge_pair<T: Ord + Copy + 'static>(kernels: Kernels, a: &[T], b: &[T], out: &mut [T]) {
     if !merge_typed(kernels, a, b, out) {
         merge_two_into_slice(a, b, out);
     }
 }
 
-/// Allocation-free-per-level binary merge tree over sorted runs: all
-/// runs are packed into one contiguous buffer, then adjacent pairs are
-/// merged level by level between two ping-pong buffers. Every level
-/// streams `n` elements sequentially — `O(n log k)` moves with exactly
-/// two `n`-sized allocations — which makes it the fastest way to turn
-/// the post-exchange `RecvRuns` into a sorted array even on a single
-/// core (a re-sort pays `O(n log n)` compares; the per-node allocation
-/// of the boxed merge engines pays the allocator per level).
+/// Mean non-empty run length below which [`merge_sorted_runs`] re-sorts
+/// instead of merging. Read off the `local_merge_ab` grid of
+/// `BENCH_wallclock.json` (t = 1, u64 keys): see
+/// [`run_merge_beats_resort`].
+const MIN_MEAN_RUN: usize = 32;
+
+/// The closed-form rule behind [`merge_sorted_runs`]: does the binary
+/// run-merge tree beat `sort_unstable` on `n` keys held in `runs`
+/// non-empty sorted runs?
 ///
-/// Pair merges within a level write disjoint output windows, so with a
+/// The tree moves every key `⌈log₂ runs⌉` times and pays a fixed
+/// set-up per pair merge; a re-sort pays `n log n` compares but its
+/// small-sort networks have no per-run cost. So the tree wins once the
+/// runs are long enough to amortise the per-pair set-up — mean run
+/// length `n / runs ≥ MIN_MEAN_RUN` — and loses on many near-empty
+/// runs (the p = 1024, 256-keys-per-rank shape, where every rank
+/// receives ~256 one-key runs). Fewer than two runs are already
+/// sorted: the tree returns them untouched.
+///
+/// Recorded cells (`BENCH_wallclock.json`, `local_merge_ab`: t = 1,
+/// u64 keys, re-sort ÷ run-merge host time, runs × mean length). The
+/// tree wins: 8 × 128 Ki 3.48×, 32 × 1 Ki 1.94×, 64 × 1 Ki 1.76×,
+/// 256 × 1 Ki 1.50×, 64 × 64 1.15×, 256 × 64 1.11×. Break-even, where
+/// the constant sits: 64 × 32 0.99×, 256 × 32 0.98×. Re-sort wins:
+/// 64 × 16 0.85×, 256 × 16 0.85×, 1024 × 4 0.62×, 256 one-key runs
+/// 0.28×.
+pub fn run_merge_beats_resort(runs: usize, n: usize) -> bool {
+    runs < 2 || n >= runs * MIN_MEAN_RUN
+}
+
+/// Sort `flat`, which holds sorted runs back to back (run `i` is
+/// `counts[i]` long — the `RecvRuns` layout after an exchange):
+/// [`merge_runs_in_place`] where [`run_merge_beats_resort`] says the
+/// tree is cheaper, `sort_unstable` otherwise. Both give the unique
+/// ascending permutation, so the choice is invisible in the output.
+///
+/// # Panics
+/// Panics when `counts` does not sum to `flat.len()`.
+pub fn merge_sorted_runs<T>(
+    kernels: Kernels,
+    flat: &mut [T],
+    counts: Vec<usize>,
+    scratch: &mut Vec<T>,
+    threads: usize,
+) where
+    T: Ord + Copy + Send + Sync + 'static,
+{
+    let ends = run_ends(counts, flat.len());
+    if run_merge_beats_resort(ends.len(), flat.len()) {
+        merge_tree(kernels, flat, ends, scratch, threads);
+    } else {
+        flat.sort_unstable();
+    }
+}
+
+/// Turn per-run `counts` into the end offsets of the non-empty runs,
+/// in place: run `i` is `flat[ends[i - 1]..ends[i]]` (from 0 for
+/// `i = 0`), empty runs drop out.
+fn run_ends(counts: Vec<usize>, n: usize) -> Vec<usize> {
+    let mut ends = counts;
+    let mut end = 0;
+    ends.retain_mut(|c| {
+        end += *c;
+        let keep = *c > 0;
+        *c = end;
+        keep
+    });
+    assert_eq!(end, n, "counts must cover the buffer exactly");
+    ends
+}
+
+/// Binary merge tree over the sorted runs of `flat`, ping-ponging
+/// between `flat` and `scratch` with no further buffer: every level
+/// merges adjacent run pairs of one buffer into the same windows of
+/// the other (a trailing odd run is copied across) and streams all `n`
+/// elements once — `O(n log k)` moves against the `O(n log n)`
+/// compares of a re-sort, which is why it is the fastest way to turn
+/// the post-exchange receive buffer into a sorted array even on one
+/// core.
+///
+/// The result always ends in `flat`. A tree of `⌈log₂ k⌉` levels
+/// that simply alternated buffers would end in `scratch` whenever
+/// that count is odd; the first level of an odd tree is therefore
+/// *staged*: each pair is copied to its scratch window and merged back
+/// from there while the window is still cache-hot, which leaves an
+/// even number of alternating levels. The caller thus keeps the
+/// buffer it passed in — after an exchange, the one receive buffer the
+/// rank allocated — and the allocation pattern around the merge is
+/// that of an in-place sort.
+///
+/// Nothing is allocated: `scratch` is any vector the caller no longer
+/// needs (the dead send block after an exchange), resized to
+/// `flat.len()` only when a merge actually runs, and `counts` is
+/// consumed as the tree's working state (it shrinks to the run ends of
+/// each level in place). With fewer than two non-empty runs `flat` is
+/// already sorted and neither buffer is touched.
+///
+/// Pair merges within a level work on disjoint windows, so with a
 /// thread budget they run concurrently; the pairing is fixed (adjacent
 /// runs), so the output is identical — and stable, ties resolving to
 /// the lower-indexed run — for every budget.
+///
+/// # Panics
+/// Panics when `counts` does not sum to `flat.len()`.
+pub fn merge_runs_in_place<T>(
+    kernels: Kernels,
+    flat: &mut [T],
+    counts: Vec<usize>,
+    scratch: &mut Vec<T>,
+    threads: usize,
+) where
+    T: Ord + Copy + Send + Sync + 'static,
+{
+    let ends = run_ends(counts, flat.len());
+    merge_tree(kernels, flat, ends, scratch, threads);
+}
+
+/// [`merge_runs_in_place`] over the run ends [`run_ends`] produced.
+fn merge_tree<T>(
+    kernels: Kernels,
+    flat: &mut [T],
+    mut ends: Vec<usize>,
+    scratch: &mut Vec<T>,
+    threads: usize,
+) where
+    T: Ord + Copy + Send + Sync + 'static,
+{
+    if ends.len() < 2 {
+        return;
+    }
+    let n = flat.len();
+    scratch.truncate(n);
+    scratch.resize(n, flat[0]);
+    let (mut src, mut dst) = (flat, &mut scratch[..]);
+    let levels = ends.len().next_power_of_two().trailing_zeros();
+    if levels % 2 == 1 {
+        merge_level(kernels, src, dst, &mut ends, threads, true);
+    }
+    while ends.len() > 1 {
+        merge_level(kernels, src, dst, &mut ends, threads, false);
+        std::mem::swap(&mut src, &mut dst);
+    }
+}
+
+/// One level of [`merge_tree`]: merge runs `2q` and `2q + 1`
+/// of `src` and halve `ends` in place. Plain levels merge into the
+/// same window of `dst` and carry a trailing odd run across unmerged;
+/// a `staged` level leaves its result in `src` (see [`merge_window`]).
+fn merge_level<T>(
+    kernels: Kernels,
+    src: &mut [T],
+    dst: &mut [T],
+    ends: &mut Vec<usize>,
+    threads: usize,
+    staged: bool,
+) where
+    T: Ord + Copy + Send + Sync + 'static,
+{
+    let pairs = ends.len() / 2;
+    let paired_end = ends[2 * pairs - 1];
+    // Pair `q` as (window length, offset of its second run).
+    let pair = |q: usize| {
+        let lo = if q == 0 { 0 } else { ends[2 * q - 1] };
+        (ends[2 * q + 1] - lo, ends[2 * q] - lo)
+    };
+    // Carve one disjoint window per pair out of both buffers, in order.
+    let (mut src_rest, src_tail) = src.split_at_mut(paired_end);
+    let (mut dst_rest, dst_tail) = dst.split_at_mut(paired_end);
+    let mut next_window = |q: usize| {
+        let (len, mid) = pair(q);
+        let (s, s_rest) = std::mem::take(&mut src_rest).split_at_mut(len);
+        let (d, d_rest) = std::mem::take(&mut dst_rest).split_at_mut(len);
+        (src_rest, dst_rest) = (s_rest, d_rest);
+        (s, d, mid)
+    };
+    if threads <= 1 || pairs == 1 {
+        for q in 0..pairs {
+            let (s, d, mid) = next_window(q);
+            merge_window(kernels, s, d, mid, staged);
+        }
+    } else {
+        let tasks: Vec<_> = (0..pairs).map(next_window).collect();
+        map_parallel(threads, tasks, |(s, d, mid)| {
+            merge_window(kernels, s, d, mid, staged)
+        });
+    }
+    if !staged {
+        dst_tail.copy_from_slice(src_tail);
+    }
+    let odd = ends.len() % 2 == 1;
+    for q in 0..pairs {
+        ends[q] = ends[2 * q + 1];
+    }
+    ends.truncate(pairs);
+    if odd {
+        ends.push(src.len());
+    }
+}
+
+/// Merge the two runs `src[..mid]` and `src[mid..]` of one pair window
+/// into `dst` — or, `staged`, back into `src` by way of `dst`.
+fn merge_window<'a, T>(
+    kernels: Kernels,
+    mut src: &'a mut [T],
+    mut dst: &'a mut [T],
+    mid: usize,
+    staged: bool,
+) where
+    T: Ord + Copy + 'static,
+{
+    if staged {
+        dst.copy_from_slice(src);
+        std::mem::swap(&mut src, &mut dst);
+    }
+    let (a, b) = src.split_at(mid);
+    merge_pair(kernels, a, b, dst);
+}
+
+/// [`merge_runs_in_place`] over borrowed runs: packs them into one
+/// flat buffer first (the one copy borrowed inputs need), then merges
+/// with the portable scalar kernels.
 pub fn flat_tree_merge<T, R>(runs: &[R], threads: usize) -> Vec<T>
 where
     T: Ord + Copy + Send + Sync + 'static,
@@ -263,76 +452,22 @@ where
     flat_tree_merge_with(Kernels::scalar(), runs, threads)
 }
 
-/// [`flat_tree_merge`] with an explicit kernel backend: the pairwise
-/// leaf merges route through the monomorphic two-way merge core for
-/// native `u64`/`u32` elements (and fall back to the portable
-/// conditional-move merge for every other `T`). Output is identical to
-/// [`flat_tree_merge`] for every backend — merging equal `Copy` scalar
-/// keys is unobservable — so callers may pick the backend on host-time
-/// grounds alone.
+/// [`flat_tree_merge`] with an explicit kernel backend. Output is
+/// identical for every backend — merging equal `Copy` scalar keys is
+/// unobservable — so callers may pick the backend on host-time grounds
+/// alone.
 pub fn flat_tree_merge_with<T, R>(kernels: Kernels, runs: &[R], threads: usize) -> Vec<T>
 where
     T: Ord + Copy + Send + Sync + 'static,
     R: AsRef<[T]> + Sync,
 {
-    let slices: Vec<&[T]> = runs
-        .iter()
-        .map(|r| r.as_ref())
-        .filter(|s| !s.is_empty())
-        .collect();
-    match slices.len() {
-        0 => return Vec::new(),
-        1 => return slices[0].to_vec(),
-        _ => {}
+    let counts: Vec<usize> = runs.iter().map(|r| r.as_ref().len()).collect();
+    let mut flat: Vec<T> = Vec::with_capacity(counts.iter().sum());
+    for r in runs {
+        flat.extend_from_slice(r.as_ref());
     }
-    let n: usize = slices.iter().map(|s| s.len()).sum();
-    let mut src: Vec<T> = Vec::with_capacity(n);
-    let mut bounds: Vec<usize> = Vec::with_capacity(slices.len() + 1);
-    bounds.push(0);
-    for s in &slices {
-        src.extend_from_slice(s);
-        bounds.push(src.len());
-    }
-    let mut dst = src.clone();
-    while bounds.len() > 2 {
-        let r = bounds.len() - 1; // number of runs at this level
-        let mut new_bounds = Vec::with_capacity(r / 2 + 2);
-        new_bounds.push(0);
-        // Adjacent pairs [lo, mid, hi); a trailing odd run is copied.
-        let mut jobs: Vec<(usize, usize, usize)> = Vec::with_capacity(r / 2);
-        let mut i = 0;
-        while i + 2 < bounds.len() {
-            jobs.push((bounds[i], bounds[i + 1], bounds[i + 2]));
-            new_bounds.push(bounds[i + 2]);
-            i += 2;
-        }
-        if i + 1 < bounds.len() {
-            new_bounds.push(bounds[i + 1]);
-        }
-        // Carve disjoint output windows, one per pair, in order.
-        let mut tasks: Vec<(&[T], &[T], &mut [T])> = Vec::with_capacity(jobs.len());
-        let mut rest: &mut [T] = &mut dst;
-        let mut pos = 0;
-        for &(lo, mid, hi) in &jobs {
-            debug_assert_eq!(lo, pos);
-            let (out, r2) = rest.split_at_mut(hi - lo);
-            tasks.push((&src[lo..mid], &src[mid..hi], out));
-            rest = r2;
-            pos = hi;
-        }
-        if threads <= 1 {
-            for (a, b, out) in tasks {
-                merge_pair(kernels, a, b, out);
-            }
-        } else {
-            map_parallel(threads, tasks, |(a, b, out)| merge_pair(kernels, a, b, out));
-        }
-        // The odd tail run rides along unmerged.
-        rest.copy_from_slice(&src[pos..]);
-        std::mem::swap(&mut src, &mut dst);
-        bounds = new_bounds;
-    }
-    src
+    merge_runs_in_place(kernels, &mut flat, counts, &mut Vec::new(), threads);
+    flat
 }
 
 #[cfg(test)]

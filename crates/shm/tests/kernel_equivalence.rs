@@ -9,7 +9,9 @@
 //! partition-point and `sort_unstable` oracles still check the scalar
 //! kernels themselves.
 
-use dhs_shm::kernels::{ladder_bounds_typed, merge_typed, radix_sort_typed, Kernels};
+use dhs_shm::kernels::{
+    ladder_bounds_typed, merge_two_into_slice, merge_typed, radix_sort_typed, Kernels,
+};
 use proptest::prelude::*;
 
 /// xorshift64* stream; deterministic per seed.
@@ -75,6 +77,42 @@ fn ladder_u32(seed: u64, len: usize, dupes: bool) -> Vec<u32> {
         .collect();
     v.sort_unstable();
     v
+}
+
+/// A record ordered by `key` alone; `tag` witnesses which input
+/// element an output slot came from.
+#[derive(Debug, Clone, Copy)]
+struct Tagged {
+    key: u64,
+    tag: u32,
+}
+
+impl PartialEq for Tagged {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
+}
+impl Eq for Tagged {}
+impl PartialOrd for Tagged {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Tagged {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.key.cmp(&other.key)
+    }
+}
+
+/// Merge-input shapes: 0 both sides as drawn, 1 |a| ≫ |b|, 2 |b| = 0,
+/// 3 |b| = 1.
+fn side_lengths(sides: usize, na: usize, nb: usize) -> (usize, usize) {
+    match sides {
+        0 => (na, nb),
+        1 => (8 * na + 64, nb % 8),
+        2 => (na, 0),
+        _ => (na, 1),
+    }
 }
 
 proptest! {
@@ -193,7 +231,9 @@ proptest! {
         nb in 0usize..150,
         shape in 0usize..4,
         offset in 0usize..2,
+        sides in 0usize..4,
     ) {
+        let (na, nb) = side_lengths(sides, na, nb);
         let mut a = keys_u64(seed, na + offset, shape);
         let mut b = keys_u64(seed ^ 3, nb, shape);
         a.sort_unstable();
@@ -202,10 +242,14 @@ proptest! {
         let mut expect: Vec<u64> = a.iter().chain(b.iter()).copied().collect();
         expect.sort_unstable();
         // One merge core on every backend (the AVX2 bitonic core was
-        // deleted): the std-sort oracle is the only other side.
+        // deleted): the std-sort oracle is the only other side. Both
+        // argument orders, so each side is the short one once.
         let k = Kernels::auto();
         let mut out = vec![0u64; a.len() + b.len()];
         k.merge_u64(a, &b, &mut out);
+        prop_assert_eq!(&out, &expect);
+        out.fill(0);
+        k.merge_u64(&b, a, &mut out);
         prop_assert_eq!(&out, &expect);
         let a32: Vec<u32> = a.iter().map(|&x| x as u32).collect();
         let mut a32 = a32;
@@ -217,6 +261,38 @@ proptest! {
         let mut out = vec![0u32; a32.len() + b32.len()];
         k.merge_u32(&a32, &b32, &mut out);
         prop_assert_eq!(&out, &expect);
+    }
+
+    /// The generic form of the two-ended leaf is *stable*: equal keys
+    /// come out `a`-side first, in input order within a side, from
+    /// the front cursor and the back cursor alike — i.e. the output
+    /// equals a stable sort of `a ++ b`.
+    #[test]
+    fn generic_merge_takes_ties_from_a_first(
+        seed in 0u64..u64::MAX,
+        na in 0usize..120,
+        nb in 0usize..120,
+        distinct in 1u64..6,
+        sides in 0usize..4,
+    ) {
+        let (na, nb) = side_lengths(sides, na, nb);
+        let mut next = stream(seed);
+        let mut side = |len: usize, tag0: u32| -> Vec<Tagged> {
+            let mut keys: Vec<u64> = (0..len).map(|_| next() % distinct).collect();
+            keys.sort_unstable();
+            keys.iter()
+                .enumerate()
+                .map(|(i, &key)| Tagged { key, tag: tag0 + i as u32 })
+                .collect()
+        };
+        let a = side(na, 0);
+        let b = side(nb, 1 << 20);
+        let mut expect: Vec<Tagged> = a.iter().chain(b.iter()).copied().collect();
+        expect.sort_by_key(|t| t.key); // stable reference
+        let mut out = vec![Tagged { key: 0, tag: 0 }; na + nb];
+        merge_two_into_slice(&a, &b, &mut out);
+        let tags = |v: &[Tagged]| v.iter().map(|t| (t.key, t.tag)).collect::<Vec<_>>();
+        prop_assert_eq!(tags(&out), tags(&expect));
     }
 
     #[test]
@@ -294,6 +370,28 @@ fn edge_cases_all_backends() {
         let mut out = vec![0u32; 3];
         k.merge_u32(&[2, 2], &[2], &mut out);
         assert_eq!(out, vec![2, 2, 2]);
+
+        // The two-ended loop at its boundary: it runs min(|a|, |b|)
+        // steps, so here the front and back cursors of the short side
+        // meet exactly — it straddles the long side (consumed once
+        // from each end), sits wholly below it, wholly above it (the
+        // back cursor then compares against an element the front
+        // already took), and ties with it.
+        for (a, b) in [
+            (vec![1u64, 100], vec![2u64, 3, 4, 5, 6]),
+            (vec![1, 2], vec![3, 4, 5, 6, 7]),
+            (vec![8, 9], vec![3, 4, 5, 6, 7]),
+            (vec![5], vec![7]),
+            (vec![5, 5], vec![5, 5, 5]),
+        ] {
+            let mut expect: Vec<u64> = a.iter().chain(&b).copied().collect();
+            expect.sort_unstable();
+            let mut out = vec![0u64; expect.len()];
+            k.merge_u64(&a, &b, &mut out);
+            assert_eq!(out, expect, "a={a:?} b={b:?}");
+            k.merge_u64(&b, &a, &mut out);
+            assert_eq!(out, expect, "a={b:?} b={a:?}");
+        }
     }
 }
 

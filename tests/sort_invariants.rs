@@ -275,6 +275,34 @@ fn all_merge_engines_integrate() {
     }
 }
 
+/// `Partitioning::Balanced` over a skewed layout makes every rank's
+/// output size differ from its input size, so the run merge gets a
+/// scratch (the dead send block) that is shorter than its receive
+/// buffer on the ranks that started light, longer on the ones that
+/// started heavy, and empty on the ones that held nothing.
+#[test]
+fn balanced_partitioning_over_skewed_layouts_resizes_the_merge_scratch() {
+    for layout in [
+        Layout::Ramp { ratio: 6 },
+        Layout::SparseFront {
+            empty_permille: 500,
+        },
+        Layout::SingleRank { holder: 2 },
+    ] {
+        for threads in [1, 4] {
+            let cfg = SortConfig::builder()
+                .partitioning(Partitioning::Balanced)
+                .threads_per_rank(threads)
+                .build()
+                .expect("valid config");
+            let (p, n_total) = (6, 12_000);
+            let sizes = sort_and_verify(p, n_total, Distribution::paper_uniform(), layout, &cfg, 3);
+            assert_eq!(sizes.iter().sum::<usize>(), n_total);
+            assert_ne!(sizes, layout.sizes(n_total, p), "{layout:?} must be skewed");
+        }
+    }
+}
+
 #[test]
 fn large_rank_count_smoke() {
     // 64 ranks on the Table I topology, duplicates and sparseness.
