@@ -11,6 +11,8 @@
 //! paper observes in the Charm++ runs, up to outright non-termination
 //! on normally distributed keys within the job's time limit.
 
+use std::sync::Arc;
+
 use dhs_core::splitter::{SplitterInfo, SplitterResult};
 use dhs_core::{exchange, Key};
 use dhs_merge::{kway_merge, MergeAlgo};
@@ -134,7 +136,7 @@ fn hss_find_splitters<K: Key>(
     let n_local = sorted_local.len() as u64;
     if targets.is_empty() {
         return SplitterResult {
-            splitters: Vec::new(),
+            splitters: Arc::new([]),
             iterations: 0,
             probes: 0,
             degraded: false,

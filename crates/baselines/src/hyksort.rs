@@ -123,7 +123,7 @@ fn hyksort_level<K: Key>(
         searches: 2 * (k as u64 - 1),
         n: local.len() as u64,
     });
-    for info in &found.splitters {
+    for info in found.splitters.iter() {
         bounds.push(local.partition_point(|x| *x < info.key) as u64);
         bounds.push(local.partition_point(|x| *x <= info.key) as u64);
     }

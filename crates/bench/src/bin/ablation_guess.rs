@@ -16,7 +16,7 @@
 use dhs_bench::stats::median_ci;
 use dhs_bench::table::{fmt_secs, Table};
 use dhs_bench::Args;
-use dhs_core::{find_splitters_opts, perfect_targets, InitialBounds};
+use dhs_core::{find_splitters_cfg, perfect_targets, InitialBounds, SplitterOptions};
 use dhs_runtime::{run, ClusterConfig};
 use dhs_workloads::{rank_local_keys, Distribution, Layout};
 
@@ -43,7 +43,11 @@ fn measure(
             let caps: Vec<usize> = comm.allgather(local.len());
             let targets = perfect_targets(&caps);
             let t0 = comm.now_ns();
-            let res = find_splitters_opts(comm, &local, &targets, 0, init);
+            let opts = SplitterOptions {
+                init,
+                ..SplitterOptions::default()
+            };
+            let res = find_splitters_cfg(comm, &local, &targets, 0, opts);
             (res.iterations, comm.now_ns() - t0)
         });
         iters.push(out.iter().map(|((it, _), _)| *it).max().expect("non-empty") as f64);

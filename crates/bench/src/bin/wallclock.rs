@@ -72,10 +72,10 @@
 //!   an AVX2 host; on hosts without AVX2 the dispatched side *is* the
 //!   scalar side and every speedup column sits at 1.0×.
 //! * `splitter_ab` — the splitter search A/B: the classic loop
-//!   (`probes_per_round = 1`, index brackets off — one midpoint per
-//!   round, every probe binary-searching the full local array) versus
-//!   the tuned search (`probes_per_round = 7`, brackets on). Both
-//!   sides accept byte-identical splitters; the ≥1.3× acceptance
+//!   (`probes_per_round = 1`, one midpoint per round) versus the
+//!   multi-probe search (`probes_per_round = 7`), both over shrinking
+//!   index brackets, so the A/B isolates the round count.
+//!   Both sides accept byte-identical splitters; the ≥1.3× acceptance
 //!   target refers to the largest (reference) configuration.
 //!
 //! The run merge wins on a single core wherever runs are long enough
@@ -478,8 +478,8 @@ fn bench_exchange_algo(grid: &[(usize, usize, usize)]) -> Vec<AbCase> {
 }
 
 /// A/B the splitter search on identical sorted local data: the classic
-/// single-probe loop with full-array binary searches versus multi-probe
-/// bisection (`m = 7`) with shrinking index brackets. Each rep is timed
+/// single-probe loop versus multi-probe bisection (`m = 7`), both over
+/// shrinking index brackets. Each rep is timed
 /// between barriers on every rank; rank 0's samples are reported (all
 /// ranks rendezvous in the per-round allreduce, so rank 0 observes the
 /// full critical path). Both sides return byte-identical splitters —
@@ -502,12 +502,10 @@ fn bench_splitter(grid: &[(usize, usize)], reps: usize) -> Vec<AbCase> {
 
             let classic = SplitterOptions {
                 probes_per_round: 1,
-                index_brackets: false,
                 ..SplitterOptions::default()
             };
             let tuned = SplitterOptions {
                 probes_per_round: 7,
-                index_brackets: true,
                 ..SplitterOptions::default()
             };
             let mut legacy = Vec::with_capacity(reps);

@@ -120,7 +120,7 @@ pub fn plan_exchange_with<K: Key>(
             contingents.push(c);
         }
     } else {
-        for info in &splitters.splitters {
+        for info in splitters.splitters.iter() {
             let l = sorted_local.partition_point(|x| *x < info.key) as u64;
             let u = sorted_local.partition_point(|x| *x <= info.key) as u64;
             lowers.push(l);

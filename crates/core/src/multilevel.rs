@@ -104,16 +104,16 @@ pub fn histogram_sort_two_level<K: Key>(
     // group-emptiness allreduce are exchange *preparation*.
     let sp = comm.span("prepare");
     let sub = comm.split(my_group as u64, comm.rank() as u64);
-    let l2 = Shape {
+    let l2 = sub.allreduce_sum_then(&[local.len() as u64], |group_total| Shape {
         // An entirely empty group (possible under sparse layouts) has
         // nothing left to do; `attempt` returns at once.
-        n_total: sub.allreduce_sum(vec![local.len() as u64])[0],
+        n_total: group_total[0],
         targets: shape.targets[first..end - 1]
             .iter()
             .map(|t| t - base)
             .collect(),
         slack: shape.slack,
-    };
+    });
     stats.prepare_ns += sp.finish();
     attempt(
         &sub,
@@ -172,7 +172,7 @@ fn plan_group_exchange<K: Key>(
             contingents.push(pair[1] - pair[0]);
         }
     } else {
-        for info in &l1.splitters {
+        for info in l1.splitters.iter() {
             let l = sorted_local.partition_point(|x| *x < info.key) as u64;
             let u = sorted_local.partition_point(|x| *x <= info.key) as u64;
             lowers.push(l);

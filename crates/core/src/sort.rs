@@ -10,6 +10,7 @@
 
 use std::borrow::Cow;
 use std::fmt;
+use std::sync::Arc;
 
 use dhs_merge::{kway_merge, MergeAlgo};
 use dhs_runtime::{AllToAllAlgo, Comm, RecoveryInterrupt, RecvRuns, Work};
@@ -775,7 +776,9 @@ where
 }
 
 /// What one attempt's splitter search aims for: the global key count,
-/// the `P−1` boundary targets, and the Definition 1 slack.
+/// the `P−1` boundary targets, and the Definition 1 slack. A pure
+/// function of the gathered block sizes, so it is built once per
+/// communicator, inside the collective that gathers them, and shared.
 pub(crate) struct Shape {
     pub(crate) n_total: u64,
     pub(crate) targets: Vec<u64>,
@@ -785,19 +788,20 @@ pub(crate) struct Shape {
 impl Shape {
     /// Gather the block sizes and place the boundaries per
     /// [`SortConfig::partitioning`]. Collective.
-    pub(crate) fn gather<T>(comm: &Comm, local: &[T], cfg: &SortConfig) -> Self {
-        let caps: Vec<usize> = comm.allgather(local.len());
-        let n_total: u64 = caps.iter().map(|&c| c as u64).sum();
+    pub(crate) fn gather<T>(comm: &Comm, local: &[T], cfg: &SortConfig) -> Arc<Self> {
         let p = comm.size();
-        let targets = match cfg.partitioning {
-            Partitioning::Perfect => perfect_targets(&caps),
-            Partitioning::Balanced => balanced_targets(n_total, p),
-        };
-        Self {
-            n_total,
-            targets,
-            slack: slack_for(n_total, p, cfg.epsilon),
-        }
+        comm.allgather_then(local.len(), |caps| {
+            let n_total: u64 = caps.iter().map(|&c| c as u64).sum();
+            let targets = match cfg.partitioning {
+                Partitioning::Perfect => perfect_targets(&caps),
+                Partitioning::Balanced => balanced_targets(n_total, p),
+            };
+            Self {
+                n_total,
+                targets,
+                slack: slack_for(n_total, p, cfg.epsilon),
+            }
+        })
     }
 }
 
@@ -923,7 +927,7 @@ pub(crate) fn attempt<T, P: Payload<T>>(
     cfg: &SortConfig,
     stats: &mut SortStats,
     warm: &mut Vec<P::Key>,
-    shape: Option<Shape>,
+    shape: Option<Arc<Shape>>,
 ) {
     // "Other" in the paper's breakdown: everything that is neither
     // histogramming nor the exchange proper.

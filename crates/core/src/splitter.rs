@@ -57,6 +57,13 @@
 //! counts), but it never influences which keys are probed, so all
 //! ranks still execute identical collective schedules.
 //!
+//! One pass per round does both: the loop over the active splitters
+//! loads a bracket once, prices its searches into a
+//! [`dhs_runtime::Charges`] batch (integer adds, no runtime call) and
+//! runs them; the batch is posted with one [`Comm::post`] per round,
+//! which is observably identical to the `P-1` single charges it sums
+//! (same clock, same `compute_ns`, same death under a crash deadline).
+//!
 //! ## Replicated state is shared
 //!
 //! Key intervals, restart fallbacks, accepted splitters, the probe
@@ -74,12 +81,15 @@
 //! unobservable there, and results are byte-identical to every rank
 //! refining for itself (Alg. 3 as printed) at `1/P` of the host work
 //! and memory — Histogram Sort with Sampling likewise refines in one
-//! place and broadcasts the next probes.
+//! place and broadcasts the next probes. The *result* is shared the
+//! same way: the rank that completes the last round's allreduce builds
+//! the `P-1` [`SplitterInfo`]s once and every rank's
+//! [`SplitterResult::splitters`] points at that one allocation.
 
 use std::ops::Range;
 use std::sync::Arc;
 
-use dhs_runtime::{Comm, Work};
+use dhs_runtime::{Charges, Comm, Work};
 use dhs_shm::kernels::ladder_bounds_typed;
 use dhs_shm::Kernels;
 
@@ -105,8 +115,9 @@ pub struct SplitterInfo<K> {
 /// Result of the splitter search.
 #[derive(Debug, Clone)]
 pub struct SplitterResult<K> {
-    /// `P-1` splitters, ordered.
-    pub splitters: Vec<SplitterInfo<K>>,
+    /// `P-1` splitters, ordered: one allocation shared by every rank
+    /// of the communicator that searched.
+    pub splitters: Arc<[SplitterInfo<K>]>,
     /// Histogramming iterations executed (each = one `ALLREDUCE`).
     /// With multi-probe bisection one iteration evaluates up to
     /// `log₂(probes_per_round + 1)` bisection steps per splitter.
@@ -209,33 +220,8 @@ pub fn find_splitters<K: Key>(
     targets: &[u64],
     slack: u64,
 ) -> SplitterResult<K> {
-    find_splitters_opts(
-        comm,
-        sorted_local,
-        targets,
-        slack,
-        InitialBounds::DataMinMax,
-    )
-}
-
-/// [`find_splitters`] with an explicit initial-interval strategy.
-pub fn find_splitters_opts<K: Key>(
-    comm: &Comm,
-    sorted_local: &[K],
-    targets: &[u64],
-    slack: u64,
-    init: InitialBounds,
-) -> SplitterResult<K> {
-    find_splitters_cfg(
-        comm,
-        sorted_local,
-        targets,
-        slack,
-        SplitterOptions {
-            init,
-            ..SplitterOptions::default()
-        },
-    )
+    let opts = SplitterOptions::default();
+    find_splitters_cfg(comm, sorted_local, targets, slack, opts)
 }
 
 /// Full tuning knobs of the splitter search.
@@ -264,15 +250,6 @@ pub struct SplitterOptions {
     /// cut the round count to `⌈steps / d⌉` at `m`× the allreduce
     /// payload. Accepted splitters are identical for every `m`.
     pub probes_per_round: usize,
-    /// Execute the probe binary searches over each splitter's
-    /// `[idx_lo, idx_hi]` bracket into the sorted local array
-    /// (monotonically narrowing across rounds) instead of the full
-    /// array. On by default; the switch exists for A/B measurement
-    /// (`wallclock --splitter_ab`) and changes **host time only**: the
-    /// brackets are tracked and the searches charged over the bracket
-    /// width either way, so results and the virtual clock are
-    /// identical for both settings.
-    pub index_brackets: bool,
     /// With a warm seed ([`find_splitters_seeded`]), start each
     /// splitter from the **degenerate interval `[w, w]`** around its
     /// warm ladder key instead of the one-key-of-margin quantile
@@ -302,7 +279,6 @@ impl Default for SplitterOptions {
             strict_paper_rule: false,
             max_iterations: None,
             probes_per_round: 1,
-            index_brackets: true,
             probe_warm_first: false,
             kernels: Kernels::auto(),
         }
@@ -437,7 +413,7 @@ struct Step {
 /// establishes the data range, then by [`RoundPlan::advance`] inside
 /// each round's histogram allreduce (see [`Comm::allreduce_sum_then`]).
 /// Ranks only read it.
-struct RoundPlan {
+struct RoundPlan<K> {
     /// Global key range, the last-resort restart interval.
     data: (u128, u128),
     /// Per-splitter key-interval state; empty on globally empty input.
@@ -457,9 +433,12 @@ struct RoundPlan {
     /// Probes histogrammed over those rounds.
     probes_total: u64,
     degraded: bool,
+    /// The result, built once every splitter has settled (`active` is
+    /// then empty) and shared by every rank's [`SplitterResult`].
+    settled: Option<Arc<[SplitterInfo<K>]>>,
 }
 
-impl RoundPlan {
+impl<K: Key> RoundPlan<K> {
     /// The plan of round 1: every splitter starts in its `bracket`
     /// with a `fallback` to restart into.
     fn start(
@@ -486,6 +465,7 @@ impl RoundPlan {
             rounds: 0,
             probes_total: 0,
             degraded: false,
+            settled: None,
         }
         .with_grid(depth)
     }
@@ -599,7 +579,7 @@ impl RoundPlan {
             }
         }
 
-        Self {
+        let mut next = Self {
             data: self.data,
             search,
             active: Vec::with_capacity(self.active.len()),
@@ -609,8 +589,23 @@ impl RoundPlan {
             rounds,
             probes_total: self.probes_total + self.probes.len() as u64,
             degraded,
+            settled: None,
         }
-        .with_grid(depth)
+        .with_grid(depth);
+        if next.active.is_empty() {
+            let settled = next.search.iter().zip(targets).map(|(s, &target)| {
+                let (bits, realized, lower, upper) = s.done.expect("no active splitter left");
+                SplitterInfo {
+                    key: K::from_bits(bits),
+                    target,
+                    realized,
+                    global_lower: lower,
+                    global_upper: upper,
+                }
+            });
+            next.settled = Some(settled.collect());
+        }
+        next
     }
 }
 
@@ -641,7 +636,7 @@ fn first_plan<K: Key>(
     targets: &[u64],
     opts: SplitterOptions,
     warm: Option<&[K]>,
-) -> Option<Arc<RoundPlan>> {
+) -> Option<Arc<RoundPlan<K>>> {
     let local_minmax: Option<(K, K)> = sorted_local
         .first()
         .copied()
@@ -746,15 +741,15 @@ fn find_splitters_impl<K: Key>(
         "targets must be ascending"
     );
 
-    let nothing_to_split = SplitterResult {
-        splitters: Vec::new(),
+    let nothing_to_split = || SplitterResult {
+        splitters: Arc::new([]),
         iterations: 0,
         probes: 0,
         degraded: false,
     };
     if targets.is_empty() {
         // Single rank: no splitters to find, but stay collective-free.
-        return nothing_to_split;
+        return nothing_to_split();
     }
     let Some(mut plan) = first_plan(comm, sorted_local, targets, opts, warm) else {
         // Globally empty input: every target is 0, any key value works;
@@ -763,7 +758,7 @@ fn find_splitters_impl<K: Key>(
             targets.iter().all(|&t| t == 0),
             "non-zero target on globally empty input"
         );
-        return nothing_to_split;
+        return nothing_to_split();
     };
     if warm.is_some() {
         // Marks a warm-seeded search in exported traces, nested under
@@ -801,39 +796,31 @@ fn find_splitters_impl<K: Key>(
         );
         let grid = |j: usize| plan.offsets[j]..plan.offsets[j + 1];
 
-        // Charge the probe searches over each splitter's bracket width
-        // (whether or not the searches below use it). Charges are pure
-        // functions of data sizes — never of the thread budget — which
-        // keeps the virtual clock byte-identical across budgets.
-        for (j, &i) in plan.active.iter().enumerate() {
-            let (idx_lo, idx_hi) = brackets[i];
-            comm.charge(Work::BinarySearches {
-                searches: 2 * grid(j).len() as u64,
-                n: (idx_hi - idx_lo) as u64,
-            });
-        }
-
         // Build the local histogram: two binary searches per probe,
-        // confined to the splitter's index bracket. The bracket makes
-        // the sub-slice search return exactly the full-array positions
-        // (everything left of `idx_lo` is known `< probe`, everything
-        // right of `idx_hi` known `> probe`). Pooled counts buffer:
-        // every refinement round reuses the same allocation. With an
-        // intra-rank thread budget the per-splitter probe batches are
-        // counted in parallel; counts land in probe order either way,
-        // so the reduction input is identical for every budget.
-        let intra = comm.intra_span("histogram_probe");
+        // confined to the splitter's index bracket and charged over
+        // its width in the same pass. The bracket makes the sub-slice
+        // search return exactly the full-array positions (everything
+        // left of `idx_lo` is known `< probe`, everything right of
+        // `idx_hi` known `> probe`). Charges are pure functions of
+        // data sizes — never of the thread budget — which keeps the
+        // virtual clock byte-identical across budgets. Pooled counts
+        // buffer: every refinement round reuses the same allocation.
+        // With an intra-rank thread budget the per-splitter probe
+        // batches are counted (and priced) in parallel; counts and
+        // charges land in probe order either way, so the reduction
+        // input and the posted batch are identical for every budget.
+        let mut charges = comm.charges();
         let mut histogram: Vec<u64> = comm.pool().take_u64();
         histogram.reserve(2 * plan.probes.len());
-        let count = |js: Range<usize>, out: &mut Vec<u64>| {
+        let count = |js: Range<usize>, out: &mut Vec<u64>, charges: &mut Charges<'_>| {
             for j in js {
-                let (idx_lo, idx_hi) = if opts.index_brackets {
-                    brackets[plan.active[j]]
-                } else {
-                    (0, n_local)
-                };
+                let (idx_lo, idx_hi) = brackets[plan.active[j]];
                 let seg = &sorted_local[idx_lo..idx_hi];
                 let probes = &plan.probes[grid(j)];
+                charges.add(Work::BinarySearches {
+                    searches: 2 * probes.len() as u64,
+                    n: seg.len() as u64,
+                });
                 // Kernel path for native integer keys: the whole probe
                 // batch of this splitter in one lockstep-search call,
                 // pushing the same (lower, upper) pairs straight into
@@ -867,14 +854,21 @@ fn find_splitters_impl<K: Key>(
             let counted = comm.threads().map(chunks, |js| {
                 let mut out =
                     Vec::with_capacity(2 * (plan.offsets[js.end] - plan.offsets[js.start]));
-                count(js, &mut out);
-                out
+                let mut share = charges.fork();
+                count(js, &mut out, &mut share);
+                (out, share)
             });
-            histogram.extend(counted.into_iter().flatten());
+            for (out, share) in counted {
+                histogram.extend(out);
+                charges.append(share);
+            }
         } else {
-            count(0..n_active, &mut histogram);
+            count(0..n_active, &mut histogram, &mut charges);
         }
-        drop(intra);
+        // The round's one charge. The probe span (recorded under a
+        // thread budget only) sits on the clock the charge leaves.
+        comm.post(charges);
+        drop(comm.intra_span("histogram_probe"));
 
         // One global reduction per round (Alg. 3 line 8), carrying all
         // probes of all active splitters, viewed in place and charged
@@ -900,23 +894,8 @@ fn find_splitters_impl<K: Key>(
         plan = next;
     }
 
-    let splitters = plan
-        .search
-        .iter()
-        .zip(targets)
-        .map(|(s, &target)| {
-            let (bits, realized, lower, upper) = s.done.expect("all splitters settled");
-            SplitterInfo {
-                key: K::from_bits(bits),
-                target,
-                realized,
-                global_lower: lower,
-                global_upper: upper,
-            }
-        })
-        .collect();
     SplitterResult {
-        splitters,
+        splitters: Arc::clone(plan.settled.as_ref().expect("the loop ends settled")),
         iterations: plan.rounds,
         probes: plan.probes_total,
         degraded: plan.degraded,
@@ -1098,7 +1077,11 @@ mod tests {
             let out = run(&ClusterConfig::small_cluster(p), move |comm| {
                 let local = keys_for(comm.rank(), n, 1 << 30);
                 let caps: Vec<usize> = comm.allgather(local.len());
-                find_splitters_opts(comm, &local, &perfect_targets(&caps), 0, init)
+                let opts = SplitterOptions {
+                    init,
+                    ..SplitterOptions::default()
+                };
+                find_splitters_cfg(comm, &local, &perfect_targets(&caps), 0, opts)
             });
             let res = &out[0].0;
             (
@@ -1136,19 +1119,17 @@ mod tests {
             local.sort_unstable();
             let caps: Vec<usize> = comm.allgather(local.len());
             let targets = perfect_targets(&caps);
-            let res = find_splitters_opts(
-                comm,
-                &local,
-                &targets,
-                0,
-                InitialBounds::SampledQuantiles { per_rank: 2 },
-            );
+            let opts = SplitterOptions {
+                init: InitialBounds::SampledQuantiles { per_rank: 2 },
+                ..SplitterOptions::default()
+            };
+            let res = find_splitters_cfg(comm, &local, &targets, 0, opts);
             (res, local)
         });
         let mut all: Vec<u64> = out.iter().flat_map(|((_, l), _)| l.clone()).collect();
         all.sort_unstable();
         for ((res, _), _) in &out {
-            for s in &res.splitters {
+            for s in res.splitters.iter() {
                 assert_eq!(s.global_lower, all.partition_point(|&x| x < s.key) as u64);
                 assert_eq!(s.global_upper, all.partition_point(|&x| x <= s.key) as u64);
                 assert_eq!(s.realized, s.target);
@@ -1159,16 +1140,9 @@ mod tests {
     /// Multi-probe rounds must accept the same splitters as classic
     /// bisection while cutting the round count by the tree depth, and
     /// an effective `m` between powers rounds down (5 behaves as 3).
-    fn splitters_for(
-        p: usize,
-        n: usize,
-        modulus: u64,
-        m: usize,
-        brackets: bool,
-    ) -> SplitterResult<u64> {
+    fn splitters_for(p: usize, n: usize, modulus: u64, m: usize) -> SplitterResult<u64> {
         let opts = SplitterOptions {
             probes_per_round: m,
-            index_brackets: brackets,
             ..SplitterOptions::default()
         };
         let out = run(&ClusterConfig::small_cluster(p), move |comm| {
@@ -1186,9 +1160,9 @@ mod tests {
             (7, 333, 1 << 30),
             (5, 400, 50),
         ] {
-            let base = splitters_for(p, n, modulus, 1, true);
+            let base = splitters_for(p, n, modulus, 1);
             for m in [3usize, 7, 15] {
-                let multi = splitters_for(p, n, modulus, m, true);
+                let multi = splitters_for(p, n, modulus, m);
                 let d = (m as u64 + 1).ilog2();
                 assert_eq!(
                     multi.splitters, base.splitters,
@@ -1207,22 +1181,11 @@ mod tests {
 
     #[test]
     fn non_power_probe_counts_round_down() {
-        let three = splitters_for(4, 600, 1 << 24, 3, true);
-        let five = splitters_for(4, 600, 1 << 24, 5, true);
+        let three = splitters_for(4, 600, 1 << 24, 3);
+        let five = splitters_for(4, 600, 1 << 24, 5);
         assert_eq!(three.splitters, five.splitters);
         assert_eq!(three.iterations, five.iterations);
         assert_eq!(three.probes, five.probes);
-    }
-
-    #[test]
-    fn index_brackets_do_not_change_results() {
-        for m in [1usize, 7] {
-            let on = splitters_for(6, 500, 1 << 28, m, true);
-            let off = splitters_for(6, 500, 1 << 28, m, false);
-            assert_eq!(on.splitters, off.splitters);
-            assert_eq!(on.iterations, off.iterations);
-            assert_eq!(on.probes, off.probes);
-        }
     }
 
     #[test]
@@ -1277,7 +1240,7 @@ mod tests {
         let mut all: Vec<u64> = out.iter().flat_map(|((_, l), _)| l.clone()).collect();
         all.sort_unstable();
         for ((res, _), _) in &out {
-            for s in &res.splitters {
+            for s in res.splitters.iter() {
                 assert_eq!(s.global_lower, all.partition_point(|&x| x < s.key) as u64);
                 assert_eq!(s.global_upper, all.partition_point(|&x| x <= s.key) as u64);
                 assert_eq!(s.realized, s.target);

@@ -81,6 +81,54 @@ pub struct Comm {
     threads: ThreadPool,
 }
 
+/// Compute charges priced for one rank and summed off its clock (see
+/// [`Comm::charges`], [`Comm::post`]). Plain data: a worker thread can
+/// fill a [`Charges::fork`] of its own and the owner
+/// [`Charges::append`]s the forks in item order.
+pub struct Charges<'a> {
+    cost: &'a CostModel,
+    straggler_factor: f64,
+    /// Sum of the priced items.
+    ns: u64,
+    /// The priced items one by one, kept only on a rank with a crash
+    /// deadline: [`Comm::post`] must find the item it dies before.
+    items: Option<Vec<u64>>,
+}
+
+impl Charges<'_> {
+    /// Price `work` for this rank — per item, exactly as a lone
+    /// [`Comm::charge`] does — and add it to the batch.
+    #[inline]
+    pub fn add(&mut self, work: Work) {
+        let mut ns = self.cost.work_ns(work);
+        if self.straggler_factor != 1.0 {
+            ns = (ns as f64 * self.straggler_factor).ceil() as u64;
+        }
+        self.ns += ns;
+        if let Some(items) = &mut self.items {
+            items.push(ns);
+        }
+    }
+
+    /// An empty batch priced like this one, for a share of the items
+    /// that is charged elsewhere (another thread) and appended later.
+    pub fn fork(&self) -> Self {
+        Self {
+            ns: 0,
+            items: self.items.as_ref().map(|_| Vec::new()),
+            ..*self
+        }
+    }
+
+    /// Append the items of `later` after this batch's own.
+    pub fn append(&mut self, later: Self) {
+        self.ns += later.ns;
+        if let (Some(items), Some(more)) = (&mut self.items, later.items) {
+            items.extend(more);
+        }
+    }
+}
+
 /// A type-erased borrowed view of slices living on the depositing
 /// rank's stack, deposited into [`CommState::collective_view`] and read
 /// only under that function's safety contract.
@@ -409,18 +457,66 @@ impl Comm {
 
     /// Charge local computation to this rank's virtual clock. A
     /// straggling rank (see [`crate::fault::FaultPlan`]) pays its
-    /// slowdown factor on every charge.
+    /// slowdown factor on every charge. The one-item case of
+    /// [`Comm::charge_all`].
     pub fn charge(&self, work: Work) {
-        self.check_crash();
-        let mut ns = self.state.world.cost.work_ns(work);
-        if self.straggler_factor != 1.0 {
-            ns = (ns as f64 * self.straggler_factor).ceil() as u64;
+        self.charge_all([work]);
+    }
+
+    /// Charge a sequence of work items with one clock update: prices
+    /// them into a [`Charges`] batch and [`Comm::post`]s it.
+    pub fn charge_all(&self, items: impl IntoIterator<Item = Work>) {
+        let mut batch = self.charges();
+        for work in items {
+            batch.add(work);
         }
-        self.local().advance_ns(ns);
-        self.local()
-            .counters
-            .compute_ns
-            .fetch_add(ns, Ordering::Relaxed);
+        self.post(batch);
+    }
+
+    /// An empty batch of compute charges priced for this rank. Hot
+    /// loops [`Charges::add`] to it next to the work being charged —
+    /// plain integer adds, no runtime call — and [`Comm::post`] the
+    /// sum once.
+    pub fn charges(&self) -> Charges<'_> {
+        Charges {
+            cost: &self.state.world.cost,
+            straggler_factor: self.straggler_factor,
+            ns: 0,
+            items: self.crash_at_ns.map(|_| Vec::new()),
+        }
+    }
+
+    /// Post a batch of compute charges: one clock advance and one
+    /// `compute_ns` add, **observably identical to charging its items
+    /// one by one** in the order they were added. Pricing is per item
+    /// (`ceil`, then the straggler factor's `ceil`), so the sum is the
+    /// per-item sum. A per-item charge checks the crash deadline
+    /// before each item; here a rank with a deadline replays its items
+    /// against the running clock and stops before the first one that
+    /// would have started at or past it — it dies with the same clock,
+    /// `compute_ns` and `"crash"` event. A deadline reached only by
+    /// the *last* item fires at the next runtime interaction, like any
+    /// deadline that passes between two of them.
+    pub fn post(&self, batch: Charges<'_>) {
+        let me = self.local();
+        let mut ns = batch.ns;
+        let mut dies = false;
+        if let (Some(deadline), Some(items)) = (self.crash_at_ns, &batch.items) {
+            let room = deadline.saturating_sub(me.now_ns());
+            let mut spent = 0u64;
+            for &item in items {
+                if spent >= room {
+                    (ns, dies) = (spent, true);
+                    break;
+                }
+                spent += item;
+            }
+        }
+        me.advance_ns(ns);
+        me.counters.compute_ns.fetch_add(ns, Ordering::Relaxed);
+        if dies {
+            self.check_crash();
+        }
     }
 
     /// Charge a one-sided transfer of `bytes` between this rank and
@@ -701,20 +797,34 @@ impl Comm {
         pair.into_iter().next().expect("one element")
     }
 
-    /// Gather one value per rank onto every rank, ordered by rank; the
-    /// gathered vector is one shared allocation.
-    pub fn allgather_shared<T>(&self, x: T) -> Arc<Vec<T>>
+    /// Gather one value per rank, then run `finish` once over the
+    /// gathered values (ordered by rank; see
+    /// [`Comm::allreduce_with_then`] for the contract) and share its
+    /// result. Charged and traced exactly as the plain allgather.
+    pub fn allgather_then<T, R, G>(&self, x: T, finish: G) -> Arc<R>
     where
-        T: Send + Sync + 'static,
+        T: Send + 'static,
+        R: Send + Sync + 'static,
+        G: FnOnce(Vec<T>) -> R,
     {
         let p = self.size();
         let bytes = mem::size_of::<T>() as u64;
         let out = self.run_collective("allgather", x, move |xs, ctx| {
             let end = ctx.enter_max_ns + ctx.cost.allgather_ns(ctx.worst_link, p, bytes);
-            (xs, EndTimes::Uniform(end))
+            (finish(xs), EndTimes::Uniform(end))
         });
         self.account_collective_bytes(bytes * p.saturating_sub(1) as u64);
         out
+    }
+
+    /// Gather one value per rank onto every rank, ordered by rank; the
+    /// gathered vector is one shared allocation (the identity-finish
+    /// case of [`Comm::allgather_then`]).
+    pub fn allgather_shared<T>(&self, x: T) -> Arc<Vec<T>>
+    where
+        T: Send + Sync + 'static,
+    {
+        self.allgather_then(x, |gathered| gathered)
     }
 
     /// Owning [`Comm::allgather_shared`].

@@ -185,6 +185,7 @@ impl CostModel {
     }
 
     /// Convert a [`Work`] charge into nanoseconds.
+    #[inline]
     pub fn work_ns(&self, work: Work) -> u64 {
         let ns = match work {
             Work::Compares(n) => n as f64 * self.compare_ns,

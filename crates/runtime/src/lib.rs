@@ -45,7 +45,7 @@ pub mod topology;
 pub mod trace;
 
 pub use buffer::{BufferPool, PoolStats, RecvRuns, SharedSlice};
-pub use comm::{AllToAllAlgo, Comm, ExchangePayload};
+pub use comm::{AllToAllAlgo, Charges, Comm, ExchangePayload};
 pub use cost::{log2_ceil, CostModel, LinkCost, Work};
 pub use fault::{Crash, FaultPlan, FaultPlanError, LinkFault, LossSpec, RankError, Straggler};
 pub use recover::{RecoveryGuard, RecoveryInterrupt, Shrunk};

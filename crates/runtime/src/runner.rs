@@ -174,6 +174,8 @@ pub struct TracedRun<R> {
     pub ranks: Vec<(R, RankReport)>,
     /// The recorded trace (empty when tracing was off).
     pub trace: RunTrace,
+    /// See [`PartialRun::park_backstops`].
+    pub park_backstops: u64,
 }
 
 /// Run `f` once per rank on its own thread; returns each rank's result
@@ -218,6 +220,7 @@ where
         Ok(TracedRun {
             ranks: ok,
             trace: partial.trace,
+            park_backstops: partial.park_backstops,
         })
     } else {
         failed.sort_by_key(|e| e.rank());
@@ -239,6 +242,12 @@ pub struct PartialRun<R> {
     pub ranks: Vec<Result<(R, RankReport), RankError>>,
     /// The recorded trace (empty when tracing was off).
     pub trace: RunTrace,
+    /// Parks of the task engine that its timed backstop ended instead
+    /// of a wake (always 0 under [`RunnerEngine::Threads`]). A host
+    /// observation, outside the determinism contract: nonzero means a
+    /// rank sat blocked for a whole backstop period — a lost wake-up
+    /// papered over by the timer, or a host stalled for that long.
+    pub park_backstops: u64,
 }
 
 impl<R> PartialRun<R> {
@@ -332,6 +341,7 @@ where
     PartialRun {
         ranks: results,
         trace: RunTrace::collect(&world),
+        park_backstops: world.sched.as_ref().map_or(0, |s| s.backstop_firings()),
     }
 }
 

@@ -159,6 +159,10 @@ pub(crate) struct Scheduler {
     /// Per-task count of consecutive timed-out parks, the exponent of
     /// the backstop stretch. Only the owning task writes it.
     backoffs: Vec<AtomicU32>,
+    /// Parks the timer brought back instead of a wake (a statistic:
+    /// `Relaxed`). Zero in a healthy run — a rank blocked for a whole
+    /// backstop period means a lost wake or a host stalled that long.
+    backstop_firings: AtomicU64,
 }
 
 impl Scheduler {
@@ -179,12 +183,19 @@ impl Scheduler {
             cvs: (0..ranks).map(|_| Condvar::new()).collect(),
             epochs: (0..ranks).map(|_| AtomicU64::new(0)).collect(),
             backoffs: (0..ranks).map(|_| AtomicU32::new(0)).collect(),
+            backstop_firings: AtomicU64::new(0),
         })
     }
 
     /// The worker-slot count (concurrent-execution bound).
     pub fn workers(&self) -> usize {
         self.workers
+    }
+
+    /// How many parks so far ended by the timed backstop requeueing
+    /// the task rather than by a wake.
+    pub fn backstop_firings(&self) -> u64 {
+        self.backstop_firings.load(Ordering::Relaxed)
     }
 
     /// Grant free slots to queued tasks, FIFO. Callers hold `inner`.
@@ -275,6 +286,7 @@ impl Scheduler {
                         // Liveness backstop: requeue so a missed wake
                         // degrades to a slow poll, never a hang.
                         by_timer = true;
+                        self.backstop_firings.fetch_add(1, Ordering::Relaxed);
                         inner.state[me] = TaskState::Queued;
                         inner.queue.push_back(me);
                         self.pump(&mut inner);
@@ -465,7 +477,9 @@ mod tests {
         let token = sched.token(0);
         // Nobody will ever wake task 0; the backstop must still bring
         // it back within a bounded time.
+        assert_eq!(sched.backstop_firings(), 0);
         sched.park(0, token, Duration::from_millis(10));
+        assert_eq!(sched.backstop_firings(), 1);
         sched.finish(0);
     }
 

@@ -330,6 +330,11 @@ fn cmd_sort(args: &Args) {
     println!("inter-node traffic : {} bytes", summary.inter_node_bytes);
     println!("intra-node traffic : {} bytes", summary.intra_node_bytes);
     println!("output keys/rank   : {min_keys}..{max_keys}");
+    if cluster.engine != RunnerEngine::Threads {
+        // Host-side health of the task engine: a park the timer ended
+        // is a lost wake-up (or a host stalled for 500 ms).
+        println!("park backstops     : {}", traced.park_backstops);
+    }
     if let Some(stats) = &out[0].0 .0 {
         println!(
             "phases (rank 0)    : sort {:.3} ms | histogram {:.3} ms ({} iters, {} probes) | \

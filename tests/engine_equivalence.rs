@@ -48,6 +48,15 @@ fn sort_under(
         let stats = histogram_sort(comm, &mut local, &sort_cfg);
         (local, stats)
     });
+    // A lost wake-up must fail here, not pass as a slow round: no park
+    // may come back by the timed backstop. A poisoned run is exempt —
+    // its blocked ranks poll for the abort on that same timer.
+    let poisoned = out.failures().any(|e| !e.is_root_cause());
+    assert!(
+        poisoned || out.park_backstops == 0,
+        "{} park(s) ended by the backstop under {engine:?} (p={p}, t={threads})",
+        out.park_backstops
+    );
     out.ranks
         .into_iter()
         .map(|r| {

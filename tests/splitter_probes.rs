@@ -6,11 +6,14 @@
 //! path, it can only accept *earlier* — while the round count drops to
 //! `⌈steps / log₂(m+1)⌉` (plus restart head-room).
 
+use std::sync::Arc;
+
 use dhs::core::{
-    find_splitters_cfg, find_splitters_seeded, perfect_targets, slack_for, InitialBounds,
-    SplitterOptions, SplitterResult,
+    balanced_targets, find_splitters_cfg, find_splitters_seeded, perfect_targets, slack_for,
+    InitialBounds, SplitterOptions, SplitterResult,
 };
 use dhs::runtime::{run, ClusterConfig, RunnerEngine};
+use dhs::workloads::{rank_local_keys, Distribution, Layout};
 use proptest::prelude::*;
 
 fn keys_for(rank: usize, n: usize, modulus: u64, seed: u64) -> Vec<u64> {
@@ -311,10 +314,9 @@ proptest! {
     }
 
     /// The uncapped round count respects `⌈(BITS + 2) / d⌉` for
-    /// min/max initial bounds (no restarts possible), and index
-    /// brackets never change any result field.
+    /// min/max initial bounds (no restarts possible).
     #[test]
-    fn round_bound_and_bracket_neutrality(
+    fn round_bound(
         p in 2usize..8,
         n_per in 20usize..200,
         modulus_bits in 3u32..40,
@@ -332,14 +334,6 @@ proptest! {
             on.iterations <= (64 + 2u32).div_ceil(d),
             "m={}: {} rounds exceeds the tree-depth bound", m, on.iterations
         );
-        let off = search(p, n_per, modulus, seed, 0.0, SplitterOptions {
-            index_brackets: false,
-            ..opts
-        });
-        prop_assert_eq!(on.splitters, off.splitters);
-        prop_assert_eq!(on.iterations, off.iterations);
-        prop_assert_eq!(on.probes, off.probes);
-        prop_assert_eq!(on.degraded, off.degraded);
     }
 
     /// Sampled-quantile starts can restart mid-descent; the
@@ -361,5 +355,91 @@ proptest! {
         let base = realized(1);
         prop_assert_eq!(realized(3), base.clone());
         prop_assert_eq!(realized(7), base);
+    }
+}
+
+/// The result is one allocation per communicator: every rank of the
+/// world points at the same splitters, and after a split (the second
+/// level of a two-level sort) every rank of a group points at its
+/// group's — never at another group's.
+#[test]
+fn splitters_are_shared_per_communicator() {
+    let (p, groups) = (8usize, 2usize);
+    let out = run(&ClusterConfig::small_cluster(p), move |comm| {
+        let local = keys_for(comm.rank(), 200, 1 << 30, 11);
+        let search = |c: &dhs::runtime::Comm| {
+            let caps: Vec<usize> = c.allgather(local.len());
+            find_splitters_cfg(c, &local, &perfect_targets(&caps), 0, Default::default())
+        };
+        let flat = search(comm);
+        let group = comm.rank() * groups / p;
+        let sub = comm.split(group as u64, comm.rank() as u64);
+        (flat.splitters, group, search(&sub).splitters)
+    });
+    let (flat0, _, _) = &out[0].0;
+    assert_eq!(flat0.len(), p - 1);
+    for (rank, ((flat, group, grouped), _)) in out.iter().enumerate() {
+        assert!(Arc::ptr_eq(flat, flat0), "rank {rank}: private flat result");
+        assert_eq!(grouped.len(), p / groups - 1);
+        for ((_, other_group, other), _) in &out {
+            assert_eq!(
+                Arc::ptr_eq(grouped, other),
+                group == other_group,
+                "rank {rank}: a group shares one result, groups share none"
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    /// Duplicate-heavy and adversarial key spaces stay inside the
+    /// bounds the module promises: at one probe per round the search
+    /// takes at most `BITS + 2` rounds and at most one probe per
+    /// splitter per round, never degrades, and — equal keys being
+    /// split by count, not by value — lands every boundary exactly on
+    /// its target at `ε = 0`, for balanced targets as for perfect ones.
+    #[test]
+    fn duplicate_heavy_inputs_stay_bounded(
+        dist in prop_oneof![
+            Just(Distribution::AllEqual { value: 42 }),
+            Just(Distribution::FewDistinct { k: 3 }),
+            Just(Distribution::Zipf { items: 64, s: 1.2 }),
+            Just(Distribution::Zipf { items: 1 << 16, s: 1.2 }),
+        ],
+        layout in prop_oneof![
+            Just(Layout::Balanced),
+            Just(Layout::SparseFront { empty_permille: 500 }),
+            Just(Layout::Ramp { ratio: 8 }),
+        ],
+        p in prop_oneof![Just(2usize), Just(5), Just(8), Just(16)],
+        n_total in 1usize..6000,
+        balanced in any::<bool>(),
+        seed in 0u64..1_000_000,
+    ) {
+        let out = run(&ClusterConfig::small_cluster(p), move |comm| {
+            let mut local = rank_local_keys(dist, layout, n_total, p, comm.rank(), seed);
+            local.sort_unstable();
+            let caps: Vec<usize> = comm.allgather(local.len());
+            let targets = if balanced {
+                balanced_targets(n_total as u64, p)
+            } else {
+                perfect_targets(&caps)
+            };
+            find_splitters_cfg(comm, &local, &targets, 0, SplitterOptions::default())
+        });
+        let res = &out[0].0;
+        prop_assert!(!res.degraded);
+        prop_assert!(res.iterations <= u64::BITS + 2, "{} rounds", res.iterations);
+        prop_assert!(
+            res.probes <= u64::from(res.iterations) * (p as u64 - 1),
+            "{} probes in {} rounds", res.probes, res.iterations
+        );
+        prop_assert_eq!(res.splitters.len(), p - 1);
+        for s in res.splitters.iter() {
+            prop_assert_eq!(s.realized, s.target, "ties must not move a boundary");
+            prop_assert!(s.global_lower <= s.realized && s.realized <= s.global_upper);
+        }
     }
 }
