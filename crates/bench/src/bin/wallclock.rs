@@ -4,8 +4,8 @@
 //! performance trajectory the zero-copy work is judged against, and
 //! that every later perf PR extends.
 //!
-//! Ten benchmark groups, written to `BENCH_wallclock.json`
-//! (schema `dhs-wallclock/v6`) at the repo root:
+//! Eleven benchmark groups, written to `BENCH_wallclock.json`
+//! (schema `dhs-wallclock/v7`) at the repo root:
 //!
 //! * `full_sort` — end-to-end histogram sort at several (p, n/p)
 //!   points: host seconds per run, plus the (unchanged) virtual
@@ -32,6 +32,15 @@
 //!   — the rule that now picks between the two for every thread
 //!   budget — so its constant can be read off the `speedup` column.
 //!   `p` is the number of non-empty runs, `n_per` their mean length.
+//! * `record_sort_ab` — the record path's local phases A/B at t = 1:
+//!   `stable_sort` is `sort_by_key` (what `histogram_sort_by` ran for
+//!   both its local sort and its merge of received runs through
+//!   PR 16), `lsd` is `dhs_shm::lsd_sort_if` forced over the same
+//!   16-byte records. The grid crosses block size, live key span and
+//!   {unsorted, 32 sorted runs, already sorted}, so both sides of
+//!   `dhs_shm::lsd_beats_comparison` — the rule that picks between the
+//!   two inside the record hooks — are on file; one plain u64-key row
+//!   per size records the same kernel against `sort_unstable`.
 //! * `exchange_algo_ab` — the exchange *schedule* A/B, measured on the
 //!   **virtual** clock (the one place in this harness where the metric
 //!   is simulated α–β time, not host seconds — schedule quality is a
@@ -423,6 +432,121 @@ fn bench_local_merge(grid: &[(usize, usize, usize)], min_reps: usize) -> Vec<AbC
         merges.push(case);
     }
     merges
+}
+
+/// A/B the record path's two local phases at one thread: the stable
+/// comparison sort (`sort_by_key`, what both phases ran through PR 16
+/// and still run where the rule says so) versus the stable LSD kernel
+/// (`dhs_shm::lsd_sort_if`, forced on both sides of the rule).
+/// Grid entries are `(n, span, runs)`: `n` 16-byte `(u64 key, u64
+/// payload)` records whose keys are uniform over `span` live bits,
+/// either unsorted (`runs = n`: the local sort, LSD scratch a fresh
+/// empty vector as in the hook) or held in `runs` sorted runs of equal
+/// length (the merge of received runs, LSD scratch a warm `n`-sized
+/// vector — the dead send block; `runs = 1` is the presorted block of
+/// a re-sort, which both sides must get through in one sweep). The
+/// rule is asked about the runs the kernel counts in the block, as in
+/// the hooks. `span = 0` marks the plain-key row:
+/// `n` 8-byte `paper_uniform` u64 keys, unsorted, `sort_unstable`
+/// (what `LocalSort::Comparison` runs) against the same kernel. `p`
+/// is the run count, `n_per` the mean run length. Small cells repeat
+/// until ~2 Mi records have been sorted per side.
+fn bench_record_sort(grid: &[(usize, u32, usize)], min_reps: usize) -> Vec<AbCase> {
+    fn time_both<T: Clone + PartialEq + std::fmt::Debug>(
+        base: &[T],
+        reps: usize,
+        warm_scratch: bool,
+        stable_sort: impl Fn(&mut Vec<T>),
+        bits: impl Fn(&T) -> u128,
+    ) -> (Vec<f64>, Vec<f64>) {
+        let (mut cmp_side, mut lsd_side) = (Vec::new(), Vec::new());
+        for _ in 0..reps {
+            let mut sorted = base.to_vec();
+            let t = Instant::now();
+            stable_sort(&mut sorted);
+            cmp_side.push(secs(t));
+
+            // The block is written last on both sides, as the exchange
+            // has just written the one the merge hook gets.
+            let mut scratch = if warm_scratch {
+                base.to_vec()
+            } else {
+                Vec::new()
+            };
+            let mut v = base.to_vec();
+            let t = Instant::now();
+            dhs_shm::lsd_sort_if(&mut v, &mut scratch, &bits, |_, _, _| true);
+            lsd_side.push(secs(t));
+            assert_eq!(v, sorted, "LSD must equal the stable sort");
+        }
+        (cmp_side, lsd_side)
+    }
+
+    let mut out = Vec::new();
+    for &(n, span, runs) in grid {
+        let reps = min_reps.max(((1usize << 21) / n).min(1000));
+        let (label, seen_runs, (cmp_side, lsd_side)) = if span == 0 {
+            let keys =
+                rank_local_keys(Distribution::paper_uniform(), Layout::Balanced, n, 1, 0, 17);
+            let sides = time_both(&keys, reps, false, |v| v.sort_unstable(), |&k| k as u128);
+            (format!("n{n}_u64_keys_unsorted"), runs, sides)
+        } else {
+            let full_width = Distribution::Uniform {
+                lo: 0,
+                hi: u64::MAX,
+            };
+            let mut records: Vec<(u64, u64)> =
+                rank_local_keys(full_width, Layout::Balanced, n, 1, 0, 17)
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, x)| (x >> (64 - span), i as u64))
+                    .collect();
+            let shape = if runs == n {
+                "unsorted".to_string()
+            } else {
+                for run in records.chunks_mut(n.div_ceil(runs)) {
+                    run.sort_by_key(|r| r.0);
+                }
+                match runs {
+                    1 => "sorted".to_string(),
+                    _ => format!("runs{runs}"),
+                }
+            };
+            let sides = time_both(
+                &records,
+                reps,
+                runs != n,
+                |v| v.sort_by_key(|r| r.0),
+                |r| r.0 as u128,
+            );
+            let seen_runs = 1 + records.windows(2).filter(|w| w[1].0 < w[0].0).count();
+            (format!("n{n}_span{span}_{shape}"), seen_runs, sides)
+        };
+        let (legacy_min_s, legacy_median_s) = min_median(cmp_side);
+        let (zero_copy_min_s, zero_copy_median_s) = min_median(lsd_side);
+        let case = AbCase {
+            label,
+            p: runs,
+            n_per: n / runs,
+            reps,
+            legacy_min_s,
+            legacy_median_s,
+            zero_copy_min_s,
+            zero_copy_median_s,
+        };
+        println!(
+            "record_sort_ab {:<28} stable sort {legacy_median_s:>10.7}s  lsd {zero_copy_median_s:>10.7}s  speedup {:.2}x  ({seen_runs} runs seen, rule picks {})",
+            case.label,
+            case.speedup(),
+            match span {
+                0 => "nothing: keys take SortConfig::local_sort",
+                _ if dhs_shm::lsd_beats_comparison(n, seen_runs, span, false) => "lsd",
+                _ => "stable sort",
+            }
+        );
+        out.push(case);
+    }
+    out
 }
 
 /// A/B the exchange schedule on the virtual clock. Grid entries are
@@ -970,6 +1094,30 @@ fn main() {
             (1024, 256, 256),
         ]
     };
+    // (records, live key bits, sorted runs): both record phases — the
+    // unsorted block (`runs = n`) and 32 received runs — plus the
+    // presorted block of a re-sort (`runs = 1`), at an L1-sized, the
+    // `records_skew` and an out-of-L2 block, over spans on either side
+    // of `dhs_shm::lsd_beats_comparison`; span 0 is the plain u64-key
+    // row (ROADMAP 3a).
+    let record_grid: Vec<(usize, u32, usize)> = if smoke {
+        vec![
+            (1 << 12, 17, 1 << 12),
+            (1 << 12, 64, 32),
+            (1 << 12, 64, 1),
+            (1 << 12, 0, 1 << 12),
+        ]
+    } else {
+        [1usize << 12, 1 << 17, 1 << 20]
+            .into_iter()
+            .flat_map(|n| {
+                let records = [8u32, 17, 30, 64]
+                    .into_iter()
+                    .flat_map(move |span| [(n, span, n), (n, span, 32), (n, span, 1)]);
+                records.chain([(n, 0, n)])
+            })
+            .collect()
+    };
     let (splitter_grid, splitter_reps): (Vec<(usize, usize)>, usize) = if smoke {
         (vec![(8, 8192)], 3)
     } else {
@@ -1025,6 +1173,7 @@ fn main() {
     let collectives = bench_collectives(&coll_grid, coll_reps);
     let local_sorts = bench_local_sort(&local_grid, local_reps, hybrid_threads);
     let local_merges = bench_local_merge(&merge_grid, local_reps);
+    let record_sorts = bench_record_sort(&record_grid, local_reps);
     let splitter = bench_splitter(&splitter_grid, splitter_reps);
     let kernel = bench_kernels(&kernel_grid, kernel_reps);
     let exchange_algo = bench_exchange_algo(&algo_grid);
@@ -1033,7 +1182,7 @@ fn main() {
 
     let mut json = String::new();
     let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"schema\": \"dhs-wallclock/v6\",");
+    let _ = writeln!(json, "  \"schema\": \"dhs-wallclock/v7\",");
     let _ = writeln!(json, "  \"smoke\": {smoke},");
     let host = std::thread::available_parallelism().map_or(1, |v| v.get());
     let _ = writeln!(json, "  \"host_parallelism\": {host},");
@@ -1074,6 +1223,9 @@ fn main() {
     let _ = writeln!(json, "    ]}},");
     let _ = writeln!(json, "    {{\"name\": \"local_merge_ab\", \"cases\": [");
     let _ = write!(json, "{}", json_ab(&local_merges, "serial", "hybrid"));
+    let _ = writeln!(json, "    ]}},");
+    let _ = writeln!(json, "    {{\"name\": \"record_sort_ab\", \"cases\": [");
+    let _ = write!(json, "{}", json_ab(&record_sorts, "stable_sort", "lsd"));
     let _ = writeln!(json, "    ]}},");
     let _ = writeln!(json, "    {{\"name\": \"splitter_ab\", \"cases\": [");
     let _ = write!(json, "{}", json_ab(&splitter, "classic", "multi_probe"));

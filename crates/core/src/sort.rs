@@ -533,15 +533,35 @@ pub fn histogram_sort_warm<K: Key>(
 /// [`Key`] — the `std::sort`-with-projection form scientific codes use
 /// (e.g. particles keyed by Morton code, matrix nonzeros keyed by
 /// row). Collective. Records run the same pipeline as plain keys with
-/// the record hooks plugged in: both local phases are a *stable* sort
-/// by key (the paper's evaluated re-sort merge), and the payload moves
-/// as owned buckets through one `ALL-TO-ALLV`. The record hooks
-/// therefore ignore [`SortConfig::local_sort`], [`SortConfig::merge`]
-/// and [`SortConfig::exchange`]; every other field applies as for
-/// [`histogram_sort`]. With an intra-rank thread budget both local
-/// phases dispatch to the stable `dhs-shm` kernels, whose output is
-/// element-for-element identical to the serial stable sort for every
-/// `threads_per_rank`.
+/// the record hooks plugged in.
+///
+/// The payload moves **once**: the plan's segments of the sorted block
+/// are sent borrowed through one `ALL-TO-ALLV`, and every record is
+/// cloned exactly once, by its receiver. Both local phases are
+/// *stable* sorts by key, charged as the paper's comparison sort and
+/// re-sort merge and executed by whichever stable kernel is cheaper:
+/// with more than one thread to execute on, the stable hybrid `dhs-shm`
+/// kernels; on one thread, the LSD radix kernel over the key's bit
+/// image where `dhs_shm::lsd_beats_comparison` says so (records
+/// without drop glue, few live key bits against the levels a
+/// comparison sort needs for the runs the block is *observed* to hold
+/// — a presorted block is returned after one read sweep) and the
+/// stable `sort_by_key` otherwise. Stability makes the kernels
+/// indistinguishable: the output is element for element the global
+/// stable sort of the input, for every `threads_per_rank`, engine and
+/// kernel policy.
+///
+/// The record hooks ignore [`SortConfig::local_sort`],
+/// [`SortConfig::merge`] and [`SortConfig::exchange`]: those choose
+/// among engines for `Ord + Copy` keys (unstable sorts, k-way merge
+/// trees, the pairwise merging exchange) that have no counterpart over
+/// records ordered by an extracted key. Every other field applies as
+/// for [`histogram_sort`]. The kernel rule is not a fourth such field
+/// on purpose: it is a pure function of the block (length, runs, live
+/// key bits, drop glue) with both sides on file (`record_sort_ab` in
+/// `BENCH_wallclock.json`, all at one thread — which is why a hybrid
+/// thread budget keeps the hybrid kernels), so a caller has nothing to
+/// choose.
 ///
 /// `key_fn` must be `Sync` so the hybrid path may evaluate it from
 /// worker threads; key extraction is pure, so any ordinary projection
@@ -597,7 +617,9 @@ pub(crate) trait Payload<T> {
 
     /// Sort the local block and charge the engine's modelled cost
     /// (records need a *stable* sort, keys take the configured engine).
-    fn local_sort(&self, comm: &Comm, data: &mut [T], cfg: &SortConfig);
+    /// The block is a `Vec` so that a hook sorting between two buffers
+    /// can swap the finished one into place instead of copying back.
+    fn local_sort(&self, comm: &Comm, data: &mut Vec<T>, cfg: &SortConfig);
 
     /// The sorted keys of `data`: the block itself for plain keys, an
     /// extracted (and charged) copy for records.
@@ -605,9 +627,10 @@ pub(crate) trait Payload<T> {
 
     /// Move every planned segment to its destination. Returns the
     /// received runs, or `None` when the exchange already merged them
-    /// into `data` ([`ExchangeStrategy::PairwiseMerge`]). `K: Copy`
-    /// keys are sent borrowed, in place; `T: Clone` records need owned
-    /// buckets.
+    /// into `data` ([`ExchangeStrategy::PairwiseMerge`]). Keys and
+    /// records alike are sent borrowed, in place: each element is
+    /// copied (`T: Clone` records: cloned) exactly once, by its
+    /// receiver, and `data` is left as it was.
     fn exchange(
         &self,
         comm: &Comm,
@@ -617,10 +640,10 @@ pub(crate) trait Payload<T> {
     ) -> Option<RecvRuns<T>>;
 
     /// Merge the received sorted runs into this rank's output block
-    /// (keys: the [`SortConfig::merge`] engines; records: stable
-    /// re-sort, since equal keys must keep their source order).
-    /// `scratch` is the rank's send block, dead once the exchange has
-    /// returned: merge space for a hook that can use it.
+    /// (keys: the [`SortConfig::merge`] engines; records: a stable
+    /// sort of the runs' concatenation, since equal keys must keep
+    /// their source order). `scratch` is the rank's send block, dead
+    /// once the exchange has returned: the hooks' merge space.
     fn merge(
         &self,
         comm: &Comm,
@@ -636,7 +659,7 @@ pub(crate) struct Keys;
 impl<K: Key> Payload<K> for Keys {
     type Key = K;
 
-    fn local_sort(&self, comm: &Comm, data: &mut [K], cfg: &SortConfig) {
+    fn local_sort(&self, comm: &Comm, data: &mut Vec<K>, cfg: &SortConfig) {
         local_sort_exec(comm, data, cfg.local_sort, Kernels::for_policy(cfg.kernels));
     }
 
@@ -707,13 +730,42 @@ impl<K: Key> Payload<K> for Keys {
 /// [`Payload`] of records ordered by an extracted key.
 pub(crate) struct Records<'f, F>(pub &'f F);
 
-/// Charge a stable sort of `n` records of type `T` (the records'
-/// local sort and re-sort merge alike).
+/// Charge a stable comparison sort of `n` records of type `T` (the
+/// records' local sort and re-sort merge alike). What the host runs
+/// is the hooks' business — the LSD kernel by rule — and never moves
+/// this charge, as for [`charge_local_sort`].
 fn charge_record_sort<T>(comm: &Comm, n: usize) {
     comm.charge(Work::SortElems {
         n: n as u64,
         elem_bytes: std::mem::size_of::<T>() as u64,
     });
+}
+
+impl<F> Records<'_, F> {
+    /// Stable-sort `data` by key with the LSD kernel where it is the
+    /// cheaper stable sort; `false` leaves both buffers untouched for
+    /// the comparison kernels. Two gates are known before anything
+    /// reads the block: the rule refuses drop glue whatever the block
+    /// holds, and the recorded cells are one thread against one — a
+    /// serial LSD must not pre-empt a `te`-thread hybrid kernel. Past
+    /// them the kernel's one read sweep observes `(n, runs, span)` and
+    /// `dhs_shm::lsd_beats_comparison` decides.
+    fn lsd_if_cheaper<T, K>(&self, comm: &Comm, data: &mut Vec<T>, scratch: &mut Vec<T>) -> bool
+    where
+        T: Clone,
+        K: Key,
+        F: Fn(&T) -> K,
+    {
+        let key = self.0;
+        let needs_drop = std::mem::needs_drop::<T>();
+        if needs_drop || comm.threads().exec_budget() > 1 {
+            return false;
+        }
+        let bits = |r: &T| key(r).to_bits();
+        dhs_shm::lsd_sort_if(data, scratch, &bits, |n, runs, span| {
+            dhs_shm::lsd_beats_comparison(n, runs, span, needs_drop)
+        })
+    }
 }
 
 impl<T, K, F> Payload<T> for Records<'_, F>
@@ -724,9 +776,12 @@ where
 {
     type Key = K;
 
-    fn local_sort(&self, comm: &Comm, data: &mut [T], _: &SortConfig) {
+    fn local_sort(&self, comm: &Comm, data: &mut Vec<T>, _: &SortConfig) {
         let key = self.0;
         charge_record_sort::<T>(comm, data.len());
+        if self.lsd_if_cheaper(comm, data, &mut Vec::new()) {
+            return;
+        }
         if comm.threads().is_parallel() {
             // The hybrid kernel reproduces the stable order exactly.
             let te = comm.threads().exec_budget();
@@ -751,24 +806,35 @@ where
         plan: &ExchangePlan,
         cfg: &SortConfig,
     ) -> Option<RecvRuns<T>> {
+        // The packing pass an MPI implementation performs, as for keys.
         comm.charge(Work::MoveBytes(std::mem::size_of_val(&data[..]) as u64));
-        let buckets: Vec<Vec<T>> = plan.segments(data).into_iter().map(<[T]>::to_vec).collect();
-        Some(comm.exchange(buckets, cfg.exchange_algo))
+        let segments = plan.segments(data);
+        Some(comm.exchange(&segments[..], cfg.exchange_algo))
     }
 
-    fn merge(&self, comm: &Comm, received: RecvRuns<T>, _: Vec<T>, _: &SortConfig) -> Vec<T> {
+    fn merge(
+        &self,
+        comm: &Comm,
+        received: RecvRuns<T>,
+        mut scratch: Vec<T>,
+        _: &SortConfig,
+    ) -> Vec<T> {
         let key = self.0;
         charge_record_sort::<T>(comm, received.total_len());
+        let (mut all, counts) = received.into_parts();
+        if self.lsd_if_cheaper(comm, &mut all, &mut scratch) {
+            return all;
+        }
         if comm.threads().is_parallel() {
             // Every received run is a slice of a sorted array, so the
             // hybrid path merges the runs stably — identical to the
             // serial stable re-sort of their concatenation.
             let te = comm.threads().exec_budget();
+            let received = RecvRuns::from_parts(all, counts);
             dhs_shm::parallel_binary_tree_merge_by(&received.as_slices(), te, &|a: &T, b: &T| {
                 key(a).cmp(&key(b))
             })
         } else {
-            let mut all = received.into_data();
             all.sort_by_key(key);
             all
         }
@@ -809,7 +875,7 @@ impl Shape {
 /// thread budget, sort the local block.
 pub(crate) fn local_phase<T, P: Payload<T>>(
     comm: &Comm,
-    local: &mut [T],
+    local: &mut Vec<T>,
     payload: &P,
     cfg: &SortConfig,
 ) -> SortStats {
@@ -1054,6 +1120,42 @@ mod tests {
             got.extend_from_slice(local);
         }
         assert_eq!(got, expect, "global order broken");
+    }
+
+    /// The record hooks' two static gates: the LSD arm is taken at an
+    /// execution budget of one thread only, and never for records with
+    /// drop glue; a refusal leaves the block and the scratch alone.
+    #[test]
+    fn record_lsd_arm_needs_one_thread_and_no_drop_glue() {
+        run(&ClusterConfig::small_cluster(1), |comm| {
+            let pairs: Vec<(u64, u64)> = keys_for(0, 5_000, 1 << 16).into_iter().zip(0..).collect();
+            let mut sorted = pairs.clone();
+            sorted.sort_by_key(|r| r.0);
+            let key = |r: &(u64, u64)| r.0;
+            let hook = Records(&key);
+
+            // (budget, host cap): whatever the host has, a cap of one
+            // makes the execution budget one.
+            for (budget, cap) in [(1, usize::MAX), (4, 1), (4, usize::MAX)] {
+                comm.threads().configure(budget);
+                comm.threads().set_host_cap(cap);
+                let serial = comm.threads().exec_budget() == 1;
+                let (mut data, mut scratch) = (pairs.clone(), Vec::new());
+                assert_eq!(hook.lsd_if_cheaper(comm, &mut data, &mut scratch), serial);
+                if serial {
+                    assert_eq!(data, sorted);
+                } else {
+                    assert!(data == pairs && scratch.capacity() == 0);
+                }
+            }
+
+            comm.threads().configure(1);
+            let owned: Vec<(u64, String)> = pairs.iter().map(|r| (r.0, r.1.to_string())).collect();
+            let key = |r: &(u64, String)| r.0;
+            let (mut data, mut scratch) = (owned.clone(), Vec::new());
+            assert!(!Records(&key).lsd_if_cheaper(comm, &mut data, &mut scratch));
+            assert!(data == owned && scratch.capacity() == 0);
+        });
     }
 
     #[test]

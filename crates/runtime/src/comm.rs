@@ -278,7 +278,8 @@ const STAGE_HEADER_BYTES: u64 = 8;
 /// Payload forms accepted by [`Comm::exchange`] — the single entry
 /// point of the personalized all-to-all. `Vec<Vec<T>>` moves owned
 /// buckets (the legacy `alltoallv` shape); `&[&[T]]` sends borrowed
-/// segments of an already-ordered local array on the zero-copy path.
+/// segments of an already-ordered local array on the zero-copy path
+/// (any `T: Clone`: each element is cloned once, by its receiver).
 /// Both deliver into one contiguous [`RecvRuns`] buffer, and both
 /// charge byte-identical virtual time: the cost model reads only
 /// lengths and link classes, never payloads.
@@ -296,7 +297,7 @@ impl<T: Send + 'static> ExchangePayload<T> for Vec<Vec<T>> {
     }
 }
 
-impl<'a, T: Copy + Send + Sync + 'static> ExchangePayload<T> for &'a [&'a [T]] {
+impl<'a, T: Clone + Send + Sync + 'static> ExchangePayload<T> for &'a [&'a [T]] {
     fn exchange_via(self, comm: &Comm, algo: AllToAllAlgo) -> RecvRuns<T> {
         match algo {
             AllToAllAlgo::StagedKWay { k } => {
@@ -1083,9 +1084,14 @@ impl Comm {
     /// Identical virtual-clock behaviour and byte accounting as the
     /// owned-bucket path: both share `alltoallv_end_times`, and the
     /// cost model reads only lengths and link classes.
+    ///
+    /// `T: Clone` is enough — the copy-out is `extend_from_slice` — so
+    /// records travel this path too. A `Clone` may panic where a `Copy`
+    /// cannot; the exit barrier is unwind-safe for exactly that case
+    /// (window 4 of `collective_view`).
     fn alltoallv_direct_slices<T>(&self, send: &[&[T]], algo: AllToAllAlgo) -> RecvRuns<T>
     where
-        T: Copy + Send + Sync + 'static,
+        T: Clone + Send + Sync + 'static,
     {
         let p = self.size();
         assert_eq!(
@@ -1111,7 +1117,13 @@ impl Comm {
                 let mut data: Vec<T> = Vec::with_capacity(total);
                 for v in views.iter() {
                     // SAFETY: extract under the exit barrier, window 4
-                    // of `collective_view`.
+                    // of `collective_view`: every sender is held inside
+                    // the collective — returning or unwinding — until
+                    // all extracts are over, so its segments are alive
+                    // and unmutated here. That includes an extract
+                    // that panics: if `T::clone` unwinds out of this
+                    // loop, `data` (our own clones) drops, the rank
+                    // serves the barrier, and only then resumes.
                     data.extend_from_slice(unsafe { v.slice(me) });
                 }
                 RecvRuns::from_parts(data, counts)

@@ -475,14 +475,21 @@ impl CommState {
     ///    of hanging. Until one of the two happens no unwind cause is
     ///    taken here (a poison raised elsewhere must not pull a view
     ///    from under a live combine).
-    /// 4. **Output taken → generation bump**: no unwinds, so every rank
-    ///    that saw the output departs and the cell resets. Without
-    ///    `exit_barrier` a rank returns right after departing, and
-    ///    `extract` may read only the output's own data. With it, no
-    ///    rank returns (no borrowed buffer can be dropped or mutated)
-    ///    until **every** rank has finished its `extract`, which may
-    ///    then dereference peers' views, as the all-to-all copy-out
-    ///    does.
+    /// 4. **Output taken → generation bump**: neither unwind cause is
+    ///    taken, so every rank that saw the output departs and the
+    ///    cell resets. Without `exit_barrier` a rank departs first and
+    ///    runs `extract` on its way out; `extract` may read only the
+    ///    output's own data, and a panic in it unwinds freely. With
+    ///    `exit_barrier`, no rank **leaves** — returns *or unwinds*, so
+    ///    no borrowed buffer can be dropped or mutated — until
+    ///    **every** rank has finished its `extract`, which may then
+    ///    dereference peers' views, as the all-to-all copy-out does.
+    ///    `extract` runs user code there (`T::clone` of a record), so
+    ///    it may panic: the panic is caught, the rank serves the exit
+    ///    barrier like any other, and only then resumes unwinding —
+    ///    its peers finish their copy-outs from its still-live buffer
+    ///    and meet the failure at their next blocking point, as
+    ///    collateral of this one root cause.
     pub fn collective_view<T, R, Q, F, G>(
         &self,
         rank: usize,
@@ -590,17 +597,19 @@ impl CommState {
         // data): after departing when nothing borrowed is read, before
         // departing — and then holding every rank until the generation
         // bump — when peers read views of this rank's memory.
-        if !exit_barrier {
-            self.depart(&mut st);
-        }
-        drop(st);
-        let result = extract(&out);
-        if exit_barrier {
+        let result = if exit_barrier {
+            drop(st);
+            let extracted = panic::catch_unwind(AssertUnwindSafe(|| extract(&out)));
             let mut st = self.cell.state.lock();
             if !self.depart(&mut st) {
                 drop(self.wait_cell(me_global, st, |st| st.gen != my_gen, |_, _| false));
             }
-        }
+            extracted.unwrap_or_else(|payload| panic::resume_unwind(payload))
+        } else {
+            self.depart(&mut st);
+            drop(st);
+            extract(&out)
+        };
 
         // Advance this rank's clock to the collective's end and account
         // the waiting + transfer as communication time.

@@ -26,7 +26,9 @@ pub use pmerge::{
     parallel_binary_tree_merge, parallel_binary_tree_merge_by, parallel_kway_chunked,
     parallel_merge_into, parallel_merge_into_by, run_merge_beats_resort,
 };
-pub use radix::{radix_sort_by_bits, radix_sort_u32, radix_sort_u64};
+pub use radix::{
+    lsd_beats_comparison, lsd_sort_if, radix_sort_by_bits, radix_sort_u32, radix_sort_u64,
+};
 pub use sort::{
     parallel_merge_sort, parallel_merge_sort_by, parallel_quicksort, radix_merge_sort_by_bits,
     radix_merge_sort_typed, task_merge_sort,

@@ -6,11 +6,13 @@
 use dhs::core::{histogram_sort, ExchangeStrategy, SortConfig, SortOutcome};
 use dhs::runtime::fault::RankError;
 use dhs::runtime::{
-    run, run_summarized, try_run, AllToAllAlgo, ClusterConfig, Comm, FaultPlan, LinkClass,
-    LinkFault, LossSpec, RunnerEngine,
+    run, run_summarized, try_run, try_run_partial, AllToAllAlgo, ClusterConfig, Comm, FaultPlan,
+    LinkClass, LinkFault, LossSpec, RunnerEngine,
 };
 use dhs::workloads::{rank_local_keys, Distribution, Layout};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Run every collective once and return all data results, bit-for-bit
@@ -183,12 +185,65 @@ fn crash_during_sort_is_reported_and_deterministic() {
     assert_eq!(err.completed_reports, err2.completed_reports);
 }
 
+/// What the `Fragile` records of one run did, for
+/// `crash_mid_collective_releases_blocked_peers`.
+#[derive(Default)]
+struct CopyLog {
+    /// `clone()` calls, the tripping one included.
+    clones: AtomicUsize,
+    /// Sender-side records dropped.
+    dropped_senders: AtomicUsize,
+    /// ... of which before every rank's copy-out was over.
+    dropped_early: AtomicUsize,
+}
+
+/// `clone()` calls of one `"exchange borrowed, Clone panics"` run:
+/// seven ranks clone their 16 records; rank 5 clones the six from
+/// ranks 0–2 and trips on the seventh.
+const FRAGILE_CLONE_CALLS: usize = 7 * 16 + 7;
+
+/// A record whose `clone()` can panic and whose sender-side `drop`
+/// checks that no copy-out is still running.
+struct Fragile {
+    trips: bool,
+    /// The run's log; `None` on a receiver's clone.
+    home: Option<Arc<CopyLog>>,
+}
+
+impl Clone for Fragile {
+    fn clone(&self) -> Self {
+        let log = self
+            .home
+            .as_ref()
+            .expect("only senders' records are cloned");
+        log.clones.fetch_add(1, Ordering::SeqCst);
+        assert!(!self.trips, "clone tripped");
+        Fragile {
+            trips: false,
+            home: None,
+        }
+    }
+}
+
+impl Drop for Fragile {
+    fn drop(&mut self) {
+        if let Some(log) = &self.home {
+            log.dropped_senders.fetch_add(1, Ordering::SeqCst);
+            // All copy-outs are over once the run's last clone call
+            // has been made.
+            if log.clones.load(Ordering::SeqCst) != FRAGILE_CLONE_CALLS {
+                log.dropped_early.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+    }
+}
+
 /// A crash must release every peer blocked in the rendezvous — under
 /// every engine and for every payload shape that goes through the one
 /// collective protocol (owned inputs, borrowed views, exit barrier),
-/// and also when the rank that dies is the one combining — as typed
-/// collateral, and through the event-driven wake path rather than a
-/// park backstop.
+/// and also when the rank that dies is the one combining, or unwinds
+/// out of its copy-out under the exit barrier — as typed collateral,
+/// and through the event-driven wake path rather than a park backstop.
 #[test]
 fn crash_mid_collective_releases_blocked_peers() {
     /// `dhs_runtime::sched::PARK_BACKSTOP`: a parked task whose wake
@@ -248,6 +303,61 @@ fn crash_mid_collective_releases_blocked_peers() {
         assert!(
             elapsed < PARK_BACKSTOP,
             "{cell}: took {elapsed:?}, peers waited on a dead combiner"
+        );
+
+        // A borrowed exchange of `Clone` records whose `clone()` panics
+        // on rank 5 in the middle of its copy-out (window 4 of
+        // `collective_view`): rank 5 is the one root cause, but it
+        // serves the exit barrier before unwinding, so the other seven
+        // finish copying out of its buffer, return, and are released
+        // from the barrier after it as collateral.
+        let cell = format!("exchange borrowed, Clone panics under {engine:?}");
+        let log = Arc::new(CopyLog::default());
+        let cluster = ClusterConfig::small_cluster(8).with_engine(engine);
+        let started = Instant::now();
+        let out = {
+            let log = Arc::clone(&log);
+            try_run_partial(&cluster, move |comm| {
+                // Two records per destination; the ones from rank 3 up
+                // that are bound for rank 5 trip when cloned.
+                let data: Vec<Fragile> = (0..2 * comm.size())
+                    .map(|i| Fragile {
+                        trips: comm.rank() >= 3 && i / 2 == 5,
+                        home: Some(Arc::clone(&log)),
+                    })
+                    .collect();
+                let send: Vec<&[Fragile]> = data.chunks(2).collect();
+                drop(comm.exchange(&send[..], AllToAllAlgo::OneFactor));
+                comm.barrier();
+            })
+        };
+        let elapsed = started.elapsed();
+        assert_eq!(out.failures().count(), 8, "{cell}: every rank reports");
+        for (rank, e) in out.failures().enumerate() {
+            match e {
+                RankError::Panicked { rank: 5, message } if rank == 5 => {
+                    assert!(message.contains("clone tripped"), "{cell}: {message}")
+                }
+                RankError::PeerFailed { rank: r } if rank != 5 => assert_eq!(*r, rank),
+                other => panic!("{cell}: rank {rank} failed with {other:?}"),
+            }
+        }
+        assert_eq!(out.park_backstops, 0, "{cell}: a park backstop fired");
+        assert!(
+            elapsed < PARK_BACKSTOP,
+            "{cell}: took {elapsed:?}, peers waited on the unwinding rank"
+        );
+        // Every sender's buffer was dropped after the last clone call.
+        assert_eq!(
+            log.clones.load(Ordering::SeqCst),
+            FRAGILE_CLONE_CALLS,
+            "{cell}"
+        );
+        assert_eq!(log.dropped_senders.load(Ordering::SeqCst), 8 * 16, "{cell}");
+        assert_eq!(
+            log.dropped_early.load(Ordering::SeqCst),
+            0,
+            "{cell}: a sender's buffer was dropped while a peer was still copying"
         );
 
         for (name, op) in ops {

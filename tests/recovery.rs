@@ -269,6 +269,76 @@ fn shrink_recovers_record_sort() {
     }
 }
 
+/// The record exchange sends the sorted block *borrowed*: when a peer
+/// dies inside the exchange itself, the survivors' interrupt unwinds
+/// out of the collective with their views retracted and their blocks
+/// intact, and the retry sorts the survivors' records — the stable
+/// sort of their union, element for element.
+#[test]
+fn shrink_recovers_record_sort_from_crash_inside_exchange() {
+    let p = 6;
+    let n = 800;
+    let victim = 1;
+    let sort_cfg = shrink_cfg(1);
+    let records_of = |rank: usize| -> Vec<(u64, u32, u32)> {
+        keys_for(rank, n, 1000)
+            .into_iter()
+            .enumerate()
+            .map(|(i, k)| (k, rank as u32, i as u32))
+            .collect()
+    };
+    let go = |cluster: &ClusterConfig| {
+        let sort_cfg = sort_cfg.clone();
+        try_run_partial(cluster, move |comm| {
+            let mut records = records_of(comm.rank());
+            let stats = histogram_sort_by(comm, &mut records, |r| r.0, &sort_cfg);
+            (records, stats)
+        })
+    };
+
+    // Where the victim's exchange phase begins on its virtual clock:
+    // read off a fault-free run of the same sort.
+    let clean = go(&ClusterConfig::small_cluster(p));
+    let ((_, stats), _) = clean.ranks[victim].as_ref().expect("fault-free run");
+    let exchange_begins = stats.local_sort_ns + stats.histogram_ns + stats.prepare_ns;
+    assert!(stats.exchange_ns > 1);
+
+    // One nanosecond in: the packing charge crosses the deadline, and
+    // the victim dies entering the all-to-all its peers are blocked in.
+    let at_ns = exchange_begins + 1;
+    let out =
+        go(&ClusterConfig::small_cluster(p)
+            .with_fault(FaultPlan::seeded(5).with_crash(victim, at_ns)));
+    assert_eq!(
+        out.ranks[victim].as_ref().err(),
+        Some(&RankError::Crashed {
+            rank: victim,
+            at_ns
+        })
+    );
+    let mut got = Vec::new();
+    for rank in (0..p).filter(|&r| r != victim) {
+        let ((records, stats), _) = out.ranks[rank]
+            .as_ref()
+            .unwrap_or_else(|e| panic!("survivor {rank} failed: {e}"));
+        match &stats.outcome {
+            SortOutcome::Recovered {
+                lost_ranks,
+                restarts,
+                ..
+            } => assert_eq!((lost_ranks.as_slice(), *restarts), (&[victim][..], 1)),
+            other => panic!("survivor {rank}: expected Recovered, got {other:?}"),
+        }
+        got.extend_from_slice(records);
+    }
+    let mut expect: Vec<(u64, u32, u32)> = (0..p)
+        .filter(|&r| r != victim)
+        .flat_map(records_of)
+        .collect();
+    expect.sort_by_key(|r| r.0);
+    assert_eq!(got, expect);
+}
+
 /// A bounded retransmission budget turns an unreachable peer into a
 /// typed `RetriesExhausted` failure instead of an unbounded retry
 /// loop, and the failure is the run's root cause under Abort.

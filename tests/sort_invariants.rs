@@ -7,8 +7,11 @@
 
 use std::collections::HashMap;
 
-use dhs::core::{histogram_sort, make_unique, strip_unique, MergeAlgo, Partitioning, SortConfig};
-use dhs::runtime::{run, ClusterConfig};
+use dhs::core::{
+    histogram_sort, histogram_sort_by, make_unique, strip_unique, MergeAlgo, Partitioning,
+    SortConfig,
+};
+use dhs::runtime::{run, AllToAllAlgo, ClusterConfig, RunnerEngine};
 use dhs::workloads::{rank_local_keys, Distribution, Layout};
 use proptest::prelude::*;
 
@@ -320,4 +323,104 @@ fn large_rank_count_smoke() {
         &cfg,
         11,
     );
+}
+
+/// Sort records built by `make(key, origin rank, origin index)` with
+/// `histogram_sort_by` and require the concatenated output to equal
+/// the **stable** sort of the concatenated input, element for element:
+/// equal keys keep (source rank, source index) order across the whole
+/// machine, whichever kernel each local phase ran. Sorting the output
+/// once more (every block presorted: one run, which the kernel's sweep
+/// must recognise) changes nothing.
+fn records_sort_globally_stable<T>(
+    cluster: &ClusterConfig,
+    dist: Distribution,
+    layout: Layout,
+    cfg: &SortConfig,
+    make: fn(u64, usize, usize) -> T,
+    key: fn(&T) -> u64,
+) where
+    T: Clone + PartialEq + std::fmt::Debug + Send + Sync + 'static,
+{
+    let (p, n_total) = (cluster.ranks(), cluster.ranks() * 1500);
+    let cfg2 = cfg.clone();
+    let out = run(cluster, move |comm| {
+        let before: Vec<T> = rank_local_keys(dist, layout, n_total, p, comm.rank(), 23)
+            .into_iter()
+            .enumerate()
+            .map(|(i, k)| make(k, comm.rank(), i))
+            .collect();
+        let mut local = before.clone();
+        histogram_sort_by(comm, &mut local, key, &cfg2);
+        let mut again = local.clone();
+        histogram_sort_by(comm, &mut again, key, &cfg2);
+        assert!(again == local, "re-sorting a sorted vector moved records");
+        (before, local)
+    });
+    let mut expect: Vec<T> = out.iter().flat_map(|((b, _), _)| b.clone()).collect();
+    expect.sort_by_key(key);
+    let got: Vec<T> = out.iter().flat_map(|((_, a), _)| a.clone()).collect();
+    let cell = format!("{dist:?} {layout:?} {cfg:?}");
+    assert!(got == expect, "not the global stable sort: {cell}");
+    let sizes: Vec<usize> = out.iter().map(|((_, a), _)| a.len()).collect();
+    assert_eq!(sizes, layout.sizes(n_total, p), "{cell}");
+}
+
+/// Both arms of the record hooks' kernel rule — narrow-span keys take
+/// the LSD kernel in the local sort and the merge, full-width keys and
+/// heap-owning records the stable comparison sort — through the
+/// borrowed exchange, for every thread budget, engine and schedule.
+#[test]
+fn record_sort_equals_the_global_stable_sort() {
+    let dists = [
+        Distribution::Zipf {
+            items: 1 << 16,
+            s: 1.2,
+        },
+        Distribution::FewDistinct { k: 3 },
+        Distribution::AllEqual { value: 42 },
+        Distribution::Uniform {
+            lo: 0,
+            hi: u64::MAX,
+        },
+    ];
+    let layouts = [
+        Layout::Balanced,
+        Layout::SparseFront {
+            empty_permille: 500,
+        },
+    ];
+    for engine in [RunnerEngine::Threads, RunnerEngine::Tasks { workers: 0 }] {
+        let cluster = ClusterConfig::small_cluster(6).with_engine(engine);
+        for algo in [AllToAllAlgo::OneFactor, AllToAllAlgo::StagedKWay { k: 4 }] {
+            for threads in [1, 2, 4] {
+                let cfg = SortConfig::builder()
+                    .threads_per_rank(threads)
+                    .exchange_algo(algo)
+                    .build()
+                    .expect("valid config");
+                for dist in dists {
+                    for layout in layouts {
+                        records_sort_globally_stable(
+                            &cluster,
+                            dist,
+                            layout,
+                            &cfg,
+                            |k, rank, i| (k, rank as u32, i as u32),
+                            |r| r.0,
+                        );
+                    }
+                }
+                // `needs_drop`: every move is a real clone.
+                records_sort_globally_stable(
+                    &cluster,
+                    Distribution::FewDistinct { k: 3 },
+                    layouts[1],
+                    &cfg,
+                    |k, rank, i| (k, format!("{rank}/{i}")),
+                    |r| r.0,
+                );
+            }
+        }
+    }
 }
