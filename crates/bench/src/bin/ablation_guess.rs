@@ -1,12 +1,13 @@
 //! Ablation A3 — initial splitter guesses (§III-B): the paper skips
 //! per-round sampling and instead "focuses on optimizing the initial
-//! splitter guesses". This ablation compares three initializations of
-//! the bisection intervals:
+//! splitter guesses". This ablation compares three starts of the
+//! splitter search:
 //!
-//! * `full-domain` — the whole key domain, no setup collective;
-//! * `data-minmax` — one min/max reduction (the paper's choice);
-//! * `sampled-quantiles` — per-splitter brackets from a one-shot
-//!   regular sample (falls back to min/max if a bracket misses).
+//! * `full-domain` — brackets span the whole key domain;
+//! * `data-minmax` — the data's min/max (the paper's choice), round 1
+//!   probing each target's interpolated quantile;
+//! * `sampled-quantiles` — the same brackets, round 1 probing each
+//!   target's quantile in a one-shot regular sample.
 //!
 //! Reported per distribution: histogramming iterations and splitter
 //! phase time.

@@ -1,11 +1,11 @@
-//! Ablation A6 — multi-probe histogramming: sweep the probe grid
-//! `m ∈ {1, 3, 7, 15}` over the Figure 2 strong-scaling rank grid and
-//! locate the α/β crossover the cost model predicts: each refinement
-//! round costs one allreduce latency, so `m = 2^d - 1` probes cut the
-//! round count by `d` while fattening the payload `m`-fold. Accepted
-//! splitters are identical for every `m` (the grid replays the exact
-//! single-probe bisection path), so rows differ only in round count and
-//! cost — `m = 1` is the paper's loop.
+//! Ablation A6 — round width of the splitter search: sweep
+//! `m ∈ {1, 3, 7, 15}` (a round histograms at most `m × (P − 1)` keys,
+//! shared among the open splitters) over the Figure 2 strong-scaling
+//! rank grid and locate the α/β crossover the cost model predicts:
+//! each refinement round costs one allreduce latency, and a wider
+//! round buys fewer of them with an up to `m`-fold fatter payload.
+//! The partition is identical for every `m`, so rows differ only in
+//! round count and cost — `m = 1` is the default.
 //!
 //! Reported per cell: histogram rounds (`ALLREDUCE`s), total probes,
 //! the simulated histogram-phase time, the full-sort makespan, and the
@@ -41,10 +41,8 @@ fn main() {
         .collect();
     let ms = [1usize, 3, 7, 15];
 
-    println!("# Ablation A6: multi-probe histogramming, uniform u64 in [0,1e9], N = {n_total} keys total");
-    println!(
-        "# perfect partitioning (eps = 0), probes m per active splitter per round, {reps} reps"
-    );
+    println!("# Ablation A6: round width of the splitter search, uniform u64 in [0,1e9], N = {n_total} keys total");
+    println!("# perfect partitioning (eps = 0), rounds m x (p - 1) probes wide, {reps} reps");
     println!("# rounds-x is the allreduce-round reduction vs m = 1 at the same p\n");
 
     let mut t = Table::new([

@@ -1,7 +1,7 @@
 //! Epoch-service study — warm-started splitter search over batch
 //! streams: run the long-lived `EpochSorter` on the three drift
-//! profiles (stationary, shifting-zipf, churn) under each `WarmStart`
-//! policy and record rounds-to-convergence, probes, virtual makespan
+//! profiles (stationary, shifting-zipf, churn) under both `WarmStart`
+//! policies and record rounds-to-convergence, probes, virtual makespan
 //! and buffer-pool reuse per epoch.
 //!
 //! Every epoch of every cell is checked **byte-identical to a
@@ -46,7 +46,6 @@ struct Cell {
 fn policy_label(ws: WarmStart) -> &'static str {
     match ws {
         WarmStart::Cold => "cold",
-        WarmStart::Seeded => "seeded",
         WarmStart::SeededWithBrackets => "seeded-brackets",
     }
 }
@@ -179,11 +178,7 @@ fn main() {
             keep_permille: 900,
         },
     ];
-    let policies = [
-        WarmStart::Cold,
-        WarmStart::Seeded,
-        WarmStart::SeededWithBrackets,
-    ];
+    let policies = [WarmStart::Cold, WarmStart::SeededWithBrackets];
 
     println!(
         "# Epoch service: p={p}, N={n_total} keys/epoch, {epochs} epochs, \

@@ -83,12 +83,11 @@ impl SortConfigBuilder {
         self
     }
 
-    /// Candidate keys histogrammed per still-active splitter per
-    /// refinement round (multi-probe bisection; effectively rounded
-    /// down to `2^d - 1`). `1` (the default) is classic one-midpoint
-    /// bisection; larger grids trade a fatter allreduce payload for
-    /// `log₂(m+1)`-fold fewer rounds with identical results.
-    /// `build()` rejects 0.
+    /// Width of a splitter-refinement round in units of `P − 1`
+    /// candidate keys, shared among the splitters still open. `1` (the
+    /// default) starts at one probe per splitter; wider rounds trade a
+    /// fatter allreduce payload for fewer rounds with the same
+    /// partition. `build()` rejects 0.
     pub fn probes_per_round(mut self, probes: usize) -> Self {
         self.cfg.probes_per_round = probes;
         self
@@ -229,7 +228,10 @@ mod tests {
             "runtime dispatch is the default"
         );
         assert_eq!(def.threads_per_rank, 1, "default must be fully serial");
-        assert_eq!(def.probes_per_round, 1, "default must be classic bisection");
+        assert_eq!(
+            def.probes_per_round, 1,
+            "default round is P - 1 probes wide"
+        );
         assert_eq!(def.recovery, RecoveryPolicy::Abort, "abort is the default");
         assert_eq!(
             def.exchange_algo,
@@ -292,11 +294,7 @@ mod tests {
 
     #[test]
     fn builder_warm_start_roundtrip() {
-        for ws in [
-            WarmStart::Cold,
-            WarmStart::Seeded,
-            WarmStart::SeededWithBrackets,
-        ] {
+        for ws in [WarmStart::Cold, WarmStart::SeededWithBrackets] {
             let cfg = SortConfig::builder()
                 .warm_start(ws)
                 .build()

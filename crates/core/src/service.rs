@@ -6,13 +6,14 @@
 //! (an **epoch**) with the same four-superstep pipeline, carrying two
 //! things from epoch *e* to epoch *e+1*:
 //!
-//! 1. **The accepted splitters** — under [`WarmStart::Seeded`] the next
-//!    epoch's splitter search starts from quantile brackets built over
-//!    the previous ladder
-//!    ([`crate::splitter::find_splitters_seeded`]); under
-//!    [`WarmStart::SeededWithBrackets`] round 1 additionally probes the
-//!    ladder keys themselves, so a stationary stream re-accepts every
-//!    splitter in a single histogram round.
+//! 1. **The accepted splitters** — under
+//!    [`WarmStart::SeededWithBrackets`] round 1 of the next epoch's
+//!    splitter search probes the previous ladder's keys themselves
+//!    ([`crate::splitter::find_splitters_seeded`]): a stationary
+//!    stream re-accepts every splitter in a single histogram round,
+//!    and on a drifting one the old keys' exact counts bracket every
+//!    new splitter, so the search goes on from there within a round or
+//!    two of a cold one instead of first exhausting a guess.
 //! 2. **The scratch allocations** — histogram counts and exchange
 //!    staging recycle through the per-[`Comm`]
 //!    [`dhs_runtime::BufferPool`], so steady-state epochs allocate near
@@ -22,7 +23,8 @@
 //! boundaries are fixed by the targets, not by the path the search took
 //! to them, so a seeded epoch's output is byte-identical to a
 //! cold-start sort of the same batch (pinned by `tests/epoch_service.rs`
-//! and the `epoch_service` bench).
+//! and the `epoch_service` bench, which also records rounds per epoch
+//! for both policies on three drift profiles).
 //!
 //! ```
 //! use dhs_core::{EpochSorter, SortConfig, WarmStart};

@@ -126,22 +126,18 @@ pub enum WarmStart {
     /// Ignore the stash: every epoch runs a cold splitter search (the
     /// default, and exactly the one-shot [`histogram_sort`] behavior).
     /// The stash is still *written* after each epoch, so switching to
-    /// a seeded policy later picks up the latest ladder.
+    /// the seeded policy later picks up the latest ladder.
     #[default]
     Cold,
-    /// Seed each epoch's search with per-splitter quantile brackets
-    /// from the previous epoch's accepted splitter ladder
-    /// ([`crate::splitter::find_splitters_seeded`]): round 1 bisects
-    /// inside a two-key-wide bracket instead of the full data range.
-    /// Stationary streams converge in a handful of rounds instead of
-    /// `O(BITS)`.
-    Seeded,
-    /// [`WarmStart::Seeded`], plus round 1 probes the previous
-    /// epoch's accepted splitter keys *themselves* (degenerate `[w, w]`
-    /// intervals). On a truly stationary stream the old key validates
-    /// immediately and every splitter settles in **one** round; on
-    /// drifted data a miss falls back to the quantile bracket, then to
-    /// the data range, costing one extra round per fallback level.
+    /// Round 1 of each epoch's search probes the previous epoch's
+    /// accepted splitter keys themselves
+    /// ([`crate::splitter::find_splitters_seeded`]). On a stationary
+    /// stream every old key validates at once and the search takes
+    /// **one** round; on drifted data the old keys' exact counts
+    /// bracket every splitter between two of them and the search goes
+    /// on from there, within a round or two of a cold one (a bracket
+    /// built from exact counts cannot miss, so there is nothing to
+    /// fall back from).
     SeededWithBrackets,
 }
 
@@ -175,15 +171,17 @@ pub struct SortConfig {
     /// adversarial keys). `None` (default) lets the search run to its
     /// key-width convergence bound.
     pub max_splitter_iterations: Option<u32>,
-    /// Candidate keys histogrammed per still-active splitter per
-    /// refinement round, folded into a single allreduce (effectively
-    /// rounded down to `2^d - 1`: the probe grid is the full `d`-level
-    /// bisection tree of the splitter's interval). `1` (default) is the
-    /// paper's one-midpoint bisection; `m > 1` cuts allreduce rounds to
-    /// `⌈steps / log₂(m+1)⌉` at an `m`-fold fatter payload — trading
-    /// β-bytes for α-rounds. Accepted splitters, realized boundaries,
-    /// and the degradation flag are identical for every value; only the
-    /// round count and cost change. Must be at least 1.
+    /// Width of a splitter-refinement round in units of `P − 1`: every
+    /// round histograms at most `probes_per_round × (P − 1)` candidate
+    /// keys in its one allreduce, shared evenly among the splitters
+    /// still open, so the width settled splitters leave behind goes to
+    /// the rest. `1` (default) starts at the paper's one probe per
+    /// splitter; a wider round buys fewer allreduce rounds with a
+    /// fatter payload — trading β-bytes for α-rounds (ablation A6).
+    /// The partition is the same at `ε = 0` for every value; accepted
+    /// keys, rounds and cost change. Ignored under the paper's literal
+    /// rule, which probes one midpoint per splitter. Must be at
+    /// least 1.
     pub probes_per_round: usize,
     /// Intra-rank host-thread budget for hybrid rank×thread execution
     /// (default 1 = fully serial ranks). With a budget above 1, the
@@ -1014,7 +1012,6 @@ pub(crate) fn attempt<T, P: Payload<T>>(
         let opts = SplitterOptions {
             max_iterations: cfg.max_splitter_iterations,
             probes_per_round: cfg.probes_per_round,
-            probe_warm_first: cfg.warm_start == WarmStart::SeededWithBrackets,
             kernels,
             ..SplitterOptions::default()
         };

@@ -1,50 +1,64 @@
 //! Splitter determination by iterative histogramming (paper §V-A,
-//! Algorithms 2 and 3), with two engineering upgrades over the paper's
-//! loop: **multi-probe bisection** and **shrinking index brackets**.
+//! Algorithms 2 and 3), searched from the exact counts the histograms
+//! reduce rather than by bisecting the key space.
 //!
-//! Each of the `P-1` splitters is a key-space interval `[lo, hi]`
+//! Each of the `P-1` splitters is a key-space bracket `[lo, hi]`
 //! refined once per iteration. A single `ALLREDUCE` per iteration sums
 //! the local histograms (`lower_bound`/`upper_bound` positions obtained
-//! by binary search in the locally sorted data) of *all still-active*
+//! by binary search in the locally sorted data) of *all still-open*
 //! splitters; Algorithm 2 then either accepts a splitter — when the
 //! achievable boundary interval `[L_i, U_i]` meets the target within
-//! the `ε` slack — or narrows its key interval.
+//! the `ε` slack — or narrows its bracket. With coarse-grained keys
+//! (duplicates) the interval `[L, U]` is fat and acceptance comes
+//! *sooner*; boundary splitting of equal keys is then resolved exactly
+//! by the Algorithm 4 refinement in [`crate::exchange`].
 //!
-//! Convergence: the `t`-th smallest key always satisfies the acceptance
-//! condition, and the bisection keeps it inside `[lo, hi]` while
-//! halving the interval, so at most `K::BITS + 1` probes are needed per
-//! splitter — the "number of iterations is bound by the key size"
-//! observation of §V-A. With coarse-grained keys (duplicates) the
-//! interval `[L, U]` is fat and acceptance comes *sooner*; boundary
-//! splitting of equal keys is then resolved exactly by the Algorithm 4
-//! refinement in [`crate::exchange`].
+//! The paper's loop probes the bracket's midpoint and keeps a three-way
+//! verdict of the one splitter that asked: one key bit per `ALLREDUCE`,
+//! "bounded by the key size". The search here keeps what the reduction
+//! actually computed (Histogram Sort with Sampling chooses its probes
+//! the same way, from what earlier histograms located):
 //!
-//! ## Multi-probe bisection (α-for-β trade)
+//! * **Brackets carry counts.** An open splitter knows `c_lo`, the
+//!   global keys below `lo`, and `c_hi`, the global keys up to `hi`
+//!   (the range reduction also sums the local lengths, so round 1
+//!   starts from `(0, N)`); `TooLow` at probe `x` sets `lo = x + 1,
+//!   c_lo = U(x)`, `TooHigh` sets `hi = x − 1, c_hi = L(x)`.
+//! * **One shared ladder.** Alg. 2's verdict is monotone in the probe
+//!   key, so a round's probes sorted by key prove a bracket for *every*
+//!   target, whoever placed them: each open splitter takes the
+//!   tightest one the ladder entries inside its own bracket give, and
+//!   is accepted by a neighbour's probe as readily as by its own.
+//! * **Probes are interpolated.** A splitter's probe goes to the key
+//!   the counts predict for its target, `lo + (t − c_lo)·(hi − lo + 1)
+//!   / (c_hi − c_lo)`; with more than one probe to spend, to an even
+//!   grid about ±2σ of the count's binomial spread around it (the
+//!   whole bracket, and finally every key, as brackets run out of
+//!   keys).
+//! * **The round width is fixed.** A round histograms at most `W =`
+//!   [`SplitterOptions::probes_per_round`] `× (P − 1)` keys and shares
+//!   them evenly among the open splitters (`⌊W / open⌋` each, the
+//!   remainder one each to the first of them), so what settled
+//!   splitters no longer need goes to those still open and no round is
+//!   wider than round 1.
+//! * **Bisection is the budget, not the rule.** Every probe set
+//!   contains one probe that leaves at most `⌈W₀ / 2^(r−1)⌉` keys of
+//!   the bracket on either side after round `r` (`W₀` the initial
+//!   width), so on inputs whose counts mislead the interpolation — a
+//!   flat stretch of the CDF, a key space populated by octave — the
+//!   paper's bound survives as rounds `≤ BITS + 2`. A warm ladder, a
+//!   one-shot sample or the cold quantile guess only choose round 1's
+//!   probes; a bracket built from exact counts cannot miss its
+//!   splitter, so there is nothing to restart.
 //!
-//! Each refinement round costs one thin `ALLREDUCE` — pure latency (α)
-//! at scale, since the payload is a handful of counters. With
-//! [`SplitterOptions::probes_per_round`] `= m = 2^d - 1`, every
-//! still-active splitter probes the **full `d`-level bisection tree**
-//! of its interval (the root midpoint, both quarter points, … — for a
-//! wide interval these are the `m` equally spaced interior grid points
-//! at `j/(m+1)` of the interval), all folded into *one* allreduce of
-//! `2m` counters per splitter. After the reduction the splitter
-//! *descends* its tree: the root's verdict picks the half, the matching
-//! child's verdict picks the quarter, and so on — exactly the `d`
-//! probes classic bisection would have issued over `d` rounds. Rounds
-//! therefore drop from `O(BITS)` to `O(BITS / log₂(m+1))` while the
-//! per-round payload grows `m`-fold: β-bytes bought with α-rounds,
-//! precisely the trade the α–β cost model prices (and the same knob
-//! Histogram Sort with Sampling and AMS-sort turn, by other means).
-//!
-//! Because the descent replays the single-probe path verbatim, the
-//! accepted splitter keys, realized boundaries and the `degraded` flag
-//! are **identical for every `m`** — a finer grid can only accept the
-//! same key *earlier*. `m = 1` *is* the classic loop, bit for bit.
+//! [`SplitterOptions::strict_paper_rule`] keeps §V-A's literal loop —
+//! the midpoint, a splitter judged by its own probe only, `L < K ≤ U`
+//! — as one branch of the placement rule and of the ladder slice; it
+//! reproduces the paper's iteration counts (`fig_iterations`).
 //!
 //! ## Shrinking index brackets
 //!
-//! A splitter's key interval only ever narrows, so the local array
+//! A splitter's key bracket only ever narrows, so the local array
 //! positions its probes can land on narrow monotonically too: after a
 //! `TooHigh` verdict at probe `k`, every future probe is `< k` and its
 //! binary search cannot exit `[0, lower(k)]`; after `TooLow`, it cannot
@@ -57,33 +71,34 @@
 //! counts), but it never influences which keys are probed, so all
 //! ranks still execute identical collective schedules.
 //!
-//! One pass per round does both: the loop over the active splitters
+//! One pass per round does both: the loop over the open splitters
 //! loads a bracket once, prices its searches into a
 //! [`dhs_runtime::Charges`] batch (integer adds, no runtime call) and
 //! runs them; the batch is posted with one [`Comm::post`] per round,
-//! which is observably identical to the `P-1` single charges it sums
+//! which is observably identical to the single charges it sums
 //! (same clock, same `compute_ns`, same death under a crash deadline).
 //!
 //! ## Replicated state is shared
 //!
-//! Key intervals, restart fallbacks, accepted splitters, the probe
-//! grid and the descent are pure functions of the *global* histograms:
-//! every rank would compute them identically. They live in one shared
-//! round plan per round for the whole communicator, advanced exactly
-//! once — by whichever rank completes the round's histogram allreduce,
-//! right after the sum ([`Comm::allreduce_sum_then`]) — and the ranks
-//! only read it. What stays per rank is what follows *local* counts:
-//! the index brackets and the pooled histogram. Each rank searches its
-//! own bracketed slice for the shared probe list, charges, deposits,
-//! and afterwards folds the shared verdict path over its own counts to
-//! narrow its brackets. Only the binary searches and the allreduce are
-//! priced on the virtual clock, so where the refinement ran is
-//! unobservable there, and results are byte-identical to every rank
-//! refining for itself (Alg. 3 as printed) at `1/P` of the host work
-//! and memory — Histogram Sort with Sampling likewise refines in one
-//! place and broadcasts the next probes. The *result* is shared the
-//! same way: the rank that completes the last round's allreduce builds
-//! the `P-1` [`SplitterInfo`]s once and every rank's
+//! Key brackets, their counts, accepted splitters, the ladder and the
+//! probe placement are pure functions of the *global* histograms:
+//! every rank would compute them identically. They live in the private
+//! `plan` submodule as one shared round plan per round for the whole
+//! communicator, advanced exactly once — by whichever rank completes
+//! the round's histogram allreduce, right after the sum
+//! ([`Comm::allreduce_sum_then`]) — and the ranks only read it; the
+//! placement rule and Alg. 2 are not reachable from the per-rank loop.
+//! What stays per rank is what follows *local* counts: the index
+//! brackets and the pooled histogram. Each rank searches its own
+//! bracketed slice for the shared probe list, charges, deposits, and
+//! afterwards folds the at most two bracket ends the ladder proved per
+//! open splitter over its own counts of the same probes. Only the
+//! binary searches and the allreduce are priced on the virtual clock,
+//! so where the refinement ran is unobservable there, at `1/P` of the
+//! host work and memory of every rank refining for itself (Alg. 3 as
+//! printed). The *result* is shared the same way: the rank that
+//! completes the last round's allreduce builds the `P-1`
+//! [`SplitterInfo`]s once and every rank's
 //! [`SplitterResult::splitters`] points at that one allocation.
 
 use std::ops::Range;
@@ -93,7 +108,10 @@ use dhs_runtime::{Charges, Comm, Work};
 use dhs_shm::kernels::ladder_bounds_typed;
 use dhs_shm::Kernels;
 
+use self::plan::{RoundPlan, Verdict};
 use crate::key::Key;
+
+mod plan;
 
 /// One determined splitter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,89 +137,34 @@ pub struct SplitterResult<K> {
     /// of the communicator that searched.
     pub splitters: Arc<[SplitterInfo<K>]>,
     /// Histogramming iterations executed (each = one `ALLREDUCE`).
-    /// With multi-probe bisection one iteration evaluates up to
-    /// `log₂(probes_per_round + 1)` bisection steps per splitter.
     pub iterations: u32,
     /// Total candidate keys histogrammed across all iterations (2
-    /// counters each in the allreduce payload). At
-    /// `probes_per_round = 1` this equals the number of bisection
-    /// steps; larger grids spend more probes to buy fewer rounds.
+    /// counters each in the allreduce payload): at most
+    /// `probes_per_round × (P − 1)` per iteration.
     pub probes: u64,
     /// `true` when an iteration cap stopped the search before every
-    /// splitter met its slack: the unsettled splitters were frozen at
-    /// their best-so-far probe, so realized boundaries may deviate from
-    /// their targets by more than `slack` (graceful degradation).
+    /// splitter met its slack: the open splitters were frozen at the
+    /// last round's probe nearest their target, so realized boundaries
+    /// may deviate from their targets by more than `slack` (graceful
+    /// degradation).
     pub degraded: bool,
 }
 
-/// Validation outcome for one splitter probe (Algorithm 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Validation {
-    /// `[L, U]` intersects `[t - slack, t + slack]`: accepted.
-    Accept { realized: u64 },
-    /// Even the least-inclusive boundary `L` overshoots: move down.
-    TooHigh,
-    /// Even the most-inclusive boundary `U` undershoots: move up.
-    TooLow,
-}
-
-/// Algorithm 2, generalized to an `ε` slack: decide whether probe `S_i`
-/// with global histogram `(lower, upper)` settles target `t`.
-///
-/// With `strict` (the paper's literal `L < K ≤ U` rule) the splitter
-/// must land *on a data key* whose equal range covers the boundary.
-/// Without it, a probe lying in a gap with exactly the right count
-/// below (`L == t == U`) is also accepted — an engineering relaxation
-/// that roughly halves the iteration count (a boundary between two
-/// keys is just as good as the key itself, and gaps are hit long
-/// before the exact key bits are resolved).
-fn validate_splitter(lower: u64, upper: u64, target: u64, slack: u64, strict: bool) -> Validation {
-    let lo_ok = target.saturating_sub(slack);
-    let hi_ok = target.saturating_add(slack);
-    // Boundaries achievable at this probe: [lower, upper] relaxed,
-    // (lower, upper] strict — except that target 0 can only ever be
-    // realized as "nothing below", which the strict rule would make
-    // unsatisfiable.
-    let achievable_lo = if strict && target > 0 {
-        lower + 1
-    } else {
-        lower
-    };
-    if achievable_lo.max(lo_ok) <= upper.min(hi_ok) {
-        return Validation::Accept {
-            realized: target.clamp(achievable_lo, upper),
-        };
-    }
-    // Rejected: steer towards the target's key. Strict mode must treat
-    // a gap probe with `L == t` as too high — the t-th key itself lies
-    // *below* such a probe.
-    let too_high = if strict {
-        lower >= target
-    } else {
-        lower > hi_ok
-    };
-    if too_high {
-        Validation::TooHigh
-    } else {
-        Validation::TooLow
-    }
-}
-
-/// Strategy for the initial splitter intervals (ablation A3: the paper
-/// "focuses on optimizing the initial splitter guesses" instead of
-/// sampling every round).
+/// Strategy for the initial splitter bracket and round 1's probes
+/// (ablation A3: the paper "focuses on optimizing the initial splitter
+/// guesses" instead of sampling every round).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InitialBounds {
-    /// One min/max reduction over the data (Algorithm 3 line 3; the
-    /// paper's choice and the default).
+    /// The data's min/max, from the one range reduction (Algorithm 3
+    /// line 3; the paper's choice and the default). Round 1 probes the
+    /// key interpolated for each target's quantile.
     DataMinMax,
-    /// The full key domain `[0, 2^BITS)` — no reduction, but bisection
-    /// must first find the populated region.
+    /// The full key domain `[0, 2^BITS)`: the search must first find
+    /// the populated region.
     FullDomain,
-    /// Per-splitter brackets from a one-shot regular sample
-    /// (`per_rank` probes per rank). Brackets may miss the true
-    /// splitter; the search then falls back to the data min/max
-    /// bracket for that splitter.
+    /// The data's min/max, with round 1 probing each target's quantile
+    /// in a one-shot regular sample (`per_rank` keys per rank, one
+    /// more collective).
     SampledQuantiles {
         /// Probes taken per rank for the one-shot sample.
         per_rank: usize,
@@ -227,40 +190,35 @@ pub fn find_splitters<K: Key>(
 /// Full tuning knobs of the splitter search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SplitterOptions {
-    /// Initial bisection intervals.
+    /// Initial bracket and round 1's probes.
     pub init: InitialBounds,
-    /// Use the paper's literal Algorithm 2 acceptance (`L < K <= U`):
-    /// splitters must land on data keys, which drives the iteration
-    /// count to the key width (the 60-64 iterations the paper reports
-    /// for 64-bit keys). Off by default: gap boundaries are accepted
-    /// too, roughly halving the iterations.
+    /// Run the paper's literal loop: Algorithm 2's acceptance as
+    /// printed (`L < K <= U`, splitters must land on data keys), one
+    /// midpoint probe per splitter per round, every splitter judged by
+    /// its own probe only. The iteration count then follows the key
+    /// width (the 60-64 iterations the paper reports for 64-bit keys).
+    /// Off by default.
     pub strict_paper_rule: bool,
     /// Hard cap on histogramming iterations. When hit, splitters still
-    /// active are frozen at their best-so-far probe (realized boundary
-    /// clamped into that probe's achievable `[L, U]`) and the result is
-    /// marked [`SplitterResult::degraded`] instead of asserting.
-    /// `None` (default) bounds the search only by the convergence
-    /// guarantee of the key width.
+    /// open are frozen at the last round's probe whose `[L, U]` is
+    /// nearest their target (realized boundary clamped into it) and
+    /// the result is marked [`SplitterResult::degraded`] instead of
+    /// asserting. `None` (default) bounds the search only by the
+    /// bisection budget of the key width.
     pub max_iterations: Option<u32>,
-    /// Candidate keys histogrammed per still-active splitter per
-    /// round, folded into one allreduce (`m ≥ 1`; effectively rounded
-    /// down to `2^d - 1` where `d = ⌊log₂(m+1)⌋` — the probe grid is
-    /// the full `d`-level bisection tree of the interval). `1` (the
-    /// default) is the paper's single-midpoint bisection; larger grids
-    /// cut the round count to `⌈steps / d⌉` at `m`× the allreduce
-    /// payload. Accepted splitters are identical for every `m`.
+    /// Round width in units of `P − 1`: a round histograms at most
+    /// `probes_per_round × (P − 1)` candidate keys in its one
+    /// allreduce, shared evenly among the splitters still open (`≥ 1`).
+    /// `1` (the default) starts at one probe per splitter; a wider
+    /// round takes fewer rounds at a fatter payload (ablation A6). The
+    /// partition is the same at `ε = 0` for every width; which keys are
+    /// accepted is not. Ignored under
+    /// [`SplitterOptions::strict_paper_rule`].
     pub probes_per_round: usize,
-    /// With a warm seed ([`find_splitters_seeded`]), start each
-    /// splitter from the **degenerate interval `[w, w]`** around its
-    /// warm ladder key instead of the one-key-of-margin quantile
-    /// bracket: round 1 then probes the previous search's accepted key
-    /// itself. On truly stationary data that key validates immediately
-    /// and every splitter settles in a single round; on drifted data
-    /// the miss restarts into the retained quantile bracket (and, on a
-    /// second miss, the full data range), costing one extra round per
-    /// fallback level. Off by default (no effect without a warm seed);
-    /// the epoch service enables it for
-    /// `WarmStart::SeededWithBrackets`.
+    /// No effect. A warm ladder ([`find_splitters_seeded`]) always
+    /// probes its own keys in round 1, which is what this switch used
+    /// to select; the field stays only because the repository
+    /// benchmark, which a change may not edit, names it.
     pub probe_warm_first: bool,
     /// Kernel backend for the per-round probe searches: for native
     /// integer keys the two `partition_point`s per probe run through
@@ -285,51 +243,6 @@ impl Default for SplitterOptions {
     }
 }
 
-/// Effective bisection-tree depth for `m` probes per round:
-/// `d = ⌊log₂(m+1)⌋` (so `m` is rounded down to the nearest `2^d - 1`).
-fn probe_depth(probes_per_round: usize) -> u32 {
-    (probes_per_round as u64 + 1).ilog2()
-}
-
-/// Emit the probe keys of the `depth`-level bisection tree of
-/// `[lo, hi]` in pre-order: root midpoint, left subtree over
-/// `[lo, mid-1]`, right subtree over `[mid+1, hi]`. Subtrees that fall
-/// off the interval are pruned, so at most `2^depth - 1` keys are
-/// emitted and every emitted key is distinct and inside `[lo, hi]`.
-fn tree_probes(lo: u128, hi: u128, depth: u32, out: &mut Vec<u128>) {
-    if depth == 0 || lo > hi {
-        return;
-    }
-    let mid = lo + (hi - lo) / 2;
-    out.push(mid);
-    if mid > lo {
-        tree_probes(lo, mid - 1, depth - 1, out);
-    }
-    if mid < hi {
-        tree_probes(mid + 1, hi, depth - 1, out);
-    }
-}
-
-/// Number of probes [`tree_probes`] emits for `[lo, hi]` at `depth`
-/// (used to index into the pre-order layout during descent).
-fn tree_size(lo: u128, hi: u128, depth: u32) -> usize {
-    if depth == 0 || lo > hi {
-        return 0;
-    }
-    let mid = lo + (hi - lo) / 2;
-    let left = if mid > lo {
-        tree_size(lo, mid - 1, depth - 1)
-    } else {
-        0
-    };
-    let right = if mid < hi {
-        tree_size(mid + 1, hi, depth - 1)
-    } else {
-        0
-    };
-    1 + left + right
-}
-
 /// [`find_splitters`] with every knob exposed.
 pub fn find_splitters_cfg<K: Key>(
     comm: &Comm,
@@ -342,14 +255,16 @@ pub fn find_splitters_cfg<K: Key>(
 }
 
 /// [`find_splitters_cfg`] warm-started from a previous search's
-/// accepted splitter keys (HSS-style seeding, used when re-running the
-/// search over fewer ranks after a shrink-and-recover). `warm` must be
-/// globally replicated and ascending; each new target's initial
-/// interval brackets its quantile position in the warm ladder with one
-/// key of margin, so stationary data re-converges in a handful of
-/// rounds instead of `O(BITS)`. An empty `warm` falls back to
-/// `opts.init` exactly; accepted splitters may differ from a cold
-/// search, but realized boundaries satisfy the same `slack` contract.
+/// accepted splitter keys (the epoch service, and the retry over fewer
+/// ranks after a shrink-and-recover). `warm` must be globally
+/// replicated and ascending. Round 1 probes the warm keys themselves —
+/// `warm[i]` for splitter `i` when there is one key per target, the
+/// key at the target's quantile of the ladder when the rank count
+/// changed — so stationary data settles in a single round, and on
+/// drifted data their exact counts bracket every splitter for round 2.
+/// An empty `warm` falls back to `opts.init` exactly; accepted
+/// splitters may differ from a cold search, but realized boundaries
+/// satisfy the same `slack` contract.
 pub fn find_splitters_seeded<K: Key>(
     comm: &Comm,
     sorted_local: &[K],
@@ -362,274 +277,9 @@ pub fn find_splitters_seeded<K: Key>(
     find_splitters_impl(comm, sorted_local, targets, slack, opts, warm)
 }
 
-/// Replicated search state of one splitter: a pure function of the
-/// *global* histograms, so one copy serves the whole communicator.
-#[derive(Clone)]
-struct Search {
-    lo: u128,
-    hi: u128,
-    /// Last probe evaluated for this splitter, `(bits, L, U)` — the
-    /// freeze point for graceful degradation.
-    last: (u128, u64, u64),
-    /// Interval to restart into when the current bracket exhausts
-    /// without acceptance. Consumed once: after use it resets to the
-    /// full data range, so a search can fall back at most twice (warm
-    /// key → quantile bracket → data min/max).
-    fallback: (u128, u128),
-    done: Option<(u128, u64, u64, u64)>, // (key bits, realized, L, U)
-}
-
-/// What one visited node of a descent told its splitter. Ranks fold
-/// these over their *local* counts of the same node to narrow their
-/// index brackets; an accepting node ends the path unrecorded (a
-/// settled splitter is never searched again).
-#[derive(Clone, Copy)]
-enum Verdict {
-    /// Every future probe is below this node: its searches cannot exit
-    /// `[idx_lo, local lower(node)]`.
-    TooHigh,
-    /// Every future probe is above: `[local upper(node), idx_hi]`.
-    TooLow,
-    /// Bracket exhausted without acceptance — only possible when the
-    /// initial bracket missed the splitter (sampled quantiles, warm
-    /// seeding). The search restarts into the fallback interval and
-    /// the index-bracket proof no longer holds, so that resets too.
-    Restart,
-}
-
-/// One step of the previous round's descents.
-#[derive(Clone, Copy)]
-struct Step {
-    /// Index of the splitter the step belongs to.
-    splitter: usize,
-    /// Probe index of the visited node in that round's grid.
-    node: usize,
-    verdict: Verdict,
-}
-
-/// Everything about a histogramming round that is a pure function of
-/// replicated data, built **once per round for the whole
-/// communicator**: by [`RoundPlan::start`] on the reduction that
-/// establishes the data range, then by [`RoundPlan::advance`] inside
-/// each round's histogram allreduce (see [`Comm::allreduce_sum_then`]).
-/// Ranks only read it.
-struct RoundPlan<K> {
-    /// Global key range, the last-resort restart interval.
-    data: (u128, u128),
-    /// Per-splitter key-interval state; empty on globally empty input.
-    search: Vec<Search>,
-    /// Splitters this round probes (the unsettled ones), ascending.
-    active: Vec<usize>,
-    /// Probe grid: the full depth-level bisection tree of each active
-    /// splitter's key interval, flattened per splitter in pre-order
-    /// (Alg. 3 line 7, batched).
-    probes: Vec<u128>,
-    /// `probes[offsets[j]..offsets[j + 1]]` is the tree of `active[j]`.
-    offsets: Vec<usize>,
-    /// The descents that led here, over the previous round's grid.
-    path: Vec<Step>,
-    /// Rounds reduced so far (each = one `ALLREDUCE`).
-    rounds: u32,
-    /// Probes histogrammed over those rounds.
-    probes_total: u64,
-    degraded: bool,
-    /// The result, built once every splitter has settled (`active` is
-    /// then empty) and shared by every rank's [`SplitterResult`].
-    settled: Option<Arc<[SplitterInfo<K>]>>,
-}
-
-impl<K: Key> RoundPlan<K> {
-    /// The plan of round 1: every splitter starts in its `bracket`
-    /// with a `fallback` to restart into.
-    fn start(
-        data: (u128, u128),
-        brackets: impl Iterator<Item = ((u128, u128), (u128, u128))>,
-        depth: u32,
-    ) -> Self {
-        let search = brackets
-            .map(|((lo, hi), fallback)| Search {
-                lo,
-                hi,
-                last: (lo, 0, 0),
-                fallback,
-                done: None,
-            })
-            .collect();
-        Self {
-            data,
-            search,
-            active: Vec::new(),
-            probes: Vec::new(),
-            offsets: Vec::new(),
-            path: Vec::new(),
-            rounds: 0,
-            probes_total: 0,
-            degraded: false,
-            settled: None,
-        }
-        .with_grid(depth)
-    }
-
-    /// The plan for globally empty input: nothing to split.
-    fn empty() -> Self {
-        Self::start((0, 0), std::iter::empty(), 1)
-    }
-
-    /// List the unsettled splitters and lay out their probe trees.
-    fn with_grid(mut self, depth: u32) -> Self {
-        self.offsets.push(0);
-        for (i, s) in self.search.iter().enumerate() {
-            if s.done.is_none() {
-                self.active.push(i);
-                tree_probes(s.lo, s.hi, depth, &mut self.probes);
-                self.offsets.push(self.probes.len());
-            }
-        }
-        self
-    }
-
-    /// Refine every active splitter against this round's `global`
-    /// histogram and lay out the next round. Each splitter descends its
-    /// probe tree along exactly the path single-probe bisection would
-    /// walk (Alg. 3 line 9 / Alg. 2 at every level): the root
-    /// midpoint's verdict selects the half, the matching child's
-    /// verdict the quarter, and so on, until acceptance, a restart, or
-    /// the round's depth is spent.
-    fn advance(&self, global: &[u64], targets: &[u64], slack: u64, opts: SplitterOptions) -> Self {
-        let depth = probe_depth(opts.probes_per_round);
-        let mut search = self.search.clone();
-        let mut path = Vec::with_capacity(self.active.len());
-        for (j, &i) in self.active.iter().enumerate() {
-            let s = &mut search[i];
-            let (mut lo, mut hi) = (s.lo, s.hi);
-            let mut node = self.offsets[j]; // probe index of the current tree node
-            let mut level = depth; // levels remaining, incl. the current node
-            loop {
-                let mid = lo + (hi - lo) / 2;
-                debug_assert_eq!(self.probes[node], mid, "descent must follow the probe tree");
-                let (lower, upper) = (global[2 * node], global[2 * node + 1]);
-                s.last = (mid, lower, upper);
-                let verdict = match validate_splitter(
-                    lower,
-                    upper,
-                    targets[i],
-                    slack,
-                    opts.strict_paper_rule,
-                ) {
-                    Validation::Accept { realized } => {
-                        s.done = Some((mid, realized, lower, upper));
-                        break;
-                    }
-                    Validation::TooHigh if mid == lo => Verdict::Restart,
-                    Validation::TooLow if mid == hi => Verdict::Restart,
-                    Validation::TooHigh => Verdict::TooHigh,
-                    Validation::TooLow => Verdict::TooLow,
-                };
-                path.push(Step {
-                    splitter: i,
-                    node,
-                    verdict,
-                });
-                match verdict {
-                    Verdict::Restart => {
-                        // Quantile bracket first under
-                        // `probe_warm_first`, then the data range.
-                        (lo, hi) = s.fallback;
-                        s.fallback = self.data;
-                        break;
-                    }
-                    Verdict::TooHigh => {
-                        hi = mid - 1;
-                        node += 1; // left child root, in pre-order
-                    }
-                    Verdict::TooLow => {
-                        // Skip the left subtree.
-                        node += 1 + if mid > lo {
-                            tree_size(lo, mid - 1, level - 1)
-                        } else {
-                            0
-                        };
-                        lo = mid + 1;
-                    }
-                }
-                level -= 1;
-                if level == 0 {
-                    break;
-                }
-            }
-            (s.lo, s.hi) = (lo, hi);
-        }
-
-        let rounds = self.rounds + 1;
-        let mut degraded = self.degraded;
-        // Graceful degradation: out of iteration budget, freeze every
-        // unsettled splitter at its last evaluated probe. The realized
-        // boundary is the closest achievable position to the target,
-        // which may overshoot the ε slack — the caller reports the
-        // achieved imbalance instead of failing the sort.
-        if opts.max_iterations.is_some_and(|cap| rounds >= cap) {
-            for &i in &self.active {
-                let s = &mut search[i];
-                if s.done.is_none() {
-                    let (mid_bits, lower, upper) = s.last;
-                    let realized = targets[i].clamp(lower, upper);
-                    s.done = Some((mid_bits, realized, lower, upper));
-                    degraded = true;
-                }
-            }
-        }
-
-        let mut next = Self {
-            data: self.data,
-            search,
-            active: Vec::with_capacity(self.active.len()),
-            probes: Vec::with_capacity(self.probes.len()),
-            offsets: Vec::with_capacity(self.offsets.len()),
-            path,
-            rounds,
-            probes_total: self.probes_total + self.probes.len() as u64,
-            degraded,
-            settled: None,
-        }
-        .with_grid(depth);
-        if next.active.is_empty() {
-            let settled = next.search.iter().zip(targets).map(|(s, &target)| {
-                let (bits, realized, lower, upper) = s.done.expect("no active splitter left");
-                SplitterInfo {
-                    key: K::from_bits(bits),
-                    target,
-                    realized,
-                    global_lower: lower,
-                    global_upper: upper,
-                }
-            });
-            next.settled = Some(settled.collect());
-        }
-        next
-    }
-}
-
-/// Bracket target `t`'s quantile in the ascending `ladder` with one key
-/// of margin on each side, clamped to the `data` range (which it
-/// degenerates to when the clamp inverts it). Also returns the
-/// quantile's ladder index.
-fn quantile_bracket<K: Key>(
-    ladder: &[K],
-    t: u64,
-    n_total: u64,
-    data: (u128, u128),
-) -> (usize, (u128, u128)) {
-    let idx = ((t as f64 / n_total as f64) * (ladder.len() - 1) as f64) as usize;
-    let lo = ladder[idx.saturating_sub(1)].to_bits().max(data.0);
-    let hi = ladder[(idx + 1).min(ladder.len() - 1)]
-        .to_bits()
-        .min(data.1);
-    (idx, if lo <= hi { (lo, hi) } else { data })
-}
-
-/// Establish the global key range (one reduction, as in Algorithm 3
-/// line 3) and build the plan of round 1 on it, once for the whole
-/// communicator. `None` on globally empty input.
+/// Establish the global key range and key count (one reduction, as in
+/// Algorithm 3 line 3) and build the plan of round 1 on it, once for
+/// the whole communicator. `None` on globally empty input.
 fn first_plan<K: Key>(
     comm: &Comm,
     sorted_local: &[K],
@@ -637,31 +287,35 @@ fn first_plan<K: Key>(
     opts: SplitterOptions,
     warm: Option<&[K]>,
 ) -> Option<Arc<RoundPlan<K>>> {
-    let local_minmax: Option<(K, K)> = sorted_local
-        .first()
-        .copied()
-        .zip(sorted_local.last().copied());
-    let widest = |a: &Option<(K, K)>, b: &Option<(K, K)>| match (a, b) {
-        (None, x) => *x,
-        (x, None) => *x,
-        (Some((alo, ahi)), Some((blo, bhi))) => Some(((*alo).min(*blo), (*ahi).max(*bhi))),
+    type Extent<K> = (Option<(K, K)>, u64);
+    let local: Extent<K> = (
+        sorted_local
+            .first()
+            .copied()
+            .zip(sorted_local.last().copied()),
+        sorted_local.len() as u64,
+    );
+    let widest = |a: &Extent<K>, b: &Extent<K>| {
+        let minmax = match (a.0, b.0) {
+            (None, x) | (x, None) => x,
+            (Some((alo, ahi)), Some((blo, bhi))) => Some((alo.min(blo), ahi.max(bhi))),
+        };
+        (minmax, a.1 + b.1)
     };
     let data_bits = |(min_key, max_key): (K, K)| (min_key.to_bits(), max_key.to_bits());
-    let depth = probe_depth(opts.probes_per_round);
-    let n_total: u64 = *targets.last().expect("non-empty").max(&1);
 
     let sampled = match opts.init {
         InitialBounds::SampledQuantiles { per_rank } if warm.is_none() => Some(per_rank.max(1)),
         _ => None,
     };
     if let Some(per_rank) = sampled {
-        // The brackets need the sample pool, gathered once the range is
+        // Round 1 probes the sample pool, gathered once the range is
         // known; the plan is built on that second collective instead.
-        let data = comm
-            .allreduce_with(vec![local_minmax], widest)
+        let (minmax, n_total) = comm
+            .allreduce_with(vec![local], widest)
             .pop()
-            .expect("one element")
-            .map(data_bits)?;
+            .expect("one element");
+        let data = minmax.map(data_bits)?;
         // Regular probes of the sorted local data.
         let probes: Vec<K> = if sorted_local.is_empty() {
             Vec::new()
@@ -677,47 +331,30 @@ fn first_plan<K: Key>(
             // Non-empty: a rank that holds data contributed a sample.
             let mut pool: Vec<K> = gathered.into_iter().flatten().collect();
             pool.sort_unstable();
-            let brackets = targets
-                .iter()
-                .map(|&t| (quantile_bracket(&pool, t, n_total, data).1, data));
-            RoundPlan::start(data, brackets, depth)
+            RoundPlan::start(data, n_total, targets, Some(&pool), opts)
         }));
     }
 
-    let plan = comm.allreduce_with_then(vec![local_minmax], widest, |reduced| {
-        let Some(data) = reduced[0].map(data_bits) else {
-            return RoundPlan::empty();
+    let plan = comm.allreduce_with_then(vec![local], widest, |reduced| {
+        let (minmax, n_total) = reduced[0];
+        let Some(data) = minmax.map(data_bits) else {
+            return RoundPlan::start((0, 0), 0, &[], None, opts);
         };
-        let Some(ladder) = warm else {
-            let cold = match opts.init {
-                InitialBounds::FullDomain if K::BITS >= 128 => (0, u128::MAX),
-                InitialBounds::FullDomain => (0, (1u128 << K::BITS) - 1),
-                _ => data,
-            };
-            return RoundPlan::start(data, targets.iter().map(|_| (cold, data)), depth);
-        };
-        // Warm-start brackets from a previous search's accepted
-        // splitters take precedence over `init`: the old ladder already
-        // localizes every quantile of (nearly) stationary data.
+        // A previous search's accepted splitters take precedence over
+        // `init`: they already localize every quantile of (nearly)
+        // stationary data.
         debug_assert!(
-            ladder.windows(2).all(|w| w[0] <= w[1]),
+            warm.iter()
+                .all(|ladder| ladder.windows(2).all(|w| w[0] <= w[1])),
             "warm keys ascending"
         );
-        let brackets = targets.iter().map(|&t| {
-            let (idx, bracket) = quantile_bracket(ladder, t, n_total, data);
-            if opts.probe_warm_first {
-                // Round 1 probes the warm ladder key itself; a miss
-                // falls back to the quantile bracket, then the data
-                // range.
-                let w = ladder[idx].to_bits().clamp(data.0, data.1);
-                ((w, w), bracket)
-            } else {
-                (bracket, data)
-            }
-        });
-        RoundPlan::start(data, brackets, depth)
+        let bracket = match opts.init {
+            InitialBounds::FullDomain if warm.is_none() => (0, u128::MAX >> (128 - K::BITS)),
+            _ => data,
+        };
+        RoundPlan::start(bracket, n_total, targets, warm, opts)
     });
-    (!plan.search.is_empty()).then_some(plan)
+    (!plan.bufs.active.is_empty()).then_some(plan)
 }
 
 fn find_splitters_impl<K: Key>(
@@ -762,8 +399,8 @@ fn find_splitters_impl<K: Key>(
     };
     if warm.is_some() {
         // Marks a warm-seeded search in exported traces, nested under
-        // the caller's "histogram" phase. The brackets themselves were
-        // built inside the reduction above, off every clock.
+        // the caller's "histogram" phase. Round 1's probes themselves
+        // were chosen inside the reduction above, off every clock.
         drop(comm.span("warm_start"));
     }
 
@@ -775,26 +412,17 @@ fn find_splitters_impl<K: Key>(
     let n_local = sorted_local.len();
     let mut brackets: Vec<(usize, usize)> = vec![(0, n_local); targets.len()];
 
-    // Per-splitter bisection steps are bounded by the key width; one
-    // round evaluates up to `depth` of them. Sampled and warm-seeded
-    // brackets can miss the splitter and restart from the data min/max
-    // (wasting the rest of that round's descent); allow head-room for
-    // that.
-    let convergence_guard = if warm.is_some() {
-        3 * (K::BITS + 2)
-    } else {
-        match opts.init {
-            InitialBounds::SampledQuantiles { .. } => 3 * (K::BITS + 2),
-            _ => (K::BITS + 2).div_ceil(probe_depth(opts.probes_per_round)),
-        }
-    };
-
-    while !plan.active.is_empty() {
+    while plan.settled.is_none() {
+        // Every probe set leaves at most half the previous round's
+        // budget of keys (see `plan`), so the key width bounds the
+        // rounds on any input — §V-A's observation, kept as a guard.
         assert!(
-            plan.rounds < convergence_guard,
-            "splitter search failed to converge in {convergence_guard} iterations"
+            plan.rounds < K::BITS + 2,
+            "splitter search overran its bisection budget of {} rounds",
+            K::BITS + 2
         );
-        let grid = |j: usize| plan.offsets[j]..plan.offsets[j + 1];
+        let round = &plan.bufs;
+        let grid = |j: usize| round.offsets[j]..round.offsets[j + 1];
 
         // Build the local histogram: two binary searches per probe,
         // confined to the splitter's index bracket and charged over
@@ -811,12 +439,12 @@ fn find_splitters_impl<K: Key>(
         // input and the posted batch are identical for every budget.
         let mut charges = comm.charges();
         let mut histogram: Vec<u64> = comm.pool().take_u64();
-        histogram.reserve(2 * plan.probes.len());
+        histogram.reserve(2 * round.probes.len());
         let count = |js: Range<usize>, out: &mut Vec<u64>, charges: &mut Charges<'_>| {
             for j in js {
-                let (idx_lo, idx_hi) = brackets[plan.active[j]];
+                let (idx_lo, idx_hi) = brackets[round.active[j]];
                 let seg = &sorted_local[idx_lo..idx_hi];
-                let probes = &plan.probes[grid(j)];
+                let probes = &round.probes[grid(j)];
                 charges.add(Work::BinarySearches {
                     searches: 2 * probes.len() as u64,
                     n: seg.len() as u64,
@@ -844,8 +472,8 @@ fn find_splitters_impl<K: Key>(
             }
         };
         let t = comm.threads().exec_budget();
-        let n_active = plan.active.len();
-        if t > 1 && n_active >= 2 && plan.probes.len() >= 4 {
+        let n_active = round.active.len();
+        if t > 1 && n_active >= 2 && round.probes.len() >= 4 {
             let chunk = n_active.div_ceil(t);
             let chunks: Vec<Range<usize>> = (0..n_active)
                 .step_by(chunk)
@@ -853,7 +481,7 @@ fn find_splitters_impl<K: Key>(
                 .collect();
             let counted = comm.threads().map(chunks, |js| {
                 let mut out =
-                    Vec::with_capacity(2 * (plan.offsets[js.end] - plan.offsets[js.start]));
+                    Vec::with_capacity(2 * (round.offsets[js.end] - round.offsets[js.start]));
                 let mut share = charges.fork();
                 count(js, &mut out, &mut share);
                 (out, share)
@@ -871,7 +499,7 @@ fn find_splitters_impl<K: Key>(
         drop(comm.intra_span("histogram_probe"));
 
         // One global reduction per round (Alg. 3 line 8), carrying all
-        // probes of all active splitters, viewed in place and charged
+        // probes of all open splitters, viewed in place and charged
         // at its true width. Whichever rank completes it refines every
         // splitter against the global counts (Alg. 3 line 9) and lays
         // out the next round, once for everybody.
@@ -879,15 +507,14 @@ fn find_splitters_impl<K: Key>(
             plan.advance(&global, targets, slack, opts)
         });
 
-        // The verdicts the descents passed on the global counts, folded
-        // over this rank's own counts of the same probes.
-        for step in &next.path {
+        // The bracket ends the ladder proved on the global counts,
+        // folded over this rank's own counts of the same probes.
+        for step in &next.bufs.path {
             let (idx_lo, idx_hi) = &mut brackets[step.splitter];
             let node = 2 * step.node;
             match step.verdict {
                 Verdict::TooHigh => *idx_hi = (*idx_hi).min(histogram[node] as usize),
                 Verdict::TooLow => *idx_lo = (*idx_lo).max(histogram[node + 1] as usize),
-                Verdict::Restart => (*idx_lo, *idx_hi) = (0, n_local),
             }
         }
         comm.pool().recycle_u64(histogram);
@@ -1102,15 +729,15 @@ mod tests {
             it_domain > it_minmax,
             "domain {it_domain} vs minmax {it_minmax}"
         );
-        // Sampled brackets may win or occasionally fall back, but must
-        // stay within the widened guard.
-        assert!(it_sampled <= 3 * (64 + 2), "sampled {it_sampled}");
+        // A sample only chooses round 1's probes: the bisection budget
+        // holds as for any other start.
+        assert!(it_sampled <= 64 + 2, "sampled {it_sampled}");
     }
 
     #[test]
-    fn sampled_quantile_fallback_is_correct_on_skew() {
-        // Zipf-like skew: most mass on tiny keys; regular samples may
-        // bracket badly, exercising the restart path.
+    fn sampled_quantile_start_is_correct_on_skew() {
+        // Zipf-like skew: most mass on tiny keys; regular samples
+        // guess round 1's probes badly.
         let out = run(&ClusterConfig::small_cluster(4), |comm| {
             let mut local: Vec<u64> = keys_for(comm.rank(), 500, 1 << 20)
                 .into_iter()
@@ -1137,9 +764,7 @@ mod tests {
         }
     }
 
-    /// Multi-probe rounds must accept the same splitters as classic
-    /// bisection while cutting the round count by the tree depth, and
-    /// an effective `m` between powers rounds down (5 behaves as 3).
+    /// A wider round must find the same partition in no more rounds.
     fn splitters_for(p: usize, n: usize, modulus: u64, m: usize) -> SplitterResult<u64> {
         let opts = SplitterOptions {
             probes_per_round: m,
@@ -1153,43 +778,51 @@ mod tests {
         out.into_iter().next().expect("p >= 1").0
     }
 
+    fn realized(res: &SplitterResult<u64>) -> Vec<u64> {
+        res.splitters.iter().map(|s| s.realized).collect()
+    }
+
     #[test]
-    fn multi_probe_accepts_identical_splitters_in_fewer_rounds() {
+    fn wider_rounds_find_the_same_partition_in_fewer_rounds() {
         for &(p, n, modulus) in &[
             (4usize, 1000usize, u64::MAX),
             (7, 333, 1 << 30),
             (5, 400, 50),
         ] {
             let base = splitters_for(p, n, modulus, 1);
+            let mut rounds = base.iterations;
             for m in [3usize, 7, 15] {
                 let multi = splitters_for(p, n, modulus, m);
-                let d = (m as u64 + 1).ilog2();
-                assert_eq!(
-                    multi.splitters, base.splitters,
-                    "m={m}: splitters must be grid-invariant"
-                );
+                // Which key was accepted follows the probes; where it
+                // cuts the data does not.
+                assert_eq!(realized(&multi), realized(&base), "m={m}");
                 assert!(
-                    multi.iterations <= base.iterations.div_ceil(d),
-                    "m={m}: {} rounds vs {} single-probe steps",
-                    multi.iterations,
-                    base.iterations
+                    multi.iterations <= rounds,
+                    "m={m}: {} rounds after {rounds} at a narrower width",
+                    multi.iterations
                 );
-                assert!(multi.probes >= base.probes, "finer grids spend more probes");
+                assert!(multi.probes <= u64::from(multi.iterations) * (m * (p - 1)) as u64);
+                rounds = multi.iterations;
             }
+            assert!(rounds < base.iterations, "{rounds} rounds at m=15");
         }
     }
 
     #[test]
-    fn non_power_probe_counts_round_down() {
+    fn probe_counts_need_not_be_tree_sizes() {
+        // The width is a probe count, not a tree depth: 5 is wider
+        // than 3, and a round never histograms more than it allows.
         let three = splitters_for(4, 600, 1 << 24, 3);
         let five = splitters_for(4, 600, 1 << 24, 5);
-        assert_eq!(three.splitters, five.splitters);
-        assert_eq!(three.iterations, five.iterations);
-        assert_eq!(three.probes, five.probes);
+        assert_eq!(realized(&three), realized(&five));
+        assert!(five.iterations <= three.iterations);
+        assert!(five.probes <= u64::from(five.iterations) * 5 * 3);
     }
 
     #[test]
-    fn multi_probe_strict_rule_matches_single_probe() {
+    fn strict_rule_ignores_the_round_width() {
+        // The paper's literal loop has one midpoint per splitter per
+        // round whatever the width.
         let go = |m: usize| {
             let opts = SplitterOptions {
                 strict_paper_rule: true,
@@ -1206,16 +839,14 @@ mod tests {
         let base = go(1);
         let multi = go(7);
         assert_eq!(base.splitters, multi.splitters);
-        // Strict u64 probing runs to the key width: 3 steps per round
-        // must cut rounds to about a third.
-        assert!(multi.iterations <= base.iterations.div_ceil(3));
+        assert_eq!(base.iterations, multi.iterations);
+        assert_eq!(base.probes, multi.probes);
     }
 
     #[test]
-    fn multi_probe_sampled_restart_still_correct() {
-        // The skew workload of the sampled-quantile fallback test, at
-        // m = 7: restarts abandon the rest of a round's descent and
-        // must still land on the exact splitters.
+    fn multi_probe_sampled_start_still_correct() {
+        // The skew workload of the sampled-quantile test at m = 7:
+        // round 1 probes the sample, the grids take over from round 2.
         let out = run(&ClusterConfig::small_cluster(4), |comm| {
             let mut local: Vec<u64> = keys_for(comm.rank(), 500, 1 << 20)
                 .into_iter()
@@ -1249,62 +880,11 @@ mod tests {
     }
 
     #[test]
-    fn probe_tree_layout_is_consistent() {
-        // Pre-order sizes must agree with emission, and every probe
-        // stays inside the interval.
-        for &(lo, hi) in &[
-            (0u128, 100u128),
-            (5, 5),
-            (0, 1),
-            (10, 12),
-            (0, u64::MAX as u128),
-        ] {
-            for depth in 1..=4u32 {
-                let mut probes = Vec::new();
-                tree_probes(lo, hi, depth, &mut probes);
-                assert_eq!(
-                    probes.len(),
-                    tree_size(lo, hi, depth),
-                    "({lo},{hi})@{depth}"
-                );
-                assert!(probes.len() < (1 << depth));
-                assert!(probes.iter().all(|&b| lo <= b && b <= hi));
-                let mut sorted = probes.clone();
-                sorted.sort_unstable();
-                sorted.dedup();
-                assert_eq!(sorted.len(), probes.len(), "probes must be distinct");
-            }
-        }
-    }
-
-    #[test]
     fn target_helpers() {
         assert_eq!(perfect_targets(&[3, 4, 5]), vec![3, 7]);
         assert_eq!(perfect_targets(&[10]), Vec::<u64>::new());
         assert_eq!(balanced_targets(100, 4), vec![25, 50, 75]);
         assert_eq!(slack_for(1000, 4, 0.0), 0);
         assert_eq!(slack_for(1000, 4, 0.08), 10);
-    }
-
-    #[test]
-    fn validate_splitter_cases() {
-        use super::Validation::*;
-        assert_eq!(validate_splitter(3, 7, 5, 0, false), Accept { realized: 5 });
-        assert_eq!(validate_splitter(5, 5, 5, 0, false), Accept { realized: 5 });
-        assert_eq!(validate_splitter(6, 9, 5, 0, false), TooHigh);
-        assert_eq!(validate_splitter(1, 4, 5, 0, false), TooLow);
-        assert_eq!(validate_splitter(6, 9, 5, 1, false), Accept { realized: 6 });
-        assert_eq!(validate_splitter(1, 4, 5, 1, false), Accept { realized: 4 });
-        assert_eq!(validate_splitter(0, 0, 0, 0, false), Accept { realized: 0 });
-        // Strict (paper) rule: gap probes are rejected as too high...
-        assert_eq!(validate_splitter(5, 5, 5, 0, true), TooHigh);
-        // ...but equal ranges covering the boundary are accepted with
-        // at least one equal key going left.
-        assert_eq!(validate_splitter(3, 7, 5, 0, true), Accept { realized: 5 });
-        assert_eq!(validate_splitter(4, 9, 5, 0, true), Accept { realized: 5 });
-        assert_eq!(validate_splitter(5, 9, 5, 0, true), TooHigh);
-        assert_eq!(validate_splitter(1, 4, 5, 0, true), TooLow);
-        // Target 0 keeps the relaxed achievability even in strict mode.
-        assert_eq!(validate_splitter(0, 3, 0, 0, true), Accept { realized: 0 });
     }
 }

@@ -90,17 +90,21 @@ fn sort_allocations(p: usize, n_per: usize, records: bool) -> (u64, u64) {
 /// shift buffer-pool hit rates by a few allocations run to run) plus
 /// ~40% headroom for allocator/layout drift across toolchains.
 ///
-/// * p=8, n/p=4096 (measured 578; 600 while every rank kept a private
-///   splitter result, targets vector and copy of the gathered sizes —
-///   3 allocations per rank — and 1 300 before the splitter search
-///   shared its plan): the zero-copy exchange path. The legacy path
-///   (per-bucket `to_vec`, boxed `alltoallv`, per-rank output clones)
-///   measures several times higher again.
-/// * p=64, n/p=256 (measured 3 687; 3 877 with the three private
-///   vectors): the splitter search at a rank count where its rounds
-///   dominate. Every rank rebuilding the replicated search state per
-///   round (`active`/`probe_bits`/`spans`/`units` vectors, until
-///   PR 14) measured 16 128.
+/// * p=8, n/p=4096 (measured 299–303 in 6 histogramming rounds; 578
+///   in 19 while the search bisected, 600 while every rank kept a
+///   private splitter result, targets vector and copy of the gathered
+///   sizes — 3 allocations per rank — and 1 300 before the splitter
+///   search shared its plan): the zero-copy exchange path. The legacy
+///   path (per-bucket `to_vec`, boxed `alltoallv`, per-rank output
+///   clones) measures several times higher again.
+/// * p=64, n/p=256 (measured 2 322 in 7 rounds; 3 687 in 17 while the
+///   search bisected, 3 877 with the three private vectors): the
+///   splitter search at a rank count where its rounds dominate. Every
+///   rank rebuilding the replicated search state per round
+///   (`active`/`probe_bits`/`spans`/`units` vectors, until PR 14)
+///   measured 16 128. The shared plan itself allocates its vectors
+///   twice per search, not once per round: a retired plan leaves them
+///   for the next `advance`.
 ///
 /// The post-exchange merge contributes nothing to either row: the run
 /// merge (first row: 8 runs of ~512 keys) ping-pongs between the
@@ -111,18 +115,19 @@ fn sort_allocations(p: usize, n_per: usize, records: bool) -> (u64, u64) {
 ///
 /// One test, because the counter is process-global and the harness
 /// runs tests of a binary concurrently.
-const ALLOC_BUDGETS: [(usize, usize, u64); 2] = [(8, 4096, 810), (64, 256, 5_160)];
+const ALLOC_BUDGETS: [(usize, usize, u64); 2] = [(8, 4096, 420), (64, 256, 3_250)];
 
 /// The same `(p, n/p)` pairs through `histogram_sort_by` on 16-byte
-/// records with 16-bit keys. Measured 566 and 3 935, the same count
-/// on every run: the key rows plus, per rank, the extracted key view
-/// and the LSD kernel's tables and local-sort scratch. While the
-/// record exchange cloned every destination segment into an owned
-/// bucket (until PR 17) the rows measured 712 and 8 988 — `p` vectors
-/// per rank, `p²` per world. A budget has to sit below that count to
-/// catch the buckets coming back, so the first row gets 13 % headroom
-/// instead of 40 % (640 < 712); the second keeps the 40 %.
-const RECORD_ALLOC_BUDGETS: [(usize, usize, u64); 2] = [(8, 4096, 640), (64, 256, 5_500)];
+/// records with 16-bit keys. Measured 316 and 2 706 (in 5 and 7
+/// rounds), the same count on every run: the key rows plus, per rank,
+/// the extracted key view and the LSD kernel's tables and local-sort
+/// scratch. While the record exchange cloned every destination segment
+/// into an owned bucket (until PR 17) the rows measured 146 and 5 053
+/// more — `p` vectors per rank, `p²` per world. A budget has to sit
+/// below that count to catch the buckets coming back, so the first row
+/// gets 13 % headroom instead of 40 % (360 < 462); the second keeps
+/// the 40 %.
+const RECORD_ALLOC_BUDGETS: [(usize, usize, u64); 2] = [(8, 4096, 360), (64, 256, 3_800)];
 
 /// `(p, n/p)` of the growth row: from `p` to `2p` ranks the
 /// allocations **per histogramming round** may at most double (+10%
@@ -131,9 +136,9 @@ const RECORD_ALLOC_BUDGETS: [(usize, usize, u64); 2] = [(8, 4096, 640), (64, 256
 /// per communicator; a per-rank O(P) allocation count (a vector per
 /// destination, a private copy of replicated state) makes the world
 /// total quadratic and fails here. Rounds are divided out because they
-/// follow the key range, not the rank count. Measured: 2 036
-/// allocations in 19 rounds at p=32, 3 687 in 17 at p=64 (×2.02 per
-/// round); 8 394 in 21 at p=128 (×1.84).
+/// follow the data, not the rank count. Measured: 1 162 allocations
+/// in 7 rounds at p=32, 2 322 in 7 at p=64 (×2.00 per round); 4 698 in
+/// 7 at p=128 (×2.02).
 const GROWTH_ROW: (usize, usize) = (32, 256);
 
 #[test]

@@ -27,17 +27,17 @@ const USAGE: &str = "usage: dhs <sort|serve|select|topology> [--flags]\n\
     \x20        --local-sort comparison|radix --groups N --seed N --verify\n\
     \x20        --partitioning perfect|balanced --max-iters N\n\
     \x20        --pairwise [--overlap] (pairwise merge instead of all-to-allv)\n\
-    \x20        --probes M (histogram probes per splitter per round)\n\
+    \x20        --probes M (histogram round width in units of P-1)\n\
     \x20        --threads T (intra-rank thread budget)\n\
     \x20        --recovery abort|shrink (response to rank failures)\n\
     \x20        --exchange-algo one-factor|bruck|leaders|staged:<k>\n\
-    \x20        --warm-start cold|seeded|seeded-brackets (repeated sorts)\n\
+    \x20        --warm-start cold|seeded-brackets (repeated sorts)\n\
     \x20        --kernels scalar|auto (local compute-kernel backend)\n\
     \x20        --engine threads|tasks|tasks:<workers> (execution engine)\n\
     \x20        --trace out.json --trace-format chrome|summary\n\
     serve    --ranks N --nper N --epochs E --seed N --verify\n\
     \x20        --profile stationary|shifting-zipf|churn (epoch stream)\n\
-    \x20        --warm-start cold|seeded|seeded-brackets\n\
+    \x20        --warm-start cold|seeded-brackets\n\
     \x20          (default seeded-brackets; plus all sort-config flags)\n\
     \x20        --assert-converged (exit 1 unless the final epoch\n\
     \x20          needed at most one histogram round)\n\
@@ -169,17 +169,16 @@ fn exchange_algo_of(args: &Args) -> AllToAllAlgo {
     }
 }
 
-/// Parse `--warm-start cold|seeded|seeded-brackets`, defaulting to
+/// Parse `--warm-start cold|seeded-brackets`, defaulting to
 /// `default` when the flag is absent (`dhs sort` defaults cold, `dhs
 /// serve` defaults seeded-brackets).
 fn warm_start_of(args: &Args, default: WarmStart) -> WarmStart {
     match args.raw("warm-start") {
         None => default,
         Some("cold") => WarmStart::Cold,
-        Some("seeded") => WarmStart::Seeded,
         Some("seeded-brackets") => WarmStart::SeededWithBrackets,
         Some(other) => {
-            panic!("unknown warm-start policy {other} (expected cold|seeded|seeded-brackets)")
+            panic!("unknown warm-start policy {other} (expected cold|seeded-brackets)")
         }
     }
 }

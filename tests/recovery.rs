@@ -189,7 +189,7 @@ fn shrink_recovery_is_deterministic() {
     let victim = 4;
     let go = |threads: usize| {
         let cfg = ClusterConfig::small_cluster(p)
-            .with_fault(FaultPlan::seeded(9).with_crash(victim, 120_000));
+            .with_fault(FaultPlan::seeded(9).with_crash(victim, 50_000));
         let sort_cfg = shrink_cfg(threads);
         let out = try_run_partial(&cfg, move |comm| {
             let mut local = keys_for(comm.rank(), n, 1 << 22);
@@ -205,6 +205,9 @@ fn shrink_recovery_is_deterministic() {
             .collect::<Vec<_>>()
     };
     let a = go(1);
+    assert!(a[victim].is_none(), "the victim must die mid-sort");
+    let (_, stats, _) = a[0].as_ref().expect("rank 0 survives");
+    assert!(stats.outcome.is_recovered(), "{:?}", stats.outcome);
     let b = go(1);
     assert_eq!(a, b, "same seed must replay bit-for-bit");
     let c = go(4);

@@ -162,7 +162,7 @@ fn shrink_with_single_stage_exchange_still_recovers() {
     let n = 1500;
     let victim = 3;
     let cluster =
-        ClusterConfig::small_cluster(p).with_fault(FaultPlan::seeded(7).with_crash(victim, 60_000));
+        ClusterConfig::small_cluster(p).with_fault(FaultPlan::seeded(7).with_crash(victim, 40_000));
     let cfg = SortConfig::builder()
         .recovery(RecoveryPolicy::Shrink)
         .exchange_algo(AllToAllAlgo::OneFactor)
