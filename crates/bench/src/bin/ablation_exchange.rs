@@ -1,10 +1,9 @@
-//! Ablation A4 — the §VI-E1 exchange optimizations: explicit pairwise
-//! 1-factor exchange with merge/communication overlap, and the
-//! store-and-forward (Bruck) schedule for small messages.
+//! Ablation A4 — the §VI-E1 exchange engineering: what the merge after
+//! the monolithic `ALL-TO-ALLV` costs, and the store-and-forward
+//! (Bruck), node-leader and staged schedules for small messages.
 //!
-//! Part 1: exchange+merge strategy at fixed shape — monolithic
-//! `ALL-TO-ALLV` followed by re-sort / tournament merge, vs pairwise
-//! rounds merging eagerly, with and without overlap credit.
+//! Part 1: exchange + merge at fixed shape — `ALL-TO-ALLV` followed by
+//! the paper's re-sort or by a tournament merge.
 //!
 //! Part 2: schedule crossover — 1-factor vs Bruck as N/P shrinks (the
 //! paper: store-and-forward "for a relatively small N/P").
@@ -16,14 +15,13 @@ use dhs_bench::table::{fmt_secs, Table};
 use dhs_bench::Args;
 use dhs_core::{
     exchange::{exchange_data, plan_exchange},
-    exchange_and_merge, find_splitters, perfect_targets,
+    find_splitters, perfect_targets,
 };
 use dhs_merge::{kway_merge, MergeAlgo};
 use dhs_runtime::{run, AllToAllAlgo, ClusterConfig, Work};
 use dhs_workloads::{rank_local_keys, Distribution, Layout};
 
-fn merged_exchange_time(p: usize, n_per: usize, seed: u64, strategy: &str) -> f64 {
-    let strategy = strategy.to_string();
+fn merged_exchange_time(p: usize, n_per: usize, seed: u64, merge: MergeAlgo) -> f64 {
     let out = run(&ClusterConfig::supermuc_phase2(p), move |comm| {
         let mut local = rank_local_keys(
             Distribution::paper_uniform(),
@@ -39,34 +37,21 @@ fn merged_exchange_time(p: usize, n_per: usize, seed: u64, strategy: &str) -> f6
         let plan = plan_exchange(comm, &local, &res);
         let elem = 8u64;
         let t0 = comm.now_ns();
-        match strategy.as_str() {
-            "alltoallv+resort" | "alltoallv+tournament" => {
-                let received = exchange_data(comm, &local, &plan, AllToAllAlgo::OneFactor);
-                let n = received.total_len() as u64;
-                let ways = received.runs().filter(|r| !r.is_empty()).count() as u64;
-                if strategy.ends_with("resort") {
-                    comm.charge(Work::SortElems {
-                        n,
-                        elem_bytes: elem,
-                    });
-                    let _ = kway_merge(MergeAlgo::Resort, &received.as_slices());
-                } else {
-                    comm.charge(Work::MergeElems {
-                        n,
-                        ways: ways.max(2),
-                        elem_bytes: elem,
-                    });
-                    let _ = kway_merge(MergeAlgo::TournamentTree, &received.as_slices());
-                }
-            }
-            "pairwise" => {
-                let _ = exchange_and_merge(comm, &local, &plan, false);
-            }
-            "pairwise+overlap" => {
-                let _ = exchange_and_merge(comm, &local, &plan, true);
-            }
-            other => panic!("unknown strategy {other}"),
-        }
+        let received = exchange_data(comm, &local, &plan, AllToAllAlgo::OneFactor);
+        let n = received.total_len() as u64;
+        let ways = received.runs().filter(|r| !r.is_empty()).count() as u64;
+        comm.charge(match merge {
+            MergeAlgo::Resort => Work::SortElems {
+                n,
+                elem_bytes: elem,
+            },
+            _ => Work::MergeElems {
+                n,
+                ways: ways.max(2),
+                elem_bytes: elem,
+            },
+        });
+        let _ = kway_merge(merge, &received.as_slices());
         comm.now_ns() - t0
     });
     out.iter().map(|(t, _)| *t).max().expect("non-empty") as f64 * 1e-9
@@ -105,19 +90,17 @@ fn main() {
     };
     let reps: usize = if args.quick() { 1 } else { args.get("reps", 3) };
 
-    println!("# Ablation A4: exchange scheduling and merge overlap (5VI-E1)");
+    println!("# Ablation A4: exchange scheduling and the merge behind it (5VI-E1)");
     println!("# P = {p}, {n_per} keys/rank, {reps} reps\n");
 
     println!("## exchange + merge strategy (simulated time of exchange+merge phases)");
     let mut t = Table::new(["strategy", "median"]);
-    for strategy in [
-        "alltoallv+resort",
-        "alltoallv+tournament",
-        "pairwise",
-        "pairwise+overlap",
+    for (strategy, merge) in [
+        ("alltoallv+resort", MergeAlgo::Resort),
+        ("alltoallv+tournament", MergeAlgo::TournamentTree),
     ] {
         let times: Vec<f64> = (0..reps)
-            .map(|rep| merged_exchange_time(p, n_per, 0xAB4 + rep as u64, strategy))
+            .map(|rep| merged_exchange_time(p, n_per, 0xAB4 + rep as u64, merge))
             .collect();
         t.row([strategy.to_string(), fmt_secs(median_ci(&times).median)]);
     }

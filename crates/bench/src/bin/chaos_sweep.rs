@@ -1,8 +1,11 @@
-//! Chaos sweep: the histogram sort against two baselines under seeded
+//! Chaos sweep: the histogram sort against three baselines under seeded
 //! fault injection — straggler slowdowns, degraded links, and lossy
 //! transports of increasing severity. Every fault is a deterministic
 //! function of the plan seed, so each cell of the sweep is exactly
-//! reproducible.
+//! reproducible. Message loss lives on the point-to-point transport,
+//! which only the bitonic baseline rides (`Comm::exchange_pair`); the
+//! sweep asserts that it retries under the loss scenarios and that the
+//! collective-only sorters never do.
 //!
 //! Prints a table per fault family and writes the full grid as JSON to
 //! `results/chaos_sweep.json`. A per-fault-family phase breakdown
@@ -41,7 +44,7 @@ use dhs_baselines::{HssConfig, SampleSortConfig};
 use dhs_bench::experiment::{run_distributed_sort, run_recovery_sort, DistributedRun, SortAlgo};
 use dhs_bench::table::{fmt_secs, Table};
 use dhs_bench::Args;
-use dhs_core::{ExchangeStrategy, KernelPolicy, RecoveryPolicy, SortConfig};
+use dhs_core::{KernelPolicy, RecoveryPolicy, SortConfig};
 use dhs_runtime::{ClusterConfig, FaultPlan, LinkClass, LinkFault, LossSpec, RunnerEngine};
 use dhs_workloads::{Distribution, Layout};
 
@@ -122,6 +125,26 @@ fn scenarios(p: usize) -> Vec<Scenario> {
         });
     }
     out
+}
+
+/// Keep the loss family honest. Loss is drawn per point-to-point
+/// message, so the family measures something only while a sorter sends
+/// some: the bitonic rider must, nobody else may, and under a `loss-*`
+/// scenario the rider must have retried (once it sends enough messages
+/// to expect a lost one — 48 at `--quick` meet 1 % loss with none).
+fn assert_retries(sc: &Scenario, label: &str, algo: &SortAlgo, run: &DistributedRun) {
+    let cell = format!(
+        "{label} under {}: {} p2p messages, {} retries",
+        sc.name, run.p2p_messages, run.p2p_retries
+    );
+    let rider = matches!(algo, SortAlgo::Bitonic);
+    assert_eq!(run.p2p_messages > 0, rider, "{cell}");
+    if rider && sc.family == "loss" {
+        let expected_losses = run.p2p_messages as f64 * sc.severity;
+        assert!(run.p2p_retries > 0 || expected_losses < 1.0, "{cell}");
+    } else {
+        assert_eq!(run.p2p_retries, 0, "{cell}");
+    }
 }
 
 fn json_escape(s: &str) -> String {
@@ -297,24 +320,16 @@ fn recovery_grid(
 }
 
 /// The reduced large-p grid: p ∈ {512, 1024} under the task engine,
-/// one representative severity per fault family, the two histogram
-/// variants only (the pairwise variant is the one whose exchange rides
-/// the lossy point-to-point transport). Written as a separate file so
-/// the main sweep's bytes — pinned by CI — are never disturbed.
+/// one representative severity per fault family, the histogram sort
+/// and the bitonic baseline (the one that rides the lossy
+/// point-to-point transport). Written as a separate file so the main
+/// sweep's bytes — pinned by CI — are never disturbed.
 fn largep_sweep(engine: RunnerEngine, out_path: &str) {
     let seed = 0x5EED;
     let n_per = 256usize;
     let algos: Vec<(&str, SortAlgo)> = vec![
         ("dash-histogram", SortAlgo::Histogram(SortConfig::default())),
-        (
-            "dash-histogram-pairwise",
-            SortAlgo::Histogram(
-                SortConfig::builder()
-                    .exchange(ExchangeStrategy::PairwiseMerge { overlap: false })
-                    .build()
-                    .expect("valid config"),
-            ),
-        ),
+        ("bitonic", SortAlgo::Bitonic),
     ];
 
     println!("# Chaos sweep (large-p grid, engine {engine:?})");
@@ -360,6 +375,7 @@ fn largep_sweep(engine: RunnerEngine, out_path: &str) {
                     p * n_per,
                     seed,
                 );
+                assert_retries(sc, label, algo, &run);
                 if sc.family == "none" {
                     baselines.push(run.makespan_s);
                 }
@@ -473,8 +489,8 @@ fn main() {
         return;
     }
 
-    // The pairwise-merge variant routes its exchange through the
-    // point-to-point transport, which is where message loss bites; the
+    // Bitonic's compare-split rounds go through the point-to-point
+    // transport, which is where message loss bites; the
     // collective-based sorters only feel stragglers and slow links.
     let algos: Vec<(&str, SortAlgo)> = vec![
         (
@@ -487,17 +503,7 @@ fn main() {
                     .expect("valid config"),
             ),
         ),
-        (
-            "dash-histogram-pairwise",
-            SortAlgo::Histogram(
-                SortConfig::builder()
-                    .exchange(ExchangeStrategy::PairwiseMerge { overlap: false })
-                    .threads_per_rank(threads)
-                    .kernels(kernels)
-                    .build()
-                    .expect("valid config"),
-            ),
-        ),
+        ("bitonic", SortAlgo::Bitonic),
         ("charm-hss", SortAlgo::Hss(HssConfig::default())),
         (
             "sample-sort",
@@ -541,6 +547,7 @@ fn main() {
                 n_total,
                 seed,
             );
+            assert_retries(sc, label, algo, &run);
             if sc.family == "none" {
                 baselines.push(run.makespan_s);
             }

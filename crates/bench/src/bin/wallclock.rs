@@ -4,24 +4,12 @@
 //! performance trajectory the zero-copy work is judged against, and
 //! that every later perf PR extends.
 //!
-//! Eleven benchmark groups, written to `BENCH_wallclock.json`
-//! (schema `dhs-wallclock/v7`) at the repo root:
+//! Eight benchmark groups, written to `BENCH_wallclock.json`
+//! (schema `dhs-wallclock/v8`) at the repo root:
 //!
 //! * `full_sort` — end-to-end histogram sort at several (p, n/p)
 //!   points: host seconds per run, plus the (unchanged) virtual
 //!   makespan for cross-reference.
-//! * `exchange_ab` — the exchange superstep A/B: legacy owning path
-//!   (`exchange_data_vecs`: per-bucket `.to_vec()` + boxed
-//!   `alltoallv`) versus the zero-copy path (`exchange_data`:
-//!   borrowed slices into one contiguous `RecvRuns` buffer). The
-//!   largest configuration is the exchange-dominated one the
-//!   ≥2× acceptance target refers to.
-//! * `collectives_ab` — owning versus shared read-only collectives
-//!   (`allreduce_sum` / `exscan_sum_vec`) at histogram-like widths.
-//! * `local_sort_ab` — the local-sort phase A/B: the serial
-//!   `threads_per_rank = 1` execution path (`sort_unstable`) versus
-//!   the kernel the sort dispatches to at `threads_per_rank = 4`
-//!   (`parallel_merge_sort` at the host-clamped execution budget).
 //! * `local_merge_ab` — the post-exchange merge A/B at t = 1 over an
 //!   (r runs, n keys) grid: `serial` is `sort_unstable` of the flat
 //!   receive buffer (what `MergeAlgo::Resort` is charged as, and what
@@ -92,11 +80,8 @@
 //!
 //! The run merge wins on a single core wherever runs are long enough
 //! (a streaming pairwise merge tree over sorted runs does `O(n log k)`
-//! branchless moves where a re-sort pays `O(n log n)` compares); the
-//! hybrid sort reduces to exactly `sort_unstable` when the execution
-//! budget clamps to 1 and forks on real cores. The recorded `host_parallelism` field
-//! says which regime produced the numbers. Virtual time is identical
-//! on both sides by the hybrid determinism contract.
+//! branchless moves where a re-sort pays `O(n log n)` compares). The
+//! recorded `host_parallelism` field says what the host offered.
 //!
 //! Flags: `--smoke` (tiny grid for CI), `--out <path>`,
 //! `--reps <n>`, `--kernels scalar|auto` (backend for the end-to-end
@@ -107,10 +92,9 @@ use std::time::Instant; // lint: allow-wall-clock
 
 use dhs_bench::experiment::{run_distributed_sort, SortAlgo};
 use dhs_bench::Args;
-use dhs_core::exchange::{exchange_data, exchange_data_vecs, plan_exchange};
 use dhs_core::{
-    find_splitters, find_splitters_cfg, perfect_targets, KernelPolicy, Kernels, LocalSort,
-    SortConfig, SplitterOptions,
+    find_splitters_cfg, perfect_targets, KernelPolicy, Kernels, LocalSort, SortConfig,
+    SplitterOptions,
 };
 use dhs_runtime::{run, AllToAllAlgo, ClusterConfig, RunnerEngine};
 use dhs_workloads::{rank_local_keys, Distribution, Layout};
@@ -197,181 +181,6 @@ impl AbCase {
     fn speedup(&self) -> f64 {
         self.legacy_median_s / self.zero_copy_median_s.max(f64::MIN_POSITIVE)
     }
-}
-
-/// A/B the data-exchange superstep, measured through to the form every
-/// consumer needs: one contiguous, merge-ready buffer of received keys.
-/// Legacy is the pre-zero-copy data path (per-bucket `to_vec`, boxed
-/// `alltoallv`, flatten of the received `Vec<Vec<K>>`); zero-copy is
-/// borrowed send slices into `RecvRuns` + `into_data()` (a no-op).
-/// Both paths run inside the same simulated cluster; each rep is timed
-/// between barriers on every rank and rank 0's samples are reported
-/// (all ranks rendezvous in the collective, so rank 0 observes the
-/// full cost).
-fn bench_exchange(grid: &[(usize, usize)], reps: usize) -> Vec<AbCase> {
-    let mut out = Vec::new();
-    for &(p, n_per) in grid {
-        let results = run(&ClusterConfig::supermuc_phase2(p), move |comm| {
-            let mut local = rank_local_keys(
-                Distribution::paper_uniform(),
-                Layout::Balanced,
-                p * n_per,
-                p,
-                comm.rank(),
-                7,
-            );
-            local.sort_unstable();
-            let caps: Vec<usize> = comm.allgather(local.len());
-            let splitters = find_splitters(comm, &local, &perfect_targets(&caps), 0);
-            let plan = plan_exchange(comm, &local, &splitters);
-
-            let mut legacy = Vec::with_capacity(reps);
-            for _ in 0..reps {
-                comm.barrier();
-                let t = Instant::now();
-                let received = exchange_data_vecs(comm, &local, &plan, AllToAllAlgo::OneFactor);
-                let flat: Vec<u64> = received.into_iter().flatten().collect();
-                std::hint::black_box(&flat);
-                legacy.push(secs(t));
-            }
-
-            let mut zero_copy = Vec::with_capacity(reps);
-            for _ in 0..reps {
-                comm.barrier();
-                let t = Instant::now();
-                let received = exchange_data(comm, &local, &plan, AllToAllAlgo::OneFactor);
-                let flat: Vec<u64> = received.into_data();
-                std::hint::black_box(&flat);
-                zero_copy.push(secs(t));
-            }
-            (legacy, zero_copy)
-        });
-        let (legacy, zero_copy) = results[0].0.clone();
-        let (legacy_min_s, legacy_median_s) = min_median(legacy);
-        let (zero_copy_min_s, zero_copy_median_s) = min_median(zero_copy);
-        let case = AbCase {
-            label: format!("p{p}_n{n_per}"),
-            p,
-            n_per,
-            reps,
-            legacy_min_s,
-            legacy_median_s,
-            zero_copy_min_s,
-            zero_copy_median_s,
-        };
-        println!(
-            "exchange_ab    p={p:<4} n/p={n_per:<7} legacy {legacy_median_s:>9.6}s  zero-copy {zero_copy_median_s:>9.6}s  speedup {:.2}x",
-            case.speedup()
-        );
-        out.push(case);
-    }
-    out
-}
-
-/// A/B the owning vs shared read-only collectives at a histogram-like
-/// width (2 counters per splitter).
-fn bench_collectives(grid: &[(usize, usize)], reps: usize) -> Vec<AbCase> {
-    let mut out = Vec::new();
-    for &(p, width) in grid {
-        let results = run(&ClusterConfig::supermuc_phase2(p), move |comm| {
-            let xs: Vec<u64> = (0..width as u64).collect();
-
-            comm.barrier();
-            let t_legacy = Instant::now();
-            for _ in 0..reps {
-                let r = comm.allreduce_sum(xs.clone());
-                std::hint::black_box(&r);
-                let e = comm.exscan_sum_vec(xs.clone());
-                std::hint::black_box(&e);
-            }
-            comm.barrier();
-            let legacy_s = secs(t_legacy);
-
-            let t_shared = Instant::now();
-            for _ in 0..reps {
-                let r = comm.allreduce_sum_shared(&xs);
-                std::hint::black_box(&r);
-                let e = comm.exscan_sum_vec_shared(&xs);
-                std::hint::black_box(&e);
-            }
-            comm.barrier();
-            let shared_s = secs(t_shared);
-            (legacy_s, shared_s)
-        });
-        let (legacy_s, shared_s) = results[0].0;
-        let legacy_per = legacy_s / reps as f64;
-        let shared_per = shared_s / reps as f64;
-        let case = AbCase {
-            label: format!("p{p}_w{width}"),
-            p,
-            n_per: width,
-            reps,
-            legacy_min_s: legacy_per,
-            legacy_median_s: legacy_per,
-            zero_copy_min_s: shared_per,
-            zero_copy_median_s: shared_per,
-        };
-        println!(
-            "collectives_ab p={p:<4} width={width:<5} owning {legacy_per:>9.6}s  shared {shared_per:>9.6}s  speedup {:.2}x",
-            case.speedup()
-        );
-        out.push(case);
-    }
-    out
-}
-
-/// A/B the local sort of hybrid rank×thread execution, measured
-/// directly on the dispatched kernels (a full-sort A/B would dilute
-/// the local phase behind the exchange and collectives). Side A is
-/// exactly what a rank executes at `threads_per_rank = 1`; side B is
-/// exactly what it executes at `threads_per_rank = 4`, including the
-/// host clamp of the execution budget (on a single-core host the
-/// hybrid sort reduces to `sort_unstable`). Grid entries are
-/// `(p, n_per)`: the sorted block is `p * n_per` keys.
-fn bench_local_sort(grid: &[(usize, usize)], reps: usize, threads: usize) -> Vec<AbCase> {
-    let host = std::thread::available_parallelism().map_or(1, |v| v.get());
-    let te = threads.min(host);
-    let mut sorts = Vec::new();
-    for &(p, n_per) in grid {
-        let n = p * n_per;
-        let base = rank_local_keys(Distribution::paper_uniform(), Layout::Balanced, n, 1, 0, 11);
-
-        // Local sort: serial comparison path vs the hybrid fork–join
-        // merge sort at the clamped execution budget.
-        let mut serial = Vec::with_capacity(reps);
-        let mut hybrid = Vec::with_capacity(reps);
-        for _ in 0..reps {
-            let mut v = base.clone();
-            let t = Instant::now();
-            v.sort_unstable();
-            serial.push(secs(t));
-            std::hint::black_box(&v);
-
-            let mut v = base.clone();
-            let t = Instant::now();
-            dhs_shm::parallel_merge_sort(&mut v, te);
-            hybrid.push(secs(t));
-            std::hint::black_box(&v);
-        }
-        let (legacy_min_s, legacy_median_s) = min_median(serial);
-        let (zero_copy_min_s, zero_copy_median_s) = min_median(hybrid);
-        let case = AbCase {
-            label: format!("p{p}_n{n_per}"),
-            p,
-            n_per,
-            reps,
-            legacy_min_s,
-            legacy_median_s,
-            zero_copy_min_s,
-            zero_copy_median_s,
-        };
-        println!(
-            "local_sort_ab  p={p:<4} n/p={n_per:<7} serial(t1) {legacy_median_s:>9.6}s  hybrid(t{threads}) {zero_copy_median_s:>9.6}s  speedup {:.2}x",
-            case.speedup()
-        );
-        sorts.push(case);
-    }
-    sorts
 }
 
 /// A/B the post-exchange merge at one thread: `sort_unstable` of the
@@ -1065,21 +874,8 @@ fn main() {
     } else {
         (vec![(8, 4096), (16, 32768), (32, 131072)], 3)
     };
-    let (ex_grid, ex_reps): (Vec<(usize, usize)>, usize) = if smoke {
-        (vec![(8, 4096)], 3)
-    } else {
-        (vec![(4, 1048576), (8, 262144), (16, 65536)], 5)
-    };
-    let (coll_grid, coll_reps): (Vec<(usize, usize)>, usize) = if smoke {
-        (vec![(8, 64)], 20)
-    } else {
-        (vec![(16, 64), (32, 64), (32, 4096)], 50)
-    };
-    let (local_grid, local_reps): (Vec<(usize, usize)>, usize) = if smoke {
-        (vec![(4, 16384)], 3)
-    } else {
-        (vec![(4, 262144), (8, 131072), (16, 65536)], 5)
-    };
+    // Minimum repetitions of the one-thread local-phase cells.
+    let local_reps: usize = if smoke { 3 } else { 5 };
     // (slots, non-empty runs, total keys): the benchmark workloads'
     // shapes (8 × 128 Ki `local_heavy`, 32 × 1 Ki `epoch_stream`,
     // 1024 slots holding 256 one-key runs `latency_bound`), more runs
@@ -1159,7 +955,6 @@ fn main() {
             ("strong", 8192, 512),
         ]
     };
-    let hybrid_threads: usize = args.get("threads", 4);
     let kernels: KernelPolicy = args
         .raw("kernels")
         .unwrap_or("auto")
@@ -1178,9 +973,6 @@ fn main() {
         Kernels::for_policy(kernels).backend_name()
     );
     let full = bench_full_sort(&sort_grid, sort_reps, kernels);
-    let exchange = bench_exchange(&ex_grid, ex_reps);
-    let collectives = bench_collectives(&coll_grid, coll_reps);
-    let local_sorts = bench_local_sort(&local_grid, local_reps, hybrid_threads);
     let local_merges = bench_local_merge(&merge_grid, local_reps);
     let record_sorts = bench_record_sort(&record_grid, local_reps);
     let splitter = bench_splitter(&splitter_grid, splitter_reps);
@@ -1191,11 +983,10 @@ fn main() {
 
     let mut json = String::new();
     let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"schema\": \"dhs-wallclock/v7\",");
+    let _ = writeln!(json, "  \"schema\": \"dhs-wallclock/v8\",");
     let _ = writeln!(json, "  \"smoke\": {smoke},");
     let host = std::thread::available_parallelism().map_or(1, |v| v.get());
     let _ = writeln!(json, "  \"host_parallelism\": {host},");
-    let _ = writeln!(json, "  \"hybrid_threads\": {hybrid_threads},");
     let _ = writeln!(json, "  \"kernels\": \"{}\",", kernels.label());
     let _ = writeln!(
         json,
@@ -1220,15 +1011,6 @@ fn main() {
             if i + 1 < full.len() { "," } else { "" }
         );
     }
-    let _ = writeln!(json, "    ]}},");
-    let _ = writeln!(json, "    {{\"name\": \"exchange_ab\", \"cases\": [");
-    let _ = write!(json, "{}", json_ab(&exchange, "legacy", "zero_copy"));
-    let _ = writeln!(json, "    ]}},");
-    let _ = writeln!(json, "    {{\"name\": \"collectives_ab\", \"cases\": [");
-    let _ = write!(json, "{}", json_ab(&collectives, "owning", "shared"));
-    let _ = writeln!(json, "    ]}},");
-    let _ = writeln!(json, "    {{\"name\": \"local_sort_ab\", \"cases\": [");
-    let _ = write!(json, "{}", json_ab(&local_sorts, "serial", "hybrid"));
     let _ = writeln!(json, "    ]}},");
     let _ = writeln!(json, "    {{\"name\": \"local_merge_ab\", \"cases\": [");
     let _ = write!(json, "{}", json_ab(&local_merges, "serial", "hybrid"));

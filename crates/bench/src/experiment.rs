@@ -60,6 +60,9 @@ pub struct DistributedRun {
     pub min_keys: usize,
     /// Whether the splitter phase met its tolerance everywhere.
     pub converged: bool,
+    /// Point-to-point messages sent, summed over ranks (0 for a sorter
+    /// that only calls collectives).
+    pub p2p_messages: u64,
     /// Loss-induced retransmissions summed over ranks (0 without an
     /// active fault plan).
     pub p2p_retries: u64,
@@ -147,9 +150,11 @@ pub fn run_distributed_sort(
     let mut min_keys = usize::MAX;
     let mut inter = 0u64;
     let mut intra = 0u64;
+    let mut messages = 0u64;
     let mut retries = 0u64;
     let mut duplicates = 0u64;
     for ((phases, iters, probe_count, conv, n_out, total_ns), report) in &out {
+        messages += report.counters.p2p_messages;
         retries += report.counters.p2p_retries;
         duplicates += report.counters.p2p_duplicates;
         makespan_ns = makespan_ns.max(*total_ns);
@@ -183,6 +188,7 @@ pub fn run_distributed_sort(
         max_keys,
         min_keys,
         converged,
+        p2p_messages: messages,
         p2p_retries: retries,
         p2p_duplicates: duplicates,
     }

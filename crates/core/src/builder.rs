@@ -12,8 +12,7 @@ use dhs_runtime::AllToAllAlgo;
 use dhs_shm::KernelPolicy;
 
 use crate::sort::{
-    ExchangeStrategy, InvalidSortConfig, LocalSort, Partitioning, RecoveryPolicy, SortConfig,
-    WarmStart,
+    InvalidSortConfig, LocalSort, Partitioning, RecoveryPolicy, SortConfig, WarmStart,
 };
 
 /// Typed, chainable constructor for [`SortConfig`].
@@ -54,12 +53,6 @@ impl SortConfigBuilder {
     /// Engine for the local merge of received runs.
     pub fn merge(mut self, merge: MergeAlgo) -> Self {
         self.cfg.merge = merge;
-        self
-    }
-
-    /// Data-exchange schedule.
-    pub fn exchange(mut self, exchange: ExchangeStrategy) -> Self {
-        self.cfg.exchange = exchange;
         self
     }
 
@@ -105,7 +98,7 @@ impl SortConfigBuilder {
     /// Response to a mid-sort rank failure: abort the run (the
     /// default) or shrink onto the survivors and restart from the
     /// retained checkpoint. `build()` rejects
-    /// [`RecoveryPolicy::Shrink`] combined with a pairwise exchange
+    /// [`RecoveryPolicy::Shrink`] combined with a staged exchange
     /// schedule.
     pub fn recovery(mut self, recovery: RecoveryPolicy) -> Self {
         self.cfg.recovery = recovery;
@@ -113,11 +106,10 @@ impl SortConfigBuilder {
     }
 
     /// Collective schedule of the data-exchange superstep's
-    /// personalized all-to-all ([`ExchangeStrategy::AllToAllv`] only).
-    /// One-factor (the default) is bandwidth-optimal;
-    /// [`AllToAllAlgo::StagedKWay`] trades per-stage β for `⌈log_k
-    /// P⌉·k` message latencies. `build()` rejects a staged fan-out
-    /// below 2, and staging combined with
+    /// personalized all-to-all. One-factor (the default) is
+    /// bandwidth-optimal; [`AllToAllAlgo::StagedKWay`] trades per-stage
+    /// β for `⌈log_k P⌉·k` message latencies. `build()` rejects a
+    /// staged fan-out below 2, and staging combined with
     /// [`RecoveryPolicy::Shrink`] (a mid-superstep crash inside one
     /// block communicator would deadlock the survivor agreement).
     pub fn exchange_algo(mut self, algo: AllToAllAlgo) -> Self {
@@ -188,7 +180,6 @@ impl Default for SortConfig {
             epsilon: 0.0,
             partitioning: Partitioning::Perfect,
             merge: MergeAlgo::Resort,
-            exchange: ExchangeStrategy::AllToAllv,
             local_sort: LocalSort::Comparison,
             max_splitter_iterations: None,
             probes_per_round: 1,
@@ -212,7 +203,6 @@ mod tests {
         assert_eq!(built.epsilon, def.epsilon);
         assert_eq!(built.partitioning, def.partitioning);
         assert_eq!(built.merge, def.merge);
-        assert_eq!(built.exchange, def.exchange);
         assert_eq!(built.local_sort, def.local_sort);
         assert_eq!(built.max_splitter_iterations, def.max_splitter_iterations);
         assert_eq!(built.probes_per_round, def.probes_per_round);
@@ -272,15 +262,6 @@ mod tests {
             .build()
             .expect("staged k=8 is valid");
         assert_eq!(cfg.exchange_algo, AllToAllAlgo::StagedKWay { k: 8 });
-    }
-
-    #[test]
-    fn builder_rejects_shrink_with_pairwise_exchange() {
-        let err = SortConfig::builder()
-            .recovery(RecoveryPolicy::Shrink)
-            .exchange(ExchangeStrategy::PairwiseMerge { overlap: false })
-            .build();
-        assert!(matches!(err, Err(InvalidSortConfig::ShrinkNeedsAllToAllv)));
     }
 
     #[test]

@@ -35,8 +35,7 @@ impl ExchangePlan {
 
     /// Borrow the per-destination segments of the local sorted array:
     /// segment `d` is `local[cuts[d]..cuts[d+1]]`. The one slicing rule
-    /// shared by every exchange path (zero-copy, owning, and the
-    /// record-payload sorts).
+    /// shared by the key and the record exchange.
     pub fn segments<'a, T>(&self, local: &'a [T]) -> Vec<&'a [T]> {
         self.cuts.windows(2).map(|w| &local[w[0]..w[1]]).collect()
     }
@@ -164,8 +163,7 @@ pub fn plan_exchange_with<K: Key>(
 /// (borrowed slices, no bucket materialization) and received into one
 /// contiguous [`RecvRuns`] buffer whose per-source runs are sorted
 /// (contiguous slices of sorted arrays). The `MoveBytes` charge models
-/// the packing pass an MPI implementation still performs, keeping the
-/// virtual clock identical to the owning path.
+/// the packing pass an MPI implementation still performs.
 pub fn exchange_data<K: Key>(
     comm: &Comm,
     sorted_local: &[K],
@@ -178,28 +176,6 @@ pub fn exchange_data<K: Key>(
     comm.charge(Work::MoveBytes(sorted_local.len() as u64 * elem));
     let segments = plan.segments(sorted_local);
     comm.exchange(&segments[..], algo)
-}
-
-/// Legacy owning exchange: materializes per-destination buckets with
-/// `.to_vec()` and moves them through the boxed-bucket path. Kept for
-/// A/B comparison in the wall-clock harness; [`exchange_data`] is the
-/// production path.
-pub fn exchange_data_vecs<K: Key>(
-    comm: &Comm,
-    sorted_local: &[K],
-    plan: &ExchangePlan,
-    algo: AllToAllAlgo,
-) -> Vec<Vec<K>> {
-    let p = comm.size();
-    assert_eq!(plan.cuts.len(), p + 1);
-    let elem = std::mem::size_of::<K>() as u64;
-    comm.charge(Work::MoveBytes(sorted_local.len() as u64 * elem));
-    let buckets: Vec<Vec<K>> = plan
-        .segments(sorted_local)
-        .into_iter()
-        .map(|seg| seg.to_vec())
-        .collect();
-    comm.exchange(buckets, algo).into_vecs()
 }
 
 #[cfg(test)]

@@ -10,9 +10,9 @@
 //!
 //! The four supersteps of §V are one pipeline in [`mod@sort`], shared by
 //! every entry point (plain keys, records via [`histogram_sort_by`],
-//! the warm-start variants, [`histogram_sort_two_level`]'s level 2 and
-//! the [`EpochSorter`] service), with shrink-and-recover as a retry
-//! loop around phases 2–4:
+//! [`histogram_sort_two_level`]'s level 2 and the warm-started
+//! [`EpochSorter`] service), with shrink-and-recover as a retry loop
+//! around phases 2–4:
 //!
 //! 1. **Local sort** — the configured [`LocalSort`] engine (a stable
 //!    sort by key for records);
@@ -46,7 +46,6 @@ pub mod builder;
 pub mod exchange;
 pub mod key;
 pub mod multilevel;
-pub mod overlap;
 pub mod service;
 pub mod sort;
 pub mod splitter;
@@ -58,12 +57,10 @@ pub use api::{
 pub use builder::SortConfigBuilder;
 pub use key::{make_unique, strip_unique, Key, OrderedF32, OrderedF64, UniqueKey};
 pub use multilevel::histogram_sort_two_level;
-pub use overlap::{exchange_and_merge, one_factor_partner, one_factor_rounds, OverlapStats};
 pub use service::{EpochSorter, EpochStats};
 pub use sort::{
-    histogram_sort, histogram_sort_by, histogram_sort_by_warm, histogram_sort_warm,
-    ExchangeStrategy, InvalidSortConfig, LocalSort, Partitioning, RecoveryPolicy, SortConfig,
-    SortOutcome, SortStats, WarmStart,
+    histogram_sort, histogram_sort_by, InvalidSortConfig, LocalSort, Partitioning, RecoveryPolicy,
+    SortConfig, SortOutcome, SortStats, WarmStart,
 };
 pub use splitter::{
     balanced_targets, find_splitters, find_splitters_cfg, find_splitters_seeded, perfect_targets,

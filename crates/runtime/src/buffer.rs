@@ -177,8 +177,8 @@ impl<T: Clone> SharedSlice<T> {
 #[derive(Default)]
 pub struct BufferPool {
     u64s: RefCell<Vec<Vec<u64>>>,
-    /// Type-erased free list for every other element type (pairwise
-    /// exchange staging, merge scratch). Slots hold `Vec<T>` behind
+    /// Type-erased free list for every other element type (exchange
+    /// staging and receive buffers). Slots hold `Vec<T>` behind
     /// `Box<dyn Any>`; [`Self::take`] scans for a matching type.
     typed: RefCell<Vec<Box<dyn Any>>>,
     /// Lifetime count of `take*` calls on this pool.

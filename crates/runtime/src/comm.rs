@@ -651,29 +651,6 @@ impl Comm {
         self.broadcast_shared(root, value).as_ref().clone()
     }
 
-    /// Broadcast a slice-like payload from `root`, shared across ranks;
-    /// non-roots pass an empty `Vec`.
-    pub fn broadcast_vec_shared<T>(&self, root: usize, value: Vec<T>) -> Arc<Vec<T>>
-    where
-        T: Send + Sync + 'static,
-    {
-        let p = self.size();
-        self.run_collective("broadcast_vec", value, move |mut xs, ctx| {
-            let v = xs.swap_remove(root);
-            let bytes = (v.len() * mem::size_of::<T>()) as u64;
-            let end = ctx.enter_max_ns + ctx.cost.bcast_ns(ctx.worst_link, p, bytes);
-            (v, EndTimes::Uniform(end))
-        })
-    }
-
-    /// Owning [`Comm::broadcast_vec_shared`].
-    pub fn broadcast_vec<T>(&self, root: usize, value: Vec<T>) -> Vec<T>
-    where
-        T: Clone + Send + Sync + 'static,
-    {
-        self.broadcast_vec_shared(root, value).as_ref().clone()
-    }
-
     /// Element-wise allreduce followed by a once-only `finish`: all
     /// ranks pass equally long vectors; element `i` of the reduction is
     /// the fold of element `i` over ranks. `finish` then runs exactly
@@ -1538,22 +1515,6 @@ impl Comm {
         }
         self.send(peer, tag, data);
         self.recv(peer, tag)
-    }
-
-    /// [`Self::exchange_pair`] over a borrowed send segment. The payload is
-    /// staged into a pooled scratch buffer — the one copy that models
-    /// the wire transfer — so callers exchanging windows of a larger
-    /// array (pairwise-merge bucket rounds) need no owning clone of
-    /// their own, and steady-state rounds allocate nothing once the
-    /// pool is warm. Return the received buffer to
-    /// [`Self::pool`]`().recycle` when done with it.
-    pub fn exchange_pair_slice<T>(&self, peer: usize, tag: u64, data: &[T]) -> Vec<T>
-    where
-        T: Copy + Send + 'static,
-    {
-        let mut staged: Vec<T> = self.pool().take();
-        staged.extend_from_slice(data);
-        self.exchange_pair(peer, tag, staged)
     }
 
     // ------------------------------------------------------------------

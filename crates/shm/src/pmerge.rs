@@ -441,35 +441,6 @@ fn merge_window<'a, T>(
     merge_pair(kernels, a, b, dst);
 }
 
-/// [`merge_runs_in_place`] over borrowed runs: packs them into one
-/// flat buffer first (the one copy borrowed inputs need), then merges
-/// with the portable scalar kernels.
-pub fn flat_tree_merge<T, R>(runs: &[R], threads: usize) -> Vec<T>
-where
-    T: Ord + Copy + Send + Sync + 'static,
-    R: AsRef<[T]> + Sync,
-{
-    flat_tree_merge_with(Kernels::scalar(), runs, threads)
-}
-
-/// [`flat_tree_merge`] with an explicit kernel backend. Output is
-/// identical for every backend — merging equal `Copy` scalar keys is
-/// unobservable — so callers may pick the backend on host-time grounds
-/// alone.
-pub fn flat_tree_merge_with<T, R>(kernels: Kernels, runs: &[R], threads: usize) -> Vec<T>
-where
-    T: Ord + Copy + Send + Sync + 'static,
-    R: AsRef<[T]> + Sync,
-{
-    let counts: Vec<usize> = runs.iter().map(|r| r.as_ref().len()).collect();
-    let mut flat: Vec<T> = Vec::with_capacity(counts.iter().sum());
-    for r in runs {
-        flat.extend_from_slice(r.as_ref());
-    }
-    merge_runs_in_place(kernels, &mut flat, counts, &mut Vec::new(), threads);
-    flat
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -6,8 +6,6 @@
 //! * [`task_merge_sort`] — fork–join merge sort whose merge step is
 //!   sequential at every join, mirroring the simpler OpenMP-task merge
 //!   sort the paper includes "for reference".
-//! * [`parallel_quicksort`] — partition-based alternative; moves data
-//!   in place, useful as the local sort inside ranks.
 //!
 //! Two kernels added for hybrid rank×thread execution back the local
 //! phases of the distributed sort:
@@ -205,55 +203,6 @@ where
     data.copy_from_slice(&scratch);
 }
 
-/// Parallel three-way quicksort.
-pub fn parallel_quicksort<T: Ord + Copy + Send + Sync>(data: &mut [T], threads: usize) {
-    if data.len() <= SORT_GRAIN || threads <= 1 {
-        data.sort_unstable();
-        return;
-    }
-    // Median-of-three pivot.
-    let n = data.len();
-    let pivot = {
-        let (a, b, c) = (data[0], data[n / 2], data[n - 1]);
-        if (a <= b) ^ (a <= c) {
-            a
-        } else if (b <= a) ^ (b <= c) {
-            b
-        } else {
-            c
-        }
-    };
-    let (l, u) = partition3(data, pivot);
-    let (lo, rest) = data.split_at_mut(l);
-    let (_, hi) = rest.split_at_mut(u - l);
-    join(
-        threads,
-        |t| parallel_quicksort(lo, t),
-        |t| parallel_quicksort(hi, t),
-    );
-}
-
-fn partition3<T: Ord + Copy>(data: &mut [T], pivot: T) -> (usize, usize) {
-    let mut lo = 0;
-    let mut mid = 0;
-    let mut hi = data.len();
-    while mid < hi {
-        match data[mid].cmp(&pivot) {
-            std::cmp::Ordering::Less => {
-                data.swap(lo, mid);
-                lo += 1;
-                mid += 1;
-            }
-            std::cmp::Ordering::Equal => mid += 1,
-            std::cmp::Ordering::Greater => {
-                hi -= 1;
-                data.swap(mid, hi);
-            }
-        }
-    }
-    (lo, hi)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -307,11 +256,6 @@ mod tests {
     #[test]
     fn task_merge_sort_correct() {
         check_sorter(task_merge_sort);
-    }
-
-    #[test]
-    fn parallel_quicksort_correct() {
-        check_sorter(parallel_quicksort);
     }
 
     /// `parallel_merge_sort_by` must reproduce the *stable* std sort

@@ -6,7 +6,7 @@
 //! output.
 
 use dhs_shm::kernels::Kernels;
-use dhs_shm::{flat_tree_merge, merge_runs_in_place, merge_sorted_runs, run_merge_beats_resort};
+use dhs_shm::{merge_runs_in_place, merge_sorted_runs, run_merge_beats_resort};
 use proptest::prelude::*;
 
 /// xorshift64* stream; deterministic per seed.
@@ -91,16 +91,11 @@ proptest! {
             merge_sorted_runs(Kernels::scalar(), &mut ruled, counts.clone(), &mut Vec::new(), threads);
             prop_assert_eq!(&ruled, &expect);
         }
-        // So does the borrowed-runs wrapper.
-        let mut at = 0;
-        let borrowed: Vec<&[u64]> = counts
-            .iter()
-            .map(|&c| {
-                at += c;
-                &flat[at - c..at]
-            })
-            .collect();
-        prop_assert_eq!(&flat_tree_merge(&borrowed, 2), &expect);
+        // So does the tree itself on the portable kernels, from a
+        // scratch it has to size from nothing.
+        let mut packed = flat;
+        merge_runs_in_place(Kernels::scalar(), &mut packed, counts, &mut Vec::new(), 2);
+        prop_assert_eq!(&packed, &expect);
     }
 }
 
@@ -159,17 +154,18 @@ fn resort_rule_boundary_is_invisible() {
 #[test]
 fn degenerate_inputs_leave_both_buffers_alone() {
     let k = Kernels::scalar();
-    let mut scratch = vec![9u64; 3];
-    merge_runs_in_place(k, &mut [], vec![0; 5], &mut scratch, 1);
-    assert_eq!(scratch, vec![9; 3]);
+    // Nothing to merge: five empty runs, or no run slots at all.
+    for counts in [vec![0; 5], Vec::new()] {
+        let mut scratch = vec![9u64; 3];
+        merge_runs_in_place(k, &mut [], counts, &mut scratch, 1);
+        assert_eq!(scratch, vec![9; 3]);
+    }
 
     let mut flat = vec![1u64, 2, 3];
     let mut scratch = Vec::new();
     merge_runs_in_place(k, &mut flat, vec![0, 3, 0], &mut scratch, 4);
     assert_eq!(flat, vec![1, 2, 3]);
     assert_eq!(scratch.capacity(), 0);
-
-    assert_eq!(flat_tree_merge::<u64, Vec<u64>>(&[], 1), Vec::<u64>::new());
 }
 
 #[test]

@@ -26,7 +26,6 @@ const USAGE: &str = "usage: dhs <sort|serve|select|topology> [--flags]\n\
     \x20        --eps F --merge resort|tournament|binary|heap|funnel\n\
     \x20        --local-sort comparison|radix --groups N --seed N --verify\n\
     \x20        --partitioning perfect|balanced --max-iters N\n\
-    \x20        --pairwise [--overlap] (pairwise merge instead of all-to-allv)\n\
     \x20        --probes M (histogram round width in units of P-1)\n\
     \x20        --threads T (intra-rank thread budget)\n\
     \x20        --recovery abort|shrink (response to rank failures)\n\
@@ -94,12 +93,12 @@ fn main() {
     let (values, switches, run): Command = match command.as_str() {
         "sort" => (
             config(&["algo", "groups", "trace", "trace-format"]),
-            &["verify", "pairwise", "overlap"],
+            &["verify"],
             cmd_sort,
         ),
         "serve" => (
             config(&["epochs", "profile"]),
-            &["verify", "pairwise", "overlap", "assert-converged"],
+            &["verify", "assert-converged"],
             cmd_serve,
         ),
         "select" => (vec!["ranks", "nper", "seed", "dist", "k"], &[], cmd_select),
@@ -203,13 +202,6 @@ fn sort_config_with(args: &Args, default_warm: WarmStart) -> SortConfig {
             "heap" => MergeAlgo::Heap,
             "funnel" => MergeAlgo::Funnel,
             other => panic!("unknown merge engine {other}"),
-        })
-        .exchange(if args.has("pairwise") {
-            ExchangeStrategy::PairwiseMerge {
-                overlap: args.has("overlap"),
-            }
-        } else {
-            ExchangeStrategy::AllToAllv
         })
         .local_sort(match args.raw("local-sort").unwrap_or("comparison") {
             "comparison" => LocalSort::Comparison,

@@ -29,11 +29,11 @@ pub use dhs_workloads as workloads;
 /// ```
 pub mod prelude {
     pub use dhs_core::{
-        histogram_sort, histogram_sort_by, histogram_sort_by_warm, histogram_sort_two_level,
-        histogram_sort_warm, is_sorted, median, nth_element, sort, sort_array, sort_by_key,
-        verify_sorted, AllToAllAlgo, EpochSorter, EpochStats, ExchangeStrategy, InvalidSortConfig,
-        KernelPolicy, Kernels, LocalSort, MergeAlgo, OrderOutOfRange, Partitioning, RecoveryPolicy,
-        SortConfig, SortConfigBuilder, SortOutcome, SortStats, WarmStart,
+        histogram_sort, histogram_sort_by, histogram_sort_two_level, is_sorted, median,
+        nth_element, sort, sort_array, sort_by_key, verify_sorted, AllToAllAlgo, EpochSorter,
+        EpochStats, InvalidSortConfig, KernelPolicy, Kernels, LocalSort, MergeAlgo,
+        OrderOutOfRange, Partitioning, RecoveryPolicy, SortConfig, SortConfigBuilder, SortOutcome,
+        SortStats, WarmStart,
     };
     pub use dhs_pgas::GlobalArray;
     pub use dhs_runtime::{

@@ -3,7 +3,8 @@
 //! computation produces; every fault is a pure function of the plan
 //! seed, so faulty runs replay bit-for-bit.
 
-use dhs::core::{histogram_sort, ExchangeStrategy, SortConfig, SortOutcome};
+use dhs::baselines::bitonic_sort;
+use dhs::core::{histogram_sort, SortConfig, SortOutcome};
 use dhs::runtime::fault::RankError;
 use dhs::runtime::{
     run, run_summarized, try_run, try_run_partial, AllToAllAlgo, ClusterConfig, Comm, FaultPlan,
@@ -30,10 +31,15 @@ fn collective_suite(cfg: &ClusterConfig, seed: u64) -> Vec<CollectiveOutputs> {
             .collect();
         let a2a: Vec<Vec<u64>> = comm.exchange(send, AllToAllAlgo::OneFactor).into_vecs();
         let scan = comm.exscan_sum_vec(vec![me + 1]);
+        // Two messages on one (source, tag) stream: an injected
+        // duplicate of the first is still queued when the second is
+        // received, and only the sequence numbers tell them apart.
         let peer = (comm.rank() + 1) % p;
         let from = (comm.rank() + p - 1) % p;
         comm.send(peer, 9, vec![me; 8]);
-        let ring = comm.recv(from, 9);
+        comm.send(peer, 9, vec![me + 1; 3]);
+        let mut ring: Vec<u64> = comm.recv(from, 9);
+        ring.extend(comm.recv::<u64>(from, 9));
         CollectiveOutputs {
             bcast,
             reduce,
@@ -92,23 +98,20 @@ proptest! {
         prop_assert_eq!(collective_suite(&clean, seed), collective_suite(&faulty, seed));
     }
 
-    /// The full sort under a lossy, duplicating transport (pairwise
-    /// exchange = pure p2p) must produce exactly the fault-free output:
-    /// retried and duplicated chunks are deduplicated by sequence
-    /// number, so the merge consumes each chunk exactly once.
+    /// A full sort over pure p2p — bitonic, `log² p` compare-split
+    /// rounds of `Comm::exchange_pair` — under a lossy, duplicating
+    /// transport must produce exactly the fault-free output: retried
+    /// and duplicated blocks are deduplicated by sequence number, so
+    /// every round merges its partner's block exactly once.
     #[test]
     fn lossy_pairwise_sort_matches_fault_free(
-        p in 2usize..7,
+        log_p in 1u32..4,
         n_per in 50usize..300,
         seed in 0u64..50_000,
         loss_pct in 1u64..35,
     ) {
-        let cfg = SortConfig::builder()
-            .exchange(ExchangeStrategy::PairwiseMerge { overlap: false })
-            .build()
-            .expect("valid config");
+        let p = 1usize << log_p;
         let sort_under = |cluster: &ClusterConfig| {
-            let cfg = cfg.clone();
             let out = run(cluster, move |comm| {
                 let mut local = rank_local_keys(
                     Distribution::paper_uniform(),
@@ -118,7 +121,7 @@ proptest! {
                     comm.rank(),
                     seed,
                 );
-                histogram_sort(comm, &mut local, &cfg);
+                bitonic_sort(comm, &mut local);
                 local
             });
             out.into_iter().map(|(v, _)| v).collect::<Vec<_>>()
@@ -392,7 +395,8 @@ fn crash_mid_collective_releases_blocked_peers() {
 }
 
 /// Faulty runs replay bit-for-bit: same seed, same makespan, same
-/// retry/duplicate counters — end-to-end through the sort.
+/// retry/duplicate counters — end-to-end through a sort that rides the
+/// lossy p2p transport (bitonic: 160 messages at p = 16).
 #[test]
 fn faulty_sort_run_is_reproducible() {
     let p = 16;
@@ -407,10 +411,6 @@ fn faulty_sort_run_is_reproducible() {
         });
     let go = || {
         let cluster = ClusterConfig::supermuc_phase2(p).with_fault(plan.clone());
-        let cfg = SortConfig::builder()
-            .exchange(ExchangeStrategy::PairwiseMerge { overlap: false })
-            .build()
-            .expect("valid config");
         run_summarized(&cluster, move |comm| {
             let mut local = rank_local_keys(
                 Distribution::paper_uniform(),
@@ -420,7 +420,8 @@ fn faulty_sort_run_is_reproducible() {
                 comm.rank(),
                 11,
             );
-            histogram_sort(comm, &mut local, &cfg);
+            bitonic_sort(comm, &mut local);
+            assert!(local.windows(2).all(|w| w[0] <= w[1]));
         })
         .1
     };
@@ -428,8 +429,8 @@ fn faulty_sort_run_is_reproducible() {
     let b = go();
     assert_eq!(a, b, "same plan seed must replay identically");
     assert!(
-        a.p2p_retries > 0,
-        "15% loss across pairwise rounds must retry"
+        a.p2p_retries > 0 && a.p2p_duplicates > 0,
+        "15% loss and 5% duplicates across 160 messages must retry and dedup: {a:?}"
     );
 }
 

@@ -5,10 +5,11 @@
 //! correctness, determinism, and equivalence to a direct sort of the
 //! survivors' inputs.
 
+use dhs_baselines::bitonic_sort;
 use dhs_core::{histogram_sort, histogram_sort_by, RecoveryPolicy, SortConfig, SortOutcome};
 use dhs_runtime::{
-    run, run_summarized, try_run, try_run_partial, ClusterConfig, FaultPlan, FaultPlanError,
-    LossSpec, RankError,
+    run, run_summarized, try_run_partial, ClusterConfig, FaultPlan, FaultPlanError, LossSpec,
+    RankError, TraceConfig,
 };
 use proptest::prelude::*;
 
@@ -344,34 +345,46 @@ fn shrink_recovers_record_sort_from_crash_inside_exchange() {
 
 /// A bounded retransmission budget turns an unreachable peer into a
 /// typed `RetriesExhausted` failure instead of an unbounded retry
-/// loop, and the failure is the run's root cause under Abort.
+/// loop, and the failure is the run's root cause when nothing armed
+/// recovery. Bitonic sort is the subject: every round is a
+/// `Comm::exchange_pair` over the lossy transport. The bound holds for
+/// every message, not only the fatal one: the trace's `retry` events
+/// carry each message's retransmission count, and none may pass it.
 #[test]
 fn retries_exhausted_is_typed_root_cause() {
     let p = 4;
-    let cluster =
-        ClusterConfig::small_cluster(p).with_fault(FaultPlan::seeded(11).with_loss(LossSpec {
+    let cluster = ClusterConfig::small_cluster(p)
+        .with_trace(TraceConfig::On)
+        .with_fault(FaultPlan::seeded(11).with_loss(LossSpec {
             rate: 0.9,
             timeout_ns: 500,
             max_retries: 2,
             duplicate_rate: 0.0,
             backoff_factor: 1.0,
         }));
-    let cfg = SortConfig::builder()
-        .exchange(dhs_core::ExchangeStrategy::PairwiseMerge { overlap: false })
-        .build()
-        .expect("valid config");
-    let err = try_run(&cluster, move |comm| {
+    let run = try_run_partial(&cluster, move |comm| {
         let mut local = keys_for(comm.rank(), 500, 1 << 16);
-        histogram_sort(comm, &mut local, &cfg);
-    })
-    .expect_err("90% loss with 2 retries must exhaust some link");
-    let exhausted = err
-        .root_causes()
-        .any(|e| matches!(e, RankError::RetriesExhausted { attempts: 2, .. }));
+        bitonic_sort(comm, &mut local);
+    });
+    let root_causes: Vec<&RankError> = run.failures().filter(|e| e.is_root_cause()).collect();
     assert!(
-        exhausted,
-        "expected a RetriesExhausted root cause, got {:?}",
-        err.root_causes().collect::<Vec<_>>()
+        root_causes
+            .iter()
+            .any(|e| matches!(e, RankError::RetriesExhausted { attempts: 2, .. })),
+        "90% loss with 2 retries must exhaust some link, got {root_causes:?}"
+    );
+    let retries_per_message: Vec<u64> = run
+        .trace
+        .ranks
+        .iter()
+        .flat_map(|r| &r.events)
+        .filter(|e| e.name == "retry")
+        .map(|e| e.info)
+        .collect();
+    assert_eq!(
+        retries_per_message.iter().max(),
+        Some(&2),
+        "a sender gives up at max_retries lost attempts, never later: {retries_per_message:?}"
     );
 }
 
@@ -390,13 +403,9 @@ fn loss_backoff_factor_slows_retries() {
                 duplicate_rate: 0.0,
                 backoff_factor,
             }));
-        let cfg = SortConfig::builder()
-            .exchange(dhs_core::ExchangeStrategy::PairwiseMerge { overlap: false })
-            .build()
-            .expect("valid config");
         run_summarized(&cluster, move |comm| {
             let mut local = keys_for(comm.rank(), 1000, 1 << 16);
-            histogram_sort(comm, &mut local, &cfg);
+            bitonic_sort(comm, &mut local);
         })
         .1
         .makespan_ns

@@ -226,24 +226,6 @@ proptest! {
     }
 
     #[test]
-    fn exchange_strategies_agree(
-        p in 2usize..8,
-        n_total in 0usize..2000,
-        dist in arb_distribution(),
-        seed in 0u64..1_000_000,
-        overlap: bool,
-    ) {
-        let flat = SortConfig::default();
-        let pairwise = SortConfig::builder()
-            .exchange(dhs::core::ExchangeStrategy::PairwiseMerge { overlap })
-            .build()
-            .expect("valid config");
-        let a = sort_and_verify(p, n_total, dist, Layout::Balanced, &flat, seed);
-        let b = sort_and_verify(p, n_total, dist, Layout::Balanced, &pairwise, seed);
-        prop_assert_eq!(a, b);
-    }
-
-    #[test]
     fn radix_local_sort_agrees(
         p in 2usize..8,
         n_total in 0usize..2000,
