@@ -13,7 +13,6 @@
 //! `ALL-TO-ALLV`.
 
 use dhs_runtime::{AllToAllAlgo, Comm, RecvRuns, Work};
-use dhs_shm::kernels::ladder_bounds_typed;
 use dhs_shm::Kernels;
 
 use crate::key::Key;
@@ -42,9 +41,7 @@ impl ExchangePlan {
 }
 
 /// Compute this rank's cut positions (Algorithm 4). Collective: every
-/// rank must call it with the identical `SplitterResult`. Uses the
-/// process-default kernel backend; [`plan_exchange_with`] takes an
-/// explicit one.
+/// rank must call it with the identical `SplitterResult`.
 pub fn plan_exchange<K: Key>(
     comm: &Comm,
     sorted_local: &[K],
@@ -53,17 +50,18 @@ pub fn plan_exchange<K: Key>(
     plan_exchange_with(comm, sorted_local, splitters, Kernels::auto())
 }
 
-/// [`plan_exchange`] with an explicit kernel backend: for native
-/// integer keys the per-splitter `partition_point` pairs go through
-/// the batched branchless-search kernel (`Kernels::ladder_bounds_*`),
-/// which overlaps the independent searches' cache misses; other key
-/// types keep the portable scan. Cuts and charges are identical for
-/// every backend.
+/// [`plan_exchange`] for callers that thread a kernel backend through
+/// the pipeline. The backend is not consulted: the splitter keys arrive
+/// ascending (equal targets aside), so each one's `(lower, upper)`
+/// bounds are found by exponential search outward from the previous
+/// splitter's lower bound — `O(P · log(n/P))` compares, searches of
+/// `n/P` keys that are too short to batch. The charge is the paper's
+/// `2(P − 1)` binary searches over the whole local array.
 pub fn plan_exchange_with<K: Key>(
     comm: &Comm,
     sorted_local: &[K],
     splitters: &SplitterResult<K>,
-    kernels: Kernels,
+    _kernels: Kernels,
 ) -> ExchangePlan {
     let p = comm.size();
     let s = splitters.splitters.len();
@@ -77,54 +75,13 @@ pub fn plan_exchange_with<K: Key>(
     });
     let mut lowers: Vec<u64> = comm.pool().take_u64();
     let mut contingents: Vec<u64> = comm.pool().take_u64();
-    // Kernel path: all splitter bounds in one batched call. The
-    // (lower, upper) pairs land interleaved in `lowers`, which is then
-    // compacted in place — no third scratch buffer.
-    let routed = ladder_bounds_typed(
-        kernels,
-        sorted_local,
-        s,
-        |i| splitters.splitters[i].key.to_bits() as u64,
-        0,
-        &mut lowers,
-    );
-    if routed {
-        for i in 0..s {
-            contingents.push(lowers[2 * i + 1] - lowers[2 * i]);
-            lowers[i] = lowers[2 * i];
-        }
-        lowers.truncate(s);
-    }
-    // With an intra-rank thread budget the per-splitter bounds are
-    // probed in parallel over chunks of the splitter list; the results
-    // land in splitter order either way.
-    let t = comm.threads().exec_budget();
-    if routed {
-        // Bounds already computed above.
-    } else if t > 1 && s >= 4 {
-        let chunk = s.div_ceil(t);
-        let parts: Vec<&[crate::splitter::SplitterInfo<K>]> =
-            splitters.splitters.chunks(chunk).collect();
-        let bounds = comm.threads().map(parts, |part| {
-            part.iter()
-                .map(|info| {
-                    let l = sorted_local.partition_point(|x| *x < info.key) as u64;
-                    let u = sorted_local.partition_point(|x| *x <= info.key) as u64;
-                    (l, u - l)
-                })
-                .collect::<Vec<_>>()
-        });
-        for (l, c) in bounds.into_iter().flatten() {
-            lowers.push(l);
-            contingents.push(c);
-        }
-    } else {
-        for info in splitters.splitters.iter() {
-            let l = sorted_local.partition_point(|x| *x < info.key) as u64;
-            let u = sorted_local.partition_point(|x| *x <= info.key) as u64;
-            lowers.push(l);
-            contingents.push(u - l);
-        }
+    let mut from = 0;
+    for info in splitters.splitters.iter() {
+        let lower = partition_point_from(sorted_local, from, |x| *x < info.key);
+        let upper = partition_point_from(sorted_local, lower, |x| *x <= info.key);
+        lowers.push(lower as u64);
+        contingents.push((upper - lower) as u64);
+        from = lower;
     }
 
     // Refinement (Algorithm 4): splitter i's excess over the global
@@ -156,6 +113,42 @@ pub fn plan_exchange_with<K: Key>(
     comm.pool().recycle_u64(lowers);
     comm.pool().recycle_u64(contingents);
     ExchangePlan { cuts }
+}
+
+/// `sorted.partition_point(pred)`, found by exponential search outward
+/// from `hint` — in whichever direction `pred` points, so `hint` decides
+/// only how many compares the answer costs (`O(log distance)`), never
+/// the answer.
+fn partition_point_from<T>(sorted: &[T], hint: usize, pred: impl Fn(&T) -> bool) -> usize {
+    let n = sorted.len();
+    let hint = hint.min(n);
+    // `pred` holds on `sorted[..lo]` and fails on `sorted[hi..]`.
+    let (mut lo, mut hi) = (0, n);
+    let mut step = 1;
+    if hint < n && pred(&sorted[hint]) {
+        lo = hint + 1;
+        while lo + step - 1 < n {
+            let probe = lo + step - 1;
+            if !pred(&sorted[probe]) {
+                hi = probe;
+                break;
+            }
+            lo = probe + 1;
+            step *= 2;
+        }
+    } else {
+        hi = hint;
+        while step <= hi {
+            let probe = hi - step;
+            if pred(&sorted[probe]) {
+                lo = probe + 1;
+                break;
+            }
+            hi = probe;
+            step *= 2;
+        }
+    }
+    lo + sorted[lo..hi].partition_point(pred)
 }
 
 /// Execute the `ALL-TO-ALLV` zero-copy under the configured schedule:
@@ -196,6 +189,24 @@ mod tests {
             .collect();
         v.sort_unstable();
         v
+    }
+
+    /// The hint decides the cost of a search, never its result: every
+    /// start, in range or past the end, on either side of the answer.
+    #[test]
+    fn partition_point_from_any_hint() {
+        let keys = keys_for(3, 40, 12);
+        for len in 0..=keys.len() {
+            let sorted = &keys[..len];
+            for key in 0..=12 {
+                for hint in 0..=len + 2 {
+                    let lower = partition_point_from(sorted, hint, |x| *x < key);
+                    assert_eq!(lower, sorted.partition_point(|x| *x < key));
+                    let upper = partition_point_from(sorted, hint, |x| *x <= key);
+                    assert_eq!(upper, sorted.partition_point(|x| *x <= key));
+                }
+            }
+        }
     }
 
     /// Full splitting + exchange pipeline: received counts must equal

@@ -20,7 +20,7 @@ use crate::fault::{unit_draw, RankAbort, RankError};
 use crate::state::{CollectiveCtx, CommState, EndTimes, Message, World};
 use crate::stats::{RankLocal, RankReport};
 use crate::threads::ThreadPool;
-use crate::topology::Topology;
+use crate::topology::{LinkClass, Placement, Topology};
 use crate::trace::{SpanGuard, TraceSink};
 
 /// Schedule used for the personalized all-to-all exchange (§VI-E1 of
@@ -162,6 +162,59 @@ impl<T> RawParts<T> {
     }
 }
 
+/// Per-rank cost of the pairwise 1-factor schedule: max(send side,
+/// recv side), each side [`CostModel::alltoallv_rank_ns`] over the
+/// rank's `P` peers.
+fn one_factor_costs(
+    ctx: &CollectiveCtx<'_>,
+    p: usize,
+    elem: u64,
+    count: impl Fn(usize, usize) -> u64,
+) -> Vec<u64> {
+    let (send, recv) = one_factor_sides(ctx, p, elem, count);
+    send.iter()
+        .zip(&recv)
+        .map(|(s, r)| (s.ceil() as u64).max(r.ceil() as u64))
+        .collect()
+}
+
+/// The unrounded send-side and receive-side sums of every rank under
+/// the 1-factor schedule. Every `(link, bytes)` term belongs to two of
+/// those `2·P` sums — its sender's and its receiver's — so one
+/// row-major pass over the count matrix, with the `P` placements looked
+/// up once, adds it to both. Peers are met in ascending order on either
+/// side (`send[s]` over `d`, `recv[d]` over `s`), the order the
+/// per-rank formula sums them in: each f64 sum, and so each end time,
+/// is the same to the bit.
+fn one_factor_sides(
+    ctx: &CollectiveCtx<'_>,
+    p: usize,
+    elem: u64,
+    count: impl Fn(usize, usize) -> u64,
+) -> (Vec<f64>, Vec<f64>) {
+    let placed: Vec<Placement> = ctx.global_ranks[..p]
+        .iter()
+        .map(|&g| ctx.topology.placement(g))
+        .collect();
+    let mut send = Vec::with_capacity(p);
+    let mut recv = vec![0.0f64; p];
+    for (s, from) in placed.iter().enumerate() {
+        let mut row = 0.0f64;
+        for (d, (to, col)) in placed.iter().zip(&mut recv).enumerate() {
+            let link = if s == d {
+                LinkClass::SelfLoop
+            } else {
+                from.link_to(*to)
+            };
+            let term = ctx.cost.alltoallv_peer_ns(link, count(s, d) * elem);
+            row += term;
+            *col += term;
+        }
+        send.push(row);
+    }
+    (send, recv)
+}
+
 /// Per-rank virtual end times of a personalized all-to-all under
 /// `algo`, where `count(s, d)` is the number of elements rank `s`
 /// sends rank `d`. Shared by the owning and zero-copy
@@ -172,8 +225,15 @@ fn alltoallv_end_times(
     p: usize,
     elem: u64,
     algo: AllToAllAlgo,
-    count: &dyn Fn(usize, usize) -> u64,
+    count: impl Fn(usize, usize) -> u64,
 ) -> Vec<u64> {
+    // Precomputed once for the one-factor schedule: both sides of every
+    // rank from one pass over the count matrix.
+    let one_factor = if algo == AllToAllAlgo::OneFactor {
+        one_factor_costs(ctx, p, elem, &count)
+    } else {
+        Vec::new()
+    };
     // Precomputed once for the leader schedule: node of every rank and
     // the aggregated node-to-node byte matrix.
     let (node_of, node_to_node) = if algo == AllToAllAlgo::HierarchicalLeaders {
@@ -195,23 +255,7 @@ fn alltoallv_end_times(
     for r in 0..p {
         let gr = ctx.global_ranks[r];
         let cost = match algo {
-            // Per-rank cost: max(send side, recv side) along the
-            // pairwise 1-factor schedule.
-            AllToAllAlgo::OneFactor => {
-                let send_cost = ctx.cost.alltoallv_rank_ns((0..p).map(|d| {
-                    (
-                        ctx.topology.link(gr, ctx.global_ranks[d]),
-                        count(r, d) * elem,
-                    )
-                }));
-                let recv_cost = ctx.cost.alltoallv_rank_ns((0..p).map(|s| {
-                    (
-                        ctx.topology.link(ctx.global_ranks[s], gr),
-                        count(s, r) * elem,
-                    )
-                }));
-                send_cost.max(recv_cost)
-            }
+            AllToAllAlgo::OneFactor => one_factor[r],
             // Store-and-forward: log P rounds at the worst link,
             // shipping ~half the personalized payload per round.
             AllToAllAlgo::Bruck => {
@@ -1015,7 +1059,7 @@ impl Comm {
         let me = self.rank;
         let out = self.run_collective("alltoallv", send, move |mut inputs, ctx| {
             let elem = mem::size_of::<T>() as u64;
-            let ends = alltoallv_end_times(ctx, p, elem, algo, &|s, d| inputs[s][d].len() as u64);
+            let ends = alltoallv_end_times(ctx, p, elem, algo, |s, d| inputs[s][d].len() as u64);
             // Transpose: recv[dst][src] = send[src][dst], moving buffers.
             let mut recv: Vec<Vec<Option<Vec<T>>>> = Vec::with_capacity(p);
             for _ in 0..p {
@@ -1085,7 +1129,7 @@ impl Comm {
             view,
             move |views: Vec<RawParts<T>>, ctx| {
                 let elem = mem::size_of::<T>() as u64;
-                let ends = alltoallv_end_times(ctx, p, elem, algo, &|s, d| views[s].len(d) as u64);
+                let ends = alltoallv_end_times(ctx, p, elem, algo, |s, d| views[s].len(d) as u64);
                 (views, EndTimes::PerRank(ends))
             },
             move |views: &Arc<Vec<RawParts<T>>>| {
@@ -1949,5 +1993,145 @@ mod tests {
             b.iter().map(|(v, _)| *v).collect::<Vec<_>>()
         );
         assert!(a[0].0 > 0);
+    }
+    /// The one-factor cost as the per-rank formula states it — a send
+    /// side and a receive side per rank, each a column or a row of link
+    /// lookups — which [`one_factor_costs`] must reproduce to the bit.
+    fn one_factor_reference(
+        ctx: &CollectiveCtx<'_>,
+        p: usize,
+        elem: u64,
+        count: &dyn Fn(usize, usize) -> u64,
+    ) -> Vec<u64> {
+        (0..p)
+            .map(|r| {
+                let gr = ctx.global_ranks[r];
+                let send_cost = ctx.cost.alltoallv_rank_ns((0..p).map(|d| {
+                    (
+                        ctx.topology.link(gr, ctx.global_ranks[d]),
+                        count(r, d) * elem,
+                    )
+                }));
+                let recv_cost = ctx.cost.alltoallv_rank_ns((0..p).map(|s| {
+                    (
+                        ctx.topology.link(ctx.global_ranks[s], gr),
+                        count(s, r) * elem,
+                    )
+                }));
+                send_cost.max(recv_cost)
+            })
+            .collect()
+    }
+
+    /// Sweep and reference over the members `global_ranks` of a
+    /// `nodes × numa × cores` machine, on a seeded ragged count matrix
+    /// (about `empty_permille` of its blocks empty), priced at virtual
+    /// time `at_ns` of a plan with a link-degradation window. Returns
+    /// the link classes the members span.
+    fn check_one_factor(
+        (nodes, numa, cores): (usize, usize, usize),
+        global_ranks: &[usize],
+        (seed, empty_permille, elem): (u64, u64, u64),
+        at_ns: u64,
+    ) -> std::collections::BTreeSet<LinkClass> {
+        let per_node = numa * cores;
+        let topology = Topology::new(nodes * per_node, per_node, numa, cores);
+        let fault = crate::FaultPlan::seeded(seed).with_link_fault(crate::LinkFault {
+            class: Some(LinkClass::InterNode),
+            extra_alpha_ns: 731.5,
+            beta_factor: 3.7,
+            from_ns: 1_000,
+            until_ns: 2_000,
+        });
+        let base = CostModel::supermuc_phase2();
+        let cost = fault.cost_at(&base, at_ns);
+        let p = global_ranks.len();
+        let counts: Vec<u64> = (0..p * p)
+            .map(|i| {
+                let draw = |salt: u64| unit_draw(seed, &[i as u64, salt]);
+                if draw(0) * 1000.0 < empty_permille as f64 {
+                    0
+                } else {
+                    (draw(1) * draw(2) * (1u64 << 24) as f64) as u64
+                }
+            })
+            .collect();
+        let ctx = CollectiveCtx {
+            cost: &cost,
+            topology: &topology,
+            global_ranks,
+            enter_max_ns: at_ns,
+            worst_link: topology.worst_link(global_ranks),
+        };
+        let count = |s: usize, d: usize| counts[s * p + d];
+        let cell = format!("{nodes}x{numa}x{cores} members {global_ranks:?} seed {seed}");
+        assert_eq!(
+            one_factor_costs(&ctx, p, elem, count),
+            one_factor_reference(&ctx, p, elem, &count),
+            "{cell}"
+        );
+        // The rounding above forgives a reordered sum; the sums
+        // themselves do not. Each side against its own plain loop.
+        let term = |s: usize, d: usize| {
+            let link = topology.link(global_ranks[s], global_ranks[d]);
+            cost.alltoallv_peer_ns(link, count(s, d) * elem)
+        };
+        let bits = |sums: Vec<f64>| sums.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        let (send, recv) = one_factor_sides(&ctx, p, elem, count);
+        let plain = |side: &dyn Fn(usize, usize) -> f64| {
+            (0..p)
+                .map(|r| (0..p).fold(0.0, |sum, peer| sum + side(r, peer)))
+                .collect::<Vec<f64>>()
+        };
+        assert_eq!(bits(send), bits(plain(&term)), "send, {cell}");
+        assert_eq!(bits(recv), bits(plain(&|r, s| term(s, r))), "recv, {cell}");
+        let ends = alltoallv_end_times(&ctx, p, elem, AllToAllAlgo::OneFactor, count);
+        assert!(ends.iter().all(|&e| e >= at_ns));
+        (0..p * p)
+            .map(|i| topology.link(global_ranks[i / p], global_ranks[i % p]))
+            .collect()
+    }
+
+    #[test]
+    fn one_factor_sweep_covers_all_link_classes() {
+        // Ranks 0, 1 share a NUMA domain, 2 sits in the next one, 4 on
+        // the next node; as a sub-communicator in non-identity order.
+        let classes = check_one_factor((2, 2, 2), &[4, 0, 2, 1], (9, 250, 8), 1_500);
+        assert_eq!(classes.len(), 4, "{classes:?}");
+        // All blocks empty: latencies only.
+        check_one_factor((2, 2, 2), &[4, 0, 2, 1], (9, 1000, 8), 0);
+        // One rank: the self block alone.
+        check_one_factor((1, 1, 1), &[0], (3, 0, 16), 0);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 64,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// Bit for bit on ragged matrices, every machine shape up to
+        /// 4 × 4 × 3, sub-communicators picked and ordered by a seeded
+        /// shuffle, inside and outside the degradation window.
+        #[test]
+        fn one_factor_sweep_matches_the_per_rank_formula(
+            shape in (1usize..5, 1usize..5, 1usize..4),
+            (seed, empty_permille) in (0u64..1_000_000, 0u64..1001),
+            keep_permille in 100u64..1001,
+            elem in 0usize..4,
+            at in 0usize..4,
+        ) {
+            let ranks = shape.0 * shape.1 * shape.2;
+            let mut members: Vec<usize> = (0..ranks)
+                .filter(|&r| unit_draw(seed, &[r as u64, 7]) * 1000.0 < keep_permille as f64)
+                .collect();
+            if members.is_empty() {
+                members.push(ranks - 1);
+            }
+            let order = |r: &usize| unit_draw(seed, &[*r as u64, 8]);
+            members.sort_by(|a, b| order(a).total_cmp(&order(b)));
+            let matrix = (seed, empty_permille, [1, 4, 8, 16][elem]);
+            check_one_factor(shape, &members, matrix, [0, 1_000, 1_999, 2_000][at]);
+        }
     }
 }

@@ -156,14 +156,22 @@ impl CostModel {
     {
         let mut total = 0.0;
         for (class, bytes) in per_peer {
-            let l = self.link(class);
-            if class == LinkClass::SelfLoop {
-                total += bytes as f64 * l.beta_ns_per_byte;
-            } else {
-                total += l.alpha_ns + bytes as f64 * l.beta_ns_per_byte;
-            }
+            total += self.alltoallv_peer_ns(class, bytes);
         }
         total.ceil() as u64
+    }
+
+    /// One peer's term of [`CostModel::alltoallv_rank_ns`], before the
+    /// sum is rounded: the same `(link, bytes)` term is a summand of the
+    /// sender's send side and of the receiver's receive side.
+    #[inline]
+    pub fn alltoallv_peer_ns(&self, class: LinkClass, bytes: u64) -> f64 {
+        let l = self.link(class);
+        if class == LinkClass::SelfLoop {
+            bytes as f64 * l.beta_ns_per_byte
+        } else {
+            l.alpha_ns + bytes as f64 * l.beta_ns_per_byte
+        }
     }
 
     /// Bruck-style store-and-forward all-to-all: `⌈log₂P⌉` rounds, each

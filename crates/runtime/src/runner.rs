@@ -176,6 +176,10 @@ pub struct TracedRun<R> {
     pub trace: RunTrace,
     /// See [`PartialRun::park_backstops`].
     pub park_backstops: u64,
+    /// See [`PartialRun::parks`].
+    pub parks: u64,
+    /// See [`PartialRun::wakes`].
+    pub wakes: u64,
 }
 
 /// Run `f` once per rank on its own thread; returns each rank's result
@@ -221,6 +225,8 @@ where
             ranks: ok,
             trace: partial.trace,
             park_backstops: partial.park_backstops,
+            parks: partial.parks,
+            wakes: partial.wakes,
         })
     } else {
         failed.sort_by_key(|e| e.rank());
@@ -248,6 +254,18 @@ pub struct PartialRun<R> {
     /// rank sat blocked for a whole backstop period — a lost wake-up
     /// papered over by the timer, or a host stalled for that long.
     pub park_backstops: u64,
+    /// Parks of the task engine that gave their worker slot up, over
+    /// all ranks (always 0 under [`RunnerEngine::Threads`]): each is an
+    /// OS-thread handoff out and one back in. A host observation like
+    /// `park_backstops`; a collective costs a rank at most one, an
+    /// exit-barrier collective (the borrowed all-to-all) at most two.
+    pub parks: u64,
+    /// Wakes of the task engine that found their task parked and
+    /// queued it. Every counted park is ended by one of these or by a
+    /// backstop firing, so `parks <= wakes + park_backstops`; a wake
+    /// can also reach a task that has not started yet (a message or a
+    /// failure ahead of its first instruction), hence not `==`.
+    pub wakes: u64,
 }
 
 impl<R> PartialRun<R> {
@@ -342,6 +360,8 @@ where
         ranks: results,
         trace: RunTrace::collect(&world),
         park_backstops: world.sched.as_ref().map_or(0, |s| s.backstop_firings()),
+        parks: world.sched.as_ref().map_or(0, |s| s.parks()),
+        wakes: world.sched.as_ref().map_or(0, |s| s.wakes()),
     }
 }
 

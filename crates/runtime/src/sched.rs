@@ -9,12 +9,12 @@
 //! [`RunnerEngine::Tasks`] each rank still owns an OS thread (rank
 //! bodies are arbitrary closures, so their stacks must be real), but at
 //! most `workers` of them are *unparked* at any instant. Every blocking
-//! point in the runtime — mailbox waits, both collective rendezvous,
-//! the recovery agreement, the exit barrier — releases the rank's
+//! point in the runtime — mailbox waits, the collective rendezvous and
+//! its exit barrier, the recovery agreement — releases the rank's
 //! worker slot and parks on a per-task condvar until an event that can
-//! change its wake predicate occurs; event sources (collective
-//! deposits, generation bumps, mailbox pushes, poison, failure
-//! registration) wake exactly the affected tasks.
+//! change its wake predicate occurs; event sources (a collective's
+//! output, the cell reset that ends an exit barrier, mailbox pushes,
+//! poison, failure registration) wake exactly the affected tasks.
 //!
 //! # The park/wake protocol
 //!
@@ -163,6 +163,13 @@ pub(crate) struct Scheduler {
     /// `Relaxed`). Zero in a healthy run — a rank blocked for a whole
     /// backstop period means a lost wake or a host stalled that long.
     backstop_firings: AtomicU64,
+    /// Parks that gave the worker slot up (one OS-thread handoff out
+    /// and, on the wake, one back in); a park cut short by a raced wake
+    /// keeps the slot and is not counted. A statistic: `Relaxed`.
+    parks: AtomicU64,
+    /// Wakes that found their task parked and queued it; a wake of a
+    /// running or already queued task only moves the epoch. `Relaxed`.
+    wakes: AtomicU64,
 }
 
 impl Scheduler {
@@ -184,6 +191,8 @@ impl Scheduler {
             epochs: (0..ranks).map(|_| AtomicU64::new(0)).collect(),
             backoffs: (0..ranks).map(|_| AtomicU32::new(0)).collect(),
             backstop_firings: AtomicU64::new(0),
+            parks: AtomicU64::new(0),
+            wakes: AtomicU64::new(0),
         })
     }
 
@@ -196,6 +205,32 @@ impl Scheduler {
     /// the task rather than by a wake.
     pub fn backstop_firings(&self) -> u64 {
         self.backstop_firings.load(Ordering::Relaxed)
+    }
+
+    /// How many parks so far released their worker slot.
+    pub fn parks(&self) -> u64 {
+        self.parks.load(Ordering::Relaxed)
+    }
+
+    /// How many wakes so far moved a parked task to the grant queue.
+    pub fn wakes(&self) -> u64 {
+        self.wakes.load(Ordering::Relaxed)
+    }
+
+    /// Queue every task of `ranks` that is parked, grant what slots are
+    /// free, and count the wakes. Callers hold `inner` and have bumped
+    /// the epochs already.
+    fn queue_parked(&self, inner: &mut SchedInner, ranks: impl Iterator<Item = usize>) {
+        let mut woken = 0;
+        for r in ranks {
+            if inner.state[r] == TaskState::Parked {
+                inner.state[r] = TaskState::Queued;
+                inner.queue.push_back(r);
+                woken += 1;
+            }
+        }
+        self.wakes.fetch_add(woken, Ordering::Relaxed);
+        self.pump(inner);
     }
 
     /// Grant free slots to queued tasks, FIFO. Callers hold `inner`.
@@ -258,6 +293,7 @@ impl Scheduler {
             return;
         }
         debug_assert_eq!(inner.state[me], TaskState::Running);
+        self.parks.fetch_add(1, Ordering::Relaxed);
         inner.state[me] = TaskState::Parked;
         inner.running -= 1;
         self.pump(&mut inner);
@@ -307,12 +343,7 @@ impl Scheduler {
     /// Wake task `r`: bump its epoch, and schedule it if parked.
     pub fn wake(&self, r: usize) {
         self.epochs[r].fetch_add(1, Ordering::SeqCst);
-        let mut inner = self.inner.lock();
-        if inner.state[r] == TaskState::Parked {
-            inner.state[r] = TaskState::Queued;
-            inner.queue.push_back(r);
-            self.pump(&mut inner);
-        }
+        self.queue_parked(&mut self.inner.lock(), std::iter::once(r));
     }
 
     /// Wake several tasks under one scheduler-lock acquisition (the
@@ -321,14 +352,7 @@ impl Scheduler {
         for &r in ranks {
             self.epochs[r].fetch_add(1, Ordering::SeqCst);
         }
-        let mut inner = self.inner.lock();
-        for &r in ranks {
-            if inner.state[r] == TaskState::Parked {
-                inner.state[r] = TaskState::Queued;
-                inner.queue.push_back(r);
-            }
-        }
-        self.pump(&mut inner);
+        self.queue_parked(&mut self.inner.lock(), ranks.iter().copied());
     }
 
     /// Wake every task (poison and failure registration fan out to all
@@ -337,14 +361,7 @@ impl Scheduler {
         for e in &self.epochs {
             e.fetch_add(1, Ordering::SeqCst);
         }
-        let mut inner = self.inner.lock();
-        for r in 0..inner.state.len() {
-            if inner.state[r] == TaskState::Parked {
-                inner.state[r] = TaskState::Queued;
-                inner.queue.push_back(r);
-            }
-        }
-        self.pump(&mut inner);
+        self.queue_parked(&mut self.inner.lock(), 0..self.epochs.len());
     }
 }
 
@@ -435,6 +452,8 @@ mod tests {
         // The epoch moved between the predicate check and the park, so
         // the park must return immediately (no wake will ever come).
         sched.park(0, token, Duration::from_secs(60));
+        // The slot was never given up: no handoff, nothing to count.
+        assert_eq!((sched.parks(), sched.wakes()), (0, 0));
         sched.finish(0);
     }
 
@@ -480,6 +499,8 @@ mod tests {
         assert_eq!(sched.backstop_firings(), 0);
         sched.park(0, token, Duration::from_millis(10));
         assert_eq!(sched.backstop_firings(), 1);
+        // One park, ended by the timer and not by a wake.
+        assert_eq!((sched.parks(), sched.wakes()), (1, 0));
         sched.finish(0);
     }
 

@@ -1,9 +1,10 @@
 //! Shared data plane backing a communicator.
 //!
-//! Every communicator owns one `CollectiveCell` (a generation-counted
-//! rendezvous through which all collectives move their payloads) and one
-//! mailbox per member rank for point-to-point messages. Payloads are
-//! type-erased so a single cell serves collectives of any element type.
+//! Every communicator owns two `CollectiveCell`s (generation-counted
+//! rendezvous through which all collectives move their payloads, used
+//! alternately: generation `g` meets in cell `g % 2`) and one mailbox
+//! per member rank for point-to-point messages. Payloads are
+//! type-erased so one cell serves collectives of any element type.
 
 use std::any::Any;
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -349,13 +350,14 @@ impl Mailbox {
 /// Type-erased rendezvous for collectives. All member ranks deposit an
 /// input; the last arriver combines them (and decides the operation's
 /// virtual end time); everyone picks up the shared output; the last
-/// departer resets the cell for the next generation.
+/// departer resets the cell for the next generation it serves.
 pub(crate) type CollectiveCell = Monitor<CellState>;
 
 pub(crate) struct CellState {
-    /// Completed-collective count; a rank may only enter when the cell's
-    /// generation matches the number of collectives it has completed on
-    /// this communicator.
+    /// The generation this cell serves next (its parity is the cell's
+    /// index; a reset adds 2). A rank may only enter when it matches
+    /// the number of collectives the rank has completed on this
+    /// communicator.
     gen: u64,
     arrived: usize,
     departed: usize,
@@ -371,10 +373,11 @@ pub(crate) struct CellState {
 }
 
 impl CollectiveCell {
-    pub fn new(size: usize) -> Self {
+    /// A cell for `size` ranks whose first generation is `first_gen`.
+    pub fn new(size: usize, first_gen: u64) -> Self {
         Self {
             state: Mutex::new(CellState {
-                gen: 0,
+                gen: first_gen,
                 arrived: 0,
                 departed: 0,
                 inputs: (0..size).map(|_| None).collect(),
@@ -420,7 +423,8 @@ pub struct CommState {
     pub global_ranks: Vec<usize>,
     /// Most expensive link class spanned by the members.
     pub worst_link: crate::topology::LinkClass,
-    pub(crate) cell: CollectiveCell,
+    /// The rendezvous cells; generation `g` meets in `cells[g % 2]`.
+    cells: [CollectiveCell; 2],
     pub(crate) mailboxes: Vec<Mailbox>,
 }
 
@@ -434,7 +438,7 @@ impl CommState {
             world,
             global_ranks,
             worst_link,
-            cell: CollectiveCell::new(n),
+            cells: [CollectiveCell::new(n, 0), CollectiveCell::new(n, 1)],
             mailboxes: (0..n).map(|_| Mailbox::default()).collect(),
         })
     }
@@ -452,14 +456,33 @@ impl CommState {
     /// per rank against the shared output (an owned payload passes
     /// `Arc::clone` and no exit barrier).
     ///
+    /// # Two cells, one park
+    ///
+    /// Generation `g` meets in `cells[g % 2]`, so a rank re-entering
+    /// after a collective never meets the cell it just left. With one
+    /// cell it did, and usually before the slowest peer had departed:
+    /// it parked once for the reset and once more for the output. With
+    /// two, the cell of `g + 2` is always ready: a rank reaches `g + 2`
+    /// only by returning from `g + 1`, whose output needed every
+    /// member's deposit, and a member deposits in `g + 1` only after it
+    /// departed `g` — so the last departer of `g` has reset that cell
+    /// (to `g + 2`, under its lock) before anyone can ask for it. A
+    /// collective costs a rank one park, for the output; the exit
+    /// barrier, where it is asked for, costs the second.
+    ///
     /// # Safety contract
     ///
     /// Inputs may be **borrowed views of rank-local memory**, so no
     /// rank may unwind or return while a peer can still read its view.
-    /// The protocol has four windows; every `unsafe` read in `comm.rs`
-    /// cites the one it relies on.
+    /// The protocol has four windows **per cell**; every `unsafe` read
+    /// in `comm.rs` cites the one it relies on. The two cells share no
+    /// state: a generation's inputs, output and counts live in its own
+    /// cell from first deposit to reset, and the other cell holds only
+    /// what the neighbouring generations own.
     ///
-    /// 1. **Before deposit** (waiting for our generation): nothing of
+    /// 1. **Before deposit** (the cell serves our generation): by the
+    ///    argument above this wait finds its predicate true and never
+    ///    blocks; it stays as the guard of that argument. Nothing of
     ///    ours is published, so both unwind causes abort freely.
     /// 2. **Deposited, combine not started** (`arrived < size`): either
     ///    cause first retracts our input under the cell lock, so the
@@ -475,15 +498,21 @@ impl CommState {
     ///    of hanging. Until one of the two happens no unwind cause is
     ///    taken here (a poison raised elsewhere must not pull a view
     ///    from under a live combine).
-    /// 4. **Output taken → generation bump**: neither unwind cause is
+    /// 4. **Output taken → cell reset**: neither unwind cause is
     ///    taken, so every rank that saw the output departs and the
-    ///    cell resets. Without `exit_barrier` a rank departs first and
-    ///    runs `extract` on its way out; `extract` may read only the
-    ///    output's own data, and a panic in it unwinds freely. With
+    ///    last departer resets the cell for generation `g + 2`. Without
+    ///    `exit_barrier` a rank departs first and runs `extract` on its
+    ///    way out; `extract` may read only the output's own data, and a
+    ///    panic in it unwinds freely. Nobody waits for that reset
+    ///    (window 1), so it wakes nobody: a wake there would only pull
+    ///    the ranks already parked for the next output, in the other
+    ///    cell, through one more handoff each. With
     ///    `exit_barrier`, no rank **leaves** — returns *or unwinds*, so
     ///    no borrowed buffer can be dropped or mutated — until
     ///    **every** rank has finished its `extract`, which may then
-    ///    dereference peers' views, as the all-to-all copy-out does.
+    ///    dereference peers' views, as the all-to-all copy-out does;
+    ///    the reset's wake serves exactly these waiters, and since none
+    ///    of them has left, no member can be parked anywhere else.
     ///    `extract` runs user code there (`T::clone` of a record), so
     ///    it may panic: the panic is caught, the rank serves the exit
     ///    barrier like any other, and only then resumes unwinding —
@@ -511,9 +540,10 @@ impl CommState {
         let enter_ns = me.now_ns();
         let size = self.size();
 
-        // Window 1: wait for the cell to be reset for our generation.
-        let st = self.cell.state.lock();
-        let mut st = self.wait_cell(me_global, st, |st| st.gen == my_gen, |_, _| true);
+        // Window 1: our generation's cell, already reset for it.
+        let cell = &self.cells[(my_gen % 2) as usize];
+        let st = cell.state.lock();
+        let mut st = self.wait_cell(cell, me_global, st, |st| st.gen == my_gen, |_, _| true);
         debug_assert!(st.inputs[rank].is_none(), "double entry into collective");
         st.inputs[rank] = Some(Box::new(input));
         st.clocks[rank] = enter_ns;
@@ -554,7 +584,7 @@ impl CommState {
                     // carries the root cause up to the runner.
                     st.combiner_died = true;
                     world.poison_now();
-                    self.notify_cell();
+                    self.notify_cell(cell);
                     drop(st);
                     panic::resume_unwind(payload);
                 }
@@ -567,10 +597,10 @@ impl CommState {
                 }
             }
             st.output = Some(Arc::new(out));
-            self.notify_cell();
+            self.notify_cell(cell);
         } else {
             let has_output = |st: &mut CellState| st.output.is_some();
-            st = self.wait_cell(me_global, st, has_output, |st, why| match why {
+            st = self.wait_cell(cell, me_global, st, has_output, |st, why| match why {
                 // Window 2: pull our input back before unwinding.
                 _ if st.arrived < size => {
                     st.inputs[rank] = None;
@@ -595,14 +625,16 @@ impl CommState {
 
         // Window 4. Extract runs outside the lock (it may copy a lot of
         // data): after departing when nothing borrowed is read, before
-        // departing — and then holding every rank until the generation
-        // bump — when peers read views of this rank's memory.
+        // departing — and then holding every rank until the cell's
+        // reset — when peers read views of this rank's memory.
         let result = if exit_barrier {
             drop(st);
             let extracted = panic::catch_unwind(AssertUnwindSafe(|| extract(&out)));
-            let mut st = self.cell.state.lock();
-            if !self.depart(&mut st) {
-                drop(self.wait_cell(me_global, st, |st| st.gen != my_gen, |_, _| false));
+            let mut st = cell.state.lock();
+            if self.depart(&mut st) {
+                self.notify_cell(cell);
+            } else {
+                drop(self.wait_cell(cell, me_global, st, |st| st.gen != my_gen, |_, _| false));
             }
             extracted.unwrap_or_else(|payload| panic::resume_unwind(payload))
         } else {
@@ -622,7 +654,7 @@ impl CommState {
     }
 
     /// Count one departure; the last departer resets the cell for the
-    /// next generation and reports `true`.
+    /// next generation of its parity and reports `true`.
     fn depart(&self, st: &mut CellState) -> bool {
         st.departed += 1;
         let last = st.departed == self.size();
@@ -630,15 +662,15 @@ impl CommState {
             st.arrived = 0;
             st.departed = 0;
             st.output = None;
-            st.gen += 1;
-            self.notify_cell();
+            st.gen += 2;
         }
         last
     }
 
-    /// Block on the cell until `ready` (see [`World::block_until`]).
+    /// Block on `cell` until `ready` (see [`World::block_until`]).
     fn wait_cell<'a>(
         &'a self,
+        cell: &'a CollectiveCell,
         me_global: usize,
         st: parking_lot::MutexGuard<'a, CellState>,
         mut ready: impl FnMut(&mut CellState) -> bool,
@@ -646,16 +678,16 @@ impl CommState {
     ) -> parking_lot::MutexGuard<'a, CellState> {
         let (world, members) = (&self.world, &self.global_ranks);
         let ready = |st: &mut CellState| ready(st).then_some(());
-        let (st, ()) = world.block_until(me_global, members, &self.cell, st, ready, may_unwind);
+        let (st, ()) = world.block_until(me_global, members, cell, st, ready, may_unwind);
         st
     }
 
-    /// Publish a cell-state change: condvar notify for the thread
+    /// Publish a state change of `cell`: condvar notify for the thread
     /// engine, member wakes for the task engine. Call sites hold the
-    /// cell lock, so a waiter's token is always read either before or
+    /// cell's lock, so a waiter's token is always read either before or
     /// after the state change it guards.
-    fn notify_cell(&self) {
-        self.cell.cv.notify_all();
+    fn notify_cell(&self, cell: &CollectiveCell) {
+        cell.cv.notify_all();
         self.world.wake_ranks(&self.global_ranks);
     }
 }

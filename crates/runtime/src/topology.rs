@@ -33,6 +33,22 @@ pub struct Placement {
     pub core: usize,
 }
 
+impl Placement {
+    /// Link class between the rank placed here and a **different** rank
+    /// placed at `other` ([`Topology::link`] with both placements
+    /// already looked up).
+    #[inline]
+    pub fn link_to(self, other: Placement) -> LinkClass {
+        if self.node != other.node {
+            LinkClass::InterNode
+        } else if self.numa != other.numa {
+            LinkClass::IntraNode
+        } else {
+            LinkClass::IntraNuma
+        }
+    }
+}
+
 /// Describes the simulated machine: a set of identical nodes, each split
 /// into NUMA domains with a fixed number of cores, and a block-wise
 /// rank-to-core assignment (ranks `0..ranks_per_node` on node 0, etc.),
@@ -130,15 +146,7 @@ impl Topology {
         if a == b {
             return LinkClass::SelfLoop;
         }
-        let pa = self.placement(a);
-        let pb = self.placement(b);
-        if pa.node != pb.node {
-            LinkClass::InterNode
-        } else if pa.numa != pb.numa {
-            LinkClass::IntraNode
-        } else {
-            LinkClass::IntraNuma
-        }
+        self.placement(a).link_to(self.placement(b))
     }
 
     /// The most expensive link class present among the given global

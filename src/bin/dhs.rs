@@ -325,6 +325,12 @@ fn cmd_sort(args: &Args) {
         // Host-side health of the task engine: a park the timer ended
         // is a lost wake-up (or a host stalled for 500 ms).
         println!("park backstops     : {}", traced.park_backstops);
+        // One handoff per rank per collective is the floor (two for the
+        // exit-barrier all-to-all); mailbox waits park too.
+        println!(
+            "parks per rank per collective : {:.3}",
+            traced.parks as f64 / summary.collectives.max(1) as f64
+        );
     }
     if let Some(stats) = &out[0].0 .0 {
         println!(
