@@ -3,6 +3,8 @@
 
 use std::collections::BTreeMap;
 
+use dhs_runtime::RunnerEngine;
+
 /// Parsed command-line flags: `--key value` pairs and bare switches.
 #[derive(Debug, Clone, Default)]
 pub struct Args {
@@ -74,6 +76,22 @@ impl Args {
         self.values.get(key).map(String::as_str)
     }
 
+    /// `--engine tasks[:<workers>]`: the worker-slot count of the run
+    /// (the default when the flag is absent or the count is). Any other
+    /// value is a bad invocation: one line on stderr, exit 2.
+    pub fn engine(&self) -> RunnerEngine {
+        let workers = match self.raw("engine") {
+            None | Some("tasks") => Some(0),
+            Some(s) => s.strip_prefix("tasks:").and_then(|w| w.parse().ok()),
+        };
+        let Some(workers) = workers else {
+            let s = self.raw("engine").unwrap_or_default();
+            eprintln!("--engine: unknown engine {s:?} (expected tasks or tasks:<workers>)");
+            std::process::exit(2)
+        };
+        RunnerEngine { workers }
+    }
+
     /// `--quick` mode shrinks every experiment (used by CI and the
     /// criterion wrappers).
     pub fn quick(&self) -> bool {
@@ -131,6 +149,13 @@ mod tests {
         assert_eq!(args("--verfy").unknown(&values, &switches), Some("verfy"));
         assert_eq!(args("--probes").unknown(&values, &switches), Some("probes"));
         assert_eq!(args("oops").unknown(&values, &switches), Some("oops"));
+    }
+
+    #[test]
+    fn engine_is_a_worker_count() {
+        assert_eq!(args("").engine(), RunnerEngine::default());
+        assert_eq!(args("--engine tasks").engine(), RunnerEngine::tasks());
+        assert_eq!(args("--engine tasks:3").engine().workers, 3);
     }
 
     #[test]

@@ -26,17 +26,16 @@
 //! 2^12), `--threads <threads/rank>` (default 1), `--out <path>`,
 //! `--quick`, `--recovery <shrink|abort|both>` (run *only* the
 //! recovery grid, restricted to the given policies — the CI smoke
-//! subset), `--engine threads|tasks|tasks:<workers>` (execution
-//! engine), `--largep` (run the reduced large-p grid instead of the
+//! subset), `--engine tasks|tasks:<workers>` (worker slots the ranks
+//! share), `--largep` (run the reduced large-p grid instead of the
 //! main sweep). The `--threads` and `--engine` flags exercise hybrid
 //! rank×thread execution and the task scheduler; by the determinism
 //! contract the emitted JSON is byte-identical for every value (only
 //! host wall-clock changes).
 //!
-//! `--largep` sweeps p ∈ {512, 1024} under the task engine — grids
-//! that the free-running thread engine handles poorly on small hosts —
-//! and writes a separate `results/chaos_sweep_largep.json`; the main
-//! sweep's outputs are untouched.
+//! `--largep` sweeps p ∈ {512, 1024} and writes a separate
+//! `results/chaos_sweep_largep.json`; the main sweep's outputs are
+//! untouched.
 
 use std::fmt::Write as _;
 
@@ -319,11 +318,11 @@ fn recovery_grid(
     println!("\nwrote {recovery_path}");
 }
 
-/// The reduced large-p grid: p ∈ {512, 1024} under the task engine,
-/// one representative severity per fault family, the histogram sort
-/// and the bitonic baseline (the one that rides the lossy
-/// point-to-point transport). Written as a separate file so the main
-/// sweep's bytes — pinned by CI — are never disturbed.
+/// The reduced large-p grid: p ∈ {512, 1024}, one representative
+/// severity per fault family, the histogram sort and the bitonic
+/// baseline (the one that rides the lossy point-to-point transport).
+/// Written as a separate file so the main sweep's bytes — pinned by
+/// CI — are never disturbed.
 fn largep_sweep(engine: RunnerEngine, out_path: &str) {
     let seed = 0x5EED;
     let n_per = 256usize;
@@ -332,7 +331,7 @@ fn largep_sweep(engine: RunnerEngine, out_path: &str) {
         ("bitonic", SortAlgo::Bitonic),
     ];
 
-    println!("# Chaos sweep (large-p grid, engine {engine:?})");
+    println!("# Chaos sweep (large-p grid, {engine:?})");
     println!("# {n_per} keys/rank, uniform keys, plan seeds fixed\n");
     let mut table = Table::new([
         "p",
@@ -442,24 +441,13 @@ fn main() {
         .unwrap_or("auto")
         .parse()
         .unwrap_or_else(|e| panic!("--kernels: {e}"));
-    let engine: RunnerEngine = args
-        .raw("engine")
-        .map(|s| s.parse().unwrap_or_else(|e| panic!("--engine: {e}")))
-        .unwrap_or_default();
+    let engine = args.engine();
 
     if args.has("largep") {
         let out = args
             .raw("out")
             .unwrap_or("results/chaos_sweep_largep.json")
             .to_string();
-        // The large-p grid defaults to the task engine: that is the
-        // engine that makes these sizes practical, and the virtual
-        // results are engine-independent anyway.
-        let engine = if args.raw("engine").is_some() {
-            engine
-        } else {
-            RunnerEngine::tasks()
-        };
         largep_sweep(engine, &out);
         return;
     }

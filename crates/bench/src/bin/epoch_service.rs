@@ -18,13 +18,13 @@
 //!
 //! Flags: `--p <ranks>` (default 32), `--n <total keys>` (default
 //! 2^20), `--epochs <E>` (default 8), `--seed <s>` (default 1),
-//! `--engine threads|tasks`, `--out <path>`, `--quick` (p=8, n=2^15,
+//! `--engine tasks[:<workers>]`, `--out <path>`, `--quick` (p=8, n=2^15,
 //! 5 epochs).
 
 use dhs_bench::table::Table;
 use dhs_bench::Args;
 use dhs_core::{histogram_sort, EpochSorter, SortConfig, WarmStart};
-use dhs_runtime::{run, ClusterConfig, RunnerEngine};
+use dhs_runtime::{run, ClusterConfig};
 use dhs_workloads::{epoch_rank_keys, Distribution, EpochProfile, Layout};
 
 /// One epoch of one grid cell, aggregated across ranks.
@@ -159,10 +159,7 @@ fn main() {
         .unwrap_or("results/epoch_service.json")
         .to_string();
 
-    let mut cluster = ClusterConfig::supermuc_phase2(p);
-    if let Some(engine) = args.raw("engine") {
-        cluster = cluster.with_engine(engine.parse::<RunnerEngine>().expect("--engine"));
-    }
+    let cluster = ClusterConfig::supermuc_phase2(p).with_engine(args.engine());
 
     let profiles = [
         EpochProfile::Stationary {

@@ -4,8 +4,8 @@
 //! performance trajectory the zero-copy work is judged against, and
 //! that every later perf PR extends.
 //!
-//! Eight benchmark groups, written to `BENCH_wallclock.json`
-//! (schema `dhs-wallclock/v8`) at the repo root:
+//! Seven benchmark groups, written to `BENCH_wallclock.json`
+//! (schema `dhs-wallclock/v9`) at the repo root:
 //!
 //! * `full_sort` — end-to-end histogram sort at several (p, n/p)
 //!   points: host seconds per run, plus the (unchanged) virtual
@@ -40,23 +40,13 @@
 //!   at `p = 256` — that is the acceptance check for the staged
 //!   exchange. Virtual time is deterministic, so a single rep is
 //!   exact; both sides are asserted byte-identical.
-//! * `runner_ab` — the execution-engine A/B: the same full sort driven
-//!   by `RunnerEngine::Threads` (free-running OS threads) versus
-//!   `RunnerEngine::Tasks` (cooperatively-scheduled rank tasks over a
-//!   worker pool). Each side runs in its own child process so host
-//!   seconds *and* peak RSS (`VmHWM`) are measured in isolation; the
-//!   virtual makespan is asserted identical between engines (the
-//!   engine-equivalence contract). The speedup grows with p — the
-//!   thread engine fights the host scheduler hardest at large rank
-//!   counts — so the grid spans p = 64…1024.
-//! * `largep_scaling` — first-ever p = 1024–8192 strong/weak scaling
-//!   grids, runnable only under the task engine: the full histogram
-//!   sort with the one-factor exchange versus the staged k-way
-//!   exchange (`k = 16`), compared on the **virtual** clock where the
-//!   `⌈log_k p⌉·k` versus `p−1` latency formulas actually bite. Host
-//!   seconds per cell are recorded as capability evidence (the thread
-//!   engine cannot run these grids in practical time); virtual time is
-//!   deterministic, so a single rep is exact.
+//! * `largep_scaling` — p = 1024–8192 strong/weak scaling grids: the
+//!   full histogram sort with the one-factor exchange versus the
+//!   staged k-way exchange (`k = 16`), compared on the **virtual**
+//!   clock where the `⌈log_k p⌉·k` versus `p−1` latency formulas
+//!   actually bite. Host seconds per cell are recorded as capability
+//!   evidence; virtual time is deterministic, so a single rep is
+//!   exact.
 //! * `kernel_ab` — the local compute-kernel A/B: the portable scalar
 //!   reference kernels versus the runtime-dispatched backend
 //!   (`Kernels::auto()`, AVX2 where the host has it). Two per-kernel
@@ -84,8 +74,8 @@
 //! recorded `host_parallelism` field says what the host offered.
 //!
 //! Flags: `--smoke` (tiny grid for CI), `--out <path>`,
-//! `--reps <n>`, `--kernels scalar|auto` (backend for the end-to-end
-//! groups; the `kernel_ab` group always measures both sides).
+//! `--kernels scalar|auto` (backend for the end-to-end groups; the
+//! `kernel_ab` group always measures both sides).
 
 use std::fmt::Write as _;
 use std::time::Instant; // lint: allow-wall-clock
@@ -96,7 +86,7 @@ use dhs_core::{
     find_splitters_cfg, perfect_targets, KernelPolicy, Kernels, LocalSort, SortConfig,
     SplitterOptions,
 };
-use dhs_runtime::{run, AllToAllAlgo, ClusterConfig, RunnerEngine};
+use dhs_runtime::{run, AllToAllAlgo, ClusterConfig};
 use dhs_workloads::{rank_local_keys, Distribution, Layout};
 
 /// Min and median of a sample of host-seconds.
@@ -614,161 +604,6 @@ fn kernel_case(
     case
 }
 
-/// This process's peak resident set (`VmHWM`), in kB; 0 when
-/// `/proc/self/status` is unavailable (non-Linux hosts).
-fn peak_rss_kb() -> u64 {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find(|l| l.starts_with("VmHWM:"))
-                .and_then(|l| l.split_whitespace().nth(1)?.parse().ok())
-        })
-        .unwrap_or(0)
-}
-
-/// Child-process entry for the engine A/B: run `reps` full sorts under
-/// one engine and print `host-times… makespan peak_rss` on stdout.
-/// Spawned by [`bench_runner`] so each engine's host time and peak RSS
-/// are measured in a fresh address space.
-fn runner_probe(args: &Args) -> ! {
-    let engine: RunnerEngine = args
-        .raw("engine")
-        .unwrap_or("threads")
-        .parse()
-        .expect("valid engine");
-    let p: usize = args.get("p", 64);
-    let n_per: usize = args.get("nper", 4096);
-    let reps: usize = args.get("reps", 3);
-    let cluster = ClusterConfig::supermuc_phase2(p).with_engine(engine);
-    let algo = SortAlgo::Histogram(SortConfig::default());
-    let mut times = Vec::with_capacity(reps);
-    let mut makespan = 0.0;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let r = run_distributed_sort(
-            &cluster,
-            &algo,
-            Distribution::paper_uniform(),
-            Layout::Balanced,
-            p * n_per,
-            7,
-        );
-        times.push(secs(t0));
-        makespan = r.makespan_s;
-    }
-    let samples = times
-        .iter()
-        .map(|t| format!("{t:.9}"))
-        .collect::<Vec<_>>()
-        .join(" ");
-    println!(
-        "probe {samples} makespan {makespan:.9} rss_kb {}",
-        peak_rss_kb()
-    );
-    std::process::exit(0);
-}
-
-struct RunnerCase {
-    label: String,
-    p: usize,
-    n_per: usize,
-    reps: usize,
-    threads_min_s: f64,
-    threads_median_s: f64,
-    threads_rss_kb: u64,
-    tasks_min_s: f64,
-    tasks_median_s: f64,
-    tasks_rss_kb: u64,
-    virtual_makespan_s: f64,
-}
-
-impl RunnerCase {
-    fn speedup(&self) -> f64 {
-        self.threads_median_s / self.tasks_median_s.max(f64::MIN_POSITIVE)
-    }
-
-    fn rss_ratio(&self) -> f64 {
-        self.threads_rss_kb as f64 / (self.tasks_rss_kb as f64).max(1.0)
-    }
-}
-
-/// Run one engine probe in a child process; returns
-/// `(host samples, virtual makespan, peak rss kB)`.
-fn spawn_probe(engine: &str, p: usize, n_per: usize, reps: usize) -> (Vec<f64>, f64, u64) {
-    let exe = std::env::current_exe().expect("current exe");
-    let out = std::process::Command::new(exe)
-        .args([
-            "--probe-runner",
-            "--engine",
-            engine,
-            "--p",
-            &p.to_string(),
-            "--nper",
-            &n_per.to_string(),
-            "--reps",
-            &reps.to_string(),
-        ])
-        .output()
-        .expect("spawn runner probe");
-    assert!(
-        out.status.success(),
-        "runner probe ({engine}, p={p}) failed:\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let line = stdout
-        .lines()
-        .find(|l| l.starts_with("probe "))
-        .expect("probe output line");
-    let toks: Vec<&str> = line.split_whitespace().collect();
-    let times: Vec<f64> = toks[1..1 + reps]
-        .iter()
-        .map(|t| t.parse().expect("probe time"))
-        .collect();
-    let makespan: f64 = toks[2 + reps].parse().expect("probe makespan");
-    let rss_kb: u64 = toks[4 + reps].parse().expect("probe rss");
-    (times, makespan, rss_kb)
-}
-
-/// A/B the execution engine on the end-to-end sort, one child process
-/// per side. Virtual makespans must agree exactly — the engines differ
-/// only in host behaviour.
-fn bench_runner(grid: &[(usize, usize)], reps: usize) -> Vec<RunnerCase> {
-    let mut out = Vec::new();
-    for &(p, n_per) in grid {
-        let (t_times, t_makespan, t_rss) = spawn_probe("threads", p, n_per, reps);
-        let (k_times, k_makespan, k_rss) = spawn_probe("tasks", p, n_per, reps);
-        assert_eq!(
-            format!("{t_makespan:.9}"),
-            format!("{k_makespan:.9}"),
-            "engines disagree on the virtual makespan at p={p}"
-        );
-        let (threads_min_s, threads_median_s) = min_median(t_times);
-        let (tasks_min_s, tasks_median_s) = min_median(k_times);
-        let case = RunnerCase {
-            label: format!("p{p}_n{n_per}"),
-            p,
-            n_per,
-            reps,
-            threads_min_s,
-            threads_median_s,
-            threads_rss_kb: t_rss,
-            tasks_min_s,
-            tasks_median_s,
-            tasks_rss_kb: k_rss,
-            virtual_makespan_s: t_makespan,
-        };
-        println!(
-            "runner_ab      p={p:<4} n/p={n_per:<7} threads {threads_median_s:>9.4}s ({t_rss} kB)  tasks {tasks_median_s:>9.4}s ({k_rss} kB)  speedup {:.2}x  rss {:.2}x",
-            case.speedup(),
-            case.rss_ratio(),
-        );
-        out.push(case);
-    }
-    out
-}
-
 struct ScaleCase {
     label: String,
     mode: &'static str,
@@ -786,7 +621,7 @@ impl ScaleCase {
     }
 }
 
-/// The large-p scaling grids (task engine only): full histogram sort,
+/// The large-p scaling grids: full histogram sort,
 /// one-factor versus staged k-way exchange, compared on the virtual
 /// clock. `rows` are `(mode, p, n_per)` cells; everything except the
 /// exchange schedule is the default configuration, so the A/B isolates
@@ -799,7 +634,7 @@ fn bench_largep(rows: &[(&'static str, usize, usize)], k: usize) -> Vec<ScaleCas
                 .exchange_algo(algo)
                 .build()
                 .expect("valid config");
-            let cluster = ClusterConfig::supermuc_phase2(p).with_engine(RunnerEngine::tasks());
+            let cluster = ClusterConfig::supermuc_phase2(p);
             let t0 = Instant::now();
             let r = run_distributed_sort(
                 &cluster,
@@ -860,9 +695,6 @@ fn json_ab(cases: &[AbCase], a_key: &str, b_key: &str) -> String {
 
 fn main() {
     let args = Args::parse();
-    if args.has("probe-runner") {
-        runner_probe(&args);
-    }
     let smoke = args.has("smoke") || args.quick();
     let out_path = args
         .raw("out")
@@ -932,11 +764,6 @@ fn main() {
     // p = 256, so the schedule A/B runs the full grid in smoke mode
     // too — CI asserts the p = 256 win on the smoke output.
     let algo_grid: Vec<(usize, usize, usize)> = vec![(16, 4, 4), (64, 8, 4), (256, 16, 4)];
-    let (runner_grid, runner_reps): (Vec<(usize, usize)>, usize) = if smoke {
-        (vec![(64, 1024), (256, 256)], 2)
-    } else {
-        (vec![(64, 4096), (256, 1024), (1024, 256)], 3)
-    };
     // The strong-scaling rows hold n_total = 2^22 keys; the
     // weak-scaling rows hold n/p = 256. Host time per cell is set by
     // the O(p²)-wide histogram collectives, not by n/p, so smoke mode
@@ -978,12 +805,11 @@ fn main() {
     let splitter = bench_splitter(&splitter_grid, splitter_reps);
     let kernel = bench_kernels(&kernel_grid, kernel_reps);
     let exchange_algo = bench_exchange_algo(&algo_grid);
-    let runner = bench_runner(&runner_grid, runner_reps);
     let largep = bench_largep(&largep_rows, 16);
 
     let mut json = String::new();
     let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"schema\": \"dhs-wallclock/v8\",");
+    let _ = writeln!(json, "  \"schema\": \"dhs-wallclock/v9\",");
     let _ = writeln!(json, "  \"smoke\": {smoke},");
     let host = std::thread::available_parallelism().map_or(1, |v| v.get());
     let _ = writeln!(json, "  \"host_parallelism\": {host},");
@@ -1026,31 +852,6 @@ fn main() {
     let _ = writeln!(json, "    ]}},");
     let _ = writeln!(json, "    {{\"name\": \"exchange_algo_ab\", \"cases\": [");
     let _ = write!(json, "{}", json_ab(&exchange_algo, "one_factor", "staged"));
-    let _ = writeln!(json, "    ]}},");
-    let _ = writeln!(json, "    {{\"name\": \"runner_ab\", \"cases\": [");
-    for (i, c) in runner.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "      {{\"label\": \"{}\", \"p\": {}, \"n_per\": {}, \"reps\": {}, \
-             \"threads\": {{\"min_s\": {:.9}, \"median_s\": {:.9}, \"peak_rss_kb\": {}}}, \
-             \"tasks\": {{\"min_s\": {:.9}, \"median_s\": {:.9}, \"peak_rss_kb\": {}}}, \
-             \"virtual_makespan_s\": {:.9}, \"speedup\": {:.4}, \"rss_ratio\": {:.4}}}{}",
-            c.label,
-            c.p,
-            c.n_per,
-            c.reps,
-            c.threads_min_s,
-            c.threads_median_s,
-            c.threads_rss_kb,
-            c.tasks_min_s,
-            c.tasks_median_s,
-            c.tasks_rss_kb,
-            c.virtual_makespan_s,
-            c.speedup(),
-            c.rss_ratio(),
-            if i + 1 < runner.len() { "," } else { "" }
-        );
-    }
     let _ = writeln!(json, "    ]}},");
     let _ = writeln!(json, "    {{\"name\": \"largep_scaling\", \"cases\": [");
     for (i, c) in largep.iter().enumerate() {

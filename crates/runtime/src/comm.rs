@@ -372,13 +372,13 @@ impl Comm {
         let crash_at_ns = state.world.fault.crash_deadline(me_global);
         let straggler_factor = state.world.fault.straggler_factor(me_global);
         let threads = ThreadPool::new();
-        if let Some(sched) = &state.world.sched {
-            // Under the task engine up to `workers` ranks compute
-            // concurrently; split the host's cores between them so
-            // hybrid thread budgets cannot oversubscribe the worker
-            // pool. Execution-only: results never depend on fan-out.
-            threads.set_host_cap((crate::threads::host_parallelism() / sched.workers()).max(1));
-        }
+        // Up to `workers` ranks — and no more than there are — compute
+        // concurrently; split the host's cores between them so hybrid
+        // thread budgets cannot oversubscribe the worker pool.
+        // Execution-only: results never depend on fan-out.
+        let world = &state.world;
+        let concurrent = world.sched.workers().min(world.topology.ranks());
+        threads.set_host_cap((crate::threads::host_parallelism() / concurrent).max(1));
         Self {
             state,
             rank,
@@ -1504,10 +1504,8 @@ impl Comm {
                 arrival_ns,
             });
         }
-        // Event-driven receive: wake the destination's task (a no-op
-        // under the thread engine, whose mailbox condvar was notified
-        // by the pushes above).
-        world.wake_rank(dst_g);
+        // The one publication of the delivery: wake the receiver's task.
+        world.sched.wake(&[dst_g]);
     }
 
     /// Blocking receive of a message from `src` with `tag`.
@@ -1957,6 +1955,25 @@ mod tests {
             comm.split((comm.rank() % 2) as u64, 0).threads().budget()
         });
         assert!(vals.iter().all(|(budget, _)| *budget == 3));
+    }
+
+    /// The host's cores are split between the ranks that can compute
+    /// at once — `min(workers, ranks)`, not the floored worker count —
+    /// so a small world fans its hybrid budget out.
+    #[test]
+    fn host_cap_divides_the_cores_among_concurrent_ranks() {
+        let host = crate::threads::host_parallelism();
+        let exec_budget = |p: usize| {
+            run(&cfg(p), |comm| {
+                comm.threads().configure(2);
+                comm.threads().exec_budget()
+            })
+        };
+        if host >= 2 {
+            assert_eq!(exec_budget(1)[0].0, 2, "one rank owns the host");
+        }
+        let crowded = exec_budget(host.max(2));
+        assert!(crowded.iter().all(|(budget, _)| *budget == 1));
     }
 
     #[test]

@@ -19,9 +19,9 @@
 //! Every decision is a pure function of the plan seed and stable
 //! virtual coordinates (ranks, tags, sequence numbers, virtual time) —
 //! never of host scheduling — so the same seed and plan reproduce
-//! identical makespans, retry counters and outcomes, under either
-//! execution engine ([`crate::RunnerEngine`]): the task scheduler
-//! changes when host threads run, never which fault draws fire. An
+//! identical makespans, retry counters and outcomes, under every
+//! worker count ([`crate::RunnerEngine`]): the task scheduler changes
+//! when host threads run, never which fault draws fire. An
 //! inert plan (the default) changes nothing: all draws are skipped and
 //! the cost model is borrowed unmodified.
 

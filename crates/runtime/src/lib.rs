@@ -6,12 +6,12 @@
 //! memory, and a **virtual clock** per rank advances according to an
 //! α–β communication cost model plus explicitly charged local work.
 //!
-//! Ranks execute under one of two engines selected by
-//! [`RunnerEngine`] on [`ClusterConfig`]: free-running OS threads
-//! (`Threads`, the determinism reference) or cooperatively-scheduled
-//! tasks over a small worker pool (`Tasks`, see [`mod@sched`]) that
-//! keeps p = 1024–8192 grids practical. Both produce byte-identical
-//! outputs and virtual times.
+//! Ranks execute as cooperatively-scheduled tasks over a small worker
+//! pool (see [`mod@sched`]), which keeps p = 1024–8192 grids practical;
+//! every blocking point parks through one park/wake protocol. The
+//! worker count ([`RunnerEngine`] on [`ClusterConfig`]) is a host-side
+//! setting: every value produces byte-identical outputs and virtual
+//! times.
 //!
 //! The design replaces the paper's Intel-MPI-on-InfiniBand testbed: the
 //! algorithms above it execute for real (real keys, real all-to-all

@@ -181,8 +181,7 @@ pub(crate) fn agree_survivors(
     let st = cell.state.lock();
     let (mut st, ()) = world.block_until(me_global, &[], cell, st, joinable, |_, _| true);
     st.arrived.insert(me_global, enter_ns);
-    cell.cv.notify_all();
-    world.wake_ranks(members);
+    world.sched.wake(members);
 
     let agree = |st: &mut AgreeInner| {
         if st.agreed.is_none() {
@@ -213,8 +212,7 @@ pub(crate) fn agree_survivors(
                     end_ns,
                     state,
                 }));
-                cell.cv.notify_all();
-                world.wake_ranks(members);
+                world.sched.wake(members);
             }
         }
         st.agreed.clone()
@@ -237,10 +235,9 @@ pub(crate) fn agree_survivors(
         st.arrived.clear();
         st.agreed = None;
         st.epoch += 1;
-        cell.cv.notify_all();
         // Next-epoch joiners may be any survivor subset; the registry
         // does not say who is waiting, so fan out.
-        world.wake_all_tasks();
+        world.sched.wake_all();
     }
     drop(st);
 

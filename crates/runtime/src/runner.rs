@@ -1,16 +1,13 @@
-//! Launch a simulated cluster under a selectable execution engine.
+//! Launch a simulated cluster.
 //!
-//! Each simulated rank runs its body on a dedicated OS thread either
-//! way; the [`RunnerEngine`] on [`ClusterConfig`] decides how those
-//! threads are driven. Under [`RunnerEngine::Threads`] they free-run
-//! and the host scheduler arbitrates — simple, and the determinism
-//! reference. Under [`RunnerEngine::Tasks`] they are
-//! cooperatively-scheduled tasks over a small worker pool (see
+//! Each simulated rank runs its body on a dedicated OS thread, driven
+//! as a cooperatively-scheduled task over a small worker pool (see
 //! [`crate::sched`]): at most `workers` ranks execute at any instant,
 //! every blocking point parks the rank until its wake event, and the
 //! host never sees thousands of runnable threads — which is what makes
-//! p = 1024–8192 grids practical. Both engines produce byte-identical
-//! outputs and virtual times.
+//! p = 1024–8192 grids practical. The worker count
+//! ([`RunnerEngine`] on [`ClusterConfig`]) is a host-side setting:
+//! outputs and virtual times are byte-identical for every value.
 
 use std::fmt;
 use std::thread;
@@ -40,8 +37,8 @@ pub struct ClusterConfig {
     /// Span/event recording; [`TraceConfig::Off`] (the default) records
     /// nothing and never perturbs virtual time.
     pub trace: TraceConfig,
-    /// Execution engine for the simulated ranks (see [`RunnerEngine`]);
-    /// never affects outputs or virtual time, only host behaviour.
+    /// Worker slots the rank tasks share (see [`RunnerEngine`]); never
+    /// affects outputs or virtual time, only host behaviour.
     pub engine: RunnerEngine,
 }
 
@@ -115,9 +112,9 @@ impl ClusterConfig {
         self
     }
 
-    /// Select the execution engine ([`RunnerEngine::Threads`] by
-    /// default). Engines are interchangeable: outputs, counters, and
-    /// virtual times are byte-identical either way.
+    /// Set the worker-slot count (the host-sized default unless a test
+    /// pins one). Outputs, counters, and virtual times are
+    /// byte-identical for every count.
     pub fn with_engine(mut self, engine: RunnerEngine) -> Self {
         self.engine = engine;
         self
@@ -248,23 +245,22 @@ pub struct PartialRun<R> {
     pub ranks: Vec<Result<(R, RankReport), RankError>>,
     /// The recorded trace (empty when tracing was off).
     pub trace: RunTrace,
-    /// Parks of the task engine that its timed backstop ended instead
-    /// of a wake (always 0 under [`RunnerEngine::Threads`]). A host
-    /// observation, outside the determinism contract: nonzero means a
-    /// rank sat blocked for a whole backstop period — a lost wake-up
-    /// papered over by the timer, or a host stalled for that long.
+    /// Parks that the scheduler's timed backstop ended instead of a
+    /// wake. A host observation, outside the determinism contract:
+    /// nonzero means a rank sat blocked for a whole backstop period — a
+    /// lost wake-up papered over by the timer, or a host stalled for
+    /// that long.
     pub park_backstops: u64,
-    /// Parks of the task engine that gave their worker slot up, over
-    /// all ranks (always 0 under [`RunnerEngine::Threads`]): each is an
+    /// Parks that gave their worker slot up, over all ranks: each is an
     /// OS-thread handoff out and one back in. A host observation like
     /// `park_backstops`; a collective costs a rank at most one, an
     /// exit-barrier collective (the borrowed all-to-all) at most two.
     pub parks: u64,
-    /// Wakes of the task engine that found their task parked and
-    /// queued it. Every counted park is ended by one of these or by a
-    /// backstop firing, so `parks <= wakes + park_backstops`; a wake
-    /// can also reach a task that has not started yet (a message or a
-    /// failure ahead of its first instruction), hence not `==`.
+    /// Wakes that found their task parked and queued it. Every counted
+    /// park is ended by one of these or by a backstop firing, so
+    /// `parks <= wakes + park_backstops`; a wake can also reach a task
+    /// that has not started yet (a message or a failure ahead of its
+    /// first instruction), hence not `==`.
     pub wakes: u64,
 }
 
@@ -292,7 +288,7 @@ where
     R: Send,
     F: Fn(&Comm) -> R + Send + Sync,
 {
-    let world = World::with_runtime(
+    let world = World::new(
         cfg.topology.clone(),
         cfg.cost.clone(),
         cfg.fault.clone(),
@@ -312,14 +308,11 @@ where
                     .name(format!("rank-{rank}"))
                     .stack_size(cfg.stack_bytes)
                     .spawn_scoped(s, move || {
-                        // Under the task engine, hold a worker slot for
-                        // the task's whole life; blocking points inside
-                        // release and re-acquire it, and the guard
-                        // frees it on return *or* unwind.
-                        let _slot = world
-                            .sched
-                            .as_ref()
-                            .map(|sched| TaskGuard::enter(sched.clone(), rank));
+                        // Hold a worker slot for the task's whole life;
+                        // blocking points inside release and re-acquire
+                        // it, and the guard frees it on return *or*
+                        // unwind.
+                        let _slot = TaskGuard::enter(world.sched.clone(), rank);
                         let comm = Comm::new(state, rank);
                         let out =
                             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&comm)));
@@ -359,9 +352,9 @@ where
     PartialRun {
         ranks: results,
         trace: RunTrace::collect(&world),
-        park_backstops: world.sched.as_ref().map_or(0, |s| s.backstop_firings()),
-        parks: world.sched.as_ref().map_or(0, |s| s.parks()),
-        wakes: world.sched.as_ref().map_or(0, |s| s.wakes()),
+        park_backstops: world.sched.backstop_firings(),
+        parks: world.sched.parks(),
+        wakes: world.sched.wakes(),
     }
 }
 

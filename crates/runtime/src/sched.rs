@@ -1,20 +1,18 @@
-//! Cooperative rank scheduler: simulated ranks as *tasks* over a small
-//! worker pool.
+//! The execution engine: simulated ranks as *tasks* over a small
+//! worker pool, and the one loop every blocking point parks in.
 //!
-//! Under [`RunnerEngine::Threads`] every simulated rank is a
-//! free-running OS thread: with thousands of ranks the host scheduler
-//! sees thousands of runnable threads, every blocked rank wakes up 40×
-//! a second to poll for poison, and every collective rendezvous is a
-//! `notify_all` thundering herd over one mutex. Under
-//! [`RunnerEngine::Tasks`] each rank still owns an OS thread (rank
-//! bodies are arbitrary closures, so their stacks must be real), but at
-//! most `workers` of them are *unparked* at any instant. Every blocking
-//! point in the runtime — mailbox waits, the collective rendezvous and
-//! its exit barrier, the recovery agreement — releases the rank's
+//! Each rank owns an OS thread (rank bodies are arbitrary closures, so
+//! their stacks must be real), but at most `workers` of them are
+//! *unparked* at any instant — the host never sees thousands of
+//! runnable threads, which is what makes p = 1024–8192 grids
+//! practical. Every blocking point in the runtime — mailbox waits, the
+//! collective rendezvous and its exit barrier, the recovery agreement
+//! — goes through `World::block_until`, which releases the rank's
 //! worker slot and parks on a per-task condvar until an event that can
 //! change its wake predicate occurs; event sources (a collective's
 //! output, the cell reset that ends an exit barrier, mailbox pushes,
-//! poison, failure registration) wake exactly the affected tasks.
+//! poison, failure registration) publish each event once, by waking
+//! exactly the affected tasks.
 //!
 //! # The park/wake protocol
 //!
@@ -24,23 +22,27 @@
 //! immediately if the epoch moved in between. Wakers always bump the
 //! epoch before inspecting the task's state, so for any interleaving
 //! either the parker observes the wake through the predicate or the
-//! park is cut short. A generous timed backstop (`PARK_BACKSTOP`)
-//! turns a hypothetically missed wake into a slow poll instead of a
-//! hang — exactly the liveness-only role `POISON_POLL` plays for the
-//! thread engine, and like it, correctness never depends on the timer.
-//! Consecutive timed-out parks stretch the backstop exponentially (a
-//! large-p collective round can occupy seconds of host time, and p
-//! tasks re-polling twice a second through it is a wake cascade that
-//! grows quadratically with p); any real wake resets the stretch.
+//! park is cut short. `token` and `park` are private to this module
+//! and `World::block_until` is their only caller, so that order is
+//! written once. A generous timed backstop (`PARK_BACKSTOP`) turns a
+//! hypothetically missed wake into a slow poll instead of a hang;
+//! correctness never depends on the timer, and every firing is counted
+//! (`PartialRun::park_backstops`) so a lost wake fails a test instead
+//! of reading as a slow run. Consecutive timed-out parks stretch the
+//! backstop exponentially (a large-p collective round can occupy
+//! seconds of host time, and p tasks re-polling twice a second through
+//! it is a wake cascade that grows quadratically with p); any real
+//! wake resets the stretch.
 //!
 //! # Determinism
 //!
 //! The scheduler decides only *when* a rank executes on the host, never
 //! what it computes: virtual clocks advance through explicit charges,
 //! collectives combine rank-ordered deposits, and mailbox matching is
-//! by `(src, tag, seq)`. The thread engine is already robust to
-//! arbitrary host preemption, and a cooperative schedule is one such
-//! preemption pattern, so both engines produce byte-identical outputs
+//! by `(src, tag, seq)`. The worker count therefore cannot change a
+//! result: `workers = p` (no rank ever waits for a slot, the host
+//! scheduler arbitrates) and `workers = 1` (one rank executes at a
+//! time) are the two extremes, and both produce byte-identical outputs
 //! and per-rank virtual makespans (pinned by
 //! `tests/engine_equivalence.rs`).
 
@@ -49,14 +51,20 @@ use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
+use crate::state::{Monitor, Unwind, World};
 use crate::threads::host_parallelism;
 
 /// Upper bound a parked task sleeps before re-checking its predicate
 /// without an explicit wake. Purely a liveness backstop (see module
 /// docs); large enough that steady-state runs never hit it.
-pub(crate) const PARK_BACKSTOP: Duration = Duration::from_millis(500);
+const PARK_BACKSTOP: Duration = Duration::from_millis(500);
+
+/// The backstop of a park in a poisoned world: a rank that must abort
+/// is never more than this late even if the poison's own wake missed
+/// it. Purely a liveness bound for error propagation.
+const POISON_POLL: Duration = Duration::from_millis(25);
 
 /// Cap on the exponential backstop stretch: 2^6 × [`PARK_BACKSTOP`]
 /// = 32 s bounds the stall a (theoretically impossible) missed wake
@@ -72,57 +80,24 @@ const BACKOFF_CAP: u32 = 6;
 /// is ~5× faster than workers = 1 — while still parking thousands.
 const MIN_WORKERS: usize = 16;
 
-/// Which execution engine drives the simulated ranks of a run.
+/// How many worker slots the rank tasks of a run share (see
+/// [`crate::sched`]): a host-side setting that can never change
+/// outputs, counters or virtual time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RunnerEngine {
-    /// One free-running OS thread per rank. The original engine and the
-    /// determinism reference; fine up to p ≈ 128.
-    #[default]
-    Threads,
-    /// Cooperatively-scheduled rank tasks multiplexed over a worker
-    /// pool (see [`crate::sched`]). Byte-identical results to
-    /// [`RunnerEngine::Threads`]; dramatically less host-scheduler
-    /// pressure, which is what makes p = 1024–8192 grids practical.
-    Tasks {
-        /// Maximum number of rank tasks executing concurrently; `0`
-        /// means the default (the host's available parallelism, with
-        /// a small floor that keeps wake-handoff chains overlapped).
-        workers: usize,
-    },
+pub struct RunnerEngine {
+    /// Maximum number of rank tasks executing concurrently; `0` (the
+    /// default) means the host's available parallelism, with a small
+    /// floor that keeps wake-handoff chains overlapped. `workers = p`
+    /// never makes a rank wait for a slot; `workers = 1` runs one rank
+    /// at a time.
+    pub workers: usize,
 }
 
 impl RunnerEngine {
-    /// The task engine with the default worker count (host
-    /// parallelism).
+    /// The default worker count; the same value as
+    /// [`RunnerEngine::default`].
     pub fn tasks() -> Self {
-        RunnerEngine::Tasks { workers: 0 }
-    }
-
-    /// Build the scheduler backing this engine, if it needs one.
-    pub(crate) fn scheduler(&self, ranks: usize) -> Option<Arc<Scheduler>> {
-        match *self {
-            RunnerEngine::Threads => None,
-            RunnerEngine::Tasks { workers } => Some(Scheduler::new(ranks, workers)),
-        }
-    }
-}
-
-impl std::str::FromStr for RunnerEngine {
-    type Err = String;
-
-    /// Parse `threads`, `tasks`, or `tasks:<workers>` (as accepted by
-    /// the bench binaries' `--engine` flag).
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "threads" => Ok(RunnerEngine::Threads),
-            "tasks" => Ok(RunnerEngine::tasks()),
-            _ => match s.strip_prefix("tasks:").map(str::parse) {
-                Some(Ok(workers)) => Ok(RunnerEngine::Tasks { workers }),
-                _ => Err(format!(
-                    "unknown engine {s:?} (expected threads, tasks, or tasks:<workers>)"
-                )),
-            },
-        }
+        Self::default()
     }
 }
 
@@ -147,8 +122,8 @@ struct SchedInner {
     state: Vec<TaskState>,
 }
 
-/// The worker-pool scheduler of [`RunnerEngine::Tasks`]; one per
-/// [`crate::state::World`]. Task ids are global ranks.
+/// The worker-pool scheduler; one per [`World`]. Task ids are global
+/// ranks.
 pub(crate) struct Scheduler {
     workers: usize,
     inner: Mutex<SchedInner>,
@@ -278,7 +253,7 @@ impl Scheduler {
 
     /// `me`'s current wake epoch. Must be read *before* the caller
     /// evaluates the predicate it is about to park on.
-    pub fn token(&self, me: usize) -> u64 {
+    fn token(&self, me: usize) -> u64 {
         self.epochs[me].load(Ordering::SeqCst)
     }
 
@@ -286,7 +261,7 @@ impl Scheduler {
     /// then block until it regains a worker slot. Returns immediately —
     /// keeping the slot — if the epoch moved past `token`, i.e. a wake
     /// raced the caller's predicate check.
-    pub fn park(&self, me: usize, token: u64, backstop: Duration) {
+    fn park(&self, me: usize, token: u64, backstop: Duration) {
         let mut inner = self.inner.lock();
         if self.epochs[me].load(Ordering::SeqCst) != token {
             self.backoffs[me].store(0, Ordering::Relaxed);
@@ -297,8 +272,8 @@ impl Scheduler {
         inner.state[me] = TaskState::Parked;
         inner.running -= 1;
         self.pump(&mut inner);
-        // Stretch only the default backstop: the poison poll keeps the
-        // thread engine's fixed period, so an abort is never late.
+        // Stretch only the default backstop: the poison poll keeps its
+        // fixed period, so an abort is never late.
         let shift = self.backoffs[me].load(Ordering::Relaxed).min(BACKOFF_CAP);
         let eff = if backstop >= PARK_BACKSTOP {
             backstop.saturating_mul(1 << shift)
@@ -340,15 +315,10 @@ impl Scheduler {
         self.backoffs[me].load(Ordering::Relaxed)
     }
 
-    /// Wake task `r`: bump its epoch, and schedule it if parked.
-    pub fn wake(&self, r: usize) {
-        self.epochs[r].fetch_add(1, Ordering::SeqCst);
-        self.queue_parked(&mut self.inner.lock(), std::iter::once(r));
-    }
-
-    /// Wake several tasks under one scheduler-lock acquisition (the
-    /// collective completion path wakes every member at once).
-    pub fn wake_many(&self, ranks: &[usize]) {
+    /// Wake the tasks of `ranks`: bump their epochs, and schedule the
+    /// parked ones under one scheduler-lock acquisition (the collective
+    /// completion path wakes every member at once).
+    pub fn wake(&self, ranks: &[usize]) {
         for &r in ranks {
             self.epochs[r].fetch_add(1, Ordering::SeqCst);
         }
@@ -362,6 +332,57 @@ impl Scheduler {
             e.fetch_add(1, Ordering::SeqCst);
         }
         self.queue_parked(&mut self.inner.lock(), 0..self.epochs.len());
+    }
+}
+
+impl World {
+    /// The one park loop: block rank `me_global` on monitor `on` until
+    /// `ready` yields a value, returning it with the guard still held.
+    /// Every blocking point of the runtime goes through here, so the
+    /// no-lost-wakeup order — wake token read **before** the predicate,
+    /// park after — is written once.
+    ///
+    /// A pass that is not ready offers the two unwind causes to
+    /// `may_unwind`: poison first, then a failed rank among `members`
+    /// while recovery is armed (pass `&[]` for the recovery layer's own
+    /// waits). `may_unwind` may first put the guarded state in order
+    /// (retract a deposit); on `true` the guard is dropped and the rank
+    /// unwinds with the cause's typed panic.
+    pub(crate) fn block_until<'a, T, R>(
+        &self,
+        me_global: usize,
+        members: &[usize],
+        on: &'a Monitor<T>,
+        mut st: MutexGuard<'a, T>,
+        mut ready: impl FnMut(&mut T) -> Option<R>,
+        mut may_unwind: impl FnMut(&mut T, Unwind) -> bool,
+    ) -> (MutexGuard<'a, T>, R) {
+        loop {
+            // A wake landing after this read cuts the park below short.
+            let token = self.sched.token(me_global);
+            if let Some(r) = ready(&mut st) {
+                return (st, r);
+            }
+            if self.poisoned() && may_unwind(&mut st, Unwind::Poison) {
+                drop(st);
+                self.abort_peer_failed(me_global);
+            }
+            if self.recovery_interrupt(members) && may_unwind(&mut st, Unwind::Recovery) {
+                drop(st);
+                crate::recover::interrupt();
+            }
+            // Release the worker slot and park until an event wakes us.
+            // The timed backstop is liveness-only; a poisoned world
+            // shortens it, so no abort waits out the long backstop.
+            drop(st);
+            let backstop = if self.poisoned() {
+                POISON_POLL
+            } else {
+                PARK_BACKSTOP
+            };
+            self.sched.park(me_global, token, backstop);
+            st = on.state.lock();
+        }
     }
 }
 
@@ -392,14 +413,6 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
 
     #[test]
-    fn parses_engine_flags() {
-        assert_eq!("threads".parse(), Ok(RunnerEngine::Threads));
-        assert_eq!("tasks".parse(), Ok(RunnerEngine::Tasks { workers: 0 }));
-        assert_eq!("tasks:3".parse(), Ok(RunnerEngine::Tasks { workers: 3 }));
-        assert!("fibers".parse::<RunnerEngine>().is_err());
-    }
-
-    #[test]
     fn never_exceeds_worker_slots() {
         let sched = Scheduler::new(8, 2);
         let live = AtomicUsize::new(0);
@@ -420,7 +433,7 @@ mod tests {
                         // sees the epoch moved and returns at once,
                         // keeping the slot.
                         let token = sched.token(me);
-                        sched.wake(me);
+                        sched.wake(&[me]);
                         sched.park(me, token, Duration::from_secs(5));
                     }
                 });
@@ -448,7 +461,7 @@ mod tests {
         let sched = Scheduler::new(1, 1);
         sched.acquire(0);
         let token = sched.token(0);
-        sched.wake(0);
+        sched.wake(&[0]);
         // The epoch moved between the predicate check and the park, so
         // the park must return immediately (no wake will ever come).
         sched.park(0, token, Duration::from_secs(60));
@@ -480,7 +493,7 @@ mod tests {
                 }
                 let _g = TaskGuard::enter(sched1.clone(), 1);
                 order.lock().push("1:ran");
-                sched1.wake(0);
+                sched1.wake(&[0]);
             });
         });
         let order = order.lock();
@@ -517,14 +530,14 @@ mod tests {
         // A raced wake (epoch moved before the park) resets the
         // stretch — it is a real event, not a quiescent timeout.
         let token = sched.token(0);
-        sched.wake(0);
+        sched.wake(&[0]);
         sched.park(0, token, Duration::from_secs(30));
         assert_eq!(sched.backoff(0), 0);
         sched.finish(0);
     }
 
     #[test]
-    fn wake_many_schedules_every_member() {
+    fn one_wake_schedules_every_member() {
         let sched = Scheduler::new(4, 4);
         std::thread::scope(|s| {
             for me in 0..4 {
@@ -537,7 +550,7 @@ mod tests {
             let sched = sched.clone();
             s.spawn(move || {
                 std::thread::sleep(Duration::from_millis(20));
-                sched.wake_many(&[0, 1, 2, 3]);
+                sched.wake(&[0, 1, 2, 3]);
             });
         });
     }

@@ -11,21 +11,16 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::cost::CostModel;
 use crate::fault::{FaultPlan, RankAbort, RankError};
 use crate::recover::AgreeCell;
-use crate::sched::{RunnerEngine, Scheduler, PARK_BACKSTOP};
+use crate::sched::{RunnerEngine, Scheduler};
 use crate::stats::RankLocal;
 use crate::topology::Topology;
 use crate::trace::{TraceConfig, TraceSink};
-
-/// How long a blocked rank sleeps between poison checks. Purely a
-/// liveness bound for error propagation; correctness never depends on it.
-pub(crate) const POISON_POLL: Duration = Duration::from_millis(25);
 
 /// Machine-wide immutable context shared by all communicators of a run.
 pub struct World {
@@ -55,38 +50,15 @@ pub struct World {
     /// Rendezvous state for the fault-aware survivor agreement
     /// (see [`crate::recover`]).
     pub(crate) agree: AgreeCell,
-    /// Cooperative rank scheduler under [`RunnerEngine::Tasks`];
-    /// `None` under the thread engine (every wake helper below is then
-    /// a no-op and blocked ranks poll on their condvars as before).
-    pub(crate) sched: Option<Arc<Scheduler>>,
+    /// The rank scheduler: every blocking wait parks on it and every
+    /// event is published through its wakes (see [`crate::sched`]).
+    pub(crate) sched: Arc<Scheduler>,
 }
 
 impl World {
-    /// A fault-free, untraced world.
-    pub fn new(topology: Topology, cost: CostModel) -> Arc<Self> {
-        Self::with_fault(topology, cost, FaultPlan::default())
-    }
-
-    /// A world with a fault plan and tracing off.
-    pub fn with_fault(topology: Topology, cost: CostModel, fault: FaultPlan) -> Arc<Self> {
-        Self::with_config(topology, cost, fault, TraceConfig::Off)
-    }
-
-    /// A world with explicit fault plan and trace configuration, driven
-    /// by the thread engine.
-    pub fn with_config(
-        topology: Topology,
-        cost: CostModel,
-        fault: FaultPlan,
-        trace: TraceConfig,
-    ) -> Arc<Self> {
-        Self::with_runtime(topology, cost, fault, trace, RunnerEngine::Threads)
-    }
-
-    /// A world with an explicit execution engine on top of
-    /// [`World::with_config`]; [`RunnerEngine::Tasks`] attaches the
-    /// cooperative scheduler every blocking wait then parks on.
-    pub fn with_runtime(
+    /// A world over `topology` whose ranks share `engine`'s worker
+    /// slots. The fault plan is validated against the topology here.
+    pub fn new(
         topology: Topology,
         cost: CostModel,
         fault: FaultPlan,
@@ -110,7 +82,7 @@ impl World {
             recovery_armed: AtomicUsize::new(0),
             failed: Mutex::new(BTreeMap::new()),
             agree: AgreeCell::default(),
-            sched: engine.scheduler(ranks),
+            sched: Scheduler::new(ranks, engine.workers),
         })
     }
 
@@ -119,12 +91,12 @@ impl World {
         self.poison.load(Ordering::Relaxed)
     }
 
-    /// Mark the run as failed so blocked peers abort. Under the task
-    /// engine this also wakes every parked rank so the abort is
-    /// event-driven rather than waiting out a poll interval.
+    /// Mark the run as failed so blocked peers abort; wakes every
+    /// parked rank, so the abort is event-driven rather than waiting
+    /// out a backstop period.
     pub fn poison_now(&self) {
         self.poison.store(true, Ordering::Relaxed);
-        self.wake_all_tasks();
+        self.sched.wake_all();
     }
 
     /// Abort the calling rank because a peer failed: poison-propagation
@@ -154,7 +126,7 @@ impl World {
     /// dead set, without waiting out a poll interval.
     pub fn mark_rank_failed(&self, rank: usize, err: RankError) {
         self.failed.lock().entry(rank).or_insert(err);
-        self.wake_all_tasks();
+        self.sched.wake_all();
     }
 
     /// The registered root cause for `rank`, if it has failed.
@@ -172,31 +144,6 @@ impl World {
         let failed = self.failed.lock();
         members.iter().any(|r| failed.contains_key(r))
     }
-
-    /// Wake the task of global rank `r` (no-op under the thread
-    /// engine, where condvar notifies carry the event instead).
-    #[inline]
-    pub(crate) fn wake_rank(&self, r: usize) {
-        if let Some(s) = &self.sched {
-            s.wake(r);
-        }
-    }
-
-    /// Wake the tasks of every rank in `ranks` in one scheduler pass.
-    #[inline]
-    pub(crate) fn wake_ranks(&self, ranks: &[usize]) {
-        if let Some(s) = &self.sched {
-            s.wake_many(ranks);
-        }
-    }
-
-    /// Wake every task (poison / failure-registration fan-out).
-    #[inline]
-    pub(crate) fn wake_all_tasks(&self) {
-        if let Some(s) = &self.sched {
-            s.wake_all();
-        }
-    }
 }
 
 /// The cause a blocked wait is asked to unwind for.
@@ -208,72 +155,13 @@ pub(crate) enum Unwind {
     Recovery,
 }
 
-impl World {
-    /// The one park loop: block rank `me_global` on monitor `on` until
-    /// `ready` yields a value, returning it with the guard still held.
-    /// Every blocking point of the runtime goes through here, so the
-    /// no-lost-wakeup order — wake token read **before** the predicate,
-    /// park after — is written once.
-    ///
-    /// A pass that is not ready offers the two unwind causes to
-    /// `may_unwind`: poison first, then a failed rank among `members`
-    /// while recovery is armed (pass `&[]` for the recovery layer's own
-    /// waits). `may_unwind` may first put the guarded state in order
-    /// (retract a deposit); on `true` the guard is dropped and the rank
-    /// unwinds with the cause's typed panic.
-    pub(crate) fn block_until<'a, T, R>(
-        &self,
-        me_global: usize,
-        members: &[usize],
-        on: &'a Monitor<T>,
-        mut st: parking_lot::MutexGuard<'a, T>,
-        mut ready: impl FnMut(&mut T) -> Option<R>,
-        mut may_unwind: impl FnMut(&mut T, Unwind) -> bool,
-    ) -> (parking_lot::MutexGuard<'a, T>, R) {
-        loop {
-            // A wake landing after this read cuts the park below short
-            // (see [`Scheduler::token`]); the thread engine polls.
-            let token = self.sched.as_ref().map_or(0, |s| s.token(me_global));
-            if let Some(r) = ready(&mut st) {
-                return (st, r);
-            }
-            if self.poisoned() && may_unwind(&mut st, Unwind::Poison) {
-                drop(st);
-                self.abort_peer_failed(me_global);
-            }
-            if self.recovery_interrupt(members) && may_unwind(&mut st, Unwind::Recovery) {
-                drop(st);
-                crate::recover::interrupt();
-            }
-            st = match &self.sched {
-                // Task engine: release the worker slot and park until an
-                // event wakes us. The timed backstop is liveness-only; a
-                // poisoned world shortens it to the thread engine's poll
-                // period, so no abort waits out the long backstop.
-                Some(s) => {
-                    drop(st);
-                    let poisoned = self.poisoned();
-                    let backstop = if poisoned { POISON_POLL } else { PARK_BACKSTOP };
-                    s.park(me_global, token, backstop);
-                    on.state.lock()
-                }
-                // Thread engine: the classic bounded condvar wait.
-                None => {
-                    on.cv.wait_for(&mut st, POISON_POLL);
-                    st
-                }
-            };
-        }
-    }
-}
-
-/// A mutex-guarded state plus the condvar its thread-engine waiters
-/// poll on: the shape of everything a rank can block on (mailbox,
-/// collective cell, survivor agreement).
+/// A mutex-guarded state a rank can block on through
+/// [`World::block_until`] (mailbox, collective cell, survivor
+/// agreement). Whoever changes the state under the lock publishes the
+/// change by waking the ranks that may be parked on it.
 #[derive(Default)]
 pub(crate) struct Monitor<S> {
     pub(crate) state: Mutex<S>,
-    pub(crate) cv: Condvar,
 }
 
 /// One in-flight point-to-point message.
@@ -300,9 +188,9 @@ pub(crate) struct MailboxState {
 pub(crate) type Mailbox = Monitor<MailboxState>;
 
 impl Mailbox {
+    /// Deliver `msg` to this mailbox; the sender then wakes the owner.
     pub fn push(&self, msg: Message) {
         self.state.lock().queue.push_back(msg);
-        self.cv.notify_all();
     }
 
     /// Blocking receive of the first live message matching `src` and
@@ -386,7 +274,6 @@ impl CollectiveCell {
                 combiner_died: false,
                 end_ns: vec![0; size],
             }),
-            cv: Condvar::default(),
         }
     }
 }
@@ -584,7 +471,7 @@ impl CommState {
                     // carries the root cause up to the runner.
                     st.combiner_died = true;
                     world.poison_now();
-                    self.notify_cell(cell);
+                    self.notify_cell();
                     drop(st);
                     panic::resume_unwind(payload);
                 }
@@ -597,7 +484,7 @@ impl CommState {
                 }
             }
             st.output = Some(Arc::new(out));
-            self.notify_cell(cell);
+            self.notify_cell();
         } else {
             let has_output = |st: &mut CellState| st.output.is_some();
             st = self.wait_cell(cell, me_global, st, has_output, |st, why| match why {
@@ -632,7 +519,7 @@ impl CommState {
             let extracted = panic::catch_unwind(AssertUnwindSafe(|| extract(&out)));
             let mut st = cell.state.lock();
             if self.depart(&mut st) {
-                self.notify_cell(cell);
+                self.notify_cell();
             } else {
                 drop(self.wait_cell(cell, me_global, st, |st| st.gen != my_gen, |_, _| false));
             }
@@ -672,33 +559,45 @@ impl CommState {
         &'a self,
         cell: &'a CollectiveCell,
         me_global: usize,
-        st: parking_lot::MutexGuard<'a, CellState>,
+        st: MutexGuard<'a, CellState>,
         mut ready: impl FnMut(&mut CellState) -> bool,
         may_unwind: impl FnMut(&mut CellState, Unwind) -> bool,
-    ) -> parking_lot::MutexGuard<'a, CellState> {
+    ) -> MutexGuard<'a, CellState> {
         let (world, members) = (&self.world, &self.global_ranks);
         let ready = |st: &mut CellState| ready(st).then_some(());
         let (st, ()) = world.block_until(me_global, members, cell, st, ready, may_unwind);
         st
     }
 
-    /// Publish a state change of `cell`: condvar notify for the thread
-    /// engine, member wakes for the task engine. Call sites hold the
-    /// cell's lock, so a waiter's token is always read either before or
-    /// after the state change it guards.
-    fn notify_cell(&self, cell: &CollectiveCell) {
-        cell.cv.notify_all();
-        self.world.wake_ranks(&self.global_ranks);
+    /// Publish a state change of one of the cells by waking the
+    /// members. Call sites hold the cell's lock, so a waiter's token is
+    /// always read either before or after the state change it guards.
+    fn notify_cell(&self) {
+        self.world.sched.wake(&self.global_ranks);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sched::TaskGuard;
     use crate::topology::Topology;
+    use std::time::Duration;
 
     fn world(p: usize) -> Arc<World> {
-        World::new(Topology::new(p, p.min(16), 4, 7), CostModel::default())
+        World::new(
+            Topology::new(p, p.min(16), 4, 7),
+            CostModel::default(),
+            FaultPlan::default(),
+            TraceConfig::Off,
+            RunnerEngine::default(),
+        )
+    }
+
+    /// A rank may block only while it holds a worker slot, as the
+    /// runner's rank threads do.
+    fn slot(w: &World, rank: usize) -> TaskGuard {
+        TaskGuard::enter(w.sched.clone(), rank)
     }
 
     /// An owned-payload collective through the single entry point: the
@@ -741,6 +640,7 @@ mod tests {
             for r in 0..4 {
                 let st = st.clone();
                 s.spawn(move || {
+                    let _slot = slot(&st.world, r);
                     let out = owned(&st, r, 0, r as u64, |xs, ctx| {
                         (
                             xs.iter().sum::<u64>(),
@@ -764,6 +664,7 @@ mod tests {
             for r in 0..2 {
                 let st = st.clone();
                 s.spawn(move || {
+                    let _slot = slot(&st.world, r);
                     for g in 0..50u64 {
                         let out = owned(&st, r, g, g, |xs, ctx| {
                             (xs[0] + xs[1], EndTimes::Uniform(ctx.enter_max_ns))
@@ -848,6 +749,7 @@ mod tests {
                 wref.poison_now();
             });
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let _slot = slot(wref, 0);
                 mbref.pop(wref, &[0, 1], 0, 1, 0);
             }))
             .expect_err("poison must abort the blocked receiver")

@@ -110,7 +110,7 @@ where
 #[derive(Debug)]
 pub struct ThreadPool {
     budget: Cell<usize>,
-    /// Host-thread ceiling imposed by the runner engine (see
+    /// Host-thread ceiling imposed by the runner (see
     /// [`ThreadPool::set_host_cap`]); `usize::MAX` means uncapped.
     host_cap: Cell<usize>,
     forks: Cell<u64>,
@@ -149,12 +149,12 @@ impl ThreadPool {
     }
 
     /// Cap the *execution* fan-out of this rank's local phases at
-    /// `cap` host threads. Set by the task engine so that `workers`
-    /// concurrently-running ranks with hybrid thread budgets cannot
-    /// oversubscribe the host (each rank gets its share of the cores
-    /// the worker pool is sized for). Like the host-parallelism clamp,
-    /// this can never change results — only the configured
-    /// [`Self::budget`] is part of the algorithm-selection contract.
+    /// `cap` host threads. Set by the runner so that the ranks that
+    /// can run at once (`min(workers, ranks)`) cannot oversubscribe
+    /// the host with their hybrid thread budgets: each gets its share
+    /// of the cores. Like the host-parallelism clamp, this can never
+    /// change results — only the configured [`Self::budget`] is part
+    /// of the algorithm-selection contract.
     ///
     /// # Panics
     /// Panics when `cap` is 0 — a rank always has at least itself.
@@ -163,14 +163,14 @@ impl ThreadPool {
         self.host_cap.set(cap);
     }
 
-    /// The engine-imposed host-thread ceiling (`usize::MAX` when
-    /// uncapped, i.e. under the thread engine).
+    /// The runner-imposed host-thread ceiling (`usize::MAX` for a
+    /// pool no communicator owns).
     pub fn host_cap(&self) -> usize {
         self.host_cap.get()
     }
 
     /// The budget clamped to the host's available parallelism and the
-    /// engine's [`Self::host_cap`]: the fan-out local phases should
+    /// runner's [`Self::host_cap`]: the fan-out local phases should
     /// actually *execute* with. Spawning more threads than cores only
     /// adds scheduling overhead, so dispatch sites pass this to the
     /// kernels while the configured [`Self::budget`] governs algorithm

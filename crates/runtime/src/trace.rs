@@ -1,13 +1,12 @@
 //! Span-based tracing over the virtual clock.
 //!
-//! Every rank owns one [`TraceSink`] (under either execution engine —
-//! see [`crate::RunnerEngine`]); spans are opened and closed against
-//! the rank's *virtual* clock, so recording a trace never perturbs
-//! simulated time: a [`TraceConfig::Off`] run is bit-identical to a
+//! Every rank owns one [`TraceSink`]; spans are opened and closed
+//! against the rank's *virtual* clock, so recording a trace never
+//! perturbs simulated time: a [`TraceConfig::Off`] run is bit-identical to a
 //! traced run in makespan and counters, by construction (the trace
 //! layer only ever *reads* `now_ns`, it never advances the clock).
 //! Because spans carry virtual timestamps only, traces are likewise
-//! byte-identical across engines and worker counts.
+//! byte-identical across worker counts ([`crate::RunnerEngine`]).
 //!
 //! The produced [`RunTrace`] exports to
 //! * Chrome trace-event JSON (loadable in Perfetto / `chrome://tracing`),

@@ -32,7 +32,7 @@ const USAGE: &str = "usage: dhs <sort|serve|select|topology> [--flags]\n\
     \x20        --exchange-algo one-factor|bruck|leaders|staged:<k>\n\
     \x20        --warm-start cold|seeded-brackets (repeated sorts)\n\
     \x20        --kernels scalar|auto (local compute-kernel backend)\n\
-    \x20        --engine threads|tasks|tasks:<workers> (execution engine)\n\
+    \x20        --engine tasks|tasks:<workers> (worker slots the ranks share)\n\
     \x20        --trace out.json --trace-format chrome|summary\n\
     serve    --ranks N --nper N --epochs E --seed N --verify\n\
     \x20        --profile stationary|shifting-zipf|churn (epoch stream)\n\
@@ -241,12 +241,7 @@ fn cmd_sort(args: &Args) {
     let dist = dist_of(args);
     let layout = layout_of(args);
     let cfg = sort_config(args);
-    let mut cluster = ClusterConfig::supermuc_phase2(ranks);
-    if let Some(engine) = args.raw("engine") {
-        cluster = cluster.with_engine(engine.parse::<RunnerEngine>().unwrap_or_else(|e| {
-            panic!("--engine: {e}");
-        }));
-    }
+    let mut cluster = ClusterConfig::supermuc_phase2(ranks).with_engine(args.engine());
     if trace_path.is_some() {
         cluster = cluster.with_trace(TraceConfig::On);
     }
@@ -321,17 +316,15 @@ fn cmd_sort(args: &Args) {
     println!("inter-node traffic : {} bytes", summary.inter_node_bytes);
     println!("intra-node traffic : {} bytes", summary.intra_node_bytes);
     println!("output keys/rank   : {min_keys}..{max_keys}");
-    if cluster.engine != RunnerEngine::Threads {
-        // Host-side health of the task engine: a park the timer ended
-        // is a lost wake-up (or a host stalled for 500 ms).
-        println!("park backstops     : {}", traced.park_backstops);
-        // One handoff per rank per collective is the floor (two for the
-        // exit-barrier all-to-all); mailbox waits park too.
-        println!(
-            "parks per rank per collective : {:.3}",
-            traced.parks as f64 / summary.collectives.max(1) as f64
-        );
-    }
+    // Host-side health of the scheduler: a park the timer ended is a
+    // lost wake-up (or a host stalled for 500 ms).
+    println!("park backstops     : {}", traced.park_backstops);
+    // One handoff per rank per collective is the floor (two for the
+    // exit-barrier all-to-all); mailbox waits park too.
+    println!(
+        "parks per rank per collective : {:.3}",
+        traced.parks as f64 / summary.collectives.max(1) as f64
+    );
     if let Some(stats) = &out[0].0 .0 {
         println!(
             "phases (rank 0)    : sort {:.3} ms | histogram {:.3} ms ({} iters, {} probes) | \
@@ -411,12 +404,7 @@ fn cmd_serve(args: &Args) {
     let profile = profile_of(args);
     let layout = layout_of(args);
     let cfg = sort_config_with(args, WarmStart::SeededWithBrackets);
-    let mut cluster = ClusterConfig::supermuc_phase2(ranks);
-    if let Some(engine) = args.raw("engine") {
-        cluster = cluster.with_engine(engine.parse::<RunnerEngine>().unwrap_or_else(|e| {
-            panic!("--engine: {e}");
-        }));
-    }
+    let cluster = ClusterConfig::supermuc_phase2(ranks).with_engine(args.engine());
     let n_total = ranks * nper;
 
     println!(

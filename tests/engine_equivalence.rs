@@ -1,11 +1,14 @@
-//! Engine equivalence: `RunnerEngine::Tasks` must be a pure host-side
-//! optimization. For every cluster size, fault plan, recovery policy,
-//! and hybrid thread budget, the task engine reproduces byte-identical
-//! sorted output, per-rank virtual makespans, full counter reports,
-//! and failure classifications vs the `Threads` determinism reference.
-//! This is the contract that lets the large-p grids (which only the
-//! task engine can run at practical cost) stand in for thread-engine
-//! numbers.
+//! Engine equivalence: the host schedule cannot change a result. For
+//! every cluster size, fault plan, recovery policy, and hybrid thread
+//! budget, every worker count reproduces byte-identical sorted output,
+//! per-rank virtual makespans, full counter reports, and failure
+//! classifications. The reference is `workers = p` — no rank ever
+//! waits for a slot, the host scheduler arbitrates as it did for
+//! free-running threads — and the other extreme is `workers = 1`, one
+//! rank executing at a time; the default and a pool of 2 sit between.
+//! This is the contract that lets a grid run at whatever worker count
+//! the host affords. (The tests are named `engines_agree_*`: what must
+//! agree is the one engine with itself, under every host schedule.)
 
 use dhs_core::{histogram_sort, RecoveryPolicy, SortConfig};
 use dhs_runtime::{try_run_partial, ClusterConfig, FaultPlan, LossSpec, RankReport, RunnerEngine};
@@ -28,9 +31,9 @@ fn keys_for(rank: usize, n: usize, modulus: u64) -> Vec<u64> {
 /// rendering otherwise.
 type RankOutcome = Result<(Vec<u64>, bool, RankReport), String>;
 
-/// One full distributed sort under `engine`, per rank.
+/// One full distributed sort over `workers` slots, per rank.
 fn sort_under(
-    engine: RunnerEngine,
+    workers: usize,
     p: usize,
     n_per: usize,
     threads: usize,
@@ -39,7 +42,7 @@ fn sort_under(
 ) -> Vec<RankOutcome> {
     let cfg = ClusterConfig::small_cluster(p)
         .with_fault(fault)
-        .with_engine(engine);
+        .with_engine(RunnerEngine { workers });
     let sort_cfg = SortConfig::builder()
         .recovery(recovery)
         .threads_per_rank(threads)
@@ -56,7 +59,7 @@ fn sort_under(
     let poisoned = out.failures().any(|e| !e.is_root_cause());
     assert!(
         poisoned || out.park_backstops == 0,
-        "{} park(s) ended by the backstop under {engine:?} (p={p}, t={threads})",
+        "{} park(s) ended by the backstop at {workers} workers (p={p}, t={threads})",
         out.park_backstops
     );
     out.ranks
@@ -68,9 +71,9 @@ fn sort_under(
         .collect()
 }
 
-/// Assert both engines agree rank by rank, with a labelled context;
-/// returns what they agreed on.
-fn assert_engines_agree(
+/// Assert every worker count agrees rank by rank, with a labelled
+/// context; returns what they agreed on.
+fn assert_worker_counts_agree(
     label: &str,
     p: usize,
     n_per: usize,
@@ -78,25 +81,14 @@ fn assert_engines_agree(
     fault: FaultPlan,
     recovery: RecoveryPolicy,
 ) -> Vec<RankOutcome> {
-    let reference = sort_under(
-        RunnerEngine::Threads,
-        p,
-        n_per,
-        threads,
-        fault.clone(),
-        recovery,
-    );
-    for engine in [
-        RunnerEngine::tasks(),
-        RunnerEngine::Tasks { workers: 2 },
-        RunnerEngine::Tasks { workers: 1 },
-    ] {
-        let tasks = sort_under(engine, p, n_per, threads, fault.clone(), recovery);
-        assert_eq!(reference.len(), tasks.len(), "{label}: rank count");
-        for (rank, (a, b)) in reference.iter().zip(&tasks).enumerate() {
+    let reference = sort_under(p, p, n_per, threads, fault.clone(), recovery);
+    for workers in [0, 2, 1] {
+        let pooled = sort_under(workers, p, n_per, threads, fault.clone(), recovery);
+        assert_eq!(reference.len(), pooled.len(), "{label}: rank count");
+        for (rank, (a, b)) in reference.iter().zip(&pooled).enumerate() {
             assert_eq!(
                 a, b,
-                "{label}: rank {rank} diverges between Threads and {engine:?} \
+                "{label}: rank {rank} diverges between {p} and {workers} workers \
                  (p={p}, n_per={n_per}, t={threads})"
             );
         }
@@ -122,7 +114,7 @@ proptest! {
         ..ProptestConfig::default()
     })]
 
-    /// Fault-free sorts: every (p, t) pair agrees across engines.
+    /// Fault-free sorts: every (p, t) pair agrees across worker counts.
     #[test]
     fn engines_agree_fault_free(
         p_ix in 0usize..3,
@@ -131,7 +123,7 @@ proptest! {
     ) {
         let p = [3usize, 8, 16][p_ix];
         let threads = if four_threads { 4 } else { 1 };
-        assert_engines_agree(
+        assert_worker_counts_agree(
             "fault-free",
             p,
             n_per,
@@ -142,7 +134,7 @@ proptest! {
     }
 
     /// Lossy links + a straggler (non-fatal faults): retries, timeouts,
-    /// and duplicates land identically under both engines.
+    /// and duplicates land identically at every worker count.
     #[test]
     fn engines_agree_under_faults(
         p_ix in 0usize..3,
@@ -151,7 +143,7 @@ proptest! {
     ) {
         let p = [3usize, 8, 16][p_ix];
         let threads = if four_threads { 4 } else { 1 };
-        assert_engines_agree(
+        assert_worker_counts_agree(
             "lossy",
             p,
             256,
@@ -175,7 +167,7 @@ proptest! {
         let victim = (victim_seed % p_u64) as usize;
         let crash_ns = 15_000 + 7_000 * (victim_seed % 7);
         let fault = FaultPlan::seeded(victim_seed + 1).with_crash(victim, crash_ns);
-        assert_engines_agree(
+        assert_worker_counts_agree(
             "shrink",
             p,
             512,
@@ -191,7 +183,8 @@ proptest! {
 #[test]
 fn engines_agree_pinned_shrink_case() {
     let fault = FaultPlan::seeded(7).with_crash(5, 27_000);
-    let agreed = assert_engines_agree("pinned-shrink", 16, 600, 4, fault, RecoveryPolicy::Shrink);
+    let agreed =
+        assert_worker_counts_agree("pinned-shrink", 16, 600, 4, fault, RecoveryPolicy::Shrink);
     // The deadline sits mid-histogram: the shrink path must have run.
     assert!(agreed[5].is_err(), "the victim must die");
     assert!(
@@ -200,10 +193,10 @@ fn engines_agree_pinned_shrink_case() {
     );
 }
 
-/// The task engine must also match on runs that fail outright (no
+/// Worker counts must also agree on runs that fail outright (no
 /// recovery armed): same root cause, same collateral classification.
 #[test]
 fn engines_agree_on_fatal_crash() {
     let fault = FaultPlan::seeded(3).with_crash(2, 15_000);
-    assert_engines_agree("fatal", 8, 256, 1, fault, RecoveryPolicy::Abort);
+    assert_worker_counts_agree("fatal", 8, 256, 1, fault, RecoveryPolicy::Abort);
 }

@@ -1,6 +1,6 @@
 //! The epoch service's contract: warm-starting is an *optimization
-//! surface only*. For every stream, every policy, every engine and
-//! every thread budget, epoch outputs are byte-identical to a
+//! surface only*. For every stream, every policy, every worker count
+//! and every thread budget, epoch outputs are byte-identical to a
 //! cold-start sort of the same batch — and on stationary streams the
 //! seeded-brackets policy collapses splitter search to at most one
 //! histogram round from epoch 3 onward.
@@ -90,10 +90,10 @@ proptest! {
         }
     }
 
-    /// The whole multi-epoch stream is deterministic across execution
-    /// engines (threads vs tasks) and intra-rank thread budgets
-    /// (t ∈ {1, 4}): outputs, rounds, and virtual makespans all agree
-    /// byte-for-byte.
+    /// The whole multi-epoch stream is deterministic across the
+    /// engine's worker counts (one rank at a time, the default, a slot
+    /// per rank) and intra-rank thread budgets (t ∈ {1, 4}): outputs,
+    /// rounds, and virtual makespans all agree byte-for-byte.
     #[test]
     fn epoch_streams_deterministic_across_engines_and_threads(
         seed in 0u64..1000,
@@ -104,9 +104,10 @@ proptest! {
         let n_total = 256 * p;
         let epochs = 3u64;
         let mut reference = None;
-        for engine in [RunnerEngine::Threads, RunnerEngine::Tasks { workers: 0 }] {
+        for workers in [p, 0, 1] {
             for threads in [1usize, 4] {
-                let cluster = ClusterConfig::small_cluster(p).with_engine(engine);
+                let cluster =
+                    ClusterConfig::small_cluster(p).with_engine(RunnerEngine { workers });
                 let cfg = SortConfig::builder()
                     .warm_start(WarmStart::SeededWithBrackets)
                     .threads_per_rank(threads)
@@ -129,7 +130,7 @@ proptest! {
                     None => reference = Some(got),
                     Some(want) => prop_assert_eq!(
                         want, &got,
-                        "engine {:?} x t={} diverged from threads x t=1", engine, threads
+                        "{} workers x t={} diverged from {} workers x t=1", workers, threads, p
                     ),
                 }
             }

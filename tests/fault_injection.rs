@@ -241,12 +241,13 @@ impl Drop for Fragile {
     }
 }
 
-/// A crash must release every peer blocked in the rendezvous — under
-/// every engine and for every payload shape that goes through the one
-/// collective protocol (owned inputs, borrowed views, exit barrier),
-/// and also when the rank that dies is the one combining, or unwinds
-/// out of its copy-out under the exit barrier — as typed collateral,
-/// and through the event-driven wake path rather than a park backstop.
+/// A crash must release every peer blocked in the rendezvous — at
+/// every worker count and for every payload shape that goes through
+/// the one collective protocol (owned inputs, borrowed views, exit
+/// barrier), and also when the rank that dies is the one combining, or
+/// unwinds out of its copy-out under the exit barrier — as typed
+/// collateral, and through the event-driven wake path rather than a
+/// park backstop.
 #[test]
 fn crash_mid_collective_releases_blocked_peers() {
     /// `dhs_runtime::sched::PARK_BACKSTOP`: a parked task whose wake
@@ -269,12 +270,9 @@ fn crash_mid_collective_releases_blocked_peers() {
             drop(c.exchange(&send[..], AllToAllAlgo::OneFactor))
         }),
     ];
-    let engines = [
-        RunnerEngine::Threads,
-        RunnerEngine::Tasks { workers: 0 },
-        RunnerEngine::Tasks { workers: 1 },
-    ];
-    for engine in engines {
+    // A slot per rank, the default, one rank at a time.
+    for workers in [8, 0, 1] {
+        let engine = RunnerEngine { workers };
         // The combining rank itself dies, inside the once-only finish
         // step of an allreduce: whichever rank arrived last is the root
         // cause, and the seven whose views it held abort as collateral

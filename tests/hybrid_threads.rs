@@ -4,9 +4,16 @@
 //! inside a rank are invisible to the cost model — charges are pure
 //! functions of data sizes — so budgets 1, 2 and 4 must replay the
 //! exact same simulation, with or without injected faults.
+//!
+//! Every cluster here runs on one worker slot ([`ONE_AT_A_TIME`]): the
+//! runner splits the host's cores between the ranks that can compute
+//! at once, so under the default pool a p = 4 world on a 2- or 4-core
+//! CI runner would cap every rank at one thread and compare serial
+//! with serial.
 
 use dhs::core::{histogram_sort, histogram_sort_by, SortConfig};
-use dhs::runtime::{run, ClusterConfig, FaultPlan, LinkClass, LinkFault, RankReport};
+use dhs::runtime::threads::host_parallelism;
+use dhs::runtime::{run, ClusterConfig, FaultPlan, LinkClass, LinkFault, RankReport, RunnerEngine};
 use dhs::workloads::{rank_local_keys, Distribution, Layout};
 use proptest::prelude::*;
 
@@ -103,8 +110,17 @@ fn sort_by_with_threads(
     })
 }
 
+/// One rank computes at a time and owns every core of the host while
+/// it does, so budgets 2 and 4 really fork wherever the host has ≥ 2
+/// cores.
+const ONE_AT_A_TIME: RunnerEngine = RunnerEngine { workers: 1 };
+
+fn clean(p: usize) -> ClusterConfig {
+    ClusterConfig::small_cluster(p).with_engine(ONE_AT_A_TIME)
+}
+
 fn faulty(p: usize, seed: u64) -> ClusterConfig {
-    ClusterConfig::small_cluster(p).with_fault(
+    clean(p).with_fault(
         FaultPlan::seeded(seed ^ 0x7ead)
             .with_straggler(seed as usize % p, 2.5)
             .with_link_fault(LinkFault {
@@ -132,7 +148,7 @@ proptest! {
         let cluster = if with_faults {
             faulty(p, seed)
         } else {
-            ClusterConfig::small_cluster(p)
+            clean(p)
         };
         let serial = sort_with_threads(&cluster, p, n_per, seed, 1);
         for threads in [2usize, 4] {
@@ -157,7 +173,7 @@ proptest! {
         let cluster = if with_faults {
             faulty(p, seed)
         } else {
-            ClusterConfig::small_cluster(p)
+            clean(p)
         };
         let serial = sort_with_threads_probes(&cluster, p, n_per, seed, 1, 7);
         for threads in [2usize, 4] {
@@ -184,7 +200,7 @@ proptest! {
         let cluster = if with_faults {
             faulty(p, seed)
         } else {
-            ClusterConfig::small_cluster(p)
+            clean(p)
         };
         let serial = sort_by_with_threads(&cluster, p, n_per, seed, 1);
         for threads in [2usize, 4] {
@@ -201,7 +217,15 @@ proptest! {
 fn large_local_blocks_identical_across_budgets() {
     let p = 4;
     let n_per = 40_000; // > SORT_GRAIN per rank: kernels really fork
-    let cluster = ClusterConfig::supermuc_phase2(p);
+    let cluster = ClusterConfig::supermuc_phase2(p).with_engine(ONE_AT_A_TIME);
+    if host_parallelism() >= 2 {
+        // Not vacuous: the hybrid runs below execute on > 1 thread.
+        let budgets = run(&cluster, |comm| {
+            comm.threads().configure(4);
+            comm.threads().exec_budget()
+        });
+        assert!(budgets.iter().all(|(budget, _)| *budget > 1));
+    }
     let serial = sort_with_threads(&cluster, p, n_per, 42, 1);
     for threads in [2usize, 4] {
         let hybrid = sort_with_threads(&cluster, p, n_per, 42, threads);

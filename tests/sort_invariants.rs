@@ -351,7 +351,8 @@ fn records_sort_globally_stable<T>(
 /// Both arms of the record hooks' kernel rule — narrow-span keys take
 /// the LSD kernel in the local sort and the merge, full-width keys and
 /// heap-owning records the stable comparison sort — through the
-/// borrowed exchange, for every thread budget, engine and schedule.
+/// borrowed exchange, for every thread budget, worker count and
+/// schedule.
 #[test]
 fn record_sort_equals_the_global_stable_sort() {
     let dists = [
@@ -372,8 +373,8 @@ fn record_sort_equals_the_global_stable_sort() {
             empty_permille: 500,
         },
     ];
-    for engine in [RunnerEngine::Threads, RunnerEngine::Tasks { workers: 0 }] {
-        let cluster = ClusterConfig::small_cluster(6).with_engine(engine);
+    for workers in [6, 0, 1] {
+        let cluster = ClusterConfig::small_cluster(6).with_engine(RunnerEngine { workers });
         for algo in [AllToAllAlgo::OneFactor, AllToAllAlgo::StagedKWay { k: 4 }] {
             for threads in [1, 2, 4] {
                 let cfg = SortConfig::builder()

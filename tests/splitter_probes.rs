@@ -273,10 +273,11 @@ proptest! {
 
     /// The replicated search state is advanced once per round by
     /// whichever rank completes the allreduce, and every rank narrows
-    /// its own brackets from the shared bracket ends: on both engines,
-    /// every rank must still return the same result, and that result
-    /// must be what a single process refining over the concatenated
-    /// data computes — splitters, rounds, probes and degraded flag.
+    /// its own brackets from the shared bracket ends: at every worker
+    /// count, every rank must still return the same result, and that
+    /// result must be what a single process refining over the
+    /// concatenated data computes — splitters, rounds, probes and
+    /// degraded flag.
     #[test]
     fn shared_plan_matches_single_process_oracle(
         p in 2usize..10,
@@ -372,9 +373,9 @@ proptest! {
             oracle(&all, &targets, slack, m * (p - 1), cap, first)
         };
 
-        for engine in [RunnerEngine::Threads, RunnerEngine::Tasks { workers: 0 }] {
+        for workers in [p, 0, 1] {
             let (targets, warm) = (targets.clone(), warm.clone());
-            let cluster = ClusterConfig::small_cluster(p).with_engine(engine);
+            let cluster = ClusterConfig::small_cluster(p).with_engine(RunnerEngine { workers });
             let out = run(&cluster, move |comm| {
                 let local = local_of(comm.rank());
                 find_splitters_seeded(comm, &local, &targets, slack, opts, &warm)
@@ -386,7 +387,7 @@ proptest! {
                     .map(|s| (s.key, s.realized, s.global_lower, s.global_upper))
                     .collect();
                 let got = (splitters, got.iterations, got.probes, got.degraded);
-                prop_assert_eq!(&got, &expect, "rank {} under {:?}", rank, engine);
+                prop_assert_eq!(&got, &expect, "rank {} at {} workers", rank, workers);
             }
         }
     }
