@@ -43,7 +43,7 @@ use dhs_baselines::{HssConfig, SampleSortConfig};
 use dhs_bench::experiment::{run_distributed_sort, run_recovery_sort, DistributedRun, SortAlgo};
 use dhs_bench::table::{fmt_secs, Table};
 use dhs_bench::Args;
-use dhs_core::{KernelPolicy, RecoveryPolicy, SortConfig};
+use dhs_core::{RecoveryPolicy, SortConfig};
 use dhs_runtime::{ClusterConfig, FaultPlan, LinkClass, LinkFault, LossSpec, RunnerEngine};
 use dhs_workloads::{Distribution, Layout};
 
@@ -433,14 +433,6 @@ fn main() {
         args.get("nper", 1 << 12)
     };
     let threads: usize = args.get("threads", 1);
-    // Sweep bytes are pinned by CI, so the kernel backend must be
-    // unobservable here: `--kernels scalar` and `--kernels auto` write
-    // the identical file (virtual time is blind to SIMD).
-    let kernels: KernelPolicy = args
-        .raw("kernels")
-        .unwrap_or("auto")
-        .parse()
-        .unwrap_or_else(|e| panic!("--kernels: {e}"));
     let engine = args.engine();
 
     if args.has("largep") {
@@ -486,7 +478,6 @@ fn main() {
             SortAlgo::Histogram(
                 SortConfig::builder()
                     .threads_per_rank(threads)
-                    .kernels(kernels)
                     .build()
                     .expect("valid config"),
             ),

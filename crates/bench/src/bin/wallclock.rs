@@ -4,8 +4,8 @@
 //! performance trajectory the zero-copy work is judged against, and
 //! that every later perf PR extends.
 //!
-//! Seven benchmark groups, written to `BENCH_wallclock.json`
-//! (schema `dhs-wallclock/v9`) at the repo root:
+//! Six benchmark groups, written to `BENCH_wallclock.json`
+//! (schema `dhs-wallclock/v10`) at the repo root:
 //!
 //! * `full_sort` — end-to-end histogram sort at several (p, n/p)
 //!   points: host seconds per run, plus the (unchanged) virtual
@@ -47,17 +47,6 @@
 //!   actually bite. Host seconds per cell are recorded as capability
 //!   evidence; virtual time is deterministic, so a single rep is
 //!   exact.
-//! * `kernel_ab` — the local compute-kernel A/B: the portable scalar
-//!   reference kernels versus the runtime-dispatched backend
-//!   (`Kernels::auto()`, AVX2 where the host has it). Two per-kernel
-//!   microbenches — k-way classification against a 255-splitter
-//!   ladder and LSD radix sort — plus the end-to-end histogram sort
-//!   under `--kernels scalar` versus `--kernels auto` (the 2-way
-//!   merge core is scalar on every backend, so it has no A/B). Outputs are asserted byte-identical per rep
-//!   (the determinism contract: dispatch may only change host time).
-//!   The ≥1.3× acceptance target refers to the best per-kernel case on
-//!   an AVX2 host; on hosts without AVX2 the dispatched side *is* the
-//!   scalar side and every speedup column sits at 1.0×.
 //! * `splitter_ab` — the splitter search A/B: rounds `P − 1` probes
 //!   wide (`probes_per_round = 1`, side `classic`) versus rounds seven
 //!   times as wide (`probes_per_round = 7`, side `multi_probe`), so
@@ -73,19 +62,14 @@
 //! branchless moves where a re-sort pays `O(n log n)` compares). The
 //! recorded `host_parallelism` field says what the host offered.
 //!
-//! Flags: `--smoke` (tiny grid for CI), `--out <path>`,
-//! `--kernels scalar|auto` (backend for the end-to-end groups; the
-//! `kernel_ab` group always measures both sides).
+//! Flags: `--smoke` (tiny grid for CI), `--out <path>`.
 
 use std::fmt::Write as _;
 use std::time::Instant; // lint: allow-wall-clock
 
 use dhs_bench::experiment::{run_distributed_sort, SortAlgo};
 use dhs_bench::Args;
-use dhs_core::{
-    find_splitters_cfg, perfect_targets, KernelPolicy, Kernels, LocalSort, SortConfig,
-    SplitterOptions,
-};
+use dhs_core::{find_splitters_cfg, perfect_targets, SortConfig, SplitterOptions};
 use dhs_runtime::{run, AllToAllAlgo, ClusterConfig};
 use dhs_workloads::{rank_local_keys, Distribution, Layout};
 
@@ -111,19 +95,11 @@ struct FullSortCase {
     virtual_makespan_s: f64,
 }
 
-fn bench_full_sort(
-    grid: &[(usize, usize)],
-    reps: usize,
-    kernels: KernelPolicy,
-) -> Vec<FullSortCase> {
+fn bench_full_sort(grid: &[(usize, usize)], reps: usize) -> Vec<FullSortCase> {
     let mut out = Vec::new();
     for &(p, n_per) in grid {
         let cluster = ClusterConfig::supermuc_phase2(p);
-        let cfg = SortConfig::builder()
-            .kernels(kernels)
-            .build()
-            .expect("valid config");
-        let algo = SortAlgo::Histogram(cfg);
+        let algo = SortAlgo::Histogram(SortConfig::default());
         let mut times = Vec::with_capacity(reps);
         let mut makespan = 0.0;
         for _ in 0..reps {
@@ -182,7 +158,6 @@ impl AbCase {
 /// the timed region. Small cells repeat until ~2 Mi keys have been
 /// merged per side, so a µs-scale cell still has a stable median.
 fn bench_local_merge(grid: &[(usize, usize, usize)], min_reps: usize) -> Vec<AbCase> {
-    let kernels = Kernels::auto();
     let mut merges = Vec::new();
     for &(slots, runs, n) in grid {
         let mut counts = vec![0usize; slots];
@@ -210,7 +185,7 @@ fn bench_local_merge(grid: &[(usize, usize, usize)], min_reps: usize) -> Vec<AbC
             let mut scratch = base.clone();
             let ends = counts.clone();
             let t = Instant::now();
-            dhs_shm::merge_runs_in_place(kernels, &mut merged, ends, &mut scratch, 1);
+            dhs_shm::merge_runs_in_place(&mut merged, ends, &mut scratch, 1);
             run_merge.push(secs(t));
             assert_eq!(merged, flat, "run merge must equal the re-sort");
         }
@@ -480,130 +455,6 @@ fn bench_splitter(grid: &[(usize, usize)], reps: usize) -> Vec<AbCase> {
     out
 }
 
-/// A/B the local compute kernels: the portable scalar reference versus
-/// the runtime-dispatched backend, on the exact slice shapes the sort
-/// feeds them. Two microbenches per grid point `(p, n_per)` —
-/// classification of `p * n_per` keys against a 255-splitter ladder
-/// (the `plan_exchange` / splitter-probe inner loop) and LSD radix
-/// sort of the same keys (the `LocalSort::Radix` engine) — plus one
-/// end-to-end histogram sort at `(p, n_per)` under each policy. Every
-/// rep asserts the two sides' outputs byte-identical before timing is
-/// trusted: dispatch that changes bytes is a bug, not a speedup.
-fn bench_kernels(grid: &[(usize, usize)], reps: usize) -> Vec<AbCase> {
-    let scalar = Kernels::scalar();
-    let auto = Kernels::auto();
-    let mut out = Vec::new();
-    for &(p, n_per) in grid {
-        let n = p * n_per;
-        let base = rank_local_keys(Distribution::paper_uniform(), Layout::Balanced, n, 1, 0, 13);
-
-        // Classification: one pass of n keys over a 255-splitter
-        // ladder (s = 255 ≙ p = 256 destinations).
-        let mut ladder: Vec<u64> = base.iter().step_by((n / 255).max(1)).copied().collect();
-        ladder.truncate(255);
-        ladder.sort_unstable();
-        let mut counts_a = vec![0u64; ladder.len() + 1];
-        let mut counts_b = vec![0u64; ladder.len() + 1];
-        let mut side_a = Vec::with_capacity(reps);
-        let mut side_b = Vec::with_capacity(reps);
-        for _ in 0..reps {
-            let t = Instant::now();
-            scalar.classify_counts_u64(&base, &ladder, &mut counts_a);
-            side_a.push(secs(t));
-            std::hint::black_box(&counts_a);
-
-            let t = Instant::now();
-            auto.classify_counts_u64(&base, &ladder, &mut counts_b);
-            side_b.push(secs(t));
-            std::hint::black_box(&counts_b);
-            assert_eq!(counts_a, counts_b, "classification dispatch changed counts");
-        }
-        out.push(kernel_case("classify", p, n_per, reps, side_a, side_b));
-
-        // LSD radix sort of the full local array.
-        let mut side_a = Vec::with_capacity(reps);
-        let mut side_b = Vec::with_capacity(reps);
-        for _ in 0..reps {
-            let mut va = base.clone();
-            let t = Instant::now();
-            scalar.radix_sort_u64(&mut va);
-            side_a.push(secs(t));
-
-            let mut vb = base.clone();
-            let t = Instant::now();
-            auto.radix_sort_u64(&mut vb);
-            side_b.push(secs(t));
-            assert_eq!(va, vb, "radix dispatch changed the sorted output");
-            std::hint::black_box((&va, &vb));
-        }
-        out.push(kernel_case("radix", p, n_per, reps, side_a, side_b));
-
-        // End-to-end: the full histogram sort (radix local sort, so
-        // every kernel is on the hot path) under each policy.
-        let cell = |policy: KernelPolicy| {
-            let cfg = SortConfig::builder()
-                .kernels(policy)
-                .local_sort(LocalSort::Radix)
-                .build()
-                .expect("valid config");
-            let t = Instant::now();
-            let r = run_distributed_sort(
-                &ClusterConfig::supermuc_phase2(p),
-                &SortAlgo::Histogram(cfg),
-                Distribution::paper_uniform(),
-                Layout::Balanced,
-                n,
-                13,
-            );
-            let s = secs(t);
-            (s, r.makespan_s)
-        };
-        let mut side_a = Vec::with_capacity(reps);
-        let mut side_b = Vec::with_capacity(reps);
-        for _ in 0..reps {
-            let (sa, ma) = cell(KernelPolicy::Scalar);
-            let (sb, mb) = cell(KernelPolicy::Auto);
-            assert_eq!(
-                format!("{ma:.9}"),
-                format!("{mb:.9}"),
-                "kernel policies disagree on the virtual makespan at p={p}"
-            );
-            side_a.push(sa);
-            side_b.push(sb);
-        }
-        out.push(kernel_case("full_sort", p, n_per, reps, side_a, side_b));
-    }
-    out
-}
-
-/// Fold one kernel A/B's samples into an [`AbCase`] row and print it.
-fn kernel_case(
-    kernel: &str,
-    p: usize,
-    n_per: usize,
-    reps: usize,
-    scalar: Vec<f64>,
-    dispatched: Vec<f64>,
-) -> AbCase {
-    let (legacy_min_s, legacy_median_s) = min_median(scalar);
-    let (zero_copy_min_s, zero_copy_median_s) = min_median(dispatched);
-    let case = AbCase {
-        label: format!("{kernel}_p{p}_n{n_per}"),
-        p,
-        n_per,
-        reps,
-        legacy_min_s,
-        legacy_median_s,
-        zero_copy_min_s,
-        zero_copy_median_s,
-    };
-    println!(
-        "kernel_ab      {kernel:<9} p={p:<4} n/p={n_per:<7} scalar {legacy_median_s:>9.6}s  dispatched {zero_copy_median_s:>9.6}s  speedup {:.2}x",
-        case.speedup()
-    );
-    case
-}
-
 struct ScaleCase {
     label: String,
     mode: &'static str,
@@ -782,43 +633,21 @@ fn main() {
             ("strong", 8192, 512),
         ]
     };
-    let kernels: KernelPolicy = args
-        .raw("kernels")
-        .unwrap_or("auto")
-        .parse()
-        .unwrap_or_else(|e| panic!("--kernels: {e}"));
-    let (kernel_grid, kernel_reps): (Vec<(usize, usize)>, usize) = if smoke {
-        (vec![(8, 16384)], 3)
-    } else {
-        (vec![(8, 131072), (16, 131072)], 5)
-    };
-
     println!("# wall-clock harness (host time; virtual clock unaffected)");
-    println!(
-        "# smoke = {smoke}  kernels = {} (backend {})\n",
-        kernels.label(),
-        Kernels::for_policy(kernels).backend_name()
-    );
-    let full = bench_full_sort(&sort_grid, sort_reps, kernels);
+    println!("# smoke = {smoke}\n");
+    let full = bench_full_sort(&sort_grid, sort_reps);
     let local_merges = bench_local_merge(&merge_grid, local_reps);
     let record_sorts = bench_record_sort(&record_grid, local_reps);
     let splitter = bench_splitter(&splitter_grid, splitter_reps);
-    let kernel = bench_kernels(&kernel_grid, kernel_reps);
     let exchange_algo = bench_exchange_algo(&algo_grid);
     let largep = bench_largep(&largep_rows, 16);
 
     let mut json = String::new();
     let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"schema\": \"dhs-wallclock/v9\",");
+    let _ = writeln!(json, "  \"schema\": \"dhs-wallclock/v10\",");
     let _ = writeln!(json, "  \"smoke\": {smoke},");
     let host = std::thread::available_parallelism().map_or(1, |v| v.get());
     let _ = writeln!(json, "  \"host_parallelism\": {host},");
-    let _ = writeln!(json, "  \"kernels\": \"{}\",", kernels.label());
-    let _ = writeln!(
-        json,
-        "  \"kernel_backend\": \"{}\",",
-        Kernels::for_policy(kernels).backend_name()
-    );
     let _ = writeln!(json, "  \"groups\": [");
     let _ = writeln!(json, "    {{\"name\": \"full_sort\", \"cases\": [");
     for (i, c) in full.iter().enumerate() {
@@ -846,9 +675,6 @@ fn main() {
     let _ = writeln!(json, "    ]}},");
     let _ = writeln!(json, "    {{\"name\": \"splitter_ab\", \"cases\": [");
     let _ = write!(json, "{}", json_ab(&splitter, "classic", "multi_probe"));
-    let _ = writeln!(json, "    ]}},");
-    let _ = writeln!(json, "    {{\"name\": \"kernel_ab\", \"cases\": [");
-    let _ = write!(json, "{}", json_ab(&kernel, "scalar", "dispatched"));
     let _ = writeln!(json, "    ]}},");
     let _ = writeln!(json, "    {{\"name\": \"exchange_algo_ab\", \"cases\": [");
     let _ = write!(json, "{}", json_ab(&exchange_algo, "one_factor", "staged"));

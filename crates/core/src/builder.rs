@@ -9,8 +9,8 @@
 
 use dhs_merge::MergeAlgo;
 use dhs_runtime::AllToAllAlgo;
-use dhs_shm::KernelPolicy;
 
+use crate::kernels::KernelPolicy;
 use crate::sort::{
     InvalidSortConfig, LocalSort, Partitioning, RecoveryPolicy, SortConfig, WarmStart,
 };
@@ -137,27 +137,6 @@ impl SortConfigBuilder {
         self
     }
 
-    /// Local compute-kernel backend policy. [`KernelPolicy::Auto`]
-    /// (the default) picks the fastest backend the host supports once
-    /// per process; [`KernelPolicy::Scalar`] pins the portable
-    /// reference kernels. Output and virtual clock are byte-identical
-    /// for every policy — only host wall-time differs.
-    ///
-    /// ```
-    /// use dhs_core::SortConfig;
-    /// use dhs_shm::KernelPolicy;
-    ///
-    /// let cfg = SortConfig::builder()
-    ///     .kernels(KernelPolicy::Scalar)
-    ///     .build()
-    ///     .expect("valid config");
-    /// assert_eq!(cfg.kernels, KernelPolicy::Scalar);
-    /// ```
-    pub fn kernels(mut self, policy: KernelPolicy) -> Self {
-        self.cfg.kernels = policy;
-        self
-    }
-
     /// Validate and produce the configuration.
     pub fn build(self) -> Result<SortConfig, InvalidSortConfig> {
         self.cfg.validate()?;
@@ -187,7 +166,7 @@ impl Default for SortConfig {
             recovery: RecoveryPolicy::Abort,
             exchange_algo: AllToAllAlgo::OneFactor,
             warm_start: WarmStart::Cold,
-            kernels: KernelPolicy::Auto,
+            kernels: KernelPolicy,
         }
     }
 }
@@ -210,13 +189,7 @@ mod tests {
         assert_eq!(built.recovery, def.recovery);
         assert_eq!(built.exchange_algo, def.exchange_algo);
         assert_eq!(built.warm_start, def.warm_start);
-        assert_eq!(built.kernels, def.kernels);
         assert_eq!(def.warm_start, WarmStart::Cold, "cold start is the default");
-        assert_eq!(
-            def.kernels,
-            KernelPolicy::Auto,
-            "runtime dispatch is the default"
-        );
         assert_eq!(def.threads_per_rank, 1, "default must be fully serial");
         assert_eq!(
             def.probes_per_round, 1,

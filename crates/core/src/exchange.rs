@@ -13,8 +13,8 @@
 //! `ALL-TO-ALLV`.
 
 use dhs_runtime::{AllToAllAlgo, Comm, RecvRuns, Work};
-use dhs_shm::Kernels;
 
+use crate::kernels::Kernels;
 use crate::key::Key;
 use crate::splitter::SplitterResult;
 
@@ -40,28 +40,29 @@ impl ExchangePlan {
     }
 }
 
-/// Compute this rank's cut positions (Algorithm 4). Collective: every
-/// rank must call it with the identical `SplitterResult`.
-pub fn plan_exchange<K: Key>(
-    comm: &Comm,
-    sorted_local: &[K],
-    splitters: &SplitterResult<K>,
-) -> ExchangePlan {
-    plan_exchange_with(comm, sorted_local, splitters, Kernels::auto())
-}
-
-/// [`plan_exchange`] for callers that thread a kernel backend through
-/// the pipeline. The backend is not consulted: the splitter keys arrive
-/// ascending (equal targets aside), so each one's `(lower, upper)`
-/// bounds are found by exponential search outward from the previous
-/// splitter's lower bound — `O(P · log(n/P))` compares, searches of
-/// `n/P` keys that are too short to batch. The charge is the paper's
-/// `2(P − 1)` binary searches over the whole local array.
+/// [`plan_exchange`]; the fourth argument has no effect. Stays only
+/// because the repository benchmark names it; goes with ROADMAP item 1.
 pub fn plan_exchange_with<K: Key>(
     comm: &Comm,
     sorted_local: &[K],
     splitters: &SplitterResult<K>,
-    _kernels: Kernels,
+    _: Kernels,
+) -> ExchangePlan {
+    plan_exchange(comm, sorted_local, splitters)
+}
+
+/// Compute this rank's cut positions (Algorithm 4). Collective: every
+/// rank must call it with the identical `SplitterResult`.
+///
+/// The splitter keys arrive ascending (equal targets aside), so each
+/// one's `(lower, upper)` bounds are found by exponential search
+/// outward from the previous splitter's lower bound — `O(P · log(n/P))`
+/// compares. The charge is the paper's `2(P − 1)` binary searches over
+/// the whole local array.
+pub fn plan_exchange<K: Key>(
+    comm: &Comm,
+    sorted_local: &[K],
+    splitters: &SplitterResult<K>,
 ) -> ExchangePlan {
     let p = comm.size();
     let s = splitters.splitters.len();

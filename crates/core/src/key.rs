@@ -35,10 +35,19 @@ pub trait Key: Ord + Copy + Send + Sync + 'static {
         debug_assert!(a <= b);
         Self::from_bits(a + (b - a) / 2)
     }
+
+    /// Serial LSD radix sort of a block of keys: the leaf of
+    /// `LocalSort::Radix`. The default sorts by the bit image; key
+    /// types that *are* a machine word override it with the
+    /// monomorphic byte-wise kernel, the faster of the two below
+    /// ~1 Mi keys (EXPERIMENTS.md, "One kernel backend").
+    fn radix_sort(data: &mut [Self]) {
+        dhs_shm::radix_sort_by_bits(data, |x| x.to_bits(), Self::BITS);
+    }
 }
 
 macro_rules! unsigned_key {
-    ($($t:ty : $bits:expr),*) => {$(
+    ($($t:ty : $bits:expr $(=> $radix:path)?),*) => {$(
         impl Key for $t {
             const BITS: u32 = $bits;
             #[inline]
@@ -49,11 +58,19 @@ macro_rules! unsigned_key {
             fn from_bits(bits: u128) -> Self {
                 bits as $t
             }
+            $(fn radix_sort(data: &mut [Self]) {
+                $radix(data);
+            })?
         }
     )*};
 }
 
-unsigned_key!(u8: 8, u16: 16, u32: 32, u64: 64);
+unsigned_key!(
+    u8: 8,
+    u16: 16,
+    u32: 32 => dhs_shm::radix_sort_u32,
+    u64: 64 => dhs_shm::radix_sort_u64
+);
 
 macro_rules! signed_key {
     ($($t:ty => $u:ty : $bits:expr),*) => {$(

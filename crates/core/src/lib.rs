@@ -44,6 +44,7 @@
 pub mod api;
 pub mod builder;
 pub mod exchange;
+mod kernels;
 pub mod key;
 pub mod multilevel;
 pub mod service;
@@ -55,6 +56,7 @@ pub use api::{
     is_sorted, median, nth_element, sort, sort_array, sort_by_key, AllToAllAlgo, OrderOutOfRange,
 };
 pub use builder::SortConfigBuilder;
+pub use kernels::{KernelPolicy, Kernels};
 pub use key::{make_unique, strip_unique, Key, OrderedF32, OrderedF64, UniqueKey};
 pub use multilevel::histogram_sort_two_level;
 pub use service::{EpochSorter, EpochStats};
@@ -69,4 +71,3 @@ pub use splitter::{
 pub use verify::{global_fingerprint, multiset_fingerprint, verify_sorted, SortViolation};
 
 pub use dhs_merge::MergeAlgo;
-pub use dhs_shm::{KernelPolicy, Kernels};

@@ -16,8 +16,6 @@
 //! the split communicator with the group's share of the targets.
 
 use dhs_runtime::{AllToAllAlgo, Comm, Work};
-use dhs_shm::kernels::ladder_bounds_typed;
-use dhs_shm::Kernels;
 
 use crate::key::Key;
 use crate::sort::{
@@ -86,8 +84,7 @@ pub fn histogram_sort_two_level<K: Key>(
     stats.histogram_ns += sp.finish();
 
     let sp = comm.span("prepare");
-    let kernels = Kernels::for_policy(cfg.kernels);
-    let buckets = plan_group_exchange(comm, local, &l1, g, &group_start, kernels);
+    let buckets = plan_group_exchange(comm, local, &l1, g, &group_start);
     stats.prepare_ns += sp.finish();
 
     // Each sender spreads its buckets over the members of the target
@@ -143,7 +140,6 @@ fn plan_group_exchange<K: Key>(
     l1: &SplitterResult<K>,
     g: usize,
     group_start: &dyn Fn(usize) -> usize,
-    kernels: Kernels,
 ) -> Vec<Vec<K>> {
     let p = comm.size();
     let rank = comm.rank();
@@ -156,30 +152,13 @@ fn plan_group_exchange<K: Key>(
     });
     let mut lowers = Vec::with_capacity(g - 1);
     let mut contingents = Vec::with_capacity(g - 1);
-    // Kernel path for native integer keys: all group-splitter bounds
-    // in one batched branchless-search call.
-    let mut bounds = Vec::with_capacity(2 * (g - 1));
-    if ladder_bounds_typed(
-        kernels,
-        sorted_local,
-        l1.splitters.len(),
-        |i| l1.splitters[i].key.to_bits() as u64,
-        0,
-        &mut bounds,
-    ) {
-        for pair in bounds.chunks_exact(2) {
-            lowers.push(pair[0]);
-            contingents.push(pair[1] - pair[0]);
-        }
-    } else {
-        for info in l1.splitters.iter() {
-            let l = sorted_local.partition_point(|x| *x < info.key) as u64;
-            let u = sorted_local.partition_point(|x| *x <= info.key) as u64;
-            lowers.push(l);
-            contingents.push(u - l);
-        }
+    for info in l1.splitters.iter() {
+        let l = sorted_local.partition_point(|x| *x < info.key) as u64;
+        let u = sorted_local.partition_point(|x| *x <= info.key) as u64;
+        lowers.push(l);
+        contingents.push(u - l);
     }
-    let before_me = comm.exscan_sum_vec(contingents.clone());
+    let before_me = comm.exscan_sum_vec_shared(&contingents);
     let mut cuts = vec![0usize];
     for (i, info) in l1.splitters.iter().enumerate() {
         let excess = info.realized - info.global_lower;

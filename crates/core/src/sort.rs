@@ -14,9 +14,9 @@ use std::sync::Arc;
 
 use dhs_merge::MergeAlgo;
 use dhs_runtime::{AllToAllAlgo, Comm, RecoveryInterrupt, RecvRuns, Work};
-use dhs_shm::{KernelPolicy, Kernels};
 
-use crate::exchange::{exchange_data, plan_exchange_with, ExchangePlan};
+use crate::exchange::{exchange_data, plan_exchange, ExchangePlan};
+use crate::kernels::KernelPolicy;
 use crate::key::Key;
 use crate::splitter::{
     balanced_targets, find_splitters_seeded, perfect_targets, slack_for, SplitterOptions,
@@ -189,16 +189,8 @@ pub struct SortConfig {
     /// points, which have no stash to seed from; defaults to
     /// [`WarmStart::Cold`]. See [`WarmStart`].
     pub warm_start: WarmStart,
-    /// Kernel backend policy for the node-local hot loops (splitter
-    /// probe searches, exchange-plan classification, radix local sort,
-    /// post-exchange merge): [`KernelPolicy::Auto`] (default)
-    /// dispatches to the best backend the host supports (AVX2 when
-    /// detected), [`KernelPolicy::Scalar`] forces the portable
-    /// reference kernels. Sorted output and the virtual clock are
-    /// **byte-identical** for every policy — kernels never touch
-    /// `Work` charges, and the scalar backend is the pinned
-    /// determinism reference (`dhs-shm` kernel equivalence tests);
-    /// only host wall-clock differs (`wallclock --kernel_ab`).
+    /// No effect; stays only because the repository benchmark names
+    /// it; goes with ROADMAP item 1.
     pub kernels: KernelPolicy,
 }
 
@@ -323,21 +315,16 @@ fn charge_local_sort<K: Key>(comm: &Comm, n: u64, engine: LocalSort) {
 /// [`dhs_runtime::ThreadPool::exec_budget`]; at a budget of 1 each
 /// kernel *is* the serial engine (`sort_unstable`, the LSD radix sort).
 /// The sorted output is identical for any budget, and the virtual
-/// clock always charges the configured engine's model.
-/// For [`LocalSort::Radix`] and native `u64`/`u32` keys, the radix
-/// passes themselves route through the dispatched kernel backend
-/// (occupancy pre-pass + monomorphic counting/scatter); the generic
-/// bit-projection radix stays the path for every other key type. The
-/// sorted output is the unique ascending permutation either way.
-fn local_sort_exec<K: Key>(comm: &Comm, data: &mut [K], engine: LocalSort, kernels: Kernels) {
+/// clock always charges the configured engine's model. The radix
+/// leaves are [`Key::radix_sort`]: the bit-projection LSD sort, or the
+/// monomorphic byte-wise kernel for `u64`/`u32` keys.
+fn local_sort_exec<K: Key>(comm: &Comm, data: &mut [K], engine: LocalSort) {
     charge_local_sort::<K>(comm, data.len() as u64, engine);
     let te = comm.threads().exec_budget();
     match engine {
         LocalSort::Comparison => dhs_shm::parallel_merge_sort(data, te),
         LocalSort::Radix => {
-            if !dhs_shm::radix_merge_sort_typed(kernels, data, te) {
-                dhs_shm::radix_merge_sort_by_bits(data, te, &|x: &K| x.to_bits(), K::BITS)
-            }
+            dhs_shm::radix_merge_sort_by_bits(data, te, &|x: &K| x.to_bits(), &K::radix_sort)
         }
     }
 }
@@ -469,8 +456,7 @@ pub fn histogram_sort<K: Key>(comm: &Comm, local: &mut Vec<K>, cfg: &SortConfig)
 /// — a presorted block is returned after one read sweep) and the
 /// stable `sort_by_key` otherwise. Stability makes the kernels
 /// indistinguishable: the output is element for element the global
-/// stable sort of the input, for every `threads_per_rank`, engine and
-/// kernel policy.
+/// stable sort of the input, for every `threads_per_rank` and engine.
 ///
 /// The record hooks ignore [`SortConfig::local_sort`] and
 /// [`SortConfig::merge`]: those choose among engines for `Ord + Copy`
@@ -507,8 +493,7 @@ where
 /// records genuinely differ. Everything else — validation, spans,
 /// shape, splitter search, planning, recovery — is [`sort_pipeline`]
 /// and [`attempt`], written once. Both impls are monomorphised, so the
-/// plain-key path keeps its zero-copy key view and `TypeId`-bridged
-/// kernels.
+/// plain-key path keeps its zero-copy key view.
 pub(crate) trait Payload<T> {
     /// The key space splitters are searched in.
     type Key: Key;
@@ -557,7 +542,7 @@ impl<K: Key> Payload<K> for Keys {
     type Key = K;
 
     fn local_sort(&self, comm: &Comm, data: &mut Vec<K>, cfg: &SortConfig) {
-        local_sort_exec(comm, data, cfg.local_sort, Kernels::for_policy(cfg.kernels));
+        local_sort_exec(comm, data, cfg.local_sort);
     }
 
     fn key_view<'a>(&self, _: &Comm, data: &'a [K]) -> Cow<'a, [K]> {
@@ -583,7 +568,6 @@ impl<K: Key> Payload<K> for Keys {
         mut scratch: Vec<K>,
         cfg: &SortConfig,
     ) -> Vec<K> {
-        let kernels = Kernels::for_policy(cfg.kernels);
         let te = comm.threads().exec_budget();
         let n = received.total_len() as u64;
         match cfg.merge {
@@ -595,7 +579,7 @@ impl<K: Key> Payload<K> for Keys {
                 // output for every thread budget.
                 charge_local_sort::<K>(comm, n, cfg.local_sort);
                 let (mut flat, counts) = received.into_parts();
-                dhs_shm::merge_sorted_runs(kernels, &mut flat, counts, &mut scratch, te);
+                dhs_shm::merge_sorted_runs(&mut flat, counts, &mut scratch, te);
                 flat
             }
             engine => {
@@ -885,7 +869,6 @@ pub(crate) fn attempt<T, P: Payload<T>>(
         stats.prepare_ns += sp.finish();
         return;
     }
-    let kernels = Kernels::for_policy(cfg.kernels);
     let plan = {
         let keys = payload.key_view(c, local);
         stats.prepare_ns += sp.finish();
@@ -896,7 +879,6 @@ pub(crate) fn attempt<T, P: Payload<T>>(
         let opts = SplitterOptions {
             max_iterations: cfg.max_splitter_iterations,
             probes_per_round: cfg.probes_per_round,
-            kernels,
             ..SplitterOptions::default()
         };
         let found = find_splitters_seeded(c, &keys, &shape.targets, shape.slack, opts, warm);
@@ -911,7 +893,7 @@ pub(crate) fn attempt<T, P: Payload<T>>(
 
         // Phase 3a: exchange preparation (Algorithm 4) on the key view.
         let sp = c.span("prepare");
-        let plan = plan_exchange_with(c, &keys, &found, kernels);
+        let plan = plan_exchange(c, &keys, &found);
         stats.prepare_ns += sp.finish();
         plan
     };

@@ -105,10 +105,9 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use dhs_runtime::{Charges, Comm, Work};
-use dhs_shm::kernels::ladder_bounds_typed;
-use dhs_shm::Kernels;
 
 use self::plan::{RoundPlan, Verdict};
+use crate::kernels::Kernels;
 use crate::key::Key;
 
 mod plan;
@@ -220,13 +219,8 @@ pub struct SplitterOptions {
     /// to select; the field stays only because the repository
     /// benchmark, which a change may not edit, names it.
     pub probe_warm_first: bool,
-    /// Kernel backend for the per-round probe searches: for native
-    /// integer keys the two `partition_point`s per probe run through
-    /// the batched branchless-search kernel
-    /// ([`dhs_shm::Kernels::ladder_bounds_u64`] and friends). Accepted
-    /// splitters, histograms, and charges are byte-identical for every
-    /// backend — only host time differs. Defaults to the
-    /// process-detected backend ([`dhs_shm::Kernels::auto`]).
+    /// No effect; stays only because the repository benchmark names
+    /// it; goes with ROADMAP item 1.
     pub kernels: Kernels,
 }
 
@@ -238,7 +232,7 @@ impl Default for SplitterOptions {
             max_iterations: None,
             probes_per_round: 1,
             probe_warm_first: false,
-            kernels: Kernels::auto(),
+            kernels: Kernels,
         }
     }
 }
@@ -449,21 +443,6 @@ fn find_splitters_impl<K: Key>(
                     searches: 2 * probes.len() as u64,
                     n: seg.len() as u64,
                 });
-                // Kernel path for native integer keys: the whole probe
-                // batch of this splitter in one lockstep-search call,
-                // pushing the same (lower, upper) pairs straight into
-                // the pooled buffer (probe bits fit the key width by
-                // construction).
-                if ladder_bounds_typed(
-                    opts.kernels,
-                    seg,
-                    probes.len(),
-                    |k| probes[k] as u64,
-                    idx_lo as u64,
-                    out,
-                ) {
-                    continue;
-                }
                 for &bits in probes {
                     let key = K::from_bits(bits);
                     out.push((idx_lo + seg.partition_point(|x| *x < key)) as u64);

@@ -1,4 +1,4 @@
-//! `plan_exchange_with` finds every splitter's local `(lower, upper)`
+//! `plan_exchange` finds every splitter's local `(lower, upper)`
 //! by exponential search from the previous splitter's cut. The start of
 //! a search must decide only what it costs: the cuts, and the virtual
 //! time charged for them, have to equal those of a plan written here
@@ -8,8 +8,8 @@
 
 use std::sync::Arc;
 
-use dhs_core::exchange::plan_exchange_with;
-use dhs_core::{Kernels, Key, SplitterInfo, SplitterResult};
+use dhs_core::exchange::plan_exchange;
+use dhs_core::{Key, SplitterInfo, SplitterResult};
 use dhs_runtime::{run, ClusterConfig, Comm, Work};
 use dhs_workloads::Distribution;
 
@@ -145,7 +145,7 @@ fn check<K: Key + std::fmt::Debug>(
             let found = accepted(comm, &local, how, ends);
             comm.barrier();
             let t0 = comm.now_ns();
-            let plan = plan_exchange_with(comm, &local, &found, Kernels::auto());
+            let plan = plan_exchange(comm, &local, &found);
             let took = comm.now_ns() - t0;
             comm.barrier();
             let t0 = comm.now_ns();
@@ -253,7 +253,7 @@ fn record_key_view() {
         records.sort_by_key(|r| r.0);
         let view: Vec<u64> = records.iter().map(|r| r.0).collect();
         let found = accepted(comm, &view, Accepted::Ascending, (0, u64::MAX));
-        let plan = plan_exchange_with(comm, &view, &found, Kernels::auto());
+        let plan = plan_exchange(comm, &view, &found);
         assert_eq!(plan.cuts, reference_cuts(comm, &view, &found.splitters));
         let sent: usize = plan.segments(&records).iter().map(|s| s.len()).sum();
         assert_eq!(sent, records.len());

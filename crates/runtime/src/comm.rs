@@ -136,10 +136,14 @@ struct RawParts<T> {
     parts: Vec<(*const T, usize)>,
 }
 
-// SAFETY: crossing threads only moves the pointers; they are
-// dereferenced solely through `slice`, whose callers sit in windows 3–4
-// of the `collective_view` contract. The data itself is `Send + Sync`.
-unsafe impl<T: Send> Send for RawParts<T> {}
+// SAFETY: a `RawParts` is a list of `&[T]` with the lifetime erased, so
+// it crosses threads under the rule for `&[T]`: moving it to another
+// thread lets that thread read the `T`s through `slice`, which is sound
+// for `T: Sync`. The erased lifetime is restored by `slice`'s contract
+// (windows 3–4 of `collective_view`), not by this impl.
+unsafe impl<T: Sync> Send for RawParts<T> {}
+// SAFETY: `&RawParts<T>` offers `len` (plain data) and `slice`, shared
+// reads of the `T`s from several threads at once: sound for `T: Sync`.
 unsafe impl<T: Sync> Sync for RawParts<T> {}
 
 impl<T> RawParts<T> {
@@ -158,6 +162,10 @@ impl<T> RawParts<T> {
     /// extract under the exit barrier (window 4).
     unsafe fn slice(&self, i: usize) -> &[T] {
         let (ptr, len) = self.parts[i];
+        // SAFETY: `(ptr, len)` came from a live `&[T]` in `of`; inside
+        // the windows the caller vouches for, the depositing rank is
+        // still blocked in the collective, so the slice is alive and
+        // nobody writes it.
         std::slice::from_raw_parts(ptr, len)
     }
 }

@@ -14,15 +14,13 @@
 
 #![warn(missing_docs)]
 pub mod fork;
-pub mod kernels;
 pub mod pmerge;
 pub mod radix;
 pub mod sort;
 
 pub use fork::{join, map_parallel};
-pub use kernels::{KernelPolicy, Kernels};
 pub use pmerge::{
-    merge_runs_in_place, merge_sorted_runs, parallel_binary_tree_merge,
+    merge_into, merge_runs_in_place, merge_sorted_runs, parallel_binary_tree_merge,
     parallel_binary_tree_merge_by, parallel_kway_chunked, parallel_merge_into,
     parallel_merge_into_by, run_merge_beats_resort,
 };
@@ -30,6 +28,5 @@ pub use radix::{
     lsd_beats_comparison, lsd_sort_if, radix_sort_by_bits, radix_sort_u32, radix_sort_u64,
 };
 pub use sort::{
-    parallel_merge_sort, parallel_merge_sort_by, radix_merge_sort_by_bits, radix_merge_sort_typed,
-    task_merge_sort,
+    parallel_merge_sort, parallel_merge_sort_by, radix_merge_sort_by_bits, task_merge_sort,
 };

@@ -25,7 +25,6 @@ use dhs_merge::{
 };
 
 use crate::fork::{join, map_parallel};
-use crate::kernels::{merge_two_into_slice, merge_typed, Kernels};
 
 /// Sequential-work threshold below which parallel merge recursion stops.
 const MERGE_GRAIN: usize = 4096;
@@ -214,13 +213,66 @@ where
     parallel_binary_tree_merge(&partials, threads)
 }
 
-/// Leaf merge of the run-merge tree: the dispatched kernel core for
-/// native integer keys, the same two-ended merge instantiated at `T`
-/// otherwise.
-fn merge_pair<T: Ord + Copy + 'static>(kernels: Kernels, a: &[T], b: &[T], out: &mut [T]) {
-    if !merge_typed(kernels, a, b, out) {
-        merge_two_into_slice(a, b, out);
+/// Two-way merge of sorted `a` and `b` into `out` (exactly
+/// `a.len() + b.len()` long), the leaf of the run-merge tree
+/// ([`merge_runs_in_place`]); ties take from `a` first, so the merge
+/// is stable for element types whose `Ord` ignores part of the value.
+///
+/// **Two-ended and branch-free.** A one-ended conditional-move merge
+/// is one serial dependency chain — each load address waits for the
+/// previous compare — so it runs at load-to-use latency, not
+/// throughput. The first `min(|a|, |b|)` steps therefore emit the
+/// smallest remaining element at the front of `out` *and* the largest
+/// at the back, two chains that share nothing and overlap in the
+/// pipeline; the one-ended loop finishes whatever middle is left
+/// (`||a| − |b||` elements, nothing for the equal halves a merge tree
+/// over balanced runs produces).
+///
+/// Why the two ends never collide: the stable merge assigns every
+/// input element one output position. After `s` steps the front has
+/// consumed exactly the elements of positions `0..s` and the back
+/// those of `n − s..n`; `2·steps ≤ n` (because `min(|a|, |b|) ≤
+/// (|a| + |b|) / 2`) keeps the two position sets — hence the two
+/// consumed element sets — disjoint. The back breaks ties towards `b`
+/// (equal elements of `a` sort *before* those of `b`, so from the back
+/// `b`'s go first), which is the same total order the front uses.
+/// `steps ≤ min(|a|, |b|)` keeps every cursor read in bounds: in step
+/// `s` the front cursors are `≤ s < steps` and the back cursors are
+/// `≥ len − s ≥ 1`. A cursor may *read* an element the other end
+/// already consumed (the compare needs an operand); it never takes it.
+pub fn merge_into<T: Ord + Copy>(a: &[T], b: &[T], out: &mut [T]) {
+    let (na, nb, n) = (a.len(), b.len(), out.len());
+    assert_eq!(na + nb, n, "output window must fit both inputs");
+    let steps = na.min(nb);
+    let (mut i, mut j, mut k) = (0usize, 0usize, 0usize);
+    let (mut ie, mut je, mut ke) = (na, nb, n);
+    for _ in 0..steps {
+        let (x, y) = (a[i], b[j]);
+        let take_b = y < x;
+        out[k] = if take_b { y } else { x };
+        i += usize::from(!take_b);
+        j += usize::from(take_b);
+        k += 1;
+
+        let (x, y) = (a[ie - 1], b[je - 1]);
+        let take_a = y < x;
+        ke -= 1;
+        out[ke] = if take_a { x } else { y };
+        ie -= usize::from(take_a);
+        je -= usize::from(!take_a);
     }
+    debug_assert!(i <= ie && j <= je && (ie - i) + (je - j) == ke - k);
+    // The middle: one-ended conditional-move merge of what is left.
+    while i < ie && j < je {
+        let (x, y) = (a[i], b[j]);
+        let take_b = y < x;
+        out[k] = if take_b { y } else { x };
+        i += usize::from(!take_b);
+        j += usize::from(take_b);
+        k += 1;
+    }
+    out[k..k + (ie - i)].copy_from_slice(&a[i..ie]);
+    out[k + (ie - i)..ke].copy_from_slice(&b[j..je]);
 }
 
 /// Mean non-empty run length below which [`merge_sorted_runs`] re-sorts
@@ -262,17 +314,16 @@ pub fn run_merge_beats_resort(runs: usize, n: usize) -> bool {
 /// # Panics
 /// Panics when `counts` does not sum to `flat.len()`.
 pub fn merge_sorted_runs<T>(
-    kernels: Kernels,
     flat: &mut [T],
     counts: Vec<usize>,
     scratch: &mut Vec<T>,
     threads: usize,
 ) where
-    T: Ord + Copy + Send + Sync + 'static,
+    T: Ord + Copy + Send + Sync,
 {
     let ends = run_ends(counts, flat.len());
     if run_merge_beats_resort(ends.len(), flat.len()) {
-        merge_tree(kernels, flat, ends, scratch, threads);
+        merge_tree(flat, ends, scratch, threads);
     } else {
         flat.sort_unstable();
     }
@@ -328,27 +379,21 @@ fn run_ends(counts: Vec<usize>, n: usize) -> Vec<usize> {
 /// # Panics
 /// Panics when `counts` does not sum to `flat.len()`.
 pub fn merge_runs_in_place<T>(
-    kernels: Kernels,
     flat: &mut [T],
     counts: Vec<usize>,
     scratch: &mut Vec<T>,
     threads: usize,
 ) where
-    T: Ord + Copy + Send + Sync + 'static,
+    T: Ord + Copy + Send + Sync,
 {
     let ends = run_ends(counts, flat.len());
-    merge_tree(kernels, flat, ends, scratch, threads);
+    merge_tree(flat, ends, scratch, threads);
 }
 
 /// [`merge_runs_in_place`] over the run ends [`run_ends`] produced.
-fn merge_tree<T>(
-    kernels: Kernels,
-    flat: &mut [T],
-    mut ends: Vec<usize>,
-    scratch: &mut Vec<T>,
-    threads: usize,
-) where
-    T: Ord + Copy + Send + Sync + 'static,
+fn merge_tree<T>(flat: &mut [T], mut ends: Vec<usize>, scratch: &mut Vec<T>, threads: usize)
+where
+    T: Ord + Copy + Send + Sync,
 {
     if ends.len() < 2 {
         return;
@@ -359,10 +404,10 @@ fn merge_tree<T>(
     let (mut src, mut dst) = (flat, &mut scratch[..]);
     let levels = ends.len().next_power_of_two().trailing_zeros();
     if levels % 2 == 1 {
-        merge_level(kernels, src, dst, &mut ends, threads, true);
+        merge_level(src, dst, &mut ends, threads, true);
     }
     while ends.len() > 1 {
-        merge_level(kernels, src, dst, &mut ends, threads, false);
+        merge_level(src, dst, &mut ends, threads, false);
         std::mem::swap(&mut src, &mut dst);
     }
 }
@@ -371,15 +416,9 @@ fn merge_tree<T>(
 /// of `src` and halve `ends` in place. Plain levels merge into the
 /// same window of `dst` and carry a trailing odd run across unmerged;
 /// a `staged` level leaves its result in `src` (see [`merge_window`]).
-fn merge_level<T>(
-    kernels: Kernels,
-    src: &mut [T],
-    dst: &mut [T],
-    ends: &mut Vec<usize>,
-    threads: usize,
-    staged: bool,
-) where
-    T: Ord + Copy + Send + Sync + 'static,
+fn merge_level<T>(src: &mut [T], dst: &mut [T], ends: &mut Vec<usize>, threads: usize, staged: bool)
+where
+    T: Ord + Copy + Send + Sync,
 {
     let pairs = ends.len() / 2;
     let paired_end = ends[2 * pairs - 1];
@@ -401,12 +440,12 @@ fn merge_level<T>(
     if threads <= 1 || pairs == 1 {
         for q in 0..pairs {
             let (s, d, mid) = next_window(q);
-            merge_window(kernels, s, d, mid, staged);
+            merge_window(s, d, mid, staged);
         }
     } else {
         let tasks: Vec<_> = (0..pairs).map(next_window).collect();
         map_parallel(threads, tasks, |(s, d, mid)| {
-            merge_window(kernels, s, d, mid, staged)
+            merge_window(s, d, mid, staged)
         });
     }
     if !staged {
@@ -424,21 +463,16 @@ fn merge_level<T>(
 
 /// Merge the two runs `src[..mid]` and `src[mid..]` of one pair window
 /// into `dst` — or, `staged`, back into `src` by way of `dst`.
-fn merge_window<'a, T>(
-    kernels: Kernels,
-    mut src: &'a mut [T],
-    mut dst: &'a mut [T],
-    mid: usize,
-    staged: bool,
-) where
-    T: Ord + Copy + 'static,
+fn merge_window<'a, T>(mut src: &'a mut [T], mut dst: &'a mut [T], mid: usize, staged: bool)
+where
+    T: Ord + Copy,
 {
     if staged {
         dst.copy_from_slice(src);
         std::mem::swap(&mut src, &mut dst);
     }
     let (a, b) = src.split_at(mid);
-    merge_pair(kernels, a, b, dst);
+    merge_into(a, b, dst);
 }
 
 #[cfg(test)]

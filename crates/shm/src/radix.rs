@@ -8,7 +8,9 @@
 //! entry point, [`lsd_sort_if`]: it is the record path's local sort
 //! *and* its merge of the received runs wherever
 //! [`lsd_beats_comparison`] says so, and [`radix_sort_by_bits`] is its
-//! slice-shaped caller.
+//! slice-shaped caller. Beside it, one monomorphic byte-wise kernel
+//! for plain `u64`/`u32` words ([`radix_sort_u64`], [`radix_sort_u32`]),
+//! kept because it is the faster leaf below ~1 Mi keys.
 
 /// Narrowest digit: below a 256-entry table a pass costs the same
 /// and sorts fewer bits.
@@ -248,14 +250,80 @@ where
     }
 }
 
-/// Radix sort for `u64` slices.
-pub fn radix_sort_u64(data: &mut [u64]) {
-    radix_sort_by_bits(data, |&x| x as u128, 64);
+/// Byte-wise LSD radix sort of plain unsigned words, the serial leaf
+/// of `dhs-core`'s `LocalSort::Radix` for native `u64`/`u32` keys.
+/// Monomorphic where [`lsd_sort_if`] is generic: a fixed 8-bit digit,
+/// so the fused counting tables are 1 KiB each and the digit
+/// extraction is one shift and mask of a machine word. That is what
+/// makes it the faster of the two below ~1 Mi keys
+/// (EXPERIMENTS.md, "One kernel backend": generic ÷ this 0.68–0.96×
+/// from 256 to 128 Ki keys, 1.19× at 1 Mi).
+///
+/// An OR/AND fold finds the byte positions that vary across the input
+/// (constant bytes get no pass), one read sweep counts every live
+/// byte, then one stable ping-pong scatter per live byte. Output
+/// equals `sort_unstable`.
+fn byte_radix_sort<T: Copy + Default + Into<u64>>(data: &mut [T]) {
+    let n = data.len();
+    if n <= 1 {
+        return;
+    }
+    let (or, and) = data.iter().fold((0u64, u64::MAX), |(or, and), &x| {
+        let w: u64 = x.into();
+        (or | w, and & w)
+    });
+    let varying = or ^ and;
+    let live: Vec<u32> = (0..64)
+        .step_by(8)
+        .filter(|&shift| (varying >> shift) & 0xFF != 0)
+        .collect();
+    if live.is_empty() {
+        return;
+    }
+    let digit = |x: T, shift: u32| ((x.into() >> shift) & 0xFF) as usize;
+    let mut hist = vec![[0u32; 256]; live.len()];
+    for &x in data.iter() {
+        for (h, &shift) in hist.iter_mut().zip(&live) {
+            h[digit(x, shift)] += 1;
+        }
+    }
+    let mut src: Vec<T> = data.to_vec();
+    let mut dst: Vec<T> = vec![T::default(); n];
+    for (h, &shift) in hist.iter().zip(&live) {
+        let mut offsets = [0usize; 256];
+        let mut acc = 0usize;
+        for (o, &c) in offsets.iter_mut().zip(h.iter()) {
+            *o = acc;
+            acc += c as usize;
+        }
+        debug_assert_eq!(acc, n);
+        for &x in src.iter() {
+            let d = digit(x, shift);
+            // SAFETY: `offsets[d] < n == dst.len()`. `h` counted this
+            // digit over `data`, of which `src` is a permutation, so
+            // bucket `d`'s cursor starts at its prefix sum and is
+            // bumped once per element of that bucket: it stays below
+            // the next bucket's start, and the last start plus its
+            // count is `n`. That needs `into` to be pure, which holds
+            // for the two instantiations this private function has
+            // (`u64`, `u32`). The checked store costs 10–15 % on
+            // in-cache blocks (EXPERIMENTS.md, "One kernel backend").
+            unsafe { *dst.get_unchecked_mut(offsets[d]) = x };
+            offsets[d] += 1;
+        }
+        std::mem::swap(&mut src, &mut dst);
+    }
+    data.copy_from_slice(&src);
 }
 
-/// Radix sort for `u32` slices.
+/// Radix sort for `u64` slices: the monomorphic byte-wise kernel.
+pub fn radix_sort_u64(data: &mut [u64]) {
+    byte_radix_sort(data);
+}
+
+/// Radix sort for `u32` slices: the monomorphic byte-wise kernel.
 pub fn radix_sort_u32(data: &mut [u32]) {
-    radix_sort_by_bits(data, |&x| x as u128, 32);
+    byte_radix_sort(data);
 }
 
 #[cfg(test)]

@@ -16,17 +16,15 @@
 //!   stable parallel merges), which is what keeps
 //!   `histogram_sort_by` byte-identical across `threads_per_rank`.
 //! * [`radix_merge_sort_by_bits`] — splits the input into
-//!   budget-determined halves, radix-sorts each, and stably merges by
-//!   the projected bits; identical output to the serial
-//!   [`crate::radix_sort_by_bits`], and faster than comparison sorting
-//!   even on one core.
+//!   budget-determined halves, radix-sorts each with the caller's
+//!   serial leaf, and stably merges by the projected bits; identical
+//!   output to the leaf over the whole slice, and faster than
+//!   comparison sorting even on one core.
 
 use std::cmp::Ordering;
 
 use crate::fork::join;
-use crate::kernels::{kernel_element, merge_typed, radix_sort_typed, Kernels};
 use crate::pmerge::{parallel_merge_into, parallel_merge_into_by};
-use crate::radix::radix_sort_by_bits;
 use dhs_merge::merge_two_into;
 
 /// Below this size leaves fall back to `sort_unstable`.
@@ -126,21 +124,24 @@ where
 }
 
 /// Hybrid radix + merge sort: split the input into budget-determined
-/// halves, LSD-radix-sort each half (stable over the projection), and
-/// stably merge by the projected bits. For every thread budget the
-/// output is byte-identical to the serial
-/// [`crate::radix_sort_by_bits`] over the whole slice — both are
-/// stable sorts by the same projection. This is the kernel behind the
-/// hybrid local-sort dispatch of the distributed sort: on a multi-core
-/// host the halves sort concurrently, and even serially the radix
-/// leaves beat a comparison sort on integer-like keys.
-pub fn radix_merge_sort_by_bits<T, F>(data: &mut [T], threads: usize, bits: &F, width: u32)
+/// halves, sort each with the serial radix `leaf`, and stably merge by
+/// the projected bits. `leaf` must sort stably by `bits` — the generic
+/// [`crate::radix_sort_by_bits`] under the same projection, or a
+/// monomorphic kernel ([`crate::radix_sort_u64`]) for element types
+/// that are their own image. For every thread budget the output is
+/// then byte-identical to `leaf` over the whole slice. This is the
+/// kernel behind the hybrid local-sort dispatch of the distributed
+/// sort: on a multi-core host the halves sort concurrently, and even
+/// serially the radix leaves beat a comparison sort on integer-like
+/// keys.
+pub fn radix_merge_sort_by_bits<T, F, L>(data: &mut [T], threads: usize, bits: &F, leaf: &L)
 where
     T: Copy + Send + Sync,
     F: Fn(&T) -> u128 + Sync,
+    L: Fn(&mut [T]) + Sync,
 {
     if threads <= 1 || data.len() <= SORT_GRAIN {
-        radix_sort_by_bits(data, |x| bits(x), width);
+        leaf(data);
         return;
     }
     let mid = data.len() / 2;
@@ -148,8 +149,8 @@ where
         let (lo, hi) = data.split_at_mut(mid);
         join(
             threads,
-            |t| radix_merge_sort_by_bits(lo, t, bits, width),
-            |t| radix_merge_sort_by_bits(hi, t, bits, width),
+            |t| radix_merge_sort_by_bits(lo, t, bits, leaf),
+            |t| radix_merge_sort_by_bits(hi, t, bits, leaf),
         );
     }
     let mut scratch = data.to_vec();
@@ -158,54 +159,10 @@ where
     data.copy_from_slice(&scratch);
 }
 
-/// Kernel-routed variant of [`radix_merge_sort_by_bits`] for native
-/// integer keys: when `T` is exactly `u64`/`u32`, sorts `data` through
-/// the dispatched [`Kernels`] radix pre-pass (leaves) and two-way merge
-/// core and returns `true`; any other `T` returns `false` untouched so
-/// the caller keeps the generic projection path. Output is the unique
-/// sorted permutation — byte-identical to `sort_unstable` and to the
-/// generic radix path for every backend and thread budget.
-pub fn radix_merge_sort_typed<T>(kernels: Kernels, data: &mut [T], threads: usize) -> bool
-where
-    T: Ord + Copy + Send + Sync + 'static,
-{
-    if !kernel_element::<T>() {
-        return false;
-    }
-    rms_typed(kernels, data, threads);
-    true
-}
-
-/// Recursive step of [`radix_merge_sort_typed`]: budget-determined
-/// halves radix-sort concurrently, then merge through the kernel merge
-/// core.
-fn rms_typed<T>(kernels: Kernels, data: &mut [T], threads: usize)
-where
-    T: Ord + Copy + Send + Sync + 'static,
-{
-    if threads <= 1 || data.len() <= SORT_GRAIN {
-        let routed = radix_sort_typed(kernels, data);
-        debug_assert!(routed, "caller checked kernel_element");
-        return;
-    }
-    let mid = data.len() / 2;
-    {
-        let (lo, hi) = data.split_at_mut(mid);
-        join(
-            threads,
-            |t| rms_typed(kernels, lo, t),
-            |t| rms_typed(kernels, hi, t),
-        );
-    }
-    let mut scratch = data.to_vec();
-    let routed = merge_typed(kernels, &data[..mid], &data[mid..], &mut scratch);
-    debug_assert!(routed, "caller checked kernel_element");
-    data.copy_from_slice(&scratch);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::radix::{radix_sort_by_bits, radix_sort_u64};
 
     fn noise(n: usize, seed: u64) -> Vec<u64> {
         let mut x = seed | 1;
@@ -302,15 +259,19 @@ mod tests {
         radix_sort_by_bits(&mut expect, |&(k, _)| k as u128, 16);
         for t in [1usize, 2, 4, 6] {
             let mut v = base.clone();
-            radix_merge_sort_by_bits(&mut v, t, &|&(k, _): &(u16, u32)| k as u128, 16);
+            let bits = |&(k, _): &(u16, u32)| k as u128;
+            radix_merge_sort_by_bits(&mut v, t, &bits, &|d: &mut [(u16, u32)]| {
+                radix_sort_by_bits(d, bits, 16)
+            });
             assert_eq!(v, expect, "t={t}");
         }
-        // Plain u64 keys against the comparison reference.
+        // Plain u64 keys over the monomorphic leaf, against the
+        // comparison reference.
         base.truncate(0);
         let mut v = noise(80_000, 23);
         let mut want = v.clone();
         want.sort_unstable();
-        radix_merge_sort_by_bits(&mut v, 4, &|&x: &u64| x as u128, 64);
+        radix_merge_sort_by_bits(&mut v, 4, &|&x: &u64| x as u128, &radix_sort_u64);
         assert_eq!(v, want);
     }
 }

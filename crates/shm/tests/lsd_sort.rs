@@ -3,9 +3,13 @@
 //! in the 128-bit image (constant bits around them), degenerate and
 //! presorted shapes, any scratch, both parities of executed passes —
 //! and the rule that picks between the kernel and the comparison sort
-//! must be invisible in the output.
+//! must be invisible in the output. And the monomorphic byte-wise
+//! kernel for plain words (`radix_sort_u64` / `radix_sort_u32`) against
+//! `sort_unstable`.
 
-use dhs_shm::{lsd_beats_comparison, lsd_sort_if, radix_sort_by_bits};
+use dhs_shm::{
+    lsd_beats_comparison, lsd_sort_if, radix_sort_by_bits, radix_sort_u32, radix_sort_u64,
+};
 use proptest::prelude::*;
 
 /// A record: its key's bit image and its position in the input, which
@@ -68,6 +72,30 @@ fn scratch_for(n: usize, shape: u8) -> Vec<Rec> {
         _ => n + 17,
     };
     vec![(u128::MAX, u32::MAX); len]
+}
+
+/// Plain words in one of four shapes: uniform, duplicate-heavy, one
+/// live byte under constant high bytes (adversarial for the occupancy
+/// fold), or sorted but for one swap.
+fn words(seed: u64, len: usize, shape: usize) -> Vec<u64> {
+    let mut next = stream(seed);
+    match shape % 4 {
+        0 => (0..len).map(|_| next()).collect(),
+        1 => (0..len).map(|_| next() % 7).collect(),
+        2 => (0..len)
+            .map(|_| 0xAA00_0000_0000_0000 | (next() & 0xFF))
+            .collect(),
+        _ => {
+            let mut v: Vec<u64> = (0..len).map(|_| next()).collect();
+            v.sort_unstable();
+            if len > 2 {
+                let i = (next() % len as u64) as usize;
+                let j = (next() % len as u64) as usize;
+                v.swap(i, j);
+            }
+            v
+        }
+    }
 }
 
 fn stable_sorted(base: &[Rec]) -> Vec<Rec> {
@@ -147,6 +175,41 @@ proptest! {
             expect.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
         );
     }
+
+    #[test]
+    fn word_kernel_matches_sort_unstable(
+        seed in 0u64..u64::MAX,
+        len in 0usize..400,
+        shape in 0usize..4,
+    ) {
+        let data = words(seed, len, shape);
+        let mut expect = data.clone();
+        expect.sort_unstable();
+        let mut got = data.clone();
+        radix_sort_u64(&mut got);
+        prop_assert_eq!(got, expect);
+
+        let data: Vec<u32> = data.into_iter().map(|x| x as u32).collect();
+        let mut expect = data.clone();
+        expect.sort_unstable();
+        let mut got = data;
+        radix_sort_u32(&mut got);
+        prop_assert_eq!(got, expect);
+    }
+}
+
+/// Nothing to sort, one word, and a block whose every byte is
+/// constant: the word kernel returns before it allocates.
+#[test]
+fn word_kernel_degenerate_blocks() {
+    let mut v: Vec<u64> = vec![];
+    radix_sort_u64(&mut v);
+    let mut v = vec![42u64];
+    radix_sort_u64(&mut v);
+    assert_eq!(v, vec![42]);
+    let mut v = vec![7u32; 1000];
+    radix_sort_u32(&mut v);
+    assert_eq!(v, vec![7; 1000]);
 }
 
 /// An odd number of executed passes leaves the result in the scratch

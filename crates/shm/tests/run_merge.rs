@@ -3,10 +3,10 @@
 //! scratch length, both ping-pong parities and every thread budget
 //! must leave the one ascending permutation in `flat` — and the rule
 //! that picks between the tree and a re-sort must be invisible in the
-//! output.
+//! output. And the tree's leaf, the two-ended `merge_into`, against
+//! the std merge: ties, empty and one-sided inputs, unaligned heads.
 
-use dhs_shm::kernels::Kernels;
-use dhs_shm::{merge_runs_in_place, merge_sorted_runs, run_merge_beats_resort};
+use dhs_shm::{merge_into, merge_runs_in_place, merge_sorted_runs, run_merge_beats_resort};
 use proptest::prelude::*;
 
 /// xorshift64* stream; deterministic per seed.
@@ -34,6 +34,42 @@ fn sorted_runs(seed: u64, counts: &[usize], distinct: u64) -> Vec<u64> {
         flat[start..].sort_unstable();
     }
     flat
+}
+
+/// A record ordered by `key` alone; `tag` witnesses which input
+/// element an output slot came from.
+#[derive(Debug, Clone, Copy)]
+struct Tagged {
+    key: u64,
+    tag: u32,
+}
+
+impl PartialEq for Tagged {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
+}
+impl Eq for Tagged {}
+impl PartialOrd for Tagged {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Tagged {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.key.cmp(&other.key)
+    }
+}
+
+/// Merge-input shapes: 0 both sides as drawn, 1 |a| ≫ |b|, 2 |b| = 0,
+/// 3 |b| = 1.
+fn side_lengths(sides: usize, na: usize, nb: usize) -> (usize, usize) {
+    match sides {
+        0 => (na, nb),
+        1 => (8 * na + 64, nb % 8),
+        2 => (na, 0),
+        _ => (na, 1),
+    }
 }
 
 proptest! {
@@ -75,7 +111,7 @@ proptest! {
             };
             let untouched = scratch.clone();
             let mut sorted = flat.clone();
-            merge_runs_in_place(Kernels::auto(), &mut sorted, counts.clone(), &mut scratch, threads);
+            merge_runs_in_place(&mut sorted, counts.clone(), &mut scratch, threads);
             // Odd and even level counts alike end in `flat`.
             prop_assert_eq!(&sorted, &expect, "runs={} threads={}", runs, threads);
             if runs < 2 {
@@ -88,14 +124,108 @@ proptest! {
             // The rule-driven entry point agrees on either side of
             // its boundary.
             let mut ruled = flat.clone();
-            merge_sorted_runs(Kernels::scalar(), &mut ruled, counts.clone(), &mut Vec::new(), threads);
+            merge_sorted_runs(&mut ruled, counts.clone(), &mut Vec::new(), threads);
             prop_assert_eq!(&ruled, &expect);
         }
-        // So does the tree itself on the portable kernels, from a
-        // scratch it has to size from nothing.
+        // So does the tree itself from a scratch it has to size from
+        // nothing.
         let mut packed = flat;
-        merge_runs_in_place(Kernels::scalar(), &mut packed, counts, &mut Vec::new(), 2);
+        merge_runs_in_place(&mut packed, counts, &mut Vec::new(), 2);
         prop_assert_eq!(&packed, &expect);
+    }
+
+    #[test]
+    fn leaf_merge_matches_std_merge(
+        seed in 0u64..u64::MAX,
+        na in 0usize..150,
+        nb in 0usize..150,
+        // 0: full-width keys; otherwise that many distinct values.
+        distinct in 0u64..8,
+        offset in 0usize..2,
+        sides in 0usize..4,
+    ) {
+        let (na, nb) = side_lengths(sides, na, nb);
+        let a = sorted_runs(seed, &[na + offset], distinct);
+        let b = sorted_runs(seed ^ 3, &[nb], distinct);
+        let a = &a[offset..]; // unaligned head
+        let mut expect: Vec<u64> = a.iter().chain(&b).copied().collect();
+        expect.sort_unstable();
+        // Both argument orders, so each side is the short one once.
+        let mut out = vec![0u64; a.len() + b.len()];
+        merge_into(a, &b, &mut out);
+        prop_assert_eq!(&out, &expect);
+        out.fill(0);
+        merge_into(&b, a, &mut out);
+        prop_assert_eq!(&out, &expect);
+        // The same merge at another element width.
+        let narrow = |v: &[u64]| {
+            let mut v: Vec<u32> = v.iter().map(|&x| x as u32).collect();
+            v.sort_unstable();
+            v
+        };
+        let (a32, b32) = (narrow(a), narrow(&b));
+        let mut expect: Vec<u32> = a32.iter().chain(&b32).copied().collect();
+        expect.sort_unstable();
+        let mut out = vec![0u32; expect.len()];
+        merge_into(&a32, &b32, &mut out);
+        prop_assert_eq!(&out, &expect);
+    }
+
+    /// The two-ended leaf is *stable*: equal keys come out `a`-side
+    /// first, in input order within a side, from the front cursor and
+    /// the back cursor alike — i.e. the output equals a stable sort of
+    /// `a ++ b`.
+    #[test]
+    fn leaf_merge_takes_ties_from_a_first(
+        seed in 0u64..u64::MAX,
+        na in 0usize..120,
+        nb in 0usize..120,
+        distinct in 1u64..6,
+        sides in 0usize..4,
+    ) {
+        let (na, nb) = side_lengths(sides, na, nb);
+        let side = |seed: u64, len: usize, tag0: u32| -> Vec<Tagged> {
+            sorted_runs(seed, &[len], distinct)
+                .iter()
+                .enumerate()
+                .map(|(i, &key)| Tagged { key, tag: tag0 + i as u32 })
+                .collect()
+        };
+        let a = side(seed, na, 0);
+        let b = side(seed ^ 5, nb, 1 << 20);
+        let mut expect: Vec<Tagged> = a.iter().chain(b.iter()).copied().collect();
+        expect.sort_by_key(|t| t.key); // stable reference
+        let mut out = vec![Tagged { key: 0, tag: 0 }; na + nb];
+        merge_into(&a, &b, &mut out);
+        let tags = |v: &[Tagged]| v.iter().map(|t| (t.key, t.tag)).collect::<Vec<_>>();
+        prop_assert_eq!(tags(&out), tags(&expect));
+    }
+}
+
+/// The two-ended loop at its boundary: it runs min(|a|, |b|) steps, so
+/// here the front and back cursors of the short side meet exactly — it
+/// straddles the long side (consumed once from each end), sits wholly
+/// below it, wholly above it (the back cursor then compares against an
+/// element the front already took), and ties with it. Then the empty
+/// and all-equal sides.
+#[test]
+fn leaf_merge_edge_cases() {
+    for (a, b) in [
+        (vec![1u64, 100], vec![2u64, 3, 4, 5, 6]),
+        (vec![1, 2], vec![3, 4, 5, 6, 7]),
+        (vec![8, 9], vec![3, 4, 5, 6, 7]),
+        (vec![5], vec![7]),
+        (vec![5, 5], vec![5, 5, 5]),
+        (vec![3], vec![]),
+        (vec![], vec![]),
+    ] {
+        let mut expect: Vec<u64> = a.iter().chain(&b).copied().collect();
+        expect.sort_unstable();
+        let mut out = vec![0u64; expect.len()];
+        merge_into(&a, &b, &mut out);
+        assert_eq!(out, expect, "a={a:?} b={b:?}");
+        merge_into(&b, &a, &mut out);
+        assert_eq!(out, expect, "a={b:?} b={a:?}");
     }
 }
 
@@ -112,13 +242,7 @@ fn every_tree_depth_ends_in_flat() {
         expect.sort_unstable();
         for threads in [1usize, 4] {
             let mut sorted = flat.clone();
-            merge_runs_in_place(
-                Kernels::auto(),
-                &mut sorted,
-                counts.clone(),
-                &mut Vec::new(),
-                threads,
-            );
+            merge_runs_in_place(&mut sorted, counts.clone(), &mut Vec::new(), threads);
             assert_eq!(sorted, expect, "runs={runs} threads={threads}");
         }
     }
@@ -135,10 +259,9 @@ fn resort_rule_boundary_is_invisible() {
         assert_eq!(run_merge_beats_resort(64, flat.len()), tree);
         let mut expect = flat.clone();
         expect.sort_unstable();
-        let k = Kernels::auto();
         let (mut ruled, mut treed) = (flat.clone(), flat);
-        merge_sorted_runs(k, &mut ruled, counts.clone(), &mut Vec::new(), 1);
-        merge_runs_in_place(k, &mut treed, counts, &mut Vec::new(), 1);
+        merge_sorted_runs(&mut ruled, counts.clone(), &mut Vec::new(), 1);
+        merge_runs_in_place(&mut treed, counts, &mut Vec::new(), 1);
         assert_eq!(ruled, expect);
         assert_eq!(treed, expect);
     }
@@ -153,17 +276,16 @@ fn resort_rule_boundary_is_invisible() {
 /// scratch is not even resized.
 #[test]
 fn degenerate_inputs_leave_both_buffers_alone() {
-    let k = Kernels::scalar();
     // Nothing to merge: five empty runs, or no run slots at all.
     for counts in [vec![0; 5], Vec::new()] {
         let mut scratch = vec![9u64; 3];
-        merge_runs_in_place(k, &mut [], counts, &mut scratch, 1);
+        merge_runs_in_place(&mut [], counts, &mut scratch, 1);
         assert_eq!(scratch, vec![9; 3]);
     }
 
     let mut flat = vec![1u64, 2, 3];
     let mut scratch = Vec::new();
-    merge_runs_in_place(k, &mut flat, vec![0, 3, 0], &mut scratch, 4);
+    merge_runs_in_place(&mut flat, vec![0, 3, 0], &mut scratch, 4);
     assert_eq!(flat, vec![1, 2, 3]);
     assert_eq!(scratch.capacity(), 0);
 }
@@ -171,11 +293,5 @@ fn degenerate_inputs_leave_both_buffers_alone() {
 #[test]
 #[should_panic(expected = "counts must cover the buffer exactly")]
 fn mismatched_counts_are_rejected() {
-    merge_runs_in_place(
-        Kernels::scalar(),
-        &mut [1u64, 2, 3],
-        vec![1, 1],
-        &mut Vec::new(),
-        1,
-    );
+    merge_runs_in_place(&mut [1u64, 2, 3], vec![1, 1], &mut Vec::new(), 1);
 }

@@ -31,7 +31,6 @@ const USAGE: &str = "usage: dhs <sort|serve|select|topology> [--flags]\n\
     \x20        --recovery abort|shrink (response to rank failures)\n\
     \x20        --exchange-algo one-factor|bruck|leaders|staged:<k>\n\
     \x20        --warm-start cold|seeded-brackets (repeated sorts)\n\
-    \x20        --kernels scalar|auto (local compute-kernel backend)\n\
     \x20        --engine tasks|tasks:<workers> (worker slots the ranks share)\n\
     \x20        --trace out.json --trace-format chrome|summary\n\
     serve    --ranks N --nper N --epochs E --seed N --verify\n\
@@ -45,7 +44,7 @@ const USAGE: &str = "usage: dhs <sort|serve|select|topology> [--flags]\n\
 
 /// Value flags that shape the cluster, the input and the `SortConfig`
 /// — shared by `dhs sort` and `dhs serve`.
-const CONFIG_FLAGS: [&str; 17] = [
+const CONFIG_FLAGS: [&str; 16] = [
     "ranks",
     "nper",
     "seed",
@@ -59,7 +58,6 @@ const CONFIG_FLAGS: [&str; 17] = [
     "probes",
     "threads",
     "recovery",
-    "kernels",
     "exchange-algo",
     "warm-start",
     "max-iters",
@@ -76,6 +74,23 @@ fn usage_exit(why: &str) -> ! {
 fn num<T: std::str::FromStr>(args: &Args, key: &str, default: T) -> T {
     args.try_get(key, default)
         .unwrap_or_else(|e| usage_exit(&e))
+}
+
+/// `--key <name>` looked up in `table` (`default` when absent). A name
+/// the table does not hold is a usage error naming the flag and the
+/// names it takes.
+fn choice<T: Clone>(args: &Args, key: &str, default: &str, table: &[(&str, T)]) -> T {
+    let name = args.raw(key).unwrap_or(default);
+    match table.iter().find(|(n, _)| *n == name) {
+        Some((_, value)) => value.clone(),
+        None => {
+            let names: Vec<&str> = table.iter().map(|(n, _)| *n).collect();
+            usage_exit(&format!(
+                "--{key}: unknown value {name:?} (expected {})",
+                names.join("|")
+            ))
+        }
+    }
 }
 
 fn main() {
@@ -117,127 +132,157 @@ fn main() {
 }
 
 fn dist_of(args: &Args) -> Distribution {
-    match args.raw("dist").unwrap_or("uniform") {
-        "uniform" => Distribution::paper_uniform(),
-        "uniform-full" => Distribution::Uniform {
-            lo: 0,
-            hi: u64::MAX,
-        },
-        "normal" => Distribution::paper_normal(),
-        "zipf" => Distribution::Zipf {
-            items: 1 << 16,
-            s: 1.2,
-        },
-        "nearly-sorted" => Distribution::NearlySorted {
-            perturb_permille: 10,
-        },
-        "few-distinct" => Distribution::FewDistinct { k: 16 },
-        "all-equal" => Distribution::AllEqual { value: 7 },
-        other => panic!("unknown distribution {other}"),
-    }
+    let table = [
+        ("uniform", Distribution::paper_uniform()),
+        (
+            "uniform-full",
+            Distribution::Uniform {
+                lo: 0,
+                hi: u64::MAX,
+            },
+        ),
+        ("normal", Distribution::paper_normal()),
+        (
+            "zipf",
+            Distribution::Zipf {
+                items: 1 << 16,
+                s: 1.2,
+            },
+        ),
+        (
+            "nearly-sorted",
+            Distribution::NearlySorted {
+                perturb_permille: 10,
+            },
+        ),
+        ("few-distinct", Distribution::FewDistinct { k: 16 }),
+        ("all-equal", Distribution::AllEqual { value: 7 }),
+    ];
+    choice(args, "dist", "uniform", &table)
 }
 
 fn layout_of(args: &Args) -> Layout {
-    match args.raw("layout").unwrap_or("balanced") {
-        "balanced" => Layout::Balanced,
-        "sparse" => Layout::SparseFront {
-            empty_permille: 500,
-        },
-        "ramp" => Layout::Ramp { ratio: 8 },
-        other => panic!("unknown layout {other}"),
-    }
+    let table = [
+        ("balanced", Layout::Balanced),
+        (
+            "sparse",
+            Layout::SparseFront {
+                empty_permille: 500,
+            },
+        ),
+        ("ramp", Layout::Ramp { ratio: 8 }),
+    ];
+    choice(args, "layout", "balanced", &table)
 }
 
 /// Parse `--exchange-algo one-factor|bruck|leaders|staged:<k>`.
 fn exchange_algo_of(args: &Args) -> AllToAllAlgo {
-    match args.raw("exchange-algo").unwrap_or("one-factor") {
-        "one-factor" => AllToAllAlgo::OneFactor,
-        "bruck" => AllToAllAlgo::Bruck,
-        "leaders" => AllToAllAlgo::HierarchicalLeaders,
-        other => match other.strip_prefix("staged:") {
-            Some(k) => AllToAllAlgo::StagedKWay {
-                k: k.parse().unwrap_or_else(|_| {
-                    panic!("--exchange-algo staged:<k> expects an integer fan-out, got {k:?}")
-                }),
-            },
-            None => panic!(
-                "unknown exchange algorithm {other} \
-                 (expected one-factor|bruck|leaders|staged:<k>)"
-            ),
+    match args
+        .raw("exchange-algo")
+        .and_then(|s| s.strip_prefix("staged:"))
+    {
+        Some(k) => AllToAllAlgo::StagedKWay {
+            k: k.parse().unwrap_or_else(|_| {
+                usage_exit(&format!(
+                    "--exchange-algo: staged:<k> takes an integer fan-out, got {k:?}"
+                ))
+            }),
         },
-    }
-}
-
-/// Parse `--warm-start cold|seeded-brackets`, defaulting to
-/// `default` when the flag is absent (`dhs sort` defaults cold, `dhs
-/// serve` defaults seeded-brackets).
-fn warm_start_of(args: &Args, default: WarmStart) -> WarmStart {
-    match args.raw("warm-start") {
-        None => default,
-        Some("cold") => WarmStart::Cold,
-        Some("seeded-brackets") => WarmStart::SeededWithBrackets,
-        Some(other) => {
-            panic!("unknown warm-start policy {other} (expected cold|seeded-brackets)")
+        None => {
+            // `staged:<k>` is listed so the usage error names it.
+            let table = [
+                ("one-factor", AllToAllAlgo::OneFactor),
+                ("bruck", AllToAllAlgo::Bruck),
+                ("leaders", AllToAllAlgo::HierarchicalLeaders),
+                ("staged:<k>", AllToAllAlgo::OneFactor),
+            ];
+            choice(args, "exchange-algo", "one-factor", &table)
         }
     }
 }
 
 fn sort_config(args: &Args) -> SortConfig {
-    sort_config_with(args, WarmStart::Cold)
+    sort_config_with(args, "cold")
 }
 
-fn sort_config_with(args: &Args, default_warm: WarmStart) -> SortConfig {
+/// The `SortConfig` the shared flags describe. `default_warm` names
+/// the `--warm-start` policy of a run without the flag (`dhs sort`
+/// defaults cold, `dhs serve` seeded-brackets).
+fn sort_config_with(args: &Args, default_warm: &str) -> SortConfig {
+    let warm_starts = [
+        ("cold", WarmStart::Cold),
+        ("seeded-brackets", WarmStart::SeededWithBrackets),
+    ];
+    let partitionings = [
+        ("perfect", Partitioning::Perfect),
+        ("balanced", Partitioning::Balanced),
+    ];
+    let merges = [
+        ("resort", MergeAlgo::Resort),
+        ("tournament", MergeAlgo::TournamentTree),
+        ("binary", MergeAlgo::BinaryTree),
+        ("heap", MergeAlgo::Heap),
+        ("funnel", MergeAlgo::Funnel),
+    ];
+    let local_sorts = [
+        ("comparison", LocalSort::Comparison),
+        ("radix", LocalSort::Radix),
+    ];
+    let recoveries = [
+        ("abort", RecoveryPolicy::Abort),
+        ("shrink", RecoveryPolicy::Shrink),
+    ];
     let mut builder = SortConfig::builder()
-        .warm_start(warm_start_of(args, default_warm))
+        .warm_start(choice(args, "warm-start", default_warm, &warm_starts))
         .epsilon(num(args, "eps", 0.0))
-        .partitioning(match args.raw("partitioning").unwrap_or("perfect") {
-            "perfect" => Partitioning::Perfect,
-            "balanced" => Partitioning::Balanced,
-            other => panic!("unknown partitioning {other}"),
-        })
-        .merge(match args.raw("merge").unwrap_or("resort") {
-            "resort" => MergeAlgo::Resort,
-            "tournament" => MergeAlgo::TournamentTree,
-            "binary" => MergeAlgo::BinaryTree,
-            "heap" => MergeAlgo::Heap,
-            "funnel" => MergeAlgo::Funnel,
-            other => panic!("unknown merge engine {other}"),
-        })
-        .local_sort(match args.raw("local-sort").unwrap_or("comparison") {
-            "comparison" => LocalSort::Comparison,
-            "radix" => LocalSort::Radix,
-            other => panic!("unknown local sort {other}"),
-        })
+        .partitioning(choice(args, "partitioning", "perfect", &partitionings))
+        .merge(choice(args, "merge", "resort", &merges))
+        .local_sort(choice(args, "local-sort", "comparison", &local_sorts))
         .probes_per_round(num(args, "probes", 1))
         .threads_per_rank(num(args, "threads", 1))
-        .recovery(match args.raw("recovery").unwrap_or("abort") {
-            "abort" => RecoveryPolicy::Abort,
-            "shrink" => RecoveryPolicy::Shrink,
-            other => panic!("unknown recovery policy {other} (expected abort|shrink)"),
-        })
-        .kernels(
-            args.raw("kernels")
-                .unwrap_or("auto")
-                .parse::<KernelPolicy>()
-                .unwrap_or_else(|e| panic!("--kernels: {e}")),
-        )
+        .recovery(choice(args, "recovery", "abort", &recoveries))
         .exchange_algo(exchange_algo_of(args));
     if args.raw("max-iters").is_some() {
         builder = builder.max_splitter_iterations(num(args, "max-iters", 0u32));
     }
     builder
         .build()
-        .unwrap_or_else(|e| panic!("invalid sort configuration: {e}"))
+        .unwrap_or_else(|e| usage_exit(&format!("invalid sort configuration: {e}")))
+}
+
+/// `--algo`: the sorter `dhs sort` runs.
+#[derive(Clone, Copy)]
+enum Algo {
+    Histogram,
+    TwoLevel,
+    Hss,
+    Sample,
+    Psrs,
+    Hyksort,
+    Ams,
+    Bitonic,
 }
 
 fn cmd_sort(args: &Args) {
     let ranks: usize = num(args, "ranks", 16);
     let nper: usize = num(args, "nper", 1 << 14);
     let seed: u64 = num(args, "seed", 1);
-    let algo = args.raw("algo").unwrap_or("histogram").to_string();
+    let algos = [
+        ("histogram", Algo::Histogram),
+        ("two-level", Algo::TwoLevel),
+        ("hss", Algo::Hss),
+        ("sample", Algo::Sample),
+        ("psrs", Algo::Psrs),
+        ("hyksort", Algo::Hyksort),
+        ("ams", Algo::Ams),
+        ("bitonic", Algo::Bitonic),
+    ];
+    let algo = choice(args, "algo", "histogram", &algos);
     let groups: usize = num(args, "groups", 0);
     let verify = args.has("verify");
     let trace_path = args.raw("trace").map(str::to_string);
+    let trace_formats = [("chrome", true), ("summary", false)];
+    let chrome_trace = choice(args, "trace-format", "chrome", &trace_formats);
     let dist = dist_of(args);
     let layout = layout_of(args);
     let cfg = sort_config(args);
@@ -248,13 +293,13 @@ fn cmd_sort(args: &Args) {
     let n_total = ranks * nper;
 
     println!(
-        "# dhs sort: algo={algo} ranks={ranks} keys/rank={nper} dist={} layout={}",
+        "# dhs sort: algo={} ranks={ranks} keys/rank={nper} dist={} layout={}",
+        args.raw("algo").unwrap_or("histogram"),
         dist.label(),
         layout.label()
     );
 
     type RankOutcome = (Option<SortStats>, usize, bool);
-    let algo2 = algo.clone();
     let traced = run_traced(&cluster, move |comm| {
         let mut local = rank_local_keys(dist, layout, n_total, ranks, comm.rank(), seed);
         let fp = verify.then(|| {
@@ -263,34 +308,33 @@ fn cmd_sort(args: &Args) {
             sp.finish();
             fp
         });
-        let stats = match algo2.as_str() {
-            "histogram" => Some(histogram_sort(comm, &mut local, &cfg)),
-            "two-level" => Some(histogram_sort_two_level(comm, &mut local, &cfg, groups)),
-            "hss" => {
+        let stats = match algo {
+            Algo::Histogram => Some(histogram_sort(comm, &mut local, &cfg)),
+            Algo::TwoLevel => Some(histogram_sort_two_level(comm, &mut local, &cfg, groups)),
+            Algo::Hss => {
                 hss_sort(comm, &mut local, &HssConfig::default());
                 None
             }
-            "sample" => {
+            Algo::Sample => {
                 sample_sort(comm, &mut local, &SampleSortConfig::default());
                 None
             }
-            "psrs" => {
+            Algo::Psrs => {
                 psrs(comm, &mut local, &PsrsConfig::default());
                 None
             }
-            "hyksort" => {
+            Algo::Hyksort => {
                 hyksort(comm, &mut local, &HyksortConfig::default());
                 None
             }
-            "ams" => {
+            Algo::Ams => {
                 ams_sort(comm, &mut local, &AmsConfig::default());
                 None
             }
-            "bitonic" => {
+            Algo::Bitonic => {
                 bitonic_sort(comm, &mut local);
                 None
             }
-            other => panic!("unknown algorithm {other}"),
         };
         let ok = match fp {
             Some((fp, n)) => {
@@ -358,10 +402,10 @@ fn cmd_sort(args: &Args) {
         }
     }
     if let Some(path) = &trace_path {
-        let json = match args.raw("trace-format").unwrap_or("chrome") {
-            "chrome" => traced.trace.to_chrome_json(),
-            "summary" => traced.trace.to_summary_json(),
-            other => panic!("unknown trace format {other} (expected chrome|summary)"),
+        let json = if chrome_trace {
+            traced.trace.to_chrome_json()
+        } else {
+            traced.trace.to_summary_json()
         };
         std::fs::write(path, &json).unwrap_or_else(|e| panic!("cannot write trace to {path}: {e}"));
         println!("trace              : {path}");
@@ -377,21 +421,26 @@ fn cmd_sort(args: &Args) {
 
 /// Parse `--profile stationary|shifting-zipf|churn` for `dhs serve`.
 fn profile_of(args: &Args) -> EpochProfile {
-    match args.raw("profile").unwrap_or("stationary") {
-        "stationary" => EpochProfile::Stationary {
-            dist: dist_of(args),
-        },
-        "shifting-zipf" => EpochProfile::ShiftingZipf {
-            items: 1 << 16,
-            s: 1.2,
-            shift: 1 << 10,
-        },
-        "churn" => EpochProfile::Churn {
-            dist: dist_of(args),
-            keep_permille: 900,
-        },
-        other => panic!("unknown profile {other} (expected stationary|shifting-zipf|churn)"),
-    }
+    let dist = dist_of(args);
+    let table = [
+        ("stationary", EpochProfile::Stationary { dist }),
+        (
+            "shifting-zipf",
+            EpochProfile::ShiftingZipf {
+                items: 1 << 16,
+                s: 1.2,
+                shift: 1 << 10,
+            },
+        ),
+        (
+            "churn",
+            EpochProfile::Churn {
+                dist,
+                keep_permille: 900,
+            },
+        ),
+    ];
+    choice(args, "profile", "stationary", &table)
 }
 
 fn cmd_serve(args: &Args) {
@@ -403,7 +452,7 @@ fn cmd_serve(args: &Args) {
     let assert_converged = args.has("assert-converged");
     let profile = profile_of(args);
     let layout = layout_of(args);
-    let cfg = sort_config_with(args, WarmStart::SeededWithBrackets);
+    let cfg = sort_config_with(args, "seeded-brackets");
     let cluster = ClusterConfig::supermuc_phase2(ranks).with_engine(args.engine());
     let n_total = ranks * nper;
 

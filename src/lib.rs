@@ -31,9 +31,8 @@ pub mod prelude {
     pub use dhs_core::{
         histogram_sort, histogram_sort_by, histogram_sort_two_level, is_sorted, median,
         nth_element, sort, sort_array, sort_by_key, verify_sorted, AllToAllAlgo, EpochSorter,
-        EpochStats, InvalidSortConfig, KernelPolicy, Kernels, LocalSort, MergeAlgo,
-        OrderOutOfRange, Partitioning, RecoveryPolicy, SortConfig, SortConfigBuilder, SortOutcome,
-        SortStats, WarmStart,
+        EpochStats, InvalidSortConfig, LocalSort, MergeAlgo, OrderOutOfRange, Partitioning,
+        RecoveryPolicy, SortConfig, SortConfigBuilder, SortOutcome, SortStats, WarmStart,
     };
     pub use dhs_pgas::GlobalArray;
     pub use dhs_runtime::{

@@ -1,8 +1,9 @@
 //! The `dhs` driver end to end, through the built binary: a good
 //! invocation sorts and verifies, and a flag or value the driver does
 //! not read — `--pairwise`, deleted with the exchange strategy it
-//! selected; `--engine threads`, deleted with the engine it selected —
-//! is a usage error, not a silently ignored word.
+//! selected; `--kernels`, deleted with the backend it selected;
+//! `--engine threads`, deleted with the engine it selected — is a
+//! usage error, not a silently ignored word or a panic.
 
 use std::process::{Command, Output};
 
@@ -23,18 +24,26 @@ fn sort_verifies_and_rejects_unknown_flags() {
     assert!(stdout.contains("verification       : PASS"), "{stdout}");
     assert!(stdout.contains("park backstops     : 0"), "{stdout}");
 
-    let bad = dhs(&["sort", "--pairwise"]);
-    let stderr = String::from_utf8_lossy(&bad.stderr);
-    assert_eq!(bad.status.code(), Some(2), "{stderr}");
-    assert!(
-        stderr.contains("unrecognised argument \"pairwise\""),
-        "{stderr}"
-    );
-    assert!(
-        stderr.contains("usage: dhs <sort|serve|select|topology>"),
-        "{stderr}"
-    );
-    assert!(bad.stdout.is_empty(), "a rejected invocation must not run");
+    // A deleted flag is rejected, not ignored.
+    for invocation in [
+        &["sort", "--pairwise"][..],
+        &["sort", "--kernels", "scalar"],
+        &["serve", "--kernels", "auto"],
+    ] {
+        let bad = dhs(invocation);
+        let stderr = String::from_utf8_lossy(&bad.stderr);
+        assert_eq!(bad.status.code(), Some(2), "{invocation:?}: {stderr}");
+        let flag = invocation[1].trim_start_matches("--");
+        assert!(
+            stderr.contains(&format!("unrecognised argument {flag:?}")),
+            "{stderr}"
+        );
+        assert!(
+            stderr.contains("usage: dhs <sort|serve|select|topology>"),
+            "{stderr}"
+        );
+        assert!(bad.stdout.is_empty(), "a rejected invocation must not run");
+    }
 
     // `--engine` takes a worker count and nothing else.
     for (command, value) in [
@@ -47,6 +56,61 @@ fn sort_verifies_and_rejects_unknown_flags() {
         assert_eq!(bad.status.code(), Some(2), "{command} {value}: {stderr}");
         assert_eq!(stderr.lines().count(), 1, "one line: {stderr}");
         assert!(stderr.contains("unknown engine"), "{stderr}");
+        assert!(bad.stdout.is_empty(), "a rejected invocation must not run");
+    }
+}
+
+/// A flag the driver reads, given a value it does not take: one
+/// `dhs: …` line naming the flag, the usage text, exit 2 — never a
+/// panic, and nothing runs.
+#[test]
+fn bad_flag_values_are_usage_errors() {
+    for (command, flag, value, names) in [
+        ("sort", "--merge", "foo", "--merge"),
+        ("sort", "--local-sort", "quick", "--local-sort"),
+        ("sort", "--partitioning", "fair", "--partitioning"),
+        ("sort", "--recovery", "retry", "--recovery"),
+        ("sort", "--exchange-algo", "ring", "--exchange-algo"),
+        ("sort", "--exchange-algo", "staged:four", "--exchange-algo"),
+        ("sort", "--warm-start", "hot", "--warm-start"),
+        ("sort", "--dist", "cauchy", "--dist"),
+        ("sort", "--layout", "diagonal", "--layout"),
+        ("sort", "--algo", "quick", "--algo"),
+        ("sort", "--trace-format", "xml", "--trace-format"),
+        ("serve", "--profile", "bursty", "--profile"),
+        ("serve", "--merge", "foo", "--merge"),
+        ("select", "--dist", "cauchy", "--dist"),
+        // Values that parse but describe no executable configuration.
+        (
+            "sort",
+            "--eps",
+            "-0.5",
+            "invalid sort configuration: epsilon",
+        ),
+        (
+            "sort",
+            "--exchange-algo",
+            "staged:1",
+            "invalid sort configuration: StagedKWay",
+        ),
+    ] {
+        let bad = dhs(&[command, flag, value]);
+        let stderr = String::from_utf8_lossy(&bad.stderr);
+        assert_eq!(
+            bad.status.code(),
+            Some(2),
+            "{command} {flag} {value}: {stderr}"
+        );
+        let first = stderr.lines().next().unwrap_or_default();
+        assert!(
+            first.starts_with("dhs: ") && first.contains(names),
+            "{command} {flag} {value}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked at"), "{stderr}");
+        assert!(
+            stderr.contains("usage: dhs <sort|serve|select|topology>"),
+            "{stderr}"
+        );
         assert!(bad.stdout.is_empty(), "a rejected invocation must not run");
     }
 }

@@ -11,15 +11,30 @@
 //! CI runner would cap every rank at one thread and compare serial
 //! with serial.
 
-use dhs::core::{histogram_sort, histogram_sort_by, SortConfig};
+use dhs::core::{histogram_sort, histogram_sort_by, Key, LocalSort, SortConfig};
 use dhs::runtime::threads::host_parallelism;
 use dhs::runtime::{run, ClusterConfig, FaultPlan, LinkClass, LinkFault, RankReport, RunnerEngine};
 use dhs::workloads::{rank_local_keys, Distribution, Layout};
 use proptest::prelude::*;
 
-/// One full sort: per-rank `(sorted data, RankReport)` — the report
-/// carries the virtual completion clock, all message/byte counters and
-/// the depth-0 phase totals, so equality is the whole simulation.
+/// One full sort of the blocks `input(rank)`: per-rank `(sorted data,
+/// RankReport)` — the report carries the virtual completion clock, all
+/// message/byte counters and the depth-0 phase totals, so equality is
+/// the whole simulation.
+fn sort_keys<K: Key>(
+    cluster: &ClusterConfig,
+    cfg: SortConfig,
+    input: impl Fn(usize) -> Vec<K> + Send + Sync,
+) -> Vec<(Vec<K>, RankReport)> {
+    run(cluster, move |comm| {
+        let mut local = input(comm.rank());
+        histogram_sort(comm, &mut local, &cfg);
+        local
+    })
+}
+
+/// [`sort_keys`] of uniform `u64` keys under the default configuration
+/// at one thread budget.
 fn sort_with_threads(
     cluster: &ClusterConfig,
     p: usize,
@@ -27,22 +42,7 @@ fn sort_with_threads(
     seed: u64,
     threads: usize,
 ) -> Vec<(Vec<u64>, RankReport)> {
-    let cfg = SortConfig::builder()
-        .threads_per_rank(threads)
-        .build()
-        .expect("valid config");
-    run(cluster, move |comm| {
-        let mut local = rank_local_keys(
-            Distribution::paper_uniform(),
-            Layout::Balanced,
-            p * n_per,
-            p,
-            comm.rank(),
-            seed,
-        );
-        histogram_sort(comm, &mut local, &cfg);
-        local
-    })
+    sort_with_threads_probes(cluster, p, n_per, seed, threads, 1)
 }
 
 /// [`sort_with_threads`] with a multi-probe splitter search: the
@@ -62,17 +62,15 @@ fn sort_with_threads_probes(
         .probes_per_round(probes)
         .build()
         .expect("valid config");
-    run(cluster, move |comm| {
-        let mut local = rank_local_keys(
+    sort_keys(cluster, cfg, |rank| {
+        rank_local_keys(
             Distribution::paper_uniform(),
             Layout::Balanced,
             p * n_per,
             p,
-            comm.rank(),
+            rank,
             seed,
-        );
-        histogram_sort(comm, &mut local, &cfg);
-        local
+        )
     })
 }
 
@@ -240,5 +238,84 @@ fn large_local_blocks_identical_across_budgets() {
     for threads in [2usize, 4] {
         let hybrid = sort_with_threads_probes(&cluster, p, n_per, 42, threads, 7);
         assert_eq!(serial_m, hybrid, "threads={threads} probes=7");
+    }
+}
+
+/// Every key width the radix leaf treats differently — `u64` and `u32`
+/// take the monomorphic byte-wise kernel, `i64` the bit-image LSD sort
+/// — under both local sorts, on blocks above the fork grain: unique,
+/// duplicate-heavy and half-empty worlds. Each sort equals the global
+/// sort cut at the input block sizes (perfect partitioning), output
+/// and simulation are identical across thread budgets, and `i64` keys
+/// replay the exact simulation of the same data as sign-flipped `u64`
+/// (one splitter search path: same probes, same rounds).
+#[test]
+fn key_types_and_local_sorts_identical_across_budgets() {
+    let p = 4;
+    let cluster = ClusterConfig::supermuc_phase2(p).with_engine(ONE_AT_A_TIME);
+    // Full-width xorshift words; `sparse` empties the odd ranks.
+    let block = |rank: usize, n: usize, modulus: u64, sparse: bool| -> Vec<u64> {
+        let mut x = (rank as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let n = if sparse && rank % 2 == 1 { 0 } else { n };
+        (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x % modulus
+            })
+            .collect()
+    };
+    /// Sort `input` at budgets 1 and 4; check both against the global
+    /// sort and each other; return the serial run.
+    fn check<K: Key + std::fmt::Debug>(
+        cluster: &ClusterConfig,
+        local_sort: LocalSort,
+        input: impl Fn(usize) -> Vec<K> + Send + Sync,
+        what: &str,
+    ) -> Vec<(Vec<K>, RankReport)> {
+        let run_at = |threads: usize| {
+            let cfg = SortConfig::builder()
+                .local_sort(local_sort)
+                .threads_per_rank(threads)
+                .build()
+                .expect("valid config");
+            sort_keys(cluster, cfg, &input)
+        };
+        let serial = run_at(1);
+        let mut expect: Vec<K> = (0..serial.len()).flat_map(&input).collect();
+        expect.sort_unstable();
+        let got: Vec<K> = serial.iter().flat_map(|(out, _)| out.clone()).collect();
+        assert_eq!(got, expect, "{what}: not the global sort");
+        for (rank, (out, _)) in serial.iter().enumerate() {
+            assert_eq!(out.len(), input(rank).len(), "{what}: rank {rank} size");
+        }
+        assert_eq!(serial, run_at(4), "{what}: budgets 1 and 4 diverged");
+        serial
+    }
+    for (modulus, sparse) in [(u64::MAX, false), (97, false), (3, true)] {
+        for local_sort in [LocalSort::Comparison, LocalSort::Radix] {
+            let what = format!("{local_sort:?} mod {modulus} sparse {sparse}");
+            let words = |rank: usize| block(rank, 20_000, modulus, sparse);
+            check(&cluster, local_sort, words, &format!("u64 {what}"));
+            let narrow = |rank: usize| words(rank).iter().map(|&x| x as u32).collect();
+            check::<u32>(&cluster, local_sort, narrow, &format!("u32 {what}"));
+            // Centre the small moduli on zero so both signs occur.
+            let signed = |rank: usize| -> Vec<i64> {
+                let shift = if modulus == u64::MAX { 0 } else { modulus / 2 };
+                words(rank)
+                    .iter()
+                    .map(|&x| x.wrapping_sub(shift) as i64)
+                    .collect()
+            };
+            let as_signed = check(&cluster, local_sort, signed, &format!("i64 {what}"));
+            let flipped = |rank: usize| signed(rank).iter().map(|&k| k.to_bits() as u64).collect();
+            let as_words = check::<u64>(&cluster, local_sort, flipped, &format!("flipped {what}"));
+            for ((signed, a), (words, b)) in as_signed.iter().zip(&as_words) {
+                let image: Vec<u64> = signed.iter().map(|&k| k.to_bits() as u64).collect();
+                assert_eq!(&image, words, "{what}: i64 vs flipped u64 output");
+                assert_eq!(a, b, "{what}: i64 vs flipped u64 simulation");
+            }
+        }
     }
 }
