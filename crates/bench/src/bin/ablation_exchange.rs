@@ -1,12 +1,12 @@
 //! Ablation A4 — the §VI-E1 exchange engineering: what the merge after
 //! the monolithic `ALL-TO-ALLV` costs, and the store-and-forward
-//! (Bruck), node-leader and staged schedules for small messages.
+//! (Bruck) and staged schedules for small messages.
 //!
 //! Part 1: exchange + merge at fixed shape — `ALL-TO-ALLV` followed by
 //! the paper's re-sort or by a tournament merge.
 //!
-//! Part 2: schedule crossover — 1-factor vs Bruck as N/P shrinks (the
-//! paper: store-and-forward "for a relatively small N/P").
+//! Part 2: schedule crossover — 1-factor vs Bruck vs `staged:8` as N/P
+//! shrinks (the paper: store-and-forward "for a relatively small N/P").
 //!
 //! Flags: `--p <ranks>`, `--nper <keys/rank>`, `--reps`, `--quick`.
 
@@ -107,21 +107,13 @@ fn main() {
     t.print();
 
     println!("\n## all-to-all schedule crossover (pure exchange, varying N/P)");
-    let mut t2 = Table::new([
-        "keys/rank",
-        "1-factor",
-        "bruck",
-        "leaders",
-        "staged:8",
-        "winner",
-    ]);
+    let mut t2 = Table::new(["keys/rank", "1-factor", "bruck", "staged:8", "winner"]);
     for shift in [2usize, 6, 10, 14, 18] {
         let nper = 1usize << shift;
         let mut medians = Vec::new();
         for algo in [
             AllToAllAlgo::OneFactor,
             AllToAllAlgo::Bruck,
-            AllToAllAlgo::HierarchicalLeaders,
             AllToAllAlgo::StagedKWay { k: 8 },
         ] {
             let times: Vec<f64> = (0..reps)
@@ -129,7 +121,7 @@ fn main() {
                 .collect();
             medians.push(median_ci(&times).median);
         }
-        let names = ["1-factor", "bruck", "leaders", "staged:8"];
+        let names = ["1-factor", "bruck", "staged:8"];
         let winner = names[medians
             .iter()
             .enumerate()
@@ -141,7 +133,6 @@ fn main() {
             fmt_secs(medians[0]),
             fmt_secs(medians[1]),
             fmt_secs(medians[2]),
-            fmt_secs(medians[3]),
             winner.to_string(),
         ]);
     }

@@ -84,13 +84,21 @@ pub fn histogram_sort_two_level<K: Key>(
     stats.histogram_ns += sp.finish();
 
     let sp = comm.span("prepare");
-    let buckets = plan_group_exchange(comm, local, &l1, g, &group_start);
+    let cuts = plan_group_exchange(comm, local, &l1);
     stats.prepare_ns += sp.finish();
 
-    // Each sender spreads its buckets over the members of the target
-    // group, so the received runs interleave: re-sort, don't merge.
+    // Each group's segment goes to one member of that group (spread by
+    // sender rank); every other peer gets an empty slice. The received
+    // runs interleave: re-sort, don't merge.
     let sp = comm.span("exchange");
-    *local = comm.exchange(buckets, AllToAllAlgo::OneFactor).into_data();
+    let mut segments: Vec<&[K]> = vec![&[]; p];
+    for grp in 0..g {
+        let (gs, ge) = (group_start(grp), group_start(grp + 1));
+        segments[gs + comm.rank() % (ge - gs)] = &local[cuts[grp]..cuts[grp + 1]];
+    }
+    *local = comm
+        .exchange(&segments[..], AllToAllAlgo::OneFactor)
+        .into_data();
     Keys.local_sort(comm, local, cfg);
     stats.exchange_ns += sp.finish();
 
@@ -131,18 +139,15 @@ pub fn histogram_sort_two_level<K: Key>(
     stats
 }
 
-/// Per-destination-rank buckets for the level-1 exchange: the g-way
-/// Algorithm 4 cut of the sorted block, each group's bucket addressed
-/// to one member of that group (spread by sender rank).
+/// The g + 1 cuts of the level-1 exchange: the g-way Algorithm 4 cut
+/// of the sorted block, group `grp` taking `cuts[grp]..cuts[grp + 1]`.
+/// Charges the packing of the send buffer too.
 fn plan_group_exchange<K: Key>(
     comm: &Comm,
     sorted_local: &[K],
     l1: &SplitterResult<K>,
-    g: usize,
-    group_start: &dyn Fn(usize) -> usize,
-) -> Vec<Vec<K>> {
-    let p = comm.size();
-    let rank = comm.rank();
+) -> Vec<usize> {
+    let g = l1.splitters.len() + 1;
     // The same exclusive-scan refinement as `plan_exchange`, specialized
     // here because the communicator has P ranks, not g.
     let elem = std::mem::size_of::<K>() as u64;
@@ -173,15 +178,7 @@ fn plan_group_exchange<K: Key>(
     }
 
     comm.charge(Work::MoveBytes(sorted_local.len() as u64 * elem));
-    let mut send: Vec<Vec<K>> = (0..p).map(|_| Vec::new()).collect();
-    for grp in 0..g {
-        let gs = group_start(grp);
-        let ge = group_start(grp + 1);
-        let size_g = (ge - gs).max(1);
-        let peer = gs + rank % size_g;
-        send[peer] = sorted_local[cuts[grp]..cuts[grp + 1]].to_vec();
-    }
-    send
+    cuts
 }
 
 #[cfg(test)]

@@ -31,7 +31,7 @@ fn reference_cuts<K: Key>(comm: &Comm, sorted: &[K], splitters: &[SplitterInfo<K
         .zip(&lowers)
         .map(|(i, l)| sorted.partition_point(|x| *x <= i.key) as u64 - l)
         .collect();
-    let before_me = comm.exscan_sum_vec(contingents.clone());
+    let before_me = comm.exscan_sum_vec_shared(&contingents).to_vec();
     comm.charge(Work::Compares(s));
     let mut cuts = vec![0usize];
     for (i, info) in splitters.iter().enumerate() {

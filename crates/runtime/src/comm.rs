@@ -28,7 +28,9 @@ use crate::trace::{SpanGuard, TraceSink};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AllToAllAlgo {
     /// Pairwise 1-factorization: `P-1` direct rounds; bandwidth-optimal
-    /// (each byte crosses once), `O(P)` message latencies.
+    /// (each byte crosses once), `O(P)` message latencies. Recorded win
+    /// (A4, P = 128): 492.3 µs vs `staged:8` 594.7 µs vs Bruck 1.18 ms
+    /// at 256 Ki keys/rank.
     OneFactor,
     /// Bruck-style store-and-forward: `⌈log₂P⌉` rounds; latency-optimal
     /// for small `N/P`, but bytes travel `~log₂(P)/2` hops. Recorded
@@ -37,11 +39,6 @@ pub enum AllToAllAlgo {
     /// still 15.1 vs 33.3 µs at 1024 keys/rank; `staged:8` takes over
     /// at 16 Ki keys/rank (66.3 vs 83.9 µs).
     Bruck,
-    /// Node-leader aggregation (§VI-E1): co-located ranks funnel their
-    /// inter-node traffic through one leader core per node (intra-node
-    /// memcpy in, one aggregated message per peer node, memcpy out),
-    /// minimizing network congestion at the price of staging copies.
-    HierarchicalLeaders,
     /// HykSort-style recursive `k`-way staging: the communicator is
     /// split into `k` contiguous blocks, every rank forwards each
     /// destination block's traffic (tagged with its final destination)
@@ -54,6 +51,8 @@ pub enum AllToAllAlgo {
     /// not a charging formula over one rendezvous: the stages execute
     /// for real, splitting sub-communicators via [`Comm::split`] (whose
     /// cost is charged too) and moving payloads through each hop.
+    /// Recorded win (A4, P = 128): `staged:8` 66.3 µs vs Bruck 83.9 µs
+    /// vs one-factor 195.9 µs at 16 Ki keys/rank.
     StagedKWay {
         /// Fan-out per stage (number of blocks); at least 2. Fan-outs
         /// `k ≥ P` degenerate to one direct (sparsely charged) stage.
@@ -225,9 +224,8 @@ fn one_factor_sides(
 
 /// Per-rank virtual end times of a personalized all-to-all under
 /// `algo`, where `count(s, d)` is the number of elements rank `s`
-/// sends rank `d`. Shared by the owning and zero-copy
-/// [`Comm::exchange`] paths so both charge byte-identical costs — the
-/// model reads only lengths and link classes, never the payloads.
+/// sends rank `d`. The model reads only lengths and link classes,
+/// never the payloads.
 fn alltoallv_end_times(
     ctx: &CollectiveCtx<'_>,
     p: usize,
@@ -235,80 +233,25 @@ fn alltoallv_end_times(
     algo: AllToAllAlgo,
     count: impl Fn(usize, usize) -> u64,
 ) -> Vec<u64> {
-    // Precomputed once for the one-factor schedule: both sides of every
-    // rank from one pass over the count matrix.
-    let one_factor = if algo == AllToAllAlgo::OneFactor {
-        one_factor_costs(ctx, p, elem, &count)
-    } else {
-        Vec::new()
-    };
-    // Precomputed once for the leader schedule: node of every rank and
-    // the aggregated node-to-node byte matrix.
-    let (node_of, node_to_node) = if algo == AllToAllAlgo::HierarchicalLeaders {
-        let node_of: Vec<usize> = (0..p)
-            .map(|r| ctx.topology.placement(ctx.global_ranks[r]).node)
-            .collect();
-        let nodes = ctx.topology.nodes();
-        let mut m = vec![vec![0u64; nodes]; nodes];
-        for s in 0..p {
-            for d in 0..p {
-                m[node_of[s]][node_of[d]] += count(s, d) * elem;
-            }
-        }
-        (node_of, m)
-    } else {
-        (Vec::new(), Vec::new())
-    };
-    let mut ends = Vec::with_capacity(p);
-    for r in 0..p {
-        let gr = ctx.global_ranks[r];
-        let cost = match algo {
-            AllToAllAlgo::OneFactor => one_factor[r],
-            // Store-and-forward: log P rounds at the worst link,
-            // shipping ~half the personalized payload per round.
-            AllToAllAlgo::Bruck => {
+    let mut ends = match algo {
+        AllToAllAlgo::OneFactor => one_factor_costs(ctx, p, elem, &count),
+        // Store-and-forward: log P rounds at the worst link,
+        // shipping ~half the personalized payload per round.
+        AllToAllAlgo::Bruck => (0..p)
+            .map(|r| {
                 let total: u64 = (0..p).map(|d| count(r, d) * elem).sum();
                 ctx.cost.alltoallv_bruck_rank_ns(ctx.worst_link, p, total)
-            }
-            // Leader aggregation: stage inter-node bytes through the
-            // node leader; intra-node blocks move directly.
-            AllToAllAlgo::HierarchicalLeaders => {
-                let my_node = node_of[r];
-                // Direct intra-node portion.
-                let intra = ctx.cost.alltoallv_rank_ns((0..p).flat_map(|d| {
-                    let link = ctx.topology.link(gr, ctx.global_ranks[d]);
-                    (node_of[d] == my_node).then_some((link, count(r, d) * elem))
-                }));
-                // Stage out/in: my inter-node bytes cross the node's
-                // memory twice (to and from the leader).
-                let my_inter: u64 = (0..p)
-                    .filter(|&d| node_of[d] != my_node)
-                    .map(|d| count(r, d) * elem)
-                    .sum();
-                let stage = ctx
-                    .cost
-                    .p2p_ns(crate::topology::LinkClass::IntraNode, 2 * my_inter);
-                // The leader sends one aggregated message per peer
-                // node; every rank of the node waits for it.
-                let leader: u64 = node_to_node[my_node]
-                    .iter()
-                    .enumerate()
-                    .filter(|&(n, _)| n != my_node)
-                    .map(|(_, &bytes)| {
-                        ctx.cost
-                            .p2p_ns(crate::topology::LinkClass::InterNode, bytes)
-                    })
-                    .sum();
-                intra + stage + leader
-            }
-            // Staged exchanges never reach the single-rendezvous cost
-            // path: `Comm::exchange` dispatches them to the real staged
-            // driver, which charges per stage.
-            AllToAllAlgo::StagedKWay { .. } => {
-                unreachable!("StagedKWay executes real stages via Comm::alltoallv_staged")
-            }
-        };
-        ends.push(ctx.enter_max_ns + cost);
+            })
+            .collect(),
+        // Staged exchanges never reach the single-rendezvous cost
+        // path: `Comm::exchange` dispatches them to the real staged
+        // driver, which charges per stage.
+        AllToAllAlgo::StagedKWay { .. } => {
+            unreachable!("StagedKWay executes real stages via Comm::alltoallv_staged")
+        }
+    };
+    for end in &mut ends {
+        *end += ctx.enter_max_ns;
     }
     ends
 }
@@ -328,23 +271,30 @@ struct StagedUnit<T> {
 const STAGE_HEADER_BYTES: u64 = 8;
 
 /// Payload forms accepted by [`Comm::exchange`] — the single entry
-/// point of the personalized all-to-all. `Vec<Vec<T>>` moves owned
-/// buckets (the legacy `alltoallv` shape); `&[&[T]]` sends borrowed
-/// segments of an already-ordered local array on the zero-copy path
-/// (any `T: Clone`: each element is cloned once, by its receiver).
-/// Both deliver into one contiguous [`RecvRuns`] buffer, and both
-/// charge byte-identical virtual time: the cost model reads only
-/// lengths and link classes, never payloads.
+/// point of the personalized all-to-all. `&[&[T]]` sends borrowed
+/// segments of an already-ordered local array (any `T: Clone`: each
+/// element is cloned once, by its receiver); `Vec<Vec<T>>` is the same
+/// exchange over the buckets' slices, the buckets going back to the
+/// sender's pool afterwards. Both deliver into one contiguous
+/// [`RecvRuns`] buffer.
 pub trait ExchangePayload<T> {
     /// Run the personalized exchange of this payload under `algo`.
     fn exchange_via(self, comm: &Comm, algo: AllToAllAlgo) -> RecvRuns<T>;
 }
 
-impl<T: Send + 'static> ExchangePayload<T> for Vec<Vec<T>> {
+impl<T: Clone + Send + Sync + 'static> ExchangePayload<T> for Vec<Vec<T>> {
     fn exchange_via(self, comm: &Comm, algo: AllToAllAlgo) -> RecvRuns<T> {
         match algo {
             AllToAllAlgo::StagedKWay { k } => comm.alltoallv_staged(self, k),
-            _ => comm.alltoallv_direct_vecs(self, algo),
+            _ => {
+                let views: Vec<&[T]> = self.iter().map(Vec::as_slice).collect();
+                let received = comm.alltoallv_direct_slices(&views, algo);
+                for mut bucket in self {
+                    bucket.clear();
+                    comm.pool().recycle(bucket);
+                }
+                received
+            }
         }
     }
 }
@@ -676,12 +626,11 @@ impl Comm {
         });
     }
 
-    /// Broadcast `value` from `root`, all ranks sharing one result
-    /// allocation. Every rank passes its local `value`; the root's
-    /// survives.
-    pub fn broadcast_shared<T>(&self, root: usize, value: T) -> Arc<T>
+    /// Broadcast `value` from `root`. Every rank passes its local
+    /// `value`; each receives a clone of the root's.
+    pub fn broadcast<T>(&self, root: usize, value: T) -> T
     where
-        T: Send + Sync + 'static,
+        T: Clone + Send + Sync + 'static,
     {
         let p = self.size();
         let bytes = mem::size_of::<T>() as u64;
@@ -691,16 +640,7 @@ impl Comm {
             (v, EndTimes::Uniform(end))
         });
         self.account_collective_bytes(bytes * crate::cost::log2_ceil(p) as u64);
-        out
-    }
-
-    /// Owning [`Comm::broadcast_shared`]: clones the shared result once
-    /// for this rank.
-    pub fn broadcast<T>(&self, root: usize, value: T) -> T
-    where
-        T: Clone + Send + Sync + 'static,
-    {
-        self.broadcast_shared(root, value).as_ref().clone()
+        out.as_ref().clone()
     }
 
     /// Element-wise allreduce followed by a once-only `finish`: all
@@ -747,23 +687,16 @@ impl Comm {
         out
     }
 
-    /// Element-wise allreduce returning the shared result: the
-    /// identity-finish case of [`Comm::allreduce_with_then`].
-    pub fn allreduce_with_shared<T, F>(&self, xs: Vec<T>, op: F) -> Arc<Vec<T>>
-    where
-        T: Clone + Send + Sync + 'static,
-        F: Fn(&T, &T) -> T,
-    {
-        self.allreduce_with_then(xs, op, |reduced| reduced)
-    }
-
-    /// Owning [`Comm::allreduce_with_shared`].
+    /// Element-wise allreduce, one clone of the reduced vector per
+    /// rank: the identity-finish case of [`Comm::allreduce_with_then`].
     pub fn allreduce_with<T, F>(&self, xs: Vec<T>, op: F) -> Vec<T>
     where
         T: Clone + Send + Sync + 'static,
         F: Fn(&T, &T) -> T,
     {
-        self.allreduce_with_shared(xs, op).as_ref().clone()
+        self.allreduce_with_then(xs, op, |reduced| reduced)
+            .as_ref()
+            .clone()
     }
 
     /// Sum-allreduce over a borrowed `u64` slice followed by a
@@ -816,17 +749,6 @@ impl Comm {
         self.allreduce_sum_shared(&xs).as_ref().clone()
     }
 
-    /// Min/max allreduce over one value per rank.
-    pub fn allreduce_minmax<T>(&self, x: T) -> (T, T)
-    where
-        T: Clone + Ord + Send + Sync + 'static,
-    {
-        let pair = self.allreduce_with(vec![(x.clone(), x)], |a, b| {
-            (a.0.clone().min(b.0.clone()), a.1.clone().max(b.1.clone()))
-        });
-        pair.into_iter().next().expect("one element")
-    }
-
     /// Gather one value per rank, then run `finish` once over the
     /// gathered values (ordered by rank; see
     /// [`Comm::allreduce_with_then`] for the contract) and share its
@@ -847,22 +769,14 @@ impl Comm {
         out
     }
 
-    /// Gather one value per rank onto every rank, ordered by rank; the
-    /// gathered vector is one shared allocation (the identity-finish
-    /// case of [`Comm::allgather_then`]).
-    pub fn allgather_shared<T>(&self, x: T) -> Arc<Vec<T>>
-    where
-        T: Send + Sync + 'static,
-    {
-        self.allgather_then(x, |gathered| gathered)
-    }
-
-    /// Owning [`Comm::allgather_shared`].
+    /// Gather one value per rank onto every rank, ordered by rank: the
+    /// identity-finish case of [`Comm::allgather_then`], cloned once
+    /// per rank.
     pub fn allgather<T>(&self, x: T) -> Vec<T>
     where
         T: Clone + Send + Sync + 'static,
     {
-        self.allgather_shared(x).as_ref().clone()
+        self.allgather_then(x, |gathered| gathered).as_ref().clone()
     }
 
     /// Gather a variable-length vector per rank, then run `finish`
@@ -890,34 +804,25 @@ impl Comm {
         out
     }
 
-    /// Gather a variable-length vector per rank onto every rank; the
-    /// per-rank vectors are moved, not copied, into the shared result
-    /// (the identity-finish case of [`Comm::allgatherv_then`]).
-    pub fn allgatherv_shared<T>(&self, xs: Vec<T>) -> Arc<Vec<Vec<T>>>
-    where
-        T: Send + Sync + 'static,
-    {
-        self.allgatherv_then(xs, |gathered| gathered)
-    }
-
-    /// Owning [`Comm::allgatherv_shared`].
+    /// Gather a variable-length vector per rank onto every rank: the
+    /// identity-finish case of [`Comm::allgatherv_then`], cloned once
+    /// per rank.
     pub fn allgatherv<T>(&self, xs: Vec<T>) -> Vec<Vec<T>>
     where
         T: Clone + Send + Sync + 'static,
     {
-        self.allgatherv_shared(xs).as_ref().clone()
+        self.allgatherv_then(xs, |gathered| gathered)
+            .as_ref()
+            .clone()
     }
 
     /// Exclusive prefix scan of equally long `u64` vectors with
     /// element-wise sums; rank 0 receives zeros. Charged at the
-    /// vector's true byte width (unlike the generic [`Comm::exscan`],
-    /// whose payload estimate is `size_of::<T>()`).
+    /// vector's true byte width.
     ///
     /// The input is viewed in place and the scan is computed **once**
     /// into a flat `p × width` buffer shared by all ranks; the returned
-    /// [`SharedSlice`] is this rank's window into it. (The owning
-    /// predecessor materialized `p` prefix vectors and cloned one per
-    /// rank — O(p²·width) traffic in host memory.)
+    /// [`SharedSlice`] is this rank's window into it.
     pub fn exscan_sum_vec_shared(&self, xs: &[u64]) -> SharedSlice<u64> {
         let p = self.size();
         let me = self.rank;
@@ -952,20 +857,15 @@ impl Comm {
         SharedSlice::new(out, me * width_in, width_in)
     }
 
-    /// Owning [`Comm::exscan_sum_vec_shared`].
-    pub fn exscan_sum_vec(&self, xs: Vec<u64>) -> Vec<u64> {
-        self.exscan_sum_vec_shared(&xs).to_vec()
-    }
-
     /// Gather every rank's vector to a (virtual) root, combine with
-    /// `f`, and share the combined result with everyone — the
+    /// `f`, and hand every rank a clone of the combined result — the
     /// "central processor" step of sample sort without materializing
     /// the full gathered set on every rank. `result_bytes` sizes the
     /// broadcast payload for the cost model.
-    pub fn gather_reduce_shared<T, R, F, B>(&self, xs: Vec<T>, f: F, result_bytes: B) -> Arc<R>
+    pub fn gather_reduce<T, R, F, B>(&self, xs: Vec<T>, f: F, result_bytes: B) -> R
     where
         T: Send + Sync + 'static,
-        R: Send + Sync + 'static,
+        R: Clone + Send + Sync + 'static,
         F: FnOnce(Vec<Vec<T>>) -> R,
         B: FnOnce(&R) -> u64,
     {
@@ -984,41 +884,7 @@ impl Comm {
             (r, EndTimes::Uniform(ctx.enter_max_ns + gather + bcast))
         });
         self.account_collective_bytes(in_bytes);
-        out
-    }
-
-    /// Owning [`Comm::gather_reduce_shared`].
-    pub fn gather_reduce<T, R, F, B>(&self, xs: Vec<T>, f: F, result_bytes: B) -> R
-    where
-        T: Send + Sync + 'static,
-        R: Clone + Send + Sync + 'static,
-        F: FnOnce(Vec<Vec<T>>) -> R,
-        B: FnOnce(&R) -> u64,
-    {
-        self.gather_reduce_shared(xs, f, result_bytes)
-            .as_ref()
-            .clone()
-    }
-
-    /// Exclusive prefix scan with `op`; rank 0 receives `identity`.
-    pub fn exscan<T, F>(&self, x: T, identity: T, op: F) -> T
-    where
-        T: Clone + Send + Sync + 'static,
-        F: Fn(&T, &T) -> T,
-    {
-        let p = self.size();
-        let bytes = mem::size_of::<T>() as u64;
-        let out = self.run_collective("exscan", x, move |xs, ctx| {
-            let mut pre = Vec::with_capacity(xs.len());
-            let mut acc = identity;
-            for x in &xs {
-                pre.push(acc.clone());
-                acc = op(&acc, x);
-            }
-            let end = ctx.enter_max_ns + ctx.cost.exscan_ns(ctx.worst_link, p, bytes);
-            (pre, EndTimes::Uniform(end))
-        });
-        out[self.rank].clone()
+        out.as_ref().clone()
     }
 
     // ------------------------------------------------------------------
@@ -1029,11 +895,12 @@ impl Comm {
     /// data-exchange superstep, unified over every payload form and
     /// schedule.
     ///
-    /// `payload[d]` is what this rank sends to rank `d`, either as an
-    /// owned bucket (`Vec<Vec<T>>`) or a borrowed segment of an
-    /// already-ordered local array (`&[&[T]]`, the zero-copy path). The
-    /// receive side is always one contiguous [`RecvRuns`] buffer whose
-    /// per-source runs can be merged in place or flattened for free.
+    /// `payload[d]` is what this rank sends to rank `d`, either as a
+    /// borrowed segment of an already-ordered local array (`&[&[T]]`)
+    /// or as an owned bucket (`Vec<Vec<T>>`, sent through the same
+    /// path). The receive side is always one contiguous [`RecvRuns`]
+    /// buffer whose per-source runs can be merged in place or
+    /// flattened for free.
     ///
     /// `algo` picks the schedule (§VI-E1: "For a relatively small N/P
     /// we utilize store-and-forward algorithms ... For larger messages
@@ -1048,71 +915,13 @@ impl Comm {
         payload.exchange_via(self, algo)
     }
 
-    /// Owned-bucket exchange over one single-rendezvous schedule
-    /// (everything except `StagedKWay`): buckets transpose through
-    /// shared memory, then flatten into the receiver's contiguous
-    /// [`RecvRuns`] buffer.
-    fn alltoallv_direct_vecs<T>(&self, send: Vec<Vec<T>>, algo: AllToAllAlgo) -> RecvRuns<T>
-    where
-        T: Send + 'static,
-    {
-        let p = self.size();
-        assert_eq!(
-            send.len(),
-            p,
-            "alltoallv needs one bucket per destination rank"
-        );
-        let sent_bytes =
-            self.account_alltoallv_send(send.iter().map(Vec::len), mem::size_of::<T>());
-        let me = self.rank;
-        let out = self.run_collective("alltoallv", send, move |mut inputs, ctx| {
-            let elem = mem::size_of::<T>() as u64;
-            let ends = alltoallv_end_times(ctx, p, elem, algo, |s, d| inputs[s][d].len() as u64);
-            // Transpose: recv[dst][src] = send[src][dst], moving buffers.
-            let mut recv: Vec<Vec<Option<Vec<T>>>> = Vec::with_capacity(p);
-            for _ in 0..p {
-                recv.push((0..p).map(|_| None).collect());
-            }
-            for (src, buckets) in inputs.iter_mut().enumerate() {
-                for (dst, bucket) in buckets.drain(..).enumerate() {
-                    recv[dst][src] = Some(bucket);
-                }
-            }
-            (
-                recv.into_iter().map(Mutex::new).collect::<Vec<_>>(),
-                EndTimes::PerRank(ends),
-            )
-        });
-        if let Some(sink) = self.sink() {
-            sink.attribute_bytes(sent_bytes);
-        }
-        let buckets: Vec<Vec<T>> = out[me]
-            .lock()
-            .iter_mut()
-            .map(|slot| slot.take().expect("each row taken exactly once"))
-            .collect();
-        let counts: Vec<usize> = buckets.iter().map(Vec::len).collect();
-        let total: usize = counts.iter().sum();
-        let mut data: Vec<T> = self.pool().take();
-        data.reserve(total);
-        for mut bucket in buckets {
-            data.append(&mut bucket);
-            self.pool().recycle(bucket);
-        }
-        RecvRuns::from_parts(data, counts)
-    }
-
-    /// Zero-copy exchange over one single-rendezvous schedule: `send[d]`
-    /// is a **borrowed** segment of this rank's (typically
-    /// already-sorted) local array destined for rank `d`. Each element
-    /// is copied exactly once, from the sender's buffer straight into
-    /// the receiver's single contiguous [`RecvRuns`] buffer — real
-    /// `MPI_Alltoallv` semantics, with `(counts, displs)` marking the
-    /// per-source runs.
-    ///
-    /// Identical virtual-clock behaviour and byte accounting as the
-    /// owned-bucket path: both share `alltoallv_end_times`, and the
-    /// cost model reads only lengths and link classes.
+    /// The one single-rendezvous all-to-all body (every schedule except
+    /// `StagedKWay`): `send[d]` is a **borrowed** segment of this
+    /// rank's (typically already-sorted) local array destined for rank
+    /// `d`. Each element is copied exactly once, from the sender's
+    /// buffer straight into the receiver's single contiguous
+    /// [`RecvRuns`] buffer — real `MPI_Alltoallv` semantics, with
+    /// `(counts, displs)` marking the per-source runs.
     ///
     /// `T: Clone` is enough — the copy-out is `extend_from_slice` — so
     /// records travel this path too. A `Clone` may panic where a `Copy`
@@ -1301,7 +1110,7 @@ impl Comm {
                 .sum()
         };
         // Sender-side per-link byte accounting, mirroring
-        // `account_alltoallv_send` on the direct paths.
+        // `account_alltoallv_send` on the direct path.
         let topo = self.topology();
         let counters = &self.local().counters;
         let me_g = self.state.global_ranks[self.rank];
@@ -1360,9 +1169,8 @@ impl Comm {
     }
 
     /// Per-link byte accounting for this rank's outgoing personalized
-    /// traffic, shared by the owning and zero-copy all-to-all paths.
-    /// Returns the total for span attribution (which must happen after
-    /// the collective records its span).
+    /// traffic. Returns the total for span attribution (which must
+    /// happen after the collective records its span).
     fn account_alltoallv_send(&self, lens: impl Iterator<Item = usize>, elem: usize) -> u64 {
         let topo = self.topology();
         let counters = &self.local().counters;
@@ -1375,19 +1183,6 @@ impl Comm {
             sent_bytes += bytes;
         }
         sent_bytes
-    }
-
-    /// Fixed-size all-to-all of one value per destination, on the flat
-    /// zero-copy path (one element per peer, one contiguous receive
-    /// buffer — no per-element `Vec` boxing).
-    pub fn alltoall<T>(&self, send: Vec<T>) -> Vec<T>
-    where
-        T: Copy + Send + Sync + 'static,
-    {
-        let slices: Vec<&[T]> = send.chunks(1).collect();
-        let recv = self.exchange(&slices[..], AllToAllAlgo::OneFactor);
-        debug_assert!(recv.counts().iter().all(|&c| c == 1));
-        recv.into_data()
     }
 
     // ------------------------------------------------------------------
@@ -1716,18 +1511,10 @@ mod tests {
     }
 
     #[test]
-    fn exscan_prefix_sums() {
-        let vals = run(&cfg(6), |comm| {
-            comm.exscan(comm.rank() as u64 + 1, 0, |a, b| a + b)
-        });
-        let got: Vec<u64> = vals.into_iter().map(|(v, _)| v).collect();
-        assert_eq!(got, vec![0, 1, 3, 6, 10, 15]);
-    }
-
-    #[test]
     fn exscan_sum_vec_elementwise() {
         let vals = run(&cfg(4), |comm| {
-            comm.exscan_sum_vec(vec![comm.rank() as u64 + 1, 10])
+            comm.exscan_sum_vec_shared(&[comm.rank() as u64 + 1, 10])
+                .to_vec()
         });
         let got: Vec<Vec<u64>> = vals.into_iter().map(|(v, _)| v).collect();
         assert_eq!(got, vec![vec![0, 0], vec![1, 10], vec![3, 20], vec![6, 30]]);
@@ -1771,7 +1558,6 @@ mod tests {
         for algo in [
             AllToAllAlgo::OneFactor,
             AllToAllAlgo::Bruck,
-            AllToAllAlgo::HierarchicalLeaders,
             AllToAllAlgo::StagedKWay { k: 2 },
             AllToAllAlgo::StagedKWay { k: 4 },
         ] {
@@ -1880,22 +1666,6 @@ mod tests {
             time(AllToAllAlgo::Bruck, 1 << 16) > time(AllToAllAlgo::OneFactor, 1 << 16),
             "large payloads must prefer the bandwidth-optimal schedule"
         );
-    }
-
-    #[test]
-    fn leader_schedule_saves_internode_latencies() {
-        // Many ranks, many nodes, tiny per-peer blocks: the per-peer α
-        // across nodes dominates 1-factor; leaders aggregate it away.
-        let time = |algo: AllToAllAlgo| {
-            let out = run(&ClusterConfig::supermuc_phase2(128), move |comm| {
-                let send: Vec<Vec<u64>> = (0..comm.size()).map(|_| vec![7u64; 2]).collect();
-                let t0 = comm.now_ns();
-                let _ = comm.exchange(send, algo);
-                comm.now_ns() - t0
-            });
-            out.into_iter().map(|(t, _)| t).max().unwrap_or(0)
-        };
-        assert!(time(AllToAllAlgo::HierarchicalLeaders) < time(AllToAllAlgo::OneFactor));
     }
 
     #[test]

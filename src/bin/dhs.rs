@@ -11,7 +11,7 @@
 //! ```
 
 use dhs::baselines::{
-    ams_sort, bitonic_sort, hss_sort, hyksort, psrs, sample_sort, AmsConfig, HssConfig,
+    ams_sort, bitonic_sort, hss_sort, hyksort, psrs, sample_sort, Algorithm, AmsConfig, HssConfig,
     HyksortConfig, PsrsConfig, SampleSortConfig,
 };
 use dhs::core::global_fingerprint;
@@ -29,7 +29,7 @@ const USAGE: &str = "usage: dhs <sort|serve|select|topology> [--flags]\n\
     \x20        --probes M (histogram round width in units of P-1)\n\
     \x20        --threads T (intra-rank thread budget)\n\
     \x20        --recovery abort|shrink (response to rank failures)\n\
-    \x20        --exchange-algo one-factor|bruck|leaders|staged:<k>\n\
+    \x20        --exchange-algo one-factor|bruck|staged:<k>\n\
     \x20        --warm-start cold|seeded-brackets (repeated sorts)\n\
     \x20        --engine tasks|tasks:<workers> (worker slots the ranks share)\n\
     \x20        --trace out.json --trace-format chrome|summary\n\
@@ -74,6 +74,16 @@ fn usage_exit(why: &str) -> ! {
 fn num<T: std::str::FromStr>(args: &Args, key: &str, default: T) -> T {
     args.try_get(key, default)
         .unwrap_or_else(|e| usage_exit(&e))
+}
+
+/// `--ranks N` (or `default` when absent): a cluster has at least one
+/// rank.
+fn ranks_of(args: &Args, default: usize) -> usize {
+    let ranks = num(args, "ranks", default);
+    if ranks == 0 {
+        usage_exit("--ranks: a cluster needs at least one rank, got 0");
+    }
+    ranks
 }
 
 /// `--key <name>` looked up in `table` (`default` when absent). A name
@@ -175,7 +185,7 @@ fn layout_of(args: &Args) -> Layout {
     choice(args, "layout", "balanced", &table)
 }
 
-/// Parse `--exchange-algo one-factor|bruck|leaders|staged:<k>`.
+/// Parse `--exchange-algo one-factor|bruck|staged:<k>`.
 fn exchange_algo_of(args: &Args) -> AllToAllAlgo {
     match args
         .raw("exchange-algo")
@@ -193,7 +203,6 @@ fn exchange_algo_of(args: &Args) -> AllToAllAlgo {
             let table = [
                 ("one-factor", AllToAllAlgo::OneFactor),
                 ("bruck", AllToAllAlgo::Bruck),
-                ("leaders", AllToAllAlgo::HierarchicalLeaders),
                 ("staged:<k>", AllToAllAlgo::OneFactor),
             ];
             choice(args, "exchange-algo", "one-factor", &table)
@@ -264,7 +273,7 @@ enum Algo {
 }
 
 fn cmd_sort(args: &Args) {
-    let ranks: usize = num(args, "ranks", 16);
+    let ranks = ranks_of(args, 16);
     let nper: usize = num(args, "nper", 1 << 14);
     let seed: u64 = num(args, "seed", 1);
     let algos = [
@@ -285,6 +294,14 @@ fn cmd_sort(args: &Args) {
     let chrome_trace = choice(args, "trace-format", "chrome", &trace_formats);
     let dist = dist_of(args);
     let layout = layout_of(args);
+    if matches!(algo, Algo::Bitonic)
+        && !Algorithm::Bitonic.supports(ranks, matches!(layout, Layout::Balanced))
+    {
+        usage_exit(
+            "--algo bitonic: needs a power-of-two --ranks and --layout balanced \
+             (equal local sizes)",
+        );
+    }
     let cfg = sort_config(args);
     let mut cluster = ClusterConfig::supermuc_phase2(ranks).with_engine(args.engine());
     if trace_path.is_some() {
@@ -444,7 +461,7 @@ fn profile_of(args: &Args) -> EpochProfile {
 }
 
 fn cmd_serve(args: &Args) {
-    let ranks: usize = num(args, "ranks", 16);
+    let ranks = ranks_of(args, 16);
     let nper: usize = num(args, "nper", 1 << 14);
     let epochs: u64 = num(args, "epochs", 5);
     let seed: u64 = num(args, "seed", 1);
@@ -516,11 +533,16 @@ fn cmd_serve(args: &Args) {
 }
 
 fn cmd_select(args: &Args) {
-    let ranks: usize = num(args, "ranks", 16);
+    let ranks = ranks_of(args, 16);
     let nper: usize = num(args, "nper", 1 << 14);
     let seed: u64 = num(args, "seed", 1);
     let n_total = ranks * nper;
     let k: u64 = num(args, "k", (n_total / 2) as u64);
+    if k >= n_total as u64 {
+        usage_exit(&format!(
+            "--k: order statistic {k} out of range for {n_total} keys (--ranks x --nper)"
+        ));
+    }
     let dist = dist_of(args);
     let cluster = ClusterConfig::supermuc_phase2(ranks);
 
@@ -535,7 +557,7 @@ fn cmd_select(args: &Args) {
 }
 
 fn cmd_topology(args: &Args) {
-    let ranks: usize = num(args, "ranks", 32);
+    let ranks = ranks_of(args, 32);
     let cluster = ClusterConfig::supermuc_phase2(ranks);
     let t = &cluster.topology;
     println!(

@@ -2,8 +2,10 @@
 //! invocation sorts and verifies, and a flag or value the driver does
 //! not read — `--pairwise`, deleted with the exchange strategy it
 //! selected; `--kernels`, deleted with the backend it selected;
-//! `--engine threads`, deleted with the engine it selected — is a
-//! usage error, not a silently ignored word or a panic.
+//! `--engine threads`, deleted with the engine it selected;
+//! `--exchange-algo leaders`, deleted with the schedule it selected —
+//! is a usage error, not a silently ignored word or a panic. So is
+//! input the driver can check before any rank runs.
 
 use std::process::{Command, Output};
 
@@ -71,6 +73,7 @@ fn bad_flag_values_are_usage_errors() {
         ("sort", "--partitioning", "fair", "--partitioning"),
         ("sort", "--recovery", "retry", "--recovery"),
         ("sort", "--exchange-algo", "ring", "--exchange-algo"),
+        ("sort", "--exchange-algo", "leaders", "--exchange-algo"),
         ("sort", "--exchange-algo", "staged:four", "--exchange-algo"),
         ("sort", "--warm-start", "hot", "--warm-start"),
         ("sort", "--dist", "cauchy", "--dist"),
@@ -94,23 +97,49 @@ fn bad_flag_values_are_usage_errors() {
             "invalid sort configuration: StagedKWay",
         ),
     ] {
-        let bad = dhs(&[command, flag, value]);
-        let stderr = String::from_utf8_lossy(&bad.stderr);
-        assert_eq!(
-            bad.status.code(),
-            Some(2),
-            "{command} {flag} {value}: {stderr}"
-        );
-        let first = stderr.lines().next().unwrap_or_default();
-        assert!(
-            first.starts_with("dhs: ") && first.contains(names),
-            "{command} {flag} {value}: {stderr}"
-        );
-        assert!(!stderr.contains("panicked at"), "{stderr}");
-        assert!(
-            stderr.contains("usage: dhs <sort|serve|select|topology>"),
-            "{stderr}"
-        );
-        assert!(bad.stdout.is_empty(), "a rejected invocation must not run");
+        assert_usage_error(&[command, flag, value], names);
+    }
+}
+
+/// `invocation` is rejected before anything runs: exit 2, a first
+/// stderr line `dhs: …` containing `names`, the usage text, no panic.
+fn assert_usage_error(invocation: &[&str], names: &str) {
+    let bad = dhs(invocation);
+    let stderr = String::from_utf8_lossy(&bad.stderr);
+    assert_eq!(bad.status.code(), Some(2), "{invocation:?}: {stderr}");
+    let first = stderr.lines().next().unwrap_or_default();
+    assert!(
+        first.starts_with("dhs: ") && first.contains(names),
+        "{invocation:?}: {stderr}"
+    );
+    assert!(!stderr.contains("panicked at"), "{stderr}");
+    assert!(
+        stderr.contains("usage: dhs <sort|serve|select|topology>"),
+        "{stderr}"
+    );
+    assert!(bad.stdout.is_empty(), "a rejected invocation must not run");
+}
+
+/// Input that parses but that no rank could run: rejected up front
+/// with one `dhs: …` line naming the flag, exit 2 — where the ranks
+/// themselves would each have panicked.
+#[test]
+fn unrunnable_input_is_a_usage_error() {
+    for (invocation, names) in [
+        (&["sort", "--ranks", "0"][..], "--ranks"),
+        (&["serve", "--ranks", "0"], "--ranks"),
+        (&["select", "--ranks", "0"], "--ranks"),
+        (&["topology", "--ranks", "0"], "--ranks"),
+        (
+            &["select", "--ranks", "4", "--nper", "10", "--k", "40"],
+            "--k",
+        ),
+        (
+            &["select", "--ranks", "4", "--nper", "0", "--k", "0"],
+            "--k",
+        ),
+        (&["sort", "--algo", "bitonic", "--ranks", "6"], "--algo"),
+    ] {
+        assert_usage_error(invocation, names);
     }
 }

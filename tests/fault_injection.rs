@@ -30,7 +30,7 @@ fn collective_suite(cfg: &ClusterConfig, seed: u64) -> Vec<CollectiveOutputs> {
             .map(|d| vec![me * 1000 + d as u64; (seed as usize + d) % 4])
             .collect();
         let a2a: Vec<Vec<u64>> = comm.exchange(send, AllToAllAlgo::OneFactor).into_vecs();
-        let scan = comm.exscan_sum_vec(vec![me + 1]);
+        let scan = comm.exscan_sum_vec_shared(&[me + 1]).to_vec();
         // Two messages on one (source, tag) stream: an injected
         // duplicate of the first is still queued when the second is
         // received, and only the sequence numbers tell them apart.

@@ -40,7 +40,8 @@ proptest! {
         let out = run(&ClusterConfig::small_cluster(p), move |comm| {
             let xs: Vec<u64> =
                 (0..width).map(|i| (comm.rank() as u64 + 2) * (i as u64 + 1) + seed % 7).collect();
-            (xs.clone(), comm.exscan_sum_vec(xs))
+            let scan = comm.exscan_sum_vec_shared(&xs).to_vec();
+            (xs, scan)
         });
         let mut acc = vec![0u64; width];
         for ((xs, got), _) in &out {
@@ -54,11 +55,10 @@ proptest! {
     #[test]
     fn exchange_is_a_transpose(
         p in 1usize..8,
-        algo_ix in 0usize..4,
+        algo_ix in 0usize..3,
         seed in 0u64..100_000,
     ) {
         let algo = [AllToAllAlgo::OneFactor, AllToAllAlgo::Bruck,
-                    AllToAllAlgo::HierarchicalLeaders,
                     AllToAllAlgo::StagedKWay { k: 2 }][algo_ix];
         let out = run(&ClusterConfig::small_cluster(p), move |comm| {
             let r = comm.rank();

@@ -104,19 +104,15 @@ proptest! {
     }
 }
 
-/// All four exchange schedules produce byte-identical sorted blocks on
+/// All exchange schedules produce byte-identical sorted blocks on
 /// every rank — the schedule moves bytes on different paths, never to
 /// different places.
 #[test]
-fn all_four_schedules_sort_identically() {
+fn all_schedules_sort_identically() {
     let p = 16;
     let n = 1200;
     let base = sorted_run(p, n, 1 << 24, AllToAllAlgo::OneFactor, 1, false, 0);
-    for algo in [
-        AllToAllAlgo::Bruck,
-        AllToAllAlgo::HierarchicalLeaders,
-        AllToAllAlgo::StagedKWay { k: 4 },
-    ] {
+    for algo in [AllToAllAlgo::Bruck, AllToAllAlgo::StagedKWay { k: 4 }] {
         let other = sorted_run(p, n, 1 << 24, algo, 1, false, 0);
         for (rank, (b, o)) in base.iter().zip(&other).enumerate() {
             assert_eq!(b.0, o.0, "{algo:?} rank {rank}: output diverged");
