@@ -97,8 +97,7 @@ impl SortConfigBuilder {
 
     /// Response to a mid-sort rank failure: abort the run (the
     /// default) or shrink onto the survivors and restart from the
-    /// retained checkpoint. `build()` rejects
-    /// [`RecoveryPolicy::Shrink`] combined with a staged exchange
+    /// retained checkpoint. Either policy composes with every exchange
     /// schedule.
     pub fn recovery(mut self, recovery: RecoveryPolicy) -> Self {
         self.cfg.recovery = recovery;
@@ -109,9 +108,7 @@ impl SortConfigBuilder {
     /// personalized all-to-all. One-factor (the default) is
     /// bandwidth-optimal; [`AllToAllAlgo::StagedKWay`] trades per-stage
     /// β for `⌈log_k P⌉·k` message latencies. `build()` rejects a
-    /// staged fan-out below 2, and staging combined with
-    /// [`RecoveryPolicy::Shrink`] (a mid-superstep crash inside one
-    /// block communicator would deadlock the survivor agreement).
+    /// staged fan-out below 2.
     pub fn exchange_algo(mut self, algo: AllToAllAlgo) -> Self {
         self.cfg.exchange_algo = algo;
         self
@@ -214,18 +211,6 @@ mod tests {
                 "fan-out {k} must be rejected"
             );
         }
-    }
-
-    #[test]
-    fn builder_rejects_shrink_with_staged_exchange() {
-        let err = SortConfig::builder()
-            .recovery(RecoveryPolicy::Shrink)
-            .exchange_algo(AllToAllAlgo::StagedKWay { k: 4 })
-            .build();
-        assert!(matches!(
-            err,
-            Err(InvalidSortConfig::ShrinkNeedsSingleStageExchange)
-        ));
     }
 
     #[test]

@@ -65,10 +65,8 @@ pub enum RecoveryPolicy {
     /// (warm-started from the pre-crash accepted splitters) and the
     /// exchange. The sort then reports
     /// [`SortOutcome::Recovered`]. The exchange is one all-or-none
-    /// collective, so every survivor observes the failure at the same
-    /// point (which is why a staged schedule, whose block communicators
-    /// run on independently, is rejected with
-    /// [`InvalidSortConfig::ShrinkNeedsSingleStageExchange`]). A
+    /// collective under every [`AllToAllAlgo`] schedule, so every
+    /// survivor observes the failure at the same point. A
     /// completed exchange is the commit point: a rank that dies *after*
     /// it (in its local merge) costs the survivors nothing and the sort
     /// completes normally — the loss is reported at run level only.
@@ -177,12 +175,12 @@ pub struct SortConfig {
     pub recovery: RecoveryPolicy,
     /// Collective schedule of the data-exchange superstep's
     /// personalized all-to-all: one-factor pairwise rounds
-    /// (default, bandwidth-optimal), Bruck store-and-forward,
-    /// node-leader aggregation, or HykSort-style staged `k`-way
-    /// forwarding over split sub-communicators
+    /// (default, bandwidth-optimal), Bruck store-and-forward, or
+    /// HykSort-style staged `k`-way forwarding
     /// ([`AllToAllAlgo::StagedKWay`], latency-optimal at scale for
-    /// small per-peer payloads). Every schedule delivers byte-identical
-    /// sorted output; only the virtual clock differs.
+    /// small per-peer payloads). Every schedule is one rendezvous that
+    /// delivers byte-identical sorted output; only the virtual clock
+    /// differs.
     pub exchange_algo: AllToAllAlgo,
     /// Epoch-to-epoch splitter seeding policy of the epoch service
     /// ([`crate::service::EpochSorter`]). Ignored by the one-shot entry
@@ -209,14 +207,6 @@ pub enum InvalidSortConfig {
     /// `k < 2` never shrinks a block, so the staged recursion cannot
     /// terminate.
     BadExchangeFanout(usize),
-    /// [`RecoveryPolicy::Shrink`] requires a *single-rendezvous*
-    /// exchange schedule. A staged exchange splits ranks into disjoint
-    /// block communicators mid-superstep; a crash inside one block is
-    /// invisible to the others, which run to completion and leave the
-    /// crashed block's survivors waiting forever in the survivor
-    /// agreement (see the staged-interplay notes in
-    /// `dhs_runtime::recover`).
-    ShrinkNeedsSingleStageExchange,
 }
 
 impl fmt::Display for InvalidSortConfig {
@@ -236,13 +226,6 @@ impl fmt::Display for InvalidSortConfig {
             }
             InvalidSortConfig::BadExchangeFanout(k) => {
                 write!(f, "StagedKWay fan-out must be at least 2, got {k}")
-            }
-            InvalidSortConfig::ShrinkNeedsSingleStageExchange => {
-                write!(
-                    f,
-                    "RecoveryPolicy::Shrink requires a single-rendezvous exchange \
-                     schedule (not AllToAllAlgo::StagedKWay)"
-                )
             }
         }
     }
@@ -271,9 +254,6 @@ impl SortConfig {
         if let AllToAllAlgo::StagedKWay { k } = self.exchange_algo {
             if k < 2 {
                 return Err(InvalidSortConfig::BadExchangeFanout(k));
-            }
-            if self.recovery == RecoveryPolicy::Shrink {
-                return Err(InvalidSortConfig::ShrinkNeedsSingleStageExchange);
             }
         }
         Ok(())

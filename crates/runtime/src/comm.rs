@@ -12,8 +12,6 @@ use std::mem;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use crate::buffer::{BufferPool, RecvRuns, SharedSlice};
 use crate::cost::{CostModel, Work};
 use crate::fault::{unit_draw, RankAbort, RankError};
@@ -40,19 +38,19 @@ pub enum AllToAllAlgo {
     /// at 16 Ki keys/rank (66.3 vs 83.9 µs).
     Bruck,
     /// HykSort-style recursive `k`-way staging: the communicator is
-    /// split into `k` contiguous blocks, every rank forwards each
+    /// cut into `k` contiguous blocks, every rank forwards each
     /// destination block's traffic (tagged with its final destination)
     /// to one peer of that block, then the blocks recurse — `⌈log_k
     /// P⌉` stages of at most `k − 1` messages each instead of the
     /// one-factor's `P − 1` direct messages. Latency drops from `O(P·α)`
     /// to `O(k·log_k P·α)`; bytes pay β once **per stage**, so large
     /// payloads should stay on the bandwidth-optimal
-    /// [`AllToAllAlgo::OneFactor`]. Unlike the other variants this is
-    /// not a charging formula over one rendezvous: the stages execute
-    /// for real, splitting sub-communicators via [`Comm::split`] (whose
-    /// cost is charged too) and moving payloads through each hop.
-    /// Recorded win (A4, P = 128): `staged:8` 66.3 µs vs Bruck 83.9 µs
-    /// vs one-factor 195.9 µs at 16 Ki keys/rank.
+    /// [`AllToAllAlgo::OneFactor`]. Like the other variants it is a
+    /// charging formula over one rendezvous: the combine prices every
+    /// stage's hops over the count matrix, and each sub-block opens at
+    /// its parent's last hop plus the [`Comm::split`] that would carve
+    /// it. Recorded win (A4, P = 128): `staged:8` 66.3 µs vs Bruck
+    /// 83.9 µs vs one-factor 195.9 µs at 16 Ki keys/rank.
     StagedKWay {
         /// Fan-out per stage (number of blocks); at least 2. Fan-outs
         /// `k ≥ P` degenerate to one direct (sparsely charged) stage.
@@ -243,12 +241,7 @@ fn alltoallv_end_times(
                 ctx.cost.alltoallv_bruck_rank_ns(ctx.worst_link, p, total)
             })
             .collect(),
-        // Staged exchanges never reach the single-rendezvous cost
-        // path: `Comm::exchange` dispatches them to the real staged
-        // driver, which charges per stage.
-        AllToAllAlgo::StagedKWay { .. } => {
-            unreachable!("StagedKWay executes real stages via Comm::alltoallv_staged")
-        }
+        AllToAllAlgo::StagedKWay { k } => staged_costs(ctx, p, elem, k, count),
     };
     for end in &mut ends {
         *end += ctx.enter_max_ns;
@@ -256,19 +249,118 @@ fn alltoallv_end_times(
     ends
 }
 
-/// One routed payload of the staged k-way exchange: the original source
-/// and the final destination (both in *root*-communicator ranks) ride
-/// along with the data, which is forwarded intact — units are never
-/// split or merged, so the receiver's per-source runs come out
-/// byte-identical to a direct exchange.
-struct StagedUnit<T> {
-    src: u32,
-    dst: u32,
-    data: Vec<T>,
-}
-
 /// Bytes charged per forwarded unit for its `(src, dst)` routing header.
 const STAGE_HEADER_BYTES: u64 = 8;
+
+/// One non-empty `(src, dst)` block of a staged exchange, forwarded
+/// whole from stage to stage: the communicator rank carrying it into
+/// the current stage, its final destination, and its wire size
+/// (payload plus routing header).
+struct Routed {
+    holder: usize,
+    dst: usize,
+    bytes: u64,
+}
+
+/// Per-rank cost of the staged `k`-way schedule
+/// ([`AllToAllAlgo::StagedKWay`]), relative to the exchange's start:
+/// [`price_stages`] over every non-empty block, listed in destination
+/// order so that each sub-block's blocks are one run at every stage.
+fn staged_costs(
+    ctx: &CollectiveCtx<'_>,
+    p: usize,
+    elem: u64,
+    k: usize,
+    count: impl Fn(usize, usize) -> u64,
+) -> Vec<u64> {
+    let count = &count;
+    let mut units: Vec<Routed> = (0..p)
+        .flat_map(|dst| (0..p).map(move |holder| (holder, dst, count(holder, dst))))
+        .filter(|&(.., c)| c > 0)
+        .map(|(holder, dst, c)| Routed {
+            holder,
+            dst,
+            bytes: c * elem + STAGE_HEADER_BYTES,
+        })
+        .collect();
+    let mut ends = vec![0u64; p];
+    price_stages(ctx, k, (0, p), 0, &mut units, &mut ends);
+    ends
+}
+
+/// Price one stage of the block of `q` communicator ranks starting at
+/// `lo`, which every member enters at `start`, then recurse into its
+/// sub-blocks. `units` are the blocks bound inside it, in destination
+/// order. The block is cut into `min(k, q)` contiguous sub-blocks
+/// `g·q/kk`; each rank sends everything bound for sub-block `g` as one
+/// message to its carrier there (itself for its own sub-block, else
+/// the rank at its offset within its own sub-block, wrapped into `g`'s
+/// size). A rank pays `max(send, recv)`, each side
+/// [`CostModel::alltoallv_rank_ns`] over its peers in ascending order.
+/// The final stage (`kk == q`) ends per rank; any other opens every
+/// sub-block at its last member's end plus the block's
+/// [`CostModel::comm_split_ns`].
+fn price_stages(
+    ctx: &CollectiveCtx<'_>,
+    k: usize,
+    (lo, q): (usize, usize),
+    start: u64,
+    units: &mut [Routed],
+    ends: &mut [u64],
+) {
+    if q <= 1 {
+        ends[lo] = start;
+        return;
+    }
+    let kk = k.min(q);
+    // Sub-block `g` spans `[gs(g), gs(g + 1))`; `block_of` inverts it.
+    let gs = |g: usize| g * q / kk;
+    let block_of = |r: usize| ((r + 1) * kk - 1) / q;
+    let carrier = |m: usize, g: usize| {
+        let mine = block_of(m);
+        if g == mine {
+            m
+        } else {
+            gs(g) + (m - gs(mine)) % (gs(g + 1) - gs(g))
+        }
+    };
+    let mut bytes = vec![0u64; q * kk];
+    for u in units.iter_mut() {
+        let (m, g) = (u.holder - lo, block_of(u.dst - lo));
+        bytes[m * kk + g] += u.bytes;
+        u.holder = lo + carrier(m, g);
+    }
+    // Carriers ascend with `g` and senders with `m`: each side meets
+    // its peers in ascending order, as `alltoallv_rank_ns` sums them.
+    let members = &ctx.global_ranks[lo..lo + q];
+    let (mut send, mut recv) = (vec![0.0f64; q], vec![0.0f64; q]);
+    for (m, row) in bytes.chunks_exact(kk).enumerate() {
+        for (g, &b) in row.iter().enumerate().filter(|&(_, &b)| b > 0) {
+            let to = carrier(m, g);
+            let link = ctx.topology.link(members[m], members[to]);
+            let term = ctx.cost.alltoallv_peer_ns(link, b);
+            send[m] += term;
+            recv[to] += term;
+        }
+    }
+    let stage_end = |m: usize| start + (send[m].ceil() as u64).max(recv[m].ceil() as u64);
+    if kk == q {
+        for m in 0..q {
+            ends[lo + m] = stage_end(m);
+        }
+        return;
+    }
+    let split = ctx.cost.comm_split_ns(ctx.topology.worst_link(members), q);
+    let next = (0..q).map(stage_end).max().unwrap_or(start) + split;
+    let mut rest = units;
+    for g in 0..kk {
+        let sub = (lo + gs(g), gs(g + 1) - gs(g));
+        let cut = rest.partition_point(|u| u.dst < sub.0 + sub.1);
+        let (inside, tail) = rest.split_at_mut(cut);
+        price_stages(ctx, k, sub, next, inside, ends);
+        rest = tail;
+    }
+}
 
 /// Payload forms accepted by [`Comm::exchange`] — the single entry
 /// point of the personalized all-to-all. `&[&[T]]` sends borrowed
@@ -276,7 +368,7 @@ const STAGE_HEADER_BYTES: u64 = 8;
 /// element is cloned once, by its receiver); `Vec<Vec<T>>` is the same
 /// exchange over the buckets' slices, the buckets going back to the
 /// sender's pool afterwards. Both deliver into one contiguous
-/// [`RecvRuns`] buffer.
+/// [`RecvRuns`] buffer, under every schedule.
 pub trait ExchangePayload<T> {
     /// Run the personalized exchange of this payload under `algo`.
     fn exchange_via(self, comm: &Comm, algo: AllToAllAlgo) -> RecvRuns<T>;
@@ -284,42 +376,19 @@ pub trait ExchangePayload<T> {
 
 impl<T: Clone + Send + Sync + 'static> ExchangePayload<T> for Vec<Vec<T>> {
     fn exchange_via(self, comm: &Comm, algo: AllToAllAlgo) -> RecvRuns<T> {
-        match algo {
-            AllToAllAlgo::StagedKWay { k } => comm.alltoallv_staged(self, k),
-            _ => {
-                let views: Vec<&[T]> = self.iter().map(Vec::as_slice).collect();
-                let received = comm.alltoallv_direct_slices(&views, algo);
-                for mut bucket in self {
-                    bucket.clear();
-                    comm.pool().recycle(bucket);
-                }
-                received
-            }
+        let views: Vec<&[T]> = self.iter().map(Vec::as_slice).collect();
+        let received = comm.alltoallv_direct_slices(&views, algo);
+        for mut bucket in self {
+            bucket.clear();
+            comm.pool().recycle(bucket);
         }
+        received
     }
 }
 
 impl<'a, T: Clone + Send + Sync + 'static> ExchangePayload<T> for &'a [&'a [T]] {
     fn exchange_via(self, comm: &Comm, algo: AllToAllAlgo) -> RecvRuns<T> {
-        match algo {
-            AllToAllAlgo::StagedKWay { k } => {
-                // Staged forwarding needs owned hop buffers; stage the
-                // borrowed segments through the rank's pool. The copy
-                // is host-side only — the virtual clock charges the
-                // same stage schedule as the owned payload, so both
-                // payload forms keep identical makespans at every `k`.
-                let send: Vec<Vec<T>> = self
-                    .iter()
-                    .map(|s| {
-                        let mut v: Vec<T> = comm.pool().take();
-                        v.extend_from_slice(s);
-                        v
-                    })
-                    .collect();
-                comm.alltoallv_staged(send, k)
-            }
-            _ => comm.alltoallv_direct_slices(self, algo),
-        }
+        comm.alltoallv_direct_slices(self, algo)
     }
 }
 
@@ -905,9 +974,8 @@ impl Comm {
     /// `algo` picks the schedule (§VI-E1: "For a relatively small N/P
     /// we utilize store-and-forward algorithms ... For larger messages
     /// we schedule flat handshakes or 1-factorization algorithms").
-    /// All schedules deliver byte-identical data; only the virtual
-    /// clock differs. [`AllToAllAlgo::StagedKWay`] additionally
-    /// executes real forwarding stages over split sub-communicators.
+    /// All schedules are one rendezvous delivering byte-identical data;
+    /// only the virtual clock differs.
     pub fn exchange<T, P>(&self, payload: P, algo: AllToAllAlgo) -> RecvRuns<T>
     where
         P: ExchangePayload<T>,
@@ -915,13 +983,13 @@ impl Comm {
         payload.exchange_via(self, algo)
     }
 
-    /// The one single-rendezvous all-to-all body (every schedule except
-    /// `StagedKWay`): `send[d]` is a **borrowed** segment of this
-    /// rank's (typically already-sorted) local array destined for rank
-    /// `d`. Each element is copied exactly once, from the sender's
-    /// buffer straight into the receiver's single contiguous
-    /// [`RecvRuns`] buffer — real `MPI_Alltoallv` semantics, with
-    /// `(counts, displs)` marking the per-source runs.
+    /// The one all-to-all body, for every schedule: `send[d]` is a
+    /// **borrowed** segment of this rank's (typically already-sorted)
+    /// local array destined for rank `d`. Each element is copied
+    /// exactly once, from the sender's buffer straight into the
+    /// receiver's single contiguous [`RecvRuns`] buffer — real
+    /// `MPI_Alltoallv` semantics, with `(counts, displs)` marking the
+    /// per-source runs.
     ///
     /// `T: Clone` is enough — the copy-out is `extend_from_slice` — so
     /// records travel this path too. A `Clone` may panic where a `Copy`
@@ -937,6 +1005,9 @@ impl Comm {
             p,
             "alltoallv needs one bucket per destination rank"
         );
+        if let AllToAllAlgo::StagedKWay { k } = algo {
+            assert!(k >= 2, "staged exchange needs fan-out k >= 2");
+        }
         let sent_bytes =
             self.account_alltoallv_send(send.iter().map(|s| s.len()), mem::size_of::<T>());
         let me = self.rank;
@@ -972,200 +1043,6 @@ impl Comm {
             sink.attribute_bytes(sent_bytes);
         }
         out
-    }
-
-    /// HykSort-style staged `k`-way exchange (see
-    /// [`AllToAllAlgo::StagedKWay`]). Per stage the current
-    /// communicator is carved into `min(k, q)` contiguous blocks;
-    /// every held unit bound for block `g` is forwarded to this rank's
-    /// peer inside `g` (same offset within the block, modulo block
-    /// size), then the rank descends into its own block via
-    /// [`Comm::split`] — whose cost is charged — until the block is a
-    /// single rank and every unit has arrived at its final
-    /// destination. Units carry `(src, dst)` root-rank tags
-    /// ([`STAGE_HEADER_BYTES`] each on the wire) and are never split
-    /// or merged in flight, so reassembly by source yields the exact
-    /// per-source runs of a direct exchange.
-    ///
-    /// Crash checks fire at every stage entry (each stage and split is
-    /// a [`Comm::run_collective`]); forwarding buffers are recycled
-    /// through this rank's [`BufferPool`], and the final reassembly
-    /// lands in one contiguous [`RecvRuns`] buffer.
-    fn alltoallv_staged<T>(&self, send: Vec<Vec<T>>, k: usize) -> RecvRuns<T>
-    where
-        T: Send + 'static,
-    {
-        let p = self.size();
-        assert_eq!(
-            send.len(),
-            p,
-            "alltoallv needs one bucket per destination rank"
-        );
-        assert!(k >= 2, "staged exchange needs fan-out k >= 2");
-        // Everything below runs in *root*-communicator ranks; `lo` maps
-        // the current sub-communicator's rank 0 back to a root rank.
-        let mut held: Vec<StagedUnit<T>> = send
-            .into_iter()
-            .enumerate()
-            .filter(|(_, data)| !data.is_empty())
-            .map(|(dst, data)| StagedUnit {
-                src: self.rank as u32,
-                dst: dst as u32,
-                data,
-            })
-            .collect();
-        let mut owned: Option<Comm> = None;
-        let mut lo = 0usize;
-        let mut stage = 0usize;
-        loop {
-            let next = {
-                let cur = owned.as_ref().unwrap_or(self);
-                let q = cur.size();
-                if q <= 1 {
-                    break;
-                }
-                let kk = k.min(q);
-                // Contiguous blocks, HykSort-style: block `g` spans
-                // sub-ranks [g*q/kk, (g+1)*q/kk).
-                let gs = |g: usize| g * q / kk;
-                let block_of = |r: usize| {
-                    (0..kk)
-                        .find(|&g| r < gs(g + 1))
-                        .expect("every sub-rank lies in a block")
-                };
-                let m = cur.rank();
-                let my_block = block_of(m);
-                let sp = cur.span(crate::trace::stage_span_name(stage, kk));
-                // Route every held unit to this stage's carrier peer:
-                // units for block `g` go to the rank of `g` at my
-                // offset within my block (wrapped into `g`'s size).
-                let mut outgoing: BTreeMap<usize, Vec<StagedUnit<T>>> = BTreeMap::new();
-                for unit in held.drain(..) {
-                    let dl = unit.dst as usize - lo;
-                    let g = block_of(dl);
-                    let peer = if g == my_block {
-                        m
-                    } else {
-                        gs(g) + (m - gs(my_block)) % (gs(g + 1) - gs(g))
-                    };
-                    outgoing.entry(peer).or_default().push(unit);
-                }
-                held = cur.stage_exchange(outgoing.into_iter().collect());
-                if kk == q {
-                    // Final stage: every block is one rank, all units
-                    // are home. No split needed.
-                    drop(sp);
-                    None
-                } else {
-                    let sub = cur.split(my_block as u64, m as u64);
-                    drop(sp);
-                    Some((sub, gs(my_block)))
-                }
-            };
-            stage += 1;
-            match next {
-                Some((sub, block_lo)) => {
-                    lo += block_lo;
-                    owned = Some(sub);
-                }
-                None => break,
-            }
-        }
-        // Reassemble by source into one contiguous recv buffer. Units
-        // arrive in carrier order; sort by source so the runs line up
-        // exactly like a direct exchange's.
-        held.sort_unstable_by_key(|u| u.src);
-        let mut counts: Vec<usize> = vec![0; p];
-        let total: usize = held.iter().map(|u| u.data.len()).sum();
-        let mut data: Vec<T> = self.pool().take();
-        data.reserve(total);
-        for mut unit in held {
-            debug_assert_eq!(unit.dst as usize, self.rank, "unit delivered to its dst");
-            counts[unit.src as usize] = unit.data.len();
-            data.append(&mut unit.data);
-            self.pool().recycle(unit.data);
-        }
-        RecvRuns::from_parts(data, counts)
-    }
-
-    /// One forwarding stage of the staged exchange: every rank deposits
-    /// its routed units (`(peer, units-for-peer)` pairs, peers in this
-    /// communicator's ranks) and receives every unit addressed to it.
-    /// Charged like a sparse personalized all-to-all under the α–β
-    /// model: each rank pays `max(send, recv)` over its per-peer
-    /// message costs, where a unit's wire size is its payload plus
-    /// [`STAGE_HEADER_BYTES`] of routing header; self-deposits pay the
-    /// β-only self-loop, exactly like the one-factor diagonal.
-    fn stage_exchange<T>(&self, outgoing: Vec<(usize, Vec<StagedUnit<T>>)>) -> Vec<StagedUnit<T>>
-    where
-        T: Send + 'static,
-    {
-        let q = self.size();
-        let elem = mem::size_of::<T>() as u64;
-        // Wire size of a unit list: payloads plus routing headers.
-        let unit_bytes = move |units: &[StagedUnit<T>]| -> u64 {
-            units
-                .iter()
-                .map(|u| u.data.len() as u64 * elem + STAGE_HEADER_BYTES)
-                .sum()
-        };
-        // Sender-side per-link byte accounting, mirroring
-        // `account_alltoallv_send` on the direct path.
-        let topo = self.topology();
-        let counters = &self.local().counters;
-        let me_g = self.state.global_ranks[self.rank];
-        let mut sent_bytes = 0u64;
-        for (peer, units) in &outgoing {
-            let link = topo.link(me_g, self.state.global_ranks[*peer]);
-            let bytes = unit_bytes(units);
-            counters.add_bytes(link, bytes);
-            sent_bytes += bytes;
-        }
-        let me = self.rank;
-        let out = self.run_collective("exchange_stage", outgoing, move |inputs, ctx| {
-            let mut ends = Vec::with_capacity(q);
-            for r in 0..q {
-                let gr = ctx.global_ranks[r];
-                let send_cost =
-                    ctx.cost
-                        .alltoallv_rank_ns(inputs[r].iter().map(|(peer, units)| {
-                            (
-                                ctx.topology.link(gr, ctx.global_ranks[*peer]),
-                                unit_bytes(units),
-                            )
-                        }));
-                let recv_cost = ctx
-                    .cost
-                    .alltoallv_rank_ns(inputs.iter().enumerate().flat_map(|(s, list)| {
-                        list.iter()
-                            .filter(|(peer, _)| *peer == r)
-                            .map(move |(_, units)| {
-                                (
-                                    ctx.topology.link(ctx.global_ranks[s], gr),
-                                    unit_bytes(units),
-                                )
-                            })
-                    }));
-                ends.push(ctx.enter_max_ns + send_cost.max(recv_cost));
-            }
-            // Deliver: slot `r` collects every unit addressed to rank
-            // `r`, in source-rank (deposit) order for determinism.
-            let mut slots: Vec<Vec<StagedUnit<T>>> = (0..q).map(|_| Vec::new()).collect();
-            for list in inputs {
-                for (peer, units) in list {
-                    slots[peer].extend(units);
-                }
-            }
-            (
-                slots.into_iter().map(Mutex::new).collect::<Vec<_>>(),
-                EndTimes::PerRank(ends),
-            )
-        });
-        if let Some(sink) = self.sink() {
-            sink.attribute_bytes(sent_bytes);
-        }
-        let received = mem::take(&mut *out[me].lock());
-        received
     }
 
     /// Per-link byte accounting for this rank's outgoing personalized
@@ -1648,6 +1525,83 @@ mod tests {
             "large payloads must prefer the bandwidth-optimal schedule: \
              {staged_big} vs {direct_big}"
         );
+    }
+
+    /// Elements rank `r` sends rank `d` under count pattern `pattern`:
+    /// 0 ragged (some empty), 1 sparse (≈ 10 % non-empty), 2 one heavy
+    /// destination per rank over a thin ragged floor.
+    fn staged_golden_count(pattern: usize, p: usize, r: usize, d: usize) -> usize {
+        match pattern {
+            0 => (r * 7 + d * 3 + p) % 11,
+            1 => {
+                let draw = unit_draw(p as u64, &[r as u64, d as u64]);
+                if draw < 0.1 {
+                    1 + (draw * 640.0) as usize
+                } else {
+                    0
+                }
+            }
+            _ => {
+                if d == (r * 5 + 1) % p {
+                    4096
+                } else {
+                    (r + d) % 3
+                }
+            }
+        }
+    }
+
+    /// One staged exchange of the golden grid, every rank entering at
+    /// its own clock: the end-time vector's FNV-1a hash and its max.
+    fn staged_golden_cell(small: bool, p: usize, k: usize, pattern: usize) -> (u64, u64) {
+        let cfg = if small {
+            ClusterConfig::small_cluster(p)
+        } else {
+            ClusterConfig::supermuc_phase2(p)
+        };
+        let out = run(&cfg, move |comm| {
+            let r = comm.rank();
+            let skew = unit_draw(7 + pattern as u64, &[p as u64, k as u64, r as u64]);
+            comm.charge(Work::Ns((skew * 20_000.0) as u64));
+            let send: Vec<Vec<u64>> = (0..p)
+                .map(|d| vec![r as u64; staged_golden_count(pattern, p, r, d)])
+                .collect();
+            let _ = comm.exchange(send, AllToAllAlgo::StagedKWay { k });
+            comm.now_ns()
+        });
+        let ends: Vec<u64> = out.into_iter().map(|(t, _)| t).collect();
+        let hash = ends
+            .iter()
+            .flat_map(|t| t.to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+            });
+        (hash, ends.iter().copied().max().unwrap_or(0))
+    }
+
+    /// The priced staged arm reproduces, bit for bit, the per-rank end
+    /// times the executed hop-by-hop driver recorded before it was
+    /// deleted: p ∈ {2, …, 130} × k ∈ {2, …, 200} (k ≥ p included) on
+    /// both test clusters, three count patterns, ragged entry clocks.
+    #[test]
+    fn staged_pricing_matches_the_executed_driver() {
+        let golden = include_str!("../testdata/staged_golden.txt");
+        let mut cells = 0;
+        for line in golden.lines().filter(|l| !l.starts_with('#')) {
+            let mut fields = line.split(" | ");
+            let head: Vec<&str> = fields.next().unwrap().split(' ').collect();
+            let (p, k) = (head[1].parse().unwrap(), head[2].parse().unwrap());
+            for (pattern, want) in fields.enumerate() {
+                let (hash, max) = staged_golden_cell(head[0] == "small_cluster", p, k, pattern);
+                assert_eq!(
+                    format!("{max} {hash:016x}"),
+                    want,
+                    "{line}, pattern {pattern}"
+                );
+                cells += 1;
+            }
+        }
+        assert_eq!(cells, 288);
     }
 
     #[test]

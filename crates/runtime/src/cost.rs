@@ -11,7 +11,7 @@
 //! [`Work`] values so that simulated times are deterministic and
 //! independent of host oversubscription.
 
-use crate::topology::{LinkClass, Topology};
+use crate::topology::LinkClass;
 
 /// Latency/bandwidth parameters for one link class.
 #[derive(Debug, Clone, Copy)]
@@ -305,40 +305,6 @@ pub fn log2_ceil(p: usize) -> u32 {
     }
 }
 
-/// Number of forwarding stages a staged `k`-way exchange over `p`
-/// ranks executes: each stage carves the surviving block into at most
-/// `k` sub-blocks of `⌈q/k⌉` ranks, so the count is `⌈log_k p⌉`
-/// (`0` for `p ≤ 1`; a fan-out `k ≥ p` degenerates to one stage).
-/// Block sizes follow the `g·q/k` contiguous-partition rule, whose
-/// largest block is `⌈q/k⌉` — this helper iterates that recurrence
-/// rather than flooring a real-valued logarithm, so it is exact.
-pub fn staged_stage_count(p: usize, k: usize) -> u32 {
-    assert!(k >= 2, "staged exchange needs fan-out k >= 2");
-    let mut q = p;
-    let mut stages = 0;
-    while q > 1 {
-        stages += 1;
-        if k >= q {
-            break;
-        }
-        q = q.div_ceil(k);
-    }
-    stages
-}
-
-/// Per-peer link/byte iterator helper for all-to-allv charging.
-pub fn alltoallv_peer_bytes<'a>(
-    topo: &'a Topology,
-    global_ranks: &'a [usize],
-    me: usize,
-    send_counts_bytes: &'a [u64],
-) -> impl Iterator<Item = (LinkClass, u64)> + 'a {
-    send_counts_bytes
-        .iter()
-        .enumerate()
-        .map(move |(peer, &bytes)| (topo.link(global_ranks[me], global_ranks[peer]), bytes))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -353,23 +319,6 @@ mod tests {
         assert_eq!(log2_ceil(5), 3);
         assert_eq!(log2_ceil(1024), 10);
         assert_eq!(log2_ceil(1025), 11);
-    }
-
-    #[test]
-    fn staged_stage_counts() {
-        // k >= p: one direct stage.
-        assert_eq!(staged_stage_count(1, 2), 0);
-        assert_eq!(staged_stage_count(2, 2), 1);
-        assert_eq!(staged_stage_count(7, 8), 1);
-        // Powers: exact log_k p.
-        assert_eq!(staged_stage_count(16, 2), 4);
-        assert_eq!(staged_stage_count(16, 4), 2);
-        assert_eq!(staged_stage_count(256, 16), 2);
-        assert_eq!(staged_stage_count(1024, 4), 5);
-        // Non-divisible sizes round the block up, never down.
-        assert_eq!(staged_stage_count(9, 2), 4); // 9 → 5 → 3 → 2 → 1
-        assert_eq!(staged_stage_count(100, 10), 2);
-        assert_eq!(staged_stage_count(101, 10), 3); // 101 → 11 → 2 → 1
     }
 
     #[test]

@@ -39,26 +39,6 @@
 //! (`max(arrival clocks) + comm_split_ns`) cannot depend on host
 //! scheduling. A rank whose own deadline already passed dies *at
 //! agreement entry*, exactly as it would have at its next operation.
-//!
-//! # Interplay with staged exchanges
-//!
-//! Shrink-and-recover composes with every *single-rendezvous* exchange
-//! schedule: the whole all-to-allv is one collective, so an interrupt
-//! either precedes it (the attempt restarts before any data moved) or
-//! the collective commits whole. A staged exchange
-//! ([`crate::comm::AllToAllAlgo::StagedKWay`]) breaks that all-or-none
-//! shape: after the first [`crate::comm::Comm::split`], ranks proceed
-//! inside disjoint block communicators, and a crash inside one block is
-//! invisible to the others — the un-crashed blocks run to completion
-//! and return from the exchange holding data that partially includes
-//! the dead rank's contribution, while the crashed block's survivors
-//! unwind and wait in `agree_survivors` for members that will never
-//! arrive (they already left the exchange and are executing the merge
-//! phase, not an interruptible wait). That is a deadlock, not a
-//! recovery. Until mid-stage shrink is implemented (which would need a
-//! cross-block abort broadcast between stages), `dhs-core` rejects the
-//! combination up front with the typed
-//! `InvalidSortConfig::ShrinkNeedsSingleStageExchange`.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;

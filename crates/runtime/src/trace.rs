@@ -200,15 +200,6 @@ impl TraceSink {
     }
 }
 
-/// Span name for stage `stage` of a staged k-way exchange running at
-/// fan-out `fanout` (`exchange_stage<i>@k<fanout>`). Mirrors the
-/// `{phase}@t{budget}` convention of intra-rank spans: the name is
-/// allocated per call, but span bookkeeping never advances the virtual
-/// clock, so traced and untraced staged runs stay bit-identical.
-pub fn stage_span_name(stage: usize, fanout: usize) -> Cow<'static, str> {
-    Cow::Owned(format!("exchange_stage{stage}@k{fanout}"))
-}
-
 /// RAII timer over the virtual clock, returned by
 /// [`crate::Comm::span`]. Always measures elapsed virtual time —
 /// [`SpanGuard::finish`] works identically whether tracing is on or

@@ -2,9 +2,8 @@
 //! algo)` is an adapter over `exchange(&[&[T]], algo)`, so it must
 //! deliver exactly the same bytes and — because the α–β cost model
 //! reads only message *lengths*, never payloads — the same per-rank
-//! virtual clocks to the nanosecond, under every schedule (including
-//! the staged k-way one, which takes the owned buckets as they are)
-//! and with fault injection on or off.
+//! virtual clocks to the nanosecond, under every schedule and with
+//! fault injection on or off.
 
 use dhs_runtime::{run, AllToAllAlgo, ClusterConfig, FaultPlan, PoolStats};
 use proptest::prelude::*;

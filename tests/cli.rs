@@ -62,6 +62,32 @@ fn sort_verifies_and_rejects_unknown_flags() {
     }
 }
 
+/// Shrink recovery composes with the staged schedule: the pair builds
+/// and sorts.
+#[test]
+fn shrink_recovery_runs_with_staged_exchange() {
+    let ok = dhs(&[
+        "sort",
+        "--ranks",
+        "8",
+        "--nper",
+        "512",
+        "--recovery",
+        "shrink",
+        "--exchange-algo",
+        "staged:4",
+        "--verify",
+    ]);
+    let stdout = String::from_utf8_lossy(&ok.stdout);
+    assert_eq!(
+        ok.status.code(),
+        Some(0),
+        "{stdout}{}",
+        String::from_utf8_lossy(&ok.stderr)
+    );
+    assert!(stdout.contains("verification       : PASS"), "{stdout}");
+}
+
 /// A flag the driver reads, given a value it does not take: one
 /// `dhs: …` line naming the flag, the usage text, exit 2 — never a
 /// panic, and nothing runs.

@@ -1,13 +1,10 @@
-//! The staged k-way exchange's end-to-end contract: routing keys
-//! through `⌈log_k P⌉` store-and-forward stages over split
-//! sub-communicators must be *invisible* in the sorted output — every
-//! schedule delivers byte-identical data — while remaining fully
-//! deterministic on the virtual clock (same seed → same per-rank
-//! makespans, for any intra-rank thread budget, with faults on or
-//! off). Plus the one interplay the schedule forbids: shrink-and-
-//! recover's crash rendezvous cannot see across sub-communicator
-//! boundaries, so `RecoveryPolicy::Shrink` + `StagedKWay` is a typed
-//! configuration error, never a runtime deadlock.
+//! The staged k-way exchange's end-to-end contract: pricing keys
+//! through `⌈log_k P⌉` store-and-forward stages must be *invisible* in
+//! the sorted output — every schedule delivers byte-identical data —
+//! while remaining fully deterministic on the virtual clock (same seed
+//! → same per-rank makespans, for any intra-rank thread budget, with
+//! faults on or off). Being one rendezvous like every schedule, it
+//! composes with shrink-and-recover.
 
 use dhs_core::{histogram_sort, AllToAllAlgo, InvalidSortConfig, RecoveryPolicy, SortConfig};
 use dhs_runtime::{run, try_run_partial, ClusterConfig, FaultPlan};
@@ -120,24 +117,60 @@ fn all_schedules_sort_identically() {
     }
 }
 
-/// `Shrink` + `StagedKWay` is rejected when the configuration is
-/// built — the crash rendezvous of the recovery driver spans the whole
-/// communicator, which a mid-exchange split makes impossible — and a
-/// degenerate fan-out is rejected on its own account.
-#[test]
-fn shrink_with_staged_exchange_is_a_typed_config_error() {
-    let err = SortConfig::builder()
+/// Shrink-and-recover through a crash of rank 3 at 40 µs — before the
+/// exchange — under `algo`: the victim fails, every survivor reports
+/// `Recovered`, and the survivors' outputs are the sorted union of
+/// their inputs.
+fn assert_shrink_recovers(algo: AllToAllAlgo) {
+    let p = 8;
+    let n = 1500;
+    let victim = 3;
+    let cluster =
+        ClusterConfig::small_cluster(p).with_fault(FaultPlan::seeded(7).with_crash(victim, 40_000));
+    let cfg = SortConfig::builder()
         .recovery(RecoveryPolicy::Shrink)
-        .exchange_algo(AllToAllAlgo::StagedKWay { k: 4 })
+        .exchange_algo(algo)
         .build()
-        .expect_err("shrink + staged must not build");
+        .expect("shrink composes with every schedule");
+    let out = try_run_partial(&cluster, move |comm| {
+        let mut local = keys_for(comm.rank(), n, 1 << 20);
+        let stats = histogram_sort(comm, &mut local, &cfg);
+        (local, stats.outcome.is_recovered())
+    });
     assert!(
-        matches!(err, InvalidSortConfig::ShrinkNeedsSingleStageExchange),
-        "expected ShrinkNeedsSingleStageExchange, got {err:?}"
+        out.ranks[victim].is_err(),
+        "{algo:?}: the victim itself must fail"
     );
+    let mut got = Vec::new();
+    for rank in (0..p).filter(|&r| r != victim) {
+        let ((local, recovered), _) = out.ranks[rank]
+            .as_ref()
+            .unwrap_or_else(|e| panic!("{algo:?}: survivor {rank} failed: {e}"));
+        assert!(recovered, "{algo:?}: survivor {rank} must report Recovered");
+        got.extend_from_slice(local);
+    }
+    let mut expect: Vec<u64> = (0..p)
+        .filter(|&r| r != victim)
+        .flat_map(|r| keys_for(r, n, 1 << 20))
+        .collect();
+    expect.sort_unstable();
+    assert_eq!(
+        got, expect,
+        "{algo:?}: survivor output must be their sorted union"
+    );
+}
 
+/// Every schedule is one rendezvous, so `Shrink` + `StagedKWay` builds
+/// and recovers like the one-factor case below; only a degenerate
+/// fan-out is a typed configuration error.
+#[test]
+fn shrink_with_staged_exchange_recovers() {
+    for k in [2, 4] {
+        assert_shrink_recovers(AllToAllAlgo::StagedKWay { k });
+    }
     for k in [0usize, 1] {
         let err = SortConfig::builder()
+            .recovery(RecoveryPolicy::Shrink)
             .exchange_algo(AllToAllAlgo::StagedKWay { k })
             .build()
             .expect_err("fan-out below 2 must not build");
@@ -148,40 +181,9 @@ fn shrink_with_staged_exchange_is_a_typed_config_error() {
     }
 }
 
-/// The combination the typed error protects: shrink recovery with the
-/// (single-stage) one-factor exchange still completes through a mid-
-/// sort crash — survivors recover, nothing deadlocks — so rejecting
-/// `StagedKWay` under `Shrink` costs no fault-tolerance coverage.
+/// Shrink recovery with the default one-factor exchange completes
+/// through the same crash.
 #[test]
 fn shrink_with_single_stage_exchange_still_recovers() {
-    let p = 8;
-    let n = 1500;
-    let victim = 3;
-    let cluster =
-        ClusterConfig::small_cluster(p).with_fault(FaultPlan::seeded(7).with_crash(victim, 40_000));
-    let cfg = SortConfig::builder()
-        .recovery(RecoveryPolicy::Shrink)
-        .exchange_algo(AllToAllAlgo::OneFactor)
-        .build()
-        .expect("shrink + one-factor is valid");
-    let out = try_run_partial(&cluster, move |comm| {
-        let mut local = keys_for(comm.rank(), n, 1 << 20);
-        let stats = histogram_sort(comm, &mut local, &cfg);
-        (local, stats.outcome.is_recovered())
-    });
-    assert!(out.ranks[victim].is_err(), "the victim itself must fail");
-    let mut got = Vec::new();
-    for rank in (0..p).filter(|&r| r != victim) {
-        let ((local, recovered), _) = out.ranks[rank]
-            .as_ref()
-            .unwrap_or_else(|e| panic!("survivor {rank} failed: {e}"));
-        assert!(recovered, "survivor {rank} must report Recovered");
-        got.extend_from_slice(local);
-    }
-    let mut expect: Vec<u64> = (0..p)
-        .filter(|&r| r != victim)
-        .flat_map(|r| keys_for(r, n, 1 << 20))
-        .collect();
-    expect.sort_unstable();
-    assert_eq!(got, expect, "survivor output must be their sorted union");
+    assert_shrink_recovers(AllToAllAlgo::OneFactor);
 }
