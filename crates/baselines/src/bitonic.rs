@@ -6,10 +6,15 @@
 //! Like the Charm++ implementation the paper benchmarks, this baseline
 //! inherits the classic constraints: the rank count must be a power of
 //! two and all ranks must hold equally many keys.
+//!
+//! Each compare-split step is one [`Comm::exchange`] in which every rank
+//! sends its whole block to exactly one partner, priced by the sparse
+//! single-stage schedule (`StagedKWay` with `k = P`): one `α + bytes·β`
+//! per side, nothing for the `P − 2` empty peers.
 
 use dhs_core::Key;
 use dhs_merge::merge_two;
-use dhs_runtime::{Comm, Work};
+use dhs_runtime::{AllToAllAlgo, Comm, Work};
 
 use crate::stats::AlgoStats;
 
@@ -52,7 +57,7 @@ pub fn bitonic_sort<K: Key>(comm: &Comm, local: &mut Vec<K>) -> AlgoStats {
 
     let stages = p.trailing_zeros();
     let rank = comm.rank();
-    let mut tag = 0u64;
+    let one_peer = AllToAllAlgo::StagedKWay { k: p };
     for stage in 1..=stages {
         for step in (0..stage).rev() {
             let partner = rank ^ (1 << step);
@@ -61,8 +66,9 @@ pub fn bitonic_sort<K: Key>(comm: &Comm, local: &mut Vec<K>) -> AlgoStats {
 
             // Full-volume compare-split with the partner.
             let sp_t1 = comm.span("exchange");
-            tag += 1;
-            let theirs = comm.exchange_pair(partner, tag, local.clone());
+            let mut segs: Vec<&[K]> = vec![&[]; p];
+            segs[partner] = local;
+            let (theirs, _) = comm.exchange(&segs[..], one_peer).into_parts();
             stats.exchange_ns += sp_t1.finish();
 
             let sp_t2 = comm.span("sort_merge");

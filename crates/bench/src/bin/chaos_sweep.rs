@@ -1,11 +1,10 @@
-//! Chaos sweep: the histogram sort against three baselines under seeded
-//! fault injection — straggler slowdowns, degraded links, and lossy
-//! transports of increasing severity. Every fault is a deterministic
-//! function of the plan seed, so each cell of the sweep is exactly
-//! reproducible. Message loss lives on the point-to-point transport,
-//! which only the bitonic baseline rides (`Comm::exchange_pair`); the
-//! sweep asserts that it retries under the loss scenarios and that the
-//! collective-only sorters never do.
+//! Chaos sweep: the histogram sort against three baselines under fault
+//! injection — straggler slowdowns and degraded links of increasing
+//! severity. Every fault is a deterministic function of the plan and of
+//! virtual time, so each cell of the sweep is exactly reproducible.
+//! Every sorter moves its data through the one collective rendezvous
+//! (bitonic's compare-split is a one-peer exchange), so both families
+//! reach all four.
 //!
 //! Prints a table per fault family and writes the full grid as JSON to
 //! `results/chaos_sweep.json`. A per-fault-family phase breakdown
@@ -44,7 +43,7 @@ use dhs_bench::experiment::{run_distributed_sort, run_recovery_sort, Distributed
 use dhs_bench::table::{fmt_secs, Table};
 use dhs_bench::Args;
 use dhs_core::{RecoveryPolicy, SortConfig};
-use dhs_runtime::{ClusterConfig, FaultPlan, LinkClass, LinkFault, LossSpec, RunnerEngine};
+use dhs_runtime::{ClusterConfig, FaultPlan, LinkClass, LinkFault, RunnerEngine};
 use dhs_workloads::{Distribution, Layout};
 
 /// One fault scenario applied to every algorithm.
@@ -69,7 +68,7 @@ fn scenarios(p: usize) -> Vec<Scenario> {
         ("stragglers-moderate", 3.0),
         ("stragglers-severe", 8.0),
     ] {
-        let mut plan = FaultPlan::seeded(0xC0FFEE);
+        let mut plan = FaultPlan::default();
         for rank in (0..p).filter(|r| r % 4 == 3) {
             plan = plan.with_straggler(rank, factor);
         }
@@ -81,27 +80,6 @@ fn scenarios(p: usize) -> Vec<Scenario> {
         });
     }
 
-    // Message loss on the point-to-point transport.
-    for (name, rate) in [
-        ("loss-1pct", 0.01),
-        ("loss-10pct", 0.10),
-        ("loss-30pct", 0.30),
-    ] {
-        let plan = FaultPlan::seeded(0xBAD5EED).with_loss(LossSpec {
-            rate,
-            timeout_ns: 50_000,
-            max_retries: 16,
-            duplicate_rate: rate / 2.0,
-            backoff_factor: 1.0,
-        });
-        out.push(Scenario {
-            name,
-            family: "loss",
-            severity: rate,
-            plan,
-        });
-    }
-
     // Inter-node link degradation for the middle third of the run
     // (virtual time window chosen to overlap the exchange phase).
     for (name, beta_factor) in [
@@ -109,7 +87,7 @@ fn scenarios(p: usize) -> Vec<Scenario> {
         ("link-slow-4x", 4.0),
         ("link-slow-16x", 16.0),
     ] {
-        let plan = FaultPlan::seeded(0xD06E).with_link_fault(LinkFault {
+        let plan = FaultPlan::default().with_link_fault(LinkFault {
             class: Some(LinkClass::InterNode),
             extra_alpha_ns: 10_000.0,
             beta_factor,
@@ -126,26 +104,6 @@ fn scenarios(p: usize) -> Vec<Scenario> {
     out
 }
 
-/// Keep the loss family honest. Loss is drawn per point-to-point
-/// message, so the family measures something only while a sorter sends
-/// some: the bitonic rider must, nobody else may, and under a `loss-*`
-/// scenario the rider must have retried (once it sends enough messages
-/// to expect a lost one — 48 at `--quick` meet 1 % loss with none).
-fn assert_retries(sc: &Scenario, label: &str, algo: &SortAlgo, run: &DistributedRun) {
-    let cell = format!(
-        "{label} under {}: {} p2p messages, {} retries",
-        sc.name, run.p2p_messages, run.p2p_retries
-    );
-    let rider = matches!(algo, SortAlgo::Bitonic);
-    assert_eq!(run.p2p_messages > 0, rider, "{cell}");
-    if rider && sc.family == "loss" {
-        let expected_losses = run.p2p_messages as f64 * sc.severity;
-        assert!(run.p2p_retries > 0 || expected_losses < 1.0, "{cell}");
-    } else {
-        assert_eq!(run.p2p_retries, 0, "{cell}");
-    }
-}
-
 fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
@@ -153,16 +111,8 @@ fn json_escape(s: &str) -> String {
 fn run_json(r: &DistributedRun) -> String {
     format!(
         "{{\"makespan_s\": {:.9}, \"iterations\": {}, \"converged\": {}, \
-         \"p2p_retries\": {}, \"p2p_duplicates\": {}, \"max_keys\": {}, \"min_keys\": {}, \
-         \"inter_node_bytes\": {}}}",
-        r.makespan_s,
-        r.iterations,
-        r.converged,
-        r.p2p_retries,
-        r.p2p_duplicates,
-        r.max_keys,
-        r.min_keys,
-        r.inter_node_bytes,
+         \"max_keys\": {}, \"min_keys\": {}, \"inter_node_bytes\": {}}}",
+        r.makespan_s, r.iterations, r.converged, r.max_keys, r.min_keys, r.inter_node_bytes,
     )
 }
 
@@ -240,7 +190,7 @@ fn recovery_grid(
     let _ = writeln!(json, "  \"grid\": [");
     for (si, (name, crashes)) in scens.iter().enumerate() {
         for (pi, (policy_name, policy)) in policies.iter().enumerate() {
-            let mut plan = FaultPlan::seeded(0xFA11);
+            let mut plan = FaultPlan::default();
             for &(rank, at_ns) in crashes {
                 plan = plan.with_crash(rank, at_ns);
             }
@@ -320,7 +270,7 @@ fn recovery_grid(
 
 /// The reduced large-p grid: p ∈ {512, 1024}, one representative
 /// severity per fault family, the histogram sort and the bitonic
-/// baseline (the one that rides the lossy point-to-point transport).
+/// baseline (`log² P` one-peer exchanges against one all-to-all).
 /// Written as a separate file so the main sweep's bytes — pinned by
 /// CI — are never disturbed.
 fn largep_sweep(engine: RunnerEngine, out_path: &str) {
@@ -332,15 +282,8 @@ fn largep_sweep(engine: RunnerEngine, out_path: &str) {
     ];
 
     println!("# Chaos sweep (large-p grid, {engine:?})");
-    println!("# {n_per} keys/rank, uniform keys, plan seeds fixed\n");
-    let mut table = Table::new([
-        "p",
-        "scenario",
-        "algorithm",
-        "makespan",
-        "slowdown",
-        "retries",
-    ]);
+    println!("# {n_per} keys/rank, uniform keys, fault plans fixed\n");
+    let mut table = Table::new(["p", "scenario", "algorithm", "makespan", "slowdown"]);
 
     let mut json = String::new();
     let _ = writeln!(json, "{{");
@@ -348,12 +291,7 @@ fn largep_sweep(engine: RunnerEngine, out_path: &str) {
     let _ = writeln!(json, "  \"grids\": [");
     let ps = [512usize, 1024];
     for (gi, &p) in ps.iter().enumerate() {
-        let keep = [
-            "baseline",
-            "stragglers-moderate",
-            "loss-1pct",
-            "link-slow-4x",
-        ];
+        let keep = ["baseline", "stragglers-moderate", "link-slow-4x"];
         let scens: Vec<Scenario> = scenarios(p)
             .into_iter()
             .filter(|s| keep.contains(&s.name))
@@ -374,7 +312,6 @@ fn largep_sweep(engine: RunnerEngine, out_path: &str) {
                     p * n_per,
                     seed,
                 );
-                assert_retries(sc, label, algo, &run);
                 if sc.family == "none" {
                     baselines.push(run.makespan_s);
                 }
@@ -385,7 +322,6 @@ fn largep_sweep(engine: RunnerEngine, out_path: &str) {
                     label.to_string(),
                     fmt_secs(run.makespan_s),
                     format!("{slowdown:.2}x"),
-                    run.p2p_retries.to_string(),
                 ]);
                 let _ = write!(
                     cells,
@@ -464,14 +400,11 @@ fn main() {
             other => panic!("unknown recovery policy {other} (expected shrink|abort|both)"),
         };
         println!("# Chaos sweep (recovery subset)");
-        println!("# P = {p}, {n_per} keys/rank, uniform keys, plan seeds fixed");
+        println!("# P = {p}, {n_per} keys/rank, uniform keys, fault plans fixed");
         recovery_grid(p, n_per, threads, engine, &policies, &out_path);
         return;
     }
 
-    // Bitonic's compare-split rounds go through the point-to-point
-    // transport, which is where message loss bites; the
-    // collective-based sorters only feel stragglers and slow links.
     let algos: Vec<(&str, SortAlgo)> = vec![
         (
             "dash-histogram",
@@ -491,7 +424,7 @@ fn main() {
     ];
 
     println!("# Chaos sweep: fault injection across sorters");
-    println!("# P = {p}, {n_per} keys/rank, uniform keys, plan seeds fixed\n");
+    println!("# P = {p}, {n_per} keys/rank, uniform keys, fault plans fixed\n");
 
     let mut json = String::new();
     let _ = writeln!(json, "{{");
@@ -500,14 +433,7 @@ fn main() {
     let _ = writeln!(json, "  \"scenarios\": [");
 
     let scens = scenarios(p);
-    let mut table = Table::new([
-        "scenario",
-        "algorithm",
-        "makespan",
-        "slowdown",
-        "retries",
-        "conv",
-    ]);
+    let mut table = Table::new(["scenario", "algorithm", "makespan", "slowdown", "conv"]);
     // (family, scenario, algorithm, phases) for the breakdown report.
     type PhaseRow = (String, String, String, Vec<(&'static str, f64)>);
     let mut phase_rows: Vec<PhaseRow> = Vec::new();
@@ -526,7 +452,6 @@ fn main() {
                 n_total,
                 seed,
             );
-            assert_retries(sc, label, algo, &run);
             if sc.family == "none" {
                 baselines.push(run.makespan_s);
             }
@@ -536,7 +461,6 @@ fn main() {
                 label.to_string(),
                 fmt_secs(run.makespan_s),
                 format!("{slowdown:.2}x"),
-                run.p2p_retries.to_string(),
                 if run.converged { "yes" } else { "NO" }.to_string(),
             ]);
             phase_rows.push((

@@ -41,6 +41,5 @@ fn main() {
     println!("compare         {:.2} ns", cost.compare_ns);
     println!("move            {:.2} ns/B", cost.move_byte_ns);
     println!("random access   {:.2} ns", cost.random_access_ns);
-    println!("msg post        {:.2} ns", cost.post_overhead_ns);
     println!("intra-node fast path: {}", cost.intranode_fastpath);
 }

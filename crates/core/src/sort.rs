@@ -48,8 +48,8 @@ pub enum LocalSort {
     Radix,
 }
 
-/// What the sort does when a peer rank fails mid-run (crash deadline
-/// reached, or a lossy link exhausted its retransmission budget).
+/// What the sort does when a peer rank fails mid-run (its crash
+/// deadline was reached).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum RecoveryPolicy {
     /// Propagate the failure: the failed rank's panic aborts the run

@@ -2,20 +2,22 @@
 //!
 //! A [`Comm`] belongs to exactly one rank-thread. Collectives move real
 //! data through shared memory while virtual time advances according to
-//! the cost model (see [`crate::cost`]); point-to-point messages go
-//! through per-rank mailboxes.
+//! the cost model (see [`crate::cost`]). They are the only transport:
+//! a pairwise step (bitonic's compare-split) is a [`Comm::exchange`]
+//! with one non-empty segment, priced sparsely by
+//! [`AllToAllAlgo::StagedKWay`] with `k ≥ P`.
 
 use std::borrow::Cow;
-use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, HashMap};
+use std::cell::Cell;
+use std::collections::BTreeMap;
 use std::mem;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use crate::buffer::{BufferPool, RecvRuns, SharedSlice};
 use crate::cost::{CostModel, Work};
-use crate::fault::{unit_draw, RankAbort, RankError};
-use crate::state::{CollectiveCtx, CommState, EndTimes, Message, World};
+use crate::fault::{RankAbort, RankError};
+use crate::state::{CollectiveCtx, CommState, EndTimes, World};
 use crate::stats::{RankLocal, RankReport};
 use crate::threads::ThreadPool;
 use crate::topology::{LinkClass, Placement, Topology};
@@ -53,7 +55,10 @@ pub enum AllToAllAlgo {
     /// 83.9 µs vs one-factor 195.9 µs at 16 Ki keys/rank.
     StagedKWay {
         /// Fan-out per stage (number of blocks); at least 2. Fan-outs
-        /// `k ≥ P` degenerate to one direct (sparsely charged) stage.
+        /// `k ≥ P` degenerate to one direct (sparsely charged) stage:
+        /// a one-peer exchange (bitonic's compare-split) pays one
+        /// `α + (bytes + 8)·β` term per side and nothing for the empty
+        /// peers the one-factor arm would charge α for.
         k: usize,
     },
 }
@@ -70,8 +75,6 @@ pub struct Comm {
     /// on a healthy rank, so the hot-path checks are branch-predictable).
     crash_at_ns: Option<u64>,
     straggler_factor: f64,
-    /// Next per-`(dst, tag)` sequence number for outgoing messages.
-    send_seq: RefCell<HashMap<(usize, u64), u64>>,
     /// Scratch-buffer free lists reused across collective rounds.
     pool: BufferPool,
     /// Intra-rank host-thread budget for hybrid rank×thread execution.
@@ -412,7 +415,6 @@ impl Comm {
             gen: Cell::new(0),
             crash_at_ns,
             straggler_factor,
-            send_seq: RefCell::new(HashMap::new()),
             pool: BufferPool::default(),
             threads,
         }
@@ -420,7 +422,7 @@ impl Comm {
 
     /// Kill this rank if its fault-plan crash deadline has passed. The
     /// check runs at every runtime interaction, so a crash surfaces at
-    /// the first charge/send/recv/collective at or after the deadline —
+    /// the first charge or collective at or after the deadline —
     /// a pure function of virtual time, hence fully deterministic.
     fn check_crash(&self) {
         if let Some(deadline) = self.crash_at_ns {
@@ -1063,183 +1065,6 @@ impl Comm {
     }
 
     // ------------------------------------------------------------------
-    // Point-to-point
-    // ------------------------------------------------------------------
-
-    /// Post a message to `dst` (non-blocking at the sender).
-    ///
-    /// Under an active [`crate::fault::LossSpec`], attempts may be
-    /// dropped by seeded draws: each lost attempt charges the sender an
-    /// exponentially backed-off retransmission timeout plus the posting
-    /// overhead and bumps the retry counter. If *all* `max_retries`
-    /// attempts are lost the sender suspects the peer dead and panics
-    /// with [`RankError::RetriesExhausted`] (or a
-    /// [`crate::recover::RecoveryInterrupt`] when recovery is armed)
-    /// instead of retrying forever. A further draw may inject a stray
-    /// duplicate, which the receiving mailbox discards by sequence
-    /// number.
-    pub fn send<T>(&self, dst: usize, tag: u64, data: Vec<T>)
-    where
-        T: Send + 'static,
-    {
-        self.check_crash();
-        assert!(dst < self.size());
-        let world = self.world();
-        let topo = &world.topology;
-        let me = self.local();
-        let me_g = self.state.global_ranks[self.rank];
-        let dst_g = self.state.global_ranks[dst];
-        let link = topo.link(me_g, dst_g);
-        let bytes = (data.len() * mem::size_of::<T>()) as u64;
-        let post_ns = world.cost.post_overhead_ns.ceil() as u64;
-        me.advance_ns(post_ns);
-
-        let seq = {
-            let mut seqs = self.send_seq.borrow_mut();
-            let slot = seqs.entry((dst, tag)).or_insert(0);
-            let seq = *slot;
-            *slot += 1;
-            seq
-        };
-
-        let mut duplicate = false;
-        if let Some(loss) = world.fault.loss {
-            let coords = |attempt: u64| [me_g as u64, dst_g as u64, tag, seq, attempt];
-            let mut retries = 0u64;
-            while retries < loss.max_retries as u64
-                && unit_draw(world.fault.seed, &coords(retries)) < loss.rate
-            {
-                retries += 1;
-            }
-            if retries > 0 {
-                // Each lost attempt waits out an exponentially backed-off
-                // retransmission timeout (plus reposting overhead). With
-                // the default `backoff_factor` of 1.0 this is exactly
-                // `retries * (timeout_ns + post_ns)`.
-                let penalty: u64 = (0..retries)
-                    .map(|attempt| {
-                        let wait =
-                            loss.timeout_ns as f64 * loss.backoff_factor.powi(attempt as i32);
-                        wait.ceil() as u64 + post_ns
-                    })
-                    .sum();
-                me.advance_ns(penalty);
-                me.counters.comm_ns.fetch_add(penalty, Ordering::Relaxed);
-                me.counters
-                    .p2p_retries
-                    .fetch_add(retries, Ordering::Relaxed);
-                if let Some(sink) = self.sink() {
-                    sink.event("retry", me.now_ns(), Some(link), bytes, retries);
-                }
-            }
-            if loss.max_retries > 0 && retries == loss.max_retries as u64 {
-                // Retransmission budget exhausted: suspect the peer dead
-                // rather than retrying forever. The suspicion feeds the
-                // failure detector; armed survivors unwind into the
-                // recovery layer, otherwise the rank aborts with a typed
-                // root cause.
-                let err = RankError::RetriesExhausted {
-                    peer: dst_g,
-                    attempts: loss.max_retries,
-                };
-                world.mark_rank_failed(dst_g, err.clone());
-                if world.recovery_armed() {
-                    crate::recover::interrupt();
-                }
-                std::panic::panic_any(RankAbort(err));
-            }
-            // Attempt id u64::MAX salts the duplicate draw so it is
-            // independent of the loss draws.
-            duplicate = loss.duplicate_rate > 0.0
-                && unit_draw(world.fault.seed, &coords(u64::MAX)) < loss.duplicate_rate;
-        }
-
-        let cost_now = world.fault.cost_at(&world.cost, me.now_ns());
-        let arrival_ns = me.now_ns() + cost_now.p2p_ns(link, bytes);
-        me.counters.p2p_messages.fetch_add(1, Ordering::Relaxed);
-        me.counters.add_bytes(link, bytes);
-        if let Some(sink) = self.sink() {
-            sink.event("send", me.now_ns(), Some(link), bytes, dst_g as u64);
-        }
-        self.state.mailboxes[dst].push(Message {
-            src: self.rank,
-            tag,
-            seq,
-            payload: Box::new(data),
-            arrival_ns,
-        });
-        if duplicate {
-            // A late retransmission of the same sequence number. Its
-            // payload is never read (the receiver dedups by `seq`), so
-            // it carries none; it only exercises the idempotence path.
-            me.counters.p2p_duplicates.fetch_add(1, Ordering::Relaxed);
-            if let Some(sink) = self.sink() {
-                sink.event("duplicate", me.now_ns(), Some(link), 0, dst_g as u64);
-            }
-            self.state.mailboxes[dst].push(Message {
-                src: self.rank,
-                tag,
-                seq,
-                payload: Box::new(()),
-                arrival_ns,
-            });
-        }
-        // The one publication of the delivery: wake the receiver's task.
-        world.sched.wake(&[dst_g]);
-    }
-
-    /// Blocking receive of a message from `src` with `tag`.
-    pub fn recv<T>(&self, src: usize, tag: u64) -> Vec<T>
-    where
-        T: Send + 'static,
-    {
-        self.check_crash();
-        assert!(src < self.size());
-        let me_g = self.state.global_ranks[self.rank];
-        let msg = self.state.mailboxes[self.rank].pop(
-            self.world(),
-            &self.state.global_ranks,
-            me_g,
-            src,
-            tag,
-        );
-        let me = self.local();
-        let before = me.now_ns();
-        me.advance_to_ns(msg.arrival_ns);
-        me.counters
-            .comm_ns
-            .fetch_add(me.now_ns().saturating_sub(before), Ordering::Relaxed);
-        let payload = *msg
-            .payload
-            .downcast::<Vec<T>>()
-            .expect("matching payload type for (src, tag)");
-        if let Some(sink) = self.sink() {
-            sink.complete(
-                Cow::Borrowed("recv"),
-                "p2p",
-                before,
-                me.now_ns(),
-                (payload.len() * mem::size_of::<T>()) as u64,
-            );
-        }
-        payload
-    }
-
-    /// Symmetric pairwise exchange with `peer`: send `data`, receive the
-    /// peer's buffer. Safe against deadlock because sends never block.
-    /// (The collective personalized exchange is [`Comm::exchange`].)
-    pub fn exchange_pair<T>(&self, peer: usize, tag: u64, data: Vec<T>) -> Vec<T>
-    where
-        T: Send + 'static,
-    {
-        if peer == self.rank {
-            return data;
-        }
-        self.send(peer, tag, data);
-        self.recv(peer, tag)
-    }
-
-    // ------------------------------------------------------------------
     // Communicator management
     // ------------------------------------------------------------------
 
@@ -1304,10 +1129,9 @@ impl Comm {
     /// the survivors, compacted in old-global-rank order.
     ///
     /// Panics with the caller's own root cause if the caller itself is
-    /// dead (crash deadline passed) or suspected dead by a peer. The
-    /// old communicator is *revoked* afterwards: its collective cell
-    /// and mailboxes may be wedged mid-generation, so no further
-    /// operations may be issued on it.
+    /// dead (crash deadline passed). The old communicator is *revoked*
+    /// afterwards: its collective cells may be wedged mid-generation,
+    /// so no further operations may be issued on it.
     pub fn shrink(&self, epoch: u64) -> crate::recover::Shrunk {
         let me_g = self.state.global_ranks[self.rank];
         let enter_ns = self.local().now_ns();
@@ -1344,6 +1168,7 @@ impl Comm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::unit_draw;
     use crate::runner::{run, ClusterConfig};
 
     fn cfg(p: usize) -> ClusterConfig {
@@ -1623,33 +1448,6 @@ mod tests {
     }
 
     #[test]
-    fn p2p_roundtrip_and_clock_advances() {
-        let vals = run(&cfg(2), |comm| {
-            if comm.rank() == 0 {
-                comm.send(1, 7, vec![1u8, 2, 3]);
-                comm.recv::<u8>(1, 8)
-            } else {
-                let got = comm.recv::<u8>(0, 7);
-                comm.send(0, 8, got.clone());
-                got
-            }
-        });
-        for (v, report) in vals {
-            assert_eq!(v, vec![1, 2, 3]);
-            assert!(report.clock_ns > 0);
-        }
-    }
-
-    #[test]
-    fn exchange_pair_is_symmetric() {
-        let vals = run(&cfg(2), |comm| {
-            comm.exchange_pair(1 - comm.rank(), 0, vec![comm.rank() as u64])
-        });
-        assert_eq!(vals[0].0, vec![1]);
-        assert_eq!(vals[1].0, vec![0]);
-    }
-
-    #[test]
     fn split_forms_coherent_subgroups() {
         let vals = run(&cfg(8), |comm| {
             let color = (comm.rank() % 2) as u64;
@@ -1785,7 +1583,7 @@ mod tests {
     ) -> std::collections::BTreeSet<LinkClass> {
         let per_node = numa * cores;
         let topology = Topology::new(nodes * per_node, per_node, numa, cores);
-        let fault = crate::FaultPlan::seeded(seed).with_link_fault(crate::LinkFault {
+        let fault = crate::FaultPlan::default().with_link_fault(crate::LinkFault {
             class: Some(LinkClass::InterNode),
             extra_alpha_ns: 731.5,
             beta_factor: 3.7,
@@ -1851,6 +1649,63 @@ mod tests {
         check_one_factor((2, 2, 2), &[4, 0, 2, 1], (9, 1000, 8), 0);
         // One rank: the self block alone.
         check_one_factor((1, 1, 1), &[0], (3, 0, 16), 0);
+    }
+
+    /// The pairwise step's price. One non-empty off-diagonal block per
+    /// rank, swapped symmetrically with partner `r ^ mask` as bitonic's
+    /// compare-split does: under `StagedKWay { k ≥ P }` every rank ends
+    /// one `α + (bytes + 8)·β` term at its partner's link class after
+    /// the latest entry, and pays nothing for its empty peers. The
+    /// one-factor arm — the histogram sort's — still charges α for
+    /// every empty non-self peer.
+    #[test]
+    fn one_peer_exchange_is_priced_sparsely() {
+        // 2 nodes × 2 NUMA domains × 2 cores: masks 1, 2 and 4 pair
+        // ranks inside a NUMA domain, across domains, across nodes.
+        let topology = Topology::new(8, 4, 2, 2);
+        let cost = CostModel::supermuc_phase2();
+        let members: Vec<usize> = (0..8).collect();
+        let enter_max_ns = 1_234;
+        let ctx = CollectiveCtx {
+            cost: &cost,
+            topology: &topology,
+            global_ranks: &members,
+            enter_max_ns,
+            worst_link: topology.worst_link(&members),
+        };
+        let (p, elem) = (members.len(), 8);
+        for mask in [1, 2, 4] {
+            let count = |s: usize, d: usize| {
+                if d == s ^ mask {
+                    5 + 3 * s.min(d) as u64
+                } else {
+                    0
+                }
+            };
+            let link = |s: usize, d: usize| cost.link(topology.link(s, d));
+            let mut staged = Vec::new();
+            for k in [p, p + 5] {
+                staged = alltoallv_end_times(&ctx, p, elem, AllToAllAlgo::StagedKWay { k }, count);
+                for (r, &end) in staged.iter().enumerate() {
+                    let (l, bytes) = (link(r, r ^ mask), count(r, r ^ mask) * elem + 8);
+                    let term = l.alpha_ns + bytes as f64 * l.beta_ns_per_byte;
+                    assert_eq!(
+                        end,
+                        enter_max_ns + term.ceil() as u64,
+                        "mask {mask} k {k} r {r}"
+                    );
+                }
+            }
+            let one_factor = alltoallv_end_times(&ctx, p, elem, AllToAllAlgo::OneFactor, count);
+            for (r, &end) in one_factor.iter().enumerate() {
+                let row = (0..p).filter(|&d| d != r).fold(0.0, |sum, d| {
+                    let l = link(r, d);
+                    sum + l.alpha_ns + (count(r, d) * elem) as f64 * l.beta_ns_per_byte
+                });
+                assert_eq!(end, enter_max_ns + row.ceil() as u64, "mask {mask} r {r}");
+                assert!(end > staged[r], "mask {mask} r {r}");
+            }
+        }
     }
 
     proptest::proptest! {

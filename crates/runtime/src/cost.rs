@@ -1,7 +1,7 @@
 //! The α–β communication cost model and compute work charging.
 //!
-//! Virtual time is kept in integer nanoseconds. Point-to-point transfers
-//! between ranks cost `α(link) + bytes · β(link)`; collectives use the
+//! Virtual time is kept in integer nanoseconds. A one-sided transfer
+//! between two ranks costs `α(link) + bytes · β(link)`; collectives use the
 //! standard recursive-doubling / binomial-tree formulas over `⌈log₂ P⌉`
 //! rounds at the worst link class present in the communicator, except the
 //! personalized all-to-all exchanges which are charged per peer along a
@@ -48,9 +48,6 @@ pub struct CostModel {
     /// Cost of one dependent random access (binary-search probes, heap
     /// pokes): dominated by cache misses.
     pub random_access_ns: f64,
-    /// Fixed software overhead charged to a rank for posting one
-    /// point-to-point message.
-    pub post_overhead_ns: f64,
 }
 
 impl Default for CostModel {
@@ -85,7 +82,6 @@ impl CostModel {
             compare_ns: 1.0,
             move_byte_ns: 0.10,
             random_access_ns: 6.0,
-            post_overhead_ns: 80.0,
         }
     }
 
@@ -104,7 +100,9 @@ impl CostModel {
         }
     }
 
-    /// Cost of one point-to-point transfer of `bytes` over `class`.
+    /// Cost of one transfer of `bytes` between two ranks over `class`
+    /// (a one-sided get/put, or the shared-memory traffic of the Fig. 4
+    /// model).
     pub fn p2p_ns(&self, class: LinkClass, bytes: u64) -> u64 {
         let l = self.link(class);
         (l.alpha_ns + bytes as f64 * l.beta_ns_per_byte).ceil() as u64

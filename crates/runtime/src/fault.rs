@@ -1,29 +1,23 @@
-//! Deterministic, seeded fault injection for the simulated cluster.
+//! Deterministic fault injection for the simulated cluster.
 //!
-//! A [`FaultPlan`] rides on [`crate::ClusterConfig`] and describes four
+//! A [`FaultPlan`] rides on [`crate::ClusterConfig`] and describes three
 //! orthogonal fault classes:
 //!
 //! - **stragglers** — a multiplicative slowdown on chosen ranks'
 //!   compute charges ([`crate::Comm::charge`]);
 //! - **link degradation** — extra α and a β multiplier on chosen link
 //!   classes during virtual-time windows, applied wherever the cost
-//!   model is consulted (p2p sends, one-sided transfers, collectives);
-//! - **message loss** — point-to-point sends may need retransmissions;
-//!   the mailbox layer recovers them with sender-side timeouts and
-//!   sequence-number deduplication, charging the retries to virtual
-//!   time and counting them in the rank counters;
+//!   model is consulted (collectives, one-sided transfers);
 //! - **rank crashes** — a rank dies at the first runtime interaction
 //!   at or after a virtual deadline, surfacing as a structured
 //!   [`RankError`] through [`crate::runner::try_run`].
 //!
-//! Every decision is a pure function of the plan seed and stable
-//! virtual coordinates (ranks, tags, sequence numbers, virtual time) —
-//! never of host scheduling — so the same seed and plan reproduce
-//! identical makespans, retry counters and outcomes, under every
-//! worker count ([`crate::RunnerEngine`]): the task scheduler changes
-//! when host threads run, never which fault draws fire. An
-//! inert plan (the default) changes nothing: all draws are skipped and
-//! the cost model is borrowed unmodified.
+//! Every decision is a pure function of the plan and of virtual time —
+//! never of host scheduling — so the same plan reproduces identical
+//! makespans and outcomes under every worker count
+//! ([`crate::RunnerEngine`]): the task scheduler changes when host
+//! threads run, never which fault fires. An inert plan (the default)
+//! changes nothing: the cost model is borrowed unmodified.
 
 use std::borrow::Cow;
 use std::fmt;
@@ -56,49 +50,9 @@ pub struct LinkFault {
     pub until_ns: u64,
 }
 
-/// Message-loss model for point-to-point sends. The runtime implements
-/// a reliable-delivery layer on top: every attempt that the seeded
-/// draw declares lost costs the sender one (exponentially backed-off)
-/// retransmission timeout plus the posting overhead. A message whose
-/// `max_retries` attempts are *all* lost is not retried forever: the
-/// sender suspects the peer dead and fails with
-/// [`RankError::RetriesExhausted`], feeding the recovery layer's
-/// failure detector (see `dhs_runtime::recover`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LossSpec {
-    /// Per-attempt drop probability in `[0, 1)`.
-    pub rate: f64,
-    /// Virtual time the sender waits before the first retransmission.
-    pub timeout_ns: u64,
-    /// Maximum retransmissions per message before the sender declares
-    /// the peer unreachable.
-    pub max_retries: u32,
-    /// Probability that a delivered message is followed by a stray
-    /// duplicate (late retransmission); duplicates are discarded by
-    /// the receiver's sequence-number filter.
-    pub duplicate_rate: f64,
-    /// Multiplier applied to the retransmission timeout after each
-    /// lost attempt (attempt `i` waits `timeout_ns * backoff_factor^i`).
-    /// Must be finite and >= 1; the default of 1.0 keeps the flat
-    /// historical timing.
-    pub backoff_factor: f64,
-}
-
-impl Default for LossSpec {
-    fn default() -> Self {
-        Self {
-            rate: 0.0,
-            timeout_ns: 20_000,
-            max_retries: 16,
-            duplicate_rate: 0.0,
-            backoff_factor: 1.0,
-        }
-    }
-}
-
 /// Kill one rank at a virtual-time deadline. The rank dies at its
-/// first runtime interaction (charge, send/recv, collective) at or
-/// after `at_ns`.
+/// first runtime interaction (charge, collective) at or after
+/// `at_ns`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Crash {
     /// Global rank id to kill.
@@ -107,30 +61,18 @@ pub struct Crash {
     pub at_ns: u64,
 }
 
-/// A complete, seeded description of what goes wrong during a run.
+/// A complete description of what goes wrong during a run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
-    /// Seed for all probabilistic decisions (message loss, duplicates).
-    pub seed: u64,
     /// Per-rank compute slowdowns.
     pub stragglers: Vec<Straggler>,
     /// Degraded-link windows.
     pub link_faults: Vec<LinkFault>,
-    /// Probabilistic message loss/duplication, if any.
-    pub loss: Option<LossSpec>,
     /// Rank kills at virtual deadlines.
     pub crashes: Vec<Crash>,
 }
 
 impl FaultPlan {
-    /// An empty plan carrying only a seed.
-    pub fn seeded(seed: u64) -> Self {
-        Self {
-            seed,
-            ..Self::default()
-        }
-    }
-
     /// Add a compute-slowdown straggler.
     pub fn with_straggler(mut self, rank: usize, factor: f64) -> Self {
         self.stragglers.push(Straggler { rank, factor });
@@ -143,12 +85,6 @@ impl FaultPlan {
         self
     }
 
-    /// Enable message loss.
-    pub fn with_loss(mut self, loss: LossSpec) -> Self {
-        self.loss = Some(loss);
-        self
-    }
-
     /// Kill `rank` at virtual time `at_ns`.
     pub fn with_crash(mut self, rank: usize, at_ns: u64) -> Self {
         self.crashes.push(Crash { rank, at_ns });
@@ -158,12 +94,7 @@ impl FaultPlan {
     /// True when the plan injects nothing; the runtime then behaves
     /// byte-identically to a build without the fault layer.
     pub fn is_inert(&self) -> bool {
-        self.stragglers.is_empty()
-            && self.link_faults.is_empty()
-            && self
-                .loss
-                .is_none_or(|l| l.rate == 0.0 && l.duplicate_rate == 0.0)
-            && self.crashes.is_empty()
+        self.stragglers.is_empty() && self.link_faults.is_empty() && self.crashes.is_empty()
     }
 
     /// Check that the plan references only ranks in `[0, ranks)` and
@@ -199,21 +130,6 @@ impl FaultPlan {
                 return Err(FaultPlanError::EmptyLinkWindow {
                     from_ns: w.from_ns,
                     until_ns: w.until_ns,
-                });
-            }
-        }
-        if let Some(l) = self.loss {
-            if !(0.0..1.0).contains(&l.rate) {
-                return Err(FaultPlanError::BadLossRate { rate: l.rate });
-            }
-            if !(0.0..1.0).contains(&l.duplicate_rate) {
-                return Err(FaultPlanError::BadDuplicateRate {
-                    rate: l.duplicate_rate,
-                });
-            }
-            if !(l.backoff_factor.is_finite() && l.backoff_factor >= 1.0) {
-                return Err(FaultPlanError::BadLossBackoff {
-                    backoff_factor: l.backoff_factor,
                 });
             }
         }
@@ -329,21 +245,6 @@ pub enum FaultPlanError {
         /// Window end.
         until_ns: u64,
     },
-    /// Loss rate outside `[0, 1)`.
-    BadLossRate {
-        /// Offending rate.
-        rate: f64,
-    },
-    /// Duplicate rate outside `[0, 1)`.
-    BadDuplicateRate {
-        /// Offending rate.
-        rate: f64,
-    },
-    /// A retransmission backoff factor that is not finite or is below 1.
-    BadLossBackoff {
-        /// Offending factor.
-        backoff_factor: f64,
-    },
     /// A crash entry names a rank outside `[0, ranks)`.
     CrashRankOutOfRange {
         /// Offending rank id.
@@ -377,16 +278,6 @@ impl fmt::Display for FaultPlanError {
             FaultPlanError::EmptyLinkWindow { from_ns, until_ns } => {
                 write!(f, "link fault window is empty ({from_ns}..{until_ns})")
             }
-            FaultPlanError::BadLossRate { rate } => {
-                write!(f, "loss rate {rate} must be in [0, 1)")
-            }
-            FaultPlanError::BadDuplicateRate { rate } => {
-                write!(f, "duplicate rate {rate} must be in [0, 1)")
-            }
-            FaultPlanError::BadLossBackoff { backoff_factor } => write!(
-                f,
-                "loss backoff_factor {backoff_factor} must be finite and >= 1"
-            ),
             FaultPlanError::CrashRankOutOfRange { rank, ranks } => {
                 write!(f, "crash rank {rank} out of range (cluster has {ranks})")
             }
@@ -396,9 +287,11 @@ impl fmt::Display for FaultPlanError {
 
 impl std::error::Error for FaultPlanError {}
 
-/// One uniform draw in `[0, 1)`, a pure function of the plan seed and
-/// a stable coordinate tuple (SplitMix64 over the folded coordinates).
-pub fn unit_draw(seed: u64, coords: &[u64]) -> f64 {
+/// One uniform draw in `[0, 1)`, a pure function of a seed and a
+/// stable coordinate tuple (SplitMix64 over the folded coordinates):
+/// the seeded matrices and member sets of the runtime's own tests.
+#[cfg(test)]
+pub(crate) fn unit_draw(seed: u64, coords: &[u64]) -> f64 {
     let mut state = seed ^ 0x5851_f42d_4c95_7f2d;
     for &c in coords {
         state = mix(state ^ c);
@@ -406,6 +299,7 @@ pub fn unit_draw(seed: u64, coords: &[u64]) -> f64 {
     (mix(state) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
+#[cfg(test)]
 fn mix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -436,16 +330,6 @@ pub enum RankError {
         /// The aborting rank (not the root cause).
         rank: usize,
     },
-    /// A sender exhausted its retransmission budget talking to a peer;
-    /// the peer is suspected dead. This is what the failure detector
-    /// consumes when loss, rather than a crash deadline, reveals a
-    /// dead rank.
-    RetriesExhausted {
-        /// The unreachable peer the failure is attributed to.
-        peer: usize,
-        /// Retransmission attempts made before giving up.
-        attempts: u32,
-    },
 }
 
 impl RankError {
@@ -455,7 +339,6 @@ impl RankError {
             RankError::Crashed { rank, .. }
             | RankError::Panicked { rank, .. }
             | RankError::PeerFailed { rank } => rank,
-            RankError::RetriesExhausted { peer, .. } => peer,
         }
     }
 
@@ -478,12 +361,6 @@ impl fmt::Display for RankError {
             RankError::PeerFailed { rank } => {
                 write!(f, "rank {rank} aborted because a peer rank failed")
             }
-            RankError::RetriesExhausted { peer, attempts } => {
-                write!(
-                    f,
-                    "peer rank {peer} unreachable after {attempts} retransmissions"
-                )
-            }
         }
     }
 }
@@ -499,7 +376,6 @@ mod tests {
     #[test]
     fn default_plan_is_inert() {
         assert!(FaultPlan::default().is_inert());
-        assert!(FaultPlan::seeded(7).is_inert());
         assert!(!FaultPlan::default().with_straggler(0, 2.0).is_inert());
         assert!(!FaultPlan::default().with_crash(1, 10).is_inert());
     }
@@ -582,10 +458,9 @@ mod tests {
     #[test]
     fn validate_accepts_sane_plans() {
         assert_eq!(FaultPlan::default().validate(1), Ok(()));
-        let plan = FaultPlan::seeded(1)
+        let plan = FaultPlan::default()
             .with_straggler(0, 2.0)
-            .with_crash(3, 100)
-            .with_loss(LossSpec::default());
+            .with_crash(3, 100);
         assert_eq!(plan.validate(4), Ok(()));
     }
 

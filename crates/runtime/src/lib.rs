@@ -47,7 +47,7 @@ pub mod trace;
 pub use buffer::{BufferPool, PoolStats, RecvRuns, SharedSlice};
 pub use comm::{AllToAllAlgo, Charges, Comm, ExchangePayload};
 pub use cost::{log2_ceil, CostModel, LinkCost, Work};
-pub use fault::{Crash, FaultPlan, FaultPlanError, LinkFault, LossSpec, RankError, Straggler};
+pub use fault::{Crash, FaultPlan, FaultPlanError, LinkFault, RankError, Straggler};
 pub use recover::{RecoveryGuard, RecoveryInterrupt, Shrunk};
 pub use runner::{
     run, run_summarized, run_traced, try_run, try_run_partial, try_run_traced, ClusterConfig,

@@ -7,13 +7,12 @@
 //! MPI's User-Level Failure Mitigation proposal:
 //!
 //! 1. **Detection.** A failure is *registered* in the world's failure
-//!    registry either by the dying rank itself (its crash deadline
-//!    passed, `Comm::check_crash`-style) or by a sender
-//!    whose bounded retransmission budget to a peer ran out
-//!    ([`crate::fault::RankError::RetriesExhausted`]).
+//!    registry by the dying rank itself, as its crash deadline passes
+//!    (`Comm::check_crash`). Nobody else registers a rank: a rank that
+//!    is still running is never in the registry.
 //! 2. **Interrupt.** While recovery is *armed* (some rank is inside a
-//!    recoverable section), every blocked wait — mailbox receives and
-//!    the collective rendezvous — polls the registry and unwinds with
+//!    recoverable section), every blocked wait in the collective
+//!    rendezvous polls the registry and unwinds with
 //!    a [`RecoveryInterrupt`] panic instead of waiting forever. The
 //!    runner does **not** poison the world for interrupts or for
 //!    registered root causes while armed, so survivors stay alive.
@@ -125,9 +124,10 @@ pub(crate) type AgreeCell = Monitor<AgreeInner>;
 /// registered in the failure registry; the last completer fixes the
 /// survivor set, charges one `comm_split_ns` over the survivors'
 /// worst link on top of the latest arrival clock, and builds the new
-/// [`CommState`]. A caller that is itself registered dead — or whose
-/// crash deadline already passed — terminates here with its own root
-/// cause instead of surviving into the new epoch.
+/// [`CommState`]. A caller whose crash deadline already passed
+/// terminates here with its own root cause instead of surviving into
+/// the new epoch; every other caller is live, so it is never registered
+/// dead and is always among the agreed survivors.
 pub(crate) fn agree_survivors(
     world: &Arc<World>,
     members: &[usize],
@@ -149,9 +149,6 @@ pub(crate) fn agree_survivors(
             std::panic::panic_any(RankAbort(err));
         }
     }
-    if let Some(err) = world.rank_failed(me_global) {
-        std::panic::panic_any(RankAbort(err));
-    }
 
     let enter_ns = me.now_ns();
     let cell = &world.agree;
@@ -168,9 +165,8 @@ pub(crate) fn agree_survivors(
             // Re-derive the dead set on every pass: the registry can
             // grow while we wait (e.g. a straggling member's deadline
             // fires at its own agreement entry).
-            let (dead, survivors): (Vec<usize>, Vec<usize>) = members
-                .iter()
-                .partition(|r| world.rank_failed(**r).is_some());
+            let (dead, survivors): (Vec<usize>, Vec<usize>) =
+                members.iter().partition(|r| world.rank_failed(**r));
             let complete =
                 !survivors.is_empty() && survivors.iter().all(|r| st.arrived.contains_key(r));
             if complete {
@@ -199,15 +195,9 @@ pub(crate) fn agree_survivors(
     };
     let (mut st, agreement) = world.block_until(me_global, &[], cell, st, agree, |_, _| true);
 
-    if agreement.survivors.binary_search(&me_global).is_err() {
-        // Suspected dead while agreeing (a peer's retry budget to us
-        // ran out): terminate with the registered cause.
-        let err = world
-            .rank_failed(me_global)
-            .unwrap_or(RankError::PeerFailed { rank: me_global });
-        drop(st);
-        std::panic::panic_any(RankAbort(err));
-    }
+    // Only a rank itself registers its failure, and then it unwinds: a
+    // rank that joined is live, so the agreement counted it a survivor.
+    debug_assert!(agreement.survivors.binary_search(&me_global).is_ok());
     st.departed += 1;
     if st.departed == agreement.survivors.len() {
         // Last departer resets the cell for the next epoch.

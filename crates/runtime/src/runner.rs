@@ -184,8 +184,8 @@ pub struct TracedRun<R> {
 /// rank that failed.
 ///
 /// A failing rank (injected crash, panic in `f`) poisons the world so
-/// no surviving rank deadlocks inside a collective or a blocking
-/// receive; survivors that were blocked on the dead rank surface as
+/// no surviving rank deadlocks inside a collective; survivors that were
+/// blocked on the dead rank surface as
 /// [`RankError::PeerFailed`] collateral entries.
 pub fn try_run<R, F>(cfg: &ClusterConfig, f: F) -> Result<Vec<(R, RankReport)>, RunError>
 where
@@ -259,7 +259,7 @@ pub struct PartialRun<R> {
     /// Wakes that found their task parked and queued it. Every counted
     /// park is ended by one of these or by a backstop firing, so
     /// `parks <= wakes + park_backstops`; a wake can also reach a task
-    /// that has not started yet (a message or a failure ahead of its
+    /// that has not started yet (a failure registered ahead of its
     /// first instruction), hence not `==`.
     pub wakes: u64,
 }
@@ -323,16 +323,12 @@ where
                             }
                             Err(e) => {
                                 let err = classify_panic(rank, e);
-                                // With recovery armed, a crashed or
-                                // unreachable rank is handled by its
-                                // survivors (shrink-and-recover); only
+                                // With recovery armed, a crashed rank
+                                // is handled by its survivors
+                                // (shrink-and-recover); only
                                 // unrecoverable failures poison the run.
                                 let recoverable = world.recovery_armed()
-                                    && matches!(
-                                        err,
-                                        RankError::Crashed { .. }
-                                            | RankError::RetriesExhausted { .. }
-                                    );
+                                    && matches!(err, RankError::Crashed { .. });
                                 if !recoverable {
                                     world.poison_now();
                                 }
@@ -471,7 +467,7 @@ mod tests {
     #[test]
     fn try_run_reports_injected_crash() {
         let cfg =
-            ClusterConfig::small_cluster(4).with_fault(FaultPlan::seeded(9).with_crash(1, 10));
+            ClusterConfig::small_cluster(4).with_fault(FaultPlan::default().with_crash(1, 10));
         let err = try_run(&cfg, |c| {
             c.charge(crate::Work::Compares(1 << 20));
             c.barrier();
@@ -510,34 +506,38 @@ mod tests {
         assert_eq!(go(), go());
     }
 
+    /// A straggler and a degraded-link window replay exactly, through
+    /// collectives and the pairwise exchange (one non-empty segment per
+    /// rank) alike, and cost virtual time over the clean run.
     #[test]
     fn deterministic_virtual_time_under_faults() {
-        let plan = FaultPlan::seeded(42)
+        let plan = FaultPlan::default()
             .with_straggler(3, 2.5)
-            .with_loss(crate::LossSpec {
-                rate: 0.2,
-                timeout_ns: 50_000,
-                max_retries: 16,
-                duplicate_rate: 0.1,
-                backoff_factor: 1.0,
+            .with_link_fault(crate::LinkFault {
+                class: None,
+                extra_alpha_ns: 4_000.0,
+                beta_factor: 3.0,
+                from_ns: 0,
+                until_ns: 50_000,
             });
-        let go = || {
+        let go = |plan: &FaultPlan| {
             let cfg = ClusterConfig::supermuc_phase2(32).with_fault(plan.clone());
             let (_, s) = run_summarized(&cfg, |c| {
                 let xs = c.allgather(c.rank() as u64);
-                // p2p traffic so the loss model has messages to drop.
+                c.charge(crate::Work::Compares(10_000));
                 let peer = c.rank() ^ 1;
-                let got = c.exchange_pair(peer, 3, vec![c.rank() as u64; 64]);
+                let mine = vec![c.rank() as u64; 64];
+                let mut segs: Vec<&[u64]> = vec![&[]; c.size()];
+                segs[peer] = &mine;
+                let algo = crate::AllToAllAlgo::StagedKWay { k: c.size() };
+                let got = c.exchange(&segs[..], algo).into_data();
                 assert_eq!(got, vec![peer as u64; 64]);
                 c.allreduce_sum(xs)
             });
-            (s.makespan_ns, s.p2p_retries, s.p2p_duplicates)
+            s.makespan_ns
         };
-        let a = go();
-        assert_eq!(a, go());
-        assert!(
-            a.1 > 0,
-            "loss rate 0.2 over many messages should force retries"
-        );
+        let faulty = go(&plan);
+        assert_eq!(faulty, go(&plan));
+        assert!(faulty > go(&FaultPlan::default()));
     }
 }

@@ -5,14 +5,13 @@
 //! their stacks must be real), but at most `workers` of them are
 //! *unparked* at any instant — the host never sees thousands of
 //! runnable threads, which is what makes p = 1024–8192 grids
-//! practical. Every blocking point in the runtime — mailbox waits, the
-//! collective rendezvous and its exit barrier, the recovery agreement
-//! — goes through `World::block_until`, which releases the rank's
-//! worker slot and parks on a per-task condvar until an event that can
-//! change its wake predicate occurs; event sources (a collective's
-//! output, the cell reset that ends an exit barrier, mailbox pushes,
-//! poison, failure registration) publish each event once, by waking
-//! exactly the affected tasks.
+//! practical. Every blocking point in the runtime — the collective
+//! rendezvous and its exit barrier, the recovery agreement — goes
+//! through `World::block_until`, which releases the rank's worker slot
+//! and parks on a per-task condvar until an event that can change its
+//! wake predicate occurs; event sources (a collective's output, the
+//! cell reset that ends an exit barrier, poison, failure registration)
+//! publish each event once, by waking exactly the affected tasks.
 //!
 //! # The park/wake protocol
 //!
@@ -38,8 +37,8 @@
 //!
 //! The scheduler decides only *when* a rank executes on the host, never
 //! what it computes: virtual clocks advance through explicit charges,
-//! collectives combine rank-ordered deposits, and mailbox matching is
-//! by `(src, tag, seq)`. The worker count therefore cannot change a
+//! and collectives combine rank-ordered deposits — the only way data
+//! moves between ranks. The worker count therefore cannot change a
 //! result: `workers = p` (no rank ever waits for a slot, the host
 //! scheduler arbitrates) and `workers = 1` (one rank executes at a
 //! time) are the two extremes, and both produce byte-identical outputs

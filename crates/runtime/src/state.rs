@@ -1,13 +1,14 @@
 //! Shared data plane backing a communicator.
 //!
-//! Every communicator owns two `CollectiveCell`s (generation-counted
-//! rendezvous through which all collectives move their payloads, used
-//! alternately: generation `g` meets in cell `g % 2`) and one mailbox
-//! per member rank for point-to-point messages. Payloads are
-//! type-erased so one cell serves collectives of any element type.
+//! Every communicator owns two `CollectiveCell`s: generation-counted
+//! rendezvous through which every exchange of data moves, used
+//! alternately (generation `g` meets in cell `g % 2`). There is no
+//! second transport: a pairwise step is a personalized exchange with
+//! one non-empty segment. Payloads are type-erased so one cell serves
+//! collectives of any element type.
 
 use std::any::Any;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::BTreeMap;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -43,9 +44,9 @@ pub struct World {
     /// survivors with a [`crate::recover::RecoveryInterrupt`] instead of
     /// poisoning the run.
     recovery_armed: AtomicUsize,
-    /// Global ranks known (or suspected) dead, with their root causes.
-    /// Written by the failing rank itself (crash deadlines) or by a
-    /// sender whose retransmission budget to that peer ran out.
+    /// Global ranks known dead, with their root causes. Written only by
+    /// the failing rank itself, as its crash deadline fires: a rank
+    /// still running is never registered.
     failed: Mutex<BTreeMap<usize, RankError>>,
     /// Rendezvous state for the fault-aware survivor agreement
     /// (see [`crate::recover`]).
@@ -129,9 +130,9 @@ impl World {
         self.sched.wake_all();
     }
 
-    /// The registered root cause for `rank`, if it has failed.
-    pub(crate) fn rank_failed(&self, rank: usize) -> Option<RankError> {
-        self.failed.lock().get(&rank).cloned()
+    /// Whether `rank` has registered its failure.
+    pub(crate) fn rank_failed(&self, rank: usize) -> bool {
+        self.failed.lock().contains_key(&rank)
     }
 
     /// Whether a blocked wait over `members` should unwind into the
@@ -156,83 +157,12 @@ pub(crate) enum Unwind {
 }
 
 /// A mutex-guarded state a rank can block on through
-/// [`World::block_until`] (mailbox, collective cell, survivor
-/// agreement). Whoever changes the state under the lock publishes the
-/// change by waking the ranks that may be parked on it.
+/// [`World::block_until`] (collective cell, survivor agreement).
+/// Whoever changes the state under the lock publishes the change by
+/// waking the ranks that may be parked on it.
 #[derive(Default)]
 pub(crate) struct Monitor<S> {
     pub(crate) state: Mutex<S>,
-}
-
-/// One in-flight point-to-point message.
-pub(crate) struct Message {
-    pub src: usize,
-    pub tag: u64,
-    /// Position in the sender's `(src, tag)` stream; the receiver uses
-    /// it to discard stray duplicates injected by the fault layer.
-    pub seq: u64,
-    pub payload: Box<dyn Any + Send>,
-    /// Virtual time at which the payload is fully available at the
-    /// receiver.
-    pub arrival_ns: u64,
-}
-
-#[derive(Default)]
-pub(crate) struct MailboxState {
-    queue: VecDeque<Message>,
-    /// Next expected sequence number per `(src, tag)` stream; messages
-    /// below it are duplicates of already-delivered payloads.
-    next_seq: HashMap<(usize, u64), u64>,
-}
-
-pub(crate) type Mailbox = Monitor<MailboxState>;
-
-impl Mailbox {
-    /// Deliver `msg` to this mailbox; the sender then wakes the owner.
-    pub fn push(&self, msg: Message) {
-        self.state.lock().queue.push_back(msg);
-    }
-
-    /// Blocking receive of the first live message matching `src` and
-    /// `tag`. Duplicate deliveries (same stream, already-consumed
-    /// sequence number) are discarded idempotently. Aborts with a
-    /// [`RankError::PeerFailed`] panic if the world is poisoned while
-    /// waiting, or with a [`crate::recover::RecoveryInterrupt`] if
-    /// recovery is armed and a member of `members` has failed;
-    /// `me_global` attributes a poison abort to the caller.
-    pub fn pop(
-        &self,
-        world: &World,
-        members: &[usize],
-        me_global: usize,
-        src: usize,
-        tag: u64,
-    ) -> Message {
-        let scan = |st: &mut MailboxState| {
-            let mut ix = 0;
-            while ix < st.queue.len() {
-                let m = &st.queue[ix];
-                if m.src != src || m.tag != tag {
-                    ix += 1;
-                    continue;
-                }
-                let expected = st.next_seq.get(&(src, tag)).copied().unwrap_or(0);
-                let seq = m.seq;
-                if seq < expected {
-                    // Stray duplicate of a message already delivered:
-                    // drop it without touching the virtual clock.
-                    st.queue.remove(ix);
-                    continue;
-                }
-                st.next_seq.insert((src, tag), seq + 1);
-                return st.queue.remove(ix);
-            }
-            None
-        };
-        let st = self.state.lock();
-        let (_, msg) = world.block_until(me_global, members, self, st, scan, |_, _| true);
-        msg
-    }
 }
 
 /// Type-erased rendezvous for collectives. All member ranks deposit an
@@ -312,7 +242,6 @@ pub struct CommState {
     pub worst_link: crate::topology::LinkClass,
     /// The rendezvous cells; generation `g` meets in `cells[g % 2]`.
     cells: [CollectiveCell; 2],
-    pub(crate) mailboxes: Vec<Mailbox>,
 }
 
 impl CommState {
@@ -326,7 +255,6 @@ impl CommState {
             global_ranks,
             worst_link,
             cells: [CollectiveCell::new(n, 0), CollectiveCell::new(n, 1)],
-            mailboxes: (0..n).map(|_| Mailbox::default()).collect(),
         })
     }
 
@@ -676,87 +604,31 @@ mod tests {
         });
     }
 
+    /// A rank that deposited and waits for a peer who never comes is
+    /// released by poison (window 2: its deposit is retracted first).
     #[test]
-    fn mailbox_matches_src_and_tag() {
+    fn poison_unblocks_depositor_with_typed_abort() {
         let w = world(2);
-        let mb = Mailbox::default();
-        mb.push(Message {
-            src: 1,
-            tag: 7,
-            seq: 0,
-            payload: Box::new(1u8),
-            arrival_ns: 0,
-        });
-        mb.push(Message {
-            src: 0,
-            tag: 7,
-            seq: 0,
-            payload: Box::new(2u8),
-            arrival_ns: 0,
-        });
-        let m = mb.pop(&w, &[0, 1], 0, 0, 7);
-        assert_eq!(*m.payload.downcast::<u8>().unwrap(), 2);
-        let m = mb.pop(&w, &[0, 1], 0, 1, 7);
-        assert_eq!(*m.payload.downcast::<u8>().unwrap(), 1);
-    }
-
-    #[test]
-    fn mailbox_discards_duplicate_sequence_numbers() {
-        let w = world(2);
-        let mb = Mailbox::default();
-        mb.push(Message {
-            src: 1,
-            tag: 3,
-            seq: 0,
-            payload: Box::new(10u8),
-            arrival_ns: 5,
-        });
-        // A stray duplicate of seq 0 and the real next message.
-        mb.push(Message {
-            src: 1,
-            tag: 3,
-            seq: 0,
-            payload: Box::new(()),
-            arrival_ns: 9,
-        });
-        mb.push(Message {
-            src: 1,
-            tag: 3,
-            seq: 1,
-            payload: Box::new(11u8),
-            arrival_ns: 12,
-        });
-        let m = mb.pop(&w, &[0, 1], 0, 1, 3);
-        assert_eq!(*m.payload.downcast::<u8>().unwrap(), 10);
-        let m = mb.pop(&w, &[0, 1], 0, 1, 3);
-        assert_eq!(
-            *m.payload.downcast::<u8>().unwrap(),
-            11,
-            "duplicate must be skipped"
-        );
-        assert_eq!(m.arrival_ns, 12);
-    }
-
-    #[test]
-    fn poison_unblocks_receiver_with_typed_abort() {
-        let w = world(2);
-        let mb = Mailbox::default();
+        let st = CommState::new(w.clone(), vec![0, 1]);
         let payload = std::thread::scope(|s| {
             let wref = &w;
-            let mbref = &mb;
             s.spawn(move || {
                 std::thread::sleep(Duration::from_millis(10));
                 wref.poison_now();
             });
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 let _slot = slot(wref, 0);
-                mbref.pop(wref, &[0, 1], 0, 1, 0);
+                owned(&st, 0, 0, 1u8, |_, ctx| {
+                    ((), EndTimes::Uniform(ctx.enter_max_ns))
+                });
             }))
-            .expect_err("poison must abort the blocked receiver")
+            .expect_err("poison must abort the blocked depositor")
         });
         let abort = payload
             .downcast::<RankAbort>()
             .expect("typed abort payload");
         assert_eq!(abort.0, RankError::PeerFailed { rank: 0 });
+        let cell = st.cells[0].state.lock();
+        assert!(cell.arrived == 0 && cell.inputs[0].is_none());
     }
 }

@@ -27,12 +27,6 @@ pub struct Counters {
     pub bytes_intra_node: AtomicU64,
     /// Bytes sent to ranks on other nodes.
     pub bytes_inter_node: AtomicU64,
-    /// Point-to-point messages initiated by this rank.
-    pub p2p_messages: AtomicU64,
-    /// Retransmissions forced by injected message loss.
-    pub p2p_retries: AtomicU64,
-    /// Stray duplicate deliveries injected by the fault plan.
-    pub p2p_duplicates: AtomicU64,
     /// Collective operations this rank participated in.
     pub collectives: AtomicU64,
     /// Virtual nanoseconds attributed to local compute charges.
@@ -67,9 +61,9 @@ impl Counters {
             bytes_intra_numa: self.bytes_intra_numa.load(Ordering::Relaxed),
             bytes_intra_node: self.bytes_intra_node.load(Ordering::Relaxed),
             bytes_inter_node: self.bytes_inter_node.load(Ordering::Relaxed),
-            p2p_messages: self.p2p_messages.load(Ordering::Relaxed),
-            p2p_retries: self.p2p_retries.load(Ordering::Relaxed),
-            p2p_duplicates: self.p2p_duplicates.load(Ordering::Relaxed),
+            p2p_messages: 0,
+            p2p_retries: 0,
+            p2p_duplicates: 0,
             collectives: self.collectives.load(Ordering::Relaxed),
             compute_ns: self.compute_ns.load(Ordering::Relaxed),
             comm_ns: self.comm_ns.load(Ordering::Relaxed),
@@ -115,11 +109,12 @@ pub struct CounterSnapshot {
     pub bytes_intra_node: u64,
     /// Bytes sent to ranks on other nodes.
     pub bytes_inter_node: u64,
-    /// Point-to-point messages initiated by this rank.
+    /// Always 0: there is no point-to-point transport. Kept because
+    /// the repository benchmark names it; goes with ROADMAP item 1.
     pub p2p_messages: u64,
-    /// Retransmissions forced by injected message loss.
+    /// Always 0, as `p2p_messages`.
     pub p2p_retries: u64,
-    /// Stray duplicate deliveries injected by the fault plan.
+    /// Always 0, as `p2p_messages`.
     pub p2p_duplicates: u64,
     /// Collective operations this rank participated in.
     pub collectives: u64,
@@ -169,12 +164,6 @@ pub struct RunSummary {
     pub inter_node_bytes: u64,
     /// Sum of all bytes moved inside nodes (incl. self copies).
     pub intra_node_bytes: u64,
-    /// Total point-to-point messages.
-    pub p2p_messages: u64,
-    /// Total loss-induced retransmissions (summed over ranks).
-    pub p2p_retries: u64,
-    /// Total injected duplicate deliveries (summed over ranks).
-    pub p2p_duplicates: u64,
     /// Total collective invocations (summed over ranks).
     pub collectives: u64,
     /// Total compute nanoseconds over all ranks.
@@ -192,9 +181,6 @@ impl RunSummary {
             s.inter_node_bytes += r.counters.bytes_inter_node;
             s.intra_node_bytes +=
                 r.counters.bytes_self + r.counters.bytes_intra_numa + r.counters.bytes_intra_node;
-            s.p2p_messages += r.counters.p2p_messages;
-            s.p2p_retries += r.counters.p2p_retries;
-            s.p2p_duplicates += r.counters.p2p_duplicates;
             s.collectives += r.counters.collectives;
             s.compute_ns += r.counters.compute_ns;
             s.comm_ns += r.counters.comm_ns;

@@ -29,7 +29,7 @@ pub enum TraceConfig {
     /// both modes, so `Off` exists purely to avoid memory growth.
     #[default]
     Off,
-    /// Record every span, collective, p2p transfer, retry and fault
+    /// Record every span, collective, one-sided transfer and fault
     /// event on every rank.
     On,
 }
@@ -46,7 +46,7 @@ impl TraceConfig {
 pub struct SpanRecord {
     /// Span name (phase label or operation name).
     pub name: Cow<'static, str>,
-    /// Category: `"phase"` for user spans, `"collective"` / `"p2p"` for
+    /// Category: `"phase"` for user spans, `"collective"` for
     /// auto-recorded runtime operations.
     pub cat: &'static str,
     /// Virtual open time of the span, in nanoseconds.
@@ -55,7 +55,7 @@ pub struct SpanRecord {
     pub end_ns: u64,
     /// Nesting depth at open time (0 = top-level phase).
     pub depth: usize,
-    /// Bytes attributed to this span (collective payloads, recv sizes).
+    /// Bytes attributed to this span (collective payloads).
     pub bytes: u64,
 }
 
@@ -66,11 +66,11 @@ impl SpanRecord {
     }
 }
 
-/// One instantaneous event on a rank's timeline (send, retry,
-/// duplicate, one-sided transfer, crash).
+/// One instantaneous event on a rank's timeline (one-sided transfer,
+/// crash).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EventRecord {
-    /// Event name (e.g. `"send"`, `"retry"`, `"crash"`).
+    /// Event name (`"onesided"` or `"crash"`).
     pub name: &'static str,
     /// Virtual timestamp of the event, in nanoseconds.
     pub at_ns: u64,
@@ -78,8 +78,8 @@ pub struct EventRecord {
     pub link: Option<LinkClass>,
     /// Payload bytes the event carried (0 for pure control events).
     pub bytes: u64,
-    /// Event-specific detail: destination rank for sends, retry count
-    /// for retries, deadline for crashes.
+    /// Event-specific detail: the peer rank of a one-sided transfer,
+    /// the deadline of a crash.
     pub info: u64,
 }
 
@@ -884,7 +884,7 @@ mod tests {
                 })
                 .collect(),
             events: vec![EventRecord {
-                name: "send",
+                name: "onesided",
                 at_ns: 5,
                 link: Some(LinkClass::InterNode),
                 bytes: 64,

@@ -158,7 +158,7 @@ proptest! {
         let before: u64 = prices.iter().take(1 + boundary).sum();
         let deadline = crash.then_some((before + jitter).saturating_sub(1).max(1));
 
-        let mut plan = FaultPlan::seeded(seed);
+        let mut plan = FaultPlan::default();
         if factor != 1.0 {
             plan = plan.with_straggler(0, factor);
         }

@@ -25,7 +25,7 @@ fn cluster(p: usize, seed: u64, faults: bool) -> ClusterConfig {
     let mut cfg = ClusterConfig::supermuc_phase2(p);
     if faults {
         let slow = (seed % p as u64) as usize;
-        cfg.fault = FaultPlan::seeded(seed).with_straggler(slow, 1.0 + (seed % 7) as f64 * 0.5);
+        cfg.fault = FaultPlan::default().with_straggler(slow, 1.0 + (seed % 7) as f64 * 0.5);
     }
     cfg
 }

@@ -381,7 +381,7 @@ fn cmd_sort(args: &Args) {
     // lost wake-up (or a host stalled for 500 ms).
     println!("park backstops     : {}", traced.park_backstops);
     // One handoff per rank per collective is the floor (two for the
-    // exit-barrier all-to-all); mailbox waits park too.
+    // exit-barrier all-to-all); every blocking point is a collective.
     println!(
         "parks per rank per collective : {:.3}",
         traced.parks as f64 / summary.collectives.max(1) as f64

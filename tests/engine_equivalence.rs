@@ -11,7 +11,7 @@
 //! agree is the one engine with itself, under every host schedule.)
 
 use dhs_core::{histogram_sort, RecoveryPolicy, SortConfig};
-use dhs_runtime::{try_run_partial, ClusterConfig, FaultPlan, LossSpec, RankReport, RunnerEngine};
+use dhs_runtime::{try_run_partial, ClusterConfig, FaultPlan, LinkFault, RankReport, RunnerEngine};
 use proptest::prelude::*;
 
 fn keys_for(rank: usize, n: usize, modulus: u64) -> Vec<u64> {
@@ -96,15 +96,17 @@ fn assert_worker_counts_agree(
     reference
 }
 
-fn loss_plan(seed: u64) -> FaultPlan {
-    FaultPlan::seeded(seed)
-        .with_straggler(1, 2.0)
-        .with_loss(LossSpec {
-            rate: 0.05,
-            timeout_ns: 40_000,
-            max_retries: 24,
-            duplicate_rate: 0.05,
-            backoff_factor: 1.3,
+/// A straggler and a degraded-link window, both shaped by `seed`: the
+/// window closes somewhere inside the sort.
+fn fault_plan(seed: u64) -> FaultPlan {
+    FaultPlan::default()
+        .with_straggler(1, 1.5 + (seed % 5) as f64 * 0.5)
+        .with_link_fault(LinkFault {
+            class: None,
+            extra_alpha_ns: 2_000.0 + (seed % 7) as f64 * 1_000.0,
+            beta_factor: 1.0 + (seed % 3) as f64,
+            from_ns: 0,
+            until_ns: 5_000 + 1_000 * seed,
         })
 }
 
@@ -133,8 +135,9 @@ proptest! {
         );
     }
 
-    /// Lossy links + a straggler (non-fatal faults): retries, timeouts,
-    /// and duplicates land identically at every worker count.
+    /// A straggler + a degraded-link window (non-fatal faults): the
+    /// slowed charges and link-priced collectives land identically at
+    /// every worker count.
     #[test]
     fn engines_agree_under_faults(
         p_ix in 0usize..3,
@@ -144,11 +147,11 @@ proptest! {
         let p = [3usize, 8, 16][p_ix];
         let threads = if four_threads { 4 } else { 1 };
         assert_worker_counts_agree(
-            "lossy",
+            "faulty",
             p,
             256,
             threads,
-            loss_plan(seed),
+            fault_plan(seed),
             RecoveryPolicy::Abort,
         );
     }
@@ -166,7 +169,7 @@ proptest! {
         let p_u64 = p as u64;
         let victim = (victim_seed % p_u64) as usize;
         let crash_ns = 15_000 + 7_000 * (victim_seed % 7);
-        let fault = FaultPlan::seeded(victim_seed + 1).with_crash(victim, crash_ns);
+        let fault = FaultPlan::default().with_crash(victim, crash_ns);
         assert_worker_counts_agree(
             "shrink",
             p,
@@ -182,7 +185,7 @@ proptest! {
 /// away): p=16, hybrid t=4, crash + shrink, all worker counts.
 #[test]
 fn engines_agree_pinned_shrink_case() {
-    let fault = FaultPlan::seeded(7).with_crash(5, 27_000);
+    let fault = FaultPlan::default().with_crash(5, 27_000);
     let agreed =
         assert_worker_counts_agree("pinned-shrink", 16, 600, 4, fault, RecoveryPolicy::Shrink);
     // The deadline sits mid-histogram: the shrink path must have run.
@@ -197,6 +200,6 @@ fn engines_agree_pinned_shrink_case() {
 /// recovery armed): same root cause, same collateral classification.
 #[test]
 fn engines_agree_on_fatal_crash() {
-    let fault = FaultPlan::seeded(3).with_crash(2, 15_000);
+    let fault = FaultPlan::default().with_crash(2, 15_000);
     assert_worker_counts_agree("fatal", 8, 256, 1, fault, RecoveryPolicy::Abort);
 }

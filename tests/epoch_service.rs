@@ -191,7 +191,7 @@ fn warm_start_survives_shrink_recovery() {
     // The victim dies mid-sort in the first epoch; the survivors
     // shrink once and run the remaining epochs at p - 1.
     let cluster =
-        ClusterConfig::small_cluster(p).with_fault(FaultPlan::seeded(1).with_crash(victim, 50_000));
+        ClusterConfig::small_cluster(p).with_fault(FaultPlan::default().with_crash(victim, 50_000));
     let cfg = SortConfig::builder()
         .warm_start(WarmStart::SeededWithBrackets)
         .recovery(RecoveryPolicy::Shrink)

@@ -1,14 +1,14 @@
 //! The fault-injection contract: injected faults change *virtual time*
 //! (and, for crashes, liveness) but never the *data* a surviving
-//! computation produces; every fault is a pure function of the plan
-//! seed, so faulty runs replay bit-for-bit.
+//! computation produces; every fault is a pure function of the plan and
+//! of virtual time, so faulty runs replay bit-for-bit.
 
 use dhs::baselines::bitonic_sort;
 use dhs::core::{histogram_sort, SortConfig, SortOutcome};
 use dhs::runtime::fault::RankError;
 use dhs::runtime::{
-    run, run_summarized, try_run, try_run_partial, AllToAllAlgo, ClusterConfig, Comm, FaultPlan,
-    LinkClass, LinkFault, LossSpec, RunnerEngine,
+    run, run_summarized, run_traced, try_run, try_run_partial, AllToAllAlgo, ClusterConfig, Comm,
+    FaultPlan, LinkClass, LinkFault, RunnerEngine, TraceConfig,
 };
 use dhs::workloads::{rank_local_keys, Distribution, Layout};
 use proptest::prelude::*;
@@ -31,22 +31,12 @@ fn collective_suite(cfg: &ClusterConfig, seed: u64) -> Vec<CollectiveOutputs> {
             .collect();
         let a2a: Vec<Vec<u64>> = comm.exchange(send, AllToAllAlgo::OneFactor).into_vecs();
         let scan = comm.exscan_sum_vec_shared(&[me + 1]).to_vec();
-        // Two messages on one (source, tag) stream: an injected
-        // duplicate of the first is still queued when the second is
-        // received, and only the sequence numbers tell them apart.
-        let peer = (comm.rank() + 1) % p;
-        let from = (comm.rank() + p - 1) % p;
-        comm.send(peer, 9, vec![me; 8]);
-        comm.send(peer, 9, vec![me + 1; 3]);
-        let mut ring: Vec<u64> = comm.recv(from, 9);
-        ring.extend(comm.recv::<u64>(from, 9));
         CollectiveOutputs {
             bcast,
             reduce,
             gather,
             a2a,
             scan,
-            ring,
         }
     });
     out.into_iter().map(|(v, _)| v).collect()
@@ -59,15 +49,33 @@ struct CollectiveOutputs {
     gather: Vec<u64>,
     a2a: Vec<Vec<u64>>,
     scan: Vec<u64>,
-    ring: Vec<u64>,
+}
+
+/// Every rank's output of a bitonic sort of `n_per` uniform keys per
+/// rank on `cluster`.
+fn bitonic_under(cluster: &ClusterConfig, n_per: usize, seed: u64) -> Vec<Vec<u64>> {
+    let p = cluster.ranks();
+    let out = run(cluster, move |comm| {
+        let mut local = rank_local_keys(
+            Distribution::paper_uniform(),
+            Layout::Balanced,
+            p * n_per,
+            p,
+            comm.rank(),
+            seed,
+        );
+        bitonic_sort(comm, &mut local);
+        local
+    });
+    out.into_iter().map(|(v, _)| v).collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
-    /// Stragglers, degraded links and lossy transports reshape virtual
-    /// time, but every collective must still return exactly the
-    /// fault-free data on every rank.
+    /// Stragglers and degraded links reshape virtual time, but every
+    /// collective must still return exactly the fault-free data on
+    /// every rank.
     #[test]
     fn collectives_agree_bitwise_under_faults(
         p in 2usize..9,
@@ -75,10 +83,9 @@ proptest! {
         straggler_rank in 0usize..9,
         factor_tenths in 11u64..80,
         beta_tenths in 10u64..50,
-        loss_pct in 0u64..40,
     ) {
         let clean = ClusterConfig::small_cluster(p);
-        let plan = FaultPlan::seeded(seed ^ 0xFA_117)
+        let plan = FaultPlan::default()
             .with_straggler(straggler_rank % p, factor_tenths as f64 / 10.0)
             .with_link_fault(LinkFault {
                 class: Some(LinkClass::IntraNode),
@@ -86,55 +93,38 @@ proptest! {
                 beta_factor: beta_tenths as f64 / 10.0,
                 from_ns: 0,
                 until_ns: u64::MAX,
-            })
-            .with_loss(LossSpec {
-                rate: loss_pct as f64 / 100.0,
-                timeout_ns: 10_000,
-                max_retries: 16,
-                duplicate_rate: loss_pct as f64 / 200.0,
-                backoff_factor: 1.0,
             });
         let faulty = clean.clone().with_fault(plan);
         prop_assert_eq!(collective_suite(&clean, seed), collective_suite(&faulty, seed));
     }
 
-    /// A full sort over pure p2p — bitonic, `log² p` compare-split
-    /// rounds of `Comm::exchange_pair` — under a lossy, duplicating
-    /// transport must produce exactly the fault-free output: retried
-    /// and duplicated blocks are deduplicated by sequence number, so
-    /// every round merges its partner's block exactly once.
+    /// Bitonic — `log² p` compare-split rounds, each a one-peer
+    /// `Comm::exchange` — under a straggler and a degraded-link window
+    /// that may close mid-sort must produce exactly the fault-free
+    /// output: faults move the clocks, never which block a rank merges.
     #[test]
-    fn lossy_pairwise_sort_matches_fault_free(
+    fn bitonic_sort_matches_fault_free_under_faults(
         log_p in 1u32..4,
         n_per in 50usize..300,
         seed in 0u64..50_000,
-        loss_pct in 1u64..35,
+        straggler_rank in 0usize..8,
+        factor_tenths in 11u64..80,
+        beta_tenths in 10u64..50,
+        window_us in 1u64..400,
     ) {
         let p = 1usize << log_p;
-        let sort_under = |cluster: &ClusterConfig| {
-            let out = run(cluster, move |comm| {
-                let mut local = rank_local_keys(
-                    Distribution::paper_uniform(),
-                    Layout::Balanced,
-                    p * n_per,
-                    p,
-                    comm.rank(),
-                    seed,
-                );
-                bitonic_sort(comm, &mut local);
-                local
-            });
-            out.into_iter().map(|(v, _)| v).collect::<Vec<_>>()
-        };
         let clean = ClusterConfig::small_cluster(p);
-        let faulty = clean.clone().with_fault(FaultPlan::seeded(seed).with_loss(LossSpec {
-            rate: loss_pct as f64 / 100.0,
-            timeout_ns: 20_000,
-            max_retries: 16,
-            duplicate_rate: loss_pct as f64 / 100.0,
-            backoff_factor: 1.0,
-        }));
-        prop_assert_eq!(sort_under(&clean), sort_under(&faulty));
+        let plan = FaultPlan::default()
+            .with_straggler(straggler_rank % p, factor_tenths as f64 / 10.0)
+            .with_link_fault(LinkFault {
+                class: None,
+                extra_alpha_ns: 5_000.0,
+                beta_factor: beta_tenths as f64 / 10.0,
+                from_ns: 0,
+                until_ns: window_us * 1_000,
+            });
+        let faulty = clean.clone().with_fault(plan);
+        prop_assert_eq!(bitonic_under(&clean, n_per, seed), bitonic_under(&faulty, n_per, seed));
     }
 }
 
@@ -150,7 +140,7 @@ fn crash_during_sort_is_reported_and_deterministic() {
         // Crash deadline chosen inside the run: compute+histogram are
         // well past 50us at this size, so the rank dies mid-pipeline.
         let cluster = ClusterConfig::supermuc_phase2(p)
-            .with_fault(FaultPlan::seeded(7).with_crash(crashed_rank, 50_000));
+            .with_fault(FaultPlan::default().with_crash(crashed_rank, 50_000));
         try_run(&cluster, move |comm| {
             let mut local = rank_local_keys(
                 Distribution::paper_uniform(),
@@ -363,7 +353,7 @@ fn crash_mid_collective_releases_blocked_peers() {
 
         for (name, op) in ops {
             let cluster = ClusterConfig::small_cluster(8)
-                .with_fault(FaultPlan::seeded(3).with_crash(5, 1))
+                .with_fault(FaultPlan::default().with_crash(5, 1))
                 .with_engine(engine);
             let started = Instant::now();
             let err = try_run(&cluster, move |comm| {
@@ -392,22 +382,22 @@ fn crash_mid_collective_releases_blocked_peers() {
     }
 }
 
-/// Faulty runs replay bit-for-bit: same seed, same makespan, same
-/// retry/duplicate counters — end-to-end through a sort that rides the
-/// lossy p2p transport (bitonic: 160 messages at p = 16).
+/// Faulty runs replay bit-for-bit — same plan, same makespan, same
+/// counters — end-to-end through bitonic's 10 one-peer exchanges at
+/// p = 16, and the faults cost virtual time over the clean run.
 #[test]
 fn faulty_sort_run_is_reproducible() {
     let p = 16;
-    let plan = FaultPlan::seeded(0xDEED)
+    let plan = FaultPlan::default()
         .with_straggler(2, 4.0)
-        .with_loss(LossSpec {
-            rate: 0.15,
-            timeout_ns: 30_000,
-            max_retries: 16,
-            duplicate_rate: 0.05,
-            backoff_factor: 1.0,
+        .with_link_fault(LinkFault {
+            class: None,
+            extra_alpha_ns: 20_000.0,
+            beta_factor: 3.0,
+            from_ns: 0,
+            until_ns: 200_000,
         });
-    let go = || {
+    let go = |plan: &FaultPlan| {
         let cluster = ClusterConfig::supermuc_phase2(p).with_fault(plan.clone());
         run_summarized(&cluster, move |comm| {
             let mut local = rank_local_keys(
@@ -423,12 +413,66 @@ fn faulty_sort_run_is_reproducible() {
         })
         .1
     };
-    let a = go();
-    let b = go();
-    assert_eq!(a, b, "same plan seed must replay identically");
+    let a = go(&plan);
+    let b = go(&plan);
+    assert_eq!(a, b, "the same plan must replay identically");
+    let clean = go(&FaultPlan::default());
     assert!(
-        a.p2p_retries > 0 && a.p2p_duplicates > 0,
-        "15% loss and 5% duplicates across 160 messages must retry and dedup: {a:?}"
+        a.makespan_ns > clean.makespan_ns,
+        "a straggler and a slow-link window must cost time: {a:?} vs {clean:?}"
+    );
+}
+
+/// A crash deadline inside one of bitonic's merges fires at the next
+/// runtime interaction: the entry of the following compare-split
+/// exchange. The victim ends `Crashed`, every other rank is released
+/// from that exchange as `PeerFailed` collateral by the event-driven
+/// wake path, and no park needs the backstop.
+#[test]
+fn bitonic_crash_is_a_typed_root_cause() {
+    let (p, victim) = (8, 5);
+    let sort = move |comm: &Comm| {
+        let mut local = rank_local_keys(
+            Distribution::paper_uniform(),
+            Layout::Balanced,
+            p * 2000,
+            p,
+            comm.rank(),
+            9,
+        );
+        bitonic_sort(comm, &mut local);
+    };
+    let traced = ClusterConfig::supermuc_phase2(p).with_trace(TraceConfig::On);
+    let clean = run_traced(&traced, sort);
+    // The victim's merge after the third of six exchanges.
+    let merge = clean.trace.ranks[victim]
+        .spans
+        .iter()
+        .filter(|s| s.name == "sort_merge")
+        .nth(3)
+        .expect("bitonic merges once per exchange")
+        .clone();
+    let at_ns = (merge.start_ns + merge.end_ns) / 2;
+    let cluster = traced.with_fault(FaultPlan::default().with_crash(victim, at_ns));
+    let out = try_run_partial(&cluster, sort);
+    for (rank, r) in out.ranks.iter().enumerate() {
+        match r {
+            Err(RankError::Crashed { rank: v, at_ns: t }) if rank == victim => {
+                assert_eq!((*v, *t), (victim, at_ns))
+            }
+            Err(RankError::PeerFailed { rank: r }) if rank != victim => assert_eq!(*r, rank),
+            other => panic!("rank {rank} ended {:?}", other.as_ref().err()),
+        }
+    }
+    assert_eq!(out.park_backstops, 0, "a park backstop fired");
+    let crash = out.trace.ranks[victim]
+        .events
+        .iter()
+        .find(|e| e.name == "crash")
+        .expect("the victim records its crash");
+    assert_eq!(
+        crash.at_ns, merge.end_ns,
+        "the deadline fires when the merge ends, entering the next exchange"
     );
 }
 
@@ -460,6 +504,4 @@ fn default_fault_plan_is_inert() {
     let (data_b, sum_b) = go(Some(FaultPlan::default()));
     assert_eq!(sum_a, sum_b, "default plan must not perturb virtual time");
     assert_eq!(data_a, data_b);
-    assert_eq!(sum_a.p2p_retries, 0);
-    assert_eq!(sum_a.p2p_duplicates, 0);
 }

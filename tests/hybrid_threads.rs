@@ -119,7 +119,7 @@ fn clean(p: usize) -> ClusterConfig {
 
 fn faulty(p: usize, seed: u64) -> ClusterConfig {
     clean(p).with_fault(
-        FaultPlan::seeded(seed ^ 0x7ead)
+        FaultPlan::default()
             .with_straggler(seed as usize % p, 2.5)
             .with_link_fault(LinkFault {
                 class: Some(LinkClass::IntraNode),

@@ -5,12 +5,8 @@
 //! correctness, determinism, and equivalence to a direct sort of the
 //! survivors' inputs.
 
-use dhs_baselines::bitonic_sort;
 use dhs_core::{histogram_sort, histogram_sort_by, RecoveryPolicy, SortConfig, SortOutcome};
-use dhs_runtime::{
-    run, run_summarized, try_run_partial, ClusterConfig, FaultPlan, FaultPlanError, LossSpec,
-    RankError, TraceConfig,
-};
+use dhs_runtime::{run, try_run_partial, ClusterConfig, FaultPlan, RankError};
 use proptest::prelude::*;
 
 fn keys_for(rank: usize, n: usize, modulus: u64) -> Vec<u64> {
@@ -42,7 +38,7 @@ fn shrink_recovers_from_single_crash() {
     let n = 2000;
     let victim = 3;
     let cfg =
-        ClusterConfig::small_cluster(p).with_fault(FaultPlan::seeded(1).with_crash(victim, 50_000));
+        ClusterConfig::small_cluster(p).with_fault(FaultPlan::default().with_crash(victim, 50_000));
     let sort_cfg = shrink_cfg(1);
     let out = try_run_partial(&cfg, move |comm| {
         let mut local = keys_for(comm.rank(), n, 1 << 20);
@@ -99,7 +95,7 @@ fn shrink_completes_across_crash_phase_grid() {
     let victim = 5;
     for at_ns in [1, 10_000, 50_000, 200_000, 800_000, 3_000_000] {
         let cfg = ClusterConfig::small_cluster(p)
-            .with_fault(FaultPlan::seeded(2).with_crash(victim, at_ns));
+            .with_fault(FaultPlan::default().with_crash(victim, at_ns));
         let sort_cfg = shrink_cfg(1);
         let out = try_run_partial(&cfg, move |comm| {
             let mut local = keys_for(comm.rank(), n, u64::MAX);
@@ -137,7 +133,7 @@ fn shrink_survives_two_staggered_crashes() {
     let p = 8;
     let n = 1500;
     let cfg = ClusterConfig::small_cluster(p).with_fault(
-        FaultPlan::seeded(3)
+        FaultPlan::default()
             .with_crash(2, 40_000)
             .with_crash(6, 50_000),
     );
@@ -190,7 +186,7 @@ fn shrink_recovery_is_deterministic() {
     let victim = 4;
     let go = |threads: usize| {
         let cfg = ClusterConfig::small_cluster(p)
-            .with_fault(FaultPlan::seeded(9).with_crash(victim, 50_000));
+            .with_fault(FaultPlan::default().with_crash(victim, 50_000));
         let sort_cfg = shrink_cfg(threads);
         let out = try_run_partial(&cfg, move |comm| {
             let mut local = keys_for(comm.rank(), n, 1 << 22);
@@ -234,7 +230,7 @@ fn shrink_recovers_record_sort() {
     let n = 800;
     let victim = 1;
     let cfg =
-        ClusterConfig::small_cluster(p).with_fault(FaultPlan::seeded(5).with_crash(victim, 30_000));
+        ClusterConfig::small_cluster(p).with_fault(FaultPlan::default().with_crash(victim, 30_000));
     let sort_cfg = shrink_cfg(1);
     let out = try_run_partial(&cfg, move |comm| {
         let mut records: Vec<(u64, u32, u32)> = keys_for(comm.rank(), n, 1000)
@@ -312,7 +308,7 @@ fn shrink_recovers_record_sort_from_crash_inside_exchange() {
     let at_ns = exchange_begins + 1;
     let out =
         go(&ClusterConfig::small_cluster(p)
-            .with_fault(FaultPlan::seeded(5).with_crash(victim, at_ns)));
+            .with_fault(FaultPlan::default().with_crash(victim, at_ns)));
     assert_eq!(
         out.ranks[victim].as_ref().err(),
         Some(&RankError::Crashed {
@@ -343,107 +339,6 @@ fn shrink_recovers_record_sort_from_crash_inside_exchange() {
     assert_eq!(got, expect);
 }
 
-/// A bounded retransmission budget turns an unreachable peer into a
-/// typed `RetriesExhausted` failure instead of an unbounded retry
-/// loop, and the failure is the run's root cause when nothing armed
-/// recovery. Bitonic sort is the subject: every round is a
-/// `Comm::exchange_pair` over the lossy transport. The bound holds for
-/// every message, not only the fatal one: the trace's `retry` events
-/// carry each message's retransmission count, and none may pass it.
-#[test]
-fn retries_exhausted_is_typed_root_cause() {
-    let p = 4;
-    let cluster = ClusterConfig::small_cluster(p)
-        .with_trace(TraceConfig::On)
-        .with_fault(FaultPlan::seeded(11).with_loss(LossSpec {
-            rate: 0.9,
-            timeout_ns: 500,
-            max_retries: 2,
-            duplicate_rate: 0.0,
-            backoff_factor: 1.0,
-        }));
-    let run = try_run_partial(&cluster, move |comm| {
-        let mut local = keys_for(comm.rank(), 500, 1 << 16);
-        bitonic_sort(comm, &mut local);
-    });
-    let root_causes: Vec<&RankError> = run.failures().filter(|e| e.is_root_cause()).collect();
-    assert!(
-        root_causes
-            .iter()
-            .any(|e| matches!(e, RankError::RetriesExhausted { attempts: 2, .. })),
-        "90% loss with 2 retries must exhaust some link, got {root_causes:?}"
-    );
-    let retries_per_message: Vec<u64> = run
-        .trace
-        .ranks
-        .iter()
-        .flat_map(|r| &r.events)
-        .filter(|e| e.name == "retry")
-        .map(|e| e.info)
-        .collect();
-    assert_eq!(
-        retries_per_message.iter().max(),
-        Some(&2),
-        "a sender gives up at max_retries lost attempts, never later: {retries_per_message:?}"
-    );
-}
-
-/// Exponential backoff must lengthen the modelled retransmission
-/// penalty: the same lossy run takes strictly longer in virtual time
-/// with `backoff_factor` 2 than with the flat default.
-#[test]
-fn loss_backoff_factor_slows_retries() {
-    let p = 8;
-    let makespan = |backoff_factor: f64| {
-        let cluster =
-            ClusterConfig::small_cluster(p).with_fault(FaultPlan::seeded(13).with_loss(LossSpec {
-                rate: 0.3,
-                timeout_ns: 2_000,
-                max_retries: 20,
-                duplicate_rate: 0.0,
-                backoff_factor,
-            }));
-        run_summarized(&cluster, move |comm| {
-            let mut local = keys_for(comm.rank(), 1000, 1 << 16);
-            bitonic_sort(comm, &mut local);
-        })
-        .1
-        .makespan_ns
-    };
-    assert!(
-        makespan(2.0) > makespan(1.0),
-        "doubling backoff must cost virtual time"
-    );
-}
-
-/// `FaultPlan::validate` rejects malformed backoff factors with the
-/// typed error, and accepts the sane range.
-#[test]
-fn loss_backoff_validation() {
-    let spec = |backoff_factor: f64| FaultPlan {
-        loss: Some(LossSpec {
-            rate: 0.1,
-            timeout_ns: 100,
-            max_retries: 4,
-            duplicate_rate: 0.0,
-            backoff_factor,
-        }),
-        ..FaultPlan::default()
-    };
-    for bad in [0.0, 0.5, -1.0, f64::NAN, f64::INFINITY] {
-        assert!(
-            matches!(
-                spec(bad).validate(4),
-                Err(FaultPlanError::BadLossBackoff { .. })
-            ),
-            "backoff {bad} must be rejected"
-        );
-    }
-    for good in [1.0, 1.5, 4.0] {
-        assert!(spec(good).validate(4).is_ok(), "backoff {good} is valid");
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig { cases: 10, ..ProptestConfig::default() })]
 
@@ -467,7 +362,7 @@ proptest! {
         let threads = if four_threads { 4 } else { 1 };
         let modulus = 1u64 << modulus_pow;
 
-        let mut plan = FaultPlan::seeded(17).with_crash(victim, crash_ns);
+        let mut plan = FaultPlan::default().with_crash(victim, crash_ns);
         if straggle {
             plan = plan.with_straggler(4, 3.0);
         }

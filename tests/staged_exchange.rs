@@ -46,8 +46,8 @@ fn sorted_run(
     let mut cluster = ClusterConfig::small_cluster(p);
     if faults {
         let slow = (seed % p as u64) as usize;
-        cluster = cluster
-            .with_fault(FaultPlan::seeded(seed).with_straggler(slow, 1.5 + (seed % 5) as f64));
+        cluster =
+            cluster.with_fault(FaultPlan::default().with_straggler(slow, 1.5 + (seed % 5) as f64));
     }
     let cfg = cfg_with(algo, threads);
     run(&cluster, move |comm| {
@@ -126,7 +126,7 @@ fn assert_shrink_recovers(algo: AllToAllAlgo) {
     let n = 1500;
     let victim = 3;
     let cluster =
-        ClusterConfig::small_cluster(p).with_fault(FaultPlan::seeded(7).with_crash(victim, 40_000));
+        ClusterConfig::small_cluster(p).with_fault(FaultPlan::default().with_crash(victim, 40_000));
     let cfg = SortConfig::builder()
         .recovery(RecoveryPolicy::Shrink)
         .exchange_algo(algo)
