@@ -6,12 +6,19 @@
 //! contiguously to the `k` groups by measured size, which caps the
 //! imbalance a bad sample can cause.
 
+use dhs_core::exchange::{group_of, group_range};
 use dhs_core::Key;
 use dhs_merge::MergeAlgo;
 use dhs_runtime::{AllToAllAlgo, Comm, Work};
 use dhs_workloads::SplitMix64;
 
 use crate::stats::AlgoStats;
+use crate::tail::{merge_received, regular_splitters, sort_local};
+
+/// Merge engine for the received runs. Each source's payload may
+/// concatenate several buckets, which stay sorted only per bucket, so
+/// the re-sort is the safe merge here.
+const MERGE: MergeAlgo = MergeAlgo::Resort;
 
 /// Configuration of the AMS-style sort.
 #[derive(Debug, Clone, Copy)]
@@ -22,8 +29,6 @@ pub struct AmsConfig {
     pub overpartition: usize,
     /// Sampled keys per rank per level.
     pub oversampling: usize,
-    /// Merge engine for received runs.
-    pub merge: MergeAlgo,
     /// Deterministic sampling seed.
     pub seed: u64,
 }
@@ -34,7 +39,6 @@ impl Default for AmsConfig {
             k: 4,
             overpartition: 4,
             oversampling: 16,
-            merge: MergeAlgo::TournamentTree,
             seed: 0xA4A5,
         }
     }
@@ -48,15 +52,7 @@ pub fn ams_sort<K: Key>(comm: &Comm, local: &mut Vec<K>, cfg: &AmsConfig) -> Alg
         converged: true,
         ..AlgoStats::default()
     };
-    let elem = std::mem::size_of::<K>() as u64;
-
-    let sp_t0 = comm.span("sort_merge");
-    local.sort_unstable();
-    comm.charge(Work::SortElems {
-        n: local.len() as u64,
-        elem_bytes: elem,
-    });
-    stats.sort_merge_ns += sp_t0.finish();
+    sort_local(comm, local, &mut stats);
 
     let mut owned: Option<Comm> = None;
     let mut level_seed = cfg.seed;
@@ -86,20 +82,12 @@ fn ams_level<K: Key>(
     let rank = cur.rank();
     let k = cfg.k.min(p);
     let buckets_n = (cfg.overpartition * k).min(64 * k);
-    let elem = std::mem::size_of::<K>() as u64;
     stats.rounds += 1;
 
     let n_total: u64 = cur.allreduce_sum(vec![local.len() as u64])[0];
     if n_total == 0 {
         return None;
     }
-
-    let group_start = |g: usize| g * p / k;
-    let group_of = |r: usize| {
-        (0..k)
-            .find(|&g| group_start(g) <= r && r < group_start(g + 1))
-            .expect("every rank lies in a group")
-    };
 
     // 1. Sampled splitters for a·k buckets.
     let sp_t0 = cur.span("splitting");
@@ -111,21 +99,7 @@ fn ams_level<K: Key>(
             .map(|_| local[(rng.next_u64() % local.len() as u64) as usize])
             .collect()
     };
-    let splitters: Vec<K> = cur.gather_reduce(
-        sample,
-        move |gathered| {
-            let mut pool: Vec<K> = gathered.into_iter().flatten().collect();
-            pool.sort_unstable();
-            if pool.is_empty() {
-                Vec::new()
-            } else {
-                (1..buckets_n)
-                    .map(|i| pool[(i * pool.len() / buckets_n).min(pool.len() - 1)])
-                    .collect()
-            }
-        },
-        |r: &Vec<K>| (r.len() * elem as usize) as u64,
-    );
+    let splitters = regular_splitters(cur, sample, buckets_n);
 
     // 2. Measure the buckets: local counts, one reduction.
     cur.charge(Work::BinarySearches {
@@ -160,33 +134,20 @@ fn ams_level<K: Key>(
     // 4. Exchange: bucket b goes to a peer in its group.
     let sp_t1 = cur.span("exchange");
     let mut send: Vec<Vec<K>> = (0..p).map(|_| Vec::new()).collect();
-    cur.charge(Work::MoveBytes(local.len() as u64 * elem));
+    cur.charge(Work::MoveBytes(std::mem::size_of_val(&local[..]) as u64));
     for (b, &grp) in group_of_bucket.iter().enumerate() {
-        let gs = group_start(grp);
-        let ge = group_start(grp + 1);
-        let size_g = (ge - gs).max(1);
+        let members = group_range(grp, p, k);
         // Spread buckets of the same group over its members.
-        let peer = gs + (rank + b) % size_g;
+        let peer = members.start + (rank + b) % members.len();
         send[peer].extend_from_slice(&local[cuts[b]..cuts[b + 1]]);
     }
     let received = cur.exchange(send, AllToAllAlgo::OneFactor);
     stats.exchange_ns += sp_t1.finish();
 
-    // 5. Merge received runs. Each source's payload may concatenate
-    //    several buckets, which stay internally sorted only per bucket;
-    //    re-sort is the safe merge here.
-    let sp_t2 = cur.span("sort_merge");
-    let n_recv: u64 = received.total_len() as u64;
-    cur.charge(Work::SortElems {
-        n: n_recv,
-        elem_bytes: elem,
-    });
-    let mut merged: Vec<K> = received.into_data();
-    merged.sort_unstable();
-    *local = merged;
-    stats.sort_merge_ns += sp_t2.finish();
+    // 5. Merge received runs.
+    *local = merge_received(cur, received, MERGE, stats);
 
-    Some(cur.split(group_of(rank) as u64, rank as u64))
+    Some(cur.split(group_of(rank, p, k) as u64, rank as u64))
 }
 
 #[cfg(test)]

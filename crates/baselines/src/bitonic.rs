@@ -17,6 +17,7 @@ use dhs_merge::merge_two;
 use dhs_runtime::{AllToAllAlgo, Comm, Work};
 
 use crate::stats::AlgoStats;
+use crate::tail::sort_local;
 
 /// Sort the distributed vector with a bitonic network.
 ///
@@ -42,13 +43,7 @@ pub fn bitonic_sort<K: Key>(comm: &Comm, local: &mut Vec<K>) -> AlgoStats {
     let elem = std::mem::size_of::<K>() as u64;
     let n = local.len();
 
-    let sp_t0 = comm.span("sort_merge");
-    local.sort_unstable();
-    comm.charge(Work::SortElems {
-        n: n as u64,
-        elem_bytes: elem,
-    });
-    stats.sort_merge_ns += sp_t0.finish();
+    sort_local(comm, local, &mut stats);
 
     if p == 1 {
         stats.n_out = n;

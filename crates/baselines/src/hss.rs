@@ -15,11 +15,15 @@ use std::sync::Arc;
 
 use dhs_core::splitter::{SplitterInfo, SplitterResult};
 use dhs_core::{exchange, Key};
-use dhs_merge::{kway_merge, MergeAlgo};
+use dhs_merge::MergeAlgo;
 use dhs_runtime::{AllToAllAlgo, Comm, Work};
 use dhs_workloads::SplitMix64;
 
 use crate::stats::AlgoStats;
+use crate::tail::{merge_received, sort_local};
+
+/// Merge engine for the received runs.
+const MERGE: MergeAlgo = MergeAlgo::Resort;
 
 /// Configuration of HSS.
 #[derive(Debug, Clone, Copy)]
@@ -35,8 +39,6 @@ pub struct HssConfig {
     /// achievable boundary is accepted and `converged` is reported
     /// `false` (the Charm++ runs hit their wall-clock limit instead).
     pub max_rounds: u32,
-    /// Merge engine for the received runs.
-    pub merge: MergeAlgo,
     /// Deterministic sampling seed.
     pub seed: u64,
 }
@@ -47,7 +49,6 @@ impl Default for HssConfig {
             samples_per_round: 8,
             epsilon: 0.0,
             max_rounds: 256,
-            merge: MergeAlgo::Resort,
             seed: 0x455,
         }
     }
@@ -71,22 +72,12 @@ pub fn hss_sort<K: Key>(comm: &Comm, local: &mut Vec<K>, cfg: &HssConfig) -> Alg
         ..AlgoStats::default()
     };
     let p = comm.size();
-    let elem = std::mem::size_of::<K>() as u64;
-
-    // Local sort.
-    let sp_t0 = comm.span("sort_merge");
-    local.sort_unstable();
-    comm.charge(Work::SortElems {
-        n: local.len() as u64,
-        elem_bytes: elem,
-    });
-    let sort_in_ns = sp_t0.finish();
+    sort_local(comm, local, &mut stats);
 
     let caps: Vec<usize> = comm.allgather(local.len());
     let n_total: u64 = caps.iter().map(|&c| c as u64).sum();
     if n_total == 0 || p == 1 {
         stats.n_out = local.len();
-        stats.sort_merge_ns = sort_in_ns;
         return stats;
     }
     let targets = dhs_core::perfect_targets(&caps);
@@ -104,22 +95,7 @@ pub fn hss_sort<K: Key>(comm: &Comm, local: &mut Vec<K>, cfg: &HssConfig) -> Alg
     let received = exchange::exchange_data(comm, local, &plan, AllToAllAlgo::OneFactor);
     stats.exchange_ns = sp_t2.finish();
 
-    let sp_t3 = comm.span("sort_merge");
-    let n_recv = received.total_len() as u64;
-    let ways = received.runs().filter(|r| !r.is_empty()).count() as u64;
-    match cfg.merge {
-        MergeAlgo::Resort => comm.charge(Work::SortElems {
-            n: n_recv,
-            elem_bytes: elem,
-        }),
-        _ => comm.charge(Work::MergeElems {
-            n: n_recv,
-            ways: ways.max(2),
-            elem_bytes: elem,
-        }),
-    }
-    *local = kway_merge(cfg.merge, &received.as_slices());
-    stats.sort_merge_ns = sort_in_ns + (sp_t3.finish());
+    *local = merge_received(comm, received, MERGE, &mut stats);
     stats.n_out = local.len();
     stats
 }

@@ -13,6 +13,13 @@
 //! * [`bitonic_sort`] — Batcher's sorting network (§III-C, \[17\]);
 //! * [`ams_sort`] — AMS-style multi-level sample sort with
 //!   overpartitioning (§III-C, \[16\]).
+//!
+//! Each is its own choice of splitters on one shared tail: the charged
+//! local sort, the regular pick from a gathered sample, the Algorithm 4
+//! cut (`dhs_core::exchange::plan_exchange`, for HSS and every HykSort
+//! level) or the upper-bound cut (sample sort, PSRS), one exchange of
+//! borrowed segments, and the charged merge of the received runs. The
+//! merge engine of each is a constant.
 
 pub mod ams;
 pub mod bitonic;
@@ -21,12 +28,13 @@ pub mod hyksort;
 pub mod psrs;
 pub mod sample_sort;
 pub mod stats;
+mod tail;
 
 pub use ams::{ams_sort, AmsConfig};
 pub use bitonic::bitonic_sort;
 pub use hss::{hss_sort, HssConfig};
 pub use hyksort::{hyksort, HyksortConfig};
-pub use psrs::{psrs, PsrsConfig};
+pub use psrs::psrs;
 pub use sample_sort::{sample_sort, SampleSortConfig};
 pub use stats::AlgoStats;
 
@@ -57,12 +65,14 @@ impl Algorithm {
         Algorithm::Bitonic,
     ];
 
+    /// The name figures, sweeps and JSON reports print: the paper's
+    /// "DASH" and "Charm++" labels for the two it evaluates.
     pub fn label(&self) -> &'static str {
         match self {
-            Algorithm::HistogramSort => "histogram-sort",
+            Algorithm::HistogramSort => "dash-histogram",
             Algorithm::SampleSort => "sample-sort",
             Algorithm::Psrs => "psrs",
-            Algorithm::Hss => "hss",
+            Algorithm::Hss => "charm-hss",
             Algorithm::HykSort => "hyksort",
             Algorithm::Ams => "ams-sort",
             Algorithm::Bitonic => "bitonic",
@@ -94,7 +104,7 @@ pub fn run_algorithm<K: Key>(comm: &Comm, algo: Algorithm, local: &mut Vec<K>) -
             }
         }
         Algorithm::SampleSort => sample_sort(comm, local, &SampleSortConfig::default()),
-        Algorithm::Psrs => psrs(comm, local, &PsrsConfig::default()),
+        Algorithm::Psrs => psrs(comm, local),
         Algorithm::Hss => hss_sort(comm, local, &HssConfig::default()),
         Algorithm::HykSort => hyksort(comm, local, &HyksortConfig::default()),
         Algorithm::Ams => ams_sort(comm, local, &AmsConfig::default()),

@@ -4,112 +4,41 @@
 //! practice yields near-perfect balancing deterministically.
 
 use dhs_core::Key;
-use dhs_merge::{kway_merge, MergeAlgo};
-use dhs_runtime::{AllToAllAlgo, Comm, Work};
+use dhs_merge::MergeAlgo;
+use dhs_runtime::Comm;
 
 use crate::stats::AlgoStats;
+use crate::tail::{merge_received, regular_splitters, sort_local, upper_bound_exchange};
 
-/// Configuration of PSRS.
-#[derive(Debug, Clone, Copy)]
-pub struct PsrsConfig {
-    /// Merge engine for the received runs.
-    pub merge: MergeAlgo,
-}
-
-impl Default for PsrsConfig {
-    fn default() -> Self {
-        Self {
-            merge: MergeAlgo::TournamentTree,
-        }
-    }
-}
+/// Merge engine for the received runs.
+const MERGE: MergeAlgo = MergeAlgo::TournamentTree;
 
 /// Sort the distributed vector by PSRS.
-pub fn psrs<K: Key>(comm: &Comm, local: &mut Vec<K>, cfg: &PsrsConfig) -> AlgoStats {
+pub fn psrs<K: Key>(comm: &Comm, local: &mut Vec<K>) -> AlgoStats {
     let mut stats = AlgoStats {
         converged: true,
         rounds: 1,
         ..AlgoStats::default()
     };
     let p = comm.size();
-    let elem = std::mem::size_of::<K>() as u64;
 
     // Step 1: local sort.
-    let sp_t0 = comm.span("sort_merge");
-    local.sort_unstable();
-    comm.charge(Work::SortElems {
-        n: local.len() as u64,
-        elem_bytes: elem,
-    });
-    let sort_in_ns = sp_t0.finish();
+    sort_local(comm, local, &mut stats);
 
-    // Step 2: regular sampling — P-1 probes at positions (i+1)·n/P of
-    // the sorted local data; gather everywhere; take the P-1 regular
+    // Step 2: regular sampling — P-1 probes at positions i·n/P of the
+    // sorted local data; gather everywhere; take the P-1 regular
     // splitters of the sorted sample.
     let sp_t1 = comm.span("splitting");
-    let probes: Vec<K> = if local.is_empty() {
-        Vec::new()
-    } else {
-        (1..p)
-            .map(|i| local[(i * local.len() / p).min(local.len() - 1)])
-            .collect()
-    };
-    let splitters: Vec<K> = comm.gather_reduce(
-        probes,
-        move |gathered| {
-            let mut pool: Vec<K> = gathered.into_iter().flatten().collect();
-            pool.sort_unstable();
-            if pool.is_empty() {
-                Vec::new()
-            } else {
-                (1..p)
-                    .map(|i| pool[(i * pool.len() / p).min(pool.len() - 1)])
-                    .collect()
-            }
-        },
-        |r: &Vec<K>| (r.len() * elem as usize) as u64,
-    );
+    let probes: Vec<K> = (1..p)
+        .filter_map(|i| local.get(i * local.len() / p).copied())
+        .collect();
+    let splitters = regular_splitters(comm, probes, p);
     stats.splitter_ns = sp_t1.finish();
 
     // Step 3: partition (binary search, data already sorted) and
-    // exchange.
-    let sp_t2 = comm.span("exchange");
-    comm.charge(Work::BinarySearches {
-        searches: splitters.len() as u64,
-        n: local.len() as u64,
-    });
-    let mut buckets: Vec<Vec<K>> = Vec::with_capacity(p);
-    let mut start = 0usize;
-    for spl in &splitters {
-        let end = local.partition_point(|x| *x <= *spl);
-        buckets.push(local[start..end].to_vec());
-        start = end;
-    }
-    buckets.push(local[start..].to_vec());
-    if buckets.len() < p {
-        buckets.resize_with(p, Vec::new);
-    }
-    comm.charge(Work::MoveBytes(local.len() as u64 * elem));
-    let received = comm.exchange(buckets, AllToAllAlgo::OneFactor);
-    stats.exchange_ns = sp_t2.finish();
-
-    // Step 4: k-way merge of sorted runs.
-    let sp_t3 = comm.span("sort_merge");
-    let n_recv: u64 = received.total_len() as u64;
-    let ways = received.runs().filter(|r| !r.is_empty()).count() as u64;
-    match cfg.merge {
-        MergeAlgo::Resort => comm.charge(Work::SortElems {
-            n: n_recv,
-            elem_bytes: elem,
-        }),
-        _ => comm.charge(Work::MergeElems {
-            n: n_recv,
-            ways: ways.max(2),
-            elem_bytes: elem,
-        }),
-    }
-    *local = kway_merge(cfg.merge, &received.as_slices());
-    stats.sort_merge_ns = sort_in_ns + (sp_t3.finish());
+    // exchange; step 4: k-way merge of the sorted runs.
+    let received = upper_bound_exchange(comm, local, &splitters, &mut stats);
+    *local = merge_received(comm, received, MERGE, &mut stats);
     stats.n_out = local.len();
     stats
 }
@@ -134,7 +63,7 @@ mod tests {
     fn check(p: usize, n: usize, modulus: u64) -> Vec<usize> {
         let out = run(&ClusterConfig::small_cluster(p), move |comm| {
             let mut local = keys_for(comm.rank(), n, modulus);
-            psrs(comm, &mut local, &PsrsConfig::default());
+            psrs(comm, &mut local);
             local
         });
         let mut expect: Vec<u64> = (0..p).flat_map(|r| keys_for(r, n, modulus)).collect();
@@ -168,7 +97,7 @@ mod tests {
             } else {
                 Vec::new()
             };
-            psrs(comm, &mut local, &PsrsConfig::default());
+            psrs(comm, &mut local);
             local
         });
         let got: Vec<u64> = out.iter().flat_map(|(l, _)| l.clone()).collect();

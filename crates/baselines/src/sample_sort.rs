@@ -3,11 +3,15 @@
 //! with only probabilistic load-balance guarantees.
 
 use dhs_core::Key;
-use dhs_merge::{kway_merge, MergeAlgo};
-use dhs_runtime::{AllToAllAlgo, Comm, Work};
+use dhs_merge::MergeAlgo;
+use dhs_runtime::{Comm, Work};
 use dhs_workloads::SplitMix64;
 
 use crate::stats::AlgoStats;
+use crate::tail::{merge_received, regular_splitters, sort_local, upper_bound_exchange};
+
+/// Merge engine for the received runs.
+const MERGE: MergeAlgo = MergeAlgo::Resort;
 
 /// Configuration of the sample sort.
 #[derive(Debug, Clone, Copy)]
@@ -16,8 +20,6 @@ pub struct SampleSortConfig {
     /// cites `s = ln P / (1 + ε²)`-ish bounds for near-perfect
     /// partitioning w.h.p.; practical codes use `Θ(log P)` to `Θ(P)`.
     pub oversampling: usize,
-    /// Merge engine for the received runs.
-    pub merge: MergeAlgo,
     /// Deterministic sampling seed.
     pub seed: u64,
 }
@@ -26,7 +28,6 @@ impl Default for SampleSortConfig {
     fn default() -> Self {
         Self {
             oversampling: 32,
-            merge: MergeAlgo::Resort,
             seed: 0xDA5A,
         }
     }
@@ -41,8 +42,6 @@ pub fn sample_sort<K: Key>(comm: &Comm, local: &mut Vec<K>, cfg: &SampleSortConf
         rounds: 1,
         ..AlgoStats::default()
     };
-    let p = comm.size();
-    let elem = std::mem::size_of::<K>() as u64;
 
     // Superstep 1: random sampling on the *unsorted* input.
     let sp_t0 = comm.span("splitting");
@@ -55,74 +54,18 @@ pub fn sample_sort<K: Key>(comm: &Comm, local: &mut Vec<K>, cfg: &SampleSortConf
             .map(|_| local[(rng.next_u64() % local.len() as u64) as usize])
             .collect()
     };
-    comm.charge(Work::MoveBytes(sample.len() as u64 * elem));
+    comm.charge(Work::MoveBytes(std::mem::size_of_val(&sample[..]) as u64));
 
     // Superstep 2: central splitter selection — samples go to a
     // central processor which sorts them, picks P-1 equidistant
     // splitters and broadcasts only those.
-    let splitters: Vec<K> = comm.gather_reduce(
-        sample,
-        move |gathered| {
-            let mut pool: Vec<K> = gathered.into_iter().flatten().collect();
-            pool.sort_unstable();
-            if pool.is_empty() {
-                Vec::new()
-            } else {
-                (1..p)
-                    .map(|i| pool[(i * pool.len() / p).min(pool.len() - 1)])
-                    .collect()
-            }
-        },
-        |r: &Vec<K>| (r.len() * elem as usize) as u64,
-    );
+    let splitters = regular_splitters(comm, sample, comm.size());
     stats.splitter_ns = sp_t0.finish();
 
-    // Superstep 3: partition and exchange.
-    let sp_t1 = comm.span("sort_merge");
-    local.sort_unstable();
-    comm.charge(Work::SortElems {
-        n: local.len() as u64,
-        elem_bytes: elem,
-    });
-    let sort_in_ns = sp_t1.finish();
-
-    let sp_t2 = comm.span("exchange");
-    let mut buckets: Vec<Vec<K>> = Vec::with_capacity(p);
-    let mut start = 0usize;
-    comm.charge(Work::BinarySearches {
-        searches: splitters.len() as u64,
-        n: local.len() as u64,
-    });
-    for spl in &splitters {
-        let end = local.partition_point(|x| *x <= *spl);
-        buckets.push(local[start..end].to_vec());
-        start = end;
-    }
-    buckets.push(local[start..].to_vec());
-    if buckets.len() < p {
-        buckets.resize_with(p, Vec::new);
-    }
-    comm.charge(Work::MoveBytes(local.len() as u64 * elem));
-    let received = comm.exchange(buckets, AllToAllAlgo::OneFactor);
-    stats.exchange_ns = sp_t2.finish();
-
-    // Final local merge of sorted runs.
-    let sp_t3 = comm.span("sort_merge");
-    let n_recv: u64 = received.total_len() as u64;
-    let ways = received.runs().filter(|r| !r.is_empty()).count() as u64;
-    match cfg.merge {
-        MergeAlgo::Resort => comm.charge(Work::SortElems {
-            n: n_recv,
-            elem_bytes: elem,
-        }),
-        _ => comm.charge(Work::MergeElems {
-            n: n_recv,
-            ways: ways.max(2),
-            elem_bytes: elem,
-        }),
-    }
-    *local = kway_merge(cfg.merge, &received.as_slices());
-    stats.sort_merge_ns = sort_in_ns + (sp_t3.finish());
+    // Superstep 3: partition and exchange, then merge the sorted runs.
+    sort_local(comm, local, &mut stats);
+    let received = upper_bound_exchange(comm, local, &splitters, &mut stats);
+    *local = merge_received(comm, received, MERGE, &mut stats);
     stats.n_out = local.len();
     stats
 }

@@ -3,7 +3,7 @@
 //! real sweeps live in the `fig*`/`ablation*` binaries).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dhs_baselines::HssConfig;
+use dhs_baselines::Algorithm;
 use dhs_bench::experiment::{run_distributed_sort, SortAlgo};
 use dhs_bench::sim_shm::{sim_openmp_merge_sort, sim_tbb_merge_sort};
 use dhs_core::{histogram_sort, SortConfig};
@@ -32,7 +32,7 @@ fn bench_figures(c: &mut Criterion) {
         b.iter(|| {
             run_distributed_sort(
                 &cluster,
-                &SortAlgo::Hss(HssConfig::default()),
+                &SortAlgo::Baseline(Algorithm::Hss),
                 Distribution::paper_uniform(),
                 Layout::Balanced,
                 1 << 15,

@@ -7,7 +7,7 @@
 //! Flags: `--p <ranks>` (default 64), `--nper <keys/rank>` (default
 //! 2^13), `--reps`, `--quick`.
 
-use dhs_baselines::{AmsConfig, HssConfig, HyksortConfig, PsrsConfig, SampleSortConfig};
+use dhs_baselines::Algorithm;
 use dhs_bench::experiment::{run_distributed_sort, SortAlgo};
 use dhs_bench::stats::median_ci;
 use dhs_bench::table::{fmt_secs, Table};
@@ -33,12 +33,12 @@ fn main() {
 
     let algos: Vec<SortAlgo> = vec![
         SortAlgo::Histogram(SortConfig::default()),
-        SortAlgo::Hss(HssConfig::default()),
-        SortAlgo::SampleSort(SampleSortConfig::default()),
-        SortAlgo::Psrs(PsrsConfig::default()),
-        SortAlgo::HykSort(HyksortConfig::default()),
-        SortAlgo::Ams(AmsConfig::default()),
-        SortAlgo::Bitonic,
+        SortAlgo::Baseline(Algorithm::Hss),
+        SortAlgo::Baseline(Algorithm::SampleSort),
+        SortAlgo::Baseline(Algorithm::Psrs),
+        SortAlgo::Baseline(Algorithm::HykSort),
+        SortAlgo::Baseline(Algorithm::Ams),
+        SortAlgo::Baseline(Algorithm::Bitonic),
     ];
     let dists: Vec<(&str, Distribution)> = vec![
         ("uniform", Distribution::paper_uniform()),
@@ -82,7 +82,7 @@ fn main() {
         for (dname, dist) in &dists {
             for algo in &algos {
                 let equal_sizes = matches!(layout, Layout::Balanced);
-                if matches!(algo, SortAlgo::Bitonic) && !(p.is_power_of_two() && equal_sizes) {
+                if matches!(algo, SortAlgo::Baseline(a) if !a.supports(p, equal_sizes)) {
                     t.row([
                         dname.to_string(),
                         algo.label().to_string(),

@@ -38,7 +38,7 @@
 
 use std::fmt::Write as _;
 
-use dhs_baselines::{HssConfig, SampleSortConfig};
+use dhs_baselines::Algorithm;
 use dhs_bench::experiment::{run_distributed_sort, run_recovery_sort, DistributedRun, SortAlgo};
 use dhs_bench::table::{fmt_secs, Table};
 use dhs_bench::Args;
@@ -276,9 +276,9 @@ fn recovery_grid(
 fn largep_sweep(engine: RunnerEngine, out_path: &str) {
     let seed = 0x5EED;
     let n_per = 256usize;
-    let algos: Vec<(&str, SortAlgo)> = vec![
-        ("dash-histogram", SortAlgo::Histogram(SortConfig::default())),
-        ("bitonic", SortAlgo::Bitonic),
+    let algos = [
+        SortAlgo::Histogram(SortConfig::default()),
+        SortAlgo::Baseline(Algorithm::Bitonic),
     ];
 
     println!("# Chaos sweep (large-p grid, {engine:?})");
@@ -303,7 +303,8 @@ fn largep_sweep(engine: RunnerEngine, out_path: &str) {
                 .with_fault(sc.plan.clone())
                 .with_engine(engine);
             let mut cells = String::new();
-            for (ai, (label, algo)) in algos.iter().enumerate() {
+            for (ai, algo) in algos.iter().enumerate() {
+                let label = algo.label();
                 let run = run_distributed_sort(
                     &cluster,
                     algo,
@@ -405,22 +406,16 @@ fn main() {
         return;
     }
 
-    let algos: Vec<(&str, SortAlgo)> = vec![
-        (
-            "dash-histogram",
-            SortAlgo::Histogram(
-                SortConfig::builder()
-                    .threads_per_rank(threads)
-                    .build()
-                    .expect("valid config"),
-            ),
+    let algos = [
+        SortAlgo::Histogram(
+            SortConfig::builder()
+                .threads_per_rank(threads)
+                .build()
+                .expect("valid config"),
         ),
-        ("bitonic", SortAlgo::Bitonic),
-        ("charm-hss", SortAlgo::Hss(HssConfig::default())),
-        (
-            "sample-sort",
-            SortAlgo::SampleSort(SampleSortConfig::default()),
-        ),
+        SortAlgo::Baseline(Algorithm::Bitonic),
+        SortAlgo::Baseline(Algorithm::Hss),
+        SortAlgo::Baseline(Algorithm::SampleSort),
     ];
 
     println!("# Chaos sweep: fault injection across sorters");
@@ -443,7 +438,8 @@ fn main() {
             .with_fault(sc.plan.clone())
             .with_engine(engine);
         let mut cells = String::new();
-        for (ai, (label, algo)) in algos.iter().enumerate() {
+        for (ai, algo) in algos.iter().enumerate() {
+            let label = algo.label();
             let run = run_distributed_sort(
                 &cluster,
                 algo,

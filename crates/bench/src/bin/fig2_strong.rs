@@ -14,7 +14,7 @@
 //! 1024), `--reps <runs>` (default 5, paper uses 10), `--breakdown`,
 //! `--quick`.
 
-use dhs_baselines::HssConfig;
+use dhs_baselines::Algorithm;
 use dhs_bench::experiment::{run_distributed_sort, SortAlgo};
 use dhs_bench::stats::{median_ci, strong_efficiency};
 use dhs_bench::table::{fmt_secs, Table};
@@ -48,7 +48,7 @@ fn main() {
 
     let algos: Vec<SortAlgo> = vec![
         SortAlgo::Histogram(SortConfig::default()),
-        SortAlgo::Hss(HssConfig::default()),
+        SortAlgo::Baseline(Algorithm::Hss),
     ];
 
     let mut fig2a = Table::new([

@@ -12,7 +12,7 @@
 //! Flags: `--nper <keys/rank>`, `--pmax <ranks>`, `--reps <runs>`,
 //! `--breakdown`, `--quick`.
 
-use dhs_baselines::HssConfig;
+use dhs_baselines::Algorithm;
 use dhs_bench::experiment::{run_distributed_sort, SortAlgo};
 use dhs_bench::stats::{median_ci, weak_efficiency};
 use dhs_bench::table::{fmt_bytes, fmt_secs, Table};
@@ -46,7 +46,7 @@ fn main() {
 
     let algos: Vec<SortAlgo> = vec![
         SortAlgo::Histogram(SortConfig::default()),
-        SortAlgo::Hss(HssConfig::default()),
+        SortAlgo::Baseline(Algorithm::Hss),
     ];
 
     let mut fig3a = Table::new([

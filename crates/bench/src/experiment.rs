@@ -2,38 +2,28 @@
 //! simulated cluster and fold the per-rank reports into the figures the
 //! paper plots (median time, phase fractions, traffic, balance).
 
-use dhs_baselines::{
-    ams_sort, bitonic_sort, hss_sort, hyksort, psrs, sample_sort, AmsConfig, HssConfig,
-    HyksortConfig, PsrsConfig, SampleSortConfig,
-};
+use dhs_baselines::{run_algorithm, Algorithm};
 use dhs_core::{histogram_sort, SortConfig, SortOutcome};
 use dhs_runtime::{run, try_run_partial, ClusterConfig};
 use dhs_workloads::{rank_local_keys, Distribution, Layout};
 
-/// Which sorter to run, with its configuration.
+/// Which sorter to run.
 #[derive(Debug, Clone)]
 pub enum SortAlgo {
-    /// The paper's algorithm (labelled "DASH" in Figures 2-4).
+    /// The paper's algorithm (labelled "DASH" in Figures 2-4), with its
+    /// configuration: the only way to run it.
     Histogram(SortConfig),
-    /// The Charm++ comparator (labelled "Charm++" in Figures 2-3).
-    Hss(HssConfig),
-    SampleSort(SampleSortConfig),
-    Psrs(PsrsConfig),
-    HykSort(HyksortConfig),
-    Ams(AmsConfig),
-    Bitonic,
+    /// A baseline of [`Algorithm`] — any but `HistogramSort` — with its
+    /// default configuration, run by [`run_algorithm`] (`Algorithm::Hss`
+    /// is the "Charm++" comparator of Figures 2-3).
+    Baseline(Algorithm),
 }
 
 impl SortAlgo {
     pub fn label(&self) -> &'static str {
         match self {
-            SortAlgo::Histogram(_) => "dash-histogram",
-            SortAlgo::Hss(_) => "charm-hss",
-            SortAlgo::SampleSort(_) => "sample-sort",
-            SortAlgo::Psrs(_) => "psrs",
-            SortAlgo::HykSort(_) => "hyksort",
-            SortAlgo::Ams(_) => "ams-sort",
-            SortAlgo::Bitonic => "bitonic",
+            SortAlgo::Histogram(_) => Algorithm::HistogramSort.label(),
+            SortAlgo::Baseline(algo) => algo.label(),
         }
     }
 }
@@ -84,6 +74,10 @@ pub fn run_distributed_sort(
     seed: u64,
 ) -> DistributedRun {
     let p = cluster.ranks();
+    assert!(
+        !matches!(algo, SortAlgo::Baseline(Algorithm::HistogramSort)),
+        "the histogram sort runs as SortAlgo::Histogram"
+    );
     let algo = algo.clone();
     let out = run(cluster, move |comm| {
         let mut local = rank_local_keys(dist, layout, n_total, p, comm.rank(), seed);
@@ -104,28 +98,8 @@ pub fn run_distributed_sort(
                     !s.outcome.is_degraded(),
                 )
             }
-            SortAlgo::Hss(cfg) => {
-                let s = hss_sort(comm, &mut local, cfg);
-                (algo_phases(&s), s.rounds, 0, s.converged)
-            }
-            SortAlgo::SampleSort(cfg) => {
-                let s = sample_sort(comm, &mut local, cfg);
-                (algo_phases(&s), s.rounds, 0, s.converged)
-            }
-            SortAlgo::Psrs(cfg) => {
-                let s = psrs(comm, &mut local, cfg);
-                (algo_phases(&s), s.rounds, 0, s.converged)
-            }
-            SortAlgo::HykSort(cfg) => {
-                let s = hyksort(comm, &mut local, cfg);
-                (algo_phases(&s), s.rounds, 0, s.converged)
-            }
-            SortAlgo::Ams(cfg) => {
-                let s = ams_sort(comm, &mut local, cfg);
-                (algo_phases(&s), s.rounds, 0, s.converged)
-            }
-            SortAlgo::Bitonic => {
-                let s = bitonic_sort(comm, &mut local);
+            SortAlgo::Baseline(algo) => {
+                let s = run_algorithm(comm, *algo, &mut local);
                 (algo_phases(&s), s.rounds, 0, s.converged)
             }
         };
@@ -321,7 +295,7 @@ mod tests {
         let go = |seed| {
             run_distributed_sort(
                 &cluster,
-                &SortAlgo::Hss(HssConfig::default()),
+                &SortAlgo::Baseline(Algorithm::Hss),
                 Distribution::paper_uniform(),
                 Layout::Balanced,
                 1 << 12,
@@ -336,15 +310,12 @@ mod tests {
     #[test]
     fn all_algorithms_run_under_harness() {
         let cluster = ClusterConfig::supermuc_phase2(8);
-        for algo in [
-            SortAlgo::Histogram(SortConfig::default()),
-            SortAlgo::Hss(HssConfig::default()),
-            SortAlgo::SampleSort(SampleSortConfig::default()),
-            SortAlgo::Psrs(PsrsConfig::default()),
-            SortAlgo::HykSort(HyksortConfig::default()),
-            SortAlgo::Ams(AmsConfig::default()),
-            SortAlgo::Bitonic,
-        ] {
+        let baselines = Algorithm::ALL
+            .into_iter()
+            .filter(|&a| a != Algorithm::HistogramSort)
+            .map(SortAlgo::Baseline);
+        let histogram = SortAlgo::Histogram(SortConfig::default());
+        for algo in std::iter::once(histogram).chain(baselines) {
             let run = run_distributed_sort(
                 &cluster,
                 &algo,

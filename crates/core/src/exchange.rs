@@ -1,16 +1,22 @@
 //! Data-exchange planning and execution (paper §V-B, Algorithm 4).
 //!
 //! After the splitters are fixed, each rank slices its locally sorted
-//! data into `P` segments. Keys strictly below splitter `S_i` belong to
-//! destinations `< i` unconditionally; keys *equal* to `S_i` form a
-//! contingent that is handed out in rank order until each destination's
-//! realized boundary is met — the refinement that makes *perfect
-//! partitioning* exact even with duplicate keys.
+//! data into one segment per side of the `s ≤ P − 1` splitters. Keys
+//! strictly below splitter `S_i` belong to segments `≤ i`
+//! unconditionally; keys *equal* to `S_i` form a contingent that is
+//! handed out in rank order until each boundary's realized count is met
+//! — the refinement that makes *perfect partitioning* exact even with
+//! duplicate keys.
 //!
-//! The bound matrix is distributed with all-to-all semantics (two
-//! `O(P²)`-element collectives in the paper; one allgather of the same
-//! volume class here), then the payload moves in a single
-//! `ALL-TO-ALLV`.
+//! The contingents are distributed by one exclusive scan (the paper
+//! names it as part of this step), then the payload moves in a single
+//! `ALL-TO-ALLV`. With `s = P − 1` segment `d` goes to rank `d`; with
+//! fewer splitters it goes to one member of the `d`-th of `s + 1`
+//! contiguous rank groups. The flat sort, level 1 of the two-level
+//! sort, HSS and HykSort cut with [`plan_exchange`]; sample sort and
+//! PSRS send their upper-bound cuts through the same [`exchange_data`].
+
+use std::ops::Range;
 
 use dhs_runtime::{AllToAllAlgo, Comm, RecvRuns, Work};
 
@@ -21,8 +27,9 @@ use crate::splitter::SplitterResult;
 /// One rank's slice plan: where its sorted local data gets cut.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExchangePlan {
-    /// `P+1` ascending cut positions into the local sorted array;
-    /// segment `d` = `local[cuts[d]..cuts[d+1]]` goes to rank `d`.
+    /// `s + 2` ascending cut positions into the local sorted array for
+    /// `s` splitters; segment `d` = `local[cuts[d]..cuts[d+1]]` goes to
+    /// group `d` ([`exchange_data`]), which at `s = P − 1` is rank `d`.
     pub cuts: Vec<usize>,
 }
 
@@ -51,22 +58,22 @@ pub fn plan_exchange_with<K: Key>(
     plan_exchange(comm, sorted_local, splitters)
 }
 
-/// Compute this rank's cut positions (Algorithm 4). Collective: every
-/// rank must call it with the identical `SplitterResult`.
+/// Compute this rank's cut positions (Algorithm 4) for any `s ≤ P − 1`
+/// splitters. Collective: every rank must call it with the identical
+/// `SplitterResult`.
 ///
 /// The splitter keys arrive ascending (equal targets aside), so each
 /// one's `(lower, upper)` bounds are found by exponential search
-/// outward from the previous splitter's lower bound — `O(P · log(n/P))`
-/// compares. The charge is the paper's `2(P − 1)` binary searches over
-/// the whole local array.
+/// outward from the previous splitter's lower bound — `O(s · log(n/s))`
+/// compares. The charge is the paper's `2s` binary searches over the
+/// whole local array.
 pub fn plan_exchange<K: Key>(
     comm: &Comm,
     sorted_local: &[K],
     splitters: &SplitterResult<K>,
 ) -> ExchangePlan {
-    let p = comm.size();
     let s = splitters.splitters.len();
-    assert_eq!(s + 1, p, "need P-1 splitters for P ranks");
+    assert!(s < comm.size(), "at most P-1 splitters for P ranks");
     let n_local = sorted_local.len();
 
     // Local bounds of every splitter key.
@@ -94,7 +101,7 @@ pub fn plan_exchange<K: Key>(
     let before_me = comm.exscan_sum_vec_shared(&contingents);
 
     comm.charge(Work::Compares(s as u64));
-    let mut cuts = Vec::with_capacity(p + 1);
+    let mut cuts = Vec::with_capacity(s + 2);
     cuts.push(0usize);
     for (i, info) in splitters.splitters.iter().enumerate() {
         debug_assert!(info.realized >= info.global_lower && info.realized <= info.global_upper);
@@ -152,24 +159,48 @@ fn partition_point_from<T>(sorted: &[T], hint: usize, pred: impl Fn(&T) -> bool)
     lo + sorted[lo..hi].partition_point(pred)
 }
 
-/// Execute the `ALL-TO-ALLV` zero-copy under the configured schedule:
-/// the plan's segments of `sorted_local` are sent **in place**
-/// (borrowed slices, no bucket materialization) and received into one
-/// contiguous [`RecvRuns`] buffer whose per-source runs are sorted
-/// (contiguous slices of sorted arrays). The `MoveBytes` charge models
-/// the packing pass an MPI implementation still performs.
-pub fn exchange_data<K: Key>(
+/// Execute the `ALL-TO-ALLV` zero-copy under the given schedule: the
+/// plan's segments of `sorted_local` are sent **in place** (borrowed
+/// slices, no bucket materialization) and received into one contiguous
+/// [`RecvRuns`] buffer whose per-source runs are sorted (contiguous
+/// slices of sorted arrays). The `MoveBytes` charge models the packing
+/// pass an MPI implementation still performs.
+///
+/// Segment `d` of a `w`-way plan goes to one member of
+/// [`group_range`]`(d, P, w)`: member `rank mod |group d|`, so the
+/// senders spread over the group. At `w = P` every group is one rank
+/// and segment `d` goes to rank `d`. Keys and records alike take this
+/// path: each element is copied (cloned) exactly once, by its receiver.
+pub fn exchange_data<T: Clone + Send + Sync + 'static>(
     comm: &Comm,
-    sorted_local: &[K],
+    sorted_local: &[T],
     plan: &ExchangePlan,
     algo: AllToAllAlgo,
-) -> RecvRuns<K> {
-    let p = comm.size();
-    assert_eq!(plan.cuts.len(), p + 1);
-    let elem = std::mem::size_of::<K>() as u64;
-    comm.charge(Work::MoveBytes(sorted_local.len() as u64 * elem));
-    let segments = plan.segments(sorted_local);
+) -> RecvRuns<T> {
+    let (p, rank) = (comm.size(), comm.rank());
+    let ways = plan.cuts.len() - 1;
+    assert!((1..=p).contains(&ways), "a plan cuts 1..=P segments");
+    comm.charge(Work::MoveBytes(std::mem::size_of_val(sorted_local) as u64));
+    let mut segments = vec![&[][..]; p];
+    for (d, cut) in plan.cuts.windows(2).enumerate() {
+        let group = group_range(d, p, ways);
+        segments[group.start + rank % group.len()] = &sorted_local[cut[0]..cut[1]];
+    }
     comm.exchange(&segments[..], algo)
+}
+
+/// The ranks of group `d` when `p` ranks form `w ≤ p` contiguous
+/// groups: `⌊d·p/w⌋ .. ⌊(d+1)·p/w⌋`. A `w`-way plan routes segment `d`
+/// into this range ([`exchange_data`]), so a caller that goes on to
+/// sort inside the groups splits its communicator by [`group_of`].
+pub fn group_range(d: usize, p: usize, w: usize) -> Range<usize> {
+    d * p / w..(d + 1) * p / w
+}
+
+/// The group `d` whose [`group_range`]`(d, p, w)` holds `rank`: the
+/// largest `d` with `⌊d·p/w⌋ ≤ rank`, i.e. `d·p < (rank + 1)·w`.
+pub fn group_of(rank: usize, p: usize, w: usize) -> usize {
+    ((rank + 1) * w - 1) / p
 }
 
 #[cfg(test)]
@@ -205,6 +236,24 @@ mod tests {
                     assert_eq!(lower, sorted.partition_point(|x| *x < key));
                     let upper = partition_point_from(sorted, hint, |x| *x <= key);
                     assert_eq!(upper, sorted.partition_point(|x| *x <= key));
+                }
+            }
+        }
+    }
+
+    /// The groups tile `0..p` in order, none empty, and `group_of` is
+    /// their inverse.
+    #[test]
+    fn groups_tile_the_ranks() {
+        for p in 1..=40 {
+            for w in 1..=p {
+                let ranks: Vec<usize> = (0..w).flat_map(|d| group_range(d, p, w)).collect();
+                assert_eq!(ranks, (0..p).collect::<Vec<_>>(), "p={p} w={w}");
+                for d in 0..w {
+                    assert!(!group_range(d, p, w).is_empty(), "p={p} w={w} d={d}");
+                    for rank in group_range(d, p, w) {
+                        assert_eq!(group_of(rank, p, w), d, "p={p} w={w} rank={rank}");
+                    }
                 }
             }
         }

@@ -11,17 +11,21 @@
 //! exposes — at the price the paper acknowledges for such schemes: the
 //! data moves twice, and each level pays a communicator split.
 //!
-//! Only the level-1 group routing lives here. The local sort and the
-//! whole of level 2 are the shared pipeline of [`mod@crate::sort`], run on
-//! the split communicator with the group's share of the targets.
+//! Only the choice of level-1 targets lives here. Level 1 cuts and
+//! routes with the shared [`plan_exchange`] and [`exchange_data`] (a
+//! `g`-way plan sends group `d`'s segment to one of its members); the
+//! local sort and the whole of level 2 are the shared pipeline of
+//! [`mod@crate::sort`], run on the split communicator with the group's
+//! share of the targets.
 
-use dhs_runtime::{AllToAllAlgo, Comm, Work};
+use dhs_runtime::{AllToAllAlgo, Comm};
 
+use crate::exchange::{exchange_data, group_of, group_range, plan_exchange};
 use crate::key::Key;
 use crate::sort::{
     attempt, histogram_sort, local_phase, Keys, Payload, Shape, SortConfig, SortStats,
 };
-use crate::splitter::{find_splitters, SplitterResult};
+use crate::splitter::find_splitters;
 
 /// Sort with one level of group splitting. `groups` controls the
 /// level-1 fan-out; `0` picks `⌈√P⌉` (the AMS/HykSort convention the
@@ -62,21 +66,15 @@ pub fn histogram_sort_two_level<K: Key>(
         stats.n_out = local.len();
         return stats;
     }
-    let group_start = |grp: usize| grp * p / g;
-    let my_group = (0..g)
-        .find(|&grp| comm.rank() < group_start(grp + 1))
-        .expect("every rank lies in a group");
-    let (first, end) = (group_start(my_group), group_start(my_group + 1));
-    let base = first.checked_sub(1).map_or(0, |r| shape.targets[r]);
+    let my_group = group_of(comm.rank(), p, g);
+    let members = group_range(my_group, p, g);
+    let base = members.start.checked_sub(1).map_or(0, |r| shape.targets[r]);
 
-    // Level 1: g-1 group splitters where the groups' outputs end. This
-    // is the one splitter search and exchange plan outside the shared
-    // pipeline: the communicator has P ranks but only g destinations,
-    // so the P-way `attempt` does not fit (CI's fork lint excepts
-    // exactly these two calls).
+    // Level 1: g-1 group splitters where the groups' outputs end, one
+    // cold search on the whole communicator.
     let sp = comm.span("histogram");
     let l1_targets: Vec<u64> = (1..g)
-        .map(|grp| shape.targets[group_start(grp) - 1])
+        .map(|grp| shape.targets[group_range(grp, p, g).start - 1])
         .collect();
     let l1 = find_splitters(comm, local, &l1_targets, shape.slack);
     stats.iterations += l1.iterations;
@@ -84,21 +82,14 @@ pub fn histogram_sort_two_level<K: Key>(
     stats.histogram_ns += sp.finish();
 
     let sp = comm.span("prepare");
-    let cuts = plan_group_exchange(comm, local, &l1);
+    let plan = plan_exchange(comm, local, &l1);
     stats.prepare_ns += sp.finish();
 
-    // Each group's segment goes to one member of that group (spread by
-    // sender rank); every other peer gets an empty slice. The received
-    // runs interleave: re-sort, don't merge.
+    // A g-way plan sends group `d`'s segment to one member of
+    // `group_range(d, p, g)`. The received runs interleave: re-sort,
+    // don't merge.
     let sp = comm.span("exchange");
-    let mut segments: Vec<&[K]> = vec![&[]; p];
-    for grp in 0..g {
-        let (gs, ge) = (group_start(grp), group_start(grp + 1));
-        segments[gs + comm.rank() % (ge - gs)] = &local[cuts[grp]..cuts[grp + 1]];
-    }
-    *local = comm
-        .exchange(&segments[..], AllToAllAlgo::OneFactor)
-        .into_data();
+    *local = exchange_data(comm, local, &plan, AllToAllAlgo::OneFactor).into_data();
     Keys.local_sort(comm, local, cfg);
     stats.exchange_ns += sp.finish();
 
@@ -113,7 +104,7 @@ pub fn histogram_sort_two_level<K: Key>(
         // An entirely empty group (possible under sparse layouts) has
         // nothing left to do; `attempt` returns at once.
         n_total: group_total[0],
-        targets: shape.targets[first..end - 1]
+        targets: shape.targets[members.start..members.end - 1]
             .iter()
             .map(|t| t - base)
             .collect(),
@@ -137,48 +128,6 @@ pub fn histogram_sort_two_level<K: Key>(
         "span-derived phase totals must cover the sort's virtual time"
     );
     stats
-}
-
-/// The g + 1 cuts of the level-1 exchange: the g-way Algorithm 4 cut
-/// of the sorted block, group `grp` taking `cuts[grp]..cuts[grp + 1]`.
-/// Charges the packing of the send buffer too.
-fn plan_group_exchange<K: Key>(
-    comm: &Comm,
-    sorted_local: &[K],
-    l1: &SplitterResult<K>,
-) -> Vec<usize> {
-    let g = l1.splitters.len() + 1;
-    // The same exclusive-scan refinement as `plan_exchange`, specialized
-    // here because the communicator has P ranks, not g.
-    let elem = std::mem::size_of::<K>() as u64;
-    comm.charge(Work::BinarySearches {
-        searches: 2 * (g as u64 - 1),
-        n: sorted_local.len() as u64,
-    });
-    let mut lowers = Vec::with_capacity(g - 1);
-    let mut contingents = Vec::with_capacity(g - 1);
-    for info in l1.splitters.iter() {
-        let l = sorted_local.partition_point(|x| *x < info.key) as u64;
-        let u = sorted_local.partition_point(|x| *x <= info.key) as u64;
-        lowers.push(l);
-        contingents.push(u - l);
-    }
-    let before_me = comm.exscan_sum_vec_shared(&contingents);
-    let mut cuts = vec![0usize];
-    for (i, info) in l1.splitters.iter().enumerate() {
-        let excess = info.realized - info.global_lower;
-        let take = excess.saturating_sub(before_me[i]).min(contingents[i]);
-        cuts.push((lowers[i] + take) as usize);
-    }
-    cuts.push(sorted_local.len());
-    for i in 1..cuts.len() {
-        if cuts[i] < cuts[i - 1] {
-            cuts[i] = cuts[i - 1];
-        }
-    }
-
-    comm.charge(Work::MoveBytes(sorted_local.len() as u64 * elem));
-    cuts
 }
 
 #[cfg(test)]

@@ -170,7 +170,7 @@ impl<'a, K: Key> EpochSorter<'a, K> {
     /// current world under an `"epoch"` span, adopt a shrunk world when
     /// recovery produced one, advance the epoch counter, assemble the
     /// telemetry.
-    fn run_epoch<T: Clone, P: Payload<T, Key = K>>(
+    fn run_epoch<T: Clone + Send + Sync + 'static, P: Payload<T, Key = K>>(
         &mut self,
         batch: &mut Vec<T>,
         payload: &P,

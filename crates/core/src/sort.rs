@@ -15,7 +15,7 @@ use std::sync::Arc;
 use dhs_merge::MergeAlgo;
 use dhs_runtime::{AllToAllAlgo, Comm, RecoveryInterrupt, RecvRuns, Work};
 
-use crate::exchange::{exchange_data, plan_exchange, ExchangePlan};
+use crate::exchange::{exchange_data, plan_exchange};
 use crate::kernels::KernelPolicy;
 use crate::key::Key;
 use crate::splitter::{
@@ -469,11 +469,11 @@ where
     sort_pipeline(comm, local, &Records(&key_fn), cfg, &mut Vec::new()).0
 }
 
-/// The four places where sorting plain keys and sorting `(T, key_fn)`
+/// The three places where sorting plain keys and sorting `(T, key_fn)`
 /// records genuinely differ. Everything else — validation, spans,
-/// shape, splitter search, planning, recovery — is [`sort_pipeline`]
-/// and [`attempt`], written once. Both impls are monomorphised, so the
-/// plain-key path keeps its zero-copy key view.
+/// shape, splitter search, planning, the exchange, recovery — is
+/// [`sort_pipeline`] and [`attempt`], written once. Both impls are
+/// monomorphised, so the plain-key path keeps its zero-copy key view.
 pub(crate) trait Payload<T> {
     /// The key space splitters are searched in.
     type Key: Key;
@@ -487,19 +487,6 @@ pub(crate) trait Payload<T> {
     /// The sorted keys of `data`: the block itself for plain keys, an
     /// extracted (and charged) copy for records.
     fn key_view<'a>(&self, comm: &Comm, data: &'a [T]) -> Cow<'a, [Self::Key]>;
-
-    /// Move every planned segment to its destination in one
-    /// `ALL-TO-ALLV` and return the received runs. Keys and records
-    /// alike are sent borrowed, in place: each element is copied
-    /// (`T: Clone` records: cloned) exactly once, by its receiver, and
-    /// `data` is left as it was.
-    fn exchange(
-        &self,
-        comm: &Comm,
-        data: &[T],
-        plan: &ExchangePlan,
-        cfg: &SortConfig,
-    ) -> RecvRuns<T>;
 
     /// Merge the received sorted runs into this rank's output block
     /// (keys: the [`SortConfig::merge`] engines; records: a stable
@@ -527,16 +514,6 @@ impl<K: Key> Payload<K> for Keys {
 
     fn key_view<'a>(&self, _: &Comm, data: &'a [K]) -> Cow<'a, [K]> {
         Cow::Borrowed(data)
-    }
-
-    fn exchange(
-        &self,
-        comm: &Comm,
-        data: &[K],
-        plan: &ExchangePlan,
-        cfg: &SortConfig,
-    ) -> RecvRuns<K> {
-        exchange_data(comm, data, plan, cfg.exchange_algo)
     }
 
     /// Charges always follow the *configured* engine, so the virtual
@@ -645,19 +622,6 @@ where
         Cow::Owned(keys)
     }
 
-    fn exchange(
-        &self,
-        comm: &Comm,
-        data: &[T],
-        plan: &ExchangePlan,
-        cfg: &SortConfig,
-    ) -> RecvRuns<T> {
-        // The packing pass an MPI implementation performs, as for keys.
-        comm.charge(Work::MoveBytes(std::mem::size_of_val(data) as u64));
-        let segments = plan.segments(data);
-        comm.exchange(&segments[..], cfg.exchange_algo)
-    }
-
     fn merge(
         &self,
         comm: &Comm,
@@ -746,7 +710,7 @@ pub(crate) fn local_phase<T, P: Payload<T>>(
 /// failed peers and rolling back to the post-local-sort checkpoint
 /// between attempts. Returns the survivor communicator when a shrink
 /// happened (the epoch service keeps sorting on it).
-pub(crate) fn sort_pipeline<T: Clone, P: Payload<T>>(
+pub(crate) fn sort_pipeline<T: Clone + Send + Sync + 'static, P: Payload<T>>(
     comm: &Comm,
     local: &mut Vec<T>,
     payload: &P,
@@ -832,7 +796,7 @@ pub(crate) fn sort_pipeline<T: Clone, P: Payload<T>>(
 /// (level 2 of [`crate::histogram_sort_two_level`]). Under
 /// [`RecoveryPolicy::Shrink`] a peer failure before the exchange
 /// commits unwinds out of here with a [`RecoveryInterrupt`].
-pub(crate) fn attempt<T, P: Payload<T>>(
+pub(crate) fn attempt<T: Clone + Send + Sync + 'static, P: Payload<T>>(
     c: &Comm,
     local: &mut Vec<T>,
     payload: &P,
@@ -878,10 +842,11 @@ pub(crate) fn attempt<T, P: Payload<T>>(
         plan
     };
 
-    // Phase 3b: the payload exchange. Once it returns the attempt has
-    // committed and can no longer be interrupted.
+    // Phase 3b: the payload exchange, keys and records alike sent
+    // borrowed. Once it returns the attempt has committed and can no
+    // longer be interrupted.
     let sp = c.span("exchange");
-    let received = payload.exchange(c, local, &plan, cfg);
+    let received = exchange_data(c, local, &plan, cfg.exchange_algo);
     stats.exchange_ns += sp.finish();
 
     // Phase 4: local merge of the received sorted runs.

@@ -4,13 +4,16 @@
 //! time charged for them, have to equal those of a plan written here
 //! with two independent full-width `partition_point`s per splitter —
 //! for duplicate-heavy keys, empty ranks, splitter keys outside the
-//! local range, and accepted keys that do not ascend.
+//! local range, accepted keys that do not ascend, and any splitter
+//! count from one to `P − 1`. `exchange_data` must then deliver
+//! segment `d` of a `w`-way plan to one member of the `d`-th of `w`
+//! rank groups, and at `w = P` to rank `d`.
 
 use std::sync::Arc;
 
-use dhs_core::exchange::plan_exchange;
+use dhs_core::exchange::{exchange_data, plan_exchange};
 use dhs_core::{Key, SplitterInfo, SplitterResult};
-use dhs_runtime::{run, ClusterConfig, Comm, Work};
+use dhs_runtime::{run, AllToAllAlgo, ClusterConfig, Comm, Work};
 use dhs_workloads::Distribution;
 
 /// Algorithm 4 with plain binary searches, against the runtime's public
@@ -45,7 +48,7 @@ fn reference_cuts<K: Key>(comm: &Comm, sorted: &[K], splitters: &[SplitterInfo<K
     cuts
 }
 
-/// How the `P − 1` accepted keys are laid out.
+/// How the accepted keys are laid out.
 #[derive(Debug, Clone, Copy)]
 enum Accepted {
     /// One key sampled from every rank's block, ascending.
@@ -70,28 +73,29 @@ const LAYOUTS: [Accepted; 5] = [
     Accepted::EqualTargetsDescending,
 ];
 
-/// The splitter list every rank agrees on for `how`, with the global
-/// counts a finished search would have reduced for its keys.
+/// The `s` splitters every rank agrees on for `how`, with the global
+/// counts a finished search would have reduced for their keys.
 fn accepted<K: Key>(
     comm: &Comm,
     sorted: &[K],
     how: Accepted,
     (lowest, highest): (K, K),
+    s: usize,
 ) -> SplitterResult<K> {
-    let p = comm.size();
     // One donated key per rank (an empty rank donates `lowest`).
     let donor = sorted.get(sorted.len() / 3).copied().unwrap_or(lowest);
     let mut keys: Vec<K> = comm.allgather(donor);
-    keys.truncate(p - 1);
+    keys.truncate(s);
     let n_total: u64 = comm.allreduce_sum(vec![sorted.len() as u64])[0];
-    let mut targets: Vec<u64> = (1..p as u64).map(|i| i * n_total / p as u64).collect();
+    let w = s as u64 + 1;
+    let mut targets: Vec<u64> = (1..w).map(|i| i * n_total / w).collect();
     match how {
         Accepted::Ascending => keys.sort_unstable(),
         Accepted::AsGathered => {}
         Accepted::PastBothEnds => {
             keys.sort_unstable();
             keys[0] = lowest;
-            *keys.last_mut().expect("p >= 2") = highest;
+            *keys.last_mut().expect("s >= 1") = highest;
         }
         Accepted::AllOneKey => {
             let one = keys[keys.len() / 2];
@@ -129,9 +133,18 @@ fn accepted<K: Key>(
     }
 }
 
-/// Run every layout of accepted keys over the blocks `block(rank)` on
-/// `p` ranks; the plan must agree with the reference on cuts and on the
-/// virtual time both take from level clocks.
+/// The splitter counts a plan is checked at on `p` ranks: one (two
+/// groups), `⌈√P⌉ − 1` (level 1 of the two-level sort) and `P − 1`.
+fn splitter_counts(p: usize) -> Vec<usize> {
+    let mut counts = vec![1, (p as f64).sqrt().ceil() as usize - 1, p - 1];
+    counts.dedup();
+    counts
+}
+
+/// Run every layout of accepted keys, at every splitter count, over
+/// the blocks `block(rank)` on `p` ranks; the plan must agree with the
+/// reference on cuts and on the virtual time both take from level
+/// clocks.
 fn check<K: Key + std::fmt::Debug>(
     p: usize,
     ends: (K, K),
@@ -141,8 +154,11 @@ fn check<K: Key + std::fmt::Debug>(
     run(&ClusterConfig::small_cluster(p), |comm| {
         let mut local = block(comm.rank());
         local.sort_unstable();
-        for how in LAYOUTS {
-            let found = accepted(comm, &local, how, ends);
+        for (how, s) in LAYOUTS
+            .into_iter()
+            .flat_map(|how| splitter_counts(p).into_iter().map(move |s| (how, s)))
+        {
+            let found = accepted(comm, &local, how, ends, s);
             comm.barrier();
             let t0 = comm.now_ns();
             let plan = plan_exchange(comm, &local, &found);
@@ -151,7 +167,7 @@ fn check<K: Key + std::fmt::Debug>(
             let t0 = comm.now_ns();
             let cuts = reference_cuts(comm, &local, &found.splitters);
             let reference_took = comm.now_ns() - t0;
-            let at = format!("{cell}, {how:?}, rank {} of {p}", comm.rank());
+            let at = format!("{cell}, {how:?}, s={s}, rank {} of {p}", comm.rank());
             assert_eq!(plan.cuts, cuts, "{at}");
             assert_eq!(took, reference_took, "virtual ns, {at}");
             // The segments are the cuts: with ascending accepted keys
@@ -252,10 +268,50 @@ fn record_key_view() {
             .collect();
         records.sort_by_key(|r| r.0);
         let view: Vec<u64> = records.iter().map(|r| r.0).collect();
-        let found = accepted(comm, &view, Accepted::Ascending, (0, u64::MAX));
+        let found = accepted(comm, &view, Accepted::Ascending, (0, u64::MAX), p - 1);
         let plan = plan_exchange(comm, &view, &found);
         assert_eq!(plan.cuts, reference_cuts(comm, &view, &found.splitters));
         let sent: usize = plan.segments(&records).iter().map(|s| s.len()).sum();
         assert_eq!(sent, records.len());
     });
+}
+
+/// Segment `d` of a `w`-way plan lands on exactly one rank: the member
+/// `q mod |group d|` of group `d` = ranks `⌊d·P/w⌋ .. ⌊(d+1)·P/w⌋`, for
+/// sender `q`. At `w = P` that is rank `d`, the route of the flat sort.
+#[test]
+fn segments_land_on_their_group() {
+    let dist = Distribution::FewDistinct { k: 5 };
+    for p in [2, 8, 9, 64] {
+        for s in splitter_counts(p) {
+            run(&ClusterConfig::small_cluster(p), |comm| {
+                let sorted = |q: usize| {
+                    let mut b = blocks(dist, 60)(q);
+                    b.sort_unstable();
+                    b
+                };
+                let local = sorted(comm.rank());
+                let found = accepted(comm, &local, Accepted::Ascending, (0, u64::MAX), s);
+                let plan = plan_exchange(comm, &local, &found);
+                let cuts: Vec<Vec<usize>> = comm.allgather(plan.cuts.clone());
+                let received = exchange_data(comm, &local, &plan, AllToAllAlgo::OneFactor);
+                let (me, w) = (comm.rank(), s + 1);
+                for (q, got) in received.runs().enumerate() {
+                    let theirs = sorted(q);
+                    let segment = |d: usize| &theirs[cuts[q][d]..cuts[q][d + 1]];
+                    let want: &[u64] = if w == p {
+                        segment(me)
+                    } else {
+                        (0..w)
+                            .find(|&d| {
+                                let (first, end) = (d * p / w, (d + 1) * p / w);
+                                me == first + q % (end - first)
+                            })
+                            .map_or(&[], segment)
+                    };
+                    assert_eq!(got, want, "p={p} s={s}: rank {me} from rank {q}");
+                }
+            });
+        }
+    }
 }

@@ -10,10 +10,7 @@
 //! dhs topology --ranks 64
 //! ```
 
-use dhs::baselines::{
-    ams_sort, bitonic_sort, hss_sort, hyksort, psrs, sample_sort, Algorithm, AmsConfig, HssConfig,
-    HyksortConfig, PsrsConfig, SampleSortConfig,
-};
+use dhs::baselines::{run_algorithm, Algorithm};
 use dhs::core::global_fingerprint;
 use dhs::prelude::*;
 use dhs_bench::Args;
@@ -259,32 +256,22 @@ fn sort_config_with(args: &Args, default_warm: &str) -> SortConfig {
         .unwrap_or_else(|e| usage_exit(&format!("invalid sort configuration: {e}")))
 }
 
-/// `--algo`: the sorter `dhs sort` runs.
-#[derive(Clone, Copy)]
-enum Algo {
-    Histogram,
-    TwoLevel,
-    Hss,
-    Sample,
-    Psrs,
-    Hyksort,
-    Ams,
-    Bitonic,
-}
-
 fn cmd_sort(args: &Args) {
     let ranks = ranks_of(args, 16);
     let nper: usize = num(args, "nper", 1 << 14);
     let seed: u64 = num(args, "seed", 1);
+    // `--algo`: the sorter `dhs sort` runs. Every `Algorithm` has one
+    // name; `None` is the two-level histogram sort, which no
+    // `Algorithm` names.
     let algos = [
-        ("histogram", Algo::Histogram),
-        ("two-level", Algo::TwoLevel),
-        ("hss", Algo::Hss),
-        ("sample", Algo::Sample),
-        ("psrs", Algo::Psrs),
-        ("hyksort", Algo::Hyksort),
-        ("ams", Algo::Ams),
-        ("bitonic", Algo::Bitonic),
+        ("histogram", Some(Algorithm::HistogramSort)),
+        ("two-level", None),
+        ("hss", Some(Algorithm::Hss)),
+        ("sample", Some(Algorithm::SampleSort)),
+        ("psrs", Some(Algorithm::Psrs)),
+        ("hyksort", Some(Algorithm::HykSort)),
+        ("ams", Some(Algorithm::Ams)),
+        ("bitonic", Some(Algorithm::Bitonic)),
     ];
     let algo = choice(args, "algo", "histogram", &algos);
     let groups: usize = num(args, "groups", 0);
@@ -294,9 +281,7 @@ fn cmd_sort(args: &Args) {
     let chrome_trace = choice(args, "trace-format", "chrome", &trace_formats);
     let dist = dist_of(args);
     let layout = layout_of(args);
-    if matches!(algo, Algo::Bitonic)
-        && !Algorithm::Bitonic.supports(ranks, matches!(layout, Layout::Balanced))
-    {
+    if algo.is_some_and(|a| !a.supports(ranks, matches!(layout, Layout::Balanced))) {
         usage_exit(
             "--algo bitonic: needs a power-of-two --ranks and --layout balanced \
              (equal local sizes)",
@@ -326,30 +311,10 @@ fn cmd_sort(args: &Args) {
             fp
         });
         let stats = match algo {
-            Algo::Histogram => Some(histogram_sort(comm, &mut local, &cfg)),
-            Algo::TwoLevel => Some(histogram_sort_two_level(comm, &mut local, &cfg, groups)),
-            Algo::Hss => {
-                hss_sort(comm, &mut local, &HssConfig::default());
-                None
-            }
-            Algo::Sample => {
-                sample_sort(comm, &mut local, &SampleSortConfig::default());
-                None
-            }
-            Algo::Psrs => {
-                psrs(comm, &mut local, &PsrsConfig::default());
-                None
-            }
-            Algo::Hyksort => {
-                hyksort(comm, &mut local, &HyksortConfig::default());
-                None
-            }
-            Algo::Ams => {
-                ams_sort(comm, &mut local, &AmsConfig::default());
-                None
-            }
-            Algo::Bitonic => {
-                bitonic_sort(comm, &mut local);
+            Some(Algorithm::HistogramSort) => Some(histogram_sort(comm, &mut local, &cfg)),
+            None => Some(histogram_sort_two_level(comm, &mut local, &cfg, groups)),
+            Some(baseline) => {
+                run_algorithm(comm, baseline, &mut local);
                 None
             }
         };

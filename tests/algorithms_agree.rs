@@ -1,4 +1,4 @@
-//! All six distributed sorters must produce the *same* globally sorted
+//! All seven distributed sorters must produce the *same* globally sorted
 //! sequence (when concatenated by rank) on the same input — the
 //! cross-algorithm oracle for the baseline implementations.
 
