@@ -1,6 +1,6 @@
 //! Launch a simulated cluster.
 //!
-//! Each simulated rank runs its body on a dedicated OS thread, driven
+//! Each simulated rank runs its body on an OS thread of its own, driven
 //! as a cooperatively-scheduled task over a small worker pool (see
 //! [`crate::sched`]): at most `workers` ranks execute at any instant,
 //! every blocking point parks the rank until its wake event, and the
@@ -8,9 +8,27 @@
 //! p = 1024–8192 grids practical. The worker count
 //! ([`RunnerEngine`] on [`ClusterConfig`]) is a host-side setting:
 //! outputs and virtual times are byte-identical for every value.
+//!
+//! # Rank threads outlive their world
+//!
+//! The threads come from one process-wide pool, as MPI processes are
+//! started once and then sort many times: thread `k`, named `rank-{k}`,
+//! serves rank `k` of every world. It is spawned the first time some
+//! world has a rank `k` and parks on its inbox between worlds, so a run
+//! wakes p threads instead of creating and joining p. When thread `k`
+//! is still serving another world — two worlds at once, or a rank body
+//! that starts a nested one — rank `k` gets a one-off thread (same
+//! name, same stack size) that exits when the rank returns. Dispatch
+//! never blocks. No runtime state lives on a thread: every [`Comm`]
+//! owns its buffer pool and thread budget, so a world's outputs,
+//! counters and virtual times do not depend on which worlds ran on the
+//! same threads before it.
 
 use std::fmt;
+use std::sync::{mpsc, Arc};
 use std::thread;
+
+use parking_lot::{Condvar, Mutex};
 
 use crate::cost::CostModel;
 use crate::fault::{FaultPlan, RankAbort, RankError};
@@ -31,9 +49,6 @@ pub struct ClusterConfig {
     /// Faults to inject during the run; [`FaultPlan::default`] is a
     /// fault-free run with zero modelling overhead.
     pub fault: FaultPlan,
-    /// Stack size per rank-thread. Rank bodies are shallow; a small
-    /// stack keeps thousands of simulated ranks cheap.
-    pub stack_bytes: usize,
     /// Span/event recording; [`TraceConfig::Off`] (the default) records
     /// nothing and never perturbs virtual time.
     pub trace: TraceConfig,
@@ -54,7 +69,6 @@ impl ClusterConfig {
             topology: Topology::supermuc_phase2(ranks),
             cost: CostModel::supermuc_phase2(),
             fault: FaultPlan::default(),
-            stack_bytes: 1 << 20,
             trace: TraceConfig::default(),
             engine: RunnerEngine::default(),
         }
@@ -70,7 +84,6 @@ impl ClusterConfig {
             topology: Topology::new(ranks, 16.min(ranks), 4, 7),
             cost: CostModel::supermuc_phase2(),
             fault: FaultPlan::default(),
-            stack_bytes: 1 << 20,
             trace: TraceConfig::default(),
             engine: RunnerEngine::default(),
         }
@@ -87,7 +100,6 @@ impl ClusterConfig {
             topology: Topology::single_node(ranks),
             cost: CostModel::supermuc_phase2(),
             fault: FaultPlan::default(),
-            stack_bytes: 1 << 20,
             trace: TraceConfig::default(),
             engine: RunnerEngine::default(),
         }
@@ -179,9 +191,9 @@ pub struct TracedRun<R> {
     pub wakes: u64,
 }
 
-/// Run `f` once per rank on its own thread; returns each rank's result
-/// and counter report ordered by rank, or a [`RunError`] naming every
-/// rank that failed.
+/// Run `f` once per rank, each on its rank thread (see the module
+/// docs); returns each rank's result and counter report ordered by
+/// rank, or a [`RunError`] naming every rank that failed.
 ///
 /// A failing rank (injected crash, panic in `f`) poisons the world so
 /// no surviving rank deadlocks inside a collective; survivors that were
@@ -297,60 +309,228 @@ where
     );
     let p = cfg.ranks();
     let root = CommState::new(world.clone(), (0..p).collect());
-    let f = &f;
+    let slots: Vec<Mutex<Option<RankOutcome<R>>>> = (0..p).map(|_| Mutex::new(None)).collect();
 
-    let results: Vec<Result<(R, RankReport), RankError>> = thread::scope(|s| {
-        let handles: Vec<_> = (0..p)
-            .map(|rank| {
-                let world = world.clone();
-                let state = root.clone();
-                thread::Builder::new()
-                    .name(format!("rank-{rank}"))
-                    .stack_size(cfg.stack_bytes)
-                    .spawn_scoped(s, move || {
-                        // Hold a worker slot for the task's whole life;
-                        // blocking points inside release and re-acquire
-                        // it, and the guard frees it on return *or*
-                        // unwind.
-                        let _slot = TaskGuard::enter(world.sched.clone(), rank);
-                        let comm = Comm::new(state, rank);
-                        let out =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&comm)));
-                        match out {
-                            Ok(v) => {
-                                let report = comm.report();
-                                Ok((v, report))
-                            }
-                            Err(e) => {
-                                let err = classify_panic(rank, e);
-                                // With recovery armed, a crashed rank
-                                // is handled by its survivors
-                                // (shrink-and-recover); only
-                                // unrecoverable failures poison the run.
-                                let recoverable = world.recovery_armed()
-                                    && matches!(err, RankError::Crashed { .. });
-                                if !recoverable {
-                                    world.poison_now();
-                                }
-                                Err(err)
-                            }
-                        }
-                    })
-                    .expect("spawn rank thread")
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("rank thread not killed externally"))
-            .collect()
-    });
+    let rank_body = |rank: usize| {
+        // Hold a worker slot for the task's whole life; blocking points
+        // inside release and re-acquire it, and the guard frees it on
+        // return *or* unwind.
+        let _slot = TaskGuard::enter(world.sched.clone(), rank);
+        let comm = Comm::new(root.clone(), rank);
+        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&comm)));
+        let outcome = match out {
+            Ok(v) => Ok((v, comm.report())),
+            Err(e) => {
+                let err = classify_panic(rank, e);
+                // With recovery armed, a crashed rank is handled by its
+                // survivors (shrink-and-recover); only unrecoverable
+                // failures poison the run.
+                let recoverable =
+                    world.recovery_armed() && matches!(err, RankError::Crashed { .. });
+                if !recoverable {
+                    world.poison_now();
+                }
+                Err(err)
+            }
+        };
+        *slots[rank].lock() = Some(outcome);
+    };
+    on_rank_threads(p, &world, &rank_body);
 
     PartialRun {
-        ranks: results,
+        ranks: slots
+            .into_iter()
+            .map(|s| s.into_inner().expect("every rank body ran to its end"))
+            .collect(),
         trace: RunTrace::collect(&world),
         park_backstops: world.sched.backstop_firings(),
         parks: world.sched.parks(),
         wakes: world.sched.wakes(),
+    }
+}
+
+/// One rank's outcome in a [`PartialRun`].
+type RankOutcome<R> = Result<(R, RankReport), RankError>;
+
+/// Stack size of every rank thread. Rank bodies are shallow; a small
+/// stack keeps thousands of simulated ranks cheap.
+const RANK_STACK_BYTES: usize = 1 << 20;
+
+/// The rank bodies of one world that have not returned yet.
+#[derive(Default)]
+struct Latch {
+    left: Mutex<usize>,
+    zero: Condvar,
+}
+
+impl Latch {
+    fn wait(&self) {
+        let mut left = self.left.lock();
+        while *left > 0 {
+            self.zero.wait(&mut left);
+        }
+    }
+}
+
+/// One rank's count on its world's [`Latch`]: up when the job is made,
+/// down when it drops — after the rank body has returned or unwound,
+/// or unrun if no thread could be spawned for it.
+struct Pending(Arc<Latch>);
+
+impl Pending {
+    fn new(latch: &Arc<Latch>) -> Self {
+        *latch.left.lock() += 1;
+        Self(latch.clone())
+    }
+}
+
+impl Drop for Pending {
+    fn drop(&mut self) {
+        let mut left = self.0.left.lock();
+        *left -= 1;
+        if *left == 0 {
+            self.0.zero.notify_all();
+        }
+    }
+}
+
+/// Rank `rank` of one world, handed to a rank thread.
+struct Job {
+    /// The world's rank body, its borrow erased: callable until
+    /// `pending` drops (see [`on_rank_threads`]).
+    body: &'static (dyn Fn(usize) + Sync),
+    rank: usize,
+    pending: Pending,
+}
+
+/// Rank thread `k` of the pool: its inbox, and whether it is serving
+/// a world.
+struct Resident {
+    inbox: mpsc::Sender<Job>,
+    busy: bool,
+}
+
+/// The process-wide rank threads; entry `k` is `None` until some world
+/// first has a rank `k`.
+static RESIDENTS: Mutex<Vec<Option<Resident>>> = Mutex::new(Vec::new());
+
+/// Run `body(rank)` once for every rank of `0..p`, rank `k` on rank
+/// thread `k`, and return when every call has returned. If dispatch
+/// itself panics, `world` is poisoned so the ranks already started
+/// abort out of their collectives, and they are still waited for.
+fn on_rank_threads(p: usize, world: &World, body: &(dyn Fn(usize) + Sync)) {
+    struct WaitAll<'w> {
+        latch: Arc<Latch>,
+        /// The world, until every rank has been dispatched: a world
+        /// left short of a rank is poisoned before the wait.
+        incomplete: Option<&'w World>,
+    }
+    impl Drop for WaitAll<'_> {
+        fn drop(&mut self) {
+            if let Some(world) = self.incomplete {
+                world.poison_now();
+            }
+            self.latch.wait();
+        }
+    }
+    let mut all = WaitAll {
+        latch: Arc::default(),
+        incomplete: Some(world),
+    };
+    // SAFETY: only the lifetime changes. `body` is borrowed for this
+    // call, and every copy of the erased reference travels in a `Job`
+    // that calls it before dropping its `Pending` (`serve`), or never
+    // calls it (a job dropped unrun). `all` waits for every `Pending`
+    // to drop before this function returns — and, being a drop guard,
+    // before it unwinds — so no rank thread can reach `body` after the
+    // borrow ends: the argument `std::thread::scope` makes for scoped
+    // threads.
+    let body = unsafe {
+        std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(body)
+    };
+    for rank in 0..p {
+        dispatch(Job {
+            body,
+            rank,
+            pending: Pending::new(&all.latch),
+        });
+    }
+    all.incomplete = None;
+}
+
+/// Hand `job` to rank thread `job.rank`: wake it if it is parked, spawn
+/// it if it does not exist yet, or spawn a one-off thread if it is
+/// serving another world. Never waits for a thread.
+fn dispatch(job: Job) {
+    let rank = job.rank;
+    let inbox = {
+        let mut residents = RESIDENTS.lock();
+        if residents.len() <= rank {
+            residents.resize_with(rank + 1, || None);
+        }
+        match &mut residents[rank] {
+            Some(r) if !r.busy => {
+                r.busy = true;
+                r.inbox
+                    .send(job)
+                    .expect("a resident rank thread holds its inbox until its entry is cleared");
+                return;
+            }
+            Some(_) => None,
+            entry @ None => {
+                let (inbox, rx) = mpsc::channel();
+                *entry = Some(Resident { inbox, busy: true });
+                Some(rx)
+            }
+        }
+    };
+    let resident = inbox.is_some();
+    let spawned = thread::Builder::new()
+        .name(format!("rank-{rank}"))
+        .stack_size(RANK_STACK_BYTES)
+        .spawn(move || serve(job, inbox));
+    if let Err(e) = spawned {
+        if resident {
+            RESIDENTS.lock()[rank] = None;
+        }
+        panic!("cannot spawn rank thread {rank}: {e}");
+    }
+}
+
+/// A rank thread's life: run `first`, then — a resident, with an
+/// `inbox` — every job the inbox brings, parked in between.
+fn serve(first: Job, inbox: Option<mpsc::Receiver<Job>>) {
+    let resident = inbox.is_some();
+    for Job {
+        body,
+        rank,
+        pending,
+    } in std::iter::once(first).chain(inbox.into_iter().flatten())
+    {
+        // Lazily: a one-off must not even build an `Idle`, whose drop
+        // would mark the busy resident `rank` free. On an unwind out of
+        // `body`, `idle` drops before `pending`, as on return.
+        let idle = resident.then(|| Idle(rank));
+        body(rank);
+        drop(idle);
+        drop(pending);
+    }
+}
+
+/// Marks resident thread `k` idle once its rank body has returned and
+/// before the world's latch hears of it, so the world's next run finds
+/// the thread free. A body that unwinds ends the thread: its entry is
+/// cleared instead, and the next world spawns a new one.
+struct Idle(usize);
+
+impl Drop for Idle {
+    fn drop(&mut self) {
+        let mut residents = RESIDENTS.lock();
+        if thread::panicking() {
+            residents[self.0] = None;
+        } else if let Some(r) = &mut residents[self.0] {
+            r.busy = false;
+        }
     }
 }
 
@@ -476,6 +656,61 @@ mod tests {
         let roots: Vec<_> = err.root_causes().collect();
         assert_eq!(roots.len(), 1);
         assert!(matches!(roots[0], RankError::Crashed { rank: 1, .. }));
+    }
+
+    /// A rank body that starts worlds of its own, alone and then
+    /// beside a second world started at once from another host thread.
+    /// Rank threads busy elsewhere are stood in for by one-off threads;
+    /// a one-off must not leave a later world handed to a thread that
+    /// still serves another. Every world completes with its own
+    /// results, and a hang fails the test instead of stalling the suite.
+    #[test]
+    fn concurrent_and_nested_worlds_complete() {
+        // Every rank's view of `0 + 1 + … + (p − 1)`.
+        fn sum_of_ranks(p: usize) -> Vec<u64> {
+            run(&ClusterConfig::small_cluster(p), |c| {
+                c.allreduce_sum(vec![c.rank() as u64])[0]
+            })
+            .into_iter()
+            .map(|(v, _)| v)
+            .collect()
+        }
+        // Rank 3 runs two nested worlds back to back while its peers
+        // wait for it in an allreduce, still holding their threads.
+        fn nested_world() {
+            let out = run(&ClusterConfig::small_cluster(6), |c| {
+                let inner = (c.rank() == 3).then(|| [sum_of_ranks(5), sum_of_ranks(4)]);
+                (c.allreduce_sum(vec![c.rank() as u64])[0], inner)
+            });
+            for (rank, ((outer, inner), _)) in out.iter().enumerate() {
+                assert_eq!(*outer, 15);
+                assert_eq!(*inner, (rank == 3).then(|| [vec![10; 5], vec![6; 4]]));
+            }
+        }
+        let (done, finished) = std::sync::mpsc::channel();
+        let worlds = std::thread::spawn(move || {
+            nested_world();
+            let barrier = std::sync::Barrier::new(2);
+            std::thread::scope(|s| {
+                let nested = s.spawn(|| {
+                    barrier.wait();
+                    nested_world();
+                });
+                let plain = s.spawn(|| {
+                    barrier.wait();
+                    sum_of_ranks(8)
+                });
+                nested.join().expect("nested world");
+                assert_eq!(plain.join().expect("plain world"), vec![28; 8]);
+            });
+            let _ = done.send(());
+        });
+        let waited = finished.recv_timeout(std::time::Duration::from_secs(60));
+        assert!(
+            !matches!(waited, Err(std::sync::mpsc::RecvTimeoutError::Timeout)),
+            "the worlds did not complete within 60 s"
+        );
+        worlds.join().expect("every world returns its own results");
     }
 
     #[test]

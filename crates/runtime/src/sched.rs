@@ -1,8 +1,10 @@
 //! The execution engine: simulated ranks as *tasks* over a small
 //! worker pool, and the one loop every blocking point parks in.
 //!
-//! Each rank owns an OS thread (rank bodies are arbitrary closures, so
-//! their stacks must be real), but at most `workers` of them are
+//! Each rank runs on an OS thread of its own for its world's whole run
+//! (rank bodies are arbitrary closures, so their stacks must be real;
+//! the threads come from the runner's process-wide pool and outlive the
+//! world, see [`crate::runner`]), but at most `workers` of them are
 //! *unparked* at any instant — the host never sees thousands of
 //! runnable threads, which is what makes p = 1024–8192 grids
 //! practical. Every blocking point in the runtime — the collective

@@ -276,7 +276,6 @@ fn cmd_sort(args: &Args) {
     let algo = choice(args, "algo", "histogram", &algos);
     let groups: usize = num(args, "groups", 0);
     let verify = args.has("verify");
-    let trace_path = args.raw("trace").map(str::to_string);
     let trace_formats = [("chrome", true), ("summary", false)];
     let chrome_trace = choice(args, "trace-format", "chrome", &trace_formats);
     let dist = dist_of(args);
@@ -288,8 +287,15 @@ fn cmd_sort(args: &Args) {
         );
     }
     let cfg = sort_config(args);
+    // Opened before the sort, so a path that cannot be written is
+    // rejected up front instead of after the whole run.
+    let trace = args.raw("trace").map(|path| {
+        let file = std::fs::File::create(path)
+            .unwrap_or_else(|e| usage_exit(&format!("--trace: cannot create {path:?}: {e}")));
+        (path, file)
+    });
     let mut cluster = ClusterConfig::supermuc_phase2(ranks).with_engine(args.engine());
-    if trace_path.is_some() {
+    if trace.is_some() {
         cluster = cluster.with_trace(TraceConfig::On);
     }
     let n_total = ranks * nper;
@@ -383,13 +389,16 @@ fn cmd_sort(args: &Args) {
             ),
         }
     }
-    if let Some(path) = &trace_path {
+    if let Some((path, mut file)) = trace {
         let json = if chrome_trace {
             traced.trace.to_chrome_json()
         } else {
             traced.trace.to_summary_json()
         };
-        std::fs::write(path, &json).unwrap_or_else(|e| panic!("cannot write trace to {path}: {e}"));
+        if let Err(e) = std::io::Write::write_all(&mut file, json.as_bytes()) {
+            eprintln!("dhs: cannot write trace to {path:?}: {e}");
+            std::process::exit(1);
+        }
         println!("trace              : {path}");
     }
     if verify {

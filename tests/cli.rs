@@ -165,6 +165,17 @@ fn unrunnable_input_is_a_usage_error() {
             "--k",
         ),
         (&["sort", "--algo", "bitonic", "--ranks", "6"], "--algo"),
+        // The trace file is opened before the sort, not after it.
+        (
+            &[
+                "sort",
+                "--ranks",
+                "4",
+                "--trace",
+                concat!(env!("CARGO_TARGET_TMPDIR"), "/no-such-dir/trace.json"),
+            ],
+            "--trace",
+        ),
     ] {
         assert_usage_error(invocation, names);
     }

@@ -11,7 +11,10 @@
 //! agree is the one engine with itself, under every host schedule.)
 
 use dhs_core::{histogram_sort, RecoveryPolicy, SortConfig};
-use dhs_runtime::{try_run_partial, ClusterConfig, FaultPlan, LinkFault, RankReport, RunnerEngine};
+use dhs_runtime::{
+    try_run, try_run_partial, try_run_traced, ClusterConfig, FaultPlan, LinkFault, PoolStats,
+    RankReport, RunnerEngine, TraceConfig,
+};
 use proptest::prelude::*;
 
 fn keys_for(rank: usize, n: usize, modulus: u64) -> Vec<u64> {
@@ -202,4 +205,75 @@ fn engines_agree_pinned_shrink_case() {
 fn engines_agree_on_fatal_crash() {
     let fault = FaultPlan::default().with_crash(2, 15_000);
     assert_worker_counts_agree("fatal", 8, 256, 1, fault, RecoveryPolicy::Abort);
+}
+
+/// Everything a traced sort leaves behind, per rank and for the run.
+#[derive(Debug, PartialEq)]
+struct SortRecord {
+    /// Sorted output, counter report and buffer-pool counters, by rank.
+    ranks: Vec<(Vec<u64>, RankReport, PoolStats)>,
+    trace_summary: String,
+}
+
+/// One traced sort of a fixed input at p = 24, on the default worker
+/// pool. Rank `k` must run on a thread named `rank-{k}`, and no park may
+/// come back by the backstop.
+fn traced_reference_sort() -> SortRecord {
+    const P: usize = 24;
+    let cfg = ClusterConfig::small_cluster(P).with_trace(TraceConfig::On);
+    let sort_cfg = SortConfig::default();
+    let run = try_run_traced(&cfg, |comm| {
+        let thread = std::thread::current().name().map(str::to_string);
+        let mut local = keys_for(comm.rank(), 300, 1 << 20);
+        histogram_sort(comm, &mut local, &sort_cfg);
+        (local, comm.pool().stats(), thread)
+    })
+    .expect("a fault-free sort completes");
+    assert_eq!(run.park_backstops, 0, "a park ended by the backstop");
+    let ranks = run
+        .ranks
+        .into_iter()
+        .enumerate()
+        .map(|(rank, ((local, pool, thread), report))| {
+            assert_eq!(thread, Some(format!("rank-{rank}")), "rank {rank}'s thread");
+            (local, report, pool)
+        })
+        .collect();
+    SortRecord {
+        ranks,
+        trace_summary: run.trace.to_summary_json(),
+    }
+}
+
+/// Rank threads outlive their world, so nothing a world leaves on them
+/// may reach the next one. The reference sort runs first in this test
+/// (no other test in this file goes above 16 ranks, so at least its
+/// upper ranks start on fresh threads), then again after worlds of
+/// other sizes, a world in which a rank panics, and a crash recovered
+/// by shrinking — and must reproduce itself exactly.
+#[test]
+fn rank_threads_carry_nothing_between_worlds() {
+    let first = traced_reference_sort();
+
+    for p in [1, 7, 64] {
+        let out = sort_under(0, p, 128, 1, FaultPlan::default(), RecoveryPolicy::Abort);
+        assert!(out.iter().all(Result::is_ok), "p={p}: {out:?}");
+    }
+    let err = try_run(&ClusterConfig::small_cluster(5), |c| {
+        if c.rank() == 2 {
+            panic!("rank 2 exploded");
+        }
+        c.barrier();
+    })
+    .expect_err("a panicking rank fails the run");
+    assert_eq!(err.root_causes().count(), 1);
+    let fault = FaultPlan::default().with_crash(3, 20_000);
+    let shrunk = sort_under(0, 8, 256, 1, fault, RecoveryPolicy::Shrink);
+    assert!(shrunk[3].is_err(), "the victim must die");
+    assert!(
+        matches!(shrunk[0], Ok((_, true, _))),
+        "survivors must recover"
+    );
+
+    assert_eq!(first, traced_reference_sort());
 }
