@@ -15,9 +15,10 @@ use dhs_workloads::SplitMix64;
 use crate::stats::AlgoStats;
 use crate::tail::{merge_received, regular_splitters, sort_local};
 
-/// Merge engine for the received runs. Each source's payload may
-/// concatenate several buckets, which stay sorted only per bucket, so
-/// the re-sort is the safe merge here.
+/// How the merge of the received runs is priced. Each source's payload
+/// is its buckets for this rank appended in ascending bucket order from
+/// its sorted block, so it is one sorted run, merged like every other
+/// baseline's.
 const MERGE: MergeAlgo = MergeAlgo::Resort;
 
 /// Configuration of the AMS-style sort.
@@ -143,9 +144,10 @@ fn ams_level<K: Key>(
     }
     let received = cur.exchange(send, AllToAllAlgo::OneFactor);
     stats.exchange_ns += sp_t1.finish();
+    debug_assert!(received.runs().all(|r| r.is_sorted()), "AMS run not sorted");
 
     // 5. Merge received runs.
-    *local = merge_received(cur, received, MERGE, stats);
+    *local = merge_received(cur, received, std::mem::take(local), MERGE, stats);
 
     Some(cur.split(group_of(rank, p, k) as u64, rank as u64))
 }
@@ -226,6 +228,30 @@ mod tests {
             light <= heavy + 0.25,
             "overpartitioned {light} vs plain {heavy}"
         );
+    }
+
+    /// Zipf-like skew (four in five keys from 64 values) puts many
+    /// buckets of equal keys on one peer. Each source's payload is
+    /// still one sorted run — `ams_level` debug-asserts it on every
+    /// receiver — so the run merge yields the reference order.
+    #[test]
+    fn skewed_payloads_are_sorted_runs() {
+        let (p, n) = (16, 2000);
+        let skewed = |rank: usize| -> Vec<u64> {
+            keys_for(rank, n, 1 << 30)
+                .into_iter()
+                .map(|x| if x % 5 != 0 { x % 64 } else { x })
+                .collect()
+        };
+        let out = run(&ClusterConfig::small_cluster(p), move |comm| {
+            let mut local = skewed(comm.rank());
+            ams_sort(comm, &mut local, &AmsConfig::default());
+            local
+        });
+        let mut expect: Vec<u64> = (0..p).flat_map(skewed).collect();
+        expect.sort_unstable();
+        let got: Vec<u64> = out.into_iter().flat_map(|(l, _)| l).collect();
+        assert_eq!(got, expect);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! per side, nothing for the `P − 2` empty peers.
 
 use dhs_core::Key;
-use dhs_merge::merge_two;
+use dhs_merge::merge_into;
 use dhs_runtime::{AllToAllAlgo, Comm, Work};
 
 use crate::stats::AlgoStats;
@@ -72,13 +72,14 @@ pub fn bitonic_sort<K: Key>(comm: &Comm, local: &mut Vec<K>) -> AlgoStats {
                 ways: 2,
                 elem_bytes: elem,
             });
-            let merged = merge_two(local, &theirs);
-            let keep_min = (rank < partner) == ascending;
-            *local = if keep_min {
-                merged[..n].to_vec()
+            let mut merged = [local.as_slice(), &theirs].concat();
+            merge_into(local, &theirs, &mut merged, &K::cmp);
+            if (rank < partner) == ascending {
+                merged.truncate(n);
             } else {
-                merged[n..].to_vec()
-            };
+                merged.drain(..n);
+            }
+            *local = merged;
             stats.sort_merge_ns += sp_t2.finish();
         }
     }

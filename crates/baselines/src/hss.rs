@@ -95,7 +95,7 @@ pub fn hss_sort<K: Key>(comm: &Comm, local: &mut Vec<K>, cfg: &HssConfig) -> Alg
     let received = exchange::exchange_data(comm, local, &plan, AllToAllAlgo::OneFactor);
     stats.exchange_ns = sp_t2.finish();
 
-    *local = merge_received(comm, received, MERGE, &mut stats);
+    *local = merge_received(comm, received, std::mem::take(local), MERGE, &mut stats);
     stats.n_out = local.len();
     stats
 }

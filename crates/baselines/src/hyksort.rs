@@ -99,7 +99,7 @@ fn hyksort_level<K: Key>(
     let received = exchange_data(cur, local, &plan, AllToAllAlgo::OneFactor);
     stats.exchange_ns += sp_t1.finish();
 
-    *local = merge_received(cur, received, MERGE, stats);
+    *local = merge_received(cur, received, std::mem::take(local), MERGE, stats);
 
     // The communicator split the paper calls out as a blocking,
     // linear-cost collective at every level.

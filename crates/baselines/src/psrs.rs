@@ -38,7 +38,7 @@ pub fn psrs<K: Key>(comm: &Comm, local: &mut Vec<K>) -> AlgoStats {
     // Step 3: partition (binary search, data already sorted) and
     // exchange; step 4: k-way merge of the sorted runs.
     let received = upper_bound_exchange(comm, local, &splitters, &mut stats);
-    *local = merge_received(comm, received, MERGE, &mut stats);
+    *local = merge_received(comm, received, std::mem::take(local), MERGE, &mut stats);
     stats.n_out = local.len();
     stats
 }

@@ -65,7 +65,7 @@ pub fn sample_sort<K: Key>(comm: &Comm, local: &mut Vec<K>, cfg: &SampleSortConf
     // Superstep 3: partition and exchange, then merge the sorted runs.
     sort_local(comm, local, &mut stats);
     let received = upper_bound_exchange(comm, local, &splitters, &mut stats);
-    *local = merge_received(comm, received, MERGE, &mut stats);
+    *local = merge_received(comm, received, std::mem::take(local), MERGE, &mut stats);
     stats.n_out = local.len();
     stats
 }

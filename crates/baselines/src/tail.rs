@@ -5,8 +5,8 @@
 //! baseline's module is how it chooses its splitters.
 
 use dhs_core::exchange::{exchange_data, ExchangePlan};
-use dhs_core::Key;
-use dhs_merge::{kway_merge, MergeAlgo};
+use dhs_core::{Key, LocalSort};
+use dhs_merge::MergeAlgo;
 use dhs_runtime::{AllToAllAlgo, Comm, RecvRuns, Work};
 
 use crate::stats::AlgoStats;
@@ -72,35 +72,20 @@ pub(crate) fn upper_bound_exchange<K: Key>(
     received
 }
 
-/// Merge the received sorted runs into the rank's new block. `Resort`
-/// is charged and run as a re-sort of the receive buffer; every other
-/// engine is charged as a merge of the non-empty runs and run by
-/// [`kway_merge`].
+/// Merge the received sorted runs into the rank's new block with the
+/// histogram sort's own merge step, [`dhs_core::merge_received`]:
+/// `merge` prices it (`Resort` as a comparison sort, every other
+/// engine as a k-way merge), the in-place run merge executes it.
+/// `scratch` is the rank's dead send block.
 pub(crate) fn merge_received<K: Key>(
     comm: &Comm,
     received: RecvRuns<K>,
+    scratch: Vec<K>,
     merge: MergeAlgo,
     stats: &mut AlgoStats,
 ) -> Vec<K> {
     let sp = comm.span("sort_merge");
-    let n = received.total_len() as u64;
-    let merged = if merge == MergeAlgo::Resort {
-        comm.charge(Work::SortElems {
-            n,
-            elem_bytes: elem_bytes::<K>(),
-        });
-        let mut data = received.into_data();
-        data.sort_unstable();
-        data
-    } else {
-        let ways = received.runs().filter(|r| !r.is_empty()).count() as u64;
-        comm.charge(Work::MergeElems {
-            n,
-            ways: ways.max(2),
-            elem_bytes: elem_bytes::<K>(),
-        });
-        kway_merge(merge, &received.as_slices())
-    };
+    let merged = dhs_core::merge_received(comm, received, scratch, merge, LocalSort::Comparison);
     stats.sort_merge_ns += sp.finish();
     merged
 }

@@ -185,7 +185,7 @@ fn bench_local_merge(grid: &[(usize, usize, usize)], min_reps: usize) -> Vec<AbC
             let mut scratch = base.clone();
             let ends = counts.clone();
             let t = Instant::now();
-            dhs_shm::merge_runs_in_place(&mut merged, ends, &mut scratch, 1);
+            dhs_shm::merge_runs_in_place(&mut merged, ends, &mut scratch, 1, &u64::cmp);
             run_merge.push(secs(t));
             assert_eq!(merged, flat, "run merge must equal the re-sort");
         }

@@ -13,17 +13,19 @@
 //!
 //! Only the choice of level-1 targets lives here. Level 1 cuts and
 //! routes with the shared [`plan_exchange`] and [`exchange_data`] (a
-//! `g`-way plan sends group `d`'s segment to one of its members); the
+//! `g`-way plan sends group `d`'s segment to one of its members) and
+//! merges what it received with the shared [`merge_received`]; the
 //! local sort and the whole of level 2 are the shared pipeline of
 //! [`mod@crate::sort`], run on the split communicator with the group's
 //! share of the targets.
 
+use dhs_merge::MergeAlgo;
 use dhs_runtime::{AllToAllAlgo, Comm};
 
 use crate::exchange::{exchange_data, group_of, group_range, plan_exchange};
 use crate::key::Key;
 use crate::sort::{
-    attempt, histogram_sort, local_phase, Keys, Payload, Shape, SortConfig, SortStats,
+    attempt, histogram_sort, local_phase, merge_received, Keys, Shape, SortConfig, SortStats,
 };
 use crate::splitter::find_splitters;
 
@@ -86,11 +88,12 @@ pub fn histogram_sort_two_level<K: Key>(
     stats.prepare_ns += sp.finish();
 
     // A g-way plan sends group `d`'s segment to one member of
-    // `group_range(d, p, g)`. The received runs interleave: re-sort,
-    // don't merge.
+    // `group_range(d, p, g)`: one sorted run per source, merged by the
+    // shared merge step and charged as a re-sort.
     let sp = comm.span("exchange");
-    *local = exchange_data(comm, local, &plan, AllToAllAlgo::OneFactor).into_data();
-    Keys.local_sort(comm, local, cfg);
+    let received = exchange_data(comm, local, &plan, AllToAllAlgo::OneFactor);
+    let scratch = std::mem::take(local);
+    *local = merge_received(comm, received, scratch, MergeAlgo::Resort, cfg.local_sort);
     stats.exchange_ns += sp.finish();
 
     // Level 2: the shared pipeline inside the group, aiming at the

@@ -124,16 +124,13 @@ pub struct SortConfig {
     pub epsilon: f64,
     /// Boundary placement policy.
     pub partitioning: Partitioning,
-    /// Engine for the local merge of received runs. The default,
-    /// [`MergeAlgo::Resort`], is **charged as the paper's re-sort**
-    /// (the [`SortConfig::local_sort`] model over the received keys)
-    /// and **executed as a run merge when the rule says it is
-    /// cheaper**: `dhs_shm::merge_sorted_runs` merges the received
-    /// sorted runs in place, between the receive buffer and the dead
-    /// send block, and keeps `sort_unstable` only for many near-empty
-    /// runs (`dhs_shm::run_merge_beats_resort`). One execution path
-    /// for every [`SortConfig::threads_per_rank`]; output, stats and
-    /// virtual clocks are those of the re-sort.
+    /// How the local merge of received runs is **charged**: the
+    /// default, [`MergeAlgo::Resort`], as the paper's re-sort (the
+    /// [`SortConfig::local_sort`] model over the received keys), every
+    /// other engine as one k-way merge. What executes is the same for
+    /// every engine and every [`SortConfig::threads_per_rank`]: the
+    /// in-place run merge of [`merge_received`]. Output is identical;
+    /// only the virtual clock follows the engine.
     pub merge: MergeAlgo,
     /// Node-local sorting engine.
     pub local_sort: LocalSort,
@@ -264,7 +261,7 @@ impl SortConfig {
 /// `engine`. Split from execution because what the host runs need not
 /// be what the model prices: the [`MergeAlgo::Resort`] merge is
 /// charged here as the paper's re-sort and executed as a run merge
-/// when the rule says it is cheaper, and the hybrid local sort runs a
+/// ([`merge_received`]), and the hybrid local sort runs a
 /// fork–join kernel. The charges depend only on `n` and the key
 /// width, never on the kernel or on `threads_per_rank`, which is what
 /// keeps the virtual clock byte-identical across both.
@@ -439,8 +436,8 @@ pub fn histogram_sort<K: Key>(comm: &Comm, local: &mut Vec<K>, cfg: &SortConfig)
 /// stable sort of the input, for every `threads_per_rank` and engine.
 ///
 /// The record hooks ignore [`SortConfig::local_sort`] and
-/// [`SortConfig::merge`]: those choose among engines for `Ord + Copy`
-/// keys (unstable sorts, k-way merge trees) that have no counterpart
+/// [`SortConfig::merge`]: those price engines for `Ord + Copy`
+/// keys (unstable sorts, k-way merges) that have no counterpart
 /// over records ordered by an extracted key. Every other field applies
 /// as for [`histogram_sort`]. The kernel rule is not a third such field
 /// on purpose: it is a pure function of the block (length, runs, live
@@ -489,7 +486,7 @@ pub(crate) trait Payload<T> {
     fn key_view<'a>(&self, comm: &Comm, data: &'a [T]) -> Cow<'a, [Self::Key]>;
 
     /// Merge the received sorted runs into this rank's output block
-    /// (keys: the [`SortConfig::merge`] engines; records: a stable
+    /// (keys: [`merge_received`]; records: a stable
     /// sort of the runs' concatenation, since equal keys must keep
     /// their source order). `scratch` is the rank's send block, dead
     /// once the exchange has returned: the hooks' merge space.
@@ -516,41 +513,57 @@ impl<K: Key> Payload<K> for Keys {
         Cow::Borrowed(data)
     }
 
-    /// Charges always follow the *configured* engine, so the virtual
-    /// clock is identical for every thread budget.
     fn merge(
         &self,
         comm: &Comm,
         received: RecvRuns<K>,
-        mut scratch: Vec<K>,
+        scratch: Vec<K>,
         cfg: &SortConfig,
     ) -> Vec<K> {
-        let te = comm.threads().exec_budget();
-        let n = received.total_len() as u64;
-        match cfg.merge {
-            MergeAlgo::Resort => {
-                // Charged as the paper's re-sort, executed as a merge
-                // of the already-sorted runs wherever that is cheaper:
-                // the tree ping-pongs between the receive buffer and
-                // the dead send block, so no buffer is allocated. Same
-                // output for every thread budget.
-                charge_local_sort::<K>(comm, n, cfg.local_sort);
-                let (mut flat, counts) = received.into_parts();
-                dhs_shm::merge_sorted_runs(&mut flat, counts, &mut scratch, te);
-                flat
-            }
-            engine => {
-                let ways = received.runs().filter(|r| !r.is_empty()).count() as u64;
-                comm.charge(Work::MergeElems {
-                    n,
-                    ways: ways.max(2),
-                    elem_bytes: std::mem::size_of::<K>() as u64,
-                });
-                // One thread: exactly `kway_merge(engine, ..)`.
-                dhs_shm::parallel_kway_chunked(&received.as_slices(), te, engine)
-            }
-        }
+        merge_received(comm, received, scratch, cfg.merge, cfg.local_sort)
     }
+}
+
+/// The merge step of every distributed sort over keys — the histogram
+/// sort's last superstep (§V-C) and the baselines' alike: charge the
+/// merge of the received sorted runs by `merge`, then execute
+/// `dhs_shm::merge_sorted_runs` over the receive buffer whatever the
+/// engine.
+///
+/// [`MergeAlgo::Resort`] is charged as the paper's re-sort (the
+/// `resort` local-sort model over the received keys), every other
+/// engine as one k-way merge of the non-empty runs
+/// ([`Work::MergeElems`]). The engines only price the step: all of
+/// them produce the one ascending permutation, and the in-place
+/// run-merge tree (a re-sort below a mean run length of 32,
+/// `dhs_shm::run_merge_beats_resort`) is the cheapest way to produce
+/// it on the host. `scratch` is any vector the caller no longer needs
+/// — the dead send block — so the tree ping-pongs between two buffers
+/// the rank already holds and allocates nothing. Charges depend on
+/// sizes only, never on the thread budget, so output and virtual clock
+/// are identical for every `threads_per_rank`.
+pub fn merge_received<K: Key>(
+    comm: &Comm,
+    received: RecvRuns<K>,
+    mut scratch: Vec<K>,
+    merge: MergeAlgo,
+    resort: LocalSort,
+) -> Vec<K> {
+    let (mut flat, counts) = received.into_parts();
+    let n = flat.len() as u64;
+    if merge == MergeAlgo::Resort {
+        charge_local_sort::<K>(comm, n, resort);
+    } else {
+        let ways = counts.iter().filter(|&&c| c > 0).count() as u64;
+        comm.charge(Work::MergeElems {
+            n,
+            ways: ways.max(2),
+            elem_bytes: std::mem::size_of::<K>() as u64,
+        });
+    }
+    let te = comm.threads().exec_budget();
+    dhs_shm::merge_sorted_runs(&mut flat, counts, &mut scratch, te, &K::cmp);
+    flat
 }
 
 /// [`Payload`] of records ordered by an extracted key.
@@ -640,14 +653,12 @@ where
             // hybrid path merges the runs stably — identical to the
             // serial stable re-sort of their concatenation.
             let te = comm.threads().exec_budget();
-            let received = RecvRuns::from_parts(all, counts);
-            dhs_shm::parallel_binary_tree_merge_by(&received.as_slices(), te, &|a: &T, b: &T| {
-                key(a).cmp(&key(b))
-            })
+            let cmp = |a: &T, b: &T| key(a).cmp(&key(b));
+            dhs_shm::merge_runs_in_place(&mut all, counts, &mut scratch, te, &cmp);
         } else {
             all.sort_by_key(key);
-            all
         }
+        all
     }
 }
 

@@ -13,7 +13,16 @@
 //!   evaluated implementation actually ships ("we rely on another
 //!   shared memory sort to merge all sequences").
 
+use crate::two_way::merge_into;
+
 /// Strategy for merging `k` sorted runs into one.
+///
+/// [`kway_merge`] runs the engines themselves, for the §VI-E2 study.
+/// As `SortConfig::merge` of the distributed sorts a variant only
+/// *prices* the merge step — `Resort` as the local-sort model, every
+/// other engine as one k-way merge of the received runs — and the step
+/// always executes `dhs_shm::merge_sorted_runs`, so output is the same
+/// for every engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MergeAlgo {
     /// Pairwise binary merge tree (`O(N log k)`, `log k` copies).
@@ -22,20 +31,8 @@ pub enum MergeAlgo {
     TournamentTree,
     /// Textbook binary-heap k-way merge.
     Heap,
-    /// Concatenate and re-sort (what the paper's implementation ships).
-    ///
-    /// [`kway_merge`] does exactly that. As `SortConfig::merge` of the
-    /// distributed sort (its default) the variant is **charged as the
-    /// paper's re-sort and executed as a run merge when the rule says
-    /// it is cheaper**: `dhs_shm::merge_sorted_runs` merges the
-    /// received sorted runs in place and re-sorts only below a mean
-    /// run length of 32 keys. Recorded cells (`BENCH_wallclock.json`,
-    /// `local_merge_ab`, t = 1, u64, re-sort ÷ run-merge host time) —
-    /// the merge wins: 8 runs × 128 Ki 3.48×, 32 × 1 Ki 1.94×,
-    /// 64 × 1 Ki 1.76×, 256 × 1 Ki 1.50×, 64 × 64 1.15×, 256 × 64
-    /// 1.11×; break-even: 64 × 32 0.99×, 256 × 32 0.98×; the re-sort
-    /// wins: 64 × 16 0.85×, 256 × 16 0.85×, 1024 × 4 0.62×, 256
-    /// one-key runs (1024 sources, the p = 1024 shape) 0.28×.
+    /// Concatenate and re-sort (what the paper's implementation ships,
+    /// and the default `SortConfig::merge`).
     Resort,
     /// Cache-oblivious lazy funnel (the paper's §VI-E2 future-work
     /// direction, ref \[36\]).
@@ -93,7 +90,7 @@ pub fn binary_tree_merge<T: Ord + Copy, R: AsRef<[T]>>(runs: &[R]) -> Vec<T> {
     let mut level: Vec<Vec<T>> = Vec::with_capacity(slices.len().div_ceil(2));
     let mut first = slices.chunks_exact(2);
     for pair in &mut first {
-        level.push(crate::two_way::merge_two(pair[0], pair[1]));
+        level.push(merge_pair(pair[0], pair[1]));
     }
     if let [odd] = first.remainder() {
         level.push(odd.to_vec());
@@ -102,7 +99,7 @@ pub fn binary_tree_merge<T: Ord + Copy, R: AsRef<[T]>>(runs: &[R]) -> Vec<T> {
         let mut next = Vec::with_capacity(level.len().div_ceil(2));
         let mut it = level.chunks_exact(2);
         for pair in &mut it {
-            next.push(crate::two_way::merge_two(&pair[0], &pair[1]));
+            next.push(merge_pair(&pair[0], &pair[1]));
         }
         if let [odd] = it.remainder() {
             next.push(odd.clone());
@@ -110,6 +107,14 @@ pub fn binary_tree_merge<T: Ord + Copy, R: AsRef<[T]>>(runs: &[R]) -> Vec<T> {
         level = next;
     }
     level.pop().expect("one run remains")
+}
+
+/// One node of [`binary_tree_merge`]: a fresh vector holding the
+/// [`merge_into`] of `a` and `b`.
+fn merge_pair<T: Ord + Copy>(a: &[T], b: &[T]) -> Vec<T> {
+    let mut out = [a, b].concat();
+    merge_into(a, b, &mut out, &T::cmp);
+    out
 }
 
 /// Tournament (winner) tree: each output element costs one root-to-leaf

@@ -4,8 +4,8 @@
 //! to `P` sorted chunks from the all-to-all exchange and must combine
 //! them (paper §V-C). This crate provides the strategies the paper
 //! weighs against each other — binary merge tree, tournament tree,
-//! heap, and plain re-sorting — plus the search kernels
-//! (`lower_bound`/`upper_bound`) the histogramming phase uses.
+//! heap, and plain re-sorting — plus [`merge_into`], the stable
+//! two-way merge every binary merge in the workspace runs as its leaf.
 //!
 //! ```
 //! use dhs_merge::{kway_merge, MergeAlgo};
@@ -23,7 +23,4 @@ pub use kway::{
     binary_tree_merge, heap_merge, kway_merge, resort_merge, tournament_merge, MergeAlgo,
     TournamentTree,
 };
-pub use two_way::{
-    lower_bound, lower_bound_by, merge_two, merge_two_by_into, merge_two_into, upper_bound,
-    upper_bound_by,
-};
+pub use two_way::merge_into;

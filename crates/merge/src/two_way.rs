@@ -1,138 +1,119 @@
-//! Two-way merge kernels: the building block of the binary merge tree.
+//! The two-way merge: the one leaf every binary merge in the workspace
+//! runs — the run-merge tree of `dhs-shm`, its parallel merges, the
+//! [`crate::binary_tree_merge`] study engine and bitonic's
+//! compare-split.
 
-/// Merge two sorted slices into `out` (cleared first). Stable: ties
-/// take from `a` first.
-pub fn merge_two_into<T: Ord + Copy>(a: &[T], b: &[T], out: &mut Vec<T>) {
-    out.clear();
-    out.reserve(a.len() + b.len());
-    let mut i = 0;
-    let mut j = 0;
-    while i < a.len() && j < b.len() {
-        if a[i] <= b[j] {
-            out.push(a[i]);
-            i += 1;
-        } else {
-            out.push(b[j]);
-            j += 1;
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-}
+use std::cmp::Ordering;
 
-/// Merge two sorted slices, allocating the output.
-pub fn merge_two<T: Ord + Copy>(a: &[T], b: &[T]) -> Vec<T> {
-    let mut out = Vec::new();
-    merge_two_into(a, b, &mut out);
-    out
-}
-
-/// Stable two-way merge under an explicit comparator: ties take from
-/// `a` first, so merging a left run `a` with a right run `b` preserves
-/// the concatenation order of equal elements. This is the
-/// record-capable (`Clone`, not `Copy`) kernel behind the parallel
-/// leaf merges of `dhs-shm`.
-pub fn merge_two_by_into<T, F>(a: &[T], b: &[T], out: &mut Vec<T>, cmp: &F)
+/// Merge sorted `a` and `b` into `out` (exactly `a.len() + b.len()`
+/// long) under `cmp`. Stable: ties take from `a` first, so merging a
+/// left run with a right run keeps the concatenation order of equal
+/// elements — the merge of two sorted runs equals a stable sort of
+/// their concatenation.
+///
+/// **Two-ended and branch-free.** A one-ended conditional-move merge
+/// is one serial dependency chain — each load address waits for the
+/// previous compare — so it runs at load-to-use latency, not
+/// throughput. The first `min(|a|, |b|)` steps therefore emit the
+/// smallest remaining element at the front of `out` *and* the largest
+/// at the back, two chains that share nothing and overlap in the
+/// pipeline; the one-ended loop finishes whatever middle is left
+/// (`||a| − |b||` elements, nothing for the equal halves a merge tree
+/// over balanced runs produces).
+///
+/// Why the two ends never collide: the stable merge assigns every
+/// input element one output position. After `s` steps the front has
+/// consumed exactly the elements of positions `0..s` and the back
+/// those of `n − s..n`; `2·steps ≤ n` (because `min(|a|, |b|) ≤
+/// (|a| + |b|) / 2`) keeps the two position sets — hence the two
+/// consumed element sets — disjoint. The back breaks ties towards `b`
+/// (equal elements of `a` sort *before* those of `b`, so from the back
+/// `b`'s go first), which is the same total order the front uses.
+/// `steps ≤ min(|a|, |b|)` keeps every cursor read in bounds: in step
+/// `s` the front cursors are `≤ s < steps` and the back cursors are
+/// `≥ len − s ≥ 1`. A cursor may *read* an element the other end
+/// already consumed (the compare needs an operand); it never takes it.
+///
+/// # Panics
+/// Panics when `out` is not exactly `a.len() + b.len()` long.
+pub fn merge_into<T, F>(a: &[T], b: &[T], out: &mut [T], cmp: &F)
 where
     T: Clone,
-    F: Fn(&T, &T) -> std::cmp::Ordering,
+    F: Fn(&T, &T) -> Ordering,
 {
-    out.clear();
-    out.reserve(a.len() + b.len());
-    let mut i = 0;
-    let mut j = 0;
-    while i < a.len() && j < b.len() {
-        if cmp(&a[i], &b[j]) != std::cmp::Ordering::Greater {
-            out.push(a[i].clone());
-            i += 1;
-        } else {
-            out.push(b[j].clone());
-            j += 1;
-        }
+    let (na, nb, n) = (a.len(), b.len(), out.len());
+    assert_eq!(na + nb, n, "output window must fit both inputs");
+    let steps = na.min(nb);
+    let (mut i, mut j, mut k) = (0usize, 0usize, 0usize);
+    let (mut ie, mut je, mut ke) = (na, nb, n);
+    for _ in 0..steps {
+        let (x, y) = (&a[i], &b[j]);
+        let take_b = cmp(y, x) == Ordering::Less;
+        out[k] = if take_b { y } else { x }.clone();
+        i += usize::from(!take_b);
+        j += usize::from(take_b);
+        k += 1;
+
+        let (x, y) = (&a[ie - 1], &b[je - 1]);
+        let take_a = cmp(y, x) == Ordering::Less;
+        ke -= 1;
+        out[ke] = if take_a { x } else { y }.clone();
+        ie -= usize::from(take_a);
+        je -= usize::from(!take_a);
     }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-}
-
-/// Index of the first element in sorted `data` that is `>= key`
-/// (`lower_bound`).
-pub fn lower_bound<T: Ord>(data: &[T], key: &T) -> usize {
-    data.partition_point(|x| x < key)
-}
-
-/// Index of the first element in sorted `data` that is `> key`
-/// (`upper_bound`).
-pub fn upper_bound<T: Ord>(data: &[T], key: &T) -> usize {
-    data.partition_point(|x| x <= key)
-}
-
-/// [`lower_bound`] under an explicit comparator.
-pub fn lower_bound_by<T, F>(data: &[T], key: &T, cmp: &F) -> usize
-where
-    F: Fn(&T, &T) -> std::cmp::Ordering,
-{
-    data.partition_point(|x| cmp(x, key) == std::cmp::Ordering::Less)
-}
-
-/// [`upper_bound`] under an explicit comparator.
-pub fn upper_bound_by<T, F>(data: &[T], key: &T, cmp: &F) -> usize
-where
-    F: Fn(&T, &T) -> std::cmp::Ordering,
-{
-    data.partition_point(|x| cmp(x, key) != std::cmp::Ordering::Greater)
+    debug_assert!(i <= ie && j <= je && (ie - i) + (je - j) == ke - k);
+    // The middle: one-ended conditional-move merge of what is left.
+    while i < ie && j < je {
+        let (x, y) = (&a[i], &b[j]);
+        let take_b = cmp(y, x) == Ordering::Less;
+        out[k] = if take_b { y } else { x }.clone();
+        i += usize::from(!take_b);
+        j += usize::from(take_b);
+        k += 1;
+    }
+    out[k..k + (ie - i)].clone_from_slice(&a[i..ie]);
+    out[k + (ie - i)..ke].clone_from_slice(&b[j..je]);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn merged<T: Clone + Default>(a: &[T], b: &[T], cmp: impl Fn(&T, &T) -> Ordering) -> Vec<T> {
+        let mut out = vec![T::default(); a.len() + b.len()];
+        merge_into(a, b, &mut out, &cmp);
+        out
+    }
+
     #[test]
     fn merges_interleaved() {
-        assert_eq!(merge_two(&[1, 3, 5], &[2, 4, 6]), vec![1, 2, 3, 4, 5, 6]);
+        assert_eq!(
+            merged(&[1, 3, 5], &[2, 4, 6], i32::cmp),
+            vec![1, 2, 3, 4, 5, 6]
+        );
     }
 
     #[test]
     fn handles_empty_sides() {
-        assert_eq!(merge_two::<u64>(&[], &[]), Vec::<u64>::new());
-        assert_eq!(merge_two(&[1, 2], &[]), vec![1, 2]);
-        assert_eq!(merge_two(&[], &[1, 2]), vec![1, 2]);
+        assert_eq!(merged::<u64>(&[], &[], u64::cmp), Vec::<u64>::new());
+        assert_eq!(merged(&[1, 2], &[], u64::cmp), vec![1, 2]);
+        assert_eq!(merged(&[], &[1, 2], u64::cmp), vec![1, 2]);
     }
 
     #[test]
-    fn stability_prefers_left() {
-        // With Copy + Ord over plain ints stability is unobservable, so
-        // use pairs ordered by the first component only via key slices.
-        let a = [(1, 'a'), (2, 'a')];
-        let b = [(1, 'b')];
-        let mut out = Vec::new();
-        // Manual merge on first component to document intent.
-        let cmp_merged = {
-            let mut v: Vec<(i32, char)> = Vec::new();
-            let (mut i, mut j) = (0, 0);
-            while i < a.len() && j < b.len() {
-                if a[i].0 <= b[j].0 {
-                    v.push(a[i]);
-                    i += 1;
-                } else {
-                    v.push(b[j]);
-                    j += 1;
-                }
-            }
-            v.extend_from_slice(&a[i..]);
-            v.extend_from_slice(&b[j..]);
-            v
-        };
-        merge_two_into(&a, &b, &mut out);
-        assert_eq!(out.len(), 3);
-        assert_eq!(cmp_merged[0], (1, 'a'));
+    fn ties_take_the_left_run_first_from_both_ends() {
+        let by_key = |x: &(i32, char), y: &(i32, char)| x.0.cmp(&y.0);
+        let a = [(1, 'a'), (2, 'a'), (2, 'a')];
+        let b = [(1, 'b'), (2, 'b')];
+        assert_eq!(
+            merged(&a, &b, by_key),
+            vec![(1, 'a'), (1, 'b'), (2, 'a'), (2, 'a'), (2, 'b')]
+        );
     }
 
     #[test]
-    fn bounds() {
-        let v = [1, 3, 3, 5];
-        assert_eq!(lower_bound(&v, &3), 1);
-        assert_eq!(upper_bound(&v, &3), 3);
-        assert_eq!(lower_bound(&v, &0), 0);
-        assert_eq!(upper_bound(&v, &9), 4);
+    #[should_panic(expected = "output window must fit both inputs")]
+    fn rejects_a_misfit_window() {
+        merge_into(&[1u64], &[2], &mut [0u64; 3], &u64::cmp);
     }
 }

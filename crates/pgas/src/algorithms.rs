@@ -87,36 +87,6 @@ where
     comm.allreduce_sum(vec![local])[0]
 }
 
-/// Whether the array is globally sorted (non-decreasing across local
-/// blocks and rank boundaries).
-pub fn is_sorted<T>(comm: &Comm, arr: &GlobalArray<T>) -> bool
-where
-    T: Ord + Copy + Send + Sync + 'static,
-{
-    let (locally, ends) = arr.with_local(|l| {
-        comm.charge(Work::Compares(l.len() as u64));
-        (
-            l.windows(2).all(|w| w[0] <= w[1]),
-            l.first().map(|f| (*f, *l.last().expect("non-empty"))),
-        )
-    });
-    let all_ends: Vec<Option<(T, T)>> = comm.allgather(ends);
-    let all_local: Vec<bool> = comm.allgather(locally);
-    if !all_local.iter().all(|&b| b) {
-        return false;
-    }
-    let mut prev: Option<T> = None;
-    for e in all_ends.into_iter().flatten() {
-        if let Some(p) = prev {
-            if p > e.0 {
-                return false;
-            }
-        }
-        prev = Some(e.1);
-    }
-    true
-}
-
 /// Apply `f` to every local element in place (owner computes; no
 /// communication).
 pub fn transform_local<T, F>(comm: &Comm, arr: &GlobalArray<T>, f: F)
@@ -196,22 +166,6 @@ mod tests {
         for ((cnt, sum), _) in out {
             assert_eq!(cnt, 20); // ranks 2 and 3
             assert_eq!(sum, 10 * (1 + 2 + 3));
-        }
-    }
-
-    #[test]
-    fn sortedness_detection() {
-        let out = run(&ClusterConfig::small_cluster(3), |comm| {
-            let sorted = make(
-                comm,
-                vec![comm.rank() as u64 * 10, comm.rank() as u64 * 10 + 5],
-            );
-            let unsorted = make(comm, vec![100 - comm.rank() as u64, 200]);
-            (is_sorted(comm, &sorted), is_sorted(comm, &unsorted))
-        });
-        for ((a, b), _) in out {
-            assert!(a);
-            assert!(!b);
         }
     }
 

@@ -24,6 +24,6 @@ pub mod algorithms;
 pub mod array;
 pub mod pattern;
 
-pub use algorithms::{count_if, is_sorted, max_element, min_element, sum_by, transform_local};
+pub use algorithms::{count_if, max_element, min_element, sum_by, transform_local};
 pub use array::GlobalArray;
 pub use pattern::BlockPattern;

@@ -7,7 +7,6 @@
 //! communicator instead of one clone per rank). [`BufferPool`] recycles
 //! scratch vectors across the O(log P) histogram rounds of a sort.
 
-use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::ops::Deref;
 use std::sync::Arc;
@@ -63,11 +62,6 @@ impl<T> RecvRuns<T> {
         &self.counts
     }
 
-    /// Byte-style displacements: `run(s)` starts at `displs()[s]`.
-    pub fn displs(&self) -> &[usize] {
-        &self.displs
-    }
-
     /// The run received from rank `src`.
     pub fn run(&self, src: usize) -> &[T] {
         &self.data[self.displs[src]..self.displs[src] + self.counts[src]]
@@ -81,11 +75,6 @@ impl<T> RecvRuns<T> {
     /// Iterate the runs in source-rank order.
     pub fn runs(&self) -> impl Iterator<Item = &[T]> {
         (0..self.num_runs()).map(|s| self.run(s))
-    }
-
-    /// The flat buffer (all runs concatenated in source-rank order).
-    pub fn as_flat(&self) -> &[T] {
-        &self.data
     }
 
     /// Take the flat buffer without copying.
@@ -177,13 +166,9 @@ impl<T: Clone> SharedSlice<T> {
 #[derive(Default)]
 pub struct BufferPool {
     u64s: RefCell<Vec<Vec<u64>>>,
-    /// Type-erased free list for every other element type (exchange
-    /// staging and receive buffers). Slots hold `Vec<T>` behind
-    /// `Box<dyn Any>`; [`Self::take`] scans for a matching type.
-    typed: RefCell<Vec<Box<dyn Any>>>,
-    /// Lifetime count of `take*` calls on this pool.
+    /// Lifetime count of `take_u64` calls on this pool.
     takes: Cell<u64>,
-    /// Lifetime count of `take*` calls satisfied from a recycled
+    /// Lifetime count of `take_u64` calls satisfied from a recycled
     /// allocation (a pool *hit*, i.e. no fresh allocation needed).
     hits: Cell<u64>,
 }
@@ -218,10 +203,6 @@ impl PoolStats {
     }
 }
 
-/// Upper bound on retained typed slots; beyond it, recycled buffers are
-/// simply dropped (a pool, not a leak).
-const MAX_TYPED_SLOTS: usize = 16;
-
 impl BufferPool {
     /// Take a cleared `u64` scratch vector (capacity retained from
     /// previous uses when available).
@@ -252,34 +233,6 @@ impl BufferPool {
             self.u64s.borrow_mut().push(v);
         }
     }
-
-    /// Take a cleared scratch vector of any element type, reusing a
-    /// previously recycled allocation of the same type when available.
-    pub fn take<T: 'static>(&self) -> Vec<T> {
-        self.takes.set(self.takes.get() + 1);
-        let mut slots = self.typed.borrow_mut();
-        match slots.iter().position(|slot| slot.is::<Vec<T>>()) {
-            Some(pos) => {
-                self.hits.set(self.hits.get() + 1);
-                let slot = slots.swap_remove(pos);
-                let mut v = *slot.downcast::<Vec<T>>().expect("type checked above");
-                v.clear();
-                v
-            }
-            None => Vec::new(),
-        }
-    }
-
-    /// Return a scratch vector of any element type to the pool.
-    pub fn recycle<T: 'static>(&self, v: Vec<T>) {
-        if v.capacity() == 0 {
-            return;
-        }
-        let mut slots = self.typed.borrow_mut();
-        if slots.len() < MAX_TYPED_SLOTS {
-            slots.push(Box::new(v));
-        }
-    }
 }
 
 #[cfg(test)]
@@ -291,7 +244,6 @@ mod tests {
         let r = RecvRuns::from_parts(vec![1u64, 2, 3, 4, 5, 6], vec![2, 0, 3, 1]);
         assert_eq!(r.num_runs(), 4);
         assert_eq!(r.total_len(), 6);
-        assert_eq!(r.displs(), &[0, 2, 2, 5]);
         assert_eq!(r.run(0), &[1, 2]);
         assert_eq!(r.run(1), &[] as &[u64]);
         assert_eq!(r.run(2), &[3, 4, 5]);
@@ -330,32 +282,6 @@ mod tests {
     }
 
     #[test]
-    fn typed_pool_recycles_per_type() {
-        let pool = BufferPool::default();
-        let mut ints: Vec<u32> = pool.take();
-        ints.extend_from_slice(&[1, 2, 3]);
-        let int_cap = ints.capacity();
-        let mut pairs: Vec<(u64, u64)> = pool.take();
-        pairs.push((4, 5));
-        let pair_cap = pairs.capacity();
-        pool.recycle(ints);
-        pool.recycle(pairs);
-        // Each type gets its own allocation back, cleared.
-        let ints2: Vec<u32> = pool.take();
-        assert!(ints2.is_empty());
-        assert_eq!(ints2.capacity(), int_cap);
-        let pairs2: Vec<(u64, u64)> = pool.take();
-        assert!(pairs2.is_empty());
-        assert_eq!(pairs2.capacity(), pair_cap);
-        // A type never recycled starts fresh.
-        let floats: Vec<f64> = pool.take();
-        assert_eq!(floats.capacity(), 0);
-        // Capacity-less vectors are not retained.
-        pool.recycle(Vec::<u8>::new());
-        assert_eq!(pool.take::<u8>().capacity(), 0);
-    }
-
-    #[test]
     fn pool_stats_count_hits_and_misses() {
         let pool = BufferPool::default();
         assert_eq!(pool.stats(), PoolStats::default());
@@ -363,15 +289,11 @@ mod tests {
         v.push(7);
         pool.recycle_u64(v);
         let _ = pool.take_u64(); // hit
-        let mut w: Vec<u32> = pool.take(); // miss
-        w.push(1);
-        pool.recycle(w);
-        let _: Vec<u32> = pool.take(); // hit
-        let _: Vec<f32> = pool.take(); // miss
+        let _ = pool.take_u64(); // miss: the hit was dropped, not recycled
         let s = pool.stats();
-        assert_eq!(s, PoolStats { takes: 5, hits: 2 });
-        assert!((s.hit_rate() - 0.4).abs() < 1e-12);
-        let earlier = PoolStats { takes: 3, hits: 1 };
+        assert_eq!(s, PoolStats { takes: 3, hits: 1 });
+        assert!((s.hit_rate() - 1.0 / 3.0).abs() < 1e-12);
+        let earlier = PoolStats { takes: 1, hits: 0 };
         assert_eq!(s.since(&earlier), PoolStats { takes: 2, hits: 1 });
         assert_eq!(PoolStats::default().hit_rate(), 0.0);
     }

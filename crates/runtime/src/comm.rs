@@ -369,8 +369,8 @@ fn price_stages(
 /// point of the personalized all-to-all. `&[&[T]]` sends borrowed
 /// segments of an already-ordered local array (any `T: Clone`: each
 /// element is cloned once, by its receiver); `Vec<Vec<T>>` is the same
-/// exchange over the buckets' slices, the buckets going back to the
-/// sender's pool afterwards. Both deliver into one contiguous
+/// exchange over the buckets' slices, the buckets dropped afterwards.
+/// Both deliver into one contiguous
 /// [`RecvRuns`] buffer, under every schedule.
 pub trait ExchangePayload<T> {
     /// Run the personalized exchange of this payload under `algo`.
@@ -380,12 +380,7 @@ pub trait ExchangePayload<T> {
 impl<T: Clone + Send + Sync + 'static> ExchangePayload<T> for Vec<Vec<T>> {
     fn exchange_via(self, comm: &Comm, algo: AllToAllAlgo) -> RecvRuns<T> {
         let views: Vec<&[T]> = self.iter().map(Vec::as_slice).collect();
-        let received = comm.alltoallv_direct_slices(&views, algo);
-        for mut bucket in self {
-            bucket.clear();
-            comm.pool().recycle(bucket);
-        }
-        received
+        comm.alltoallv_direct_slices(&views, algo)
     }
 }
 

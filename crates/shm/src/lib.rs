@@ -1,9 +1,11 @@
 //! # dhs-shm — shared-memory parallel sorting and merging
 //!
 //! The shared-memory comparators of the paper's Fig. 4 study (TBB-like
-//! parallel merge sort, OpenMP-task-like merge sort) and the parallel
-//! merge kernels of the §VI-E2 merge experiment, built on a minimal
-//! scoped-thread fork–join primitive (no external task scheduler).
+//! parallel merge sort, OpenMP-task-like merge sort), the run-merge
+//! tree that merges the received runs of every distributed sort, and
+//! the parallel k-way scheme of the §VI-E2 merge experiment, built on
+//! a minimal scoped-thread fork–join primitive (no external task
+//! scheduler).
 //!
 //! ```
 //! use dhs_shm::parallel_merge_sort;
@@ -20,9 +22,8 @@ pub mod sort;
 
 pub use fork::{join, map_parallel};
 pub use pmerge::{
-    merge_into, merge_runs_in_place, merge_sorted_runs, parallel_binary_tree_merge,
-    parallel_binary_tree_merge_by, parallel_kway_chunked, parallel_merge_into,
-    parallel_merge_into_by, run_merge_beats_resort,
+    merge_runs_in_place, merge_sorted_runs, parallel_kway_chunked, parallel_merge_into_by,
+    run_merge_beats_resort,
 };
 pub use radix::{
     lsd_beats_comparison, lsd_sort_if, radix_sort_by_bits, radix_sort_u32, radix_sort_u64,

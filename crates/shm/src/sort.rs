@@ -24,8 +24,8 @@
 use std::cmp::Ordering;
 
 use crate::fork::join;
-use crate::pmerge::{parallel_merge_into, parallel_merge_into_by};
-use dhs_merge::merge_two_into;
+use crate::pmerge::parallel_merge_into_by;
+use dhs_merge::merge_into;
 
 /// Below this size leaves fall back to `sort_unstable`.
 const SORT_GRAIN: usize = 8192;
@@ -72,11 +72,9 @@ fn msort<T: Ord + Copy + Send + Sync>(
         |t| msort(d_hi, s_hi, t, parallel_merge),
     );
     if parallel_merge {
-        parallel_merge_into(&data[..mid], &data[mid..], scratch, threads);
+        parallel_merge_into_by(&data[..mid], &data[mid..], scratch, threads, &T::cmp);
     } else {
-        let mut tmp = Vec::new();
-        merge_two_into(&data[..mid], &data[mid..], &mut tmp);
-        scratch.copy_from_slice(&tmp);
+        merge_into(&data[..mid], &data[mid..], scratch, &T::cmp);
     }
     data.copy_from_slice(scratch);
 }

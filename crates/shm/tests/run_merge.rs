@@ -3,10 +3,15 @@
 //! scratch length, both ping-pong parities and every thread budget
 //! must leave the one ascending permutation in `flat` — and the rule
 //! that picks between the tree and a re-sort must be invisible in the
-//! output. And the tree's leaf, the two-ended `merge_into`, against
-//! the std merge: ties, empty and one-sided inputs, unaligned heads.
+//! output. And the tree's leaf, the two-ended `dhs_merge::merge_into`,
+//! against the std merge: ties, empty and one-sided inputs, unaligned
+//! heads. Under a comparator over records the tree and the leaf are
+//! the stable sort (`sort_by`) of the runs' concatenation.
 
-use dhs_shm::{merge_into, merge_runs_in_place, merge_sorted_runs, run_merge_beats_resort};
+use std::cmp::Ordering;
+
+use dhs_merge::merge_into;
+use dhs_shm::{merge_runs_in_place, merge_sorted_runs, run_merge_beats_resort};
 use proptest::prelude::*;
 
 /// xorshift64* stream; deterministic per seed.
@@ -111,7 +116,7 @@ proptest! {
             };
             let untouched = scratch.clone();
             let mut sorted = flat.clone();
-            merge_runs_in_place(&mut sorted, counts.clone(), &mut scratch, threads);
+            merge_runs_in_place(&mut sorted, counts.clone(), &mut scratch, threads, &u64::cmp);
             // Odd and even level counts alike end in `flat`.
             prop_assert_eq!(&sorted, &expect, "runs={} threads={}", runs, threads);
             if runs < 2 {
@@ -124,13 +129,13 @@ proptest! {
             // The rule-driven entry point agrees on either side of
             // its boundary.
             let mut ruled = flat.clone();
-            merge_sorted_runs(&mut ruled, counts.clone(), &mut Vec::new(), threads);
+            merge_sorted_runs(&mut ruled, counts.clone(), &mut Vec::new(), threads, &u64::cmp);
             prop_assert_eq!(&ruled, &expect);
         }
         // So does the tree itself from a scratch it has to size from
         // nothing.
         let mut packed = flat;
-        merge_runs_in_place(&mut packed, counts, &mut Vec::new(), 2);
+        merge_runs_in_place(&mut packed, counts, &mut Vec::new(), 2, &u64::cmp);
         prop_assert_eq!(&packed, &expect);
     }
 
@@ -152,10 +157,10 @@ proptest! {
         expect.sort_unstable();
         // Both argument orders, so each side is the short one once.
         let mut out = vec![0u64; a.len() + b.len()];
-        merge_into(a, &b, &mut out);
+        merge_into(a, &b, &mut out, &u64::cmp);
         prop_assert_eq!(&out, &expect);
         out.fill(0);
-        merge_into(&b, a, &mut out);
+        merge_into(&b, a, &mut out, &u64::cmp);
         prop_assert_eq!(&out, &expect);
         // The same merge at another element width.
         let narrow = |v: &[u64]| {
@@ -167,7 +172,7 @@ proptest! {
         let mut expect: Vec<u32> = a32.iter().chain(&b32).copied().collect();
         expect.sort_unstable();
         let mut out = vec![0u32; expect.len()];
-        merge_into(&a32, &b32, &mut out);
+        merge_into(&a32, &b32, &mut out, &u32::cmp);
         prop_assert_eq!(&out, &expect);
     }
 
@@ -196,7 +201,7 @@ proptest! {
         let mut expect: Vec<Tagged> = a.iter().chain(b.iter()).copied().collect();
         expect.sort_by_key(|t| t.key); // stable reference
         let mut out = vec![Tagged { key: 0, tag: 0 }; na + nb];
-        merge_into(&a, &b, &mut out);
+        merge_into(&a, &b, &mut out, &Tagged::cmp);
         let tags = |v: &[Tagged]| v.iter().map(|t| (t.key, t.tag)).collect::<Vec<_>>();
         prop_assert_eq!(tags(&out), tags(&expect));
     }
@@ -222,9 +227,9 @@ fn leaf_merge_edge_cases() {
         let mut expect: Vec<u64> = a.iter().chain(&b).copied().collect();
         expect.sort_unstable();
         let mut out = vec![0u64; expect.len()];
-        merge_into(&a, &b, &mut out);
+        merge_into(&a, &b, &mut out, &u64::cmp);
         assert_eq!(out, expect, "a={a:?} b={b:?}");
-        merge_into(&b, &a, &mut out);
+        merge_into(&b, &a, &mut out, &u64::cmp);
         assert_eq!(out, expect, "a={b:?} b={a:?}");
     }
 }
@@ -242,7 +247,13 @@ fn every_tree_depth_ends_in_flat() {
         expect.sort_unstable();
         for threads in [1usize, 4] {
             let mut sorted = flat.clone();
-            merge_runs_in_place(&mut sorted, counts.clone(), &mut Vec::new(), threads);
+            merge_runs_in_place(
+                &mut sorted,
+                counts.clone(),
+                &mut Vec::new(),
+                threads,
+                &u64::cmp,
+            );
             assert_eq!(sorted, expect, "runs={runs} threads={threads}");
         }
     }
@@ -260,8 +271,8 @@ fn resort_rule_boundary_is_invisible() {
         let mut expect = flat.clone();
         expect.sort_unstable();
         let (mut ruled, mut treed) = (flat.clone(), flat);
-        merge_sorted_runs(&mut ruled, counts.clone(), &mut Vec::new(), 1);
-        merge_runs_in_place(&mut treed, counts, &mut Vec::new(), 1);
+        merge_sorted_runs(&mut ruled, counts.clone(), &mut Vec::new(), 1, &u64::cmp);
+        merge_runs_in_place(&mut treed, counts, &mut Vec::new(), 1, &u64::cmp);
         assert_eq!(ruled, expect);
         assert_eq!(treed, expect);
     }
@@ -279,13 +290,13 @@ fn degenerate_inputs_leave_both_buffers_alone() {
     // Nothing to merge: five empty runs, or no run slots at all.
     for counts in [vec![0; 5], Vec::new()] {
         let mut scratch = vec![9u64; 3];
-        merge_runs_in_place(&mut [], counts, &mut scratch, 1);
+        merge_runs_in_place(&mut [], counts, &mut scratch, 1, &u64::cmp);
         assert_eq!(scratch, vec![9; 3]);
     }
 
     let mut flat = vec![1u64, 2, 3];
     let mut scratch = Vec::new();
-    merge_runs_in_place(&mut flat, vec![0, 3, 0], &mut scratch, 4);
+    merge_runs_in_place(&mut flat, vec![0, 3, 0], &mut scratch, 4, &u64::cmp);
     assert_eq!(flat, vec![1, 2, 3]);
     assert_eq!(scratch.capacity(), 0);
 }
@@ -293,5 +304,107 @@ fn degenerate_inputs_leave_both_buffers_alone() {
 #[test]
 #[should_panic(expected = "counts must cover the buffer exactly")]
 fn mismatched_counts_are_rejected() {
-    merge_runs_in_place(&mut [1u64, 2, 3], vec![1, 1], &mut Vec::new(), 1);
+    merge_runs_in_place(&mut [1u64, 2, 3], vec![1, 1], &mut Vec::new(), 1, &u64::cmp);
+}
+
+/// A record with drop glue, ordered by its duplicate-heavy key alone;
+/// the `String` names the input slot it came from.
+type Rec = (u64, String);
+
+fn by_key(x: &Rec, y: &Rec) -> Ordering {
+    x.0.cmp(&y.0)
+}
+
+/// [`sorted_runs`] as records: each run sorted by key, tagged
+/// `{side}{position}` in input order.
+fn record_runs(seed: u64, counts: &[usize], distinct: u64, side: char) -> Vec<Rec> {
+    sorted_runs(seed, counts, distinct)
+        .into_iter()
+        .enumerate()
+        .map(|(i, key)| (key, format!("{side}{i}")))
+        .collect()
+}
+
+/// `flat` stably sorted by key: what every comparator merge of its
+/// runs must produce.
+fn stable(flat: &[Rec]) -> Vec<Rec> {
+    let mut v = flat.to_vec();
+    v.sort_by(by_key);
+    v
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    /// Under a comparator the tree is the stable sort of the runs'
+    /// concatenation: equal keys come out in run order, then input
+    /// order, for every thread budget.
+    #[test]
+    fn tree_by_key_is_the_stable_sort_of_records(
+        seed in 0u64..u64::MAX,
+        slots in 0usize..40,
+        max_run in 1usize..30,
+        empty_permille in 0u64..1001,
+        distinct in 1u64..6,
+    ) {
+        let mut next = stream(seed ^ 0xBEEF);
+        let counts: Vec<usize> = (0..slots)
+            .map(|_| {
+                if next() % 1000 < empty_permille {
+                    0
+                } else {
+                    1 + next() as usize % max_run
+                }
+            })
+            .collect();
+        let flat = record_runs(seed, &counts, distinct, 'r');
+        let expect = stable(&flat);
+        for threads in [1usize, 2, 4] {
+            let mut sorted = flat.clone();
+            merge_runs_in_place(&mut sorted, counts.clone(), &mut Vec::new(), threads, &by_key);
+            prop_assert_eq!(&sorted, &expect, "threads={}", threads);
+        }
+    }
+
+    /// The leaf under a comparator is the stable merge: ties from both
+    /// sides come out left side first, whichever side is the short one.
+    #[test]
+    fn leaf_by_key_is_the_stable_merge(
+        seed in 0u64..u64::MAX,
+        na in 0usize..80,
+        nb in 0usize..80,
+        distinct in 1u64..5,
+        sides in 0usize..4,
+    ) {
+        let (na, nb) = side_lengths(sides, na, nb);
+        let a = record_runs(seed, &[na], distinct, 'a');
+        let b = record_runs(seed ^ 9, &[nb], distinct, 'b');
+        for (left, right) in [(&a, &b), (&b, &a)] {
+            let joined: Vec<Rec> = left.iter().chain(right.iter()).cloned().collect();
+            let mut out = vec![(0, String::new()); joined.len()];
+            merge_into(left, right, &mut out, &by_key);
+            prop_assert_eq!(out, stable(&joined));
+        }
+    }
+}
+
+/// Odd numbers of non-empty runs with empty runs between them, merged
+/// by key over a scratch that already holds records (dropped as the
+/// tree resizes it): the odd run rides up the tree and stays behind
+/// every equal key of the runs before it.
+#[test]
+fn odd_run_counts_with_empty_runs_keep_run_order() {
+    for runs in [1usize, 3, 5, 7, 9, 33] {
+        let counts: Vec<usize> = (0..2 * runs + 1)
+            .map(|i| if i % 2 == 0 { 0 } else { 1 + (i * 5) % 7 })
+            .collect();
+        let flat = record_runs(runs as u64, &counts, 3, 'r');
+        let expect = stable(&flat);
+        for threads in [1usize, 2, 4] {
+            let mut sorted = flat.clone();
+            let mut scratch = vec![(9, "stale".to_string()); 4];
+            merge_runs_in_place(&mut sorted, counts.clone(), &mut scratch, threads, &by_key);
+            assert_eq!(sorted, expect, "runs={runs} threads={threads}");
+        }
+    }
 }

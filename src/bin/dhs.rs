@@ -20,7 +20,7 @@ const USAGE: &str = "usage: dhs <sort|serve|select|topology> [--flags]\n\
     sort     --algo histogram|two-level|hss|sample|psrs|hyksort|ams|bitonic\n\
     \x20        --ranks N --nper N --dist uniform|normal|zipf|nearly-sorted|\n\
     \x20        few-distinct|all-equal --layout balanced|sparse|ramp\n\
-    \x20        --eps F --merge resort|tournament|binary|heap|funnel\n\
+    \x20        --eps F --merge resort|kway (how the merge is charged)\n\
     \x20        --local-sort comparison|radix --groups N --seed N --verify\n\
     \x20        --partitioning perfect|balanced --max-iters N\n\
     \x20        --probes M (histogram round width in units of P-1)\n\
@@ -223,12 +223,10 @@ fn sort_config_with(args: &Args, default_warm: &str) -> SortConfig {
         ("perfect", Partitioning::Perfect),
         ("balanced", Partitioning::Balanced),
     ];
+    // Every k-way engine is charged alike and runs the same run merge.
     let merges = [
         ("resort", MergeAlgo::Resort),
-        ("tournament", MergeAlgo::TournamentTree),
-        ("binary", MergeAlgo::BinaryTree),
-        ("heap", MergeAlgo::Heap),
-        ("funnel", MergeAlgo::Funnel),
+        ("kway", MergeAlgo::TournamentTree),
     ];
     let local_sorts = [
         ("comparison", LocalSort::Comparison),

@@ -95,6 +95,10 @@ fn shrink_recovery_runs_with_staged_exchange() {
 fn bad_flag_values_are_usage_errors() {
     for (command, flag, value, names) in [
         ("sort", "--merge", "foo", "--merge"),
+        // The k-way engines are one value, `kway`, not four.
+        ("sort", "--merge", "binary", "--merge"),
+        ("sort", "--merge", "heap", "--merge"),
+        ("sort", "--merge", "funnel", "--merge"),
         ("sort", "--local-sort", "quick", "--local-sort"),
         ("sort", "--partitioning", "fair", "--partitioning"),
         ("sort", "--recovery", "retry", "--recovery"),

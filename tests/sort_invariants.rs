@@ -15,7 +15,8 @@ use dhs::runtime::{run, AllToAllAlgo, ClusterConfig, RunnerEngine};
 use dhs::workloads::{rank_local_keys, Distribution, Layout};
 use proptest::prelude::*;
 
-/// Run the sort and verify all four invariants. Returns per-rank sizes.
+/// Run the sort and verify all four invariants. Returns the per-rank
+/// outputs.
 fn sort_and_verify(
     p: usize,
     n_total: usize,
@@ -23,7 +24,7 @@ fn sort_and_verify(
     layout: Layout,
     cfg: &SortConfig,
     seed: u64,
-) -> Vec<usize> {
+) -> Vec<Vec<u64>> {
     let cfg2 = cfg.clone();
     let out = run(&ClusterConfig::small_cluster(p), move |comm| {
         let mut local = rank_local_keys(dist, layout, n_total, p, comm.rank(), seed);
@@ -95,7 +96,11 @@ fn sort_and_verify(
             );
         }
     }
-    sizes
+    out.into_iter().map(|((_, after), _)| after).collect()
+}
+
+fn sizes_of(outputs: &[Vec<u64>]) -> Vec<usize> {
+    outputs.iter().map(Vec::len).collect()
 }
 
 fn arb_distribution() -> impl Strategy<Value = Distribution> {
@@ -164,7 +169,7 @@ proptest! {
             .partitioning(Partitioning::Balanced)
             .build()
             .expect("valid config");
-        let sizes = sort_and_verify(p, n_total, dist, Layout::Balanced, &cfg, seed);
+        let sizes = sizes_of(&sort_and_verify(p, n_total, dist, Layout::Balanced, &cfg, seed));
         prop_assert_eq!(sizes.iter().sum::<usize>(), n_total);
     }
 
@@ -242,21 +247,30 @@ proptest! {
     }
 }
 
+/// Every merge engine only prices the merge step: each one meets the
+/// invariants, and all of them give the same output, at one thread and
+/// at four.
 #[test]
 fn all_merge_engines_integrate() {
+    let mut first: Option<Vec<Vec<u64>>> = None;
     for merge in MergeAlgo::ALL {
-        let cfg = SortConfig::builder()
-            .merge(merge)
-            .build()
-            .expect("valid config");
-        sort_and_verify(
-            6,
-            3000,
-            Distribution::paper_uniform(),
-            Layout::Balanced,
-            &cfg,
-            5,
-        );
+        for threads in [1, 4] {
+            let cfg = SortConfig::builder()
+                .merge(merge)
+                .threads_per_rank(threads)
+                .build()
+                .expect("valid config");
+            let out = sort_and_verify(
+                6,
+                3000,
+                Distribution::paper_uniform(),
+                Layout::Balanced,
+                &cfg,
+                5,
+            );
+            let expect = first.get_or_insert_with(|| out.clone());
+            assert_eq!(&out, expect, "{merge:?} at {threads} threads");
+        }
     }
 }
 
@@ -281,7 +295,9 @@ fn balanced_partitioning_over_skewed_layouts_resizes_the_merge_scratch() {
                 .build()
                 .expect("valid config");
             let (p, n_total) = (6, 12_000);
-            let sizes = sort_and_verify(p, n_total, Distribution::paper_uniform(), layout, &cfg, 3);
+            let outputs =
+                sort_and_verify(p, n_total, Distribution::paper_uniform(), layout, &cfg, 3);
+            let sizes = sizes_of(&outputs);
             assert_eq!(sizes.iter().sum::<usize>(), n_total);
             assert_ne!(sizes, layout.sizes(n_total, p), "{layout:?} must be skewed");
         }
