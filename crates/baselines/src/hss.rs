@@ -22,7 +22,7 @@ use dhs_workloads::SplitMix64;
 use crate::stats::AlgoStats;
 use crate::tail::{merge_received, sort_local};
 
-/// Merge engine for the received runs.
+/// How the merge of the received runs is charged.
 const MERGE: MergeAlgo = MergeAlgo::Resort;
 
 /// Configuration of HSS.

@@ -17,8 +17,8 @@ use dhs_runtime::{AllToAllAlgo, Comm};
 use crate::stats::AlgoStats;
 use crate::tail::{merge_received, sort_local};
 
-/// Merge engine for the received runs at each level.
-const MERGE: MergeAlgo = MergeAlgo::TournamentTree;
+/// How the merge of the received runs at each level is charged.
+const MERGE: MergeAlgo = MergeAlgo::KWay;
 
 /// Configuration of HykSort.
 #[derive(Debug, Clone, Copy)]

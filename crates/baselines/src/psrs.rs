@@ -10,8 +10,8 @@ use dhs_runtime::Comm;
 use crate::stats::AlgoStats;
 use crate::tail::{merge_received, regular_splitters, sort_local, upper_bound_exchange};
 
-/// Merge engine for the received runs.
-const MERGE: MergeAlgo = MergeAlgo::TournamentTree;
+/// How the merge of the received runs is charged.
+const MERGE: MergeAlgo = MergeAlgo::KWay;
 
 /// Sort the distributed vector by PSRS.
 pub fn psrs<K: Key>(comm: &Comm, local: &mut Vec<K>) -> AlgoStats {

@@ -10,7 +10,7 @@ use dhs_workloads::SplitMix64;
 use crate::stats::AlgoStats;
 use crate::tail::{merge_received, regular_splitters, sort_local, upper_bound_exchange};
 
-/// Merge engine for the received runs.
+/// How the merge of the received runs is charged.
 const MERGE: MergeAlgo = MergeAlgo::Resort;
 
 /// Configuration of the sample sort.

@@ -74,8 +74,8 @@ pub(crate) fn upper_bound_exchange<K: Key>(
 
 /// Merge the received sorted runs into the rank's new block with the
 /// histogram sort's own merge step, [`dhs_core::merge_received`]:
-/// `merge` prices it (`Resort` as a comparison sort, every other
-/// engine as a k-way merge), the in-place run merge executes it.
+/// `merge` prices it (`Resort` as a comparison sort, `KWay` as a k-way
+/// merge), the in-place run merge executes it.
 /// `scratch` is the rank's dead send block.
 pub(crate) fn merge_received<K: Key>(
     comm: &Comm,

@@ -2,7 +2,7 @@
 //! chunks vs many small chunks, the axis of the §VI-E2 study.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dhs_merge::{kway_merge, MergeAlgo};
+use dhs_merge::ENGINES;
 use dhs_workloads::Mt19937_64;
 
 fn sorted_chunks(n_total: usize, k: usize, seed: u64) -> Vec<Vec<u64>> {
@@ -22,8 +22,8 @@ fn bench_merge(c: &mut Criterion) {
         let runs = sorted_chunks(n, k, k as u64);
         let mut group = c.benchmark_group(format!("kway-merge-k{k}"));
         group.sample_size(10);
-        for algo in MergeAlgo::ALL {
-            group.bench_function(algo.label(), |b| b.iter(|| kway_merge(algo, &runs)));
+        for (label, merge) in ENGINES {
+            group.bench_function(label, |b| b.iter(|| merge(&runs)));
         }
         group.finish();
     }

@@ -40,10 +40,10 @@ fn main() {
         "imbalance",
     ]);
     for eps in [0.0, 1e-4, 1e-3, 1e-2, 0.1] {
-        let cfg = SortConfig::builder()
-            .epsilon(eps)
-            .build()
-            .expect("valid config");
+        let cfg = SortConfig {
+            epsilon: eps,
+            ..SortConfig::default()
+        };
         let cluster = ClusterConfig::supermuc_phase2(p);
         let mut times = Vec::new();
         let mut last = None;

@@ -3,7 +3,8 @@
 //! (Bruck) and staged schedules for small messages.
 //!
 //! Part 1: exchange + merge at fixed shape — `ALL-TO-ALLV` followed by
-//! the paper's re-sort or by a tournament merge.
+//! the sorts' merge step, charged as the paper's re-sort or as one
+//! k-way merge.
 //!
 //! Part 2: schedule crossover — 1-factor vs Bruck vs `staged:8` as N/P
 //! shrinks (the paper: store-and-forward "for a relatively small N/P").
@@ -15,10 +16,9 @@ use dhs_bench::table::{fmt_secs, Table};
 use dhs_bench::Args;
 use dhs_core::{
     exchange::{exchange_data, plan_exchange},
-    find_splitters, perfect_targets,
+    find_splitters, merge_received, perfect_targets, LocalSort, MergeAlgo,
 };
-use dhs_merge::{kway_merge, MergeAlgo};
-use dhs_runtime::{run, AllToAllAlgo, ClusterConfig, Work};
+use dhs_runtime::{run, AllToAllAlgo, ClusterConfig};
 use dhs_workloads::{rank_local_keys, Distribution, Layout};
 
 fn merged_exchange_time(p: usize, n_per: usize, seed: u64, merge: MergeAlgo) -> f64 {
@@ -35,23 +35,9 @@ fn merged_exchange_time(p: usize, n_per: usize, seed: u64, merge: MergeAlgo) -> 
         let caps: Vec<usize> = comm.allgather(local.len());
         let res = find_splitters(comm, &local, &perfect_targets(&caps), 0);
         let plan = plan_exchange(comm, &local, &res);
-        let elem = 8u64;
         let t0 = comm.now_ns();
         let received = exchange_data(comm, &local, &plan, AllToAllAlgo::OneFactor);
-        let n = received.total_len() as u64;
-        let ways = received.runs().filter(|r| !r.is_empty()).count() as u64;
-        comm.charge(match merge {
-            MergeAlgo::Resort => Work::SortElems {
-                n,
-                elem_bytes: elem,
-            },
-            _ => Work::MergeElems {
-                n,
-                ways: ways.max(2),
-                elem_bytes: elem,
-            },
-        });
-        let _ = kway_merge(merge, &received.as_slices());
+        merge_received(comm, received, local, merge, LocalSort::Comparison);
         comm.now_ns() - t0
     });
     out.iter().map(|(t, _)| *t).max().expect("non-empty") as f64 * 1e-9
@@ -97,7 +83,7 @@ fn main() {
     let mut t = Table::new(["strategy", "median"]);
     for (strategy, merge) in [
         ("alltoallv+resort", MergeAlgo::Resort),
-        ("alltoallv+tournament", MergeAlgo::TournamentTree),
+        ("alltoallv+tournament", MergeAlgo::KWay),
     ] {
         let times: Vec<f64> = (0..reps)
             .map(|rep| merged_exchange_time(p, n_per, 0xAB4 + rep as u64, merge))

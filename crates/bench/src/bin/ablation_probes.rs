@@ -58,10 +58,10 @@ fn main() {
         let cluster = ClusterConfig::supermuc_phase2(p);
         let mut base_rounds = 0u32;
         for &m in &ms {
-            let cfg = SortConfig::builder()
-                .probes_per_round(m)
-                .build()
-                .expect("valid config");
+            let cfg = SortConfig {
+                probes_per_round: m,
+                ..SortConfig::default()
+            };
             let mut times = Vec::with_capacity(reps);
             let mut last = None;
             for rep in 0..reps {

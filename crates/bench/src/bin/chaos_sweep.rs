@@ -159,10 +159,10 @@ fn recovery_grid(
 ) {
     let n_total = p * n_per;
     let seed = 0x5EED;
-    let base = SortConfig::builder()
-        .threads_per_rank(threads)
-        .build()
-        .expect("valid config");
+    let base = SortConfig {
+        threads_per_rank: threads,
+        ..SortConfig::default()
+    };
     let probe = run_distributed_sort(
         &ClusterConfig::supermuc_phase2(p).with_engine(engine),
         &SortAlgo::Histogram(base),
@@ -197,11 +197,11 @@ fn recovery_grid(
             let cluster = ClusterConfig::supermuc_phase2(p)
                 .with_fault(plan)
                 .with_engine(engine);
-            let cfg = SortConfig::builder()
-                .threads_per_rank(threads)
-                .recovery(*policy)
-                .build()
-                .expect("valid config");
+            let cfg = SortConfig {
+                threads_per_rank: threads,
+                recovery: *policy,
+                ..SortConfig::default()
+            };
             let r = run_recovery_sort(
                 &cluster,
                 &cfg,
@@ -407,12 +407,10 @@ fn main() {
     }
 
     let algos = [
-        SortAlgo::Histogram(
-            SortConfig::builder()
-                .threads_per_rank(threads)
-                .build()
-                .expect("valid config"),
-        ),
+        SortAlgo::Histogram(SortConfig {
+            threads_per_rank: threads,
+            ..SortConfig::default()
+        }),
         SortAlgo::Baseline(Algorithm::Bitonic),
         SortAlgo::Baseline(Algorithm::Hss),
         SortAlgo::Baseline(Algorithm::SampleSort),

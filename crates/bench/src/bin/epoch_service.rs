@@ -59,14 +59,14 @@ fn run_cell(
     seed: u64,
 ) -> Cell {
     let p = cluster.topology.ranks();
-    let cfg = SortConfig::builder()
-        .warm_start(policy)
-        .build()
-        .expect("valid config");
-    let cold_cfg = SortConfig::builder()
-        .warm_start(WarmStart::Cold)
-        .build()
-        .expect("valid config");
+    let cfg = SortConfig {
+        warm_start: policy,
+        ..SortConfig::default()
+    };
+    let cold_cfg = SortConfig {
+        warm_start: WarmStart::Cold,
+        ..SortConfig::default()
+    };
 
     let out = run(cluster, move |comm| {
         let mut svc: EpochSorter<u64> = EpochSorter::new(comm, cfg.clone());

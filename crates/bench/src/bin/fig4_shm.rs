@@ -67,10 +67,10 @@ fn simulated_time(cores: usize, n_total: usize, seed: u64, which: &str) -> f64 {
 /// thread budget of `threads_per_rank` each (hybrid decomposition).
 fn hybrid_time(ranks: usize, threads_per_rank: usize, n_total: usize, seed: u64) -> f64 {
     let cluster = ClusterConfig::single_node(ranks);
-    let cfg = SortConfig::builder()
-        .threads_per_rank(threads_per_rank)
-        .build()
-        .expect("valid hybrid config");
+    let cfg = SortConfig {
+        threads_per_rank,
+        ..SortConfig::default()
+    };
     let out = run(&cluster, move |comm| {
         let n_local = n_total / comm.size();
         let mut local = normal_keys(comm.rank(), n_local, seed);

@@ -16,7 +16,7 @@
 use dhs_bench::stats::median_ci;
 use dhs_bench::table::Table;
 use dhs_bench::Args;
-use dhs_merge::{kway_merge, MergeAlgo};
+use dhs_merge::{tournament_merge, ENGINES};
 use dhs_shm::parallel_kway_chunked;
 use dhs_workloads::{rank_local_keys, Distribution, Layout};
 
@@ -65,15 +65,15 @@ fn main() {
     let mut t = Table::new(
         std::iter::once("engine".to_string()).chain(ks.iter().map(|k| format!("k={k}"))),
     );
-    for algo in MergeAlgo::ALL {
-        let mut cells = vec![algo.label().to_string()];
+    for (label, merge) in ENGINES {
+        let mut cells = vec![label.to_string()];
         for &k in &ks {
             let runs = chunks(n_total, k, 0x6E);
             let times: Vec<f64> = (0..reps)
                 .map(|_| {
                     // Real merge-kernel wall time on purpose.
                     let t0 = std::time::Instant::now(); // lint: allow-wall-clock
-                    let out = kway_merge(algo, &runs);
+                    let out = merge(&runs);
                     let dt = t0.elapsed().as_secs_f64();
                     assert_eq!(out.len(), n_total);
                     dt
@@ -104,7 +104,7 @@ fn main() {
                 .map(|_| {
                     // Real merge-kernel wall time on purpose.
                     let t0 = std::time::Instant::now(); // lint: allow-wall-clock
-                    let out = parallel_kway_chunked(&runs, th, MergeAlgo::TournamentTree);
+                    let out = parallel_kway_chunked(&runs, th, tournament_merge);
                     let dt = t0.elapsed().as_secs_f64();
                     assert_eq!(out.len(), n_total);
                     dt

@@ -481,10 +481,10 @@ fn bench_largep(rows: &[(&'static str, usize, usize)], k: usize) -> Vec<ScaleCas
     let mut out = Vec::new();
     for &(mode, p, n_per) in rows {
         let cell = |algo: AllToAllAlgo| {
-            let cfg = SortConfig::builder()
-                .exchange_algo(algo)
-                .build()
-                .expect("valid config");
+            let cfg = SortConfig {
+                exchange_algo: algo,
+                ..SortConfig::default()
+            };
             let cluster = ClusterConfig::supermuc_phase2(p);
             let t0 = Instant::now();
             let r = run_distributed_sort(

@@ -15,10 +15,9 @@ use crate::sort::{
     histogram_sort, histogram_sort_by, InvalidSortConfig, Partitioning, SortConfig, SortStats,
 };
 
-/// Re-exported so callers configuring [`SortConfig::exchange_algo`] (or
-/// [`crate::SortConfigBuilder::exchange_algo`]) never need a direct
-/// `dhs_runtime` dependency: the exchange schedule is part of the sort's
-/// public configuration surface.
+/// Re-exported so callers configuring [`SortConfig::exchange_algo`]
+/// never need a direct `dhs_runtime` dependency: the exchange schedule
+/// is part of the sort's public configuration surface.
 pub use dhs_runtime::AllToAllAlgo;
 
 /// `nth_element` was asked for an order statistic the array does not
@@ -176,11 +175,11 @@ mod tests {
 
     #[test]
     fn sort_array_rejects_an_invalid_config_on_every_rank() {
-        // Field mutation on purpose: the builder would reject NaN.
-        #[allow(clippy::field_reassign_with_default)]
         let out = run(&ClusterConfig::small_cluster(3), |comm| {
-            let mut cfg = SortConfig::default();
-            cfg.epsilon = f64::NAN;
+            let cfg = SortConfig {
+                epsilon: f64::NAN,
+                ..SortConfig::default()
+            };
             let before = keys_for(comm.rank(), 50);
             let arr = GlobalArray::from_local(comm, before.clone());
             let err = sort_array(comm, &arr, &cfg).expect_err("NaN epsilon is invalid");

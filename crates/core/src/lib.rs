@@ -19,7 +19,7 @@
 //! 2. **Splitting** — [`splitter::find_splitters_seeded`] (Algorithms
 //!    2 + 3, optionally seeded from a previous ladder);
 //! 3. **Data exchange** — [`exchange`] (Algorithm 4 + `ALL-TO-ALLV`);
-//! 4. **Local merge** — any [`dhs_merge::MergeAlgo`].
+//! 4. **Local merge** — one run merge, charged by [`dhs_merge::MergeAlgo`].
 //!
 //! The §V-A uniqueness transform is a key type, not an option: sort
 //! [`make_unique`] keys through [`histogram_sort`] and
@@ -42,7 +42,6 @@
 
 #![warn(missing_docs)]
 pub mod api;
-pub mod builder;
 pub mod exchange;
 mod kernels;
 pub mod key;
@@ -55,7 +54,6 @@ pub mod verify;
 pub use api::{
     is_sorted, median, nth_element, sort, sort_array, sort_by_key, AllToAllAlgo, OrderOutOfRange,
 };
-pub use builder::SortConfigBuilder;
 pub use kernels::{KernelPolicy, Kernels};
 pub use key::{make_unique, strip_unique, Key, OrderedF32, OrderedF64, UniqueKey};
 pub use multilevel::histogram_sort_two_level;

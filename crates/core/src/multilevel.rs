@@ -214,12 +214,10 @@ mod tests {
     #[test]
     fn level_two_honours_the_probe_grid() {
         let with_probes = |m| {
-            run_with(
-                SortConfig::builder()
-                    .probes_per_round(m)
-                    .build()
-                    .expect("valid config"),
-            )
+            run_with(SortConfig {
+                probes_per_round: m,
+                ..SortConfig::default()
+            })
         };
         let (one, seven) = (with_probes(1), with_probes(7));
         for ((out1, stats1), (out7, stats7)) in one.iter().zip(&seven) {
@@ -236,12 +234,10 @@ mod tests {
     #[test]
     fn thread_budget_changes_neither_output_nor_clock() {
         let with_threads = |t| {
-            run_with(
-                SortConfig::builder()
-                    .threads_per_rank(t)
-                    .build()
-                    .expect("valid config"),
-            )
+            run_with(SortConfig {
+                threads_per_rank: t,
+                ..SortConfig::default()
+            })
         };
         let (serial, hybrid) = (with_threads(1), with_threads(4));
         for ((out1, stats1), (out4, stats4)) in serial.iter().zip(&hybrid) {

@@ -30,10 +30,10 @@
 //! use dhs_core::{EpochSorter, SortConfig, WarmStart};
 //! use dhs_runtime::{run, ClusterConfig};
 //!
-//! let cfg = SortConfig::builder()
-//!     .warm_start(WarmStart::SeededWithBrackets)
-//!     .build()
-//!     .expect("valid config");
+//! let cfg = SortConfig {
+//!     warm_start: WarmStart::SeededWithBrackets,
+//!     ..SortConfig::default()
+//! };
 //! let out = run(&ClusterConfig::small_cluster(4), move |comm| {
 //!     let mut svc = EpochSorter::new(comm, cfg.clone());
 //!     let mut rounds = Vec::new();
@@ -106,8 +106,8 @@ impl<'a, K: Key> EpochSorter<'a, K> {
     /// Open the service on `comm` with a validated configuration.
     ///
     /// # Panics
-    /// Panics when `cfg` fails [`SortConfig::validate`] — construct it
-    /// through [`SortConfig::builder`] to get the error at build time.
+    /// Panics when `cfg` fails [`SortConfig::validate`] — call it first
+    /// to get the error as a value.
     pub fn new(comm: &'a Comm, cfg: SortConfig) -> Self {
         if let Err(e) = cfg.validate() {
             panic!("invalid SortConfig: {e}");

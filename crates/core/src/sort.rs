@@ -89,11 +89,11 @@ pub enum RecoveryPolicy {
 /// ```
 /// use dhs_core::{SortConfig, WarmStart};
 ///
-/// let cfg = SortConfig::builder()
-///     .warm_start(WarmStart::SeededWithBrackets)
-///     .build()
-///     .expect("valid config");
-/// assert_eq!(cfg.warm_start, WarmStart::SeededWithBrackets);
+/// let cfg = SortConfig {
+///     warm_start: WarmStart::SeededWithBrackets,
+///     ..SortConfig::default()
+/// };
+/// assert_eq!(cfg.validate(), Ok(()));
 /// // The one-shot default stays cold:
 /// assert_eq!(SortConfig::default().warm_start, WarmStart::Cold);
 /// ```
@@ -125,12 +125,12 @@ pub struct SortConfig {
     /// Boundary placement policy.
     pub partitioning: Partitioning,
     /// How the local merge of received runs is **charged**: the
-    /// default, [`MergeAlgo::Resort`], as the paper's re-sort (the
-    /// [`SortConfig::local_sort`] model over the received keys), every
-    /// other engine as one k-way merge. What executes is the same for
-    /// every engine and every [`SortConfig::threads_per_rank`]: the
+    /// default, [`MergeAlgo::Resort`], as the paper's re-sort (§V-C:
+    /// the [`SortConfig::local_sort`] model over the received keys),
+    /// [`MergeAlgo::KWay`] as one k-way merge. What executes is the
+    /// same for both and every [`SortConfig::threads_per_rank`]: the
     /// in-place run merge of [`merge_received`]. Output is identical;
-    /// only the virtual clock follows the engine.
+    /// only the virtual clock follows the charge model.
     pub merge: MergeAlgo,
     /// Node-local sorting engine.
     pub local_sort: LocalSort,
@@ -189,6 +189,27 @@ pub struct SortConfig {
     pub kernels: KernelPolicy,
 }
 
+impl Default for SortConfig {
+    /// The paper's evaluation setup: perfect partitioning, ε = 0,
+    /// re-sort as the merge step, one-factor all-to-allv, serial ranks,
+    /// cold splitter search.
+    fn default() -> Self {
+        Self {
+            epsilon: 0.0,
+            partitioning: Partitioning::Perfect,
+            merge: MergeAlgo::Resort,
+            local_sort: LocalSort::Comparison,
+            max_splitter_iterations: None,
+            probes_per_round: 1,
+            threads_per_rank: 1,
+            recovery: RecoveryPolicy::Abort,
+            exchange_algo: AllToAllAlgo::OneFactor,
+            warm_start: WarmStart::Cold,
+            kernels: KernelPolicy,
+        }
+    }
+}
+
 /// A [`SortConfig`] that cannot be executed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum InvalidSortConfig {
@@ -234,7 +255,8 @@ impl SortConfig {
     /// Check the configuration for values that make the sort
     /// meaningless. Every sort entry point runs this once, in the
     /// shared pipeline driver, and panics on `Err`; the
-    /// [`crate::api`] layer and the builder return the error instead.
+    /// [`crate::api`] layer returns the error instead, and a caller
+    /// that wants it as a value calls this first.
     pub fn validate(&self) -> Result<(), InvalidSortConfig> {
         if !self.epsilon.is_finite() || self.epsilon < 0.0 {
             return Err(InvalidSortConfig::BadEpsilon(self.epsilon));
@@ -408,8 +430,8 @@ impl SortStats {
 /// the partitioning policy.
 ///
 /// # Panics
-/// Panics when `cfg` fails [`SortConfig::validate`] (build it through
-/// [`SortConfig::builder`] to get the error as a value instead).
+/// Panics when `cfg` fails [`SortConfig::validate`] (call it first to
+/// get the error as a value instead).
 pub fn histogram_sort<K: Key>(comm: &Comm, local: &mut Vec<K>, cfg: &SortConfig) -> SortStats {
     sort_pipeline(comm, local, &Keys, cfg, &mut Vec::new()).0
 }
@@ -486,9 +508,10 @@ pub(crate) trait Payload<T> {
     fn key_view<'a>(&self, comm: &Comm, data: &'a [T]) -> Cow<'a, [Self::Key]>;
 
     /// Merge the received sorted runs into this rank's output block
-    /// (keys: [`merge_received`]; records: a stable
-    /// sort of the runs' concatenation, since equal keys must keep
-    /// their source order). `scratch` is the rank's send block, dead
+    /// (keys: [`merge_received`]; records: the LSD kernel where the
+    /// rule picks it, else the stable run-merge tree under a thread
+    /// budget or a stable sort on one thread, since equal keys must
+    /// keep their source order). `scratch` is the rank's send block, dead
     /// once the exchange has returned: the hooks' merge space.
     fn merge(
         &self,
@@ -528,13 +551,13 @@ impl<K: Key> Payload<K> for Keys {
 /// sort's last superstep (§V-C) and the baselines' alike: charge the
 /// merge of the received sorted runs by `merge`, then execute
 /// `dhs_shm::merge_sorted_runs` over the receive buffer whatever the
-/// engine.
+/// charge model.
 ///
 /// [`MergeAlgo::Resort`] is charged as the paper's re-sort (the
-/// `resort` local-sort model over the received keys), every other
-/// engine as one k-way merge of the non-empty runs
-/// ([`Work::MergeElems`]). The engines only price the step: all of
-/// them produce the one ascending permutation, and the in-place
+/// `resort` local-sort model over the received keys),
+/// [`MergeAlgo::KWay`] as one k-way merge of the non-empty runs
+/// ([`Work::MergeElems`]). The models only price the step: any merge
+/// produces the one ascending permutation, and the in-place
 /// run-merge tree (a re-sort below a mean run length of 32,
 /// `dhs_shm::run_merge_beats_resort`) is the cheapest way to produce
 /// it on the host. `scratch` is any vector the caller no longer needs
@@ -551,15 +574,16 @@ pub fn merge_received<K: Key>(
 ) -> Vec<K> {
     let (mut flat, counts) = received.into_parts();
     let n = flat.len() as u64;
-    if merge == MergeAlgo::Resort {
-        charge_local_sort::<K>(comm, n, resort);
-    } else {
-        let ways = counts.iter().filter(|&&c| c > 0).count() as u64;
-        comm.charge(Work::MergeElems {
-            n,
-            ways: ways.max(2),
-            elem_bytes: std::mem::size_of::<K>() as u64,
-        });
+    match merge {
+        MergeAlgo::Resort => charge_local_sort::<K>(comm, n, resort),
+        MergeAlgo::KWay => {
+            let ways = counts.iter().filter(|&&c| c > 0).count() as u64;
+            comm.charge(Work::MergeElems {
+                n,
+                ways: ways.max(2),
+                elem_bytes: std::mem::size_of::<K>() as u64,
+            });
+        }
     }
     let te = comm.threads().exec_budget();
     dhs_shm::merge_sorted_runs(&mut flat, counts, &mut scratch, te, &K::cmp);
@@ -989,10 +1013,10 @@ mod tests {
 
     #[test]
     fn radix_local_sort_gives_same_result() {
-        let cfg = SortConfig::builder()
-            .local_sort(LocalSort::Radix)
-            .build()
-            .expect("valid config");
+        let cfg = SortConfig {
+            local_sort: LocalSort::Radix,
+            ..SortConfig::default()
+        };
         check_sorted_output(4, 700, u64::MAX, &cfg, true);
         check_sorted_output(5, 300, 9, &cfg, true);
     }
@@ -1000,10 +1024,10 @@ mod tests {
     #[test]
     fn radix_is_cheaper_than_comparison_in_model() {
         let time = |ls: LocalSort| {
-            let cfg = SortConfig::builder()
-                .local_sort(ls)
-                .build()
-                .expect("valid config");
+            let cfg = SortConfig {
+                local_sort: ls,
+                ..SortConfig::default()
+            };
             let out = run(&ClusterConfig::small_cluster(4), move |comm| {
                 let mut local = keys_for(comm.rank(), 100_000, u64::MAX);
                 histogram_sort(comm, &mut local, &cfg).local_sort_ns
@@ -1014,14 +1038,56 @@ mod tests {
     }
 
     #[test]
-    fn all_merge_engines_give_same_result() {
-        for merge in MergeAlgo::ALL {
-            let cfg = SortConfig::builder()
-                .merge(merge)
-                .build()
-                .expect("valid config");
+    fn both_merge_charges_give_same_result() {
+        for merge in [MergeAlgo::Resort, MergeAlgo::KWay] {
+            let cfg = SortConfig {
+                merge,
+                ..SortConfig::default()
+            };
             check_sorted_output(4, 300, 1 << 20, &cfg, true);
         }
+    }
+
+    /// What the two `MergeAlgo` values mean: `Resort` is charged as the
+    /// local-sort model over the received keys, `KWay` as one merge of
+    /// the non-empty runs, at least two ways. Both run the same merge.
+    #[test]
+    fn merge_received_charges_by_model_and_runs_one_merge() {
+        run(&ClusterConfig::small_cluster(1), |comm| {
+            let model = comm.cost_model();
+            for (runs, ways) in [
+                (
+                    vec![vec![3u64, 9, 12], vec![], vec![1, 4, 4, 20], vec![2]],
+                    3,
+                ),
+                (vec![vec![], vec![5u64, 6, 7]], 2),
+            ] {
+                let counts: Vec<usize> = runs.iter().map(Vec::len).collect();
+                let n = runs.concat().len() as u64;
+                let mut outputs = Vec::new();
+                for (merge, want) in [
+                    (MergeAlgo::Resort, Work::SortElems { n, elem_bytes: 8 }),
+                    (
+                        MergeAlgo::KWay,
+                        Work::MergeElems {
+                            n,
+                            ways,
+                            elem_bytes: 8,
+                        },
+                    ),
+                ] {
+                    let received = RecvRuns::from_parts(runs.concat(), counts.clone());
+                    let t0 = comm.now_ns();
+                    let out =
+                        merge_received(comm, received, Vec::new(), merge, LocalSort::Comparison);
+                    assert_eq!(comm.now_ns() - t0, model.work_ns(want), "{merge:?}");
+                    outputs.push(out);
+                }
+                let mut expect = runs.concat();
+                expect.sort_unstable();
+                assert_eq!(outputs, [expect.clone(), expect]);
+            }
+        });
     }
 
     #[test]
@@ -1049,10 +1115,10 @@ mod tests {
         let p = 4;
         let n = 2000;
         let eps = 0.1;
-        let cfg = SortConfig::builder()
-            .epsilon(eps)
-            .build()
-            .expect("valid config");
+        let cfg = SortConfig {
+            epsilon: eps,
+            ..SortConfig::default()
+        };
         let out = run(&ClusterConfig::small_cluster(p), move |comm| {
             let mut local = keys_for(comm.rank(), n, u64::MAX);
             histogram_sort(comm, &mut local, &cfg);
@@ -1075,10 +1141,10 @@ mod tests {
         let p = 4;
         let n = 2000;
         // One iteration can never settle ε=0 splitters on wide keys.
-        let cfg = SortConfig::builder()
-            .max_splitter_iterations(1)
-            .build()
-            .expect("valid config");
+        let cfg = SortConfig {
+            max_splitter_iterations: Some(1),
+            ..SortConfig::default()
+        };
         let out = run(&ClusterConfig::small_cluster(p), move |comm| {
             let mut local = keys_for(comm.rank(), n, u64::MAX);
             let stats = histogram_sort(comm, &mut local, &cfg);
@@ -1111,10 +1177,10 @@ mod tests {
 
     #[test]
     fn generous_iteration_cap_stays_exact() {
-        let cfg = SortConfig::builder()
-            .max_splitter_iterations(200)
-            .build()
-            .expect("valid config");
+        let cfg = SortConfig {
+            max_splitter_iterations: Some(200),
+            ..SortConfig::default()
+        };
         let out = run(&ClusterConfig::small_cluster(4), move |comm| {
             let mut local = keys_for(comm.rank(), 500, u64::MAX);
             let stats = histogram_sort(comm, &mut local, &cfg);
@@ -1124,34 +1190,101 @@ mod tests {
         assert!(out.iter().all(|(o, _)| *o == SortOutcome::Exact));
     }
 
+    /// Every arm of [`InvalidSortConfig`], the field value that raises
+    /// it and its `Display` text.
     #[test]
-    fn invalid_configs_are_rejected() {
-        for eps in [-0.5, f64::NAN, f64::INFINITY] {
-            assert!(
-                matches!(
-                    SortConfig::builder().epsilon(eps).build(),
-                    Err(InvalidSortConfig::BadEpsilon(_))
-                ),
-                "{eps}"
-            );
+    fn validate_rejects_every_unexecutable_config() {
+        let d = SortConfig::default;
+        let staged = |k| SortConfig {
+            exchange_algo: AllToAllAlgo::StagedKWay { k },
+            ..d()
+        };
+        let eps = |epsilon| SortConfig { epsilon, ..d() };
+        let table = [
+            (
+                eps(-0.5),
+                "epsilon must be finite and non-negative, got -0.5",
+            ),
+            (
+                eps(f64::NAN),
+                "epsilon must be finite and non-negative, got NaN",
+            ),
+            (
+                eps(f64::INFINITY),
+                "epsilon must be finite and non-negative, got inf",
+            ),
+            (
+                SortConfig {
+                    max_splitter_iterations: Some(0),
+                    ..d()
+                },
+                "max_splitter_iterations must be at least 1 when set",
+            ),
+            (
+                SortConfig {
+                    threads_per_rank: 0,
+                    ..d()
+                },
+                "threads_per_rank must be at least 1",
+            ),
+            (
+                SortConfig {
+                    probes_per_round: 0,
+                    ..d()
+                },
+                "probes_per_round must be at least 1",
+            ),
+            (staged(0), "StagedKWay fan-out must be at least 2, got 0"),
+            (staged(1), "StagedKWay fan-out must be at least 2, got 1"),
+        ];
+        for (cfg, text) in table {
+            let err = cfg.validate().expect_err(text);
+            assert_eq!(err.to_string(), text);
+            let arm_matches = match err {
+                InvalidSortConfig::BadEpsilon(e) => e.to_bits() == cfg.epsilon.to_bits(),
+                InvalidSortConfig::ZeroIterationCap => cfg.max_splitter_iterations == Some(0),
+                InvalidSortConfig::ZeroThreads => cfg.threads_per_rank == 0,
+                InvalidSortConfig::ZeroProbes => cfg.probes_per_round == 0,
+                InvalidSortConfig::BadExchangeFanout(k) => {
+                    cfg.exchange_algo == AllToAllAlgo::StagedKWay { k }
+                }
+            };
+            assert!(arm_matches, "{text}");
         }
-        assert!(matches!(
-            SortConfig::builder().max_splitter_iterations(0).build(),
-            Err(InvalidSortConfig::ZeroIterationCap)
-        ));
-        assert!(SortConfig::default().validate().is_ok());
+        assert_eq!(d().validate(), Ok(()));
+        assert_eq!(staged(2).validate(), Ok(()));
 
-        // The sort entry point re-validates even if a config is
-        // corrupted after construction (fields are public). Field
-        // mutation on purpose: a struct literal would bypass the
-        // builder, which is the only sanctioned literal site.
-        #[allow(clippy::field_reassign_with_default)]
+        // The defaults themselves: fully serial, one probe per round,
+        // abort on failure, the one-factor exchange, a cold start and
+        // the paper's re-sort merge.
+        let def = d();
+        assert_eq!(
+            (
+                def.threads_per_rank,
+                def.probes_per_round,
+                def.recovery,
+                def.exchange_algo,
+                def.warm_start,
+                def.merge,
+            ),
+            (
+                1,
+                1,
+                RecoveryPolicy::Abort,
+                AllToAllAlgo::OneFactor,
+                WarmStart::Cold,
+                MergeAlgo::Resort,
+            )
+        );
+
+        // The sort entry point re-validates: fields are public.
         let res = std::panic::catch_unwind(|| {
             run(&ClusterConfig::small_cluster(2), |comm| {
-                let mut cfg = SortConfig::default();
-                cfg.epsilon = f64::NAN;
-                let mut local = vec![1u64, 2];
-                histogram_sort(comm, &mut local, &cfg);
+                let cfg = SortConfig {
+                    epsilon: f64::NAN,
+                    ..SortConfig::default()
+                };
+                histogram_sort(comm, &mut vec![1u64, 2], &cfg);
             })
         });
         assert!(res.is_err());
@@ -1160,10 +1293,10 @@ mod tests {
     #[test]
     fn balanced_partitioning_rebalances_skewed_input() {
         let p = 4;
-        let cfg = SortConfig::builder()
-            .partitioning(Partitioning::Balanced)
-            .build()
-            .expect("valid config");
+        let cfg = SortConfig {
+            partitioning: Partitioning::Balanced,
+            ..SortConfig::default()
+        };
         let out = run(&ClusterConfig::small_cluster(p), move |comm| {
             // Rank 0 holds everything.
             let mut local = if comm.rank() == 0 {
@@ -1277,10 +1410,10 @@ mod tests {
             } else {
                 Vec::new()
             };
-            let cfg = SortConfig::builder()
-                .partitioning(Partitioning::Balanced)
-                .build()
-                .expect("valid config");
+            let cfg = SortConfig {
+                partitioning: Partitioning::Balanced,
+                ..SortConfig::default()
+            };
             histogram_sort_by(comm, &mut records, |r| r.0, &cfg);
             records.len()
         });

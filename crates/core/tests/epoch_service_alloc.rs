@@ -63,10 +63,10 @@ fn steady_state_epochs_stay_within_allocation_budget() {
     let p = 8;
     let n_per = 4096;
     let epochs = 5usize;
-    let cfg = SortConfig::builder()
-        .warm_start(WarmStart::SeededWithBrackets)
-        .build()
-        .expect("valid config");
+    let cfg = SortConfig {
+        warm_start: WarmStart::SeededWithBrackets,
+        ..SortConfig::default()
+    };
     // Key generation is setup, not the service: each epoch's batch is
     // regenerated locally, the counter brackets only the sort itself.
     let per_epoch = run(&ClusterConfig::supermuc_phase2(p), move |comm| {

@@ -1,6 +1,6 @@
 //! k-way merge engines (paper §V-C and the §VI-E2 merge study).
 //!
-//! Four strategies with the trade-offs the paper discusses:
+//! Five engines with the trade-offs the paper discusses:
 //!
 //! * **binary merge tree** — pairwise merges, `O(N log k)` but each
 //!   element is copied `log k` times; can start as soon as two chunks
@@ -12,66 +12,37 @@
 //! * **re-sort** — concatenate and run a full sort; what the paper's
 //!   evaluated implementation actually ships ("we rely on another
 //!   shared memory sort to merge all sequences").
+//! * **funnel** — the cache-oblivious lazy funnel
+//!   ([`crate::funnel_merge`]), the paper's future-work direction.
 
 use crate::two_way::merge_into;
 
-/// Strategy for merging `k` sorted runs into one.
+/// How the merge of received runs is charged on the virtual clock.
 ///
-/// [`kway_merge`] runs the engines themselves, for the §VI-E2 study.
-/// As `SortConfig::merge` of the distributed sorts a variant only
-/// *prices* the merge step — `Resort` as the local-sort model, every
-/// other engine as one k-way merge of the received runs — and the step
-/// always executes `dhs_shm::merge_sorted_runs`, so output is the same
-/// for every engine.
+/// As `SortConfig::merge` of the distributed sorts the value only
+/// *prices* the merge step; the step always executes
+/// `dhs_shm::merge_sorted_runs`, so output is the same for both. The
+/// §VI-E2 study compares the engines below directly, as functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MergeAlgo {
-    /// Pairwise binary merge tree (`O(N log k)`, `log k` copies).
-    BinaryTree,
-    /// Tournament (winner) tree: one `O(log k)` path per output.
-    TournamentTree,
-    /// Textbook binary-heap k-way merge.
-    Heap,
-    /// Concatenate and re-sort (what the paper's implementation ships,
-    /// and the default `SortConfig::merge`).
+    /// Charged as a re-sort of the runs' concatenation (what the
+    /// paper's implementation ships, §V-C, and the default
+    /// `SortConfig::merge`).
     Resort,
-    /// Cache-oblivious lazy funnel (the paper's §VI-E2 future-work
-    /// direction, ref \[36\]).
-    Funnel,
+    /// Charged as one k-way merge of the non-empty runs.
+    KWay,
 }
 
-impl MergeAlgo {
-    /// Every engine, in the order the merge study reports them.
-    pub const ALL: [MergeAlgo; 5] = [
-        MergeAlgo::BinaryTree,
-        MergeAlgo::TournamentTree,
-        MergeAlgo::Heap,
-        MergeAlgo::Resort,
-        MergeAlgo::Funnel,
-    ];
-
-    /// A short machine-readable name for reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            MergeAlgo::BinaryTree => "binary-tree",
-            MergeAlgo::TournamentTree => "tournament-tree",
-            MergeAlgo::Heap => "heap",
-            MergeAlgo::Resort => "re-sort",
-            MergeAlgo::Funnel => "funnel",
-        }
-    }
-}
-
-/// Merge sorted `runs` into one sorted vector with the chosen engine.
+/// Merge sorted `runs` into one sorted vector: [`resort_merge`] for
+/// [`MergeAlgo::Resort`], [`binary_tree_merge`] for [`MergeAlgo::KWay`].
 /// Empty runs are permitted. Runs are anything slice-like (`Vec<T>`,
-/// `&[T]`, the per-source views of a `RecvRuns` buffer, ...), so
-/// callers can merge received data in place without re-boxing it.
+/// `&[T]`, the per-source views of a `RecvRuns` buffer, ...). No sort
+/// in the workspace calls it; it stays for the repository benchmark's
+/// layer replay, which executes the merge the configuration names.
 pub fn kway_merge<T: Ord + Copy, R: AsRef<[T]>>(algo: MergeAlgo, runs: &[R]) -> Vec<T> {
     match algo {
-        MergeAlgo::BinaryTree => binary_tree_merge(runs),
-        MergeAlgo::TournamentTree => tournament_merge(runs),
-        MergeAlgo::Heap => heap_merge(runs),
         MergeAlgo::Resort => resort_merge(runs),
-        MergeAlgo::Funnel => crate::funnel::funnel_merge(runs),
+        MergeAlgo::KWay => binary_tree_merge(runs),
     }
 }
 
@@ -254,6 +225,17 @@ pub fn resort_merge<T: Ord + Copy, R: AsRef<[T]>>(runs: &[R]) -> Vec<T> {
     out
 }
 
+/// The §VI-E2 engines over `u64` runs, labelled and ordered as the
+/// merge study (`fig_merge_study`) and its micro-benchmark report them.
+#[allow(clippy::type_complexity)]
+pub const ENGINES: [(&str, fn(&[Vec<u64>]) -> Vec<u64>); 5] = [
+    ("binary-tree", binary_tree_merge),
+    ("tournament-tree", tournament_merge),
+    ("heap", heap_merge),
+    ("re-sort", resort_merge),
+    ("funnel", crate::funnel_merge),
+];
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,13 +264,26 @@ mod tests {
         all
     }
 
+    type Engine = fn(&[Vec<u64>]) -> Vec<u64>;
+
+    /// Every §VI-E2 engine, and [`kway_merge`] under both values.
+    fn engines() -> impl Iterator<Item = (&'static str, Engine)> {
+        ENGINES.into_iter().chain([
+            (
+                "kway_merge(Resort)",
+                (|r| kway_merge(MergeAlgo::Resort, r)) as Engine,
+            ),
+            ("kway_merge(KWay)", |r| kway_merge(MergeAlgo::KWay, r)),
+        ])
+    }
+
     #[test]
     fn all_engines_agree_with_reference() {
         for k in [1usize, 2, 3, 5, 8, 17] {
             let runs = fixture(k, 100, k as u64);
             let expect = reference(&runs);
-            for algo in MergeAlgo::ALL {
-                assert_eq!(kway_merge(algo, &runs), expect, "k={k} algo={algo:?}");
+            for (label, merge) in engines() {
+                assert_eq!(merge(&runs), expect, "k={k} engine={label}");
             }
         }
     }
@@ -297,15 +292,15 @@ mod tests {
     fn empty_and_mixed_runs() {
         let runs: Vec<Vec<u64>> = vec![vec![], vec![3, 7], vec![], vec![1, 9], vec![]];
         let expect = vec![1, 3, 7, 9];
-        for algo in MergeAlgo::ALL {
-            assert_eq!(kway_merge(algo, &runs), expect, "algo={algo:?}");
+        for (label, merge) in engines() {
+            assert_eq!(merge(&runs), expect, "engine={label}");
         }
     }
 
     #[test]
     fn no_runs_at_all() {
-        for algo in MergeAlgo::ALL {
-            assert_eq!(kway_merge::<u64, Vec<u64>>(algo, &[]), Vec::<u64>::new());
+        for (label, merge) in engines() {
+            assert_eq!(merge(&[]), Vec::<u64>::new(), "engine={label}");
         }
     }
 
@@ -313,16 +308,16 @@ mod tests {
     fn duplicate_heavy_runs() {
         let runs = vec![vec![5u64; 50], vec![5u64; 50], vec![1u64; 10]];
         let expect = reference(&runs);
-        for algo in MergeAlgo::ALL {
-            assert_eq!(kway_merge(algo, &runs), expect, "algo={algo:?}");
+        for (label, merge) in engines() {
+            assert_eq!(merge(&runs), expect, "engine={label}");
         }
     }
 
     #[test]
     fn single_run_passthrough() {
         let runs = vec![vec![1u64, 2, 3]];
-        for algo in MergeAlgo::ALL {
-            assert_eq!(kway_merge(algo, &runs), vec![1, 2, 3]);
+        for (label, merge) in engines() {
+            assert_eq!(merge(&runs), vec![1, 2, 3], "engine={label}");
         }
     }
 

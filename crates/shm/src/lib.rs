@@ -4,8 +4,8 @@
 //! parallel merge sort, OpenMP-task-like merge sort), the run-merge
 //! tree that merges the received runs of every distributed sort, and
 //! the parallel k-way scheme of the §VI-E2 merge experiment, built on
-//! a minimal scoped-thread fork–join primitive (no external task
-//! scheduler).
+//! the scoped-thread fork–join primitives of `dhs_runtime::threads` (no
+//! external task scheduler).
 //!
 //! ```
 //! use dhs_shm::parallel_merge_sort;
@@ -15,12 +15,10 @@
 //! ```
 
 #![warn(missing_docs)]
-pub mod fork;
 pub mod pmerge;
 pub mod radix;
 pub mod sort;
 
-pub use fork::{join, map_parallel};
 pub use pmerge::{
     merge_runs_in_place, merge_sorted_runs, parallel_kway_chunked, parallel_merge_into_by,
     run_merge_beats_resort,

@@ -11,9 +11,8 @@
 
 use std::cmp::Ordering;
 
-use dhs_merge::{kway_merge, merge_into, MergeAlgo};
-
-use crate::fork::{join, map_parallel};
+use dhs_merge::merge_into;
+use dhs_runtime::threads::{join, map_parallel};
 
 /// Sequential-work threshold below which parallel merge recursion stops.
 const MERGE_GRAIN: usize = 4096;
@@ -68,10 +67,15 @@ where
 
 /// Parallel k-way merge by *input chunking* (the §VI-E2 study): the
 /// runs are divided among threads, each thread k/t-way-merges its
-/// share with `leaf_algo`, and the per-thread results are combined by
-/// [`merge_runs_in_place`]. Runs may be any `AsRef<[T]>`; the chunking
-/// shares borrowed slices, so the inputs are not copied first.
-pub fn parallel_kway_chunked<T, R>(runs: &[R], threads: usize, leaf_algo: MergeAlgo) -> Vec<T>
+/// share with `leaf` (any `dhs_merge` engine), and the per-thread
+/// results are combined by [`merge_runs_in_place`]. Runs may be any
+/// `AsRef<[T]>`; the chunking shares borrowed slices, so the inputs are
+/// not copied first.
+pub fn parallel_kway_chunked<'r, T, R>(
+    runs: &'r [R],
+    threads: usize,
+    leaf: fn(&[&'r [T]]) -> Vec<T>,
+) -> Vec<T>
 where
     T: Ord + Copy + Send + Sync,
     R: AsRef<[T]> + Sync,
@@ -79,11 +83,11 @@ where
     let slices: Vec<&[T]> = runs.iter().map(|r| r.as_ref()).collect();
     let t = threads.max(1).min(slices.len().max(1));
     if t <= 1 {
-        return kway_merge(leaf_algo, &slices);
+        return leaf(&slices);
     }
     let per = slices.len().div_ceil(t);
     let shares: Vec<&[&[T]]> = slices.chunks(per).collect();
-    let partials = map_parallel(t, shares, |share| kway_merge(leaf_algo, share));
+    let partials = map_parallel(t, shares, leaf);
     let counts = partials.iter().map(Vec::len).collect();
     let mut flat = partials.concat();
     merge_runs_in_place(&mut flat, counts, &mut Vec::new(), threads, &T::cmp);
@@ -319,6 +323,7 @@ fn merge_window<'a, T, F>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dhs_merge::{binary_tree_merge, funnel_merge, heap_merge, resort_merge, tournament_merge};
 
     fn runs_fixture(k: usize, n: usize, seed: u64) -> Vec<Vec<u64>> {
         let mut x = seed | 1;
@@ -410,13 +415,21 @@ mod tests {
     fn chunked_kway_matches_reference() {
         let runs = runs_fixture(12, 1500, 3);
         let expect = reference(&runs);
-        for algo in MergeAlgo::ALL {
-            assert_eq!(parallel_kway_chunked(&runs, 4, algo), expect, "{algo:?}");
+        type Leaf = fn(&[&[u64]]) -> Vec<u64>;
+        let leaves: [Leaf; 5] = [
+            |s| binary_tree_merge(s),
+            |s| tournament_merge(s),
+            |s| heap_merge(s),
+            |s| resort_merge(s),
+            |s| funnel_merge(s),
+        ];
+        for leaf in leaves {
+            assert_eq!(parallel_kway_chunked(&runs, 4, leaf), expect);
         }
         // Borrowed-slice runs (the RecvRuns shape) merge identically.
         let borrowed: Vec<&[u64]> = runs.iter().map(|r| r.as_slice()).collect();
         assert_eq!(
-            parallel_kway_chunked(&borrowed, 4, MergeAlgo::TournamentTree),
+            parallel_kway_chunked(&borrowed, 4, tournament_merge),
             expect
         );
     }
@@ -425,7 +438,7 @@ mod tests {
     fn single_thread_falls_back() {
         let runs = runs_fixture(5, 100, 9);
         assert_eq!(
-            parallel_kway_chunked(&runs, 1, MergeAlgo::TournamentTree),
+            parallel_kway_chunked(&runs, 1, tournament_merge),
             reference(&runs)
         );
     }

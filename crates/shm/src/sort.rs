@@ -23,9 +23,9 @@
 
 use std::cmp::Ordering;
 
-use crate::fork::join;
 use crate::pmerge::parallel_merge_into_by;
 use dhs_merge::merge_into;
+use dhs_runtime::threads::join;
 
 /// Below this size leaves fall back to `sort_unstable`.
 const SORT_GRAIN: usize = 8192;

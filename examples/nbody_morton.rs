@@ -76,10 +76,10 @@ fn main() {
 
         // Sort along the space-filling curve with globally balanced
         // output (boundaries at N·i/P, not at the input capacities).
-        let cfg = SortConfig::builder()
-            .partitioning(Partitioning::Balanced)
-            .build()
-            .expect("valid config");
+        let cfg = SortConfig {
+            partitioning: Partitioning::Balanced,
+            ..SortConfig::default()
+        };
         let stats = histogram_sort(comm, &mut codes, &cfg);
 
         // Each rank's curve segment is spatially compact: report its

@@ -54,10 +54,10 @@ fn main() {
         };
         let before = nnz.len();
 
-        let cfg = SortConfig::builder()
-            .partitioning(Partitioning::Balanced)
-            .build()
-            .expect("valid config");
+        let cfg = SortConfig {
+            partitioning: Partitioning::Balanced,
+            ..SortConfig::default()
+        };
         let stats = histogram_sort(comm, &mut nnz, &cfg);
 
         let rows = nnz.iter().map(|&k| coo_unkey(k).0);

@@ -20,16 +20,18 @@ const USAGE: &str = "usage: dhs <sort|serve|select|topology> [--flags]\n\
     sort     --algo histogram|two-level|hss|sample|psrs|hyksort|ams|bitonic\n\
     \x20        --ranks N --nper N --dist uniform|normal|zipf|nearly-sorted|\n\
     \x20        few-distinct|all-equal --layout balanced|sparse|ramp\n\
+    \x20        --groups N --seed N --verify\n\
+    \x20        --engine tasks|tasks:<workers> (worker slots the ranks share)\n\
+    \x20        --trace out.json --trace-format chrome|summary\n\
+    \x20      sort-config flags (histogram and two-level only):\n\
     \x20        --eps F --merge resort|kway (how the merge is charged)\n\
-    \x20        --local-sort comparison|radix --groups N --seed N --verify\n\
+    \x20        --local-sort comparison|radix\n\
     \x20        --partitioning perfect|balanced --max-iters N\n\
     \x20        --probes M (histogram round width in units of P-1)\n\
     \x20        --threads T (intra-rank thread budget)\n\
     \x20        --recovery abort|shrink (response to rank failures)\n\
     \x20        --exchange-algo one-factor|bruck|staged:<k>\n\
     \x20        --warm-start cold|seeded-brackets (repeated sorts)\n\
-    \x20        --engine tasks|tasks:<workers> (worker slots the ranks share)\n\
-    \x20        --trace out.json --trace-format chrome|summary\n\
     serve    --ranks N --nper N --epochs E --seed N --verify\n\
     \x20        --profile stationary|shifting-zipf|churn (epoch stream)\n\
     \x20        --warm-start cold|seeded-brackets\n\
@@ -39,15 +41,13 @@ const USAGE: &str = "usage: dhs <sort|serve|select|topology> [--flags]\n\
     select   --ranks N --nper N --k N --dist ... --seed N\n\
     topology --ranks N";
 
-/// Value flags that shape the cluster, the input and the `SortConfig`
-/// — shared by `dhs sort` and `dhs serve`.
-const CONFIG_FLAGS: [&str; 16] = [
-    "ranks",
-    "nper",
-    "seed",
-    "dist",
-    "layout",
-    "engine",
+/// Value flags that shape the cluster and the input — shared by `dhs
+/// sort` and `dhs serve`.
+const INPUT_FLAGS: [&str; 6] = ["ranks", "nper", "seed", "dist", "layout", "engine"];
+
+/// Value flags that shape the `SortConfig`: `dhs serve` and the
+/// histogram sorts of `dhs sort` read them, the baselines take none.
+const SORT_CONFIG_FLAGS: [&str; 10] = [
     "eps",
     "partitioning",
     "merge",
@@ -110,7 +110,7 @@ fn main() {
     let args = Args::from_args(argv);
     // Every command names the flags it reads; anything else (a typo, a
     // value flag without its value) must not silently run the default.
-    let config = |extra: &[&'static str]| [&CONFIG_FLAGS[..], extra].concat();
+    let config = |extra: &[&'static str]| [&INPUT_FLAGS[..], &SORT_CONFIG_FLAGS, extra].concat();
     type Command = (Vec<&'static str>, &'static [&'static str], fn(&Args));
     let (values, switches, run): Command = match command.as_str() {
         "sort" => (
@@ -223,11 +223,7 @@ fn sort_config_with(args: &Args, default_warm: &str) -> SortConfig {
         ("perfect", Partitioning::Perfect),
         ("balanced", Partitioning::Balanced),
     ];
-    // Every k-way engine is charged alike and runs the same run merge.
-    let merges = [
-        ("resort", MergeAlgo::Resort),
-        ("kway", MergeAlgo::TournamentTree),
-    ];
+    let merges = [("resort", MergeAlgo::Resort), ("kway", MergeAlgo::KWay)];
     let local_sorts = [
         ("comparison", LocalSort::Comparison),
         ("radix", LocalSort::Radix),
@@ -236,22 +232,23 @@ fn sort_config_with(args: &Args, default_warm: &str) -> SortConfig {
         ("abort", RecoveryPolicy::Abort),
         ("shrink", RecoveryPolicy::Shrink),
     ];
-    let mut builder = SortConfig::builder()
-        .warm_start(choice(args, "warm-start", default_warm, &warm_starts))
-        .epsilon(num(args, "eps", 0.0))
-        .partitioning(choice(args, "partitioning", "perfect", &partitionings))
-        .merge(choice(args, "merge", "resort", &merges))
-        .local_sort(choice(args, "local-sort", "comparison", &local_sorts))
-        .probes_per_round(num(args, "probes", 1))
-        .threads_per_rank(num(args, "threads", 1))
-        .recovery(choice(args, "recovery", "abort", &recoveries))
-        .exchange_algo(exchange_algo_of(args));
-    if args.raw("max-iters").is_some() {
-        builder = builder.max_splitter_iterations(num(args, "max-iters", 0u32));
+    let cfg = SortConfig {
+        warm_start: choice(args, "warm-start", default_warm, &warm_starts),
+        epsilon: num(args, "eps", 0.0),
+        partitioning: choice(args, "partitioning", "perfect", &partitionings),
+        merge: choice(args, "merge", "resort", &merges),
+        local_sort: choice(args, "local-sort", "comparison", &local_sorts),
+        probes_per_round: num(args, "probes", 1),
+        threads_per_rank: num(args, "threads", 1),
+        recovery: choice(args, "recovery", "abort", &recoveries),
+        exchange_algo: exchange_algo_of(args),
+        max_splitter_iterations: args.raw("max-iters").map(|_| num(args, "max-iters", 0u32)),
+        ..SortConfig::default()
+    };
+    if let Err(e) = cfg.validate() {
+        usage_exit(&format!("invalid sort configuration: {e}"));
     }
-    builder
-        .build()
-        .unwrap_or_else(|e| usage_exit(&format!("invalid sort configuration: {e}")))
+    cfg
 }
 
 fn cmd_sort(args: &Args) {
@@ -272,6 +269,14 @@ fn cmd_sort(args: &Args) {
         ("bitonic", Some(Algorithm::Bitonic)),
     ];
     let algo = choice(args, "algo", "histogram", &algos);
+    if algo.is_some_and(|a| a != Algorithm::HistogramSort) {
+        if let Some(flag) = SORT_CONFIG_FLAGS.iter().find(|f| args.raw(f).is_some()) {
+            usage_exit(&format!(
+                "--{flag}: --algo {} takes no sort-config flag (only histogram and two-level do)",
+                args.raw("algo").unwrap_or_default()
+            ));
+        }
+    }
     let groups: usize = num(args, "groups", 0);
     let verify = args.has("verify");
     let trace_formats = [("chrome", true), ("summary", false)];

@@ -32,7 +32,7 @@ pub mod prelude {
         histogram_sort, histogram_sort_by, histogram_sort_two_level, is_sorted, median,
         nth_element, sort, sort_array, sort_by_key, verify_sorted, AllToAllAlgo, EpochSorter,
         EpochStats, InvalidSortConfig, LocalSort, MergeAlgo, OrderOutOfRange, Partitioning,
-        RecoveryPolicy, SortConfig, SortConfigBuilder, SortOutcome, SortStats, WarmStart,
+        RecoveryPolicy, SortConfig, SortOutcome, SortStats, WarmStart,
     };
     pub use dhs_pgas::GlobalArray;
     pub use dhs_runtime::{

@@ -131,6 +131,45 @@ fn bad_flag_values_are_usage_errors() {
     }
 }
 
+/// The baselines run with their own fixed settings: a sort-config flag
+/// given to one is a usage error naming the flag and the algorithm,
+/// not a silently ignored word. The histogram sorts take them all.
+#[test]
+fn baselines_reject_sort_config_flags() {
+    for (algo, flag, value) in [
+        ("psrs", "--recovery", "shrink"),
+        ("hss", "--merge", "kway"),
+        ("sample", "--threads", "4"),
+        ("hyksort", "--exchange-algo", "staged:4"),
+        ("ams", "--eps", "0.1"),
+        ("bitonic", "--max-iters", "3"),
+    ] {
+        let names = format!("{flag}: --algo {algo} takes no sort-config flag");
+        assert_usage_error(&["sort", "--algo", algo, flag, value], &names);
+    }
+    for algo in ["histogram", "two-level"] {
+        let ok = dhs(&[
+            "sort",
+            "--algo",
+            algo,
+            "--ranks",
+            "4",
+            "--nper",
+            "256",
+            "--merge",
+            "kway",
+            "--threads",
+            "2",
+            "--recovery",
+            "shrink",
+            "--verify",
+        ]);
+        let stdout = String::from_utf8_lossy(&ok.stdout);
+        assert_eq!(ok.status.code(), Some(0), "{algo}: {stdout}");
+        assert!(stdout.contains("verification       : PASS"), "{stdout}");
+    }
+}
+
 /// `invocation` is rejected before anything runs: exit 2, a first
 /// stderr line `dhs: …` containing `names`, the usage text, no panic.
 fn assert_usage_error(invocation: &[&str], names: &str) {

@@ -46,11 +46,11 @@ fn sort_under(
     let cfg = ClusterConfig::small_cluster(p)
         .with_fault(fault)
         .with_engine(RunnerEngine { workers });
-    let sort_cfg = SortConfig::builder()
-        .recovery(recovery)
-        .threads_per_rank(threads)
-        .build()
-        .expect("valid config");
+    let sort_cfg = SortConfig {
+        recovery,
+        threads_per_rank: threads,
+        ..SortConfig::default()
+    };
     let out = try_run_partial(&cfg, move |comm| {
         let mut local = keys_for(comm.rank(), n_per, 1 << 20);
         let stats = histogram_sort(comm, &mut local, &sort_cfg);

@@ -11,10 +11,10 @@ use dhs_workloads::{epoch_rank_keys, Distribution, EpochProfile, Layout};
 use proptest::prelude::*;
 
 fn policy(ws: WarmStart) -> SortConfig {
-    SortConfig::builder()
-        .warm_start(ws)
-        .build()
-        .expect("valid config")
+    SortConfig {
+        warm_start: ws,
+        ..SortConfig::default()
+    }
 }
 
 fn profiles() -> Vec<EpochProfile> {
@@ -108,11 +108,7 @@ proptest! {
             for threads in [1usize, 4] {
                 let cluster =
                     ClusterConfig::small_cluster(p).with_engine(RunnerEngine { workers });
-                let cfg = SortConfig::builder()
-                    .warm_start(WarmStart::SeededWithBrackets)
-                    .threads_per_rank(threads)
-                    .build()
-                    .expect("valid config");
+                let cfg = SortConfig { warm_start: WarmStart::SeededWithBrackets, threads_per_rank: threads, ..SortConfig::default() };
                 let out = run(&cluster, move |comm| {
                     let mut svc: EpochSorter<u64> = EpochSorter::new(comm, cfg.clone());
                     (0..epochs)
@@ -192,11 +188,11 @@ fn warm_start_survives_shrink_recovery() {
     // shrink once and run the remaining epochs at p - 1.
     let cluster =
         ClusterConfig::small_cluster(p).with_fault(FaultPlan::default().with_crash(victim, 50_000));
-    let cfg = SortConfig::builder()
-        .warm_start(WarmStart::SeededWithBrackets)
-        .recovery(RecoveryPolicy::Shrink)
-        .build()
-        .expect("valid config");
+    let cfg = SortConfig {
+        warm_start: WarmStart::SeededWithBrackets,
+        recovery: RecoveryPolicy::Shrink,
+        ..SortConfig::default()
+    };
     let out = try_run_partial(&cluster, move |comm| {
         let mut svc: EpochSorter<u64> = EpochSorter::new(comm, cfg.clone());
         (0..epochs)

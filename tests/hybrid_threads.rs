@@ -57,11 +57,11 @@ fn sort_with_threads_probes(
     threads: usize,
     probes: usize,
 ) -> Vec<(Vec<u64>, RankReport)> {
-    let cfg = SortConfig::builder()
-        .threads_per_rank(threads)
-        .probes_per_round(probes)
-        .build()
-        .expect("valid config");
+    let cfg = SortConfig {
+        threads_per_rank: threads,
+        probes_per_round: probes,
+        ..SortConfig::default()
+    };
     sort_keys(cluster, cfg, |rank| {
         rank_local_keys(
             Distribution::paper_uniform(),
@@ -83,10 +83,10 @@ fn sort_by_with_threads(
     seed: u64,
     threads: usize,
 ) -> Vec<(Vec<(u64, u32)>, RankReport)> {
-    let cfg = SortConfig::builder()
-        .threads_per_rank(threads)
-        .build()
-        .expect("valid config");
+    let cfg = SortConfig {
+        threads_per_rank: threads,
+        ..SortConfig::default()
+    };
     run(cluster, move |comm| {
         let keys = rank_local_keys(
             Distribution::paper_uniform(),
@@ -275,11 +275,11 @@ fn key_types_and_local_sorts_identical_across_budgets() {
         what: &str,
     ) -> Vec<(Vec<K>, RankReport)> {
         let run_at = |threads: usize| {
-            let cfg = SortConfig::builder()
-                .local_sort(local_sort)
-                .threads_per_rank(threads)
-                .build()
-                .expect("valid config");
+            let cfg = SortConfig {
+                local_sort,
+                threads_per_rank: threads,
+                ..SortConfig::default()
+            };
             sort_keys(cluster, cfg, &input)
         };
         let serial = run_at(1);

@@ -22,11 +22,11 @@ fn keys_for(rank: usize, n: usize, modulus: u64) -> Vec<u64> {
 }
 
 fn shrink_cfg(threads: usize) -> SortConfig {
-    SortConfig::builder()
-        .recovery(RecoveryPolicy::Shrink)
-        .threads_per_rank(threads)
-        .build()
-        .expect("valid config")
+    SortConfig {
+        recovery: RecoveryPolicy::Shrink,
+        threads_per_rank: threads,
+        ..SortConfig::default()
+    }
 }
 
 /// A crash before the exchange commits: survivors must complete with

@@ -151,10 +151,7 @@ proptest! {
             Layout::SingleRank { holder } => Layout::SingleRank { holder: holder % p },
             other => other,
         };
-        let cfg = SortConfig::builder()
-            .epsilon([0.0, 0.01, 0.1][eps_pm as usize])
-            .build()
-            .expect("valid config");
+        let cfg = SortConfig { epsilon: [0.0, 0.01, 0.1][eps_pm as usize], ..SortConfig::default() };
         sort_and_verify(p, n_total, dist, layout, &cfg, seed);
     }
 
@@ -165,10 +162,7 @@ proptest! {
         dist in arb_distribution(),
         seed in 0u64..1_000_000,
     ) {
-        let cfg = SortConfig::builder()
-            .partitioning(Partitioning::Balanced)
-            .build()
-            .expect("valid config");
+        let cfg = SortConfig { partitioning: Partitioning::Balanced, ..SortConfig::default() };
         let sizes = sizes_of(&sort_and_verify(p, n_total, dist, Layout::Balanced, &cfg, seed));
         prop_assert_eq!(sizes.iter().sum::<usize>(), n_total);
     }
@@ -208,7 +202,7 @@ proptest! {
         balanced: bool,
     ) {
         let partitioning = if balanced { Partitioning::Balanced } else { Partitioning::Perfect };
-        let cfg = SortConfig::builder().partitioning(partitioning).build().expect("valid config");
+        let cfg = SortConfig { partitioning, ..SortConfig::default() };
         let out = run(&ClusterConfig::small_cluster(p), move |comm| {
             let mut local = rank_local_keys(dist, Layout::Balanced, n_total, p, comm.rank(), seed);
             let before = local.clone();
@@ -237,29 +231,26 @@ proptest! {
         dist in arb_distribution(),
         seed in 0u64..1_000_000,
     ) {
-        let radix = SortConfig::builder()
-            .local_sort(dhs::core::LocalSort::Radix)
-            .build()
-            .expect("valid config");
+        let radix = SortConfig { local_sort: dhs::core::LocalSort::Radix, ..SortConfig::default() };
         let a = sort_and_verify(p, n_total, dist, Layout::Balanced, &SortConfig::default(), seed);
         let b = sort_and_verify(p, n_total, dist, Layout::Balanced, &radix, seed);
         prop_assert_eq!(a, b);
     }
 }
 
-/// Every merge engine only prices the merge step: each one meets the
-/// invariants, and all of them give the same output, at one thread and
-/// at four.
+/// Both merge charge models only price the merge step: each one meets
+/// the invariants, and both give the same output, at one thread and at
+/// four.
 #[test]
 fn all_merge_engines_integrate() {
     let mut first: Option<Vec<Vec<u64>>> = None;
-    for merge in MergeAlgo::ALL {
+    for merge in [MergeAlgo::Resort, MergeAlgo::KWay] {
         for threads in [1, 4] {
-            let cfg = SortConfig::builder()
-                .merge(merge)
-                .threads_per_rank(threads)
-                .build()
-                .expect("valid config");
+            let cfg = SortConfig {
+                merge,
+                threads_per_rank: threads,
+                ..SortConfig::default()
+            };
             let out = sort_and_verify(
                 6,
                 3000,
@@ -289,11 +280,11 @@ fn balanced_partitioning_over_skewed_layouts_resizes_the_merge_scratch() {
         Layout::SingleRank { holder: 2 },
     ] {
         for threads in [1, 4] {
-            let cfg = SortConfig::builder()
-                .partitioning(Partitioning::Balanced)
-                .threads_per_rank(threads)
-                .build()
-                .expect("valid config");
+            let cfg = SortConfig {
+                partitioning: Partitioning::Balanced,
+                threads_per_rank: threads,
+                ..SortConfig::default()
+            };
             let (p, n_total) = (6, 12_000);
             let outputs =
                 sort_and_verify(p, n_total, Distribution::paper_uniform(), layout, &cfg, 3);
@@ -393,11 +384,11 @@ fn record_sort_equals_the_global_stable_sort() {
         let cluster = ClusterConfig::small_cluster(6).with_engine(RunnerEngine { workers });
         for algo in [AllToAllAlgo::OneFactor, AllToAllAlgo::StagedKWay { k: 4 }] {
             for threads in [1, 2, 4] {
-                let cfg = SortConfig::builder()
-                    .threads_per_rank(threads)
-                    .exchange_algo(algo)
-                    .build()
-                    .expect("valid config");
+                let cfg = SortConfig {
+                    threads_per_rank: threads,
+                    exchange_algo: algo,
+                    ..SortConfig::default()
+                };
                 for dist in dists {
                     for layout in layouts {
                         records_sort_globally_stable(

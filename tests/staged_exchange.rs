@@ -23,11 +23,11 @@ fn keys_for(rank: usize, n: usize, modulus: u64) -> Vec<u64> {
 }
 
 fn cfg_with(algo: AllToAllAlgo, threads: usize) -> SortConfig {
-    SortConfig::builder()
-        .exchange_algo(algo)
-        .threads_per_rank(threads)
-        .build()
-        .expect("valid config")
+    SortConfig {
+        exchange_algo: algo,
+        threads_per_rank: threads,
+        ..SortConfig::default()
+    }
 }
 
 /// One rank's view of a finished sort: its output block and its
@@ -127,11 +127,11 @@ fn assert_shrink_recovers(algo: AllToAllAlgo) {
     let victim = 3;
     let cluster =
         ClusterConfig::small_cluster(p).with_fault(FaultPlan::default().with_crash(victim, 40_000));
-    let cfg = SortConfig::builder()
-        .recovery(RecoveryPolicy::Shrink)
-        .exchange_algo(algo)
-        .build()
-        .expect("shrink composes with every schedule");
+    let cfg = SortConfig {
+        recovery: RecoveryPolicy::Shrink,
+        exchange_algo: algo,
+        ..SortConfig::default()
+    };
     let out = try_run_partial(&cluster, move |comm| {
         let mut local = keys_for(comm.rank(), n, 1 << 20);
         let stats = histogram_sort(comm, &mut local, &cfg);
@@ -169,11 +169,14 @@ fn shrink_with_staged_exchange_recovers() {
         assert_shrink_recovers(AllToAllAlgo::StagedKWay { k });
     }
     for k in [0usize, 1] {
-        let err = SortConfig::builder()
-            .recovery(RecoveryPolicy::Shrink)
-            .exchange_algo(AllToAllAlgo::StagedKWay { k })
-            .build()
-            .expect_err("fan-out below 2 must not build");
+        let cfg = SortConfig {
+            recovery: RecoveryPolicy::Shrink,
+            exchange_algo: AllToAllAlgo::StagedKWay { k },
+            ..SortConfig::default()
+        };
+        let err = cfg
+            .validate()
+            .expect_err("fan-out below 2 must not validate");
         assert!(
             matches!(err, InvalidSortConfig::BadExchangeFanout(got) if got == k),
             "expected BadExchangeFanout({k}), got {err:?}"
