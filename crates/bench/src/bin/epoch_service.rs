@@ -89,8 +89,8 @@ fn run_cell(
             histogram_sort(svc.comm(), &mut cold_ref, &cold_cfg);
             let identical = batch == cold_ref;
             rows.push((
-                stats.rounds,
-                stats.probes,
+                stats.sort.iterations,
+                stats.sort.probes,
                 stats.makespan_ns,
                 stats.pool,
                 stats.warm_len,

@@ -4,7 +4,7 @@
 
 use dhs_baselines::{run_algorithm, Algorithm};
 use dhs_core::{histogram_sort, SortConfig, SortOutcome};
-use dhs_runtime::{run, try_run_partial, ClusterConfig};
+use dhs_runtime::{launch, run, ClusterConfig, RunSummary};
 use dhs_workloads::{rank_local_keys, Distribution, Layout};
 
 /// Which sorter to run.
@@ -114,19 +114,13 @@ pub fn run_distributed_sort(
     let mut converged = true;
     let mut max_keys = 0usize;
     let mut min_keys = usize::MAX;
-    let mut inter = 0u64;
-    let mut intra = 0u64;
-    for ((phases, iters, probe_count, conv, n_out, total_ns), report) in &out {
+    for ((phases, iters, probe_count, conv, n_out, total_ns), _) in &out {
         makespan_ns = makespan_ns.max(*total_ns);
         iterations = iterations.max(*iters);
         probes = probes.max(*probe_count);
         converged &= conv;
         max_keys = max_keys.max(*n_out);
         min_keys = min_keys.min(*n_out);
-        inter += report.counters.bytes_inter_node;
-        intra += report.counters.bytes_self
-            + report.counters.bytes_intra_numa
-            + report.counters.bytes_intra_node;
         if phase_max.is_empty() {
             phase_max = phases.clone();
         } else {
@@ -135,6 +129,7 @@ pub fn run_distributed_sort(
             }
         }
     }
+    let traffic = RunSummary::from_reports(out.iter().map(|(_, r)| r));
     DistributedRun {
         makespan_s: makespan_ns as f64 * 1e-9,
         phases: phase_max
@@ -143,8 +138,8 @@ pub fn run_distributed_sort(
             .collect(),
         iterations,
         probes,
-        inter_node_bytes: inter,
-        intra_node_bytes: intra,
+        inter_node_bytes: traffic.inter_node_bytes,
+        intra_node_bytes: traffic.intra_node_bytes,
         max_keys,
         min_keys,
         converged,
@@ -195,11 +190,12 @@ pub fn run_recovery_sort(
     let p = cluster.ranks();
     let victims: Vec<usize> = cluster.fault.crashes.iter().map(|c| c.rank).collect();
     let cfg = cfg.clone();
-    let out = try_run_partial(cluster, move |comm| {
+    let out = launch(cluster, move |comm| {
         let mut local = rank_local_keys(dist, layout, n_total, p, comm.rank(), seed);
         let stats = histogram_sort(comm, &mut local, &cfg);
         (local, stats)
-    });
+    })
+    .unwrap_or_else(|e| panic!("invalid fault plan: {e}"));
 
     let mut completed_ranks = 0usize;
     let mut completed = true;

@@ -43,7 +43,7 @@
 //!             (0..64).map(|i| (i * 2654435761 + comm.rank() as u64) % 997).collect();
 //!         let stats = svc.sort_epoch(&mut batch);
 //!         assert!(batch.windows(2).all(|w| w[0] <= w[1]));
-//!         rounds.push(stats.rounds);
+//!         rounds.push(stats.sort.iterations);
 //!     }
 //!     rounds
 //! });
@@ -66,11 +66,6 @@ use crate::sort::{sort_pipeline, Keys, Payload, Records, SortConfig, SortStats};
 pub struct EpochStats {
     /// Zero-based index of the epoch within this service's stream.
     pub epoch: u64,
-    /// Histogram refinement rounds (`ALLREDUCE`s) this epoch — the
-    /// quantity warm-starting collapses.
-    pub rounds: u32,
-    /// Candidate keys histogrammed across all rounds this epoch.
-    pub probes: u64,
     /// Virtual makespan of the whole epoch (the `"epoch"` span).
     pub makespan_ns: u64,
     /// Buffer-pool reuse over this epoch only (counter deltas): a
@@ -78,7 +73,9 @@ pub struct EpochStats {
     pub pool: PoolStats,
     /// Splitters carried forward into the next epoch's search.
     pub warm_len: usize,
-    /// Full phase-level statistics of the underlying sort.
+    /// Full phase-level statistics of the underlying sort; its
+    /// `iterations` are the epoch's histogram rounds (`ALLREDUCE`s) —
+    /// the quantity warm-starting collapses.
     pub sort: SortStats,
 }
 
@@ -186,8 +183,6 @@ impl<'a, K: Key> EpochSorter<'a, K> {
         }
         let out = EpochStats {
             epoch: self.epoch,
-            rounds: stats.iterations,
-            probes: stats.probes,
             makespan_ns,
             pool,
             warm_len: self.warm.len(),

@@ -84,7 +84,7 @@ fn steady_state_epochs_stay_within_allocation_budget() {
             let during = ALLOCATIONS.load(Ordering::Relaxed);
             comm.barrier();
             assert_eq!(batch.len(), n_per, "stationary batches stay balanced");
-            counts.push((during, stats.rounds));
+            counts.push((during, stats.sort.iterations));
         }
         counts
     });

@@ -617,14 +617,9 @@ impl Comm {
         }
     }
 
-    /// Snapshot this rank's counters and clock. When tracing is on the
-    /// report also carries the span-derived phase breakdown.
+    /// Snapshot this rank's counters and clock.
     pub fn report(&self) -> RankReport {
-        let mut report = self.local().report();
-        if let Some(sink) = self.sink() {
-            report.phases = sink.phase_totals();
-        }
-        report
+        self.local().report()
     }
 
     /// An owned-payload collective: [`Comm::run_collective_view`] whose

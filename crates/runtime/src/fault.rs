@@ -144,14 +144,6 @@ impl FaultPlan {
         Ok(())
     }
 
-    /// Panicking shim over [`FaultPlan::validate`] for benches and call
-    /// sites that treat a bad plan as a programming error.
-    pub fn validate_or_panic(&self, ranks: usize) {
-        if let Err(e) = self.validate(ranks) {
-            panic!("invalid fault plan: {e}"); // lint: allow-panic (validation shim)
-        }
-    }
-
     /// Compute-slowdown factor for a global rank (1.0 when healthy).
     pub fn straggler_factor(&self, rank: usize) -> f64 {
         self.stragglers
@@ -462,11 +454,5 @@ mod tests {
             .with_straggler(0, 2.0)
             .with_crash(3, 100);
         assert_eq!(plan.validate(4), Ok(()));
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn validate_or_panic_keeps_historical_messages() {
-        FaultPlan::default().with_crash(8, 0).validate_or_panic(8);
     }
 }

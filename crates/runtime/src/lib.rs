@@ -49,10 +49,7 @@ pub use comm::{AllToAllAlgo, Charges, Comm, ExchangePayload};
 pub use cost::{log2_ceil, CostModel, LinkCost, Work};
 pub use fault::{Crash, FaultPlan, FaultPlanError, LinkFault, RankError, Straggler};
 pub use recover::{RecoveryGuard, RecoveryInterrupt, Shrunk};
-pub use runner::{
-    run, run_summarized, run_traced, try_run, try_run_partial, try_run_traced, ClusterConfig,
-    PartialRun, RunError, TracedRun,
-};
+pub use runner::{launch, run, try_run, ClusterConfig, RunError, RunRecord};
 pub use sched::RunnerEngine;
 pub use stats::{CounterSnapshot, RankReport, RunSummary};
 pub use threads::ThreadPool;

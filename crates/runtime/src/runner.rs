@@ -1,4 +1,6 @@
-//! Launch a simulated cluster.
+//! Launch a simulated cluster. [`launch`] runs one world and returns
+//! its [`RunRecord`] — every rank's outcome, the trace, the scheduler's
+//! counters; [`try_run`] and [`run`] are views of that record.
 //!
 //! Each simulated rank runs its body on an OS thread of its own, driven
 //! as a cooperatively-scheduled task over a small worker pool (see
@@ -31,10 +33,10 @@ use std::thread;
 use parking_lot::{Condvar, Mutex};
 
 use crate::cost::CostModel;
-use crate::fault::{FaultPlan, RankAbort, RankError};
+use crate::fault::{FaultPlan, FaultPlanError, RankAbort, RankError};
 use crate::sched::{RunnerEngine, TaskGuard};
 use crate::state::{CommState, World};
-use crate::stats::{RankReport, RunSummary};
+use crate::stats::RankReport;
 use crate::topology::Topology;
 use crate::trace::{RunTrace, TraceConfig};
 use crate::Comm;
@@ -111,8 +113,8 @@ impl ClusterConfig {
         self
     }
 
-    /// Attach a fault plan to the run. The plan is validated against
-    /// the topology when the world is built.
+    /// Attach a fault plan to the run. The launchers validate it
+    /// against the topology before any rank starts.
     pub fn with_fault(mut self, fault: FaultPlan) -> Self {
         self.fault = fault;
         self
@@ -138,120 +140,69 @@ impl ClusterConfig {
     }
 }
 
-/// A failed simulated run: every rank that did not complete, plus the
-/// counter reports of those that did (or got far enough to snapshot).
+/// A simulated run that did not complete.
 #[derive(Debug)]
-pub struct RunError {
+pub enum RunError {
+    /// The config's fault plan does not fit its topology; no rank
+    /// started.
+    FaultPlan(FaultPlanError),
     /// One entry per failed rank, ordered by rank id. Root causes
     /// (crashes, panics) and collateral [`RankError::PeerFailed`]
     /// entries are both present; filter with [`RunError::root_causes`].
-    pub failed: Vec<RankError>,
-    /// Counter snapshots of the ranks that returned normally.
-    pub completed_reports: Vec<RankReport>,
+    Ranks(Vec<RankError>),
 }
 
 impl RunError {
+    /// Every failed rank's error, ordered by rank id; empty when no
+    /// rank started.
+    pub fn failed(&self) -> &[RankError] {
+        match self {
+            RunError::FaultPlan(_) => &[],
+            RunError::Ranks(failed) => failed,
+        }
+    }
+
     /// Ids of every rank that failed, in ascending order.
     pub fn failed_ranks(&self) -> Vec<usize> {
-        self.failed.iter().map(|e| e.rank()).collect()
+        self.failed().iter().map(|e| e.rank()).collect()
     }
 
     /// The failures that started the cascade (crashes and panics, not
     /// peers merely caught blocking on a dead rank).
     pub fn root_causes(&self) -> impl Iterator<Item = &RankError> {
-        self.failed.iter().filter(|e| e.is_root_cause())
+        self.failed().iter().filter(|e| e.is_root_cause())
+    }
+}
+
+impl From<FaultPlanError> for RunError {
+    fn from(e: FaultPlanError) -> Self {
+        RunError::FaultPlan(e)
     }
 }
 
 impl fmt::Display for RunError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} rank(s) failed:", self.failed.len())?;
-        for e in &self.failed {
-            write!(f, " [{e}]")?;
+        match self {
+            RunError::FaultPlan(e) => write!(f, "invalid fault plan: {e}"),
+            RunError::Ranks(failed) => {
+                write!(f, "{} rank(s) failed:", failed.len())?;
+                for e in failed {
+                    write!(f, " [{e}]")?;
+                }
+                Ok(())
+            }
         }
-        Ok(())
     }
 }
 
 impl std::error::Error for RunError {}
 
-/// A completed traced run: every rank's result and report, plus the
-/// aggregated [`RunTrace`] (empty when the config had tracing off).
+/// Everything one world did: every rank's outcome, the trace, and the
+/// scheduler's counters. [`try_run`] and [`run`] keep only the ranks'
+/// values; shrink-and-recover runs read the record whole, since a lost
+/// rank is an expected outcome there and the survivors' values count.
 #[derive(Debug)]
-pub struct TracedRun<R> {
-    /// One `(value, report)` pair per rank, ordered by rank.
-    pub ranks: Vec<(R, RankReport)>,
-    /// The recorded trace (empty when tracing was off).
-    pub trace: RunTrace,
-    /// See [`PartialRun::park_backstops`].
-    pub park_backstops: u64,
-    /// See [`PartialRun::parks`].
-    pub parks: u64,
-    /// See [`PartialRun::wakes`].
-    pub wakes: u64,
-}
-
-/// Run `f` once per rank, each on its rank thread (see the module
-/// docs); returns each rank's result and counter report ordered by
-/// rank, or a [`RunError`] naming every rank that failed.
-///
-/// A failing rank (injected crash, panic in `f`) poisons the world so
-/// no surviving rank deadlocks inside a collective; survivors that were
-/// blocked on the dead rank surface as
-/// [`RankError::PeerFailed`] collateral entries.
-pub fn try_run<R, F>(cfg: &ClusterConfig, f: F) -> Result<Vec<(R, RankReport)>, RunError>
-where
-    R: Send,
-    F: Fn(&Comm) -> R + Send + Sync,
-{
-    try_run_traced(cfg, f).map(|t| t.ranks)
-}
-
-/// [`try_run`] plus the aggregated per-rank trace. With
-/// [`TraceConfig::Off`] the trace is empty and the run is bit-identical
-/// to [`try_run`]; with [`TraceConfig::On`] every rank's spans and
-/// events are collected into a [`RunTrace`] ready for export.
-pub fn try_run_traced<R, F>(cfg: &ClusterConfig, f: F) -> Result<TracedRun<R>, RunError>
-where
-    R: Send,
-    F: Fn(&Comm) -> R + Send + Sync,
-{
-    let partial = try_run_partial(cfg, f);
-    let mut ok = Vec::with_capacity(partial.ranks.len());
-    let mut failed = Vec::new();
-    let mut completed_reports = Vec::new();
-    for r in partial.ranks {
-        match r {
-            Ok((v, report)) => {
-                completed_reports.push(report.clone());
-                ok.push((v, report));
-            }
-            Err(e) => failed.push(e),
-        }
-    }
-    if failed.is_empty() {
-        Ok(TracedRun {
-            ranks: ok,
-            trace: partial.trace,
-            park_backstops: partial.park_backstops,
-            parks: partial.parks,
-            wakes: partial.wakes,
-        })
-    } else {
-        failed.sort_by_key(|e| e.rank());
-        Err(RunError {
-            failed,
-            completed_reports,
-        })
-    }
-}
-
-/// A run in which some ranks may have failed while others completed:
-/// the per-rank outcomes, ordered by rank, plus the aggregated trace.
-/// This is the shape shrink-and-recover runs need —
-/// [`RunError`] would discard the survivors' values.
-#[derive(Debug)]
-pub struct PartialRun<R> {
+pub struct RunRecord<R> {
     /// One entry per rank, ordered by rank id: `Ok((value, report))`
     /// for ranks that returned, the structured [`RankError`] otherwise.
     pub ranks: Vec<Result<(R, RankReport), RankError>>,
@@ -276,7 +227,7 @@ pub struct PartialRun<R> {
     pub wakes: u64,
 }
 
-impl<R> PartialRun<R> {
+impl<R> RunRecord<R> {
     /// `(rank, value, report)` for every rank that completed.
     pub fn completed(&self) -> impl Iterator<Item = (usize, &R, &RankReport)> {
         self.ranks
@@ -289,17 +240,42 @@ impl<R> PartialRun<R> {
     pub fn failures(&self) -> impl Iterator<Item = &RankError> {
         self.ranks.iter().filter_map(|r| r.as_ref().err())
     }
+
+    /// Every rank's value and report, ordered by rank, or a
+    /// [`RunError`] naming every rank that failed.
+    pub fn into_result(self) -> Result<Vec<(R, RankReport)>, RunError> {
+        let mut ok = Vec::with_capacity(self.ranks.len());
+        let mut failed = Vec::new();
+        for r in self.ranks {
+            match r {
+                Ok(pair) => ok.push(pair),
+                Err(e) => failed.push(e),
+            }
+        }
+        if failed.is_empty() {
+            Ok(ok)
+        } else {
+            Err(RunError::Ranks(failed))
+        }
+    }
 }
 
-/// Run `f` once per rank and report *every* rank's individual outcome,
-/// keeping survivor values even when other ranks failed. Used by
-/// recovery-policy sorts, where losing a rank is an expected outcome
-/// rather than a run-level error.
-pub fn try_run_partial<R, F>(cfg: &ClusterConfig, f: F) -> PartialRun<R>
+/// Run `f` once per rank, each on its rank thread (see the module
+/// docs), and record every rank's outcome; the one launcher that
+/// [`try_run`] and [`run`] view. A fault plan that does not fit the
+/// topology is returned before any rank starts.
+///
+/// A failing rank (injected crash, panic in `f`) poisons the world so
+/// no surviving rank deadlocks inside a collective; survivors that were
+/// blocked on the dead rank surface as [`RankError::PeerFailed`]
+/// collateral entries.
+pub fn launch<R, F>(cfg: &ClusterConfig, f: F) -> Result<RunRecord<R>, FaultPlanError>
 where
     R: Send,
     F: Fn(&Comm) -> R + Send + Sync,
 {
+    let p = cfg.ranks();
+    cfg.fault.validate(p)?;
     let world = World::new(
         cfg.topology.clone(),
         cfg.cost.clone(),
@@ -307,7 +283,6 @@ where
         cfg.trace,
         cfg.engine,
     );
-    let p = cfg.ranks();
     let root = CommState::new(world.clone(), (0..p).collect());
     let slots: Vec<Mutex<Option<RankOutcome<R>>>> = (0..p).map(|_| Mutex::new(None)).collect();
 
@@ -337,7 +312,7 @@ where
     };
     on_rank_threads(p, &world, &rank_body);
 
-    PartialRun {
+    Ok(RunRecord {
         ranks: slots
             .into_iter()
             .map(|s| s.into_inner().expect("every rank body ran to its end"))
@@ -346,10 +321,34 @@ where
         park_backstops: world.sched.backstop_firings(),
         parks: world.sched.parks(),
         wakes: world.sched.wakes(),
-    }
+    })
 }
 
-/// One rank's outcome in a [`PartialRun`].
+/// [`launch`], keeping each rank's value and counter report ordered by
+/// rank, or a [`RunError`] naming the bad fault plan or every rank that
+/// failed.
+pub fn try_run<R, F>(cfg: &ClusterConfig, f: F) -> Result<Vec<(R, RankReport)>, RunError>
+where
+    R: Send,
+    F: Fn(&Comm) -> R + Send + Sync,
+{
+    launch(cfg, f)?.into_result()
+}
+
+/// [`try_run`] for a run that must complete.
+///
+/// # Panics
+/// On a bad fault plan or any failed rank, with the [`RunError`]'s
+/// message.
+pub fn run<R, F>(cfg: &ClusterConfig, f: F) -> Vec<(R, RankReport)>
+where
+    R: Send,
+    F: Fn(&Comm) -> R + Send + Sync,
+{
+    try_run(cfg, f).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// One rank's outcome in a [`RunRecord`].
 type RankOutcome<R> = Result<(R, RankReport), RankError>;
 
 /// Stack size of every rank thread. Rank bodies are shallow; a small
@@ -551,45 +550,19 @@ fn classify_panic(rank: usize, payload: Box<dyn std::any::Any + Send>) -> RankEr
     }
 }
 
-/// Run `f` once per rank on its own thread; returns each rank's result
-/// and counter report, ordered by rank.
-///
-/// # Panics
-/// If any rank fails, with a message naming every failed rank. Use
-/// [`try_run`] to handle failures structurally.
-pub fn run<R, F>(cfg: &ClusterConfig, f: F) -> Vec<(R, RankReport)>
-where
-    R: Send,
-    F: Fn(&Comm) -> R + Send + Sync,
-{
-    try_run(cfg, f).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`run`] plus the aggregated trace; panics on rank failure.
-pub fn run_traced<R, F>(cfg: &ClusterConfig, f: F) -> TracedRun<R>
-where
-    R: Send,
-    F: Fn(&Comm) -> R + Send + Sync,
-{
-    try_run_traced(cfg, f).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Convenience: run and fold the rank reports into a [`RunSummary`].
-pub fn run_summarized<R, F>(cfg: &ClusterConfig, f: F) -> (Vec<R>, RunSummary)
-where
-    R: Send,
-    F: Fn(&Comm) -> R + Send + Sync,
-{
-    let pairs = run(cfg, f);
-    let reports: Vec<RankReport> = pairs.iter().map(|(_, r)| r.clone()).collect();
-    let values = pairs.into_iter().map(|(v, _)| v).collect();
-    (values, RunSummary::from_reports(&reports))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fault::FaultPlan;
+    use crate::stats::RunSummary;
+
+    /// [`run`], folded into a [`RunSummary`].
+    fn summarized<R: Send>(
+        cfg: &ClusterConfig,
+        f: impl Fn(&Comm) -> R + Send + Sync,
+    ) -> RunSummary {
+        RunSummary::from_reports(run(cfg, f).iter().map(|(_, r)| r))
+    }
 
     #[test]
     fn runs_every_rank_in_order() {
@@ -600,7 +573,7 @@ mod tests {
 
     #[test]
     fn summary_reflects_traffic() {
-        let (_, summary) = run_summarized(&ClusterConfig::small_cluster(4), |c| {
+        let summary = summarized(&ClusterConfig::small_cluster(4), |c| {
             c.allreduce_sum(vec![1u64; 128]);
         });
         assert!(summary.makespan_ns > 0);
@@ -637,7 +610,7 @@ mod tests {
         );
         // Every failed rank is reported, root cause included.
         assert!(err.failed_ranks().contains(&2));
-        for e in &err.failed {
+        for e in err.failed() {
             if !e.is_root_cause() {
                 assert!(matches!(e, RankError::PeerFailed { .. }));
             }
@@ -732,7 +705,7 @@ mod tests {
     #[test]
     fn deterministic_virtual_time() {
         let go = || {
-            let (_, s) = run_summarized(&ClusterConfig::supermuc_phase2(32), |c| {
+            let s = summarized(&ClusterConfig::supermuc_phase2(32), |c| {
                 let xs = c.allgather(c.rank() as u64);
                 c.allreduce_sum(xs)
             });
@@ -757,7 +730,7 @@ mod tests {
             });
         let go = |plan: &FaultPlan| {
             let cfg = ClusterConfig::supermuc_phase2(32).with_fault(plan.clone());
-            let (_, s) = run_summarized(&cfg, |c| {
+            let s = summarized(&cfg, |c| {
                 let xs = c.allgather(c.rank() as u64);
                 c.charge(crate::Work::Compares(10_000));
                 let peer = c.rank() ^ 1;

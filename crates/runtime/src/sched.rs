@@ -28,7 +28,7 @@
 //! written once. A generous timed backstop (`PARK_BACKSTOP`) turns a
 //! hypothetically missed wake into a slow poll instead of a hang;
 //! correctness never depends on the timer, and every firing is counted
-//! (`PartialRun::park_backstops`) so a lost wake fails a test instead
+//! (`RunRecord::park_backstops`) so a lost wake fails a test instead
 //! of reading as a slow run. Consecutive timed-out parks stretch the
 //! backstop exponentially (a large-p collective round can occupy
 //! seconds of host time, and p tasks re-polling twice a second through

@@ -58,7 +58,8 @@ pub struct World {
 
 impl World {
     /// A world over `topology` whose ranks share `engine`'s worker
-    /// slots. The fault plan is validated against the topology here.
+    /// slots. `fault` must already fit the topology (the launchers
+    /// validate it).
     pub fn new(
         topology: Topology,
         cost: CostModel,
@@ -66,7 +67,6 @@ impl World {
         trace: TraceConfig,
         engine: RunnerEngine,
     ) -> Arc<Self> {
-        fault.validate_or_panic(topology.ranks());
         crate::recover::install_quiet_panic_hook();
         let ranks = topology.ranks();
         let locals = (0..ranks).map(|_| Arc::new(RankLocal::default())).collect();

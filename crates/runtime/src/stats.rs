@@ -87,13 +87,11 @@ impl RankLocal {
         self.clock_ns.fetch_max(target, Ordering::Relaxed);
     }
 
-    /// Copy out a plain-value report (no phase data; see
-    /// [`crate::Comm::report`] for the span-derived phase breakdown).
+    /// Copy out a plain-value report.
     pub fn report(&self) -> RankReport {
         RankReport {
             clock_ns: self.now_ns(),
             counters: self.counters.snapshot(),
-            phases: Vec::new(),
         }
     }
 }
@@ -131,28 +129,15 @@ impl CounterSnapshot {
     }
 }
 
-/// Final per-rank report returned by the runner: the unified result
-/// type — flat counters plus the span-derived phase breakdown (empty
-/// when tracing is off or the rank body opened no spans).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// Final per-rank report returned by the runner: the rank's virtual
+/// clock and flat counters. The span-derived phase breakdown lives in
+/// the run's [`crate::RunTrace`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RankReport {
     /// Virtual completion time in nanoseconds.
     pub clock_ns: u64,
     /// Flat traffic and operation counters.
     pub counters: CounterSnapshot,
-    /// Top-level phase totals `(name, virtual ns)` in first-appearance
-    /// order, derived from the trace layer's depth-0 spans.
-    pub phases: Vec<(String, u64)>,
-}
-
-impl RankReport {
-    /// Virtual ns spent in phase `name` (0 if absent).
-    pub fn phase_ns(&self, name: &str) -> u64 {
-        self.phases
-            .iter()
-            .find(|(n, _)| n == name)
-            .map_or(0, |(_, t)| *t)
-    }
 }
 
 /// Aggregate a set of rank reports into run-level figures.
@@ -174,7 +159,7 @@ pub struct RunSummary {
 
 impl RunSummary {
     /// Aggregate per-rank reports (max clock, summed traffic).
-    pub fn from_reports(reports: &[RankReport]) -> Self {
+    pub fn from_reports<'a>(reports: impl IntoIterator<Item = &'a RankReport>) -> Self {
         let mut s = RunSummary::default();
         for r in reports {
             s.makespan_ns = s.makespan_ns.max(r.clock_ns);

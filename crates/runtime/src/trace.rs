@@ -173,22 +173,6 @@ impl TraceSink {
         });
     }
 
-    /// Total duration of top-level (depth 0) spans grouped by name, in
-    /// first-appearance order. This is what [`crate::RankReport`]
-    /// embeds as its phase breakdown.
-    pub fn phase_totals(&self) -> Vec<(String, u64)> {
-        let inner = self.inner.lock();
-        let mut totals: Vec<(String, u64)> = Vec::new();
-        for s in inner.spans.iter().filter(|s| s.depth == 0) {
-            let d = s.duration_ns();
-            match totals.iter_mut().find(|(n, _)| n == s.name.as_ref()) {
-                Some((_, t)) => *t += d,
-                None => totals.push((s.name.to_string(), d)),
-            }
-        }
-        totals
-    }
-
     /// Move the recorded spans and events out of the sink.
     pub(crate) fn drain(&self) -> (Vec<SpanRecord>, Vec<EventRecord>) {
         let mut inner = self.inner.lock();
@@ -922,8 +906,15 @@ mod tests {
         sink.complete(Cow::Borrowed("a"), "phase", 0, 10, 0);
         sink.complete(Cow::Borrowed("b"), "phase", 10, 30, 0);
         sink.complete(Cow::Borrowed("a"), "phase", 30, 35, 0);
+        let (spans, events) = sink.drain();
+        let rank = RankTrace {
+            rank: 0,
+            clock_ns: 35,
+            spans,
+            events,
+        };
         assert_eq!(
-            sink.phase_totals(),
+            rank.phase_totals(),
             vec![("a".to_string(), 15), ("b".to_string(), 20)]
         );
     }

@@ -12,8 +12,7 @@
 
 use dhs_runtime::fault::RankAbort;
 use dhs_runtime::{
-    run_traced, ClusterConfig, Comm, CostModel, EventRecord, FaultPlan, RankError, TraceConfig,
-    Work,
+    launch, ClusterConfig, Comm, CostModel, EventRecord, FaultPlan, RankError, TraceConfig, Work,
 };
 use proptest::prelude::*;
 
@@ -110,7 +109,7 @@ fn observe(plan: &FaultPlan, charge_items: impl Fn(&Comm) + Send + Sync) -> Obse
     let cfg = ClusterConfig::small_cluster(1)
         .with_fault(plan.clone())
         .with_trace(TraceConfig::On);
-    let traced = run_traced(&cfg, |comm| {
+    let traced = launch(&cfg, |comm| {
         let body = std::panic::AssertUnwindSafe(|| {
             comm.charge(Work::Ns(PRELUDE_NS));
             charge_items(comm);
@@ -123,8 +122,11 @@ fn observe(plan: &FaultPlan, charge_items: impl Fn(&Comm) + Send + Sync) -> Obse
                 .0
         });
         (comm.now_ns(), comm.report().counters.compute_ns, died)
-    });
-    let (now_ns, compute_ns, died) = traced.ranks[0].0.clone();
+    })
+    .expect("a valid fault plan");
+    let ((now_ns, compute_ns, died), _) = traced.ranks[0]
+        .clone()
+        .expect("the rank catches its own crash");
     Observed {
         now_ns,
         compute_ns,

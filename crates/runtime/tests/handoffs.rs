@@ -1,10 +1,10 @@
 //! A collective costs a rank **one** park: the wait for the output.
 //! Leaving it costs none — generation `g + 1` meets in the other cell,
 //! which is always ready — and only the exit barrier of a borrowed
-//! exchange adds a second. Counted, not timed: `TracedRun::parks` is
+//! exchange adds a second. Counted, not timed: `RunRecord::parks` is
 //! every park that gave its worker slot up.
 
-use dhs_runtime::{try_run_traced, AllToAllAlgo, ClusterConfig, Comm, RunnerEngine};
+use dhs_runtime::{launch, AllToAllAlgo, ClusterConfig, Comm, RunnerEngine};
 
 const P: usize = 64;
 const K: u64 = 50;
@@ -15,8 +15,9 @@ type Op = fn(&Comm);
 /// sharing `workers` slots (0 = the default count).
 fn parks_per_rank(p: usize, workers: usize, op: Op) -> f64 {
     let cfg = ClusterConfig::small_cluster(p).with_engine(RunnerEngine { workers });
-    let out = try_run_traced(&cfg, move |comm| (0..K).for_each(|_| op(comm)))
-        .expect("a fault-free run completes");
+    let out = launch(&cfg, move |comm| (0..K).for_each(|_| op(comm)))
+        .expect("an inert fault plan is valid");
+    assert_eq!(out.failures().count(), 0, "a fault-free run completes");
     assert_eq!(out.park_backstops, 0, "a wake was lost");
     // Collectives wake no task that has not started, so every counted
     // park was ended by exactly one counted wake.

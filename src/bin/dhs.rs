@@ -311,7 +311,7 @@ fn cmd_sort(args: &Args) {
     );
 
     type RankOutcome = (Option<SortStats>, usize, bool);
-    let traced = run_traced(&cluster, move |comm| {
+    let mut record = launch(&cluster, move |comm| {
         let mut local = rank_local_keys(dist, layout, n_total, ranks, comm.rank(), seed);
         let fp = verify.then(|| {
             let sp = comm.span("fingerprint");
@@ -337,11 +337,14 @@ fn cmd_sort(args: &Args) {
             None => true,
         };
         (stats, local.len(), ok)
-    });
-    let out: Vec<(RankOutcome, RankReport)> = traced.ranks;
+    })
+    .expect("dhs sort injects no faults");
+    let run_trace = std::mem::take(&mut record.trace);
+    let (park_backstops, parks) = (record.park_backstops, record.parks);
+    let out: Vec<(RankOutcome, RankReport)> =
+        record.into_result().unwrap_or_else(|e| panic!("{e}"));
 
-    let reports: Vec<RankReport> = out.iter().map(|(_, r)| r.clone()).collect();
-    let summary = RunSummary::from_reports(&reports);
+    let summary = RunSummary::from_reports(out.iter().map(|(_, r)| r));
     let max_keys = out.iter().map(|((_, n, _), _)| *n).max().unwrap_or(0);
     let min_keys = out.iter().map(|((_, n, _), _)| *n).min().unwrap_or(0);
     println!(
@@ -353,12 +356,12 @@ fn cmd_sort(args: &Args) {
     println!("output keys/rank   : {min_keys}..{max_keys}");
     // Host-side health of the scheduler: a park the timer ended is a
     // lost wake-up (or a host stalled for 500 ms).
-    println!("park backstops     : {}", traced.park_backstops);
+    println!("park backstops     : {park_backstops}");
     // One handoff per rank per collective is the floor (two for the
     // exit-barrier all-to-all); every blocking point is a collective.
     println!(
         "parks per rank per collective : {:.3}",
-        traced.parks as f64 / summary.collectives.max(1) as f64
+        parks as f64 / summary.collectives.max(1) as f64
     );
     if let Some(stats) = &out[0].0 .0 {
         println!(
@@ -394,9 +397,9 @@ fn cmd_sort(args: &Args) {
     }
     if let Some((path, mut file)) = trace {
         let json = if chrome_trace {
-            traced.trace.to_chrome_json()
+            run_trace.to_chrome_json()
         } else {
-            traced.trace.to_summary_json()
+            run_trace.to_summary_json()
         };
         if let Err(e) = std::io::Write::write_all(&mut file, json.as_bytes()) {
             eprintln!("dhs: cannot write trace to {path:?}: {e}");
@@ -479,8 +482,8 @@ fn cmd_serve(args: &Args) {
             "epoch {:>3}: rounds {:>2} | probes {:>5} | makespan {:>9.3} ms | \
              pool reuse {:>5.1}% | warm ladder {} keys",
             e.epoch,
-            e.rounds,
-            e.probes,
+            e.sort.iterations,
+            e.sort.probes,
             e.makespan_ns as f64 / 1e6,
             e.pool.hit_rate() * 100.0,
             e.warm_len,
@@ -495,16 +498,16 @@ fn cmd_serve(args: &Args) {
     }
     if assert_converged {
         let last = history.last().expect("at least one epoch");
-        if last.rounds > 1 {
+        if last.sort.iterations > 1 {
             eprintln!(
                 "assert-converged: final epoch used {} histogram rounds (expected <= 1)",
-                last.rounds
+                last.sort.iterations
             );
             std::process::exit(1);
         }
         println!(
             "convergence        : final epoch at {} round(s)",
-            last.rounds
+            last.sort.iterations
         );
     }
 }

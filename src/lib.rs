@@ -36,8 +36,8 @@ pub mod prelude {
     };
     pub use dhs_pgas::GlobalArray;
     pub use dhs_runtime::{
-        run, run_summarized, run_traced, try_run, try_run_partial, try_run_traced, ClusterConfig,
-        Comm, PartialRun, RankReport, RunSummary, RunTrace, RunnerEngine, TraceConfig, TracedRun,
+        launch, run, try_run, ClusterConfig, Comm, RankReport, RunError, RunRecord, RunSummary,
+        RunTrace, RunnerEngine, TraceConfig,
     };
     pub use dhs_select::{dmedian, dselect};
     pub use dhs_workloads::{epoch_rank_keys, rank_local_keys, Distribution, EpochProfile, Layout};

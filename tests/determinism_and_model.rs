@@ -4,11 +4,16 @@
 
 use dhs::baselines::{hss_sort, HssConfig};
 use dhs::core::{histogram_sort, SortConfig};
-use dhs::runtime::{run, run_summarized, ClusterConfig, RunSummary};
+use dhs::runtime::{run, ClusterConfig, Comm, RunSummary};
 use dhs::workloads::{rank_local_keys, Distribution, Layout};
 
+/// [`run`], folded into a [`RunSummary`].
+fn summarized<R: Send>(cfg: &ClusterConfig, f: impl Fn(&Comm) -> R + Send + Sync) -> RunSummary {
+    RunSummary::from_reports(run(cfg, f).iter().map(|(_, r)| r))
+}
+
 fn one_sort_summary(p: usize, n_total: usize, seed: u64) -> RunSummary {
-    let (_, summary) = run_summarized(&ClusterConfig::supermuc_phase2(p), move |comm| {
+    summarized(&ClusterConfig::supermuc_phase2(p), move |comm| {
         let mut local = rank_local_keys(
             Distribution::paper_uniform(),
             Layout::Balanced,
@@ -18,8 +23,7 @@ fn one_sort_summary(p: usize, n_total: usize, seed: u64) -> RunSummary {
             seed,
         );
         histogram_sort(comm, &mut local, &SortConfig::default())
-    });
-    summary
+    })
 }
 
 #[test]
@@ -83,7 +87,7 @@ fn intranode_fastpath_saves_time() {
     let go = |fastpath: bool| {
         let mut cfg = ClusterConfig::supermuc_phase2(p);
         cfg.cost.intranode_fastpath = fastpath;
-        let (_, s) = run_summarized(&cfg, move |comm| {
+        let s = summarized(&cfg, move |comm| {
             let mut local = rank_local_keys(
                 Distribution::paper_uniform(),
                 Layout::Balanced,
@@ -137,7 +141,7 @@ fn hss_traffic_exceeds_bisection_histogramming() {
     let p = 32;
     let n_total = p * 4096;
     let traffic = |hss: bool| {
-        let (_, s) = run_summarized(&ClusterConfig::supermuc_phase2(p), move |comm| {
+        let s = summarized(&ClusterConfig::supermuc_phase2(p), move |comm| {
             let mut local = rank_local_keys(
                 Distribution::paper_uniform(),
                 Layout::Balanced,

@@ -12,8 +12,8 @@
 
 use dhs_core::{histogram_sort, RecoveryPolicy, SortConfig};
 use dhs_runtime::{
-    try_run, try_run_partial, try_run_traced, ClusterConfig, FaultPlan, LinkFault, PoolStats,
-    RankReport, RunnerEngine, TraceConfig,
+    launch, try_run, ClusterConfig, FaultPlan, LinkFault, PoolStats, RankReport, RunnerEngine,
+    TraceConfig,
 };
 use proptest::prelude::*;
 
@@ -51,11 +51,12 @@ fn sort_under(
         threads_per_rank: threads,
         ..SortConfig::default()
     };
-    let out = try_run_partial(&cfg, move |comm| {
+    let out = launch(&cfg, move |comm| {
         let mut local = keys_for(comm.rank(), n_per, 1 << 20);
         let stats = histogram_sort(comm, &mut local, &sort_cfg);
         (local, stats)
-    });
+    })
+    .expect("a valid fault plan");
     // A lost wake-up must fail here, not pass as a slow round: no park
     // may come back by the timed backstop. A poisoned run is exempt —
     // its blocked ranks poll for the abort on that same timer.
@@ -63,6 +64,15 @@ fn sort_under(
     assert!(
         poisoned || out.park_backstops == 0,
         "{} park(s) ended by the backstop at {workers} workers (p={p}, t={threads})",
+        out.park_backstops
+    );
+    // Every counted park is ended by a counted wake or a backstop
+    // firing, crashed and straggling cells included.
+    assert!(
+        out.parks <= out.wakes + out.park_backstops,
+        "{} parks, {} wakes, {} backstops at {workers} workers (p={p}, t={threads})",
+        out.parks,
+        out.wakes,
         out.park_backstops
     );
     out.ranks
@@ -222,19 +232,20 @@ fn traced_reference_sort() -> SortRecord {
     const P: usize = 24;
     let cfg = ClusterConfig::small_cluster(P).with_trace(TraceConfig::On);
     let sort_cfg = SortConfig::default();
-    let run = try_run_traced(&cfg, |comm| {
+    let run = launch(&cfg, |comm| {
         let thread = std::thread::current().name().map(str::to_string);
         let mut local = keys_for(comm.rank(), 300, 1 << 20);
         histogram_sort(comm, &mut local, &sort_cfg);
         (local, comm.pool().stats(), thread)
     })
-    .expect("a fault-free sort completes");
+    .expect("an inert fault plan is valid");
     assert_eq!(run.park_backstops, 0, "a park ended by the backstop");
     let ranks = run
         .ranks
         .into_iter()
         .enumerate()
-        .map(|(rank, ((local, pool, thread), report))| {
+        .map(|(rank, outcome)| {
+            let ((local, pool, thread), report) = outcome.expect("a fault-free sort completes");
             assert_eq!(thread, Some(format!("rank-{rank}")), "rank {rank}'s thread");
             (local, report, pool)
         })

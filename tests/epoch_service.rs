@@ -6,7 +6,7 @@
 //! histogram round from epoch 3 onward.
 
 use dhs_core::{histogram_sort, EpochSorter, RecoveryPolicy, SortConfig, SortOutcome, WarmStart};
-use dhs_runtime::{run, try_run_partial, ClusterConfig, FaultPlan, RunnerEngine};
+use dhs_runtime::{launch, run, ClusterConfig, FaultPlan, RunnerEngine};
 use dhs_workloads::{epoch_rank_keys, Distribution, EpochProfile, Layout};
 use proptest::prelude::*;
 
@@ -53,7 +53,7 @@ fn run_stream(
                 let mut batch =
                     epoch_rank_keys(profile, Layout::Balanced, n_total, p, comm.rank(), seed, e);
                 let stats = svc.sort_epoch(&mut batch);
-                (batch, stats.rounds, stats.makespan_ns)
+                (batch, stats.sort.iterations, stats.makespan_ns)
             })
             .collect::<Vec<_>>()
     })
@@ -117,7 +117,7 @@ proptest! {
                                 profile, Layout::Balanced, n_total, p, comm.rank(), seed, e,
                             );
                             let stats = svc.sort_epoch(&mut batch);
-                            (batch, stats.rounds, stats.makespan_ns)
+                            (batch, stats.sort.iterations, stats.makespan_ns)
                         })
                         .collect::<Vec<_>>()
                 });
@@ -193,7 +193,7 @@ fn warm_start_survives_shrink_recovery() {
         recovery: RecoveryPolicy::Shrink,
         ..SortConfig::default()
     };
-    let out = try_run_partial(&cluster, move |comm| {
+    let out = launch(&cluster, move |comm| {
         let mut svc: EpochSorter<u64> = EpochSorter::new(comm, cfg.clone());
         (0..epochs)
             .map(|e| {
@@ -210,7 +210,8 @@ fn warm_start_survives_shrink_recovery() {
                 (batch, stats.sort.outcome.clone())
             })
             .collect::<Vec<_>>()
-    });
+    })
+    .expect("a valid fault plan");
 
     assert!(out.ranks[victim].is_err(), "the victim itself must fail");
     let mut recovered_anywhere = false;

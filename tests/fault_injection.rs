@@ -7,8 +7,8 @@ use dhs::baselines::bitonic_sort;
 use dhs::core::{histogram_sort, SortConfig, SortOutcome};
 use dhs::runtime::fault::RankError;
 use dhs::runtime::{
-    run, run_summarized, run_traced, try_run, try_run_partial, AllToAllAlgo, ClusterConfig, Comm,
-    FaultPlan, LinkClass, LinkFault, RunnerEngine, TraceConfig,
+    launch, run, try_run, AllToAllAlgo, ClusterConfig, Comm, FaultPlan, FaultPlanError, LinkClass,
+    LinkFault, RunError, RunSummary, RunnerEngine, TraceConfig,
 };
 use dhs::workloads::{rank_local_keys, Distribution, Layout};
 use proptest::prelude::*;
@@ -141,7 +141,7 @@ fn crash_during_sort_is_reported_and_deterministic() {
         // well past 50us at this size, so the rank dies mid-pipeline.
         let cluster = ClusterConfig::supermuc_phase2(p)
             .with_fault(FaultPlan::default().with_crash(crashed_rank, 50_000));
-        try_run(&cluster, move |comm| {
+        launch(&cluster, move |comm| {
             let mut local = rank_local_keys(
                 Distribution::paper_uniform(),
                 Layout::Balanced,
@@ -153,8 +153,15 @@ fn crash_during_sort_is_reported_and_deterministic() {
             histogram_sort(comm, &mut local, &SortConfig::default());
             local.len()
         })
+        .expect("a valid fault plan")
     };
-    let err = go().expect_err("crashed rank must fail the run");
+    let first = go();
+    // Deterministic replay: identical outcome on every rank, failures
+    // and the completers' counter reports alike.
+    assert_eq!(first.ranks, go().ranks, "replay must fail identically");
+    let err = first
+        .into_result()
+        .expect_err("crashed rank must fail the run");
     let roots: Vec<&RankError> = err.root_causes().collect();
     assert_eq!(roots.len(), 1, "exactly one root cause");
     match roots[0] {
@@ -167,15 +174,9 @@ fn crash_during_sort_is_reported_and_deterministic() {
     // Peers blocked on the dead rank surface as collateral, never as
     // spurious root causes.
     assert!(err.failed_ranks().contains(&crashed_rank));
-    for e in &err.failed {
+    for e in err.failed() {
         assert!(e.rank() < p);
     }
-
-    // Deterministic replay: identical failure set and identical
-    // counter snapshots from the ranks that completed.
-    let err2 = go().expect_err("replay must fail identically");
-    assert_eq!(err.failed_ranks(), err2.failed_ranks());
-    assert_eq!(err.completed_reports, err2.completed_reports);
 }
 
 /// What the `Fragile` records of one run did, for
@@ -276,7 +277,7 @@ fn crash_mid_collective_releases_blocked_peers() {
         })
         .expect_err("a panicking finish must fail the run");
         let elapsed = started.elapsed();
-        assert_eq!(err.failed.len(), 8, "{cell}: every rank reports");
+        assert_eq!(err.failed().len(), 8, "{cell}: every rank reports");
         let roots: Vec<&RankError> = err.root_causes().collect();
         assert_eq!(roots.len(), 1, "{cell}: one root cause");
         assert!(
@@ -284,7 +285,7 @@ fn crash_mid_collective_releases_blocked_peers() {
             "{cell}: root cause {:?}",
             roots[0]
         );
-        for (rank, e) in err.failed.iter().enumerate() {
+        for (rank, e) in err.failed().iter().enumerate() {
             assert_eq!(e.rank(), rank, "{cell}: typed error names its rank");
             assert!(
                 e.is_root_cause() || matches!(e, RankError::PeerFailed { .. }),
@@ -308,7 +309,7 @@ fn crash_mid_collective_releases_blocked_peers() {
         let started = Instant::now();
         let out = {
             let log = Arc::clone(&log);
-            try_run_partial(&cluster, move |comm| {
+            launch(&cluster, move |comm| {
                 // Two records per destination; the ones from rank 3 up
                 // that are bound for rank 5 trip when cloned.
                 let data: Vec<Fragile> = (0..2 * comm.size())
@@ -321,6 +322,7 @@ fn crash_mid_collective_releases_blocked_peers() {
                 drop(comm.exchange(&send[..], AllToAllAlgo::OneFactor));
                 comm.barrier();
             })
+            .expect("an inert fault plan is valid")
         };
         let elapsed = started.elapsed();
         assert_eq!(out.failures().count(), 8, "{cell}: every rank reports");
@@ -334,6 +336,10 @@ fn crash_mid_collective_releases_blocked_peers() {
             }
         }
         assert_eq!(out.park_backstops, 0, "{cell}: a park backstop fired");
+        assert!(
+            out.parks <= out.wakes + out.park_backstops,
+            "{cell}: a park ended by neither a wake nor a backstop"
+        );
         assert!(
             elapsed < PARK_BACKSTOP,
             "{cell}: took {elapsed:?}, peers waited on the unwinding rank"
@@ -356,17 +362,25 @@ fn crash_mid_collective_releases_blocked_peers() {
                 .with_fault(FaultPlan::default().with_crash(5, 1))
                 .with_engine(engine);
             let started = Instant::now();
-            let err = try_run(&cluster, move |comm| {
+            let out = launch(&cluster, move |comm| {
                 // Rank 5's clock passes 1ns on its first charge, so it
                 // dies entering `op`; everyone else blocks inside it.
                 comm.charge(dhs::runtime::Work::Compares(1000));
                 op(comm);
             })
-            .expect_err("crash must fail the run");
+            .expect("a valid fault plan");
             let elapsed = started.elapsed();
             let cell = format!("{name} under {engine:?}");
-            assert_eq!(err.failed.len(), 8, "{cell}: every rank reports");
-            for (rank, e) in err.failed.iter().enumerate() {
+            assert!(
+                out.parks <= out.wakes + out.park_backstops,
+                "{cell}: {} parks, {} wakes, {} backstops",
+                out.parks,
+                out.wakes,
+                out.park_backstops
+            );
+            let err = out.into_result().expect_err("crash must fail the run");
+            assert_eq!(err.failed().len(), 8, "{cell}: every rank reports");
+            for (rank, e) in err.failed().iter().enumerate() {
                 match e {
                     RankError::Crashed { rank: 5, .. } if rank == 5 => {}
                     RankError::PeerFailed { rank: r } if rank != 5 => assert_eq!(*r, rank),
@@ -399,7 +413,7 @@ fn faulty_sort_run_is_reproducible() {
         });
     let go = |plan: &FaultPlan| {
         let cluster = ClusterConfig::supermuc_phase2(p).with_fault(plan.clone());
-        run_summarized(&cluster, move |comm| {
+        let out = run(&cluster, move |comm| {
             let mut local = rank_local_keys(
                 Distribution::paper_uniform(),
                 Layout::Balanced,
@@ -410,8 +424,8 @@ fn faulty_sort_run_is_reproducible() {
             );
             bitonic_sort(comm, &mut local);
             assert!(local.windows(2).all(|w| w[0] <= w[1]));
-        })
-        .1
+        });
+        RunSummary::from_reports(out.iter().map(|(_, r)| r))
     };
     let a = go(&plan);
     let b = go(&plan);
@@ -443,7 +457,8 @@ fn bitonic_crash_is_a_typed_root_cause() {
         bitonic_sort(comm, &mut local);
     };
     let traced = ClusterConfig::supermuc_phase2(p).with_trace(TraceConfig::On);
-    let clean = run_traced(&traced, sort);
+    let clean = launch(&traced, sort).expect("an inert fault plan is valid");
+    assert_eq!(clean.failures().count(), 0, "the clean sort completes");
     // The victim's merge after the third of six exchanges.
     let merge = clean.trace.ranks[victim]
         .spans
@@ -454,7 +469,7 @@ fn bitonic_crash_is_a_typed_root_cause() {
         .clone();
     let at_ns = (merge.start_ns + merge.end_ns) / 2;
     let cluster = traced.with_fault(FaultPlan::default().with_crash(victim, at_ns));
-    let out = try_run_partial(&cluster, sort);
+    let out = launch(&cluster, sort).expect("a valid fault plan");
     for (rank, r) in out.ranks.iter().enumerate() {
         match r {
             Err(RankError::Crashed { rank: v, at_ns: t }) if rank == victim => {
@@ -486,7 +501,7 @@ fn default_fault_plan_is_inert() {
         if let Some(f) = fault {
             cluster = cluster.with_fault(f);
         }
-        run_summarized(&cluster, move |comm| {
+        run(&cluster, move |comm| {
             let mut local = rank_local_keys(
                 Distribution::paper_uniform(),
                 Layout::Balanced,
@@ -500,8 +515,51 @@ fn default_fault_plan_is_inert() {
             local
         })
     };
-    let (data_a, sum_a) = go(None);
-    let (data_b, sum_b) = go(Some(FaultPlan::default()));
-    assert_eq!(sum_a, sum_b, "default plan must not perturb virtual time");
-    assert_eq!(data_a, data_b);
+    assert_eq!(
+        go(None),
+        go(Some(FaultPlan::default())),
+        "default plan must not perturb data, virtual time or counters"
+    );
+}
+
+/// A fault plan that does not fit the cluster is a typed error from
+/// both fallible launchers, returned before any rank starts, and the
+/// message of `run`'s panic.
+#[test]
+fn bad_fault_plan_is_an_error_not_a_panic() {
+    let started = AtomicUsize::new(0);
+    let body = |_: &Comm| {
+        started.fetch_add(1, Ordering::SeqCst);
+    };
+    let crash_9_of_4 =
+        ClusterConfig::small_cluster(4).with_fault(FaultPlan::default().with_crash(9, 0));
+    let out_of_range = FaultPlanError::CrashRankOutOfRange { rank: 9, ranks: 4 };
+    assert!(matches!(
+        try_run(&crash_9_of_4, body),
+        Err(RunError::FaultPlan(e)) if e == out_of_range
+    ));
+    assert_eq!(launch(&crash_9_of_4, body).err(), Some(out_of_range));
+
+    let nan_straggler = ClusterConfig::small_cluster(4)
+        .with_fault(FaultPlan::default().with_straggler(1, f64::NAN));
+    let is_nan_factor = |e: &FaultPlanError| match e {
+        FaultPlanError::BadStragglerFactor { rank: 1, factor } => factor.is_nan(),
+        _ => false,
+    };
+    assert!(matches!(
+        try_run(&nan_straggler, body),
+        Err(RunError::FaultPlan(e)) if is_nan_factor(&e)
+    ));
+    assert!(launch(&nan_straggler, body)
+        .err()
+        .is_some_and(|e| is_nan_factor(&e)));
+
+    let panicked =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(&crash_9_of_4, body)))
+            .expect_err("run panics on a bad plan");
+    assert_eq!(
+        panicked.downcast_ref::<String>().map(String::as_str),
+        Some("invalid fault plan: crash rank 9 out of range (cluster has 4)")
+    );
+    assert_eq!(started.load(Ordering::SeqCst), 0, "a rank started");
 }

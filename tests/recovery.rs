@@ -6,7 +6,7 @@
 //! survivors' inputs.
 
 use dhs_core::{histogram_sort, histogram_sort_by, RecoveryPolicy, SortConfig, SortOutcome};
-use dhs_runtime::{run, try_run_partial, ClusterConfig, FaultPlan, RankError};
+use dhs_runtime::{launch, run, ClusterConfig, FaultPlan, RankError};
 use proptest::prelude::*;
 
 fn keys_for(rank: usize, n: usize, modulus: u64) -> Vec<u64> {
@@ -40,11 +40,12 @@ fn shrink_recovers_from_single_crash() {
     let cfg =
         ClusterConfig::small_cluster(p).with_fault(FaultPlan::default().with_crash(victim, 50_000));
     let sort_cfg = shrink_cfg(1);
-    let out = try_run_partial(&cfg, move |comm| {
+    let out = launch(&cfg, move |comm| {
         let mut local = keys_for(comm.rank(), n, 1 << 20);
         let stats = histogram_sort(comm, &mut local, &sort_cfg);
         (local, stats)
-    });
+    })
+    .expect("a valid fault plan");
 
     assert!(out.ranks[victim].is_err(), "the victim itself must fail");
     let mut got = Vec::new();
@@ -97,11 +98,12 @@ fn shrink_completes_across_crash_phase_grid() {
         let cfg = ClusterConfig::small_cluster(p)
             .with_fault(FaultPlan::default().with_crash(victim, at_ns));
         let sort_cfg = shrink_cfg(1);
-        let out = try_run_partial(&cfg, move |comm| {
+        let out = launch(&cfg, move |comm| {
             let mut local = keys_for(comm.rank(), n, u64::MAX);
             let stats = histogram_sort(comm, &mut local, &sort_cfg);
             (local, stats)
-        });
+        })
+        .expect("a valid fault plan");
         let completers: Vec<usize> = (0..p).filter(|&r| out.ranks[r].is_ok()).collect();
         assert!(
             completers.iter().filter(|&&r| r != victim).count() == p - 1,
@@ -138,11 +140,12 @@ fn shrink_survives_two_staggered_crashes() {
             .with_crash(6, 50_000),
     );
     let sort_cfg = shrink_cfg(1);
-    let out = try_run_partial(&cfg, move |comm| {
+    let out = launch(&cfg, move |comm| {
         let mut local = keys_for(comm.rank(), n, 1 << 30);
         let stats = histogram_sort(comm, &mut local, &sort_cfg);
         (local, stats)
-    });
+    })
+    .expect("a valid fault plan");
     let mut got = Vec::new();
     let mut lost_seen: Option<Vec<usize>> = None;
     for rank in (0..p).filter(|r| ![2, 6].contains(r)) {
@@ -188,11 +191,12 @@ fn shrink_recovery_is_deterministic() {
         let cfg = ClusterConfig::small_cluster(p)
             .with_fault(FaultPlan::default().with_crash(victim, 50_000));
         let sort_cfg = shrink_cfg(threads);
-        let out = try_run_partial(&cfg, move |comm| {
+        let out = launch(&cfg, move |comm| {
             let mut local = keys_for(comm.rank(), n, 1 << 22);
             let stats = histogram_sort(comm, &mut local, &sort_cfg);
             (local, stats)
-        });
+        })
+        .expect("a valid fault plan");
         out.ranks
             .into_iter()
             .map(|res| {
@@ -232,7 +236,7 @@ fn shrink_recovers_record_sort() {
     let cfg =
         ClusterConfig::small_cluster(p).with_fault(FaultPlan::default().with_crash(victim, 30_000));
     let sort_cfg = shrink_cfg(1);
-    let out = try_run_partial(&cfg, move |comm| {
+    let out = launch(&cfg, move |comm| {
         let mut records: Vec<(u64, u32, u32)> = keys_for(comm.rank(), n, 1000)
             .into_iter()
             .enumerate()
@@ -240,7 +244,8 @@ fn shrink_recovers_record_sort() {
             .collect();
         let stats = histogram_sort_by(comm, &mut records, |r| r.0, &sort_cfg);
         (records, stats)
-    });
+    })
+    .expect("a valid fault plan");
     let mut all: Vec<(u64, u32, u32)> = Vec::new();
     for rank in (0..p).filter(|&r| r != victim) {
         let ((records, stats), _) = out.ranks[rank]
@@ -289,11 +294,12 @@ fn shrink_recovers_record_sort_from_crash_inside_exchange() {
     };
     let go = |cluster: &ClusterConfig| {
         let sort_cfg = sort_cfg.clone();
-        try_run_partial(cluster, move |comm| {
+        launch(cluster, move |comm| {
             let mut records = records_of(comm.rank());
             let stats = histogram_sort_by(comm, &mut records, |r| r.0, &sort_cfg);
             (records, stats)
         })
+        .expect("a valid fault plan")
     };
 
     // Where the victim's exchange phase begins on its virtual clock:
@@ -368,11 +374,12 @@ proptest! {
         }
         let cluster = ClusterConfig::small_cluster(p).with_fault(plan);
         let sort_cfg = shrink_cfg(threads);
-        let recovered = try_run_partial(&cluster, move |comm| {
+        let recovered = launch(&cluster, move |comm| {
             let mut local = keys_for(comm.rank(), n, modulus);
             histogram_sort(comm, &mut local, &sort_cfg);
             local
-        });
+        })
+        .expect("a valid fault plan");
 
         if recovered.ranks[victim].is_err() {
             // The crash fired: compare survivors against a direct

@@ -7,7 +7,7 @@
 //! composes with shrink-and-recover.
 
 use dhs_core::{histogram_sort, AllToAllAlgo, InvalidSortConfig, RecoveryPolicy, SortConfig};
-use dhs_runtime::{run, try_run_partial, ClusterConfig, FaultPlan};
+use dhs_runtime::{launch, run, ClusterConfig, FaultPlan};
 use proptest::prelude::*;
 
 fn keys_for(rank: usize, n: usize, modulus: u64) -> Vec<u64> {
@@ -132,11 +132,12 @@ fn assert_shrink_recovers(algo: AllToAllAlgo) {
         exchange_algo: algo,
         ..SortConfig::default()
     };
-    let out = try_run_partial(&cluster, move |comm| {
+    let out = launch(&cluster, move |comm| {
         let mut local = keys_for(comm.rank(), n, 1 << 20);
         let stats = histogram_sort(comm, &mut local, &cfg);
         (local, stats.outcome.is_recovered())
-    });
+    })
+    .expect("a valid fault plan");
     assert!(
         out.ranks[victim].is_err(),
         "{algo:?}: the victim itself must fail"

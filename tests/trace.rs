@@ -8,10 +8,10 @@ use dhs::prelude::*;
 use dhs::runtime::validate_chrome_trace;
 use proptest::prelude::*;
 
-fn traced_sort(p: usize, n_per: usize, seed: u64, trace: TraceConfig) -> TracedRun<usize> {
+fn traced_sort(p: usize, n_per: usize, seed: u64, trace: TraceConfig) -> RunRecord<usize> {
     let cluster = ClusterConfig::supermuc_phase2(p).with_trace(trace);
     let n_total = p * n_per;
-    run_traced(&cluster, move |comm| {
+    let record = launch(&cluster, move |comm| {
         let mut local = rank_local_keys(
             Distribution::paper_uniform(),
             Layout::Balanced,
@@ -23,6 +23,9 @@ fn traced_sort(p: usize, n_per: usize, seed: u64, trace: TraceConfig) -> TracedR
         histogram_sort(comm, &mut local, &SortConfig::default());
         local.len()
     })
+    .expect("an inert fault plan is valid");
+    assert_eq!(record.failures().count(), 0, "a fault-free sort completes");
+    record
 }
 
 #[test]
@@ -88,10 +91,10 @@ proptest! {
         {
             prop_assert_eq!(total, clock, "rank {} phase totals vs clock", rank);
         }
-        // The report-level phases agree with the trace.
-        for ((_, report), rank_trace) in traced.ranks.iter().zip(&traced.trace.ranks) {
-            let from_report: u64 = report.phases.iter().map(|(_, ns)| ns).sum();
-            prop_assert_eq!(from_report, rank_trace.clock_ns);
+        // The trace's phases cover each rank's reported clock.
+        for ((_, _, report), rank_trace) in traced.completed().zip(&traced.trace.ranks) {
+            let from_trace: u64 = rank_trace.phase_totals().iter().map(|(_, ns)| ns).sum();
+            prop_assert_eq!(from_trace, report.clock_ns);
         }
     }
 
@@ -105,7 +108,7 @@ proptest! {
     ) {
         let on = traced_sort(p, n_per, seed, TraceConfig::On);
         let off = traced_sort(p, n_per, seed, TraceConfig::Off);
-        for ((n_on, r_on), (n_off, r_off)) in on.ranks.iter().zip(&off.ranks) {
+        for ((_, n_on, r_on), (_, n_off, r_off)) in on.completed().zip(off.completed()) {
             prop_assert_eq!(n_on, n_off);
             prop_assert_eq!(r_on.clock_ns, r_off.clock_ns);
             prop_assert_eq!(r_on.counters, r_off.counters);
