@@ -7,7 +7,8 @@
 //! k-way merge.
 //!
 //! Part 2: schedule crossover — 1-factor vs Bruck vs `staged:8` as N/P
-//! shrinks (the paper: store-and-forward "for a relatively small N/P").
+//! shrinks (the paper: store-and-forward "for a relatively small N/P"),
+//! and the priced pick, the sort's default, beside them.
 //!
 //! Flags: `--p <ranks>`, `--nper <keys/rank>`, `--reps`, `--quick`.
 
@@ -93,7 +94,14 @@ fn main() {
     t.print();
 
     println!("\n## all-to-all schedule crossover (pure exchange, varying N/P)");
-    let mut t2 = Table::new(["keys/rank", "1-factor", "bruck", "staged:8", "winner"]);
+    let mut t2 = Table::new([
+        "keys/rank",
+        "1-factor",
+        "bruck",
+        "staged:8",
+        "winner",
+        "priced pick",
+    ]);
     for shift in [2usize, 6, 10, 14, 18] {
         let nper = 1usize << shift;
         let mut medians = Vec::new();
@@ -101,6 +109,7 @@ fn main() {
             AllToAllAlgo::OneFactor,
             AllToAllAlgo::Bruck,
             AllToAllAlgo::StagedKWay { k: 8 },
+            AllToAllAlgo::Priced,
         ] {
             let times: Vec<f64> = (0..reps)
                 .map(|r| schedule_time(p, nper, r as u64, algo))
@@ -108,7 +117,7 @@ fn main() {
             medians.push(median_ci(&times).median);
         }
         let names = ["1-factor", "bruck", "staged:8"];
-        let winner = names[medians
+        let winner = names[medians[..3]
             .iter()
             .enumerate()
             .min_by(|a, b| a.1.partial_cmp(b.1).expect("no NaN"))
@@ -120,6 +129,7 @@ fn main() {
             fmt_secs(medians[1]),
             fmt_secs(medians[2]),
             winner.to_string(),
+            fmt_secs(medians[3]),
         ]);
     }
     t2.print();

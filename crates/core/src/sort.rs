@@ -171,13 +171,14 @@ pub struct SortConfig {
     /// post-local-sort checkpoint. See [`RecoveryPolicy`].
     pub recovery: RecoveryPolicy,
     /// Collective schedule of the data-exchange superstep's
-    /// personalized all-to-all: one-factor pairwise rounds
-    /// (default, bandwidth-optimal), Bruck store-and-forward, or
-    /// HykSort-style staged `k`-way forwarding
-    /// ([`AllToAllAlgo::StagedKWay`], latency-optimal at scale for
-    /// small per-peer payloads). Every schedule is one rendezvous that
-    /// delivers byte-identical sorted output; only the virtual clock
-    /// differs.
+    /// personalized all-to-all. The default,
+    /// [`AllToAllAlgo::Priced`], takes the arm priced cheapest for each
+    /// exchange from its send and receive totals (§VI-E1:
+    /// store-and-forward for small `N/P`, 1-factor for large
+    /// messages); an explicit arm — one-factor pairwise rounds, Bruck
+    /// store-and-forward, or HykSort-style staged `k`-way forwarding —
+    /// overrides it. Every schedule is one rendezvous that delivers
+    /// byte-identical sorted output; only the virtual clock differs.
     pub exchange_algo: AllToAllAlgo,
     /// Epoch-to-epoch splitter seeding policy of the epoch service
     /// ([`crate::service::EpochSorter`]). Ignored by the one-shot entry
@@ -191,8 +192,8 @@ pub struct SortConfig {
 
 impl Default for SortConfig {
     /// The paper's evaluation setup: perfect partitioning, ε = 0,
-    /// re-sort as the merge step, one-factor all-to-allv, serial ranks,
-    /// cold splitter search.
+    /// re-sort as the merge step, the all-to-allv schedule priced
+    /// cheapest, serial ranks, cold splitter search.
     fn default() -> Self {
         Self {
             epsilon: 0.0,
@@ -203,7 +204,7 @@ impl Default for SortConfig {
             probes_per_round: 1,
             threads_per_rank: 1,
             recovery: RecoveryPolicy::Abort,
-            exchange_algo: AllToAllAlgo::OneFactor,
+            exchange_algo: AllToAllAlgo::Priced,
             warm_start: WarmStart::Cold,
             kernels: KernelPolicy,
         }
@@ -1255,8 +1256,8 @@ mod tests {
         assert_eq!(staged(2).validate(), Ok(()));
 
         // The defaults themselves: fully serial, one probe per round,
-        // abort on failure, the one-factor exchange, a cold start and
-        // the paper's re-sort merge.
+        // abort on failure, the priced exchange schedule, a cold start
+        // and the paper's re-sort merge.
         let def = d();
         assert_eq!(
             (
@@ -1271,7 +1272,7 @@ mod tests {
                 1,
                 1,
                 RecoveryPolicy::Abort,
-                AllToAllAlgo::OneFactor,
+                AllToAllAlgo::Priced,
                 WarmStart::Cold,
                 MergeAlgo::Resort,
             )

@@ -15,7 +15,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use crate::buffer::{BufferPool, RecvRuns, SharedSlice};
-use crate::cost::{CostModel, Work};
+use crate::cost::{ceil_ns, pick_schedule, CostModel, Work, STAGE_HEADER_BYTES};
 use crate::fault::{RankAbort, RankError};
 use crate::state::{CollectiveCtx, CommState, EndTimes, World};
 use crate::stats::{RankLocal, RankReport};
@@ -61,6 +61,12 @@ pub enum AllToAllAlgo {
         /// peers the one-factor arm would charge α for.
         k: usize,
     },
+    /// The schedule priced cheapest for this exchange:
+    /// [`crate::cost::pick_schedule`] over the deposited send and
+    /// receive totals resolves it to one of the arms above, inside
+    /// [`Comm::exchange`], the same on every rank. The default of the
+    /// histogram sort.
+    Priced,
 }
 
 /// A communicator handle for one rank. Cheap to pass around by
@@ -102,7 +108,7 @@ impl Charges<'_> {
     pub fn add(&mut self, work: Work) {
         let mut ns = self.cost.work_ns(work);
         if self.straggler_factor != 1.0 {
-            ns = (ns as f64 * self.straggler_factor).ceil() as u64;
+            ns = ceil_ns(ns as f64 * self.straggler_factor);
         }
         self.ns += ns;
         if let Some(items) = &mut self.items {
@@ -175,35 +181,32 @@ impl<T> RawParts<T> {
 /// rank's `P` peers.
 fn one_factor_costs(
     ctx: &CollectiveCtx<'_>,
-    p: usize,
+    placed: &[Placement],
     elem: u64,
     count: impl Fn(usize, usize) -> u64,
 ) -> Vec<u64> {
-    let (send, recv) = one_factor_sides(ctx, p, elem, count);
+    let (send, recv) = one_factor_sides(ctx, placed, elem, count);
     send.iter()
         .zip(&recv)
-        .map(|(s, r)| (s.ceil() as u64).max(r.ceil() as u64))
+        .map(|(&s, &r)| ceil_ns(s).max(ceil_ns(r)))
         .collect()
 }
 
 /// The unrounded send-side and receive-side sums of every rank under
 /// the 1-factor schedule. Every `(link, bytes)` term belongs to two of
 /// those `2·P` sums — its sender's and its receiver's — so one
-/// row-major pass over the count matrix, with the `P` placements looked
-/// up once, adds it to both. Peers are met in ascending order on either
-/// side (`send[s]` over `d`, `recv[d]` over `s`), the order the
+/// row-major pass over the count matrix, over the `P` placements `placed`
+/// looked up once, adds it to both. Peers are met in ascending order on
+/// either side (`send[s]` over `d`, `recv[d]` over `s`), the order the
 /// per-rank formula sums them in: each f64 sum, and so each end time,
 /// is the same to the bit.
 fn one_factor_sides(
     ctx: &CollectiveCtx<'_>,
-    p: usize,
+    placed: &[Placement],
     elem: u64,
     count: impl Fn(usize, usize) -> u64,
 ) -> (Vec<f64>, Vec<f64>) {
-    let placed: Vec<Placement> = ctx.global_ranks[..p]
-        .iter()
-        .map(|&g| ctx.topology.placement(g))
-        .collect();
+    let p = placed.len();
     let mut send = Vec::with_capacity(p);
     let mut recv = vec![0.0f64; p];
     for (s, from) in placed.iter().enumerate() {
@@ -226,7 +229,9 @@ fn one_factor_sides(
 /// Per-rank virtual end times of a personalized all-to-all under
 /// `algo`, where `count(s, d)` is the number of elements rank `s`
 /// sends rank `d`. The model reads only lengths and link classes,
-/// never the payloads.
+/// never the payloads. [`AllToAllAlgo::Priced`] is resolved here, from
+/// the matrix's row and column totals alone, and priced as the arm it
+/// picks.
 fn alltoallv_end_times(
     ctx: &CollectiveCtx<'_>,
     p: usize,
@@ -234,17 +239,34 @@ fn alltoallv_end_times(
     algo: AllToAllAlgo,
     count: impl Fn(usize, usize) -> u64,
 ) -> Vec<u64> {
+    let placed: Vec<Placement> = ctx.global_ranks[..p]
+        .iter()
+        .map(|&g| ctx.topology.placement(g))
+        .collect();
+    let mut send_totals = None;
+    let algo = match algo {
+        AllToAllAlgo::Priced => {
+            let (send, recv) = exchange_totals(p, &count);
+            let pick = pick_schedule(ctx.cost, &placed, elem, &send, &recv);
+            send_totals = Some(send);
+            pick
+        }
+        algo => algo,
+    };
     let mut ends = match algo {
-        AllToAllAlgo::OneFactor => one_factor_costs(ctx, p, elem, &count),
+        AllToAllAlgo::OneFactor => one_factor_costs(ctx, &placed, elem, &count),
         // Store-and-forward: log P rounds at the worst link,
         // shipping ~half the personalized payload per round.
-        AllToAllAlgo::Bruck => (0..p)
-            .map(|r| {
-                let total: u64 = (0..p).map(|d| count(r, d) * elem).sum();
-                ctx.cost.alltoallv_bruck_rank_ns(ctx.worst_link, p, total)
+        AllToAllAlgo::Bruck => send_totals
+            .unwrap_or_else(|| exchange_totals(p, &count).0)
+            .into_iter()
+            .map(|total| {
+                ctx.cost
+                    .alltoallv_bruck_rank_ns(ctx.worst_link, p, total * elem)
             })
             .collect(),
         AllToAllAlgo::StagedKWay { k } => staged_costs(ctx, p, elem, k, count),
+        AllToAllAlgo::Priced => unreachable!("resolved to an arm above"),
     };
     for end in &mut ends {
         *end += ctx.enter_max_ns;
@@ -252,8 +274,22 @@ fn alltoallv_end_times(
     ends
 }
 
-/// Bytes charged per forwarded unit for its `(src, dst)` routing header.
-const STAGE_HEADER_BYTES: u64 = 8;
+/// Every rank's send total (row sums) and receive total (column sums)
+/// of the count matrix, in elements.
+fn exchange_totals(p: usize, count: impl Fn(usize, usize) -> u64) -> (Vec<u64>, Vec<u64>) {
+    let mut send = Vec::with_capacity(p);
+    let mut recv = vec![0u64; p];
+    for s in 0..p {
+        let mut row = 0;
+        for (d, col) in recv.iter_mut().enumerate() {
+            let c = count(s, d);
+            row += c;
+            *col += c;
+        }
+        send.push(row);
+    }
+    (send, recv)
+}
 
 /// One non-empty `(src, dst)` block of a staged exchange, forwarded
 /// whole from stage to stage: the communicator rank carrying it into
@@ -346,7 +382,7 @@ fn price_stages(
             recv[to] += term;
         }
     }
-    let stage_end = |m: usize| start + (send[m].ceil() as u64).max(recv[m].ceil() as u64);
+    let stage_end = |m: usize| start + ceil_ns(send[m]).max(ceil_ns(recv[m]));
     if kk == q {
         for m in 0..q {
             ends[lo + m] = stage_end(m);
@@ -1038,20 +1074,34 @@ impl Comm {
     }
 
     /// Per-link byte accounting for this rank's outgoing personalized
-    /// traffic. Returns the total for span attribution (which must
-    /// happen after the collective records its span).
+    /// traffic: one placement lookup per non-empty segment, one counter
+    /// add per link class. Returns the total for span attribution
+    /// (which must happen after the collective records its span).
     fn account_alltoallv_send(&self, lens: impl Iterator<Item = usize>, elem: usize) -> u64 {
         let topo = self.topology();
-        let counters = &self.local().counters;
-        let me_g = self.state.global_ranks[self.rank];
-        let mut sent_bytes = 0u64;
-        for (dst, len) in lens.enumerate() {
-            let link = topo.link(me_g, self.state.global_ranks[dst]);
-            let bytes = (len * elem) as u64;
-            counters.add_bytes(link, bytes);
-            sent_bytes += bytes;
+        let me = topo.placement(self.state.global_ranks[self.rank]);
+        let classes = [
+            LinkClass::SelfLoop,
+            LinkClass::IntraNuma,
+            LinkClass::IntraNode,
+            LinkClass::InterNode,
+        ];
+        let mut by_class = [0u64; 4];
+        for (dst, len) in lens.enumerate().filter(|&(_, len)| len > 0) {
+            let link = if dst == self.rank {
+                LinkClass::SelfLoop
+            } else {
+                me.link_to(topo.placement(self.state.global_ranks[dst]))
+            };
+            by_class[link as usize] += (len * elem) as u64;
         }
-        sent_bytes
+        let counters = &self.local().counters;
+        for (class, &bytes) in classes.iter().zip(&by_class) {
+            if bytes > 0 {
+                counters.add_bytes(*class, bytes);
+            }
+        }
+        by_class.iter().sum()
     }
 
     // ------------------------------------------------------------------
@@ -1437,6 +1487,55 @@ mod tests {
         );
     }
 
+    /// Send accounting skips empty segments and adds one total per
+    /// link class: the per-class counters of a sparse exchange, on the
+    /// world and on a strided sub-communicator, equal the sums of a
+    /// [`Topology::link`] lookup per destination.
+    #[test]
+    fn sparse_exchange_counts_bytes_per_link_class() {
+        let p = 40; // two full nodes and a half-full third
+        let cfg = ClusterConfig::supermuc_phase2(p);
+        let topology = cfg.topology.clone();
+        let len = |s: usize, d: usize| {
+            if (s * 7 + d * 3).is_multiple_of(5) {
+                1 + (s + d) % 4
+            } else {
+                0
+            }
+        };
+        let out = run(&cfg, move |comm| {
+            let sub = comm.split((comm.rank() % 3 == 0) as u64, comm.rank() as u64);
+            let counts = |c: &Comm| {
+                let before = c.report().counters;
+                let send: Vec<Vec<u64>> =
+                    (0..c.size()).map(|d| vec![7; len(c.rank(), d)]).collect();
+                let _ = c.exchange(send, AllToAllAlgo::OneFactor);
+                let after = c.report().counters;
+                [
+                    after.bytes_self - before.bytes_self,
+                    after.bytes_intra_numa - before.bytes_intra_numa,
+                    after.bytes_intra_node - before.bytes_intra_node,
+                    after.bytes_inter_node - before.bytes_inter_node,
+                ]
+            };
+            let members: Vec<usize> = (0..sub.size()).map(|r| sub.global_rank(r)).collect();
+            (counts(comm), counts(&sub), sub.rank(), members)
+        });
+        for (me, ((world, sub, sub_rank, members), _)) in out.iter().enumerate() {
+            let want = |me: usize, rank: usize, members: &[usize]| {
+                let mut by_class = [0u64; 4];
+                for (d, &g) in members.iter().enumerate() {
+                    by_class[topology.link(me, g) as usize] += 8 * len(rank, d) as u64;
+                }
+                by_class
+            };
+            let world_members: Vec<usize> = (0..p).collect();
+            assert_eq!(*world, want(me, me, &world_members), "rank {me}");
+            assert_eq!(*sub, want(me, *sub_rank, members), "rank {me} in its split");
+            assert!(world.iter().filter(|&&b| b > 0).count() >= 2, "rank {me}");
+        }
+    }
+
     #[test]
     fn split_forms_coherent_subgroups() {
         let vals = run(&cfg(8), |comm| {
@@ -1602,8 +1701,12 @@ mod tests {
         };
         let count = |s: usize, d: usize| counts[s * p + d];
         let cell = format!("{nodes}x{numa}x{cores} members {global_ranks:?} seed {seed}");
+        let placed: Vec<Placement> = global_ranks
+            .iter()
+            .map(|&g| topology.placement(g))
+            .collect();
         assert_eq!(
-            one_factor_costs(&ctx, p, elem, count),
+            one_factor_costs(&ctx, &placed, elem, count),
             one_factor_reference(&ctx, p, elem, &count),
             "{cell}"
         );
@@ -1614,7 +1717,7 @@ mod tests {
             cost.alltoallv_peer_ns(link, count(s, d) * elem)
         };
         let bits = |sums: Vec<f64>| sums.into_iter().map(f64::to_bits).collect::<Vec<_>>();
-        let (send, recv) = one_factor_sides(&ctx, p, elem, count);
+        let (send, recv) = one_factor_sides(&ctx, &placed, elem, count);
         let plain = |side: &dyn Fn(usize, usize) -> f64| {
             (0..p)
                 .map(|r| (0..p).fold(0.0, |sum, peer| sum + side(r, peer)))
@@ -1695,6 +1798,216 @@ mod tests {
                 assert_eq!(end, enter_max_ns + row.ceil() as u64, "mask {mask} r {r}");
                 assert!(end > staged[r], "mask {mask} r {r}");
             }
+        }
+    }
+
+    /// Send totals and receive weights, `nper` keys per rank on
+    /// average, of the schedule-rule grid's patterns: 0 uniform, 1
+    /// sparse (one rank in eight holds the keys), 2 one heavy sender
+    /// (rank 0 holds half of them), 3 one heavy receiver (rank `P − 1`
+    /// is bound half of them).
+    fn grid_totals(pattern: usize, p: usize, nper: u64) -> (Vec<u64>, Vec<u64>) {
+        let n = p as u64 * nper;
+        let even = |total: u64| -> Vec<u64> {
+            (0..p as u64)
+                .map(|i| total / p as u64 + u64::from(i < total % p as u64))
+                .collect()
+        };
+        match pattern {
+            0 => (even(n), even(n)),
+            1 => {
+                let send = (0..p)
+                    .map(|s| if s % 8 == 0 { 8 * nper } else { 0 })
+                    .collect();
+                (send, even(n))
+            }
+            2 => {
+                let mut send = even(n / 2);
+                send[0] += n - n / 2;
+                (send, even(n))
+            }
+            _ => {
+                let mut recv = even(n / 2);
+                recv[p - 1] += n - n / 2;
+                (even(n), recv)
+            }
+        }
+    }
+
+    /// The count matrix the totals describe: source `s` spreads its
+    /// send total over the destinations in proportion to their
+    /// weights, by systematic sampling from a seeded phase.
+    fn grid_matrix<'a>(send: &'a [u64], weights: &[u64]) -> impl Fn(usize, usize) -> u64 + 'a {
+        let mut cum = vec![0u64];
+        for &w in weights {
+            cum.push(cum.last().unwrap() + w);
+        }
+        let n = cum.last().unwrap().max(&1).to_owned();
+        let phase: Vec<u64> = (0..send.len())
+            .map(|s| (unit_draw(0x5eed, &[s as u64]) * n as f64) as u64 % n)
+            .collect();
+        move |s: usize, d: usize| {
+            let at = |c: u64| ((c as u128 * send[s] as u128 + phase[s] as u128) / n as u128) as u64;
+            at(cum[d + 1]) - at(cum[d])
+        }
+    }
+
+    /// Every arm weighed against the pick: one-factor, Bruck and staged
+    /// `k = 2, 4, …` up to one stage (`k = P`).
+    fn grid_arms(p: usize) -> Vec<AllToAllAlgo> {
+        let mut arms = vec![AllToAllAlgo::OneFactor, AllToAllAlgo::Bruck];
+        let mut k = 2;
+        loop {
+            arms.push(AllToAllAlgo::StagedKWay { k: k.min(p) });
+            if k >= p {
+                return arms;
+            }
+            k *= 2;
+        }
+    }
+
+    /// A members-`0..p` context of `topology` with every rank entering
+    /// at 0, and its placements.
+    fn grid_ctx<'a>(
+        cost: &'a CostModel,
+        topology: &'a Topology,
+        members: &'a [usize],
+    ) -> CollectiveCtx<'a> {
+        CollectiveCtx {
+            cost,
+            topology,
+            global_ranks: members,
+            enter_max_ns: 0,
+            worst_link: topology.worst_link(members),
+        }
+    }
+
+    /// The charged price of `algo`: the latest end over the ranks.
+    fn charged(
+        ctx: &CollectiveCtx<'_>,
+        elem: u64,
+        algo: AllToAllAlgo,
+        count: &dyn Fn(usize, usize) -> u64,
+    ) -> u64 {
+        let p = ctx.global_ranks.len();
+        let ends = alltoallv_end_times(ctx, p, elem, algo, count);
+        ends.into_iter().max().unwrap_or(0)
+    }
+
+    /// The pick over one count matrix, with every arm's charged price.
+    fn grid_pick(
+        ctx: &CollectiveCtx<'_>,
+        elem: u64,
+        count: &dyn Fn(usize, usize) -> u64,
+    ) -> (AllToAllAlgo, Vec<(AllToAllAlgo, u64)>) {
+        let p = ctx.global_ranks.len();
+        let placed: Vec<Placement> = ctx
+            .global_ranks
+            .iter()
+            .map(|&g| ctx.topology.placement(g))
+            .collect();
+        let (send, recv) = exchange_totals(p, count);
+        let pick = pick_schedule(ctx.cost, &placed, elem, &send, &recv);
+        let prices = grid_arms(p)
+            .into_iter()
+            .map(|a| (a, charged(ctx, elem, a, count)))
+            .collect();
+        (pick, prices)
+    }
+
+    /// The schedule rule's grid over `ps`, on the Table I cluster and
+    /// the one-node Fig. 4 machine (and the small test cluster where it
+    /// places ranks differently, below 16), 4 to 256 Ki `u64` keys per
+    /// rank, the four [`grid_totals`] patterns:
+    /// - the pick is charged no more than one-factor;
+    /// - where an arm undercuts one-factor by more than 10 %, the pick
+    ///   is within 5 % of the cheapest arm.
+    ///
+    /// A matrix the totals cannot tell from uniform — nearly sorted
+    /// input, where each rank keeps half its keys and sends its next
+    /// neighbour the rest — is held to the first bound only.
+    fn check_pick_grid(ps: &[usize]) {
+        let cost = CostModel::supermuc_phase2();
+        let elem = 8;
+        for &p in ps {
+            let members: Vec<usize> = (0..p).collect();
+            let mut topologies = vec![Topology::supermuc_phase2(p), Topology::single_node(p)];
+            if p < 16 {
+                topologies.push(Topology::new(p, p, 4, 7));
+            }
+            for topology in &topologies {
+                let ctx = grid_ctx(&cost, topology, &members);
+                for nper in [4u64, 1 << 6, 1 << 10, 1 << 14, 1 << 18] {
+                    for pattern in 0..5 {
+                        let (send, recv) = grid_totals(pattern.min(3), p, nper);
+                        let spread = grid_matrix(&send, &recv);
+                        let sorted = |s: usize, d: usize| {
+                            let half = nper / 2;
+                            u64::from(d == s) * (nper - half) + u64::from(d == (s + 1) % p) * half
+                        };
+                        let count: &dyn Fn(usize, usize) -> u64 =
+                            if pattern < 4 { &spread } else { &sorted };
+                        let (pick, prices) = grid_pick(&ctx, elem, count);
+                        let price =
+                            |a: AllToAllAlgo| prices.iter().find(|x| x.0 == a).expect("an arm").1;
+                        let (one_factor, picked) = (price(AllToAllAlgo::OneFactor), price(pick));
+                        let best = prices.iter().map(|x| x.1).min().expect("arms");
+                        let cell = format!("{topology:?} pattern {pattern} nper {nper}: pick {pick:?} {picked}, arms {prices:?}");
+                        assert!(picked <= one_factor, "{cell}");
+                        if pattern < 4 && (best as f64) < 0.9 * one_factor as f64 {
+                            assert!(picked as f64 <= 1.05 * best as f64, "{cell}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pick_schedule_grid() {
+        check_pick_grid(&[2, 3, 4, 5, 8, 16, 17, 32, 64, 128, 256]);
+    }
+
+    /// The grid from `P = 512` to `4096`: minutes of pricing and a few
+    /// hundred MiB for the dense staged cells, so release mode only.
+    #[test]
+    #[ignore = "release-mode sweep: cargo test --release -p dhs-runtime --lib -- --ignored pick_schedule_grid_at_scale"]
+    fn pick_schedule_grid_at_scale() {
+        check_pick_grid(&[512, 1024, 2048, 4096]);
+    }
+
+    /// The pick is the A4 winner on every row of the schedule crossover
+    /// (`ablation_exchange`, P = 128 on the Table I cluster, each rank's
+    /// keys cut into `⌈n/P⌉`-key chunks for the first destinations):
+    /// Bruck at 4, 64 and 1 Ki keys per rank, `staged:8` at 16 Ki,
+    /// one-factor at 256 Ki — and no more expensive than the winner.
+    #[test]
+    fn pick_is_the_a4_winner() {
+        let cost = CostModel::supermuc_phase2();
+        let p = 128;
+        let topology = Topology::supermuc_phase2(p);
+        let members: Vec<usize> = (0..p).collect();
+        let ctx = grid_ctx(&cost, &topology, &members);
+        let rows = [
+            (4u64, AllToAllAlgo::Bruck),
+            (1 << 6, AllToAllAlgo::Bruck),
+            (1 << 10, AllToAllAlgo::Bruck),
+            (1 << 14, AllToAllAlgo::StagedKWay { k: 8 }),
+            (1 << 18, AllToAllAlgo::OneFactor),
+        ];
+        for (nper, winner) in rows {
+            let chunk = nper.div_ceil(p as u64);
+            let count = |_: usize, d: usize| chunk.min(nper.saturating_sub(d as u64 * chunk));
+            let a4 = [
+                AllToAllAlgo::OneFactor,
+                AllToAllAlgo::Bruck,
+                AllToAllAlgo::StagedKWay { k: 8 },
+            ]
+            .map(|a| (a, charged(&ctx, 8, a, &count)));
+            let cheapest = a4.iter().min_by_key(|x| x.1).expect("three arms");
+            assert_eq!(cheapest.0, winner, "nper {nper}: {a4:?}");
+            let (pick, _) = grid_pick(&ctx, 8, &count);
+            assert_eq!(pick, winner, "nper {nper}: {a4:?}");
         }
     }
 

@@ -152,27 +152,27 @@ impl Topology {
     /// The most expensive link class present among the given global
     /// ranks; collectives are charged at this class.
     pub fn worst_link(&self, ranks: &[usize]) -> LinkClass {
-        if ranks.len() <= 1 {
-            return LinkClass::SelfLoop;
-        }
-        let first = self.placement(ranks[0]);
-        let mut worst = LinkClass::SelfLoop;
-        for &r in &ranks[1..] {
-            let p = self.placement(r);
-            let class = if p.node != first.node {
-                LinkClass::InterNode
-            } else if p.numa != first.numa {
-                LinkClass::IntraNode
-            } else {
-                LinkClass::IntraNuma
-            };
-            worst = worst.max(class);
-            if worst == LinkClass::InterNode {
-                break;
-            }
-        }
-        worst
+        worst_link_among(ranks.iter().map(|&r| self.placement(r)))
     }
+}
+
+/// The most expensive link class between any two of `placements`
+/// ([`LinkClass::SelfLoop`] for fewer than two). No pair's class is
+/// worse than the worse of its members' classes to the first, so one
+/// pass from the first placement finds it, stopping at another node.
+pub(crate) fn worst_link_among(placements: impl IntoIterator<Item = Placement>) -> LinkClass {
+    let mut placements = placements.into_iter();
+    let Some(first) = placements.next() else {
+        return LinkClass::SelfLoop;
+    };
+    let mut worst = LinkClass::SelfLoop;
+    for other in placements {
+        worst = worst.max(first.link_to(other));
+        if worst == LinkClass::InterNode {
+            break;
+        }
+    }
+    worst
 }
 
 #[cfg(test)]

@@ -30,7 +30,8 @@ const USAGE: &str = "usage: dhs <sort|serve|select|topology> [--flags]\n\
     \x20        --probes M (histogram round width in units of P-1)\n\
     \x20        --threads T (intra-rank thread budget)\n\
     \x20        --recovery abort|shrink (response to rank failures)\n\
-    \x20        --exchange-algo one-factor|bruck|staged:<k>\n\
+    \x20        --exchange-algo priced|one-factor|bruck|staged:<k>\n\
+    \x20          (default priced: the schedule priced cheapest per exchange)\n\
     \x20        --warm-start cold|seeded-brackets (repeated sorts)\n\
     serve    --ranks N --nper N --epochs E --seed N --verify\n\
     \x20        --profile stationary|shifting-zipf|churn (epoch stream)\n\
@@ -182,7 +183,8 @@ fn layout_of(args: &Args) -> Layout {
     choice(args, "layout", "balanced", &table)
 }
 
-/// Parse `--exchange-algo one-factor|bruck|staged:<k>`.
+/// Parse `--exchange-algo priced|one-factor|bruck|staged:<k>`; the
+/// default, `priced`, leaves the pick to the exchange.
 fn exchange_algo_of(args: &Args) -> AllToAllAlgo {
     match args
         .raw("exchange-algo")
@@ -198,11 +200,12 @@ fn exchange_algo_of(args: &Args) -> AllToAllAlgo {
         None => {
             // `staged:<k>` is listed so the usage error names it.
             let table = [
+                ("priced", AllToAllAlgo::Priced),
                 ("one-factor", AllToAllAlgo::OneFactor),
                 ("bruck", AllToAllAlgo::Bruck),
-                ("staged:<k>", AllToAllAlgo::OneFactor),
+                ("staged:<k>", AllToAllAlgo::Priced),
             ];
-            choice(args, "exchange-algo", "one-factor", &table)
+            choice(args, "exchange-algo", "priced", &table)
         }
     }
 }

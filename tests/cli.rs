@@ -88,6 +88,48 @@ fn shrink_recovery_runs_with_staged_exchange() {
     assert!(stdout.contains("verification       : PASS"), "{stdout}");
 }
 
+/// `--exchange-algo priced` parses, is what `dhs sort` and `dhs serve`
+/// run without the flag, and resolves per exchange: at 64 ranks × 64
+/// keys it prices Bruck cheapest and runs exactly as `bruck` does, not
+/// as `one-factor`. An unknown value names the four the flag takes.
+#[test]
+fn exchange_algo_priced_is_the_default() {
+    // Everything but the handoff count, which follows the host.
+    let run = |extra: &[&str]| {
+        let mut args = vec!["sort", "--ranks", "64", "--nper", "64", "--verify"];
+        args.extend_from_slice(extra);
+        let out = dhs(&args);
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert_eq!(out.status.code(), Some(0), "{extra:?}: {stdout}");
+        assert!(stdout.contains("verification       : PASS"), "{stdout}");
+        stdout
+            .lines()
+            .filter(|l| !l.starts_with("parks per rank"))
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    let default = run(&[]);
+    assert_eq!(run(&["--exchange-algo", "priced"]), default);
+    assert_eq!(run(&["--exchange-algo", "bruck"]), default);
+    assert_ne!(run(&["--exchange-algo", "one-factor"]), default);
+
+    let serve = |extra: &[&str]| {
+        let mut args = vec!["serve", "--ranks", "8", "--nper", "256", "--epochs", "2"];
+        args.extend_from_slice(extra);
+        let out = dhs(&args);
+        assert_eq!(out.status.code(), Some(0), "{extra:?}");
+        out.stdout
+    };
+    assert_eq!(serve(&["--exchange-algo", "priced"]), serve(&[]));
+
+    for command in ["sort", "serve"] {
+        assert_usage_error(
+            &[command, "--exchange-algo", "cheapest"],
+            "(expected priced|one-factor|bruck|staged:<k>)",
+        );
+    }
+}
+
 /// A flag the driver reads, given a value it does not take: one
 /// `dhs: …` line naming the flag, the usage text, exit 2 — never a
 /// panic, and nothing runs.

@@ -12,8 +12,8 @@
 
 use dhs_core::{histogram_sort, RecoveryPolicy, SortConfig};
 use dhs_runtime::{
-    launch, try_run, ClusterConfig, FaultPlan, LinkFault, PoolStats, RankReport, RunnerEngine,
-    TraceConfig,
+    launch, try_run, AllToAllAlgo, ClusterConfig, FaultPlan, LinkFault, PoolStats, RankReport,
+    RunnerEngine, TraceConfig,
 };
 use proptest::prelude::*;
 
@@ -107,6 +107,45 @@ fn assert_worker_counts_agree(
         }
     }
     reference
+}
+
+/// The priced schedule is picked inside the exchange from the
+/// deposited totals, by whichever rank arrives last. At p = 64 with 64
+/// keys per rank (the Bruck region) the sort must come out
+/// byte-identical, `RankReport`s included, under every worker count
+/// and with tracing on or off — and equal to the explicit Bruck arm,
+/// which is what the pick resolves to there.
+#[test]
+fn engines_agree_on_the_priced_pick() {
+    let (p, n_per) = (64, 64);
+    let sort = |workers: usize, trace: TraceConfig, algo: AllToAllAlgo| {
+        let cfg = ClusterConfig::supermuc_phase2(p)
+            .with_engine(RunnerEngine { workers })
+            .with_trace(trace);
+        let sort_cfg = SortConfig {
+            exchange_algo: algo,
+            ..SortConfig::default()
+        };
+        let out = launch(&cfg, move |comm| {
+            let mut local = keys_for(comm.rank(), n_per, 1 << 20);
+            histogram_sort(comm, &mut local, &sort_cfg);
+            local
+        })
+        .expect("an inert fault plan is valid");
+        assert_eq!(out.park_backstops, 0, "a park ended by the backstop");
+        out.into_result().expect("a fault-free sort completes")
+    };
+    let reference = sort(p, TraceConfig::Off, AllToAllAlgo::Priced);
+    for workers in [0, 2, 1] {
+        for trace in [TraceConfig::Off, TraceConfig::On] {
+            let got = sort(workers, trace, AllToAllAlgo::Priced);
+            assert!(got == reference, "{workers} workers, {trace:?}");
+        }
+    }
+    assert!(sort(0, TraceConfig::Off, AllToAllAlgo::Bruck) == reference);
+    let one_factor = sort(0, TraceConfig::Off, AllToAllAlgo::OneFactor);
+    let makespan = |ranks: &[(Vec<u64>, RankReport)]| ranks.iter().map(|r| r.1.clock_ns).max();
+    assert!(makespan(&reference) < makespan(&one_factor));
 }
 
 /// A straggler and a degraded-link window, both shaped by `seed`: the
@@ -225,11 +264,11 @@ struct SortRecord {
     trace_summary: String,
 }
 
-/// One traced sort of a fixed input at p = 24, on the default worker
+/// One traced sort of a fixed input at p = 72, on the default worker
 /// pool. Rank `k` must run on a thread named `rank-{k}`, and no park may
 /// come back by the backstop.
 fn traced_reference_sort() -> SortRecord {
-    const P: usize = 24;
+    const P: usize = 72;
     let cfg = ClusterConfig::small_cluster(P).with_trace(TraceConfig::On);
     let sort_cfg = SortConfig::default();
     let run = launch(&cfg, |comm| {
@@ -258,7 +297,7 @@ fn traced_reference_sort() -> SortRecord {
 
 /// Rank threads outlive their world, so nothing a world leaves on them
 /// may reach the next one. The reference sort runs first in this test
-/// (no other test in this file goes above 16 ranks, so at least its
+/// (no other test in this file goes above 64 ranks, so at least its
 /// upper ranks start on fresh threads), then again after worlds of
 /// other sizes, a world in which a rank panics, and a crash recovered
 /// by shrinking — and must reproduce itself exactly.
