@@ -9,7 +9,9 @@
 //! duplicate keys.
 //!
 //! The contingents are distributed by one exclusive scan (the paper
-//! names it as part of this step), then the payload moves in a single
+//! names it as part of this step) over the splitters whose realized
+//! boundary splits their equal-key range — none on distinct keys, where
+//! the scan is skipped — then the payload moves in a single
 //! `ALL-TO-ALLV`. With `s = P − 1` segment `d` goes to rank `d`; with
 //! fewer splitters it goes to one member of the `d`-th of `s + 1`
 //! contiguous rank groups. The flat sort, level 1 of the two-level
@@ -66,7 +68,10 @@ pub fn plan_exchange_with<K: Key>(
 /// one's `(lower, upper)` bounds are found by exponential search
 /// outward from the previous splitter's lower bound — `O(s · log(n/s))`
 /// compares. The charge is the paper's `2s` binary searches over the
-/// whole local array.
+/// whole local array. The exclusive scan of the contingents runs only
+/// when some splitter is realized strictly inside its equal-key range,
+/// and only over those splitters; the cuts are those of the full-width
+/// scan.
 pub fn plan_exchange<K: Key>(
     comm: &Comm,
     sorted_local: &[K],
@@ -94,19 +99,41 @@ pub fn plan_exchange<K: Key>(
 
     // Refinement (Algorithm 4): splitter i's excess over the global
     // strict-lower count is filled from the equal-key contingents in
-    // rank order. Each rank only needs the contingent mass of the
-    // ranks *before* it — one EXCLUSIVE_SCAN (which the paper names as
-    // part of this step), O(P) data per rank instead of the full
-    // O(P²) bound matrix.
-    let before_me = comm.exscan_sum_vec_shared(&contingents);
+    // rank order, so a rank needs the contingent mass of the ranks
+    // *before* it — one EXCLUSIVE_SCAN (which the paper names as part
+    // of this step). Only a splitter realized strictly inside its
+    // equal-key range needs it: at `global_lower` the excess is 0 and
+    // no rank takes an equal key; at `global_upper` the excess is
+    // `U − L`, the sum of all contingents, so every rank takes its
+    // whole contingent whatever the ranks before it hold. The scan
+    // therefore carries just the split splitters' contingents and is
+    // skipped when there are none; every rank reads that set off the
+    // shared `SplitterResult`, so all of them agree on the collective.
+    let is_split = |i: usize| {
+        let info = &splitters.splitters[i];
+        info.global_lower < info.realized && info.realized < info.global_upper
+    };
+    let before_split = (0..s).any(is_split).then(|| {
+        let mut split: Vec<u64> = comm.pool().take_u64();
+        split.extend((0..s).filter(|&i| is_split(i)).map(|i| contingents[i]));
+        let scan = comm.exscan_sum_vec_shared(&split);
+        comm.pool().recycle_u64(split);
+        scan
+    });
 
     comm.charge(Work::Compares(s as u64));
     let mut cuts = Vec::with_capacity(s + 2);
     cuts.push(0usize);
+    let mut scanned = before_split.iter().flat_map(|scan| scan.iter().copied());
     for (i, info) in splitters.splitters.iter().enumerate() {
         debug_assert!(info.realized >= info.global_lower && info.realized <= info.global_upper);
         let excess = info.realized - info.global_lower;
-        let take = excess.saturating_sub(before_me[i]).min(contingents[i]);
+        let before_me = if is_split(i) {
+            scanned.next().expect("one scan entry per split splitter")
+        } else {
+            0
+        };
+        let take = excess.saturating_sub(before_me).min(contingents[i]);
         cuts.push((lowers[i] + take) as usize);
     }
     cuts.push(n_local);

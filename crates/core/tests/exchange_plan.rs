@@ -1,24 +1,29 @@
 //! `plan_exchange` finds every splitter's local `(lower, upper)`
-//! by exponential search from the previous splitter's cut. The start of
-//! a search must decide only what it costs: the cuts, and the virtual
-//! time charged for them, have to equal those of a plan written here
-//! with two independent full-width `partition_point`s per splitter —
-//! for duplicate-heavy keys, empty ranks, splitter keys outside the
-//! local range, accepted keys that do not ascend, and any splitter
-//! count from one to `P − 1`. `exchange_data` must then deliver
-//! segment `d` of a `w`-way plan to one member of the `d`-th of `w`
-//! rank groups, and at `w = P` to rank `d`.
+//! by exponential search from the previous splitter's cut, and scans
+//! the equal-key contingents only of the splitters realized strictly
+//! inside their equal-key range. Neither may change a cut: the cuts
+//! have to equal those of Algorithm 4 written here with two
+//! independent full-width `partition_point`s per splitter and one
+//! exclusive scan over every splitter, and the virtual time charged for
+//! them that of the same plan scanning only the split splitters — for
+//! duplicate-heavy keys, empty ranks, splitter keys outside the local
+//! range, accepted keys that do not ascend, split splitters beside
+//! splitters at range ends, an iteration-capped search, and any
+//! splitter count from one to `P − 1`. `exchange_data` must then
+//! deliver segment `d` of a `w`-way plan to one member of the `d`-th of
+//! `w` rank groups, and at `w = P` to rank `d`.
 
 use std::sync::Arc;
 
-use dhs_core::exchange::{exchange_data, plan_exchange};
+use dhs_core::exchange::{exchange_data, plan_exchange, ExchangePlan};
+use dhs_core::splitter::{find_splitters_cfg, SplitterOptions};
 use dhs_core::{Key, SplitterInfo, SplitterResult};
-use dhs_runtime::{run, AllToAllAlgo, ClusterConfig, Comm, Work};
+use dhs_runtime::{launch, run, AllToAllAlgo, ClusterConfig, Comm, TraceConfig, Work};
 use dhs_workloads::Distribution;
 
 /// Algorithm 4 with plain binary searches, against the runtime's public
-/// surface only: the charges and the one exclusive scan of the plan
-/// under test, in its order.
+/// surface only: the plan's charges and one exclusive scan over every
+/// splitter's contingent, as the paper writes it. The cut reference.
 fn reference_cuts<K: Key>(comm: &Comm, sorted: &[K], splitters: &[SplitterInfo<K>]) -> Vec<usize> {
     let s = splitters.len() as u64;
     comm.charge(Work::BinarySearches {
@@ -48,6 +53,90 @@ fn reference_cuts<K: Key>(comm: &Comm, sorted: &[K], splitters: &[SplitterInfo<K
     cuts
 }
 
+/// Whether Algorithm 4 must scan splitter `info`'s contingents: its
+/// realized boundary lies strictly inside its equal-key range.
+fn is_split<K: Key>(info: &SplitterInfo<K>) -> bool {
+    info.global_lower < info.realized && info.realized < info.global_upper
+}
+
+/// Algorithm 4 as the plan under test runs it, written out here: the
+/// same charges, then one exclusive scan over the contingents of the
+/// split splitters only, skipped when there are none. A splitter at
+/// an end of its range takes nothing (`realized == global_lower`) or
+/// the whole contingent (`realized == global_upper`).
+fn narrowed_cuts<K: Key>(comm: &Comm, sorted: &[K], splitters: &[SplitterInfo<K>]) -> Vec<usize> {
+    let s = splitters.len() as u64;
+    comm.charge(Work::BinarySearches {
+        searches: 2 * s,
+        n: sorted.len() as u64,
+    });
+    let lowers: Vec<u64> = splitters
+        .iter()
+        .map(|i| sorted.partition_point(|x| *x < i.key) as u64)
+        .collect();
+    let contingents: Vec<u64> = splitters
+        .iter()
+        .zip(&lowers)
+        .map(|(i, l)| sorted.partition_point(|x| *x <= i.key) as u64 - l)
+        .collect();
+    let split: Vec<usize> = (0..splitters.len())
+        .filter(|&i| is_split(&splitters[i]))
+        .collect();
+    let scanned: Vec<u64> = if split.is_empty() {
+        Vec::new()
+    } else {
+        let mine: Vec<u64> = split.iter().map(|&i| contingents[i]).collect();
+        comm.exscan_sum_vec_shared(&mine).to_vec()
+    };
+    comm.charge(Work::Compares(s));
+    let mut cuts = vec![0usize];
+    for (i, info) in splitters.iter().enumerate() {
+        let take = match split.iter().position(|&j| j == i) {
+            Some(k) => (info.realized - info.global_lower)
+                .saturating_sub(scanned[k])
+                .min(contingents[i]),
+            None if info.realized == info.global_lower => 0,
+            None => contingents[i],
+        };
+        let cut = (lowers[i] + take) as usize;
+        cuts.push(cut.max(*cuts.last().expect("starts non-empty")));
+    }
+    let end = sorted.len().max(*cuts.last().expect("starts non-empty"));
+    cuts.push(end);
+    cuts
+}
+
+/// Run `f` between two barriers and return its result, the virtual
+/// time it took and the collectives it issued on this rank.
+fn measured<R>(comm: &Comm, f: impl FnOnce() -> R) -> (R, u64, u64) {
+    comm.barrier();
+    let (t0, c0) = (comm.now_ns(), comm.report().counters.collectives);
+    let out = f();
+    let (t1, c1) = (comm.now_ns(), comm.report().counters.collectives);
+    (out, t1 - t0, c1 - c0)
+}
+
+/// The plan must cut where full-width Algorithm 4 cuts, take the
+/// virtual time of [`narrowed_cuts`], and issue one collective fewer
+/// than the full-width reference exactly when no splitter is split.
+fn assert_plan<K: Key>(
+    comm: &Comm,
+    local: &[K],
+    found: &SplitterResult<K>,
+    at: &str,
+) -> ExchangePlan {
+    let (plan, took, issued) = measured(comm, || plan_exchange(comm, local, found));
+    let (narrowed, narrowed_took, _) =
+        measured(comm, || narrowed_cuts(comm, local, &found.splitters));
+    let (cuts, _, full_issued) = measured(comm, || reference_cuts(comm, local, &found.splitters));
+    assert_eq!(plan.cuts, cuts, "{at}");
+    assert_eq!(narrowed, cuts, "narrowed reference, {at}");
+    assert_eq!(took, narrowed_took, "virtual ns, {at}");
+    let none_split = !found.splitters.iter().any(is_split);
+    assert_eq!(issued + none_split as u64, full_issued, "collectives, {at}");
+    plan
+}
+
 /// How the accepted keys are laid out.
 #[derive(Debug, Clone, Copy)]
 enum Accepted {
@@ -63,14 +152,19 @@ enum Accepted {
     AllOneKey,
     /// Equal targets on keys that descend.
     EqualTargetsDescending,
+    /// Ascending, realized in turn at the lower end of the key's
+    /// equal-key range, at its upper end and in its middle: split
+    /// splitters beside unsplit ones.
+    MixedEnds,
 }
 
-const LAYOUTS: [Accepted; 5] = [
+const LAYOUTS: [Accepted; 6] = [
     Accepted::Ascending,
     Accepted::AsGathered,
     Accepted::PastBothEnds,
     Accepted::AllOneKey,
     Accepted::EqualTargetsDescending,
+    Accepted::MixedEnds,
 ];
 
 /// The `s` splitters every rank agrees on for `how`, with the global
@@ -90,7 +184,7 @@ fn accepted<K: Key>(
     let w = s as u64 + 1;
     let mut targets: Vec<u64> = (1..w).map(|i| i * n_total / w).collect();
     match how {
-        Accepted::Ascending => keys.sort_unstable(),
+        Accepted::Ascending | Accepted::MixedEnds => keys.sort_unstable(),
         Accepted::AsGathered => {}
         Accepted::PastBothEnds => {
             keys.sort_unstable();
@@ -117,12 +211,19 @@ fn accepted<K: Key>(
         .iter()
         .zip(&targets)
         .zip(bounds.chunks(2))
-        .map(|((&key, &target), lu)| SplitterInfo {
-            key,
-            target,
-            realized: target.clamp(lu[0], lu[1]),
-            global_lower: lu[0],
-            global_upper: lu[1],
+        .enumerate()
+        .map(|(i, ((&key, &target), lu))| {
+            let realized = match how {
+                Accepted::MixedEnds => [lu[0], lu[1], lu[0] + (lu[1] - lu[0]) / 2][i % 3],
+                _ => target.clamp(lu[0], lu[1]),
+            };
+            SplitterInfo {
+                key,
+                target,
+                realized,
+                global_lower: lu[0],
+                global_upper: lu[1],
+            }
         })
         .collect();
     SplitterResult {
@@ -142,16 +243,15 @@ fn splitter_counts(p: usize) -> Vec<usize> {
 }
 
 /// Run every layout of accepted keys, at every splitter count, over
-/// the blocks `block(rank)` on `p` ranks; the plan must agree with the
-/// reference on cuts and on the virtual time both take from level
-/// clocks.
+/// the blocks `block(rank)` on `p` ranks ([`assert_plan`] on each),
+/// then the splitters of a search capped at one round.
 fn check<K: Key + std::fmt::Debug>(
     p: usize,
     ends: (K, K),
     block: impl Fn(usize) -> Vec<K> + Send + Sync,
     cell: &str,
-) {
-    run(&ClusterConfig::small_cluster(p), |comm| {
+) -> bool {
+    let out = run(&ClusterConfig::small_cluster(p), |comm| {
         let mut local = block(comm.rank());
         local.sort_unstable();
         for (how, s) in LAYOUTS
@@ -159,21 +259,15 @@ fn check<K: Key + std::fmt::Debug>(
             .flat_map(|how| splitter_counts(p).into_iter().map(move |s| (how, s)))
         {
             let found = accepted(comm, &local, how, ends, s);
-            comm.barrier();
-            let t0 = comm.now_ns();
-            let plan = plan_exchange(comm, &local, &found);
-            let took = comm.now_ns() - t0;
-            comm.barrier();
-            let t0 = comm.now_ns();
-            let cuts = reference_cuts(comm, &local, &found.splitters);
-            let reference_took = comm.now_ns() - t0;
             let at = format!("{cell}, {how:?}, s={s}, rank {} of {p}", comm.rank());
-            assert_eq!(plan.cuts, cuts, "{at}");
-            assert_eq!(took, reference_took, "virtual ns, {at}");
+            let plan = assert_plan(comm, &local, &found, &at);
             // The segments are the cuts: with ascending accepted keys
             // segment d holds nothing outside (S_{d-1}, S_d) but copies
             // of the two splitter keys themselves.
-            if matches!(how, Accepted::Ascending | Accepted::PastBothEnds) {
+            if matches!(
+                how,
+                Accepted::Ascending | Accepted::PastBothEnds | Accepted::MixedEnds
+            ) {
                 for (d, seg) in plan.segments(&local).iter().enumerate() {
                     let above = d.checked_sub(1).map(|i| found.splitters[i].key);
                     let below = found.splitters.get(d).map(|s| s.key);
@@ -185,7 +279,20 @@ fn check<K: Key + std::fmt::Debug>(
                 }
             }
         }
+        // A degraded search: capped at one round, its splitters freeze
+        // at the nearest probe, realized anywhere in that key's range.
+        let n_total: u64 = comm.allreduce_sum(vec![local.len() as u64])[0];
+        let targets: Vec<u64> = (1..p as u64).map(|i| i * n_total / p as u64).collect();
+        let opts = SplitterOptions {
+            max_iterations: Some(1),
+            ..SplitterOptions::default()
+        };
+        let found = find_splitters_cfg(comm, &local, &targets, 0, opts);
+        let at = format!("{cell}, one-round search, rank {} of {p}", comm.rank());
+        assert_plan(comm, &local, &found, &at);
+        found.degraded
     });
+    out[0].0
 }
 
 const SIZES: [usize; 4] = [0, 1, 50, 100_000];
@@ -201,6 +308,7 @@ fn blocks(dist: Distribution, n: usize) -> impl Fn(usize) -> Vec<u64> + Send + S
 
 #[test]
 fn uniform_keys_every_shape() {
+    let mut degraded = 0;
     for p in RANKS {
         for n in SIZES {
             // 64 × 100 000 keys would only repeat 8 × 100 000 slower.
@@ -211,9 +319,10 @@ fn uniform_keys_every_shape() {
                 lo: 10,
                 hi: 1 << 40,
             };
-            check(p, (0, u64::MAX), blocks(dist, n), &format!("uniform n={n}"));
+            degraded += check(p, (0, u64::MAX), blocks(dist, n), &format!("uniform n={n}")) as u32;
         }
     }
+    assert!(degraded > 0, "some one-round search must stop degraded");
 }
 
 #[test]
@@ -269,8 +378,7 @@ fn record_key_view() {
         records.sort_by_key(|r| r.0);
         let view: Vec<u64> = records.iter().map(|r| r.0).collect();
         let found = accepted(comm, &view, Accepted::Ascending, (0, u64::MAX), p - 1);
-        let plan = plan_exchange(comm, &view, &found);
-        assert_eq!(plan.cuts, reference_cuts(comm, &view, &found.splitters));
+        let plan = assert_plan(comm, &view, &found, "records");
         let sent: usize = plan.segments(&records).iter().map(|s| s.len()).sum();
         assert_eq!(sent, records.len());
     });
@@ -313,5 +421,31 @@ fn segments_land_on_their_group() {
                 }
             });
         }
+    }
+}
+
+/// On distinct keys every realized boundary sits at an end of its
+/// one-key range, so the plan runs no scan: no `"exscan"` span on any
+/// rank, where the full-width reference records one.
+#[test]
+fn distinct_keys_issue_no_scan() {
+    let p = 16;
+    let cfg = ClusterConfig::small_cluster(p).with_trace(TraceConfig::On);
+    let record = launch(&cfg, |comm| {
+        let local: Vec<u64> = (0..500).map(|i| (i * p + comm.rank()) as u64).collect();
+        let targets: Vec<u64> = (1..p as u64).map(|i| i * 500).collect();
+        let found = dhs_core::find_splitters(comm, &local, &targets, 0);
+        assert!(!found.splitters.iter().any(is_split));
+        let (plan, _, issued) = measured(comm, || plan_exchange(comm, &local, &found));
+        assert_eq!(issued, 0, "rank {}", comm.rank());
+        let (cuts, _, full_issued) =
+            measured(comm, || reference_cuts(comm, &local, &found.splitters));
+        assert_eq!((plan.cuts, full_issued), (cuts, 1), "rank {}", comm.rank());
+    })
+    .expect("an inert fault plan is valid");
+    assert_eq!(record.failures().count(), 0);
+    for rank in &record.trace.ranks {
+        let scans = rank.spans.iter().filter(|s| s.name == "exscan").count();
+        assert_eq!(scans, 1, "rank {}: only the reference scans", rank.rank);
     }
 }

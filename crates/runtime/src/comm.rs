@@ -15,7 +15,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use crate::buffer::{BufferPool, RecvRuns, SharedSlice};
-use crate::cost::{ceil_ns, pick_schedule, CostModel, Work, STAGE_HEADER_BYTES};
+use crate::cost::{ceil_ns, pick_schedule, AllreduceArm, CostModel, Work, STAGE_HEADER_BYTES};
 use crate::fault::{RankAbort, RankError};
 use crate::state::{CollectiveCtx, CommState, EndTimes, World};
 use crate::stats::{RankLocal, RankReport};
@@ -764,7 +764,7 @@ impl Comm {
     {
         let p = self.size();
         let bytes = (xs.len() * mem::size_of::<T>()) as u64;
-        let out = self.run_collective("allreduce", xs, move |inputs, ctx| {
+        let settled = self.run_collective("allreduce", xs, move |inputs, ctx| {
             let mut it = inputs.into_iter();
             let mut acc = it.next().expect("at least one rank");
             for x in it {
@@ -777,10 +777,11 @@ impl Comm {
                     *a = op(a, b);
                 }
             }
-            let end = ctx.enter_max_ns + ctx.cost.allreduce_ns(ctx.worst_link, p, bytes);
-            (finish(acc), EndTimes::Uniform(end))
+            let (arm, end) = settle_allreduce(ctx, p, bytes);
+            ((Arc::new(finish(acc)), arm), end)
         });
-        self.account_collective_bytes(bytes * crate::cost::log2_ceil(p) as u64);
+        let (out, arm) = settled.as_ref().clone();
+        self.account_collective_bytes(arm.bytes_sent(p, bytes));
         out
     }
 
@@ -807,8 +808,9 @@ impl Comm {
         G: FnOnce(Vec<u64>) -> R,
     {
         let p = self.size();
+        let bytes = mem::size_of_val(xs) as u64;
         let view = RawParts::of(&[xs]);
-        let out: Arc<R> = self.run_collective_view(
+        let (out, arm): (Arc<R>, AllreduceArm) = self.run_collective_view(
             "allreduce",
             view,
             move |inputs: Vec<RawParts<u64>>, ctx| {
@@ -822,16 +824,13 @@ impl Comm {
                         *a = a.wrapping_add(*b);
                     }
                 }
-                let bytes = (width * mem::size_of::<u64>()) as u64;
-                let end = ctx.enter_max_ns + ctx.cost.allreduce_ns(ctx.worst_link, p, bytes);
-                (finish(acc), EndTimes::Uniform(end))
+                let (arm, end) = settle_allreduce(ctx, p, bytes);
+                ((Arc::new(finish(acc)), arm), end)
             },
-            Arc::clone,
+            |settled| settled.as_ref().clone(),
             false,
         );
-        self.account_collective_bytes(
-            mem::size_of_val(xs) as u64 * crate::cost::log2_ceil(p) as u64,
-        );
+        self.account_collective_bytes(arm.bytes_sent(p, bytes));
         out
     }
 
@@ -919,7 +918,10 @@ impl Comm {
     ///
     /// The input is viewed in place and the scan is computed **once**
     /// into a flat `p × width` buffer shared by all ranks; the returned
-    /// [`SharedSlice`] is this rank's window into it.
+    /// [`SharedSlice`] is this rank's window into it. Algorithm 4
+    /// (`dhs_core::exchange::plan_exchange`) passes one element per
+    /// splitter that splits its equal-key range, so the buffer is
+    /// `p × (split splitters)` and never built on distinct keys.
     pub fn exscan_sum_vec_shared(&self, xs: &[u64]) -> SharedSlice<u64> {
         let p = self.size();
         let me = self.rank;
@@ -1205,6 +1207,17 @@ impl Comm {
     }
 }
 
+/// Settle an allreduce of `bytes` per rank in its combine: the arm the
+/// cost model in effect prices cheaper ([`CostModel::allreduce_arm`],
+/// one pick for the whole communicator) and the end time it charges.
+/// The arm travels back with the result, so every rank counts the
+/// bytes of the schedule it was charged for.
+fn settle_allreduce(ctx: &CollectiveCtx<'_>, p: usize, bytes: u64) -> (AllreduceArm, EndTimes) {
+    let arm = ctx.cost.allreduce_arm(ctx.worst_link, p, bytes);
+    let ns = ctx.cost.allreduce_arm_ns(arm, ctx.worst_link, p, bytes);
+    (arm, EndTimes::Uniform(ctx.enter_max_ns + ns))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1222,6 +1235,73 @@ mod tests {
             comm.broadcast(3, v)
         });
         assert!(vals.iter().all(|(v, _)| *v == 99));
+    }
+
+    /// The allreduce charges and counts the arm it picks. On 40 ranks
+    /// over three nodes a 16 KiB vector goes reduce-scatter +
+    /// allgather: `2·n·31/32` bytes in the 32-rank core plus `2n` for
+    /// the fold of the other 8. A 32-byte one goes recursive doubling,
+    /// `n` in each of 6 rounds. Inside a link-degradation window the
+    /// pick is made under the degraded model: 10 µs more latency per
+    /// message sends the 16 KiB vector back to recursive doubling, and
+    /// its bytes with it. Both allreduce bodies agree.
+    #[test]
+    fn allreduce_counts_the_bytes_of_its_arm() {
+        use crate::fault::{FaultPlan, LinkFault};
+        use crate::topology::LinkClass::InterNode;
+        use AllreduceArm::*;
+        let p = 40;
+        let (long, short) = (16 << 10, 32);
+        let slow = FaultPlan::default().with_link_fault(LinkFault {
+            class: Some(InterNode),
+            extra_alpha_ns: 10_000.0,
+            beta_factor: 4.0,
+            from_ns: 0,
+            until_ns: u64::MAX,
+        });
+        for (fault, long_arm) in [
+            (FaultPlan::default(), ReduceScatterAllgather),
+            (slow, RecursiveDoubling),
+        ] {
+            let cfg = ClusterConfig {
+                fault,
+                ..ClusterConfig::supermuc_phase2(p)
+            };
+            let cost = cfg.fault.cost_at(&cfg.cost, 0).into_owned();
+            let out = run(&cfg, |comm| {
+                let measure = |len: usize, generic: bool| {
+                    let (t0, b0) = (comm.now_ns(), comm.report().counters.bytes_inter_node);
+                    if generic {
+                        comm.allreduce_with(vec![1u64; len], |a, b| a + b);
+                    } else {
+                        comm.allreduce_sum(vec![1; len]);
+                    }
+                    let b1 = comm.report().counters.bytes_inter_node;
+                    (comm.now_ns() - t0, b1 - b0)
+                };
+                [
+                    measure(2048, false),
+                    measure(2048, true),
+                    measure(4, false),
+                    measure(4, true),
+                ]
+            });
+            assert_eq!(cost.allreduce_arm(InterNode, p, long), long_arm);
+            assert_eq!(cost.allreduce_arm(InterNode, p, short), RecursiveDoubling);
+            let long_bytes = match long_arm {
+                ReduceScatterAllgather => 2 * long * 31 / 32 + 2 * long,
+                RecursiveDoubling => long * 6,
+            };
+            let want_long = (cost.allreduce_ns(InterNode, p, long), long_bytes);
+            let want_short = (cost.allreduce_ns(InterNode, p, short), short * 6);
+            for (rank, (got, _)) in out.iter().enumerate() {
+                assert_eq!(
+                    *got,
+                    [want_long, want_long, want_short, want_short],
+                    "rank {rank}, long vector by {long_arm:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -3,9 +3,14 @@
 //! Virtual time is kept in integer nanoseconds. A one-sided transfer
 //! between two ranks costs `α(link) + bytes · β(link)`; collectives use the
 //! standard recursive-doubling / binomial-tree formulas over `⌈log₂ P⌉`
-//! rounds at the worst link class present in the communicator, except the
-//! personalized all-to-all exchanges which are charged per peer along a
-//! 1-factor pairwise schedule (Sanders & Träff \[34\] in the paper).
+//! rounds at the worst link class present in the communicator, except
+//! two. The allreduce is priced as the cheaper of recursive doubling and
+//! reduce-scatter + allgather ([`AllreduceArm`]), the long-vector switch
+//! of an MPI library (Thakur, Rabenseifner & Gropp 2005); the exclusive
+//! scan keeps recursive doubling. The personalized all-to-all exchanges
+//! are charged per peer under the schedule [`pick_schedule`] resolves
+//! (the 1-factor pairwise schedule is Sanders & Träff \[34\] in the
+//! paper).
 //!
 //! Compute work is charged explicitly by the algorithms through
 //! [`Work`] values so that simulated times are deterministic and
@@ -122,13 +127,69 @@ impl CostModel {
         ceil_ns(rounds * (l.alpha_ns + bytes as f64 * l.beta_ns_per_byte))
     }
 
-    /// Recursive-doubling allreduce of `bytes` per rank; includes the
-    /// per-byte reduction work.
+    /// Allreduce of `bytes` per rank under the arm
+    /// [`CostModel::allreduce_arm`] picks: the cheaper of the two.
     pub fn allreduce_ns(&self, class: LinkClass, p: usize, bytes: u64) -> u64 {
+        self.allreduce_arm_ns(self.allreduce_arm(class, p, bytes), class, p, bytes)
+    }
+
+    /// The allreduce schedule an MPI library runs for `bytes` per rank
+    /// on `p` ranks whose worst link is `class`: the cheaper arm under
+    /// this model, recursive doubling on a tie. A pure function of its
+    /// arguments, so every rank picks the same arm.
+    pub fn allreduce_arm(&self, class: LinkClass, p: usize, bytes: u64) -> AllreduceArm {
+        let rsag = AllreduceArm::ReduceScatterAllgather;
+        if self.allreduce_arm_ns(rsag, class, p, bytes)
+            < self.allreduce_arm_ns(AllreduceArm::RecursiveDoubling, class, p, bytes)
+        {
+            rsag
+        } else {
+            AllreduceArm::RecursiveDoubling
+        }
+    }
+
+    /// The price of one allreduce arm; includes the per-byte reduction
+    /// work `γ`.
+    ///
+    /// - Recursive doubling: the whole vector in each of `⌈log₂P⌉`
+    ///   rounds, `⌈log₂P⌉·(α + n·(β + γ))`.
+    /// - Reduce-scatter + allgather (Rabenseifner): on `P' = 2^⌊log₂P⌋`
+    ///   ranks, `2·log₂P'·α + 2·(P'−1)/P'·n·β + (P'−1)/P'·n·γ`; when
+    ///   `P ≠ P'`, the `P − P'` extra ranks first fold their vector
+    ///   into a partner (`α + n·β + n·γ`) and get the result back
+    ///   afterwards (`α + n·β`), as MPICH does.
+    pub fn allreduce_arm_ns(
+        &self,
+        arm: AllreduceArm,
+        class: LinkClass,
+        p: usize,
+        bytes: u64,
+    ) -> u64 {
         let l = self.link(class);
-        let rounds = log2_ceil(p) as f64;
         let gamma = self.move_byte_ns + 0.2; // combine = load + op per byte
-        ceil_ns(rounds * (l.alpha_ns + bytes as f64 * (l.beta_ns_per_byte + gamma)))
+        let n = bytes as f64;
+        match arm {
+            AllreduceArm::RecursiveDoubling => {
+                let rounds = log2_ceil(p) as f64;
+                ceil_ns(rounds * (l.alpha_ns + n * (l.beta_ns_per_byte + gamma)))
+            }
+            AllreduceArm::ReduceScatterAllgather => {
+                let pp = pow2_floor(p);
+                let frac = (pp - 1) as f64 / pp as f64;
+                let rounds = pp.trailing_zeros() as f64;
+                let fold = if pp == p {
+                    0.0
+                } else {
+                    2.0 * l.alpha_ns + 2.0 * n * l.beta_ns_per_byte + n * gamma
+                };
+                ceil_ns(
+                    2.0 * rounds * l.alpha_ns
+                        + 2.0 * frac * n * l.beta_ns_per_byte
+                        + frac * n * gamma
+                        + fold,
+                )
+            }
+        }
     }
 
     /// Recursive-doubling allgather: `bytes` contributed per rank,
@@ -140,9 +201,10 @@ impl CostModel {
         ceil_ns(rounds * l.alpha_ns + recv * l.beta_ns_per_byte)
     }
 
-    /// Exclusive scan: same round structure as allreduce.
+    /// Exclusive scan by recursive doubling, `⌈log₂P⌉·(α + n·(β + γ))`:
+    /// MPICH's `MPI_Exscan` has no reduce-scatter arm.
     pub fn exscan_ns(&self, class: LinkClass, p: usize, bytes: u64) -> u64 {
-        self.allreduce_ns(class, p, bytes)
+        self.allreduce_arm_ns(AllreduceArm::RecursiveDoubling, class, p, bytes)
     }
 
     /// Personalized all-to-all along a 1-factor schedule: the rank pays
@@ -879,6 +941,43 @@ fn search_probes(n: u64) -> u32 {
     }
 }
 
+/// The two allreduce schedules of [`CostModel::allreduce_arm_ns`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AllreduceArm {
+    /// Every rank exchanges the whole vector in each of `⌈log₂P⌉`
+    /// rounds: latency-optimal, the short-vector schedule.
+    RecursiveDoubling,
+    /// Reduce-scatter then allgather over `2^⌊log₂P⌋` ranks (plus a
+    /// fold of the rest): each rank moves `~2n` bytes instead of
+    /// `n·log₂P`, the long-vector schedule.
+    ReduceScatterAllgather,
+}
+
+impl AllreduceArm {
+    /// Bytes one rank sends under this arm for a `bytes`-long vector
+    /// on `p` ranks: the `β` terms of [`CostModel::allreduce_arm_ns`],
+    /// `n·⌈log₂P⌉` or `2·n·(P'−1)/P'` plus `2n` for the fold.
+    pub fn bytes_sent(self, p: usize, bytes: u64) -> u64 {
+        match self {
+            AllreduceArm::RecursiveDoubling => bytes * log2_ceil(p) as u64,
+            AllreduceArm::ReduceScatterAllgather => {
+                let pp = pow2_floor(p) as u64;
+                let fold = if pp == p as u64 { 0 } else { 2 * bytes };
+                2 * bytes * (pp - 1) / pp + fold
+            }
+        }
+    }
+}
+
+/// `2^⌊log₂ p⌋`, and 1 for `p ≤ 1`.
+fn pow2_floor(p: usize) -> usize {
+    if p <= 1 {
+        1
+    } else {
+        1 << (usize::BITS - 1 - p.leading_zeros())
+    }
+}
+
 /// `⌈log₂ p⌉`, with `log2_ceil(0) == 0` and `log2_ceil(1) == 0`.
 pub fn log2_ceil(p: usize) -> u32 {
     if p <= 1 {
@@ -1041,6 +1140,108 @@ mod tests {
         let slow = m.p2p_ns(LinkClass::IntraNuma, 1 << 20);
         assert!(slow > fast);
         assert_eq!(slow, m.p2p_ns(LinkClass::InterNode, 1 << 20));
+    }
+
+    /// The allreduce price is the cheaper of the two arms' formulas,
+    /// written out here; it is the recursive-doubling price of before
+    /// for short vectors, never falls as the vector grows, and is
+    /// strictly cheaper for the splitter search's 16 KiB rounds at
+    /// P = 1024. The exclusive scan keeps the recursive-doubling price.
+    #[test]
+    fn allreduce_pick_grid() {
+        let ps = [2, 3, 5, 8, 16, 17, 64, 128, 256, 1000, 1024, 4096];
+        let mut sizes: Vec<u64> = (1..=256).map(|i| 8 * i).collect();
+        while *sizes.last().unwrap() < 1 << 20 {
+            let next = (sizes.last().unwrap() * 5 / 4).min(1 << 20);
+            sizes.push(next);
+        }
+        let classes = [
+            LinkClass::SelfLoop,
+            LinkClass::IntraNuma,
+            LinkClass::IntraNode,
+            LinkClass::InterNode,
+        ];
+        for fastpath in [true, false] {
+            let m = CostModel {
+                intranode_fastpath: fastpath,
+                ..CostModel::default()
+            };
+            let gamma = m.move_byte_ns + 0.2;
+            for class in classes {
+                let l = m.link(class);
+                for p in ps {
+                    let log_p = (p as f64).log2();
+                    let pp = 2f64.powf(log_p.floor());
+                    let frac = (pp - 1.0) / pp;
+                    let mut last = 0;
+                    for &bytes in &sizes {
+                        let n = bytes as f64;
+                        let rd = (log_p.ceil() * (l.alpha_ns + n * (l.beta_ns_per_byte + gamma)))
+                            .ceil() as u64;
+                        let fold = if pp as usize == p {
+                            0.0
+                        } else {
+                            2.0 * l.alpha_ns + 2.0 * n * l.beta_ns_per_byte + n * gamma
+                        };
+                        let rsag = (2.0 * pp.log2() * l.alpha_ns
+                            + 2.0 * frac * n * l.beta_ns_per_byte
+                            + frac * n * gamma
+                            + fold)
+                            .ceil() as u64;
+                        let cell = format!("{class:?} fastpath {fastpath} p {p} bytes {bytes}");
+                        let price = m.allreduce_ns(class, p, bytes);
+                        assert_eq!(price, rd.min(rsag), "{cell}");
+                        assert_eq!(m.exscan_ns(class, p, bytes), rd, "{cell}");
+                        let arm = m.allreduce_arm(class, p, bytes);
+                        let want = if rsag < rd {
+                            AllreduceArm::ReduceScatterAllgather
+                        } else {
+                            AllreduceArm::RecursiveDoubling
+                        };
+                        assert_eq!(arm, want, "{cell}");
+                        assert!(price >= last, "{cell}: price fell from {last} to {price}");
+                        last = price;
+                        // Short vectors keep the recursive-doubling
+                        // price wherever a communicator of `p` ranks
+                        // can have `class` as its worst link: never a
+                        // self loop, and an intra-NUMA domain of at
+                        // most 64 cores (the shipped topologies have 7).
+                        // A zero-latency link, or a 128-rank domain at
+                        // 300 ns, would pick the long-vector arm at
+                        // 1 KiB already.
+                        let reachable = class != LinkClass::SelfLoop
+                            && !(fastpath && class == LinkClass::IntraNuma && p > 64);
+                        if bytes <= 1024 && reachable {
+                            assert_eq!(price, rd, "{cell}");
+                        }
+                    }
+                }
+            }
+        }
+        let m = CostModel::default();
+        let (class, p, bytes) = (LinkClass::InterNode, 1024, 16 << 10);
+        let rd = m.allreduce_arm_ns(AllreduceArm::RecursiveDoubling, class, p, bytes);
+        assert!(m.allreduce_ns(class, p, bytes) < rd);
+        assert_eq!(
+            m.allreduce_arm(class, p, bytes),
+            AllreduceArm::ReduceScatterAllgather
+        );
+    }
+
+    /// The bytes an arm sends are its formula's `β` terms.
+    #[test]
+    fn allreduce_arm_bytes_follow_the_formulas() {
+        use AllreduceArm::*;
+        assert_eq!(RecursiveDoubling.bytes_sent(1024, 100), 1000);
+        assert_eq!(RecursiveDoubling.bytes_sent(1000, 100), 1000);
+        assert_eq!(ReduceScatterAllgather.bytes_sent(1024, 1024), 2 * 1023);
+        // 1000 ranks: 512 in the power-of-two core, plus the fold.
+        assert_eq!(
+            ReduceScatterAllgather.bytes_sent(1000, 1024),
+            2 * 1022 + 2048
+        );
+        assert_eq!(ReduceScatterAllgather.bytes_sent(1, 1024), 0);
+        assert_eq!(RecursiveDoubling.bytes_sent(1, 1024), 0);
     }
 
     #[test]
