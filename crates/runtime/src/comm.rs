@@ -15,7 +15,9 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use crate::buffer::{BufferPool, RecvRuns, SharedSlice};
-use crate::cost::{ceil_ns, pick_schedule, AllreduceArm, CostModel, Work, STAGE_HEADER_BYTES};
+use crate::cost::{
+    ceil_ns, pick_schedule, sub_blocks, AllreduceArm, CostModel, Work, STAGE_HEADER_BYTES,
+};
 use crate::fault::{RankAbort, RankError};
 use crate::state::{CollectiveCtx, CommState, EndTimes, World};
 use crate::stats::{RankLocal, RankReport};
@@ -61,11 +63,10 @@ pub enum AllToAllAlgo {
         /// peers the one-factor arm would charge α for.
         k: usize,
     },
-    /// The schedule priced cheapest for this exchange:
-    /// [`crate::cost::pick_schedule`] over the deposited send and
-    /// receive totals resolves it to one of the arms above, inside
-    /// [`Comm::exchange`], the same on every rank. The default of the
-    /// histogram sort.
+    /// The schedule priced cheapest for this exchange: the cost model's
+    /// pick over the deposited send and receive totals resolves it to
+    /// one of the arms above, inside [`Comm::exchange`], the same on
+    /// every rank. The default of the histogram sort.
     Priced,
 }
 
@@ -177,8 +178,8 @@ impl<T> RawParts<T> {
 }
 
 /// Per-rank cost of the pairwise 1-factor schedule: max(send side,
-/// recv side), each side [`CostModel::alltoallv_rank_ns`] over the
-/// rank's `P` peers.
+/// recv side), each side the sum of [`CostModel::alltoallv_peer_ns`]
+/// over the rank's `P` peers, rounded up once.
 fn one_factor_costs(
     ctx: &CollectiveCtx<'_>,
     placed: &[Placement],
@@ -334,8 +335,9 @@ fn staged_costs(
 /// `g·q/kk`; each rank sends everything bound for sub-block `g` as one
 /// message to its carrier there (itself for its own sub-block, else
 /// the rank at its offset within its own sub-block, wrapped into `g`'s
-/// size). A rank pays `max(send, recv)`, each side
-/// [`CostModel::alltoallv_rank_ns`] over its peers in ascending order.
+/// size). A rank pays `max(send, recv)`, each side the sum of
+/// [`CostModel::alltoallv_peer_ns`] over its peers in ascending order,
+/// rounded up once.
 /// The final stage (`kk == q`) ends per rank; any other opens every
 /// sub-block at its last member's end plus the block's
 /// [`CostModel::comm_split_ns`].
@@ -352,15 +354,16 @@ fn price_stages(
         return;
     }
     let kk = k.min(q);
-    // Sub-block `g` spans `[gs(g), gs(g + 1))`; `block_of` inverts it.
-    let gs = |g: usize| g * q / kk;
+    // Sub-block `g` spans `subs[g]`; `block_of` inverts it.
+    let subs: Vec<(usize, usize)> = sub_blocks(q, kk).collect();
     let block_of = |r: usize| ((r + 1) * kk - 1) / q;
     let carrier = |m: usize, g: usize| {
         let mine = block_of(m);
         if g == mine {
             m
         } else {
-            gs(g) + (m - gs(mine)) % (gs(g + 1) - gs(g))
+            let (a, b) = subs[g];
+            a + (m - subs[mine].0) % (b - a)
         }
     };
     let mut bytes = vec![0u64; q * kk];
@@ -370,7 +373,7 @@ fn price_stages(
         u.holder = lo + carrier(m, g);
     }
     // Carriers ascend with `g` and senders with `m`: each side meets
-    // its peers in ascending order, as `alltoallv_rank_ns` sums them.
+    // its peers in ascending order, as the one-factor sides sum them.
     let members = &ctx.global_ranks[lo..lo + q];
     let (mut send, mut recv) = (vec![0.0f64; q], vec![0.0f64; q]);
     for (m, row) in bytes.chunks_exact(kk).enumerate() {
@@ -392,8 +395,8 @@ fn price_stages(
     let split = ctx.cost.comm_split_ns(ctx.topology.worst_link(members), q);
     let next = (0..q).map(stage_end).max().unwrap_or(start) + split;
     let mut rest = units;
-    for g in 0..kk {
-        let sub = (lo + gs(g), gs(g + 1) - gs(g));
+    for (a, b) in subs {
+        let sub = (lo + a, b - a);
         let cut = rest.partition_point(|u| u.dst < sub.0 + sub.1);
         let (inside, tail) = rest.split_at_mut(cut);
         price_stages(ctx, k, sub, next, inside, ends);
@@ -1721,19 +1724,12 @@ mod tests {
     ) -> Vec<u64> {
         (0..p)
             .map(|r| {
-                let gr = ctx.global_ranks[r];
-                let send_cost = ctx.cost.alltoallv_rank_ns((0..p).map(|d| {
-                    (
-                        ctx.topology.link(gr, ctx.global_ranks[d]),
-                        count(r, d) * elem,
-                    )
-                }));
-                let recv_cost = ctx.cost.alltoallv_rank_ns((0..p).map(|s| {
-                    (
-                        ctx.topology.link(ctx.global_ranks[s], gr),
-                        count(s, r) * elem,
-                    )
-                }));
+                let term = |s: usize, d: usize| {
+                    let link = ctx.topology.link(ctx.global_ranks[s], ctx.global_ranks[d]);
+                    ctx.cost.alltoallv_peer_ns(link, count(s, d) * elem)
+                };
+                let send_cost = ceil_ns((0..p).fold(0.0, |sum, d| sum + term(r, d)));
+                let recv_cost = ceil_ns((0..p).fold(0.0, |sum, s| sum + term(s, r)));
                 send_cost.max(recv_cost)
             })
             .collect()
@@ -2006,17 +2002,25 @@ mod tests {
     /// A matrix the totals cannot tell from uniform — nearly sorted
     /// input, where each rank keeps half its keys and sends its next
     /// neighbour the rest — is held to the first bound only.
+    ///
+    /// Every pick is pinned besides: each topology × P is one line of
+    /// [`GOLDEN_PICKS`], its 25 picks in `nper`-major order.
     fn check_pick_grid(ps: &[usize]) {
         let cost = CostModel::supermuc_phase2();
         let elem = 8;
+        let mut moved = Vec::new();
         for &p in ps {
             let members: Vec<usize> = (0..p).collect();
-            let mut topologies = vec![Topology::supermuc_phase2(p), Topology::single_node(p)];
+            let mut topologies = vec![
+                ("cluster", Topology::supermuc_phase2(p)),
+                ("node", Topology::single_node(p)),
+            ];
             if p < 16 {
-                topologies.push(Topology::new(p, p, 4, 7));
+                topologies.push(("small", Topology::new(p, p, 4, 7)));
             }
-            for topology in &topologies {
+            for (name, topology) in &topologies {
                 let ctx = grid_ctx(&cost, topology, &members);
+                let mut line = format!("{name} {p}:");
                 for nper in [4u64, 1 << 6, 1 << 10, 1 << 14, 1 << 18] {
                     for pattern in 0..5 {
                         let (send, recv) = grid_totals(pattern.min(3), p, nper);
@@ -2037,11 +2041,25 @@ mod tests {
                         if pattern < 4 && (best as f64) < 0.9 * one_factor as f64 {
                             assert!(picked as f64 <= 1.05 * best as f64, "{cell}");
                         }
+                        line += &match pick {
+                            AllToAllAlgo::OneFactor => " 1f".to_string(),
+                            AllToAllAlgo::Bruck => " br".to_string(),
+                            AllToAllAlgo::StagedKWay { k } => format!(" s{k}"),
+                            AllToAllAlgo::Priced => unreachable!("an arm"),
+                        };
                     }
+                }
+                if !GOLDEN_PICKS.lines().any(|l| l == line) {
+                    moved.push(line);
                 }
             }
         }
+        assert!(moved.is_empty(), "picks moved:\n{}", moved.join("\n"));
     }
+
+    /// The pick on every cell of [`check_pick_grid`]: `1f` one-factor,
+    /// `br` Bruck, `s<k>` staged `k`-way.
+    const GOLDEN_PICKS: &str = include_str!("pick_schedule_golden.txt");
 
     #[test]
     fn pick_schedule_grid() {

@@ -20,7 +20,7 @@ const USAGE: &str = "usage: dhs <sort|serve|select|topology> [--flags]\n\
     sort     --algo histogram|two-level|hss|sample|psrs|hyksort|ams|bitonic\n\
     \x20        --ranks N --nper N --dist uniform|normal|zipf|nearly-sorted|\n\
     \x20        few-distinct|all-equal --layout balanced|sparse|ramp\n\
-    \x20        --groups N --seed N --verify\n\
+    \x20        --groups N (two-level only) --seed N --verify\n\
     \x20        --engine tasks|tasks:<workers> (worker slots the ranks share)\n\
     \x20        --trace out.json --trace-format chrome|summary\n\
     \x20      sort-config flags (histogram and two-level only):\n\
@@ -279,6 +279,12 @@ fn cmd_sort(args: &Args) {
                 args.raw("algo").unwrap_or_default()
             ));
         }
+    }
+    if algo.is_some() && args.raw("groups").is_some() {
+        usage_exit(&format!(
+            "--groups: --algo {} does not split into groups (only two-level does)",
+            args.raw("algo").unwrap_or("histogram")
+        ));
     }
     let groups: usize = num(args, "groups", 0);
     let verify = args.has("verify");

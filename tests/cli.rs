@@ -212,6 +212,34 @@ fn baselines_reject_sort_config_flags() {
     }
 }
 
+/// `--groups` splits the two-level sort only: given to any other
+/// `--algo`, the default `histogram` included, it is a usage error, not
+/// a flag the run silently ignores.
+#[test]
+fn groups_is_a_two_level_flag() {
+    for algo in ["histogram", "hss", "bitonic"] {
+        let names = format!("--groups: --algo {algo} does not split into groups");
+        assert_usage_error(&["sort", "--algo", algo, "--groups", "2"], &names);
+    }
+    let names = "--groups: --algo histogram does not split into groups";
+    assert_usage_error(&["sort", "--groups", "2"], names);
+    let ok = dhs(&[
+        "sort",
+        "--algo",
+        "two-level",
+        "--ranks",
+        "8",
+        "--nper",
+        "256",
+        "--groups",
+        "2",
+        "--verify",
+    ]);
+    let stdout = String::from_utf8_lossy(&ok.stdout);
+    assert_eq!(ok.status.code(), Some(0), "{stdout}");
+    assert!(stdout.contains("verification       : PASS"), "{stdout}");
+}
+
 /// `invocation` is rejected before anything runs: exit 2, a first
 /// stderr line `dhs: …` containing `names`, the usage text, no panic.
 fn assert_usage_error(invocation: &[&str], names: &str) {
