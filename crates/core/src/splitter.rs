@@ -329,7 +329,7 @@ fn first_plan<K: Key>(
         }));
     }
 
-    let plan = comm.allreduce_with_then(vec![local], widest, |reduced| {
+    let plan = comm.allreduce_with_then(&[local], widest, |reduced| {
         let (minmax, n_total) = reduced[0];
         let Some(data) = minmax.map(data_bits) else {
             return RoundPlan::start((0, 0), 0, &[], None, opts);

@@ -2,9 +2,13 @@
 //!
 //! A [`Comm`] belongs to exactly one rank-thread. Collectives move real
 //! data through shared memory while virtual time advances according to
-//! the cost model (see [`crate::cost`]). They are the only transport:
-//! a pairwise step (bitonic's compare-split) is a [`Comm::exchange`]
-//! with one non-empty segment, priced sparsely by
+//! the cost model. This module only holds the rendezvous and moves the
+//! data: each collective makes one call into [`crate::cost`] for its
+//! time and one for the bytes a rank is counted for, and the
+//! personalized exchange's per-rank charge under every schedule, the
+//! priced pick included, is computed there too. Collectives are the
+//! only transport: a pairwise step (bitonic's compare-split) is a
+//! [`Comm::exchange`] with one non-empty segment, priced sparsely by
 //! [`AllToAllAlgo::StagedKWay`] with `k ≥ P`.
 
 use std::borrow::Cow;
@@ -15,9 +19,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use crate::buffer::{BufferPool, RecvRuns, SharedSlice};
-use crate::cost::{
-    ceil_ns, pick_schedule, sub_blocks, AllreduceArm, CostModel, Work, STAGE_HEADER_BYTES,
-};
+use crate::cost::{alltoallv_ns, ceil_ns, AllreduceArm, CostModel, Work};
 use crate::fault::{RankAbort, RankError};
 use crate::state::{CollectiveCtx, CommState, EndTimes, World};
 use crate::stats::{RankLocal, RankReport};
@@ -174,233 +176,6 @@ impl<T> RawParts<T> {
         // still blocked in the collective, so the slice is alive and
         // nobody writes it.
         std::slice::from_raw_parts(ptr, len)
-    }
-}
-
-/// Per-rank cost of the pairwise 1-factor schedule: max(send side,
-/// recv side), each side the sum of [`CostModel::alltoallv_peer_ns`]
-/// over the rank's `P` peers, rounded up once.
-fn one_factor_costs(
-    ctx: &CollectiveCtx<'_>,
-    placed: &[Placement],
-    elem: u64,
-    count: impl Fn(usize, usize) -> u64,
-) -> Vec<u64> {
-    let (send, recv) = one_factor_sides(ctx, placed, elem, count);
-    send.iter()
-        .zip(&recv)
-        .map(|(&s, &r)| ceil_ns(s).max(ceil_ns(r)))
-        .collect()
-}
-
-/// The unrounded send-side and receive-side sums of every rank under
-/// the 1-factor schedule. Every `(link, bytes)` term belongs to two of
-/// those `2·P` sums — its sender's and its receiver's — so one
-/// row-major pass over the count matrix, over the `P` placements `placed`
-/// looked up once, adds it to both. Peers are met in ascending order on
-/// either side (`send[s]` over `d`, `recv[d]` over `s`), the order the
-/// per-rank formula sums them in: each f64 sum, and so each end time,
-/// is the same to the bit.
-fn one_factor_sides(
-    ctx: &CollectiveCtx<'_>,
-    placed: &[Placement],
-    elem: u64,
-    count: impl Fn(usize, usize) -> u64,
-) -> (Vec<f64>, Vec<f64>) {
-    let p = placed.len();
-    let mut send = Vec::with_capacity(p);
-    let mut recv = vec![0.0f64; p];
-    for (s, from) in placed.iter().enumerate() {
-        let mut row = 0.0f64;
-        for (d, (to, col)) in placed.iter().zip(&mut recv).enumerate() {
-            let link = if s == d {
-                LinkClass::SelfLoop
-            } else {
-                from.link_to(*to)
-            };
-            let term = ctx.cost.alltoallv_peer_ns(link, count(s, d) * elem);
-            row += term;
-            *col += term;
-        }
-        send.push(row);
-    }
-    (send, recv)
-}
-
-/// Per-rank virtual end times of a personalized all-to-all under
-/// `algo`, where `count(s, d)` is the number of elements rank `s`
-/// sends rank `d`. The model reads only lengths and link classes,
-/// never the payloads. [`AllToAllAlgo::Priced`] is resolved here, from
-/// the matrix's row and column totals alone, and priced as the arm it
-/// picks.
-fn alltoallv_end_times(
-    ctx: &CollectiveCtx<'_>,
-    p: usize,
-    elem: u64,
-    algo: AllToAllAlgo,
-    count: impl Fn(usize, usize) -> u64,
-) -> Vec<u64> {
-    let placed: Vec<Placement> = ctx.global_ranks[..p]
-        .iter()
-        .map(|&g| ctx.topology.placement(g))
-        .collect();
-    let mut send_totals = None;
-    let algo = match algo {
-        AllToAllAlgo::Priced => {
-            let (send, recv) = exchange_totals(p, &count);
-            let pick = pick_schedule(ctx.cost, &placed, elem, &send, &recv);
-            send_totals = Some(send);
-            pick
-        }
-        algo => algo,
-    };
-    let mut ends = match algo {
-        AllToAllAlgo::OneFactor => one_factor_costs(ctx, &placed, elem, &count),
-        // Store-and-forward: log P rounds at the worst link,
-        // shipping ~half the personalized payload per round.
-        AllToAllAlgo::Bruck => send_totals
-            .unwrap_or_else(|| exchange_totals(p, &count).0)
-            .into_iter()
-            .map(|total| {
-                ctx.cost
-                    .alltoallv_bruck_rank_ns(ctx.worst_link, p, total * elem)
-            })
-            .collect(),
-        AllToAllAlgo::StagedKWay { k } => staged_costs(ctx, p, elem, k, count),
-        AllToAllAlgo::Priced => unreachable!("resolved to an arm above"),
-    };
-    for end in &mut ends {
-        *end += ctx.enter_max_ns;
-    }
-    ends
-}
-
-/// Every rank's send total (row sums) and receive total (column sums)
-/// of the count matrix, in elements.
-fn exchange_totals(p: usize, count: impl Fn(usize, usize) -> u64) -> (Vec<u64>, Vec<u64>) {
-    let mut send = Vec::with_capacity(p);
-    let mut recv = vec![0u64; p];
-    for s in 0..p {
-        let mut row = 0;
-        for (d, col) in recv.iter_mut().enumerate() {
-            let c = count(s, d);
-            row += c;
-            *col += c;
-        }
-        send.push(row);
-    }
-    (send, recv)
-}
-
-/// One non-empty `(src, dst)` block of a staged exchange, forwarded
-/// whole from stage to stage: the communicator rank carrying it into
-/// the current stage, its final destination, and its wire size
-/// (payload plus routing header).
-struct Routed {
-    holder: usize,
-    dst: usize,
-    bytes: u64,
-}
-
-/// Per-rank cost of the staged `k`-way schedule
-/// ([`AllToAllAlgo::StagedKWay`]), relative to the exchange's start:
-/// [`price_stages`] over every non-empty block, listed in destination
-/// order so that each sub-block's blocks are one run at every stage.
-fn staged_costs(
-    ctx: &CollectiveCtx<'_>,
-    p: usize,
-    elem: u64,
-    k: usize,
-    count: impl Fn(usize, usize) -> u64,
-) -> Vec<u64> {
-    let count = &count;
-    let mut units: Vec<Routed> = (0..p)
-        .flat_map(|dst| (0..p).map(move |holder| (holder, dst, count(holder, dst))))
-        .filter(|&(.., c)| c > 0)
-        .map(|(holder, dst, c)| Routed {
-            holder,
-            dst,
-            bytes: c * elem + STAGE_HEADER_BYTES,
-        })
-        .collect();
-    let mut ends = vec![0u64; p];
-    price_stages(ctx, k, (0, p), 0, &mut units, &mut ends);
-    ends
-}
-
-/// Price one stage of the block of `q` communicator ranks starting at
-/// `lo`, which every member enters at `start`, then recurse into its
-/// sub-blocks. `units` are the blocks bound inside it, in destination
-/// order. The block is cut into `min(k, q)` contiguous sub-blocks
-/// `g·q/kk`; each rank sends everything bound for sub-block `g` as one
-/// message to its carrier there (itself for its own sub-block, else
-/// the rank at its offset within its own sub-block, wrapped into `g`'s
-/// size). A rank pays `max(send, recv)`, each side the sum of
-/// [`CostModel::alltoallv_peer_ns`] over its peers in ascending order,
-/// rounded up once.
-/// The final stage (`kk == q`) ends per rank; any other opens every
-/// sub-block at its last member's end plus the block's
-/// [`CostModel::comm_split_ns`].
-fn price_stages(
-    ctx: &CollectiveCtx<'_>,
-    k: usize,
-    (lo, q): (usize, usize),
-    start: u64,
-    units: &mut [Routed],
-    ends: &mut [u64],
-) {
-    if q <= 1 {
-        ends[lo] = start;
-        return;
-    }
-    let kk = k.min(q);
-    // Sub-block `g` spans `subs[g]`; `block_of` inverts it.
-    let subs: Vec<(usize, usize)> = sub_blocks(q, kk).collect();
-    let block_of = |r: usize| ((r + 1) * kk - 1) / q;
-    let carrier = |m: usize, g: usize| {
-        let mine = block_of(m);
-        if g == mine {
-            m
-        } else {
-            let (a, b) = subs[g];
-            a + (m - subs[mine].0) % (b - a)
-        }
-    };
-    let mut bytes = vec![0u64; q * kk];
-    for u in units.iter_mut() {
-        let (m, g) = (u.holder - lo, block_of(u.dst - lo));
-        bytes[m * kk + g] += u.bytes;
-        u.holder = lo + carrier(m, g);
-    }
-    // Carriers ascend with `g` and senders with `m`: each side meets
-    // its peers in ascending order, as the one-factor sides sum them.
-    let members = &ctx.global_ranks[lo..lo + q];
-    let (mut send, mut recv) = (vec![0.0f64; q], vec![0.0f64; q]);
-    for (m, row) in bytes.chunks_exact(kk).enumerate() {
-        for (g, &b) in row.iter().enumerate().filter(|&(_, &b)| b > 0) {
-            let to = carrier(m, g);
-            let link = ctx.topology.link(members[m], members[to]);
-            let term = ctx.cost.alltoallv_peer_ns(link, b);
-            send[m] += term;
-            recv[to] += term;
-        }
-    }
-    let stage_end = |m: usize| start + ceil_ns(send[m]).max(ceil_ns(recv[m]));
-    if kk == q {
-        for m in 0..q {
-            ends[lo + m] = stage_end(m);
-        }
-        return;
-    }
-    let split = ctx.cost.comm_split_ns(ctx.topology.worst_link(members), q);
-    let next = (0..q).map(stage_end).max().unwrap_or(start) + split;
-    let mut rest = units;
-    for (a, b) in subs {
-        let sub = (lo + a, b - a);
-        let cut = rest.partition_point(|u| u.dst < sub.0 + sub.1);
-        let (inside, tail) = rest.split_at_mut(cut);
-        price_stages(ctx, k, sub, next, inside, ends);
-        rest = tail;
     }
 }
 
@@ -739,16 +514,18 @@ impl Comm {
             let end = ctx.enter_max_ns + ctx.cost.bcast_ns(ctx.worst_link, p, bytes);
             (v, EndTimes::Uniform(end))
         });
-        self.account_collective_bytes(bytes * crate::cost::log2_ceil(p) as u64);
+        self.account_collective_bytes(CostModel::bcast_bytes(p, bytes));
         out.as_ref().clone()
     }
 
     /// Element-wise allreduce followed by a once-only `finish`: all
-    /// ranks pass equally long vectors; element `i` of the reduction is
-    /// the fold of element `i` over ranks. `finish` then runs exactly
-    /// once for the whole communicator — on the last arriver, right
-    /// after the fold — and every rank receives its result as one
-    /// shared allocation.
+    /// ranks pass equally long slices; element `i` of the reduction is
+    /// the fold of element `i` over ranks by `op`, in rank order. The
+    /// input is viewed in place (no send-side copy). `finish` then runs
+    /// exactly once for the whole communicator — on the last arriver,
+    /// right after the fold — and every rank receives its result as one
+    /// shared allocation: the splitter search advances its replicated
+    /// state here, once per round instead of once per rank.
     ///
     /// Every rank must pass a `finish` computing the same pure function
     /// of the reduction and of *replicated* data: which rank's copy
@@ -758,7 +535,7 @@ impl Comm {
     /// A `finish` that panics fails the run with that rank as the root
     /// cause; its peers abort as collateral at once (see
     /// [`CommState::collective_view`]).
-    pub fn allreduce_with_then<T, R, F, G>(&self, xs: Vec<T>, op: F, finish: G) -> Arc<R>
+    pub fn allreduce_with_then<T, R, F, G>(&self, xs: &[T], op: F, finish: G) -> Arc<R>
     where
         T: Clone + Send + Sync + 'static,
         R: Send + Sync + 'static,
@@ -766,24 +543,33 @@ impl Comm {
         G: FnOnce(Vec<T>) -> R,
     {
         let p = self.size();
-        let bytes = (xs.len() * mem::size_of::<T>()) as u64;
-        let settled = self.run_collective("allreduce", xs, move |inputs, ctx| {
-            let mut it = inputs.into_iter();
-            let mut acc = it.next().expect("at least one rank");
-            for x in it {
-                assert_eq!(
-                    x.len(),
-                    acc.len(),
-                    "allreduce inputs must have equal length"
-                );
-                for (a, b) in acc.iter_mut().zip(&x) {
-                    *a = op(a, b);
+        let bytes = mem::size_of_val(xs) as u64;
+        let view = RawParts::of(&[xs]);
+        let (out, arm): (Arc<R>, AllreduceArm) = self.run_collective_view(
+            "allreduce",
+            view,
+            move |inputs: Vec<RawParts<T>>, ctx| {
+                let width = inputs.first().map_or(0, |v| v.len(0));
+                let mut slices = inputs.iter().map(|x| {
+                    assert_eq!(x.len(0), width, "allreduce inputs must have equal length");
+                    // SAFETY: combine, window 3 of `collective_view`.
+                    unsafe { x.slice(0) }
+                });
+                let mut acc = slices.next().map_or_else(Vec::new, <[T]>::to_vec);
+                for s in slices {
+                    for (a, b) in acc.iter_mut().zip(s) {
+                        *a = op(a, b);
+                    }
                 }
-            }
-            let (arm, end) = settle_allreduce(ctx, p, bytes);
-            ((Arc::new(finish(acc)), arm), end)
-        });
-        let (out, arm) = settled.as_ref().clone();
+                let (arm, ns) = ctx.cost.allreduce_arm(ctx.worst_link, p, bytes);
+                (
+                    (Arc::new(finish(acc)), arm),
+                    EndTimes::Uniform(ctx.enter_max_ns + ns),
+                )
+            },
+            |settled| settled.as_ref().clone(),
+            false,
+        );
         self.account_collective_bytes(arm.bytes_sent(p, bytes));
         out
     }
@@ -795,46 +581,20 @@ impl Comm {
         T: Clone + Send + Sync + 'static,
         F: Fn(&T, &T) -> T,
     {
-        self.allreduce_with_then(xs, op, |reduced| reduced)
+        self.allreduce_with_then(&xs, op, |reduced| reduced)
             .as_ref()
             .clone()
     }
 
     /// Sum-allreduce over a borrowed `u64` slice followed by a
-    /// once-only `finish` (see [`Comm::allreduce_with_then`] for its
-    /// contract) — the histogramming workhorse. The input is viewed in
-    /// place (no send-side copy); the splitter search advances its
-    /// replicated state here, once per round instead of once per rank.
+    /// once-only `finish` — the histogramming workhorse: the wrapping
+    /// sum case of [`Comm::allreduce_with_then`].
     pub fn allreduce_sum_then<R, G>(&self, xs: &[u64], finish: G) -> Arc<R>
     where
         R: Send + Sync + 'static,
         G: FnOnce(Vec<u64>) -> R,
     {
-        let p = self.size();
-        let bytes = mem::size_of_val(xs) as u64;
-        let view = RawParts::of(&[xs]);
-        let (out, arm): (Arc<R>, AllreduceArm) = self.run_collective_view(
-            "allreduce",
-            view,
-            move |inputs: Vec<RawParts<u64>>, ctx| {
-                let width = inputs.first().map_or(0, |v| v.len(0));
-                let mut acc = vec![0u64; width];
-                for x in &inputs {
-                    assert_eq!(x.len(0), width, "allreduce inputs must have equal length");
-                    // SAFETY: combine, window 3 of `collective_view`.
-                    let s = unsafe { x.slice(0) };
-                    for (a, b) in acc.iter_mut().zip(s) {
-                        *a = a.wrapping_add(*b);
-                    }
-                }
-                let (arm, end) = settle_allreduce(ctx, p, bytes);
-                ((Arc::new(finish(acc)), arm), end)
-            },
-            |settled| settled.as_ref().clone(),
-            false,
-        );
-        self.account_collective_bytes(arm.bytes_sent(p, bytes));
-        out
+        self.allreduce_with_then(xs, |a, b| a.wrapping_add(*b), finish)
     }
 
     /// Sum-allreduce sharing the reduced vector with all ranks: the
@@ -864,7 +624,7 @@ impl Comm {
             let end = ctx.enter_max_ns + ctx.cost.allgather_ns(ctx.worst_link, p, bytes);
             (finish(xs), EndTimes::Uniform(end))
         });
-        self.account_collective_bytes(bytes * p.saturating_sub(1) as u64);
+        self.account_collective_bytes(CostModel::allgather_bytes(p, bytes));
         out
     }
 
@@ -899,7 +659,7 @@ impl Comm {
             let end = ctx.enter_max_ns + ctx.cost.allgather_ns(ctx.worst_link, p, max_bytes);
             (finish(inputs), EndTimes::Uniform(end))
         });
-        self.account_collective_bytes(my_bytes * p.saturating_sub(1) as u64);
+        self.account_collective_bytes(CostModel::allgather_bytes(p, my_bytes));
         out
     }
 
@@ -953,9 +713,7 @@ impl Comm {
             Arc::clone,
             false,
         );
-        self.account_collective_bytes(
-            mem::size_of_val(xs) as u64 * crate::cost::log2_ceil(p) as u64,
-        );
+        self.account_collective_bytes(CostModel::exscan_bytes(p, mem::size_of_val(xs) as u64));
         SharedSlice::new(out, me * width_in, width_in)
     }
 
@@ -1049,8 +807,16 @@ impl Comm {
             "alltoallv",
             view,
             move |views: Vec<RawParts<T>>, ctx| {
+                let placement: Vec<Placement> = ctx
+                    .global_ranks
+                    .iter()
+                    .map(|&g| ctx.topology.placement(g))
+                    .collect();
                 let elem = mem::size_of::<T>() as u64;
-                let ends = alltoallv_end_times(ctx, p, elem, algo, |s, d| views[s].len(d) as u64);
+                let ends = alltoallv_ns(ctx.cost, &placement, elem, algo, |s, d| {
+                    views[s].len(d) as u64
+                });
+                let ends = ends.into_iter().map(|ns| ctx.enter_max_ns + ns).collect();
                 (views, EndTimes::PerRank(ends))
             },
             move |views: &Arc<Vec<RawParts<T>>>| {
@@ -1210,17 +976,6 @@ impl Comm {
     }
 }
 
-/// Settle an allreduce of `bytes` per rank in its combine: the arm the
-/// cost model in effect prices cheaper ([`CostModel::allreduce_arm`],
-/// one pick for the whole communicator) and the end time it charges.
-/// The arm travels back with the result, so every rank counts the
-/// bytes of the schedule it was charged for.
-fn settle_allreduce(ctx: &CollectiveCtx<'_>, p: usize, bytes: u64) -> (AllreduceArm, EndTimes) {
-    let arm = ctx.cost.allreduce_arm(ctx.worst_link, p, bytes);
-    let ns = ctx.cost.allreduce_arm_ns(arm, ctx.worst_link, p, bytes);
-    (arm, EndTimes::Uniform(ctx.enter_max_ns + ns))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1247,7 +1002,7 @@ mod tests {
     /// `n` in each of 6 rounds. Inside a link-degradation window the
     /// pick is made under the degraded model: 10 µs more latency per
     /// message sends the 16 KiB vector back to recursive doubling, and
-    /// its bytes with it. Both allreduce bodies agree.
+    /// its bytes with it. The generic and the summing forms agree.
     #[test]
     fn allreduce_counts_the_bytes_of_its_arm() {
         use crate::fault::{FaultPlan, LinkFault};
@@ -1289,8 +1044,8 @@ mod tests {
                     measure(4, true),
                 ]
             });
-            assert_eq!(cost.allreduce_arm(InterNode, p, long), long_arm);
-            assert_eq!(cost.allreduce_arm(InterNode, p, short), RecursiveDoubling);
+            assert_eq!(cost.allreduce_arm(InterNode, p, long).0, long_arm);
+            assert_eq!(cost.allreduce_arm(InterNode, p, short).0, RecursiveDoubling);
             let long_bytes = match long_arm {
                 ReduceScatterAllgather => 2 * long * 31 / 32 + 2 * long,
                 RecursiveDoubling => long * 6,
@@ -1712,431 +1467,5 @@ mod tests {
             b.iter().map(|(v, _)| *v).collect::<Vec<_>>()
         );
         assert!(a[0].0 > 0);
-    }
-    /// The one-factor cost as the per-rank formula states it — a send
-    /// side and a receive side per rank, each a column or a row of link
-    /// lookups — which [`one_factor_costs`] must reproduce to the bit.
-    fn one_factor_reference(
-        ctx: &CollectiveCtx<'_>,
-        p: usize,
-        elem: u64,
-        count: &dyn Fn(usize, usize) -> u64,
-    ) -> Vec<u64> {
-        (0..p)
-            .map(|r| {
-                let term = |s: usize, d: usize| {
-                    let link = ctx.topology.link(ctx.global_ranks[s], ctx.global_ranks[d]);
-                    ctx.cost.alltoallv_peer_ns(link, count(s, d) * elem)
-                };
-                let send_cost = ceil_ns((0..p).fold(0.0, |sum, d| sum + term(r, d)));
-                let recv_cost = ceil_ns((0..p).fold(0.0, |sum, s| sum + term(s, r)));
-                send_cost.max(recv_cost)
-            })
-            .collect()
-    }
-
-    /// Sweep and reference over the members `global_ranks` of a
-    /// `nodes × numa × cores` machine, on a seeded ragged count matrix
-    /// (about `empty_permille` of its blocks empty), priced at virtual
-    /// time `at_ns` of a plan with a link-degradation window. Returns
-    /// the link classes the members span.
-    fn check_one_factor(
-        (nodes, numa, cores): (usize, usize, usize),
-        global_ranks: &[usize],
-        (seed, empty_permille, elem): (u64, u64, u64),
-        at_ns: u64,
-    ) -> std::collections::BTreeSet<LinkClass> {
-        let per_node = numa * cores;
-        let topology = Topology::new(nodes * per_node, per_node, numa, cores);
-        let fault = crate::FaultPlan::default().with_link_fault(crate::LinkFault {
-            class: Some(LinkClass::InterNode),
-            extra_alpha_ns: 731.5,
-            beta_factor: 3.7,
-            from_ns: 1_000,
-            until_ns: 2_000,
-        });
-        let base = CostModel::supermuc_phase2();
-        let cost = fault.cost_at(&base, at_ns);
-        let p = global_ranks.len();
-        let counts: Vec<u64> = (0..p * p)
-            .map(|i| {
-                let draw = |salt: u64| unit_draw(seed, &[i as u64, salt]);
-                if draw(0) * 1000.0 < empty_permille as f64 {
-                    0
-                } else {
-                    (draw(1) * draw(2) * (1u64 << 24) as f64) as u64
-                }
-            })
-            .collect();
-        let ctx = CollectiveCtx {
-            cost: &cost,
-            topology: &topology,
-            global_ranks,
-            enter_max_ns: at_ns,
-            worst_link: topology.worst_link(global_ranks),
-        };
-        let count = |s: usize, d: usize| counts[s * p + d];
-        let cell = format!("{nodes}x{numa}x{cores} members {global_ranks:?} seed {seed}");
-        let placed: Vec<Placement> = global_ranks
-            .iter()
-            .map(|&g| topology.placement(g))
-            .collect();
-        assert_eq!(
-            one_factor_costs(&ctx, &placed, elem, count),
-            one_factor_reference(&ctx, p, elem, &count),
-            "{cell}"
-        );
-        // The rounding above forgives a reordered sum; the sums
-        // themselves do not. Each side against its own plain loop.
-        let term = |s: usize, d: usize| {
-            let link = topology.link(global_ranks[s], global_ranks[d]);
-            cost.alltoallv_peer_ns(link, count(s, d) * elem)
-        };
-        let bits = |sums: Vec<f64>| sums.into_iter().map(f64::to_bits).collect::<Vec<_>>();
-        let (send, recv) = one_factor_sides(&ctx, &placed, elem, count);
-        let plain = |side: &dyn Fn(usize, usize) -> f64| {
-            (0..p)
-                .map(|r| (0..p).fold(0.0, |sum, peer| sum + side(r, peer)))
-                .collect::<Vec<f64>>()
-        };
-        assert_eq!(bits(send), bits(plain(&term)), "send, {cell}");
-        assert_eq!(bits(recv), bits(plain(&|r, s| term(s, r))), "recv, {cell}");
-        let ends = alltoallv_end_times(&ctx, p, elem, AllToAllAlgo::OneFactor, count);
-        assert!(ends.iter().all(|&e| e >= at_ns));
-        (0..p * p)
-            .map(|i| topology.link(global_ranks[i / p], global_ranks[i % p]))
-            .collect()
-    }
-
-    #[test]
-    fn one_factor_sweep_covers_all_link_classes() {
-        // Ranks 0, 1 share a NUMA domain, 2 sits in the next one, 4 on
-        // the next node; as a sub-communicator in non-identity order.
-        let classes = check_one_factor((2, 2, 2), &[4, 0, 2, 1], (9, 250, 8), 1_500);
-        assert_eq!(classes.len(), 4, "{classes:?}");
-        // All blocks empty: latencies only.
-        check_one_factor((2, 2, 2), &[4, 0, 2, 1], (9, 1000, 8), 0);
-        // One rank: the self block alone.
-        check_one_factor((1, 1, 1), &[0], (3, 0, 16), 0);
-    }
-
-    /// The pairwise step's price. One non-empty off-diagonal block per
-    /// rank, swapped symmetrically with partner `r ^ mask` as bitonic's
-    /// compare-split does: under `StagedKWay { k ≥ P }` every rank ends
-    /// one `α + (bytes + 8)·β` term at its partner's link class after
-    /// the latest entry, and pays nothing for its empty peers. The
-    /// one-factor arm — the histogram sort's — still charges α for
-    /// every empty non-self peer.
-    #[test]
-    fn one_peer_exchange_is_priced_sparsely() {
-        // 2 nodes × 2 NUMA domains × 2 cores: masks 1, 2 and 4 pair
-        // ranks inside a NUMA domain, across domains, across nodes.
-        let topology = Topology::new(8, 4, 2, 2);
-        let cost = CostModel::supermuc_phase2();
-        let members: Vec<usize> = (0..8).collect();
-        let enter_max_ns = 1_234;
-        let ctx = CollectiveCtx {
-            cost: &cost,
-            topology: &topology,
-            global_ranks: &members,
-            enter_max_ns,
-            worst_link: topology.worst_link(&members),
-        };
-        let (p, elem) = (members.len(), 8);
-        for mask in [1, 2, 4] {
-            let count = |s: usize, d: usize| {
-                if d == s ^ mask {
-                    5 + 3 * s.min(d) as u64
-                } else {
-                    0
-                }
-            };
-            let link = |s: usize, d: usize| cost.link(topology.link(s, d));
-            let mut staged = Vec::new();
-            for k in [p, p + 5] {
-                staged = alltoallv_end_times(&ctx, p, elem, AllToAllAlgo::StagedKWay { k }, count);
-                for (r, &end) in staged.iter().enumerate() {
-                    let (l, bytes) = (link(r, r ^ mask), count(r, r ^ mask) * elem + 8);
-                    let term = l.alpha_ns + bytes as f64 * l.beta_ns_per_byte;
-                    assert_eq!(
-                        end,
-                        enter_max_ns + term.ceil() as u64,
-                        "mask {mask} k {k} r {r}"
-                    );
-                }
-            }
-            let one_factor = alltoallv_end_times(&ctx, p, elem, AllToAllAlgo::OneFactor, count);
-            for (r, &end) in one_factor.iter().enumerate() {
-                let row = (0..p).filter(|&d| d != r).fold(0.0, |sum, d| {
-                    let l = link(r, d);
-                    sum + l.alpha_ns + (count(r, d) * elem) as f64 * l.beta_ns_per_byte
-                });
-                assert_eq!(end, enter_max_ns + row.ceil() as u64, "mask {mask} r {r}");
-                assert!(end > staged[r], "mask {mask} r {r}");
-            }
-        }
-    }
-
-    /// Send totals and receive weights, `nper` keys per rank on
-    /// average, of the schedule-rule grid's patterns: 0 uniform, 1
-    /// sparse (one rank in eight holds the keys), 2 one heavy sender
-    /// (rank 0 holds half of them), 3 one heavy receiver (rank `P − 1`
-    /// is bound half of them).
-    fn grid_totals(pattern: usize, p: usize, nper: u64) -> (Vec<u64>, Vec<u64>) {
-        let n = p as u64 * nper;
-        let even = |total: u64| -> Vec<u64> {
-            (0..p as u64)
-                .map(|i| total / p as u64 + u64::from(i < total % p as u64))
-                .collect()
-        };
-        match pattern {
-            0 => (even(n), even(n)),
-            1 => {
-                let send = (0..p)
-                    .map(|s| if s % 8 == 0 { 8 * nper } else { 0 })
-                    .collect();
-                (send, even(n))
-            }
-            2 => {
-                let mut send = even(n / 2);
-                send[0] += n - n / 2;
-                (send, even(n))
-            }
-            _ => {
-                let mut recv = even(n / 2);
-                recv[p - 1] += n - n / 2;
-                (even(n), recv)
-            }
-        }
-    }
-
-    /// The count matrix the totals describe: source `s` spreads its
-    /// send total over the destinations in proportion to their
-    /// weights, by systematic sampling from a seeded phase.
-    fn grid_matrix<'a>(send: &'a [u64], weights: &[u64]) -> impl Fn(usize, usize) -> u64 + 'a {
-        let mut cum = vec![0u64];
-        for &w in weights {
-            cum.push(cum.last().unwrap() + w);
-        }
-        let n = cum.last().unwrap().max(&1).to_owned();
-        let phase: Vec<u64> = (0..send.len())
-            .map(|s| (unit_draw(0x5eed, &[s as u64]) * n as f64) as u64 % n)
-            .collect();
-        move |s: usize, d: usize| {
-            let at = |c: u64| ((c as u128 * send[s] as u128 + phase[s] as u128) / n as u128) as u64;
-            at(cum[d + 1]) - at(cum[d])
-        }
-    }
-
-    /// Every arm weighed against the pick: one-factor, Bruck and staged
-    /// `k = 2, 4, …` up to one stage (`k = P`).
-    fn grid_arms(p: usize) -> Vec<AllToAllAlgo> {
-        let mut arms = vec![AllToAllAlgo::OneFactor, AllToAllAlgo::Bruck];
-        let mut k = 2;
-        loop {
-            arms.push(AllToAllAlgo::StagedKWay { k: k.min(p) });
-            if k >= p {
-                return arms;
-            }
-            k *= 2;
-        }
-    }
-
-    /// A members-`0..p` context of `topology` with every rank entering
-    /// at 0, and its placements.
-    fn grid_ctx<'a>(
-        cost: &'a CostModel,
-        topology: &'a Topology,
-        members: &'a [usize],
-    ) -> CollectiveCtx<'a> {
-        CollectiveCtx {
-            cost,
-            topology,
-            global_ranks: members,
-            enter_max_ns: 0,
-            worst_link: topology.worst_link(members),
-        }
-    }
-
-    /// The charged price of `algo`: the latest end over the ranks.
-    fn charged(
-        ctx: &CollectiveCtx<'_>,
-        elem: u64,
-        algo: AllToAllAlgo,
-        count: &dyn Fn(usize, usize) -> u64,
-    ) -> u64 {
-        let p = ctx.global_ranks.len();
-        let ends = alltoallv_end_times(ctx, p, elem, algo, count);
-        ends.into_iter().max().unwrap_or(0)
-    }
-
-    /// The pick over one count matrix, with every arm's charged price.
-    fn grid_pick(
-        ctx: &CollectiveCtx<'_>,
-        elem: u64,
-        count: &dyn Fn(usize, usize) -> u64,
-    ) -> (AllToAllAlgo, Vec<(AllToAllAlgo, u64)>) {
-        let p = ctx.global_ranks.len();
-        let placed: Vec<Placement> = ctx
-            .global_ranks
-            .iter()
-            .map(|&g| ctx.topology.placement(g))
-            .collect();
-        let (send, recv) = exchange_totals(p, count);
-        let pick = pick_schedule(ctx.cost, &placed, elem, &send, &recv);
-        let prices = grid_arms(p)
-            .into_iter()
-            .map(|a| (a, charged(ctx, elem, a, count)))
-            .collect();
-        (pick, prices)
-    }
-
-    /// The schedule rule's grid over `ps`, on the Table I cluster and
-    /// the one-node Fig. 4 machine (and the small test cluster where it
-    /// places ranks differently, below 16), 4 to 256 Ki `u64` keys per
-    /// rank, the four [`grid_totals`] patterns:
-    /// - the pick is charged no more than one-factor;
-    /// - where an arm undercuts one-factor by more than 10 %, the pick
-    ///   is within 5 % of the cheapest arm.
-    ///
-    /// A matrix the totals cannot tell from uniform — nearly sorted
-    /// input, where each rank keeps half its keys and sends its next
-    /// neighbour the rest — is held to the first bound only.
-    ///
-    /// Every pick is pinned besides: each topology × P is one line of
-    /// [`GOLDEN_PICKS`], its 25 picks in `nper`-major order.
-    fn check_pick_grid(ps: &[usize]) {
-        let cost = CostModel::supermuc_phase2();
-        let elem = 8;
-        let mut moved = Vec::new();
-        for &p in ps {
-            let members: Vec<usize> = (0..p).collect();
-            let mut topologies = vec![
-                ("cluster", Topology::supermuc_phase2(p)),
-                ("node", Topology::single_node(p)),
-            ];
-            if p < 16 {
-                topologies.push(("small", Topology::new(p, p, 4, 7)));
-            }
-            for (name, topology) in &topologies {
-                let ctx = grid_ctx(&cost, topology, &members);
-                let mut line = format!("{name} {p}:");
-                for nper in [4u64, 1 << 6, 1 << 10, 1 << 14, 1 << 18] {
-                    for pattern in 0..5 {
-                        let (send, recv) = grid_totals(pattern.min(3), p, nper);
-                        let spread = grid_matrix(&send, &recv);
-                        let sorted = |s: usize, d: usize| {
-                            let half = nper / 2;
-                            u64::from(d == s) * (nper - half) + u64::from(d == (s + 1) % p) * half
-                        };
-                        let count: &dyn Fn(usize, usize) -> u64 =
-                            if pattern < 4 { &spread } else { &sorted };
-                        let (pick, prices) = grid_pick(&ctx, elem, count);
-                        let price =
-                            |a: AllToAllAlgo| prices.iter().find(|x| x.0 == a).expect("an arm").1;
-                        let (one_factor, picked) = (price(AllToAllAlgo::OneFactor), price(pick));
-                        let best = prices.iter().map(|x| x.1).min().expect("arms");
-                        let cell = format!("{topology:?} pattern {pattern} nper {nper}: pick {pick:?} {picked}, arms {prices:?}");
-                        assert!(picked <= one_factor, "{cell}");
-                        if pattern < 4 && (best as f64) < 0.9 * one_factor as f64 {
-                            assert!(picked as f64 <= 1.05 * best as f64, "{cell}");
-                        }
-                        line += &match pick {
-                            AllToAllAlgo::OneFactor => " 1f".to_string(),
-                            AllToAllAlgo::Bruck => " br".to_string(),
-                            AllToAllAlgo::StagedKWay { k } => format!(" s{k}"),
-                            AllToAllAlgo::Priced => unreachable!("an arm"),
-                        };
-                    }
-                }
-                if !GOLDEN_PICKS.lines().any(|l| l == line) {
-                    moved.push(line);
-                }
-            }
-        }
-        assert!(moved.is_empty(), "picks moved:\n{}", moved.join("\n"));
-    }
-
-    /// The pick on every cell of [`check_pick_grid`]: `1f` one-factor,
-    /// `br` Bruck, `s<k>` staged `k`-way.
-    const GOLDEN_PICKS: &str = include_str!("pick_schedule_golden.txt");
-
-    #[test]
-    fn pick_schedule_grid() {
-        check_pick_grid(&[2, 3, 4, 5, 8, 16, 17, 32, 64, 128, 256]);
-    }
-
-    /// The grid from `P = 512` to `4096`: minutes of pricing and a few
-    /// hundred MiB for the dense staged cells, so release mode only.
-    #[test]
-    #[ignore = "release-mode sweep: cargo test --release -p dhs-runtime --lib -- --ignored pick_schedule_grid_at_scale"]
-    fn pick_schedule_grid_at_scale() {
-        check_pick_grid(&[512, 1024, 2048, 4096]);
-    }
-
-    /// The pick is the A4 winner on every row of the schedule crossover
-    /// (`ablation_exchange`, P = 128 on the Table I cluster, each rank's
-    /// keys cut into `⌈n/P⌉`-key chunks for the first destinations):
-    /// Bruck at 4, 64 and 1 Ki keys per rank, `staged:8` at 16 Ki,
-    /// one-factor at 256 Ki — and no more expensive than the winner.
-    #[test]
-    fn pick_is_the_a4_winner() {
-        let cost = CostModel::supermuc_phase2();
-        let p = 128;
-        let topology = Topology::supermuc_phase2(p);
-        let members: Vec<usize> = (0..p).collect();
-        let ctx = grid_ctx(&cost, &topology, &members);
-        let rows = [
-            (4u64, AllToAllAlgo::Bruck),
-            (1 << 6, AllToAllAlgo::Bruck),
-            (1 << 10, AllToAllAlgo::Bruck),
-            (1 << 14, AllToAllAlgo::StagedKWay { k: 8 }),
-            (1 << 18, AllToAllAlgo::OneFactor),
-        ];
-        for (nper, winner) in rows {
-            let chunk = nper.div_ceil(p as u64);
-            let count = |_: usize, d: usize| chunk.min(nper.saturating_sub(d as u64 * chunk));
-            let a4 = [
-                AllToAllAlgo::OneFactor,
-                AllToAllAlgo::Bruck,
-                AllToAllAlgo::StagedKWay { k: 8 },
-            ]
-            .map(|a| (a, charged(&ctx, 8, a, &count)));
-            let cheapest = a4.iter().min_by_key(|x| x.1).expect("three arms");
-            assert_eq!(cheapest.0, winner, "nper {nper}: {a4:?}");
-            let (pick, _) = grid_pick(&ctx, 8, &count);
-            assert_eq!(pick, winner, "nper {nper}: {a4:?}");
-        }
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig {
-            cases: 64,
-            ..proptest::prelude::ProptestConfig::default()
-        })]
-
-        /// Bit for bit on ragged matrices, every machine shape up to
-        /// 4 × 4 × 3, sub-communicators picked and ordered by a seeded
-        /// shuffle, inside and outside the degradation window.
-        #[test]
-        fn one_factor_sweep_matches_the_per_rank_formula(
-            shape in (1usize..5, 1usize..5, 1usize..4),
-            (seed, empty_permille) in (0u64..1_000_000, 0u64..1001),
-            keep_permille in 100u64..1001,
-            elem in 0usize..4,
-            at in 0usize..4,
-        ) {
-            let ranks = shape.0 * shape.1 * shape.2;
-            let mut members: Vec<usize> = (0..ranks)
-                .filter(|&r| unit_draw(seed, &[r as u64, 7]) * 1000.0 < keep_permille as f64)
-                .collect();
-            if members.is_empty() {
-                members.push(ranks - 1);
-            }
-            let order = |r: &usize| unit_draw(seed, &[*r as u64, 8]);
-            members.sort_by(|a, b| order(a).total_cmp(&order(b)));
-            let matrix = (seed, empty_permille, [1, 4, 8, 16][elem]);
-            check_one_factor(shape, &members, matrix, [0, 1_000, 1_999, 2_000][at]);
-        }
     }
 }

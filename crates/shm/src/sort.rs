@@ -33,50 +33,16 @@ const SORT_GRAIN: usize = 8192;
 /// Parallel merge sort with parallel merging (TBB-like). Uses up to
 /// `threads` threads and `O(n)` scratch.
 pub fn parallel_merge_sort<T: Ord + Copy + Send + Sync>(data: &mut [T], threads: usize) {
-    if data.len() <= SORT_GRAIN || threads <= 1 {
-        data.sort_unstable();
-        return;
-    }
-    let mut scratch = data.to_vec();
-    msort(data, &mut scratch, threads, true);
+    merge_sort(data, threads, &<[T]>::sort_unstable, &|a, b, out, t| {
+        parallel_merge_into_by(a, b, out, t, &T::cmp)
+    });
 }
 
 /// Fork–join merge sort with sequential merges (OpenMP-task-like).
 pub fn task_merge_sort<T: Ord + Copy + Send + Sync>(data: &mut [T], threads: usize) {
-    if data.len() <= SORT_GRAIN || threads <= 1 {
-        data.sort_unstable();
-        return;
-    }
-    let mut scratch = data.to_vec();
-    msort(data, &mut scratch, threads, false);
-}
-
-/// Recursive step: sort `data`, using `scratch` of equal length.
-fn msort<T: Ord + Copy + Send + Sync>(
-    data: &mut [T],
-    scratch: &mut [T],
-    threads: usize,
-    parallel_merge: bool,
-) {
-    debug_assert_eq!(data.len(), scratch.len());
-    if data.len() <= SORT_GRAIN || threads <= 1 {
-        data.sort_unstable();
-        return;
-    }
-    let mid = data.len() / 2;
-    let (d_lo, d_hi) = data.split_at_mut(mid);
-    let (s_lo, s_hi) = scratch.split_at_mut(mid);
-    join(
-        threads,
-        |t| msort(d_lo, s_lo, t, parallel_merge),
-        |t| msort(d_hi, s_hi, t, parallel_merge),
-    );
-    if parallel_merge {
-        parallel_merge_into_by(&data[..mid], &data[mid..], scratch, threads, &T::cmp);
-    } else {
-        merge_into(&data[..mid], &data[mid..], scratch, &T::cmp);
-    }
-    data.copy_from_slice(scratch);
+    merge_sort(data, threads, &<[T]>::sort_unstable, &|a, b, out, _| {
+        merge_into(a, b, out, &T::cmp)
+    });
 }
 
 /// **Stable** parallel merge sort under an explicit comparator, for
@@ -90,35 +56,10 @@ where
     T: Clone + Send + Sync,
     F: Fn(&T, &T) -> Ordering + Sync,
 {
-    if data.len() <= SORT_GRAIN || threads <= 1 {
-        data.sort_by(|a, b| cmp(a, b));
-        return;
-    }
-    let mut scratch = data.to_vec();
-    msort_by(data, &mut scratch, threads, cmp);
-}
-
-/// Recursive step of [`parallel_merge_sort_by`].
-fn msort_by<T, F>(data: &mut [T], scratch: &mut [T], threads: usize, cmp: &F)
-where
-    T: Clone + Send + Sync,
-    F: Fn(&T, &T) -> Ordering + Sync,
-{
-    debug_assert_eq!(data.len(), scratch.len());
-    if data.len() <= SORT_GRAIN || threads <= 1 {
-        data.sort_by(|a, b| cmp(a, b));
-        return;
-    }
-    let mid = data.len() / 2;
-    let (d_lo, d_hi) = data.split_at_mut(mid);
-    let (s_lo, s_hi) = scratch.split_at_mut(mid);
-    join(
-        threads,
-        |t| msort_by(d_lo, s_lo, t, cmp),
-        |t| msort_by(d_hi, s_hi, t, cmp),
-    );
-    parallel_merge_into_by(&data[..mid], &data[mid..], scratch, threads, cmp);
-    data.clone_from_slice(scratch);
+    let leaf = |d: &mut [T]| d.sort_by(|a, b| cmp(a, b));
+    merge_sort(data, threads, &leaf, &|a, b, out, t| {
+        parallel_merge_into_by(a, b, out, t, cmp)
+    });
 }
 
 /// Hybrid radix + merge sort: split the input into budget-determined
@@ -138,23 +79,54 @@ where
     F: Fn(&T) -> u128 + Sync,
     L: Fn(&mut [T]) + Sync,
 {
-    if threads <= 1 || data.len() <= SORT_GRAIN {
+    let cmp = |x: &T, y: &T| bits(x).cmp(&bits(y));
+    merge_sort(data, threads, leaf, &|a, b, out, t| {
+        parallel_merge_into_by(a, b, out, t, &cmp)
+    });
+}
+
+/// The one fork–join merge sort behind every kernel above. Below
+/// [`SORT_GRAIN`] elements or on one thread, `leaf` sorts `data`
+/// alone; otherwise both halves recurse concurrently under the split
+/// budget, `merge(lo, hi, out, threads)` merges them into scratch and
+/// the result is copied back. The scratch is allocated once, here.
+fn merge_sort<T, L, M>(data: &mut [T], threads: usize, leaf: &L, merge: &M)
+where
+    T: Clone + Send + Sync,
+    L: Fn(&mut [T]) + Sync,
+    M: Fn(&[T], &[T], &mut [T], usize) + Sync,
+{
+    if data.len() <= SORT_GRAIN || threads <= 1 {
+        leaf(data);
+        return;
+    }
+    let mut scratch = data.to_vec();
+    fork_join(data, &mut scratch, threads, leaf, merge);
+}
+
+/// Recursive step of [`merge_sort`]: sort `data`, using `scratch` of
+/// equal length.
+fn fork_join<T, L, M>(data: &mut [T], scratch: &mut [T], threads: usize, leaf: &L, merge: &M)
+where
+    T: Clone + Send + Sync,
+    L: Fn(&mut [T]) + Sync,
+    M: Fn(&[T], &[T], &mut [T], usize) + Sync,
+{
+    debug_assert_eq!(data.len(), scratch.len());
+    if data.len() <= SORT_GRAIN || threads <= 1 {
         leaf(data);
         return;
     }
     let mid = data.len() / 2;
-    {
-        let (lo, hi) = data.split_at_mut(mid);
-        join(
-            threads,
-            |t| radix_merge_sort_by_bits(lo, t, bits, leaf),
-            |t| radix_merge_sort_by_bits(hi, t, bits, leaf),
-        );
-    }
-    let mut scratch = data.to_vec();
-    let cmp = |x: &T, y: &T| bits(x).cmp(&bits(y));
-    parallel_merge_into_by(&data[..mid], &data[mid..], &mut scratch, threads, &cmp);
-    data.copy_from_slice(&scratch);
+    let (d_lo, d_hi) = data.split_at_mut(mid);
+    let (s_lo, s_hi) = scratch.split_at_mut(mid);
+    join(
+        threads,
+        |t| fork_join(d_lo, s_lo, t, leaf, merge),
+        |t| fork_join(d_hi, s_hi, t, leaf, merge),
+    );
+    merge(&data[..mid], &data[mid..], scratch, threads);
+    data.clone_from_slice(scratch);
 }
 
 #[cfg(test)]

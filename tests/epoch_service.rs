@@ -5,7 +5,10 @@
 //! seeded-brackets policy collapses splitter search to at most one
 //! histogram round from epoch 3 onward.
 
-use dhs_core::{histogram_sort, EpochSorter, RecoveryPolicy, SortConfig, SortOutcome, WarmStart};
+use dhs_core::{
+    histogram_sort, histogram_sort_by, EpochSorter, RecoveryPolicy, SortConfig, SortOutcome,
+    WarmStart,
+};
 use dhs_runtime::{launch, run, ClusterConfig, FaultPlan, RunnerEngine};
 use dhs_workloads::{epoch_rank_keys, Distribution, EpochProfile, Layout};
 use proptest::prelude::*;
@@ -284,6 +287,62 @@ fn cold_service_is_a_oneshot_sort_per_epoch() {
     for (rank, (d, _)) in direct.into_iter().enumerate() {
         for (e, (out, _, _)) in svc_out[rank].iter().enumerate() {
             assert_eq!(out, &d, "rank {rank} epoch {e}");
+        }
+    }
+}
+
+/// The service's record path (`sort_epoch_by`): 16-byte records with
+/// duplicate keys, each tagged with its origin, under both warm-start
+/// policies. Every epoch's output is byte for byte what
+/// `histogram_sort_by` makes of the same batch, and on a stationary
+/// stream the seeded policy settles every epoch after the first in one
+/// histogram round.
+#[test]
+fn record_epochs_match_histogram_sort_by() {
+    let p = 8;
+    let n_total = 512 * p;
+    let epochs = 4u64;
+    let profile = EpochProfile::Stationary {
+        dist: Distribution::paper_uniform(),
+    };
+    // 251 distinct keys over 4096 records: every key has duplicates.
+    let key = |r: &(u64, u64)| r.0;
+    for ws in [WarmStart::Cold, WarmStart::SeededWithBrackets] {
+        let cfg = policy(ws);
+        let out = run(&ClusterConfig::small_cluster(p), move |comm| {
+            let mut svc: EpochSorter<u64> = EpochSorter::new(comm, cfg.clone());
+            (0..epochs)
+                .map(|e| {
+                    let keys =
+                        epoch_rank_keys(profile, Layout::Balanced, n_total, p, comm.rank(), 5, e);
+                    let mut batch: Vec<(u64, u64)> = keys
+                        .into_iter()
+                        .enumerate()
+                        .map(|(i, k)| (k % 251, (comm.rank() as u64) << 32 | i as u64))
+                        .collect();
+                    let mut want = batch.clone();
+                    histogram_sort_by(comm, &mut want, key, &SortConfig::default());
+                    let stats = svc.sort_epoch_by(&mut batch, key);
+                    (batch, want, stats.sort.iterations)
+                })
+                .collect::<Vec<_>>()
+        });
+        for (rank, (per_epoch, _)) in out.iter().enumerate() {
+            for (e, (got, want, _)) in per_epoch.iter().enumerate() {
+                let bytes = |v: &[(u64, u64)]| -> Vec<u8> {
+                    v.iter()
+                        .flat_map(|&(k, tag)| k.to_le_bytes().into_iter().chain(tag.to_le_bytes()))
+                        .collect()
+                };
+                assert_eq!(bytes(got), bytes(want), "{ws:?} rank {rank} epoch {e}");
+            }
+        }
+        let rounds: Vec<u32> = out[0].0.iter().map(|(.., r)| *r).collect();
+        if ws == WarmStart::SeededWithBrackets {
+            assert!(
+                rounds[1..].iter().all(|&r| r == 1),
+                "seeded record epochs after the first: rounds {rounds:?}"
+            );
         }
     }
 }
