@@ -12,43 +12,40 @@
 //! single-stage schedule (`StagedKWay` with `k = P`): one `α + bytes·β`
 //! per side, nothing for the `P − 2` empty peers.
 
-use dhs_core::Key;
+use dhs_core::{Key, SortStats};
 use dhs_merge::merge_into;
 use dhs_runtime::{AllToAllAlgo, Comm, Work};
 
-use crate::stats::AlgoStats;
 use crate::tail::sort_local;
 
-/// Sort the distributed vector with a bitonic network.
+/// Sort the distributed vector with a bitonic network. Each
+/// compare-split step is one round of [`SortStats::iterations`].
 ///
 /// # Panics
 /// Panics unless `P` is a power of two and all local sizes are equal
 /// (the constraints the paper calls out for such implementations).
-pub fn bitonic_sort<K: Key>(comm: &Comm, local: &mut Vec<K>) -> AlgoStats {
+pub fn bitonic_sort<K: Key>(comm: &Comm, local: &mut Vec<K>) -> SortStats {
     let p = comm.size();
     assert!(
         p.is_power_of_two(),
         "bitonic sort requires a power-of-two rank count, got {p}"
     );
+    let mut stats = SortStats {
+        n_in: local.len(),
+        ..SortStats::default()
+    };
+    let sp = comm.span("prepare");
     let sizes: Vec<usize> = comm.allgather(local.len());
+    stats.prepare_ns += sp.finish();
     assert!(
         sizes.windows(2).all(|w| w[0] == w[1]),
         "bitonic sort requires equal local sizes, got {sizes:?}"
     );
 
-    let mut stats = AlgoStats {
-        converged: true,
-        ..AlgoStats::default()
-    };
     let elem = std::mem::size_of::<K>() as u64;
     let n = local.len();
 
     sort_local(comm, local, &mut stats);
-
-    if p == 1 {
-        stats.n_out = n;
-        return stats;
-    }
 
     let stages = p.trailing_zeros();
     let rank = comm.rank();
@@ -57,16 +54,16 @@ pub fn bitonic_sort<K: Key>(comm: &Comm, local: &mut Vec<K>) -> AlgoStats {
         for step in (0..stage).rev() {
             let partner = rank ^ (1 << step);
             let ascending = (rank >> stage) & 1 == 0;
-            stats.rounds += 1;
+            stats.iterations += 1;
 
             // Full-volume compare-split with the partner.
-            let sp_t1 = comm.span("exchange");
+            let sp = comm.span("exchange");
             let mut segs: Vec<&[K]> = vec![&[]; p];
             segs[partner] = local;
             let (theirs, _) = comm.exchange(&segs[..], one_peer).into_parts();
-            stats.exchange_ns += sp_t1.finish();
+            stats.exchange_ns += sp.finish();
 
-            let sp_t2 = comm.span("sort_merge");
+            let sp = comm.span("merge");
             comm.charge(Work::MergeElems {
                 n: 2 * n as u64,
                 ways: 2,
@@ -80,7 +77,7 @@ pub fn bitonic_sort<K: Key>(comm: &Comm, local: &mut Vec<K>) -> AlgoStats {
                 merged.drain(..n);
             }
             *local = merged;
-            stats.sort_merge_ns += sp_t2.finish();
+            stats.merge_ns += sp.finish();
         }
     }
     stats.n_out = local.len();
@@ -142,7 +139,7 @@ mod tests {
         });
         for (stats, _) in out {
             // stages 1+2+3 = 6 compare-split rounds for P=8.
-            assert_eq!(stats.rounds, 6);
+            assert_eq!(stats.iterations, 6);
         }
     }
 

@@ -14,45 +14,30 @@
 use std::sync::Arc;
 
 use dhs_core::splitter::{SplitterInfo, SplitterResult};
-use dhs_core::{exchange, Key};
+use dhs_core::{exchange, outcome_of, Key, SortStats};
 use dhs_merge::MergeAlgo;
-use dhs_runtime::{AllToAllAlgo, Comm, Work};
+use dhs_runtime::{Comm, Work};
 use dhs_workloads::SplitMix64;
 
-use crate::stats::AlgoStats;
-use crate::tail::{merge_received, sort_local};
+use crate::tail::{exchange_segments, merge_received, sort_local};
 
-/// How the merge of the received runs is charged.
-const MERGE: MergeAlgo = MergeAlgo::Resort;
+/// Sampling budget per rank per round, spread over the unresolved
+/// splitters, so the global per-round sample is `O(P·budget)`: the
+/// constant-samples-per-processor regime of \[1\].
+const SAMPLES_PER_ROUND: usize = 8;
 
-/// Configuration of HSS.
-#[derive(Debug, Clone, Copy)]
-pub struct HssConfig {
-    /// Sampling budget per rank per round, spread over the unresolved
-    /// splitters (so the global per-round sample is `O(P·budget)`, the
-    /// constant-per-processor regime of \[1\]).
-    pub samples_per_round: usize,
-    /// Load-balance tolerance ε (0 demands exact boundaries and can
-    /// take many rounds).
-    pub epsilon: f64,
-    /// Hard cap on histogramming rounds; when exceeded the nearest
-    /// achievable boundary is accepted and `converged` is reported
-    /// `false` (the Charm++ runs hit their wall-clock limit instead).
-    pub max_rounds: u32,
-    /// Deterministic sampling seed.
-    pub seed: u64,
-}
+/// Load-balance tolerance ε: 0 demands exact boundaries and can take
+/// many rounds.
+const EPSILON: f64 = 0.0;
 
-impl Default for HssConfig {
-    fn default() -> Self {
-        Self {
-            samples_per_round: 8,
-            epsilon: 0.0,
-            max_rounds: 256,
-            seed: 0x455,
-        }
-    }
-}
+/// Hard cap on histogramming rounds. When it is reached the nearest
+/// achievable boundary is accepted and the sort reports
+/// [`dhs_core::SortOutcome::Degraded`] (the Charm++ runs hit their
+/// wall-clock limit instead).
+const MAX_ROUNDS: u32 = 256;
+
+/// Deterministic sampling seed.
+const SEED: u64 = 0x455;
 
 /// Bracket state of one unresolved splitter: the boundary lies between
 /// two known probe keys (open interval), whose global histograms we
@@ -66,36 +51,51 @@ struct Bracket<K> {
 }
 
 /// Sort the distributed vector by histogram sort with sampling.
-pub fn hss_sort<K: Key>(comm: &Comm, local: &mut Vec<K>, cfg: &HssConfig) -> AlgoStats {
-    let mut stats = AlgoStats {
-        converged: true,
-        ..AlgoStats::default()
+pub fn hss_sort<K: Key>(comm: &Comm, local: &mut Vec<K>) -> SortStats {
+    hss_sort_capped(comm, local, MAX_ROUNDS)
+}
+
+/// [`hss_sort`] with its round cap as an argument.
+fn hss_sort_capped<K: Key>(comm: &Comm, local: &mut Vec<K>, max_rounds: u32) -> SortStats {
+    let mut stats = SortStats {
+        n_in: local.len(),
+        ..SortStats::default()
     };
     let p = comm.size();
     sort_local(comm, local, &mut stats);
 
+    let sp = comm.span("prepare");
     let caps: Vec<usize> = comm.allgather(local.len());
+    stats.prepare_ns += sp.finish();
     let n_total: u64 = caps.iter().map(|&c| c as u64).sum();
     if n_total == 0 || p == 1 {
         stats.n_out = local.len();
         return stats;
     }
     let targets = dhs_core::perfect_targets(&caps);
-    let slack = dhs_core::slack_for(n_total, p, cfg.epsilon);
+    let slack = dhs_core::slack_for(n_total, p, EPSILON);
 
-    // Splitter phase.
-    let sp_t1 = comm.span("splitting");
-    let result = hss_find_splitters(comm, local, &targets, slack, cfg, &mut stats);
-    stats.splitter_ns = sp_t1.finish();
+    let sp = comm.span("histogram");
+    let result = hss_find_splitters(comm, local, &targets, slack, max_rounds);
+    stats.iterations = result.iterations;
+    stats.probes = result.probes;
+    stats.outcome = outcome_of(&result, n_total, p);
+    stats.histogram_ns += sp.finish();
 
     // Exchange + merge reuse the core machinery (Algorithm 4 handles
     // the equal-key boundary refinement for both algorithms).
-    let sp_t2 = comm.span("exchange");
+    let sp = comm.span("prepare");
     let plan = exchange::plan_exchange(comm, local, &result);
-    let received = exchange::exchange_data(comm, local, &plan, AllToAllAlgo::OneFactor);
-    stats.exchange_ns = sp_t2.finish();
+    stats.prepare_ns += sp.finish();
+    let received = exchange_segments(comm, local, &plan, &mut stats);
 
-    *local = merge_received(comm, received, std::mem::take(local), MERGE, &mut stats);
+    *local = merge_received(
+        comm,
+        received,
+        std::mem::take(local),
+        MergeAlgo::Resort,
+        &mut stats,
+    );
     stats.n_out = local.len();
     stats
 }
@@ -106,8 +106,7 @@ fn hss_find_splitters<K: Key>(
     sorted_local: &[K],
     targets: &[u64],
     slack: u64,
-    cfg: &HssConfig,
-    stats: &mut AlgoStats,
+    max_rounds: u32,
 ) -> SplitterResult<K> {
     let n_local = sorted_local.len() as u64;
     if targets.is_empty() {
@@ -158,9 +157,10 @@ fn hss_find_splitters<K: Key>(
         })
         .collect();
 
-    let mut rng = SplitMix64(cfg.seed ^ (comm.rank() as u64).wrapping_mul(0x2545F4914F6CDD1D));
+    let mut rng = SplitMix64(SEED ^ (comm.rank() as u64).wrapping_mul(0x2545F4914F6CDD1D));
     let mut rounds = 0u32;
     let mut probes_total = 0u64;
+    let mut converged = true;
 
     loop {
         let active: Vec<usize> = (0..brackets.len())
@@ -169,24 +169,23 @@ fn hss_find_splitters<K: Key>(
         if active.is_empty() {
             break;
         }
-        rounds += 1;
-        if rounds > cfg.max_rounds {
+        if rounds == max_rounds {
             // Give up on exactness: accept the nearest achievable
             // endpoint boundary (the real Charm++ run would sit in the
             // histogramming loop until the wall clock kills it).
-            stats.converged = false;
+            converged = false;
             for &i in &active {
                 force_accept_endpoint(&mut brackets[i], targets[i]);
             }
             break;
         }
+        rounds += 1;
 
         // Contribute samples strictly inside the active brackets,
         // spreading this rank's per-round budget across them.
-        let budget = cfg.samples_per_round.max(1);
-        let per_target_int = budget / active.len();
+        let per_target_int = SAMPLES_PER_ROUND / active.len();
         let per_target_frac =
-            (budget as f64 / active.len() as f64 - per_target_int as f64).max(0.0);
+            (SAMPLES_PER_ROUND as f64 / active.len() as f64 - per_target_int as f64).max(0.0);
         let mut flat: Vec<(u32, K)> = Vec::new();
         for &i in &active {
             let b = &brackets[i];
@@ -266,7 +265,7 @@ fn hss_find_splitters<K: Key>(
                             .map(|(_, realized, _, _)| realized.abs_diff(targets[i]) > slack)
                             .unwrap_or(false)
                         {
-                            stats.converged = false;
+                            converged = false;
                         }
                     }
                     // Otherwise: unlucky sampling this round — the
@@ -310,7 +309,6 @@ fn hss_find_splitters<K: Key>(
         }
     }
 
-    stats.rounds = rounds;
     let splitters = brackets
         .iter()
         .zip(targets)
@@ -329,7 +327,7 @@ fn hss_find_splitters<K: Key>(
         splitters,
         iterations: rounds,
         probes: probes_total,
-        degraded: !stats.converged,
+        degraded: !converged,
     }
 }
 
@@ -367,6 +365,7 @@ fn force_accept_endpoint<K: Key>(b: &mut Bracket<K>, t: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dhs_core::SortOutcome;
     use dhs_runtime::{run, ClusterConfig};
 
     fn keys_for(rank: usize, n: usize, modulus: u64) -> Vec<u64> {
@@ -381,10 +380,10 @@ mod tests {
             .collect()
     }
 
-    fn check(p: usize, n: usize, modulus: u64, cfg: HssConfig) -> Vec<AlgoStats> {
+    fn check(p: usize, n: usize, modulus: u64) -> Vec<SortStats> {
         let out = run(&ClusterConfig::small_cluster(p), move |comm| {
             let mut local = keys_for(comm.rank(), n, modulus);
-            let stats = hss_sort(comm, &mut local, &cfg);
+            let stats = hss_sort(comm, &mut local);
             (local, stats)
         });
         let mut expect: Vec<u64> = (0..p).flat_map(|r| keys_for(r, n, modulus)).collect();
@@ -396,56 +395,45 @@ mod tests {
 
     #[test]
     fn exact_partition_on_uniform_keys() {
-        let stats = check(4, 1000, u64::MAX, HssConfig::default());
+        let stats = check(4, 1000, u64::MAX);
         for s in stats {
-            assert!(s.converged);
+            assert_eq!(s.outcome, SortOutcome::Exact);
             assert_eq!(s.n_out, 1000, "ε=0 must be perfect");
+            assert!(s.iterations > 0 && s.probes > 0);
         }
     }
 
     #[test]
     fn duplicates_and_constant_input() {
-        check(4, 600, 7, HssConfig::default());
-        check(3, 300, 1, HssConfig::default());
-    }
-
-    #[test]
-    fn epsilon_converges_in_fewer_rounds() {
-        let exact = check(8, 2000, u64::MAX, HssConfig::default());
-        let relaxed = check(
-            8,
-            2000,
-            u64::MAX,
-            HssConfig {
-                epsilon: 0.05,
-                ..HssConfig::default()
-            },
-        );
-        let exact_rounds: u32 = exact.iter().map(|s| s.rounds).max().unwrap_or(0);
-        let relaxed_rounds: u32 = relaxed.iter().map(|s| s.rounds).max().unwrap_or(0);
-        assert!(
-            relaxed_rounds <= exact_rounds,
-            "relaxed {relaxed_rounds} vs exact {exact_rounds}"
-        );
+        check(4, 600, 7);
+        check(3, 300, 1);
     }
 
     #[test]
     fn round_cap_still_sorts() {
-        // Starve the search: 1 sample per round, 2 rounds max. Output
-        // must still be globally sorted, only balance degrades.
-        let cfg = HssConfig {
-            samples_per_round: 1,
-            max_rounds: 2,
-            ..HssConfig::default()
-        };
+        // Starve the search at 2 rounds: the output must still be
+        // globally sorted, only balance degrades, and every rank says
+        // so.
         let out = run(&ClusterConfig::small_cluster(4), move |comm| {
             let mut local = keys_for(comm.rank(), 500, u64::MAX);
-            let stats = hss_sort(comm, &mut local, &cfg);
+            let stats = hss_sort_capped(comm, &mut local, 2);
             (local, stats)
         });
         let got: Vec<u64> = out.iter().flat_map(|((l, _), _)| l.clone()).collect();
         assert!(got.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(got.len(), 2000);
+        for ((_, stats), _) in &out {
+            match stats.outcome {
+                SortOutcome::Degraded {
+                    achieved_epsilon,
+                    iterations,
+                } => {
+                    assert_eq!(iterations, 2, "the search stops at the cap");
+                    assert!(achieved_epsilon > 0.0);
+                }
+                ref o => panic!("capped search reported {o:?}"),
+            }
+        }
     }
 
     #[test]
@@ -456,7 +444,7 @@ mod tests {
             } else {
                 Vec::new()
             };
-            hss_sort(comm, &mut local, &HssConfig::default());
+            hss_sort(comm, &mut local);
             local.len()
         });
         assert_eq!(out[0].0, 700);

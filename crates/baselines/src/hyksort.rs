@@ -8,37 +8,23 @@
 //! `MPI_Comm_split` (linear in the group size, blocking), which is
 //! exactly the overhead the paper's single-exchange design avoids.
 
-use dhs_core::exchange::{exchange_data, group_of, group_range, plan_exchange};
+use dhs_core::exchange::{group_of, group_range, plan_exchange};
 use dhs_core::splitter::find_splitters;
-use dhs_core::Key;
+use dhs_core::{Key, SortStats};
 use dhs_merge::MergeAlgo;
-use dhs_runtime::{AllToAllAlgo, Comm};
+use dhs_runtime::Comm;
 
-use crate::stats::AlgoStats;
-use crate::tail::{merge_received, sort_local};
+use crate::tail::{exchange_segments, merge_received, sort_local};
 
-/// How the merge of the received runs at each level is charged.
-const MERGE: MergeAlgo = MergeAlgo::KWay;
+/// Fan-out per level (`k = 2` degenerates to hypercube quicksort).
+const FAN_OUT: usize = 4;
 
-/// Configuration of HykSort.
-#[derive(Debug, Clone, Copy)]
-pub struct HyksortConfig {
-    /// Fan-out per level (`k = 2` degenerates to hypercube quicksort).
-    pub k: usize,
-}
-
-impl Default for HyksortConfig {
-    fn default() -> Self {
-        Self { k: 4 }
-    }
-}
-
-/// Sort the distributed vector with hypercube k-way quicksort.
-pub fn hyksort<K: Key>(comm: &Comm, local: &mut Vec<K>, cfg: &HyksortConfig) -> AlgoStats {
-    assert!(cfg.k >= 2, "fan-out must be at least 2");
-    let mut stats = AlgoStats {
-        converged: true,
-        ..AlgoStats::default()
+/// Sort the distributed vector with hypercube k-way quicksort. Each
+/// level is one round of [`SortStats::iterations`].
+pub fn hyksort<K: Key>(comm: &Comm, local: &mut Vec<K>) -> SortStats {
+    let mut stats = SortStats {
+        n_in: local.len(),
+        ..SortStats::default()
     };
     sort_local(comm, local, &mut stats);
 
@@ -50,7 +36,7 @@ pub fn hyksort<K: Key>(comm: &Comm, local: &mut Vec<K>, cfg: &HyksortConfig) -> 
         if cur.size() == 1 {
             break;
         }
-        match hyksort_level(cur, local, cfg, &mut stats) {
+        match hyksort_level(cur, local, &mut stats) {
             Some(sub) => owned = Some(sub),
             None => break, // globally empty
         }
@@ -61,26 +47,22 @@ pub fn hyksort<K: Key>(comm: &Comm, local: &mut Vec<K>, cfg: &HyksortConfig) -> 
 
 /// One level: split the current group into k subgroups, exchange keys
 /// into their subgroup, and return this rank's sub-communicator.
-fn hyksort_level<K: Key>(
-    cur: &Comm,
-    local: &mut Vec<K>,
-    cfg: &HyksortConfig,
-    stats: &mut AlgoStats,
-) -> Option<Comm> {
+fn hyksort_level<K: Key>(cur: &Comm, local: &mut Vec<K>, stats: &mut SortStats) -> Option<Comm> {
     let p = cur.size();
     let rank = cur.rank();
-    let k = cfg.k.min(p);
-    stats.rounds += 1;
+    let k = FAN_OUT.min(p);
+    stats.iterations += 1;
 
     // k-1 splitters at the group capacity boundaries; capacity of group
     // g = sum of its members' input sizes (keeps per-rank loads close
     // to their inputs). The same gather says whether anything is left.
-    let sp_t0 = cur.span("splitting");
+    let sp = cur.span("prepare");
     let caps: Vec<usize> = cur.allgather(local.len());
+    stats.prepare_ns += sp.finish();
     if caps.iter().all(|&c| c == 0) {
-        stats.splitter_ns += sp_t0.finish();
         return None;
     }
+    let sp = cur.span("histogram");
     let targets: Vec<u64> = (1..k)
         .map(|g| {
             caps[..group_range(g, p, k).start]
@@ -90,20 +72,24 @@ fn hyksort_level<K: Key>(
         })
         .collect();
     let found = find_splitters(cur, local, &targets, 0);
-    stats.splitter_ns += sp_t0.finish();
+    stats.probes += found.probes;
+    stats.histogram_ns += sp.finish();
 
     // The k-way Algorithm 4 cut; segment g goes to one member of
     // `group_range(g, p, k)`.
-    let sp_t1 = cur.span("exchange");
+    let sp = cur.span("prepare");
     let plan = plan_exchange(cur, local, &found);
-    let received = exchange_data(cur, local, &plan, AllToAllAlgo::OneFactor);
-    stats.exchange_ns += sp_t1.finish();
+    stats.prepare_ns += sp.finish();
+    let received = exchange_segments(cur, local, &plan, stats);
 
-    *local = merge_received(cur, received, std::mem::take(local), MERGE, stats);
+    *local = merge_received(cur, received, std::mem::take(local), MergeAlgo::KWay, stats);
 
     // The communicator split the paper calls out as a blocking,
     // linear-cost collective at every level.
-    Some(cur.split(group_of(rank, p, k) as u64, rank as u64))
+    let sp = cur.span("prepare");
+    let sub = cur.split(group_of(rank, p, k) as u64, rank as u64);
+    stats.prepare_ns += sp.finish();
+    Some(sub)
 }
 
 #[cfg(test)]
@@ -123,41 +109,43 @@ mod tests {
             .collect()
     }
 
-    fn check(p: usize, n: usize, modulus: u64, k: usize) {
-        let cfg = HyksortConfig { k };
+    fn check(p: usize, n: usize, modulus: u64) {
         let out = run(&ClusterConfig::small_cluster(p), move |comm| {
             let mut local = keys_for(comm.rank(), n, modulus);
-            let stats = hyksort(comm, &mut local, &cfg);
-            (local, stats)
+            hyksort(comm, &mut local);
+            local
         });
         let mut expect: Vec<u64> = (0..p).flat_map(|r| keys_for(r, n, modulus)).collect();
         expect.sort_unstable();
-        let got: Vec<u64> = out.iter().flat_map(|((l, _), _)| l.clone()).collect();
-        assert_eq!(got, expect, "p={p} k={k}");
+        let got: Vec<u64> = out.iter().flat_map(|(l, _)| l.clone()).collect();
+        assert_eq!(got, expect, "p={p}");
     }
 
     #[test]
-    fn sorts_with_various_fanouts() {
-        check(8, 400, u64::MAX, 2);
-        check(8, 400, u64::MAX, 4);
-        check(9, 123, u64::MAX, 3);
-        check(5, 200, u64::MAX, 4);
+    fn sorts_with_full_and_partial_levels() {
+        // 8 = 4·2 and 5 end on a level narrower than the fan-out; 9
+        // splits into uneven groups.
+        check(8, 400, u64::MAX);
+        check(16, 400, u64::MAX);
+        check(9, 123, u64::MAX);
+        check(5, 200, u64::MAX);
+        check(2, 300, u64::MAX);
     }
 
     #[test]
     fn duplicates_and_constant() {
-        check(8, 300, 11, 2);
-        check(4, 100, 1, 2);
+        check(8, 300, 11);
+        check(4, 100, 1);
     }
 
     #[test]
     fn level_count_is_log_k_p() {
         let out = run(&ClusterConfig::small_cluster(16), |comm| {
             let mut local = keys_for(comm.rank(), 200, u64::MAX);
-            hyksort(comm, &mut local, &HyksortConfig { k: 4 })
+            hyksort(comm, &mut local)
         });
         for (stats, _) in out {
-            assert_eq!(stats.rounds, 2, "16 ranks at k=4 is two levels");
+            assert_eq!(stats.iterations, 2, "16 ranks at k=4 is two levels");
         }
     }
 
@@ -169,7 +157,7 @@ mod tests {
             } else {
                 Vec::new()
             };
-            hyksort(comm, &mut local, &HyksortConfig::default());
+            hyksort(comm, &mut local);
             local
         });
         let got: Vec<u64> = out.iter().flat_map(|(l, _)| l.clone()).collect();

@@ -18,8 +18,15 @@
 //! local sort, the regular pick from a gathered sample, the Algorithm 4
 //! cut (`dhs_core::exchange::plan_exchange`, for HSS and every HykSort
 //! level) or the upper-bound cut (sample sort, PSRS), one exchange of
-//! borrowed segments, and the charged merge of the received runs. The
-//! merge engine of each is a constant.
+//! borrowed segments, and the charged merge of the received runs. Their
+//! parameters (sample sizes, fan-outs, seeds, merge pricing) are
+//! module constants.
+//!
+//! Every sorter returns [`dhs_core::SortStats`] and spans its work under
+//! the histogram sort's five phase names — `local_sort`, `histogram`
+//! (splitter determination, however it is done), `prepare` (size
+//! gathers, cuts, communicator splits), `exchange` and `merge` — so
+//! the phases sum to the virtual time of the call.
 
 pub mod ams;
 pub mod bitonic;
@@ -27,18 +34,16 @@ pub mod hss;
 pub mod hyksort;
 pub mod psrs;
 pub mod sample_sort;
-pub mod stats;
 mod tail;
 
-pub use ams::{ams_sort, AmsConfig};
+pub use ams::ams_sort;
 pub use bitonic::bitonic_sort;
-pub use hss::{hss_sort, HssConfig};
-pub use hyksort::{hyksort, HyksortConfig};
+pub use hss::hss_sort;
+pub use hyksort::hyksort;
 pub use psrs::psrs;
-pub use sample_sort::{sample_sort, SampleSortConfig};
-pub use stats::AlgoStats;
+pub use sample_sort::sample_sort;
 
-use dhs_core::{histogram_sort, Key, SortConfig};
+use dhs_core::{histogram_sort, Key, SortConfig, SortStats};
 use dhs_runtime::Comm;
 
 /// Every distributed sorting algorithm in this repository, for sweeps.
@@ -88,26 +93,16 @@ impl Algorithm {
     }
 }
 
-/// Run any algorithm with its default configuration; returns phase
-/// stats in the common [`AlgoStats`] shape.
-pub fn run_algorithm<K: Key>(comm: &Comm, algo: Algorithm, local: &mut Vec<K>) -> AlgoStats {
+/// Run any algorithm (the histogram sort with the default
+/// [`SortConfig`]).
+pub fn run_algorithm<K: Key>(comm: &Comm, algo: Algorithm, local: &mut Vec<K>) -> SortStats {
     match algo {
-        Algorithm::HistogramSort => {
-            let s = histogram_sort(comm, local, &SortConfig::default());
-            AlgoStats {
-                splitter_ns: s.histogram_ns + s.prepare_ns,
-                exchange_ns: s.exchange_ns,
-                sort_merge_ns: s.local_sort_ns + s.merge_ns,
-                rounds: s.iterations,
-                converged: true,
-                n_out: s.n_out,
-            }
-        }
-        Algorithm::SampleSort => sample_sort(comm, local, &SampleSortConfig::default()),
+        Algorithm::HistogramSort => histogram_sort(comm, local, &SortConfig::default()),
+        Algorithm::SampleSort => sample_sort(comm, local),
         Algorithm::Psrs => psrs(comm, local),
-        Algorithm::Hss => hss_sort(comm, local, &HssConfig::default()),
-        Algorithm::HykSort => hyksort(comm, local, &HyksortConfig::default()),
-        Algorithm::Ams => ams_sort(comm, local, &AmsConfig::default()),
+        Algorithm::Hss => hss_sort(comm, local),
+        Algorithm::HykSort => hyksort(comm, local),
+        Algorithm::Ams => ams_sort(comm, local),
         Algorithm::Bitonic => bitonic_sort(comm, local),
     }
 }

@@ -3,22 +3,18 @@
 //! taken at regular positions of the locally **sorted** data, which in
 //! practice yields near-perfect balancing deterministically.
 
-use dhs_core::Key;
+use dhs_core::{Key, SortStats};
 use dhs_merge::MergeAlgo;
 use dhs_runtime::Comm;
 
-use crate::stats::AlgoStats;
 use crate::tail::{merge_received, regular_splitters, sort_local, upper_bound_exchange};
 
-/// How the merge of the received runs is charged.
-const MERGE: MergeAlgo = MergeAlgo::KWay;
-
-/// Sort the distributed vector by PSRS.
-pub fn psrs<K: Key>(comm: &Comm, local: &mut Vec<K>) -> AlgoStats {
-    let mut stats = AlgoStats {
-        converged: true,
-        rounds: 1,
-        ..AlgoStats::default()
+/// Sort the distributed vector by PSRS: one sampling round.
+pub fn psrs<K: Key>(comm: &Comm, local: &mut Vec<K>) -> SortStats {
+    let mut stats = SortStats {
+        iterations: 1,
+        n_in: local.len(),
+        ..SortStats::default()
     };
     let p = comm.size();
 
@@ -28,17 +24,23 @@ pub fn psrs<K: Key>(comm: &Comm, local: &mut Vec<K>) -> AlgoStats {
     // Step 2: regular sampling — P-1 probes at positions i·n/P of the
     // sorted local data; gather everywhere; take the P-1 regular
     // splitters of the sorted sample.
-    let sp_t1 = comm.span("splitting");
+    let sp = comm.span("histogram");
     let probes: Vec<K> = (1..p)
         .filter_map(|i| local.get(i * local.len() / p).copied())
         .collect();
     let splitters = regular_splitters(comm, probes, p);
-    stats.splitter_ns = sp_t1.finish();
+    stats.histogram_ns += sp.finish();
 
     // Step 3: partition (binary search, data already sorted) and
     // exchange; step 4: k-way merge of the sorted runs.
     let received = upper_bound_exchange(comm, local, &splitters, &mut stats);
-    *local = merge_received(comm, received, std::mem::take(local), MERGE, &mut stats);
+    *local = merge_received(
+        comm,
+        received,
+        std::mem::take(local),
+        MergeAlgo::KWay,
+        &mut stats,
+    );
     stats.n_out = local.len();
     stats
 }

@@ -3,27 +3,28 @@
 //! sample, the upper-bound cut with its borrowed-segment exchange, and
 //! the charged merge of the received runs. What is left in each
 //! baseline's module is how it chooses its splitters.
+//!
+//! Each step opens the histogram sort's span for its phase and adds the
+//! span's virtual time to that phase of the [`SortStats`].
 
 use dhs_core::exchange::{exchange_data, ExchangePlan};
-use dhs_core::{Key, LocalSort};
+use dhs_core::{Key, LocalSort, SortStats};
 use dhs_merge::MergeAlgo;
 use dhs_runtime::{AllToAllAlgo, Comm, RecvRuns, Work};
-
-use crate::stats::AlgoStats;
 
 fn elem_bytes<K>() -> u64 {
     std::mem::size_of::<K>() as u64
 }
 
 /// Sort the local block, charged as one comparison sort.
-pub(crate) fn sort_local<K: Key>(comm: &Comm, local: &mut [K], stats: &mut AlgoStats) {
-    let sp = comm.span("sort_merge");
+pub(crate) fn sort_local<K: Key>(comm: &Comm, local: &mut [K], stats: &mut SortStats) {
+    let sp = comm.span("local_sort");
     local.sort_unstable();
     comm.charge(Work::SortElems {
         n: local.len() as u64,
         elem_bytes: elem_bytes::<K>(),
     });
-    stats.sort_merge_ns += sp.finish();
+    stats.local_sort_ns += sp.finish();
 }
 
 /// Gather every rank's `sample` at one processor, sort the pool and
@@ -43,16 +44,17 @@ pub(crate) fn regular_splitters<K: Key>(comm: &Comm, sample: Vec<K>, m: usize) -
     )
 }
 
-/// Cut the sorted block after the last key `≤` each splitter and send
-/// segment `d` to rank `d`, borrowed. Without splitters (every sample
-/// was empty) everything goes to rank 0.
+/// Cut the sorted block after the last key `≤` each splitter (the
+/// `prepare` phase) and send segment `d` to rank `d`, borrowed (the
+/// `exchange` phase). Without splitters (every sample was empty)
+/// everything goes to rank 0.
 pub(crate) fn upper_bound_exchange<K: Key>(
     comm: &Comm,
     sorted_local: &[K],
     splitters: &[K],
-    stats: &mut AlgoStats,
+    stats: &mut SortStats,
 ) -> RecvRuns<K> {
-    let sp = comm.span("exchange");
+    let sp = comm.span("prepare");
     let n = sorted_local.len();
     comm.charge(Work::BinarySearches {
         searches: splitters.len() as u64,
@@ -66,8 +68,19 @@ pub(crate) fn upper_bound_exchange<K: Key>(
             .map(|s| sorted_local.partition_point(|x| x <= s)),
     );
     cuts.resize(comm.size() + 1, n);
-    let plan = ExchangePlan { cuts };
-    let received = exchange_data(comm, sorted_local, &plan, AllToAllAlgo::OneFactor);
+    stats.prepare_ns += sp.finish();
+    exchange_segments(comm, sorted_local, &ExchangePlan { cuts }, stats)
+}
+
+/// Send the plan's segments, borrowed, under the one-factor schedule.
+pub(crate) fn exchange_segments<K: Key>(
+    comm: &Comm,
+    sorted_local: &[K],
+    plan: &ExchangePlan,
+    stats: &mut SortStats,
+) -> RecvRuns<K> {
+    let sp = comm.span("exchange");
+    let received = exchange_data(comm, sorted_local, plan, AllToAllAlgo::OneFactor);
     stats.exchange_ns += sp.finish();
     received
 }
@@ -82,10 +95,10 @@ pub(crate) fn merge_received<K: Key>(
     received: RecvRuns<K>,
     scratch: Vec<K>,
     merge: MergeAlgo,
-    stats: &mut AlgoStats,
+    stats: &mut SortStats,
 ) -> Vec<K> {
-    let sp = comm.span("sort_merge");
+    let sp = comm.span("merge");
     let merged = dhs_core::merge_received(comm, received, scratch, merge, LocalSort::Comparison);
-    stats.sort_merge_ns += sp.finish();
+    stats.merge_ns += sp.finish();
     merged
 }

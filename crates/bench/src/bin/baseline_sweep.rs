@@ -2,7 +2,9 @@
 //! head-to-head across the paper's friendly and adversarial inputs —
 //! including the distributions where the paper reports the Charm++
 //! comparator struggling (normal keys) and the sparse layouts only the
-//! histogram sort is claimed to handle gracefully.
+//! histogram sort is claimed to handle gracefully. Every sorter reports
+//! `SortStats`: `rounds` is its `iterations` (its splitter phase's
+//! rounds), `conv` says its outcome is not `Degraded`.
 //!
 //! Flags: `--p <ranks>` (default 64), `--nper <keys/rank>` (default
 //! 2^13), `--reps`, `--quick`.

@@ -7,11 +7,12 @@
 //! reach all four.
 //!
 //! Prints a table per fault family and writes the full grid as JSON to
-//! `results/chaos_sweep.json`. A per-fault-family phase breakdown
-//! (derived from the span-based phase attribution of each run) is
-//! printed after the main table and written next to the grid as
-//! `<out>_phases.json`; the main grid's bytes are independent of phase
-//! attribution so existing consumers are unaffected.
+//! `results/chaos_sweep.json`. A per-fault-family phase breakdown —
+//! every sorter's `SortStats` in the paper's five phases (local sort,
+//! histogram, exchange, merge, other) — is printed after the main table
+//! and written next to the grid as `<out>_phases.json`; the main grid's
+//! bytes are independent of phase attribution so existing consumers are
+//! unaffected.
 //!
 //! A recovery grid follows the fault sweep: seeded rank *crashes*
 //! (count × phase) against both [`RecoveryPolicy`] settings, written

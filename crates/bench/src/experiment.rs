@@ -13,9 +13,9 @@ pub enum SortAlgo {
     /// The paper's algorithm (labelled "DASH" in Figures 2-4), with its
     /// configuration: the only way to run it.
     Histogram(SortConfig),
-    /// A baseline of [`Algorithm`] — any but `HistogramSort` — with its
-    /// default configuration, run by [`run_algorithm`] (`Algorithm::Hss`
-    /// is the "Charm++" comparator of Figures 2-3).
+    /// A baseline of [`Algorithm`] — any but `HistogramSort` — run by
+    /// [`run_algorithm`] (`Algorithm::Hss` is the "Charm++" comparator
+    /// of Figures 2-3).
     Baseline(Algorithm),
 }
 
@@ -28,12 +28,17 @@ impl SortAlgo {
     }
 }
 
+/// The five phases of Fig. 2b / 3b, in [`DistributedRun::phases`]
+/// order; "other" is [`dhs_core::SortStats::prepare_ns`].
+const PHASES: [&str; 5] = ["local-sort", "histogram", "exchange", "merge", "other"];
+
 /// Aggregated outcome of one simulated sort run.
 #[derive(Debug, Clone)]
 pub struct DistributedRun {
     /// Simulated makespan in seconds (max rank completion time).
     pub makespan_s: f64,
-    /// Per-phase maxima over ranks, in seconds: (name, time).
+    /// Per-phase maxima over ranks, in seconds: (name, time), one
+    /// entry per name of the paper's five phases.
     pub phases: Vec<(&'static str, f64)>,
     /// Histogramming/splitter rounds (max over ranks).
     pub iterations: u32,
@@ -81,59 +86,43 @@ pub fn run_distributed_sort(
     let algo = algo.clone();
     let out = run(cluster, move |comm| {
         let mut local = rank_local_keys(dist, layout, n_total, p, comm.rank(), seed);
-        let t0 = comm.now_ns();
-        let (phases, iterations, probes, converged) = match &algo {
-            SortAlgo::Histogram(cfg) => {
-                let s = histogram_sort(comm, &mut local, cfg);
-                (
-                    vec![
-                        ("local-sort", s.local_sort_ns),
-                        ("histogram", s.histogram_ns),
-                        ("exchange", s.exchange_ns),
-                        ("merge", s.merge_ns),
-                        ("other", s.prepare_ns),
-                    ],
-                    s.iterations,
-                    s.probes,
-                    !s.outcome.is_degraded(),
-                )
-            }
-            SortAlgo::Baseline(algo) => {
-                let s = run_algorithm(comm, *algo, &mut local);
-                (algo_phases(&s), s.rounds, 0, s.converged)
-            }
-        };
-        let total_ns = comm.now_ns() - t0;
-        (phases, iterations, probes, converged, local.len(), total_ns)
+        match &algo {
+            SortAlgo::Histogram(cfg) => histogram_sort(comm, &mut local, cfg),
+            SortAlgo::Baseline(algo) => run_algorithm(comm, *algo, &mut local),
+        }
     });
 
-    let mut phase_max: Vec<(&'static str, u64)> = Vec::new();
+    let mut phase_max = [0u64; 5];
     let mut makespan_ns = 0u64;
     let mut iterations = 0u32;
     let mut probes = 0u64;
     let mut converged = true;
     let mut max_keys = 0usize;
     let mut min_keys = usize::MAX;
-    for ((phases, iters, probe_count, conv, n_out, total_ns), _) in &out {
-        makespan_ns = makespan_ns.max(*total_ns);
-        iterations = iterations.max(*iters);
-        probes = probes.max(*probe_count);
-        converged &= conv;
-        max_keys = max_keys.max(*n_out);
-        min_keys = min_keys.min(*n_out);
-        if phase_max.is_empty() {
-            phase_max = phases.clone();
-        } else {
-            for (slot, &(_, t)) in phase_max.iter_mut().zip(phases) {
-                slot.1 = slot.1.max(t);
-            }
+    for (s, _) in &out {
+        makespan_ns = makespan_ns.max(s.total_ns());
+        iterations = iterations.max(s.iterations);
+        probes = probes.max(s.probes);
+        converged &= !s.outcome.is_degraded();
+        max_keys = max_keys.max(s.n_out);
+        min_keys = min_keys.min(s.n_out);
+        let phases = [
+            s.local_sort_ns,
+            s.histogram_ns,
+            s.exchange_ns,
+            s.merge_ns,
+            s.prepare_ns,
+        ];
+        for (slot, t) in phase_max.iter_mut().zip(phases) {
+            *slot = (*slot).max(t);
         }
     }
     let traffic = RunSummary::from_reports(out.iter().map(|(_, r)| r));
     DistributedRun {
         makespan_s: makespan_ns as f64 * 1e-9,
-        phases: phase_max
+        phases: PHASES
             .into_iter()
+            .zip(phase_max)
             .map(|(n, t)| (n, t as f64 * 1e-9))
             .collect(),
         iterations,
@@ -252,14 +241,6 @@ pub fn run_recovery_sort(
         recovery_overhead_s: overhead_ns as f64 * 1e-9,
         sorted_ok,
     }
-}
-
-fn algo_phases(s: &dhs_baselines::AlgoStats) -> Vec<(&'static str, u64)> {
-    vec![
-        ("splitting", s.splitter_ns),
-        ("exchange", s.exchange_ns),
-        ("sort+merge", s.sort_merge_ns),
-    ]
 }
 
 #[cfg(test)]

@@ -59,8 +59,8 @@ pub use key::{make_unique, strip_unique, Key, OrderedF32, OrderedF64, UniqueKey}
 pub use multilevel::histogram_sort_two_level;
 pub use service::{EpochSorter, EpochStats};
 pub use sort::{
-    histogram_sort, histogram_sort_by, merge_received, InvalidSortConfig, LocalSort, Partitioning,
-    RecoveryPolicy, SortConfig, SortOutcome, SortStats, WarmStart,
+    histogram_sort, histogram_sort_by, merge_received, outcome_of, InvalidSortConfig, LocalSort,
+    Partitioning, RecoveryPolicy, SortConfig, SortOutcome, SortStats, WarmStart,
 };
 pub use splitter::{
     balanced_targets, find_splitters, find_splitters_cfg, find_splitters_seeded, perfect_targets,

@@ -380,7 +380,9 @@ impl SortOutcome {
 /// Per-phase timings (virtual nanoseconds) and counters of one sort.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SortStats {
-    /// Histogramming iterations (`ALLREDUCE` rounds).
+    /// Histogramming iterations (`ALLREDUCE` rounds); for the
+    /// baselines, the rounds of their splitter phase (sampling rounds,
+    /// recursion levels, bitonic compare-split steps).
     pub iterations: u32,
     /// Candidate keys histogrammed across all iterations (see
     /// [`crate::splitter::SplitterResult::probes`]); zero for
@@ -893,10 +895,11 @@ pub(crate) fn attempt<T: Clone + Send + Sync + 'static, P: Payload<T>>(
     stats.merge_ns += sp.finish();
 }
 
-/// Classify the splitter result: exact within ε, or — when the
-/// iteration cap froze unsettled splitters — the smallest ε for which
-/// Definition 1 would have accepted the realized boundaries.
-fn outcome_of<K>(res: &SplitterResult<K>, n_total: u64, p: usize) -> SortOutcome {
+/// Classify the splitter result of a search over `n_total` keys on `p`
+/// ranks: exact within ε, or — when the iteration cap froze unsettled
+/// splitters — the smallest ε for which Definition 1 would have
+/// accepted the realized boundaries.
+pub fn outcome_of<K>(res: &SplitterResult<K>, n_total: u64, p: usize) -> SortOutcome {
     if !res.degraded {
         return SortOutcome::Exact;
     }

@@ -29,7 +29,8 @@ const USAGE: &str = "usage: dhs <sort|serve|select|topology> [--flags]\n\
     \x20        --partitioning perfect|balanced --max-iters N\n\
     \x20        --probes M (histogram round width in units of P-1)\n\
     \x20        --threads T (intra-rank thread budget)\n\
-    \x20        --recovery abort|shrink (response to rank failures)\n\
+    \x20        --recovery abort|shrink (response to rank failures;\n\
+    \x20          shrink: histogram only)\n\
     \x20        --exchange-algo priced|one-factor|bruck|staged:<k>\n\
     \x20          (default priced: the schedule priced cheapest per exchange)\n\
     \x20        --warm-start cold|seeded-brackets (repeated sorts)\n\
@@ -299,6 +300,9 @@ fn cmd_sort(args: &Args) {
         );
     }
     let cfg = sort_config(args);
+    if algo.is_none() && cfg.recovery == RecoveryPolicy::Shrink {
+        usage_exit("--recovery shrink: --algo two-level does not recover (only histogram does)");
+    }
     // Opened before the sort, so a path that cannot be written is
     // rejected up front instead of after the whole run.
     let trace = args.raw("trace").map(|path| {
@@ -319,7 +323,7 @@ fn cmd_sort(args: &Args) {
         layout.label()
     );
 
-    type RankOutcome = (Option<SortStats>, usize, bool);
+    type RankOutcome = (SortStats, bool);
     let mut record = launch(&cluster, move |comm| {
         let mut local = rank_local_keys(dist, layout, n_total, ranks, comm.rank(), seed);
         let fp = verify.then(|| {
@@ -329,12 +333,9 @@ fn cmd_sort(args: &Args) {
             fp
         });
         let stats = match algo {
-            Some(Algorithm::HistogramSort) => Some(histogram_sort(comm, &mut local, &cfg)),
-            None => Some(histogram_sort_two_level(comm, &mut local, &cfg, groups)),
-            Some(baseline) => {
-                run_algorithm(comm, baseline, &mut local);
-                None
-            }
+            Some(Algorithm::HistogramSort) => histogram_sort(comm, &mut local, &cfg),
+            None => histogram_sort_two_level(comm, &mut local, &cfg, groups),
+            Some(baseline) => run_algorithm(comm, baseline, &mut local),
         };
         let ok = match fp {
             Some((fp, n)) => {
@@ -345,7 +346,7 @@ fn cmd_sort(args: &Args) {
             }
             None => true,
         };
-        (stats, local.len(), ok)
+        (stats, ok)
     })
     .expect("dhs sort injects no faults");
     let run_trace = std::mem::take(&mut record.trace);
@@ -354,8 +355,8 @@ fn cmd_sort(args: &Args) {
         record.into_result().unwrap_or_else(|e| panic!("{e}"));
 
     let summary = RunSummary::from_reports(out.iter().map(|(_, r)| r));
-    let max_keys = out.iter().map(|((_, n, _), _)| *n).max().unwrap_or(0);
-    let min_keys = out.iter().map(|((_, n, _), _)| *n).min().unwrap_or(0);
+    let max_keys = out.iter().map(|((s, _), _)| s.n_out).max().unwrap_or(0);
+    let min_keys = out.iter().map(|((s, _), _)| s.n_out).min().unwrap_or(0);
     println!(
         "simulated makespan : {:.3} ms",
         summary.makespan_secs() * 1e3
@@ -372,37 +373,43 @@ fn cmd_sort(args: &Args) {
         "parks per rank per collective : {:.3}",
         parks as f64 / summary.collectives.max(1) as f64
     );
-    if let Some(stats) = &out[0].0 .0 {
-        println!(
-            "phases (rank 0)    : sort {:.3} ms | histogram {:.3} ms ({} iters, {} probes) | \
-             exchange {:.3} ms | merge {:.3} ms | other {:.3} ms",
-            stats.local_sort_ns as f64 / 1e6,
-            stats.histogram_ns as f64 / 1e6,
-            stats.iterations,
-            stats.probes,
-            stats.exchange_ns as f64 / 1e6,
-            stats.merge_ns as f64 / 1e6,
-            stats.prepare_ns as f64 / 1e6,
-        );
-        match &stats.outcome {
-            SortOutcome::Exact => println!("partitioning       : exact"),
-            SortOutcome::Degraded {
-                achieved_epsilon,
-                iterations,
-            } => println!(
-                "partitioning       : degraded (achieved eps {achieved_epsilon:.4} \
-                 after iteration cap at {iterations})"
-            ),
-            SortOutcome::Recovered {
-                lost_ranks,
-                restarts,
-                recovery_ns,
-            } => println!(
-                "partitioning       : recovered (lost ranks {lost_ranks:?}, {restarts} \
-                 restart(s), {:.3} ms recovery overhead)",
-                *recovery_ns as f64 / 1e6
-            ),
-        }
+    let stats = &out[0].0 .0;
+    println!(
+        "phases (rank 0)    : sort {:.3} ms | histogram {:.3} ms ({} iters, {} probes) | \
+         exchange {:.3} ms | merge {:.3} ms | other {:.3} ms",
+        stats.local_sort_ns as f64 / 1e6,
+        stats.histogram_ns as f64 / 1e6,
+        stats.iterations,
+        stats.probes,
+        stats.exchange_ns as f64 / 1e6,
+        stats.merge_ns as f64 / 1e6,
+        stats.prepare_ns as f64 / 1e6,
+    );
+    // Sample sort, PSRS and AMS cut at sampled keys and aim at no
+    // boundary: their balance is the keys/rank spread above.
+    let sampled = matches!(
+        algo,
+        Some(Algorithm::SampleSort | Algorithm::Psrs | Algorithm::Ams)
+    );
+    match &stats.outcome {
+        SortOutcome::Exact if sampled => println!("partitioning       : sampled (no targets)"),
+        SortOutcome::Exact => println!("partitioning       : exact"),
+        SortOutcome::Degraded {
+            achieved_epsilon,
+            iterations,
+        } => println!(
+            "partitioning       : degraded (achieved eps {achieved_epsilon:.4} \
+             after iteration cap at {iterations})"
+        ),
+        SortOutcome::Recovered {
+            lost_ranks,
+            restarts,
+            recovery_ns,
+        } => println!(
+            "partitioning       : recovered (lost ranks {lost_ranks:?}, {restarts} \
+             restart(s), {:.3} ms recovery overhead)",
+            *recovery_ns as f64 / 1e6
+        ),
     }
     if let Some((path, mut file)) = trace {
         let json = if chrome_trace {
@@ -417,7 +424,7 @@ fn cmd_sort(args: &Args) {
         println!("trace              : {path}");
     }
     if verify {
-        let ok = out.iter().all(|((_, _, ok), _)| *ok);
+        let ok = out.iter().all(|((_, ok), _)| *ok);
         println!("verification       : {}", if ok { "PASS" } else { "FAIL" });
         if !ok {
             std::process::exit(1);

@@ -189,7 +189,8 @@ fn baselines_reject_sort_config_flags() {
         let names = format!("{flag}: --algo {algo} takes no sort-config flag");
         assert_usage_error(&["sort", "--algo", algo, flag, value], &names);
     }
-    for algo in ["histogram", "two-level"] {
+    // Only the flat sort recovers (`two_level_does_not_recover`).
+    for (algo, recovery) in [("histogram", "shrink"), ("two-level", "abort")] {
         let ok = dhs(&[
             "sort",
             "--algo",
@@ -203,12 +204,63 @@ fn baselines_reject_sort_config_flags() {
             "--threads",
             "2",
             "--recovery",
-            "shrink",
+            recovery,
             "--verify",
         ]);
         let stdout = String::from_utf8_lossy(&ok.stdout);
         assert_eq!(ok.status.code(), Some(0), "{algo}: {stdout}");
         assert!(stdout.contains("verification       : PASS"), "{stdout}");
+    }
+}
+
+/// The two-level sort never reads the recovery policy, so asking it to
+/// shrink past failures is a usage error rather than a run without
+/// recovery.
+#[test]
+fn two_level_does_not_recover() {
+    assert_usage_error(
+        &["sort", "--algo", "two-level", "--recovery", "shrink"],
+        "--recovery shrink: --algo two-level does not recover",
+    );
+}
+
+/// Every `--algo` reports the same five phases on one line, with the
+/// rounds of its splitter phase (HSS's sampled histogramming rounds
+/// among them), and a partitioning verdict.
+#[test]
+fn every_algo_prints_its_phases() {
+    for algo in [
+        "histogram",
+        "two-level",
+        "hss",
+        "sample",
+        "psrs",
+        "hyksort",
+        "ams",
+        "bitonic",
+    ] {
+        let out = dhs(&["sort", "--algo", algo, "--ranks", "8", "--nper", "256"]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(0), "{algo}: {stdout}");
+        let line = stdout
+            .lines()
+            .find(|l| l.starts_with("phases (rank 0)    : sort "))
+            .unwrap_or_else(|| panic!("{algo} prints no phase line: {stdout}"));
+        for phase in ["| histogram ", "| exchange ", "| merge ", "| other "] {
+            assert!(line.contains(phase), "{algo}: {line}");
+        }
+        let iters: u32 = line
+            .split(" ms (")
+            .nth(1)
+            .and_then(|rest| rest.split(' ').next())
+            .and_then(|n| n.parse().ok())
+            .unwrap_or_else(|| panic!("{algo}: no rounds in {line}"));
+        assert!(iters > 0, "{algo}: {line}");
+        let verdict = match algo {
+            "sample" | "psrs" | "ams" => "partitioning       : sampled (no targets)",
+            _ => "partitioning       : exact",
+        };
+        assert!(stdout.contains(verdict), "{algo}: {stdout}");
     }
 }
 

@@ -2,7 +2,7 @@
 //! virtual times and traffic, and the cost model produces the
 //! qualitative shapes the figures depend on.
 
-use dhs::baselines::{hss_sort, HssConfig};
+use dhs::baselines::hss_sort;
 use dhs::core::{histogram_sort, SortConfig};
 use dhs::runtime::{run, AllToAllAlgo, ClusterConfig, Comm, RunSummary};
 use dhs::workloads::{rank_local_keys, Distribution, Layout};
@@ -166,7 +166,7 @@ fn hss_traffic_exceeds_bisection_histogramming() {
                 12,
             );
             if hss {
-                hss_sort(comm, &mut local, &HssConfig::default());
+                hss_sort(comm, &mut local);
             } else {
                 histogram_sort(comm, &mut local, &SortConfig::default());
             }

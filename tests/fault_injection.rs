@@ -463,8 +463,8 @@ fn bitonic_crash_is_a_typed_root_cause() {
     let merge = clean.trace.ranks[victim]
         .spans
         .iter()
-        .filter(|s| s.name == "sort_merge")
-        .nth(3)
+        .filter(|s| s.name == "merge")
+        .nth(2)
         .expect("bitonic merges once per exchange")
         .clone();
     let at_ns = (merge.start_ns + merge.end_ns) / 2;
