@@ -69,7 +69,11 @@ pub(crate) fn upper_bound_exchange<K: Key>(
     );
     cuts.resize(comm.size() + 1, n);
     stats.prepare_ns += sp.finish();
-    exchange_segments(comm, sorted_local, &ExchangePlan { cuts }, stats)
+    let plan = ExchangePlan {
+        cuts,
+        scanned: Vec::new(),
+    };
+    exchange_segments(comm, sorted_local, &plan, stats)
 }
 
 /// Send the plan's segments, borrowed, under the one-factor schedule.

@@ -18,13 +18,12 @@
 //! sort, HSS and HykSort cut with [`plan_exchange`]; sample sort and
 //! PSRS send their upper-bound cuts through the same [`exchange_data`].
 
-use std::ops::Range;
-
-use dhs_runtime::{AllToAllAlgo, Comm, RecvRuns, Work};
+pub use dhs_runtime::{group_of, group_range};
+use dhs_runtime::{AllToAllAlgo, Comm, CutBlock, RecvRuns, Work};
 
 use crate::kernels::Kernels;
 use crate::key::Key;
-use crate::splitter::SplitterResult;
+use crate::splitter::{SplitterInfo, SplitterResult};
 
 /// One rank's slice plan: where its sorted local data gets cut.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,17 +32,16 @@ pub struct ExchangePlan {
     /// `s` splitters; segment `d` = `local[cuts[d]..cuts[d+1]]` goes to
     /// group `d` ([`exchange_data`]), which at `s = P − 1` is rank `d`.
     pub cuts: Vec<usize>,
+    /// This rank's equal-key contingents of the splitters realized
+    /// strictly inside their equal-key range, in splitter order:
+    /// Algorithm 4's scan input, empty when no splitter is split.
+    pub scanned: Vec<u64>,
 }
 
 impl ExchangePlan {
-    /// Number of keys this rank sends to each destination.
-    pub fn send_counts(&self) -> Vec<usize> {
-        self.cuts.windows(2).map(|w| w[1] - w[0]).collect()
-    }
-
     /// Borrow the per-destination segments of the local sorted array:
-    /// segment `d` is `local[cuts[d]..cuts[d+1]]`. The one slicing rule
-    /// shared by the key and the record exchange.
+    /// segment `d` is `local[cuts[d]..cuts[d+1]]`, the slicing rule
+    /// [`exchange_data`] sends by.
     pub fn segments<'a, T>(&self, local: &'a [T]) -> Vec<&'a [T]> {
         self.cuts.windows(2).map(|w| &local[w[0]..w[1]]).collect()
     }
@@ -68,34 +66,26 @@ pub fn plan_exchange_with<K: Key>(
 /// one's `(lower, upper)` bounds are found by exponential search
 /// outward from the previous splitter's lower bound — `O(s · log(n/s))`
 /// compares. The charge is the paper's `2s` binary searches over the
-/// whole local array. The exclusive scan of the contingents runs only
-/// when some splitter is realized strictly inside its equal-key range,
-/// and only over those splitters; the cuts are those of the full-width
-/// scan.
+/// whole local array. The same pass writes every cut except those of
+/// splitters realized strictly inside their equal-key range; only for
+/// those are `(lower, contingent)` kept, and only they enter the
+/// exclusive scan that completes their cuts, which is skipped when
+/// there are none. The cuts are those of the full-width scan.
+///
+/// Both vectors come out of the rank's buffer pool — on the histogram
+/// sort's path the cuts take the allocation the splitter search's
+/// histogram leaves there — and [`crate::histogram_sort`] hands them
+/// back once the exchange has returned, so that no buffer idles in the
+/// pool while the exchange takes its receive counts from it.
 pub fn plan_exchange<K: Key>(
     comm: &Comm,
     sorted_local: &[K],
     splitters: &SplitterResult<K>,
 ) -> ExchangePlan {
-    let s = splitters.splitters.len();
+    let infos = &splitters.splitters[..];
+    let s = infos.len();
     assert!(s < comm.size(), "at most P-1 splitters for P ranks");
     let n_local = sorted_local.len();
-
-    // Local bounds of every splitter key.
-    comm.charge(Work::BinarySearches {
-        searches: 2 * s as u64,
-        n: n_local as u64,
-    });
-    let mut lowers: Vec<u64> = comm.pool().take_u64();
-    let mut contingents: Vec<u64> = comm.pool().take_u64();
-    let mut from = 0;
-    for info in splitters.splitters.iter() {
-        let lower = partition_point_from(sorted_local, from, |x| *x < info.key);
-        let upper = partition_point_from(sorted_local, lower, |x| *x <= info.key);
-        lowers.push(lower as u64);
-        contingents.push((upper - lower) as u64);
-        from = lower;
-    }
 
     // Refinement (Algorithm 4): splitter i's excess over the global
     // strict-lower count is filled from the equal-key contingents in
@@ -109,32 +99,50 @@ pub fn plan_exchange<K: Key>(
     // therefore carries just the split splitters' contingents and is
     // skipped when there are none; every rank reads that set off the
     // shared `SplitterResult`, so all of them agree on the collective.
-    let is_split = |i: usize| {
-        let info = &splitters.splitters[i];
+    let is_split = |info: &SplitterInfo<K>| {
         info.global_lower < info.realized && info.realized < info.global_upper
     };
-    let before_split = (0..s).any(is_split).then(|| {
-        let mut split: Vec<u64> = comm.pool().take_u64();
-        split.extend((0..s).filter(|&i| is_split(i)).map(|i| contingents[i]));
-        let scan = comm.exscan_sum_vec_shared(&split);
-        comm.pool().recycle_u64(split);
-        scan
-    });
-
-    comm.charge(Work::Compares(s as u64));
-    let mut cuts = Vec::with_capacity(s + 2);
-    cuts.push(0usize);
-    let mut scanned = before_split.iter().flat_map(|scan| scan.iter().copied());
-    for (i, info) in splitters.splitters.iter().enumerate() {
+    let take = |info: &SplitterInfo<K>, before_me: u64, contingent: u64| {
         debug_assert!(info.realized >= info.global_lower && info.realized <= info.global_upper);
         let excess = info.realized - info.global_lower;
-        let before_me = if is_split(i) {
-            scanned.next().expect("one scan entry per split splitter")
+        excess.saturating_sub(before_me).min(contingent) as usize
+    };
+
+    // Local bounds of every splitter key, in one galloping pass that
+    // writes each cut; a split splitter's cut is its lower bound until
+    // the scan completes it.
+    comm.charge(Work::BinarySearches {
+        searches: 2 * s as u64,
+        n: n_local as u64,
+    });
+    let mut cuts = comm.pool().take_usize();
+    cuts.reserve(s + 2);
+    cuts.push(0usize);
+    let mut scanned = Vec::new();
+    let mut from = 0;
+    for info in infos {
+        let lower = partition_point_from(sorted_local, from, |x| *x < info.key);
+        let upper = partition_point_from(sorted_local, lower, |x| *x <= info.key);
+        let contingent = (upper - lower) as u64;
+        if is_split(info) {
+            if scanned.is_empty() {
+                scanned = comm.pool().take_u64();
+            }
+            scanned.push(contingent);
+            cuts.push(lower);
         } else {
-            0
-        };
-        let take = excess.saturating_sub(before_me).min(contingents[i]);
-        cuts.push((lowers[i] + take) as usize);
+            cuts.push(lower + take(info, 0, contingent));
+        }
+        from = lower;
+    }
+
+    let before = (!scanned.is_empty()).then(|| comm.exscan_sum_vec_shared(&scanned));
+    comm.charge(Work::Compares(s as u64));
+    if let Some(before) = &before {
+        let at = (1..=s).filter(|&i| is_split(&infos[i - 1]));
+        for ((i, &contingent), &before_me) in at.zip(&scanned).zip(before.iter()) {
+            cuts[i] += take(&infos[i - 1], before_me, contingent);
+        }
     }
     cuts.push(n_local);
 
@@ -145,9 +153,7 @@ pub fn plan_exchange<K: Key>(
             cuts[i] = cuts[i - 1];
         }
     }
-    comm.pool().recycle_u64(lowers);
-    comm.pool().recycle_u64(contingents);
-    ExchangePlan { cuts }
+    ExchangePlan { cuts, scanned }
 }
 
 /// `sorted.partition_point(pred)`, found by exponential search outward
@@ -187,11 +193,12 @@ fn partition_point_from<T>(sorted: &[T], hint: usize, pred: impl Fn(&T) -> bool)
 }
 
 /// Execute the `ALL-TO-ALLV` zero-copy under the given schedule: the
-/// plan's segments of `sorted_local` are sent **in place** (borrowed
-/// slices, no bucket materialization) and received into one contiguous
-/// [`RecvRuns`] buffer whose per-source runs are sorted (contiguous
-/// slices of sorted arrays). The `MoveBytes` charge models the packing
-/// pass an MPI implementation still performs.
+/// plan's segments of `sorted_local` are sent **in place** — the rank
+/// deposits a view of the block and its cuts ([`CutBlock`], MPI's send
+/// buffer and `sdispls`), nothing per destination — and received into
+/// one contiguous [`RecvRuns`] buffer whose per-source runs are sorted
+/// (contiguous slices of sorted arrays). The `MoveBytes` charge models
+/// the packing pass an MPI implementation still performs.
 ///
 /// Segment `d` of a `w`-way plan goes to one member of
 /// [`group_range`]`(d, P, w)`: member `rank mod |group d|`, so the
@@ -204,30 +211,12 @@ pub fn exchange_data<T: Clone + Send + Sync + 'static>(
     plan: &ExchangePlan,
     algo: AllToAllAlgo,
 ) -> RecvRuns<T> {
-    let (p, rank) = (comm.size(), comm.rank());
-    let ways = plan.cuts.len() - 1;
-    assert!((1..=p).contains(&ways), "a plan cuts 1..=P segments");
     comm.charge(Work::MoveBytes(std::mem::size_of_val(sorted_local) as u64));
-    let mut segments = vec![&[][..]; p];
-    for (d, cut) in plan.cuts.windows(2).enumerate() {
-        let group = group_range(d, p, ways);
-        segments[group.start + rank % group.len()] = &sorted_local[cut[0]..cut[1]];
-    }
-    comm.exchange(&segments[..], algo)
-}
-
-/// The ranks of group `d` when `p` ranks form `w ≤ p` contiguous
-/// groups: `⌊d·p/w⌋ .. ⌊(d+1)·p/w⌋`. A `w`-way plan routes segment `d`
-/// into this range ([`exchange_data`]), so a caller that goes on to
-/// sort inside the groups splits its communicator by [`group_of`].
-pub fn group_range(d: usize, p: usize, w: usize) -> Range<usize> {
-    d * p / w..(d + 1) * p / w
-}
-
-/// The group `d` whose [`group_range`]`(d, p, w)` holds `rank`: the
-/// largest `d` with `⌊d·p/w⌋ ≤ rank`, i.e. `d·p < (rank + 1)·w`.
-pub fn group_of(rank: usize, p: usize, w: usize) -> usize {
-    ((rank + 1) * w - 1) / p
+    let block = CutBlock {
+        block: sorted_local,
+        cuts: &plan.cuts,
+    };
+    comm.exchange(block, algo)
 }
 
 #[cfg(test)]
@@ -338,7 +327,7 @@ mod tests {
             assert_eq!(plan.cuts[0], 0);
             assert_eq!(*plan.cuts.last().expect("non-empty"), 200);
             assert!(plan.cuts.windows(2).all(|w| w[0] <= w[1]));
-            assert_eq!(plan.send_counts().iter().sum::<usize>(), 200);
+            assert_eq!(plan.cuts.len(), 7, "one cut per splitter plus both ends");
         }
     }
 

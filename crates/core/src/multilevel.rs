@@ -114,15 +114,7 @@ pub fn histogram_sort_two_level<K: Key>(
         slack: shape.slack,
     });
     stats.prepare_ns += sp.finish();
-    attempt(
-        &sub,
-        local,
-        &Keys,
-        cfg,
-        &mut stats,
-        &mut Vec::new(),
-        Some(l2),
-    );
+    attempt(&sub, local, &Keys, cfg, &mut stats, &mut None, Some(l2));
 
     stats.n_out = local.len();
     debug_assert_eq!(

@@ -58,7 +58,8 @@ use dhs_runtime::{Comm, PoolStats};
 use crate::key::Key;
 #[allow(unused_imports)] // doc links
 use crate::sort::WarmStart;
-use crate::sort::{sort_pipeline, Keys, Payload, Records, SortConfig, SortStats};
+use crate::sort::{sort_pipeline, Keys, Payload, Records, SortConfig, SortStats, WarmStash};
+use crate::splitter::SplitterInfo;
 
 /// Per-epoch service telemetry, derived from the sort's [`SortStats`],
 /// the epoch span, and the communicator's buffer-pool counters.
@@ -95,7 +96,7 @@ pub struct EpochSorter<'a, K: Key> {
     comm: &'a Comm,
     active: Option<Comm>,
     cfg: SortConfig,
-    warm: Vec<K>,
+    warm: WarmStash<K>,
     epoch: u64,
 }
 
@@ -113,7 +114,7 @@ impl<'a, K: Key> EpochSorter<'a, K> {
             comm,
             active: None,
             cfg,
-            warm: Vec::new(),
+            warm: None,
             epoch: 0,
         }
     }
@@ -129,10 +130,11 @@ impl<'a, K: Key> EpochSorter<'a, K> {
         self.epoch
     }
 
-    /// The splitter ladder that will seed the next epoch's search
-    /// (empty before the first epoch and under [`WarmStart::Cold`]).
-    pub fn warm_splitters(&self) -> &[K] {
-        &self.warm
+    /// The splitters whose keys will seed the next epoch's search
+    /// (empty before the first epoch and under [`WarmStart::Cold`]):
+    /// the last search's own, shared by every rank of the world.
+    pub fn warm_splitters(&self) -> &[SplitterInfo<K>] {
+        self.warm.as_deref().unwrap_or_default()
     }
 
     /// The service's configuration.
@@ -185,7 +187,7 @@ impl<'a, K: Key> EpochSorter<'a, K> {
             epoch: self.epoch,
             makespan_ns,
             pool,
-            warm_len: self.warm.len(),
+            warm_len: self.warm_splitters().len(),
             sort: stats,
         };
         self.epoch += 1;

@@ -19,8 +19,8 @@ use crate::exchange::{exchange_data, plan_exchange};
 use crate::kernels::KernelPolicy;
 use crate::key::Key;
 use crate::splitter::{
-    balanced_targets, find_splitters_seeded, perfect_targets, slack_for, SplitterOptions,
-    SplitterResult,
+    balanced_targets, find_splitters_seeded, perfect_targets, slack_for, SplitterInfo,
+    SplitterOptions, SplitterResult,
 };
 
 /// How output boundaries are chosen.
@@ -436,7 +436,7 @@ impl SortStats {
 /// Panics when `cfg` fails [`SortConfig::validate`] (call it first to
 /// get the error as a value instead).
 pub fn histogram_sort<K: Key>(comm: &Comm, local: &mut Vec<K>, cfg: &SortConfig) -> SortStats {
-    sort_pipeline(comm, local, &Keys, cfg, &mut Vec::new()).0
+    sort_pipeline(comm, local, &Keys, cfg, &mut None).0
 }
 
 /// Sort a distributed vector of arbitrary records by an extracted
@@ -488,7 +488,7 @@ where
     K: Key,
     F: Fn(&T) -> K + Sync,
 {
-    sort_pipeline(comm, local, &Records(&key_fn), cfg, &mut Vec::new()).0
+    sort_pipeline(comm, local, &Records(&key_fn), cfg, &mut None).0
 }
 
 /// The three places where sorting plain keys and sorting `(T, key_fn)`
@@ -565,7 +565,8 @@ impl<K: Key> Payload<K> for Keys {
 /// `dhs_shm::run_merge_beats_resort`) is the cheapest way to produce
 /// it on the host. `scratch` is any vector the caller no longer needs
 /// — the dead send block — so the tree ping-pongs between two buffers
-/// the rank already holds and allocates nothing. Charges depend on
+/// the rank already holds and allocates nothing; the spent receive
+/// counts go back to the rank's buffer pool. Charges depend on
 /// sizes only, never on the thread budget, so output and virtual clock
 /// are identical for every `threads_per_rank`.
 pub fn merge_received<K: Key>(
@@ -589,7 +590,8 @@ pub fn merge_received<K: Key>(
         }
     }
     let te = comm.threads().exec_budget();
-    dhs_shm::merge_sorted_runs(&mut flat, counts, &mut scratch, te, &K::cmp);
+    let spent = dhs_shm::merge_sorted_runs(&mut flat, counts, &mut scratch, te, &K::cmp);
+    comm.pool().recycle_usize(spent);
     flat
 }
 
@@ -672,19 +674,20 @@ where
         let key = self.0;
         charge_record_sort::<T>(comm, received.total_len());
         let (mut all, counts) = received.into_parts();
-        if self.lsd_if_cheaper(comm, &mut all, &mut scratch) {
-            return all;
-        }
-        if comm.threads().is_parallel() {
+        let spent = if self.lsd_if_cheaper(comm, &mut all, &mut scratch) {
+            counts
+        } else if comm.threads().is_parallel() {
             // Every received run is a slice of a sorted array, so the
             // hybrid path merges the runs stably — identical to the
             // serial stable re-sort of their concatenation.
             let te = comm.threads().exec_budget();
             let cmp = |a: &T, b: &T| key(a).cmp(&key(b));
-            dhs_shm::merge_runs_in_place(&mut all, counts, &mut scratch, te, &cmp);
+            dhs_shm::merge_runs_in_place(&mut all, counts, &mut scratch, te, &cmp)
         } else {
             all.sort_by_key(key);
-        }
+            counts
+        };
+        comm.pool().recycle_usize(spent);
         all
     }
 }
@@ -742,6 +745,10 @@ pub(crate) fn local_phase<T, P: Payload<T>>(
     }
 }
 
+/// The warm-start stash carried from one search to the next: the last
+/// search's splitters, shared with every rank (`None` = cold).
+pub(crate) type WarmStash<K> = Option<Arc<[SplitterInfo<K>]>>;
+
 /// The one sort pipeline behind every public entry point: local sort,
 /// then [`attempt`] — once under [`RecoveryPolicy::Abort`], or under
 /// [`RecoveryPolicy::Shrink`] as many times as it takes, shrinking past
@@ -753,7 +760,7 @@ pub(crate) fn sort_pipeline<T: Clone + Send + Sync + 'static, P: Payload<T>>(
     local: &mut Vec<T>,
     payload: &P,
     cfg: &SortConfig,
-    warm: &mut Vec<P::Key>,
+    warm: &mut WarmStash<P::Key>,
 ) -> (SortStats, Option<Comm>) {
     use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
     let shrink = cfg.recovery == RecoveryPolicy::Shrink;
@@ -763,7 +770,7 @@ pub(crate) fn sort_pipeline<T: Clone + Send + Sync + 'static, P: Payload<T>>(
     let t_begin = comm.now_ns();
     let mut stats = local_phase(comm, local, payload, cfg);
     if cfg.warm_start == WarmStart::Cold {
-        warm.clear();
+        *warm = None;
     }
 
     let mut active: Option<Comm> = None; // survivor comm after a shrink
@@ -840,7 +847,7 @@ pub(crate) fn attempt<T: Clone + Send + Sync + 'static, P: Payload<T>>(
     payload: &P,
     cfg: &SortConfig,
     stats: &mut SortStats,
-    warm: &mut Vec<P::Key>,
+    warm: &mut WarmStash<P::Key>,
     shape: Option<Arc<Shape>>,
 ) {
     // "Other" in the paper's breakdown: everything that is neither
@@ -863,11 +870,12 @@ pub(crate) fn attempt<T: Clone + Send + Sync + 'static, P: Payload<T>>(
             probes_per_round: cfg.probes_per_round,
             ..SplitterOptions::default()
         };
-        let found = find_splitters_seeded(c, &keys, &shape.targets, shape.slack, opts, warm);
+        let ladder = warm.as_deref().unwrap_or_default();
+        let found = find_splitters_seeded(c, &keys, &shape.targets, shape.slack, opts, ladder);
         // Written back before the exchange, so a crash later in this
-        // attempt still warm-starts the retry.
-        warm.clear();
-        warm.extend(found.splitters.iter().map(|s| s.key));
+        // attempt still warm-starts the retry: the search's own shared
+        // splitters, not a copy of their keys.
+        *warm = Some(Arc::clone(&found.splitters));
         stats.iterations += found.iterations;
         stats.probes += found.probes;
         stats.outcome = outcome_of(&found, shape.n_total, c.size());
@@ -882,9 +890,13 @@ pub(crate) fn attempt<T: Clone + Send + Sync + 'static, P: Payload<T>>(
 
     // Phase 3b: the payload exchange, keys and records alike sent
     // borrowed. Once it returns the attempt has committed and can no
-    // longer be interrupted.
+    // longer be interrupted. The plan's pooled vectors stay checked
+    // out until then, so no buffer idles in the pool while the
+    // exchange takes its receive counts from it.
     let sp = c.span("exchange");
     let received = exchange_data(c, local, &plan, cfg.exchange_algo);
+    c.pool().recycle_usize(plan.cuts);
+    c.pool().recycle_u64(plan.scanned);
     stats.exchange_ns += sp.finish();
 
     // Phase 4: local merge of the received sorted runs.

@@ -245,41 +245,86 @@ pub fn find_splitters_cfg<K: Key>(
     slack: u64,
     opts: SplitterOptions,
 ) -> SplitterResult<K> {
-    find_splitters_impl(comm, sorted_local, targets, slack, opts, None)
+    find_splitters_impl(comm, sorted_local, targets, slack, opts, None::<&[K]>)
 }
 
 /// [`find_splitters_cfg`] warm-started from a previous search's
 /// accepted splitter keys (the epoch service, and the retry over fewer
-/// ranks after a shrink-and-recover). `warm` must be globally
-/// replicated and ascending. Round 1 probes the warm keys themselves —
-/// `warm[i]` for splitter `i` when there is one key per target, the
-/// key at the target's quantile of the ladder when the rank count
-/// changed — so stationary data settles in a single round, and on
-/// drifted data their exact counts bracket every splitter for round 2.
-/// An empty `warm` falls back to `opts.init` exactly; accepted
-/// splitters may differ from a cold search, but realized boundaries
-/// satisfy the same `slack` contract.
-pub fn find_splitters_seeded<K: Key>(
+/// ranks after a shrink-and-recover), given as bare keys or as that
+/// search's splitters ([`WarmLadder`]: the sort pipeline passes the
+/// shared `Arc<[SplitterInfo]>` it stashed, no copy of its keys).
+/// `warm` must be globally replicated and ascending. Round 1 probes the
+/// warm keys themselves — `warm[i]` for splitter `i` when there is one
+/// key per target, the key at the target's quantile of the ladder when
+/// the rank count changed — so stationary data settles in a single
+/// round, and on drifted data their exact counts bracket every
+/// splitter for round 2. An empty `warm` falls back to `opts.init`
+/// exactly; accepted splitters may differ from a cold search, but
+/// realized boundaries satisfy the same `slack` contract.
+pub fn find_splitters_seeded<K: Key, W: WarmLadder<K> + ?Sized>(
     comm: &Comm,
     sorted_local: &[K],
     targets: &[u64],
     slack: u64,
     opts: SplitterOptions,
-    warm: &[K],
+    warm: &W,
 ) -> SplitterResult<K> {
     let warm = (!warm.is_empty()).then_some(warm);
     find_splitters_impl(comm, sorted_local, targets, slack, opts, warm)
 }
 
+/// An ascending ladder of keys that seeds round 1 of a search: bare
+/// keys, or a previous search's splitters.
+pub trait WarmLadder<K> {
+    /// Number of keys on the ladder.
+    fn len(&self) -> usize;
+    /// The `i`-th key.
+    fn key(&self, i: usize) -> K;
+    /// An empty ladder seeds nothing: the search starts cold.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+impl<K: Copy> WarmLadder<K> for [K] {
+    fn len(&self) -> usize {
+        <[K]>::len(self)
+    }
+
+    fn key(&self, i: usize) -> K {
+        self[i]
+    }
+}
+
+impl<K: Copy> WarmLadder<K> for Vec<K> {
+    fn len(&self) -> usize {
+        Vec::len(self)
+    }
+
+    fn key(&self, i: usize) -> K {
+        self[i]
+    }
+}
+
+impl<K: Copy> WarmLadder<K> for [SplitterInfo<K>] {
+    fn len(&self) -> usize {
+        <[SplitterInfo<K>]>::len(self)
+    }
+
+    fn key(&self, i: usize) -> K {
+        self[i].key
+    }
+}
+
 /// Establish the global key range and key count (one reduction, as in
 /// Algorithm 3 line 3) and build the plan of round 1 on it, once for
 /// the whole communicator. `None` on globally empty input.
-fn first_plan<K: Key>(
+fn first_plan<K: Key, W: WarmLadder<K> + ?Sized>(
     comm: &Comm,
     sorted_local: &[K],
     targets: &[u64],
     opts: SplitterOptions,
-    warm: Option<&[K]>,
+    warm: Option<&W>,
 ) -> Option<Arc<RoundPlan<K>>> {
     type Extent<K> = (Option<(K, K)>, u64);
     let local: Extent<K> = (
@@ -325,21 +370,21 @@ fn first_plan<K: Key>(
             // Non-empty: a rank that holds data contributed a sample.
             let mut pool: Vec<K> = gathered.into_iter().flatten().collect();
             pool.sort_unstable();
-            RoundPlan::start(data, n_total, targets, Some(&pool), opts)
+            RoundPlan::start(data, n_total, targets, Some(&pool[..]), opts)
         }));
     }
 
     let plan = comm.allreduce_with_then(&[local], widest, |reduced| {
         let (minmax, n_total) = reduced[0];
         let Some(data) = minmax.map(data_bits) else {
-            return RoundPlan::start((0, 0), 0, &[], None, opts);
+            return RoundPlan::start((0, 0), 0, &[], None::<&[K]>, opts);
         };
         // A previous search's accepted splitters take precedence over
         // `init`: they already localize every quantile of (nearly)
         // stationary data.
         debug_assert!(
             warm.iter()
-                .all(|ladder| ladder.windows(2).all(|w| w[0] <= w[1])),
+                .all(|ladder| (1..ladder.len()).all(|i| ladder.key(i - 1) <= ladder.key(i))),
             "warm keys ascending"
         );
         let bracket = match opts.init {
@@ -351,13 +396,13 @@ fn first_plan<K: Key>(
     (!plan.bufs.active.is_empty()).then_some(plan)
 }
 
-fn find_splitters_impl<K: Key>(
+fn find_splitters_impl<K: Key, W: WarmLadder<K> + ?Sized>(
     comm: &Comm,
     sorted_local: &[K],
     targets: &[u64],
     slack: u64,
     opts: SplitterOptions,
-    warm: Option<&[K]>,
+    warm: Option<&W>,
 ) -> SplitterResult<K> {
     assert!(
         opts.probes_per_round >= 1,

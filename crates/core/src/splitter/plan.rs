@@ -8,7 +8,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use super::{SplitterInfo, SplitterOptions};
+use super::{SplitterInfo, SplitterOptions, WarmLadder};
 use crate::key::Key;
 
 /// Validation outcome for one splitter probe (Algorithm 2).
@@ -231,11 +231,11 @@ impl<K: Key> RoundPlan<K> {
     /// target, the key at the target's quantile otherwise; without one
     /// the placement rule's interpolation is the cold quantile guess.
     /// Empty `targets` give the plan of globally empty input.
-    pub(super) fn start(
+    pub(super) fn start<W: WarmLadder<K> + ?Sized>(
         bracket: (u128, u128),
         n_total: u64,
         targets: &[u64],
-        seeds: Option<&[K]>,
+        seeds: Option<&W>,
         opts: SplitterOptions,
     ) -> Self {
         let open = Search {
@@ -267,7 +267,12 @@ impl<K: Key> RoundPlan<K> {
     /// them), so the width the settled ones no longer need goes to
     /// those still open. The paper's literal rule has one probe per
     /// splitter per round whatever the width.
-    fn lay_out(&mut self, targets: &[u64], seeds: Option<&[K]>, opts: SplitterOptions) {
+    fn lay_out<W: WarmLadder<K> + ?Sized>(
+        &mut self,
+        targets: &[u64],
+        seeds: Option<&W>,
+        opts: SplitterOptions,
+    ) {
         let Buffers {
             search,
             active,
@@ -306,7 +311,7 @@ impl<K: Key> RoundPlan<K> {
                     } else {
                         ((t as f64 / s.c_hi.max(1) as f64) * (ladder.len() - 1) as f64) as usize
                     };
-                    probes.push(ladder[at].to_bits().clamp(s.lo, s.hi));
+                    probes.push(ladder.key(at).to_bits().clamp(s.lo, s.hi));
                 }
                 None => place(s, t, k, budget, opts.strict_paper_rule, probes),
             }
@@ -428,7 +433,7 @@ impl<K: Key> RoundPlan<K> {
             settled: None,
             spare: Arc::clone(&self.spare),
         };
-        next.lay_out(targets, None, opts);
+        next.lay_out(targets, None::<&[K]>, opts);
         if next.bufs.active.is_empty() {
             let settled = next.bufs.search.iter().zip(targets).map(|(s, &target)| {
                 let (bits, realized, lower, upper) = s.done.expect("no open splitter left");
@@ -464,7 +469,7 @@ mod tests {
         mut each_round: impl FnMut(&RoundPlan<u64>),
     ) -> RoundPlan<u64> {
         let data = (u128::from(all[0]), u128::from(all[all.len() - 1]));
-        let mut plan = RoundPlan::start(data, all.len() as u64, targets, None, opts);
+        let mut plan = RoundPlan::start(data, all.len() as u64, targets, None::<&[u64]>, opts);
         while plan.settled.is_none() {
             let global: Vec<u64> = plan
                 .bufs

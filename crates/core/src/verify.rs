@@ -84,6 +84,10 @@ pub fn verify_sorted<K: Key>(
     violation_consensus(comm, None, local, input_fingerprint, input_count)
 }
 
+/// The verdict every rank returns, decided once: each check over
+/// gathered values runs in its `allgather`'s `finish`, on whichever
+/// rank completes it, and the result is shared, so no rank holds a
+/// copy of the `P` gathered entries.
 fn violation_consensus<K: Key>(
     comm: &Comm,
     mine: Option<SortViolation>,
@@ -92,44 +96,43 @@ fn violation_consensus<K: Key>(
     input_count: u64,
 ) -> Option<SortViolation> {
     // Boundary check: gather each rank's (first, last).
-    let ends: Vec<Option<(u128, u128)>> = comm.allgather(
-        local
-            .first()
-            .map(|f| (f.to_bits(), local.last().expect("non-empty").to_bits())),
-    );
+    let ends = local
+        .first()
+        .map(|f| (f.to_bits(), local.last().expect("non-empty").to_bits()));
+    let boundary = comm.allgather_then(ends, |ends: Vec<Option<(u128, u128)>>| {
+        let mut prev_last: Option<u128> = None;
+        let held = ends.into_iter().enumerate();
+        for (rank, (first, last)) in held.filter_map(|(rank, e)| Some((rank, e?))) {
+            if prev_last.is_some_and(|prev| prev > first) {
+                return Some(SortViolation::BoundaryOrder { rank });
+            }
+            prev_last = Some(last);
+        }
+        None
+    });
     // Permutation check: reduce counts and fingerprints.
     let (s, m) = multiset_fingerprint(local);
     let sums = comm.allreduce_sum(vec![local.len() as u64, s]);
     let mixes = comm.allreduce_with(vec![m], |a, b| a ^ b);
-
-    // Local violations win (report the lowest rank's).
-    let locals: Vec<Option<SortViolation>> = comm.allgather(mine);
-    if let Some(v) = locals.into_iter().flatten().next() {
-        return Some(v);
-    }
-    let mut prev: Option<(usize, u128)> = None;
-    for (rank, e) in ends.iter().enumerate() {
-        if let Some((first, last)) = e {
-            if let Some((prev_rank, prev_last)) = prev {
-                if prev_last > *first {
-                    let _ = prev_rank;
-                    return Some(SortViolation::BoundaryOrder { rank });
-                }
-            }
-            prev = Some((rank, *last));
-        }
-    }
-    if sums[0] != input_count {
-        return Some(SortViolation::CountMismatch {
+    let (in_sum, in_mix) = input_fingerprint;
+    let permutation = if sums[0] != input_count {
+        Some(SortViolation::CountMismatch {
             before: input_count,
             after: sums[0],
-        });
-    }
-    let (in_sum, in_mix) = input_fingerprint;
-    if sums[1] != in_sum || mixes[0] != in_mix {
-        return Some(SortViolation::ChecksumMismatch);
-    }
-    None
+        })
+    } else if sums[1] != in_sum || mixes[0] != in_mix {
+        Some(SortViolation::ChecksumMismatch)
+    } else {
+        None
+    };
+
+    // Local violations win (report the lowest rank's), then the
+    // boundaries, then the permutation.
+    let verdict = comm.allgather_then(mine, move |locals| {
+        let local_order = locals.into_iter().flatten().next();
+        local_order.or_else(|| (*boundary).clone()).or(permutation)
+    });
+    (*verdict).clone()
 }
 
 /// Global fingerprint of the distributed input (call *before* sorting;

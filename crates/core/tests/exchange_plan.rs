@@ -11,7 +11,8 @@
 //! splitters at range ends, an iteration-capped search, and any
 //! splitter count from one to `P − 1`. `exchange_data` must then
 //! deliver segment `d` of a `w`-way plan to one member of the `d`-th of
-//! `w` rank groups, and at `w = P` to rank `d`.
+//! `w` rank groups, and at `w = P` to rank `d`, for keys and records
+//! under every all-to-all schedule.
 
 use std::sync::Arc;
 
@@ -384,9 +385,37 @@ fn record_key_view() {
     });
 }
 
+/// The schedules every routing check runs under: one rendezvous each,
+/// so all must deliver the same bytes.
+const SCHEDULES: [AllToAllAlgo; 4] = [
+    AllToAllAlgo::OneFactor,
+    AllToAllAlgo::Bruck,
+    AllToAllAlgo::StagedKWay { k: 3 },
+    AllToAllAlgo::Priced,
+];
+
+/// What rank `me` must receive from sender `q` of a `w`-way plan on
+/// `p` ranks: segment `d` of `q`'s block (cut at `cuts`) where `me` is
+/// member `q mod |group d|` of group `d` = ranks `⌊d·P/w⌋ ..
+/// ⌊(d+1)·P/w⌋`, nothing otherwise. At `w = P` that is segment `me`.
+fn routed<'a, T>(block: &'a [T], cuts: &[usize], q: usize, me: usize, p: usize) -> &'a [T] {
+    let w = cuts.len() - 1;
+    let segment = |d: usize| &block[cuts[d]..cuts[d + 1]];
+    if w == p {
+        return segment(me);
+    }
+    (0..w)
+        .find(|&d| {
+            let (first, end) = (d * p / w, (d + 1) * p / w);
+            me == first + q % (end - first)
+        })
+        .map_or(&[], segment)
+}
+
 /// Segment `d` of a `w`-way plan lands on exactly one rank: the member
-/// `q mod |group d|` of group `d` = ranks `⌊d·P/w⌋ .. ⌊(d+1)·P/w⌋`, for
-/// sender `q`. At `w = P` that is rank `d`, the route of the flat sort.
+/// `q mod |group d|` of group `d` for sender `q`, at `w = P` rank `d`,
+/// the route of the flat sort. Keys and 16-byte records go through the
+/// same block-and-cuts view, under every schedule.
 #[test]
 fn segments_land_on_their_group() {
     let dist = Distribution::FewDistinct { k: 5 };
@@ -398,26 +427,32 @@ fn segments_land_on_their_group() {
                     b.sort_unstable();
                     b
                 };
-                let local = sorted(comm.rank());
+                // Records carry their sender and position past the key.
+                let records = |q: usize| -> Vec<(u64, u64)> {
+                    let tag = |i: usize| ((q as u64) << 32) | i as u64;
+                    sorted(q)
+                        .into_iter()
+                        .enumerate()
+                        .map(|(i, k)| (k, tag(i)))
+                        .collect()
+                };
+                let me = comm.rank();
+                let (local, local_records) = (sorted(me), records(me));
                 let found = accepted(comm, &local, Accepted::Ascending, (0, u64::MAX), s);
                 let plan = plan_exchange(comm, &local, &found);
+                assert_eq!(plan.cuts.len(), s + 2);
                 let cuts: Vec<Vec<usize>> = comm.allgather(plan.cuts.clone());
-                let received = exchange_data(comm, &local, &plan, AllToAllAlgo::OneFactor);
-                let (me, w) = (comm.rank(), s + 1);
-                for (q, got) in received.runs().enumerate() {
-                    let theirs = sorted(q);
-                    let segment = |d: usize| &theirs[cuts[q][d]..cuts[q][d + 1]];
-                    let want: &[u64] = if w == p {
-                        segment(me)
-                    } else {
-                        (0..w)
-                            .find(|&d| {
-                                let (first, end) = (d * p / w, (d + 1) * p / w);
-                                me == first + q % (end - first)
-                            })
-                            .map_or(&[], segment)
-                    };
-                    assert_eq!(got, want, "p={p} s={s}: rank {me} from rank {q}");
+                for algo in SCHEDULES {
+                    let received = exchange_data(comm, &local, &plan, algo);
+                    for (q, got) in received.runs().enumerate() {
+                        let want = routed(&sorted(q), &cuts[q], q, me, p).to_vec();
+                        assert_eq!(got, want, "p={p} s={s} {algo:?}: keys to {me} from {q}");
+                    }
+                    let received = exchange_data(comm, &local_records, &plan, algo);
+                    for (q, got) in received.runs().enumerate() {
+                        let want = routed(&records(q), &cuts[q], q, me, p).to_vec();
+                        assert_eq!(got, want, "p={p} s={s} {algo:?}: records to {me} from {q}");
+                    }
                 }
             });
         }

@@ -1,11 +1,12 @@
 //! Zero-copy payload containers for the communicator layer.
 //!
 //! [`RecvRuns`] is the contiguous receive side of a personalized
-//! all-to-all: one flat buffer plus `(counts, displs)` offsets — the
-//! `MPI_Alltoallv` memory layout. [`SharedSlice`] is a rank's view into
-//! a collectively-owned vector (one allocation shared by all ranks of a
-//! communicator instead of one clone per rank). [`BufferPool`] recycles
-//! scratch vectors across the O(log P) histogram rounds of a sort.
+//! all-to-all: one flat buffer plus per-source `counts` — the
+//! `MPI_Alltoallv` memory layout, the runs back to back. [`SharedSlice`]
+//! is a rank's view into a collectively-owned vector (one allocation
+//! shared by all ranks of a communicator instead of one clone per
+//! rank). [`BufferPool`] recycles scratch vectors across the O(log P)
+//! histogram rounds of a sort and into the exchange after them.
 
 use std::cell::{Cell, RefCell};
 use std::ops::Deref;
@@ -13,33 +14,23 @@ use std::sync::Arc;
 
 /// Variable-length per-source runs received into one contiguous buffer.
 ///
-/// `run(s)` is the data sent by rank `s`: `data[displs[s]..displs[s] +
-/// counts[s]]`. Runs are ordered by source rank, so a sorted-input
-/// exchange yields `p` sorted runs ready for a k-way merge without any
-/// intermediate `Vec<Vec<T>>` materialization.
+/// `run(s)` is the data sent by rank `s`: the `counts[s]` elements
+/// after those of ranks `0..s`. Runs are ordered by source rank, so a
+/// sorted-input exchange yields `p` sorted runs ready for a k-way merge
+/// without any intermediate `Vec<Vec<T>>` materialization. No
+/// displacement array is kept: [`RecvRuns::runs`] walks the counts.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecvRuns<T> {
     data: Vec<T>,
     counts: Vec<usize>,
-    displs: Vec<usize>,
 }
 
 impl<T> RecvRuns<T> {
-    /// Build from a flat buffer and per-source counts; displacements are
-    /// the exclusive prefix sums of `counts`.
+    /// Build from a flat buffer and per-source counts.
     pub fn from_parts(data: Vec<T>, counts: Vec<usize>) -> Self {
-        let mut displs = Vec::with_capacity(counts.len());
-        let mut off = 0usize;
-        for &c in &counts {
-            displs.push(off);
-            off += c;
-        }
-        assert_eq!(off, data.len(), "counts must cover the buffer exactly");
-        Self {
-            data,
-            counts,
-            displs,
-        }
+        let total: usize = counts.iter().sum();
+        assert_eq!(total, data.len(), "counts must cover the buffer exactly");
+        Self { data, counts }
     }
 
     /// Number of source runs (the communicator size).
@@ -62,19 +53,26 @@ impl<T> RecvRuns<T> {
         &self.counts
     }
 
-    /// The run received from rank `src`.
+    /// The run received from rank `src` (`O(src)`: its offset is the
+    /// sum of the counts before it).
     pub fn run(&self, src: usize) -> &[T] {
-        &self.data[self.displs[src]..self.displs[src] + self.counts[src]]
+        let start: usize = self.counts[..src].iter().sum();
+        &self.data[start..start + self.counts[src]]
     }
 
     /// All runs as borrowed slices, ordered by source rank.
     pub fn as_slices(&self) -> Vec<&[T]> {
-        (0..self.num_runs()).map(|s| self.run(s)).collect()
+        self.runs().collect()
     }
 
     /// Iterate the runs in source-rank order.
     pub fn runs(&self) -> impl Iterator<Item = &[T]> {
-        (0..self.num_runs()).map(|s| self.run(s))
+        let mut rest = &self.data[..];
+        self.counts.iter().map(move |&c| {
+            let (run, tail) = rest.split_at(c);
+            rest = tail;
+            run
+        })
     }
 
     /// Take the flat buffer without copying.
@@ -233,6 +231,41 @@ impl BufferPool {
             self.u64s.borrow_mut().push(v);
         }
     }
+
+    /// [`BufferPool::take_u64`] as a vector of indices — cut positions,
+    /// receive counts — out of the same free list, so the exchange
+    /// reuses the allocation the splitter search's histogram leaves.
+    pub fn take_usize(&self) -> Vec<usize> {
+        recast(self.take_u64())
+    }
+
+    /// Return an index vector to the pool ([`BufferPool::take_usize`]).
+    pub fn recycle_usize(&self, v: Vec<usize>) {
+        self.recycle_u64(recast(v));
+    }
+}
+
+/// The two integer types whose vectors share the pool's free list.
+trait Word: Copy {}
+impl Word for u64 {}
+impl Word for usize {}
+
+const _: () = assert!(
+    std::mem::size_of::<usize>() == std::mem::size_of::<u64>()
+        && std::mem::align_of::<usize>() == std::mem::align_of::<u64>(),
+    "the buffer pool shares one free list between u64 and usize vectors"
+);
+
+/// A vector of one [`Word`] type as the other, allocation and contents
+/// kept.
+fn recast<A: Word, B: Word>(v: Vec<A>) -> Vec<B> {
+    let mut v = std::mem::ManuallyDrop::new(v);
+    // SAFETY: `A` and `B` are `u64` and `usize`, of one size and
+    // alignment (checked at compile time above), so the allocation has
+    // the layout `Vec<B>` frees it with, the `len` initialized
+    // elements are valid `B`s (every bit pattern is an integer), and
+    // `v` is never dropped as a `Vec<A>`.
+    unsafe { Vec::from_raw_parts(v.as_mut_ptr().cast::<B>(), v.len(), v.capacity()) }
 }
 
 #[cfg(test)]
@@ -279,6 +312,22 @@ mod tests {
         let v2 = pool.take_u64();
         assert!(v2.is_empty());
         assert_eq!(v2.capacity(), cap);
+    }
+
+    #[test]
+    fn index_vectors_share_the_free_list() {
+        let pool = BufferPool::default();
+        let mut v = pool.take_u64();
+        v.extend_from_slice(&[1, 2, 3]);
+        let cap = v.capacity();
+        pool.recycle_u64(v);
+        let mut cuts = pool.take_usize();
+        assert!(cuts.is_empty());
+        assert_eq!(cuts.capacity(), cap);
+        cuts.extend_from_slice(&[0, 5, 9]);
+        pool.recycle_usize(cuts);
+        assert_eq!(pool.take_u64().capacity(), cap);
+        assert_eq!(pool.stats(), PoolStats { takes: 3, hits: 2 });
     }
 
     #[test]

@@ -15,6 +15,7 @@ use std::borrow::Cow;
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::mem;
+use std::ops::Range;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -138,69 +139,176 @@ impl Charges<'_> {
     }
 }
 
-/// A type-erased borrowed view of slices living on the depositing
-/// rank's stack, deposited into [`CommState::collective_view`] and read
-/// only under that function's safety contract.
-struct RawParts<T> {
-    parts: Vec<(*const T, usize)>,
+/// A type-erased borrowed slice of the depositing rank's memory,
+/// deposited into [`CommState::collective_view`] and read only under
+/// that function's safety contract.
+struct RawSlice<T> {
+    ptr: *const T,
+    len: usize,
 }
 
-// SAFETY: a `RawParts` is a list of `&[T]` with the lifetime erased, so
-// it crosses threads under the rule for `&[T]`: moving it to another
-// thread lets that thread read the `T`s through `slice`, which is sound
-// for `T: Sync`. The erased lifetime is restored by `slice`'s contract
+// SAFETY: a `RawSlice` is a `&[T]` with the lifetime erased, so it
+// crosses threads under the rule for `&[T]`: moving it to another
+// thread lets that thread read the `T`s through `get`, which is sound
+// for `T: Sync`. The erased lifetime is restored by `get`'s contract
 // (windows 3–4 of `collective_view`), not by this impl.
-unsafe impl<T: Sync> Send for RawParts<T> {}
-// SAFETY: `&RawParts<T>` offers `len` (plain data) and `slice`, shared
+unsafe impl<T: Sync> Send for RawSlice<T> {}
+// SAFETY: `&RawSlice<T>` offers `len` (plain data) and `get`, shared
 // reads of the `T`s from several threads at once: sound for `T: Sync`.
-unsafe impl<T: Sync> Sync for RawParts<T> {}
+unsafe impl<T: Sync> Sync for RawSlice<T> {}
 
-impl<T> RawParts<T> {
-    fn of(slices: &[&[T]]) -> Self {
+impl<T> RawSlice<T> {
+    fn of(slice: &[T]) -> Self {
         Self {
-            parts: slices.iter().map(|s| (s.as_ptr(), s.len())).collect(),
+            ptr: slice.as_ptr(),
+            len: slice.len(),
         }
     }
 
-    fn len(&self, i: usize) -> usize {
-        self.parts[i].1
+    fn len(&self) -> usize {
+        self.len
     }
 
     /// # Safety
     /// Call only from a `collective_view` combine (window 3) or from an
     /// extract under the exit barrier (window 4).
-    unsafe fn slice(&self, i: usize) -> &[T] {
-        let (ptr, len) = self.parts[i];
+    unsafe fn get(&self) -> &[T] {
         // SAFETY: `(ptr, len)` came from a live `&[T]` in `of`; inside
         // the windows the caller vouches for, the depositing rank is
         // still blocked in the collective, so the slice is alive and
         // nobody writes it.
-        std::slice::from_raw_parts(ptr, len)
+        std::slice::from_raw_parts(self.ptr, self.len)
     }
 }
 
+/// What one rank deposits into the all-to-all: a borrowed view of the
+/// data it sends, O(1) for a [`CutBlock`], one slice per destination
+/// for the list payloads.
+enum RawSend<T> {
+    /// A [`CutBlock`] of the sender `rank`, which picks the member of
+    /// each destination group.
+    Cut {
+        block: RawSlice<T>,
+        cuts: RawSlice<usize>,
+        rank: usize,
+    },
+    /// `&[&[T]]` and `Vec<Vec<T>>`: slice `d` goes to rank `d`.
+    Parts(Vec<RawSlice<T>>),
+}
+
+impl<T> RawSend<T> {
+    /// What this view sends to rank `dst` of `p`.
+    ///
+    /// # Safety
+    /// As for [`RawSlice::get`].
+    unsafe fn segment(&self, p: usize, dst: usize) -> &[T] {
+        // SAFETY: both arms read the deposited slices under the window
+        // the caller vouches for; `CutBlock::exchange_via` checked that
+        // the cuts ascend inside the block before depositing.
+        match self {
+            Self::Cut { block, cuts, rank } => {
+                let cuts = cuts.get();
+                match segment_to(*rank, p, cuts.len() - 1, dst) {
+                    Some(d) => &block.get()[cuts[d]..cuts[d + 1]],
+                    None => &[],
+                }
+            }
+            Self::Parts(parts) => parts[dst].get(),
+        }
+    }
+}
+
+/// The ranks of group `d` when `p` ranks form `w ≤ p` contiguous
+/// groups: `⌊d·p/w⌋ .. ⌊(d+1)·p/w⌋`. Segment `d` of a `w`-way
+/// [`CutBlock`] goes into this range, so a caller that goes on to sort
+/// inside the groups splits its communicator by [`group_of`].
+pub fn group_range(d: usize, p: usize, w: usize) -> Range<usize> {
+    d * p / w..(d + 1) * p / w
+}
+
+/// The group `d` whose [`group_range`]`(d, p, w)` holds `rank`: the
+/// largest `d` with `⌊d·p/w⌋ ≤ rank`, i.e. `d·p < (rank + 1)·w`.
+pub fn group_of(rank: usize, p: usize, w: usize) -> usize {
+    ((rank + 1) * w - 1) / p
+}
+
+/// Where segment `d` of `rank`'s `w`-way [`CutBlock`] goes: member
+/// `rank mod |group d|` of [`group_range`]`(d, p, w)`, so the senders
+/// spread over the group; at `w = p` that is rank `d`.
+fn segment_dest(rank: usize, p: usize, w: usize, d: usize) -> usize {
+    let group = group_range(d, p, w);
+    group.start + rank % group.len()
+}
+
+/// The segment of `rank`'s `w`-way [`CutBlock`] that goes to `dst`, if
+/// any: the inverse of [`segment_dest`].
+fn segment_to(rank: usize, p: usize, w: usize, dst: usize) -> Option<usize> {
+    if w == p {
+        return Some(dst);
+    }
+    let d = group_of(dst, p, w);
+    (segment_dest(rank, p, w, d) == dst).then_some(d)
+}
+
+/// A sorted block and its cut array — `MPI_Alltoallv`'s send buffer
+/// and `sdispls` — sent by [`Comm::exchange`] without a list per
+/// destination: the all-to-all deposits a view of the two slices.
+///
+/// `cuts` holds `w + 1` ascending offsets into `block`, `1 ≤ w ≤ P`.
+/// Segment `d` is `block[cuts[d]..cuts[d + 1]]` and goes to member
+/// `rank mod |group d|` of [`group_range`]`(d, P, w)`; at `w = P` that
+/// is rank `d`.
+#[derive(Debug, Clone, Copy)]
+pub struct CutBlock<'a, T> {
+    /// The send buffer.
+    pub block: &'a [T],
+    /// The `w + 1` segment bounds inside `block`.
+    pub cuts: &'a [usize],
+}
+
 /// Payload forms accepted by [`Comm::exchange`] — the single entry
-/// point of the personalized all-to-all. `&[&[T]]` sends borrowed
-/// segments of an already-ordered local array (any `T: Clone`: each
-/// element is cloned once, by its receiver); `Vec<Vec<T>>` is the same
-/// exchange over the buckets' slices, the buckets dropped afterwards.
-/// Both deliver into one contiguous
-/// [`RecvRuns`] buffer, under every schedule.
+/// point of the personalized all-to-all. A [`CutBlock`] sends the
+/// segments of one ordered block; `&[&[T]]` sends one borrowed slice
+/// per destination; `Vec<Vec<T>>` is the same exchange over the
+/// buckets' slices, the buckets dropped afterwards. Any `T: Clone`:
+/// each element is cloned once, by its receiver. All deliver into one
+/// contiguous [`RecvRuns`] buffer, under every schedule.
 pub trait ExchangePayload<T> {
     /// Run the personalized exchange of this payload under `algo`.
     fn exchange_via(self, comm: &Comm, algo: AllToAllAlgo) -> RecvRuns<T>;
 }
 
+impl<'a, T: Clone + Send + Sync + 'static> ExchangePayload<T> for CutBlock<'a, T> {
+    fn exchange_via(self, comm: &Comm, algo: AllToAllAlgo) -> RecvRuns<T> {
+        let (p, rank) = (comm.size(), comm.rank());
+        let ways = self.cuts.len().wrapping_sub(1);
+        assert!((1..=p).contains(&ways), "a cut block has 1..=P segments");
+        assert!(
+            self.cuts.windows(2).all(|w| w[0] <= w[1]) && self.cuts[ways] <= self.block.len(),
+            "cuts must ascend inside the block"
+        );
+        let lens = self.cuts.windows(2).enumerate();
+        let sends = lens.map(|(d, c)| (segment_dest(rank, p, ways, d), c[1] - c[0]));
+        let view = RawSend::Cut {
+            block: RawSlice::of(self.block),
+            cuts: RawSlice::of(self.cuts),
+            rank,
+        };
+        comm.alltoallv(view, sends, algo)
+    }
+}
+
 impl<T: Clone + Send + Sync + 'static> ExchangePayload<T> for Vec<Vec<T>> {
     fn exchange_via(self, comm: &Comm, algo: AllToAllAlgo) -> RecvRuns<T> {
-        let views: Vec<&[T]> = self.iter().map(Vec::as_slice).collect();
-        comm.alltoallv_direct_slices(&views, algo)
+        let view = RawSend::Parts(self.iter().map(|b| RawSlice::of(b)).collect());
+        comm.alltoallv(view, self.iter().map(Vec::len).enumerate(), algo)
     }
 }
 
 impl<'a, T: Clone + Send + Sync + 'static> ExchangePayload<T> for &'a [&'a [T]] {
     fn exchange_via(self, comm: &Comm, algo: AllToAllAlgo) -> RecvRuns<T> {
-        comm.alltoallv_direct_slices(self, algo)
+        let view = RawSend::Parts(self.iter().map(|s| RawSlice::of(s)).collect());
+        comm.alltoallv(view, self.iter().map(|s| s.len()).enumerate(), algo)
     }
 }
 
@@ -449,8 +557,8 @@ impl Comm {
 
     /// Run one collective on this communicator: crash check, generation
     /// ticket, the rendezvous itself, and its trace span. The input may
-    /// be a [`RawParts`] view of this rank's buffers; `combine` and
-    /// `extract` then read it under the windows of
+    /// be a [`RawSlice`] or [`RawSend`] view of this rank's buffers;
+    /// `combine` and `extract` then read it under the windows of
     /// [`CommState::collective_view`].
     fn run_collective_view<T, R, Q, F, G>(
         &self,
@@ -544,16 +652,15 @@ impl Comm {
     {
         let p = self.size();
         let bytes = mem::size_of_val(xs) as u64;
-        let view = RawParts::of(&[xs]);
         let (out, arm): (Arc<R>, AllreduceArm) = self.run_collective_view(
             "allreduce",
-            view,
-            move |inputs: Vec<RawParts<T>>, ctx| {
-                let width = inputs.first().map_or(0, |v| v.len(0));
+            RawSlice::of(xs),
+            move |inputs: Vec<RawSlice<T>>, ctx| {
+                let width = inputs.first().map_or(0, RawSlice::len);
                 let mut slices = inputs.iter().map(|x| {
-                    assert_eq!(x.len(0), width, "allreduce inputs must have equal length");
+                    assert_eq!(x.len(), width, "allreduce inputs must have equal length");
                     // SAFETY: combine, window 3 of `collective_view`.
-                    unsafe { x.slice(0) }
+                    unsafe { x.get() }
                 });
                 let mut acc = slices.next().map_or_else(Vec::new, <[T]>::to_vec);
                 for s in slices {
@@ -689,19 +796,18 @@ impl Comm {
         let p = self.size();
         let me = self.rank;
         let width_in = xs.len();
-        let view = RawParts::of(&[xs]);
         let out: Arc<Vec<u64>> = self.run_collective_view(
             "exscan",
-            view,
-            move |inputs: Vec<RawParts<u64>>, ctx| {
-                let width = inputs.first().map_or(0, |v| v.len(0));
+            RawSlice::of(xs),
+            move |inputs: Vec<RawSlice<u64>>, ctx| {
+                let width = inputs.first().map_or(0, RawSlice::len);
                 let mut flat = vec![0u64; p * width];
                 let mut acc = vec![0u64; width];
                 for (r, x) in inputs.iter().enumerate() {
-                    assert_eq!(x.len(0), width, "exscan inputs must have equal length");
+                    assert_eq!(x.len(), width, "exscan inputs must have equal length");
                     flat[r * width..(r + 1) * width].copy_from_slice(&acc);
                     // SAFETY: combine, window 3 of `collective_view`.
-                    let s = unsafe { x.slice(0) };
+                    let s = unsafe { x.get() };
                     for (a, b) in acc.iter_mut().zip(s) {
                         *a = a.wrapping_add(*b);
                     }
@@ -755,12 +861,13 @@ impl Comm {
     /// data-exchange superstep, unified over every payload form and
     /// schedule.
     ///
-    /// `payload[d]` is what this rank sends to rank `d`, either as a
-    /// borrowed segment of an already-ordered local array (`&[&[T]]`)
-    /// or as an owned bucket (`Vec<Vec<T>>`, sent through the same
-    /// path). The receive side is always one contiguous [`RecvRuns`]
-    /// buffer whose per-source runs can be merged in place or
-    /// flattened for free.
+    /// The payload is an already-ordered block and its cuts
+    /// ([`CutBlock`], the sorters' form: the rank deposits a view of
+    /// the two slices and nothing per destination), or one slice per
+    /// destination rank, borrowed (`&[&[T]]`) or owned (`Vec<Vec<T>>`).
+    /// The receive side is always one contiguous [`RecvRuns`] buffer
+    /// whose per-source runs can be merged in place or flattened for
+    /// free.
     ///
     /// `algo` picks the schedule (§VI-E1: "For a relatively small N/P
     /// we utilize store-and-forward algorithms ... For larger messages
@@ -774,39 +881,44 @@ impl Comm {
         payload.exchange_via(self, algo)
     }
 
-    /// The one all-to-all body, for every schedule: `send[d]` is a
-    /// **borrowed** segment of this rank's (typically already-sorted)
-    /// local array destined for rank `d`. Each element is copied
+    /// The one all-to-all body, for every payload form and schedule:
+    /// `view` borrows what this rank sends, and `sends` lists it as
+    /// `(destination, length)` for the byte counters. Each element is copied
     /// exactly once, from the sender's buffer straight into the
     /// receiver's single contiguous [`RecvRuns`] buffer — real
-    /// `MPI_Alltoallv` semantics, with `(counts, displs)` marking the
-    /// per-source runs.
+    /// `MPI_Alltoallv` semantics, with the receive counts (taken from
+    /// this rank's [`BufferPool`]) marking the per-source runs.
     ///
     /// `T: Clone` is enough — the copy-out is `extend_from_slice` — so
     /// records travel this path too. A `Clone` may panic where a `Copy`
     /// cannot; the exit barrier is unwind-safe for exactly that case
     /// (window 4 of `collective_view`).
-    fn alltoallv_direct_slices<T>(&self, send: &[&[T]], algo: AllToAllAlgo) -> RecvRuns<T>
+    fn alltoallv<T>(
+        &self,
+        view: RawSend<T>,
+        sends: impl Iterator<Item = (usize, usize)>,
+        algo: AllToAllAlgo,
+    ) -> RecvRuns<T>
     where
         T: Clone + Send + Sync + 'static,
     {
         let p = self.size();
-        assert_eq!(
-            send.len(),
-            p,
-            "alltoallv needs one bucket per destination rank"
-        );
+        if let RawSend::Parts(parts) = &view {
+            assert_eq!(
+                parts.len(),
+                p,
+                "alltoallv needs one bucket per destination rank"
+            );
+        }
         if let AllToAllAlgo::StagedKWay { k } = algo {
             assert!(k >= 2, "staged exchange needs fan-out k >= 2");
         }
-        let sent_bytes =
-            self.account_alltoallv_send(send.iter().map(|s| s.len()), mem::size_of::<T>());
+        let sent_bytes = self.account_alltoallv_send(sends, mem::size_of::<T>());
         let me = self.rank;
-        let view = RawParts::of(send);
         let out = self.run_collective_view(
             "alltoallv",
             view,
-            move |views: Vec<RawParts<T>>, ctx| {
+            move |views: Vec<RawSend<T>>, ctx| {
                 let placement: Vec<Placement> = ctx
                     .global_ranks
                     .iter()
@@ -814,25 +926,27 @@ impl Comm {
                     .collect();
                 let elem = mem::size_of::<T>() as u64;
                 let ends = alltoallv_ns(ctx.cost, &placement, elem, algo, |s, d| {
-                    views[s].len(d) as u64
+                    // SAFETY: combine, window 3 of `collective_view`.
+                    unsafe { views[s].segment(p, d) }.len() as u64
                 });
                 let ends = ends.into_iter().map(|ns| ctx.enter_max_ns + ns).collect();
                 (views, EndTimes::PerRank(ends))
             },
-            move |views: &Arc<Vec<RawParts<T>>>| {
-                let counts: Vec<usize> = views.iter().map(|v| v.len(me)).collect();
-                let total: usize = counts.iter().sum();
-                let mut data: Vec<T> = Vec::with_capacity(total);
-                for v in views.iter() {
-                    // SAFETY: extract under the exit barrier, window 4
-                    // of `collective_view`: every sender is held inside
-                    // the collective — returning or unwinding — until
-                    // all extracts are over, so its segments are alive
-                    // and unmutated here. That includes an extract
-                    // that panics: if `T::clone` unwinds out of this
-                    // loop, `data` (our own clones) drops, the rank
-                    // serves the barrier, and only then resumes.
-                    data.extend_from_slice(unsafe { v.slice(me) });
+            move |views: &Arc<Vec<RawSend<T>>>| {
+                // SAFETY: extract under the exit barrier, window 4 of
+                // `collective_view`: every sender is held inside the
+                // collective — returning or unwinding — until all
+                // extracts are over, so its block, cuts and slices are
+                // alive and unmutated here. That includes an extract
+                // that panics: if `T::clone` unwinds out of the copy
+                // below, `data` (our own clones) drops, the rank serves
+                // the barrier, and only then resumes.
+                let runs = views.iter().map(|v| unsafe { v.segment(p, me) });
+                let mut counts = self.pool.take_usize();
+                counts.extend(runs.clone().map(<[T]>::len));
+                let mut data: Vec<T> = Vec::with_capacity(counts.iter().sum());
+                for run in runs {
+                    data.extend_from_slice(run);
                 }
                 RecvRuns::from_parts(data, counts)
             },
@@ -848,7 +962,11 @@ impl Comm {
     /// traffic: one placement lookup per non-empty segment, one counter
     /// add per link class. Returns the total for span attribution
     /// (which must happen after the collective records its span).
-    fn account_alltoallv_send(&self, lens: impl Iterator<Item = usize>, elem: usize) -> u64 {
+    fn account_alltoallv_send(
+        &self,
+        sends: impl Iterator<Item = (usize, usize)>,
+        elem: usize,
+    ) -> u64 {
         let topo = self.topology();
         let me = topo.placement(self.state.global_ranks[self.rank]);
         let classes = [
@@ -858,7 +976,7 @@ impl Comm {
             LinkClass::InterNode,
         ];
         let mut by_class = [0u64; 4];
-        for (dst, len) in lens.enumerate().filter(|&(_, len)| len > 0) {
+        for (dst, len) in sends.filter(|&(_, len)| len > 0) {
             let link = if dst == self.rank {
                 LinkClass::SelfLoop
             } else {

@@ -45,7 +45,7 @@ pub mod topology;
 pub mod trace;
 
 pub use buffer::{BufferPool, PoolStats, RecvRuns, SharedSlice};
-pub use comm::{AllToAllAlgo, Charges, Comm, ExchangePayload};
+pub use comm::{group_of, group_range, AllToAllAlgo, Charges, Comm, CutBlock, ExchangePayload};
 pub use cost::{log2_ceil, CostModel, LinkCost, Work};
 pub use fault::{Crash, FaultPlan, FaultPlanError, LinkFault, RankError, Straggler};
 pub use recover::{RecoveryGuard, RecoveryInterrupt, Shrunk};

@@ -132,31 +132,34 @@ pub fn run_merge_beats_resort(runs: usize, n: usize) -> bool {
 /// where `cmp` is a total order on the elements themselves (keys);
 /// records that must keep run order call [`merge_runs_in_place`].
 ///
+/// Returns `counts`' allocation (its contents spent) for reuse.
+///
 /// # Panics
 /// Panics when `counts` does not sum to `flat.len()`.
 pub fn merge_sorted_runs<T, F>(
     flat: &mut [T],
-    counts: Vec<usize>,
+    mut counts: Vec<usize>,
     scratch: &mut Vec<T>,
     threads: usize,
     cmp: &F,
-) where
+) -> Vec<usize>
+where
     T: Clone + Send + Sync,
     F: Fn(&T, &T) -> Ordering + Sync,
 {
-    let ends = run_ends(counts, flat.len());
-    if run_merge_beats_resort(ends.len(), flat.len()) {
-        merge_tree(flat, ends, scratch, threads, cmp);
+    run_ends(&mut counts, flat.len());
+    if run_merge_beats_resort(counts.len(), flat.len()) {
+        merge_tree(flat, &mut counts, scratch, threads, cmp);
     } else {
         flat.sort_unstable_by(cmp);
     }
+    counts
 }
 
 /// Turn per-run `counts` into the end offsets of the non-empty runs,
 /// in place: run `i` is `flat[ends[i - 1]..ends[i]]` (from 0 for
 /// `i = 0`), empty runs drop out.
-fn run_ends(counts: Vec<usize>, n: usize) -> Vec<usize> {
-    let mut ends = counts;
+fn run_ends(ends: &mut Vec<usize>, n: usize) {
     let mut end = 0;
     ends.retain_mut(|c| {
         end += *c;
@@ -165,7 +168,6 @@ fn run_ends(counts: Vec<usize>, n: usize) -> Vec<usize> {
         keep
     });
     assert_eq!(end, n, "counts must cover the buffer exactly");
-    ends
 }
 
 /// Binary merge tree over the sorted runs of `flat` under `cmp`,
@@ -191,8 +193,9 @@ fn run_ends(counts: Vec<usize>, n: usize) -> Vec<usize> {
 /// needs (the dead send block after an exchange), resized to
 /// `flat.len()` only when a merge actually runs, and `counts` is
 /// consumed as the tree's working state (it shrinks to the run ends of
-/// each level in place). With fewer than two non-empty runs `flat` is
-/// already sorted and neither buffer is touched.
+/// each level in place) and returned, spent, for reuse. With fewer than
+/// two non-empty runs `flat` is already sorted and neither buffer is
+/// touched.
 ///
 /// Pair merges within a level work on disjoint windows, so with a
 /// thread budget they run concurrently; the pairing is fixed (adjacent
@@ -204,22 +207,24 @@ fn run_ends(counts: Vec<usize>, n: usize) -> Vec<usize> {
 /// Panics when `counts` does not sum to `flat.len()`.
 pub fn merge_runs_in_place<T, F>(
     flat: &mut [T],
-    counts: Vec<usize>,
+    mut counts: Vec<usize>,
     scratch: &mut Vec<T>,
     threads: usize,
     cmp: &F,
-) where
+) -> Vec<usize>
+where
     T: Clone + Send + Sync,
     F: Fn(&T, &T) -> Ordering + Sync,
 {
-    let ends = run_ends(counts, flat.len());
-    merge_tree(flat, ends, scratch, threads, cmp);
+    run_ends(&mut counts, flat.len());
+    merge_tree(flat, &mut counts, scratch, threads, cmp);
+    counts
 }
 
 /// [`merge_runs_in_place`] over the run ends [`run_ends`] produced.
 fn merge_tree<T, F>(
     flat: &mut [T],
-    mut ends: Vec<usize>,
+    ends: &mut Vec<usize>,
     scratch: &mut Vec<T>,
     threads: usize,
     cmp: &F,
@@ -236,10 +241,10 @@ fn merge_tree<T, F>(
     let (mut src, mut dst) = (flat, &mut scratch[..]);
     let levels = ends.len().next_power_of_two().trailing_zeros();
     if levels % 2 == 1 {
-        merge_level(src, dst, &mut ends, threads, true, cmp);
+        merge_level(src, dst, ends, threads, true, cmp);
     }
     while ends.len() > 1 {
-        merge_level(src, dst, &mut ends, threads, false, cmp);
+        merge_level(src, dst, ends, threads, false, cmp);
         std::mem::swap(&mut src, &mut dst);
     }
 }

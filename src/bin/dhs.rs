@@ -411,6 +411,9 @@ fn cmd_sort(args: &Args) {
             *recovery_ns as f64 / 1e6
         ),
     }
+    if let Some(mib) = peak_rss_mib() {
+        println!("peak RSS           : {mib} MiB");
+    }
     if let Some((path, mut file)) = trace {
         let json = if chrome_trace {
             run_trace.to_chrome_json()
@@ -430,6 +433,15 @@ fn cmd_sort(args: &Args) {
             std::process::exit(1);
         }
     }
+}
+
+/// This process's peak resident set in MiB, rounded: `VmHWM` in
+/// `/proc/self/status`, where that file exists.
+fn peak_rss_mib() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kib: u64 = line.split_whitespace().next()?.parse().ok()?;
+    Some((kib + 512) / 1024)
 }
 
 /// Parse `--profile stationary|shifting-zipf|churn` for `dhs serve`.

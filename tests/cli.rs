@@ -25,6 +25,16 @@ fn sort_verifies_and_rejects_unknown_flags() {
     assert_eq!(ok.status.code(), Some(0), "{stdout}");
     assert!(stdout.contains("verification       : PASS"), "{stdout}");
     assert!(stdout.contains("park backstops     : 0"), "{stdout}");
+    // The peak resident set is read from procfs where there is one.
+    let peak = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("peak RSS           : "));
+    if std::path::Path::new("/proc/self/status").exists() {
+        let mib = peak.and_then(|p| p.strip_suffix(" MiB")?.parse::<u64>().ok());
+        assert!(mib.is_some_and(|m| m > 0), "{stdout}");
+    } else {
+        assert!(peak.is_none(), "{stdout}");
+    }
 
     // A deleted flag is rejected, not ignored.
     for invocation in [
