@@ -9,7 +9,7 @@
 //! exactly the overhead the paper's single-exchange design avoids.
 
 use dhs_core::exchange::{group_of, group_range, plan_exchange};
-use dhs_core::splitter::find_splitters;
+use dhs_core::splitter::{find_splitters, SplitterOptions};
 use dhs_core::{Key, SortStats};
 use dhs_merge::MergeAlgo;
 use dhs_runtime::Comm;
@@ -71,7 +71,7 @@ fn hyksort_level<K: Key>(cur: &Comm, local: &mut Vec<K>, stats: &mut SortStats) 
                 .sum()
         })
         .collect();
-    let found = find_splitters(cur, local, &targets, 0);
+    let found = find_splitters(cur, local, &targets, 0, SplitterOptions::default());
     stats.probes += found.probes;
     stats.histogram_ns += sp.finish();
 

@@ -17,7 +17,7 @@ use dhs_bench::table::{fmt_secs, Table};
 use dhs_bench::Args;
 use dhs_core::{
     exchange::{exchange_data, plan_exchange},
-    find_splitters, merge_received, perfect_targets, LocalSort, MergeAlgo,
+    find_splitters, merge_received, perfect_targets, LocalSort, MergeAlgo, SplitterOptions,
 };
 use dhs_runtime::{run, AllToAllAlgo, ClusterConfig};
 use dhs_workloads::{rank_local_keys, Distribution, Layout};
@@ -34,7 +34,13 @@ fn merged_exchange_time(p: usize, n_per: usize, seed: u64, merge: MergeAlgo) -> 
         );
         local.sort_unstable();
         let caps: Vec<usize> = comm.allgather(local.len());
-        let res = find_splitters(comm, &local, &perfect_targets(&caps), 0);
+        let res = find_splitters(
+            comm,
+            &local,
+            &perfect_targets(&caps),
+            0,
+            SplitterOptions::default(),
+        );
         let plan = plan_exchange(comm, &local, &res);
         let t0 = comm.now_ns();
         let received = exchange_data(comm, &local, &plan, AllToAllAlgo::OneFactor);

@@ -18,7 +18,7 @@
 use dhs_bench::stats::median_ci;
 use dhs_bench::table::Table;
 use dhs_bench::Args;
-use dhs_core::{find_splitters_cfg, perfect_targets, Key, OrderedF32, OrderedF64, SplitterOptions};
+use dhs_core::{find_splitters, perfect_targets, Key, OrderedF32, OrderedF64, SplitterOptions};
 use dhs_runtime::{run, ClusterConfig};
 use dhs_workloads::{rank_seed, Distribution};
 
@@ -38,7 +38,7 @@ where
                 local.sort_unstable();
                 let caps: Vec<usize> = comm.allgather(local.len());
                 let targets = perfect_targets(&caps);
-                find_splitters_cfg(comm, &local, &targets, 0, opts).iterations
+                find_splitters(comm, &local, &targets, 0, opts).iterations
             });
             out.iter().map(|(it, _)| *it).max().expect("non-empty") as f64
         })

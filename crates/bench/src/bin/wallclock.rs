@@ -69,7 +69,7 @@ use std::time::Instant; // lint: allow-wall-clock
 
 use dhs_bench::experiment::{run_distributed_sort, SortAlgo};
 use dhs_bench::Args;
-use dhs_core::{find_splitters_cfg, perfect_targets, SortConfig, SplitterOptions};
+use dhs_core::{find_splitters, perfect_targets, SortConfig, SplitterOptions};
 use dhs_runtime::{run, AllToAllAlgo, ClusterConfig};
 use dhs_workloads::{rank_local_keys, Distribution, Layout};
 
@@ -414,13 +414,13 @@ fn bench_splitter(grid: &[(usize, usize)], reps: usize) -> Vec<AbCase> {
             for _ in 0..reps {
                 comm.barrier();
                 let t = Instant::now();
-                let a = find_splitters_cfg(comm, &local, &targets, 0, classic);
+                let a = find_splitters(comm, &local, &targets, 0, classic);
                 legacy.push(secs(t));
                 std::hint::black_box(&a);
 
                 comm.barrier();
                 let t = Instant::now();
-                let b = find_splitters_cfg(comm, &local, &targets, 0, tuned);
+                let b = find_splitters(comm, &local, &targets, 0, tuned);
                 multi.push(secs(t));
                 std::hint::black_box(&b);
                 assert!(

@@ -222,7 +222,7 @@ pub fn exchange_data<T: Clone + Send + Sync + 'static>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::splitter::{find_splitters, perfect_targets};
+    use crate::splitter::{find_splitters, perfect_targets, SplitterOptions};
     use dhs_runtime::{run, ClusterConfig};
 
     fn keys_for(rank: usize, n: usize, modulus: u64) -> Vec<u64> {
@@ -283,7 +283,7 @@ mod tests {
             let local = keys_for(comm.rank(), n, modulus);
             let caps: Vec<usize> = comm.allgather(local.len());
             let targets = perfect_targets(&caps);
-            let res = find_splitters(comm, &local, &targets, 0);
+            let res = find_splitters(comm, &local, &targets, 0, SplitterOptions::default());
             let plan = plan_exchange(comm, &local, &res);
             let received = exchange_data(comm, &local, &plan, AllToAllAlgo::OneFactor);
             let recv_count = received.total_len();
@@ -320,7 +320,13 @@ mod tests {
         let out = run(&ClusterConfig::small_cluster(6), |comm| {
             let local = keys_for(comm.rank(), 200, 64);
             let caps: Vec<usize> = comm.allgather(local.len());
-            let res = find_splitters(comm, &local, &perfect_targets(&caps), 0);
+            let res = find_splitters(
+                comm,
+                &local,
+                &perfect_targets(&caps),
+                0,
+                SplitterOptions::default(),
+            );
             plan_exchange(comm, &local, &res)
         });
         for (plan, _) in out {
@@ -341,7 +347,13 @@ mod tests {
                 vec![]
             };
             let caps: Vec<usize> = comm.allgather(local.len());
-            let res = find_splitters(comm, &local, &perfect_targets(&caps), 0);
+            let res = find_splitters(
+                comm,
+                &local,
+                &perfect_targets(&caps),
+                0,
+                SplitterOptions::default(),
+            );
             let plan = plan_exchange(comm, &local, &res);
             let received = exchange_data(comm, &local, &plan, AllToAllAlgo::OneFactor);
             received.total_len()

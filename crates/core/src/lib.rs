@@ -63,8 +63,8 @@ pub use sort::{
     Partitioning, RecoveryPolicy, SortConfig, SortOutcome, SortStats, WarmStart,
 };
 pub use splitter::{
-    balanced_targets, find_splitters, find_splitters_cfg, find_splitters_seeded, perfect_targets,
-    slack_for, InitialBounds, SplitterInfo, SplitterOptions, SplitterResult,
+    balanced_targets, find_splitters, find_splitters_seeded, perfect_targets, slack_for,
+    SplitterInfo, SplitterOptions, SplitterResult,
 };
 pub use verify::{global_fingerprint, multiset_fingerprint, verify_sorted, SortViolation};
 

@@ -27,7 +27,7 @@ use crate::key::Key;
 use crate::sort::{
     attempt, histogram_sort, local_phase, merge_received, Keys, Shape, SortConfig, SortStats,
 };
-use crate::splitter::find_splitters;
+use crate::splitter::{find_splitters, SplitterOptions};
 
 /// Sort with one level of group splitting. `groups` controls the
 /// level-1 fan-out; `0` picks `⌈√P⌉` (the AMS/HykSort convention the
@@ -78,7 +78,13 @@ pub fn histogram_sort_two_level<K: Key>(
     let l1_targets: Vec<u64> = (1..g)
         .map(|grp| shape.targets[group_range(grp, p, g).start - 1])
         .collect();
-    let l1 = find_splitters(comm, local, &l1_targets, shape.slack);
+    let l1 = find_splitters(
+        comm,
+        local,
+        &l1_targets,
+        shape.slack,
+        SplitterOptions::default(),
+    );
     stats.iterations += l1.iterations;
     stats.probes += l1.probes;
     stats.histogram_ns += sp.finish();

@@ -46,10 +46,10 @@
 //!   the bracket on either side after round `r` (`W₀` the initial
 //!   width), so on inputs whose counts mislead the interpolation — a
 //!   flat stretch of the CDF, a key space populated by octave — the
-//!   paper's bound survives as rounds `≤ BITS + 2`. A warm ladder, a
-//!   one-shot sample or the cold quantile guess only choose round 1's
-//!   probes; a bracket built from exact counts cannot miss its
-//!   splitter, so there is nothing to restart.
+//!   paper's bound survives as rounds `≤ BITS + 2`. A warm ladder or
+//!   the cold quantile guess only chooses round 1's probes; a bracket
+//!   built from exact counts cannot miss its splitter, so there is
+//!   nothing to restart.
 //!
 //! [`SplitterOptions::strict_paper_rule`] keeps §V-A's literal loop —
 //! the midpoint, a splitter judged by its own probe only, `L < K ≤ U`
@@ -149,48 +149,9 @@ pub struct SplitterResult<K> {
     pub degraded: bool,
 }
 
-/// Strategy for the initial splitter bracket and round 1's probes
-/// (ablation A3: the paper "focuses on optimizing the initial splitter
-/// guesses" instead of sampling every round).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InitialBounds {
-    /// The data's min/max, from the one range reduction (Algorithm 3
-    /// line 3; the paper's choice and the default). Round 1 probes the
-    /// key interpolated for each target's quantile.
-    DataMinMax,
-    /// The full key domain `[0, 2^BITS)`: the search must first find
-    /// the populated region.
-    FullDomain,
-    /// The data's min/max, with round 1 probing each target's quantile
-    /// in a one-shot regular sample (`per_rank` keys per rank, one
-    /// more collective).
-    SampledQuantiles {
-        /// Probes taken per rank for the one-shot sample.
-        per_rank: usize,
-    },
-}
-
-/// Determine all splitters for the given global boundary `targets`
-/// (ascending, each in `[0, N]`) over the ranks' locally sorted data.
-/// `slack` is the per-splitter tolerance `⌊N·ε/(2P)⌋` of Definition 1.
-///
-/// Every rank must call this collectively with the same `targets` and
-/// `slack`; all ranks return identical results.
-pub fn find_splitters<K: Key>(
-    comm: &Comm,
-    sorted_local: &[K],
-    targets: &[u64],
-    slack: u64,
-) -> SplitterResult<K> {
-    let opts = SplitterOptions::default();
-    find_splitters_cfg(comm, sorted_local, targets, slack, opts)
-}
-
 /// Full tuning knobs of the splitter search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SplitterOptions {
-    /// Initial bracket and round 1's probes.
-    pub init: InitialBounds,
     /// Run the paper's literal loop: Algorithm 2's acceptance as
     /// printed (`L < K <= U`, splitters must land on data keys), one
     /// midpoint probe per splitter per round, every splitter judged by
@@ -227,7 +188,6 @@ pub struct SplitterOptions {
 impl Default for SplitterOptions {
     fn default() -> Self {
         Self {
-            init: InitialBounds::DataMinMax,
             strict_paper_rule: false,
             max_iterations: None,
             probes_per_round: 1,
@@ -237,30 +197,39 @@ impl Default for SplitterOptions {
     }
 }
 
-/// [`find_splitters`] with every knob exposed.
-pub fn find_splitters_cfg<K: Key>(
+/// Determine all splitters for the given global boundary `targets`
+/// (ascending, each in `[0, N]`) over the ranks' locally sorted data.
+/// `slack` is the per-splitter tolerance `⌊N·ε/(2P)⌋` of Definition 1.
+/// Round 1 starts from the data's min/max and key count, reduced once
+/// (Algorithm 3 line 3), and probes the key interpolated for each
+/// target's quantile.
+///
+/// Every rank must call this collectively with the same `targets`,
+/// `slack` and `opts`; all ranks return identical results.
+pub fn find_splitters<K: Key>(
     comm: &Comm,
     sorted_local: &[K],
     targets: &[u64],
     slack: u64,
     opts: SplitterOptions,
 ) -> SplitterResult<K> {
-    find_splitters_impl(comm, sorted_local, targets, slack, opts, None::<&[K]>)
+    find_splitters_seeded(comm, sorted_local, targets, slack, opts, &[] as &[K])
 }
 
-/// [`find_splitters_cfg`] warm-started from a previous search's
-/// accepted splitter keys (the epoch service, and the retry over fewer
-/// ranks after a shrink-and-recover), given as bare keys or as that
-/// search's splitters ([`WarmLadder`]: the sort pipeline passes the
-/// shared `Arc<[SplitterInfo]>` it stashed, no copy of its keys).
-/// `warm` must be globally replicated and ascending. Round 1 probes the
-/// warm keys themselves — `warm[i]` for splitter `i` when there is one
-/// key per target, the key at the target's quantile of the ladder when
-/// the rank count changed — so stationary data settles in a single
-/// round, and on drifted data their exact counts bracket every
-/// splitter for round 2. An empty `warm` falls back to `opts.init`
-/// exactly; accepted splitters may differ from a cold search, but
-/// realized boundaries satisfy the same `slack` contract.
+/// [`find_splitters`] warm-started from a previous search's accepted
+/// splitter keys (the epoch service, and the retry over fewer ranks
+/// after a shrink-and-recover), given as bare keys or as that search's
+/// splitters ([`WarmLadder`]: the sort pipeline passes the shared
+/// `Arc<[SplitterInfo]>` it stashed, no copy of its keys). `warm` must
+/// be globally replicated and ascending. Round 1 probes the warm keys
+/// themselves — `warm[i]` for splitter `i` when there is one key per
+/// target, the key at the target's quantile of the ladder when the
+/// rank count changed — so stationary data settles in a single round,
+/// and on drifted data their exact counts bracket every splitter for
+/// round 2; accepted splitters may differ from a cold search, but
+/// realized boundaries satisfy the same `slack` contract. An empty
+/// `warm` is the cold search: the same result, rounds, probes and
+/// virtual clock as [`find_splitters`].
 pub fn find_splitters_seeded<K: Key, W: WarmLadder<K> + ?Sized>(
     comm: &Comm,
     sorted_local: &[K],
@@ -270,140 +239,6 @@ pub fn find_splitters_seeded<K: Key, W: WarmLadder<K> + ?Sized>(
     warm: &W,
 ) -> SplitterResult<K> {
     let warm = (!warm.is_empty()).then_some(warm);
-    find_splitters_impl(comm, sorted_local, targets, slack, opts, warm)
-}
-
-/// An ascending ladder of keys that seeds round 1 of a search: bare
-/// keys, or a previous search's splitters.
-pub trait WarmLadder<K> {
-    /// Number of keys on the ladder.
-    fn len(&self) -> usize;
-    /// The `i`-th key.
-    fn key(&self, i: usize) -> K;
-    /// An empty ladder seeds nothing: the search starts cold.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl<K: Copy> WarmLadder<K> for [K] {
-    fn len(&self) -> usize {
-        <[K]>::len(self)
-    }
-
-    fn key(&self, i: usize) -> K {
-        self[i]
-    }
-}
-
-impl<K: Copy> WarmLadder<K> for Vec<K> {
-    fn len(&self) -> usize {
-        Vec::len(self)
-    }
-
-    fn key(&self, i: usize) -> K {
-        self[i]
-    }
-}
-
-impl<K: Copy> WarmLadder<K> for [SplitterInfo<K>] {
-    fn len(&self) -> usize {
-        <[SplitterInfo<K>]>::len(self)
-    }
-
-    fn key(&self, i: usize) -> K {
-        self[i].key
-    }
-}
-
-/// Establish the global key range and key count (one reduction, as in
-/// Algorithm 3 line 3) and build the plan of round 1 on it, once for
-/// the whole communicator. `None` on globally empty input.
-fn first_plan<K: Key, W: WarmLadder<K> + ?Sized>(
-    comm: &Comm,
-    sorted_local: &[K],
-    targets: &[u64],
-    opts: SplitterOptions,
-    warm: Option<&W>,
-) -> Option<Arc<RoundPlan<K>>> {
-    type Extent<K> = (Option<(K, K)>, u64);
-    let local: Extent<K> = (
-        sorted_local
-            .first()
-            .copied()
-            .zip(sorted_local.last().copied()),
-        sorted_local.len() as u64,
-    );
-    let widest = |a: &Extent<K>, b: &Extent<K>| {
-        let minmax = match (a.0, b.0) {
-            (None, x) | (x, None) => x,
-            (Some((alo, ahi)), Some((blo, bhi))) => Some((alo.min(blo), ahi.max(bhi))),
-        };
-        (minmax, a.1 + b.1)
-    };
-    let data_bits = |(min_key, max_key): (K, K)| (min_key.to_bits(), max_key.to_bits());
-
-    let sampled = match opts.init {
-        InitialBounds::SampledQuantiles { per_rank } if warm.is_none() => Some(per_rank.max(1)),
-        _ => None,
-    };
-    if let Some(per_rank) = sampled {
-        // Round 1 probes the sample pool, gathered once the range is
-        // known; the plan is built on that second collective instead.
-        let (minmax, n_total) = comm
-            .allreduce_with(vec![local], widest)
-            .pop()
-            .expect("one element");
-        let data = minmax.map(data_bits)?;
-        // Regular probes of the sorted local data.
-        let probes: Vec<K> = if sorted_local.is_empty() {
-            Vec::new()
-        } else {
-            (0..per_rank)
-                .map(|i| {
-                    sorted_local[((i + 1) * sorted_local.len() / (per_rank + 1))
-                        .min(sorted_local.len() - 1)]
-                })
-                .collect()
-        };
-        return Some(comm.allgatherv_then(probes, |gathered| {
-            // Non-empty: a rank that holds data contributed a sample.
-            let mut pool: Vec<K> = gathered.into_iter().flatten().collect();
-            pool.sort_unstable();
-            RoundPlan::start(data, n_total, targets, Some(&pool[..]), opts)
-        }));
-    }
-
-    let plan = comm.allreduce_with_then(&[local], widest, |reduced| {
-        let (minmax, n_total) = reduced[0];
-        let Some(data) = minmax.map(data_bits) else {
-            return RoundPlan::start((0, 0), 0, &[], None::<&[K]>, opts);
-        };
-        // A previous search's accepted splitters take precedence over
-        // `init`: they already localize every quantile of (nearly)
-        // stationary data.
-        debug_assert!(
-            warm.iter()
-                .all(|ladder| (1..ladder.len()).all(|i| ladder.key(i - 1) <= ladder.key(i))),
-            "warm keys ascending"
-        );
-        let bracket = match opts.init {
-            InitialBounds::FullDomain if warm.is_none() => (0, u128::MAX >> (128 - K::BITS)),
-            _ => data,
-        };
-        RoundPlan::start(bracket, n_total, targets, warm, opts)
-    });
-    (!plan.bufs.active.is_empty()).then_some(plan)
-}
-
-fn find_splitters_impl<K: Key, W: WarmLadder<K> + ?Sized>(
-    comm: &Comm,
-    sorted_local: &[K],
-    targets: &[u64],
-    slack: u64,
-    opts: SplitterOptions,
-    warm: Option<&W>,
-) -> SplitterResult<K> {
     assert!(
         opts.probes_per_round >= 1,
         "probes_per_round must be at least 1"
@@ -553,6 +388,90 @@ fn find_splitters_impl<K: Key, W: WarmLadder<K> + ?Sized>(
     }
 }
 
+/// An ascending ladder of keys that seeds round 1 of a search: bare
+/// keys, or a previous search's splitters.
+pub trait WarmLadder<K> {
+    /// Number of keys on the ladder.
+    fn len(&self) -> usize;
+    /// The `i`-th key.
+    fn key(&self, i: usize) -> K;
+    /// An empty ladder seeds nothing: the search starts cold.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+impl<K: Copy> WarmLadder<K> for [K] {
+    fn len(&self) -> usize {
+        <[K]>::len(self)
+    }
+
+    fn key(&self, i: usize) -> K {
+        self[i]
+    }
+}
+
+impl<K: Copy> WarmLadder<K> for Vec<K> {
+    fn len(&self) -> usize {
+        Vec::len(self)
+    }
+
+    fn key(&self, i: usize) -> K {
+        self[i]
+    }
+}
+
+impl<K: Copy> WarmLadder<K> for [SplitterInfo<K>] {
+    fn len(&self) -> usize {
+        <[SplitterInfo<K>]>::len(self)
+    }
+
+    fn key(&self, i: usize) -> K {
+        self[i].key
+    }
+}
+
+/// Establish the global key range and key count (one reduction, as in
+/// Algorithm 3 line 3) and build the plan of round 1 on it, once for
+/// the whole communicator. `None` on globally empty input.
+fn first_plan<K: Key, W: WarmLadder<K> + ?Sized>(
+    comm: &Comm,
+    sorted_local: &[K],
+    targets: &[u64],
+    opts: SplitterOptions,
+    warm: Option<&W>,
+) -> Option<Arc<RoundPlan<K>>> {
+    type Extent<K> = (Option<(K, K)>, u64);
+    let local: Extent<K> = (
+        sorted_local
+            .first()
+            .copied()
+            .zip(sorted_local.last().copied()),
+        sorted_local.len() as u64,
+    );
+    let widest = |a: &Extent<K>, b: &Extent<K>| {
+        let minmax = match (a.0, b.0) {
+            (None, x) | (x, None) => x,
+            (Some((alo, ahi)), Some((blo, bhi))) => Some((alo.min(blo), ahi.max(bhi))),
+        };
+        (minmax, a.1 + b.1)
+    };
+    let plan = comm.allreduce_with_then(&[local], widest, |reduced| {
+        let (minmax, n_total) = reduced[0];
+        let Some((min_key, max_key)) = minmax else {
+            return RoundPlan::start((0, 0), 0, &[], None::<&[K]>, opts);
+        };
+        debug_assert!(
+            warm.iter()
+                .all(|ladder| (1..ladder.len()).all(|i| ladder.key(i - 1) <= ladder.key(i))),
+            "warm keys ascending"
+        );
+        let bracket = (min_key.to_bits(), max_key.to_bits());
+        RoundPlan::start(bracket, n_total, targets, warm, opts)
+    });
+    (!plan.bufs.active.is_empty()).then_some(plan)
+}
+
 /// Global boundary targets for *perfect partitioning*: the prefix sums
 /// of the input capacities (paper Definition 3) — rank `i` must end up
 /// with exactly as many keys as it contributed.
@@ -566,7 +485,7 @@ pub fn perfect_targets(capacities: &[usize]) -> Vec<u64> {
     out
 }
 
-/// Global boundary targets for *balanced partitioning*: `⌈N·i/P⌉`
+/// Global boundary targets for *balanced partitioning*: `⌊N·i/P⌋`
 /// boundaries (Definition 1), regardless of who contributed what.
 pub fn balanced_targets(n_total: u64, p: usize) -> Vec<u64> {
     (1..p).map(|i| n_total * i as u64 / p as u64).collect()
@@ -604,7 +523,7 @@ mod tests {
             let local = keys_for(comm.rank(), n, modulus);
             let caps: Vec<usize> = comm.allgather(local.len());
             let targets = perfect_targets(&caps);
-            find_splitters(comm, &local, &targets, slack)
+            find_splitters(comm, &local, &targets, slack, SplitterOptions::default())
         });
         let mut all: Vec<u64> = (0..p).flat_map(|r| keys_for(r, n, modulus)).collect();
         all.sort_unstable();
@@ -643,7 +562,13 @@ mod tests {
         let out = run(&ClusterConfig::small_cluster(4), |comm| {
             let local = vec![42u64; 100];
             let caps: Vec<usize> = comm.allgather(local.len());
-            find_splitters(comm, &local, &perfect_targets(&caps), 0)
+            find_splitters(
+                comm,
+                &local,
+                &perfect_targets(&caps),
+                0,
+                SplitterOptions::default(),
+            )
         });
         for (res, _) in out {
             assert_eq!(res.iterations, 1, "fat equal range should accept instantly");
@@ -659,7 +584,13 @@ mod tests {
             let out = run(&ClusterConfig::small_cluster(p), move |comm| {
                 let local = keys_for(comm.rank(), n, u64::MAX);
                 let caps: Vec<usize> = comm.allgather(local.len());
-                find_splitters(comm, &local, &perfect_targets(&caps), slack)
+                find_splitters(
+                    comm,
+                    &local,
+                    &perfect_targets(&caps),
+                    slack,
+                    SplitterOptions::default(),
+                )
             });
             out[0].0.iterations
         };
@@ -680,7 +611,13 @@ mod tests {
                 let mut local = local;
                 local.sort_unstable();
                 let caps: Vec<usize> = comm.allgather(local.len());
-                find_splitters(comm, &local, &perfect_targets(&caps), 0)
+                find_splitters(
+                    comm,
+                    &local,
+                    &perfect_targets(&caps),
+                    0,
+                    SplitterOptions::default(),
+                )
             });
             for (res, _) in out {
                 assert!(res.iterations <= 18, "p={p}: {} iterations", res.iterations);
@@ -699,7 +636,7 @@ mod tests {
             };
             let caps: Vec<usize> = comm.allgather(local.len());
             let targets = perfect_targets(&caps); // [0, 0, 600]
-            find_splitters(comm, &local, &targets, 0)
+            find_splitters(comm, &local, &targets, 0, SplitterOptions::default())
         });
         for (res, _) in out {
             assert_eq!(res.splitters[0].realized, 0);
@@ -711,80 +648,12 @@ mod tests {
     #[test]
     fn globally_empty_input() {
         let out = run(&ClusterConfig::small_cluster(3), |comm| {
-            find_splitters::<u64>(comm, &[], &[0, 0], 0)
+            find_splitters::<u64>(comm, &[], &[0, 0], 0, SplitterOptions::default())
         });
         for (res, _) in out {
             assert!(res.splitters.is_empty());
             assert_eq!(res.iterations, 0);
             assert_eq!(res.probes, 0);
-        }
-    }
-
-    #[test]
-    fn initial_bounds_all_agree_on_results() {
-        let p = 4;
-        let n = 800;
-        let go = |init: InitialBounds| {
-            let out = run(&ClusterConfig::small_cluster(p), move |comm| {
-                let local = keys_for(comm.rank(), n, 1 << 30);
-                let caps: Vec<usize> = comm.allgather(local.len());
-                let opts = SplitterOptions {
-                    init,
-                    ..SplitterOptions::default()
-                };
-                find_splitters_cfg(comm, &local, &perfect_targets(&caps), 0, opts)
-            });
-            let res = &out[0].0;
-            (
-                res.iterations,
-                res.splitters.iter().map(|s| s.realized).collect::<Vec<_>>(),
-            )
-        };
-        let (it_minmax, r_minmax) = go(InitialBounds::DataMinMax);
-        let (it_domain, r_domain) = go(InitialBounds::FullDomain);
-        let (it_sampled, r_sampled) = go(InitialBounds::SampledQuantiles { per_rank: 8 });
-        // Realized boundaries (the partition) must be identical; only
-        // the number of iterations differs.
-        assert_eq!(r_minmax, r_domain);
-        assert_eq!(r_minmax, r_sampled);
-        // Keys live in [0, 2^30): the full u64 domain start must waste
-        // iterations locating the populated range.
-        assert!(
-            it_domain > it_minmax,
-            "domain {it_domain} vs minmax {it_minmax}"
-        );
-        // A sample only chooses round 1's probes: the bisection budget
-        // holds as for any other start.
-        assert!(it_sampled <= 64 + 2, "sampled {it_sampled}");
-    }
-
-    #[test]
-    fn sampled_quantile_start_is_correct_on_skew() {
-        // Zipf-like skew: most mass on tiny keys; regular samples
-        // guess round 1's probes badly.
-        let out = run(&ClusterConfig::small_cluster(4), |comm| {
-            let mut local: Vec<u64> = keys_for(comm.rank(), 500, 1 << 20)
-                .into_iter()
-                .map(|x| if x % 10 == 0 { x } else { x % 16 })
-                .collect();
-            local.sort_unstable();
-            let caps: Vec<usize> = comm.allgather(local.len());
-            let targets = perfect_targets(&caps);
-            let opts = SplitterOptions {
-                init: InitialBounds::SampledQuantiles { per_rank: 2 },
-                ..SplitterOptions::default()
-            };
-            let res = find_splitters_cfg(comm, &local, &targets, 0, opts);
-            (res, local)
-        });
-        let mut all: Vec<u64> = out.iter().flat_map(|((_, l), _)| l.clone()).collect();
-        all.sort_unstable();
-        for ((res, _), _) in &out {
-            for s in res.splitters.iter() {
-                assert_eq!(s.global_lower, all.partition_point(|&x| x < s.key) as u64);
-                assert_eq!(s.global_upper, all.partition_point(|&x| x <= s.key) as u64);
-                assert_eq!(s.realized, s.target);
-            }
         }
     }
 
@@ -797,7 +666,7 @@ mod tests {
         let out = run(&ClusterConfig::small_cluster(p), move |comm| {
             let local = keys_for(comm.rank(), n, modulus);
             let caps: Vec<usize> = comm.allgather(local.len());
-            find_splitters_cfg(comm, &local, &perfect_targets(&caps), 0, opts)
+            find_splitters(comm, &local, &perfect_targets(&caps), 0, opts)
         });
         out.into_iter().next().expect("p >= 1").0
     }
@@ -856,7 +725,7 @@ mod tests {
             let out = run(&ClusterConfig::small_cluster(4), move |comm| {
                 let local = keys_for(comm.rank(), 700, u64::MAX);
                 let caps: Vec<usize> = comm.allgather(local.len());
-                find_splitters_cfg(comm, &local, &perfect_targets(&caps), 0, opts)
+                find_splitters(comm, &local, &perfect_targets(&caps), 0, opts)
             });
             out.into_iter().next().expect("non-empty").0
         };
@@ -868,46 +737,12 @@ mod tests {
     }
 
     #[test]
-    fn multi_probe_sampled_start_still_correct() {
-        // The skew workload of the sampled-quantile test at m = 7:
-        // round 1 probes the sample, the grids take over from round 2.
-        let out = run(&ClusterConfig::small_cluster(4), |comm| {
-            let mut local: Vec<u64> = keys_for(comm.rank(), 500, 1 << 20)
-                .into_iter()
-                .map(|x| if x % 10 == 0 { x } else { x % 16 })
-                .collect();
-            local.sort_unstable();
-            let caps: Vec<usize> = comm.allgather(local.len());
-            let targets = perfect_targets(&caps);
-            let res = find_splitters_cfg(
-                comm,
-                &local,
-                &targets,
-                0,
-                SplitterOptions {
-                    init: InitialBounds::SampledQuantiles { per_rank: 2 },
-                    probes_per_round: 7,
-                    ..SplitterOptions::default()
-                },
-            );
-            (res, local)
-        });
-        let mut all: Vec<u64> = out.iter().flat_map(|((_, l), _)| l.clone()).collect();
-        all.sort_unstable();
-        for ((res, _), _) in &out {
-            for s in res.splitters.iter() {
-                assert_eq!(s.global_lower, all.partition_point(|&x| x < s.key) as u64);
-                assert_eq!(s.global_upper, all.partition_point(|&x| x <= s.key) as u64);
-                assert_eq!(s.realized, s.target);
-            }
-        }
-    }
-
-    #[test]
     fn target_helpers() {
         assert_eq!(perfect_targets(&[3, 4, 5]), vec![3, 7]);
         assert_eq!(perfect_targets(&[10]), Vec::<u64>::new());
         assert_eq!(balanced_targets(100, 4), vec![25, 50, 75]);
+        // ⌊N·i/P⌋: 2.5 → 2, 7.5 → 7.
+        assert_eq!(balanced_targets(10, 4), vec![2, 5, 7]);
         assert_eq!(slack_for(1000, 4, 0.0), 0);
         assert_eq!(slack_for(1000, 4, 0.08), 10);
     }

@@ -225,17 +225,17 @@ fn place(s: &Search, target: u64, k: usize, budget: u128, strict: bool, out: &mu
 
 impl<K: Key> RoundPlan<K> {
     /// The plan of round 1: every splitter starts in `bracket` with
-    /// counts `(0, n_total)`. A `seeds` ladder (ascending: a previous
-    /// search's accepted keys, or a one-shot sample) chooses round 1's
-    /// probes — `seeds[i]` for splitter `i` when it has one key per
-    /// target, the key at the target's quantile otherwise; without one
-    /// the placement rule's interpolation is the cold quantile guess.
+    /// counts `(0, n_total)`. A `warm` ladder (ascending: a previous
+    /// search's accepted keys) chooses round 1's probes — `warm[i]`
+    /// for splitter `i` when it has one key per target, the key at the
+    /// target's quantile otherwise; without one the placement rule's
+    /// interpolation is the cold quantile guess.
     /// Empty `targets` give the plan of globally empty input.
     pub(super) fn start<W: WarmLadder<K> + ?Sized>(
         bracket: (u128, u128),
         n_total: u64,
         targets: &[u64],
-        seeds: Option<&W>,
+        warm: Option<&W>,
         opts: SplitterOptions,
     ) -> Self {
         let open = Search {
@@ -257,7 +257,7 @@ impl<K: Key> RoundPlan<K> {
             settled: None,
             spare: Arc::default(),
         };
-        plan.lay_out(targets, seeds, opts);
+        plan.lay_out(targets, warm, opts);
         plan
     }
 
@@ -270,7 +270,7 @@ impl<K: Key> RoundPlan<K> {
     fn lay_out<W: WarmLadder<K> + ?Sized>(
         &mut self,
         targets: &[u64],
-        seeds: Option<&W>,
+        warm: Option<&W>,
         opts: SplitterOptions,
     ) {
         let Buffers {
@@ -288,7 +288,7 @@ impl<K: Key> RoundPlan<K> {
         if active.is_empty() {
             return;
         }
-        let (k, extra) = if opts.strict_paper_rule || seeds.is_some() {
+        let (k, extra) = if opts.strict_paper_rule || warm.is_some() {
             (1, 0)
         } else {
             let width = opts.probes_per_round.saturating_mul(search.len());
@@ -303,7 +303,7 @@ impl<K: Key> RoundPlan<K> {
         for (j, &i) in active.iter().enumerate() {
             let k = k + usize::from(j < extra);
             let (s, t) = (&search[i], targets[i]);
-            match seeds {
+            match warm {
                 Some(ladder) => {
                     // Round 1: `c_hi` is still the global key count.
                     let at = if ladder.len() == targets.len() {

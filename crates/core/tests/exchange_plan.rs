@@ -17,7 +17,7 @@
 use std::sync::Arc;
 
 use dhs_core::exchange::{exchange_data, plan_exchange, ExchangePlan};
-use dhs_core::splitter::{find_splitters_cfg, SplitterOptions};
+use dhs_core::splitter::{find_splitters, SplitterOptions};
 use dhs_core::{Key, SplitterInfo, SplitterResult};
 use dhs_runtime::{launch, run, AllToAllAlgo, ClusterConfig, Comm, TraceConfig, Work};
 use dhs_workloads::Distribution;
@@ -288,7 +288,7 @@ fn check<K: Key + std::fmt::Debug>(
             max_iterations: Some(1),
             ..SplitterOptions::default()
         };
-        let found = find_splitters_cfg(comm, &local, &targets, 0, opts);
+        let found = find_splitters(comm, &local, &targets, 0, opts);
         let at = format!("{cell}, one-round search, rank {} of {p}", comm.rank());
         assert_plan(comm, &local, &found, &at);
         found.degraded
@@ -469,7 +469,7 @@ fn distinct_keys_issue_no_scan() {
     let record = launch(&cfg, |comm| {
         let local: Vec<u64> = (0..500).map(|i| (i * p + comm.rank()) as u64).collect();
         let targets: Vec<u64> = (1..p as u64).map(|i| i * 500).collect();
-        let found = dhs_core::find_splitters(comm, &local, &targets, 0);
+        let found = find_splitters(comm, &local, &targets, 0, SplitterOptions::default());
         assert!(!found.splitters.iter().any(is_split));
         let (plan, _, issued) = measured(comm, || plan_exchange(comm, &local, &found));
         assert_eq!(issued, 0, "rank {}", comm.rank());

@@ -14,11 +14,9 @@
 
 #![warn(missing_docs)]
 pub mod distributed;
-pub mod floyd_rivest;
 pub mod sequential;
 pub mod weighted;
 
 pub use distributed::{dmedian, dselect, dselect_with_stats, SelectStats};
-pub use floyd_rivest::floyd_rivest_select;
 pub use sequential::{median, median_of_medians_select, partition3, quickselect};
 pub use weighted::{weighted_median, weighted_median_by_sort};

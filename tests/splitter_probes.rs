@@ -8,10 +8,10 @@
 use std::sync::Arc;
 
 use dhs::core::{
-    balanced_targets, find_splitters_cfg, find_splitters_seeded, perfect_targets, slack_for,
-    InitialBounds, SplitterOptions, SplitterResult,
+    balanced_targets, find_splitters, find_splitters_seeded, perfect_targets, slack_for,
+    SplitterOptions, SplitterResult,
 };
-use dhs::runtime::{run, ClusterConfig, RunnerEngine};
+use dhs::runtime::{launch, run, ClusterConfig, RunnerEngine, TraceConfig};
 use dhs::workloads::{rank_local_keys, Distribution, Layout};
 use proptest::prelude::*;
 
@@ -46,7 +46,7 @@ fn search(
         let targets = perfect_targets(&caps);
         let n_total: u64 = caps.iter().map(|&c| c as u64).sum();
         let slack = slack_for(n_total, p, epsilon);
-        find_splitters_cfg(comm, &local, &targets, slack, opts)
+        find_splitters(comm, &local, &targets, slack, opts)
     });
     out.into_iter().next().expect("p >= 1").0
 }
@@ -55,9 +55,6 @@ fn search(
 #[derive(Debug, Clone, Copy)]
 enum Start {
     MinMax,
-    Sampled {
-        per_rank: usize,
-    },
     /// A warm ladder of `p - 1 + extra` keys: one per target, or — as
     /// after a shrink — a different count, mapped by quantile.
     Warm {
@@ -134,8 +131,7 @@ fn place(o: Open, t: u64, k: usize, budget: u128) -> Vec<u64> {
 /// probes, the probes sorted by key form one ladder of true global
 /// counts, and every open splitter takes the first accepting entry
 /// inside its bracket or else the tightest bracket the entries prove.
-/// `first` gives round 1's probes where a ladder or a sample chose
-/// them.
+/// `first` gives round 1's probes where a warm ladder chose them.
 fn oracle(
     all: &[u64],
     targets: &[u64],
@@ -297,7 +293,6 @@ proptest! {
         m in prop_oneof![Just(1usize), Just(2), Just(3), Just(7)],
         start in prop_oneof![
             Just(Start::MinMax),
-            Just(Start::Sampled { per_rank: 2 }),
             Just(Start::Warm { extra: 0 }),
             Just(Start::Warm { extra: 3 }),
         ],
@@ -322,10 +317,6 @@ proptest! {
             _ => Vec::new(),
         };
         let opts = SplitterOptions {
-            init: match start {
-                Start::Sampled { per_rank } => InitialBounds::SampledQuantiles { per_rank },
-                _ => InitialBounds::DataMinMax,
-            },
             strict_paper_rule: strict,
             max_iterations: cap,
             probes_per_round: m,
@@ -357,17 +348,6 @@ proptest! {
             };
             let first = match start {
                 Start::MinMax => None,
-                Start::Sampled { per_rank } => {
-                    let mut pool: Vec<u64> = locals
-                        .iter()
-                        .filter(|l| !l.is_empty())
-                        .flat_map(|l| {
-                            (0..per_rank).map(|i| l[((i + 1) * l.len() / (per_rank + 1)).min(l.len() - 1)])
-                        })
-                        .collect();
-                    pool.sort_unstable();
-                    Some(seeded(&pool))
-                }
                 Start::Warm { .. } => Some(seeded(&warm)),
             };
             oracle(&all, &targets, slack, m * (p - 1), cap, first)
@@ -479,26 +459,61 @@ proptest! {
             "m={}: {} rounds exceeds the bisection budget", m, on.iterations
         );
     }
+}
 
-    /// A one-shot sample only chooses round 1's probes: the *final
-    /// partition* is the one every other start and width finds.
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+
+    /// The two public entry points are one search: a cold
+    /// `find_splitters` and `find_splitters_seeded` with an empty
+    /// ladder return the same splitters, rounds, probes and degraded
+    /// flag, leave the same virtual clock, counters and trace on every
+    /// rank, and neither marks a warm start.
     #[test]
-    fn sampled_starts_agree_on_boundaries(
-        p in 2usize..7,
-        n_per in 30usize..200,
+    fn cold_search_is_the_empty_ladder(
+        p in 2usize..9,
+        n_per in 0usize..150,
+        empty_mask in 0u32..512,
+        modulus in prop_oneof![Just(3u64), Just(1 << 30), Just(u64::MAX)],
         seed in 0u64..1_000_000,
+        strict in any::<bool>(),
+        m in prop_oneof![Just(1usize), Just(3)],
+        cap in prop_oneof![Just(None), Just(Some(2u32))],
     ) {
-        let realized = |m: usize| {
-            let res = search(p, n_per, 1 << 20, seed, 0.0, SplitterOptions {
-                init: InitialBounds::SampledQuantiles { per_rank: 2 },
-                probes_per_round: m,
-                ..SplitterOptions::default()
-            });
-            res.splitters.iter().map(|s| s.realized).collect::<Vec<_>>()
+        let opts = SplitterOptions {
+            strict_paper_rule: strict,
+            max_iterations: cap,
+            probes_per_round: m,
+            ..SplitterOptions::default()
         };
-        let base = realized(1);
-        prop_assert_eq!(realized(3), base.clone());
-        prop_assert_eq!(realized(7), base);
+        let traced = |seeded: bool| {
+            let cluster = ClusterConfig::small_cluster(p).with_trace(TraceConfig::On);
+            let record = launch(&cluster, move |comm| {
+                let n = if empty_mask >> comm.rank() & 1 == 1 { 0 } else { n_per };
+                let local = keys_for(comm.rank(), n, modulus, seed);
+                let caps: Vec<usize> = comm.allgather(local.len());
+                let targets = perfect_targets(&caps);
+                let res = if seeded {
+                    find_splitters_seeded(comm, &local, &targets, 0, opts, &Vec::new())
+                } else {
+                    find_splitters(comm, &local, &targets, 0, opts)
+                };
+                (res.splitters.to_vec(), res.iterations, res.probes, res.degraded)
+            })
+            .expect("an inert fault plan is valid");
+            let trace = record.trace.clone();
+            let out = record.into_result().expect("a fault-free search completes");
+            (out, trace)
+        };
+        let (cold, cold_trace) = traced(false);
+        let (seeded, seeded_trace) = traced(true);
+        prop_assert_eq!(&cold, &seeded);
+        for (rank, (c, s)) in cold_trace.ranks.iter().zip(&seeded_trace.ranks).enumerate() {
+            prop_assert_eq!(c.clock_ns, s.clock_ns, "rank {}", rank);
+            prop_assert_eq!(&c.spans, &s.spans, "rank {}", rank);
+            prop_assert_eq!(&c.events, &s.events, "rank {}", rank);
+            prop_assert!(s.spans.iter().all(|span| span.name != "warm_start"), "rank {}", rank);
+        }
     }
 }
 
@@ -513,7 +528,7 @@ fn splitters_are_shared_per_communicator() {
         let local = keys_for(comm.rank(), 200, 1 << 30, 11);
         let search = |c: &dhs::runtime::Comm| {
             let caps: Vec<usize> = c.allgather(local.len());
-            find_splitters_cfg(c, &local, &perfect_targets(&caps), 0, Default::default())
+            find_splitters(c, &local, &perfect_targets(&caps), 0, Default::default())
         };
         let flat = search(comm);
         let group = comm.rank() * groups / p;
@@ -576,7 +591,7 @@ proptest! {
                     perfect_targets(&caps)
                 };
                 let opts = SplitterOptions { max_iterations: cap, ..SplitterOptions::default() };
-                (find_splitters_cfg(comm, &local, &targets, 0, opts), local)
+                (find_splitters(comm, &local, &targets, 0, opts), local)
             });
             let mut all: Vec<u64> = out.iter().flat_map(|((_, l), _)| l.iter().copied()).collect();
             all.sort_unstable();
