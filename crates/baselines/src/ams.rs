@@ -6,13 +6,13 @@
 //! contiguously to the `k` groups by measured size, which caps the
 //! imbalance a bad sample can cause.
 
-use dhs_core::exchange::{group_of, group_range};
-use dhs_core::{Key, SortStats};
+use dhs_core::exchange::group_range;
+use dhs_core::{split_groups, Key, SortStats};
 use dhs_merge::MergeAlgo;
 use dhs_runtime::{AllToAllAlgo, Comm, Work};
 use dhs_workloads::SplitMix64;
 
-use crate::tail::{merge_received, regular_splitters, sort_local};
+use crate::tail::{merge_received, recurse_levels, regular_splitters, sort_local};
 
 /// Processor-group fan-out per level.
 const FAN_OUT: usize = 4;
@@ -29,25 +29,13 @@ const SEED: u64 = 0xA4A5;
 /// Sort the distributed vector with the AMS-style multi-level sample
 /// sort. Each level is one round of [`SortStats::iterations`].
 pub fn ams_sort<K: Key>(comm: &Comm, local: &mut Vec<K>) -> SortStats {
-    let mut stats = SortStats {
-        n_in: local.len(),
-        ..SortStats::default()
-    };
+    let mut stats = SortStats::default();
     sort_local(comm, local, &mut stats);
-
-    let mut owned: Option<Comm> = None;
     let mut level_seed = SEED;
-    loop {
-        let cur: &Comm = owned.as_ref().unwrap_or(comm);
-        if cur.size() == 1 {
-            break;
-        }
+    recurse_levels(comm, |cur| {
         level_seed = level_seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
-        match ams_level(cur, local, level_seed, &mut stats) {
-            Some(sub) => owned = Some(sub),
-            None => break,
-        }
-    }
+        ams_level(cur, local, level_seed, &mut stats)
+    });
     stats.n_out = local.len();
     stats
 }
@@ -139,10 +127,7 @@ fn ams_level<K: Key>(
         stats,
     );
 
-    let sp = cur.span("prepare");
-    let sub = cur.split(group_of(rank, p, k) as u64, rank as u64);
-    stats.prepare_ns += sp.finish();
-    Some(sub)
+    Some(split_groups(cur, k, stats))
 }
 
 #[cfg(test)]

@@ -30,10 +30,7 @@ pub fn bitonic_sort<K: Key>(comm: &Comm, local: &mut Vec<K>) -> SortStats {
         p.is_power_of_two(),
         "bitonic sort requires a power-of-two rank count, got {p}"
     );
-    let mut stats = SortStats {
-        n_in: local.len(),
-        ..SortStats::default()
-    };
+    let mut stats = SortStats::default();
     let sp = comm.span("prepare");
     let sizes: Vec<usize> = comm.allgather(local.len());
     stats.prepare_ns += sp.finish();

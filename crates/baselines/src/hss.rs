@@ -14,12 +14,12 @@
 use std::sync::Arc;
 
 use dhs_core::splitter::{SplitterInfo, SplitterResult};
-use dhs_core::{exchange, outcome_of, Key, SortStats};
+use dhs_core::{cut_route_merge, outcome_of, Key, LocalSort, SortStats};
 use dhs_merge::MergeAlgo;
 use dhs_runtime::{Comm, Work};
 use dhs_workloads::SplitMix64;
 
-use crate::tail::{exchange_segments, merge_received, sort_local};
+use crate::tail::sort_local;
 
 /// Sampling budget per rank per round, spread over the unresolved
 /// splitters, so the global per-round sample is `O(P·budget)`: the
@@ -57,10 +57,7 @@ pub fn hss_sort<K: Key>(comm: &Comm, local: &mut Vec<K>) -> SortStats {
 
 /// [`hss_sort`] with its round cap as an argument.
 fn hss_sort_capped<K: Key>(comm: &Comm, local: &mut Vec<K>, max_rounds: u32) -> SortStats {
-    let mut stats = SortStats {
-        n_in: local.len(),
-        ..SortStats::default()
-    };
+    let mut stats = SortStats::default();
     let p = comm.size();
     sort_local(comm, local, &mut stats);
 
@@ -82,18 +79,13 @@ fn hss_sort_capped<K: Key>(comm: &Comm, local: &mut Vec<K>, max_rounds: u32) -> 
     stats.outcome = outcome_of(&result, n_total, p);
     stats.histogram_ns += sp.finish();
 
-    // Exchange + merge reuse the core machinery (Algorithm 4 handles
-    // the equal-key boundary refinement for both algorithms).
-    let sp = comm.span("prepare");
-    let plan = exchange::plan_exchange(comm, local, &result);
-    stats.prepare_ns += sp.finish();
-    let received = exchange_segments(comm, local, &plan, &mut stats);
-
-    *local = merge_received(
+    // Algorithm 4 refines equal-key boundaries for both algorithms.
+    cut_route_merge(
         comm,
-        received,
-        std::mem::take(local),
+        local,
+        &result,
         MergeAlgo::Resort,
+        LocalSort::Comparison,
         &mut stats,
     );
     stats.n_out = local.len();

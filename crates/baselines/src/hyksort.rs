@@ -7,14 +7,17 @@
 //! split** — data moves `log_k(P)` times and every level pays an
 //! `MPI_Comm_split` (linear in the group size, blocking), which is
 //! exactly the overhead the paper's single-exchange design avoids.
+//! A level is the histogram sort's group step: a `k`-way search, then
+//! [`dhs_core::cut_route_merge`] and [`dhs_core::split_groups`], the
+//! same step level 1 of [`dhs_core::histogram_sort_two_level`] takes.
 
-use dhs_core::exchange::{group_of, group_range, plan_exchange};
+use dhs_core::exchange::group_range;
 use dhs_core::splitter::{find_splitters, SplitterOptions};
-use dhs_core::{Key, SortStats};
+use dhs_core::{cut_route_merge, split_groups, Key, LocalSort, SortStats};
 use dhs_merge::MergeAlgo;
 use dhs_runtime::Comm;
 
-use crate::tail::{exchange_segments, merge_received, sort_local};
+use crate::tail::{recurse_levels, sort_local};
 
 /// Fan-out per level (`k = 2` degenerates to hypercube quicksort).
 const FAN_OUT: usize = 4;
@@ -22,34 +25,17 @@ const FAN_OUT: usize = 4;
 /// Sort the distributed vector with hypercube k-way quicksort. Each
 /// level is one round of [`SortStats::iterations`].
 pub fn hyksort<K: Key>(comm: &Comm, local: &mut Vec<K>) -> SortStats {
-    let mut stats = SortStats {
-        n_in: local.len(),
-        ..SortStats::default()
-    };
+    let mut stats = SortStats::default();
     sort_local(comm, local, &mut stats);
-
-    // Recursion: `level` borrows either the root comm or an owned
-    // sub-communicator.
-    let mut owned: Option<Comm> = None;
-    loop {
-        let cur: &Comm = owned.as_ref().unwrap_or(comm);
-        if cur.size() == 1 {
-            break;
-        }
-        match hyksort_level(cur, local, &mut stats) {
-            Some(sub) => owned = Some(sub),
-            None => break, // globally empty
-        }
-    }
+    recurse_levels(comm, |cur| hyksort_level(cur, local, &mut stats));
     stats.n_out = local.len();
     stats
 }
 
-/// One level: split the current group into k subgroups, exchange keys
+/// One level: split the current group into k subgroups, route keys
 /// into their subgroup, and return this rank's sub-communicator.
 fn hyksort_level<K: Key>(cur: &Comm, local: &mut Vec<K>, stats: &mut SortStats) -> Option<Comm> {
     let p = cur.size();
-    let rank = cur.rank();
     let k = FAN_OUT.min(p);
     stats.iterations += 1;
 
@@ -75,21 +61,15 @@ fn hyksort_level<K: Key>(cur: &Comm, local: &mut Vec<K>, stats: &mut SortStats) 
     stats.probes += found.probes;
     stats.histogram_ns += sp.finish();
 
-    // The k-way Algorithm 4 cut; segment g goes to one member of
-    // `group_range(g, p, k)`.
-    let sp = cur.span("prepare");
-    let plan = plan_exchange(cur, local, &found);
-    stats.prepare_ns += sp.finish();
-    let received = exchange_segments(cur, local, &plan, stats);
-
-    *local = merge_received(cur, received, std::mem::take(local), MergeAlgo::KWay, stats);
-
-    // The communicator split the paper calls out as a blocking,
-    // linear-cost collective at every level.
-    let sp = cur.span("prepare");
-    let sub = cur.split(group_of(rank, p, k) as u64, rank as u64);
-    stats.prepare_ns += sp.finish();
-    Some(sub)
+    cut_route_merge(
+        cur,
+        local,
+        &found,
+        MergeAlgo::KWay,
+        LocalSort::Comparison,
+        stats,
+    );
+    Some(split_groups(cur, k, stats))
 }
 
 #[cfg(test)]

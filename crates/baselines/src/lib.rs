@@ -16,11 +16,10 @@
 //!
 //! Each is its own choice of splitters on one shared tail: the charged
 //! local sort, the regular pick from a gathered sample, the Algorithm 4
-//! cut (`dhs_core::exchange::plan_exchange`, for HSS and every HykSort
-//! level) or the upper-bound cut (sample sort, PSRS), one exchange of
-//! borrowed segments, and the charged merge of the received runs. Their
-//! parameters (sample sizes, fan-outs, seeds, merge pricing) are
-//! module constants.
+//! cut with its exchange and merge (`dhs_core::cut_route_merge`, for HSS
+//! and every HykSort level) or the upper-bound cut (sample sort, PSRS),
+//! and the level loop of HykSort and AMS. Their parameters (sample
+//! sizes, fan-outs, seeds, merge pricing) are module constants.
 //!
 //! Every sorter returns [`dhs_core::SortStats`] and spans its work under
 //! the histogram sort's five phase names — `local_sort`, `histogram`

@@ -13,7 +13,6 @@ use crate::tail::{merge_received, regular_splitters, sort_local, upper_bound_exc
 pub fn psrs<K: Key>(comm: &Comm, local: &mut Vec<K>) -> SortStats {
     let mut stats = SortStats {
         iterations: 1,
-        n_in: local.len(),
         ..SortStats::default()
     };
     let p = comm.size();

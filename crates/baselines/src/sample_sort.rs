@@ -23,7 +23,6 @@ const SEED: u64 = 0xDA5A;
 pub fn sample_sort<K: Key>(comm: &Comm, local: &mut Vec<K>) -> SortStats {
     let mut stats = SortStats {
         iterations: 1,
-        n_in: local.len(),
         ..SortStats::default()
     };
 

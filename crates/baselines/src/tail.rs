@@ -1,8 +1,9 @@
 //! The steps the splitter-based baselines share, written once: the
 //! charged local sort, the regular pick of splitters from a gathered
-//! sample, the upper-bound cut with its borrowed-segment exchange, and
-//! the charged merge of the received runs. What is left in each
-//! baseline's module is how it chooses its splitters.
+//! sample, the upper-bound cut with its borrowed-segment exchange, the
+//! charged merge of the received runs, and the level loop of HykSort
+//! and AMS. What is left in each baseline's module is how it chooses
+//! its splitters.
 //!
 //! Each step opens the histogram sort's span for its phase and adds the
 //! span's virtual time to that phase of the [`SortStats`].
@@ -16,8 +17,9 @@ fn elem_bytes<K>() -> u64 {
     std::mem::size_of::<K>() as u64
 }
 
-/// Sort the local block, charged as one comparison sort.
+/// Sort the local block, charged as one comparison sort; sets `n_in`.
 pub(crate) fn sort_local<K: Key>(comm: &Comm, local: &mut [K], stats: &mut SortStats) {
+    stats.n_in = local.len();
     let sp = comm.span("local_sort");
     local.sort_unstable();
     comm.charge(Work::SortElems {
@@ -73,18 +75,8 @@ pub(crate) fn upper_bound_exchange<K: Key>(
         cuts,
         scanned: Vec::new(),
     };
-    exchange_segments(comm, sorted_local, &plan, stats)
-}
-
-/// Send the plan's segments, borrowed, under the one-factor schedule.
-pub(crate) fn exchange_segments<K: Key>(
-    comm: &Comm,
-    sorted_local: &[K],
-    plan: &ExchangePlan,
-    stats: &mut SortStats,
-) -> RecvRuns<K> {
     let sp = comm.span("exchange");
-    let received = exchange_data(comm, sorted_local, plan, AllToAllAlgo::OneFactor);
+    let received = exchange_data(comm, sorted_local, &plan, AllToAllAlgo::OneFactor);
     stats.exchange_ns += sp.finish();
     received
 }
@@ -105,4 +97,14 @@ pub(crate) fn merge_received<K: Key>(
     let merged = dhs_core::merge_received(comm, received, scratch, merge, LocalSort::Comparison);
     stats.merge_ns += sp.finish();
     merged
+}
+
+/// Run `level` on ever smaller communicators until one has a single
+/// rank: it sorts one level and returns this rank's group, or `None`
+/// when the communicator holds no key.
+pub(crate) fn recurse_levels(comm: &Comm, mut level: impl FnMut(&Comm) -> Option<Comm>) {
+    let mut next = (comm.size() > 1).then(|| level(comm)).flatten();
+    while let Some(cur) = next.filter(|c| c.size() > 1) {
+        next = level(&cur);
+    }
 }

@@ -14,9 +14,9 @@
 //! the scan is skipped — then the payload moves in a single
 //! `ALL-TO-ALLV`. With `s = P − 1` segment `d` goes to rank `d`; with
 //! fewer splitters it goes to one member of the `d`-th of `s + 1`
-//! contiguous rank groups. The flat sort, level 1 of the two-level
-//! sort, HSS and HykSort cut with [`plan_exchange`]; sample sort and
-//! PSRS send their upper-bound cuts through the same [`exchange_data`].
+//! contiguous rank groups. The flat sort and [`crate::cut_route_merge`]
+//! cut with [`plan_exchange`]; sample sort and PSRS send their
+//! upper-bound cuts through the same [`exchange_data`].
 
 pub use dhs_runtime::{group_of, group_range};
 use dhs_runtime::{AllToAllAlgo, Comm, CutBlock, RecvRuns, Work};
@@ -74,9 +74,9 @@ pub fn plan_exchange_with<K: Key>(
 ///
 /// Both vectors come out of the rank's buffer pool — on the histogram
 /// sort's path the cuts take the allocation the splitter search's
-/// histogram leaves there — and [`crate::histogram_sort`] hands them
-/// back once the exchange has returned, so that no buffer idles in the
-/// pool while the exchange takes its receive counts from it.
+/// histogram leaves there — and both callers hand them back once the
+/// exchange has returned, so that no buffer idles in the pool while the
+/// exchange takes its receive counts from it.
 pub fn plan_exchange<K: Key>(
     comm: &Comm,
     sorted_local: &[K],

@@ -12,7 +12,8 @@
 //! every entry point (plain keys, records via [`histogram_sort_by`],
 //! [`histogram_sort_two_level`]'s level 2 and the warm-started
 //! [`EpochSorter`] service), with shrink-and-recover as a retry loop
-//! around phases 2–4:
+//! around phases 2–4 (and [`cut_route_merge`], the group step of
+//! two-level's level 1, HSS and HykSort, beside it):
 //!
 //! 1. **Local sort** — the configured [`LocalSort`] engine (a stable
 //!    sort by key for records);
@@ -45,7 +46,6 @@ pub mod api;
 pub mod exchange;
 mod kernels;
 pub mod key;
-pub mod multilevel;
 pub mod service;
 pub mod sort;
 pub mod splitter;
@@ -56,11 +56,11 @@ pub use api::{
 };
 pub use kernels::{KernelPolicy, Kernels};
 pub use key::{make_unique, strip_unique, Key, OrderedF32, OrderedF64, UniqueKey};
-pub use multilevel::histogram_sort_two_level;
 pub use service::{EpochSorter, EpochStats};
 pub use sort::{
-    histogram_sort, histogram_sort_by, merge_received, outcome_of, InvalidSortConfig, LocalSort,
-    Partitioning, RecoveryPolicy, SortConfig, SortOutcome, SortStats, WarmStart,
+    cut_route_merge, histogram_sort, histogram_sort_by, histogram_sort_two_level, merge_received,
+    outcome_of, split_groups, InvalidSortConfig, LocalSort, Partitioning, RecoveryPolicy,
+    SortConfig, SortOutcome, SortStats, WarmStart,
 };
 pub use splitter::{
     balanced_targets, find_splitters, find_splitters_seeded, perfect_targets, slack_for,

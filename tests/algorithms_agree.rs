@@ -79,7 +79,8 @@ fn agree_on_non_power_of_two_ranks() {
 /// under the histogram sort's five phase names only, its `SortStats`
 /// phases equal those spans' totals, and on every rank they sum to the
 /// virtual time of the call: the invariant the flat pipeline
-/// debug-asserts.
+/// debug-asserts. The two-level sort merges once per level, and books
+/// both merges as `merge`.
 #[test]
 fn phases_cover_the_virtual_time_of_every_sorter() {
     const PHASES: [&str; 5] = ["local_sort", "histogram", "prepare", "exchange", "merge"];
@@ -116,6 +117,14 @@ fn phases_cover_the_virtual_time_of_every_sorter() {
                 assert_eq!(stat, *ns, "{algo:?} rank {rank} {name}");
             }
             assert!(stats.iterations > 0, "{algo:?} reports its rounds");
+            if algo.is_none() {
+                let spans = &trace.ranks[rank].spans;
+                let merges = spans
+                    .iter()
+                    .filter(|s| s.depth == 0 && s.name == "merge")
+                    .count();
+                assert_eq!(merges, 2, "two-level rank {rank}: one merge per level");
+            }
         }
     }
 }
