@@ -6,7 +6,10 @@
 //! the per-rank loop in the parent module reads the plan's public
 //! fields and can reach neither the placement rule nor Algorithm 2.
 
+use std::mem;
 use std::sync::{Arc, Mutex};
+
+use dhs_runtime::{CostModel, LinkClass, Work};
 
 use super::{SplitterInfo, SplitterOptions, WarmLadder};
 use crate::key::Key;
@@ -124,6 +127,39 @@ pub(super) struct Buffers {
     ladder: Vec<usize>,
 }
 
+/// What the owner finish is priced on: the communicator's machine and
+/// the largest local input, fixed for the whole search.
+#[derive(Clone)]
+pub(super) struct Machine {
+    pub(super) cost: CostModel,
+    /// The communicator's worst link: every collective's class.
+    pub(super) link: LinkClass,
+    pub(super) ranks: usize,
+    /// The most keys any rank holds.
+    pub(super) n_max: u64,
+}
+
+/// The owner finish's price (see the parent module's "Finishing at the
+/// owners"): a bound on every rank's clock from the reduction's end to
+/// the shared result, for `overlap` open brackets at most over any one
+/// key and `max_keys` keys at most in any open bracket.
+fn finish_price<K>(m: &Machine, overlap: u64, max_keys: u64) -> u64 {
+    let key_bytes = mem::size_of::<K>() as u64;
+    let sent = key_bytes.saturating_mul(m.n_max).saturating_mul(overlap);
+    let tuple_bytes = mem::size_of::<(K, u64, u64)>() as u64;
+    m.cost.work_ns(Work::MoveBytes(sent))
+        + m.cost.alltoallv_bruck_rank_ns(m.link, m.ranks, sent)
+        + m.cost.work_ns(select_work(max_keys))
+        + m.cost.allgather_ns(m.link, m.ranks, tuple_bytes)
+}
+
+/// The owner's charge for settling a bracket of `keys` keys: a linear
+/// selection (2 compares a key, as `dselect`'s) and one pass that
+/// counts the keys below and equal to the one selected.
+pub(super) fn select_work(keys: u64) -> Work {
+    Work::Compares(3 * keys)
+}
+
 /// Everything about a histogramming round that is a pure function of
 /// replicated data, built **once per round for the whole
 /// communicator**. Ranks only read it.
@@ -131,6 +167,12 @@ pub(super) struct RoundPlan<K> {
     pub(super) bufs: Buffers,
     /// `hi − lo` of round 1's bracket: the bisection budget's `W₀ − 1`.
     span0: u128,
+    /// Where the owner finish is priced; `None` keeps the rule off.
+    machine: Option<Machine>,
+    /// The rule took the owner finish after this plan's reduction: the
+    /// open splitters settle at their owners instead of in the round
+    /// laid out.
+    pub(super) finish: bool,
     /// Rounds reduced so far (each = one `ALLREDUCE`).
     pub(super) rounds: u32,
     /// Probes histogrammed over those rounds.
@@ -230,14 +272,19 @@ impl<K: Key> RoundPlan<K> {
     /// for splitter `i` when it has one key per target, the key at the
     /// target's quantile otherwise; without one the placement rule's
     /// interpolation is the cold quantile guess.
-    /// Empty `targets` give the plan of globally empty input.
+    /// Empty `targets` give the plan of globally empty input. Without a
+    /// `machine`, or under the paper's literal rule, the search never
+    /// finishes at the owners.
     pub(super) fn start<W: WarmLadder<K> + ?Sized>(
         bracket: (u128, u128),
         n_total: u64,
         targets: &[u64],
         warm: Option<&W>,
         opts: SplitterOptions,
+        machine: Option<Machine>,
     ) -> Self {
+        // One owner per open splitter: rank `i` settles splitter `i`.
+        let machine = machine.filter(|m| !opts.strict_paper_rule && targets.len() < m.ranks);
         let open = Search {
             lo: bracket.0,
             hi: bracket.1,
@@ -251,6 +298,8 @@ impl<K: Key> RoundPlan<K> {
                 ..Buffers::default()
             },
             span0: bracket.1 - bracket.0,
+            machine,
+            finish: false,
             rounds: 0,
             probes_total: 0,
             degraded: false,
@@ -427,6 +476,8 @@ impl<K: Key> RoundPlan<K> {
         let mut next = Self {
             bufs,
             span0: self.span0,
+            machine: self.machine.clone(),
+            finish: false,
             rounds,
             probes_total: self.probes_total + grid.probes.len() as u64,
             degraded,
@@ -435,19 +486,83 @@ impl<K: Key> RoundPlan<K> {
         };
         next.lay_out(targets, None::<&[K]>, opts);
         if next.bufs.active.is_empty() {
-            let settled = next.bufs.search.iter().zip(targets).map(|(s, &target)| {
-                let (bits, realized, lower, upper) = s.done.expect("no open splitter left");
+            next.settled = Some(next.result(targets, |_| unreachable!("no open splitter left")));
+        } else {
+            next.finish = next.finish_is_cheaper();
+        }
+        next
+    }
+
+    /// Algorithm 1's cutoff, made k-way: whether settling the open
+    /// splitters at their owners now is priced strictly below the
+    /// allreduce of the round just laid out. The finish histograms
+    /// nothing, so its price is all the rule weighs against the round.
+    fn finish_is_cheaper(&self) -> bool {
+        let Some(m) = &self.machine else {
+            return false;
+        };
+        let Buffers { search, active, .. } = &self.bufs;
+        // Open brackets ascend in both ends (a probe too low for one
+        // target is too low for every smaller one, and every open
+        // splitter has seen every probe), so the ones holding the
+        // bracket `j` opens with are those before it that reach it.
+        let mut overlap = 0;
+        let mut first = 0;
+        for (j, &i) in active.iter().enumerate() {
+            while search[active[first]].hi < search[i].lo {
+                first += 1;
+            }
+            overlap = overlap.max(j + 1 - first);
+        }
+        debug_assert!(active.windows(2).all(|w| {
+            let (a, b) = (&search[w[0]], &search[w[1]]);
+            a.lo <= b.lo && a.hi <= b.hi
+        }));
+        let max_keys = active
+            .iter()
+            .map(|&i| search[i].c_hi - search[i].c_lo)
+            .max()
+            .unwrap_or(0);
+        let histogram_bytes = mem::size_of::<[u64; 2]>() * self.bufs.probes.len();
+        let round = m.cost.allreduce_ns(m.link, m.ranks, histogram_bytes as u64);
+        finish_price::<K>(m, overlap as u64, max_keys) < round
+    }
+
+    /// `(c_lo, c_hi)` of splitter `i` while it is open: the global keys
+    /// below and up to its bracket.
+    pub(super) fn open_counts(&self, i: usize) -> Option<(u64, u64)> {
+        let s = self.bufs.search.get(i)?;
+        s.done.is_none().then_some((s.c_lo, s.c_hi))
+    }
+
+    /// The `P − 1` splitters: the settled ones as they settled, each
+    /// open splitter `i` at `(key, L, U) = open(i)`.
+    pub(super) fn result(
+        &self,
+        targets: &[u64],
+        open: impl Fn(usize) -> (K, u64, u64),
+    ) -> Arc<[SplitterInfo<K>]> {
+        let infos = self.bufs.search.iter().zip(targets).enumerate();
+        infos
+            .map(|(i, (s, &target))| {
+                let (key, realized, lower, upper) = match s.done {
+                    Some((bits, realized, lower, upper)) => {
+                        (K::from_bits(bits), realized, lower, upper)
+                    }
+                    None => {
+                        let (key, lower, upper) = open(i);
+                        (key, target.clamp(lower, upper), lower, upper)
+                    }
+                };
                 SplitterInfo {
-                    key: K::from_bits(bits),
+                    key,
                     target,
                     realized,
                     global_lower: lower,
                     global_upper: upper,
                 }
-            });
-            next.settled = Some(settled.collect());
-        }
-        next
+            })
+            .collect()
     }
 }
 
@@ -469,7 +584,8 @@ mod tests {
         mut each_round: impl FnMut(&RoundPlan<u64>),
     ) -> RoundPlan<u64> {
         let data = (u128::from(all[0]), u128::from(all[all.len() - 1]));
-        let mut plan = RoundPlan::start(data, all.len() as u64, targets, None::<&[u64]>, opts);
+        let mut plan =
+            RoundPlan::start(data, all.len() as u64, targets, None::<&[u64]>, opts, None);
         while plan.settled.is_none() {
             let global: Vec<u64> = plan
                 .bufs

@@ -385,6 +385,12 @@ impl Comm {
         &self.state.world.cost
     }
 
+    /// The most expensive link class among this communicator's
+    /// members: the class its collectives are priced at.
+    pub fn worst_link(&self) -> LinkClass {
+        self.state.worst_link
+    }
+
     /// Scratch-buffer pool owned by this rank's handle. Algorithms use
     /// it to recycle per-round vectors (histogram counts, exchange
     /// staging) instead of reallocating every refinement round.

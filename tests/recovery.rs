@@ -6,7 +6,7 @@
 //! survivors' inputs.
 
 use dhs_core::{histogram_sort, histogram_sort_by, RecoveryPolicy, SortConfig, SortOutcome};
-use dhs_runtime::{launch, run, ClusterConfig, FaultPlan, RankError};
+use dhs_runtime::{launch, run, ClusterConfig, FaultPlan, RankError, TraceConfig};
 use proptest::prelude::*;
 
 fn keys_for(rank: usize, n: usize, modulus: u64) -> Vec<u64> {
@@ -343,6 +343,88 @@ fn shrink_recovers_record_sort_from_crash_inside_exchange() {
         .collect();
     expect.sort_by_key(|r| r.0);
     assert_eq!(got, expect);
+}
+
+/// A crash inside the splitter search's owner finish (p = 256, 16 keys
+/// per rank: the search settles its open splitters at their owners
+/// after round 1), at the two instants read off a fault-free trace: the
+/// victim (an owner) dies entering the finish's all-to-all, or leaving
+/// it for its selection and the allgather, while its peers wait in that
+/// collective. Without
+/// recovery the run fails with that crash as its one typed root cause;
+/// with `Shrink` the survivors return their inputs' sorted union.
+#[test]
+fn crash_inside_the_owner_finish_is_typed_and_recovered() {
+    let (p, n, victim) = (256, 16, 7);
+    let go = |fault: FaultPlan, recovery: RecoveryPolicy| {
+        let cluster = ClusterConfig::supermuc_phase2(p)
+            .with_fault(fault)
+            .with_trace(TraceConfig::On);
+        let sort_cfg = SortConfig {
+            recovery,
+            ..SortConfig::default()
+        };
+        launch(&cluster, move |comm| {
+            let mut local = keys_for(comm.rank(), n, u64::MAX);
+            let stats = histogram_sort(comm, &mut local, &sort_cfg);
+            (local, stats)
+        })
+        .expect("a valid fault plan")
+    };
+    let clean = go(FaultPlan::default(), RecoveryPolicy::Abort);
+    let spans = &clean.trace.ranks[victim].spans;
+    let finish = spans
+        .iter()
+        .find(|s| s.name == "owner_finish")
+        .expect("the search finishes at the owners");
+    let inside = |name: &str| {
+        spans
+            .iter()
+            .find(|s| s.name == name && s.start_ns >= finish.start_ns && s.end_ns <= finish.end_ns)
+            .unwrap_or_else(|| panic!("the finish runs an {name}"))
+    };
+    let exchange = inside("alltoallv");
+    assert!(inside("allgatherv").start_ns >= exchange.end_ns);
+    let mut expect: Vec<u64> = (0..p)
+        .filter(|&r| r != victim)
+        .flat_map(|r| keys_for(r, n, u64::MAX))
+        .collect();
+    expect.sort_unstable();
+
+    for at_ns in [finish.start_ns, exchange.end_ns] {
+        let fault = FaultPlan::default().with_crash(victim, at_ns);
+        let err = go(fault.clone(), RecoveryPolicy::Abort)
+            .into_result()
+            .expect_err("the crash fails an unrecovered run");
+        let roots: Vec<&RankError> = err.root_causes().collect();
+        assert_eq!(
+            roots,
+            [&RankError::Crashed {
+                rank: victim,
+                at_ns
+            }],
+            "crash at {at_ns} ns"
+        );
+
+        let out = go(fault, RecoveryPolicy::Shrink);
+        assert!(out.ranks[victim].is_err(), "the victim must die");
+        let mut got = Vec::new();
+        for (rank, res) in out.ranks.iter().enumerate().filter(|&(r, _)| r != victim) {
+            let ((local, stats), _) = res
+                .as_ref()
+                .unwrap_or_else(|e| panic!("survivor {rank} failed: {e}"));
+            assert!(
+                stats.outcome.is_recovered(),
+                "survivor {rank}: {:?}",
+                stats.outcome
+            );
+            got.extend_from_slice(local);
+        }
+        assert_eq!(
+            got, expect,
+            "crash at {at_ns} ns: the survivors' sorted union"
+        );
+    }
 }
 
 proptest! {

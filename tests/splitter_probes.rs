@@ -1,9 +1,10 @@
 //! The splitter-search contract (property-based): for any data, any
 //! rank count, any slack and any round width the distributed search
 //! must return exactly what a single process refining over the
-//! concatenated data computes — the ladder search by default, §V-A's
-//! literal bisection under `strict_paper_rule` — and the partition it
-//! finds must not depend on how wide the rounds were.
+//! concatenated data computes — the ladder search by default, ending
+//! at the owners where the priced rule says so, and §V-A's literal
+//! bisection under `strict_paper_rule` — and the partition it finds
+//! must not depend on how wide the rounds were.
 
 use std::sync::Arc;
 
@@ -11,7 +12,9 @@ use dhs::core::{
     balanced_targets, find_splitters, find_splitters_seeded, perfect_targets, slack_for,
     SplitterOptions, SplitterResult,
 };
-use dhs::runtime::{launch, run, ClusterConfig, RunnerEngine, TraceConfig};
+use dhs::runtime::{
+    launch, log2_ceil, run, ClusterConfig, CostModel, LinkClass, RunnerEngine, TraceConfig, Work,
+};
 use dhs::workloads::{rank_local_keys, Distribution, Layout};
 use proptest::prelude::*;
 
@@ -126,12 +129,69 @@ fn place(o: Open, t: u64, k: usize, budget: u128) -> Vec<u64> {
     grid.into_iter().map(|x| o.lo + x as u64).collect()
 }
 
+/// What the owner finish is priced on: the cluster's cost model at its
+/// worst link, its rank count, and the largest local input.
+struct Machine {
+    cost: CostModel,
+    link: LinkClass,
+    p: usize,
+    n_max: u64,
+}
+
+/// The two prices the rule compared when it took the owner finish.
+#[derive(Debug, Clone, Copy)]
+struct Finish {
+    /// The finish's: a bound on every rank's clock across it.
+    price: u64,
+    /// The allreduce of the round it replaced.
+    round: u64,
+}
+
+impl Machine {
+    fn of(cluster: &ClusterConfig, locals: &[Vec<u64>]) -> Self {
+        let p = cluster.ranks();
+        Self {
+            cost: cluster.cost.clone(),
+            link: cluster.topology.worst_link(&(0..p).collect::<Vec<_>>()),
+            p,
+            n_max: locals.iter().map(|l| l.len() as u64).max().unwrap_or(0),
+        }
+    }
+
+    /// The rule, restated: with `open` brackets left and `probes` laid
+    /// out for the next round, finish at the owners when the finish is
+    /// priced strictly below that round's allreduce. The finish ships
+    /// every rank's keys inside each open bracket (at most `n_max` keys
+    /// times the most brackets over one key) in a Bruck all-to-all,
+    /// selects linearly at the owner (3 compares a key) and allgathers
+    /// one 24-byte `(key, L, U)`.
+    fn finish(&self, open: &[Open], probes: usize) -> Option<Finish> {
+        let overlap = open
+            .iter()
+            .map(|b| open.iter().filter(|o| o.lo <= b.lo && b.lo <= o.hi).count())
+            .max()? as u64;
+        let max_keys = open.iter().map(|o| o.c_hi - o.c_lo).max()?;
+        let (cost, link, p) = (&self.cost, self.link, self.p);
+        let sent = 8 * self.n_max * overlap;
+        let price = cost.work_ns(Work::MoveBytes(sent))
+            + cost.alltoallv_bruck_rank_ns(link, p, sent)
+            + cost.work_ns(Work::Compares(3 * max_keys))
+            + cost.allgather_ns(link, p, 24);
+        let round = cost.allreduce_ns(link, p, 16 * probes as u64);
+        (price < round).then_some(Finish { price, round })
+    }
+}
+
 /// Single-process restatement of the ladder search over the sorted
 /// concatenation `all`: every round the open splitters share `width`
 /// probes, the probes sorted by key form one ladder of true global
 /// counts, and every open splitter takes the first accepting entry
 /// inside its bracket or else the tightest bracket the entries prove.
-/// `first` gives round 1's probes where a warm ladder chose them.
+/// `first` gives round 1's probes where a warm ladder chose them. From
+/// round 2 on, where `machine` prices the owner finish below the
+/// round, the search ends instead: each open splitter settles by exact
+/// selection, at the key of global rank `target` (the largest key for a
+/// target of `N`), as one more round.
 fn oracle(
     all: &[u64],
     targets: &[u64],
@@ -139,7 +199,8 @@ fn oracle(
     width: usize,
     cap: Option<u32>,
     first: Option<Vec<u64>>,
-) -> Oracle {
+    machine: &Machine,
+) -> (Oracle, Option<Finish>) {
     let (min, max) = (all[0], all[all.len() - 1]);
     let span0 = u128::from(max - min);
     let mut open: Vec<Option<Open>> = vec![
@@ -153,6 +214,7 @@ fn oracle(
     ];
     let mut done: Vec<Option<(u64, u64, u64, u64)>> = vec![None; targets.len()];
     let (mut rounds, mut probes, mut degraded) = (0u32, 0u64, false);
+    let mut finish = None;
     while open.iter().any(Option::is_some) {
         let n_open = open.iter().flatten().count();
         let budget = span0.checked_shr(rounds).unwrap_or(0) + 1;
@@ -174,6 +236,22 @@ fn oracle(
                 let (l, u) = counts(all, key);
                 ladder.push((key, ladder.len(), l, u));
             }
+        }
+        let brackets: Vec<Open> = open.iter().flatten().copied().collect();
+        if let Some(took) = machine
+            .finish(&brackets, ladder.len())
+            .filter(|_| rounds > 0)
+        {
+            for (i, o) in open.iter_mut().enumerate() {
+                if o.take().is_some() {
+                    let key = all[(targets[i] as usize).min(all.len() - 1)];
+                    let (l, u) = counts(all, key);
+                    done[i] = Some((key, targets[i].clamp(l, u), l, u));
+                }
+            }
+            rounds += 1;
+            finish = Some(took);
+            break;
         }
         rounds += 1;
         probes += ladder.len() as u64;
@@ -218,7 +296,7 @@ fn oracle(
         }
     }
     let done = done.into_iter().map(|s| s.expect("settled")).collect();
-    (done, rounds, probes, degraded)
+    ((done, rounds, probes, degraded), finish)
 }
 
 /// Single-process restatement of Algorithms 2/3 as printed: every
@@ -350,7 +428,8 @@ proptest! {
                 Start::MinMax => None,
                 Start::Warm { .. } => Some(seeded(&warm)),
             };
-            oracle(&all, &targets, slack, m * (p - 1), cap, first)
+            let machine = Machine::of(&ClusterConfig::small_cluster(p), &locals);
+            oracle(&all, &targets, slack, m * (p - 1), cap, first, &machine).0
         };
 
         for workers in [p, 0, 1] {
@@ -635,6 +714,172 @@ proptest! {
                 }
             }
             prop_assert_eq!(capped.degraded, moved, "cap {}", cap);
+        }
+    }
+}
+
+/// The search's result as the oracle states it.
+fn as_oracle(res: &SplitterResult<u64>) -> Oracle {
+    let splitters = res
+        .splitters
+        .iter()
+        .map(|s| (s.key, s.realized, s.global_lower, s.global_upper))
+        .collect();
+    (splitters, res.iterations, res.probes, res.degraded)
+}
+
+/// The owner finish where it fires: at p = 256 with 16 uniform keys per
+/// rank the rule takes it after round 1, priced below the allreduce it
+/// skips; every rank's clock across it (the `owner_finish` span, from
+/// the last reduction to the shared result) stays within that price,
+/// and the result is the oracle's.
+#[test]
+fn owner_finish_stays_within_its_price() {
+    let (p, n_per, seed) = (256usize, 16usize, 5u64);
+    let cluster = ClusterConfig::supermuc_phase2(p).with_trace(TraceConfig::On);
+    let locals: Vec<Vec<u64>> = (0..p).map(|r| keys_for(r, n_per, u64::MAX, seed)).collect();
+    let targets = perfect_targets(&vec![n_per; p]);
+    let mut all = locals.concat();
+    all.sort_unstable();
+    let machine = Machine::of(&cluster, &locals);
+    let (expect, finish) = oracle(&all, &targets, 0, p - 1, None, None, &machine);
+    let finish = finish.expect("the rule fires at p = 256, 16 keys per rank");
+    assert!(finish.price < finish.round, "{finish:?}");
+    assert_eq!(expect.1, 2, "the finish replaces round 2");
+
+    let record = launch(&cluster, move |comm| {
+        let local = keys_for(comm.rank(), n_per, u64::MAX, seed);
+        let targets = perfect_targets(&vec![n_per; comm.size()]);
+        find_splitters(comm, &local, &targets, 0, SplitterOptions::default())
+    })
+    .expect("an inert fault plan is valid");
+    let trace = record.trace.clone();
+    let out = record.into_result().expect("a fault-free search completes");
+    for (rank, ((res, _), ranked)) in out.iter().zip(&trace.ranks).enumerate() {
+        assert_eq!(as_oracle(res), expect, "rank {rank}");
+        let across: Vec<u64> = ranked
+            .spans
+            .iter()
+            .filter(|s| s.name == "owner_finish")
+            .map(|s| s.duration_ns())
+            .collect();
+        assert_eq!(across.len(), 1, "rank {rank}: one owner finish");
+        assert!(
+            across[0] <= finish.price,
+            "rank {rank}: {} ns across the finish, priced {}",
+            across[0],
+            finish.price
+        );
+    }
+}
+
+/// At p ≤ 64 under `supermuc_phase2` the finish's latency alone — one
+/// `α` per round of the Bruck all-to-all and of the allgather,
+/// `2⌈log₂P⌉α` — is no cheaper than the widest default round's
+/// allreduce, so the rule never fires there; a world of 16 keys per
+/// rank at p = 64, the smallest payload the finish could ship, shows no
+/// owner finish.
+#[test]
+fn owner_finish_never_fires_at_64_ranks_or_fewer() {
+    for p in 2..=64usize {
+        let cluster = ClusterConfig::supermuc_phase2(p);
+        let machine = Machine::of(&cluster, &[]);
+        let (cost, link) = (&machine.cost, machine.link);
+        let latency = cost.alltoallv_bruck_rank_ns(link, p, 0) + cost.allgather_ns(link, p, 0);
+        assert!(latency >= 2 * u64::from(log2_ceil(p)) * cost.link(link).alpha_ns as u64);
+        let widest = cost.allreduce_ns(link, p, 16 * (p as u64 - 1));
+        assert!(
+            latency >= widest,
+            "p={p}: finish {latency} ns < round {widest} ns"
+        );
+    }
+    let p = 64;
+    let record = launch(
+        &ClusterConfig::supermuc_phase2(p).with_trace(TraceConfig::On),
+        move |comm| {
+            let local = keys_for(comm.rank(), 16, u64::MAX, 3);
+            find_splitters(
+                comm,
+                &local,
+                &perfect_targets(&[16; 64]),
+                0,
+                Default::default(),
+            )
+        },
+    )
+    .expect("an inert fault plan is valid");
+    assert!(record.ranks.iter().all(Result::is_ok));
+    for ranked in &record.trace.ranks {
+        assert!(ranked.spans.iter().all(|s| s.name != "owner_finish"));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+
+    /// The oracle match at a rank count where the owner finish can fire:
+    /// duplicates, empty ranks, both slacks, warm starts and the cap,
+    /// at p = 256 and a few keys per rank.
+    #[test]
+    fn owner_finish_matches_the_oracle(
+        n_per in 1usize..24,
+        empty_permille in prop_oneof![Just(0u64), Just(0), Just(300), Just(900)],
+        modulus in prop_oneof![Just(3u64), Just(50), Just(1 << 12), Just(1 << 30), Just(u64::MAX)],
+        seed in 0u64..1_000_000,
+        start in prop_oneof![
+            Just(Start::MinMax),
+            Just(Start::MinMax),
+            Just(Start::Warm { extra: 0 }),
+            Just(Start::Warm { extra: 3 }),
+        ],
+        cap in prop_oneof![Just(None), Just(None), Just(Some(2u32)), Just(Some(3u32))],
+        epsilon in prop_oneof![Just(0.0), Just(0.05)],
+    ) {
+        let p = 256usize;
+        let local_of = move |rank: usize| {
+            let mixed = ((rank as u64 ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) % 1000;
+            let n = if mixed < empty_permille { 0 } else { n_per };
+            keys_for(rank, n, modulus, seed)
+        };
+        let locals: Vec<Vec<u64>> = (0..p).map(local_of).collect();
+        let caps: Vec<usize> = locals.iter().map(Vec::len).collect();
+        let targets = perfect_targets(&caps);
+        let n_total: u64 = caps.iter().map(|&c| c as u64).sum();
+        let slack = slack_for(n_total, p, epsilon);
+        let warm = match start {
+            Start::Warm { extra } => keys_for(97, p - 1 + extra, modulus, seed ^ 0x5EED),
+            Start::MinMax => Vec::new(),
+        };
+        let opts = SplitterOptions { max_iterations: cap, ..SplitterOptions::default() };
+        let mut all = locals.concat();
+        all.sort_unstable();
+        let cluster = ClusterConfig::small_cluster(p);
+        let expect = if all.is_empty() {
+            (Vec::new(), 0, 0, false)
+        } else {
+            let first = (!warm.is_empty()).then(|| {
+                targets
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &t)| {
+                        if warm.len() == targets.len() {
+                            warm[i]
+                        } else {
+                            let q = t as f64 / n_total as f64;
+                            warm[(q * (warm.len() - 1) as f64) as usize]
+                        }
+                    })
+                    .collect()
+            });
+            let machine = Machine::of(&cluster, &locals);
+            oracle(&all, &targets, slack, p - 1, cap, first, &machine).0
+        };
+        let out = run(&cluster, move |comm| {
+            let local = local_of(comm.rank());
+            find_splitters_seeded(comm, &local, &targets, slack, opts, &warm)
+        });
+        for (rank, (got, _)) in out.iter().enumerate() {
+            prop_assert_eq!(&as_oracle(got), &expect, "rank {}", rank);
         }
     }
 }
