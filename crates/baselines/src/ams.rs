@@ -7,12 +7,13 @@
 //! imbalance a bad sample can cause.
 
 use dhs_core::exchange::group_range;
-use dhs_core::{split_groups, Key, SortStats};
+use dhs_core::LocalSort::Comparison;
+use dhs_core::{merge_received, split_groups, Key, SortStats};
 use dhs_merge::MergeAlgo;
 use dhs_runtime::{AllToAllAlgo, Comm, Work};
 use dhs_workloads::SplitMix64;
 
-use crate::tail::{merge_received, recurse_levels, regular_splitters, sort_local};
+use crate::tail::{recurse_levels, regular_splitters, sort_local};
 
 /// Processor-group fan-out per level.
 const FAN_OUT: usize = 4;
@@ -119,13 +120,10 @@ fn ams_level<K: Key>(
     //    this rank appended in ascending bucket order from its sorted
     //    block, so it is one sorted run; the merge is priced as a
     //    re-sort.
-    *local = merge_received(
-        cur,
-        received,
-        std::mem::take(local),
-        MergeAlgo::Resort,
-        stats,
-    );
+    let sp = cur.span("merge");
+    let scratch = std::mem::take(local);
+    *local = merge_received(cur, received, scratch, MergeAlgo::Resort, Comparison);
+    stats.merge_ns += sp.finish();
 
     Some(split_groups(cur, k, stats))
 }

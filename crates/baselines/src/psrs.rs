@@ -3,11 +3,13 @@
 //! taken at regular positions of the locally **sorted** data, which in
 //! practice yields near-perfect balancing deterministically.
 
-use dhs_core::{Key, SortStats};
+use dhs_core::LocalSort::Comparison;
+use dhs_core::{merge_received, route_merge, Key, SortStats};
 use dhs_merge::MergeAlgo;
+use dhs_runtime::AllToAllAlgo::OneFactor;
 use dhs_runtime::Comm;
 
-use crate::tail::{merge_received, regular_splitters, sort_local, upper_bound_exchange};
+use crate::tail::{regular_splitters, sort_local, upper_bound_cut};
 
 /// Sort the distributed vector by PSRS: one sampling round.
 pub fn psrs<K: Key>(comm: &Comm, local: &mut Vec<K>) -> SortStats {
@@ -32,14 +34,9 @@ pub fn psrs<K: Key>(comm: &Comm, local: &mut Vec<K>) -> SortStats {
 
     // Step 3: partition (binary search, data already sorted) and
     // exchange; step 4: k-way merge of the sorted runs.
-    let received = upper_bound_exchange(comm, local, &splitters, &mut stats);
-    *local = merge_received(
-        comm,
-        received,
-        std::mem::take(local),
-        MergeAlgo::KWay,
-        &mut stats,
-    );
+    let plan = upper_bound_cut(comm, local, &splitters, &mut stats);
+    let kway = |runs, dead| merge_received(comm, runs, dead, MergeAlgo::KWay, Comparison);
+    route_merge(comm, local, plan, OneFactor, kway, &mut stats);
     stats.n_out = local.len();
     stats
 }

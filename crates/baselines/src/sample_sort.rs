@@ -2,12 +2,14 @@
 //! sort — random sampling, central splitter selection, one all-to-all —
 //! with only probabilistic load-balance guarantees.
 
-use dhs_core::{Key, SortStats};
+use dhs_core::LocalSort::Comparison;
+use dhs_core::{merge_received, route_merge, Key, SortStats};
 use dhs_merge::MergeAlgo;
+use dhs_runtime::AllToAllAlgo::OneFactor;
 use dhs_runtime::{Comm, Work};
 use dhs_workloads::SplitMix64;
 
-use crate::tail::{merge_received, regular_splitters, sort_local, upper_bound_exchange};
+use crate::tail::{regular_splitters, sort_local, upper_bound_cut};
 
 /// Oversampling ratio `s`: random keys picked per rank. The paper
 /// cites `s = ln P / (1 + ε²)`-ish bounds for near-perfect
@@ -46,14 +48,9 @@ pub fn sample_sort<K: Key>(comm: &Comm, local: &mut Vec<K>) -> SortStats {
 
     // Superstep 3: partition and exchange, then merge the sorted runs.
     sort_local(comm, local, &mut stats);
-    let received = upper_bound_exchange(comm, local, &splitters, &mut stats);
-    *local = merge_received(
-        comm,
-        received,
-        std::mem::take(local),
-        MergeAlgo::Resort,
-        &mut stats,
-    );
+    let plan = upper_bound_cut(comm, local, &splitters, &mut stats);
+    let resort = |runs, dead| merge_received(comm, runs, dead, MergeAlgo::Resort, Comparison);
+    route_merge(comm, local, plan, OneFactor, resort, &mut stats);
     stats.n_out = local.len();
     stats
 }

@@ -1,17 +1,16 @@
 //! The steps the splitter-based baselines share, written once: the
 //! charged local sort, the regular pick of splitters from a gathered
-//! sample, the upper-bound cut with its borrowed-segment exchange, the
-//! charged merge of the received runs, and the level loop of HykSort
-//! and AMS. What is left in each baseline's module is how it chooses
-//! its splitters.
+//! sample, the upper-bound cut, and the level loop of HykSort and AMS.
+//! The exchange and the merge after it are the histogram sort's own,
+//! [`dhs_core::route_merge`] and [`dhs_core::merge_received`]. What is
+//! left in each baseline's module is how it chooses its splitters.
 //!
 //! Each step opens the histogram sort's span for its phase and adds the
 //! span's virtual time to that phase of the [`SortStats`].
 
-use dhs_core::exchange::{exchange_data, ExchangePlan};
-use dhs_core::{Key, LocalSort, SortStats};
-use dhs_merge::MergeAlgo;
-use dhs_runtime::{AllToAllAlgo, Comm, RecvRuns, Work};
+use dhs_core::exchange::ExchangePlan;
+use dhs_core::{Key, SortStats};
+use dhs_runtime::{Comm, Work};
 
 fn elem_bytes<K>() -> u64 {
     std::mem::size_of::<K>() as u64
@@ -47,22 +46,24 @@ pub(crate) fn regular_splitters<K: Key>(comm: &Comm, sample: Vec<K>, m: usize) -
 }
 
 /// Cut the sorted block after the last key `≤` each splitter (the
-/// `prepare` phase) and send segment `d` to rank `d`, borrowed (the
-/// `exchange` phase). Without splitters (every sample was empty)
-/// everything goes to rank 0.
-pub(crate) fn upper_bound_exchange<K: Key>(
+/// `prepare` phase): segment `d` goes to rank `d`, and without
+/// splitters (every sample was empty) everything goes to rank 0. The
+/// cuts come from the rank's buffer pool, to which
+/// [`dhs_core::route_merge`] returns them.
+pub(crate) fn upper_bound_cut<K: Key>(
     comm: &Comm,
     sorted_local: &[K],
     splitters: &[K],
     stats: &mut SortStats,
-) -> RecvRuns<K> {
+) -> ExchangePlan {
     let sp = comm.span("prepare");
     let n = sorted_local.len();
     comm.charge(Work::BinarySearches {
         searches: splitters.len() as u64,
         n: n as u64,
     });
-    let mut cuts = Vec::with_capacity(comm.size() + 1);
+    let mut cuts = comm.pool().take_usize();
+    cuts.reserve(comm.size() + 1);
     cuts.push(0);
     cuts.extend(
         splitters
@@ -71,32 +72,10 @@ pub(crate) fn upper_bound_exchange<K: Key>(
     );
     cuts.resize(comm.size() + 1, n);
     stats.prepare_ns += sp.finish();
-    let plan = ExchangePlan {
+    ExchangePlan {
         cuts,
         scanned: Vec::new(),
-    };
-    let sp = comm.span("exchange");
-    let received = exchange_data(comm, sorted_local, &plan, AllToAllAlgo::OneFactor);
-    stats.exchange_ns += sp.finish();
-    received
-}
-
-/// Merge the received sorted runs into the rank's new block with the
-/// histogram sort's own merge step, [`dhs_core::merge_received`]:
-/// `merge` prices it (`Resort` as a comparison sort, `KWay` as a k-way
-/// merge), the in-place run merge executes it.
-/// `scratch` is the rank's dead send block.
-pub(crate) fn merge_received<K: Key>(
-    comm: &Comm,
-    received: RecvRuns<K>,
-    scratch: Vec<K>,
-    merge: MergeAlgo,
-    stats: &mut SortStats,
-) -> Vec<K> {
-    let sp = comm.span("merge");
-    let merged = dhs_core::merge_received(comm, received, scratch, merge, LocalSort::Comparison);
-    stats.merge_ns += sp.finish();
-    merged
+    }
 }
 
 /// Run `level` on ever smaller communicators until one has a single

@@ -15,8 +15,10 @@
 //! `ALL-TO-ALLV`. With `s = P − 1` segment `d` goes to rank `d`; with
 //! fewer splitters it goes to one member of the `d`-th of `s + 1`
 //! contiguous rank groups. The flat sort and [`crate::cut_route_merge`]
-//! cut with [`plan_exchange`]; sample sort and PSRS send their
-//! upper-bound cuts through the same [`exchange_data`].
+//! cut with [`plan_exchange`], sample sort and PSRS by upper bound;
+//! every such plan is sent by [`exchange_data`] inside
+//! [`crate::route_merge`], its one caller in `dhs-core` and
+//! `dhs-baselines`.
 
 pub use dhs_runtime::{group_of, group_range};
 use dhs_runtime::{AllToAllAlgo, Comm, CutBlock, RecvRuns, Work};

@@ -22,6 +22,10 @@
 //! 3. **Data exchange** — [`exchange`] (Algorithm 4 + `ALL-TO-ALLV`);
 //! 4. **Local merge** — one run merge, charged by [`dhs_merge::MergeAlgo`].
 //!
+//! Supersteps 3 and 4 run as one step, [`route_merge`], for every
+//! sorter that cuts its block by a plan (this pipeline, the group step,
+//! and the baselines' sample sort and PSRS).
+//!
 //! The §V-A uniqueness transform is a key type, not an option: sort
 //! [`make_unique`] keys through [`histogram_sort`] and
 //! [`strip_unique`] the result.
@@ -59,8 +63,8 @@ pub use key::{make_unique, strip_unique, Key, OrderedF32, OrderedF64, UniqueKey}
 pub use service::{EpochSorter, EpochStats};
 pub use sort::{
     cut_route_merge, histogram_sort, histogram_sort_by, histogram_sort_two_level, merge_received,
-    outcome_of, split_groups, InvalidSortConfig, LocalSort, Partitioning, RecoveryPolicy,
-    SortConfig, SortOutcome, SortStats, WarmStart,
+    outcome_of, route_merge, split_groups, InvalidSortConfig, LocalSort, Partitioning,
+    RecoveryPolicy, SortConfig, SortOutcome, SortStats, WarmStart,
 };
 pub use splitter::{
     balanced_targets, find_splitters, find_splitters_seeded, perfect_targets, slack_for,

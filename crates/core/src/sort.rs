@@ -15,7 +15,7 @@ use std::sync::Arc;
 use dhs_merge::MergeAlgo;
 use dhs_runtime::{AllToAllAlgo, Comm, RecoveryInterrupt, RecvRuns, Work};
 
-use crate::exchange::{exchange_data, group_of, group_range, plan_exchange};
+use crate::exchange::{exchange_data, group_of, group_range, plan_exchange, ExchangePlan};
 use crate::kernels::KernelPolicy;
 use crate::key::Key;
 use crate::splitter::{
@@ -513,7 +513,7 @@ pub fn histogram_sort_two_level<K: Key>(
         .checked_sub(1)
         .map_or(0, |s| found.splitters[s].realized);
     let sp = comm.span("prepare");
-    let level2 = sub.allreduce_sum_then(&[local.len() as u64], |group_total| Shape {
+    let level2 = sub.allreduce_sum_then(&[local.len() as u64], |group_total, _| Shape {
         n_total: group_total[0],
         targets: shape.targets[members.start..members.end - 1]
             .iter()
@@ -986,31 +986,50 @@ pub(crate) fn attempt<T: Clone + Send + Sync + 'static, P: Payload<T>>(
         plan
     };
 
-    // Phase 3b: the payload exchange, keys and records alike sent
-    // borrowed. Once it returns the attempt has committed and can no
-    // longer be interrupted. The plan's pooled vectors stay checked
-    // out until then, so no buffer idles in the pool while the
-    // exchange takes its receive counts from it.
-    let sp = c.span("exchange");
-    let received = exchange_data(c, local, &plan, cfg.exchange_algo);
-    c.pool().recycle_usize(plan.cuts);
-    c.pool().recycle_u64(plan.scanned);
+    // Phases 3b and 4: the payload exchange, keys and records alike
+    // sent borrowed, then the merge. Once the exchange returns the
+    // attempt has committed and can no longer be interrupted.
+    let merge = |received, scratch| payload.merge(c, received, scratch, cfg);
+    route_merge(c, local, plan, cfg.exchange_algo, merge, stats);
+}
+
+/// The exchange and merge supersteps of every sorter that cuts its
+/// sorted block by an [`ExchangePlan`]: the end of every histogram
+/// sort's attempt, [`cut_route_merge`], sample sort and PSRS. Sends
+/// the block by `plan` under `algo` ([`exchange_data`], under
+/// `exchange`), returns the plan's pooled vectors, then runs
+/// `merge(received, scratch)` under `merge`, with `scratch` the dead
+/// send block; its result is the rank's new block. The plan's vectors
+/// stay checked out until the exchange has returned, so no buffer idles
+/// in the pool while the exchange takes its receive counts from it.
+/// Collective.
+pub fn route_merge<T: Clone + Send + Sync + 'static>(
+    comm: &Comm,
+    local: &mut Vec<T>,
+    plan: ExchangePlan,
+    algo: AllToAllAlgo,
+    merge: impl FnOnce(RecvRuns<T>, Vec<T>) -> Vec<T>,
+    stats: &mut SortStats,
+) {
+    let sp = comm.span("exchange");
+    let received = exchange_data(comm, local, &plan, algo);
+    comm.pool().recycle_usize(plan.cuts);
+    comm.pool().recycle_u64(plan.scanned);
     stats.exchange_ns += sp.finish();
 
-    // Phase 4: local merge of the received sorted runs.
-    let sp = c.span("merge");
-    let intra = c.intra_span("merge");
-    *local = payload.merge(c, received, std::mem::take(local), cfg);
+    let sp = comm.span("merge");
+    let intra = comm.intra_span("merge");
+    *local = merge(received, std::mem::take(local));
     drop(intra);
     stats.merge_ns += sp.finish();
 }
 
 /// Phases 3–4 on an accepted search, for level 1 of
 /// [`histogram_sort_two_level`], HSS and every HykSort level: the
-/// Algorithm 4 cut under `prepare`, the one-factor exchange under
-/// `exchange` (with `s < P − 1` splitters segment `d` goes to a member of
-/// group `d`), the plan's pooled vectors back to the pool, and the merge
-/// under `merge`, charged by `merge` (a re-sort as `resort`). Collective.
+/// Algorithm 4 cut under `prepare`, then [`route_merge`] over the
+/// one-factor exchange (with `s < P − 1` splitters segment `d` goes to
+/// a member of group `d`) and the merge charged by `merge` (a re-sort
+/// as `resort`). Collective.
 pub fn cut_route_merge<K: Key>(
     comm: &Comm,
     local: &mut Vec<K>,
@@ -1023,15 +1042,8 @@ pub fn cut_route_merge<K: Key>(
     let plan = plan_exchange(comm, local, found);
     stats.prepare_ns += sp.finish();
 
-    let sp = comm.span("exchange");
-    let received = exchange_data(comm, local, &plan, AllToAllAlgo::OneFactor);
-    comm.pool().recycle_usize(plan.cuts);
-    comm.pool().recycle_u64(plan.scanned);
-    stats.exchange_ns += sp.finish();
-
-    let sp = comm.span("merge");
-    *local = merge_received(comm, received, std::mem::take(local), merge, resort);
-    stats.merge_ns += sp.finish();
+    let merged = |received, scratch| merge_received(comm, received, scratch, merge, resort);
+    route_merge(comm, local, plan, AllToAllAlgo::OneFactor, merged, stats);
 }
 
 /// Split `comm` into `k` contiguous rank groups ([`group_range`]) under

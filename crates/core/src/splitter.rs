@@ -78,7 +78,8 @@
 //!
 //! The price bounds every rank's clock across the finish, from the
 //! public [`dhs_runtime::CostModel`] formulas at the communicator's
-//! worst link:
+//! worst link, under the model the deciding allreduce was charged
+//! under (a link-fault window open at its start raises both sides):
 //!
 //! ```text
 //! sent  = size_of::<K>() · n_max · overlap
@@ -125,12 +126,17 @@
 //! counts), but it never influences which keys are probed, so all
 //! ranks still execute identical collective schedules.
 //!
-//! One pass per round does both: the loop over the open splitters
-//! loads a bracket once, prices its searches into a
+//! One serial pass per round does both: the loop over the open
+//! splitters loads a bracket once, prices its searches into a
 //! [`dhs_runtime::Charges`] batch (integer adds, no runtime call) and
 //! runs them; the batch is posted with one [`Comm::post`] per round,
 //! which is observably identical to the single charges it sums
 //! (same clock, same `compute_ns`, same death under a crash deadline).
+//! The pass stays on the rank thread whatever the thread budget: a
+//! round searches at most `probes_per_round × (P − 1)` keys, which is
+//! microseconds of bracketed searches next to a thread spawn, and a
+//! world of at least as many ranks as host cores runs every rank
+//! serially anyway (DESIGN.md, "hybrid host cap").
 //!
 //! ## Replicated state is shared
 //!
@@ -156,10 +162,9 @@
 //! [`SplitterResult::splitters`] points at that one allocation.
 
 use std::mem;
-use std::ops::Range;
 use std::sync::Arc;
 
-use dhs_runtime::{AllToAllAlgo, Charges, Comm, CutBlock, Work};
+use dhs_runtime::{AllToAllAlgo, Comm, CutBlock, Work};
 
 use self::plan::{select_work, Machine, RoundPlan, Verdict};
 use crate::kernels::Kernels;
@@ -355,7 +360,6 @@ pub fn find_splitters_seeded<K: Key, W: WarmLadder<K> + ?Sized>(
             K::BITS + 2
         );
         let round = &plan.bufs;
-        let grid = |j: usize| round.offsets[j]..round.offsets[j + 1];
 
         // Build the local histogram: two binary searches per probe,
         // confined to the splitter's index bracket and charged over
@@ -363,67 +367,35 @@ pub fn find_splitters_seeded<K: Key, W: WarmLadder<K> + ?Sized>(
         // search return exactly the full-array positions (everything
         // left of `idx_lo` is known `< probe`, everything right of
         // `idx_hi` known `> probe`). Charges are pure functions of
-        // data sizes — never of the thread budget — which keeps the
-        // virtual clock byte-identical across budgets. Pooled counts
-        // buffer: every refinement round reuses the same allocation.
-        // With an intra-rank thread budget the per-splitter probe
-        // batches are counted (and priced) in parallel; counts and
-        // charges land in probe order either way, so the reduction
-        // input and the posted batch are identical for every budget.
+        // data sizes, and the round posts them as one batch. Pooled
+        // counts buffer: every refinement round reuses the same
+        // allocation.
         let mut charges = comm.charges();
         let mut histogram: Vec<u64> = comm.pool().take_u64();
         histogram.reserve(2 * round.probes.len());
-        let count = |js: Range<usize>, out: &mut Vec<u64>, charges: &mut Charges<'_>| {
-            for j in js {
-                let at = 2 * round.active[j];
-                let (idx_lo, idx_hi) = (brackets[at], brackets[at + 1]);
-                let seg = &sorted_local[idx_lo..idx_hi];
-                let probes = &round.probes[grid(j)];
-                charges.add(Work::BinarySearches {
-                    searches: 2 * probes.len() as u64,
-                    n: seg.len() as u64,
-                });
-                for &bits in probes {
-                    let key = K::from_bits(bits);
-                    out.push((idx_lo + seg.partition_point(|x| *x < key)) as u64);
-                    out.push((idx_lo + seg.partition_point(|x| *x <= key)) as u64);
-                }
-            }
-        };
-        let t = comm.threads().exec_budget();
-        let n_active = round.active.len();
-        if t > 1 && n_active >= 2 && round.probes.len() >= 4 {
-            let chunk = n_active.div_ceil(t);
-            let chunks: Vec<Range<usize>> = (0..n_active)
-                .step_by(chunk)
-                .map(|from| from..(from + chunk).min(n_active))
-                .collect();
-            let counted = comm.threads().map(chunks, |js| {
-                let mut out =
-                    Vec::with_capacity(2 * (round.offsets[js.end] - round.offsets[js.start]));
-                let mut share = charges.fork();
-                count(js, &mut out, &mut share);
-                (out, share)
+        for (j, &i) in round.active.iter().enumerate() {
+            let (idx_lo, idx_hi) = (brackets[2 * i], brackets[2 * i + 1]);
+            let seg = &sorted_local[idx_lo..idx_hi];
+            let probes = &round.probes[round.offsets[j]..round.offsets[j + 1]];
+            charges.add(Work::BinarySearches {
+                searches: 2 * probes.len() as u64,
+                n: seg.len() as u64,
             });
-            for (out, share) in counted {
-                histogram.extend(out);
-                charges.append(share);
+            for &bits in probes {
+                let key = K::from_bits(bits);
+                histogram.push((idx_lo + seg.partition_point(|x| *x < key)) as u64);
+                histogram.push((idx_lo + seg.partition_point(|x| *x <= key)) as u64);
             }
-        } else {
-            count(0..n_active, &mut histogram, &mut charges);
         }
-        // The round's one charge. The probe span (recorded under a
-        // thread budget only) sits on the clock the charge leaves.
         comm.post(charges);
-        drop(comm.intra_span("histogram_probe"));
 
         // One global reduction per round (Alg. 3 line 8), carrying all
         // probes of all open splitters, viewed in place and charged
         // at its true width. Whichever rank completes it refines every
         // splitter against the global counts (Alg. 3 line 9) and lays
         // out the next round, once for everybody.
-        let next = comm.allreduce_sum_then(&histogram, |global| {
-            plan.advance(&global, targets, slack, opts)
+        let next = comm.allreduce_sum_then(&histogram, |global, cost| {
+            plan.advance(&global, cost, targets, slack, opts)
         });
 
         // The bracket ends the ladder proved on the global counts,
@@ -606,13 +578,12 @@ fn first_plan<K: Key, W: WarmLadder<K> + ?Sized>(
         };
         (lo, hi, a.2 + b.2, a.3.max(b.3))
     };
-    let plan = comm.allreduce_with_then(&[local], widest, |reduced| {
+    let plan = comm.allreduce_with_then(&[local], widest, |reduced, _| {
         let (min_key, max_key, n_total, n_max) = reduced[0];
         if n_total == 0 {
             return RoundPlan::start((0, 0), 0, &[], None::<&[K]>, opts, None);
         }
         let machine = Machine {
-            cost: comm.cost_model().clone(),
             link: comm.worst_link(),
             ranks: comm.size(),
             n_max: u64::from(n_max),

@@ -127,11 +127,11 @@ pub(super) struct Buffers {
     ladder: Vec<usize>,
 }
 
-/// What the owner finish is priced on: the communicator's machine and
-/// the largest local input, fixed for the whole search.
+/// Where the owner finish is priced: the communicator's shape and the
+/// largest local input, fixed for the whole search. The cost model is
+/// the deciding allreduce's, handed to [`RoundPlan::advance`].
 #[derive(Clone)]
 pub(super) struct Machine {
-    pub(super) cost: CostModel,
     /// The communicator's worst link: every collective's class.
     pub(super) link: LinkClass,
     pub(super) ranks: usize,
@@ -139,18 +139,19 @@ pub(super) struct Machine {
     pub(super) n_max: u64,
 }
 
-/// The owner finish's price (see the parent module's "Finishing at the
-/// owners"): a bound on every rank's clock from the reduction's end to
-/// the shared result, for `overlap` open brackets at most over any one
-/// key and `max_keys` keys at most in any open bracket.
-fn finish_price<K>(m: &Machine, overlap: u64, max_keys: u64) -> u64 {
+/// The owner finish's price under `cost` (see the parent module's
+/// "Finishing at the owners"): a bound on every rank's clock from the
+/// reduction's end to the shared result, for `overlap` open brackets
+/// at most over any one key and `max_keys` keys at most in any open
+/// bracket.
+fn finish_price<K>(m: &Machine, cost: &CostModel, overlap: u64, max_keys: u64) -> u64 {
     let key_bytes = mem::size_of::<K>() as u64;
     let sent = key_bytes.saturating_mul(m.n_max).saturating_mul(overlap);
     let tuple_bytes = mem::size_of::<(K, u64, u64)>() as u64;
-    m.cost.work_ns(Work::MoveBytes(sent))
-        + m.cost.alltoallv_bruck_rank_ns(m.link, m.ranks, sent)
-        + m.cost.work_ns(select_work(max_keys))
-        + m.cost.allgather_ns(m.link, m.ranks, tuple_bytes)
+    cost.work_ns(Work::MoveBytes(sent))
+        + cost.alltoallv_bruck_rank_ns(m.link, m.ranks, sent)
+        + cost.work_ns(select_work(max_keys))
+        + cost.allgather_ns(m.link, m.ranks, tuple_bytes)
 }
 
 /// The owner's charge for settling a bracket of `keys` keys: a linear
@@ -369,7 +370,10 @@ impl<K: Key> RoundPlan<K> {
     }
 
     /// Refine every open splitter against this round's `global`
-    /// histogram and lay out the next round.
+    /// histogram and lay out the next round. `cost` is the model the
+    /// round's allreduce was charged under: the owner finish is priced
+    /// on it, the link-fault windows open at the reduction's start
+    /// included.
     ///
     /// The round's probes, sorted by key, form one ladder of exact
     /// counts, and Alg. 2's verdict is monotone along it: each open
@@ -381,6 +385,7 @@ impl<K: Key> RoundPlan<K> {
     pub(super) fn advance(
         &self,
         global: &[u64],
+        cost: &CostModel,
         targets: &[u64],
         slack: u64,
         opts: SplitterOptions,
@@ -488,16 +493,17 @@ impl<K: Key> RoundPlan<K> {
         if next.bufs.active.is_empty() {
             next.settled = Some(next.result(targets, |_| unreachable!("no open splitter left")));
         } else {
-            next.finish = next.finish_is_cheaper();
+            next.finish = next.finish_is_cheaper(cost);
         }
         next
     }
 
     /// Algorithm 1's cutoff, made k-way: whether settling the open
     /// splitters at their owners now is priced strictly below the
-    /// allreduce of the round just laid out. The finish histograms
-    /// nothing, so its price is all the rule weighs against the round.
-    fn finish_is_cheaper(&self) -> bool {
+    /// allreduce of the round just laid out, both under `cost`. The
+    /// finish histograms nothing, so its price is all the rule weighs
+    /// against the round.
+    fn finish_is_cheaper(&self, cost: &CostModel) -> bool {
         let Some(m) = &self.machine else {
             return false;
         };
@@ -524,8 +530,8 @@ impl<K: Key> RoundPlan<K> {
             .max()
             .unwrap_or(0);
         let histogram_bytes = mem::size_of::<[u64; 2]>() * self.bufs.probes.len();
-        let round = m.cost.allreduce_ns(m.link, m.ranks, histogram_bytes as u64);
-        finish_price::<K>(m, overlap as u64, max_keys) < round
+        let round = cost.allreduce_ns(m.link, m.ranks, histogram_bytes as u64);
+        finish_price::<K>(m, cost, overlap as u64, max_keys) < round
     }
 
     /// `(c_lo, c_hi)` of splitter `i` while it is open: the global keys
@@ -599,7 +605,7 @@ mod tests {
                     ]
                 })
                 .collect();
-            plan = plan.advance(&global, targets, slack, opts);
+            plan = plan.advance(&global, &CostModel::supermuc_phase2(), targets, slack, opts);
             each_round(&plan);
         }
         plan

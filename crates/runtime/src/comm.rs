@@ -92,9 +92,8 @@ pub struct Comm {
 }
 
 /// Compute charges priced for one rank and summed off its clock (see
-/// [`Comm::charges`], [`Comm::post`]). Plain data: a worker thread can
-/// fill a [`Charges::fork`] of its own and the owner
-/// [`Charges::append`]s the forks in item order.
+/// [`Comm::charges`], [`Comm::post`]), filled in item order on the
+/// rank's own thread.
 pub struct Charges<'a> {
     cost: &'a CostModel,
     straggler_factor: f64,
@@ -117,24 +116,6 @@ impl Charges<'_> {
         self.ns += ns;
         if let Some(items) = &mut self.items {
             items.push(ns);
-        }
-    }
-
-    /// An empty batch priced like this one, for a share of the items
-    /// that is charged elsewhere (another thread) and appended later.
-    pub fn fork(&self) -> Self {
-        Self {
-            ns: 0,
-            items: self.items.as_ref().map(|_| Vec::new()),
-            ..*self
-        }
-    }
-
-    /// Append the items of `later` after this batch's own.
-    pub fn append(&mut self, later: Self) {
-        self.ns += later.ns;
-        if let (Some(items), Some(more)) = (&mut self.items, later.items) {
-            items.extend(more);
         }
     }
 }
@@ -639,7 +620,11 @@ impl Comm {
     /// exactly once for the whole communicator — on the last arriver,
     /// right after the fold — and every rank receives its result as one
     /// shared allocation: the splitter search advances its replicated
-    /// state here, once per round instead of once per rank.
+    /// state here, once per round instead of once per rank. `finish`
+    /// also receives the cost model the allreduce is charged under —
+    /// the run's, degraded by the link-fault windows open at the
+    /// collective's start ([`crate::fault::FaultPlan::cost_at`]) — so
+    /// that what it prices, it prices as this collective was.
     ///
     /// Every rank must pass a `finish` computing the same pure function
     /// of the reduction and of *replicated* data: which rank's copy
@@ -654,7 +639,7 @@ impl Comm {
         T: Clone + Send + Sync + 'static,
         R: Send + Sync + 'static,
         F: Fn(&T, &T) -> T,
-        G: FnOnce(Vec<T>) -> R,
+        G: FnOnce(Vec<T>, &CostModel) -> R,
     {
         let p = self.size();
         let bytes = mem::size_of_val(xs) as u64;
@@ -676,7 +661,7 @@ impl Comm {
                 }
                 let (arm, ns) = ctx.cost.allreduce_arm(ctx.worst_link, p, bytes);
                 (
-                    (Arc::new(finish(acc)), arm),
+                    (Arc::new(finish(acc, ctx.cost)), arm),
                     EndTimes::Uniform(ctx.enter_max_ns + ns),
                 )
             },
@@ -694,7 +679,7 @@ impl Comm {
         T: Clone + Send + Sync + 'static,
         F: Fn(&T, &T) -> T,
     {
-        self.allreduce_with_then(&xs, op, |reduced| reduced)
+        self.allreduce_with_then(&xs, op, |reduced, _| reduced)
             .as_ref()
             .clone()
     }
@@ -705,7 +690,7 @@ impl Comm {
     pub fn allreduce_sum_then<R, G>(&self, xs: &[u64], finish: G) -> Arc<R>
     where
         R: Send + Sync + 'static,
-        G: FnOnce(Vec<u64>) -> R,
+        G: FnOnce(Vec<u64>, &CostModel) -> R,
     {
         self.allreduce_with_then(xs, |a, b| a.wrapping_add(*b), finish)
     }
@@ -713,7 +698,7 @@ impl Comm {
     /// Sum-allreduce sharing the reduced vector with all ranks: the
     /// identity-finish case of [`Comm::allreduce_sum_then`].
     pub fn allreduce_sum_shared(&self, xs: &[u64]) -> Arc<Vec<u64>> {
-        self.allreduce_sum_then(xs, |sum| sum)
+        self.allreduce_sum_then(xs, |sum, _| sum)
     }
 
     /// Owning sum-allreduce over `u64` vectors.

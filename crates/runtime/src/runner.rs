@@ -214,6 +214,12 @@ pub struct RunRecord<R> {
     /// lost wake-up papered over by the timer, or a host stalled for
     /// that long.
     pub park_backstops: u64,
+    /// The backstop firings that were lost wake-ups: after the timer
+    /// ended the park, the rank's wait condition already held and no
+    /// wake had reached it. Zero in a healthy run whatever
+    /// `park_backstops` reads; a firing counted here and not there is
+    /// impossible, one counted there and not here is a slow phase.
+    pub lost_wakes: u64,
     /// Parks that gave their worker slot up, over all ranks: each is an
     /// OS-thread handoff out and one back in. A host observation like
     /// `park_backstops`; a collective costs a rank at most one, an
@@ -319,6 +325,7 @@ where
             .collect(),
         trace: RunTrace::collect(&world),
         park_backstops: world.sched.backstop_firings(),
+        lost_wakes: world.sched.lost_wakes(),
         parks: world.sched.parks(),
         wakes: world.sched.wakes(),
     })

@@ -28,8 +28,13 @@
 //! written once. A generous timed backstop (`PARK_BACKSTOP`) turns a
 //! hypothetically missed wake into a slow poll instead of a hang;
 //! correctness never depends on the timer, and every firing is counted
-//! (`RunRecord::park_backstops`) so a lost wake fails a test instead
-//! of reading as a slow run. Consecutive timed-out parks stretch the
+//! (`RunRecord::park_backstops`). A firing alone cannot tell a lost
+//! wake from a phase that kept a rank parked for a whole period, so
+//! `World::block_until` also counts the lost ones
+//! (`RunRecord::lost_wakes`): the timer ended the park, the task's
+//! epoch never moved, and yet the predicate already holds — its state
+//! changed and nobody woke it. A lost wake fails a test instead of
+//! reading as a slow run. Consecutive timed-out parks stretch the
 //! backstop exponentially (a large-p collective round can occupy
 //! seconds of host time, and p tasks re-polling twice a second through
 //! it is a wake cascade that grows quadratically with p); any real
@@ -139,6 +144,10 @@ pub(crate) struct Scheduler {
     /// `Relaxed`). Zero in a healthy run — a rank blocked for a whole
     /// backstop period means a lost wake or a host stalled that long.
     backstop_firings: AtomicU64,
+    /// Backstop firings after which the task's predicate held with its
+    /// epoch unmoved: wakes that were lost (see module docs). A
+    /// statistic: `Relaxed`.
+    lost_wakes: AtomicU64,
     /// Parks that gave the worker slot up (one OS-thread handoff out
     /// and, on the wake, one back in); a park cut short by a raced wake
     /// keeps the slot and is not counted. A statistic: `Relaxed`.
@@ -167,6 +176,7 @@ impl Scheduler {
             epochs: (0..ranks).map(|_| AtomicU64::new(0)).collect(),
             backoffs: (0..ranks).map(|_| AtomicU32::new(0)).collect(),
             backstop_firings: AtomicU64::new(0),
+            lost_wakes: AtomicU64::new(0),
             parks: AtomicU64::new(0),
             wakes: AtomicU64::new(0),
         })
@@ -181,6 +191,12 @@ impl Scheduler {
     /// the task rather than by a wake.
     pub fn backstop_firings(&self) -> u64 {
         self.backstop_firings.load(Ordering::Relaxed)
+    }
+
+    /// How many of those backstop firings ended a wait whose condition
+    /// had already been met without a wake.
+    pub fn lost_wakes(&self) -> u64 {
+        self.lost_wakes.load(Ordering::Relaxed)
     }
 
     /// How many parks so far released their worker slot.
@@ -259,14 +275,15 @@ impl Scheduler {
     }
 
     /// Park `me` until an event wakes it (or `backstop` elapses),
-    /// then block until it regains a worker slot. Returns immediately —
-    /// keeping the slot — if the epoch moved past `token`, i.e. a wake
-    /// raced the caller's predicate check.
-    fn park(&self, me: usize, token: u64, backstop: Duration) {
+    /// then block until it regains a worker slot; `true` when the timer
+    /// ended the park. Returns `false` at once — keeping the slot — if
+    /// the epoch moved past `token`, i.e. a wake raced the caller's
+    /// predicate check.
+    fn park(&self, me: usize, token: u64, backstop: Duration) -> bool {
         let mut inner = self.inner.lock();
         if self.epochs[me].load(Ordering::SeqCst) != token {
             self.backoffs[me].store(0, Ordering::Relaxed);
-            return;
+            return false;
         }
         debug_assert_eq!(inner.state[me], TaskState::Running);
         self.parks.fetch_add(1, Ordering::Relaxed);
@@ -290,7 +307,7 @@ impl Scheduler {
                     } else {
                         self.backoffs[me].store(0, Ordering::Relaxed);
                     }
-                    return;
+                    return by_timer;
                 }
                 TaskState::Parked => {
                     let timed_out = self.cvs[me].wait_for(&mut inner, eff).timed_out();
@@ -341,7 +358,9 @@ impl World {
     /// `ready` yields a value, returning it with the guard still held.
     /// Every blocking point of the runtime goes through here, so the
     /// no-lost-wakeup order — wake token read **before** the predicate,
-    /// park after — is written once.
+    /// park after — is written once, and so is the count of wakes lost
+    /// all the same (a park the timer ended, after which `ready` holds
+    /// while the epoch is still the park's token).
     ///
     /// A pass that is not ready offers the two unwind causes to
     /// `may_unwind`: poison first, then a failed rank among `members`
@@ -358,10 +377,15 @@ impl World {
         mut ready: impl FnMut(&mut T) -> Option<R>,
         mut may_unwind: impl FnMut(&mut T, Unwind) -> bool,
     ) -> (MutexGuard<'a, T>, R) {
+        // The token of the last park, when the timer ended it.
+        let mut timed_out = None;
         loop {
             // A wake landing after this read cuts the park below short.
             let token = self.sched.token(me_global);
             if let Some(r) = ready(&mut st) {
+                if timed_out.is_some_and(|parked| parked == self.sched.token(me_global)) {
+                    self.sched.lost_wakes.fetch_add(1, Ordering::Relaxed);
+                }
                 return (st, r);
             }
             if self.poisoned() && may_unwind(&mut st, Unwind::Poison) {
@@ -381,7 +405,7 @@ impl World {
             } else {
                 PARK_BACKSTOP
             };
-            self.sched.park(me_global, token, backstop);
+            timed_out = self.sched.park(me_global, token, backstop).then_some(token);
             st = on.state.lock();
         }
     }
@@ -503,19 +527,51 @@ mod tests {
         assert!(pos("1:ran") < pos("0:resumed"));
     }
 
+    /// A one-rank world whose rank holds its worker slot, and a flag it
+    /// can block on through the one park loop.
+    fn one_rank() -> (Arc<World>, TaskGuard, Monitor<bool>) {
+        let world = World::new(
+            crate::topology::Topology::single_node(1),
+            crate::cost::CostModel::default(),
+            crate::fault::FaultPlan::default(),
+            crate::trace::TraceConfig::Off,
+            RunnerEngine { workers: 1 },
+        );
+        let slot = TaskGuard::enter(world.sched.clone(), 0);
+        (world, slot, Monitor::default())
+    }
+
     #[test]
     fn backstop_requeues_a_missed_wake() {
-        let sched = Scheduler::new(1, 1);
-        sched.acquire(0);
-        let token = sched.token(0);
-        // Nobody will ever wake task 0; the backstop must still bring
-        // it back within a bounded time.
-        assert_eq!(sched.backstop_firings(), 0);
-        sched.park(0, token, Duration::from_millis(10));
-        assert_eq!(sched.backstop_firings(), 1);
+        let (world, _slot, flag) = one_rank();
+        // The first check sets the flag and nobody wakes task 0: a
+        // missed wake. The backstop must still bring it back within a
+        // bounded time, and count the wake as lost.
+        let ready = |set: &mut bool| std::mem::replace(set, true).then_some(());
+        drop(world.block_until(0, &[], &flag, flag.state.lock(), ready, |_, _| false));
+        assert_eq!(world.sched.backstop_firings(), 1);
+        assert_eq!(world.sched.lost_wakes(), 1);
         // One park, ended by the timer and not by a wake.
-        assert_eq!((sched.parks(), sched.wakes()), (1, 0));
-        sched.finish(0);
+        assert_eq!((world.sched.parks(), world.sched.wakes()), (1, 0));
+    }
+
+    #[test]
+    fn a_park_through_a_slow_phase_is_no_lost_wake() {
+        let (world, _slot, flag) = one_rank();
+        // The timer ends the first park before the flag is set; the
+        // event that then sets it wakes the task, as every event does.
+        let mut checks = 0;
+        let ready = |set: &mut bool| {
+            checks += 1;
+            if checks == 2 {
+                *set = true;
+                world.sched.wake(&[0]);
+            }
+            (*set && checks > 2).then_some(())
+        };
+        drop(world.block_until(0, &[], &flag, flag.state.lock(), ready, |_, _| false));
+        assert_eq!(world.sched.backstop_firings(), 1);
+        assert_eq!(world.sched.lost_wakes(), 0);
     }
 
     #[test]

@@ -96,12 +96,13 @@ where
 
 /// Per-rank intra-rank thread budget, owned by [`crate::Comm`].
 ///
-/// The pool does not keep worker threads alive between phases (scoped
-/// threads are spawned on demand by [`join`]/[`map_parallel`]); it is
-/// the *authority* on how many host threads the local phases of this
-/// rank may use, plus a fork counter for instrumentation. Algorithms
-/// read the budget once per phase and pass it down to the `dhs-shm`
-/// kernels.
+/// The pool runs nothing itself and keeps no worker threads alive
+/// (the `dhs-shm` kernels spawn scoped threads on demand through
+/// [`join`]/[`map_parallel`]); it is the *authority* on how many host
+/// threads the local phases of this rank may use. Algorithms read the
+/// budget once per phase and pass it down to those kernels: the local
+/// sort and the merge fork, the splitter search's histogram pass does
+/// not.
 ///
 /// The budget has no effect on the virtual clock: charges are computed
 /// from data sizes only, so every budget produces byte-identical
@@ -113,7 +114,6 @@ pub struct ThreadPool {
     /// Host-thread ceiling imposed by the runner (see
     /// [`ThreadPool::set_host_cap`]); `usize::MAX` means uncapped.
     host_cap: Cell<usize>,
-    forks: Cell<u64>,
 }
 
 impl Default for ThreadPool {
@@ -128,7 +128,6 @@ impl ThreadPool {
         Self {
             budget: Cell::new(1),
             host_cap: Cell::new(usize::MAX),
-            forks: Cell::new(0),
         }
     }
 
@@ -187,36 +186,6 @@ impl ThreadPool {
     pub fn is_parallel(&self) -> bool {
         self.budget.get() > 1
     }
-
-    /// Number of forked phase invocations since construction
-    /// (instrumentation only; not part of the determinism contract).
-    pub fn forks(&self) -> u64 {
-        self.forks.get()
-    }
-
-    /// Run `a` and `b` under this pool's budget (see [`join`]).
-    pub fn join<RA, RB, A, B>(&self, a: A, b: B) -> (RA, RB)
-    where
-        RA: Send,
-        RB: Send,
-        A: FnOnce(usize) -> RA + Send,
-        B: FnOnce(usize) -> RB + Send,
-    {
-        self.forks.set(self.forks.get() + 1);
-        join(self.budget.get(), a, b)
-    }
-
-    /// Map `f` over `items` under this pool's budget (see
-    /// [`map_parallel`]); output order always matches input order.
-    pub fn map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(T) -> R + Sync,
-    {
-        self.forks.set(self.forks.get() + 1);
-        map_parallel(self.budget.get(), items, f)
-    }
 }
 
 #[cfg(test)]
@@ -262,12 +231,6 @@ mod tests {
         pool.configure(4);
         assert_eq!(pool.budget(), 4);
         assert!(pool.is_parallel());
-        let (a, b) = pool.join(|t| t, |t| t);
-        assert_eq!(a + b, 4);
-        assert_eq!(pool.forks(), 1);
-        let out = pool.map((0..10u64).collect(), |x| x + 1);
-        assert_eq!(out, (1..11).collect::<Vec<u64>>());
-        assert_eq!(pool.forks(), 2);
     }
 
     #[test]

@@ -5,10 +5,9 @@
 //! the deadline lands relative to the batch. Per-item pricing (`ceil`,
 //! then the straggler factor's `ceil`) must survive the batching too.
 //!
-//! Three ways of charging the same items are held against one model of
+//! Two ways of charging the same items are held against one model of
 //! the per-item semantics written out in plain arithmetic: `charge` one
-//! by one, `charge_all`, and a batch assembled from forks (what an
-//! intra-rank thread budget does).
+//! by one, and `charge_all` (one `Charges` batch, one `Comm::post`).
 
 use dhs_runtime::fault::RankAbort;
 use dhs_runtime::{
@@ -149,7 +148,6 @@ proptest! {
         crash in any::<bool>(),
         boundary in 0usize..26,
         jitter in 0u64..3,
-        forks in 1usize..5,
     ) {
         let items = items_for(seed, len);
         let cost = CostModel::supermuc_phase2();
@@ -173,15 +171,5 @@ proptest! {
         prop_assert_eq!(&one_by_one, &expect, "charge, item by item");
         let batched = observe(&plan, |comm| comm.charge_all(items.iter().copied()));
         prop_assert_eq!(&batched, &expect, "charge_all");
-        let forked = observe(&plan, |comm| {
-            let mut batch = comm.charges();
-            for share in items.chunks(items.len().div_ceil(forks).max(1)) {
-                let mut fork = batch.fork();
-                share.iter().for_each(|&w| fork.add(w));
-                batch.append(fork);
-            }
-            comm.post(batch);
-        });
-        prop_assert_eq!(&forked, &expect, "forks appended in item order");
     }
 }

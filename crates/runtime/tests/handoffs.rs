@@ -19,6 +19,7 @@ fn parks_per_rank(p: usize, workers: usize, op: Op) -> f64 {
         .expect("an inert fault plan is valid");
     assert_eq!(out.failures().count(), 0, "a fault-free run completes");
     assert_eq!(out.park_backstops, 0, "a wake was lost");
+    assert_eq!(out.lost_wakes, 0, "a wake was lost");
     // Collectives wake no task that has not started, so every counted
     // park was ended by exactly one counted wake.
     assert_eq!(out.parks, out.wakes);

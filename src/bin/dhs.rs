@@ -350,7 +350,8 @@ fn cmd_sort(args: &Args) {
     })
     .expect("dhs sort injects no faults");
     let run_trace = std::mem::take(&mut record.trace);
-    let (park_backstops, parks) = (record.park_backstops, record.parks);
+    let (park_backstops, lost_wakes, parks) =
+        (record.park_backstops, record.lost_wakes, record.parks);
     let out: Vec<(RankOutcome, RankReport)> =
         record.into_result().unwrap_or_else(|e| panic!("{e}"));
 
@@ -365,8 +366,11 @@ fn cmd_sort(args: &Args) {
     println!("intra-node traffic : {} bytes", summary.intra_node_bytes);
     println!("output keys/rank   : {min_keys}..{max_keys}");
     // Host-side health of the scheduler: a park the timer ended is a
-    // lost wake-up (or a host stalled for 500 ms).
+    // lost wake-up or a rank parked through a 500 ms phase; the lost
+    // wakes are the firings after which the rank's condition already
+    // held without a wake.
     println!("park backstops     : {park_backstops}");
+    println!("lost wakes         : {lost_wakes}");
     // One handoff per rank per collective is the floor (two for the
     // exit-barrier all-to-all); every blocking point is a collective.
     println!(

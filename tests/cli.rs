@@ -25,6 +25,7 @@ fn sort_verifies_and_rejects_unknown_flags() {
     assert_eq!(ok.status.code(), Some(0), "{stdout}");
     assert!(stdout.contains("verification       : PASS"), "{stdout}");
     assert!(stdout.contains("park backstops     : 0"), "{stdout}");
+    assert!(stdout.contains("lost wakes         : 0"), "{stdout}");
     // The peak resident set is read from procfs where there is one.
     let peak = stdout
         .lines()

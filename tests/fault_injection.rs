@@ -273,7 +273,7 @@ fn crash_mid_collective_releases_blocked_peers() {
         let started = Instant::now();
         let err = try_run(&cluster, |comm| {
             let ones = [1u64; 4];
-            comm.allreduce_sum_then(&ones, |sum| -> u64 { panic!("finish saw {sum:?}") });
+            comm.allreduce_sum_then(&ones, |sum, _| -> u64 { panic!("finish saw {sum:?}") });
         })
         .expect_err("a panicking finish must fail the run");
         let elapsed = started.elapsed();
@@ -336,6 +336,7 @@ fn crash_mid_collective_releases_blocked_peers() {
             }
         }
         assert_eq!(out.park_backstops, 0, "{cell}: a park backstop fired");
+        assert_eq!(out.lost_wakes, 0, "{cell}: a wake was lost");
         assert!(
             out.parks <= out.wakes + out.park_backstops,
             "{cell}: a park ended by neither a wake nor a backstop"
@@ -480,6 +481,7 @@ fn bitonic_crash_is_a_typed_root_cause() {
         }
     }
     assert_eq!(out.park_backstops, 0, "a park backstop fired");
+    assert_eq!(out.lost_wakes, 0, "a wake was lost");
     let crash = out.trace.ranks[victim]
         .events
         .iter()

@@ -43,6 +43,7 @@ fn engines_agree_through_the_owner_finish() {
         })
         .expect("an inert fault plan is valid");
         assert_eq!(out.park_backstops, 0, "a park ended by the backstop");
+        assert_eq!(out.lost_wakes, 0, "a wake was lost");
         let finished = out.trace.ranks.len() == p
             && out.trace.ranks.iter().all(|rank| {
                 let spans = &rank.spans;

@@ -13,7 +13,8 @@ use dhs::core::{
     SplitterOptions, SplitterResult,
 };
 use dhs::runtime::{
-    launch, log2_ceil, run, ClusterConfig, CostModel, LinkClass, RunnerEngine, TraceConfig, Work,
+    launch, log2_ceil, run, ClusterConfig, CostModel, FaultPlan, LinkClass, LinkFault,
+    RunnerEngine, TraceConfig, Work,
 };
 use dhs::workloads::{rank_local_keys, Distribution, Layout};
 use proptest::prelude::*;
@@ -130,7 +131,9 @@ fn place(o: Open, t: u64, k: usize, budget: u128) -> Vec<u64> {
 }
 
 /// What the owner finish is priced on: the cluster's cost model at its
-/// worst link, its rank count, and the largest local input.
+/// worst link — degraded by the link-fault windows open at time 0,
+/// which in these tests cover the whole search — its rank count, and
+/// the largest local input.
 struct Machine {
     cost: CostModel,
     link: LinkClass,
@@ -151,7 +154,7 @@ impl Machine {
     fn of(cluster: &ClusterConfig, locals: &[Vec<u64>]) -> Self {
         let p = cluster.ranks();
         Self {
-            cost: cluster.cost.clone(),
+            cost: cluster.fault.cost_at(&cluster.cost, 0).into_owned(),
             link: cluster.topology.worst_link(&(0..p).collect::<Vec<_>>()),
             p,
             n_max: locals.iter().map(|l| l.len() as u64).max().unwrap_or(0),
@@ -735,26 +738,56 @@ fn as_oracle(res: &SplitterResult<u64>) -> Oracle {
 /// and the result is the oracle's.
 #[test]
 fn owner_finish_stays_within_its_price() {
-    let (p, n_per, seed) = (256usize, 16usize, 5u64);
-    let cluster = ClusterConfig::supermuc_phase2(p).with_trace(TraceConfig::On);
+    let cluster = ClusterConfig::supermuc_phase2(256);
+    finish_within_its_price(cluster, 16, 2);
+}
+
+/// The same under a link fault: an inter-node window that adds 200 ns
+/// to every message for the whole search. Priced on the faulted model
+/// that its allreduces are charged under, the finish no longer beats
+/// round 2 at 32 keys per rank and fires after round 3; priced on the
+/// base model, it would fire after round 1 and miss the oracle.
+#[test]
+fn owner_finish_is_priced_under_the_link_fault() {
+    let slow = LinkFault {
+        class: Some(LinkClass::InterNode),
+        extra_alpha_ns: 200.0,
+        beta_factor: 1.0,
+        from_ns: 0,
+        until_ns: u64::MAX,
+    };
+    let cluster =
+        ClusterConfig::supermuc_phase2(256).with_fault(FaultPlan::default().with_link_fault(slow));
+    finish_within_its_price(cluster, 32, 4);
+}
+
+/// Run the search on `cluster` over `n_per` uniform keys per rank and
+/// hold it to the oracle priced on the same machine: the owner finish
+/// fires, as search round `rounds`, priced below the allreduce it
+/// skips, and every rank's clock across it stays within that price.
+fn finish_within_its_price(cluster: ClusterConfig, n_per: usize, rounds: u32) {
+    let (p, seed) = (cluster.ranks(), 5u64);
+    let cluster = cluster.with_trace(TraceConfig::On);
     let locals: Vec<Vec<u64>> = (0..p).map(|r| keys_for(r, n_per, u64::MAX, seed)).collect();
     let targets = perfect_targets(&vec![n_per; p]);
     let mut all = locals.concat();
     all.sort_unstable();
     let machine = Machine::of(&cluster, &locals);
     let (expect, finish) = oracle(&all, &targets, 0, p - 1, None, None, &machine);
-    let finish = finish.expect("the rule fires at p = 256, 16 keys per rank");
+    let finish = finish.expect("the rule fires");
     assert!(finish.price < finish.round, "{finish:?}");
-    assert_eq!(expect.1, 2, "the finish replaces round 2");
+    assert_eq!(expect.1, rounds, "the finish replaces round {rounds}");
 
     let record = launch(&cluster, move |comm| {
         let local = keys_for(comm.rank(), n_per, u64::MAX, seed);
         let targets = perfect_targets(&vec![n_per; comm.size()]);
         find_splitters(comm, &local, &targets, 0, SplitterOptions::default())
     })
-    .expect("an inert fault plan is valid");
+    .expect("a valid fault plan");
     let trace = record.trace.clone();
-    let out = record.into_result().expect("a fault-free search completes");
+    let out = record
+        .into_result()
+        .expect("a search without crashes completes");
     for (rank, ((res, _), ranked)) in out.iter().zip(&trace.ranks).enumerate() {
         assert_eq!(as_oracle(res), expect, "rank {rank}");
         let across: Vec<u64> = ranked
