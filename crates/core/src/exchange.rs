@@ -14,11 +14,15 @@
 //! the scan is skipped — then the payload moves in a single
 //! `ALL-TO-ALLV`. With `s = P − 1` segment `d` goes to rank `d`; with
 //! fewer splitters it goes to one member of the `d`-th of `s + 1`
-//! contiguous rank groups. The flat sort and [`crate::cut_route_merge`]
-//! cut with [`plan_exchange`], sample sort and PSRS by upper bound;
-//! every such plan is sent by [`exchange_data`] inside
-//! [`crate::route_merge`], its one caller in `dhs-core` and
-//! `dhs-baselines`.
+//! contiguous rank groups. The scan is `cut_at_bounds`, over each
+//! rank's local `(lower, upper)` of every splitter key. The flat sort
+//! takes those bounds from its splitter search, which located them
+//! while it histogrammed (`crate::splitter`, "The cuts fall out of the
+//! search"), and runs the scan alone; [`crate::cut_route_merge`] cuts
+//! with [`plan_exchange`], which locates the keys first, and sample
+//! sort and PSRS cut by upper bound. Every such plan is sent by
+//! [`exchange_data`] inside [`crate::route_merge`], its one caller in
+//! `dhs-core` and `dhs-baselines`.
 
 pub use dhs_runtime::{group_of, group_range};
 use dhs_runtime::{AllToAllAlgo, Comm, CutBlock, RecvRuns, Work};
@@ -61,24 +65,21 @@ pub fn plan_exchange_with<K: Key>(
 }
 
 /// Compute this rank's cut positions (Algorithm 4) for any `s ≤ P − 1`
-/// splitters. Collective: every rank must call it with the identical
-/// `SplitterResult`.
+/// splitters: locate every splitter key in the local block, then
+/// `cut_at_bounds`. Collective: every rank must call it with the
+/// identical `SplitterResult`. The histogram sort does not call it: its
+/// search hands it the bounds.
 ///
 /// The splitter keys arrive ascending (equal targets aside), so each
 /// one's `(lower, upper)` bounds are found by exponential search
 /// outward from the previous splitter's lower bound — `O(s · log(n/s))`
 /// compares. The charge is the paper's `2s` binary searches over the
-/// whole local array. The same pass writes every cut except those of
-/// splitters realized strictly inside their equal-key range; only for
-/// those are `(lower, contingent)` kept, and only they enter the
-/// exclusive scan that completes their cuts, which is skipped when
-/// there are none. The cuts are those of the full-width scan.
+/// whole local array.
 ///
-/// Both vectors come out of the rank's buffer pool — on the histogram
-/// sort's path the cuts take the allocation the splitter search's
-/// histogram leaves there — and both callers hand them back once the
-/// exchange has returned, so that no buffer idles in the pool while the
-/// exchange takes its receive counts from it.
+/// Both vectors come out of the rank's buffer pool, and
+/// [`crate::route_merge`] hands them back once the exchange has
+/// returned, so that no buffer idles in the pool while the exchange
+/// takes its receive counts from it.
 pub fn plan_exchange<K: Key>(
     comm: &Comm,
     sorted_local: &[K],
@@ -87,20 +88,48 @@ pub fn plan_exchange<K: Key>(
     let infos = &splitters.splitters[..];
     let s = infos.len();
     assert!(s < comm.size(), "at most P-1 splitters for P ranks");
-    let n_local = sorted_local.len();
+    comm.charge(Work::BinarySearches {
+        searches: 2 * s as u64,
+        n: sorted_local.len() as u64,
+    });
+    let mut bounds = comm.pool().take_usize();
+    bounds.reserve((2 * s).max(s + 2));
+    let mut from = 0;
+    for info in infos {
+        let lower = partition_point_from(sorted_local, from, |x| *x < info.key);
+        let upper = partition_point_from(sorted_local, lower, |x| *x <= info.key);
+        bounds.extend([lower, upper]);
+        from = lower;
+    }
+    cut_at_bounds(comm, infos, bounds, sorted_local.len())
+}
 
-    // Refinement (Algorithm 4): splitter i's excess over the global
-    // strict-lower count is filled from the equal-key contingents in
-    // rank order, so a rank needs the contingent mass of the ranks
-    // *before* it — one EXCLUSIVE_SCAN (which the paper names as part
-    // of this step). Only a splitter realized strictly inside its
-    // equal-key range needs it: at `global_lower` the excess is 0 and
-    // no rank takes an equal key; at `global_upper` the excess is
-    // `U − L`, the sum of all contingents, so every rank takes its
-    // whole contingent whatever the ranks before it hold. The scan
-    // therefore carries just the split splitters' contingents and is
-    // skipped when there are none; every rank reads that set off the
-    // shared `SplitterResult`, so all of them agree on the collective.
+/// Algorithm 4's scan: this rank's cuts from its local bounds of every
+/// splitter key (`bounds[2i]` and `bounds[2i + 1]`, the local keys
+/// below and up to splitter `i`'s key, over a block of `n_local`),
+/// rewritten in place into the `s + 2` cuts. Collective.
+///
+/// Keys strictly below a splitter's key go left of its cut; its
+/// equal-key contingents are filled into its excess over the global
+/// strict-lower count in rank order, so a rank needs the contingent
+/// mass of the ranks *before* it — one EXCLUSIVE_SCAN (which the paper
+/// names as part of this step). Only a splitter realized strictly
+/// inside its equal-key range needs it: at `global_lower` the excess is
+/// 0 and no rank takes an equal key; at `global_upper` the excess is
+/// `U − L`, the sum of all contingents, so every rank takes its whole
+/// contingent whatever the ranks before it hold. The scan therefore
+/// carries just the split splitters' contingents and is skipped when
+/// there are none; every rank reads that set off the shared splitters,
+/// so all of them agree on the collective. The cuts are those of the
+/// full-width scan.
+pub(crate) fn cut_at_bounds<K: Key>(
+    comm: &Comm,
+    infos: &[SplitterInfo<K>],
+    mut bounds: Vec<usize>,
+    n_local: usize,
+) -> ExchangePlan {
+    let s = infos.len();
+    debug_assert_eq!(bounds.len(), 2 * s, "a (lower, upper) pair per splitter");
     let is_split = |info: &SplitterInfo<K>| {
         info.global_lower < info.realized && info.realized < info.global_upper
     };
@@ -110,32 +139,28 @@ pub fn plan_exchange<K: Key>(
         excess.saturating_sub(before_me).min(contingent) as usize
     };
 
-    // Local bounds of every splitter key, in one galloping pass that
-    // writes each cut; a split splitter's cut is its lower bound until
-    // the scan completes it.
-    comm.charge(Work::BinarySearches {
-        searches: 2 * s as u64,
-        n: n_local as u64,
-    });
-    let mut cuts = comm.pool().take_usize();
-    cuts.reserve(s + 2);
-    cuts.push(0usize);
+    // Cut `i + 1` overwrites the bounds in place once splitter `i`'s, at
+    // `2i` and `2i + 1`, have been read; a split splitter's cut is its
+    // lower bound until the scan completes it.
     let mut scanned = Vec::new();
-    let mut from = 0;
-    for info in infos {
-        let lower = partition_point_from(sorted_local, from, |x| *x < info.key);
-        let upper = partition_point_from(sorted_local, lower, |x| *x <= info.key);
+    for (i, info) in infos.iter().enumerate() {
+        let (lower, upper) = (bounds[2 * i], bounds[2 * i + 1]);
         let contingent = (upper - lower) as u64;
-        if is_split(info) {
+        bounds[i + 1] = if is_split(info) {
             if scanned.is_empty() {
                 scanned = comm.pool().take_u64();
             }
             scanned.push(contingent);
-            cuts.push(lower);
+            lower
         } else {
-            cuts.push(lower + take(info, 0, contingent));
-        }
-        from = lower;
+            lower + take(info, 0, contingent)
+        };
+    }
+    let mut cuts = bounds;
+    cuts.truncate(s + 1);
+    match cuts.first_mut() {
+        Some(first) => *first = 0,
+        None => cuts.push(0),
     }
 
     let before = (!scanned.is_empty()).then(|| comm.exscan_sum_vec_shared(&scanned));

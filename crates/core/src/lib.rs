@@ -17,9 +17,12 @@
 //!
 //! 1. **Local sort** — the configured [`LocalSort`] engine (a stable
 //!    sort by key for records);
-//! 2. **Splitting** — [`splitter::find_splitters_seeded`] (Algorithms
-//!    2 + 3, optionally seeded from a previous ladder);
-//! 3. **Data exchange** — [`exchange`] (Algorithm 4 + `ALL-TO-ALLV`);
+//! 2. **Splitting** — the search of [`splitter::find_splitters_seeded`]
+//!    (Algorithms 2 + 3, optionally seeded from a previous ladder),
+//!    which also hands the pipeline each rank's local bounds of the
+//!    accepted keys;
+//! 3. **Data exchange** — [`exchange`] (Algorithm 4's scan over those
+//!    bounds + `ALL-TO-ALLV`);
 //! 4. **Local merge** — one run merge, charged by [`dhs_merge::MergeAlgo`].
 //!
 //! Supersteps 3 and 4 run as one step, [`route_merge`], for every

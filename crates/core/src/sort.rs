@@ -15,11 +15,13 @@ use std::sync::Arc;
 use dhs_merge::MergeAlgo;
 use dhs_runtime::{AllToAllAlgo, Comm, RecoveryInterrupt, RecvRuns, Work};
 
-use crate::exchange::{exchange_data, group_of, group_range, plan_exchange, ExchangePlan};
+use crate::exchange::{
+    cut_at_bounds, exchange_data, group_of, group_range, plan_exchange, ExchangePlan,
+};
 use crate::kernels::KernelPolicy;
 use crate::key::Key;
 use crate::splitter::{
-    balanced_targets, find_splitters, find_splitters_seeded, perfect_targets, slack_for,
+    balanced_targets, find_splitters, find_splitters_with_bounds, perfect_targets, slack_for,
     SplitterInfo, SplitterOptions, SplitterResult,
 };
 
@@ -969,7 +971,8 @@ pub(crate) fn attempt<T: Clone + Send + Sync + 'static, P: Payload<T>>(
         let sp = c.span("histogram");
         let opts = cfg.splitter_options();
         let ladder = warm.as_deref().unwrap_or_default();
-        let found = find_splitters_seeded(c, &keys, &shape.targets, shape.slack, opts, ladder);
+        let (found, bounds) =
+            find_splitters_with_bounds(c, &keys, &shape.targets, shape.slack, opts, ladder);
         // Written back before the exchange, so a crash later in this
         // attempt still warm-starts the retry: the search's own shared
         // splitters, not a copy of their keys.
@@ -979,9 +982,10 @@ pub(crate) fn attempt<T: Clone + Send + Sync + 'static, P: Payload<T>>(
         stats.outcome = outcome_of(&found, shape.n_total, c.size());
         stats.histogram_ns += sp.finish();
 
-        // Phase 3a: exchange preparation (Algorithm 4) on the key view.
+        // Phase 3a: exchange preparation on the key view: Algorithm 4's
+        // scan over the bounds the search located.
         let sp = c.span("prepare");
-        let plan = plan_exchange(c, &keys, &found);
+        let plan = cut_at_bounds(c, &found.splitters, bounds, keys.len());
         stats.prepare_ns += sp.finish();
         plan
     };

@@ -4,8 +4,8 @@
 //!
 //! Each of the `P-1` splitters is a key-space bracket `[lo, hi]`
 //! refined once per iteration. A single `ALLREDUCE` per iteration sums
-//! the local histograms (`lower_bound`/`upper_bound` positions obtained
-//! by binary search in the locally sorted data) of *all still-open*
+//! the local histograms (`lower_bound`/`upper_bound` positions located
+//! in the locally sorted data) of *all still-open*
 //! splitters; Algorithm 2 then either accepts a splitter — when the
 //! achievable boundary interval `[L_i, U_i]` meets the target within
 //! the `ε` slack — or narrows its bracket. With coarse-grained keys
@@ -116,27 +116,56 @@
 //! A splitter's key bracket only ever narrows, so the local array
 //! positions its probes can land on narrow monotonically too: after a
 //! `TooHigh` verdict at probe `k`, every future probe is `< k` and its
-//! binary search cannot exit `[0, lower(k)]`; after `TooLow`, it cannot
-//! exit `[upper(k), n]`. Each splitter therefore carries a per-rank
-//! `[idx_lo, idx_hi]` bracket into the sorted local data; probes search
-//! only `sorted_local[idx_lo..idx_hi]` and the cost model charges
-//! [`Work::BinarySearches`] over the bracket width instead of
-//! `n_local` — a host-time *and* virtual-time win that compounds as
-//! the search converges. Bracket state is per-rank (it follows local
-//! counts), but it never influences which keys are probed, so all
-//! ranks still execute identical collective schedules.
+//! search cannot exit `[0, lower(k)]`; after `TooLow`, it cannot exit
+//! `[upper(k), n]`. Each splitter therefore carries a per-rank
+//! `[idx_lo, idx_hi]` bracket into the sorted local data, and its
+//! probes are located only in `sorted_local[idx_lo..idx_hi]` — a
+//! host-time *and* virtual-time win that compounds as the search
+//! converges. Bracket state is per-rank (it follows local counts), but
+//! it never influences which keys are probed, so all ranks still
+//! execute identical collective schedules.
 //!
-//! One serial pass per round does both: the loop over the open
-//! splitters loads a bracket once, prices its searches into a
-//! [`dhs_runtime::Charges`] batch (integer adds, no runtime call) and
-//! runs them; the batch is posted with one [`Comm::post`] per round,
-//! which is observably identical to the single charges it sums
-//! (same clock, same `compute_ns`, same death under a crash deadline).
-//! The pass stays on the rank thread whatever the thread budget: a
-//! round searches at most `probes_per_round × (P − 1)` keys, which is
-//! microseconds of bracketed searches next to a thread spawn, and a
-//! world of at least as many ranks as host cores runs every rank
-//! serially anyway (DESIGN.md, "hybrid host cap").
+//! A round's probes are located by one of two bodies, whichever is
+//! charged less on this rank, so no round costs more than its bracketed
+//! searches:
+//!
+//! * two binary searches per probe inside its bracket, charged as
+//!   [`Work::BinarySearches`] over the bracket width;
+//! * one galloping pass over the round's probes in key order (the plan
+//!   sorts them once for the world): each lower bound by exponential
+//!   search forward from where the previous key's upper bound ended,
+//!   clamped into its bracket, each upper bound from its lower bound.
+//!   It is charged `2m + 2⌈2m · log₂(1 + w / 2m)⌉` element reads for
+//!   `m` probes over brackets that cover `w` positions, a bound on
+//!   what it reads (DESIGN.md "Splitter search"). It wins where the
+//!   probes are dense in the keys: round 1 of `p = 1024` over 256 keys
+//!   per rank, 2 742 reads against 16 368.
+//!
+//! Either runs as one serial pass that prices its work into a
+//! [`dhs_runtime::Charges`] batch (integer adds, no runtime call); the
+//! batch is posted with one [`Comm::post`] per round, which is
+//! observably identical to the single charges it sums (same clock,
+//! same `compute_ns`, same death under a crash deadline). The pass
+//! stays on the rank thread whatever the thread budget: a round locates
+//! at most `probes_per_round × (P − 1)` keys, which is microseconds
+//! next to a thread spawn, and a world of at least as many ranks as
+//! host cores runs every rank serially anyway (DESIGN.md, "hybrid host
+//! cap").
+//!
+//! ## The cuts fall out of the search
+//!
+//! Algorithm 4 needs each rank's local `(lower, upper)` of every
+//! accepted key, and the round that accepted a key has located exactly
+//! that, for the histogram it reduced. The plan's path records the node
+//! each splitter settles on (accepted, or frozen by the cap), and each
+//! rank's fold collapses that splitter's index bracket to its own
+//! counts of the node. The keys the owner finish settles are located
+//! inside their brackets afterwards, which after a round hold a few
+//! keys at most; an empty bracket needs no search. The histogram sort
+//! takes these bounds from a crate-private entry and cuts with
+//! Algorithm 4's scan alone (`exchange::cut_at_bounds`), in
+//! the brackets' allocation; [`find_splitters`] and
+//! [`find_splitters_seeded`] return only the splitters.
 //!
 //! ## Replicated state is shared
 //!
@@ -164,9 +193,9 @@
 use std::mem;
 use std::sync::Arc;
 
-use dhs_runtime::{AllToAllAlgo, Comm, CutBlock, Work};
+use dhs_runtime::{search_probes, AllToAllAlgo, Comm, CutBlock, Work};
 
-use self::plan::{select_work, Machine, RoundPlan, Verdict};
+use self::plan::{select_work, Buffers, Machine, RoundPlan, Verdict};
 use crate::kernels::Kernels;
 use crate::key::Key;
 
@@ -300,6 +329,41 @@ pub fn find_splitters_seeded<K: Key, W: WarmLadder<K> + ?Sized>(
     opts: SplitterOptions,
     warm: &W,
 ) -> SplitterResult<K> {
+    let (found, brackets) = search(comm, sorted_local, targets, slack, opts, warm, false);
+    comm.pool().recycle_usize(brackets);
+    found
+}
+
+/// [`find_splitters_seeded`] that also hands back this rank's local
+/// bounds of every accepted key: `bounds[2i]` and `bounds[2i + 1]`
+/// are the local keys below and up to splitter `i`'s key, Algorithm
+/// 4's input ([`crate::exchange::cut_at_bounds`]). The bounds are the
+/// search's index brackets, collapsed as the splitters settle; those
+/// the owner finish settles are located inside their brackets
+/// afterwards. The vector comes out of the rank's buffer pool. The
+/// same result, rounds and probes as [`find_splitters_seeded`].
+pub(crate) fn find_splitters_with_bounds<K: Key, W: WarmLadder<K> + ?Sized>(
+    comm: &Comm,
+    sorted_local: &[K],
+    targets: &[u64],
+    slack: u64,
+    opts: SplitterOptions,
+    warm: &W,
+) -> (SplitterResult<K>, Vec<usize>) {
+    search(comm, sorted_local, targets, slack, opts, warm, true)
+}
+
+/// The search behind both entries; `locate` asks for the bounds of the
+/// keys the owner finish settles.
+fn search<K: Key, W: WarmLadder<K> + ?Sized>(
+    comm: &Comm,
+    sorted_local: &[K],
+    targets: &[u64],
+    slack: u64,
+    opts: SplitterOptions,
+    warm: &W,
+    locate: bool,
+) -> (SplitterResult<K>, Vec<usize>) {
     let warm = (!warm.is_empty()).then_some(warm);
     assert!(
         opts.probes_per_round >= 1,
@@ -314,11 +378,14 @@ pub fn find_splitters_seeded<K: Key, W: WarmLadder<K> + ?Sized>(
         "targets must be ascending"
     );
 
-    let nothing_to_split = || SplitterResult {
-        splitters: Arc::new([]),
-        iterations: 0,
-        probes: 0,
-        degraded: false,
+    let nothing_to_split = || {
+        let nothing = SplitterResult {
+            splitters: Arc::new([]),
+            iterations: 0,
+            probes: 0,
+            degraded: false,
+        };
+        (nothing, Vec::new())
     };
     if targets.is_empty() {
         // Single rank: no splitters to find, but stay collective-free.
@@ -341,14 +408,15 @@ pub fn find_splitters_seeded<K: Key, W: WarmLadder<K> + ?Sized>(
     }
 
     // The per-rank remainder of the search state: the local positions
-    // every remaining probe's binary searches of a splitter are
-    // confined to (see module docs: monotonically narrowing), `[idx_lo,
-    // idx_hi]` of splitter `i` at `2i` and `2i + 1` — one index vector,
-    // which the owner finish turns into its cuts. Driven by local
-    // counts; only affects where this rank searches, never which keys
-    // are probed.
+    // every remaining probe of a splitter is located within (see module
+    // docs: monotonically narrowing), `[idx_lo, idx_hi]` of splitter
+    // `i` at `2i` and `2i + 1` — one pooled index vector, which
+    // collapses to the splitter's local bounds once it settles. Driven
+    // by local counts; only affects where this rank searches, never
+    // which keys are probed.
     let n_local = sorted_local.len();
-    let mut brackets: Vec<usize> = [0, n_local].repeat(targets.len());
+    let mut brackets = comm.pool().take_usize();
+    brackets.extend(targets.iter().flat_map(|_| [0, n_local]));
 
     while plan.settled.is_none() && !plan.finish {
         // Every probe set leaves at most half the previous round's
@@ -359,19 +427,101 @@ pub fn find_splitters_seeded<K: Key, W: WarmLadder<K> + ?Sized>(
             "splitter search overran its bisection budget of {} rounds",
             K::BITS + 2
         );
-        let round = &plan.bufs;
-
-        // Build the local histogram: two binary searches per probe,
-        // confined to the splitter's index bracket and charged over
-        // its width in the same pass. The bracket makes the sub-slice
-        // search return exactly the full-array positions (everything
-        // left of `idx_lo` is known `< probe`, everything right of
-        // `idx_hi` known `> probe`). Charges are pure functions of
-        // data sizes, and the round posts them as one batch. Pooled
-        // counts buffer: every refinement round reuses the same
-        // allocation.
-        let mut charges = comm.charges();
+        // The local histogram, in the pooled counts buffer every round
+        // reuses. It is sized to take the owner finish's cuts and
+        // receive counts too: `P + 1` and `P` words, and one for the
+        // allocator's header between them.
         let mut histogram: Vec<u64> = comm.pool().take_u64();
+        histogram.reserve(2 * comm.size() + 2);
+        local_histogram(comm, sorted_local, &plan.bufs, &brackets, &mut histogram);
+
+        // One global reduction per round (Alg. 3 line 8), carrying all
+        // probes of all open splitters, viewed in place and charged
+        // at its true width. Whichever rank completes it refines every
+        // splitter against the global counts (Alg. 3 line 9) and lays
+        // out the next round, once for everybody.
+        let next = comm.allreduce_sum_then(&histogram, |global, cost| {
+            plan.advance(&global, cost, targets, slack, opts)
+        });
+
+        // What the ladder proved on the global counts, folded over
+        // this rank's own counts of the same probes: bracket ends, and
+        // the local bounds of every key that settled.
+        for step in &next.bufs.path {
+            let (at, node) = (2 * step.splitter, 2 * step.node);
+            match step.verdict {
+                Verdict::TooHigh => {
+                    brackets[at + 1] = brackets[at + 1].min(histogram[node] as usize);
+                }
+                Verdict::TooLow => brackets[at] = brackets[at].max(histogram[node + 1] as usize),
+                Verdict::Settled => {
+                    brackets[at] = histogram[node] as usize;
+                    brackets[at + 1] = histogram[node + 1] as usize;
+                }
+            }
+        }
+        if next.finish {
+            // The owner finish cuts its block in this allocation: `P +
+            // 1` of its words kept, the rest freed for the finish's
+            // receive counts (DESIGN.md "Memory model").
+            histogram.clear();
+            histogram.shrink_to(comm.size() + 1);
+        }
+        comm.pool().recycle_u64(histogram);
+        plan = next;
+    }
+
+    let splitters = match &plan.settled {
+        Some(settled) => Arc::clone(settled),
+        None => {
+            let settled = finish_at_owners(comm, sorted_local, targets, &plan, &brackets);
+            if locate {
+                locate_settled(
+                    comm,
+                    sorted_local,
+                    &plan.bufs.active,
+                    &settled,
+                    &mut brackets,
+                );
+            }
+            settled
+        }
+    };
+    let found = SplitterResult {
+        splitters,
+        // The owner finish counts as the round it replaces.
+        iterations: plan.rounds + u32::from(plan.finish),
+        probes: plan.probes_total,
+        degraded: plan.degraded,
+    };
+    (found, brackets)
+}
+
+/// This rank's histogram of the round into `histogram`: the local
+/// `(lower, upper)` of probe `n` at `2n` and `2n + 1`, each confined to
+/// its splitter's index bracket, which makes it exactly the full-array
+/// position (everything left of `idx_lo` is known `< probe`, everything
+/// right of `idx_hi` known `> probe`). Located by whichever of two
+/// bodies is charged less (module docs, "Shrinking index brackets"):
+/// two binary searches per probe over its bracket, charged over the
+/// bracket's width, or one galloping pass over the round's probes in
+/// key order, charged by [`gallop_charge`]. Both are posted as one
+/// batch; the charges are pure functions of data sizes.
+fn local_histogram<K: Key>(
+    comm: &Comm,
+    sorted_local: &[K],
+    round: &Buffers,
+    brackets: &[usize],
+    histogram: &mut Vec<u64>,
+) {
+    let (searched, galloped) = round_steps(&round.active, &round.offsets, brackets);
+    let mut charges = comm.charges();
+    if galloped < searched {
+        charges.add(Work::RandomAccesses(galloped));
+        histogram.resize(2 * round.probes.len(), 0);
+        let order = (&round.ladder[..], &round.owner[..]);
+        gallop_pass(sorted_local, &round.probes, order, brackets, histogram);
+    } else {
         histogram.reserve(2 * round.probes.len());
         for (j, &i) in round.active.iter().enumerate() {
             let (idx_lo, idx_hi) = (brackets[2 * i], brackets[2 * i + 1]);
@@ -387,50 +537,154 @@ pub fn find_splitters_seeded<K: Key, W: WarmLadder<K> + ?Sized>(
                 histogram.push((idx_lo + seg.partition_point(|x| *x <= key)) as u64);
             }
         }
-        comm.post(charges);
+    }
+    comm.post(charges);
+}
 
-        // One global reduction per round (Alg. 3 line 8), carrying all
-        // probes of all open splitters, viewed in place and charged
-        // at its true width. Whichever rank completes it refines every
-        // splitter against the global counts (Alg. 3 line 9) and lays
-        // out the next round, once for everybody.
-        let next = comm.allreduce_sum_then(&histogram, |global, cost| {
-            plan.advance(&global, cost, targets, slack, opts)
-        });
+/// The steps a round takes on this rank, in element reads, both ways:
+/// `2k⌈log₂ w⌉` over the open splitters of the bracketed searches
+/// (`k` probes in a bracket of width `w`, one step for `w < 2`: what
+/// [`Work::BinarySearches`] charges, a random access each), and the
+/// galloping pass's [`gallop_charge`] over the round's probes and the
+/// union of the brackets.
+fn round_steps(active: &[usize], offsets: &[usize], brackets: &[usize]) -> (u64, u64) {
+    let (mut searched, mut width, mut covered) = (0u64, 0, 0);
+    for (j, &i) in active.iter().enumerate() {
+        let (idx_lo, idx_hi) = (brackets[2 * i], brackets[2 * i + 1]);
+        let k = (offsets[j + 1] - offsets[j]) as u64;
+        searched += 2 * k * u64::from(search_probes((idx_hi - idx_lo) as u64));
+        // The brackets ascend in both ends (module docs), so this sums
+        // the length of their union.
+        width += idx_hi.saturating_sub(idx_lo.max(covered));
+        covered = covered.max(idx_hi);
+    }
+    let probes = offsets.last().copied().unwrap_or(0);
+    (searched, gallop_charge(probes as u64, width as u64))
+}
 
-        // The bracket ends the ladder proved on the global counts,
-        // folded over this rank's own counts of the same probes.
-        for step in &next.bufs.path {
-            let (at, node) = (2 * step.splitter, 2 * step.node);
-            match step.verdict {
-                Verdict::TooHigh => {
-                    brackets[at + 1] = brackets[at + 1].min(histogram[node] as usize);
-                }
-                Verdict::TooLow => brackets[at] = brackets[at].max(histogram[node + 1] as usize),
-            }
+/// The charge of one galloping pass over `m` probes whose brackets
+/// cover `w` local positions, in element reads:
+///
+/// ```text
+/// 2m + 2⌈2m · log₂(1 + w / 2m)⌉
+/// ```
+///
+/// It bounds the pass's steps. The pass runs at most `2m` gallops (a
+/// lower and an upper bound per distinct probe key), each one over
+/// positions no other gallop of the pass covers and inside a bracket,
+/// so their distances `δ` sum to at most `w`. A gallop at distance `δ`
+/// reads `⌊log₂(δ + 1)⌋` elements doubling its stride, at most one
+/// that stops it, and as many bisecting what is left: `2⌊log₂(δ + 1)⌋
+/// + 1`. The logarithm is concave, so the sum is largest with the
+/// distances spread evenly: `w / 2m` each.
+fn gallop_charge(m: u64, w: u64) -> u64 {
+    if m == 0 {
+        return 0;
+    }
+    let gallops = 2.0 * m as f64;
+    let doublings = (gallops * (1.0 + w as f64 / gallops).log2()).ceil() as u64;
+    2 * m + 2 * doublings
+}
+
+/// Locate the round's probes in key order (`order`: the ladder and each
+/// probe's splitter): each probe's lower bound by [`gallop`] forward
+/// from where the previous key's upper bound ended, clamped into its
+/// splitter's index bracket, and its upper bound from its lower bound.
+/// A probe whose key repeats the previous one copies its bounds.
+/// Writes `histogram[2n]` and `histogram[2n + 1]` for probe `n` and
+/// returns the elements it read, which [`gallop_charge`] bounds.
+fn gallop_pass<K: Key>(
+    sorted_local: &[K],
+    probes: &[u128],
+    (ladder, owner): (&[usize], &[usize]),
+    brackets: &[usize],
+    histogram: &mut [u64],
+) -> u64 {
+    let mut steps = 0;
+    let (mut last, mut lower, mut upper) = (None, 0, 0);
+    for &n in ladder {
+        let bits = probes[n];
+        if last != Some(bits) {
+            let (idx_lo, idx_hi) = (brackets[2 * owner[n]], brackets[2 * owner[n] + 1]);
+            let key = K::from_bits(bits);
+            lower = gallop(
+                sorted_local,
+                upper.max(idx_lo),
+                idx_hi,
+                |x| *x < key,
+                &mut steps,
+            );
+            upper = gallop(sorted_local, lower, idx_hi, |x| *x <= key, &mut steps);
+            last = Some(bits);
         }
-        if next.finish {
-            // Freed, not pooled: the owner finish's block and receive
-            // buffers take its place (a layout that pooled it measured
-            // higher peak RSS; DESIGN.md "Memory model").
-            drop(histogram);
+        histogram[2 * n] = lower as u64;
+        histogram[2 * n + 1] = upper as u64;
+    }
+    steps
+}
+
+/// `from + sorted[from..to].partition_point(pred)`, found by doubling
+/// the stride from `from` and bisecting the last one; every element
+/// read counts a step: `2⌊log₂(δ + 1)⌋ + 1` at most for an answer `δ`
+/// past `from`, none when `from == to`.
+fn gallop<T>(
+    sorted: &[T],
+    from: usize,
+    to: usize,
+    pred: impl Fn(&T) -> bool,
+    steps: &mut u64,
+) -> usize {
+    // `pred` holds on `sorted[from..lo]`; the answer is in `lo..=hi`.
+    let (mut lo, mut hi, mut stride) = (from, to, 1);
+    while stride <= hi - lo {
+        let at = lo + stride - 1;
+        *steps += 1;
+        if !pred(&sorted[at]) {
+            hi = at;
+            break;
+        }
+        lo = at + 1;
+        stride *= 2;
+    }
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        *steps += 1;
+        if pred(&sorted[mid]) {
+            lo = mid + 1;
         } else {
-            comm.pool().recycle_u64(histogram);
+            hi = mid;
         }
-        plan = next;
     }
+    lo
+}
 
-    let splitters = match &plan.settled {
-        Some(settled) => Arc::clone(settled),
-        None => finish_at_owners(comm, sorted_local, targets, &plan, brackets),
-    };
-    SplitterResult {
-        splitters,
-        // The owner finish counts as the round it replaces.
-        iterations: plan.rounds + u32::from(plan.finish),
-        probes: plan.probes_total,
-        degraded: plan.degraded,
+/// Collapse the index bracket of every splitter the owner finish
+/// settled (`open`) to the local bounds of its key in `settled`: two
+/// binary searches inside the bracket, charged over its width; an
+/// empty bracket needs none and is charged nothing.
+fn locate_settled<K: Key>(
+    comm: &Comm,
+    sorted_local: &[K],
+    open: &[usize],
+    settled: &[SplitterInfo<K>],
+    brackets: &mut [usize],
+) {
+    let mut charges = comm.charges();
+    for &i in open {
+        let (idx_lo, idx_hi) = (brackets[2 * i], brackets[2 * i + 1]);
+        if idx_lo == idx_hi {
+            continue;
+        }
+        let seg = &sorted_local[idx_lo..idx_hi];
+        let key = settled[i].key;
+        charges.add(Work::BinarySearches {
+            searches: 2,
+            n: seg.len() as u64,
+        });
+        brackets[2 * i] = idx_lo + seg.partition_point(|x| *x < key);
+        brackets[2 * i + 1] = idx_lo + seg.partition_point(|x| *x <= key);
     }
+    comm.post(charges);
 }
 
 /// Settle every splitter `plan` leaves open at its owner, rank `i` for
@@ -446,7 +700,7 @@ fn finish_at_owners<K: Key>(
     sorted_local: &[K],
     targets: &[u64],
     plan: &RoundPlan<K>,
-    brackets: Vec<usize>,
+    brackets: &[usize],
 ) -> Arc<[SplitterInfo<K>]> {
     let _span = comm.span("owner_finish");
     let open = &plan.bufs.active;
@@ -455,22 +709,17 @@ fn finish_at_owners<K: Key>(
         .map(|&i| brackets[2 * i + 1] - brackets[2 * i])
         .sum();
     let mut block: Vec<K> = Vec::with_capacity(sent);
-    // The cuts overwrite the brackets in place (cut `d + 1` is written
-    // once bracket `d`, at `2d` and `2d + 1`, has been read); segment
-    // `d` goes to rank `d`.
-    let mut cuts = brackets;
+    // Segment `d` goes to rank `d`. The cuts take the last histogram's
+    // allocation, which the search left in the pool.
+    let mut cuts = comm.pool().take_usize();
+    cuts.push(0);
     let mut open = open.iter().peekable();
     for d in 0..comm.size() {
         if open.next_if_eq(&&d).is_some() {
-            block.extend_from_slice(&sorted_local[cuts[2 * d]..cuts[2 * d + 1]]);
+            block.extend_from_slice(&sorted_local[brackets[2 * d]..brackets[2 * d + 1]]);
         }
-        match cuts.get_mut(d + 1) {
-            Some(cut) => *cut = block.len(),
-            None => cuts.push(block.len()),
-        }
+        cuts.push(block.len());
     }
-    cuts[0] = 0;
-    cuts.truncate(comm.size() + 1);
     comm.charge(Work::MoveBytes(mem::size_of_val(block.as_slice()) as u64));
     let received = comm.exchange(
         CutBlock {
@@ -480,9 +729,9 @@ fn finish_at_owners<K: Key>(
         AllToAllAlgo::Bruck,
     );
     drop(block);
-    // The cuts go to the pool, where the sort's exchange takes its cuts;
-    // the receive counts are freed (pooled, they would stay live until
-    // that exchange, which allocates its own).
+    // The cuts go back to the pool, where the sort's exchange takes its
+    // receive counts; the finish's receive counts are freed (pooled,
+    // they would stay live until that exchange).
     let (mut keys, counts) = received.into_parts();
     drop(counts);
     comm.pool().recycle_usize(cuts);
@@ -885,6 +1134,150 @@ mod tests {
         assert!(fits::<i64>() && fits::<OrderedF32>() && fits::<OrderedF64>());
         assert!(fits::<UniqueKey<u64>>() && fits::<UniqueKey<u16>>());
         assert_eq!(mem::size_of::<Extent<u64>>(), 32);
+    }
+
+    /// A round over `block` as the search lays one out: ascending key
+    /// brackets (both ends), their exact index brackets, and `probes[j]`
+    /// (ascending, inside bracket `j`) for splitter `j`.
+    fn round_over(
+        block: &[u64],
+        keys: &[(u64, u64)],
+        probes: &[Vec<u64>],
+    ) -> (Buffers, Vec<usize>) {
+        let mut round = Buffers::default();
+        let mut brackets = Vec::new();
+        round.offsets.push(0);
+        for (i, (&(lo, hi), mine)) in keys.iter().zip(probes).enumerate() {
+            round.active.push(i);
+            brackets.push(block.partition_point(|&x| x < lo));
+            brackets.push(block.partition_point(|&x| x <= hi));
+            round.probes.extend(mine.iter().map(|&k| u128::from(k)));
+            round.owner.resize(round.probes.len(), i);
+            round.offsets.push(round.probes.len());
+        }
+        round.ladder.extend(0..round.probes.len());
+        round.ladder.sort_unstable_by_key(|&n| (round.probes[n], n));
+        (round, brackets)
+    }
+
+    fn block_in(space: u8, n: usize, rng: &mut dhs_workloads::SplitMix64) -> Vec<u64> {
+        let mut block: Vec<u64> = (0..n)
+            .map(|_| match space {
+                0 => rng.next_u64() % 5,
+                1 => 42,
+                2 => [0, u64::MAX, rng.next_u64()][rng.next_u64() as usize % 3],
+                _ => rng.next_u64() >> (rng.next_u64() % 64),
+            })
+            .collect();
+        block.sort_unstable();
+        block
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 512, ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// The galloping pass finds every probe where a full-width
+        /// `partition_point` does, reads no more elements than
+        /// `gallop_charge` allows, and the round never posts more than
+        /// its bracketed searches would charge — on duplicate-heavy,
+        /// empty, all-equal and MIN/MAX blocks, random ascending
+        /// brackets and ascending probe sets.
+        #[test]
+        fn the_galloping_pass_is_exact_and_within_its_charge(
+            space in 0u8..4,
+            n in proptest::prop_oneof![proptest::strategy::Just(0usize), 1usize..400],
+            splitters in 1usize..40,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = dhs_workloads::SplitMix64(seed);
+            let block = block_in(space, n, &mut rng);
+            // Bracket keys from the block and around it, both ends
+            // sorted apart: bracket `j` then holds the `j`-th of each.
+            let mut pick = || match block.len() {
+                0 => rng.next_u64() % 7,
+                len if rng.next_u64().is_multiple_of(4) => rng.next_u64() % (block[len - 1].saturating_add(2)),
+                len => block[rng.next_u64() as usize % len],
+            };
+            let mut pairs: Vec<(u64, u64)> = (0..splitters)
+                .map(|_| {
+                    let (a, b) = (pick(), pick());
+                    (a.min(b), a.max(b))
+                })
+                .collect();
+            let (mut los, mut his): (Vec<u64>, Vec<u64>) = pairs.iter().copied().unzip();
+            los.sort_unstable();
+            his.sort_unstable();
+            for (j, pair) in pairs.iter_mut().enumerate() {
+                *pair = (los[j], his[j]);
+            }
+            let probes: Vec<Vec<u64>> = pairs
+                .iter()
+                .map(|&(lo, hi)| {
+                    let k = 1 + rng.next_u64() % 4;
+                    let mut mine: Vec<u64> = (0..k)
+                        .map(|_| lo + rng.next_u64() % (hi - lo).saturating_add(1).max(1))
+                        .collect();
+                    mine.sort_unstable();
+                    mine.dedup();
+                    mine
+                })
+                .collect();
+            let (round, brackets) = round_over(&block, &pairs, &probes);
+            let m = round.probes.len();
+
+            let mut histogram = vec![u64::MAX; 2 * m];
+            let order = (&round.ladder[..], &round.owner[..]);
+            let steps = gallop_pass(&block, &round.probes, order, &brackets, &mut histogram);
+            for (at, &bits) in round.probes.iter().enumerate() {
+                let key = bits as u64;
+                proptest::prop_assert_eq!(histogram[2 * at], block.partition_point(|&x| x < key) as u64);
+                proptest::prop_assert_eq!(histogram[2 * at + 1], block.partition_point(|&x| x <= key) as u64);
+            }
+            let (searched, galloped) = round_steps(&round.active, &round.offsets, &brackets);
+            proptest::prop_assert!(steps <= galloped, "{} steps, charged {}", steps, galloped);
+
+            // What the round posts, against the bracketed searches
+            // priced one splitter at a time.
+            let out = run(&ClusterConfig::small_cluster(1), move |comm| {
+                let bracketed: u64 = (0..round.active.len())
+                    .map(|j| {
+                        comm.cost_model().work_ns(Work::BinarySearches {
+                            searches: 2 * (round.offsets[j + 1] - round.offsets[j]) as u64,
+                            n: (brackets[2 * j + 1] - brackets[2 * j]) as u64,
+                        })
+                    })
+                    .sum();
+                let mut posted = Vec::new();
+                let t0 = comm.now_ns();
+                local_histogram(comm, &block, &round, &brackets, &mut posted);
+                (comm.now_ns() - t0, bracketed, posted == histogram)
+            });
+            let ((posted, bracketed, same), _) = &out[0];
+            proptest::prop_assert!(*same, "both bodies locate alike");
+            proptest::prop_assert!(posted <= bracketed, "posted {} ns over {}", posted, bracketed);
+            proptest::prop_assert_eq!(*bracketed, 6 * searched, "the steps weighed are the ones charged");
+        }
+    }
+
+    /// Round 1 of `latency_bound`'s shape: 1023 probes over 256 keys
+    /// take the pass, at a sixth of the bracketed searches' charge.
+    #[test]
+    fn a_dense_round_takes_the_pass() {
+        let (searched, galloped) = round_steps(
+            &(0..1023).collect::<Vec<_>>(),
+            &(0..=1023).collect::<Vec<_>>(),
+            &[0, 256].repeat(1023),
+        );
+        assert_eq!((searched, galloped), (2 * 1023 * 8, 2742));
+        // Seven probes over 2^20 keys do not.
+        let (searched, galloped) = round_steps(
+            &(0..7).collect::<Vec<_>>(),
+            &(0..=7).collect::<Vec<_>>(),
+            &[0, 1 << 20].repeat(7),
+        );
+        assert!(galloped > searched, "{galloped} against {searched}");
     }
 
     #[test]

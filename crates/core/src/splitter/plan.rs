@@ -92,12 +92,16 @@ pub(super) enum Verdict {
     TooHigh,
     /// Every future probe is above: `[local upper(node), idx_hi]`.
     TooLow,
+    /// The splitter settled on this node's key (accepted, or frozen by
+    /// the iteration cap): its index bracket collapses to the node's
+    /// local `(lower, upper)`, the rank's bounds for Algorithm 4.
+    Settled,
 }
 
-/// One end of the bracket a round left its splitter with. Ranks fold
-/// these over their *local* counts of the same node to narrow their
-/// index brackets; a settled splitter is never searched again, so an
-/// accepting node is not recorded.
+/// What a round proved about one splitter: an end of the bracket it
+/// left the splitter with, or the key it settled on. Ranks fold these
+/// over their *local* counts of the same node, which narrows their
+/// index brackets and turns a settled splitter's into its local bounds.
 #[derive(Clone, Copy)]
 pub(super) struct Step {
     /// Index of the splitter the step belongs to.
@@ -120,11 +124,15 @@ pub(super) struct Buffers {
     pub(super) probes: Vec<u128>,
     /// `probes[offsets[j]..offsets[j + 1]]` belong to `active[j]`.
     pub(super) offsets: Vec<usize>,
-    /// The bracket ends the previous round's ladder proved, over the
-    /// previous round's grid.
+    /// What the previous round's ladder proved, over the previous
+    /// round's grid.
     pub(super) path: Vec<Step>,
-    /// The previous round's probe indices by ascending key.
-    ladder: Vec<usize>,
+    /// This round's probe indices by ascending key (ties by index):
+    /// the ladder [`RoundPlan::advance`] reads, and the order in which
+    /// a rank's galloping pass locates the probes.
+    pub(super) ladder: Vec<usize>,
+    /// `owner[n]`: the splitter probe `n` was placed for.
+    pub(super) owner: Vec<usize>,
 }
 
 /// Where the owner finish is priced: the communicator's shape and the
@@ -328,6 +336,8 @@ impl<K: Key> RoundPlan<K> {
             active,
             probes,
             offsets,
+            ladder,
+            owner,
             ..
         } = &mut self.bufs;
         active.clear();
@@ -335,6 +345,8 @@ impl<K: Key> RoundPlan<K> {
         probes.clear();
         offsets.clear();
         offsets.push(0);
+        ladder.clear();
+        owner.clear();
         if active.is_empty() {
             return;
         }
@@ -365,8 +377,11 @@ impl<K: Key> RoundPlan<K> {
                 }
                 None => place(s, t, k, budget, opts.strict_paper_rule, probes),
             }
+            owner.resize(probes.len(), i);
             offsets.push(probes.len());
         }
+        ladder.extend(0..probes.len());
+        ladder.sort_unstable_by_key(|&n| (probes[n], n));
     }
 
     /// Refine every open splitter against this round's `global`
@@ -381,7 +396,10 @@ impl<K: Key> RoundPlan<K> {
     /// proves — two `partition_point`s over the ladder slice — and is
     /// accepted by the first probe between them, its own or a
     /// neighbour's. Under the paper's literal rule the slice is the
-    /// splitter's own probe (Alg. 3 line 9 as printed).
+    /// splitter's own probe (Alg. 3 line 9 as printed). The path records
+    /// the node each splitter settles on beside the bracket ends, so
+    /// that every rank's bounds of the accepted keys fall out of the
+    /// counts it has already reduced.
     pub(super) fn advance(
         &self,
         global: &[u64],
@@ -398,19 +416,10 @@ impl<K: Key> RoundPlan<K> {
             .ok()
             .and_then(|mut spare| spare.take())
             .unwrap_or_default();
-        let Buffers {
-            search,
-            path,
-            ladder,
-            ..
-        } = &mut bufs;
+        let Buffers { search, path, .. } = &mut bufs;
         search.clone_from(&grid.search);
         path.clear();
-        ladder.clear();
-        ladder.extend(0..grid.probes.len());
-        if !strict {
-            ladder.sort_unstable_by_key(|&n| (grid.probes[n], n));
-        }
+        let ladder = &grid.ladder;
 
         let rounds = self.rounds + 1;
         // Graceful degradation: out of iteration budget, every
@@ -424,7 +433,8 @@ impl<K: Key> RoundPlan<K> {
         for (j, &i) in grid.active.iter().enumerate() {
             let (s, t) = (&mut search[i], targets[i]);
             let slice = if strict {
-                &ladder[grid.offsets[j]..grid.offsets[j + 1]]
+                debug_assert_eq!(grid.offsets[j + 1], grid.offsets[j] + 1, "one probe each");
+                std::slice::from_ref(&grid.offsets[j])
             } else {
                 let from = ladder.partition_point(|&n| grid.probes[n] < s.lo);
                 let to = ladder.partition_point(|&n| grid.probes[n] <= s.hi);
@@ -443,6 +453,11 @@ impl<K: Key> RoundPlan<K> {
                 };
                 let (lower, upper) = counts(n);
                 s.done = Some((grid.probes[n], realized, lower, upper));
+                path.push(Step {
+                    splitter: i,
+                    node: n,
+                    verdict: Verdict::Settled,
+                });
                 continue;
             }
             let below = low.checked_sub(1).map(|at| slice[at]);
@@ -474,6 +489,11 @@ impl<K: Key> RoundPlan<K> {
                 };
                 let (lower, upper) = counts(n);
                 s.done = Some((grid.probes[n], t.clamp(lower, upper), lower, upper));
+                path.push(Step {
+                    splitter: i,
+                    node: n,
+                    verdict: Verdict::Settled,
+                });
                 degraded = true;
             }
         }

@@ -192,10 +192,11 @@ fn sort_peak_heap(p: usize, n_per: usize) -> u64 {
 
 /// `(p, n/p, bytes per rank per peer)` of the peak-heap row. At
 /// `n/p = p` every n-sized buffer also counts as 8 B per peer, so the
-/// bound covers a rank's receive buffer (8), its cuts (a recycled
-/// histogram allocation, 16) and its receive counts (8), plus the
-/// world's shared search state. Measured 34 B, the same over three
-/// runs; 96 B while every rank also held a per-destination segment
+/// bound covers a rank's receive buffer (8), its cuts (the search's
+/// index brackets, collapsed to the local bounds and cut in place, 16)
+/// and its receive counts (8), plus the world's shared search state.
+/// Measured 34 B (34.2 since the cuts come from the search, 33.9
+/// before); 96 B while every rank also held a per-destination segment
 /// list and its deposited copy, the plan's lower bounds and
 /// contingents, a copy of the splitter keys and an idle histogram.
 const PEAK_HEAP_ROW: (usize, usize, u64) = (256, 256, 40);

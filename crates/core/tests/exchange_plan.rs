@@ -12,13 +12,18 @@
 //! splitter count from one to `P − 1`. `exchange_data` must then
 //! deliver segment `d` of a `w`-way plan to one member of the `d`-th of
 //! `w` rank groups, and at `w = P` to rank `d`, for keys and records
-//! under every all-to-all schedule.
+//! under every all-to-all schedule. The histogram sort itself plans
+//! without `plan_exchange`: it cuts at the bounds its search located,
+//! and those cuts must be the same full-width Algorithm 4's — on
+//! duplicates, an empty rank, split splitters beside unsplit ones, a
+//! capped search and after the owner finish — with no binary search in
+//! its `prepare`.
 
 use std::sync::Arc;
 
 use dhs_core::exchange::{exchange_data, plan_exchange, ExchangePlan};
-use dhs_core::splitter::{find_splitters, SplitterOptions};
-use dhs_core::{Key, SplitterInfo, SplitterResult};
+use dhs_core::splitter::{find_splitters, perfect_targets, SplitterOptions};
+use dhs_core::{histogram_sort, histogram_sort_by, Key, SortConfig, SplitterInfo, SplitterResult};
 use dhs_runtime::{launch, run, AllToAllAlgo, ClusterConfig, Comm, TraceConfig, Work};
 use dhs_workloads::Distribution;
 
@@ -482,5 +487,156 @@ fn distinct_keys_issue_no_scan() {
     for rank in &record.trace.ranks {
         let scans = rank.spans.iter().filter(|s| s.name == "exscan").count();
         assert_eq!(scans, 1, "rank {}: only the reference scans", rank.rank);
+    }
+}
+
+/// Run the histogram sort over 8-byte records tagged with their source
+/// rank and hold the cuts it sent by — read back from where every
+/// source's records landed — to [`reference_cuts`] over the splitters
+/// of the same search, run beside it. Returns whether some splitter
+/// was split, some sat at an end of its range, the search stopped
+/// degraded, and the sort's owner finish fired on every rank.
+fn sort_cuts_are_the_reference(
+    cluster: ClusterConfig,
+    block: impl Fn(usize) -> Vec<u64> + Send + Sync,
+    cfg: SortConfig,
+    cell: &str,
+) -> (bool, bool, bool, bool) {
+    let p = cluster.ranks();
+    let record = launch(&cluster.with_trace(TraceConfig::On), |comm| {
+        let me = comm.rank();
+        let mut keys = block(me);
+        keys.sort_unstable();
+        // The sort's own search: perfect targets, ε = 0, the config's cap.
+        let caps: Vec<usize> = comm.allgather(keys.len());
+        let opts = SplitterOptions {
+            max_iterations: cfg.max_splitter_iterations,
+            ..SplitterOptions::default()
+        };
+        let found = find_splitters(comm, &keys, &perfect_targets(&caps), 0, opts);
+        let cuts = reference_cuts(comm, &keys, &found.splitters);
+        let mut records: Vec<(u64, u32)> = keys.iter().map(|&k| (k, me as u32)).collect();
+        let stats = histogram_sort_by(comm, &mut records, |r| r.0, &cfg);
+        assert_eq!(
+            stats.iterations, found.iterations,
+            "{cell}: the same search"
+        );
+        let mut landed = vec![0usize; p];
+        for r in &records {
+            landed[r.1 as usize] += 1;
+        }
+        let split = found.splitters.iter().any(is_split);
+        let at_end = found.splitters.iter().any(|s| !is_split(s));
+        (cuts, landed, [split, at_end, found.degraded])
+    })
+    .expect("an inert fault plan is valid");
+    let finish = record
+        .trace
+        .ranks
+        .iter()
+        .all(|r| r.spans.iter().filter(|s| s.name == "owner_finish").count() == 2);
+    let out = record.into_result().expect("no rank fails");
+    for (q, ((cuts, ..), _)) in out.iter().enumerate() {
+        let mut sent = vec![0];
+        for ((_, landed, ..), _) in &out {
+            sent.push(sent.last().expect("starts non-empty") + landed[q]);
+        }
+        assert_eq!(&sent, cuts, "{cell}: the cuts of rank {q}");
+    }
+    let any = |k: usize| out.iter().any(|((.., flags), _)| flags[k]);
+    (any(0), any(1), any(2), finish)
+}
+
+/// The histogram sort cuts from the bounds its search located, with
+/// Algorithm 4's scan alone; those cuts are full-width Algorithm 4's
+/// on duplicate-heavy keys (split splitters beside splitters at the
+/// ends of their ranges), an empty rank, and a search capped at one
+/// round.
+#[test]
+fn the_sort_cuts_where_algorithm_4_cuts() {
+    let dists = [
+        (
+            "uniform",
+            Distribution::Uniform {
+                lo: 10,
+                hi: 1 << 40,
+            },
+        ),
+        ("all-equal", Distribution::AllEqual { value: 7 }),
+        ("few-distinct", Distribution::FewDistinct { k: 3 }),
+        (
+            "zipf",
+            Distribution::Zipf {
+                items: 1 << 10,
+                s: 1.2,
+            },
+        ),
+    ];
+    let (mut mixed, mut degraded) = (false, false);
+    for (name, dist) in dists {
+        for p in [2, 8, 64] {
+            for cap in [None, Some(1)] {
+                let cfg = SortConfig {
+                    max_splitter_iterations: cap,
+                    ..SortConfig::default()
+                };
+                let cell = format!("{name} p={p} cap={cap:?}");
+                let cluster = ClusterConfig::small_cluster(p);
+                let (split, at_end, capped, _) =
+                    sort_cuts_are_the_reference(cluster, blocks(dist, 300), cfg, &cell);
+                mixed |= split && at_end;
+                degraded |= capped;
+            }
+        }
+    }
+    assert!(mixed, "some search splits one splitter and not another");
+    assert!(degraded, "some one-round search stops degraded");
+}
+
+/// Where the owner finish settles the splitters (p = 256, 16 keys per
+/// rank), the keys it settles are located inside their index brackets
+/// and the cuts are still full-width Algorithm 4's.
+#[test]
+fn the_sort_cuts_where_algorithm_4_cuts_after_the_owner_finish() {
+    let dist = Distribution::Uniform {
+        lo: 0,
+        hi: u64::MAX,
+    };
+    for (name, dist) in [
+        ("uniform", dist),
+        ("few-distinct", Distribution::FewDistinct { k: 3 }),
+    ] {
+        let cluster = ClusterConfig::supermuc_phase2(256);
+        let block = move |rank: usize| dist.generate_u64(16, 0xF1 + rank as u64);
+        let (.., finish) = sort_cuts_are_the_reference(cluster, block, SortConfig::default(), name);
+        if name == "uniform" {
+            assert!(finish, "the owner finish fires in the sort and beside it");
+        }
+    }
+}
+
+/// The histogram sort's `prepare` after its search is Algorithm 4's
+/// scan alone: on distinct keys no splitter is split, so the span is
+/// the scan's `s` compares and holds no binary search.
+#[test]
+fn the_sort_plans_without_searching() {
+    let p = 16;
+    let cfg = ClusterConfig::small_cluster(p).with_trace(TraceConfig::On);
+    let record = launch(&cfg, |comm| {
+        let mut local: Vec<u64> = (0..500).map(|i| (i * p + comm.rank()) as u64).collect();
+        histogram_sort(comm, &mut local, &SortConfig::default());
+        comm.cost_model().work_ns(Work::Compares(p as u64 - 1))
+    })
+    .expect("an inert fault plan is valid");
+    let scan = record.ranks[0].as_ref().expect("rank 0 completes").0;
+    for rank in &record.trace.ranks {
+        let top: Vec<_> = rank.spans.iter().filter(|s| s.depth == 0).collect();
+        let after = top
+            .iter()
+            .position(|s| s.name == "histogram")
+            .expect("a search");
+        let plan = top[after + 1];
+        assert_eq!(plan.name, "prepare", "rank {}", rank.rank);
+        assert_eq!(plan.end_ns - plan.start_ns, scan, "rank {}", rank.rank);
     }
 }
