@@ -12,8 +12,9 @@
 //! every entry point (plain keys, records via [`histogram_sort_by`],
 //! [`histogram_sort_two_level`]'s level 2 and the warm-started
 //! [`EpochSorter`] service), with shrink-and-recover as a retry loop
-//! around phases 2–4 (and [`cut_route_merge`], the group step of
-//! two-level's level 1, HSS and HykSort, beside it):
+//! around phases 2–4 (and [`cut_route_merge`], the group step of HSS
+//! and HykSort, beside it; two-level's level 1 cuts at its search's
+//! bounds as the pipeline does):
 //!
 //! 1. **Local sort** — the configured [`LocalSort`] engine (a stable
 //!    sort by key for records);

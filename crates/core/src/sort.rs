@@ -6,7 +6,8 @@
 //! are the only code that knows whether the elements are plain keys or
 //! records; [`RecoveryPolicy::Shrink`] is a retry loop around
 //! `attempt`. The epoch service and the two-level sort call the same
-//! functions; the latter's level 1 is the group step HSS and HykSort take.
+//! functions; the latter's level 1 cuts at its search's bounds as
+//! `attempt` does, and routes like the group step HSS and HykSort take.
 
 use std::borrow::Cow;
 use std::fmt;
@@ -21,8 +22,8 @@ use crate::exchange::{
 use crate::kernels::KernelPolicy;
 use crate::key::Key;
 use crate::splitter::{
-    balanced_targets, find_splitters, find_splitters_with_bounds, perfect_targets, slack_for,
-    SplitterInfo, SplitterOptions, SplitterResult,
+    balanced_targets, find_splitters_with_bounds, perfect_targets, slack_for, SplitterInfo,
+    SplitterOptions, SplitterResult,
 };
 
 /// How output boundaries are chosen.
@@ -486,22 +487,33 @@ pub fn histogram_sort_two_level<K: Key>(
         return stats;
     }
 
-    // Level 1: g − 1 splitters where the groups' outputs end.
+    // Level 1: g − 1 splitters where the groups' outputs end, cut at
+    // the bounds the search located (segment `d` goes to a member of
+    // group `d`), sent one-factor and merged as a re-sort.
     let sp = comm.span("histogram");
     let targets: Vec<u64> = (1..g)
         .map(|grp| shape.targets[group_range(grp, p, g).start - 1])
         .collect();
-    let found = find_splitters(comm, local, &targets, shape.slack, cfg.splitter_options());
+    let opts = cfg.splitter_options();
+    let cold: &[K] = &[];
+    let (found, bounds) =
+        find_splitters_with_bounds(comm, local, &targets, shape.slack, opts, cold);
     stats.iterations += found.iterations;
     stats.probes += found.probes;
     let level1 = outcome_of(&found, shape.n_total, p);
     stats.histogram_ns += sp.finish();
-    cut_route_merge(
+    let sp = comm.span("prepare");
+    let plan = cut_at_bounds(comm, &found.splitters, bounds, local.len());
+    stats.prepare_ns += sp.finish();
+    let merged = |received, scratch| {
+        merge_received(comm, received, scratch, MergeAlgo::Resort, cfg.local_sort)
+    };
+    route_merge(
         comm,
         local,
-        &found,
-        MergeAlgo::Resort,
-        cfg.local_sort,
+        plan,
+        AllToAllAlgo::OneFactor,
+        merged,
         &mut stats,
     );
 
@@ -1028,12 +1040,12 @@ pub fn route_merge<T: Clone + Send + Sync + 'static>(
     stats.merge_ns += sp.finish();
 }
 
-/// Phases 3–4 on an accepted search, for level 1 of
-/// [`histogram_sort_two_level`], HSS and every HykSort level: the
-/// Algorithm 4 cut under `prepare`, then [`route_merge`] over the
-/// one-factor exchange (with `s < P − 1` splitters segment `d` goes to
-/// a member of group `d`) and the merge charged by `merge` (a re-sort
-/// as `resort`). Collective.
+/// Phases 3–4 on an accepted search, for HSS and every HykSort level,
+/// whose searches hand back no bounds: the Algorithm 4 cut (its keys
+/// located first, by [`plan_exchange`]) under `prepare`, then
+/// [`route_merge`] over the one-factor exchange (with `s < P − 1`
+/// splitters segment `d` goes to a member of group `d`) and the merge
+/// charged by `merge` (a re-sort as `resort`). Collective.
 pub fn cut_route_merge<K: Key>(
     comm: &Comm,
     local: &mut Vec<K>,

@@ -125,9 +125,10 @@
 //! it never influences which keys are probed, so all ranks still
 //! execute identical collective schedules.
 //!
-//! A round's probes are located by one of two bodies, whichever is
-//! charged less on this rank, so no round costs more than its bracketed
-//! searches:
+//! A round's probes are located by one of three bodies, whichever is
+//! charged least in ns on this rank under the cost model, so no round
+//! costs more than its bracketed searches. With `m` probes over
+//! brackets whose union covers `w` positions:
 //!
 //! * two binary searches per probe inside its bracket, charged as
 //!   [`Work::BinarySearches`] over the bracket width;
@@ -135,13 +136,21 @@
 //!   sorts them once for the world): each lower bound by exponential
 //!   search forward from where the previous key's upper bound ended,
 //!   clamped into its bracket, each upper bound from its lower bound.
-//!   It is charged `2m + 2⌈2m · log₂(1 + w / 2m)⌉` element reads for
-//!   `m` probes over brackets that cover `w` positions, a bound on
-//!   what it reads (DESIGN.md "Splitter search"). It wins where the
-//!   probes are dense in the keys: round 1 of `p = 1024` over 256 keys
-//!   per rank, 2 742 reads against 16 368.
+//!   It is charged `2m + 2⌈2m · log₂(1 + w / 2m)⌉` element reads, a
+//!   bound on what it reads (DESIGN.md "Splitter search");
+//! * one merge pass, the same walk stepping one element at a time: a
+//!   two-pointer merge of the sorted probes and the sorted block. It is
+//!   charged `w + 2m` compares: its pointer only moves forward, inside
+//!   a bracket, and each key stops it at most twice.
 //!
-//! Either runs as one serial pass that prices its work into a
+//! The merge wins where probes are as dense as keys: round 1 of `p =
+//! 1024` over 256 keys per rank, 2 302 compares against 2 742 reads
+//! galloped and 16 368 searched. The gallop wins where a wide round
+//! meets a long block (465 probes over 131 072 keys), the searches
+//! where few probes meet a long block. The keys the owner finish
+//! settles are located by the same rule.
+//!
+//! Each runs as one serial pass that prices its work into a
 //! [`dhs_runtime::Charges`] batch (integer adds, no runtime call); the
 //! batch is posted with one [`Comm::post`] per round, which is
 //! observably identical to the single charges it sums (same clock,
@@ -161,7 +170,8 @@
 //! rank's fold collapses that splitter's index bracket to its own
 //! counts of the node. The keys the owner finish settles are located
 //! inside their brackets afterwards, which after a round hold a few
-//! keys at most; an empty bracket needs no search. The histogram sort
+//! keys at most, by the body the rule above charges least; an empty
+//! bracket needs no search. The histogram sort
 //! takes these bounds from a crate-private entry and cuts with
 //! Algorithm 4's scan alone (`exchange::cut_at_bounds`), in
 //! the brackets' allocation; [`find_splitters`] and
@@ -182,7 +192,7 @@
 //! bracketed slice for the shared probe list, charges, deposits, and
 //! afterwards folds the at most two bracket ends the ladder proved per
 //! open splitter over its own counts of the same probes. Only the
-//! binary searches and the allreduce are priced on the virtual clock,
+//! location and the allreduce are priced on the virtual clock,
 //! so where the refinement ran is unobservable there, at `1/P` of the
 //! host work and memory of every rank refining for itself (Alg. 3 as
 //! printed). The *result* is shared the same way: the rank that
@@ -190,10 +200,11 @@
 //! allgather) builds the `P-1` [`SplitterInfo`]s once and every rank's
 //! [`SplitterResult::splitters`] points at that one allocation.
 
+use std::cell::Cell;
 use std::mem;
 use std::sync::Arc;
 
-use dhs_runtime::{search_probes, AllToAllAlgo, Comm, CutBlock, Work};
+use dhs_runtime::{AllToAllAlgo, Comm, CostModel, CutBlock, Work};
 
 use self::plan::{select_work, Buffers, Machine, RoundPlan, Verdict};
 use crate::kernels::Kernels;
@@ -501,12 +512,12 @@ fn search<K: Key, W: WarmLadder<K> + ?Sized>(
 /// `(lower, upper)` of probe `n` at `2n` and `2n + 1`, each confined to
 /// its splitter's index bracket, which makes it exactly the full-array
 /// position (everything left of `idx_lo` is known `< probe`, everything
-/// right of `idx_hi` known `> probe`). Located by whichever of two
-/// bodies is charged less (module docs, "Shrinking index brackets"):
-/// two binary searches per probe over its bracket, charged over the
-/// bracket's width, or one galloping pass over the round's probes in
-/// key order, charged by [`gallop_charge`]. Both are posted as one
-/// batch; the charges are pure functions of data sizes.
+/// right of `idx_hi` known `> probe`). Located by whichever [`Body`] is
+/// charged least (module docs, "Shrinking index brackets"): two binary
+/// searches per probe over its bracket, charged over the bracket's
+/// width, or one pass over the round's probes in key order, galloping
+/// or merging. Each is posted as one batch; the charges are pure
+/// functions of data sizes and the cost model.
 fn local_histogram<K: Key>(
     comm: &Comm,
     sorted_local: &[K],
@@ -514,52 +525,116 @@ fn local_histogram<K: Key>(
     brackets: &[usize],
     histogram: &mut Vec<u64>,
 ) {
-    let (searched, galloped) = round_steps(&round.active, &round.offsets, brackets);
+    let widths = round.active.iter().enumerate().map(|(j, &i)| {
+        let k = round.offsets[j + 1] - round.offsets[j];
+        (k as u64, brackets[2 * i], brackets[2 * i + 1])
+    });
     let mut charges = comm.charges();
-    if galloped < searched {
-        charges.add(Work::RandomAccesses(galloped));
-        histogram.resize(2 * round.probes.len(), 0);
-        let order = (&round.ladder[..], &round.owner[..]);
-        gallop_pass(sorted_local, &round.probes, order, brackets, histogram);
-    } else {
-        histogram.reserve(2 * round.probes.len());
-        for (j, &i) in round.active.iter().enumerate() {
-            let (idx_lo, idx_hi) = (brackets[2 * i], brackets[2 * i + 1]);
-            let seg = &sorted_local[idx_lo..idx_hi];
-            let probes = &round.probes[round.offsets[j]..round.offsets[j + 1]];
-            charges.add(Work::BinarySearches {
-                searches: 2 * probes.len() as u64,
-                n: seg.len() as u64,
-            });
-            for &bits in probes {
-                let key = K::from_bits(bits);
-                histogram.push((idx_lo + seg.partition_point(|x| *x < key)) as u64);
-                histogram.push((idx_lo + seg.partition_point(|x| *x <= key)) as u64);
+    match cheapest_body(comm.cost_model(), widths) {
+        Body::Searches => {
+            histogram.reserve(2 * round.probes.len());
+            for (j, &i) in round.active.iter().enumerate() {
+                let (idx_lo, idx_hi) = (brackets[2 * i], brackets[2 * i + 1]);
+                let seg = &sorted_local[idx_lo..idx_hi];
+                let probes = &round.probes[round.offsets[j]..round.offsets[j + 1]];
+                charges.add(Work::BinarySearches {
+                    searches: 2 * probes.len() as u64,
+                    n: seg.len() as u64,
+                });
+                for &bits in probes {
+                    let key = K::from_bits(bits);
+                    histogram.push((idx_lo + seg.partition_point(|x| *x < key)) as u64);
+                    histogram.push((idx_lo + seg.partition_point(|x| *x <= key)) as u64);
+                }
             }
+        }
+        pass @ (Body::Gallop(work) | Body::Merge(work)) => {
+            charges.add(work);
+            histogram.resize(2 * round.probes.len(), 0);
+            let probes = round.ladder.iter().map(|&n| {
+                let (i, key) = (round.owner[n], K::from_bits(round.probes[n]));
+                (n, key, brackets[2 * i], brackets[2 * i + 1])
+            });
+            locate_pass(sorted_local, pass, probes, |n, lower, upper| {
+                histogram[2 * n] = lower as u64;
+                histogram[2 * n + 1] = upper as u64;
+            });
         }
     }
     comm.post(charges);
 }
 
-/// The steps a round takes on this rank, in element reads, both ways:
-/// `2k⌈log₂ w⌉` over the open splitters of the bracketed searches
-/// (`k` probes in a bracket of width `w`, one step for `w < 2`: what
-/// [`Work::BinarySearches`] charges, a random access each), and the
-/// galloping pass's [`gallop_charge`] over the round's probes and the
-/// union of the brackets.
-fn round_steps(active: &[usize], offsets: &[usize], brackets: &[usize]) -> (u64, u64) {
-    let (mut searched, mut width, mut covered) = (0u64, 0, 0);
-    for (j, &i) in active.iter().enumerate() {
-        let (idx_lo, idx_hi) = (brackets[2 * i], brackets[2 * i + 1]);
-        let k = (offsets[j + 1] - offsets[j]) as u64;
-        searched += 2 * k * u64::from(search_probes((idx_hi - idx_lo) as u64));
-        // The brackets ascend in both ends (module docs), so this sums
-        // the length of their union.
-        width += idx_hi.saturating_sub(idx_lo.max(covered));
+/// The three ways a rank locates a round's probes (module docs,
+/// "Shrinking index brackets"). The passes carry their charge.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Body {
+    /// Two binary searches per probe inside its bracket, charged per
+    /// splitter as [`Work::BinarySearches`] over the bracket's width.
+    Searches,
+    /// One galloping pass: `RandomAccesses(`[`gallop_charge`]`)`.
+    Gallop(Work),
+    /// One merge pass: `Compares(`[`merge_charge`]`)`.
+    Merge(Work),
+}
+
+/// The body charged least in ns under `cost` for a round that locates
+/// `k` probes in the index bracket `[idx_lo, idx_hi)` of each open
+/// splitter in `round`, given as `(k, idx_lo, idx_hi)` in splitter
+/// order. `m` probes over brackets whose union covers `w` positions
+/// ([`coverage`]) are charged:
+///
+/// * the searches, [`Work::BinarySearches`] of `2k` over each width;
+/// * the galloping pass, [`gallop_charge`]`(m, w)` random accesses;
+/// * the merge pass, [`merge_charge`]`(m, w)` compares.
+///
+/// A tie keeps the body listed first. The searches are summed only
+/// until they pass the cheaper pass: a dense round loses them within a
+/// few splitters, and pricing every one would cost the rank as much
+/// host time as the pass it picks.
+fn cheapest_body(
+    cost: &CostModel,
+    round: impl Iterator<Item = (u64, usize, usize)> + Clone,
+) -> Body {
+    let (m, w) = coverage(round.clone());
+    let (gallop, merge) = (
+        Work::RandomAccesses(gallop_charge(m, w)),
+        Work::Compares(merge_charge(m, w)),
+    );
+    let (pass, pass_ns) = match (cost.work_ns(gallop), cost.work_ns(merge)) {
+        (galloped, merged) if merged < galloped => (Body::Merge(merge), merged),
+        (galloped, _) => (Body::Gallop(gallop), galloped),
+    };
+    let mut searched = 0;
+    for (k, idx_lo, idx_hi) in round {
+        searched += cost.work_ns(Work::BinarySearches {
+            searches: 2 * k,
+            n: (idx_hi - idx_lo) as u64,
+        });
+        if searched > pass_ns {
+            return pass;
+        }
+    }
+    Body::Searches
+}
+
+/// `(m, w)` of a round given as [`cheapest_body`] takes it: its probe
+/// count and the positions its brackets cover. The brackets ascend in
+/// both ends (module docs), so `w` sums the length of their union.
+fn coverage(round: impl Iterator<Item = (u64, usize, usize)>) -> (u64, u64) {
+    let (mut probes, mut width, mut covered) = (0, 0, 0);
+    for (k, idx_lo, idx_hi) in round {
+        probes += k;
+        width += idx_hi.saturating_sub(idx_lo.max(covered)) as u64;
         covered = covered.max(idx_hi);
     }
-    let probes = offsets.last().copied().unwrap_or(0);
-    (searched, gallop_charge(probes as u64, width as u64))
+    (probes, width)
+}
+
+/// The charge of one merge pass over `m` probes whose brackets cover
+/// `w` local positions, in compares: `w + 2m`, a bound on the pass's
+/// reads (see [`locate_pass`]).
+fn merge_charge(m: u64, w: u64) -> u64 {
+    w + 2 * m
 }
 
 /// The charge of one galloping pass over `m` probes whose brackets
@@ -586,41 +661,57 @@ fn gallop_charge(m: u64, w: u64) -> u64 {
     2 * m + 2 * doublings
 }
 
-/// Locate the round's probes in key order (`order`: the ladder and each
-/// probe's splitter): each probe's lower bound by [`gallop`] forward
-/// from where the previous key's upper bound ended, clamped into its
-/// splitter's index bracket, and its upper bound from its lower bound.
-/// A probe whose key repeats the previous one copies its bounds.
-/// Writes `histogram[2n]` and `histogram[2n + 1]` for probe `n` and
-/// returns the elements it read, which [`gallop_charge`] bounds.
-fn gallop_pass<K: Key>(
-    sorted_local: &[K],
-    probes: &[u128],
-    (ladder, owner): (&[usize], &[usize]),
-    brackets: &[usize],
-    histogram: &mut [u64],
+/// Locate `probes`, ascending by key, in one pass over `sorted`: each
+/// probe `(n, key, idx_lo, idx_hi)`'s lower bound forward from where
+/// the previous key's upper bound ended, clamped into its index
+/// bracket, and its upper bound from its lower bound, by galloping or
+/// by stepping one element at a time as `pass` says. A probe whose key
+/// repeats the previous one copies its bounds. Hands `put(n, lower,
+/// upper)` each probe's full-array bounds and returns the elements it
+/// read, which the pass's charge bounds: [`gallop_charge`] for the
+/// galloping pass; [`merge_charge`], `w + 2m`, for the merge, whose
+/// reads that step past an element move forward only, inside a
+/// bracket, at most `w` of them, and whose reads that stop a bound
+/// number two per key.
+fn locate_pass<K: Key>(
+    sorted: &[K],
+    pass: Body,
+    probes: impl Iterator<Item = (usize, K, usize, usize)>,
+    mut put: impl FnMut(usize, usize, usize),
 ) -> u64 {
+    let merge = matches!(pass, Body::Merge(_));
     let mut steps = 0;
     let (mut last, mut lower, mut upper) = (None, 0, 0);
-    for &n in ladder {
-        let bits = probes[n];
-        if last != Some(bits) {
-            let (idx_lo, idx_hi) = (brackets[2 * owner[n]], brackets[2 * owner[n] + 1]);
-            let key = K::from_bits(bits);
-            lower = gallop(
-                sorted_local,
-                upper.max(idx_lo),
-                idx_hi,
-                |x| *x < key,
-                &mut steps,
-            );
-            upper = gallop(sorted_local, lower, idx_hi, |x| *x <= key, &mut steps);
-            last = Some(bits);
+    for (n, key, idx_lo, idx_hi) in probes {
+        if last != Some(key) {
+            let from = upper.max(idx_lo);
+            lower = seek(merge, sorted, from, idx_hi, |x| *x < key, &mut steps);
+            upper = seek(merge, sorted, lower, idx_hi, |x| *x <= key, &mut steps);
+            last = Some(key);
         }
-        histogram[2 * n] = lower as u64;
-        histogram[2 * n + 1] = upper as u64;
+        put(n, lower, upper);
     }
     steps
+}
+
+/// `from + sorted[from..to].partition_point(pred)`, stepping one
+/// element at a time when `merge` is set (one read per element passed
+/// and at most one that stops it) and by [`gallop`] otherwise.
+#[inline]
+fn seek<T>(
+    merge: bool,
+    sorted: &[T],
+    from: usize,
+    to: usize,
+    pred: impl Fn(&T) -> bool,
+    steps: &mut u64,
+) -> usize {
+    if !merge {
+        return gallop(sorted, from, to, pred, steps);
+    }
+    let passed = sorted[from..to].iter().take_while(|x| pred(x)).count();
+    *steps += passed as u64 + u64::from(from + passed < to);
+    from + passed
 }
 
 /// `from + sorted[from..to].partition_point(pred)`, found by doubling
@@ -659,9 +750,10 @@ fn gallop<T>(
 }
 
 /// Collapse the index bracket of every splitter the owner finish
-/// settled (`open`) to the local bounds of its key in `settled`: two
-/// binary searches inside the bracket, charged over its width; an
-/// empty bracket needs none and is charged nothing.
+/// settled (`open`) to the local bounds of its key in `settled`. The
+/// non-empty brackets, one settled key each, are located as a round's
+/// probes are, by the body [`cheapest_body`] charges least; an empty
+/// bracket needs no search and is charged nothing.
 fn locate_settled<K: Key>(
     comm: &Comm,
     sorted_local: &[K],
@@ -669,20 +761,41 @@ fn locate_settled<K: Key>(
     settled: &[SplitterInfo<K>],
     brackets: &mut [usize],
 ) {
+    let brackets = Cell::from_mut(brackets).as_slice_of_cells();
+    let bracket = |i: usize| (brackets[2 * i].get(), brackets[2 * i + 1].get());
+    let put = |i: usize, lower, upper| {
+        brackets[2 * i].set(lower);
+        brackets[2 * i + 1].set(upper);
+    };
+    let nonempty = || {
+        open.iter().filter_map(|&i| {
+            let (idx_lo, idx_hi) = bracket(i);
+            (idx_lo < idx_hi).then_some((i, idx_lo, idx_hi))
+        })
+    };
+    let widths = nonempty().map(|(_, idx_lo, idx_hi)| (1, idx_lo, idx_hi));
     let mut charges = comm.charges();
-    for &i in open {
-        let (idx_lo, idx_hi) = (brackets[2 * i], brackets[2 * i + 1]);
-        if idx_lo == idx_hi {
-            continue;
+    match cheapest_body(comm.cost_model(), widths) {
+        Body::Searches => {
+            for (i, idx_lo, idx_hi) in nonempty() {
+                let seg = &sorted_local[idx_lo..idx_hi];
+                let key = settled[i].key;
+                charges.add(Work::BinarySearches {
+                    searches: 2,
+                    n: seg.len() as u64,
+                });
+                put(
+                    i,
+                    idx_lo + seg.partition_point(|x| *x < key),
+                    idx_lo + seg.partition_point(|x| *x <= key),
+                );
+            }
         }
-        let seg = &sorted_local[idx_lo..idx_hi];
-        let key = settled[i].key;
-        charges.add(Work::BinarySearches {
-            searches: 2,
-            n: seg.len() as u64,
-        });
-        brackets[2 * i] = idx_lo + seg.partition_point(|x| *x < key);
-        brackets[2 * i + 1] = idx_lo + seg.partition_point(|x| *x <= key);
+        pass @ (Body::Gallop(work) | Body::Merge(work)) => {
+            charges.add(work);
+            let probes = nonempty().map(|(i, idx_lo, idx_hi)| (i, settled[i].key, idx_lo, idx_hi));
+            locate_pass(sorted_local, pass, probes, put);
+        }
     }
     comm.post(charges);
 }
@@ -1173,6 +1286,98 @@ mod tests {
         block
     }
 
+    /// A random round over a random block: duplicate-heavy, all-equal,
+    /// MIN/MAX or spread keys (`space`), random ascending brackets and
+    /// ascending probe sets inside them.
+    fn random_round(
+        space: u8,
+        n: usize,
+        splitters: usize,
+        seed: u64,
+    ) -> (Vec<u64>, Buffers, Vec<usize>) {
+        let mut rng = dhs_workloads::SplitMix64(seed);
+        let block = block_in(space, n, &mut rng);
+        // Bracket keys from the block and around it, both ends sorted
+        // apart: bracket `j` then holds the `j`-th of each.
+        let mut pick = || match block.len() {
+            0 => rng.next_u64() % 7,
+            len if rng.next_u64().is_multiple_of(4) => {
+                rng.next_u64() % (block[len - 1].saturating_add(2))
+            }
+            len => block[rng.next_u64() as usize % len],
+        };
+        let mut pairs: Vec<(u64, u64)> = (0..splitters)
+            .map(|_| {
+                let (a, b) = (pick(), pick());
+                (a.min(b), a.max(b))
+            })
+            .collect();
+        let (mut los, mut his): (Vec<u64>, Vec<u64>) = pairs.iter().copied().unzip();
+        los.sort_unstable();
+        his.sort_unstable();
+        for (j, pair) in pairs.iter_mut().enumerate() {
+            *pair = (los[j], his[j]);
+        }
+        let probes: Vec<Vec<u64>> = pairs
+            .iter()
+            .map(|&(lo, hi)| {
+                let k = 1 + rng.next_u64() % 4;
+                let mut mine: Vec<u64> = (0..k)
+                    .map(|_| lo + rng.next_u64() % (hi - lo).saturating_add(1).max(1))
+                    .collect();
+                mine.sort_unstable();
+                mine.dedup();
+                mine
+            })
+            .collect();
+        let (round, brackets) = round_over(&block, &pairs, &probes);
+        (block, round, brackets)
+    }
+
+    /// `(m, w)` of the round (`coverage`).
+    fn covered(round: &Buffers, brackets: &[usize]) -> (u64, u64) {
+        coverage(round.active.iter().enumerate().map(|(j, &i)| {
+            let k = round.offsets[j + 1] - round.offsets[j];
+            (k as u64, brackets[2 * i], brackets[2 * i + 1])
+        }))
+    }
+
+    /// Run `pass` over the round in key order: the histogram it writes
+    /// and the elements it reads.
+    fn located(block: &[u64], round: &Buffers, brackets: &[usize], pass: Body) -> (Vec<u64>, u64) {
+        let mut histogram = vec![u64::MAX; 2 * round.probes.len()];
+        let probes = round.ladder.iter().map(|&n| {
+            let i = round.owner[n];
+            (
+                n,
+                round.probes[n] as u64,
+                brackets[2 * i],
+                brackets[2 * i + 1],
+            )
+        });
+        let steps = locate_pass(block, pass, probes, |n, lower, upper| {
+            histogram[2 * n] = lower as u64;
+            histogram[2 * n + 1] = upper as u64;
+        });
+        (histogram, steps)
+    }
+
+    /// Every probe of `round` sits where a full-width `partition_point`
+    /// puts it.
+    fn assert_exact(block: &[u64], round: &Buffers, histogram: &[u64]) {
+        for (at, &bits) in round.probes.iter().enumerate() {
+            let key = bits as u64;
+            assert_eq!(
+                histogram[2 * at],
+                block.partition_point(|&x| x < key) as u64
+            );
+            assert_eq!(
+                histogram[2 * at + 1],
+                block.partition_point(|&x| x <= key) as u64
+            );
+        }
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig {
             cases: 512, ..proptest::prelude::ProptestConfig::default()
@@ -1180,10 +1385,11 @@ mod tests {
 
         /// The galloping pass finds every probe where a full-width
         /// `partition_point` does, reads no more elements than
-        /// `gallop_charge` allows, and the round never posts more than
-        /// its bracketed searches would charge — on duplicate-heavy,
-        /// empty, all-equal and MIN/MAX blocks, random ascending
-        /// brackets and ascending probe sets.
+        /// `gallop_charge` allows, and the round posts the cheapest
+        /// body's charge, never more than its bracketed searches (the
+        /// rule may stop summing them early) — on
+        /// duplicate-heavy, empty, all-equal and MIN/MAX blocks, random
+        /// ascending brackets and ascending probe sets.
         #[test]
         fn the_galloping_pass_is_exact_and_within_its_charge(
             space in 0u8..4,
@@ -1191,93 +1397,81 @@ mod tests {
             splitters in 1usize..40,
             seed in 0u64..u64::MAX,
         ) {
-            let mut rng = dhs_workloads::SplitMix64(seed);
-            let block = block_in(space, n, &mut rng);
-            // Bracket keys from the block and around it, both ends
-            // sorted apart: bracket `j` then holds the `j`-th of each.
-            let mut pick = || match block.len() {
-                0 => rng.next_u64() % 7,
-                len if rng.next_u64().is_multiple_of(4) => rng.next_u64() % (block[len - 1].saturating_add(2)),
-                len => block[rng.next_u64() as usize % len],
-            };
-            let mut pairs: Vec<(u64, u64)> = (0..splitters)
-                .map(|_| {
-                    let (a, b) = (pick(), pick());
-                    (a.min(b), a.max(b))
-                })
-                .collect();
-            let (mut los, mut his): (Vec<u64>, Vec<u64>) = pairs.iter().copied().unzip();
-            los.sort_unstable();
-            his.sort_unstable();
-            for (j, pair) in pairs.iter_mut().enumerate() {
-                *pair = (los[j], his[j]);
-            }
-            let probes: Vec<Vec<u64>> = pairs
-                .iter()
-                .map(|&(lo, hi)| {
-                    let k = 1 + rng.next_u64() % 4;
-                    let mut mine: Vec<u64> = (0..k)
-                        .map(|_| lo + rng.next_u64() % (hi - lo).saturating_add(1).max(1))
-                        .collect();
-                    mine.sort_unstable();
-                    mine.dedup();
-                    mine
-                })
-                .collect();
-            let (round, brackets) = round_over(&block, &pairs, &probes);
-            let m = round.probes.len();
+            let (block, round, brackets) = random_round(space, n, splitters, seed);
+            let (m, w) = covered(&round, &brackets);
+            let gallop = Work::RandomAccesses(gallop_charge(m, w));
+            let (histogram, steps) = located(&block, &round, &brackets, Body::Gallop(gallop));
+            assert_exact(&block, &round, &histogram);
+            proptest::prop_assert!(steps <= gallop_charge(m, w), "{} steps, charged {:?}", steps, gallop);
 
-            let mut histogram = vec![u64::MAX; 2 * m];
-            let order = (&round.ladder[..], &round.owner[..]);
-            let steps = gallop_pass(&block, &round.probes, order, &brackets, &mut histogram);
-            for (at, &bits) in round.probes.iter().enumerate() {
-                let key = bits as u64;
-                proptest::prop_assert_eq!(histogram[2 * at], block.partition_point(|&x| x < key) as u64);
-                proptest::prop_assert_eq!(histogram[2 * at + 1], block.partition_point(|&x| x <= key) as u64);
-            }
-            let (searched, galloped) = round_steps(&round.active, &round.offsets, &brackets);
-            proptest::prop_assert!(steps <= galloped, "{} steps, charged {}", steps, galloped);
-
-            // What the round posts, against the bracketed searches
-            // priced one splitter at a time.
+            // What the round posts: the least of the bracketed searches,
+            // priced one splitter at a time, and the two passes.
+            let merge = Work::Compares(merge_charge(m, w));
             let out = run(&ClusterConfig::small_cluster(1), move |comm| {
+                let cost = comm.cost_model();
                 let bracketed: u64 = (0..round.active.len())
                     .map(|j| {
-                        comm.cost_model().work_ns(Work::BinarySearches {
+                        cost.work_ns(Work::BinarySearches {
                             searches: 2 * (round.offsets[j + 1] - round.offsets[j]) as u64,
                             n: (brackets[2 * j + 1] - brackets[2 * j]) as u64,
                         })
                     })
                     .sum();
+                let least = bracketed.min(cost.work_ns(gallop)).min(cost.work_ns(merge));
                 let mut posted = Vec::new();
                 let t0 = comm.now_ns();
                 local_histogram(comm, &block, &round, &brackets, &mut posted);
-                (comm.now_ns() - t0, bracketed, posted == histogram)
+                (comm.now_ns() - t0, least, posted == histogram)
             });
-            let ((posted, bracketed, same), _) = &out[0];
-            proptest::prop_assert!(*same, "both bodies locate alike");
-            proptest::prop_assert!(posted <= bracketed, "posted {} ns over {}", posted, bracketed);
-            proptest::prop_assert_eq!(*bracketed, 6 * searched, "the steps weighed are the ones charged");
+            let ((posted, least, same), _) = &out[0];
+            proptest::prop_assert!(*same, "every body locates alike");
+            proptest::prop_assert_eq!(posted, least, "the cheapest body is posted");
+        }
+
+        /// The merge pass finds every probe where a full-width
+        /// `partition_point` does and reads no more than the `w + 2m`
+        /// elements `merge_charge` allows, over the same rounds.
+        #[test]
+        fn the_merge_pass_is_exact_and_within_its_charge(
+            space in 0u8..4,
+            n in proptest::prop_oneof![proptest::strategy::Just(0usize), 1usize..400],
+            splitters in 1usize..40,
+            seed in 0u64..u64::MAX,
+        ) {
+            let (block, round, brackets) = random_round(space, n, splitters, seed);
+            let (m, w) = covered(&round, &brackets);
+            let merge = Body::Merge(Work::Compares(merge_charge(m, w)));
+            let (histogram, steps) = located(&block, &round, &brackets, merge);
+            assert_exact(&block, &round, &histogram);
+            let charged = merge_charge(m, w);
+            proptest::prop_assert!(steps <= charged, "{} steps, charged {}", steps, charged);
         }
     }
 
-    /// Round 1 of `latency_bound`'s shape: 1023 probes over 256 keys
-    /// take the pass, at a sixth of the bracketed searches' charge.
+    /// One round where each body is charged least, under the default
+    /// cost model (a compare 1 ns, a random access 6 ns).
     #[test]
-    fn a_dense_round_takes_the_pass() {
-        let (searched, galloped) = round_steps(
-            &(0..1023).collect::<Vec<_>>(),
-            &(0..=1023).collect::<Vec<_>>(),
-            &[0, 256].repeat(1023),
+    fn the_rule_posts_the_cheapest_body() {
+        let pick = |probes: usize, per: usize, n: usize| {
+            let widths = (0..probes / per).map(|_| (per as u64, 0, n));
+            cheapest_body(&CostModel::default(), widths)
+        };
+        // Round 1 of `latency_bound`'s shape: 1 023 probes over 256 keys
+        // per rank merge for 2 302 ns, against 2 742 reads galloped
+        // (16 452 ns) and 16 368 searched (98 208 ns).
+        assert_eq!(
+            pick(1023, 1, 256),
+            Body::Merge(Work::Compares(256 + 2 * 1023))
         );
-        assert_eq!((searched, galloped), (2 * 1023 * 8, 2742));
-        // Seven probes over 2^20 keys do not.
-        let (searched, galloped) = round_steps(
-            &(0..7).collect::<Vec<_>>(),
-            &(0..=7).collect::<Vec<_>>(),
-            &[0, 1 << 20].repeat(7),
+        // Round 1 of `ablation_probes` at p = 32, m = 15 over 2^22 keys:
+        // 465 probes over 131 072 keys per rank gallop for 14 228 reads
+        // against 15 810 searched and 132 002 compares merged.
+        assert_eq!(
+            pick(465, 15, 1 << 17),
+            Body::Gallop(Work::RandomAccesses(14_228))
         );
-        assert!(galloped > searched, "{galloped} against {searched}");
+        // Seven probes over 2^20 keys keep their 280 searched reads.
+        assert_eq!(pick(7, 1, 1 << 20), Body::Searches);
     }
 
     #[test]

@@ -993,10 +993,8 @@ pub enum Work {
 /// to `k` just above a large power of two (`n = 2^k + 1`, `k ≥ 49` on
 /// this libm); the two agree below `2^32` with more than `2^15` ulps
 /// to spare, and longer runs (no rank holds one) keep the float
-/// formula so that every charge stays bit-identical. Public so that a
-/// caller choosing between bracketed searches and another locating
-/// pass can weigh them in the steps the searches are charged.
-pub fn search_probes(n: u64) -> u32 {
+/// formula so that every charge stays bit-identical.
+pub(crate) fn search_probes(n: u64) -> u32 {
     if n < 2 {
         1
     } else if n <= u32::MAX as u64 {

@@ -46,7 +46,7 @@ pub mod trace;
 
 pub use buffer::{BufferPool, PoolStats, RecvRuns, SharedSlice};
 pub use comm::{group_of, group_range, AllToAllAlgo, Charges, Comm, CutBlock, ExchangePayload};
-pub use cost::{log2_ceil, search_probes, CostModel, LinkCost, Work};
+pub use cost::{log2_ceil, CostModel, LinkCost, Work};
 pub use fault::{Crash, FaultPlan, FaultPlanError, LinkFault, RankError, Straggler};
 pub use recover::{RecoveryGuard, RecoveryInterrupt, Shrunk};
 pub use runner::{launch, run, try_run, ClusterConfig, RunError, RunRecord};

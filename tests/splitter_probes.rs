@@ -916,3 +916,29 @@ proptest! {
         }
     }
 }
+
+/// Round 1 of a dense shape (p = 256, 64 keys per rank: 255 probes over
+/// a 64-key block) is located by one merge of the sorted probes and the
+/// sorted block: rank 0's local histogram, from the end of the range
+/// reduction to the start of round 1's allreduce, is charged exactly
+/// `Compares(w + 2m)`.
+#[test]
+fn a_dense_round_is_charged_one_merge() {
+    let (p, n_per, seed) = (256, 64, 3u64);
+    let cluster = ClusterConfig::supermuc_phase2(p).with_trace(TraceConfig::On);
+    let record = launch(&cluster, move |comm| {
+        let local = keys_for(comm.rank(), n_per, u64::MAX, seed);
+        let targets = perfect_targets(&vec![n_per; comm.size()]);
+        find_splitters(comm, &local, &targets, 0, SplitterOptions::default());
+    })
+    .expect("a valid fault plan");
+    let collectives: Vec<_> = record.trace.ranks[0]
+        .spans
+        .iter()
+        .filter(|s| s.cat == "collective")
+        .collect();
+    let located = collectives[1].start_ns - collectives[0].end_ns;
+    let (m, w) = (p as u64 - 1, n_per as u64);
+    let merge = CostModel::default().work_ns(Work::Compares(w + 2 * m));
+    assert_eq!(located, merge, "rank 0's round 1: {located} ns");
+}
