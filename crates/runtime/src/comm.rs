@@ -10,6 +10,36 @@
 //! only transport: a pairwise step (bitonic's compare-split) is a
 //! [`Comm::exchange`] with one non-empty segment, priced sparsely by
 //! [`AllToAllAlgo::StagedKWay`] with `k ≥ P`.
+//!
+//! # The exchange's host cost
+//!
+//! The personalized all-to-all costs the host `O(P + s)` per rank, `s`
+//! the non-empty segments the rank sends and receives, and never
+//! `O(P²)` (the one-factor arm's price aside, which charges α to every
+//! peer and so reads all `P²` pairs):
+//!
+//! - **Sender.** One walk over its own segments packs a bitmap of the
+//!   non-empty ones (`⌈w/64⌉` words, a scratch of the
+//!   rank's [`Comm`] reused by every exchange), then accounts the bytes
+//!   of the set bits per link class. At `w = P` a segment's destination
+//!   is its index, without a division.
+//! - **Combine.** One pass over the senders' bitmaps, senders
+//!   ascending, writes each non-empty segment's source into its
+//!   receiver's inbox — the receiver's receive-counts buffer, taken
+//!   from its [`BufferPool`] and lent to the combine — and adds up every
+//!   rank's send and receive totals in the communicator's routing
+//!   scratch. The inboxes are the exchange's count matrix transposed:
+//!   each receiver's sources, ascending. The pick and Bruck read the
+//!   totals, the staged arm its units from the inboxes.
+//! - **Receiver.** Its extract (window 4, under the exit barrier)
+//!   reads only its own inbox: it finds every listed run (one pass, so
+//!   the misses on the senders' cuts overlap), copies each once, in
+//!   source order, then turns the list into its dense receive counts
+//!   in place.
+//!
+//! Nothing that grows with the count of non-empty segments is
+//! allocated: the inboxes are the receive counts every exchange
+//! returns anyway.
 
 use std::borrow::Cow;
 use std::cell::Cell;
@@ -20,12 +50,12 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use crate::buffer::{BufferPool, RecvRuns, SharedSlice};
-use crate::cost::{alltoallv_ns, ceil_ns, AllreduceArm, CostModel, Work};
+use crate::cost::{alltoallv_ns, ceil_ns, AllreduceArm, Blocks, CostModel, Work};
 use crate::fault::{RankAbort, RankError};
 use crate::state::{CollectiveCtx, CommState, EndTimes, World};
 use crate::stats::{RankLocal, RankReport};
 use crate::threads::ThreadPool;
-use crate::topology::{LinkClass, Placement, Topology};
+use crate::topology::{LinkClass, Topology};
 use crate::trace::{SpanGuard, TraceSink};
 
 /// Schedule used for the personalized all-to-all exchange (§VI-E1 of
@@ -87,6 +117,10 @@ pub struct Comm {
     straggler_factor: f64,
     /// Scratch-buffer free lists reused across collective rounds.
     pool: BufferPool,
+    /// The bitmap of the non-empty segments this rank's exchanges send,
+    /// `⌈w/64⌉` words: room for `⌈P/64⌉` is made once, with the handle,
+    /// and every exchange reuses it.
+    segs: Cell<Vec<u64>>,
     /// Intra-rank host-thread budget for hybrid rank×thread execution.
     threads: ThreadPool,
 }
@@ -163,9 +197,24 @@ impl<T> RawSlice<T> {
 }
 
 /// What one rank deposits into the all-to-all: a borrowed view of the
-/// data it sends, O(1) for a [`CutBlock`], one slice per destination
-/// for the list payloads.
-enum RawSend<T> {
+/// data it sends, of the bitmap of its non-empty segments, and of its
+/// inbox.
+struct RawSend<T> {
+    data: RawData<T>,
+    /// Which segments of `data` are non-empty, one bit per segment (bit
+    /// `d % 64` of word `d / 64` for segment `d`). Only the combine reads
+    /// it.
+    segs: RawSlice<u64>,
+    /// This rank's receive counts, lent to the combine as its inbox.
+    inbox: RawInbox,
+    /// How many sources the combine listed in `inbox`: set on the
+    /// combine's own copy of the deposits, which it publishes.
+    received: usize,
+}
+
+/// The data of a [`RawSend`]: O(1) for a [`CutBlock`], one slice per
+/// destination for the list payloads.
+enum RawData<T> {
     /// A [`CutBlock`] of the sender `rank`, which picks the member of
     /// each destination group.
     Cut {
@@ -177,26 +226,181 @@ enum RawSend<T> {
     Parts(Vec<RawSlice<T>>),
 }
 
-impl<T> RawSend<T> {
-    /// What this view sends to rank `dst` of `p`.
+impl<T> RawData<T> {
+    /// The rank of `p` that segment `seg` goes to.
+    fn dest(&self, p: usize, seg: usize) -> usize {
+        match self {
+            Self::Cut { cuts, rank, .. } => segment_dest(*rank, p, cuts.len() - 1, seg),
+            Self::Parts(_) => seg,
+        }
+    }
+
+    /// The segment that would go to rank `dst` of `p`, were it not
+    /// empty: the one the combine found bound there, for a source
+    /// listed in `dst`'s inbox. At `w = P`, and for the list payloads,
+    /// segment `dst`; at `w < P` the group holding `dst` ([`group_of`]
+    /// inverts [`segment_dest`]).
+    fn segment_to(&self, p: usize, dst: usize) -> usize {
+        match self {
+            Self::Cut { cuts, .. } if cuts.len() - 1 != p => group_of(dst, p, cuts.len() - 1),
+            _ => dst,
+        }
+    }
+
+    /// Segment `seg`.
     ///
     /// # Safety
     /// As for [`RawSlice::get`].
-    unsafe fn segment(&self, p: usize, dst: usize) -> &[T] {
+    unsafe fn segment(&self, seg: usize) -> &[T] {
         // SAFETY: both arms read the deposited slices under the window
         // the caller vouches for; `CutBlock::exchange_via` checked that
         // the cuts ascend inside the block before depositing.
         match self {
-            Self::Cut { block, cuts, rank } => {
+            Self::Cut { block, cuts, .. } => {
                 let cuts = cuts.get();
-                match segment_to(*rank, p, cuts.len() - 1, dst) {
-                    Some(d) => &block.get()[cuts[d]..cuts[d + 1]],
-                    None => &[],
-                }
+                &block.get()[cuts[seg]..cuts[seg + 1]]
             }
-            Self::Parts(parts) => parts[dst].get(),
+            Self::Parts(parts) => parts[seg].get(),
         }
     }
+}
+
+impl<T> RawSend<T> {
+    /// This sender's row of the exchange, read off its own segment
+    /// bitmap: its non-empty segments as `(destination, length)`,
+    /// destinations ascending.
+    ///
+    /// # Safety
+    /// Call only from the combine (window 3 of `collective_view`).
+    unsafe fn sent(&self, p: usize) -> impl Iterator<Item = (usize, u64)> + '_ {
+        // SAFETY: in window 3 the sender is blocked in the collective,
+        // so its segment bitmap, cuts and slices are alive and unmutated.
+        set_bits(self.segs.get())
+            .map(move |seg| (self.data.dest(p, seg), self.data.segment(seg).len() as u64))
+    }
+}
+
+/// A receiver's inbox: its receive-counts buffer, `P` zeros when
+/// deposited. The combine writes the sources of the non-empty segments
+/// bound to the receiver into its first entries, ascending — the
+/// receiver's slice of the exchange's transposed segment index — and
+/// the receiver turns them into its receive counts in place.
+struct RawInbox {
+    ptr: *mut usize,
+    len: usize,
+}
+
+// SAFETY: a `RawInbox` is a `&mut [usize]` with the lifetime erased,
+// lent to the combine: only the combine writes or reads through it
+// (window 3), while its owner, blocked in the collective, does not
+// touch the buffer; the owner reads it again, through its own `Vec`,
+// only after the combine has published its output.
+unsafe impl Send for RawInbox {}
+// SAFETY: `&RawInbox` reaches other threads only in the published
+// output, after the combine, when nothing reads or writes through it.
+unsafe impl Sync for RawInbox {}
+
+impl RawInbox {
+    fn of(buf: &mut [usize]) -> Self {
+        Self {
+            ptr: buf.as_mut_ptr(),
+            len: buf.len(),
+        }
+    }
+
+    /// Write `src` at `at`.
+    ///
+    /// # Safety
+    /// Call only from the combine (window 3 of `collective_view`), while
+    /// no slice from [`RawInbox::get`] is alive.
+    unsafe fn put(&self, at: usize, src: usize) {
+        assert!(at < self.len, "one segment per source and receiver");
+        // SAFETY: `at` is inside the buffer, which came from a live
+        // `&mut [usize]` in `of`; its owner neither reads nor writes it
+        // until the combine is over, and no shared slice of it is alive.
+        self.ptr.add(at).write(src)
+    }
+
+    /// The first `n` entries.
+    ///
+    /// # Safety
+    /// Call only from the combine (window 3 of `collective_view`); no
+    /// [`RawInbox::put`] may run while the slice is alive.
+    unsafe fn get(&self, n: usize) -> &[usize] {
+        // SAFETY: as for `put`: the buffer is alive and only the combine
+        // touches it, which writes nothing while this slice lives.
+        std::slice::from_raw_parts(self.ptr, n.min(self.len))
+    }
+}
+
+/// The combine's per-member scratch of a personalized exchange, owned
+/// by the communicator ([`CommState`]) and reused by each of its
+/// exchanges: every member's send and receive totals in elements, and
+/// how many sources each receiver's inbox holds.
+#[derive(Default)]
+pub(crate) struct Routing {
+    send: Vec<u64>,
+    recv: Vec<u64>,
+    filled: Vec<usize>,
+}
+
+impl Routing {
+    /// Zero every entry for an exchange among `p` members.
+    fn reset(&mut self, p: usize) {
+        for v in [&mut self.send, &mut self.recv] {
+            v.clear();
+            v.resize(p, 0);
+        }
+        self.filled.clear();
+        self.filled.resize(p, 0);
+    }
+}
+
+/// The count matrix of one exchange as its combine prices it: the
+/// routing totals and the receivers' filled inboxes. Built and read
+/// only inside the combine (window 3 of `collective_view`), after the
+/// last [`RawInbox::put`].
+struct Inboxes<'a, T> {
+    views: &'a [RawSend<T>],
+    routing: &'a Routing,
+}
+
+impl<T> Blocks for Inboxes<'_, T> {
+    fn send(&self) -> &[u64] {
+        &self.routing.send
+    }
+
+    fn recv(&self) -> &[u64] {
+        &self.routing.recv
+    }
+
+    fn received(&self, dst: usize) -> impl Iterator<Item = (usize, u64)> + '_ {
+        let p = self.views.len();
+        let inbox = &self.views[dst];
+        // SAFETY: combine, window 3 of `collective_view`, after the last
+        // `put` (the type's contract): every deposit is readable.
+        let sources = unsafe { inbox.inbox.get(inbox.received) };
+        sources.iter().map(move |&src| {
+            let from = &self.views[src].data;
+            // SAFETY: as above.
+            let len = unsafe { from.segment(from.segment_to(p, dst)) }.len();
+            (src, len as u64)
+        })
+    }
+}
+
+/// The set bits of a segment bitmap, ascending: the non-empty segments.
+fn set_bits(bits: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    bits.iter().enumerate().flat_map(|(i, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let bit = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                i * 64 + bit
+            })
+        })
+    })
 }
 
 /// The ranks of group `d` when `p` ranks form `w ≤ p` contiguous
@@ -215,20 +419,14 @@ pub fn group_of(rank: usize, p: usize, w: usize) -> usize {
 
 /// Where segment `d` of `rank`'s `w`-way [`CutBlock`] goes: member
 /// `rank mod |group d|` of [`group_range`]`(d, p, w)`, so the senders
-/// spread over the group; at `w = p` that is rank `d`.
+/// spread over the group; at `w = p` that is rank `d`, without a
+/// division.
 fn segment_dest(rank: usize, p: usize, w: usize, d: usize) -> usize {
+    if w == p {
+        return d;
+    }
     let group = group_range(d, p, w);
     group.start + rank % group.len()
-}
-
-/// The segment of `rank`'s `w`-way [`CutBlock`] that goes to `dst`, if
-/// any: the inverse of [`segment_dest`].
-fn segment_to(rank: usize, p: usize, w: usize, dst: usize) -> Option<usize> {
-    if w == p {
-        return Some(dst);
-    }
-    let d = group_of(dst, p, w);
-    (segment_dest(rank, p, w, d) == dst).then_some(d)
 }
 
 /// A sorted block and its cut array — `MPI_Alltoallv`'s send buffer
@@ -268,28 +466,30 @@ impl<'a, T: Clone + Send + Sync + 'static> ExchangePayload<T> for CutBlock<'a, T
             self.cuts.windows(2).all(|w| w[0] <= w[1]) && self.cuts[ways] <= self.block.len(),
             "cuts must ascend inside the block"
         );
-        let lens = self.cuts.windows(2).enumerate();
-        let sends = lens.map(|(d, c)| (segment_dest(rank, p, ways, d), c[1] - c[0]));
-        let view = RawSend::Cut {
+        let data = RawData::Cut {
             block: RawSlice::of(self.block),
             cuts: RawSlice::of(self.cuts),
             rank,
         };
-        comm.alltoallv(view, sends, algo)
+        let nonempty = self.cuts.windows(2).map(|c| c[0] < c[1]);
+        let len = |d: usize| self.cuts[d + 1] - self.cuts[d];
+        comm.alltoallv(data, nonempty, len, algo)
     }
 }
 
 impl<T: Clone + Send + Sync + 'static> ExchangePayload<T> for Vec<Vec<T>> {
     fn exchange_via(self, comm: &Comm, algo: AllToAllAlgo) -> RecvRuns<T> {
-        let view = RawSend::Parts(self.iter().map(|b| RawSlice::of(b)).collect());
-        comm.alltoallv(view, self.iter().map(Vec::len).enumerate(), algo)
+        let data = RawData::Parts(self.iter().map(|b| RawSlice::of(b)).collect());
+        let nonempty = self.iter().map(|b| !b.is_empty());
+        comm.alltoallv(data, nonempty, |d| self[d].len(), algo)
     }
 }
 
 impl<'a, T: Clone + Send + Sync + 'static> ExchangePayload<T> for &'a [&'a [T]] {
     fn exchange_via(self, comm: &Comm, algo: AllToAllAlgo) -> RecvRuns<T> {
-        let view = RawSend::Parts(self.iter().map(|s| RawSlice::of(s)).collect());
-        comm.alltoallv(view, self.iter().map(|s| s.len()).enumerate(), algo)
+        let data = RawData::Parts(self.iter().map(|s| RawSlice::of(s)).collect());
+        let nonempty = self.iter().map(|s| !s.is_empty());
+        comm.alltoallv(data, nonempty, |d| self[d].len(), algo)
     }
 }
 
@@ -300,6 +500,7 @@ impl Comm {
         let crash_at_ns = state.world.fault.crash_deadline(me_global);
         let straggler_factor = state.world.fault.straggler_factor(me_global);
         let threads = ThreadPool::new();
+        let segs = Vec::with_capacity(state.size().div_ceil(64));
         // Up to `workers` ranks — and no more than there are — compute
         // concurrently; split the host's cores between them so hybrid
         // thread budgets cannot oversubscribe the worker pool.
@@ -314,6 +515,7 @@ impl Comm {
             crash_at_ns,
             straggler_factor,
             pool: BufferPool::default(),
+            segs: Cell::new(segs),
             threads,
         }
     }
@@ -873,12 +1075,21 @@ impl Comm {
     }
 
     /// The one all-to-all body, for every payload form and schedule:
-    /// `view` borrows what this rank sends, and `sends` lists it as
-    /// `(destination, length)` for the byte counters. Each element is copied
-    /// exactly once, from the sender's buffer straight into the
-    /// receiver's single contiguous [`RecvRuns`] buffer — real
-    /// `MPI_Alltoallv` semantics, with the receive counts (taken from
-    /// this rank's [`BufferPool`]) marking the per-source runs.
+    /// `data` borrows what this rank sends, `nonempty` says which of its
+    /// segments hold data, in segment order, and segment `d` holds
+    /// `len(d)` elements. Each element is copied exactly once,
+    /// from the sender's buffer straight into the receiver's single
+    /// contiguous [`RecvRuns`] buffer — real `MPI_Alltoallv` semantics,
+    /// with the receive counts (taken from this rank's [`BufferPool`])
+    /// marking the per-source runs.
+    ///
+    /// The host pays `O(P + non-empty segments)` per rank (module docs,
+    /// "The exchange's host cost"): the sender walks its own segments
+    /// once into a bitmap of the non-empty ones; the combine walks the
+    /// bitmaps once, writing each segment's source into its receiver's
+    /// inbox (its receive-counts buffer) and adding up the totals, and
+    /// prices the exchange from them; each receiver reads only its own
+    /// inbox.
     ///
     /// `T: Clone` is enough — the copy-out is `extend_from_slice` — so
     /// records travel this path too. A `Clone` may panic where a `Copy`
@@ -886,15 +1097,16 @@ impl Comm {
     /// (window 4 of `collective_view`).
     fn alltoallv<T>(
         &self,
-        view: RawSend<T>,
-        sends: impl Iterator<Item = (usize, usize)>,
+        data: RawData<T>,
+        nonempty: impl ExactSizeIterator<Item = bool>,
+        len: impl Fn(usize) -> usize,
         algo: AllToAllAlgo,
     ) -> RecvRuns<T>
     where
         T: Clone + Send + Sync + 'static,
     {
         let p = self.size();
-        if let RawSend::Parts(parts) = &view {
+        if let RawData::Parts(parts) = &data {
             assert_eq!(
                 parts.len(),
                 p,
@@ -904,62 +1116,125 @@ impl Comm {
         if let AllToAllAlgo::StagedKWay { k } = algo {
             assert!(k >= 2, "staged exchange needs fan-out k >= 2");
         }
-        let sent_bytes = self.account_alltoallv_send(sends, mem::size_of::<T>());
+        let mut segs = self.segs.take();
+        let sent_bytes = self.walk_segments(&data, nonempty, len, &mut segs);
+        let mut counts = self.pool.take_usize();
+        counts.resize(p, 0);
+        let view = RawSend {
+            data,
+            segs: RawSlice::of(&segs),
+            inbox: RawInbox::of(&mut counts),
+            received: 0,
+        };
         let me = self.rank;
+        let state = &self.state;
         let out = self.run_collective_view(
             "alltoallv",
             view,
-            move |views: Vec<RawSend<T>>, ctx| {
-                let placement: Vec<Placement> = ctx
-                    .global_ranks
-                    .iter()
-                    .map(|&g| ctx.topology.placement(g))
-                    .collect();
-                let elem = mem::size_of::<T>() as u64;
-                let ends = alltoallv_ns(ctx.cost, &placement, elem, algo, |s, d| {
+            move |mut views: Vec<RawSend<T>>, ctx| {
+                let mut routing = state.routing.lock();
+                let routing = &mut *routing;
+                routing.reset(p);
+                for (s, total) in routing.send.iter_mut().enumerate() {
                     // SAFETY: combine, window 3 of `collective_view`.
-                    unsafe { views[s].segment(p, d) }.len() as u64
-                });
-                let ends = ends.into_iter().map(|ns| ctx.enter_max_ns + ns).collect();
+                    for (dst, len) in unsafe { views[s].sent(p) } {
+                        let at = &mut routing.filled[dst];
+                        // SAFETY: combine, window 3 of `collective_view`;
+                        // no inbox slice is alive.
+                        unsafe { views[dst].inbox.put(*at, s) };
+                        *at += 1;
+                        routing.recv[dst] += len;
+                        *total += len;
+                    }
+                }
+                for (view, &received) in views.iter_mut().zip(&routing.filled) {
+                    view.received = received;
+                }
+                let inboxes = Inboxes {
+                    views: &views,
+                    routing,
+                };
+                let elem = mem::size_of::<T>() as u64;
+                let mut ends = alltoallv_ns(ctx.cost, &state.placement, elem, algo, &inboxes);
+                for end in &mut ends {
+                    *end += ctx.enter_max_ns;
+                }
                 (views, EndTimes::PerRank(ends))
             },
             move |views: &Arc<Vec<RawSend<T>>>| {
-                // SAFETY: extract under the exit barrier, window 4 of
-                // `collective_view`: every sender is held inside the
-                // collective — returning or unwinding — until all
-                // extracts are over, so its block, cuts and slices are
-                // alive and unmutated here. That includes an extract
-                // that panics: if `T::clone` unwinds out of the copy
-                // below, `data` (our own clones) drops, the rank serves
-                // the barrier, and only then resumes.
-                let runs = views.iter().map(|v| unsafe { v.segment(p, me) });
-                let mut counts = self.pool.take_usize();
-                counts.extend(runs.clone().map(<[T]>::len));
-                let mut data: Vec<T> = Vec::with_capacity(counts.iter().sum());
-                for run in runs {
-                    data.extend_from_slice(run);
+                let sources = views[me].received;
+                // Find every run first, so that the misses on the
+                // senders' cuts overlap; the copy below finds them cached.
+                let mut total = 0;
+                for &src in &counts[..sources] {
+                    let from = &views[src].data;
+                    // SAFETY: as for the copy below.
+                    total += unsafe { from.segment(from.segment_to(p, me)) }.len();
+                }
+                let mut data: Vec<T> = Vec::with_capacity(total);
+                for &src in &counts[..sources] {
+                    let from = &views[src].data;
+                    // SAFETY: extract under the exit barrier, window 4
+                    // of `collective_view`: every sender is held inside
+                    // the collective — returning or unwinding — until
+                    // all extracts are over, so its block, cuts and
+                    // slices are alive and unmutated here. That
+                    // includes an extract that panics: if `T::clone`
+                    // unwinds out of this copy, `data` (our own clones)
+                    // drops, the rank serves the barrier, and only then
+                    // resumes.
+                    data.extend_from_slice(unsafe { from.segment(from.segment_to(p, me)) });
+                }
+                // The inbox lists this rank's sources, ascending, in its
+                // first entries: entry `i` names a source `s ≥ i`, so
+                // filling in `counts[s]` from the last entry back never
+                // overwrites an entry still to be read.
+                for i in (0..sources).rev() {
+                    let src = mem::take(&mut counts[i]);
+                    let from = &views[src].data;
+                    // SAFETY: as for the copy above.
+                    counts[src] = unsafe { from.segment(from.segment_to(p, me)) }.len();
                 }
                 RecvRuns::from_parts(data, counts)
             },
             true,
         );
+        self.segs.set(segs);
         if let Some(sink) = self.sink() {
             sink.attribute_bytes(sent_bytes);
         }
         out
     }
 
-    /// Per-link byte accounting for this rank's outgoing personalized
-    /// traffic: one placement lookup per non-empty segment, one counter
-    /// add per link class. Returns the total for span attribution
-    /// (which must happen after the collective records its span).
-    fn account_alltoallv_send(
+    /// The sender's one walk over its own segments, `nonempty` in
+    /// segment order, segment `d` holding `len(d)` elements: writes their
+    /// bitmap into `segs` (one bit per segment, set where it holds data)
+    /// and accounts the non-empty ones' bytes per link class — one
+    /// destination per set bit, one counter add per link class. Returns
+    /// the total for span attribution (which must happen after the
+    /// collective records its span).
+    fn walk_segments<T>(
         &self,
-        sends: impl Iterator<Item = (usize, usize)>,
-        elem: usize,
+        data: &RawData<T>,
+        nonempty: impl ExactSizeIterator<Item = bool>,
+        len: impl Fn(usize) -> usize,
+        segs: &mut Vec<u64>,
     ) -> u64 {
-        let topo = self.topology();
-        let me = topo.placement(self.state.global_ranks[self.rank]);
+        let p = self.size();
+        let ways = nonempty.len();
+        segs.clear();
+        let mut word = 0;
+        for (seg, set) in nonempty.enumerate() {
+            word |= u64::from(set) << (seg % 64);
+            if seg % 64 == 63 {
+                segs.push(mem::take(&mut word));
+            }
+        }
+        if !ways.is_multiple_of(64) {
+            segs.push(word);
+        }
+        let placement = &self.state.placement;
+        let me = placement[self.rank];
         let classes = [
             LinkClass::SelfLoop,
             LinkClass::IntraNuma,
@@ -967,13 +1242,14 @@ impl Comm {
             LinkClass::InterNode,
         ];
         let mut by_class = [0u64; 4];
-        for (dst, len) in sends.filter(|&(_, len)| len > 0) {
+        for seg in set_bits(segs) {
+            let dst = data.dest(p, seg);
             let link = if dst == self.rank {
                 LinkClass::SelfLoop
             } else {
-                me.link_to(topo.placement(self.state.global_ranks[dst]))
+                me.link_to(placement[dst])
             };
-            by_class[link as usize] += (len * elem) as u64;
+            by_class[link as usize] += (len(seg) * mem::size_of::<T>()) as u64;
         }
         let counters = &self.local().counters;
         for (class, &bytes) in classes.iter().zip(&by_class) {
@@ -1093,6 +1369,39 @@ mod tests {
 
     fn cfg(p: usize) -> ClusterConfig {
         ClusterConfig::small_cluster(p)
+    }
+
+    /// Segment routing at `w = P` (the division-free path) and at
+    /// `w < P`: segment `d` lands in group `d` ([`group_of`] inverts
+    /// it), at member `rank mod |group d|`, a rank's segments go to
+    /// distinct ranks, and the receiver's `segment_to` names `d` back.
+    #[test]
+    fn segment_dest_is_inverted_by_group_of() {
+        for p in 1..=40 {
+            for w in 1..=p {
+                let cuts = vec![0usize; w + 1];
+                for rank in 0..p {
+                    let data = RawData::<u64>::Cut {
+                        block: RawSlice::of(&[]),
+                        cuts: RawSlice::of(&cuts),
+                        rank,
+                    };
+                    let mut seen = vec![false; p];
+                    for d in 0..w {
+                        let dst = segment_dest(rank, p, w, d);
+                        assert_eq!(data.dest(p, d), dst);
+                        assert_eq!(data.segment_to(p, dst), d, "p {p} w {w} rank {rank}");
+                        let group = group_range(d, p, w);
+                        assert_eq!(dst, group.start + rank % group.len(), "p {p} w {w}");
+                        assert_eq!(group_of(dst, p, w), d, "p {p} w {w} rank {rank}");
+                        assert!(!std::mem::replace(&mut seen[dst], true));
+                        if w == p {
+                            assert_eq!(dst, d);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -307,35 +307,49 @@ impl CostModel {
     }
 }
 
+/// The count matrix of one personalized exchange as [`alltoallv_ns`]
+/// reads it: by its non-empty blocks only, receiver by receiver, and
+/// every member's send and receive totals in elements. The
+/// communicator's combine serves it from the segment index it builds
+/// for the exchange (`crate::comm`, "The exchange's host cost").
+pub(crate) trait Blocks {
+    /// Every member's send total: the matrix's row sums.
+    fn send(&self) -> &[u64];
+    /// Every member's receive total: its column sums.
+    fn recv(&self) -> &[u64];
+    /// Receiver `dst`'s non-empty blocks as `(source, length)`, sources
+    /// ascending.
+    fn received(&self, dst: usize) -> impl Iterator<Item = (usize, u64)> + '_;
+}
+
 /// Every member's price of one personalized all-to-all under `algo`,
-/// from the exchange's start: member `s` sends member `d` `count(s, d)`
-/// elements of `elem_bytes` bytes, the members sit at `placement`
-/// (member `i` at index `i`). The model reads only lengths and link
-/// classes, never the payloads. [`AllToAllAlgo::Priced`] is resolved
-/// here by [`pick_schedule`], from the matrix's row and column totals
-/// alone, and priced as the arm it picks.
+/// from the exchange's start: member `s` sends member `d` the elements
+/// of `elem_bytes` bytes that `blocks` lists (none where it lists
+/// nothing), the members sit at `placement` (member `i` at index `i`).
+/// The model reads only lengths and link classes, never the payloads.
+/// [`AllToAllAlgo::Priced`] is resolved here by [`pick_schedule`], from
+/// the send and receive totals alone, and priced as the arm it picks.
+/// Bruck reads the totals only and the staged arms the non-empty
+/// blocks; the one-factor arm charges α for every peer, so it walks
+/// all `P²` pairs.
 pub(crate) fn alltoallv_ns(
     cost: &CostModel,
     placement: &[Placement],
     elem_bytes: u64,
     algo: AllToAllAlgo,
-    count: impl Fn(usize, usize) -> u64,
+    blocks: &impl Blocks,
 ) -> Vec<u64> {
     let p = placement.len();
-    let mut send_totals = None;
     let algo = match algo {
         AllToAllAlgo::Priced => {
-            let (send, recv) = exchange_totals(p, &count);
-            let pick = pick_schedule(cost, placement, elem_bytes, &send, &recv);
-            send_totals = Some(send);
-            pick
+            pick_schedule(cost, placement, elem_bytes, blocks.send(), blocks.recv())
         }
         algo => algo,
     };
     match algo {
         // Each rank pays the larger of its two sides, each rounded up.
         AllToAllAlgo::OneFactor => {
-            let (send, recv) = one_factor_sides(cost, placement, elem_bytes, count);
+            let (send, recv) = one_factor_sides(cost, placement, elem_bytes, blocks);
             send.iter()
                 .zip(&recv)
                 .map(|(&s, &r)| ceil_ns(s).max(ceil_ns(r)))
@@ -345,23 +359,22 @@ pub(crate) fn alltoallv_ns(
         // shipping ~half the personalized payload per round.
         AllToAllAlgo::Bruck => {
             let worst = worst_link_among(placement.iter().copied());
-            send_totals
-                .unwrap_or_else(|| exchange_totals(p, &count).0)
-                .into_iter()
-                .map(|total| cost.alltoallv_bruck_rank_ns(worst, p, total * elem_bytes))
+            blocks
+                .send()
+                .iter()
+                .map(|&total| cost.alltoallv_bruck_rank_ns(worst, p, total * elem_bytes))
                 .collect()
         }
         // Every non-empty block, listed in destination order so that
         // each sub-block's blocks are one run at every stage.
         AllToAllAlgo::StagedKWay { k } => {
-            let count = &count;
             let mut units: Vec<Routed> = (0..p)
-                .flat_map(|dst| (0..p).map(move |holder| (holder, dst, count(holder, dst))))
-                .filter(|&(.., c)| c > 0)
-                .map(|(holder, dst, c)| Routed {
-                    holder,
-                    dst,
-                    bytes: c * elem_bytes + STAGE_HEADER_BYTES,
+                .flat_map(|dst| {
+                    blocks.received(dst).map(move |(holder, len)| Routed {
+                        holder,
+                        dst,
+                        bytes: len * elem_bytes + STAGE_HEADER_BYTES,
+                    })
                 })
                 .collect();
             let mut ends = vec![0u64; p];
@@ -372,53 +385,41 @@ pub(crate) fn alltoallv_ns(
     }
 }
 
-/// Every rank's send total (row sums) and receive total (column sums)
-/// of the count matrix, in elements.
-fn exchange_totals(p: usize, count: impl Fn(usize, usize) -> u64) -> (Vec<u64>, Vec<u64>) {
-    let mut send = Vec::with_capacity(p);
-    let mut recv = vec![0u64; p];
-    for s in 0..p {
-        let mut row = 0;
-        for (d, col) in recv.iter_mut().enumerate() {
-            let c = count(s, d);
-            row += c;
-            *col += c;
-        }
-        send.push(row);
-    }
-    (send, recv)
-}
-
 /// The unrounded send-side and receive-side sums of every rank under
 /// the 1-factor schedule, each the sum of [`CostModel::alltoallv_peer_ns`]
-/// over the rank's `P` peers. Every `(link, bytes)` term belongs to two of
-/// those `2·P` sums — its sender's and its receiver's — so one
-/// row-major pass over the count matrix adds it to both. Peers are met
-/// in ascending order on either side (`send[s]` over `d`, `recv[d]`
-/// over `s`), the order the per-rank formula sums them in: each f64
-/// sum, and so each end time, is the same to the bit.
+/// over the rank's `P` peers, empty ones included. Every `(link, bytes)`
+/// term belongs to two of those `2·P` sums — its sender's and its
+/// receiver's — so one pass over the `P²` pairs, receiver by receiver,
+/// adds it to both, reading the lengths off the receiver's non-empty
+/// blocks. Peers are met in ascending order on either side (`send[s]`
+/// over `d`, `recv[d]` over `s`), the order the per-rank formula sums
+/// them in: each f64 sum, and so each end time, is the same to the bit.
 fn one_factor_sides(
     cost: &CostModel,
     placement: &[Placement],
     elem: u64,
-    count: impl Fn(usize, usize) -> u64,
+    blocks: &impl Blocks,
 ) -> (Vec<f64>, Vec<f64>) {
     let p = placement.len();
-    let mut send = Vec::with_capacity(p);
-    let mut recv = vec![0.0f64; p];
-    for (s, from) in placement.iter().enumerate() {
-        let mut row = 0.0f64;
-        for (d, (to, col)) in placement.iter().zip(&mut recv).enumerate() {
+    let mut send = vec![0.0f64; p];
+    let mut recv = Vec::with_capacity(p);
+    for (d, to) in placement.iter().enumerate() {
+        let mut received = blocks.received(d).peekable();
+        let mut col = 0.0f64;
+        for (s, (from, row)) in placement.iter().zip(&mut send).enumerate() {
+            let len = received
+                .next_if(|&(src, _)| src == s)
+                .map_or(0, |(_, len)| len);
             let link = if s == d {
                 LinkClass::SelfLoop
             } else {
                 from.link_to(*to)
             };
-            let term = cost.alltoallv_peer_ns(link, count(s, d) * elem);
-            row += term;
-            *col += term;
+            let term = cost.alltoallv_peer_ns(link, len * elem);
+            *row += term;
+            col += term;
         }
-        send.push(row);
+        recv.push(col);
     }
     (send, recv)
 }
@@ -1390,6 +1391,45 @@ mod tests {
         assert!((only_self as f64) < m.inter_node.alpha_ns);
     }
 
+    /// The count matrix `count` over `p` members as [`alltoallv_ns`]
+    /// reads it.
+    struct Matrix {
+        send: Vec<u64>,
+        recv: Vec<u64>,
+        cols: Vec<Vec<(usize, u64)>>,
+    }
+
+    fn dense(p: usize, count: &dyn Fn(usize, usize) -> u64) -> Matrix {
+        let cols: Vec<Vec<(usize, u64)>> = (0..p)
+            .map(|d| {
+                (0..p)
+                    .map(|s| (s, count(s, d)))
+                    .filter(|&(_, len)| len > 0)
+                    .collect()
+            })
+            .collect();
+        let mut send = vec![0; p];
+        for &(s, len) in cols.iter().flatten() {
+            send[s] += len;
+        }
+        let recv = cols.iter().map(|c| c.iter().map(|b| b.1).sum()).collect();
+        Matrix { send, recv, cols }
+    }
+
+    impl Blocks for Matrix {
+        fn send(&self) -> &[u64] {
+            &self.send
+        }
+
+        fn recv(&self) -> &[u64] {
+            &self.recv
+        }
+
+        fn received(&self, dst: usize) -> impl Iterator<Item = (usize, u64)> + '_ {
+            self.cols[dst].iter().copied()
+        }
+    }
+
     /// The placements of the members `global_ranks` of `topology`.
     fn placements(topology: &Topology, global_ranks: &[usize]) -> Vec<Placement> {
         global_ranks
@@ -1459,8 +1499,9 @@ mod tests {
         let count = |s: usize, d: usize| counts[s * p + d];
         let cell = format!("{nodes}x{numa}x{cores} members {global_ranks:?} seed {seed}");
         let placed = placements(&topology, global_ranks);
+        let index = dense(p, &count);
         assert_eq!(
-            alltoallv_ns(&cost, &placed, elem, AllToAllAlgo::OneFactor, count),
+            alltoallv_ns(&cost, &placed, elem, AllToAllAlgo::OneFactor, &index),
             one_factor_reference(&cost, &topology, global_ranks, elem, &count),
             "{cell}"
         );
@@ -1471,7 +1512,7 @@ mod tests {
             cost.alltoallv_peer_ns(link, count(s, d) * elem)
         };
         let bits = |sums: Vec<f64>| sums.into_iter().map(f64::to_bits).collect::<Vec<_>>();
-        let (send, recv) = one_factor_sides(&cost, &placed, elem, count);
+        let (send, recv) = one_factor_sides(&cost, &placed, elem, &index);
         let plain = |side: &dyn Fn(usize, usize) -> f64| {
             (0..p)
                 .map(|r| (0..p).fold(0.0, |sum, peer| sum + side(r, peer)))
@@ -1520,16 +1561,17 @@ mod tests {
                 }
             };
             let link = |s: usize, d: usize| cost.link(topology.link(s, d));
+            let index = dense(p, &count);
             let mut staged = Vec::new();
             for k in [p, p + 5] {
-                staged = alltoallv_ns(&cost, &placed, elem, AllToAllAlgo::StagedKWay { k }, count);
+                staged = alltoallv_ns(&cost, &placed, elem, AllToAllAlgo::StagedKWay { k }, &index);
                 for (r, &end) in staged.iter().enumerate() {
                     let (l, bytes) = (link(r, r ^ mask), count(r, r ^ mask) * elem + 8);
                     let term = l.alpha_ns + bytes as f64 * l.beta_ns_per_byte;
                     assert_eq!(end, term.ceil() as u64, "mask {mask} k {k} r {r}");
                 }
             }
-            let one_factor = alltoallv_ns(&cost, &placed, elem, AllToAllAlgo::OneFactor, count);
+            let one_factor = alltoallv_ns(&cost, &placed, elem, AllToAllAlgo::OneFactor, &index);
             for (r, &end) in one_factor.iter().enumerate() {
                 let row = (0..p).filter(|&d| d != r).fold(0.0, |sum, d| {
                     let l = link(r, d);
@@ -1612,9 +1654,9 @@ mod tests {
         placed: &[Placement],
         elem: u64,
         algo: AllToAllAlgo,
-        count: &dyn Fn(usize, usize) -> u64,
+        index: &impl Blocks,
     ) -> u64 {
-        let ends = alltoallv_ns(cost, placed, elem, algo, count);
+        let ends = alltoallv_ns(cost, placed, elem, algo, index);
         ends.into_iter().max().unwrap_or(0)
     }
 
@@ -1625,11 +1667,11 @@ mod tests {
         elem: u64,
         count: &dyn Fn(usize, usize) -> u64,
     ) -> (AllToAllAlgo, Vec<(AllToAllAlgo, u64)>) {
-        let (send, recv) = exchange_totals(placed.len(), count);
-        let pick = pick_schedule(cost, placed, elem, &send, &recv);
+        let index = dense(placed.len(), count);
+        let pick = pick_schedule(cost, placed, elem, index.send(), index.recv());
         let prices = grid_arms(placed.len())
             .into_iter()
-            .map(|a| (a, charged(cost, placed, elem, a, count)))
+            .map(|a| (a, charged(cost, placed, elem, a, &index)))
             .collect();
         (pick, prices)
     }
@@ -1743,7 +1785,7 @@ mod tests {
                 AllToAllAlgo::Bruck,
                 AllToAllAlgo::StagedKWay { k: 8 },
             ]
-            .map(|a| (a, charged(&cost, &placed, 8, a, &count)));
+            .map(|a| (a, charged(&cost, &placed, 8, a, &dense(p, &count))));
             let cheapest = a4.iter().min_by_key(|x| x.1).expect("three arms");
             assert_eq!(cheapest.0, winner, "nper {nper}: {a4:?}");
             let (pick, _) = grid_pick(&cost, &placed, 8, &count);

@@ -5,7 +5,9 @@
 //! alternately (generation `g` meets in cell `g % 2`). There is no
 //! second transport: a pairwise step is a personalized exchange with
 //! one non-empty segment. Payloads are type-erased so one cell serves
-//! collectives of any element type.
+//! collectives of any element type. Beside the cells, a communicator
+//! owns the scratch its personalized exchanges are routed and priced
+//! with, reused by each exchange's combine.
 
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -15,12 +17,13 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard};
 
+use crate::comm::Routing;
 use crate::cost::CostModel;
 use crate::fault::{FaultPlan, RankAbort, RankError};
 use crate::recover::AgreeCell;
 use crate::sched::{RunnerEngine, Scheduler};
 use crate::stats::RankLocal;
-use crate::topology::Topology;
+use crate::topology::{worst_link_among, Placement, Topology};
 use crate::trace::{TraceConfig, TraceSink};
 
 /// Machine-wide immutable context shared by all communicators of a run.
@@ -240,8 +243,14 @@ pub struct CommState {
     pub global_ranks: Vec<usize>,
     /// Most expensive link class spanned by the members.
     pub worst_link: crate::topology::LinkClass,
+    /// Where each member sits (index = communicator rank).
+    pub(crate) placement: Vec<Placement>,
     /// The rendezvous cells; generation `g` meets in `cells[g % 2]`.
     cells: [CollectiveCell; 2],
+    /// The personalized exchanges' routing scratch, rebuilt by each
+    /// exchange's combine. Only a combine takes the lock, and two
+    /// combines of one communicator never overlap.
+    pub(crate) routing: Mutex<Routing>,
 }
 
 impl CommState {
@@ -249,12 +258,18 @@ impl CommState {
     pub fn new(world: Arc<World>, global_ranks: Vec<usize>) -> Arc<Self> {
         let n = global_ranks.len();
         assert!(n > 0, "communicator must have at least one member");
-        let worst_link = world.topology.worst_link(&global_ranks);
+        let placement: Vec<Placement> = global_ranks
+            .iter()
+            .map(|&g| world.topology.placement(g))
+            .collect();
+        let worst_link = worst_link_among(placement.iter().copied());
         Arc::new(Self {
             world,
             global_ranks,
             worst_link,
+            placement,
             cells: [CollectiveCell::new(n, 0), CollectiveCell::new(n, 1)],
+            routing: Mutex::default(),
         })
     }
 
