@@ -125,30 +125,27 @@
 //! it never influences which keys are probed, so all ranks still
 //! execute identical collective schedules.
 //!
-//! A round's probes are located by one of three bodies, whichever is
-//! charged least in ns on this rank under the cost model, so no round
+//! A round's probes are located by one of two bodies, whichever is
+//! charged less in ns on this rank under the cost model, so no round
 //! costs more than its bracketed searches. With `m` probes over
 //! brackets whose union covers `w` positions:
 //!
 //! * two binary searches per probe inside its bracket, charged as
 //!   [`Work::BinarySearches`] over the bracket width;
-//! * one galloping pass over the round's probes in key order (the plan
-//!   sorts them once for the world): each lower bound by exponential
-//!   search forward from where the previous key's upper bound ended,
-//!   clamped into its bracket, each upper bound from its lower bound.
-//!   It is charged `2m + 2⌈2m · log₂(1 + w / 2m)⌉` element reads, a
-//!   bound on what it reads (DESIGN.md "Splitter search");
-//! * one merge pass, the same walk stepping one element at a time: a
-//!   two-pointer merge of the sorted probes and the sorted block. It is
-//!   charged `w + 2m` compares: its pointer only moves forward, inside
-//!   a bracket, and each key stops it at most twice.
+//! * one merge pass over the round's probes in key order (the plan
+//!   sorts them once for the world): a forward two-pointer walk of the
+//!   sorted probes and the sorted block, each lower bound stepping from
+//!   where the previous key's upper bound ended, clamped into its
+//!   bracket, each upper bound from its lower bound. It is charged `w +
+//!   2m` compares: its pointer only moves forward, inside a bracket, and
+//!   each key stops it at most twice (DESIGN.md "Splitter search").
 //!
 //! The merge wins where probes are as dense as keys: round 1 of `p =
-//! 1024` over 256 keys per rank, 2 302 compares against 2 742 reads
-//! galloped and 16 368 searched. The gallop wins where a wide round
-//! meets a long block (465 probes over 131 072 keys), the searches
-//! where few probes meet a long block. The keys the owner finish
-//! settles are located by the same rule.
+//! 1024` over 256 keys per rank, 2 302 compares against 16 368 reads
+//! searched. The searches win where few probes meet a long block, and
+//! where a wide round does (465 probes over 131 072 keys: 15 810 reads
+//! against 132 002 compares). The keys the owner finish settles are
+//! located by the same rule.
 //!
 //! Each runs as one serial pass that prices its work into a
 //! [`dhs_runtime::Charges`] batch (integer adds, no runtime call); the
@@ -513,11 +510,11 @@ fn search<K: Key, W: WarmLadder<K> + ?Sized>(
 /// its splitter's index bracket, which makes it exactly the full-array
 /// position (everything left of `idx_lo` is known `< probe`, everything
 /// right of `idx_hi` known `> probe`). Located by whichever [`Body`] is
-/// charged least (module docs, "Shrinking index brackets"): two binary
+/// charged less (module docs, "Shrinking index brackets"): two binary
 /// searches per probe over its bracket, charged over the bracket's
-/// width, or one pass over the round's probes in key order, galloping
-/// or merging. Each is posted as one batch; the charges are pure
-/// functions of data sizes and the cost model.
+/// width, or one merge pass over the round's probes in key order. Each
+/// is posted as one batch; the charges are pure functions of data
+/// sizes and the cost model.
 fn local_histogram<K: Key>(
     comm: &Comm,
     sorted_local: &[K],
@@ -548,14 +545,14 @@ fn local_histogram<K: Key>(
                 }
             }
         }
-        pass @ (Body::Gallop(work) | Body::Merge(work)) => {
+        Body::Merge(work) => {
             charges.add(work);
             histogram.resize(2 * round.probes.len(), 0);
             let probes = round.ladder.iter().map(|&n| {
                 let (i, key) = (round.owner[n], K::from_bits(round.probes[n]));
                 (n, key, brackets[2 * i], brackets[2 * i + 1])
             });
-            locate_pass(sorted_local, pass, probes, |n, lower, upper| {
+            locate_pass(sorted_local, probes, |n, lower, upper| {
                 histogram[2 * n] = lower as u64;
                 histogram[2 * n + 1] = upper as u64;
             });
@@ -564,54 +561,44 @@ fn local_histogram<K: Key>(
     comm.post(charges);
 }
 
-/// The three ways a rank locates a round's probes (module docs,
-/// "Shrinking index brackets"). The passes carry their charge.
+/// The two ways a rank locates a round's probes (module docs,
+/// "Shrinking index brackets"). The merge pass carries its charge.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Body {
     /// Two binary searches per probe inside its bracket, charged per
     /// splitter as [`Work::BinarySearches`] over the bracket's width.
     Searches,
-    /// One galloping pass: `RandomAccesses(`[`gallop_charge`]`)`.
-    Gallop(Work),
     /// One merge pass: `Compares(`[`merge_charge`]`)`.
     Merge(Work),
 }
 
-/// The body charged least in ns under `cost` for a round that locates
+/// The body charged less in ns under `cost` for a round that locates
 /// `k` probes in the index bracket `[idx_lo, idx_hi)` of each open
 /// splitter in `round`, given as `(k, idx_lo, idx_hi)` in splitter
-/// order. `m` probes over brackets whose union covers `w` positions
-/// ([`coverage`]) are charged:
+/// order: the searches, [`Work::BinarySearches`] of `2k` over each
+/// width, or the merge pass, [`merge_charge`]`(m, w)` compares for `m`
+/// probes over brackets whose union covers `w` positions
+/// ([`coverage`]).
 ///
-/// * the searches, [`Work::BinarySearches`] of `2k` over each width;
-/// * the galloping pass, [`gallop_charge`]`(m, w)` random accesses;
-/// * the merge pass, [`merge_charge`]`(m, w)` compares.
-///
-/// A tie keeps the body listed first. The searches are summed only
-/// until they pass the cheaper pass: a dense round loses them within a
-/// few splitters, and pricing every one would cost the rank as much
-/// host time as the pass it picks.
+/// A tie keeps the searches. They are summed only until they pass the
+/// merge: a dense round loses them within a few splitters, and pricing
+/// every one would cost the rank as much host time as the pass it
+/// picks.
 fn cheapest_body(
     cost: &CostModel,
     round: impl Iterator<Item = (u64, usize, usize)> + Clone,
 ) -> Body {
     let (m, w) = coverage(round.clone());
-    let (gallop, merge) = (
-        Work::RandomAccesses(gallop_charge(m, w)),
-        Work::Compares(merge_charge(m, w)),
-    );
-    let (pass, pass_ns) = match (cost.work_ns(gallop), cost.work_ns(merge)) {
-        (galloped, merged) if merged < galloped => (Body::Merge(merge), merged),
-        (galloped, _) => (Body::Gallop(gallop), galloped),
-    };
+    let merge = Work::Compares(merge_charge(m, w));
+    let merged = cost.work_ns(merge);
     let mut searched = 0;
     for (k, idx_lo, idx_hi) in round {
         searched += cost.work_ns(Work::BinarySearches {
             searches: 2 * k,
             n: (idx_hi - idx_lo) as u64,
         });
-        if searched > pass_ns {
-            return pass;
+        if searched > merged {
+            return Body::Merge(merge);
         }
     }
     Body::Searches
@@ -637,122 +624,48 @@ fn merge_charge(m: u64, w: u64) -> u64 {
     w + 2 * m
 }
 
-/// The charge of one galloping pass over `m` probes whose brackets
-/// cover `w` local positions, in element reads:
-///
-/// ```text
-/// 2m + 2⌈2m · log₂(1 + w / 2m)⌉
-/// ```
-///
-/// It bounds the pass's steps. The pass runs at most `2m` gallops (a
-/// lower and an upper bound per distinct probe key), each one over
-/// positions no other gallop of the pass covers and inside a bracket,
-/// so their distances `δ` sum to at most `w`. A gallop at distance `δ`
-/// reads `⌊log₂(δ + 1)⌋` elements doubling its stride, at most one
-/// that stops it, and as many bisecting what is left: `2⌊log₂(δ + 1)⌋
-/// + 1`. The logarithm is concave, so the sum is largest with the
-/// distances spread evenly: `w / 2m` each.
-fn gallop_charge(m: u64, w: u64) -> u64 {
-    if m == 0 {
-        return 0;
-    }
-    let gallops = 2.0 * m as f64;
-    let doublings = (gallops * (1.0 + w as f64 / gallops).log2()).ceil() as u64;
-    2 * m + 2 * doublings
-}
-
-/// Locate `probes`, ascending by key, in one pass over `sorted`: each
-/// probe `(n, key, idx_lo, idx_hi)`'s lower bound forward from where
-/// the previous key's upper bound ended, clamped into its index
-/// bracket, and its upper bound from its lower bound, by galloping or
-/// by stepping one element at a time as `pass` says. A probe whose key
-/// repeats the previous one copies its bounds. Hands `put(n, lower,
-/// upper)` each probe's full-array bounds and returns the elements it
-/// read, which the pass's charge bounds: [`gallop_charge`] for the
-/// galloping pass; [`merge_charge`], `w + 2m`, for the merge, whose
-/// reads that step past an element move forward only, inside a
-/// bracket, at most `w` of them, and whose reads that stop a bound
-/// number two per key.
+/// Locate `probes`, ascending by key, in one forward two-pointer walk
+/// over `sorted`: each probe `(n, key, idx_lo, idx_hi)`'s lower bound
+/// steps while `< key` from where the previous key's upper bound ended,
+/// clamped into its index bracket, and its upper bound from there while
+/// `<= key`, neither past `idx_hi`. A probe whose key repeats the
+/// previous one copies its bounds. Hands `put(n, lower, upper)` each
+/// probe's full-array bounds and returns the elements it read, which
+/// [`merge_charge`], `w + 2m`, bounds: reads that step past an element
+/// move forward only, inside a bracket, at most `w` of them, and reads
+/// that stop a bound number two per key.
 fn locate_pass<K: Key>(
     sorted: &[K],
-    pass: Body,
     probes: impl Iterator<Item = (usize, K, usize, usize)>,
     mut put: impl FnMut(usize, usize, usize),
 ) -> u64 {
-    let merge = matches!(pass, Body::Merge(_));
-    let mut steps = 0;
+    let mut reads = 0;
     let (mut last, mut lower, mut upper) = (None, 0, 0);
     for (n, key, idx_lo, idx_hi) in probes {
         if last != Some(key) {
+            let bracket = &sorted[..idx_hi];
             let from = upper.max(idx_lo);
-            lower = seek(merge, sorted, from, idx_hi, |x| *x < key, &mut steps);
-            upper = seek(merge, sorted, lower, idx_hi, |x| *x <= key, &mut steps);
+            lower = from;
+            while bracket.get(lower).is_some_and(|x| *x < key) {
+                lower += 1;
+            }
+            upper = lower;
+            while bracket.get(upper).is_some_and(|x| *x <= key) {
+                upper += 1;
+            }
+            let stops = usize::from(lower < idx_hi) + usize::from(upper < idx_hi);
+            reads += (upper - from + stops) as u64;
             last = Some(key);
         }
         put(n, lower, upper);
     }
-    steps
-}
-
-/// `from + sorted[from..to].partition_point(pred)`, stepping one
-/// element at a time when `merge` is set (one read per element passed
-/// and at most one that stops it) and by [`gallop`] otherwise.
-#[inline]
-fn seek<T>(
-    merge: bool,
-    sorted: &[T],
-    from: usize,
-    to: usize,
-    pred: impl Fn(&T) -> bool,
-    steps: &mut u64,
-) -> usize {
-    if !merge {
-        return gallop(sorted, from, to, pred, steps);
-    }
-    let passed = sorted[from..to].iter().take_while(|x| pred(x)).count();
-    *steps += passed as u64 + u64::from(from + passed < to);
-    from + passed
-}
-
-/// `from + sorted[from..to].partition_point(pred)`, found by doubling
-/// the stride from `from` and bisecting the last one; every element
-/// read counts a step: `2⌊log₂(δ + 1)⌋ + 1` at most for an answer `δ`
-/// past `from`, none when `from == to`.
-fn gallop<T>(
-    sorted: &[T],
-    from: usize,
-    to: usize,
-    pred: impl Fn(&T) -> bool,
-    steps: &mut u64,
-) -> usize {
-    // `pred` holds on `sorted[from..lo]`; the answer is in `lo..=hi`.
-    let (mut lo, mut hi, mut stride) = (from, to, 1);
-    while stride <= hi - lo {
-        let at = lo + stride - 1;
-        *steps += 1;
-        if !pred(&sorted[at]) {
-            hi = at;
-            break;
-        }
-        lo = at + 1;
-        stride *= 2;
-    }
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        *steps += 1;
-        if pred(&sorted[mid]) {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    lo
+    reads
 }
 
 /// Collapse the index bracket of every splitter the owner finish
 /// settled (`open`) to the local bounds of its key in `settled`. The
 /// non-empty brackets, one settled key each, are located as a round's
-/// probes are, by the body [`cheapest_body`] charges least; an empty
+/// probes are, by the body [`cheapest_body`] charges less; an empty
 /// bracket needs no search and is charged nothing.
 fn locate_settled<K: Key>(
     comm: &Comm,
@@ -791,10 +704,10 @@ fn locate_settled<K: Key>(
                 );
             }
         }
-        pass @ (Body::Gallop(work) | Body::Merge(work)) => {
+        Body::Merge(work) => {
             charges.add(work);
             let probes = nonempty().map(|(i, idx_lo, idx_hi)| (i, settled[i].key, idx_lo, idx_hi));
-            locate_pass(sorted_local, pass, probes, put);
+            locate_pass(sorted_local, probes, put);
         }
     }
     comm.post(charges);
@@ -1342,9 +1255,9 @@ mod tests {
         }))
     }
 
-    /// Run `pass` over the round in key order: the histogram it writes
-    /// and the elements it reads.
-    fn located(block: &[u64], round: &Buffers, brackets: &[usize], pass: Body) -> (Vec<u64>, u64) {
+    /// Run the merge pass over the round in key order: the histogram it
+    /// writes and the elements it reads.
+    fn located(block: &[u64], round: &Buffers, brackets: &[usize]) -> (Vec<u64>, u64) {
         let mut histogram = vec![u64::MAX; 2 * round.probes.len()];
         let probes = round.ladder.iter().map(|&n| {
             let i = round.owner[n];
@@ -1355,7 +1268,7 @@ mod tests {
                 brackets[2 * i + 1],
             )
         });
-        let steps = locate_pass(block, pass, probes, |n, lower, upper| {
+        let steps = locate_pass(block, probes, |n, lower, upper| {
             histogram[2 * n] = lower as u64;
             histogram[2 * n + 1] = upper as u64;
         });
@@ -1378,20 +1291,38 @@ mod tests {
         }
     }
 
+    /// One ascending settled key per splitter of `round`, inside its
+    /// key bracket: its first probe, raised to the previous key.
+    fn settled_keys(round: &Buffers) -> Vec<SplitterInfo<u64>> {
+        let mut key = 0;
+        (0..round.active.len())
+            .map(|j| {
+                key = key.max(round.probes[round.offsets[j]] as u64);
+                SplitterInfo {
+                    key,
+                    target: 0,
+                    realized: 0,
+                    global_lower: 0,
+                    global_upper: 0,
+                }
+            })
+            .collect()
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig {
             cases: 512, ..proptest::prelude::ProptestConfig::default()
         })]
 
-        /// The galloping pass finds every probe where a full-width
-        /// `partition_point` does, reads no more elements than
-        /// `gallop_charge` allows, and the round posts the cheapest
+        /// The merge pass finds every probe where a full-width
+        /// `partition_point` does and reads no more than the `w + 2m`
+        /// elements `merge_charge` allows; the round posts the cheaper
         /// body's charge, never more than its bracketed searches (the
-        /// rule may stop summing them early) — on
-        /// duplicate-heavy, empty, all-equal and MIN/MAX blocks, random
-        /// ascending brackets and ascending probe sets.
+        /// rule may stop summing them early), and locates alike either
+        /// way — on duplicate-heavy, empty, all-equal and MIN/MAX
+        /// blocks, random ascending brackets and ascending probe sets.
         #[test]
-        fn the_galloping_pass_is_exact_and_within_its_charge(
+        fn the_merge_pass_is_exact_and_within_its_charge(
             space in 0u8..4,
             n in proptest::prop_oneof![proptest::strategy::Just(0usize), 1usize..400],
             splitters in 1usize..40,
@@ -1399,14 +1330,13 @@ mod tests {
         ) {
             let (block, round, brackets) = random_round(space, n, splitters, seed);
             let (m, w) = covered(&round, &brackets);
-            let gallop = Work::RandomAccesses(gallop_charge(m, w));
-            let (histogram, steps) = located(&block, &round, &brackets, Body::Gallop(gallop));
+            let (histogram, steps) = located(&block, &round, &brackets);
             assert_exact(&block, &round, &histogram);
-            proptest::prop_assert!(steps <= gallop_charge(m, w), "{} steps, charged {:?}", steps, gallop);
+            let charged = merge_charge(m, w);
+            proptest::prop_assert!(steps <= charged, "{} steps, charged {}", steps, charged);
 
-            // What the round posts: the least of the bracketed searches,
-            // priced one splitter at a time, and the two passes.
-            let merge = Work::Compares(merge_charge(m, w));
+            // What the round posts: the lesser of the bracketed
+            // searches, priced one splitter at a time, and the merge.
             let out = run(&ClusterConfig::small_cluster(1), move |comm| {
                 let cost = comm.cost_model();
                 let bracketed: u64 = (0..round.active.len())
@@ -1417,38 +1347,70 @@ mod tests {
                         })
                     })
                     .sum();
-                let least = bracketed.min(cost.work_ns(gallop)).min(cost.work_ns(merge));
+                let least = bracketed.min(cost.work_ns(Work::Compares(charged)));
                 let mut posted = Vec::new();
                 let t0 = comm.now_ns();
                 local_histogram(comm, &block, &round, &brackets, &mut posted);
                 (comm.now_ns() - t0, least, posted == histogram)
             });
             let ((posted, least, same), _) = &out[0];
-            proptest::prop_assert!(*same, "every body locates alike");
-            proptest::prop_assert_eq!(posted, least, "the cheapest body is posted");
+            proptest::prop_assert!(*same, "both bodies locate alike");
+            proptest::prop_assert_eq!(posted, least, "the cheaper body is posted");
         }
 
-        /// The merge pass finds every probe where a full-width
-        /// `partition_point` does and reads no more than the `w + 2m`
-        /// elements `merge_charge` allows, over the same rounds.
+        /// `locate_settled` collapses the bracket of every splitter the
+        /// owner finish settled to the full-array bounds of its key,
+        /// leaves the others alone, charges an empty bracket nothing
+        /// and posts the cheaper body over the non-empty ones — over
+        /// the same blocks and random ascending brackets, empty ones
+        /// included, with a random subset of the splitters settled.
         #[test]
-        fn the_merge_pass_is_exact_and_within_its_charge(
+        fn the_finish_locates_its_keys_exactly_at_the_cheaper_charge(
             space in 0u8..4,
             n in proptest::prop_oneof![proptest::strategy::Just(0usize), 1usize..400],
             splitters in 1usize..40,
             seed in 0u64..u64::MAX,
+            settle in 0u64..u64::MAX,
         ) {
             let (block, round, brackets) = random_round(space, n, splitters, seed);
-            let (m, w) = covered(&round, &brackets);
-            let merge = Body::Merge(Work::Compares(merge_charge(m, w)));
-            let (histogram, steps) = located(&block, &round, &brackets, merge);
-            assert_exact(&block, &round, &histogram);
-            let charged = merge_charge(m, w);
-            proptest::prop_assert!(steps <= charged, "{} steps, charged {}", steps, charged);
+            let settled = settled_keys(&round);
+            let open: Vec<usize> = (0..splitters).filter(|i| settle >> (i % 64) & 1 == 1).collect();
+            let mut expected = brackets.clone();
+            for &i in &open {
+                let key = settled[i].key;
+                expected[2 * i] = block.partition_point(|&x| x < key);
+                expected[2 * i + 1] = block.partition_point(|&x| x <= key);
+            }
+            let nonempty: Vec<(u64, usize, usize)> = open
+                .iter()
+                .map(|&i| (1, brackets[2 * i], brackets[2 * i + 1]))
+                .filter(|&(_, idx_lo, idx_hi)| idx_lo < idx_hi)
+                .collect();
+            let (m, w) = coverage(nonempty.iter().copied());
+            let out = run(&ClusterConfig::small_cluster(1), move |comm| {
+                let cost = comm.cost_model();
+                let searched: u64 = nonempty
+                    .iter()
+                    .map(|&(_, idx_lo, idx_hi)| {
+                        cost.work_ns(Work::BinarySearches {
+                            searches: 2,
+                            n: (idx_hi - idx_lo) as u64,
+                        })
+                    })
+                    .sum();
+                let least = searched.min(cost.work_ns(Work::Compares(merge_charge(m, w))));
+                let mut collapsed = brackets.clone();
+                let t0 = comm.now_ns();
+                locate_settled(comm, &block, &open, &settled, &mut collapsed);
+                (comm.now_ns() - t0, least, collapsed)
+            });
+            let ((posted, least, collapsed), _) = &out[0];
+            proptest::prop_assert_eq!(collapsed, &expected, "every settled key at its full-array bounds");
+            proptest::prop_assert_eq!(posted, least, "the cheaper body over the non-empty brackets");
         }
     }
 
-    /// One round where each body is charged least, under the default
+    /// One round where each body is charged less, under the default
     /// cost model (a compare 1 ns, a random access 6 ns).
     #[test]
     fn the_rule_posts_the_cheapest_body() {
@@ -1457,19 +1419,16 @@ mod tests {
             cheapest_body(&CostModel::default(), widths)
         };
         // Round 1 of `latency_bound`'s shape: 1 023 probes over 256 keys
-        // per rank merge for 2 302 ns, against 2 742 reads galloped
-        // (16 452 ns) and 16 368 searched (98 208 ns).
+        // per rank merge for 2 302 ns, against 16 368 reads searched
+        // (98 208 ns).
         assert_eq!(
             pick(1023, 1, 256),
             Body::Merge(Work::Compares(256 + 2 * 1023))
         );
         // Round 1 of `ablation_probes` at p = 32, m = 15 over 2^22 keys:
-        // 465 probes over 131 072 keys per rank gallop for 14 228 reads
-        // against 15 810 searched and 132 002 compares merged.
-        assert_eq!(
-            pick(465, 15, 1 << 17),
-            Body::Gallop(Work::RandomAccesses(14_228))
-        );
+        // 465 probes over 131 072 keys per rank keep their 15 810
+        // searched reads (94.9 µs) against 132 002 compares merged.
+        assert_eq!(pick(465, 15, 1 << 17), Body::Searches);
         // Seven probes over 2^20 keys keep their 280 searched reads.
         assert_eq!(pick(7, 1, 1 << 20), Body::Searches);
     }

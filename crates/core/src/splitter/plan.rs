@@ -129,7 +129,7 @@ pub(super) struct Buffers {
     pub(super) path: Vec<Step>,
     /// This round's probe indices by ascending key (ties by index):
     /// the ladder [`RoundPlan::advance`] reads, and the order in which
-    /// a rank's galloping or merge pass locates the probes.
+    /// a rank's merge pass locates the probes.
     pub(super) ladder: Vec<usize>,
     /// `owner[n]`: the splitter probe `n` was placed for.
     pub(super) owner: Vec<usize>,
