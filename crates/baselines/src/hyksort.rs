@@ -8,9 +8,7 @@
 //! `MPI_Comm_split` (linear in the group size, blocking), which is
 //! exactly the overhead the paper's single-exchange design avoids.
 //! A level is the histogram sort's group step: a `k`-way search, then
-//! [`dhs_core::cut_route_merge`] and [`dhs_core::split_groups`]. Level 1
-//! of [`dhs_core::histogram_sort_two_level`] routes and splits the same
-//! way, but cuts at the bounds its own search located.
+//! [`dhs_core::cut_route_merge`] and [`dhs_core::split_groups`].
 
 use dhs_core::exchange::group_range;
 use dhs_core::splitter::{find_splitters, SplitterOptions};

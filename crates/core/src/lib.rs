@@ -9,12 +9,10 @@
 //! counts, or sparse/empty partitions.
 //!
 //! The four supersteps of §V are one pipeline in [`mod@sort`], shared by
-//! every entry point (plain keys, records via [`histogram_sort_by`],
-//! [`histogram_sort_two_level`]'s level 2 and the warm-started
-//! [`EpochSorter`] service), with shrink-and-recover as a retry loop
-//! around phases 2–4 (and [`cut_route_merge`], the group step of HSS
-//! and HykSort, beside it; two-level's level 1 cuts at its search's
-//! bounds as the pipeline does):
+//! every entry point (plain keys, records via [`histogram_sort_by`] and
+//! the warm-started [`EpochSorter`] service), with shrink-and-recover
+//! as a retry loop around phases 2–4 (and [`cut_route_merge`], the
+//! group step of HSS and HykSort, beside it):
 //!
 //! 1. **Local sort** — the configured [`LocalSort`] engine (a stable
 //!    sort by key for records);
@@ -66,9 +64,9 @@ pub use kernels::{KernelPolicy, Kernels};
 pub use key::{make_unique, strip_unique, Key, OrderedF32, OrderedF64, UniqueKey};
 pub use service::{EpochSorter, EpochStats};
 pub use sort::{
-    cut_route_merge, histogram_sort, histogram_sort_by, histogram_sort_two_level, merge_received,
-    outcome_of, route_merge, split_groups, InvalidSortConfig, LocalSort, Partitioning,
-    RecoveryPolicy, SortConfig, SortOutcome, SortStats, WarmStart,
+    cut_route_merge, histogram_sort, histogram_sort_by, merge_received, outcome_of, route_merge,
+    split_groups, InvalidSortConfig, LocalSort, Partitioning, RecoveryPolicy, SortConfig,
+    SortOutcome, SortStats, WarmStart,
 };
 pub use splitter::{
     balanced_targets, find_splitters, find_splitters_seeded, perfect_targets, slack_for,

@@ -5,9 +5,8 @@
 //! public entry point; `attempt` is phases 2–4; the `Payload` hooks
 //! are the only code that knows whether the elements are plain keys or
 //! records; [`RecoveryPolicy::Shrink`] is a retry loop around
-//! `attempt`. The epoch service and the two-level sort call the same
-//! functions; the latter's level 1 cuts at its search's bounds as
-//! `attempt` does, and routes like the group step HSS and HykSort take.
+//! `attempt`. The epoch service calls the same pipeline; HSS and
+//! HykSort share its exchange and merge step ([`cut_route_merge`]).
 
 use std::borrow::Cow;
 use std::fmt;
@@ -16,9 +15,7 @@ use std::sync::Arc;
 use dhs_merge::MergeAlgo;
 use dhs_runtime::{AllToAllAlgo, Comm, RecoveryInterrupt, RecvRuns, Work};
 
-use crate::exchange::{
-    cut_at_bounds, exchange_data, group_of, group_range, plan_exchange, ExchangePlan,
-};
+use crate::exchange::{cut_at_bounds, exchange_data, group_of, plan_exchange, ExchangePlan};
 use crate::kernels::KernelPolicy;
 use crate::key::Key;
 use crate::splitter::{
@@ -281,15 +278,6 @@ impl SortConfig {
         }
         Ok(())
     }
-
-    /// The splitter search every sort under this configuration runs.
-    pub(crate) fn splitter_options(&self) -> SplitterOptions {
-        SplitterOptions {
-            max_iterations: self.max_splitter_iterations,
-            probes_per_round: self.probes_per_round,
-            ..SplitterOptions::default()
-        }
-    }
 }
 
 /// Charge the modelled cost of a local sort of `n` keys under
@@ -449,110 +437,6 @@ impl SortStats {
 /// get the error as a value instead).
 pub fn histogram_sort<K: Key>(comm: &Comm, local: &mut Vec<K>, cfg: &SortConfig) -> SortStats {
     sort_pipeline(comm, local, &Keys, cfg, &mut None).0
-}
-
-/// Sort with one level of group splitting — §VII's "reducing the group
-/// size of communicating ranks": one HykSort level (§III-C) of fan-out
-/// `groups` (`0` picks `⌈√P⌉`; 1 or `P` is [`histogram_sort`]), then
-/// the flat sort inside each group. Every [`SortConfig`] field applies
-/// as for the flat sort, except that [`SortConfig::recovery`] is not
-/// consulted (a rank failure aborts the run) and level 1 routes
-/// one-factor and charges its merge as a re-sort. The worse level's
-/// [`SortOutcome`] is reported.
-///
-/// # Panics
-/// Panics when `cfg` fails [`SortConfig::validate`].
-pub fn histogram_sort_two_level<K: Key>(
-    comm: &Comm,
-    local: &mut Vec<K>,
-    cfg: &SortConfig,
-    groups: usize,
-) -> SortStats {
-    let p = comm.size();
-    let g = match groups {
-        0 => (p as f64).sqrt().ceil() as usize,
-        g => g.min(p),
-    };
-    if g <= 1 || g >= p {
-        return histogram_sort(comm, local, cfg);
-    }
-
-    let t_begin = comm.now_ns();
-    let mut stats = local_phase(comm, local, &Keys, cfg);
-    // Both levels read their targets off the partitioning's boundaries.
-    let sp = comm.span("prepare");
-    let shape = Shape::gather(comm, local, cfg);
-    stats.prepare_ns += sp.finish();
-    if shape.n_total == 0 {
-        return stats;
-    }
-
-    // Level 1: g − 1 splitters where the groups' outputs end, cut at
-    // the bounds the search located (segment `d` goes to a member of
-    // group `d`), sent one-factor and merged as a re-sort.
-    let sp = comm.span("histogram");
-    let targets: Vec<u64> = (1..g)
-        .map(|grp| shape.targets[group_range(grp, p, g).start - 1])
-        .collect();
-    let opts = cfg.splitter_options();
-    let cold: &[K] = &[];
-    let (found, bounds) =
-        find_splitters_with_bounds(comm, local, &targets, shape.slack, opts, cold);
-    stats.iterations += found.iterations;
-    stats.probes += found.probes;
-    let level1 = outcome_of(&found, shape.n_total, p);
-    stats.histogram_ns += sp.finish();
-    let sp = comm.span("prepare");
-    let plan = cut_at_bounds(comm, &found.splitters, bounds, local.len());
-    stats.prepare_ns += sp.finish();
-    let merged = |received, scratch| {
-        merge_received(comm, received, scratch, MergeAlgo::Resort, cfg.local_sort)
-    };
-    route_merge(
-        comm,
-        local,
-        plan,
-        AllToAllAlgo::OneFactor,
-        merged,
-        &mut stats,
-    );
-
-    // Level 2: the members' boundaries, counted from where level 1
-    // realized the group's start (not its target, when capped or ε > 0)
-    // and clamped to what the group holds.
-    let sub = split_groups(comm, g, &mut stats);
-    let my_group = group_of(comm.rank(), p, g);
-    let members = group_range(my_group, p, g);
-    let base = my_group
-        .checked_sub(1)
-        .map_or(0, |s| found.splitters[s].realized);
-    let sp = comm.span("prepare");
-    let level2 = sub.allreduce_sum_then(&[local.len() as u64], |group_total, _| Shape {
-        n_total: group_total[0],
-        targets: shape.targets[members.start..members.end - 1]
-            .iter()
-            .map(|t| t.saturating_sub(base).min(group_total[0]))
-            .collect(),
-        slack: shape.slack,
-    });
-    stats.prepare_ns += sp.finish();
-    attempt(&sub, local, &Keys, cfg, &mut stats, &mut None, Some(level2));
-    let eps = |o: &SortOutcome| match o {
-        SortOutcome::Degraded {
-            achieved_epsilon, ..
-        } => *achieved_epsilon,
-        _ => -1.0,
-    };
-    if eps(&level1) > eps(&stats.outcome) {
-        stats.outcome = level1;
-    }
-    stats.n_out = local.len();
-    debug_assert_eq!(
-        stats.total_ns(),
-        comm.now_ns() - t_begin,
-        "span-derived phase totals must cover the sort's virtual time"
-    );
-    stats
 }
 
 /// Sort a distributed vector of arbitrary records by an extracted
@@ -812,16 +696,16 @@ where
 /// the `P−1` boundary targets, and the Definition 1 slack. A pure
 /// function of the gathered block sizes, so it is built once per
 /// communicator, inside the collective that gathers them, and shared.
-pub(crate) struct Shape {
-    pub(crate) n_total: u64,
-    pub(crate) targets: Vec<u64>,
-    pub(crate) slack: u64,
+struct Shape {
+    n_total: u64,
+    targets: Vec<u64>,
+    slack: u64,
 }
 
 impl Shape {
     /// Gather the block sizes and place the boundaries per
     /// [`SortConfig::partitioning`]. Collective.
-    pub(crate) fn gather<T>(comm: &Comm, local: &[T], cfg: &SortConfig) -> Arc<Self> {
+    fn gather<T>(comm: &Comm, local: &[T], cfg: &SortConfig) -> Arc<Self> {
         let p = comm.size();
         comm.allgather_then(local.len(), |caps| {
             let n_total: u64 = caps.iter().map(|&c| c as u64).sum();
@@ -835,29 +719,6 @@ impl Shape {
                 slack: slack_for(n_total, p, cfg.epsilon),
             }
         })
-    }
-}
-
-/// Phase 1, shared by every entry point: validate, set the intra-rank
-/// thread budget, sort the local block.
-pub(crate) fn local_phase<T, P: Payload<T>>(
-    comm: &Comm,
-    local: &mut Vec<T>,
-    payload: &P,
-    cfg: &SortConfig,
-) -> SortStats {
-    if let Err(e) = cfg.validate() {
-        panic!("invalid SortConfig: {e}");
-    }
-    comm.threads().configure(cfg.threads_per_rank);
-    let sp = comm.span("local_sort");
-    let intra = comm.intra_span("local_sort");
-    payload.local_sort(comm, local, cfg);
-    drop(intra);
-    SortStats {
-        n_in: local.len(),
-        local_sort_ns: sp.finish(),
-        ..SortStats::default()
     }
 }
 
@@ -884,14 +745,28 @@ pub(crate) fn sort_pipeline<T: Clone + Send + Sync + 'static, P: Payload<T>>(
     // leak its arm for its survivors to recover.
     let _guard = shrink.then(|| comm.arm_recovery());
     let t_begin = comm.now_ns();
-    let mut stats = local_phase(comm, local, payload, cfg);
+    // Phase 1: validate, set the intra-rank thread budget, sort the
+    // local block.
+    if let Err(e) = cfg.validate() {
+        panic!("invalid SortConfig: {e}");
+    }
+    comm.threads().configure(cfg.threads_per_rank);
+    let sp = comm.span("local_sort");
+    let intra = comm.intra_span("local_sort");
+    payload.local_sort(comm, local, cfg);
+    drop(intra);
+    let mut stats = SortStats {
+        n_in: local.len(),
+        local_sort_ns: sp.finish(),
+        ..SortStats::default()
+    };
     if cfg.warm_start == WarmStart::Cold {
         *warm = None;
     }
 
     let mut active: Option<Comm> = None; // survivor comm after a shrink
     if !shrink {
-        attempt(comm, local, payload, cfg, &mut stats, warm, None);
+        attempt(comm, local, payload, cfg, &mut stats, warm);
     } else {
         // Rollback checkpoint: one retained copy of the sorted block,
         // charged as a streaming copy, so no attempt ever re-sorts.
@@ -908,7 +783,7 @@ pub(crate) fn sort_pipeline<T: Clone + Send + Sync + 'static, P: Payload<T>>(
             let c = active.as_ref().unwrap_or(comm);
             let attempt_begin = c.now_ns();
             let snapshot = stats.clone();
-            let run = AssertUnwindSafe(|| attempt(c, local, payload, cfg, &mut stats, warm, None));
+            let run = AssertUnwindSafe(|| attempt(c, local, payload, cfg, &mut stats, warm));
             match catch_unwind(run) {
                 Ok(()) => break,
                 Err(cause) if cause.is::<RecoveryInterrupt>() => {
@@ -952,24 +827,21 @@ pub(crate) fn sort_pipeline<T: Clone + Send + Sync + 'static, P: Payload<T>>(
 
 /// One pass over phases 2–4 on communicator `c`, starting from the
 /// locally sorted block: shape → key view → seeded splitter search →
-/// plan → exchange → merge, each under its phase span. `shape` is
-/// gathered from the block sizes unless the caller already knows it
-/// (level 2 of [`crate::histogram_sort_two_level`]). Under
+/// plan → exchange → merge, each under its phase span. Under
 /// [`RecoveryPolicy::Shrink`] a peer failure before the exchange
 /// commits unwinds out of here with a [`RecoveryInterrupt`].
-pub(crate) fn attempt<T: Clone + Send + Sync + 'static, P: Payload<T>>(
+fn attempt<T: Clone + Send + Sync + 'static, P: Payload<T>>(
     c: &Comm,
     local: &mut Vec<T>,
     payload: &P,
     cfg: &SortConfig,
     stats: &mut SortStats,
     warm: &mut WarmStash<P::Key>,
-    shape: Option<Arc<Shape>>,
 ) {
     // "Other" in the paper's breakdown: everything that is neither
     // histogramming nor the exchange proper.
     let sp = c.span("prepare");
-    let shape = shape.unwrap_or_else(|| Shape::gather(c, local, cfg));
+    let shape = Shape::gather(c, local, cfg);
     if shape.n_total == 0 || c.size() == 1 {
         stats.prepare_ns += sp.finish();
         return;
@@ -981,7 +853,11 @@ pub(crate) fn attempt<T: Clone + Send + Sync + 'static, P: Payload<T>>(
         // Phase 2: splitter determination by iterative histogramming,
         // seeded from the stash (empty = cold).
         let sp = c.span("histogram");
-        let opts = cfg.splitter_options();
+        let opts = SplitterOptions {
+            max_iterations: cfg.max_splitter_iterations,
+            probes_per_round: cfg.probes_per_round,
+            ..SplitterOptions::default()
+        };
         let ladder = warm.as_deref().unwrap_or_default();
         let (found, bounds) =
             find_splitters_with_bounds(c, &keys, &shape.targets, shape.slack, opts, ladder);
@@ -1062,7 +938,7 @@ pub fn cut_route_merge<K: Key>(
     route_merge(comm, local, plan, AllToAllAlgo::OneFactor, merged, stats);
 }
 
-/// Split `comm` into `k` contiguous rank groups ([`group_range`]) under
+/// Split `comm` into `k` contiguous rank groups ([`crate::exchange::group_range`]) under
 /// `prepare` — the blocking, linear-cost split every group-recursive
 /// sort pays per level — and return this rank's. Collective.
 pub fn split_groups(comm: &Comm, k: usize, stats: &mut SortStats) -> Comm {
@@ -1624,185 +1500,6 @@ mod tests {
             for v in local {
                 assert!(v.0 >= prev);
                 prev = v.0;
-            }
-        }
-    }
-
-    mod two_level {
-        use super::*;
-
-        fn check(p: usize, n: usize, modulus: u64, groups: usize) {
-            let out = run(&ClusterConfig::small_cluster(p), move |comm| {
-                let mut local = keys_for(comm.rank(), n, modulus);
-                let cfg = SortConfig::default();
-                let stats = histogram_sort_two_level(comm, &mut local, &cfg, groups);
-                (local, stats)
-            });
-            let got: Vec<u64> = out.iter().flat_map(|((l, _), _)| l.clone()).collect();
-            assert_eq!(got, global_expected(p, n, modulus), "p={p} g={groups}");
-            for ((l, _), _) in &out {
-                assert_eq!(l.len(), n, "perfect partitioning per rank");
-            }
-        }
-
-        #[test]
-        fn sorts_with_sqrt_groups() {
-            check(16, 300, u64::MAX, 0);
-            check(9, 200, u64::MAX, 3);
-            check(8, 250, 13, 2);
-        }
-
-        #[test]
-        fn degenerate_group_counts() {
-            check(6, 100, 1 << 20, 1); // falls back to flat
-            check(6, 100, 1 << 20, 6); // every rank its own group
-        }
-
-        #[test]
-        fn uneven_group_sizes() {
-            check(10, 150, u64::MAX, 3);
-            check(7, 120, 100, 2);
-        }
-
-        #[test]
-        fn sparse_input() {
-            let out = run(&ClusterConfig::small_cluster(8), |comm| {
-                let mut local = if comm.rank() < 2 {
-                    keys_for(comm.rank(), 400, 1 << 20)
-                } else {
-                    Vec::new()
-                };
-                histogram_sort_two_level(comm, &mut local, &SortConfig::default(), 0);
-                local.len()
-            });
-            let sizes: Vec<usize> = out.into_iter().map(|(l, _)| l).collect();
-            assert_eq!(sizes, vec![400, 400, 0, 0, 0, 0, 0, 0]);
-        }
-
-        /// Per-rank (output, stats) of a two-level sort at p=16, g=4.
-        fn run_with(cfg: SortConfig) -> Vec<(Vec<u64>, SortStats)> {
-            run(&ClusterConfig::small_cluster(16), move |comm| {
-                let mut local = keys_for(comm.rank(), 1500, 1 << 40);
-                let stats = histogram_sort_two_level(comm, &mut local, &cfg, 4);
-                (local, stats)
-            })
-            .into_iter()
-            .map(|(out, _)| out)
-            .collect()
-        }
-
-        #[test]
-        fn both_levels_honour_the_probe_grid() {
-            let with_probes = |m| {
-                run_with(SortConfig {
-                    probes_per_round: m,
-                    ..SortConfig::default()
-                })
-            };
-            let (one, seven) = (with_probes(1), with_probes(7));
-            for ((out1, stats1), (out7, stats7)) in one.iter().zip(&seven) {
-                assert_eq!(out1, out7, "the probe grid never changes the output");
-                assert!(
-                    stats7.iterations < stats1.iterations,
-                    "7 probes/round must cut rounds: {} vs {}",
-                    stats7.iterations,
-                    stats1.iterations
-                );
-            }
-        }
-
-        /// Level 1 obeys the iteration cap: one round per level, and the
-        /// degraded level-1 search is reported even where level 2's is
-        /// not worse.
-        #[test]
-        fn iteration_cap_bounds_both_levels() {
-            let p = 16;
-            let cfg = SortConfig {
-                max_splitter_iterations: Some(1),
-                ..SortConfig::default()
-            };
-            let out = run(&ClusterConfig::small_cluster(p), move |comm| {
-                let mut local = keys_for(comm.rank(), 1000, u64::MAX);
-                let stats = histogram_sort_two_level(comm, &mut local, &cfg, 0);
-                (local, stats)
-            });
-            for (rank, ((_, stats), _)) in out.iter().enumerate() {
-                assert!(
-                    stats.iterations <= 2,
-                    "rank {rank}: {} rounds",
-                    stats.iterations
-                );
-                assert!(
-                    stats.outcome.is_degraded(),
-                    "rank {rank}: {:?}",
-                    stats.outcome
-                );
-            }
-            let got: Vec<u64> = out.iter().flat_map(|((l, _), _)| l.clone()).collect();
-            assert_eq!(got, global_expected(p, 1000, u64::MAX));
-        }
-
-        /// Level 2 counts from where level 1 realized each group's
-        /// start and clamps to what the group holds: a level-1 boundary
-        /// off its target (wide ε slack, or a capped search on heavy
-        /// duplicates) must not leave a level-2 target the group cannot
-        /// reach.
-        #[test]
-        fn loose_level_one_boundaries_stay_reachable() {
-            // 40 distinct values skewed towards 0, like a Zipf draw, on
-            // equal blocks or on a ramp of 16·(rank + 1) keys.
-            fn skewed(rank: usize, ramp: bool) -> Vec<u64> {
-                let n = if ramp { 16 * (rank + 1) } else { 256 };
-                let unit = (1u64 << 20) as f64;
-                let keys = keys_for(rank, n, 1 << 20).into_iter();
-                keys.map(|k| ((k as f64 / unit).powi(4) * 40.0) as u64)
-                    .collect()
-            }
-            let wide = SortConfig {
-                epsilon: 4.0,
-                ..SortConfig::default()
-            };
-            let capped = SortConfig {
-                max_splitter_iterations: Some(2),
-                ..SortConfig::default()
-            };
-            for (p, ramp, cfg) in [(64, false, wide), (16, true, capped)] {
-                let out = run(&ClusterConfig::small_cluster(p), move |comm| {
-                    let mut local = skewed(comm.rank(), ramp);
-                    histogram_sort_two_level(comm, &mut local, &cfg, 0);
-                    local
-                });
-                let got: Vec<u64> = out.into_iter().flat_map(|(l, _)| l).collect();
-                let mut expect: Vec<u64> = (0..p).flat_map(|r| skewed(r, ramp)).collect();
-                expect.sort_unstable();
-                assert_eq!(got, expect, "p={p} ramp={ramp}");
-            }
-        }
-
-        #[test]
-        fn thread_budget_changes_neither_output_nor_clock() {
-            let with_threads = |t| {
-                run_with(SortConfig {
-                    threads_per_rank: t,
-                    ..SortConfig::default()
-                })
-            };
-            let (serial, hybrid) = (with_threads(1), with_threads(4));
-            for ((out1, stats1), (out4, stats4)) in serial.iter().zip(&hybrid) {
-                assert_eq!(out1, out4);
-                assert_eq!(stats1.total_ns(), stats4.total_ns());
-            }
-        }
-
-        #[test]
-        fn level_iterations_accumulate() {
-            let out = run(&ClusterConfig::small_cluster(16), |comm| {
-                let mut local = keys_for(comm.rank(), 2000, 1 << 30);
-                histogram_sort_two_level(comm, &mut local, &SortConfig::default(), 4)
-            });
-            for (stats, _) in out {
-                assert!(stats.iterations > 0);
-                assert_eq!(stats.n_out, 2000);
             }
         }
     }

@@ -17,16 +17,13 @@
 //! and those cuts must be the same full-width Algorithm 4's — on
 //! duplicates, an empty rank, split splitters beside unsplit ones, a
 //! capped search and after the owner finish — with no binary search in
-//! its `prepare`, and neither does level 1 of the two-level sort.
+//! its `prepare`.
 
 use std::sync::Arc;
 
 use dhs_core::exchange::{exchange_data, plan_exchange, ExchangePlan};
 use dhs_core::splitter::{find_splitters, perfect_targets, SplitterOptions};
-use dhs_core::{
-    histogram_sort, histogram_sort_by, histogram_sort_two_level, Key, SortConfig, SplitterInfo,
-    SplitterResult,
-};
+use dhs_core::{histogram_sort, histogram_sort_by, Key, SortConfig, SplitterInfo, SplitterResult};
 use dhs_runtime::{launch, run, AllToAllAlgo, ClusterConfig, Comm, TraceConfig, Work};
 use dhs_workloads::Distribution;
 
@@ -244,7 +241,8 @@ fn accepted<K: Key>(
 }
 
 /// The splitter counts a plan is checked at on `p` ranks: one (two
-/// groups), `⌈√P⌉ − 1` (level 1 of the two-level sort) and `P − 1`.
+/// groups), `⌈√P⌉ − 1` (a group cut of width `s < P − 1` between those
+/// two) and `P − 1`.
 fn splitter_counts(p: usize) -> Vec<usize> {
     let mut counts = vec![1, (p as f64).sqrt().ceil() as usize - 1, p - 1];
     counts.dedup();
@@ -638,32 +636,6 @@ fn the_sort_plans_without_searching() {
             .iter()
             .position(|s| s.name == "histogram")
             .expect("a search");
-        let plan = top[after + 1];
-        assert_eq!(plan.name, "prepare", "rank {}", rank.rank);
-        assert_eq!(plan.end_ns - plan.start_ns, scan, "rank {}", rank.rank);
-    }
-}
-
-/// Level 1 of the two-level sort cuts at the bounds its own search
-/// located: on distinct keys its `prepare` after the search is the
-/// scan's `g − 1` compares and holds no binary search.
-#[test]
-fn two_level_plans_level_one_without_searching() {
-    let (p, g) = (16, 4);
-    let cfg = ClusterConfig::small_cluster(p).with_trace(TraceConfig::On);
-    let record = launch(&cfg, |comm| {
-        let mut local: Vec<u64> = (0..500).map(|i| (i * p + comm.rank()) as u64).collect();
-        histogram_sort_two_level(comm, &mut local, &SortConfig::default(), g);
-        comm.cost_model().work_ns(Work::Compares(g as u64 - 1))
-    })
-    .expect("an inert fault plan is valid");
-    let scan = record.ranks[0].as_ref().expect("rank 0 completes").0;
-    for rank in &record.trace.ranks {
-        let top: Vec<_> = rank.spans.iter().filter(|s| s.depth == 0).collect();
-        let after = top
-            .iter()
-            .position(|s| s.name == "histogram")
-            .expect("level 1's search");
         let plan = top[after + 1];
         assert_eq!(plan.name, "prepare", "rank {}", rank.rank);
         assert_eq!(plan.end_ns - plan.start_ns, scan, "rank {}", rank.rank);

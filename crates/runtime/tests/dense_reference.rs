@@ -9,7 +9,7 @@
 //! Count matrices are random and sparse at `P ∈ 1..=64`, with empty
 //! ranks, self-only senders and one-peer senders mixed in, and go
 //! through every payload form: a [`CutBlock`] at `w = P` and at a
-//! random `w < P` (the group cuts of HykSort and the two-level sort),
+//! random `w < P` (the group cuts of HykSort),
 //! `&[&[T]]` and `Vec<Vec<T>>`.
 
 use dhs_runtime::comm::group_range;

@@ -3,7 +3,7 @@
 //!
 //! ```sh
 //! dhs sort --algo histogram --ranks 64 --nper 65536 --dist zipf
-//! dhs sort --algo two-level --ranks 256 --groups 16 --verify
+//! dhs sort --algo hyksort --ranks 256 --verify
 //! dhs sort --threads 4 --verify        # hybrid rank×thread execution
 //! dhs serve --ranks 32 --epochs 5 --profile stationary --verify
 //! dhs select --ranks 32 --nper 10000 --k 160000
@@ -17,20 +17,19 @@ use dhs_bench::Args;
 
 const USAGE: &str = "usage: dhs <sort|serve|select|topology> [--flags]\n\
     \n\
-    sort     --algo histogram|two-level|hss|sample|psrs|hyksort|ams|bitonic\n\
+    sort     --algo histogram|hss|sample|psrs|hyksort|ams|bitonic\n\
     \x20        --ranks N --nper N --dist uniform|normal|zipf|nearly-sorted|\n\
     \x20        few-distinct|all-equal --layout balanced|sparse|ramp\n\
-    \x20        --groups N (two-level only) --seed N --verify\n\
+    \x20        --seed N --verify\n\
     \x20        --engine tasks|tasks:<workers> (worker slots the ranks share)\n\
     \x20        --trace out.json --trace-format chrome|summary\n\
-    \x20      sort-config flags (histogram and two-level only):\n\
+    \x20      sort-config flags (histogram only):\n\
     \x20        --eps F --merge resort|kway (how the merge is charged)\n\
     \x20        --local-sort comparison|radix\n\
     \x20        --partitioning perfect|balanced --max-iters N\n\
     \x20        --probes M (histogram round width in units of P-1)\n\
     \x20        --threads T (intra-rank thread budget)\n\
-    \x20        --recovery abort|shrink (response to rank failures;\n\
-    \x20          shrink: histogram only)\n\
+    \x20        --recovery abort|shrink (response to rank failures)\n\
     \x20        --exchange-algo priced|one-factor|bruck|staged:<k>\n\
     \x20          (default priced: the schedule priced cheapest per exchange)\n\
     \x20        --warm-start cold|seeded-brackets (repeated sorts)\n\
@@ -116,7 +115,7 @@ fn main() {
     type Command = (Vec<&'static str>, &'static [&'static str], fn(&Args));
     let (values, switches, run): Command = match command.as_str() {
         "sort" => (
-            config(&["algo", "groups", "trace", "trace-format"]),
+            config(&["algo", "trace", "trace-format"]),
             &["verify"],
             cmd_sort,
         ),
@@ -259,50 +258,37 @@ fn cmd_sort(args: &Args) {
     let ranks = ranks_of(args, 16);
     let nper: usize = num(args, "nper", 1 << 14);
     let seed: u64 = num(args, "seed", 1);
-    // `--algo`: the sorter `dhs sort` runs. Every `Algorithm` has one
-    // name; `None` is the two-level histogram sort, which no
-    // `Algorithm` names.
+    // `--algo`: the sorter `dhs sort` runs, one name per `Algorithm`.
     let algos = [
-        ("histogram", Some(Algorithm::HistogramSort)),
-        ("two-level", None),
-        ("hss", Some(Algorithm::Hss)),
-        ("sample", Some(Algorithm::SampleSort)),
-        ("psrs", Some(Algorithm::Psrs)),
-        ("hyksort", Some(Algorithm::HykSort)),
-        ("ams", Some(Algorithm::Ams)),
-        ("bitonic", Some(Algorithm::Bitonic)),
+        ("histogram", Algorithm::HistogramSort),
+        ("hss", Algorithm::Hss),
+        ("sample", Algorithm::SampleSort),
+        ("psrs", Algorithm::Psrs),
+        ("hyksort", Algorithm::HykSort),
+        ("ams", Algorithm::Ams),
+        ("bitonic", Algorithm::Bitonic),
     ];
     let algo = choice(args, "algo", "histogram", &algos);
-    if algo.is_some_and(|a| a != Algorithm::HistogramSort) {
+    if algo != Algorithm::HistogramSort {
         if let Some(flag) = SORT_CONFIG_FLAGS.iter().find(|f| args.raw(f).is_some()) {
             usage_exit(&format!(
-                "--{flag}: --algo {} takes no sort-config flag (only histogram and two-level do)",
+                "--{flag}: --algo {} takes no sort-config flag (only histogram does)",
                 args.raw("algo").unwrap_or_default()
             ));
         }
     }
-    if algo.is_some() && args.raw("groups").is_some() {
-        usage_exit(&format!(
-            "--groups: --algo {} does not split into groups (only two-level does)",
-            args.raw("algo").unwrap_or("histogram")
-        ));
-    }
-    let groups: usize = num(args, "groups", 0);
     let verify = args.has("verify");
     let trace_formats = [("chrome", true), ("summary", false)];
     let chrome_trace = choice(args, "trace-format", "chrome", &trace_formats);
     let dist = dist_of(args);
     let layout = layout_of(args);
-    if algo.is_some_and(|a| !a.supports(ranks, matches!(layout, Layout::Balanced))) {
+    if !algo.supports(ranks, matches!(layout, Layout::Balanced)) {
         usage_exit(
             "--algo bitonic: needs a power-of-two --ranks and --layout balanced \
              (equal local sizes)",
         );
     }
     let cfg = sort_config(args);
-    if algo.is_none() && cfg.recovery == RecoveryPolicy::Shrink {
-        usage_exit("--recovery shrink: --algo two-level does not recover (only histogram does)");
-    }
     // Opened before the sort, so a path that cannot be written is
     // rejected up front instead of after the whole run.
     let trace = args.raw("trace").map(|path| {
@@ -333,9 +319,8 @@ fn cmd_sort(args: &Args) {
             fp
         });
         let stats = match algo {
-            Some(Algorithm::HistogramSort) => histogram_sort(comm, &mut local, &cfg),
-            None => histogram_sort_two_level(comm, &mut local, &cfg, groups),
-            Some(baseline) => run_algorithm(comm, baseline, &mut local),
+            Algorithm::HistogramSort => histogram_sort(comm, &mut local, &cfg),
+            baseline => run_algorithm(comm, baseline, &mut local),
         };
         let ok = match fp {
             Some((fp, n)) => {
@@ -393,7 +378,7 @@ fn cmd_sort(args: &Args) {
     // boundary: their balance is the keys/rank spread above.
     let sampled = matches!(
         algo,
-        Some(Algorithm::SampleSort | Algorithm::Psrs | Algorithm::Ams)
+        Algorithm::SampleSort | Algorithm::Psrs | Algorithm::Ams
     );
     match &stats.outcome {
         SortOutcome::Exact if sampled => println!("partitioning       : sampled (no targets)"),

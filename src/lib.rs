@@ -29,10 +29,10 @@ pub use dhs_workloads as workloads;
 /// ```
 pub mod prelude {
     pub use dhs_core::{
-        histogram_sort, histogram_sort_by, histogram_sort_two_level, is_sorted, median,
-        nth_element, sort, sort_array, sort_by_key, verify_sorted, AllToAllAlgo, EpochSorter,
-        EpochStats, InvalidSortConfig, LocalSort, MergeAlgo, OrderOutOfRange, Partitioning,
-        RecoveryPolicy, SortConfig, SortOutcome, SortStats, WarmStart,
+        histogram_sort, histogram_sort_by, is_sorted, median, nth_element, sort, sort_array,
+        sort_by_key, verify_sorted, AllToAllAlgo, EpochSorter, EpochStats, InvalidSortConfig,
+        LocalSort, MergeAlgo, OrderOutOfRange, Partitioning, RecoveryPolicy, SortConfig,
+        SortOutcome, SortStats, WarmStart,
     };
     pub use dhs_pgas::GlobalArray;
     pub use dhs_runtime::{

@@ -4,7 +4,6 @@
 //! it in the same five phases.
 
 use dhs::baselines::{run_algorithm, Algorithm};
-use dhs::core::{histogram_sort_two_level, SortConfig};
 use dhs::runtime::{launch, run, ClusterConfig, TraceConfig};
 use dhs::workloads::{rank_local_keys, Distribution, Layout};
 
@@ -75,28 +74,22 @@ fn agree_on_non_power_of_two_ranks() {
     }
 }
 
-/// Every sorter, the two-level histogram sort included, spans its work
-/// under the histogram sort's five phase names only, its `SortStats`
-/// phases equal those spans' totals, and on every rank they sum to the
-/// virtual time of the call: the invariant the flat pipeline
-/// debug-asserts. The two-level sort merges once per level, and books
-/// both merges as `merge`.
+/// Every sorter spans its work under the histogram sort's five phase
+/// names only, its `SortStats` phases equal those spans' totals, and on
+/// every rank they sum to the virtual time of the call: the invariant
+/// the pipeline debug-asserts.
 #[test]
 fn phases_cover_the_virtual_time_of_every_sorter() {
     const PHASES: [&str; 5] = ["local_sort", "histogram", "prepare", "exchange", "merge"];
     let p = 8;
     let n_total = 8 * 300;
     let dist = Distribution::Zipf { items: 64, s: 1.1 };
-    // `None` is the two-level sort, which no `Algorithm` names.
-    for algo in Algorithm::ALL.map(Some).into_iter().chain([None]) {
+    for algo in Algorithm::ALL {
         let cluster = ClusterConfig::small_cluster(p).with_trace(TraceConfig::On);
         let record = launch(&cluster, move |comm| {
             let mut local = rank_local_keys(dist, Layout::Balanced, n_total, p, comm.rank(), 5);
             let t0 = comm.now_ns();
-            let stats = match algo {
-                Some(algo) => run_algorithm(comm, algo, &mut local),
-                None => histogram_sort_two_level(comm, &mut local, &SortConfig::default(), 0),
-            };
+            let stats = run_algorithm(comm, algo, &mut local);
             (stats, comm.now_ns() - t0)
         })
         .expect("an inert fault plan is valid");
@@ -117,14 +110,6 @@ fn phases_cover_the_virtual_time_of_every_sorter() {
                 assert_eq!(stat, *ns, "{algo:?} rank {rank} {name}");
             }
             assert!(stats.iterations > 0, "{algo:?} reports its rounds");
-            if algo.is_none() {
-                let spans = &trace.ranks[rank].spans;
-                let merges = spans
-                    .iter()
-                    .filter(|s| s.depth == 0 && s.name == "merge")
-                    .count();
-                assert_eq!(merges, 2, "two-level rank {rank}: one merge per level");
-            }
         }
     }
 }

@@ -186,7 +186,7 @@ fn bad_flag_values_are_usage_errors() {
 
 /// The baselines run with their own fixed settings: a sort-config flag
 /// given to one is a usage error naming the flag and the algorithm,
-/// not a silently ignored word. The histogram sorts take them all.
+/// not a silently ignored word. The histogram sort takes them all.
 #[test]
 fn baselines_reject_sort_config_flags() {
     for (algo, flag, value) in [
@@ -200,39 +200,25 @@ fn baselines_reject_sort_config_flags() {
         let names = format!("{flag}: --algo {algo} takes no sort-config flag");
         assert_usage_error(&["sort", "--algo", algo, flag, value], &names);
     }
-    // Only the flat sort recovers (`two_level_does_not_recover`).
-    for (algo, recovery) in [("histogram", "shrink"), ("two-level", "abort")] {
-        let ok = dhs(&[
-            "sort",
-            "--algo",
-            algo,
-            "--ranks",
-            "4",
-            "--nper",
-            "256",
-            "--merge",
-            "kway",
-            "--threads",
-            "2",
-            "--recovery",
-            recovery,
-            "--verify",
-        ]);
-        let stdout = String::from_utf8_lossy(&ok.stdout);
-        assert_eq!(ok.status.code(), Some(0), "{algo}: {stdout}");
-        assert!(stdout.contains("verification       : PASS"), "{stdout}");
-    }
-}
-
-/// The two-level sort never reads the recovery policy, so asking it to
-/// shrink past failures is a usage error rather than a run without
-/// recovery.
-#[test]
-fn two_level_does_not_recover() {
-    assert_usage_error(
-        &["sort", "--algo", "two-level", "--recovery", "shrink"],
-        "--recovery shrink: --algo two-level does not recover",
-    );
+    let ok = dhs(&[
+        "sort",
+        "--algo",
+        "histogram",
+        "--ranks",
+        "4",
+        "--nper",
+        "256",
+        "--merge",
+        "kway",
+        "--threads",
+        "2",
+        "--recovery",
+        "shrink",
+        "--verify",
+    ]);
+    let stdout = String::from_utf8_lossy(&ok.stdout);
+    assert_eq!(ok.status.code(), Some(0), "{stdout}");
+    assert!(stdout.contains("verification       : PASS"), "{stdout}");
 }
 
 /// Every `--algo` reports the same five phases on one line, with the
@@ -242,7 +228,6 @@ fn two_level_does_not_recover() {
 fn every_algo_prints_its_phases() {
     for algo in [
         "histogram",
-        "two-level",
         "hss",
         "sample",
         "psrs",
@@ -275,32 +260,19 @@ fn every_algo_prints_its_phases() {
     }
 }
 
-/// `--groups` splits the two-level sort only: given to any other
-/// `--algo`, the default `histogram` included, it is a usage error, not
-/// a flag the run silently ignores.
+/// The deleted two-level sort is gone from the surface: its `--algo`
+/// name is an unknown value that lists the sorters left, and its
+/// `--groups` flag an unknown argument.
 #[test]
-fn groups_is_a_two_level_flag() {
-    for algo in ["histogram", "hss", "bitonic"] {
-        let names = format!("--groups: --algo {algo} does not split into groups");
-        assert_usage_error(&["sort", "--algo", algo, "--groups", "2"], &names);
-    }
-    let names = "--groups: --algo histogram does not split into groups";
-    assert_usage_error(&["sort", "--groups", "2"], names);
-    let ok = dhs(&[
-        "sort",
-        "--algo",
-        "two-level",
-        "--ranks",
-        "8",
-        "--nper",
-        "256",
-        "--groups",
-        "2",
-        "--verify",
-    ]);
-    let stdout = String::from_utf8_lossy(&ok.stdout);
-    assert_eq!(ok.status.code(), Some(0), "{stdout}");
-    assert!(stdout.contains("verification       : PASS"), "{stdout}");
+fn deleted_sorter_and_its_flag_are_usage_errors() {
+    assert_usage_error(
+        &["sort", "--algo", "two-level"],
+        "--algo: unknown value \"two-level\" (expected histogram|hss|sample|psrs|hyksort|ams|bitonic)",
+    );
+    assert_usage_error(
+        &["sort", "--groups", "4"],
+        "unrecognised argument \"groups\"",
+    );
 }
 
 /// `invocation` is rejected before anything runs: exit 2, a first

@@ -193,49 +193,6 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
     #[test]
-    fn two_level_sort_invariants_hold(
-        p in 4usize..17,
-        n_total in 0usize..3000,
-        groups in 0usize..5,
-        dist in arb_distribution(),
-        seed in 0u64..1_000_000,
-        balanced: bool,
-        capped: bool,
-        probes in 1usize..4,
-    ) {
-        let partitioning = if balanced { Partitioning::Balanced } else { Partitioning::Perfect };
-        let cfg = SortConfig {
-            partitioning,
-            max_splitter_iterations: capped.then_some(1),
-            probes_per_round: probes,
-            ..SortConfig::default()
-        };
-        let out = run(&ClusterConfig::small_cluster(p), move |comm| {
-            let mut local = rank_local_keys(dist, Layout::Balanced, n_total, p, comm.rank(), seed);
-            let before = local.clone();
-            dhs::core::histogram_sort_two_level(comm, &mut local, &cfg, groups);
-            (before, local)
-        });
-        let mut input: Vec<u64> = out.iter().flat_map(|((b, _), _)| b.clone()).collect();
-        let output: Vec<u64> = out.iter().flat_map(|((_, a), _)| a.clone()).collect();
-        input.sort_unstable();
-        prop_assert!(output.windows(2).all(|w| w[0] <= w[1]));
-        prop_assert_eq!(&input, &{ let mut o = output.clone(); o.sort_unstable(); o });
-        // A capped search degrades the boundaries, never the order.
-        if capped {
-            return;
-        }
-        for (rank, ((before, after), _)) in out.iter().enumerate() {
-            if balanced {
-                let want = n_total * (rank + 1) / p - n_total * rank / p;
-                prop_assert_eq!(after.len(), want, "balanced partitioning, rank {}", rank);
-            } else {
-                prop_assert_eq!(before.len(), after.len(), "perfect partitioning");
-            }
-        }
-    }
-
-    #[test]
     fn radix_local_sort_agrees(
         p in 2usize..8,
         n_total in 0usize..2000,

@@ -600,9 +600,9 @@ proptest! {
 }
 
 /// The result is one allocation per communicator: every rank of the
-/// world points at the same splitters, and after a split (the second
-/// level of a two-level sort) every rank of a group points at its
-/// group's — never at another group's.
+/// world points at the same splitters, and after a split (a HykSort
+/// level) every rank of a group points at its group's — never at
+/// another group's.
 #[test]
 fn splitters_are_shared_per_communicator() {
     let (p, groups) = (8usize, 2usize);
