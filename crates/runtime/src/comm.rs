@@ -31,23 +31,50 @@
 //!   scratch. The inboxes are the exchange's count matrix transposed:
 //!   each receiver's sources, ascending. The pick and Bruck read the
 //!   totals, the staged arm its units from the inboxes.
-//! - **Receiver.** Its extract (window 4, under the exit barrier)
-//!   reads only its own inbox: it finds every listed run (one pass, so
-//!   the misses on the senders' cuts overlap), copies each once, in
-//!   source order, then turns the list into its dense receive counts
-//!   in place.
+//! - **Receiver.** One of two paths, picked by the combine from the
+//!   exchange's total payload, once for every rank:
+//!   - *Eager*, at most `P ×` [`EAGER_BYTES_PER_RANK`] (4 KiB) bytes in
+//!     all: the combine itself copies every receiver's runs, senders
+//!     ascending, into one buffer per receiver and turns each inbox
+//!     into dense receive counts, in window 3, while every sender is
+//!     still blocked. Each rank's extract takes its own buffer out of
+//!     the output, and it leaves without the exit barrier: one park
+//!     per exchange instead of two. These buffers are allocated on the
+//!     combining thread and hold at most `P ×` 4 KiB in all.
+//!   - *Pull*, above the limit: its extract (window 4, under the exit
+//!     barrier) reads only its own inbox: it finds every listed run
+//!     (one pass, so the misses on the senders' cuts overlap), copies
+//!     each once, in source order, then turns the list into its dense
+//!     receive counts in place. Delivering everything in the combine
+//!     would put every receive buffer of a large exchange in the
+//!     combining thread's allocator arena, where freed buffers stay.
+//!
+//!   The limit's cells, whole-process wall time of `dhs sort --engine
+//!   tasks --seed 7` with the eager path forced on against forced off
+//!   (pinned, three runs each), are quoted at the constant: eager wins
+//!   at 2 and 8 KiB per receiver at p = 1 024, about ties at 32 KiB at
+//!   p = 256 and loses a little at 256 KiB at p = 32; the limit stays
+//!   low for the arena's sake. A `T::clone` that panics in an eager
+//!   copy stops that receiver's copy only: the combine serves the
+//!   others and hands the payload to the receiver's extract, which
+//!   resumes it, so the panic stays with the rank that cloned, as on
+//!   the pull path.
 //!
 //! Nothing that grows with the count of non-empty segments is
-//! allocated: the inboxes are the receive counts every exchange
-//! returns anyway.
+//! allocated beyond the received data itself: the inboxes are the
+//! receive counts every exchange returns anyway.
 
 use std::borrow::Cow;
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::mem;
 use std::ops::Range;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use std::thread;
+
+use parking_lot::Mutex;
 
 use crate::buffer::{BufferPool, RecvRuns, SharedSlice};
 use crate::cost::{alltoallv_ns, ceil_ns, AllreduceArm, Blocks, CostModel, Work};
@@ -331,6 +358,35 @@ impl RawInbox {
         // touches it, which writes nothing while this slice lives.
         std::slice::from_raw_parts(self.ptr, n.min(self.len))
     }
+
+    /// Turn the `sources` listed sources into dense receive counts in
+    /// place ([`densify`]), `len(src)` elements from each.
+    ///
+    /// # Safety
+    /// Call only from the combine (window 3 of `collective_view`), while
+    /// no slice from [`RawInbox::get`] is alive.
+    unsafe fn densify(&self, sources: usize, len: impl Fn(usize) -> usize) {
+        // SAFETY: as for `put`: the buffer is alive, its owner does not
+        // touch it until the combine is over, and no other slice of it
+        // is alive while this one is.
+        densify(
+            std::slice::from_raw_parts_mut(self.ptr, self.len),
+            sources,
+            len,
+        )
+    }
+}
+
+/// Turn an inbox — the receiver's `sources` sources, ascending, in its
+/// first entries, zeros after — into dense receive counts in place,
+/// `len(src)` elements from each source. Entry `i` names a source
+/// `s ≥ i`, so filling in `counts[s]` from the last entry back never
+/// overwrites an entry still to be read.
+fn densify(counts: &mut [usize], sources: usize, len: impl Fn(usize) -> usize) {
+    for i in (0..sources).rev() {
+        let src = mem::take(&mut counts[i]);
+        counts[src] = len(src);
+    }
 }
 
 /// The combine's per-member scratch of a personalized exchange, owned
@@ -387,6 +443,80 @@ impl<T> Blocks for Inboxes<'_, T> {
             (src, len as u64)
         })
     }
+}
+
+/// The eager limit of the personalized all-to-all, in bytes per member:
+/// an exchange whose payload is at most `P ×` this many bytes in total
+/// is delivered by its combine, and its ranks leave without the exit
+/// barrier (module docs, "The exchange's host cost"). Recorded cells
+/// (EXPERIMENTS.md, "Eager delivery of small all-to-alls"): whole-process
+/// wall time of `dhs sort --engine tasks --seed 7`, pinned to one CPU,
+/// three runs each, eager forced on against pull forced on — 2 KiB per
+/// receiver at p = 1 024 265–301 against 284–365 ms; 8 KiB at p = 1 024
+/// 457–599 against 487–751 ms; 32 KiB at p = 256 130–164 against
+/// 134–172 ms; 256 KiB at p = 32 62–68 against 60–65 ms. The limit
+/// sits well below where the gain fades because every eager buffer is
+/// allocated on the combining thread: delivering every exchange there
+/// raised the benchmark's `peak_rss_mb` from 268 to 660 MiB on
+/// `local_heavy` and from 294 to 513 MiB on `records_skew`.
+const EAGER_BYTES_PER_RANK: u64 = 4096;
+
+/// What an all-to-all's combine publishes: every rank's deposit and, on
+/// the eager path, every receiver's runs, copied by the combine.
+struct Delivery<T> {
+    views: Vec<RawSend<T>>,
+    /// Receiver `r`'s buffer, or the panic its copy raised (which `r`'s
+    /// extract resumes); `None` on the pull path, where each receiver
+    /// copies its own under the exit barrier.
+    eager: Option<Vec<Mutex<thread::Result<Vec<T>>>>>,
+}
+
+/// The eager path's copy: each receiver's runs, senders ascending, into
+/// one buffer of its `recv` elements, and its inbox turned into its
+/// dense receive counts. A panic in `T::clone` stops that receiver's
+/// copy only: the other receivers are still served, and the payload is
+/// kept for the receiver's extract.
+///
+/// # Safety
+/// Call only from the all-to-all's combine (window 3 of
+/// `collective_view`), after the last [`RawInbox::put`] and while no
+/// slice from [`RawInbox::get`] is alive.
+unsafe fn deliver<T: Clone>(
+    views: &[RawSend<T>],
+    recv: &[u64],
+) -> Vec<Mutex<thread::Result<Vec<T>>>> {
+    let p = views.len();
+    let run = |src: usize, dst: usize| {
+        let from = &views[src].data;
+        // SAFETY: window 3, as the caller vouches: every sender is
+        // blocked in the collective, so its deposit is alive and unmutated.
+        unsafe { from.segment(from.segment_to(p, dst)) }
+    };
+    (0..p)
+        .zip(recv)
+        .map(|(dst, &len)| {
+            let inbox = &views[dst];
+            let copied = panic::catch_unwind(AssertUnwindSafe(|| {
+                // SAFETY: after the last `put` (the caller's contract);
+                // the slice is dropped before `densify` below.
+                let sources = unsafe { inbox.inbox.get(inbox.received) };
+                let mut data = Vec::with_capacity(len as usize);
+                for &src in sources {
+                    data.extend_from_slice(run(src, dst));
+                }
+                data
+            }));
+            if copied.is_ok() {
+                // SAFETY: as above; no inbox slice is alive.
+                unsafe {
+                    inbox
+                        .inbox
+                        .densify(inbox.received, |src| run(src, dst).len())
+                };
+            }
+            Mutex::new(copied)
+        })
+        .collect()
 }
 
 /// The set bits of a segment bitmap, ascending: the non-empty segments.
@@ -741,7 +871,7 @@ impl Comm {
         R: Send + Sync + 'static,
         F: FnOnce(Vec<T>, &CollectiveCtx<'_>) -> (R, EndTimes),
     {
-        self.run_collective_view(name, input, combine, Arc::clone, false)
+        self.run_collective_view(name, input, combine, Arc::clone, |_| false)
     }
 
     /// Run one collective on this communicator: crash check, generation
@@ -755,7 +885,7 @@ impl Comm {
         input: T,
         combine: F,
         extract: G,
-        exit_barrier: bool,
+        exit_barrier: fn(&R) -> bool,
     ) -> Q
     where
         T: Send + 'static,
@@ -868,7 +998,7 @@ impl Comm {
                 )
             },
             |settled| settled.as_ref().clone(),
-            false,
+            |_| false,
         );
         self.account_collective_bytes(arm.bytes_sent(p, bytes));
         out
@@ -1010,7 +1140,7 @@ impl Comm {
                 (flat, EndTimes::Uniform(end))
             },
             Arc::clone,
-            false,
+            |_| false,
         );
         self.account_collective_bytes(CostModel::exscan_bytes(p, mem::size_of_val(xs) as u64));
         SharedSlice::new(out, me * width_in, width_in)
@@ -1091,10 +1221,15 @@ impl Comm {
     /// prices the exchange from them; each receiver reads only its own
     /// inbox.
     ///
+    /// An exchange of at most `P ×` [`EAGER_BYTES_PER_RANK`] bytes is
+    /// copied by its combine and needs no exit barrier; a larger one is
+    /// copied by each receiver under it (module docs).
+    ///
     /// `T: Clone` is enough — the copy-out is `extend_from_slice` — so
     /// records travel this path too. A `Clone` may panic where a `Copy`
-    /// cannot; the exit barrier is unwind-safe for exactly that case
-    /// (window 4 of `collective_view`).
+    /// cannot: the eager copy catches it per receiver and the receiver's
+    /// extract resumes it, and the exit barrier is unwind-safe for
+    /// exactly that case (window 4 of `collective_view`).
     fn alltoallv<T>(
         &self,
         data: RawData<T>,
@@ -1159,9 +1294,22 @@ impl Comm {
                 for end in &mut ends {
                     *end += ctx.enter_max_ns;
                 }
-                (views, EndTimes::PerRank(ends))
+                let bytes = routing.send.iter().sum::<u64>().saturating_mul(elem);
+                // SAFETY: combine, window 3 of `collective_view`, after
+                // the last `put` and the pricing's inbox reads.
+                let eager = (bytes <= p as u64 * EAGER_BYTES_PER_RANK)
+                    .then(|| unsafe { deliver(&views, &routing.recv) });
+                (Delivery { views, eager }, EndTimes::PerRank(ends))
             },
-            move |views: &Arc<Vec<RawSend<T>>>| {
+            move |out: &Arc<Delivery<T>>| {
+                if let Some(eager) = &out.eager {
+                    // The combine copied our runs and wrote our counts;
+                    // nothing of a peer's is read here.
+                    let copied = mem::replace(&mut *eager[me].lock(), Ok(Vec::new()));
+                    let data = copied.unwrap_or_else(|payload| panic::resume_unwind(payload));
+                    return RecvRuns::from_parts(data, counts);
+                }
+                let views = &out.views;
                 let sources = views[me].received;
                 // Find every run first, so that the misses on the
                 // senders' cuts overlap; the copy below finds them cached.
@@ -1185,19 +1333,14 @@ impl Comm {
                     // resumes.
                     data.extend_from_slice(unsafe { from.segment(from.segment_to(p, me)) });
                 }
-                // The inbox lists this rank's sources, ascending, in its
-                // first entries: entry `i` names a source `s ≥ i`, so
-                // filling in `counts[s]` from the last entry back never
-                // overwrites an entry still to be read.
-                for i in (0..sources).rev() {
-                    let src = mem::take(&mut counts[i]);
+                densify(&mut counts, sources, |src| {
                     let from = &views[src].data;
                     // SAFETY: as for the copy above.
-                    counts[src] = unsafe { from.segment(from.segment_to(p, me)) }.len();
-                }
+                    unsafe { from.segment(from.segment_to(p, me)) }.len()
+                });
                 RecvRuns::from_parts(data, counts)
             },
-            true,
+            |out| out.eager.is_none(),
         );
         self.segs.set(segs);
         if let Some(sink) = self.sink() {

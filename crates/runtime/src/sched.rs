@@ -10,9 +10,9 @@
 //! practical. Every blocking point in the runtime — the collective
 //! rendezvous and its exit barrier, the recovery agreement — goes
 //! through `World::block_until`, which releases the rank's worker slot
-//! and parks on a per-task condvar until an event that can change its
-//! wake predicate occurs; event sources (a collective's output, the
-//! cell reset that ends an exit barrier, poison, failure registration)
+//! and parks its thread until an event that can change its wake
+//! predicate occurs; event sources (a collective's output, the cell
+//! reset that ends an exit barrier, poison, failure registration)
 //! publish each event once, by waking exactly the affected tasks.
 //!
 //! # The park/wake protocol
@@ -25,12 +25,35 @@
 //! either the parker observes the wake through the predicate or the
 //! park is cut short. `token` and `park` are private to this module
 //! and `World::block_until` is their only caller, so that order is
-//! written once. A generous timed backstop (`PARK_BACKSTOP`) turns a
-//! hypothetically missed wake into a slow poll instead of a hang;
-//! correctness never depends on the timer, and every firing is counted
-//! (`RunRecord::park_backstops`). A firing alone cannot tell a lost
-//! wake from a phase that kept a rank parked for a whole period, so
-//! `World::block_until` also counts the lost ones
+//! written once.
+//!
+//! A wake moves a parked task to the grant queue; a *grant* hands a
+//! queued task a worker slot. The grant sets the task's `granted` flag
+//! and calls [`Thread::unpark`] on the thread that called
+//! `Scheduler::acquire` for it, the only thread that parks as that
+//! task; the parked thread sleeps in [`thread::park_timeout`] and
+//! leaves on the flag alone, without taking the scheduler lock again.
+//! A grant that lands between the thread's check of the flag and its
+//! call to `park` is not lost: the unpark leaves the thread's token
+//! set and that `park` returns at once. A stray unpark — a spurious
+//! wake, or a token left over from a grant the thread saw on its flag
+//! before the unpark reached it — only makes some later `park` return
+//! early, and every park of the runtime re-checks its own condition (a
+//! pooled rank thread's wait on its inbox between worlds as well).
+//! Each wait cycle ends with exactly one grant: the flag is set only by
+//! a grant, a task is granted only from the queue, and it is queued
+//! only while parked.
+//!
+//! A generous timed backstop (`PARK_BACKSTOP`) turns a hypothetically
+//! missed wake into a slow poll instead of a hang; correctness never
+//! depends on the timer, and every firing is counted
+//! (`RunRecord::park_backstops`): when `park_timeout` comes back with
+//! the deadline passed and no grant, the task takes the lock and, if it
+//! is still parked, queues itself like a wake would — a wake that got
+//! there first has queued it already, and the firing is not counted, so
+//! each park is ended by one wake or one firing. A firing alone cannot
+//! tell a lost wake from a phase that kept a rank parked for a whole
+//! period, so `World::block_until` also counts the lost ones
 //! (`RunRecord::lost_wakes`): the timer ended the park, the task's
 //! epoch never moved, and yet the predicate already holds — its state
 //! changed and nobody woke it. A lost wake fails a test instead of
@@ -53,11 +76,15 @@
 //! `tests/engine_equivalence.rs`).
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::{self, Thread};
 use std::time::Duration;
+// The park backstop's deadline: a host-side liveness timer, read by no
+// clock, counter or result.
+use std::time::Instant; // lint: allow-wall-clock
 
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::state::{Monitor, Unwind, World};
 use crate::threads::host_parallelism;
@@ -126,6 +153,10 @@ struct SchedInner {
     /// FIFO of `Queued` tasks awaiting a slot grant.
     queue: VecDeque<usize>,
     state: Vec<TaskState>,
+    /// The thread that called `acquire` for each task: the one a grant
+    /// unparks. `None` until then (a fan-out wake may grant a task
+    /// whose thread has not started; `acquire` then finds the flag).
+    threads: Vec<Option<Thread>>,
 }
 
 /// The worker-pool scheduler; one per [`World`]. Task ids are global
@@ -133,8 +164,10 @@ struct SchedInner {
 pub(crate) struct Scheduler {
     workers: usize,
     inner: Mutex<SchedInner>,
-    /// One condvar per task so grants and wakes never herd.
-    cvs: Vec<Condvar>,
+    /// Per-task grant flags (see module docs): set by the grant under
+    /// `inner` with `Release`, taken by the granted thread with
+    /// `Acquire`, which then runs after everything the granter did.
+    granted: Vec<AtomicBool>,
     /// Per-task wake epochs (see module docs).
     epochs: Vec<AtomicU64>,
     /// Per-task count of consecutive timed-out parks, the exponent of
@@ -171,8 +204,9 @@ impl Scheduler {
                 running: 0,
                 queue: VecDeque::with_capacity(ranks),
                 state: vec![TaskState::Parked; ranks],
+                threads: vec![None; ranks],
             }),
-            cvs: (0..ranks).map(|_| Condvar::new()).collect(),
+            granted: (0..ranks).map(|_| AtomicBool::new(false)).collect(),
             epochs: (0..ranks).map(|_| AtomicU64::new(0)).collect(),
             backoffs: (0..ranks).map(|_| AtomicU32::new(0)).collect(),
             backstop_firings: AtomicU64::new(0),
@@ -225,7 +259,8 @@ impl Scheduler {
         self.pump(inner);
     }
 
-    /// Grant free slots to queued tasks, FIFO. Callers hold `inner`.
+    /// Grant free slots to queued tasks, FIFO: set each one's flag and
+    /// unpark its thread. Callers hold `inner`.
     fn pump(&self, inner: &mut SchedInner) {
         while inner.running < self.workers {
             let Some(next) = inner.queue.pop_front() else {
@@ -234,7 +269,33 @@ impl Scheduler {
             debug_assert_eq!(inner.state[next], TaskState::Queued);
             inner.state[next] = TaskState::Running;
             inner.running += 1;
-            self.cvs[next].notify_all();
+            self.granted[next].store(true, Ordering::Release);
+            if let Some(thread) = &inner.threads[next] {
+                thread.unpark();
+            }
+        }
+    }
+
+    /// Sleep until `me` is granted a slot, taking the grant; with a
+    /// `backstop`, give up once it has elapsed (`false`). Only `me`'s
+    /// own thread calls this, without `inner`: an early return of
+    /// `thread::park*` just re-checks the flag.
+    fn await_grant(&self, me: usize, backstop: Option<Duration>) -> bool {
+        let mut deadline = None;
+        loop {
+            if self.granted[me].swap(false, Ordering::Acquire) {
+                return true;
+            }
+            let Some(backstop) = backstop else {
+                thread::park();
+                continue;
+            };
+            let now = Instant::now();
+            let until = *deadline.get_or_insert(now + backstop);
+            if now >= until {
+                return false;
+            }
+            thread::park_timeout(until - now);
         }
     }
 
@@ -243,16 +304,18 @@ impl Scheduler {
     /// that lands before this call finds the not-yet-started task
     /// `Parked` and has already queued — or granted — it; queueing it
     /// again would count its slot twice.
+    ///
+    /// The calling thread becomes the one `me`'s grants unpark.
     pub fn acquire(&self, me: usize) {
         let mut inner = self.inner.lock();
+        inner.threads[me] = Some(thread::current());
         if inner.state[me] == TaskState::Parked {
             inner.state[me] = TaskState::Queued;
             inner.queue.push_back(me);
             self.pump(&mut inner);
         }
-        while inner.state[me] != TaskState::Running {
-            self.cvs[me].wait(&mut inner);
-        }
+        drop(inner);
+        self.await_grant(me, None);
     }
 
     /// Release `me`'s slot for good; called when the rank task ends
@@ -280,16 +343,10 @@ impl Scheduler {
     /// the epoch moved past `token`, i.e. a wake raced the caller's
     /// predicate check.
     fn park(&self, me: usize, token: u64, backstop: Duration) -> bool {
-        let mut inner = self.inner.lock();
-        if self.epochs[me].load(Ordering::SeqCst) != token {
+        if !self.release(me, token) {
             self.backoffs[me].store(0, Ordering::Relaxed);
             return false;
         }
-        debug_assert_eq!(inner.state[me], TaskState::Running);
-        self.parks.fetch_add(1, Ordering::Relaxed);
-        inner.state[me] = TaskState::Parked;
-        inner.running -= 1;
-        self.pump(&mut inner);
         // Stretch only the default backstop: the poison poll keeps its
         // fixed period, so an abort is never late.
         let shift = self.backoffs[me].load(Ordering::Relaxed).min(BACKOFF_CAP);
@@ -298,33 +355,49 @@ impl Scheduler {
         } else {
             backstop
         };
-        let mut by_timer = false;
-        loop {
-            match inner.state[me] {
-                TaskState::Running => {
-                    if by_timer {
-                        self.backoffs[me].store((shift + 1).min(BACKOFF_CAP), Ordering::Relaxed);
-                    } else {
-                        self.backoffs[me].store(0, Ordering::Relaxed);
-                    }
-                    return by_timer;
-                }
-                TaskState::Parked => {
-                    let timed_out = self.cvs[me].wait_for(&mut inner, eff).timed_out();
-                    if timed_out && inner.state[me] == TaskState::Parked {
-                        // Liveness backstop: requeue so a missed wake
-                        // degrades to a slow poll, never a hang.
-                        by_timer = true;
-                        self.backstop_firings.fetch_add(1, Ordering::Relaxed);
-                        inner.state[me] = TaskState::Queued;
-                        inner.queue.push_back(me);
-                        self.pump(&mut inner);
-                    }
-                }
-                TaskState::Queued => self.cvs[me].wait(&mut inner),
-                TaskState::Done => unreachable!("a parked task cannot be done"),
-            }
+        let by_timer = !self.await_grant(me, Some(eff)) && {
+            let fired = self.requeue(me);
+            self.await_grant(me, None);
+            fired
+        };
+        let stretch = if by_timer {
+            (shift + 1).min(BACKOFF_CAP)
+        } else {
+            0
+        };
+        self.backoffs[me].store(stretch, Ordering::Relaxed);
+        by_timer
+    }
+
+    /// The locked half of a park: give `me`'s slot up unless the epoch
+    /// moved past `token` (`false`, slot kept).
+    fn release(&self, me: usize, token: u64) -> bool {
+        let mut inner = self.inner.lock();
+        if self.epochs[me].load(Ordering::SeqCst) != token {
+            return false;
         }
+        debug_assert_eq!(inner.state[me], TaskState::Running);
+        self.parks.fetch_add(1, Ordering::Relaxed);
+        inner.state[me] = TaskState::Parked;
+        inner.running -= 1;
+        self.pump(&mut inner);
+        true
+    }
+
+    /// The backstop of a park whose timer ran out: queue `me` if it is
+    /// still parked — a missed wake degrades to a slow poll, never a
+    /// hang — and count the firing (`true`). A wake that queued it in
+    /// the meantime has been counted already; nothing is done then.
+    fn requeue(&self, me: usize) -> bool {
+        let mut inner = self.inner.lock();
+        if inner.state[me] != TaskState::Parked {
+            return false;
+        }
+        self.backstop_firings.fetch_add(1, Ordering::Relaxed);
+        inner.state[me] = TaskState::Queued;
+        inner.queue.push_back(me);
+        self.pump(&mut inner);
+        true
     }
 
     /// Test hook: `me`'s current backstop-stretch exponent.
@@ -591,6 +664,94 @@ mod tests {
         sched.park(0, token, Duration::from_secs(30));
         assert_eq!(sched.backoff(0), 0);
         sched.finish(0);
+    }
+
+    #[test]
+    fn a_grant_before_the_park_is_not_lost() {
+        let sched = Scheduler::new(1, 1);
+        sched.acquire(0);
+        // The locked half of a park: the slot is given up.
+        assert!(sched.release(0, sched.token(0)));
+        // The thread has checked its flag and found no grant...
+        assert!(!sched.granted[0].load(Ordering::Acquire));
+        // ... when a wake queues the task and grants it the free slot,
+        // unparking this thread before it has parked.
+        sched.wake(&[0]);
+        // The unpark left the token set, so the park returns at once.
+        let started = Instant::now();
+        thread::park_timeout(Duration::from_secs(60));
+        assert!(
+            started.elapsed() < Duration::from_secs(30),
+            "the grant's unpark was lost"
+        );
+        assert!(sched.await_grant(0, Some(Duration::from_secs(60))));
+        assert_eq!(
+            (sched.parks(), sched.wakes(), sched.backstop_firings()),
+            (1, 1, 0)
+        );
+        sched.finish(0);
+    }
+
+    #[test]
+    fn a_grant_racing_the_backstop_is_counted_once() {
+        let sched = Scheduler::new(1, 1);
+        sched.acquire(0);
+        let counts = |s: &Scheduler| (s.parks(), s.wakes(), s.backstop_firings());
+        // The timer runs out, then a wake grants the task before its
+        // requeue takes the lock: the requeue finds it running.
+        assert!(sched.release(0, sched.token(0)));
+        assert!(!sched.await_grant(0, Some(Duration::from_millis(1))));
+        sched.wake(&[0]);
+        assert!(!sched.requeue(0), "a granted task was requeued");
+        assert!(sched.await_grant(0, None));
+        assert_eq!(counts(&sched), (1, 1, 0));
+        // The requeue first, then the wake: it finds the task granted
+        // and only moves the epoch.
+        assert!(sched.release(0, sched.token(0)));
+        assert!(!sched.await_grant(0, Some(Duration::from_millis(1))));
+        assert!(sched.requeue(0));
+        sched.wake(&[0]);
+        assert!(sched.await_grant(0, None));
+        assert_eq!(counts(&sched), (2, 1, 1));
+        // Either way each park was ended once, and the task holds the
+        // one slot: a second grant would have overfilled it.
+        assert_eq!(sched.inner.lock().running, 1);
+        sched.finish(0);
+    }
+
+    #[test]
+    fn a_stray_unpark_of_a_pooled_rank_thread_is_harmless() {
+        use crate::runner::{launch, ClusterConfig};
+        const P: usize = 4;
+        let threads = Mutex::new(Vec::new());
+        let cfg = ClusterConfig::small_cluster(P).with_engine(RunnerEngine { workers: 1 });
+        let sum = |stray: &[Thread]| {
+            let out = launch(&cfg, |c| {
+                threads.lock().push(thread::current());
+                (0..20)
+                    .map(|_| {
+                        // Unparks that no grant sent, while peers park.
+                        stray.iter().for_each(Thread::unpark);
+                        c.allreduce_sum(vec![1])[0]
+                    })
+                    .sum::<u64>()
+            })
+            .expect("an inert fault plan is valid");
+            assert_eq!(out.park_backstops, 0, "a wake was lost");
+            assert_eq!(out.lost_wakes, 0, "a wake was lost");
+            assert_eq!(out.parks, out.wakes, "a park ended without its wake");
+            let sums: Vec<u64> = out
+                .ranks
+                .into_iter()
+                .map(|r| r.expect("no rank fails").0)
+                .collect();
+            assert_eq!(sums, vec![20 * P as u64; P]);
+        };
+        sum(&[]);
+        // The rank threads are back on their inboxes, between worlds.
+        let pooled = std::mem::take(&mut *threads.lock());
+        pooled.iter().for_each(Thread::unpark);
+        sum(&pooled);
     }
 
     #[test]

@@ -284,7 +284,10 @@ impl CommState {
     /// once per generation, on the last arriver and under the cell
     /// lock, over all inputs ordered by rank; `extract` then runs once
     /// per rank against the shared output (an owned payload passes
-    /// `Arc::clone` and no exit barrier).
+    /// `Arc::clone` and no exit barrier). `exit_barrier` reads the
+    /// output and says whether this generation holds every rank until
+    /// all extracts are over: each rank asks it of the one shared
+    /// output, so all of them get the same answer.
     ///
     /// # Two cells, one park
     ///
@@ -298,7 +301,7 @@ impl CommState {
     /// departed `g` — so the last departer of `g` has reset that cell
     /// (to `g + 2`, under its lock) before anyone can ask for it. A
     /// collective costs a rank one park, for the output; the exit
-    /// barrier, where it is asked for, costs the second.
+    /// barrier, where the output asks for it, costs the second.
     ///
     /// # Safety contract
     ///
@@ -327,18 +330,27 @@ impl CommState {
     ///    read again, and every waiter aborts on its next pass instead
     ///    of hanging. Until one of the two happens no unwind cause is
     ///    taken here (a poison raised elsewhere must not pull a view
-    ///    from under a live combine).
+    ///    from under a live combine). The all-to-all's eager copy runs
+    ///    here too, reading every sender's view for every receiver; it
+    ///    catches a panicking `T::clone` per receiver and publishes the
+    ///    payload in the output for that receiver's `extract` to resume,
+    ///    so a record's panic is not the combiner's death.
     /// 4. **Output taken → cell reset**: neither unwind cause is
     ///    taken, so every rank that saw the output departs and the
-    ///    last departer resets the cell for generation `g + 2`. Without
-    ///    `exit_barrier` a rank departs first and runs `extract` on its
-    ///    way out; `extract` may read only the output's own data, and a
-    ///    panic in it unwinds freely. Nobody waits for that reset
-    ///    (window 1), so it wakes nobody: a wake there would only pull
-    ///    the ranks already parked for the next output, in the other
-    ///    cell, through one more handoff each. With
-    ///    `exit_barrier`, no rank **leaves** — returns *or unwinds*, so
-    ///    no borrowed buffer can be dropped or mutated — until
+    ///    last departer resets the cell for generation `g + 2`. When
+    ///    the output asks for no exit barrier a rank departs first and
+    ///    runs `extract` on its way out; `extract` may read only the
+    ///    output's own data, and a panic in it unwinds freely. That is
+    ///    every owned-payload collective, and the all-to-all whose
+    ///    combine delivered the data itself (the eager path of
+    ///    `Comm::alltoallv`): its extract takes the rank's own receive
+    ///    buffer and counts out of the output and never reads a view.
+    ///    Nobody waits for that reset (window 1), so it wakes nobody: a
+    ///    wake there would only pull the ranks already parked for the
+    ///    next output, in the other cell, through one more handoff
+    ///    each. Under the exit barrier — only the all-to-all's pull
+    ///    path asks for it — no rank **leaves** — returns *or unwinds*,
+    ///    so no borrowed buffer can be dropped or mutated — until
     ///    **every** rank has finished its `extract`, which may then
     ///    dereference peers' views, as the all-to-all copy-out does;
     ///    the reset's wake serves exactly these waiters, and since none
@@ -356,7 +368,7 @@ impl CommState {
         input: T,
         combine: F,
         extract: G,
-        exit_barrier: bool,
+        exit_barrier: fn(&R) -> bool,
     ) -> Q
     where
         T: Send + 'static,
@@ -457,7 +469,7 @@ impl CommState {
         // data): after departing when nothing borrowed is read, before
         // departing — and then holding every rank until the cell's
         // reset — when peers read views of this rank's memory.
-        let result = if exit_barrier {
+        let result = if exit_barrier(&out) {
             drop(st);
             let extracted = panic::catch_unwind(AssertUnwindSafe(|| extract(&out)));
             let mut st = cell.state.lock();
@@ -556,7 +568,7 @@ mod tests {
         T: Send + 'static,
         R: Send + Sync + 'static,
     {
-        st.collective_view(rank, gen, input, combine, Arc::clone, false)
+        st.collective_view(rank, gen, input, combine, Arc::clone, |_| false)
     }
 
     #[test]

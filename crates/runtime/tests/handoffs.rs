@@ -1,8 +1,9 @@
 //! A collective costs a rank **one** park: the wait for the output.
 //! Leaving it costs none — generation `g + 1` meets in the other cell,
-//! which is always ready — and only the exit barrier of a borrowed
-//! exchange adds a second. Counted, not timed: `RunRecord::parks` is
-//! every park that gave its worker slot up.
+//! which is always ready — and only the exit barrier of an all-to-all
+//! above the eager limit (4 KiB per rank in total; its combine
+//! delivers a smaller one itself) adds a second. Counted, not timed:
+//! `RunRecord::parks` is every park that gave its worker slot up.
 
 use dhs_runtime::{launch, AllToAllAlgo, ClusterConfig, Comm, RunnerEngine};
 
@@ -57,15 +58,30 @@ fn a_collective_parks_each_rank_once() {
     }
 }
 
+/// A borrowed one-factor exchange of `words` `u64`s per peer.
+fn exchange_words(c: &Comm, words: usize) {
+    let data = vec![c.rank() as u64; words * c.size()];
+    let send: Vec<&[u64]> = data.chunks(words).collect();
+    let got = c.exchange(&send[..], AllToAllAlgo::OneFactor);
+    assert_eq!(got.total_len(), words * c.size());
+}
+
 #[test]
-fn the_exit_barrier_is_the_only_second_park() {
-    let exchange: Op = |c| {
-        let data = vec![c.rank() as u64; 2 * c.size()];
-        let send: Vec<&[u64]> = data.chunks(2).collect();
-        let got = c.exchange(&send[..], AllToAllAlgo::OneFactor);
-        assert_eq!(got.total_len(), 2 * c.size());
-    };
-    let serial = parks_per_rank(P, 1, exchange);
+fn an_exchange_under_the_eager_limit_parks_each_rank_once() {
+    // 2 words per peer: 1 KiB per rank at p = 64, delivered by the
+    // combine, so the ranks leave without the exit barrier.
+    let serial = parks_per_rank(P, 1, |c| exchange_words(c, 2));
+    assert!(
+        serial <= (K + 2) as f64,
+        "{serial} parks per rank for {K} eager exchanges"
+    );
+}
+
+#[test]
+fn an_exchange_above_the_eager_limit_keeps_the_exit_barrier() {
+    // 16 words per peer: 8 KiB per rank at p = 64, pulled by each
+    // receiver under the exit barrier.
+    let serial = parks_per_rank(P, 1, |c| exchange_words(c, 16));
     assert!(
         serial <= (2 * K + 2) as f64,
         "{serial} parks per rank for {K} exit-barrier exchanges"

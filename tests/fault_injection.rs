@@ -181,8 +181,10 @@ fn crash_during_sort_is_reported_and_deterministic() {
 
 /// What the `Fragile` records of one run did, for
 /// `crash_mid_collective_releases_blocked_peers`.
-#[derive(Default)]
 struct CopyLog {
+    /// The run's `clone()` calls once every copy-out is over
+    /// ([`fragile_clone_calls`]).
+    expected: usize,
     /// `clone()` calls, the tripping one included.
     clones: AtomicUsize,
     /// Sender-side records dropped.
@@ -191,10 +193,12 @@ struct CopyLog {
     dropped_early: AtomicUsize,
 }
 
-/// `clone()` calls of one `"exchange borrowed, Clone panics"` run:
-/// seven ranks clone their 16 records; rank 5 clones the six from
-/// ranks 0–2 and trips on the seventh.
-const FRAGILE_CLONE_CALLS: usize = 7 * 16 + 7;
+/// `clone()` calls of one `"exchange borrowed, Clone panics"` run with
+/// `n` records per peer: seven ranks clone their `8n` records; rank 5
+/// clones the `3n` from ranks 0–2 and trips on the next one.
+const fn fragile_clone_calls(n: usize) -> usize {
+    7 * 8 * n + 3 * n + 1
+}
 
 /// A record whose `clone()` can panic and whose sender-side `drop`
 /// checks that no copy-out is still running.
@@ -225,7 +229,7 @@ impl Drop for Fragile {
             log.dropped_senders.fetch_add(1, Ordering::SeqCst);
             // All copy-outs are over once the run's last clone call
             // has been made.
-            if log.clones.load(Ordering::SeqCst) != FRAGILE_CLONE_CALLS {
+            if log.clones.load(Ordering::SeqCst) != log.expected {
                 log.dropped_early.fetch_add(1, Ordering::SeqCst);
             }
         }
@@ -298,65 +302,82 @@ fn crash_mid_collective_releases_blocked_peers() {
         );
 
         // A borrowed exchange of `Clone` records whose `clone()` panics
-        // on rank 5 in the middle of its copy-out (window 4 of
-        // `collective_view`): rank 5 is the one root cause, but it
-        // serves the exit barrier before unwinding, so the other seven
-        // finish copying out of its buffer, return, and are released
-        // from the barrier after it as collateral.
-        let cell = format!("exchange borrowed, Clone panics under {engine:?}");
-        let log = Arc::new(CopyLog::default());
-        let cluster = ClusterConfig::small_cluster(8).with_engine(engine);
-        let started = Instant::now();
-        let out = {
-            let log = Arc::clone(&log);
-            launch(&cluster, move |comm| {
-                // Two records per destination; the ones from rank 3 up
-                // that are bound for rank 5 trip when cloned.
-                let data: Vec<Fragile> = (0..2 * comm.size())
-                    .map(|i| Fragile {
-                        trips: comm.rank() >= 3 && i / 2 == 5,
-                        home: Some(Arc::clone(&log)),
-                    })
-                    .collect();
-                let send: Vec<&[Fragile]> = data.chunks(2).collect();
-                drop(comm.exchange(&send[..], AllToAllAlgo::OneFactor));
-                comm.barrier();
-            })
-            .expect("an inert fault plan is valid")
-        };
-        let elapsed = started.elapsed();
-        assert_eq!(out.failures().count(), 8, "{cell}: every rank reports");
-        for (rank, e) in out.failures().enumerate() {
-            match e {
-                RankError::Panicked { rank: 5, message } if rank == 5 => {
-                    assert!(message.contains("clone tripped"), "{cell}: {message}")
+        // on rank 5's copy, at 16 B a record: 2 per peer is 256 B per
+        // rank, under the all-to-all's eager limit of 4 KiB per rank,
+        // so the combine copies for every receiver and rank 5's extract
+        // resumes the panic its copy raised; 64 per peer is 8 KiB per
+        // rank, above the limit, so rank 5 trips in its own copy-out
+        // (window 4 of `collective_view`) and serves the exit barrier
+        // before unwinding. Either way rank 5 is the one root cause, the
+        // other seven finish copying out of its buffer, return, and fail
+        // in the barrier after it as collateral.
+        assert_eq!(std::mem::size_of::<Fragile>(), 16);
+        for per_peer in [2, 64] {
+            let cell =
+                format!("exchange borrowed, Clone panics, {per_peer} per peer under {engine:?}");
+            let log = Arc::new(CopyLog {
+                expected: fragile_clone_calls(per_peer),
+                clones: AtomicUsize::new(0),
+                dropped_senders: AtomicUsize::new(0),
+                dropped_early: AtomicUsize::new(0),
+            });
+            let cluster = ClusterConfig::small_cluster(8).with_engine(engine);
+            let started = Instant::now();
+            let out = {
+                let log = Arc::clone(&log);
+                launch(&cluster, move |comm| {
+                    // `per_peer` records per destination; the ones from
+                    // rank 3 up that are bound for rank 5 trip when cloned.
+                    let data: Vec<Fragile> = (0..per_peer * comm.size())
+                        .map(|i| Fragile {
+                            trips: comm.rank() >= 3 && i / per_peer == 5,
+                            home: Some(Arc::clone(&log)),
+                        })
+                        .collect();
+                    let send: Vec<&[Fragile]> = data.chunks(per_peer).collect();
+                    drop(comm.exchange(&send[..], AllToAllAlgo::OneFactor));
+                    comm.barrier();
+                })
+                .expect("an inert fault plan is valid")
+            };
+            let elapsed = started.elapsed();
+            assert_eq!(out.failures().count(), 8, "{cell}: every rank reports");
+            for (rank, e) in out.failures().enumerate() {
+                match e {
+                    RankError::Panicked { rank: 5, message } if rank == 5 => {
+                        assert!(message.contains("clone tripped"), "{cell}: {message}")
+                    }
+                    RankError::PeerFailed { rank: r } if rank != 5 => assert_eq!(*r, rank),
+                    other => panic!("{cell}: rank {rank} failed with {other:?}"),
                 }
-                RankError::PeerFailed { rank: r } if rank != 5 => assert_eq!(*r, rank),
-                other => panic!("{cell}: rank {rank} failed with {other:?}"),
             }
+            assert_eq!(out.park_backstops, 0, "{cell}: a park backstop fired");
+            assert_eq!(out.lost_wakes, 0, "{cell}: a wake was lost");
+            assert!(
+                out.parks <= out.wakes + out.park_backstops,
+                "{cell}: a park ended by neither a wake nor a backstop"
+            );
+            assert!(
+                elapsed < PARK_BACKSTOP,
+                "{cell}: took {elapsed:?}, peers waited on the unwinding rank"
+            );
+            // Every sender's buffer was dropped after the last clone call.
+            assert_eq!(
+                log.clones.load(Ordering::SeqCst),
+                fragile_clone_calls(per_peer),
+                "{cell}"
+            );
+            assert_eq!(
+                log.dropped_senders.load(Ordering::SeqCst),
+                8 * 8 * per_peer,
+                "{cell}"
+            );
+            assert_eq!(
+                log.dropped_early.load(Ordering::SeqCst),
+                0,
+                "{cell}: a sender's buffer was dropped while a peer was still copying"
+            );
         }
-        assert_eq!(out.park_backstops, 0, "{cell}: a park backstop fired");
-        assert_eq!(out.lost_wakes, 0, "{cell}: a wake was lost");
-        assert!(
-            out.parks <= out.wakes + out.park_backstops,
-            "{cell}: a park ended by neither a wake nor a backstop"
-        );
-        assert!(
-            elapsed < PARK_BACKSTOP,
-            "{cell}: took {elapsed:?}, peers waited on the unwinding rank"
-        );
-        // Every sender's buffer was dropped after the last clone call.
-        assert_eq!(
-            log.clones.load(Ordering::SeqCst),
-            FRAGILE_CLONE_CALLS,
-            "{cell}"
-        );
-        assert_eq!(log.dropped_senders.load(Ordering::SeqCst), 8 * 16, "{cell}");
-        assert_eq!(
-            log.dropped_early.load(Ordering::SeqCst),
-            0,
-            "{cell}: a sender's buffer was dropped while a peer was still copying"
-        );
 
         for (name, op) in ops {
             let cluster = ClusterConfig::small_cluster(8)
